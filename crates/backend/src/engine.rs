@@ -73,10 +73,11 @@ pub trait GateEngine: Sync {
 
     /// Smallest wave (in gates) worth dispatching across the worker
     /// pool; narrower waves run inline on the calling thread. The
-    /// default matches [`crate::exec::PARALLEL_WAVE_MIN`]; engines whose
-    /// per-gate cost is tiny compared to a pool dispatch (plaintext
-    /// evaluation) override it upward, engines whose gates dwarf the
-    /// dispatch (bootstrapped TFHE) keep it minimal.
+    /// default is [`crate::exec::PARALLEL_WAVE_MIN`], which engines whose
+    /// gates dwarf a pool dispatch keep (a bootstrapped TFHE gate costs
+    /// three orders of magnitude more, so even two-gate waves repay
+    /// fan-out); engines whose per-gate cost is tiny compared to a
+    /// dispatch (plaintext evaluation) override it upward.
     fn parallel_grain(&self) -> usize {
         crate::exec::PARALLEL_WAVE_MIN
     }
@@ -149,7 +150,7 @@ pub trait GateEngine: Sync {
 /// Maps a netlist gate kind onto the TFHE crate's bootstrapped-gate
 /// enum. `None` for the kinds evaluated without a bootstrap (`Not`,
 /// `Buf`, constants).
-fn boot_gate(kind: GateKind) -> Option<BootGate> {
+pub fn boot_gate(kind: GateKind) -> Option<BootGate> {
     match kind {
         GateKind::Nand => Some(BootGate::Nand),
         GateKind::And => Some(BootGate::And),
@@ -285,13 +286,6 @@ impl GateEngine for TfheEngine<'_> {
 
     fn constant(&self, bit: bool) -> LweCiphertext {
         self.key.constant(bit)
-    }
-
-    /// A bootstrapped gate costs hundreds of microseconds — three orders
-    /// of magnitude over a pool dispatch — so even two-gate waves repay
-    /// fan-out.
-    fn parallel_grain(&self) -> usize {
-        2
     }
 
     fn eval_into(

@@ -30,7 +30,7 @@ pub use capture::{capture, CaptureConfig};
 pub use plan::{
     counts_toward_batch, GateGroup, GateTask, KernelPlan, LutGroup, LutTask, SubGraph, WavePlan,
 };
-pub use replay::{replay, ReplayLanes, ReplayReport};
+pub use replay::{replay, ReplayLanes};
 
 use crate::checkpoint::netlist_fingerprint;
 use crate::engine::GateEngine;
@@ -143,21 +143,10 @@ impl KernelGraph {
                 if cached { " (cached plan)" } else { "" }
             )
         });
-        let replay_start = Instant::now();
-        let (out, report) = replay(engine, &plan, inputs, lanes)?;
+        let (out, mut stats) = replay(engine, &plan, inputs, lanes)?;
         replay_span.end();
-        let mut stats = ExecStats::for_gates(report.gates);
-        stats.waves = report.waves;
-        stats.batches = report.batches;
-        stats.kernel_launches = report.kernel_launches;
-        stats.kernels_by_kind = report.kernels_by_kind;
-        stats.steals = report.steals;
-        stats.luts = report.luts;
-        stats.lut_launches = report.lut_launches;
-        stats.bootstraps = plan.bootstraps();
         stats.plan_cached = cached;
         stats.capture_s = capture_s;
-        stats.replay_s = replay_start.elapsed().as_secs_f64();
         stats.wall_s = start.elapsed().as_secs_f64();
         stats.record_metrics();
         Ok((out, stats))

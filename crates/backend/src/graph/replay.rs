@@ -10,20 +10,24 @@
 //! per-kernel-launch bookkeeping, like the operand-pointer list handed
 //! to [`GateEngine::eval_batch`], still comes from the ordinary heap.)
 //!
-//! Wide waves dispatch onto the shared [`WorkerPool`]: every group of
-//! the wave is split into per-lane chunks and all chunks are submitted
-//! as one run, so lanes steal across group boundaries — one fat AND
-//! group no longer idles the workers that finished their XORs. Narrow
-//! waves (below [`GateEngine::parallel_grain`]) run inline with a single
-//! scratch, and scratch buffers are only allocated for the lanes a
-//! replay actually engages.
+//! [`run_wave`] is the crate's one wave walker — the only code that
+//! turns a wave of ready nodes into [`WorkerPool`] jobs. Wide waves
+//! dispatch onto the shared pool: every group of the wave is split into
+//! per-lane chunks and all chunks are submitted as one run, so lanes
+//! steal across group boundaries — one fat AND group no longer idles the
+//! workers that finished their XORs. Narrow waves (below
+//! [`GateEngine::parallel_grain`]) run inline with a single scratch, and
+//! scratch buffers are only allocated for the lanes a replay actually
+//! engages.
 
 use crate::engine::GateEngine;
 use crate::error::ExecError;
+use crate::exec::{ExecStats, PARALLEL_WAVE_MIN};
 use crate::graph::plan::{KernelPlan, LutTask, WavePlan};
 use crate::pool::{Job, SlotCells, WorkerPool};
 use pytfhe_netlist::{GateKind, LutSpec};
 use pytfhe_telemetry as telemetry;
+use std::time::Instant;
 
 /// Reusable replay storage: the value arena (one slot per netlist
 /// node), the wave staging arena, and scratch buffers for the worker
@@ -90,36 +94,16 @@ impl<E: GateEngine> ReplayLanes<E> {
     }
 }
 
-/// Per-replay accounting, merged into [`crate::ExecStats`] by
-/// [`crate::KernelGraph::execute`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct ReplayReport {
-    /// Gates evaluated.
-    pub gates: usize,
-    /// Waves executed.
-    pub waves: usize,
-    /// Sub-graph batches executed.
-    pub batches: usize,
-    /// Batched kernel launches (one per gate group per worker chunk).
-    pub kernel_launches: u64,
-    /// Kernel launches per gate kind, indexed by opcode.
-    pub kernels_by_kind: [u64; 16],
-    /// Fused LUT nodes evaluated.
-    pub luts: usize,
-    /// Batched LUT kernel launches (bootstrapping groups only; affine
-    /// groups run linearly and launch nothing).
-    pub lut_launches: u64,
-    /// Pool tasks executed by a lane other than the one they were
-    /// queued on (work-stealing activity across the replay's waves).
-    pub steals: u64,
-}
-
 /// Replays `plan` on `inputs`, reusing `lanes` for all storage.
 ///
 /// Bit-exact with [`crate::execute`] on the captured netlist: batching
 /// regroups independent gates but every gate still runs the identical
 /// kernel on identical operands, and chunk boundaries never change
 /// per-gate arithmetic — outputs are identical at every worker count.
+/// The returned [`ExecStats`] carry the replay's counters with
+/// `replay_s == wall_s`; callers that also captured add their own
+/// `capture_s` / `plan_cached` and publish via
+/// [`ExecStats::record_metrics`].
 ///
 /// # Errors
 ///
@@ -130,32 +114,34 @@ pub fn replay<E: GateEngine>(
     plan: &KernelPlan,
     inputs: &[E::Value],
     lanes: &mut ReplayLanes<E>,
-) -> Result<(Vec<E::Value>, ReplayReport), ExecError> {
+) -> Result<(Vec<E::Value>, ExecStats), ExecError> {
     if inputs.len() != plan.inputs.len() {
         return Err(ExecError::InputCountMismatch {
             expected: plan.inputs.len(),
             got: inputs.len(),
         });
     }
+    let start = Instant::now();
     lanes.warm(engine, plan);
-    let mut report =
-        ReplayReport { gates: plan.num_gates(), luts: plan.num_luts(), ..ReplayReport::default() };
+    let mut stats = ExecStats::new(plan.num_gates(), plan.num_luts(), plan.bootstraps());
     let msg_precision = (plan.message_precision > 0).then_some(plan.message_precision);
     for (&slot, input) in plan.inputs.iter().zip(inputs) {
         lanes.values[slot as usize].clone_from(input);
     }
     for (batch_idx, batch) in plan.batches.iter().enumerate() {
-        report.batches += 1;
+        stats.batches += 1;
         let _batch_span = telemetry::span_with("graph", || {
             format!("batch {batch_idx}: {} waves", batch.waves.len())
         });
         for wave in &batch.waves {
-            report.waves += 1;
-            run_wave(engine, wave, msg_precision, lanes, &mut report)?;
+            run_wave(engine, wave, msg_precision, lanes, &mut stats)?;
+            stats.waves += 1;
         }
     }
     let outputs = plan.outputs.iter().map(|&s| lanes.values[s as usize].clone()).collect();
-    Ok((outputs, report))
+    stats.replay_s = start.elapsed().as_secs_f64();
+    stats.wall_s = stats.replay_s;
+    Ok((outputs, stats))
 }
 
 /// The four operand references of a LUT task (unused slots alias the
@@ -186,14 +172,17 @@ fn run_wave<E: GateEngine>(
     wave: &WavePlan,
     msg_precision: Option<u8>,
     lanes: &mut ReplayLanes<E>,
-    report: &mut ReplayReport,
+    stats: &mut ExecStats,
 ) -> Result<(), ExecError> {
     let total = wave.num_tasks();
     if total == 0 {
         return Ok(());
     }
+    let _wave_span =
+        telemetry::span_with("exec", || format!("wave {}: {total} gates", stats.waves));
+    telemetry::counter_sample("exec", "wave_width", total as f64);
     let workers = lanes.workers;
-    let grain = engine.parallel_grain().max(2);
+    let grain = engine.parallel_grain().max(PARALLEL_WAVE_MIN);
     if workers == 1 || total < grain {
         lanes.ensure_scratches(engine, 1);
         let values = &lanes.values;
@@ -206,7 +195,7 @@ fn run_wave<E: GateEngine>(
                 for out in stage.iter_mut() {
                     *out = engine.constant_message(bit, p);
                 }
-                record_launches(report, group.kind, 1);
+                record_launches(stats, group.kind, 1);
                 continue;
             }
             let pairs: Vec<(&E::Value, &E::Value)> = group
@@ -215,7 +204,7 @@ fn run_wave<E: GateEngine>(
                 .map(|t| (&values[t.a as usize], &values[t.b as usize]))
                 .collect();
             engine.eval_batch(group.kind, &pairs, stage, &mut lanes.scratches[0]);
-            record_launches(report, group.kind, 1);
+            record_launches(stats, group.kind, 1);
         }
         for group in &wave.lut_groups {
             let stage = &mut lanes.stage[staged..staged + group.tasks.len()];
@@ -235,7 +224,7 @@ fn run_wave<E: GateEngine>(
                     stage,
                     &mut lanes.scratches[0],
                 );
-                report.lut_launches += 1;
+                stats.lut_launches += 1;
             }
         }
     } else {
@@ -260,11 +249,11 @@ fn run_wave<E: GateEngine>(
                 for out in group_stage.iter_mut() {
                     *out = engine.constant_message(bit, p);
                 }
-                record_launches(report, kind, 1);
+                record_launches(stats, kind, 1);
                 continue;
             }
             let n_chunks = group.tasks.len().div_ceil(chunk) as u64;
-            record_launches(report, kind, n_chunks);
+            record_launches(stats, kind, n_chunks);
             for (task_chunk, stage_chunk) in
                 group.tasks.chunks(chunk).zip(group_stage.chunks_mut(chunk))
             {
@@ -286,7 +275,7 @@ fn run_wave<E: GateEngine>(
             let (width, precision) = (group.width, group.precision);
             let affine = group.is_affine();
             if !affine {
-                report.lut_launches += group.tasks.len().div_ceil(chunk) as u64;
+                stats.lut_launches += group.tasks.len().div_ceil(chunk) as u64;
             }
             for (task_chunk, stage_chunk) in
                 group.tasks.chunks(chunk).zip(group_stage.chunks_mut(chunk))
@@ -311,7 +300,7 @@ fn run_wave<E: GateEngine>(
         }
         let run = WorkerPool::global().run(workers, jobs);
         *scratches = scratch_cells.into_inner();
-        report.steals += run?.steals;
+        stats.steals += run?.steals;
     }
     let mut staged = 0;
     for group in &wave.groups {
@@ -330,9 +319,9 @@ fn run_wave<E: GateEngine>(
 }
 
 /// Bumps the per-kind and total launch counters.
-fn record_launches(report: &mut ReplayReport, kind: pytfhe_netlist::GateKind, launches: u64) {
-    report.kernel_launches += launches;
-    report.kernels_by_kind[kind.opcode() as usize] += launches;
+fn record_launches(stats: &mut ExecStats, kind: GateKind, launches: u64) {
+    stats.kernel_launches += launches;
+    stats.kernels_by_kind[kind.opcode() as usize] += launches;
     if telemetry::enabled() {
         telemetry::metrics()
             .counter_add(&format!("graph_kernel_launches_total{{kind=\"{kind}\"}}"), launches);

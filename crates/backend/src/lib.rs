@@ -3,18 +3,20 @@
 //!
 //! A compiled TFHE program is a DAG of bootstrapped gates; executing it
 //! means traversing the DAG in dependency order (the BFS wavefront of the
-//! paper's Algorithm 1) and evaluating each gate. This crate provides:
+//! paper's Algorithm 1) and evaluating each gate. Algorithm 1 exists
+//! here once, as [`capture`] (form the waves) + [`replay`] (run them on
+//! the worker pool). This crate provides:
 //!
 //! * [`engine`] — the pluggable gate evaluator: [`engine::TfheEngine`]
 //!   computes on real LWE ciphertexts via `pytfhe-tfhe`;
 //!   [`engine::PlainEngine`] computes on plaintext bits (the functional
 //!   mode used to validate programs and drive the performance
 //!   simulators);
-//! * [`exec`] — a single-threaded reference executor, the multi-threaded
-//!   wavefront executor (Algorithm 1 on a worker pool, the single-node
-//!   form of the paper's distributed CPU backend), and the resilient
-//!   wavefront executor ([`exec::execute_resilient`]) that retries failed
-//!   gate tasks, evicts crashed workers, and checkpoints at wave
+//! * [`exec`] — a single-threaded reference executor (the oracle),
+//!   [`exec::execute_parallel`] (capture + replay in one call, the
+//!   single-node form of the paper's distributed CPU backend), and the
+//!   resilient executor ([`exec::execute_resilient`]) that retries
+//!   failed gate tasks, evicts crashed workers, and checkpoints at wave
 //!   barriers;
 //! * [`fault`] — deterministic seeded fault injection ([`SeededFaults`])
 //!   and the [`RetryPolicy`] (capped exponential backoff + jitter,
@@ -28,10 +30,9 @@
 //!   CUDA-Graphs simulator cuts them), cached by fingerprint, and
 //!   *replayed* against fresh inputs with zero per-gate allocation;
 //! * [`pool`] — the shared work-stealing worker pool (per-lane deques,
-//!   LIFO-local/FIFO-steal, caller participation) that the wavefront
-//!   executor, the kernel-graph replay, and the serving scheduler all
-//!   dispatch their batched chunks onto, replacing per-dispatch thread
-//!   spawning;
+//!   LIFO-local/FIFO-steal, caller participation) that kernel-graph
+//!   replay and the serving scheduler dispatch their batched chunks
+//!   onto, replacing per-dispatch thread spawning;
 //! * [`cost`] — the calibrated cost model (Figure 7: one bootstrapped
 //!   gate ≈ 13 ms on one CPU core; ciphertext = 2.46 KB; per-task
 //!   communication ≈ 0.094 % of runtime);
@@ -66,9 +67,7 @@ pub use exec::{
 pub use fault::{
     FaultInjector, NoFaults, RetryPolicy, SeededFaults, SeededStorageFaults, StorageFault, TaskFate,
 };
-pub use graph::{
-    capture, replay, CaptureConfig, KernelGraph, KernelPlan, ReplayLanes, ReplayReport,
-};
+pub use graph::{capture, replay, CaptureConfig, KernelGraph, KernelPlan, ReplayLanes};
 pub use pool::{RunStats, WorkerPool};
 pub use runtime::{Evaluator, RtWord};
 pub use store::DiskStore;

@@ -1,7 +1,7 @@
 //! A shared work-stealing worker pool for batched gate execution.
 //!
 //! Every layer that fans batched kernels across threads — kernel-graph
-//! [`crate::replay`], the wavefront [`crate::execute_parallel`], and the
+//! [`crate::replay`] (and through it [`crate::execute_parallel`]) and the
 //! serving scheduler — used to spawn a fresh [`std::thread::scope`] per
 //! dispatch. At bootstrapped-gate granularity that was tolerable; at
 //! plaintext-gate granularity the spawn/join cost dominated the work by

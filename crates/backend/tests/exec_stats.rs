@@ -1,15 +1,18 @@
 //! End-to-end coverage of the [`ExecStats`] counters: the fault-path
 //! counters under the resilient executor with seeded faults, the
-//! batching counters under the kernel-graph executor, and the flow of
-//! both into the telemetry metrics registry and the stable JSON shape.
+//! batching counters under the kernel-graph executor (and their
+//! identity with one-shot `execute_parallel`, which is the same capture
+//! and replay), and the flow of both into the telemetry metrics registry
+//! and the stable JSON shape.
 
 use pytfhe_backend::{
-    execute, execute_parallel, execute_resilient, ExecStats, KernelGraph, MemoryCheckpointStore,
-    PlainEngine, ResilientConfig, RetryPolicy, SeededFaults,
+    execute, execute_parallel, execute_resilient, ExecError, ExecStats, KernelGraph,
+    MemoryCheckpointStore, PlainEngine, ResilientConfig, RetryPolicy, SeededFaults,
 };
 use pytfhe_hdl::Circuit;
+use pytfhe_netlist::opt::{lut_cover, LutCoverConfig};
 use pytfhe_netlist::topo::LevelSchedule;
-use pytfhe_netlist::Netlist;
+use pytfhe_netlist::{GateKind, Netlist};
 use pytfhe_telemetry as telemetry;
 
 fn to_bits(x: u64, w: usize) -> Vec<bool> {
@@ -110,6 +113,59 @@ fn graph_stats_count_batches_launches_and_plan_cache() {
 }
 
 #[test]
+fn execute_parallel_is_one_shot_capture_and_replay() {
+    // Grain 1 forces the plaintext waves through the pooled dispatch, so
+    // workers = 4 exercises chunking and workers = 1 the serial path.
+    let engine = PlainEngine::with_parallel_grain(1);
+    let boolean = adder(6);
+    let (lowered, report) = lut_cover(&boolean, &LutCoverConfig::default()).expect("lut_cover");
+    assert!(report.cones_fused > 0, "the adder must have fusable cones");
+    let mut input = to_bits(37, 6);
+    input.extend(to_bits(58, 6));
+    for nl in [&boolean, &lowered] {
+        let (want, _) = execute(&engine, nl, &input).expect("sequential");
+        for workers in [1, 4] {
+            let (one_shot, a) = execute_parallel(&engine, nl, &input, workers).expect("one-shot");
+            let (graphed, b) = KernelGraph::new().execute(&engine, nl, &input, workers).unwrap();
+            assert_eq!(one_shot, want, "workers={workers}");
+            assert_eq!(graphed, want, "workers={workers}");
+            assert!(a.waves > 0 && a.kernel_launches + a.lut_launches > 0);
+            assert_eq!(
+                (a.waves, a.batches, a.kernel_launches, a.kernels_by_kind),
+                (b.waves, b.batches, b.kernel_launches, b.kernels_by_kind),
+                "workers={workers}"
+            );
+            assert_eq!(
+                (a.luts, a.lut_launches, a.bootstraps),
+                (b.luts, b.lut_launches, b.bootstraps),
+                "workers={workers}"
+            );
+            assert_eq!(a.luts, nl.num_luts());
+            assert!(!a.plan_cached, "a one-shot run never finds a cached plan");
+        }
+    }
+}
+
+#[test]
+fn execute_parallel_checks_the_input_count_before_the_program() {
+    // No outputs: capture rejects the program — but the arity error of
+    // the call must still win when both apply.
+    let mut nl = Netlist::new();
+    let a = nl.add_input();
+    let b = nl.add_input();
+    nl.add_gate(GateKind::And, a, b).expect("gate");
+    let engine = PlainEngine::new();
+    assert_eq!(
+        execute_parallel(&engine, &nl, &[true], 2).unwrap_err(),
+        ExecError::InputCountMismatch { expected: 2, got: 1 }
+    );
+    assert!(matches!(
+        execute_parallel(&engine, &nl, &[true, false], 2),
+        Err(ExecError::InvalidProgram(_))
+    ));
+}
+
+#[test]
 fn stats_flow_into_the_metrics_registry_when_enabled() {
     let engine = PlainEngine::new();
     let nl = adder(5);
@@ -154,9 +210,28 @@ fn exec_stats_json_round_trips_every_counter() {
     let (_, stats) = graph.execute(&engine, &nl, &input, 2).expect("graph run");
     let json = stats.to_json();
     telemetry::json::validate(&json).expect("ExecStats::to_json must emit valid JSON");
-    for key in ["gates", "waves", "batches", "kernel_launches", "plan_cached", "simd_path"] {
+    for key in [
+        "gates",
+        "waves",
+        "wall_s",
+        "retries",
+        "evicted_workers",
+        "checkpoints",
+        "capture_s",
+        "replay_s",
+        "plan_cached",
+        "batches",
+        "kernel_launches",
+        "kernels_by_kind",
+        "steals",
+        "luts",
+        "lut_launches",
+        "bootstraps",
+        "simd_path",
+    ] {
         assert!(json.contains(&format!("\"{key}\"")), "missing {key} in {json}");
     }
+    assert!(json.contains("\"resumed_from_wave\": null"), "clean runs never resume: {json}");
     let display = stats.to_string();
     assert!(display.contains("gates"));
     assert!(display.contains("kernel launches"));

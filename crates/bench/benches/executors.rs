@@ -1,12 +1,10 @@
 //! Executor throughput: the plaintext functional engine over real
-//! compiled workloads (reference vs wavefront vs kernel-graph replay),
+//! compiled workloads (reference vs kernel-graph capture and replay),
 //! plus binary assembly/disassembly throughput.
 
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use pytfhe_asm::{assemble, disassemble};
-use pytfhe_backend::{
-    capture, execute, execute_parallel, replay, CaptureConfig, PlainEngine, ReplayLanes,
-};
+use pytfhe_backend::{capture, execute, replay, CaptureConfig, PlainEngine, ReplayLanes};
 use pytfhe_vipbench::{find, Scale};
 use std::hint::black_box;
 
@@ -21,9 +19,6 @@ fn bench_executors(c: &mut Criterion) {
     group.throughput(Throughput::Elements(gates));
     group.bench_function("reference_mnist_s", |b| {
         b.iter(|| black_box(execute(&engine, &nl, black_box(&input_bits)).expect("ok")))
-    });
-    group.bench_function("wavefront4_mnist_s", |b| {
-        b.iter(|| black_box(execute_parallel(&engine, &nl, black_box(&input_bits), 4).expect("ok")))
     });
     // The kernel-graph backend: plan capture measured on its own, then
     // replay of the already-captured plan with warm lanes — the

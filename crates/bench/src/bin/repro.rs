@@ -4,21 +4,16 @@
 //! repro <target> [--quick]
 //!
 //! targets: fig6 fig7 fig8 fig9 fig10 fig11 fig12 fig13 fig14 table4
-//!          ablation kernel_graph fft simd serve shortint all
+//!          ablation all
 //!
-//! `kernel_graph` additionally writes machine-readable timings to
-//! `results/BENCH_kernel_graph.json`; `fft` writes the folded-vs-
-//! reference transform and gate timings to `results/BENCH_fft.json`;
-//! `simd` writes the scalar-vs-dispatched kernel timings to
-//! `results/BENCH_simd.json`; `serve` writes the multi-tenant serving
-//! throughput comparison to `results/BENCH_serve.json`; `shortint`
-//! writes the LUT-lowering bootstrap reductions and exact-integer
-//! operation costs to `results/BENCH_shortint.json`.
 //! --quick: use the miniature Test/Small workload scales (fast; same
 //!          qualitative shapes). Without it the Paper scales are built,
 //!          which compiles multi-million-gate netlists and takes a few
 //!          minutes.
 //! ```
+//!
+//! Measured performance of this implementation is not a `repro` target:
+//! it is the repo benchmark in `benchmark/` (see `benchmark/README.md`).
 
 use pytfhe_baselines::MnistScale;
 use pytfhe_bench::figures;
@@ -46,75 +41,12 @@ fn main() -> ExitCode {
             "fig14" => figures::fig14(mscale),
             "table4" => figures::table4(mscale),
             "ablation" => figures::ablation(),
-            "kernel_graph" => {
-                let (text, json) = figures::kernel_graph(scale);
-                let path = "results/BENCH_kernel_graph.json";
-                match std::fs::write(path, &json) {
-                    Ok(()) => format!("{text}\nwrote {path}"),
-                    Err(e) => format!("{text}\ncould not write {path}: {e}"),
-                }
-            }
-            // Real measurement of the half-complex FFT rework; full mode
-            // key-generates 128-bit material for the gate comparison.
-            "fft" => {
-                let (text, json) = figures::fft(!quick);
-                let path = "results/BENCH_fft.json";
-                match std::fs::write(path, &json) {
-                    Ok(()) => format!("{text}\nwrote {path}"),
-                    Err(e) => format!("{text}\ncould not write {path}: {e}"),
-                }
-            }
-            // Scalar vs dispatched SIMD kernels; full mode key-generates
-            // 128-bit material for the bootstrap comparison.
-            "simd" => {
-                let (text, json) = figures::simd(!quick);
-                let path = "results/BENCH_simd.json";
-                match std::fs::write(path, &json) {
-                    Ok(()) => format!("{text}\nwrote {path}"),
-                    Err(e) => format!("{text}\ncould not write {path}: {e}"),
-                }
-            }
-            // Real measurement of the multi-tenant serving front vs a
-            // stateless serial baseline on the same workload.
-            "serve" => {
-                let (text, json) = figures::serve(quick);
-                let path = "results/BENCH_serve.json";
-                match std::fs::write(path, &json) {
-                    Ok(()) => format!("{text}\nwrote {path}"),
-                    Err(e) => format!("{text}\ncould not write {path}: {e}"),
-                }
-            }
-            // LUT cone-cover on VIP-Bench plus the shortint exact
-            // integer API, verified bit-exact under real encryption;
-            // full mode times a second encrypted workload.
-            "shortint" => {
-                let (text, json) = figures::shortint(quick);
-                let path = "results/BENCH_shortint.json";
-                match std::fs::write(path, &json) {
-                    Ok(()) => format!("{text}\nwrote {path}"),
-                    Err(e) => format!("{text}\ncould not write {path}: {e}"),
-                }
-            }
             _ => return None,
         })
     };
     let all = [
-        "fig6",
-        "fig7",
-        "fig8",
-        "fig9",
-        "fig10",
-        "fig11",
-        "fig12",
-        "fig13",
-        "fig14",
-        "table4",
+        "fig6", "fig7", "fig8", "fig9", "fig10", "fig11", "fig12", "fig13", "fig14", "table4",
         "ablation",
-        "kernel_graph",
-        "fft",
-        "simd",
-        "serve",
-        "shortint",
     ];
     match target.as_str() {
         "all" => {

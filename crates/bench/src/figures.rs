@@ -5,7 +5,6 @@
 //! returns the rendered report. EXPERIMENTS.md records the paper-vs-
 //! reproduced comparison for every entry.
 
-use crate::emit::BenchReport;
 use crate::report::{bar, fmt_seconds, Table};
 use pytfhe_asm::{assemble, dump};
 use pytfhe_backend::cost::{CpuCostModel, GpuCostModel};
@@ -480,861 +479,6 @@ pub fn ablation() -> String {
     out
 }
 
-/// The kernel-graph backend swept across real workloads: capture cost,
-/// first vs cached replay, the batch structure, and the cached-replay
-/// speedup over the wavefront executor at the same worker count — the
-/// executable analogue of the Figure 9 pipeline, run on the shared
-/// work-stealing pool. Returns the rendered report plus a
-/// machine-readable JSON document (written by `repro kernel_graph` to
-/// `results/BENCH_kernel_graph.json`) with per-workload labeled
-/// metrics: `cached_replay_s{workload=...}`, `wavefront_s{workload=...}`,
-/// `speedup{workload=...}`, and `steals{workload=...}`.
-pub fn kernel_graph(scale: Scale) -> (String, String) {
-    use pytfhe_backend::{execute_parallel, KernelGraph, PlainEngine, ReplayLanes, WorkerPool};
-    use pytfhe_vipbench::find;
-
-    let workers = WorkerPool::global().width();
-    let replays = 5;
-    let workloads = ["MNIST_S", "MNIST_M", "MNIST_L", "Attention_S"];
-
-    let mut out = String::from(
-        "Kernel-graph backend — capture once, replay batched plans (Figure 9, executed)\n",
-    );
-    out.push_str(&format!(
-        "plaintext functional engine, {workers} pool lane(s); same-kind gates share one batched kernel per wave.\n\n"
-    ));
-    let mut report = BenchReport::new("kernel_graph")
-        .config("scale", if scale == Scale::Paper { "paper" } else { "test" })
-        .config("workers", workers)
-        .config("workloads", workloads.join(","));
-    let mut table = Table::new(&[
-        "workload",
-        "gates",
-        "waves",
-        "launches",
-        "capture",
-        "cached replay",
-        "wavefront (no plan)",
-        "speedup",
-    ]);
-
-    for name in workloads {
-        let bench = find(name, scale).expect("registered workload");
-        let nl = bench.netlist().clone();
-        let bits = bench.encode_input(&bench.sample_input(1));
-        let engine = PlainEngine::new();
-
-        let graph = KernelGraph::new();
-        let mut lanes = ReplayLanes::new(&engine, workers);
-        let (out_first, first) =
-            graph.execute_with_lanes(&engine, &nl, &bits, &mut lanes).expect("first run");
-        assert!(!first.plan_cached, "first run must capture");
-        let mut cached_replay_s = f64::INFINITY;
-        let mut steals = 0u64;
-        for _ in 0..replays {
-            let (out_rep, stats) =
-                graph.execute_with_lanes(&engine, &nl, &bits, &mut lanes).expect("replay");
-            assert!(stats.plan_cached, "repeat runs must hit the plan cache");
-            assert_eq!(out_rep, out_first, "replay must be bit-exact");
-            cached_replay_s = cached_replay_s.min(stats.replay_s);
-            steals += stats.steals;
-        }
-        // Best-of-`replays` for the wavefront too, so the comparison is
-        // minimum-vs-minimum.
-        let mut wavefront_s = f64::INFINITY;
-        for _ in 0..replays {
-            let (_, wavefront) = execute_parallel(&engine, &nl, &bits, workers).expect("wavefront");
-            wavefront_s = wavefront_s.min(wavefront.wall_s);
-        }
-        let speedup = wavefront_s / cached_replay_s;
-
-        table.row(vec![
-            name.to_string(),
-            first.gates.to_string(),
-            first.waves.to_string(),
-            first.kernel_launches.to_string(),
-            fmt_seconds(first.capture_s),
-            fmt_seconds(cached_replay_s),
-            fmt_seconds(wavefront_s),
-            format!("{speedup:.2}x"),
-        ]);
-        let label = |metric: &str| format!("{metric}{{workload=\"{name}\"}}");
-        report.metric_count(label("gates"), first.gates as u64);
-        report.metric_count(label("waves"), first.waves as u64);
-        report.metric_count(label("batches"), first.batches as u64);
-        report.metric_count(label("kernel_launches"), first.kernel_launches);
-        report.metric_seconds(label("capture_s"), first.capture_s);
-        report.metric_seconds(label("first_replay_s"), first.replay_s);
-        report.metric_seconds(label("cached_replay_s"), cached_replay_s);
-        report.metric_seconds(label("wavefront_s"), wavefront_s);
-        report.metric_ratio(label("speedup"), speedup);
-        report.metric_count(label("steals"), steals);
-        if name == "MNIST_S" {
-            // Per-kind launch counts for the headline workload only —
-            // the full cross-product would drown the document.
-            for (op, &n) in first.kernels_by_kind.iter().enumerate() {
-                if n == 0 {
-                    continue;
-                }
-                let kind = GateKind::from_opcode(op as u8).expect("counted opcode");
-                report.metric_count(
-                    format!("kernel_launches{{workload=\"{name}\",kind=\"{}\"}}", kind.mnemonic()),
-                    n,
-                );
-            }
-        }
-    }
-
-    out.push_str(&table.render());
-    out.push_str(&format!(
-        "\ncached replay and wavefront are each best-of-{replays}; speedup = wavefront / cached replay.\n"
-    ));
-    (out, report.to_json())
-}
-
-/// The half-complex FFT rework measured on this machine: transform
-/// throughput (folded N/2 vs retired full-size N path) and single-gate
-/// bootstrap latency before/after. Returns the rendered report plus a
-/// machine-readable JSON document (written by `repro fft` to
-/// `results/BENCH_fft.json`).
-///
-/// With `full = true` the gate comparison runs at the 128-bit production
-/// parameters (key generation for both key flavours takes tens of
-/// seconds); otherwise everything uses the miniature testing set.
-pub fn fft(full: bool) -> (String, String) {
-    use pytfhe_tfhe::fft::FftPlan;
-    use pytfhe_tfhe::poly::{IntPoly, TorusPoly};
-    use pytfhe_tfhe::reference::{RefBootstrappingKey, RefFftPlan};
-    use pytfhe_tfhe::Torus32;
-    use std::time::Instant;
-
-    /// Best-of-`reps` wall time of `iters` runs of `f`, per run.
-    fn time_per_iter(reps: usize, iters: usize, mut f: impl FnMut()) -> f64 {
-        let mut best = f64::INFINITY;
-        for _ in 0..reps {
-            let t0 = Instant::now();
-            for _ in 0..iters {
-                f();
-            }
-            best = best.min(t0.elapsed().as_secs_f64() / iters as f64);
-        }
-        best
-    }
-
-    let mut rng = SecureRng::seed_from_u64(11);
-    let n = 1024;
-    let plan = FftPlan::new(n);
-    let ref_plan = RefFftPlan::new(n);
-    let ip = IntPoly::binary(n, &mut rng);
-    let tp = TorusPoly::uniform(n, &mut rng);
-    let iters = 2000;
-    let fwd = time_per_iter(5, iters, || {
-        std::hint::black_box(plan.forward_int(std::hint::black_box(&ip)));
-    });
-    let fwd_ref = time_per_iter(5, iters, || {
-        std::hint::black_box(ref_plan.forward_int(std::hint::black_box(&ip)));
-    });
-    let mul = time_per_iter(5, iters, || {
-        std::hint::black_box(plan.negacyclic_mul(std::hint::black_box(&ip), &tp));
-    });
-    let mul_ref = time_per_iter(5, iters, || {
-        std::hint::black_box(ref_plan.negacyclic_mul(std::hint::black_box(&ip), &tp));
-    });
-
-    // Gate latency: bootstrap_raw with the folded key vs the retired
-    // full-size key, same secret material and algebra.
-    let params = if full { Params::default_128() } else { Params::testing() };
-    let client = ClientKey::generate(params, &mut rng);
-    let server = client.server_key(&mut rng);
-    let bk = server.bootstrapping_key();
-    let mut scratch = bk.boot_scratch();
-    let ref_bk = RefBootstrappingKey::from_client(&client, &mut rng);
-    let ct = client.encrypt_bit(true, &mut rng);
-    let mu = Torus32::from_fraction(1, 3);
-    let gate_iters = if full { 3 } else { 50 };
-    let gate = time_per_iter(3, gate_iters, || {
-        std::hint::black_box(bk.bootstrap_raw(std::hint::black_box(&ct), mu, &mut scratch));
-    });
-    let gate_ref = time_per_iter(3, gate_iters, || {
-        std::hint::black_box(ref_bk.bootstrap_raw(std::hint::black_box(&ct), mu));
-    });
-
-    let mut table = Table::new(&["operation", "folded (N/2)", "full-size", "speedup"]);
-    let mut row = |label: &str, after: f64, before: f64| {
-        table.row(vec![
-            label.to_string(),
-            fmt_seconds(after),
-            fmt_seconds(before),
-            format!("{:.2}x", before / after),
-        ]);
-    };
-    row(&format!("forward_int n={n}"), fwd, fwd_ref);
-    row(&format!("negacyclic_mul n={n}"), mul, mul_ref);
-    row(
-        &format!("bootstrap_raw ({})", if full { "128-bit params" } else { "testing params" }),
-        gate,
-        gate_ref,
-    );
-
-    let mut out = String::from(
-        "Half-complex negacyclic FFT — folded N/2 transform vs retired full-size path\n\n",
-    );
-    out.push_str(&table.render());
-    out.push_str(&format!(
-        "\ntransform speedup {:.2}x, single-gate bootstrap speedup {:.2}x on this machine\n",
-        mul_ref / mul,
-        gate_ref / gate,
-    ));
-
-    let mut report = BenchReport::new("fft")
-        .config("poly_size", n)
-        .config("gate_params", if full { "default_128" } else { "testing" });
-    report.metric_seconds("forward_int_s", fwd);
-    report.metric_seconds("forward_int_ref_s", fwd_ref);
-    report.metric_seconds("negacyclic_mul_s", mul);
-    report.metric_seconds("negacyclic_mul_ref_s", mul_ref);
-    report.metric_seconds("bootstrap_raw_s", gate);
-    report.metric_seconds("bootstrap_raw_ref_s", gate_ref);
-    report.metric_ratio("transform_speedup", mul_ref / mul);
-    report.metric_ratio("gate_speedup", gate_ref / gate);
-    (out, report.to_json())
-}
-
-/// `repro simd`: scalar vs runtime-dispatched SIMD kernels on the four
-/// hot paths they cover — the folded transform, the external product,
-/// key switching, and a single-gate bootstrap. Both backends run in one
-/// process by re-pointing the dispatch (`simd::set_active_path`), so the
-/// comparison shares every byte of key material.
-pub fn simd(full: bool) -> (String, String) {
-    use pytfhe_tfhe::fft::FftPlan;
-    use pytfhe_tfhe::keyswitch::KeySwitchKey;
-    use pytfhe_tfhe::lwe::{LweCiphertext, LweKey};
-    use pytfhe_tfhe::poly::{IntPoly, TorusPoly};
-    use pytfhe_tfhe::simd::{self, SimdPath};
-    use pytfhe_tfhe::tgsw::{ExternalProductScratch, Gadget, TgswCiphertext};
-    use pytfhe_tfhe::tlwe::{TlweCiphertext, TlweKey};
-    use pytfhe_tfhe::Torus32;
-    use std::time::Instant;
-
-    /// Best-of-`reps` wall time of `iters` runs of `f`, per run.
-    fn time_per_iter(reps: usize, iters: usize, mut f: impl FnMut()) -> f64 {
-        let mut best = f64::INFINITY;
-        for _ in 0..reps {
-            let t0 = Instant::now();
-            for _ in 0..iters {
-                f();
-            }
-            best = best.min(t0.elapsed().as_secs_f64() / iters as f64);
-        }
-        best
-    }
-
-    let mut rng = SecureRng::seed_from_u64(19);
-
-    // Micro-kernel fixtures at the production transform size.
-    let n = 1024;
-    let plan = FftPlan::new(n);
-    let ip = IntPoly::binary(n, &mut rng);
-    let tp = TorusPoly::uniform(n, &mut rng);
-
-    // External product: a real TGSW(1) acting on a real TLWE sample.
-    let gadget = Gadget { levels: 3, base_log: 7 };
-    let tlwe_key = TlweKey::generate(1, n, &mut rng);
-    let tgsw = TgswCiphertext::encrypt(&tlwe_key, 1, gadget, 1e-9, &mut rng).to_fft(&plan);
-    let msg = TorusPoly::uniform(n, &mut rng);
-    let tlwe = tlwe_key.encrypt_poly(&msg, 1e-9, &mut rng);
-    let mut ep_scratch = ExternalProductScratch::new(n, 1, gadget);
-    let mut ep_out = TlweCiphertext::trivial(TorusPoly::zero(n), 1);
-
-    // Key switch: paper-shaped extracted→gate dimensions and levels.
-    let src = LweKey::generate(n, &mut rng);
-    let dst = LweKey::generate(630, &mut rng);
-    let ksk = KeySwitchKey::generate(&src, &dst, 8, 2, 1e-9, &mut rng);
-    let ks_ct = src.encrypt(Torus32::from_fraction(1, 3), 1e-9, &mut rng);
-    let mut ks_out = LweCiphertext::trivial(Torus32::ZERO, 630);
-
-    // Single-gate bootstrap at the paper's 128-bit parameters (testing
-    // scale under --quick). Key material is shared by both backends.
-    let params = if full { Params::default_128() } else { Params::testing() };
-    let client = ClientKey::generate(params, &mut rng);
-    let server = client.server_key(&mut rng);
-    let bk = server.bootstrapping_key();
-    let mut boot_scratch = bk.boot_scratch();
-    let ct = client.encrypt_bit(true, &mut rng);
-    let mu = Torus32::from_fraction(1, 3);
-    let gate_iters = if full { 3 } else { 50 };
-
-    // Lockstep batched bootstrap fixtures: distinct encryptions so every
-    // lane does real work, raw outputs at the extracted dimension.
-    let widths: [usize; 4] = [1, 2, 4, 8];
-    let max_width = 8;
-    let mut batch_scratch = bk.batch_scratch(max_width);
-    let batch_cts: Vec<LweCiphertext> =
-        (0..max_width).map(|_| client.encrypt_bit(true, &mut rng)).collect();
-    let batch_inputs: Vec<(&[Torus32], Torus32)> =
-        batch_cts.iter().map(|c| (c.mask(), c.body())).collect();
-    let out_dim = params.glwe_dim * params.poly_size;
-    let mut batch_outs = vec![LweCiphertext::trivial(Torus32::ZERO, out_dim); max_width];
-    let batch_iters = if full { 2 } else { 25 };
-
-    let restore = simd::active_path();
-    let dispatched = simd::best_available();
-    let paths: Vec<SimdPath> = SimdPath::ALL.iter().copied().filter(|p| p.is_supported()).collect();
-    // Per path: [negacyclic_mul, external_product, keyswitch,
-    // bootstrap_raw] plus the per-gate batched bootstrap cost at each
-    // width. Every path shares every byte of key material.
-    let mut op_results: Vec<[f64; 4]> = Vec::new();
-    let mut batch_results: Vec<Vec<f64>> = Vec::new();
-    for &path in &paths {
-        assert!(simd::set_active_path(path), "{path} unsupported on this host");
-        op_results.push([
-            time_per_iter(5, 2000, || {
-                std::hint::black_box(plan.negacyclic_mul(std::hint::black_box(&ip), &tp));
-            }),
-            time_per_iter(5, 500, || {
-                tgsw.external_product_into(
-                    std::hint::black_box(&tlwe),
-                    &plan,
-                    &mut ep_scratch,
-                    &mut ep_out,
-                );
-            }),
-            time_per_iter(5, 500, || {
-                ksk.switch_into(std::hint::black_box(&ks_ct), &mut ks_out);
-            }),
-            time_per_iter(3, gate_iters, || {
-                std::hint::black_box(bk.bootstrap_raw(
-                    std::hint::black_box(&ct),
-                    mu,
-                    &mut boot_scratch,
-                ));
-            }),
-        ]);
-        batch_results.push(
-            widths
-                .iter()
-                .map(|&w| {
-                    time_per_iter(3, batch_iters, || {
-                        bk.bootstrap_raw_batch_into(
-                            std::hint::black_box(&batch_inputs[..w]),
-                            mu,
-                            &mut batch_scratch,
-                            &mut batch_outs[..w],
-                        );
-                    }) / w as f64
-                })
-                .collect(),
-        );
-    }
-    simd::set_active_path(restore);
-    let scalar_at = paths.iter().position(|&p| p == SimdPath::Scalar).expect("scalar always runs");
-    let dispatched_at =
-        paths.iter().position(|&p| p == dispatched).expect("best_available is supported");
-    let s = op_results[scalar_at];
-    let v = op_results[dispatched_at];
-
-    let labels = [
-        format!("negacyclic_mul n={n}"),
-        format!("external_product n={n} l={}", gadget.levels),
-        format!("keyswitch {n}→630 t=8"),
-        format!("bootstrap_raw ({})", if full { "128-bit params" } else { "testing params" }),
-    ];
-    let mut header: Vec<String> = vec!["operation".into()];
-    header.extend(paths.iter().map(|p| p.name().to_string()));
-    header.push("best speedup".into());
-    let header_refs: Vec<&str> = header.iter().map(|h| h.as_str()).collect();
-    let mut table = Table::new(&header_refs);
-    for (op, label) in labels.iter().enumerate() {
-        let mut row = vec![label.clone()];
-        row.extend(op_results.iter().map(|r| fmt_seconds(r[op])));
-        let best = op_results.iter().map(|r| r[op]).fold(f64::INFINITY, f64::min);
-        row.push(format!("{:.2}x", s[op] / best));
-        table.row(row);
-    }
-
-    // Batched blind rotation: per-gate cost by (path, batch width).
-    let mut bheader: Vec<String> = vec!["batched bootstrap".into()];
-    bheader.extend(widths.iter().map(|w| format!("width {w}")));
-    let bheader_refs: Vec<&str> = bheader.iter().map(|h| h.as_str()).collect();
-    let mut btable = Table::new(&bheader_refs);
-    for (pi, path) in paths.iter().enumerate() {
-        let mut row = vec![format!("{} per-gate", path.name())];
-        row.extend(batch_results[pi].iter().map(|&t| fmt_seconds(t)));
-        btable.row(row);
-    }
-
-    let mut out = format!(
-        "Runtime-dispatched SIMD kernels — every supported path (dispatch picks {}; \
-         PYTFHE_SIMD overrides)\n\n",
-        dispatched.name(),
-    );
-    out.push_str(&table.render());
-    out.push('\n');
-    out.push_str(&btable.render());
-    out.push_str(&format!(
-        "\nsingle-gate bootstrap speedup {:.2}x with the {} backend; batched width-8 \
-         blind rotation {:.2}x over width-1 on this machine\n",
-        s[3] / v[3],
-        dispatched.name(),
-        batch_results[dispatched_at][0] / batch_results[dispatched_at][widths.len() - 1],
-    ));
-
-    let mut report = BenchReport::new("simd")
-        .config("scalar_path", "scalar")
-        .config("dispatched_path", dispatched.name())
-        .config("paths", paths.iter().map(|p| p.name()).collect::<Vec<_>>().join(","))
-        .config("batch_widths", widths.iter().map(|w| w.to_string()).collect::<Vec<_>>().join(","))
-        .config("poly_size", n)
-        .config("gate_params", if full { "default_128" } else { "testing" });
-    let names = ["negacyclic_mul", "external_product", "keyswitch", "bootstrap_raw"];
-    for (name, (&sv, &vv)) in names.iter().zip(s.iter().zip(&v)) {
-        report.metric_seconds(format!("{name}_scalar_s"), sv);
-        report.metric_seconds(format!("{name}_s"), vv);
-        report.metric_ratio(format!("{name}_speedup"), sv / vv);
-    }
-    for (pi, path) in paths.iter().enumerate() {
-        for (name, &t) in names.iter().zip(&op_results[pi]) {
-            report.metric_seconds(format!("{name}_{}_s", path.name()), t);
-        }
-        for (wi, &w) in widths.iter().enumerate() {
-            let t = batch_results[pi][wi];
-            report.metric_seconds(format!("bootstrap_batch{w}_{}_per_gate_s", path.name()), t);
-            report.metric_ratio(
-                format!("bootstrap_batch{w}_{}_vs_single", path.name()),
-                batch_results[pi][0] / t,
-            );
-        }
-    }
-    (out, report.to_json())
-}
-
-/// `repro serve`: aggregate gate throughput of the multi-tenant serving
-/// front (cached keys, cross-session batched waves) against a stateless
-/// serial front that decodes each tenant's server key per request and
-/// executes sessions one-by-one — the configuration a deployment
-/// without the serving layer is left with. Both paths run the identical
-/// tenant/job/netlist workload and both are verified bit-exact against
-/// plaintext evaluation. The serial path's per-request key-decode cost
-/// is reported separately (`serial_key_install_s`) so the ratio's
-/// provenance is visible.
-pub fn serve(quick: bool) -> (String, String) {
-    use pytfhe_backend::{execute, TfheEngine};
-    use pytfhe_serve::{duplex, ServeClient, ServeConfig, ServeHandle};
-    use pytfhe_tfhe::io::{server_key_from_bytes, server_key_to_bytes};
-    use pytfhe_tfhe::SecureRng;
-    use pytfhe_wire::rle_compress;
-    use std::sync::Arc;
-    use std::time::Instant;
-
-    const TENANTS: u64 = 4;
-    // Serving-shaped workload: many small requests per tenant. Small
-    // jobs are where a serving layer earns its keep — the stateless
-    // baseline pays the key decode on every request, while the front
-    // amortizes one install across the tenant's whole stream and packs
-    // gates from all live sessions into shared waves.
-    let jobs_per_tenant: u64 = if quick { 48 } else { 80 };
-    let gates: usize = if quick { 3 } else { 4 };
-    let inputs_n = 4usize;
-
-    /// Same deterministic DAG generator as the serving test suite.
-    fn random_netlist(seed: u64, inputs: usize, gates: usize) -> Netlist {
-        let mut state = seed | 1;
-        let mut next = move |bound: usize| {
-            state ^= state << 13;
-            state ^= state >> 7;
-            state ^= state << 17;
-            (state.wrapping_mul(0x2545_F491_4F6C_DD1D) >> 33) as usize % bound
-        };
-        let mut nl = Netlist::new();
-        let mut pool: Vec<_> = (0..inputs).map(|_| nl.add_input()).collect();
-        for _ in 0..gates {
-            let kind = pytfhe_netlist::ALL_GATE_KINDS[next(pytfhe_netlist::ALL_GATE_KINDS.len())];
-            let a = pool[next(pool.len())];
-            let b = pool[next(pool.len())];
-            pool.push(nl.add_gate(kind, a, b).expect("valid refs"));
-        }
-        nl.mark_output(*pool.last().unwrap()).unwrap();
-        nl.mark_output(pool[pool.len() / 2]).unwrap();
-        nl
-    }
-
-    // Per-tenant material and workload, shared verbatim by both paths.
-    struct Tenant {
-        ck: ClientKey,
-        key_bytes: Vec<u8>,
-        jobs: Vec<(Netlist, Vec<bool>)>,
-    }
-    let tenants: Vec<Tenant> = (0..TENANTS)
-        .map(|t| {
-            let mut rng = SecureRng::seed_from_u64(9000 + t);
-            let ck = ClientKey::generate(Params::testing(), &mut rng);
-            let key_bytes = server_key_to_bytes(&ck.server_key(&mut rng)).to_vec();
-            let jobs = (0..jobs_per_tenant)
-                .map(|j| {
-                    let nl = random_netlist(53 * t + j + 1, inputs_n, gates);
-                    let bits: Vec<bool> = (0..inputs_n).map(|_| rng.bit()).collect();
-                    (nl, bits)
-                })
-                .collect();
-            Tenant { ck, key_bytes, jobs }
-        })
-        .collect();
-    let total_jobs = TENANTS * jobs_per_tenant;
-    let total_gates: usize =
-        tenants.iter().flat_map(|t| t.jobs.iter()).map(|(nl, _)| nl.num_gates()).sum();
-
-    // --- Serial baseline: stateless front, sessions one-by-one. -------
-    let mut key_install_s = 0.0;
-    let serial_t0 = Instant::now();
-    for tenant in &tenants {
-        let mut rng = SecureRng::seed_from_u64(1); // encryption nonce stream
-        for (nl, bits) in &tenant.jobs {
-            // A stateless front holds no decoded keys: every request
-            // pays the key decode before the first gate runs.
-            let k0 = Instant::now();
-            let key = server_key_from_bytes(&tenant.key_bytes).expect("decode key");
-            key_install_s += k0.elapsed().as_secs_f64();
-            let inputs = tenant.ck.encrypt_bits(bits, &mut rng);
-            let engine = TfheEngine::new(&key);
-            let (outs, _stats) = execute(&engine, nl, &inputs).expect("serial execute");
-            assert_eq!(tenant.ck.decrypt_bits(&outs), nl.eval_plain(bits), "serial diverged");
-        }
-    }
-    let serial_s = serial_t0.elapsed().as_secs_f64();
-
-    // --- Serving front: cached keys, batched cross-session waves. -----
-    let front = Arc::new(ServeHandle::start(
-        ServeConfig {
-            max_sessions: TENANTS as usize,
-            tenant_quota: jobs_per_tenant as usize,
-            ..ServeConfig::default()
-        },
-        None,
-    ));
-    let serve_t0 = Instant::now();
-    let workers: Vec<_> = tenants
-        .into_iter()
-        .map(|tenant| {
-            let front = Arc::clone(&front);
-            std::thread::spawn(move || {
-                let mut rng = SecureRng::seed_from_u64(2);
-                let params = Params::testing();
-                let (near, far) = duplex();
-                front.attach(far).expect("admitted");
-                let mut client = ServeClient::new(near);
-                let fp = client.install_key(&tenant.key_bytes).expect("install");
-                // Pipeline: submit everything, then fetch, so the
-                // scheduler sees every session's gates at once.
-                let ids: Vec<_> = tenant
-                    .jobs
-                    .iter()
-                    .map(|(nl, bits)| {
-                        let inputs = tenant.ck.encrypt_bits(bits, &mut rng);
-                        client.submit(fp, nl, &inputs, &params).expect("submit")
-                    })
-                    .collect();
-                for (id, (nl, bits)) in ids.into_iter().zip(&tenant.jobs) {
-                    let outs = client.fetch(id).expect("fetch");
-                    assert_eq!(
-                        tenant.ck.decrypt_bits(&outs),
-                        nl.eval_plain(bits),
-                        "serve diverged"
-                    );
-                }
-                client.close().expect("close");
-            })
-        })
-        .collect();
-    for w in workers {
-        w.join().expect("tenant worker");
-    }
-    let serve_s = serve_t0.elapsed().as_secs_f64();
-
-    let speedup = serial_s / serve_s;
-    let serial_tput = total_gates as f64 / serial_s;
-    let serve_tput = total_gates as f64 / serve_s;
-
-    // Batch occupancy and transfer compression, for the report.
-    let snapshot = pytfhe_telemetry::metrics().snapshot();
-    let occupancy =
-        snapshot.histograms.get("serve_batch_occupancy").map(|h| h.mean()).unwrap_or(0.0);
-    let sample_nl = random_netlist(1, inputs_n, gates);
-    let asm_bytes = assemble(&sample_nl);
-    let program_ratio = rle_compress(&asm_bytes).len() as f64 / asm_bytes.len() as f64;
-
-    let mut table = Table::new(&["front", "total", "gates/s", "notes"]);
-    table.row(vec![
-        "serial stateless".into(),
-        fmt_seconds(serial_s),
-        format!("{serial_tput:.0}"),
-        format!("{} of it key decodes", fmt_seconds(key_install_s)),
-    ]);
-    table.row(vec![
-        "serving (batched)".into(),
-        fmt_seconds(serve_s),
-        format!("{serve_tput:.0}"),
-        format!("mean wave occupancy {occupancy:.1}"),
-    ]);
-
-    let mut out = String::from(
-        "Multi-tenant serving front — cross-session batching + key cache vs a stateless serial front\n\n",
-    );
-    out.push_str(&table.render());
-    out.push_str(&format!(
-        "\n{TENANTS} tenants x {jobs_per_tenant} jobs ({total_gates} gates total): \
-         aggregate throughput {speedup:.2}x the serial front on this machine\n\
-         program binaries travel at {:.0}% of raw size (RLE over zero runs)\n",
-        program_ratio * 100.0,
-    ));
-
-    let mut report = BenchReport::new("serve")
-        .config("tenants", TENANTS)
-        .config("jobs_per_tenant", jobs_per_tenant)
-        .config("gates_per_job", gates as u64)
-        .config("params", "testing");
-    report.metric_seconds("serial_total_s", serial_s);
-    report.metric_seconds("serial_key_install_s", key_install_s);
-    report.metric_seconds("serve_total_s", serve_s);
-    report.metric_ratio("aggregate_throughput_speedup", speedup);
-    report.metric_ratio("serial_gates_per_s", serial_tput);
-    report.metric_ratio("serve_gates_per_s", serve_tput);
-    report.metric_ratio("mean_batch_occupancy", occupancy);
-    report.metric_ratio("program_rle_ratio", program_ratio);
-    report.metric_count("total_jobs", total_jobs);
-    report.metric_count("total_gates", total_gates as u64);
-    (out, report.to_json())
-}
-
-/// Shortint + programmable-bootstrap LUT lowering: the cone-cover pass
-/// on VIP-Bench workloads (bit-exact, with the bootstrap reduction the
-/// executors actually report), encrypted end-to-end timings of boolean
-/// vs LUT-lowered execution, and the exact-integer API priced in
-/// programmable bootstraps against boolean ripple/array circuits.
-pub fn shortint(quick: bool) -> (String, String) {
-    use pytfhe_backend::{execute, netlist_bootstraps, KernelGraph, PlainEngine, TfheEngine};
-    use pytfhe_hdl::Circuit;
-    use pytfhe_netlist::opt::{lut_cover, LutCoverConfig};
-    use pytfhe_shortint::{ShortintClientKey, ShortintParams};
-    use pytfhe_tfhe::NoiseGuard;
-    use std::time::Instant;
-
-    let mut out = String::from("shortint — LUT-lowered execution and exact integer arithmetic\n\n");
-    let mut report = BenchReport::new("shortint")
-        .config("scale", "test")
-        .config("quick", quick)
-        .config("params", "testing_shortint")
-        .config("split", "message_2_carry_2");
-
-    // --- Cone-cover lowering on VIP-Bench: bit-exact, >=2x fewer
-    // bootstraps. Every workload is executed through the serial and the
-    // kernel-graph executors and compared against the boolean netlist's
-    // plain evaluation before its numbers are recorded.
-    out.push_str("LUT cone-cover on VIP-Bench (Scale::Test, verified bit-exact):\n");
-    let mut table = Table::new(&["workload", "boolean PBS", "LUT PBS", "cones", "reduction"]);
-    let engine = PlainEngine::new();
-    let graph = KernelGraph::new();
-    for name in ["Parrando", "Primality", "Distinctness", "BubbleSort"] {
-        let bench = pytfhe_vipbench::find(name, Scale::Test).expect("workload exists");
-        let nl = bench.netlist();
-        let (lowered, cover) = lut_cover(nl, &LutCoverConfig::default()).expect("lut_cover");
-        let (before, after) = (netlist_bootstraps(nl), netlist_bootstraps(&lowered));
-        assert!(
-            after * 2 <= before,
-            "{name}: LUT lowering must at least halve bootstraps, got {before} -> {after}"
-        );
-        for seed in 0..3u64 {
-            let bits = bench.encode_input(&bench.sample_input(seed));
-            let want = nl.eval_plain(&bits);
-            let (serial, stats) = execute(&engine, &lowered, &bits).expect("plain execute");
-            assert_eq!(serial, want, "{name} seed {seed}: serial lowered != boolean");
-            assert_eq!(stats.bootstraps, after, "{name}: executor bootstrap accounting");
-            let (graphed, _) = graph.execute(&engine, &lowered, &bits, 2).expect("kernel graph");
-            assert_eq!(graphed, want, "{name} seed {seed}: kernel-graph lowered != boolean");
-        }
-        let ratio = before as f64 / after as f64;
-        table.row(vec![
-            name.to_string(),
-            before.to_string(),
-            after.to_string(),
-            cover.cones_fused.to_string(),
-            format!("{ratio:.2}x"),
-        ]);
-        let key = name.to_ascii_lowercase();
-        report.metric_count(format!("{key}_bootstraps_boolean"), before);
-        report.metric_count(format!("{key}_bootstraps_lut"), after);
-        report.metric_count(format!("{key}_cones_fused"), cover.cones_fused as u64);
-        report.metric_ratio(format!("{key}_bootstrap_reduction"), ratio);
-    }
-    out.push_str(&table.render());
-
-    // --- Encrypted end to end: the boolean netlist under gate
-    // bootstrapping vs the lowered netlist under programmable
-    // bootstrapping, same inputs, decrypted outputs compared against
-    // the plain oracle.
-    let mut rng = SecureRng::seed_from_u64(0x0540_77B5);
-    let client = ClientKey::generate(Params::testing_shortint(), &mut rng);
-    let server = client.server_key(&mut rng);
-    let tfhe = TfheEngine::new(&server);
-    out.push_str("\nencrypted execution (testing_shortint parameters):\n");
-    let mut enc = Table::new(&["workload", "boolean", "LUT-lowered", "speedup"]);
-    let enc_workloads: &[&str] =
-        if quick { &["Distinctness"] } else { &["Distinctness", "Parrando"] };
-    for name in enc_workloads {
-        let bench = pytfhe_vipbench::find(name, Scale::Test).expect("workload exists");
-        let nl = bench.netlist();
-        let (lowered, _) = lut_cover(nl, &LutCoverConfig::default()).expect("lut_cover");
-        let precision = lowered.lut_precision().expect("lowered netlists carry a precision");
-        let bits = bench.encode_input(&bench.sample_input(1));
-        let want = nl.eval_plain(&bits);
-
-        let cts = client.encrypt_bits(&bits, &mut rng);
-        let t0 = Instant::now();
-        let (bool_out, _) = execute(&tfhe, nl, &cts).expect("boolean encrypted");
-        let bool_s = t0.elapsed().as_secs_f64();
-        assert_eq!(client.decrypt_bits(&bool_out), want, "{name}: boolean encrypted");
-
-        // Lowered netlists run in the message encoding end to end.
-        let mcts: Vec<_> = bits
-            .iter()
-            .map(|&b| client.encrypt_message(u32::from(b), u32::from(precision), &mut rng))
-            .collect();
-        let t0 = Instant::now();
-        let (lut_out, _) = execute(&tfhe, &lowered, &mcts).expect("LUT encrypted");
-        let lut_s = t0.elapsed().as_secs_f64();
-        let got: Vec<bool> = lut_out
-            .iter()
-            .map(|ct| client.decrypt_message(ct, u32::from(precision)) != 0)
-            .collect();
-        assert_eq!(got, want, "{name}: LUT-lowered encrypted");
-
-        enc.row(vec![
-            name.to_string(),
-            fmt_seconds(bool_s),
-            fmt_seconds(lut_s),
-            format!("{:.2}x", bool_s / lut_s),
-        ]);
-        let key = name.to_ascii_lowercase();
-        report.metric_seconds(format!("{key}_encrypted_boolean_s"), bool_s);
-        report.metric_seconds(format!("{key}_encrypted_lut_s"), lut_s);
-        report.metric_ratio(format!("{key}_encrypted_speedup"), bool_s / lut_s);
-    }
-    out.push_str(&enc.render());
-
-    // --- Exact integers: shortint radix/bivariate operations priced in
-    // programmable bootstraps against the boolean circuits computing
-    // the same function, all results checked against plain integers.
-    let split = ShortintParams::message_2_carry_2();
-    let sclient = ShortintClientKey::generate(
-        split,
-        Params::testing_shortint(),
-        &NoiseGuard::default(),
-        &mut rng,
-    )
-    .expect("testing_shortint admits 4-bit LUTs");
-    let mut sserver = sclient.server_key(&mut rng);
-    out.push_str("\nexact integers (message_2_carry_2), programmable bootstraps per op:\n");
-    let mut ops = Table::new(&["operation", "shortint PBS", "boolean PBS", "reduction"]);
-    let record = |ops: &mut Table,
-                  report: &mut BenchReport,
-                  label: &str,
-                  key: &str,
-                  pbs: u64,
-                  bool_pbs: u64| {
-        ops.row(vec![
-            label.to_string(),
-            pbs.to_string(),
-            bool_pbs.to_string(),
-            format!("{:.1}x", bool_pbs as f64 / pbs as f64),
-        ]);
-        report.metric_count(format!("{key}_shortint_bootstraps"), pbs);
-        report.metric_count(format!("{key}_boolean_bootstraps"), bool_pbs);
-        report.metric_ratio(format!("{key}_reduction"), bool_pbs as f64 / pbs as f64);
-    };
-
-    for bits in [8u32, 16] {
-        let blocks = (bits / 2) as usize; // 2 message bits per digit
-        let (x, y) = if bits == 8 { (200u64, 100u64) } else { (51_234u64, 30_111u64) };
-        let a = sclient.encrypt_radix(x, blocks, &mut rng).expect("in range");
-        let b = sclient.encrypt_radix(y, blocks, &mut rng).expect("in range");
-        sserver.reset_stats();
-        let sum = sserver.add_radix(&a, &b).expect("same length");
-        let pbs = sserver.stats().bootstraps;
-        assert_eq!(
-            sclient.decrypt_radix(&sum),
-            (x + y) & ((1u64 << bits) - 1),
-            "{bits}-bit radix add"
-        );
-        let mut c = Circuit::new();
-        let wa = c.input_word("a", bits as usize);
-        let wb = c.input_word("b", bits as usize);
-        let ws = c.add(&wa, &wb);
-        c.output_word("sum", &ws);
-        let bool_pbs = netlist_bootstraps(&c.finish().expect("adder netlist"));
-        record(
-            &mut ops,
-            &mut report,
-            &format!("add ({bits}-bit)"),
-            &format!("add{bits}"),
-            pbs,
-            bool_pbs,
-        );
-    }
-
-    // Bivariate single-bootstrap ops on one 2-bit digit vs the boolean
-    // circuits for the same functions.
-    let a = sclient.encrypt(3, &mut rng).expect("in range");
-    let b = sclient.encrypt(2, &mut rng).expect("in range");
-    let two_bit_circuit = |build: &dyn Fn(&mut Circuit, &pytfhe_hdl::Word, &pytfhe_hdl::Word)| {
-        let mut c = Circuit::new();
-        let wa = c.input_word("a", 2);
-        let wb = c.input_word("b", 2);
-        build(&mut c, &wa, &wb);
-        netlist_bootstraps(&c.finish().expect("netlist"))
-    };
-
-    sserver.reset_stats();
-    let prod = sserver.mul_low(&a, &b).expect("bivariate split");
-    assert_eq!(sclient.decrypt(&prod), (3 * 2) % 4, "mul_low oracle");
-    let mul_bool = two_bit_circuit(&|c, wa, wb| {
-        let p = c.mul_unsigned(wa, wb);
-        c.output_word("p", &p);
-    });
-    record(
-        &mut ops,
-        &mut report,
-        "mul_low (2-bit)",
-        "mul_low",
-        sserver.stats().bootstraps,
-        mul_bool,
-    );
-
-    sserver.reset_stats();
-    let ord = sserver.cmp(&a, &b).expect("bivariate split");
-    assert_eq!(sclient.decrypt(&ord), 2, "3 > 2");
-    let cmp_bool = two_bit_circuit(&|c, wa, wb| {
-        let lt = c.lt_unsigned(wa, wb).expect("same width");
-        let eq = c.eq(wa, wb).expect("same width");
-        c.output_word("ord", &pytfhe_hdl::Word::from_bits(vec![lt, eq]));
-    });
-    record(&mut ops, &mut report, "cmp (2-bit)", "cmp", sserver.stats().bootstraps, cmp_bool);
-
-    sserver.reset_stats();
-    let bigger = sserver.max(&a, &b).expect("bivariate split");
-    assert_eq!(sclient.decrypt(&bigger), 3, "max oracle");
-    let max_bool = two_bit_circuit(&|c, wa, wb| {
-        let m = c.max_int(wa, wb, false).expect("same width");
-        c.output_word("m", &m);
-    });
-    record(&mut ops, &mut report, "max (2-bit)", "max", sserver.stats().bootstraps, max_bool);
-
-    out.push_str(&ops.render());
-    out.push_str(
-        "\nall lowered executions decrypt to the boolean oracle; reductions are\n\
-         counted over the executors' own bootstrap accounting.\n",
-    );
-    (out, report.to_json())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1374,30 +518,6 @@ mod tests {
         let s = fig10(Scale::Test);
         assert!(s.contains("MNIST_S"));
         assert!(s.contains("NRSolver"));
-    }
-
-    #[test]
-    fn kernel_graph_report_renders_and_emits_json() {
-        let (text, json) = kernel_graph(Scale::Test);
-        assert!(text.contains("capture"));
-        assert!(text.contains("cached replay"));
-        pytfhe_telemetry::json::validate(&json).expect("BENCH document must parse");
-        assert!(json.contains("\"schema_version\": 1"));
-        assert!(json.contains("\"bench\": \"kernel_graph\""));
-        assert!(json.contains("\"simd_path\""));
-        assert!(json.contains("\"workers\""));
-        for workload in ["MNIST_S", "MNIST_M", "MNIST_L", "Attention_S"] {
-            assert!(
-                json.contains(&format!("cached_replay_s{{workload=\\\"{workload}\\\"}}"))
-                    || json.contains(&format!("cached_replay_s{{workload=\"{workload}\"}}")),
-                "missing cached_replay_s for {workload}"
-            );
-            assert!(
-                json.contains(&format!("speedup{{workload=\\\"{workload}\\\"}}"))
-                    || json.contains(&format!("speedup{{workload=\"{workload}\"}}")),
-                "missing speedup for {workload}"
-            );
-        }
     }
 
     #[test]

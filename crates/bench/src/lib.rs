@@ -7,6 +7,5 @@
 //! `benches/` measure the real primitives (FFT, gate bootstrap,
 //! executors, compilation).
 
-pub mod emit;
 pub mod figures;
 pub mod report;

@@ -2,8 +2,8 @@
 
 use chiseltorch::DType;
 use pytfhe_backend::{
-    execute_parallel, execute_resilient, CheckpointStore, DiskStore, ExecError, ExecStats,
-    FaultInjector, KernelGraph, ResilientConfig, TfheEngine,
+    execute_resilient, CheckpointStore, DiskStore, ExecError, ExecStats, FaultInjector,
+    KernelGraph, ResilientConfig, TfheEngine,
 };
 use pytfhe_netlist::Netlist;
 use pytfhe_telemetry as telemetry;
@@ -204,8 +204,10 @@ impl Server {
         self.store.as_ref()
     }
 
-    /// Executes a program on encrypted inputs with the multi-threaded
-    /// wavefront backend (Algorithm 1 of the paper).
+    /// Executes a program on encrypted inputs across `workers` pool
+    /// lanes (Algorithm 1 of the paper): [`Server::execute_graph`]
+    /// without the statistics, so repeat calls on the same program
+    /// replay the cached plan.
     ///
     /// # Errors
     ///
@@ -220,9 +222,7 @@ impl Server {
         let _span = telemetry::span_with("session", || {
             format!("execute: {} gates, {workers} workers", program.num_gates())
         });
-        let engine = TfheEngine::new(&self.key);
-        let (out, _) = execute_parallel(&engine, program, inputs, workers)?;
-        Ok(out)
+        self.run_graph(program, inputs, workers).map(|(out, _)| out)
     }
 
     /// Executes a program on encrypted inputs with the kernel-graph
@@ -244,6 +244,17 @@ impl Server {
         let _span = telemetry::span_with("session", || {
             format!("execute_graph: {} gates, {workers} workers", program.num_gates())
         });
+        self.run_graph(program, inputs, workers)
+    }
+
+    /// Captures-or-fetches the plan and replays it; a plan captured by
+    /// this call is counted and persisted to the attached store.
+    fn run_graph(
+        &self,
+        program: &Netlist,
+        inputs: &[LweCiphertext],
+        workers: usize,
+    ) -> Result<(Vec<LweCiphertext>, ExecStats), ExecError> {
         let engine = TfheEngine::new(&self.key);
         let result = self.graph.execute(&engine, program, inputs, workers)?;
         if !result.1.plan_cached {
@@ -296,8 +307,14 @@ mod tests {
     use super::*;
     use pytfhe_netlist::GateKind;
 
+    /// `session_plans_captured_total` is process-global: tests that
+    /// capture a plan hold this while they run, so the test that reads
+    /// the counter's delta sees only its own captures.
+    static CAPTURES: std::sync::Mutex<()> = std::sync::Mutex::new(());
+
     #[test]
     fn session_round_trip() {
+        let _captures = CAPTURES.lock().unwrap();
         let mut client = Client::new(Params::testing(), 5);
         let server = Server::new(client.make_server_key());
         let mut nl = Netlist::new();
@@ -305,13 +322,24 @@ mod tests {
         let b = nl.add_input();
         let g = nl.add_gate(GateKind::Xor, a, b).unwrap();
         nl.mark_output(g).unwrap();
+        let captured = || {
+            let counters = telemetry::metrics().snapshot().counters;
+            counters.get("session_plans_captured_total").copied().unwrap_or(0)
+        };
+        let before = captured();
         let cts = client.encrypt_bits(&[true, false]);
         let out = server.execute(&nl, &cts, 2).unwrap();
         assert_eq!(client.decrypt_bits(&out), vec![true]);
+        assert_eq!(captured() - before, 1, "first sight of the program captures its plan");
+        let cts = client.encrypt_bits(&[true, true]);
+        let out = server.execute(&nl, &cts, 2).unwrap();
+        assert_eq!(client.decrypt_bits(&out), vec![false]);
+        assert_eq!(captured() - before, 1, "a repeat execute must replay the cached plan");
     }
 
     #[test]
-    fn graph_session_matches_wavefront_and_caches_the_plan() {
+    fn execute_and_execute_graph_share_one_cached_plan() {
+        let _captures = CAPTURES.lock().unwrap();
         let mut client = Client::new(Params::testing(), 9);
         let server = Server::new(client.make_server_key());
         let mut nl = Netlist::new();
@@ -321,12 +349,12 @@ mod tests {
         let y = nl.add_gate(GateKind::Nand, a, b).unwrap();
         let z = nl.add_gate(GateKind::Or, x, y).unwrap();
         nl.mark_output(z).unwrap();
-        for (bits, seed) in [([true, false], 0), ([true, true], 1), ([false, false], 2)] {
+        for bits in [[true, false], [true, true], [false, false]] {
             let cts = client.encrypt_bits(&bits);
             let want = server.execute(&nl, &cts, 2).unwrap();
             let (got, stats) = server.execute_graph(&nl, &cts, 2).unwrap();
-            assert_eq!(got, want, "graph replay must be bit-exact with execute");
-            assert_eq!(stats.plan_cached, seed > 0, "only the first call captures");
+            assert_eq!(got, want, "both entry points replay the same plan");
+            assert!(stats.plan_cached, "execute already captured the plan");
         }
     }
 
@@ -390,6 +418,7 @@ mod tests {
         let g = nl.add_gate(GateKind::Nand, a, b).unwrap();
         nl.mark_output(g).unwrap();
 
+        let _captures = CAPTURES.lock().unwrap();
         let mut client = Client::new(Params::testing(), 12);
         // First process: install the key, capture and persist the plan.
         {
@@ -452,6 +481,7 @@ mod tests {
 
     #[test]
     fn warm_start_quarantines_corrupt_keys_and_uses_the_intact_one() {
+        let _captures = CAPTURES.lock().unwrap();
         let dir =
             std::env::temp_dir().join(format!("pytfhe-warmstart-quar-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);

@@ -24,6 +24,7 @@ use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 use std::time::Duration;
 
+use pytfhe_backend::engine::boot_gate;
 use pytfhe_backend::pool::{Job, SlotCells, WorkerPool};
 use pytfhe_netlist::{GateKind, Netlist, Node};
 use pytfhe_telemetry as telemetry;
@@ -37,22 +38,6 @@ const OCCUPANCY_BUCKETS: [f64; 8] = [1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0, 128.0
 /// Safety ceiling on a blocking fetch, so a lost job surfaces as an
 /// error instead of a hung connection.
 const FETCH_TIMEOUT: Duration = Duration::from_secs(300);
-
-fn boot_gate(kind: GateKind) -> Option<BootGate> {
-    match kind {
-        GateKind::Nand => Some(BootGate::Nand),
-        GateKind::And => Some(BootGate::And),
-        GateKind::Or => Some(BootGate::Or),
-        GateKind::Nor => Some(BootGate::Nor),
-        GateKind::Xor => Some(BootGate::Xor),
-        GateKind::Xnor => Some(BootGate::Xnor),
-        GateKind::Andny => Some(BootGate::Andny),
-        GateKind::Andyn => Some(BootGate::Andyn),
-        GateKind::Orny => Some(BootGate::Orny),
-        GateKind::Oryn => Some(BootGate::Oryn),
-        GateKind::Not | GateKind::Buf | GateKind::Const0 | GateKind::Const1 => None,
-    }
-}
 
 /// One job's incremental execution state.
 struct JobState {

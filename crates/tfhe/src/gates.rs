@@ -128,7 +128,7 @@ pub const FUSE_CHUNK: usize = 8;
 /// All scratch a worker needs to evaluate gates without allocating: the
 /// bootstrap buffers plus LWE staging for the linear combination, the raw
 /// (pre-key-switch) samples, and the struct-of-arrays slots used by
-/// [`ServerKey::batch_bootstrap`]. One per worker thread.
+/// [`ServerKey::batch_bootstrap_fused`]. One per worker thread.
 #[derive(Debug)]
 pub struct GateScratch {
     pub(crate) boot: BootstrapScratch,
@@ -206,7 +206,7 @@ impl ServerKey {
 
     /// Allocates reusable scratch for gate evaluation (one per worker
     /// thread). Once constructed, [`ServerKey::gate_into`] and
-    /// [`ServerKey::batch_bootstrap`] run with zero heap allocation.
+    /// [`ServerKey::batch_bootstrap_fused`] run with zero heap allocation.
     pub fn gate_scratch(&self) -> GateScratch {
         let n = self.params.lwe_dim;
         let ext_dim = self.keyswitch.src_dim();
@@ -307,65 +307,18 @@ impl ServerKey {
         record_gate_split(gate, (t1 - t0).as_secs_f64(), t1.elapsed().as_secs_f64());
     }
 
-    /// Evaluates one batched kernel: the same gate over many input pairs.
-    ///
-    /// Pass 1 stages every pair's linear combination into struct-of-arrays
-    /// ciphertext slots; pass 2 bootstraps and key switches each slot into
-    /// the matching `outs` entry. This is the CPU analogue of the paper's
-    /// batched CUDA-graph kernels (Figure 9): one launch per (gate kind,
-    /// wave) instead of one per gate. After a warm-up call at the same
-    /// batch size, the whole call is allocation-free.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `pairs` and `outs` have different lengths.
-    pub fn batch_bootstrap(
-        &self,
-        gate: BootGate,
-        pairs: &[(&LweCiphertext, &LweCiphertext)],
-        outs: &mut [LweCiphertext],
-        scratch: &mut GateScratch,
-    ) {
-        assert_eq!(pairs.len(), outs.len(), "batch_bootstrap: pairs/outs length mismatch");
-        let (offset, ca, cb) = gate.spec();
-        let GateScratch { boot, batch, raws, soa, .. } = scratch;
-        soa.reset(pairs.len());
-        for (slot, &(a, b)) in pairs.iter().enumerate() {
-            soa.set_body(slot, offset);
-            soa.axpy(slot, ca, a);
-            soa.axpy(slot, cb, b);
-        }
-        let timed = pytfhe_telemetry::enabled();
-        for (chunk, out_chunk) in outs.chunks_mut(FUSE_CHUNK).enumerate() {
-            let width = out_chunk.len();
-            let t0 = timed.then(std::time::Instant::now);
-            Self::rotate_chunk(&self.bootstrap, soa, chunk * FUSE_CHUNK, width, boot, batch, raws);
-            let t1 = timed.then(std::time::Instant::now);
-            for (lane, out) in out_chunk.iter_mut().enumerate() {
-                let k0 = timed.then(std::time::Instant::now);
-                self.keyswitch.switch_into(&raws[lane], out);
-                if let (Some(t0), Some(t1), Some(k0)) = (t0, t1, k0) {
-                    // Lockstep rotation is timed per chunk; attribute an
-                    // even share to each lane so per-gate histograms keep
-                    // their meaning.
-                    let rotate_s = (t1 - t0).as_secs_f64() / width as f64;
-                    record_gate_split(gate, rotate_s, k0.elapsed().as_secs_f64());
-                }
-            }
-        }
-    }
-
-    /// Evaluates one batched kernel with the staging and bootstrap
-    /// passes *fused* over cache-sized chunks of [`FUSE_CHUNK`] slots:
-    /// each chunk's linear combinations are staged into the
-    /// struct-of-arrays slots and immediately carried through blind
-    /// rotation, sample extraction, and key switching before the next
-    /// chunk is touched, so the staged masks are still cache-resident
-    /// when the bootstrap reads them (the two-pass
-    /// [`ServerKey::batch_bootstrap`] streams the whole batch through
-    /// the SoA buffer twice). Slot arithmetic is identical, so results
-    /// are bit-exact with the unfused batch and with scalar
-    /// [`ServerKey::gate_into`].
+    /// Evaluates one batched kernel — the same gate over many input
+    /// pairs, the CPU analogue of the paper's batched CUDA-graph kernels
+    /// (Figure 9): one launch per (gate kind, wave) instead of one per
+    /// gate. Staging and bootstrap are *fused* over cache-sized chunks of
+    /// [`FUSE_CHUNK`] slots: each chunk's linear combinations are staged
+    /// into the struct-of-arrays slots and immediately carried through
+    /// blind rotation, sample extraction, and key switching before the
+    /// next chunk is touched, so the staged masks are still
+    /// cache-resident when the bootstrap reads them. Per-slot arithmetic
+    /// is that of scalar [`ServerKey::gate_into`], so results are
+    /// bit-exact with it. After a warm-up call the whole call is
+    /// allocation-free.
     ///
     /// # Panics
     ///
@@ -412,8 +365,8 @@ impl ServerKey {
     /// through one SoA pass (each slot with its own gate recipe) keeps
     /// the launch count at one per key per wave instead of one per gate
     /// kind. Slot layout and per-slot arithmetic are identical to
-    /// [`ServerKey::batch_bootstrap`], so results are bit-exact with the
-    /// per-kind batches and with scalar [`ServerKey::gate_into`].
+    /// [`ServerKey::batch_bootstrap_fused`], so results are bit-exact with
+    /// the per-kind batches and with scalar [`ServerKey::gate_into`].
     ///
     /// # Panics
     ///
@@ -788,7 +741,7 @@ mod tests {
             want.push(out);
         }
         let mut outs = vec![server.constant(false); pairs.len()];
-        server.batch_bootstrap(BootGate::Nand, &pairs, &mut outs, &mut scratch);
+        server.batch_bootstrap_fused(BootGate::Nand, &pairs, &mut outs, &mut scratch);
         assert_eq!(outs, want, "ntt batch fallback must be bit-exact with gate_into");
         ntt::set_active_transform(restore);
     }
@@ -836,7 +789,7 @@ mod tests {
     }
 
     #[test]
-    fn fused_batch_is_bit_exact_with_unfused_under_every_simd_path() {
+    fn fused_batch_is_bit_exact_with_gate_into_under_every_simd_path() {
         use super::{BootGate, FUSE_CHUNK};
         use crate::simd::{self, SimdPath};
         let _g = crate::ntt::transform_guard().read().unwrap();
@@ -860,11 +813,13 @@ mod tests {
                 continue;
             }
             assert!(simd::set_active_path(path));
-            let mut unfused = vec![server.constant(false); n];
-            server.batch_bootstrap(BootGate::Xor, &pairs, &mut unfused, &mut scratch);
+            let mut scalar = vec![server.constant(false); n];
+            for (&(a, b), out) in pairs.iter().zip(&mut scalar) {
+                server.gate_into(BootGate::Xor, a, b, &mut scratch, out);
+            }
             let mut fused = vec![server.constant(false); n];
             server.batch_bootstrap_fused(BootGate::Xor, &pairs, &mut fused, &mut scratch);
-            assert_eq!(fused, unfused, "fused batch must be bit-exact on path={path}");
+            assert_eq!(fused, scalar, "fused batch must be bit-exact on path={path}");
             for (ct, &(a, b)) in fused.iter().zip(&bits) {
                 assert_eq!(client.decrypt_bit(ct), a ^ b, "xor({a},{b}) on path={path}");
             }

@@ -156,7 +156,7 @@ impl LweCiphertext {
 
 /// Struct-of-arrays storage for a batch of same-dimension LWE samples:
 /// all masks in one contiguous buffer, all bodies in another. Batched
-/// kernels ([`crate::ServerKey::batch_bootstrap`]) stage their linear
+/// kernels ([`crate::ServerKey::batch_bootstrap_fused`]) stage their linear
 /// combinations here so the bootstrap loop streams over dense slots
 /// instead of pointer-chasing individual ciphertexts.
 #[derive(Debug)]

@@ -10,6 +10,15 @@
 //! architecture-specific. The negacyclic transform itself is also
 //! selectable: `PYTFHE_TRANSFORM=ntt` swaps the f64 FFT for the exact
 //! prime-field NTT of [`crate::ntt`].
+//!
+//! There is one blind-rotation loop, and it is batch-first and
+//! *lane-outer*: for each CMUX step, for each ciphertext of the batch,
+//! the single-polynomial [`TgswFft::rotate_cmux_assign`] against the same
+//! bootstrapping-key row. The row (96 KB at the 128-bit parameters) is
+//! fetched from memory once per batch and re-read from L2 by the other
+//! lanes, so the per-gate cost cannot grow with the batch width, and a
+//! lane of a batch is bit-identical to the same ciphertext rotated alone
+//! because it *is* the same code. A single bootstrap is a batch of one.
 
 use std::sync::OnceLock;
 
@@ -20,9 +29,7 @@ use crate::ntt::{NttCmuxScratch, NttKey};
 use crate::params::Params;
 use crate::poly::TorusPoly;
 use crate::rng::SecureRng;
-use crate::tgsw::{
-    BatchExternalScratch, CmuxScratch, ExternalProductScratch, Gadget, TgswCiphertext, TgswFft,
-};
+use crate::tgsw::{CmuxScratch, ExternalProductScratch, Gadget, TgswCiphertext, TgswFft};
 use crate::tlwe::{TlweCiphertext, TlweKey};
 use crate::torus::Torus32;
 
@@ -82,15 +89,6 @@ impl BootstrappingKey {
         &self.plan
     }
 
-    /// Whether the lockstep batched blind rotation
-    /// ([`BootstrappingKey::bootstrap_raw_batch_into`]) is available.
-    /// Only the FFT transform has batched struct-of-arrays kernels; the
-    /// prototype NTT backend makes batched callers fall back to per-slot
-    /// rotations.
-    pub fn batch_rotation_supported(&self) -> bool {
-        !crate::ntt::ntt_selected()
-    }
-
     /// The gadget parameters of this key's decomposition.
     fn gadget(&self) -> Gadget {
         Gadget { levels: self.params.decomp_levels, base_log: self.params.decomp_base_log }
@@ -115,19 +113,33 @@ impl BootstrappingKey {
         ExternalProductScratch::new(self.params.poly_size, self.params.glwe_dim, self.gadget())
     }
 
-    /// Allocates the full allocation-free bootstrap scratch (CMUX buffers
-    /// plus accumulator/test-vector buffers) sized for this key. One per
-    /// worker thread; after construction, every bootstrap and blind-rotate
-    /// call on it runs without touching the allocator (the convenience
-    /// variants allocate only their return value).
+    /// Allocates the bootstrap scratch (CMUX buffers plus one
+    /// accumulator and a test-vector buffer) sized for this key. One per
+    /// worker thread; every bootstrap and blind-rotate call on it runs
+    /// without touching the allocator (the convenience variants allocate
+    /// only their return value), except that the first batch of a new
+    /// width adds one accumulator per extra lane
+    /// ([`crate::ServerKey::gate_scratch`] allocates all
+    /// [`crate::gates::FUSE_CHUNK`] of them up front).
     pub fn boot_scratch(&self) -> BootstrapScratch {
+        self.boot_scratch_lanes(1)
+    }
+
+    /// [`BootstrappingKey::boot_scratch`] with the accumulators of a
+    /// `lanes`-wide batch allocated up front, so that no batch up to that
+    /// width ever touches the allocator — not even the first one.
+    pub(crate) fn boot_scratch_lanes(&self, lanes: usize) -> BootstrapScratch {
         let p = &self.params;
         BootstrapScratch {
             cs: CmuxScratch::new(p.poly_size, p.glwe_dim, self.gadget()),
-            acc: TlweCiphertext::trivial(TorusPoly::zero(p.poly_size), p.glwe_dim),
+            accs: (0..lanes).map(|_| self.blank_acc()).collect(),
             tv: TorusPoly::zero(p.poly_size),
             ntt: None,
         }
+    }
+
+    fn blank_acc(&self) -> TlweCiphertext {
+        TlweCiphertext::trivial(TorusPoly::zero(self.params.poly_size), self.params.glwe_dim)
     }
 
     /// Blind rotation: homomorphically computes
@@ -148,9 +160,9 @@ impl BootstrappingKey {
         test_vector: &TorusPoly,
         scratch: &mut BootstrapScratch,
     ) -> TlweCiphertext {
-        scratch.tv.copy_from(test_vector);
-        self.blind_rotate_noalloc(ct.mask(), ct.body(), scratch);
-        scratch.acc.clone()
+        let BootstrapScratch { cs, accs, ntt, .. } = scratch;
+        self.rotate_lanes(&[(ct.mask(), ct.body())], |_| test_vector, accs, cs, ntt);
+        accs[0].clone()
     }
 
     /// Programmable bootstrapping (the paper's Section II-B: "fast
@@ -173,10 +185,9 @@ impl BootstrappingKey {
         lut: &TorusPoly,
         scratch: &mut BootstrapScratch,
     ) -> LweCiphertext {
-        assert_eq!(lut.len(), self.params.poly_size, "LUT must have N entries");
-        scratch.tv.copy_from(lut);
-        self.blind_rotate_noalloc(ct.mask(), ct.body(), scratch);
-        scratch.acc.extract_lwe()
+        let mut out = LweCiphertext::trivial(Torus32::ZERO, self.params.extracted_lwe_dim());
+        self.programmable_bootstrap_into(ct, lut, scratch, &mut out);
+        out
     }
 
     /// Like [`BootstrappingKey::programmable_bootstrap`], writing the
@@ -190,24 +201,8 @@ impl BootstrappingKey {
         scratch: &mut BootstrapScratch,
         out: &mut LweCiphertext,
     ) {
-        self.programmable_bootstrap_slices_into(ct.mask(), ct.body(), lut, scratch, out);
-    }
-
-    /// Slice-level variant of
-    /// [`BootstrappingKey::programmable_bootstrap_into`] for batched
-    /// callers whose inputs live in struct-of-arrays slots.
-    pub fn programmable_bootstrap_slices_into(
-        &self,
-        mask: &[Torus32],
-        body: Torus32,
-        lut: &TorusPoly,
-        scratch: &mut BootstrapScratch,
-        out: &mut LweCiphertext,
-    ) {
-        assert_eq!(lut.len(), self.params.poly_size, "LUT must have N entries");
-        scratch.tv.copy_from(lut);
-        self.blind_rotate_noalloc(mask, body, scratch);
-        scratch.acc.extract_lwe_into(out);
+        let input = [(ct.mask(), ct.body())];
+        self.programmable_bootstrap_batch_into(&input, &[lut], scratch, std::slice::from_mut(out));
     }
 
     /// Gate bootstrapping without the final key switch: maps any input
@@ -220,46 +215,54 @@ impl BootstrappingKey {
         mu: Torus32,
         scratch: &mut BootstrapScratch,
     ) -> LweCiphertext {
-        let ext_dim = self.params.glwe_dim * self.params.poly_size;
-        let mut out = LweCiphertext::trivial(Torus32::ZERO, ext_dim);
+        let mut out = LweCiphertext::trivial(Torus32::ZERO, self.params.extracted_lwe_dim());
         self.bootstrap_raw_into(ct, mu, scratch, &mut out);
         out
     }
 
-    /// Allocation-free blind rotation over a raw `(mask, body)` sample,
-    /// reading the test vector from `scratch.tv` and leaving the rotated
-    /// accumulator in `scratch.acc`. Taking slices instead of an
-    /// [`LweCiphertext`] lets batched callers feed struct-of-arrays slots
-    /// directly.
-    fn blind_rotate_noalloc(&self, mask: &[Torus32], body: Torus32, s: &mut BootstrapScratch) {
-        let n2 = 2 * self.params.poly_size;
-        let barb = body.mod_switch(self.params.poly_size);
-        // acc = X^{-barb} * tv = X^{2N - barb} * tv (trivial sample).
-        for p in &mut s.acc.a {
-            p.fill_assign(Torus32::ZERO);
+    /// The one blind-rotation loop: rotates `tv(lane)` by the phase of
+    /// `inputs[lane]` into `accs[lane]`, lane-outer (see the module docs).
+    /// A lane whose mod-switched mask element is zero skips that step's
+    /// CMUX, whatever its neighbours do. Under `PYTFHE_TRANSFORM=ntt` each
+    /// step is the exact-integer CMUX of [`NttKey`] instead (its scratch
+    /// is carved out lazily: the default FFT path never pays for it).
+    fn rotate_lanes<'t>(
+        &self,
+        inputs: &[(&[Torus32], Torus32)],
+        tv: impl Fn(usize) -> &'t TorusPoly,
+        accs: &mut Vec<TlweCiphertext>,
+        cs: &mut CmuxScratch,
+        ntt: &mut Option<NttCmuxScratch>,
+    ) {
+        let n = self.params.poly_size;
+        let n2 = 2 * n;
+        if accs.len() < inputs.len() {
+            accs.resize_with(inputs.len(), || self.blank_acc());
         }
-        s.tv.mul_by_xk_into((n2 - barb) % n2, &mut s.acc.b);
-        if let Some(nk) = self.ntt_key() {
-            // Exact-integer CMUX chain through the prototype NTT backend
-            // (its scratch is carved out lazily: the default FFT path
-            // never pays for it).
-            let ns = s.ntt.get_or_insert_with(|| nk.cmux_scratch(self.params.glwe_dim));
-            for (i, a_i) in mask.iter().enumerate() {
-                let bara = a_i.mod_switch(self.params.poly_size);
+        for (lane, (acc, (mask, body))) in accs.iter_mut().zip(inputs).enumerate() {
+            assert_eq!(mask.len(), self.params.lwe_dim, "input of the wrong LWE dimension");
+            assert_eq!(tv(lane).len(), n, "LUT must have N entries");
+            // acc = X^{-barb} * tv = X^{2N - barb} * tv (trivial sample).
+            for p in &mut acc.a {
+                p.fill_assign(Torus32::ZERO);
+            }
+            tv(lane).mul_by_xk_into((n2 - body.mod_switch(n)) % n2, &mut acc.b);
+        }
+        let mut ntt = self
+            .ntt_key()
+            .map(|nk| (nk, ntt.get_or_insert_with(|| nk.cmux_scratch(self.params.glwe_dim))));
+        for (i, bk_i) in self.tgsw.iter().enumerate() {
+            for (acc, (mask, _)) in accs.iter_mut().zip(inputs) {
+                let bara = mask[i].mod_switch(n);
                 if bara == 0 {
                     continue;
                 }
-                nk.rotate_cmux_assign(i, &mut s.acc, bara, ns);
+                // acc <- acc + bk_i ⊡ (X^{bara} * acc - acc), the CMUX.
+                match &mut ntt {
+                    Some((nk, ns)) => nk.rotate_cmux_assign(i, acc, bara, ns),
+                    None => bk_i.rotate_cmux_assign(acc, bara, &self.plan, cs),
+                }
             }
-            return;
-        }
-        for (a_i, bk_i) in mask.iter().zip(&self.tgsw) {
-            let bara = a_i.mod_switch(self.params.poly_size);
-            if bara == 0 {
-                continue;
-            }
-            // acc <- acc + bk_i ⊡ (X^{bara} * acc - acc), the CMUX.
-            bk_i.rotate_cmux_assign(&mut s.acc, bara, &self.plan, &mut s.cs);
         }
     }
 
@@ -273,207 +276,83 @@ impl BootstrappingKey {
         scratch: &mut BootstrapScratch,
         out: &mut LweCiphertext,
     ) {
-        self.bootstrap_raw_slices_into(ct.mask(), ct.body(), mu, scratch, out);
+        let input = [(ct.mask(), ct.body())];
+        self.bootstrap_raw_batch_into(&input, mu, scratch, std::slice::from_mut(out));
     }
 
-    /// Slice-level variant of [`BootstrappingKey::bootstrap_raw_into`] for
-    /// batched callers whose inputs live in struct-of-arrays slots.
-    pub fn bootstrap_raw_slices_into(
-        &self,
-        mask: &[Torus32],
-        body: Torus32,
-        mu: Torus32,
-        scratch: &mut BootstrapScratch,
-        out: &mut LweCiphertext,
-    ) {
-        debug_assert_eq!(mask.len(), self.params.lwe_dim);
-        scratch.tv.fill_assign(mu);
-        self.blind_rotate_noalloc(mask, body, scratch);
-        scratch.acc.extract_lwe_into(out);
-    }
-
-    /// Allocates the lockstep batched bootstrap scratch for batches of
-    /// up to `max_lanes` ciphertexts (one per worker thread, like
-    /// [`BootstrappingKey::boot_scratch`]).
-    pub fn batch_scratch(&self, max_lanes: usize) -> BatchBootstrapScratch {
-        let p = &self.params;
-        let blank = || TlweCiphertext::trivial(TorusPoly::zero(p.poly_size), p.glwe_dim);
-        BatchBootstrapScratch {
-            acc: (0..max_lanes).map(|_| blank()).collect(),
-            diff: (0..max_lanes).map(|_| blank()).collect(),
-            ext: (0..max_lanes).map(|_| blank()).collect(),
-            active: Vec::with_capacity(max_lanes),
-            ep: BatchExternalScratch::new(p.poly_size, p.glwe_dim, self.gadget(), max_lanes),
-            tv: TorusPoly::zero(p.poly_size),
-        }
-    }
-
-    /// Lockstep batched gate bootstrapping: runs up to `max_lanes` blind
-    /// rotations *in step*, so every CMUX iteration applies the shared
-    /// bootstrapping-key row to all lanes through the batched transform
-    /// kernels (one row stream and one twiddle stream per batch instead
-    /// of per ciphertext — see [`TgswFft::external_product_batch_into`]).
+    /// Batched gate bootstrapping: blind-rotates every `(mask, body)` view
+    /// of `inputs` (struct-of-arrays friendly) against the constant test
+    /// vector `mu` in one lane-outer pass over the bootstrapping key, and
+    /// extracts the dimension-`k·N` raw samples into `outs`. Each lane is
+    /// bit-identical to [`BootstrappingKey::bootstrap_raw`] on the same
+    /// input, regardless of which other ciphertexts share the batch.
+    /// Allocation-free once `scratch` has served a batch this wide.
     ///
-    /// Lanes whose mod-switched mask element is zero skip their CMUX
-    /// exactly as the single path does: the live lanes of each step are
-    /// compacted before the batched external product, so per-lane
-    /// results stay bit-identical to [`BootstrappingKey::bootstrap_raw`]
-    /// regardless of which other ciphertexts share the batch.
+    /// # Panics
     ///
-    /// `inputs` holds `(mask, body)` views (struct-of-arrays friendly);
-    /// `outs` receives the dimension-`k·N` raw samples. Allocation-free.
+    /// Panics if `inputs` and `outs` differ in length or an input is not
+    /// of the key's LWE dimension.
     pub fn bootstrap_raw_batch_into(
         &self,
         inputs: &[(&[Torus32], Torus32)],
         mu: Torus32,
-        scratch: &mut BatchBootstrapScratch,
+        scratch: &mut BootstrapScratch,
         outs: &mut [LweCiphertext],
     ) {
-        let b = inputs.len();
-        assert!(b > 0 && b <= scratch.ep.max_lanes(), "batch width {b} exceeds scratch");
-        debug_assert_eq!(outs.len(), b);
-        let n = self.params.poly_size;
-        let n2 = 2 * n;
-        let BatchBootstrapScratch { acc, diff, ext, active, ep, tv } = scratch;
+        assert_eq!(outs.len(), inputs.len(), "one output per lane");
+        let BootstrapScratch { cs, accs, tv, ntt } = scratch;
         tv.fill_assign(mu);
-        for (lane, (mask, body)) in inputs.iter().enumerate() {
-            debug_assert_eq!(mask.len(), self.params.lwe_dim);
-            let barb = body.mod_switch(n);
-            for p in &mut acc[lane].a {
-                p.fill_assign(Torus32::ZERO);
-            }
-            tv.mul_by_xk_into((n2 - barb) % n2, &mut acc[lane].b);
-        }
-        for (i, bk_i) in self.tgsw.iter().enumerate() {
-            active.clear();
-            for (lane, (mask, _)) in inputs.iter().enumerate() {
-                if mask[i].mod_switch(n) != 0 {
-                    active.push(lane);
-                }
-            }
-            if active.is_empty() {
-                continue;
-            }
-            for (slot, &lane) in active.iter().enumerate() {
-                let bara = inputs[lane].0[i].mod_switch(n);
-                acc[lane].rotate_into(bara, &mut diff[slot]);
-                diff[slot].sub_assign(&acc[lane]);
-            }
-            let live = active.len();
-            bk_i.external_product_batch_into(&diff[..live], &self.plan, ep, &mut ext[..live]);
-            for (slot, &lane) in active.iter().enumerate() {
-                acc[lane].add_assign(&ext[slot]);
-            }
-        }
-        for (lane, out) in outs.iter_mut().enumerate() {
-            acc[lane].extract_lwe_into(out);
+        self.rotate_lanes(inputs, |_| &*tv, accs, cs, ntt);
+        for (acc, out) in accs.iter().zip(outs) {
+            acc.extract_lwe_into(out);
         }
     }
 
-    /// Lockstep batched *programmable* bootstrapping with one test
-    /// vector per lane: the generalization of
-    /// [`BootstrappingKey::bootstrap_raw_batch_into`] that carries
-    /// netlist LUT groups. Every lane's accumulator is initialized by
-    /// rotating its own `tvs[lane]`; the CMUX chain that follows is
-    /// test-vector independent, so lanes with different lookup tables
-    /// (and even different packed widths) share one batched launch.
-    /// Per-lane results are bit-identical to
+    /// Batched *programmable* bootstrapping with one test vector per
+    /// lane: the generalization of
+    /// [`BootstrappingKey::bootstrap_raw_batch_into`] that carries netlist
+    /// LUT groups. The CMUX chain is test-vector independent, so lanes
+    /// with different lookup tables (and even different packed widths)
+    /// share one pass over the key. Per-lane results are bit-identical to
     /// [`BootstrappingKey::programmable_bootstrap_into`] on the same
-    /// inputs. Allocation-free.
+    /// inputs. Allocation-free once `scratch` has served a batch this
+    /// wide.
     ///
     /// # Panics
     ///
-    /// Panics if lanes exceed the scratch, the slice lengths disagree,
-    /// or any test vector is not `N` entries long.
+    /// Panics if the slice lengths disagree, an input is not of the key's
+    /// LWE dimension, or any test vector is not `N` entries long.
     pub fn programmable_bootstrap_batch_into(
         &self,
         inputs: &[(&[Torus32], Torus32)],
         tvs: &[&TorusPoly],
-        scratch: &mut BatchBootstrapScratch,
+        scratch: &mut BootstrapScratch,
         outs: &mut [LweCiphertext],
     ) {
-        let b = inputs.len();
-        assert!(b > 0 && b <= scratch.ep.max_lanes(), "batch width {b} exceeds scratch");
-        assert_eq!(tvs.len(), b, "one test vector per lane");
-        debug_assert_eq!(outs.len(), b);
-        let n = self.params.poly_size;
-        let n2 = 2 * n;
-        let BatchBootstrapScratch { acc, diff, ext, active, ep, tv: _ } = scratch;
-        for (lane, (mask, body)) in inputs.iter().enumerate() {
-            debug_assert_eq!(mask.len(), self.params.lwe_dim);
-            assert_eq!(tvs[lane].len(), n, "LUT must have N entries");
-            let barb = body.mod_switch(n);
-            for p in &mut acc[lane].a {
-                p.fill_assign(Torus32::ZERO);
-            }
-            tvs[lane].mul_by_xk_into((n2 - barb) % n2, &mut acc[lane].b);
-        }
-        for (i, bk_i) in self.tgsw.iter().enumerate() {
-            active.clear();
-            for (lane, (mask, _)) in inputs.iter().enumerate() {
-                if mask[i].mod_switch(n) != 0 {
-                    active.push(lane);
-                }
-            }
-            if active.is_empty() {
-                continue;
-            }
-            for (slot, &lane) in active.iter().enumerate() {
-                let bara = inputs[lane].0[i].mod_switch(n);
-                acc[lane].rotate_into(bara, &mut diff[slot]);
-                diff[slot].sub_assign(&acc[lane]);
-            }
-            let live = active.len();
-            bk_i.external_product_batch_into(&diff[..live], &self.plan, ep, &mut ext[..live]);
-            for (slot, &lane) in active.iter().enumerate() {
-                acc[lane].add_assign(&ext[slot]);
-            }
-        }
-        for (lane, out) in outs.iter_mut().enumerate() {
-            acc[lane].extract_lwe_into(out);
+        assert_eq!(tvs.len(), inputs.len(), "one test vector per lane");
+        assert_eq!(outs.len(), inputs.len(), "one output per lane");
+        let BootstrapScratch { cs, accs, ntt, .. } = scratch;
+        self.rotate_lanes(inputs, |lane| tvs[lane], accs, cs, ntt);
+        for (acc, out) in accs.iter().zip(outs) {
+            acc.extract_lwe_into(out);
         }
     }
 }
 
 /// Reusable buffers for the allocation-free bootstrap path: the CMUX
 /// scratch (external-product buffers plus the difference/product
-/// ciphertexts of one CMUX step) and the accumulator and test-vector
-/// buffers of the blind-rotation loop. Construct once per worker with
+/// ciphertexts of one CMUX step, shared by every lane), one
+/// blind-rotation accumulator per lane of the widest batch served so
+/// far, and a test-vector buffer. Construct once per worker with
 /// [`BootstrappingKey::boot_scratch`].
 #[derive(Debug)]
 pub struct BootstrapScratch {
     pub(crate) cs: CmuxScratch,
-    acc: TlweCiphertext,
+    accs: Vec<TlweCiphertext>,
     tv: TorusPoly,
     /// NTT CMUX scratch, allocated on first use under
     /// `PYTFHE_TRANSFORM=ntt` only.
     ntt: Option<NttCmuxScratch>,
-}
-
-/// Reusable buffers for the lockstep batched bootstrap path
-/// ([`BootstrappingKey::bootstrap_raw_batch_into`]): per-lane
-/// accumulators plus compacted difference/product slots feeding the
-/// batched external product. Construct once per worker with
-/// [`BootstrappingKey::batch_scratch`].
-#[derive(Debug)]
-pub struct BatchBootstrapScratch {
-    /// One blind-rotation accumulator per lane (indexed by lane).
-    acc: Vec<TlweCiphertext>,
-    /// Rotated-minus-identity differences (indexed by *compact slot*).
-    diff: Vec<TlweCiphertext>,
-    /// Batched external-product outputs (indexed by compact slot).
-    ext: Vec<TlweCiphertext>,
-    /// Lanes participating in the current CMUX step.
-    active: Vec<usize>,
-    ep: BatchExternalScratch,
-    tv: TorusPoly,
-}
-
-impl BatchBootstrapScratch {
-    /// Widest batch this scratch can serve.
-    pub fn max_lanes(&self) -> usize {
-        self.ep.max_lanes()
-    }
 }
 
 /// Numerically checks the sign-extraction property used by `bootstrap_raw`
@@ -595,21 +474,38 @@ mod tests {
         assert_eq!(thread_buffer_allocs() - before, 0);
     }
 
+    /// `width` fresh ciphertexts of alternating sign; lane 0 of every
+    /// batch has mask elements that mod-switch to 0, so its CMUX is
+    /// skipped at steps where its neighbours' is not.
+    fn lanes_with_a_skipping_lane(
+        width: usize,
+        params: &Params,
+        lwe_key: &LweKey,
+        rng: &mut SecureRng,
+    ) -> Vec<LweCiphertext> {
+        let mut cts: Vec<LweCiphertext> = (0..width)
+            .map(|i| {
+                let msg = Torus32::from_fraction(if i % 2 == 0 { 1 } else { -1 }, 3);
+                lwe_key.encrypt(msg, params.lwe_noise_stdev, rng)
+            })
+            .collect();
+        for i in [0, 3, params.lwe_dim - 1] {
+            cts[0].a[i] = Torus32::ZERO;
+            assert_eq!(cts[0].a[i].mod_switch(params.poly_size), 0);
+        }
+        cts
+    }
+
     #[test]
     fn batched_bootstrap_matches_single_path_bit_exactly() {
         let _g = crate::ntt::transform_guard().read().unwrap();
         let (params, lwe_key, _tlwe_key, bk, mut rng) = setup();
         let mu = Torus32::from_fraction(1, 3);
         let mut single = bk.boot_scratch();
-        let mut batch = bk.batch_scratch(crate::gates::FUSE_CHUNK);
-        let out_dim = params.glwe_dim * params.poly_size;
-        for width in 1..=4usize {
-            let cts: Vec<LweCiphertext> = (0..width)
-                .map(|i| {
-                    let msg = Torus32::from_fraction(if i % 2 == 0 { 1 } else { -1 }, 3);
-                    lwe_key.encrypt(msg, params.lwe_noise_stdev, &mut rng)
-                })
-                .collect();
+        let mut batch = bk.boot_scratch();
+        let out_dim = params.extracted_lwe_dim();
+        for width in 1..=crate::gates::FUSE_CHUNK {
+            let cts = lanes_with_a_skipping_lane(width, &params, &lwe_key, &mut rng);
             let inputs: Vec<(&[Torus32], Torus32)> =
                 cts.iter().map(|ct| (ct.a.as_slice(), ct.b)).collect();
             let mut outs = vec![LweCiphertext::trivial(Torus32::ZERO, out_dim); width];
@@ -617,8 +513,7 @@ mod tests {
             for (ct, got) in cts.iter().zip(&outs) {
                 let mut want = LweCiphertext::trivial(Torus32::ZERO, out_dim);
                 bk.bootstrap_raw_into(ct, mu, &mut single, &mut want);
-                assert_eq!(got.a, want.a, "width {width}: mask diverged");
-                assert_eq!(got.b, want.b, "width {width}: body diverged");
+                assert_eq!(got, &want, "width {width}: lane diverged from the single path");
             }
         }
     }
@@ -629,18 +524,14 @@ mod tests {
         let (params, lwe_key, _tlwe_key, bk, mut rng) = setup();
         let n = params.poly_size;
         let mut single = bk.boot_scratch();
-        let mut batch = bk.batch_scratch(4);
-        let out_dim = params.glwe_dim * params.poly_size;
+        let mut batch = bk.boot_scratch();
+        let out_dim = params.extracted_lwe_dim();
         // Distinct per-lane test vectors: the whole point of the
         // generalized batch is carrying mixed lookup tables.
-        let tvs: Vec<TorusPoly> = (0..4).map(|_| TorusPoly::uniform(n, &mut rng)).collect();
-        for width in 1..=4usize {
-            let cts: Vec<LweCiphertext> = (0..width)
-                .map(|i| {
-                    let msg = Torus32::from_f64((i as f64 + 0.5) / 16.0);
-                    lwe_key.encrypt(msg, params.lwe_noise_stdev, &mut rng)
-                })
-                .collect();
+        let tvs: Vec<TorusPoly> =
+            (0..crate::gates::FUSE_CHUNK).map(|_| TorusPoly::uniform(n, &mut rng)).collect();
+        for width in 1..=crate::gates::FUSE_CHUNK {
+            let cts = lanes_with_a_skipping_lane(width, &params, &lwe_key, &mut rng);
             let inputs: Vec<(&[Torus32], Torus32)> =
                 cts.iter().map(|ct| (ct.a.as_slice(), ct.b)).collect();
             let tv_refs: Vec<&TorusPoly> = tvs.iter().take(width).collect();
@@ -649,8 +540,7 @@ mod tests {
             for (lane, (ct, got)) in cts.iter().zip(&outs).enumerate() {
                 let mut want = LweCiphertext::trivial(Torus32::ZERO, out_dim);
                 bk.programmable_bootstrap_into(ct, &tvs[lane], &mut single, &mut want);
-                assert_eq!(got.a, want.a, "width {width} lane {lane}: mask diverged");
-                assert_eq!(got.b, want.b, "width {width} lane {lane}: body diverged");
+                assert_eq!(got, &want, "width {width} lane {lane} diverged from the single path");
             }
         }
     }
@@ -660,16 +550,18 @@ mod tests {
         let _g = crate::ntt::transform_guard().read().unwrap();
         let (params, lwe_key, _tlwe_key, bk, mut rng) = setup();
         let mu = Torus32::from_fraction(1, 3);
-        let mut batch = bk.batch_scratch(3);
-        let out_dim = params.glwe_dim * params.poly_size;
-        let cts: Vec<LweCiphertext> =
-            (0..3).map(|_| lwe_key.encrypt(mu, params.lwe_noise_stdev, &mut rng)).collect();
+        let mut batch = bk.boot_scratch();
+        let width = crate::gates::FUSE_CHUNK;
+        let cts = lanes_with_a_skipping_lane(width, &params, &lwe_key, &mut rng);
         let inputs: Vec<(&[Torus32], Torus32)> =
             cts.iter().map(|ct| (ct.a.as_slice(), ct.b)).collect();
-        let mut outs = vec![LweCiphertext::trivial(Torus32::ZERO, out_dim); 3];
+        let mut outs =
+            vec![LweCiphertext::trivial(Torus32::ZERO, params.extracted_lwe_dim()); width];
+        // The first batch of this width grows the per-lane accumulators.
         bk.bootstrap_raw_batch_into(&inputs, mu, &mut batch, &mut outs);
         let before = thread_buffer_allocs();
         bk.bootstrap_raw_batch_into(&inputs, mu, &mut batch, &mut outs);
+        bk.bootstrap_raw_batch_into(&inputs[..3], mu, &mut batch, &mut outs[..3]);
         assert_eq!(thread_buffer_allocs() - before, 0);
     }
 }

@@ -24,35 +24,61 @@
 //! stores its bootstrapping key in this form.
 //!
 //! [`FreqPoly`] keeps the `N/2` points as split `re`/`im` arrays
-//! (structure-of-arrays), so the external-product multiply-accumulate
-//! compiles to straight-line FMA-friendly loops over four flat `f64`
-//! slices instead of an array-of-structs gather.
+//! (structure-of-arrays, 64-byte aligned), so the external-product
+//! multiply-accumulate compiles to straight-line FMA-friendly loops over
+//! four flat `f64` slices instead of an array-of-structs gather.
+//!
+//! # Pass structure and the two orders
+//!
+//! The transform itself lives in [`crate::simd`] ([`Kernels::forward`] /
+//! [`Kernels::inverse`]): a decimation-in-frequency forward whose first
+//! radix-4 pass also converts the integers and applies the twist, and a
+//! decimation-in-time inverse whose last pass also scales, untwists and
+//! rounds. Neither contains a bit-reversal pass, so **in memory a
+//! spectrum is in bit-reversed order**: evaluation `k` sits at slot
+//! `bitrev(k)`. Every in-memory consumer — the MAC, the inverse, the
+//! bootstrapping key rows — is either order-agnostic or expects exactly
+//! that order. The natural order survives in two places only:
+//! [`FreqPoly::point`], for code that needs to know *which* evaluation a
+//! value is, and the wire format, where [`crate::io`] permutes at the
+//! boundary so key bytes are what they always were.
 //!
 //! Precision: products of decomposed digits (`|d| ≤ Bg/2 = 64`) with
 //! torus values (`< 2^31`) accumulated over `N = 1024` taps stay below
 //! `2^47`, comfortably inside an `f64` mantissa even after the
 //! `(k+1)·l`-row accumulation of the external product; the sub-unit
 //! rounding error folds into the scheme's noise budget exactly as in the
-//! reference TFHE library. Folding does not change the magnitudes — the
-//! `N/2` stored values are the *same* evaluations the full-size
-//! transform produced — and removes one butterfly stage, so the folded
-//! path is never less accurate than the full-size one it replaced (kept
-//! as an oracle in [`crate::reference`]).
+//! reference TFHE library. The independent full-size radix-2 transform
+//! in [`crate::reference`] is the oracle both are tested against.
+//!
+//! [`Kernels::forward`]: crate::simd::Kernels::forward
+//! [`Kernels::inverse`]: crate::simd::Kernels::inverse
 
 use crate::align::AlignedBuf;
 use crate::poly::{IntPoly, TorusPoly};
-use crate::simd;
+use crate::simd::{self, Twiddles};
 use crate::torus::Torus32;
 use crate::trace::note_buffer_alloc;
 
+/// Slot of evaluation `k` in a bit-reversed spectrum of `points` values
+/// (and, the permutation being an involution, the evaluation held by
+/// slot `k`).
+fn bit_reverse(k: usize, points: usize) -> usize {
+    match points.trailing_zeros() {
+        0 => 0,
+        bits => k.reverse_bits() >> (usize::BITS - bits),
+    }
+}
+
 /// A real negacyclic polynomial in the folded twisted frequency domain
 /// ("Lagrange half-complex" in TFHE-library terminology): `N/2` complex
-/// points stored as split `re`/`im` arrays. Pointwise products here
-/// correspond to negacyclic products in the coefficient domain.
+/// points stored as split `re`/`im` arrays, in the transform's
+/// bit-reversed order. Pointwise products here correspond to negacyclic
+/// products in the coefficient domain.
 #[derive(Debug, PartialEq)]
 pub struct FreqPoly {
-    re: Vec<f64>,
-    im: Vec<f64>,
+    re: AlignedBuf<f64>,
+    im: AlignedBuf<f64>,
 }
 
 /// `Clone` is implemented manually so every fresh pair of buffers is
@@ -84,7 +110,7 @@ impl FreqPoly {
             "FreqPoly is sized for even polynomial lengths >= 2"
         );
         note_buffer_alloc();
-        FreqPoly { re: vec![0.0; n / 2], im: vec![0.0; n / 2] }
+        FreqPoly { re: AlignedBuf::zeroed(n / 2), im: AlignedBuf::zeroed(n / 2) }
     }
 
     /// Number of stored frequency points (`N/2`).
@@ -105,170 +131,73 @@ impl FreqPoly {
         self.re.is_empty()
     }
 
-    /// Raw real parts (crate-internal, for serialization).
-    pub(crate) fn re_raw(&self) -> &[f64] {
-        &self.re
+    /// Evaluation `k` in natural order: the value `(re, im)` of the
+    /// polynomial at `ζ_k = e^{iπ(1+4k)/N}`, wherever the transform's
+    /// bit-reversed layout keeps it. This is also the wire order.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `k >= points()`.
+    pub fn point(&self, k: usize) -> (f64, f64) {
+        assert!(k < self.points(), "evaluation {k} out of range");
+        let slot = bit_reverse(k, self.points());
+        (self.re[slot], self.im[slot])
     }
 
-    /// Raw imaginary parts (crate-internal, for serialization).
-    pub(crate) fn im_raw(&self) -> &[f64] {
-        &self.im
+    /// The split arrays in natural (wire) order (crate-internal, for
+    /// serialization): the inverse of [`FreqPoly::from_natural_order`].
+    pub(crate) fn to_natural_order(&self) -> (Vec<f64>, Vec<f64>) {
+        let points = self.points();
+        (0..points)
+            .map(|k| {
+                let slot = bit_reverse(k, points);
+                (self.re[slot], self.im[slot])
+            })
+            .unzip()
     }
 
-    /// Rebuilds from split raw arrays (crate-internal, for
-    /// deserialization). The arrays must have equal length.
-    pub(crate) fn from_split(re: Vec<f64>, im: Vec<f64>) -> Self {
-        debug_assert_eq!(re.len(), im.len());
-        note_buffer_alloc();
-        FreqPoly { re, im }
+    /// Rebuilds from split arrays in natural (wire) order (crate-internal,
+    /// for deserialization). The arrays must have equal, power-of-two
+    /// length.
+    pub(crate) fn from_natural_order(re: &[f64], im: &[f64]) -> Self {
+        let points = re.len();
+        assert!(points.is_power_of_two() && im.len() == points);
+        let mut out = FreqPoly::zero(2 * points);
+        for k in 0..points {
+            let slot = bit_reverse(k, points);
+            out.re[slot] = re[k];
+            out.im[slot] = im[k];
+        }
+        out
     }
 
     /// Resets to zero without reallocating.
     pub fn clear(&mut self) {
-        self.re.fill(0.0);
-        self.im.fill(0.0);
+        self.re.fill_zero();
+        self.im.fill_zero();
     }
 
     /// `self += a * b` pointwise — the multiply-accumulate at the heart of
     /// the external product. Dispatched through the [`crate::simd`]
-    /// kernel layer (explicit FMA lanes on AVX2/NEON hosts, the
+    /// kernel layer (explicit FMA lanes on AVX/NEON hosts, the
     /// autovectorized flat-slice loop on the scalar path).
+    ///
+    /// # Panics
+    ///
+    /// Panics if the three spectra differ in size.
     pub fn add_mul_assign(&mut self, a: &FreqPoly, b: &FreqPoly) {
-        let m = self.re.len();
-        debug_assert_eq!(m, a.re.len());
-        debug_assert_eq!(m, b.re.len());
         simd::kernels().mac(&mut self.re, &mut self.im, &a.re, &a.im, &b.re, &b.im);
     }
 }
 
-/// A *batch* of frequency-domain polynomials in point-major interleaved
-/// layout: value `re[point * lanes + lane]` is frequency point `point`
-/// of batch member `lane`. The layout is what makes lockstep blind
-/// rotation pay off — a butterfly's twiddle is loaded once per point
-/// and applied to `lanes` contiguous values, the early FFT stages run
-/// full vectors instead of scalars, and the external product's
-/// bootstrapping-key row is streamed once per batch instead of once per
-/// ciphertext (see [`crate::simd::Kernels::fft_passes_batch`] and
-/// [`crate::simd::Kernels::mac_bcast`]).
-///
-/// Storage is 64-byte aligned ([`AlignedBuf`]) and sized for a maximum
-/// lane count at construction; [`FreqPolyBatch::reset`] re-arms it for
-/// the (possibly smaller) live width of each batch step without
-/// reallocating.
-#[derive(Debug, Clone)]
-pub struct FreqPolyBatch {
-    re: AlignedBuf<f64>,
-    im: AlignedBuf<f64>,
-    /// Frequency points per lane (`M = N/2`).
-    points: usize,
-    /// Current live batch width.
-    lanes: usize,
-}
-
-impl FreqPolyBatch {
-    /// A zeroed batch for polynomials of degree bound `n`, able to hold
-    /// up to `max_lanes` members.
-    pub fn new(n: usize, max_lanes: usize) -> Self {
-        assert!(n >= 2 && n.is_multiple_of(2) && max_lanes > 0);
-        note_buffer_alloc();
-        let points = n / 2;
-        FreqPolyBatch {
-            re: AlignedBuf::zeroed(points * max_lanes),
-            im: AlignedBuf::zeroed(points * max_lanes),
-            points,
-            lanes: max_lanes,
-        }
-    }
-
-    /// Frequency points per lane (`N/2`).
-    #[inline]
-    pub fn points(&self) -> usize {
-        self.points
-    }
-
-    /// Current live batch width.
-    #[inline]
-    pub fn lanes(&self) -> usize {
-        self.lanes
-    }
-
-    /// Whether the batch holds no lanes.
-    pub fn is_empty(&self) -> bool {
-        self.lanes == 0
-    }
-
-    /// Re-arms the batch for `lanes` members and zeroes the live region
-    /// (growing the allocation only if `lanes` exceeds the constructed
-    /// maximum).
-    pub fn reset(&mut self, lanes: usize) {
-        assert!(lanes > 0);
-        let need = self.points * lanes;
-        if need > self.re.len() {
-            self.re.resize_zeroed(need);
-            self.im.resize_zeroed(need);
-        }
-        self.lanes = lanes;
-        debug_assert!(self.re.is_aligned() && self.im.is_aligned());
-        self.re[..need].fill(0.0);
-        self.im[..need].fill(0.0);
-    }
-
-    /// Live split slices (`points * lanes` values each).
-    #[inline]
-    fn live_mut(&mut self) -> (&mut [f64], &mut [f64]) {
-        let need = self.points * self.lanes;
-        (&mut self.re[..need], &mut self.im[..need])
-    }
-
-    /// `self += a * b` pointwise per lane, with `b` one spectrum shared
-    /// by every lane — the batched external-product MAC.
-    pub fn add_mul_bcast(&mut self, a: &FreqPolyBatch, b: &FreqPoly) {
-        let lanes = self.lanes;
-        debug_assert_eq!(a.lanes, lanes);
-        debug_assert_eq!(a.points, self.points);
-        debug_assert_eq!(b.points(), self.points);
-        let need = self.points * lanes;
-        simd::kernels().mac_bcast(
-            &mut self.re[..need],
-            &mut self.im[..need],
-            &a.re[..need],
-            &a.im[..need],
-            &b.re,
-            &b.im,
-            lanes,
-        );
-    }
-}
-
 /// Precomputed tables for folded transforms of one polynomial size `N`
-/// (transform size `M = N/2`).
-///
-/// The butterfly twiddles are stored as *per-stage contiguous tables*
-/// (`M - 1` entries: the stage-`len = 2` table, then stage-`4`, …, then
-/// stage-`M`, each holding `len/2` twiddles in `j` order). The classic
-/// strided indexing `w[j · M/len]` defeats vector loads; laying each
-/// stage out contiguously lets the [`crate::simd`] butterfly kernels
-/// stream twiddles with plain unaligned loads, and costs the same
-/// `O(M)` total storage as the strided table it replaces.
+/// (transform size `M = N/2`): the [`Twiddles`] every [`crate::simd`]
+/// transform kernel reads. Works for every power of two `N >= 2`
+/// through the same entry points — sizes below the vector kernels'
+/// smallest block run the portable kernel, in the same order.
 #[derive(Debug, Clone)]
 pub struct FftPlan {
-    /// Polynomial degree bound `N`.
-    n: usize,
-    /// Transform size `M = N/2`.
-    m: usize,
-    /// Forward per-stage twiddles `e^{+2πik/M}` (split re/im), 64-byte
-    /// aligned so the wide butterfly kernels never split a cache line.
-    fwd_re: AlignedBuf<f64>,
-    fwd_im: AlignedBuf<f64>,
-    /// Inverse per-stage twiddles `e^{-2πik/M}`, precomputed so the
-    /// butterfly kernel never branches on direction.
-    inv_re: AlignedBuf<f64>,
-    inv_im: AlignedBuf<f64>,
-    /// Twist `e^{iπj/N}` for `j < M` (split re/im).
-    tw_re: AlignedBuf<f64>,
-    tw_im: AlignedBuf<f64>,
-    /// Bit-reversal permutation of size `M`.
-    rev: Vec<u32>,
+    tables: Twiddles,
 }
 
 impl FftPlan {
@@ -279,60 +208,17 @@ impl FftPlan {
     ///
     /// Panics if `n` is not a power of two or is smaller than 2.
     pub fn new(n: usize) -> Self {
-        assert!(n.is_power_of_two() && n >= 2, "FFT size must be a power of two >= 2");
-        let m = n / 2;
-        // Stage-concatenated twiddles: for each stage `len`, entry `j`
-        // is the old strided `w[j · M/len]`, i.e. angle `2π·j·(M/len)/M`.
-        let mut fwd_re = Vec::with_capacity(m.saturating_sub(1));
-        let mut fwd_im = Vec::with_capacity(m.saturating_sub(1));
-        let mut inv_re = Vec::with_capacity(m.saturating_sub(1));
-        let mut inv_im = Vec::with_capacity(m.saturating_sub(1));
-        let mut len = 2;
-        while len <= m {
-            let step = m / len;
-            for j in 0..len / 2 {
-                let theta = 2.0 * std::f64::consts::PI * (j * step) as f64 / m as f64;
-                fwd_re.push(theta.cos());
-                fwd_im.push(theta.sin());
-                inv_re.push(theta.cos());
-                inv_im.push(-theta.sin());
-            }
-            len <<= 1;
-        }
-        let mut tw_re = Vec::with_capacity(m);
-        let mut tw_im = Vec::with_capacity(m);
-        for j in 0..m {
-            let theta = std::f64::consts::PI * j as f64 / n as f64;
-            tw_re.push(theta.cos());
-            tw_im.push(theta.sin());
-        }
-        let bits = m.trailing_zeros();
-        let rev = (0..m as u32)
-            .map(|i| if bits == 0 { 0 } else { i.reverse_bits() >> (32 - bits) })
-            .collect();
-        let plan = FftPlan {
-            n,
-            m,
-            fwd_re: AlignedBuf::from_slice(&fwd_re),
-            fwd_im: AlignedBuf::from_slice(&fwd_im),
-            inv_re: AlignedBuf::from_slice(&inv_re),
-            inv_im: AlignedBuf::from_slice(&inv_im),
-            tw_re: AlignedBuf::from_slice(&tw_re),
-            tw_im: AlignedBuf::from_slice(&tw_im),
-            rev,
-        };
-        debug_assert!(plan.fwd_re.is_aligned() && plan.tw_re.is_aligned());
-        plan
+        FftPlan { tables: Twiddles::new(n) }
     }
 
     /// Polynomial degree bound `N`.
     pub fn len(&self) -> usize {
-        self.n
+        2 * self.tables.points()
     }
 
     /// Folded transform size `M = N/2`.
     pub fn points(&self) -> usize {
-        self.m
+        self.tables.points()
     }
 
     /// Whether the plan is empty (never true; present for API symmetry).
@@ -340,58 +226,36 @@ impl FftPlan {
         false
     }
 
-    /// In-place iterative radix-2 DIT FFT over split re/im buffers with
-    /// the given per-stage twiddle table (forward or inverse — both
-    /// precomputed, so there is no per-butterfly direction branch). The
-    /// bit-reversal permutation stays here; the butterfly passes run in
-    /// the dispatched [`crate::simd`] kernel.
-    fn fft_split(&self, re: &mut [f64], im: &mut [f64], st_re: &[f64], st_im: &[f64]) {
-        let m = self.m;
-        debug_assert_eq!(re.len(), m);
-        debug_assert_eq!(im.len(), m);
-        for i in 0..m {
-            let j = self.rev[i] as usize;
-            if i < j {
-                re.swap(i, j);
-                im.swap(i, j);
-            }
-        }
-        simd::kernels().fft_passes(re, im, st_re, st_im);
-    }
-
     /// Forward transform of a torus polynomial (coefficients lifted to
     /// signed integers), allocating the output.
     pub fn forward_torus(&self, p: &TorusPoly) -> FreqPoly {
-        let mut out = FreqPoly::zero(self.n);
+        let mut out = FreqPoly::zero(self.len());
         self.forward_torus_into(p, &mut out);
         out
     }
 
     /// Like [`FftPlan::forward_torus`] but reuses `out`'s buffers.
     pub fn forward_torus_into(&self, p: &TorusPoly, out: &mut FreqPoly) {
-        debug_assert_eq!(p.len(), self.n);
-        debug_assert_eq!(out.points(), self.m);
         let c = Torus32::slice_as_i32(p.coeffs());
-        let FreqPoly { re, im } = out;
-        simd::kernels().fwd_twist(c, &self.tw_re, &self.tw_im, re, im);
-        self.fft_split(re, im, &self.fwd_re, &self.fwd_im);
+        simd::kernels().forward(&self.tables, c, &mut out.re, &mut out.im);
     }
 
     /// Forward transform of an integer polynomial, allocating the output.
     pub fn forward_int(&self, p: &IntPoly) -> FreqPoly {
-        let mut out = FreqPoly::zero(self.n);
+        let mut out = FreqPoly::zero(self.len());
         self.forward_int_into(p, &mut out);
         out
     }
 
     /// Like [`FftPlan::forward_int`] but reuses `out`'s buffers — the
     /// per-digit transform of the external product's hot loop.
+    ///
+    /// # Panics
+    ///
+    /// Panics (like every transform here) if `p` or `out` is not of the
+    /// plan's size.
     pub fn forward_int_into(&self, p: &IntPoly, out: &mut FreqPoly) {
-        debug_assert_eq!(p.len(), self.n);
-        debug_assert_eq!(out.points(), self.m);
-        let FreqPoly { re, im } = out;
-        simd::kernels().fwd_twist(p.coeffs(), &self.tw_re, &self.tw_im, re, im);
-        self.fft_split(re, im, &self.fwd_re, &self.fwd_im);
+        simd::kernels().forward(&self.tables, p.coeffs(), &mut out.re, &mut out.im);
     }
 
     /// Inverse transform, rounding back to torus coefficients. Allocates
@@ -399,28 +263,17 @@ impl FftPlan {
     /// [`FftPlan::inverse_torus_destructive`] on scratch instead.
     pub fn inverse_torus(&self, f: &FreqPoly) -> TorusPoly {
         let mut tmp = f.clone();
-        let mut out = TorusPoly::zero(self.n);
+        let mut out = TorusPoly::zero(self.len());
         self.inverse_torus_destructive(&mut tmp, &mut out);
         out
     }
 
     /// Inverse transform consuming `f`'s contents (the inverse FFT runs in
-    /// `f`'s own buffers), writing rounded torus coefficients into `out`.
-    /// Allocation-free; `f` holds garbage afterwards.
+    /// `f`'s own buffers), writing rounded torus coefficients into `out`:
+    /// the real part of point `j` is coefficient `j`, the imaginary part
+    /// `j + N/2`. Allocation-free; `f` holds garbage afterwards.
     pub fn inverse_torus_destructive(&self, f: &mut FreqPoly, out: &mut TorusPoly) {
-        debug_assert_eq!(f.points(), self.m);
-        debug_assert_eq!(out.len(), self.n);
-        self.fft_split(&mut f.re, &mut f.im, &self.inv_re, &self.inv_im);
-        // Unscale, untwist (multiply by conj(twist)), unfold, and round to
-        // the nearest torus element in one dispatched pass: the real part
-        // is coefficient j, the imaginary part j + N/2.
-        simd::kernels().inv_untwist_round(
-            &mut f.re,
-            &mut f.im,
-            &self.tw_re,
-            &self.tw_im,
-            out.coeffs_mut(),
-        );
+        simd::kernels().inverse(&self.tables, &mut f.re, &mut f.im, out.coeffs_mut());
     }
 
     /// Convenience: full negacyclic product `a * b` through the frequency
@@ -429,161 +282,9 @@ impl FftPlan {
     pub fn negacyclic_mul(&self, a: &IntPoly, b: &TorusPoly) -> TorusPoly {
         let fa = self.forward_int(a);
         let fb = self.forward_torus(b);
-        let mut acc = FreqPoly::zero(self.n);
+        let mut acc = FreqPoly::zero(self.len());
         acc.add_mul_assign(&fa, &fb);
         self.inverse_torus(&acc)
-    }
-
-    // ------------------------------------------------------------------
-    // Batched transforms (point-major SoA lockstep path)
-    // ------------------------------------------------------------------
-
-    /// Stages one integer polynomial into lane `lane` of `batch`: twist
-    /// into `tmp` with the per-lane kernel, then scatter into the
-    /// point-major layout with the bit-reversal permutation fused in
-    /// (so [`FftPlan::forward_batch_passes`] runs straight DIT stages).
-    pub fn forward_int_stage_lane(
-        &self,
-        p: &IntPoly,
-        lane: usize,
-        batch: &mut FreqPolyBatch,
-        tmp: &mut FreqPoly,
-    ) {
-        debug_assert_eq!(p.len(), self.n);
-        self.stage_lane(p.coeffs(), lane, batch, tmp)
-    }
-
-    /// [`FftPlan::forward_int_stage_lane`] for a torus polynomial
-    /// (coefficients reinterpreted as signed integers).
-    pub fn forward_torus_stage_lane(
-        &self,
-        p: &TorusPoly,
-        lane: usize,
-        batch: &mut FreqPolyBatch,
-        tmp: &mut FreqPoly,
-    ) {
-        debug_assert_eq!(p.len(), self.n);
-        self.stage_lane(Torus32::slice_as_i32(p.coeffs()), lane, batch, tmp)
-    }
-
-    fn stage_lane(&self, c: &[i32], lane: usize, batch: &mut FreqPolyBatch, tmp: &mut FreqPoly) {
-        let m = self.m;
-        let lanes = batch.lanes();
-        debug_assert!(lane < lanes);
-        debug_assert_eq!(batch.points(), m);
-        debug_assert_eq!(tmp.points(), m);
-        simd::kernels().fwd_twist(c, &self.tw_re, &self.tw_im, &mut tmp.re, &mut tmp.im);
-        for j in 0..m {
-            let d = self.rev[j] as usize * lanes + lane;
-            batch.re[d] = tmp.re[j];
-            batch.im[d] = tmp.im[j];
-        }
-    }
-
-    /// Runs the forward butterfly stages over every staged lane at once
-    /// through the dispatched batch kernel.
-    pub fn forward_batch_passes(&self, batch: &mut FreqPolyBatch) {
-        debug_assert_eq!(batch.points(), self.m);
-        let lanes = batch.lanes();
-        let (re, im) = batch.live_mut();
-        simd::kernels().fft_passes_batch(re, im, &self.fwd_re, &self.fwd_im, lanes);
-    }
-
-    /// Forward-transforms `polys` in lockstep: stages every polynomial
-    /// and runs the shared butterfly passes. `batch` is reset to
-    /// `polys.len()` lanes.
-    pub fn forward_torus_batch(
-        &self,
-        polys: &[&TorusPoly],
-        batch: &mut FreqPolyBatch,
-        tmp: &mut FreqPoly,
-    ) {
-        batch.reset(polys.len());
-        for (lane, p) in polys.iter().enumerate() {
-            self.forward_torus_stage_lane(p, lane, batch, tmp);
-        }
-        self.forward_batch_passes(batch);
-    }
-
-    /// [`FftPlan::forward_torus_batch`] for integer polynomials — the
-    /// decomposed-digit transforms of the batched external product.
-    pub fn forward_int_batch(
-        &self,
-        polys: &[&IntPoly],
-        batch: &mut FreqPolyBatch,
-        tmp: &mut FreqPoly,
-    ) {
-        batch.reset(polys.len());
-        for (lane, p) in polys.iter().enumerate() {
-            self.forward_int_stage_lane(p, lane, batch, tmp);
-        }
-        self.forward_batch_passes(batch);
-    }
-
-    /// First half of the batched inverse transform: block bit-reversal
-    /// (swapping whole lane groups) followed by the inverse butterfly
-    /// stages over every lane. Lanes are then extracted one at a time
-    /// with [`FftPlan::inverse_torus_lane_into`].
-    pub fn inverse_batch_passes(&self, batch: &mut FreqPolyBatch) {
-        debug_assert_eq!(batch.points(), self.m);
-        let lanes = batch.lanes();
-        let (re, im) = batch.live_mut();
-        for i in 0..self.m {
-            let j = self.rev[i] as usize;
-            if i < j {
-                for l in 0..lanes {
-                    re.swap(i * lanes + l, j * lanes + l);
-                    im.swap(i * lanes + l, j * lanes + l);
-                }
-            }
-        }
-        simd::kernels().fft_passes_batch(re, im, &self.inv_re, &self.inv_im, lanes);
-    }
-
-    /// Second half of the batched inverse transform: gathers lane
-    /// `lane` out of the point-major layout into `tmp` and runs the
-    /// untwist/unfold/round kernel into `out`. Call after
-    /// [`FftPlan::inverse_batch_passes`].
-    pub fn inverse_torus_lane_into(
-        &self,
-        batch: &FreqPolyBatch,
-        lane: usize,
-        tmp: &mut FreqPoly,
-        out: &mut TorusPoly,
-    ) {
-        let m = self.m;
-        let lanes = batch.lanes();
-        debug_assert!(lane < lanes);
-        debug_assert_eq!(tmp.points(), m);
-        debug_assert_eq!(out.len(), self.n);
-        for j in 0..m {
-            let s = j * lanes + lane;
-            tmp.re[j] = batch.re[s];
-            tmp.im[j] = batch.im[s];
-        }
-        simd::kernels().inv_untwist_round(
-            &mut tmp.re,
-            &mut tmp.im,
-            &self.tw_re,
-            &self.tw_im,
-            out.coeffs_mut(),
-        );
-    }
-
-    /// Convenience inverse for contiguous outputs: the batched inverse
-    /// passes plus one [`FftPlan::inverse_torus_lane_into`] per lane.
-    /// `batch` holds garbage afterwards (the passes run in place).
-    pub fn inverse_torus_batch(
-        &self,
-        batch: &mut FreqPolyBatch,
-        tmp: &mut FreqPoly,
-        outs: &mut [TorusPoly],
-    ) {
-        debug_assert_eq!(outs.len(), batch.lanes());
-        self.inverse_batch_passes(batch);
-        for (lane, out) in outs.iter_mut().enumerate() {
-            self.inverse_torus_lane_into(batch, lane, tmp, out);
-        }
     }
 }
 
@@ -642,7 +343,7 @@ mod tests {
 
     #[test]
     fn folded_points_match_reference_spectrum() {
-        // Folded slot k holds p(e^{iπ(1+4k)/N}); the full-size transform's
+        // Folded evaluation k is p(e^{iπ(1+4k)/N}); the full-size transform's
         // slot k' holds p(e^{iπ(1-2k')/N}). Angles match at k' = -2k mod N,
         // pinning down the exact evaluation points of the representation.
         let mut rng = SecureRng::seed_from_u64(15);
@@ -655,12 +356,10 @@ mod tests {
         let fc = full.forward_int_values(&p);
         for k in 0..n / 2 {
             let kp = (n - 2 * k) % n;
+            let (re, im) = hc.point(k);
             assert!(
-                (hc.re_raw()[k] - fc[kp].re).abs() < 1e-6
-                    && (hc.im_raw()[k] - fc[kp].im).abs() < 1e-6,
-                "k={k}: folded ({}, {}) vs reference ({}, {})",
-                hc.re_raw()[k],
-                hc.im_raw()[k],
+                (re - fc[kp].re).abs() < 1e-6 && (im - fc[kp].im).abs() < 1e-6,
+                "k={k}: folded ({re}, {im}) vs reference ({}, {})",
                 fc[kp].re,
                 fc[kp].im,
             );
@@ -753,63 +452,50 @@ mod tests {
     }
 
     #[test]
-    fn batch_round_trip_is_exact_for_every_width() {
+    fn every_size_on_every_path_round_trips_and_multiplies_exactly() {
+        // Every power of two the plan accepts, through each backend's own
+        // kernels (no process-global dispatch involved): below, at and
+        // above the vector code's smallest block, odd and even log2 M.
         let mut rng = SecureRng::seed_from_u64(18);
-        for n in [8usize, 64, 1024] {
+        for log_n in 1..=11 {
+            let n = 1usize << log_n;
             let plan = FftPlan::new(n);
-            let mut batch = FreqPolyBatch::new(n, 8);
-            let mut tmp = FreqPoly::zero(n);
-            for lanes in 1..=8usize {
-                let polys: Vec<TorusPoly> =
-                    (0..lanes).map(|_| TorusPoly::uniform(n, &mut rng)).collect();
-                let refs: Vec<&TorusPoly> = polys.iter().collect();
-                plan.forward_torus_batch(&refs, &mut batch, &mut tmp);
-                let mut outs = vec![TorusPoly::zero(n); lanes];
-                plan.inverse_torus_batch(&mut batch, &mut tmp, &mut outs);
-                assert_eq!(outs, polys, "n={n} lanes={lanes}");
+            let a = IntPoly::from_coeffs(
+                (0..n).map(|_| (rng.uniform_u32() % 128) as i32 - 64).collect(),
+            );
+            let b = TorusPoly::uniform(n, &mut rng);
+            let want = naive_negacyclic_mul(&a, &b);
+            assert_eq!(RefFftPlan::new(n).negacyclic_mul(&a, &b), want, "reference n={n}");
+            for k in simd::SimdPath::ALL.into_iter().filter_map(simd::kernels_for) {
+                let t = &plan.tables;
+                let forward = |c: &[i32]| {
+                    let mut f = FreqPoly::zero(n);
+                    k.forward(t, c, &mut f.re, &mut f.im);
+                    f
+                };
+                let inverse = |mut f: FreqPoly| {
+                    let mut out = TorusPoly::zero(n);
+                    k.inverse(t, &mut f.re, &mut f.im, out.coeffs_mut());
+                    out
+                };
+                let fb = forward(Torus32::slice_as_i32(b.coeffs()));
+                assert_eq!(inverse(fb.clone()), b, "round trip n={n} path={}", k.path());
+                let fa = forward(a.coeffs());
+                let mut acc = FreqPoly::zero(n);
+                k.mac(&mut acc.re, &mut acc.im, &fa.re, &fa.im, &fb.re, &fb.im);
+                assert_eq!(inverse(acc), want, "product n={n} path={}", k.path());
             }
         }
     }
 
     #[test]
-    fn batched_broadcast_mac_matches_naive_products() {
-        // Lockstep external-product shape: per-lane digit polynomials
-        // multiplied against one shared spectrum. Every lane must land
-        // on the exact schoolbook product after rounding.
+    fn wire_order_round_trips_through_the_memory_order() {
         let mut rng = SecureRng::seed_from_u64(19);
-        let n = 64;
-        let lanes = 5;
-        let plan = FftPlan::new(n);
-        let b = TorusPoly::uniform(n, &mut rng);
-        let fb = plan.forward_torus(&b);
-        let digits: Vec<IntPoly> = (0..lanes)
-            .map(|_| {
-                IntPoly::from_coeffs(
-                    (0..n).map(|_| (rng.uniform_u32() % 128) as i32 - 64).collect(),
-                )
-            })
-            .collect();
-        let refs: Vec<&IntPoly> = digits.iter().collect();
-        let mut dig = FreqPolyBatch::new(n, lanes);
-        let mut acc = FreqPolyBatch::new(n, lanes);
-        let mut tmp = FreqPoly::zero(n);
-        plan.forward_int_batch(&refs, &mut dig, &mut tmp);
-        acc.reset(lanes);
-        acc.add_mul_bcast(&dig, &fb);
-        let mut outs = vec![TorusPoly::zero(n); lanes];
-        plan.inverse_torus_batch(&mut acc, &mut tmp, &mut outs);
-        for (l, out) in outs.iter().enumerate() {
-            assert_eq!(*out, naive_negacyclic_mul(&digits[l], &b), "lane {l}");
+        for n in [2usize, 4, 64, 1024] {
+            let f = FftPlan::new(n).forward_torus(&TorusPoly::uniform(n, &mut rng));
+            let (re, im) = f.to_natural_order();
+            assert!((0..n / 2).all(|k| f.point(k) == (re[k], im[k])), "n={n}");
+            assert_eq!(FreqPoly::from_natural_order(&re, &im), f, "n={n}");
         }
-    }
-
-    #[test]
-    fn batch_reset_grows_and_zeroes() {
-        let n = 16;
-        let mut batch = FreqPolyBatch::new(n, 2);
-        assert_eq!(batch.points(), 8);
-        batch.reset(6);
-        assert_eq!(batch.lanes(), 6);
-        assert!(batch.re.iter().all(|&x| x == 0.0));
     }
 }

@@ -14,7 +14,7 @@
 //! Steps 2 and 3 are the "Blind Rotation" and "Key Switching" segments of
 //! the paper's Figure 7 profile.
 
-use crate::bootstrap::{BatchBootstrapScratch, BootstrapScratch, BootstrappingKey};
+use crate::bootstrap::{BootstrapScratch, BootstrappingKey};
 use crate::keys::{ServerKey, MU_LOG2_DENOM};
 use crate::lut::PackedLutTables;
 use crate::lwe::{LweCiphertext, LweSoa};
@@ -119,10 +119,11 @@ impl BootGate {
 }
 
 /// Slots per fused stage-and-bootstrap chunk of
-/// [`ServerKey::batch_bootstrap_fused`]: small enough that a chunk's
-/// staged struct-of-arrays masks (`FUSE_CHUNK · n` torus words) stay in
-/// L1/L2 between the staging pass and the bootstrap that consumes them,
-/// large enough to amortize the per-chunk SoA reset.
+/// [`ServerKey::batch_bootstrap_fused`] — the widest batch one pass over
+/// the bootstrapping key serves: small enough that a chunk's staged
+/// struct-of-arrays masks (`FUSE_CHUNK · n` torus words) and per-lane
+/// accumulators stay in L1/L2 between the staging pass and the bootstrap
+/// that consumes them, large enough to amortize the key traffic.
 pub const FUSE_CHUNK: usize = 8;
 
 /// All scratch a worker needs to evaluate gates without allocating: the
@@ -132,7 +133,6 @@ pub const FUSE_CHUNK: usize = 8;
 #[derive(Debug)]
 pub struct GateScratch {
     pub(crate) boot: BootstrapScratch,
-    pub(crate) batch: BatchBootstrapScratch,
     pub(crate) combo: LweCiphertext,
     pub(crate) raw: LweCiphertext,
     raw2: LweCiphertext,
@@ -211,8 +211,7 @@ impl ServerKey {
         let n = self.params.lwe_dim;
         let ext_dim = self.keyswitch.src_dim();
         GateScratch {
-            boot: self.bootstrap.boot_scratch(),
-            batch: self.bootstrap.batch_scratch(FUSE_CHUNK),
+            boot: self.bootstrap.boot_scratch_lanes(FUSE_CHUNK),
             combo: LweCiphertext::trivial(Torus32::ZERO, n),
             raw: LweCiphertext::trivial(Torus32::ZERO, ext_dim),
             raw2: LweCiphertext::trivial(Torus32::ZERO, ext_dim),
@@ -225,11 +224,8 @@ impl ServerKey {
     }
 
     /// Blind-rotates `width` staged SoA slots (starting at `base`) in one
-    /// lockstep batched launch, leaving the raw pre-key-switch samples in
-    /// `raws[..width]`. Single-slot chunks take the plain path — the
-    /// batched kernels only pay off once twiddle and bootstrapping-key
-    /// streams are shared between lanes. Either way the per-slot results
-    /// are bit-identical (see
+    /// batched pass over the bootstrapping key, leaving the raw
+    /// pre-key-switch samples in `raws[..width]` (see
     /// [`BootstrappingKey::bootstrap_raw_batch_into`]).
     fn rotate_chunk(
         bootstrap: &BootstrappingKey,
@@ -237,23 +233,15 @@ impl ServerKey {
         base: usize,
         width: usize,
         boot: &mut BootstrapScratch,
-        batch: &mut BatchBootstrapScratch,
         raws: &mut [LweCiphertext],
     ) {
         debug_assert!((1..=FUSE_CHUNK).contains(&width));
-        if width == 1 || !bootstrap.batch_rotation_supported() {
-            for (lane, raw) in raws.iter_mut().enumerate().take(width) {
-                let (mask, body) = soa.slot(base + lane);
-                bootstrap.bootstrap_raw_slices_into(mask, body, Self::mu(), boot, raw);
-            }
-            return;
-        }
         let mut inputs: [(&[Torus32], Torus32); FUSE_CHUNK] =
             [(&[][..], Torus32::ZERO); FUSE_CHUNK];
         for (lane, input) in inputs.iter_mut().take(width).enumerate() {
             *input = soa.slot(base + lane);
         }
-        bootstrap.bootstrap_raw_batch_into(&inputs[..width], Self::mu(), batch, &mut raws[..width]);
+        bootstrap.bootstrap_raw_batch_into(&inputs[..width], Self::mu(), boot, &mut raws[..width]);
     }
 
     /// Evaluates one bootstrapped binary gate into `out` — the hot-path
@@ -332,7 +320,7 @@ impl ServerKey {
     ) {
         assert_eq!(pairs.len(), outs.len(), "batch_bootstrap_fused: pairs/outs length mismatch");
         let (offset, ca, cb) = gate.spec();
-        let GateScratch { boot, batch, raws, soa, .. } = scratch;
+        let GateScratch { boot, raws, soa, .. } = scratch;
         let timed = pytfhe_telemetry::enabled();
         for (pair_chunk, out_chunk) in pairs.chunks(FUSE_CHUNK).zip(outs.chunks_mut(FUSE_CHUNK)) {
             let width = pair_chunk.len();
@@ -343,7 +331,7 @@ impl ServerKey {
                 soa.axpy(slot, cb, b);
             }
             let t0 = timed.then(std::time::Instant::now);
-            Self::rotate_chunk(&self.bootstrap, soa, 0, width, boot, batch, raws);
+            Self::rotate_chunk(&self.bootstrap, soa, 0, width, boot, raws);
             let t1 = timed.then(std::time::Instant::now);
             for (lane, out) in out_chunk.iter_mut().enumerate() {
                 let k0 = timed.then(std::time::Instant::now);
@@ -380,7 +368,7 @@ impl ServerKey {
     ) {
         assert_eq!(gates.len(), pairs.len(), "batch_bootstrap_mixed: gates/pairs mismatch");
         assert_eq!(pairs.len(), outs.len(), "batch_bootstrap_mixed: pairs/outs mismatch");
-        let GateScratch { boot, batch, raws, soa, .. } = scratch;
+        let GateScratch { boot, raws, soa, .. } = scratch;
         soa.reset(pairs.len());
         for (slot, (&gate, &(a, b))) in gates.iter().zip(pairs).enumerate() {
             let (offset, ca, cb) = gate.spec();
@@ -393,7 +381,7 @@ impl ServerKey {
             let base = chunk * FUSE_CHUNK;
             let width = out_chunk.len();
             let t0 = timed.then(std::time::Instant::now);
-            Self::rotate_chunk(&self.bootstrap, soa, base, width, boot, batch, raws);
+            Self::rotate_chunk(&self.bootstrap, soa, base, width, boot, raws);
             let t1 = timed.then(std::time::Instant::now);
             for (lane, out) in out_chunk.iter_mut().enumerate() {
                 let k0 = timed.then(std::time::Instant::now);
@@ -724,10 +712,9 @@ mod tests {
                 );
             }
         }
-        // Batched callers degrade to per-slot rotations under the NTT;
-        // the fallback is the same deterministic code path as gate_into,
-        // so the results are bit-exact with it.
-        assert!(!server.bootstrap.batch_rotation_supported());
+        // Batches run the same lane-outer loop under the NTT, calling
+        // the exact-integer CMUX per lane, so they are bit-exact with
+        // gate_into there too.
         let cts: Vec<_> = (0..FUSE_CHUNK + 2)
             .map(|i| {
                 (client.encrypt_bit(i % 2 == 0, &mut rng), client.encrypt_bit(i % 3 == 0, &mut rng))
@@ -742,7 +729,7 @@ mod tests {
         }
         let mut outs = vec![server.constant(false); pairs.len()];
         server.batch_bootstrap_fused(BootGate::Nand, &pairs, &mut outs, &mut scratch);
-        assert_eq!(outs, want, "ntt batch fallback must be bit-exact with gate_into");
+        assert_eq!(outs, want, "ntt batch must be bit-exact with gate_into");
         ntt::set_active_transform(restore);
     }
 
@@ -786,6 +773,28 @@ mod tests {
         assert_eq!(outs, want, "mixed batch must be bit-exact with scalar gate_into");
         let dec: Vec<_> = outs.iter().map(|c| client.decrypt_bit(c)).collect();
         assert_eq!(dec, vec![true, false, false, false, false, true]);
+    }
+
+    #[test]
+    fn first_full_width_batch_on_fresh_scratch_allocates_no_buffer() {
+        // No warm-up: the per-lane accumulators exist from construction,
+        // so a worker's first wide wave costs what every later one does.
+        use super::{BootGate, FUSE_CHUNK};
+        use crate::ntt::{self, Transform};
+        let _g = ntt::transform_guard().read().unwrap();
+        if ntt::active_transform() == Transform::Ntt {
+            return; // the NTT mirror key is derived on first use, by design
+        }
+        let (client, server, mut rng) = setup();
+        let cts: Vec<_> = (0..FUSE_CHUNK)
+            .map(|i| (client.encrypt_bit(i % 2 == 0, &mut rng), client.encrypt_bit(true, &mut rng)))
+            .collect();
+        let pairs: Vec<_> = cts.iter().map(|(a, b)| (a, b)).collect();
+        let mut outs = vec![server.constant(false); pairs.len()];
+        let mut scratch = server.gate_scratch();
+        let before = crate::trace::thread_buffer_allocs();
+        server.batch_bootstrap_fused(BootGate::Nand, &pairs, &mut outs, &mut scratch);
+        assert_eq!(crate::trace::thread_buffer_allocs() - before, 0);
     }
 
     #[test]

@@ -255,13 +255,13 @@ fn write_bsk(buf: &mut BytesMut, key: &ServerKey) {
             buf.put_u32_le(row.len() as u32);
             for poly in row {
                 // Split layout: point count, then all N/2 real parts, then
-                // all N/2 imaginary parts (matching the in-memory SoA form).
+                // all N/2 imaginary parts, both in natural evaluation
+                // order — the bytes do not follow the in-memory
+                // (bit-reversed) order of `crate::fft`.
                 buf.put_u32_le(poly.points() as u32);
-                for &re in poly.re_raw() {
-                    buf.put_f64_le(re);
-                }
-                for &im in poly.im_raw() {
-                    buf.put_f64_le(im);
+                let (re, im) = poly.to_natural_order();
+                for x in re.into_iter().chain(im) {
+                    buf.put_f64_le(x);
                 }
             }
         }
@@ -311,14 +311,17 @@ fn parse_bsk(data: &mut &[u8], params: Params) -> Result<BootstrappingKey, TfheE
                     return Err(TfheError::Corrupt { what: "server key (spectrum truncated)" });
                 }
                 let points = data.get_u32_le() as usize;
-                // `points * 16` in u64: a declared count of u32::MAX
-                // must fail the length check, not wrap it.
-                if (data.remaining() as u64) < points as u64 * 16 {
+                // The transform kernels index a spectrum by the plan's
+                // size, so a spectrum of any other size never gets in.
+                if points != params.poly_size / 2 {
+                    return Err(TfheError::Corrupt { what: "server key (spectrum size)" });
+                }
+                if data.remaining() < points * 16 {
                     return Err(TfheError::Corrupt { what: "server key (spectrum truncated)" });
                 }
                 let re: Vec<f64> = (0..points).map(|_| data.get_f64_le()).collect();
                 let im: Vec<f64> = (0..points).map(|_| data.get_f64_le()).collect();
-                row.push(FreqPoly::from_split(re, im));
+                row.push(FreqPoly::from_natural_order(&re, &im));
             }
             rows.push(row);
         }
@@ -422,6 +425,9 @@ mod tests {
         let bytes = server_key_to_bytes(&server);
         let (back, vintage) = server_key_from_bytes_tagged(&bytes).unwrap();
         assert_eq!(vintage, Vintage::Current);
+        // The wire order is independent of the in-memory spectrum order,
+        // so the permutation at the boundary must undo itself exactly.
+        assert_eq!(server_key_to_bytes(&back), bytes, "key -> bytes -> key -> bytes");
         let a = client.encrypt_bit(true, &mut rng);
         let b = client.encrypt_bit(true, &mut rng);
         assert!(!client.decrypt_bit(&back.nand(&a, &b)));
@@ -524,6 +530,20 @@ mod tests {
             sk.extend_from_slice(&v.to_le_bytes()); // ksk header, huge count
         }
         assert!(server_key_from_bytes(&sk).is_err());
+
+        // A spectrum of the wrong size for the parameter set is refused
+        // at the boundary; the transform kernels never see it.
+        let mut sk = Vec::new();
+        sk.extend_from_slice(&super::SK_MAGIC.to_le_bytes());
+        sk.extend_from_slice(&Params::testing().id().to_le_bytes());
+        for v in [1u32, 1, 1, 2] {
+            sk.extend_from_slice(&v.to_le_bytes()); // 1 TGSW, 1 row, 1 poly, 2 points
+        }
+        sk.extend_from_slice(&[0u8; 32]);
+        assert_eq!(
+            server_key_from_bytes(&sk).unwrap_err(),
+            TfheError::Corrupt { what: "server key (spectrum size)" }
+        );
     }
 
     #[test]

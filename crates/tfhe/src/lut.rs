@@ -248,13 +248,12 @@ impl ServerKey {
         }
     }
 
-    /// Evaluates a batch of same-width boolean LUTs through the
-    /// lockstep batched blind rotation — one launch per
+    /// Evaluates a batch of same-width boolean LUTs through the batched
+    /// blind rotation — one pass over the bootstrapping key per
     /// [`FUSE_CHUNK`]-slot chunk, each lane carrying its own lookup
     /// table ([`BootstrappingKey::programmable_bootstrap_batch_into`]).
-    /// Falls back to per-slot rotations when the batched kernels are
-    /// unavailable (`PYTFHE_TRANSFORM=ntt`); per-lane results are
-    /// bit-exact with [`ServerKey::boolean_lut_into`] either way.
+    /// Per-lane results are bit-exact with
+    /// [`ServerKey::boolean_lut_into`].
     ///
     /// # Panics
     ///
@@ -273,7 +272,7 @@ impl ServerKey {
         if items.is_empty() {
             return;
         }
-        let GateScratch { boot, batch, raws, soa, luts, .. } = scratch;
+        let GateScratch { boot, raws, soa, luts, .. } = scratch;
         // Compile every distinct table before staging, so the hot loop
         // below only takes immutable cache lookups.
         for (table, _) in items {
@@ -287,42 +286,24 @@ impl ServerKey {
                 soa.axpy(slot, 1 << i, ct);
             }
         }
-        let lockstep = self.bootstrap.batch_rotation_supported();
         for (chunk, out_chunk) in outs.chunks_mut(FUSE_CHUNK).enumerate() {
             let base = chunk * FUSE_CHUNK;
             let w = out_chunk.len();
-            if w == 1 || !lockstep {
-                for lane in 0..w {
-                    let (mask, body) = soa.slot(base + lane);
-                    let tv = luts
-                        .lookup(width, precision, items[base + lane].0)
-                        .expect("compiled above");
-                    self.bootstrap.programmable_bootstrap_slices_into(
-                        mask,
-                        body,
-                        tv,
-                        boot,
-                        &mut raws[lane],
-                    );
-                }
-            } else {
-                let filler = luts.lookup(width, precision, items[base].0).expect("compiled");
-                let mut inputs: [(&[Torus32], Torus32); FUSE_CHUNK] =
-                    [(&[][..], Torus32::ZERO); FUSE_CHUNK];
-                let mut tvs: [&TorusPoly; FUSE_CHUNK] = [filler; FUSE_CHUNK];
-                for lane in 0..w {
-                    inputs[lane] = soa.slot(base + lane);
-                    tvs[lane] = luts
-                        .lookup(width, precision, items[base + lane].0)
-                        .expect("compiled above");
-                }
-                self.bootstrap.programmable_bootstrap_batch_into(
-                    &inputs[..w],
-                    &tvs[..w],
-                    batch,
-                    &mut raws[..w],
-                );
+            let filler = luts.lookup(width, precision, items[base].0).expect("compiled above");
+            let mut inputs: [(&[Torus32], Torus32); FUSE_CHUNK] =
+                [(&[][..], Torus32::ZERO); FUSE_CHUNK];
+            let mut tvs: [&TorusPoly; FUSE_CHUNK] = [filler; FUSE_CHUNK];
+            for lane in 0..w {
+                inputs[lane] = soa.slot(base + lane);
+                tvs[lane] =
+                    luts.lookup(width, precision, items[base + lane].0).expect("compiled above");
             }
+            self.bootstrap.programmable_bootstrap_batch_into(
+                &inputs[..w],
+                &tvs[..w],
+                boot,
+                &mut raws[..w],
+            );
             for (lane, out) in out_chunk.iter_mut().enumerate() {
                 self.keyswitch.switch_into(&raws[lane], out);
             }

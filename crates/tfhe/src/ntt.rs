@@ -27,9 +27,9 @@
 //! `PYTFHE_TRANSFORM=fft|ntt` picks the backend at startup (read once);
 //! [`set_active_transform`] overrides it at runtime for tests and
 //! benches. Unknown values fall back to the FFT — selection never
-//! panics. The batched struct-of-arrays kernels exist only for the FFT,
-//! so batched callers degrade to per-slot rotations under the NTT (see
-//! [`crate::bootstrap::BootstrappingKey::batch_rotation_supported`]).
+//! panics. Batched callers need nothing special: the one lane-outer
+//! blind-rotation loop of [`crate::bootstrap`] calls
+//! [`NttKey::rotate_cmux_assign`] per lane.
 
 use std::sync::atomic::{AtomicU8, Ordering};
 
@@ -50,7 +50,7 @@ pub const NTT_GENERATOR: u64 = 3;
 /// The polynomial-product transform backend in use.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Transform {
-    /// Folded negacyclic `f64` FFT (default; has batched SIMD kernels).
+    /// Folded negacyclic `f64` FFT (default; has SIMD kernels).
     Fft,
     /// Exact integer NTT over `Z_q` (prototype; single-poly only).
     Ntt,

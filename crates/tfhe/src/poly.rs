@@ -124,10 +124,17 @@ impl TorusPoly {
         debug_assert!(k < 2 * n, "rotation amount {k} out of range for N={n}");
         debug_assert_eq!(out.len(), n);
         let (shift, negate) = if k < n { (k, false) } else { (k - n, true) };
-        for (i, &c) in self.coeffs.iter().enumerate() {
-            let j = i + shift;
-            let (j, flip) = if j < n { (j, negate) } else { (j - n, !negate) };
-            out.coeffs[j] = if flip { -c } else { c };
+        // Two straight runs, one of them negated: branch-free copies the
+        // compiler vectorizes (this runs once per CMUX step and lane).
+        let (straight, wrapped) = self.coeffs.split_at(n - shift);
+        let (out_wrapped, out_straight) = out.coeffs.split_at_mut(shift);
+        let (same, flipped) =
+            if negate { (out_wrapped, out_straight) } else { (out_straight, out_wrapped) };
+        let (same_src, flipped_src) =
+            if negate { (wrapped, straight) } else { (straight, wrapped) };
+        same.copy_from_slice(same_src);
+        for (o, &c) in flipped.iter_mut().zip(flipped_src) {
+            *o = -c;
         }
     }
 }

@@ -17,15 +17,14 @@
 //! torus-domain equality, not `f64` bit-equality, is the contract.
 //! Integer kernels are bit-identical to scalar.
 
+use super::Twiddles;
 use crate::torus::Torus32;
 use std::arch::x86_64::*;
 
-/// `round_ties_even(x)` via the mantissa-alignment trick: for
-/// `|x| < 2^51`, `x + 1.5·2^52` rounds `x` to an integer (ties to even,
-/// courtesy of the FP add itself) and leaves that integer's two's-
-/// complement low 32 bits in the low 32 bits of the sum's mantissa —
-/// exactly `(round_ties_even(x) as i64) as u32`, with no AVX-512
-/// `f64 → i64` conversion needed. Transform values are below `2^47`.
+/// `1.5·2^52`: for `|x| < 2^51`, `x + ROUND_MAGIC` rounds `x` to an
+/// integer (ties to even, courtesy of the FP add itself) and leaves that
+/// integer's two's-complement low 32 bits in the low 32 bits of the
+/// sum's mantissa — exactly `(round_ties_even(x) as i64) as u32`.
 const ROUND_MAGIC: f64 = 6_755_399_441_055_744.0;
 
 pub fn mac(sr: &mut [f64], si: &mut [f64], ar: &[f64], ai: &[f64], br: &[f64], bi: &[f64]) {
@@ -60,149 +59,332 @@ unsafe fn mac_impl(sr: &mut [f64], si: &mut [f64], ar: &[f64], ai: &[f64], br: &
     }
 }
 
-pub fn fft_passes(re: &mut [f64], im: &mut [f64], st_re: &[f64], st_im: &[f64]) {
-    // SAFETY: see `mac`.
-    unsafe { fft_passes_impl(re, im, st_re, st_im) }
+/// A vector of four complex values, split `(re, im)`.
+type V = (__m256d, __m256d);
+
+/// Smallest transform the vector code handles: one radix-4 pass whose
+/// quarters are a full vector wide, plus the in-register leaf. Smaller
+/// sizes go to the portable transform, which produces the same order.
+const MIN_POINTS: usize = 16;
+
+#[inline]
+#[target_feature(enable = "avx2", enable = "fma")]
+unsafe fn load(re: *const f64, im: *const f64, j: usize) -> V {
+    (_mm256_loadu_pd(re.add(j)), _mm256_loadu_pd(im.add(j)))
 }
 
+#[inline]
 #[target_feature(enable = "avx2", enable = "fma")]
-unsafe fn fft_passes_impl(re: &mut [f64], im: &mut [f64], st_re: &[f64], st_im: &[f64]) {
-    let m = re.len();
-    let mut len = 2;
-    let mut pos = 0;
-    while len <= m {
-        let half = len / 2;
-        let w_re = &st_re[pos..pos + half];
-        let w_im = &st_im[pos..pos + half];
-        if half < 4 {
-            // First stages (half = 1, 2): below the lane width; the
-            // scalar butterfly is already optimal here.
-            for start in (0..m).step_by(len) {
-                for j in 0..half {
-                    let wr = w_re[j];
-                    let wi = w_im[j];
-                    let ur = re[start + j];
-                    let ui = im[start + j];
-                    let xr = re[start + j + half];
-                    let xi = im[start + j + half];
-                    let vr = xr * wr - xi * wi;
-                    let vi = xr * wi + xi * wr;
-                    re[start + j] = ur + vr;
-                    im[start + j] = ui + vi;
-                    re[start + j + half] = ur - vr;
-                    im[start + j + half] = ui - vi;
-                }
-            }
-        } else {
-            // half is a power of two >= 4: the j-loop splits into exact
-            // 4-lane chunks with contiguous twiddle loads (the per-stage
-            // tables exist precisely to avoid strided gathers here).
-            for start in (0..m).step_by(len) {
-                let mut j = 0;
-                while j < half {
-                    let vwr = _mm256_loadu_pd(w_re.as_ptr().add(j));
-                    let vwi = _mm256_loadu_pd(w_im.as_ptr().add(j));
-                    let xr = _mm256_loadu_pd(re.as_ptr().add(start + j + half));
-                    let xi = _mm256_loadu_pd(im.as_ptr().add(start + j + half));
-                    let vr = _mm256_fmsub_pd(xr, vwr, _mm256_mul_pd(xi, vwi));
-                    let vi = _mm256_fmadd_pd(xr, vwi, _mm256_mul_pd(xi, vwr));
-                    let ur = _mm256_loadu_pd(re.as_ptr().add(start + j));
-                    let ui = _mm256_loadu_pd(im.as_ptr().add(start + j));
-                    _mm256_storeu_pd(re.as_mut_ptr().add(start + j), _mm256_add_pd(ur, vr));
-                    _mm256_storeu_pd(im.as_mut_ptr().add(start + j), _mm256_add_pd(ui, vi));
-                    _mm256_storeu_pd(re.as_mut_ptr().add(start + j + half), _mm256_sub_pd(ur, vr));
-                    _mm256_storeu_pd(im.as_mut_ptr().add(start + j + half), _mm256_sub_pd(ui, vi));
-                    j += 4;
-                }
-            }
-        }
-        pos += half;
-        len <<= 1;
+unsafe fn store(re: *mut f64, im: *mut f64, j: usize, v: V) {
+    _mm256_storeu_pd(re.add(j), v.0);
+    _mm256_storeu_pd(im.add(j), v.1);
+}
+
+#[inline]
+#[target_feature(enable = "avx2", enable = "fma")]
+unsafe fn add(a: V, b: V) -> V {
+    (_mm256_add_pd(a.0, b.0), _mm256_add_pd(a.1, b.1))
+}
+
+#[inline]
+#[target_feature(enable = "avx2", enable = "fma")]
+unsafe fn sub(a: V, b: V) -> V {
+    (_mm256_sub_pd(a.0, b.0), _mm256_sub_pd(a.1, b.1))
+}
+
+/// `a · w`.
+#[inline]
+#[target_feature(enable = "avx2", enable = "fma")]
+unsafe fn mul(a: V, w: V) -> V {
+    (
+        _mm256_fmsub_pd(a.0, w.0, _mm256_mul_pd(a.1, w.1)),
+        _mm256_fmadd_pd(a.0, w.1, _mm256_mul_pd(a.1, w.0)),
+    )
+}
+
+/// `a · conj(w)`.
+#[inline]
+#[target_feature(enable = "avx2", enable = "fma")]
+unsafe fn mul_conj(a: V, w: V) -> V {
+    (
+        _mm256_fmadd_pd(a.0, w.0, _mm256_mul_pd(a.1, w.1)),
+        _mm256_fmsub_pd(a.1, w.0, _mm256_mul_pd(a.0, w.1)),
+    )
+}
+
+/// The twiddles `w^j`, `w^{2j}`, `w^{3j}` for `j..j+4` from a six-run
+/// pass table with runs of `q`.
+#[inline]
+#[target_feature(enable = "avx2", enable = "fma")]
+unsafe fn twiddles_at(w: *const f64, q: usize, j: usize) -> [V; 3] {
+    [load(w, w.add(q), j), load(w.add(2 * q), w.add(3 * q), j), load(w.add(4 * q), w.add(5 * q), j)]
+}
+
+/// Four radix-4 decimation-in-frequency butterflies (the formulas of the
+/// portable `dif4`).
+#[inline]
+#[target_feature(enable = "avx2", enable = "fma")]
+unsafe fn dif4(a: [V; 4], w: [V; 3]) -> [V; 4] {
+    let (s02, d02) = (add(a[0], a[2]), sub(a[0], a[2]));
+    let (s13, d13) = (add(a[1], a[3]), sub(a[1], a[3]));
+    // d02 ± i·d13
+    let t2 = (_mm256_sub_pd(d02.0, d13.1), _mm256_add_pd(d02.1, d13.0));
+    let t3 = (_mm256_add_pd(d02.0, d13.1), _mm256_sub_pd(d02.1, d13.0));
+    [add(s02, s13), mul(sub(s02, s13), w[1]), mul(t2, w[0]), mul(t3, w[2])]
+}
+
+/// Four radix-4 decimation-in-time butterflies with conjugate twiddles
+/// (the formulas of the portable `dit4`).
+#[inline]
+#[target_feature(enable = "avx2", enable = "fma")]
+unsafe fn dit4(y: [V; 4], w: [V; 3]) -> [V; 4] {
+    let (z1, z2, z3) = (mul_conj(y[1], w[1]), mul_conj(y[2], w[0]), mul_conj(y[3], w[2]));
+    let (p, m) = (add(y[0], z1), sub(y[0], z1));
+    let (s, d) = (add(z2, z3), sub(z2, z3));
+    // m ∓ i·d
+    let a1 = (_mm256_add_pd(m.0, d.1), _mm256_sub_pd(m.1, d.0));
+    let a3 = (_mm256_sub_pd(m.0, d.1), _mm256_add_pd(m.1, d.0));
+    [add(p, s), a1, sub(p, s), a3]
+}
+
+/// The last two forward stages on four adjacent points held in one
+/// register: `[x0+x1+x2+x3, x0−x1+x2−x3, (x0−x2)+i(x1−x3),
+/// (x0−x2)−i(x1−x3)]`.
+#[inline]
+#[target_feature(enable = "avx2", enable = "fma")]
+unsafe fn dft4_in_register(x: V) -> V {
+    let ppmm = _mm256_setr_pd(1.0, 1.0, -1.0, -1.0);
+    // [x0+x2, x1+x3, x0−x2, x1−x3]
+    let tr = _mm256_fmadd_pd(x.0, ppmm, _mm256_permute2f128_pd::<1>(x.0, x.0));
+    let ti = _mm256_fmadd_pd(x.1, ppmm, _mm256_permute2f128_pd::<1>(x.1, x.1));
+    // Element 3 takes the factor i: (re, im) → (−im, re). The blend
+    // moves the parts; the missing sign rides in the constants below.
+    let ur = _mm256_blend_pd::<0b1000>(tr, ti);
+    let ui = _mm256_blend_pd::<0b1000>(ti, tr);
+    let pr = _mm256_permute_pd::<0b0101>(ur);
+    let pi = _mm256_permute_pd::<0b0101>(ui);
+    (
+        _mm256_fmadd_pd(
+            ur,
+            _mm256_setr_pd(1.0, -1.0, 1.0, 1.0),
+            _mm256_mul_pd(pr, _mm256_setr_pd(1.0, 1.0, -1.0, 1.0)),
+        ),
+        _mm256_fmadd_pd(ui, _mm256_setr_pd(1.0, -1.0, 1.0, -1.0), pi),
+    )
+}
+
+/// The first two inverse stages on four adjacent points: the inverse of
+/// [`dft4_in_register`] up to a factor 4.
+#[inline]
+#[target_feature(enable = "avx2", enable = "fma")]
+unsafe fn idft4_in_register(x: V) -> V {
+    let pmpm = _mm256_setr_pd(1.0, -1.0, 1.0, -1.0);
+    // [x0+x1, x0−x1, x2+x3, x2−x3]
+    let tr = _mm256_fmadd_pd(x.0, pmpm, _mm256_permute_pd::<0b0101>(x.0));
+    let ti = _mm256_fmadd_pd(x.1, pmpm, _mm256_permute_pd::<0b0101>(x.1));
+    // Element 3 takes the factor −i: (re, im) → (im, −re).
+    let ur = _mm256_blend_pd::<0b1000>(tr, ti);
+    let ui = _mm256_blend_pd::<0b1000>(ti, tr);
+    let sr = _mm256_permute2f128_pd::<1>(ur, ur);
+    let si = _mm256_permute2f128_pd::<1>(ui, ui);
+    (
+        _mm256_fmadd_pd(ur, _mm256_setr_pd(1.0, 1.0, -1.0, -1.0), sr),
+        _mm256_fmadd_pd(
+            ui,
+            _mm256_setr_pd(1.0, 1.0, -1.0, 1.0),
+            _mm256_mul_pd(si, _mm256_setr_pd(1.0, -1.0, 1.0, 1.0)),
+        ),
+    )
+}
+
+/// `e^{2πij/8}` for `j < 4`: the twiddles of the 8-point stage.
+#[inline]
+#[target_feature(enable = "avx2", enable = "fma")]
+unsafe fn w8() -> V {
+    let c = std::f64::consts::FRAC_1_SQRT_2;
+    (_mm256_setr_pd(1.0, c, 0.0, -c), _mm256_setr_pd(0.0, c, 1.0, c))
+}
+
+pub fn forward(t: &Twiddles, c: &[i32], re: &mut [f64], im: &mut [f64]) {
+    if t.m < MIN_POINTS {
+        return super::scalar::forward(t, c, re, im);
     }
+    // SAFETY: only reachable through `Kernels::forward`, which checked
+    // `c.len() == 2m` and `re.len() == im.len() == m` against the tables
+    // and whose dispatcher installs this backend solely when AVX2 and
+    // FMA were detected at runtime.
+    unsafe { forward_impl(t, c.as_ptr(), re.as_mut_ptr(), im.as_mut_ptr()) }
 }
 
-pub fn fwd_twist(c: &[i32], tw_re: &[f64], tw_im: &[f64], re: &mut [f64], im: &mut [f64]) {
-    // SAFETY: see `mac`.
-    unsafe { fwd_twist_impl(c, tw_re, tw_im, re, im) }
-}
-
+/// # Safety
+///
+/// `c` must be valid for `2m` reads and `re`/`im` for `m` writes, with
+/// `m = t.m` a power of two `>= MIN_POINTS`; the CPU must support AVX2
+/// and FMA.
 #[target_feature(enable = "avx2", enable = "fma")]
-unsafe fn fwd_twist_impl(c: &[i32], tw_re: &[f64], tw_im: &[f64], re: &mut [f64], im: &mut [f64]) {
-    let m = re.len();
-    let (lo, hi) = c.split_at(m);
+unsafe fn forward_impl(t: &Twiddles, c: *const i32, re: *mut f64, im: *mut f64) {
+    let m = t.m;
+    // First pass: convert, twist and radix-4 over the whole buffer.
+    let q = m / 4;
+    let (lo, hi) = (c, c.add(m));
+    let (tw_re, tw_im) = (t.tw_re.as_ptr(), t.tw_im.as_ptr());
+    let w = t.pass(m).as_ptr();
     let mut j = 0;
-    while j + 4 <= m {
-        let vlo = _mm256_cvtepi32_pd(_mm_loadu_si128(lo.as_ptr().add(j) as *const __m128i));
-        let vhi = _mm256_cvtepi32_pd(_mm_loadu_si128(hi.as_ptr().add(j) as *const __m128i));
-        let vtr = _mm256_loadu_pd(tw_re.as_ptr().add(j));
-        let vti = _mm256_loadu_pd(tw_im.as_ptr().add(j));
-        let vre = _mm256_fmsub_pd(vlo, vtr, _mm256_mul_pd(vhi, vti));
-        let vim = _mm256_fmadd_pd(vlo, vti, _mm256_mul_pd(vhi, vtr));
-        _mm256_storeu_pd(re.as_mut_ptr().add(j), vre);
-        _mm256_storeu_pd(im.as_mut_ptr().add(j), vim);
+    while j < q {
+        let mut a = [(_mm256_setzero_pd(), _mm256_setzero_pd()); 4];
+        for (k, a) in a.iter_mut().enumerate() {
+            let at = j + k * q;
+            let ints = (
+                _mm256_cvtepi32_pd(_mm_loadu_si128(lo.add(at) as *const __m128i)),
+                _mm256_cvtepi32_pd(_mm_loadu_si128(hi.add(at) as *const __m128i)),
+            );
+            *a = mul(ints, load(tw_re, tw_im, at));
+        }
+        let y = dif4(a, twiddles_at(w, q, j));
+        for (k, y) in y.into_iter().enumerate() {
+            store(re, im, j + k * q, y);
+        }
         j += 4;
     }
-    while j < m {
-        let l = lo[j] as f64;
-        let h = hi[j] as f64;
-        re[j] = l * tw_re[j] - h * tw_im[j];
-        im[j] = l * tw_im[j] + h * tw_re[j];
-        j += 1;
+    // Middle passes over blocks of `len >= 16` points.
+    let mut len = q;
+    while len >= MIN_POINTS {
+        let q = len / 4;
+        let w = t.pass(len).as_ptr();
+        let mut j = 0;
+        while j < q {
+            let w = twiddles_at(w, q, j);
+            let mut at = j;
+            while at < m {
+                let a = [
+                    load(re, im, at),
+                    load(re, im, at + q),
+                    load(re, im, at + 2 * q),
+                    load(re, im, at + 3 * q),
+                ];
+                for (k, y) in dif4(a, w).into_iter().enumerate() {
+                    store(re, im, at + k * q, y);
+                }
+                at += len;
+            }
+            j += 4;
+        }
+        len = q;
+    }
+    // Leaf: the 8-point stage when three stages remain, then the last
+    // two stages inside each register.
+    let mut at = 0;
+    if len == 8 {
+        let w8 = w8();
+        while at < m {
+            let (u, v) = (load(re, im, at), load(re, im, at + 4));
+            store(re, im, at, dft4_in_register(add(u, v)));
+            store(re, im, at + 4, dft4_in_register(mul(sub(u, v), w8)));
+            at += 8;
+        }
+    } else {
+        while at < m {
+            store(re, im, at, dft4_in_register(load(re, im, at)));
+            at += 4;
+        }
     }
 }
 
-pub fn inv_untwist_round(
-    re: &mut [f64],
-    im: &mut [f64],
-    tw_re: &[f64],
-    tw_im: &[f64],
-    out: &mut [Torus32],
-) {
-    // SAFETY: see `mac`.
-    unsafe { inv_untwist_round_impl(re, im, tw_re, tw_im, out) }
+pub fn inverse(t: &Twiddles, re: &mut [f64], im: &mut [f64], out: &mut [Torus32]) {
+    if t.m < MIN_POINTS {
+        return super::scalar::inverse(t, re, im, out);
+    }
+    // SAFETY: as in `forward`: `Kernels::inverse` checked
+    // `re.len() == im.len() == m` and `out.len() == 2m`; `Torus32` is
+    // `#[repr(transparent)]` over `u32`.
+    unsafe { inverse_impl(t, re.as_mut_ptr(), im.as_mut_ptr(), out.as_mut_ptr() as *mut u32) }
 }
 
+/// # Safety
+///
+/// `re`/`im` must be valid for `m` reads and writes and `out` for `2m`
+/// writes, with `m = t.m` a power of two `>= MIN_POINTS`; the CPU must
+/// support AVX2 and FMA.
 #[target_feature(enable = "avx2", enable = "fma")]
-unsafe fn inv_untwist_round_impl(
-    re: &mut [f64],
-    im: &mut [f64],
-    tw_re: &[f64],
-    tw_im: &[f64],
-    out: &mut [Torus32],
-) {
-    let m = re.len();
-    let scale = 1.0 / m as f64;
-    let (out_lo, out_hi) = out.split_at_mut(m);
-    let vscale = _mm256_set1_pd(scale);
-    let vmagic = _mm256_set1_pd(ROUND_MAGIC);
+unsafe fn inverse_impl(t: &Twiddles, re: *mut f64, im: *mut f64, out: *mut u32) {
+    let m = t.m;
+    // The shortest radix-4 block length of the forward walk: 16 or 32.
+    let mut len = m;
+    while len >= 4 * MIN_POINTS {
+        len /= 4;
+    }
+    // Leaf, mirrored.
+    let mut at = 0;
+    if len == 32 {
+        let w8 = w8();
+        while at < m {
+            let u = idft4_in_register(load(re, im, at));
+            let v = mul_conj(idft4_in_register(load(re, im, at + 4)), w8);
+            store(re, im, at, add(u, v));
+            store(re, im, at + 4, sub(u, v));
+            at += 8;
+        }
+    } else {
+        while at < m {
+            store(re, im, at, idft4_in_register(load(re, im, at)));
+            at += 4;
+        }
+    }
+    // Middle passes, shortest blocks first.
+    while len < m {
+        let q = len / 4;
+        let w = t.pass(len).as_ptr();
+        let mut j = 0;
+        while j < q {
+            let w = twiddles_at(w, q, j);
+            let mut at = j;
+            while at < m {
+                let y = [
+                    load(re, im, at),
+                    load(re, im, at + q),
+                    load(re, im, at + 2 * q),
+                    load(re, im, at + 3 * q),
+                ];
+                for (k, a) in dit4(y, w).into_iter().enumerate() {
+                    store(re, im, at + k * q, a);
+                }
+                at += len;
+            }
+            j += 4;
+        }
+        len *= 4;
+    }
+    // Last pass: radix-4 over the whole buffer, untwist, scale, round.
+    // Adding 1.5·2^52·M rounds x/M to an integer (ties to even, by the
+    // FP add itself, and exactly, M being a power of two) and leaves its
+    // low 32 bits in the low half of the sum's mantissa — the scale costs
+    // nothing and no f64 → i64 conversion is needed. Needs |x| < 2^51·M;
+    // transform values stay below 2^47·M.
+    let q = m / 4;
+    let (tw_re, tw_im) = (t.tw_re.as_ptr(), t.tw_im.as_ptr());
+    let w = t.pass(m).as_ptr();
+    let magic = _mm256_set1_pd(ROUND_MAGIC * m as f64);
     // Compacts the low 32 bits of each 64-bit lane into the vector's
     // low 128 bits (lane dwords 0, 2, 4, 6).
     let pack_idx = _mm256_setr_epi32(0, 2, 4, 6, 0, 0, 0, 0);
     let mut j = 0;
-    while j + 4 <= m {
-        let vcr = _mm256_mul_pd(_mm256_loadu_pd(re.as_ptr().add(j)), vscale);
-        let vci = _mm256_mul_pd(_mm256_loadu_pd(im.as_ptr().add(j)), vscale);
-        let vtr = _mm256_loadu_pd(tw_re.as_ptr().add(j));
-        let vti = _mm256_loadu_pd(tw_im.as_ptr().add(j));
-        // d = c · conj(twist):  dr = cr·twr + ci·twi,  di = ci·twr - cr·twi
-        let vdr = _mm256_fmadd_pd(vcr, vtr, _mm256_mul_pd(vci, vti));
-        let vdi = _mm256_fmsub_pd(vci, vtr, _mm256_mul_pd(vcr, vti));
-        let rbits = _mm256_castpd_si256(_mm256_add_pd(vdr, vmagic));
-        let rpack = _mm256_permutevar8x32_epi32(rbits, pack_idx);
-        _mm_storeu_si128(out_lo.as_mut_ptr().add(j) as *mut __m128i, _mm256_castsi256_si128(rpack));
-        let ibits = _mm256_castpd_si256(_mm256_add_pd(vdi, vmagic));
-        let ipack = _mm256_permutevar8x32_epi32(ibits, pack_idx);
-        _mm_storeu_si128(out_hi.as_mut_ptr().add(j) as *mut __m128i, _mm256_castsi256_si128(ipack));
+    while j < q {
+        let y = [
+            load(re, im, j),
+            load(re, im, j + q),
+            load(re, im, j + 2 * q),
+            load(re, im, j + 3 * q),
+        ];
+        for (k, a) in dit4(y, twiddles_at(w, q, j)).into_iter().enumerate() {
+            let at = j + k * q;
+            let d = mul_conj(a, load(tw_re, tw_im, at));
+            for (part, dst) in [(d.0, out.add(at)), (d.1, out.add(m + at))] {
+                let bits = _mm256_castpd_si256(_mm256_add_pd(part, magic));
+                let packed = _mm256_permutevar8x32_epi32(bits, pack_idx);
+                _mm_storeu_si128(dst as *mut __m128i, _mm256_castsi256_si128(packed));
+            }
+        }
         j += 4;
-    }
-    while j < m {
-        let cr = re[j] * scale;
-        let ci = im[j] * scale;
-        let dr = cr * tw_re[j] + ci * tw_im[j];
-        let di = ci * tw_re[j] - cr * tw_im[j];
-        out_lo[j] = Torus32((dr.round_ties_even() as i64) as u32);
-        out_hi[j] = Torus32((di.round_ties_even() as i64) as u32);
-        j += 1;
     }
 }
 
@@ -322,128 +504,5 @@ unsafe fn axpy_impl(dst: &mut [Torus32], coeff: i32, src: &[Torus32]) {
     while j < n {
         dst[j] += coeff * src[j];
         j += 1;
-    }
-}
-
-pub fn fft_passes_batch(
-    re: &mut [f64],
-    im: &mut [f64],
-    st_re: &[f64],
-    st_im: &[f64],
-    lanes: usize,
-) {
-    // SAFETY: see `mac`.
-    unsafe { fft_passes_batch_impl(re, im, st_re, st_im, lanes) }
-}
-
-#[target_feature(enable = "avx2", enable = "fma")]
-unsafe fn fft_passes_batch_impl(
-    re: &mut [f64],
-    im: &mut [f64],
-    st_re: &[f64],
-    st_im: &[f64],
-    lanes: usize,
-) {
-    let m = re.len() / lanes;
-    let mut len = 2;
-    let mut pos = 0;
-    while len <= m {
-        let half = len / 2;
-        let w_re = &st_re[pos..pos + half];
-        let w_im = &st_im[pos..pos + half];
-        for start in (0..m).step_by(len) {
-            for j in 0..half {
-                let wr = w_re[j];
-                let wi = w_im[j];
-                let u = (start + j) * lanes;
-                let v = (start + j + half) * lanes;
-                // Twiddle broadcast: the batch layout keeps every stage
-                // (including half = 1, 2) running over full vectors of
-                // lanes, with one twiddle load per point pair.
-                let vwr = _mm256_set1_pd(wr);
-                let vwi = _mm256_set1_pd(wi);
-                let mut l = 0;
-                while l + 4 <= lanes {
-                    let xr = _mm256_loadu_pd(re.as_ptr().add(v + l));
-                    let xi = _mm256_loadu_pd(im.as_ptr().add(v + l));
-                    let vr = _mm256_fmsub_pd(xr, vwr, _mm256_mul_pd(xi, vwi));
-                    let vi = _mm256_fmadd_pd(xr, vwi, _mm256_mul_pd(xi, vwr));
-                    let ur = _mm256_loadu_pd(re.as_ptr().add(u + l));
-                    let ui = _mm256_loadu_pd(im.as_ptr().add(u + l));
-                    _mm256_storeu_pd(re.as_mut_ptr().add(u + l), _mm256_add_pd(ur, vr));
-                    _mm256_storeu_pd(im.as_mut_ptr().add(u + l), _mm256_add_pd(ui, vi));
-                    _mm256_storeu_pd(re.as_mut_ptr().add(v + l), _mm256_sub_pd(ur, vr));
-                    _mm256_storeu_pd(im.as_mut_ptr().add(v + l), _mm256_sub_pd(ui, vi));
-                    l += 4;
-                }
-                while l < lanes {
-                    let xr = re[v + l];
-                    let xi = im[v + l];
-                    let vr = xr * wr - xi * wi;
-                    let vi = xr * wi + xi * wr;
-                    let ur = re[u + l];
-                    let ui = im[u + l];
-                    re[u + l] = ur + vr;
-                    im[u + l] = ui + vi;
-                    re[v + l] = ur - vr;
-                    im[v + l] = ui - vi;
-                    l += 1;
-                }
-            }
-        }
-        pos += half;
-        len <<= 1;
-    }
-}
-
-pub fn mac_bcast(
-    sr: &mut [f64],
-    si: &mut [f64],
-    ar: &[f64],
-    ai: &[f64],
-    br: &[f64],
-    bi: &[f64],
-    lanes: usize,
-) {
-    // SAFETY: see `mac`.
-    unsafe { mac_bcast_impl(sr, si, ar, ai, br, bi, lanes) }
-}
-
-#[target_feature(enable = "avx2", enable = "fma")]
-unsafe fn mac_bcast_impl(
-    sr: &mut [f64],
-    si: &mut [f64],
-    ar: &[f64],
-    ai: &[f64],
-    br: &[f64],
-    bi: &[f64],
-    lanes: usize,
-) {
-    let m = br.len();
-    for j in 0..m {
-        let wr = br[j];
-        let wi = bi[j];
-        let base = j * lanes;
-        let vwr = _mm256_set1_pd(wr);
-        let vwi = _mm256_set1_pd(wi);
-        let mut l = 0;
-        while l + 4 <= lanes {
-            let xr = _mm256_loadu_pd(ar.as_ptr().add(base + l));
-            let xi = _mm256_loadu_pd(ai.as_ptr().add(base + l));
-            let pr = _mm256_fmsub_pd(xr, vwr, _mm256_mul_pd(xi, vwi));
-            let pi = _mm256_fmadd_pd(xr, vwi, _mm256_mul_pd(xi, vwr));
-            let vsr = _mm256_loadu_pd(sr.as_ptr().add(base + l));
-            let vsi = _mm256_loadu_pd(si.as_ptr().add(base + l));
-            _mm256_storeu_pd(sr.as_mut_ptr().add(base + l), _mm256_add_pd(vsr, pr));
-            _mm256_storeu_pd(si.as_mut_ptr().add(base + l), _mm256_add_pd(vsi, pi));
-            l += 4;
-        }
-        while l < lanes {
-            let xr = ar[base + l];
-            let xi = ai[base + l];
-            sr[base + l] += xr * wr - xi * wi;
-            si[base + l] += xr * wi + xi * wr;
-            l += 1;
-        }
     }
 }

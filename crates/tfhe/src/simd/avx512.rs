@@ -6,26 +6,21 @@
 //! backend only after `is_x86_feature_detected!` confirmed both
 //! features, so the wrappers' unsafe calls are sound when reachable.
 //!
+//! This tier holds the MAC and the integer kernels only: the
+//! [`crate::simd`] table points its transform entries at the AVX2
+//! implementation (a 512-point transform has too few independent
+//! butterflies per pass for 8 lanes to pay for the wider in-register
+//! leaf; `chain` `eval_s` is the judge of any 8-lane version).
+//!
 //! Tails: AVX-512's lane masks replace the scalar remainder loops —
 //! a `(1 << rem) - 1` mask load/store touches exactly the in-bounds
 //! elements (fault suppression is architectural), so short slices run
-//! the same FMA formula as full vectors. The rounding contract is
-//! unchanged: the magic-constant ties-even pack (see `ROUND_MAGIC` in
-//! [`super::avx2`]) produces `(round_ties_even(x) as i64) as u32` in
-//! the low dword of each lane, compacted with `vpmovqd`
-//! (`_mm512_cvtepi64_epi32`), which truncates each qword to its low 32
-//! bits. Integer kernels are bit-identical to scalar; `f64` kernels
-//! satisfy the torus-domain equality contract of [`crate::simd`].
+//! the same formula as full vectors. Integer kernels are bit-identical
+//! to scalar; `mac` satisfies the torus-domain equality contract of
+//! [`crate::simd`].
 
 use crate::torus::Torus32;
 use std::arch::x86_64::*;
-
-/// Same mantissa-alignment rounding constant as the AVX2 backend
-/// (`1.5 · 2^52`); see the comment there for the derivation.
-const ROUND_MAGIC: f64 = 6_755_399_441_055_744.0;
-
-/// All-lanes-enabled 8-wide mask.
-const FULL8: __mmask8 = 0xff;
 
 #[inline]
 fn tail8(rem: usize) -> __mmask8 {
@@ -77,154 +72,6 @@ unsafe fn mac_impl(sr: &mut [f64], si: &mut [f64], ar: &[f64], ai: &[f64], br: &
         let vsi = _mm512_maskz_loadu_pd(k, si.as_ptr().add(j));
         _mm512_mask_storeu_pd(sr.as_mut_ptr().add(j), k, _mm512_add_pd(vsr, pr));
         _mm512_mask_storeu_pd(si.as_mut_ptr().add(j), k, _mm512_add_pd(vsi, pi));
-    }
-}
-
-pub fn fft_passes(re: &mut [f64], im: &mut [f64], st_re: &[f64], st_im: &[f64]) {
-    // SAFETY: see `mac`.
-    unsafe { fft_passes_impl(re, im, st_re, st_im) }
-}
-
-#[target_feature(enable = "avx512f", enable = "avx512dq")]
-unsafe fn fft_passes_impl(re: &mut [f64], im: &mut [f64], st_re: &[f64], st_im: &[f64]) {
-    let m = re.len();
-    let mut len = 2;
-    let mut pos = 0;
-    while len <= m {
-        let half = len / 2;
-        let w_re = &st_re[pos..pos + half];
-        let w_im = &st_im[pos..pos + half];
-        if half < 8 {
-            // Early stages (half = 1, 2, 4): below the 8-lane width; the
-            // scalar butterfly is already optimal here. (The batched
-            // kernel keeps even these stages full — see
-            // `fft_passes_batch`.)
-            for start in (0..m).step_by(len) {
-                for j in 0..half {
-                    let wr = w_re[j];
-                    let wi = w_im[j];
-                    let ur = re[start + j];
-                    let ui = im[start + j];
-                    let xr = re[start + j + half];
-                    let xi = im[start + j + half];
-                    let vr = xr * wr - xi * wi;
-                    let vi = xr * wi + xi * wr;
-                    re[start + j] = ur + vr;
-                    im[start + j] = ui + vi;
-                    re[start + j + half] = ur - vr;
-                    im[start + j + half] = ui - vi;
-                }
-            }
-        } else {
-            // half is a power of two >= 8: exact 8-lane chunks with
-            // contiguous twiddle loads from the per-stage tables.
-            for start in (0..m).step_by(len) {
-                let mut j = 0;
-                while j < half {
-                    let vwr = _mm512_loadu_pd(w_re.as_ptr().add(j));
-                    let vwi = _mm512_loadu_pd(w_im.as_ptr().add(j));
-                    let xr = _mm512_loadu_pd(re.as_ptr().add(start + j + half));
-                    let xi = _mm512_loadu_pd(im.as_ptr().add(start + j + half));
-                    let vr = _mm512_fmsub_pd(xr, vwr, _mm512_mul_pd(xi, vwi));
-                    let vi = _mm512_fmadd_pd(xr, vwi, _mm512_mul_pd(xi, vwr));
-                    let ur = _mm512_loadu_pd(re.as_ptr().add(start + j));
-                    let ui = _mm512_loadu_pd(im.as_ptr().add(start + j));
-                    _mm512_storeu_pd(re.as_mut_ptr().add(start + j), _mm512_add_pd(ur, vr));
-                    _mm512_storeu_pd(im.as_mut_ptr().add(start + j), _mm512_add_pd(ui, vi));
-                    _mm512_storeu_pd(re.as_mut_ptr().add(start + j + half), _mm512_sub_pd(ur, vr));
-                    _mm512_storeu_pd(im.as_mut_ptr().add(start + j + half), _mm512_sub_pd(ui, vi));
-                    j += 8;
-                }
-            }
-        }
-        pos += half;
-        len <<= 1;
-    }
-}
-
-pub fn fwd_twist(c: &[i32], tw_re: &[f64], tw_im: &[f64], re: &mut [f64], im: &mut [f64]) {
-    // SAFETY: see `mac`.
-    unsafe { fwd_twist_impl(c, tw_re, tw_im, re, im) }
-}
-
-#[target_feature(enable = "avx512f", enable = "avx512dq")]
-unsafe fn fwd_twist_impl(c: &[i32], tw_re: &[f64], tw_im: &[f64], re: &mut [f64], im: &mut [f64]) {
-    let m = re.len();
-    let (lo, hi) = c.split_at(m);
-    let mut j = 0;
-    while j + 8 <= m {
-        let vlo = _mm512_cvtepi32_pd(_mm256_loadu_si256(lo.as_ptr().add(j) as *const __m256i));
-        let vhi = _mm512_cvtepi32_pd(_mm256_loadu_si256(hi.as_ptr().add(j) as *const __m256i));
-        let vtr = _mm512_loadu_pd(tw_re.as_ptr().add(j));
-        let vti = _mm512_loadu_pd(tw_im.as_ptr().add(j));
-        let vre = _mm512_fmsub_pd(vlo, vtr, _mm512_mul_pd(vhi, vti));
-        let vim = _mm512_fmadd_pd(vlo, vti, _mm512_mul_pd(vhi, vtr));
-        _mm512_storeu_pd(re.as_mut_ptr().add(j), vre);
-        _mm512_storeu_pd(im.as_mut_ptr().add(j), vim);
-        j += 8;
-    }
-    let rem = m - j;
-    if rem > 0 {
-        let k = tail8(rem);
-        // Masked 16×i32 load (only the low `rem < 8` lanes enabled),
-        // converting the low 256-bit half to 8×f64.
-        let ilo = _mm512_maskz_loadu_epi32(k as __mmask16, lo.as_ptr().add(j));
-        let ihi = _mm512_maskz_loadu_epi32(k as __mmask16, hi.as_ptr().add(j));
-        let vlo = _mm512_cvtepi32_pd(_mm512_castsi512_si256(ilo));
-        let vhi = _mm512_cvtepi32_pd(_mm512_castsi512_si256(ihi));
-        let vtr = _mm512_maskz_loadu_pd(k, tw_re.as_ptr().add(j));
-        let vti = _mm512_maskz_loadu_pd(k, tw_im.as_ptr().add(j));
-        let vre = _mm512_fmsub_pd(vlo, vtr, _mm512_mul_pd(vhi, vti));
-        let vim = _mm512_fmadd_pd(vlo, vti, _mm512_mul_pd(vhi, vtr));
-        _mm512_mask_storeu_pd(re.as_mut_ptr().add(j), k, vre);
-        _mm512_mask_storeu_pd(im.as_mut_ptr().add(j), k, vim);
-    }
-}
-
-pub fn inv_untwist_round(
-    re: &mut [f64],
-    im: &mut [f64],
-    tw_re: &[f64],
-    tw_im: &[f64],
-    out: &mut [Torus32],
-) {
-    // SAFETY: see `mac`.
-    unsafe { inv_untwist_round_impl(re, im, tw_re, tw_im, out) }
-}
-
-#[target_feature(enable = "avx512f", enable = "avx512dq")]
-unsafe fn inv_untwist_round_impl(
-    re: &mut [f64],
-    im: &mut [f64],
-    tw_re: &[f64],
-    tw_im: &[f64],
-    out: &mut [Torus32],
-) {
-    let m = re.len();
-    let scale = 1.0 / m as f64;
-    let (out_lo, out_hi) = out.split_at_mut(m);
-    let vscale = _mm512_set1_pd(scale);
-    let vmagic = _mm512_set1_pd(ROUND_MAGIC);
-    let mut j = 0;
-    // One masked loop body serves full vectors (mask 0xff) and the tail:
-    // masked loads/stores touch only enabled lanes, and
-    // `_mm512_mask_cvtepi64_storeu_epi32` (vpmovqd to memory) writes the
-    // low dword of each enabled qword lane — the rounded torus value.
-    while j < m {
-        let rem = m - j;
-        let k = if rem >= 8 { FULL8 } else { tail8(rem) };
-        let vcr = _mm512_mul_pd(_mm512_maskz_loadu_pd(k, re.as_ptr().add(j)), vscale);
-        let vci = _mm512_mul_pd(_mm512_maskz_loadu_pd(k, im.as_ptr().add(j)), vscale);
-        let vtr = _mm512_maskz_loadu_pd(k, tw_re.as_ptr().add(j));
-        let vti = _mm512_maskz_loadu_pd(k, tw_im.as_ptr().add(j));
-        // d = c · conj(twist):  dr = cr·twr + ci·twi,  di = ci·twr - cr·twi
-        let vdr = _mm512_fmadd_pd(vcr, vtr, _mm512_mul_pd(vci, vti));
-        let vdi = _mm512_fmsub_pd(vci, vtr, _mm512_mul_pd(vcr, vti));
-        let rbits = _mm512_castpd_si512(_mm512_add_pd(vdr, vmagic));
-        let ibits = _mm512_castpd_si512(_mm512_add_pd(vdi, vmagic));
-        _mm512_mask_cvtepi64_storeu_epi32(out_lo.as_mut_ptr().add(j) as *mut i32, k, rbits);
-        _mm512_mask_cvtepi64_storeu_epi32(out_hi.as_mut_ptr().add(j) as *mut i32, k, ibits);
-        j += 8;
     }
 }
 
@@ -336,109 +183,5 @@ unsafe fn axpy_impl(dst: &mut [Torus32], coeff: i32, src: &[Torus32]) {
         let prod = _mm512_mullo_epi32(b, vc);
         _mm512_mask_storeu_epi32(dp.add(j), k, _mm512_add_epi32(a, prod));
         j += 16;
-    }
-}
-
-pub fn fft_passes_batch(
-    re: &mut [f64],
-    im: &mut [f64],
-    st_re: &[f64],
-    st_im: &[f64],
-    lanes: usize,
-) {
-    // SAFETY: see `mac`.
-    unsafe { fft_passes_batch_impl(re, im, st_re, st_im, lanes) }
-}
-
-#[target_feature(enable = "avx512f", enable = "avx512dq")]
-unsafe fn fft_passes_batch_impl(
-    re: &mut [f64],
-    im: &mut [f64],
-    st_re: &[f64],
-    st_im: &[f64],
-    lanes: usize,
-) {
-    let m = re.len() / lanes;
-    let mut len = 2;
-    let mut pos = 0;
-    while len <= m {
-        let half = len / 2;
-        let w_re = &st_re[pos..pos + half];
-        let w_im = &st_im[pos..pos + half];
-        for start in (0..m).step_by(len) {
-            for j in 0..half {
-                // Twiddle broadcast across the lane dimension: even the
-                // half = 1 stage runs full-width vectors, which is the
-                // point of the point-major batch layout.
-                let vwr = _mm512_set1_pd(w_re[j]);
-                let vwi = _mm512_set1_pd(w_im[j]);
-                let u = (start + j) * lanes;
-                let v = (start + j + half) * lanes;
-                let mut l = 0;
-                while l < lanes {
-                    let rem = lanes - l;
-                    let k = if rem >= 8 { FULL8 } else { tail8(rem) };
-                    let xr = _mm512_maskz_loadu_pd(k, re.as_ptr().add(v + l));
-                    let xi = _mm512_maskz_loadu_pd(k, im.as_ptr().add(v + l));
-                    let vr = _mm512_fmsub_pd(xr, vwr, _mm512_mul_pd(xi, vwi));
-                    let vi = _mm512_fmadd_pd(xr, vwi, _mm512_mul_pd(xi, vwr));
-                    let ur = _mm512_maskz_loadu_pd(k, re.as_ptr().add(u + l));
-                    let ui = _mm512_maskz_loadu_pd(k, im.as_ptr().add(u + l));
-                    _mm512_mask_storeu_pd(re.as_mut_ptr().add(u + l), k, _mm512_add_pd(ur, vr));
-                    _mm512_mask_storeu_pd(im.as_mut_ptr().add(u + l), k, _mm512_add_pd(ui, vi));
-                    _mm512_mask_storeu_pd(re.as_mut_ptr().add(v + l), k, _mm512_sub_pd(ur, vr));
-                    _mm512_mask_storeu_pd(im.as_mut_ptr().add(v + l), k, _mm512_sub_pd(ui, vi));
-                    l += 8;
-                }
-            }
-        }
-        pos += half;
-        len <<= 1;
-    }
-}
-
-pub fn mac_bcast(
-    sr: &mut [f64],
-    si: &mut [f64],
-    ar: &[f64],
-    ai: &[f64],
-    br: &[f64],
-    bi: &[f64],
-    lanes: usize,
-) {
-    // SAFETY: see `mac`.
-    unsafe { mac_bcast_impl(sr, si, ar, ai, br, bi, lanes) }
-}
-
-#[target_feature(enable = "avx512f", enable = "avx512dq")]
-unsafe fn mac_bcast_impl(
-    sr: &mut [f64],
-    si: &mut [f64],
-    ar: &[f64],
-    ai: &[f64],
-    br: &[f64],
-    bi: &[f64],
-    lanes: usize,
-) {
-    let m = br.len();
-    for j in 0..m {
-        // One bootstrapping-key point load serves every lane.
-        let vwr = _mm512_set1_pd(br[j]);
-        let vwi = _mm512_set1_pd(bi[j]);
-        let base = j * lanes;
-        let mut l = 0;
-        while l < lanes {
-            let rem = lanes - l;
-            let k = if rem >= 8 { FULL8 } else { tail8(rem) };
-            let xr = _mm512_maskz_loadu_pd(k, ar.as_ptr().add(base + l));
-            let xi = _mm512_maskz_loadu_pd(k, ai.as_ptr().add(base + l));
-            let pr = _mm512_fmsub_pd(xr, vwr, _mm512_mul_pd(xi, vwi));
-            let pi = _mm512_fmadd_pd(xr, vwi, _mm512_mul_pd(xi, vwr));
-            let vsr = _mm512_maskz_loadu_pd(k, sr.as_ptr().add(base + l));
-            let vsi = _mm512_maskz_loadu_pd(k, si.as_ptr().add(base + l));
-            _mm512_mask_storeu_pd(sr.as_mut_ptr().add(base + l), k, _mm512_add_pd(vsr, pr));
-            _mm512_mask_storeu_pd(si.as_mut_ptr().add(base + l), k, _mm512_add_pd(vsi, pi));
-            l += 8;
-        }
     }
 }

@@ -4,53 +4,80 @@
 //!
 //! The paper's CPU numbers inherit their speed from `spqlios-fma`, the
 //! AVX/FMA assembly the TFHE library swaps in for its negacyclic
-//! transforms. This module plays that role for the four loops that
-//! dominate gate bootstrapping:
+//! transforms. This module plays that role for the loops that dominate
+//! gate bootstrapping:
 //!
-//! 1. the branch-free FFT butterfly passes shared by the forward and
-//!    inverse folded transforms ([`Kernels::fft_passes`]),
-//! 2. the twist/untwist + torus↔`f64` conversion loops bracketing them
-//!    ([`Kernels::fwd_twist`], [`Kernels::inv_untwist_round`]),
-//! 3. the external-product multiply-accumulate of the CMUX inner loop
+//! 1. the folded negacyclic transform, forward and inverse
+//!    ([`Kernels::forward`], [`Kernels::inverse`]) over the tables of a
+//!    [`Twiddles`],
+//! 2. the external-product multiply-accumulate of the CMUX inner loop
 //!    ([`Kernels::mac`]), and
-//! 4. the integer loops of gadget decomposition, key-switch
+//! 3. the integer loops of gadget decomposition, key-switch
 //!    accumulation, and the gate linear combinations
 //!    ([`Kernels::extract_digits`], [`Kernels::sub_assign`],
-//!    [`Kernels::axpy`]).
+//!    [`Kernels::sub_assign2`], [`Kernels::axpy`]).
 //!
-//! Four backends implement the same kernel set:
+//! # The transform
 //!
-//! * [`scalar`] — portable Rust, **bit-identical to the pre-SIMD code**
-//!   (the loops were moved here verbatim). Always available; the
-//!   correctness oracle for the vector paths.
-//! * `avx2` — AVX2 + FMA over 4×`f64` / 8×`u32` lanes
-//!   (`std::arch::x86_64`), selected when `is_x86_feature_detected!`
-//!   reports both features.
-//! * `avx512` — AVX-512 over 8×`f64` / 16×`u32` lanes with masked
-//!   tails (`avx512f` + `avx512dq`), the widest x86 path.
-//! * `neon` — NEON over 2×`f64` / 4×`u32` lanes (`std::arch::aarch64`;
-//!   NEON is baseline on AArch64).
+//! One pass structure, in two implementations. The forward transform is
+//! decimation-in-frequency: a first radix-4 pass that also converts the
+//! integer coefficients to `f64` and applies the twist `e^{iπj/N}`,
+//! further radix-4 passes over ever shorter blocks, and a leaf over the
+//! last two or three butterfly stages. It leaves the `M = N/2` spectrum
+//! points in **bit-reversed order**. The inverse is the mirror image —
+//! leaf, radix-4 decimation-in-time passes, and a last pass fused with
+//! the `1/M` scale, the untwist and the round back to the torus — and
+//! consumes that order, so no bit-reversal pass exists anywhere; the
+//! pointwise [`Kernels::mac`] does not care about the order at all.
+//! Every radix-4 butterfly is two fused radix-2 stages, so the output
+//! order is the plain bit reversal whatever the grouping of stages, and
+//! the two implementations are interchangeable slot for slot:
 //!
-//! Beyond the original per-polynomial kernels, the table carries the
-//! *batched* transform kernels ([`Kernels::fft_passes_batch`],
-//! [`Kernels::mac_bcast`]) that run butterfly stages and external-product
-//! MACs across a point-major batch of up to [`crate::gates::FUSE_CHUNK`]
-//! ciphertexts in lockstep, and the fused two-row key-switch subtraction
-//! ([`Kernels::sub_assign2`]).
+//! * [`scalar`] — portable Rust over exactly-sized sub-slices (no index
+//!   is bounds-checked inside a loop). Always available; the oracle for
+//!   the vector code, the whole transform for `M < 16`, and what the
+//!   NEON table points its transform entries at.
+//! * `avx2` — AVX2 + FMA intrinsics over raw pointers, 4×`f64` per
+//!   vector; the leaf runs the last two stages inside one register. The
+//!   AVX-512 table reuses it.
+//!
+//! For `M = 512` (the 128-bit parameter set) the AVX2 forward is four
+//! sweeps over the 8 KB buffer (radix-4 at block lengths 512, 128, 32,
+//! then the 8-point leaf) where the radix-2 transform it replaced made
+//! eleven (twist, bit reversal, nine passes).
+//!
+//! **Codegen hazard, measured.** The replaced kernels kept their first
+//! two or three stages as scalar, bounds-checked
+//! `for start in (0..m).step_by(len)` loops inside a `#[target_feature]`
+//! function. The optimiser turned those into shuffles in a stand-alone
+//! example binary (forward transform 1.5 µs) and into a branchy scalar
+//! loop in the benchmark binary (5.3–6.0 µs; same source, same profile),
+//! and the benchmark package carries its own profile. The rule since:
+//! inside a `#[target_feature]` function use intrinsics and raw pointers
+//! only — nothing whose speed is left to the autovectoriser — and quote
+//! transform timings from a traced run of the benchmark binary, never
+//! from a stand-alone probe.
+//!
+//! # Other kernels
+//!
+//! `mac` and the integer kernels exist in four versions: [`scalar`],
+//! `avx2` (4×`f64` / 8×`u32`), `avx512` (8×`f64` / 16×`u32`, masked
+//! tails; needs `avx512f` + `avx512dq`) and `neon` (2×`f64` / 4×`u32`).
 //!
 //! # Correctness contract
 //!
-//! Integer kernels (`extract_digits`, `sub_assign`) are bit-identical
-//! across backends. The `f64` kernels use fused multiply-add, whose
-//! single-rounding products differ from scalar mul-then-add in the low
-//! mantissa bits, so *intermediate spectra are not bit-comparable*. The
-//! contract is **torus-domain equality**: after the inverse transform's
-//! final `round_ties_even` back to `Torus32`, SIMD and scalar agree
+//! Integer kernels (`extract_digits`, `sub_assign`, `axpy`) are
+//! bit-identical across backends. The `f64` kernels use fused
+//! multiply-add on the vector paths, whose single-rounding products
+//! differ from scalar mul-then-add in the low mantissa bits, so
+//! *intermediate spectra are not bit-comparable*. The contract is
+//! **torus-domain equality**: after the inverse transform's final
+//! `round_ties_even` back to `Torus32`, SIMD and scalar agree
 //! bit-for-bit, because transform values sit within `~2^-20` of integers
 //! (see `DESIGN.md` §10) while FMA reassociation perturbs them by at
 //! most a few ulps — never enough to cross a rounding boundary. The
 //! proptest suite `tests/simd_equivalence.rs` pins this for every
-//! backend the host can run, across lane counts and tail lengths.
+//! backend the host can run, across sizes and tail lengths.
 //!
 //! # Dispatch
 //!
@@ -59,12 +86,12 @@
 //! is consulted first, a requested-but-unsupported backend falls back to
 //! scalar, and `auto` (or an unset/unknown value) picks the best path
 //! the CPU supports. [`set_active_path`] re-points the process-global
-//! dispatch explicitly — used by the `repro simd` harness to measure
-//! scalar and vector paths in one process; it is not meant for
-//! concurrent use while other threads are mid-kernel (each kernel call
-//! reads the table once, so results stay correct either way — only
-//! timings would blur).
+//! dispatch explicitly — used by tests and benches that compare paths in
+//! one process; it is not meant for concurrent use while other threads
+//! are mid-kernel (each kernel call reads the table once, so results
+//! stay correct either way — only timings would blur).
 
+use crate::align::AlignedBuf;
 use crate::torus::Torus32;
 use std::fmt;
 use std::sync::atomic::{AtomicU8, Ordering};
@@ -83,13 +110,15 @@ mod neon;
 /// Identifies one SIMD backend.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum SimdPath {
-    /// Portable scalar Rust, bit-identical to the pre-SIMD hot loops.
+    /// Portable Rust, no `std::arch`.
     Scalar,
     /// AVX2 + FMA (x86-64), 4×`f64` / 8×`u32` lanes.
     Avx2,
-    /// AVX-512 (x86-64), 8×`f64` / 16×`u32` lanes with masked tails.
+    /// AVX-512 (x86-64), 8×`f64` / 16×`u32` lanes with masked tails;
+    /// the transform is the AVX2 one.
     Avx512,
-    /// NEON (AArch64), 2×`f64` / 4×`u32` lanes.
+    /// NEON (AArch64), 2×`f64` / 4×`u32` lanes; the transform is the
+    /// portable one.
     Neon,
 }
 
@@ -121,9 +150,12 @@ impl SimdPath {
             // `avx512dq` covers the f64↔i64 conversions and 64-bit
             // logic ops the rounding pack uses; every AVX-512 server
             // part since Skylake-SP ships both.
+            // The AVX-512 table borrows the AVX2 transform, so it needs
+            // that tier's features as well.
             #[cfg(target_arch = "x86_64")]
             SimdPath::Avx512 => {
-                std::arch::is_x86_feature_detected!("avx512f")
+                SimdPath::Avx2.is_supported()
+                    && std::arch::is_x86_feature_detected!("avx512f")
                     && std::arch::is_x86_feature_detected!("avx512dq")
             }
             #[cfg(not(target_arch = "x86_64"))]
@@ -151,12 +183,10 @@ impl fmt::Display for SimdPath {
 
 /// `(sr, si, ar, ai, br, bi)`: pointwise `s += a * b` over split slices.
 type MacFn = fn(&mut [f64], &mut [f64], &[f64], &[f64], &[f64], &[f64]);
-/// `(re, im, st_re, st_im)`: butterfly passes over per-stage twiddles.
-type FftPassesFn = fn(&mut [f64], &mut [f64], &[f64], &[f64]);
-/// `(c, tw_re, tw_im, re, im)`: forward fold + twist.
-type FwdTwistFn = fn(&[i32], &[f64], &[f64], &mut [f64], &mut [f64]);
-/// `(re, im, tw_re, tw_im, out)`: inverse untwist + unfold + round.
-type InvUntwistRoundFn = fn(&mut [f64], &mut [f64], &[f64], &[f64], &mut [Torus32]);
+/// `(tables, c, re, im)`: forward transform of `2m` integer coefficients.
+type ForwardFn = fn(&Twiddles, &[i32], &mut [f64], &mut [f64]);
+/// `(tables, re, im, out)`: inverse transform + round to `2m` torus words.
+type InverseFn = fn(&Twiddles, &mut [f64], &mut [f64], &mut [Torus32]);
 /// `(c, offset, shift, mask, half_base, out)`: one decomposition level.
 type ExtractDigitsFn = fn(&[Torus32], u32, u32, u32, i32, &mut [i32]);
 /// `(dst, src)`: wrapping element-wise subtraction.
@@ -165,12 +195,68 @@ type SubAssignFn = fn(&mut [Torus32], &[Torus32]);
 type SubAssign2Fn = fn(&mut [Torus32], &[Torus32], &[Torus32]);
 /// `(dst, coeff, src)`: wrapping element-wise `dst += coeff * src`.
 type AxpyFn = fn(&mut [Torus32], i32, &[Torus32]);
-/// `(re, im, st_re, st_im, lanes)`: butterfly passes over a point-major
-/// batch (`lanes` consecutive values per frequency point).
-type FftPassesBatchFn = fn(&mut [f64], &mut [f64], &[f64], &[f64], usize);
-/// `(sr, si, ar, ai, br, bi, lanes)`: `s += a * b` where `s`/`a` are
-/// point-major batches and `b` is one spectrum broadcast across lanes.
-type MacBcastFn = fn(&mut [f64], &mut [f64], &[f64], &[f64], &[f64], &[f64], usize);
+
+/// Precomputed tables of the folded negacyclic transform for one
+/// polynomial size `N` (`M = N/2` complex points), shared by both
+/// transform implementations and both directions (the inverse multiplies
+/// by the conjugates).
+#[derive(Debug, Clone)]
+pub struct Twiddles {
+    /// Transform size `M`.
+    m: usize,
+    /// Twist `e^{iπj/N}` for `j < M` (split re/im).
+    tw_re: AlignedBuf<f64>,
+    tw_im: AlignedBuf<f64>,
+    /// Radix-4 pass tables, one per block length `len = M, M/4, … ≥ 4`,
+    /// the table for `len` starting at `2·(M − len)`: six contiguous runs
+    /// of `len/4` values — re then im of `w^j`, `w^{2j}`, `w^{3j}` with
+    /// `w = e^{2πi/len}` — so every load of a pass is sequential.
+    passes: AlignedBuf<f64>,
+}
+
+impl Twiddles {
+    /// Builds the tables for polynomials of degree bound `n`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `n` is not a power of two or is smaller than 2.
+    pub fn new(n: usize) -> Self {
+        assert!(n.is_power_of_two() && n >= 2, "FFT size must be a power of two >= 2");
+        let m = n / 2;
+        let (mut tw_re, mut tw_im) = (AlignedBuf::zeroed(m), AlignedBuf::zeroed(m));
+        for j in 0..m {
+            let (sin, cos) = (std::f64::consts::PI * j as f64 / n as f64).sin_cos();
+            tw_re[j] = cos;
+            tw_im[j] = sin;
+        }
+        let mut passes = AlignedBuf::zeroed(2 * m);
+        let mut len = m;
+        while len >= 4 {
+            let q = len / 4;
+            let table = &mut passes[2 * (m - len)..][..6 * q];
+            for j in 0..q {
+                for power in 1..=3 {
+                    let turn = (power * j % len) as f64 / len as f64;
+                    let (sin, cos) = (2.0 * std::f64::consts::PI * turn).sin_cos();
+                    table[(2 * power - 2) * q + j] = cos;
+                    table[(2 * power - 1) * q + j] = sin;
+                }
+            }
+            len /= 4;
+        }
+        Twiddles { m, tw_re, tw_im, passes }
+    }
+
+    /// Transform size `M = N/2`.
+    pub fn points(&self) -> usize {
+        self.m
+    }
+
+    /// The radix-4 table for blocks of `len` points (`len = M/4^k ≥ 4`).
+    fn pass(&self, len: usize) -> &[f64] {
+        &self.passes[2 * (self.m - len)..][..6 * (len / 4)]
+    }
+}
 
 /// One backend's kernel set. The fields are plain function pointers so a
 /// resolved `&'static Kernels` dispatches with no per-call branching;
@@ -178,15 +264,12 @@ type MacBcastFn = fn(&mut [f64], &mut [f64], &[f64], &[f64], &[f64], &[f64], usi
 pub struct Kernels {
     path: SimdPath,
     mac: MacFn,
-    fft_passes: FftPassesFn,
-    fwd_twist: FwdTwistFn,
-    inv_untwist_round: InvUntwistRoundFn,
+    forward: ForwardFn,
+    inverse: InverseFn,
     extract_digits: ExtractDigitsFn,
     sub_assign: SubAssignFn,
     sub_assign2: SubAssign2Fn,
     axpy: AxpyFn,
-    fft_passes_batch: FftPassesBatchFn,
-    mac_bcast: MacBcastFn,
 }
 
 impl fmt::Debug for Kernels {
@@ -203,6 +286,12 @@ impl Kernels {
 
     /// Pointwise complex multiply-accumulate over split re/im slices:
     /// `s += a * b` — the external-product MAC of the CMUX inner loop.
+    /// Indifferent to the order the points are stored in.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the six slices differ in length (the vector kernels
+    /// read through raw pointers).
     #[inline]
     pub fn mac(
         &self,
@@ -214,55 +303,37 @@ impl Kernels {
         bi: &[f64],
     ) {
         let m = sr.len();
-        debug_assert!(
-            si.len() == m && ar.len() == m && ai.len() == m && br.len() == m && bi.len() == m
-        );
+        assert!(si.len() == m && ar.len() == m && ai.len() == m && br.len() == m && bi.len() == m);
         (self.mac)(sr, si, ar, ai, br, bi)
     }
 
-    /// All radix-2 DIT butterfly passes of one transform, over
-    /// bit-reversed split re/im buffers, reading the per-stage
-    /// contiguous twiddle tables (`st_re`/`st_im` hold `len(re) - 1`
-    /// entries: the stage-`2` table, then stage-`4`, … — see
-    /// [`crate::fft::FftPlan`]).
+    /// Forward folded transform: maps the `2M` signed coefficients `c`
+    /// to the `M` complex evaluations `Σ_j (c[j] + i·c[j+M])·ζ_k^j`,
+    /// `ζ_k = e^{iπ(1+4k)/N}`, storing evaluation `k` at the bit
+    /// reversal of `k`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the slice lengths do not match the tables.
     #[inline]
-    pub fn fft_passes(&self, re: &mut [f64], im: &mut [f64], st_re: &[f64], st_im: &[f64]) {
-        let m = re.len();
-        debug_assert_eq!(im.len(), m);
-        debug_assert!(st_re.len() + 1 >= m && st_im.len() == st_re.len());
-        (self.fft_passes)(re, im, st_re, st_im)
+    pub fn forward(&self, t: &Twiddles, c: &[i32], re: &mut [f64], im: &mut [f64]) {
+        assert!(c.len() == 2 * t.m && re.len() == t.m && im.len() == t.m);
+        (self.forward)(t, c, re, im)
     }
 
-    /// Forward fold + twist: maps `2m` signed integer coefficients to
-    /// `m` complex points `(c[j] + i·c[j+m]) · twist[j]`.
+    /// Inverse folded transform of a bit-reversed spectrum, scaled by
+    /// `1/M`, untwisted and rounded (ties to even) to `2M` torus
+    /// coefficients: the real parts land in `out[..M]`, the imaginary
+    /// parts in `out[M..]`. Runs in `re`/`im`, which hold garbage
+    /// afterwards.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the slice lengths do not match the tables.
     #[inline]
-    pub fn fwd_twist(
-        &self,
-        c: &[i32],
-        tw_re: &[f64],
-        tw_im: &[f64],
-        re: &mut [f64],
-        im: &mut [f64],
-    ) {
-        let m = re.len();
-        debug_assert!(c.len() == 2 * m && im.len() == m && tw_re.len() == m && tw_im.len() == m);
-        (self.fwd_twist)(c, tw_re, tw_im, re, im)
-    }
-
-    /// Inverse unscale + untwist + unfold + round: consumes `m` complex
-    /// points and writes `2m` rounded torus coefficients.
-    #[inline]
-    pub fn inv_untwist_round(
-        &self,
-        re: &mut [f64],
-        im: &mut [f64],
-        tw_re: &[f64],
-        tw_im: &[f64],
-        out: &mut [Torus32],
-    ) {
-        let m = re.len();
-        debug_assert!(im.len() == m && tw_re.len() == m && tw_im.len() == m && out.len() == 2 * m);
-        (self.inv_untwist_round)(re, im, tw_re, tw_im, out)
+    pub fn inverse(&self, t: &Twiddles, re: &mut [f64], im: &mut [f64], out: &mut [Torus32]) {
+        assert!(re.len() == t.m && im.len() == t.m && out.len() == 2 * t.m);
+        (self.inverse)(t, re, im, out)
     }
 
     /// One level of signed gadget decomposition:
@@ -309,111 +380,54 @@ impl Kernels {
         debug_assert_eq!(dst.len(), src.len());
         (self.axpy)(dst, coeff, src)
     }
-
-    /// Butterfly passes over a *point-major batch*: `re`/`im` hold
-    /// `m · lanes` values laid out as `lanes` consecutive entries per
-    /// frequency point (`re[point * lanes + lane]`), already in
-    /// bit-reversed point order. Each twiddle is loaded once per point
-    /// and applied to every lane, so twiddle traffic is amortized
-    /// `lanes`× and the vector units stay full even on the short early
-    /// stages that the single-polynomial kernel has to run scalar.
-    #[inline]
-    pub fn fft_passes_batch(
-        &self,
-        re: &mut [f64],
-        im: &mut [f64],
-        st_re: &[f64],
-        st_im: &[f64],
-        lanes: usize,
-    ) {
-        debug_assert!(lanes > 0 && re.len() == im.len() && re.len().is_multiple_of(lanes));
-        debug_assert!(st_re.len() + 1 >= re.len() / lanes && st_im.len() == st_re.len());
-        (self.fft_passes_batch)(re, im, st_re, st_im, lanes)
-    }
-
-    /// Broadcast multiply-accumulate for the batched external product:
-    /// `s[point][lane] += a[point][lane] * b[point]`, with `s`/`a` in
-    /// point-major batch layout and `b` a single bootstrapping-key
-    /// spectrum shared by every lane. One row load serves all lanes —
-    /// the main memory-traffic win of lockstep blind rotation.
-    #[inline]
-    #[allow(clippy::too_many_arguments)]
-    pub fn mac_bcast(
-        &self,
-        sr: &mut [f64],
-        si: &mut [f64],
-        ar: &[f64],
-        ai: &[f64],
-        br: &[f64],
-        bi: &[f64],
-        lanes: usize,
-    ) {
-        let mb = sr.len();
-        debug_assert!(lanes > 0 && mb.is_multiple_of(lanes));
-        debug_assert!(si.len() == mb && ar.len() == mb && ai.len() == mb);
-        debug_assert!(br.len() == mb / lanes && bi.len() == mb / lanes);
-        (self.mac_bcast)(sr, si, ar, ai, br, bi, lanes)
-    }
 }
 
 /// The scalar kernel set (always available).
 static SCALAR: Kernels = Kernels {
     path: SimdPath::Scalar,
     mac: scalar::mac,
-    fft_passes: scalar::fft_passes,
-    fwd_twist: scalar::fwd_twist,
-    inv_untwist_round: scalar::inv_untwist_round,
+    forward: scalar::forward,
+    inverse: scalar::inverse,
     extract_digits: scalar::extract_digits,
     sub_assign: scalar::sub_assign,
     sub_assign2: scalar::sub_assign2,
     axpy: scalar::axpy,
-    fft_passes_batch: scalar::fft_passes_batch,
-    mac_bcast: scalar::mac_bcast,
 };
 
 #[cfg(target_arch = "x86_64")]
 static AVX2: Kernels = Kernels {
     path: SimdPath::Avx2,
     mac: avx2::mac,
-    fft_passes: avx2::fft_passes,
-    fwd_twist: avx2::fwd_twist,
-    inv_untwist_round: avx2::inv_untwist_round,
+    forward: avx2::forward,
+    inverse: avx2::inverse,
     extract_digits: avx2::extract_digits,
     sub_assign: avx2::sub_assign,
     sub_assign2: avx2::sub_assign2,
     axpy: avx2::axpy,
-    fft_passes_batch: avx2::fft_passes_batch,
-    mac_bcast: avx2::mac_bcast,
 };
 
 #[cfg(target_arch = "x86_64")]
 static AVX512: Kernels = Kernels {
     path: SimdPath::Avx512,
     mac: avx512::mac,
-    fft_passes: avx512::fft_passes,
-    fwd_twist: avx512::fwd_twist,
-    inv_untwist_round: avx512::inv_untwist_round,
+    forward: avx2::forward,
+    inverse: avx2::inverse,
     extract_digits: avx512::extract_digits,
     sub_assign: avx512::sub_assign,
     sub_assign2: avx512::sub_assign2,
     axpy: avx512::axpy,
-    fft_passes_batch: avx512::fft_passes_batch,
-    mac_bcast: avx512::mac_bcast,
 };
 
 #[cfg(target_arch = "aarch64")]
 static NEON: Kernels = Kernels {
     path: SimdPath::Neon,
     mac: neon::mac,
-    fft_passes: neon::fft_passes,
-    fwd_twist: neon::fwd_twist,
-    inv_untwist_round: neon::inv_untwist_round,
+    forward: scalar::forward,
+    inverse: scalar::inverse,
     extract_digits: neon::extract_digits,
     sub_assign: neon::sub_assign,
     sub_assign2: neon::sub_assign2,
     axpy: neon::axpy,
-    fft_passes_batch: neon::fft_passes_batch,
-    mac_bcast: neon::mac_bcast,
 };
 
 /// The kernel set for an explicit path, or `None` when the running CPU

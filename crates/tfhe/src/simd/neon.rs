@@ -5,13 +5,12 @@
 //! the `#[target_feature(enable = "neon")]` attributes keep the
 //! compiler honest about which instructions each function may use.
 //!
-//! Like the AVX2 backend, `f64` kernels use fused multiply-add
-//! (`vfmaq_f64` / `vfmsq_f64`) and therefore match scalar only in the
-//! torus domain after rounding; integer kernels are bit-identical. The
-//! final rounding uses `vcvtnq_s64_f64` — AArch64's native
-//! round-to-nearest-even `f64 → i64` convert — followed by `vmovn_s64`,
-//! which truncates to the low 32 bits exactly like the scalar
-//! `as i64 as u32` cast.
+//! This tier holds the MAC and the integer kernels only: the
+//! [`crate::simd`] table points its transform entries at the portable
+//! implementation (no AArch64 toolchain was at hand to check a NEON
+//! version of the radix-4 transform). `mac` uses fused multiply-add
+//! (`vfmaq_f64` / `vfmsq_f64`) and therefore matches scalar only in the
+//! torus domain after rounding; integer kernels are bit-identical.
 
 use crate::torus::Torus32;
 use std::arch::aarch64::*;
@@ -40,140 +39,6 @@ unsafe fn mac_impl(sr: &mut [f64], si: &mut [f64], ar: &[f64], ai: &[f64], br: &
     while j < m {
         sr[j] += ar[j] * br[j] - ai[j] * bi[j];
         si[j] += ar[j] * bi[j] + ai[j] * br[j];
-        j += 1;
-    }
-}
-
-pub fn fft_passes(re: &mut [f64], im: &mut [f64], st_re: &[f64], st_im: &[f64]) {
-    // SAFETY: see `mac`.
-    unsafe { fft_passes_impl(re, im, st_re, st_im) }
-}
-
-#[target_feature(enable = "neon")]
-unsafe fn fft_passes_impl(re: &mut [f64], im: &mut [f64], st_re: &[f64], st_im: &[f64]) {
-    let m = re.len();
-    let mut len = 2;
-    let mut pos = 0;
-    while len <= m {
-        let half = len / 2;
-        let w_re = &st_re[pos..pos + half];
-        let w_im = &st_im[pos..pos + half];
-        if half < 2 {
-            // The first stage (half = 1, twiddle 1 + 0i) stays scalar.
-            for start in (0..m).step_by(len) {
-                let ur = re[start];
-                let ui = im[start];
-                let xr = re[start + 1];
-                let xi = im[start + 1];
-                let wr = w_re[0];
-                let wi = w_im[0];
-                let vr = xr * wr - xi * wi;
-                let vi = xr * wi + xi * wr;
-                re[start] = ur + vr;
-                im[start] = ui + vi;
-                re[start + 1] = ur - vr;
-                im[start + 1] = ui - vi;
-            }
-        } else {
-            for start in (0..m).step_by(len) {
-                let mut j = 0;
-                while j < half {
-                    let vwr = vld1q_f64(w_re.as_ptr().add(j));
-                    let vwi = vld1q_f64(w_im.as_ptr().add(j));
-                    let xr = vld1q_f64(re.as_ptr().add(start + j + half));
-                    let xi = vld1q_f64(im.as_ptr().add(start + j + half));
-                    let vr = vfmsq_f64(vmulq_f64(xr, vwr), xi, vwi);
-                    let vi = vfmaq_f64(vmulq_f64(xr, vwi), xi, vwr);
-                    let ur = vld1q_f64(re.as_ptr().add(start + j));
-                    let ui = vld1q_f64(im.as_ptr().add(start + j));
-                    vst1q_f64(re.as_mut_ptr().add(start + j), vaddq_f64(ur, vr));
-                    vst1q_f64(im.as_mut_ptr().add(start + j), vaddq_f64(ui, vi));
-                    vst1q_f64(re.as_mut_ptr().add(start + j + half), vsubq_f64(ur, vr));
-                    vst1q_f64(im.as_mut_ptr().add(start + j + half), vsubq_f64(ui, vi));
-                    j += 2;
-                }
-            }
-        }
-        pos += half;
-        len <<= 1;
-    }
-}
-
-pub fn fwd_twist(c: &[i32], tw_re: &[f64], tw_im: &[f64], re: &mut [f64], im: &mut [f64]) {
-    // SAFETY: see `mac`.
-    unsafe { fwd_twist_impl(c, tw_re, tw_im, re, im) }
-}
-
-#[target_feature(enable = "neon")]
-unsafe fn fwd_twist_impl(c: &[i32], tw_re: &[f64], tw_im: &[f64], re: &mut [f64], im: &mut [f64]) {
-    let m = re.len();
-    let (lo, hi) = c.split_at(m);
-    let mut j = 0;
-    while j + 2 <= m {
-        let vlo = vcvtq_f64_s64(vmovl_s32(vld1_s32(lo.as_ptr().add(j))));
-        let vhi = vcvtq_f64_s64(vmovl_s32(vld1_s32(hi.as_ptr().add(j))));
-        let vtr = vld1q_f64(tw_re.as_ptr().add(j));
-        let vti = vld1q_f64(tw_im.as_ptr().add(j));
-        let vre = vfmsq_f64(vmulq_f64(vlo, vtr), vhi, vti);
-        let vim = vfmaq_f64(vmulq_f64(vlo, vti), vhi, vtr);
-        vst1q_f64(re.as_mut_ptr().add(j), vre);
-        vst1q_f64(im.as_mut_ptr().add(j), vim);
-        j += 2;
-    }
-    while j < m {
-        let l = lo[j] as f64;
-        let h = hi[j] as f64;
-        re[j] = l * tw_re[j] - h * tw_im[j];
-        im[j] = l * tw_im[j] + h * tw_re[j];
-        j += 1;
-    }
-}
-
-pub fn inv_untwist_round(
-    re: &mut [f64],
-    im: &mut [f64],
-    tw_re: &[f64],
-    tw_im: &[f64],
-    out: &mut [Torus32],
-) {
-    // SAFETY: see `mac`.
-    unsafe { inv_untwist_round_impl(re, im, tw_re, tw_im, out) }
-}
-
-#[target_feature(enable = "neon")]
-unsafe fn inv_untwist_round_impl(
-    re: &mut [f64],
-    im: &mut [f64],
-    tw_re: &[f64],
-    tw_im: &[f64],
-    out: &mut [Torus32],
-) {
-    let m = re.len();
-    let scale = 1.0 / m as f64;
-    let (out_lo, out_hi) = out.split_at_mut(m);
-    let vscale = vdupq_n_f64(scale);
-    let mut j = 0;
-    while j + 2 <= m {
-        let vcr = vmulq_f64(vld1q_f64(re.as_ptr().add(j)), vscale);
-        let vci = vmulq_f64(vld1q_f64(im.as_ptr().add(j)), vscale);
-        let vtr = vld1q_f64(tw_re.as_ptr().add(j));
-        let vti = vld1q_f64(tw_im.as_ptr().add(j));
-        // dr = cr·twr + ci·twi,  di = ci·twr - cr·twi
-        let vdr = vfmaq_f64(vmulq_f64(vci, vti), vcr, vtr);
-        let vdi = vfmsq_f64(vmulq_f64(vci, vtr), vcr, vti);
-        let rlow = vmovn_s64(vcvtnq_s64_f64(vdr));
-        let ilow = vmovn_s64(vcvtnq_s64_f64(vdi));
-        vst1_s32(out_lo.as_mut_ptr().add(j) as *mut i32, rlow);
-        vst1_s32(out_hi.as_mut_ptr().add(j) as *mut i32, ilow);
-        j += 2;
-    }
-    while j < m {
-        let cr = re[j] * scale;
-        let ci = im[j] * scale;
-        let dr = cr * tw_re[j] + ci * tw_im[j];
-        let di = ci * tw_re[j] - cr * tw_im[j];
-        out_lo[j] = Torus32((dr.round_ties_even() as i64) as u32);
-        out_hi[j] = Torus32((di.round_ties_even() as i64) as u32);
         j += 1;
     }
 }
@@ -293,127 +158,5 @@ unsafe fn sub_assign2_impl(dst: &mut [Torus32], a: &[Torus32], b: &[Torus32]) {
     while j < n {
         dst[j] -= a[j] + b[j];
         j += 1;
-    }
-}
-
-pub fn fft_passes_batch(
-    re: &mut [f64],
-    im: &mut [f64],
-    st_re: &[f64],
-    st_im: &[f64],
-    lanes: usize,
-) {
-    // SAFETY: see `mac`.
-    unsafe { fft_passes_batch_impl(re, im, st_re, st_im, lanes) }
-}
-
-#[target_feature(enable = "neon")]
-unsafe fn fft_passes_batch_impl(
-    re: &mut [f64],
-    im: &mut [f64],
-    st_re: &[f64],
-    st_im: &[f64],
-    lanes: usize,
-) {
-    let m = re.len() / lanes;
-    let mut len = 2;
-    let mut pos = 0;
-    while len <= m {
-        let half = len / 2;
-        let w_re = &st_re[pos..pos + half];
-        let w_im = &st_im[pos..pos + half];
-        for start in (0..m).step_by(len) {
-            for j in 0..half {
-                let wr = w_re[j];
-                let wi = w_im[j];
-                // Twiddle broadcast across the lane dimension keeps
-                // every stage vectorized, including half = 1.
-                let vwr = vdupq_n_f64(wr);
-                let vwi = vdupq_n_f64(wi);
-                let u = (start + j) * lanes;
-                let v = (start + j + half) * lanes;
-                let mut l = 0;
-                while l + 2 <= lanes {
-                    let xr = vld1q_f64(re.as_ptr().add(v + l));
-                    let xi = vld1q_f64(im.as_ptr().add(v + l));
-                    let vr = vfmsq_f64(vmulq_f64(xr, vwr), xi, vwi);
-                    let vi = vfmaq_f64(vmulq_f64(xr, vwi), xi, vwr);
-                    let ur = vld1q_f64(re.as_ptr().add(u + l));
-                    let ui = vld1q_f64(im.as_ptr().add(u + l));
-                    vst1q_f64(re.as_mut_ptr().add(u + l), vaddq_f64(ur, vr));
-                    vst1q_f64(im.as_mut_ptr().add(u + l), vaddq_f64(ui, vi));
-                    vst1q_f64(re.as_mut_ptr().add(v + l), vsubq_f64(ur, vr));
-                    vst1q_f64(im.as_mut_ptr().add(v + l), vsubq_f64(ui, vi));
-                    l += 2;
-                }
-                while l < lanes {
-                    let xr = re[v + l];
-                    let xi = im[v + l];
-                    let vr = xr * wr - xi * wi;
-                    let vi = xr * wi + xi * wr;
-                    let ur = re[u + l];
-                    let ui = im[u + l];
-                    re[u + l] = ur + vr;
-                    im[u + l] = ui + vi;
-                    re[v + l] = ur - vr;
-                    im[v + l] = ui - vi;
-                    l += 1;
-                }
-            }
-        }
-        pos += half;
-        len <<= 1;
-    }
-}
-
-pub fn mac_bcast(
-    sr: &mut [f64],
-    si: &mut [f64],
-    ar: &[f64],
-    ai: &[f64],
-    br: &[f64],
-    bi: &[f64],
-    lanes: usize,
-) {
-    // SAFETY: see `mac`.
-    unsafe { mac_bcast_impl(sr, si, ar, ai, br, bi, lanes) }
-}
-
-#[target_feature(enable = "neon")]
-unsafe fn mac_bcast_impl(
-    sr: &mut [f64],
-    si: &mut [f64],
-    ar: &[f64],
-    ai: &[f64],
-    br: &[f64],
-    bi: &[f64],
-    lanes: usize,
-) {
-    let m = br.len();
-    for j in 0..m {
-        let wr = br[j];
-        let wi = bi[j];
-        let vwr = vdupq_n_f64(wr);
-        let vwi = vdupq_n_f64(wi);
-        let base = j * lanes;
-        let mut l = 0;
-        while l + 2 <= lanes {
-            let xr = vld1q_f64(ar.as_ptr().add(base + l));
-            let xi = vld1q_f64(ai.as_ptr().add(base + l));
-            let pr = vfmsq_f64(vmulq_f64(xr, vwr), xi, vwi);
-            let pi = vfmaq_f64(vmulq_f64(xr, vwi), xi, vwr);
-            let vsr = vld1q_f64(sr.as_ptr().add(base + l));
-            let vsi = vld1q_f64(si.as_ptr().add(base + l));
-            vst1q_f64(sr.as_mut_ptr().add(base + l), vaddq_f64(vsr, pr));
-            vst1q_f64(si.as_mut_ptr().add(base + l), vaddq_f64(vsi, pi));
-            l += 2;
-        }
-        while l < lanes {
-            let xr = ar[base + l];
-            let xi = ai[base + l];
-            sr[base + l] += xr * wr - xi * wi;
-            si[base + l] += xr * wi + xi * wr;
-            l += 1;
-        }
     }
 }

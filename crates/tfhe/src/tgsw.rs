@@ -1,7 +1,7 @@
 //! TGSW ciphertexts, gadget decomposition, and the external product — the
 //! machinery of the CMUX gate inside blind rotation.
 
-use crate::fft::{FftPlan, FreqPoly, FreqPolyBatch};
+use crate::fft::{FftPlan, FreqPoly};
 use crate::poly::{IntPoly, TorusPoly};
 use crate::rng::SecureRng;
 use crate::tlwe::{TlweCiphertext, TlweKey};
@@ -134,7 +134,8 @@ impl TgswCiphertext {
 
 /// A TGSW ciphertext with every polynomial pre-transformed to the twisted
 /// frequency domain. The bootstrapping key is stored in this form, exactly
-/// as the reference TFHE library stores its FFT-domain bootstrapping key.
+/// as the reference TFHE library stores its FFT-domain bootstrapping key
+/// (each spectrum in the transform's in-memory order, see [`crate::fft`]).
 #[derive(Debug, Clone)]
 pub struct TgswFft {
     /// `rows[r][col]` is polynomial `col` (mask polys then body) of row `r`.
@@ -183,46 +184,6 @@ impl CmuxScratch {
             diff: TlweCiphertext::trivial(TorusPoly::zero(n), k),
             ext: TlweCiphertext::trivial(TorusPoly::zero(n), k),
         }
-    }
-}
-
-/// Scratch for the *lockstep batched* external product
-/// ([`TgswFft::external_product_batch_into`]): per-lane decomposition
-/// digits, the staged point-major digit spectra, and one frequency
-/// accumulator batch per output column. Sized once for a maximum batch
-/// width; every call runs allocation-free.
-#[derive(Debug)]
-pub struct BatchExternalScratch {
-    /// Per-lane gadget digits (`levels` polynomials each).
-    digits: Vec<Vec<IntPoly>>,
-    /// Per-lane transform temp (twist + gather staging).
-    tmp: FreqPoly,
-    /// Staged digit spectra, point-major across the batch.
-    digit_batch: FreqPolyBatch,
-    /// Frequency accumulators, one batch per output polynomial.
-    acc_batch: Vec<FreqPolyBatch>,
-    max_lanes: usize,
-}
-
-impl BatchExternalScratch {
-    /// Allocates scratch for ring dimension `n`, GLWE dimension `k`, the
-    /// given gadget, and batches of up to `max_lanes` ciphertexts.
-    pub fn new(n: usize, k: usize, gadget: Gadget, max_lanes: usize) -> Self {
-        assert!(max_lanes > 0);
-        BatchExternalScratch {
-            digits: (0..max_lanes)
-                .map(|_| (0..gadget.levels).map(|_| IntPoly::zero(n)).collect())
-                .collect(),
-            tmp: FreqPoly::zero(n),
-            digit_batch: FreqPolyBatch::new(n, max_lanes),
-            acc_batch: (0..=k).map(|_| FreqPolyBatch::new(n, max_lanes)).collect(),
-            max_lanes,
-        }
-    }
-
-    /// The maximum batch width this scratch was sized for.
-    pub fn max_lanes(&self) -> usize {
-        self.max_lanes
     }
 }
 
@@ -325,70 +286,10 @@ impl TgswFft {
         out.add_assign(c0);
     }
 
-    /// Lockstep external product `self ⊡ inputs[lane]` for every lane at
-    /// once, writing into `outs` (same shapes) without allocating.
-    ///
-    /// All lanes share `self` — in blind rotation, CMUX step `i` applies
-    /// the *same* bootstrapping-key row to every ciphertext of the
-    /// batch, so the row spectra are streamed from memory once per batch
-    /// instead of once per lane ([`FreqPolyBatch::add_mul_bcast`]), and
-    /// the digit transforms run through the batched butterfly kernel
-    /// with full vector lanes on every stage. Per lane the arithmetic
-    /// rounds to exactly the same torus coefficients as
-    /// [`TgswFft::external_product_into`] (the torus-domain equality
-    /// contract of [`crate::simd`]), so batched and single-lane blind
-    /// rotations remain bit-identical.
-    pub fn external_product_batch_into(
-        &self,
-        inputs: &[TlweCiphertext],
-        plan: &FftPlan,
-        scratch: &mut BatchExternalScratch,
-        outs: &mut [TlweCiphertext],
-    ) {
-        let b = inputs.len();
-        debug_assert!(b > 0 && b <= scratch.max_lanes);
-        debug_assert_eq!(outs.len(), b);
-        let k = inputs[0].k();
-        let l = self.gadget.levels;
-        debug_assert_eq!(self.rows.len(), (k + 1) * l);
-        for acc in &mut scratch.acc_batch[..=k] {
-            acc.reset(b);
-        }
-        scratch.digit_batch.reset(b);
-        for u in 0..=k {
-            for (lane, input) in inputs.iter().enumerate() {
-                let poly = if u < k { &input.a[u] } else { &input.b };
-                self.gadget.decompose_poly_into(poly, &mut scratch.digits[lane]);
-            }
-            for level in 0..l {
-                for lane in 0..b {
-                    plan.forward_int_stage_lane(
-                        &scratch.digits[lane][level],
-                        lane,
-                        &mut scratch.digit_batch,
-                        &mut scratch.tmp,
-                    );
-                }
-                plan.forward_batch_passes(&mut scratch.digit_batch);
-                let row = &self.rows[u * l + level];
-                for (col, acc) in scratch.acc_batch[..=k].iter_mut().enumerate() {
-                    acc.add_mul_bcast(&scratch.digit_batch, &row[col]);
-                }
-            }
-        }
-        for (col, acc) in scratch.acc_batch[..=k].iter_mut().enumerate() {
-            plan.inverse_batch_passes(acc);
-            for (lane, out) in outs.iter_mut().enumerate() {
-                let dst = if col < k { &mut out.a[col] } else { &mut out.b };
-                plan.inverse_torus_lane_into(acc, lane, &mut scratch.tmp, dst);
-            }
-        }
-    }
-
     /// One in-place CMUX step of blind rotation:
     /// `acc <- acc + self ⊡ (X^bara·acc - acc)`, entirely on `scratch`.
-    /// This is the no-alloc kernel every public rotation path routes
-    /// through.
+    /// This is the no-alloc kernel every public rotation path — single
+    /// or batched — routes through.
     pub fn rotate_cmux_assign(
         &self,
         acc: &mut TlweCiphertext,

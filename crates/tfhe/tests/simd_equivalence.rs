@@ -1,26 +1,23 @@
 //! SIMD-vs-scalar equivalence suite for the dispatched kernel layer.
 //!
 //! Every vector backend the host CPU can run is compared against the
-//! portable scalar kernels (which are the pre-SIMD hot loops, moved
-//! verbatim):
+//! portable kernels:
 //!
 //! * integer kernels (`extract_digits`, `sub_assign`, `axpy`) must be
 //!   **bit-identical** at every length, including tails shorter than one
 //!   vector width;
-//! * `f64` kernels (`fwd_twist`, `fft_passes`, `mac`,
-//!   `inv_untwist_round`) use fused multiply-add on the vector paths, so
-//!   their intermediate spectra legitimately differ in low mantissa
-//!   bits — the contract is **torus-domain bit-equality** after the
-//!   inverse transform's final rounding (DESIGN.md §10), checked here
-//!   over the full forward → MAC → inverse pipeline;
+//! * `f64` kernels (`forward`, `mac`, `inverse`) use fused multiply-add
+//!   on the vector paths, so their intermediate spectra legitimately
+//!   differ in low mantissa bits — the contract is **torus-domain
+//!   bit-equality** after the inverse transform's final rounding
+//!   (DESIGN.md §10), checked here over the full forward → MAC → inverse
+//!   pipeline;
 //! * encrypted gate round trips must decrypt correctly under whatever
 //!   path `PYTFHE_SIMD` selected (CI runs this suite once per setting).
 
 use proptest::prelude::*;
-use pytfhe_tfhe::fft::{FftPlan, FreqPoly, FreqPolyBatch};
 use pytfhe_tfhe::ntt::{self, Transform};
-use pytfhe_tfhe::poly::{IntPoly, TorusPoly};
-use pytfhe_tfhe::simd::{self, Kernels, SimdPath};
+use pytfhe_tfhe::simd::{self, Kernels, SimdPath, Twiddles};
 use pytfhe_tfhe::torus::Torus32;
 use pytfhe_tfhe::{ClientKey, Params, SecureRng};
 
@@ -29,77 +26,31 @@ fn supported_kernels() -> Vec<&'static Kernels> {
     SimdPath::ALL.iter().filter_map(|&p| simd::kernels_for(p)).collect()
 }
 
-/// Test-local rebuild of the `FftPlan` tables (same formulas), so the
-/// suite can drive each backend's kernels directly without touching the
-/// process-global dispatch.
+/// The transform tables of one size, so the suite can drive each
+/// backend's kernels directly without touching the process-global
+/// dispatch.
 struct Tables {
     m: usize,
-    fwd_re: Vec<f64>,
-    fwd_im: Vec<f64>,
-    inv_re: Vec<f64>,
-    inv_im: Vec<f64>,
-    tw_re: Vec<f64>,
-    tw_im: Vec<f64>,
-    rev: Vec<u32>,
+    twiddles: Twiddles,
 }
 
 impl Tables {
     fn new(n: usize) -> Self {
-        assert!(n.is_power_of_two() && n >= 2);
-        let m = n / 2;
-        let (mut fwd_re, mut fwd_im) = (Vec::new(), Vec::new());
-        let (mut inv_re, mut inv_im) = (Vec::new(), Vec::new());
-        let mut len = 2;
-        while len <= m {
-            let step = m / len;
-            for j in 0..len / 2 {
-                let theta = 2.0 * std::f64::consts::PI * (j * step) as f64 / m as f64;
-                fwd_re.push(theta.cos());
-                fwd_im.push(theta.sin());
-                inv_re.push(theta.cos());
-                inv_im.push(-theta.sin());
-            }
-            len <<= 1;
-        }
-        let (mut tw_re, mut tw_im) = (Vec::new(), Vec::new());
-        for j in 0..m {
-            let theta = std::f64::consts::PI * j as f64 / n as f64;
-            tw_re.push(theta.cos());
-            tw_im.push(theta.sin());
-        }
-        let bits = m.trailing_zeros();
-        let rev = (0..m as u32)
-            .map(|i| if bits == 0 { 0 } else { i.reverse_bits() >> (32 - bits) })
-            .collect();
-        Tables { m, fwd_re, fwd_im, inv_re, inv_im, tw_re, tw_im, rev }
-    }
-
-    fn bit_reverse(&self, re: &mut [f64], im: &mut [f64]) {
-        for i in 0..self.m {
-            let j = self.rev[i] as usize;
-            if i < j {
-                re.swap(i, j);
-                im.swap(i, j);
-            }
-        }
+        Tables { m: n / 2, twiddles: Twiddles::new(n) }
     }
 
     /// Forward transform of signed coefficients through `k`'s kernels.
     fn forward(&self, k: &Kernels, c: &[i32]) -> (Vec<f64>, Vec<f64>) {
         let mut re = vec![0.0; self.m];
         let mut im = vec![0.0; self.m];
-        k.fwd_twist(c, &self.tw_re, &self.tw_im, &mut re, &mut im);
-        self.bit_reverse(&mut re, &mut im);
-        k.fft_passes(&mut re, &mut im, &self.fwd_re, &self.fwd_im);
+        k.forward(&self.twiddles, c, &mut re, &mut im);
         (re, im)
     }
 
     /// Inverse transform + rounding through `k`'s kernels.
     fn inverse_round(&self, k: &Kernels, re: &mut [f64], im: &mut [f64]) -> Vec<Torus32> {
-        self.bit_reverse(re, im);
-        k.fft_passes(re, im, &self.inv_re, &self.inv_im);
         let mut out = vec![Torus32::ZERO; 2 * self.m];
-        k.inv_untwist_round(re, im, &self.tw_re, &self.tw_im, &mut out);
+        k.inverse(&self.twiddles, re, im, &mut out);
         out
     }
 }
@@ -248,57 +199,6 @@ proptest! {
             let got = t.inverse_round(k, &mut re, &mut im);
             prop_assert_eq!(&got, &p, "path={} n={}", k.path(), n);
         }
-    }
-
-    /// Batched struct-of-arrays transforms are bit-equal to the
-    /// single-poly path on every backend: the full external-product
-    /// pipeline (forward digits, broadcast-MAC against one row, inverse,
-    /// round) must produce identical torus words lane by lane, at every
-    /// batch width 1..=8 — including ragged widths that leave masked
-    /// tails in the lane dimension.
-    #[test]
-    fn batched_transform_pipeline_bit_equal_with_single(
-        log_n in 3usize..9,
-        width in 1usize..9,
-        seed in any::<u64>(),
-    ) {
-        let n = 1 << log_n;
-        let mut rng = SecureRng::seed_from_u64(seed);
-        let plan = FftPlan::new(n);
-        let digits: Vec<IntPoly> = (0..width)
-            .map(|_| IntPoly::from_coeffs(
-                (0..n).map(|_| (rng.uniform_u32() % 128) as i32 - 64).collect(),
-            ))
-            .collect();
-        let row = plan.forward_torus(&TorusPoly::uniform(n, &mut rng));
-        let restore = simd::active_path();
-        for &path in SimdPath::ALL.iter() {
-            if !path.is_supported() {
-                continue;
-            }
-            prop_assert!(simd::set_active_path(path));
-            // Single-poly pipeline, one lane at a time.
-            let want: Vec<TorusPoly> = digits
-                .iter()
-                .map(|d| {
-                    let mut acc = FreqPoly::zero(n);
-                    acc.add_mul_assign(&plan.forward_int(d), &row);
-                    plan.inverse_torus(&acc)
-                })
-                .collect();
-            // Batched pipeline: all lanes in lockstep.
-            let mut batch = FreqPolyBatch::new(n, width);
-            let mut acc = FreqPolyBatch::new(n, width);
-            let mut tmp = FreqPoly::zero(n);
-            let refs: Vec<&IntPoly> = digits.iter().collect();
-            plan.forward_int_batch(&refs, &mut batch, &mut tmp);
-            acc.reset(width);
-            acc.add_mul_bcast(&batch, &row);
-            let mut got = vec![TorusPoly::zero(n); width];
-            plan.inverse_torus_batch(&mut acc, &mut tmp, &mut got);
-            prop_assert_eq!(&got, &want, "path={} n={} width={}", path, n, width);
-        }
-        simd::set_active_path(restore);
     }
 }
 

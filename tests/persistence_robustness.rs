@@ -95,6 +95,12 @@ fn wire_goldens_reencode_byte_identically() {
     let (key, vintage) = server_key_from_bytes_tagged(&key_bytes).unwrap();
     assert_eq!(vintage, Vintage::Current);
     assert_eq!(pytfhe_tfhe::io::server_key_to_bytes(&key).to_vec(), key_bytes);
+    // The legacy fixture holds the same key, so through its shim it
+    // re-encodes as the wire fixture: neither layout follows the
+    // in-memory spectrum order.
+    let (legacy_key, _) =
+        server_key_from_bytes_tagged(&golden("server_key_testing_tfs2.bin")).unwrap();
+    assert_eq!(pytfhe_tfhe::io::server_key_to_bytes(&legacy_key).to_vec(), key_bytes);
 
     let plan_bytes = golden("kernel_plan_wire.bin");
     assert_eq!(KernelPlan::from_bytes(&plan_bytes).unwrap().to_bytes(), plan_bytes);

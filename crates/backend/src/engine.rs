@@ -265,23 +265,9 @@ impl GateEngine for TfheEngine<'_> {
         b: &LweCiphertext,
         scratch: &mut Self::Scratch,
     ) -> LweCiphertext {
-        let k = self.key;
-        match kind {
-            GateKind::Nand => k.nand_with(a, b, scratch),
-            GateKind::And => k.and_with(a, b, scratch),
-            GateKind::Or => k.or_with(a, b, scratch),
-            GateKind::Nor => k.nor_with(a, b, scratch),
-            GateKind::Xnor => k.xnor_with(a, b, scratch),
-            GateKind::Xor => k.xor_with(a, b, scratch),
-            GateKind::Andny => k.andny_with(a, b, scratch),
-            GateKind::Andyn => k.andyn_with(a, b, scratch),
-            GateKind::Orny => k.orny_with(a, b, scratch),
-            GateKind::Oryn => k.oryn_with(a, b, scratch),
-            GateKind::Not => k.not(a),
-            GateKind::Const0 => k.constant(false),
-            GateKind::Const1 => k.constant(true),
-            GateKind::Buf => a.clone(),
-        }
+        let mut out = self.key.constant(false);
+        self.eval_into(kind, a, b, scratch, &mut out);
+        out
     }
 
     fn constant(&self, bit: bool) -> LweCiphertext {

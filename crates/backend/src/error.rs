@@ -10,6 +10,15 @@ pub enum ExecError {
         /// Inputs provided.
         got: usize,
     },
+    /// An input ciphertext is not of the evaluation key's LWE dimension.
+    InputDimensionMismatch {
+        /// Position of the offending input.
+        index: usize,
+        /// The key's LWE dimension.
+        expected: usize,
+        /// The input's dimension.
+        got: usize,
+    },
     /// The program failed validation before execution.
     InvalidProgram(pytfhe_netlist::NetlistError),
     /// A worker thread panicked (encrypted evaluation bugs surface here
@@ -59,6 +68,9 @@ impl fmt::Display for ExecError {
         match self {
             ExecError::InputCountMismatch { expected, got } => {
                 write!(f, "program expects {expected} inputs, got {got}")
+            }
+            ExecError::InputDimensionMismatch { index, expected, got } => {
+                write!(f, "input {index} has LWE dimension {got}, the key expects {expected}")
             }
             ExecError::InvalidProgram(e) => write!(f, "invalid program: {e}"),
             ExecError::WorkerPanicked => write!(f, "a worker thread panicked"),

@@ -71,7 +71,7 @@ pub struct ExecStats {
     /// plaintext engine, which runs the same schedule.
     pub bootstraps: u64,
     /// Name of the SIMD kernel path the TFHE layer dispatched to
-    /// (`"scalar"`, `"avx2"`, `"avx512"`, or `"neon"`; see
+    /// (`"scalar"`, `"avx2"` or `"avx512"`; see
     /// `pytfhe_tfhe::simd`).
     pub simd_path: &'static str,
 }
@@ -802,7 +802,7 @@ mod tests {
         input.extend(to_bits(5, 4));
         let (_, stats) = execute(&engine, &nl, &input).unwrap();
         assert_eq!(stats.simd_path, pytfhe_tfhe::simd::active_path().name());
-        assert!(["scalar", "avx2", "avx512", "neon"].contains(&stats.simd_path));
+        assert!(["scalar", "avx2", "avx512"].contains(&stats.simd_path));
     }
 
     #[test]

@@ -51,7 +51,6 @@ pub mod exec;
 pub mod fault;
 pub mod graph;
 pub mod pool;
-pub mod runtime;
 pub mod sim;
 pub mod store;
 
@@ -69,5 +68,4 @@ pub use fault::{
 };
 pub use graph::{capture, replay, CaptureConfig, KernelGraph, KernelPlan, ReplayLanes};
 pub use pool::{RunStats, WorkerPool};
-pub use runtime::{Evaluator, RtWord};
 pub use store::DiskStore;

@@ -232,9 +232,10 @@ impl WorkerPool {
         let _serial = self.run_lock.lock().expect("pool run lock poisoned");
         self.ensure_workers(lanes);
 
-        // Erase the `'env` lifetime. Sound for the same reason
-        // `std::thread::scope` is: this function does not return until
-        // `remaining` reaches zero, so no job outlives its borrows.
+        // SAFETY: erases the `'env` lifetime, nothing else (same type,
+        // same layout). Sound for the same reason `std::thread::scope`
+        // is: this function does not return until `remaining` reaches
+        // zero, so no job outlives its borrows.
         let jobs: Vec<StaticJob> =
             unsafe { std::mem::transmute::<Vec<Job<'env>>, Vec<StaticJob>>(jobs) };
 
@@ -386,6 +387,8 @@ impl<T> SlotCells<T> {
     /// returned borrow ends before `i` is handed out again.
     #[allow(clippy::mut_from_ref)]
     pub unsafe fn slot(&self, i: usize) -> &mut T {
+        // SAFETY: the index is bounds-checked, and the caller's contract
+        // above makes this the only live reference into the cell.
         &mut *self.slots[i].get()
     }
 

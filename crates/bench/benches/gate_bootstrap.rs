@@ -4,7 +4,7 @@
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use pytfhe_tfhe::reference::RefBootstrappingKey;
-use pytfhe_tfhe::{ClientKey, Params, SecureRng, Torus32};
+use pytfhe_tfhe::{BootGate, ClientKey, LweCiphertext, Params, SecureRng, Torus32};
 use std::hint::black_box;
 
 fn bench_gates(c: &mut Criterion) {
@@ -17,7 +17,9 @@ fn bench_gates(c: &mut Criterion) {
     let b = client.encrypt_bit(false, &mut rng);
     let mut scratch = server.gate_scratch();
     c.bench_function("nand_gate_testing_params", |bench| {
-        bench.iter(|| black_box(server.nand_with(black_box(&a), black_box(&b), &mut scratch)))
+        bench.iter(|| {
+            black_box(server.gate_with(BootGate::Nand, black_box(&a), black_box(&b), &mut scratch))
+        })
     });
     c.bench_function("mux_gate_testing_params", |bench| {
         bench.iter(|| black_box(server.mux_with(&a, &a, &b, &mut scratch)))
@@ -29,8 +31,11 @@ fn bench_gates(c: &mut Criterion) {
     let bk = server.bootstrapping_key();
     let mut boot_scratch = bk.boot_scratch();
     let mu = Torus32::from_fraction(1, 3);
+    let mut raw = LweCiphertext::trivial(Torus32::ZERO, bk.params().extracted_lwe_dim());
     c.bench_function("bootstrap_raw_folded_testing_params", |bench| {
-        bench.iter(|| black_box(bk.bootstrap_raw(black_box(&a), mu, &mut boot_scratch)))
+        bench.iter(|| {
+            bk.bootstrap_raw_into(black_box(&a), mu, &mut boot_scratch, black_box(&mut raw))
+        })
     });
     let ref_bk = RefBootstrappingKey::from_client(&client, &mut rng);
     c.bench_function("bootstrap_raw_reference_testing_params", |bench| {
@@ -48,10 +53,12 @@ fn bench_gates(c: &mut Criterion) {
     let mut group = c.benchmark_group("default_128");
     group.sample_size(10);
     group.bench_function("nand_gate", |bench| {
-        bench.iter(|| black_box(server.nand_with(black_box(&a), black_box(&b), &mut scratch)))
+        bench.iter(|| {
+            black_box(server.gate_with(BootGate::Nand, black_box(&a), black_box(&b), &mut scratch))
+        })
     });
     group.bench_function("xor_gate", |bench| {
-        bench.iter(|| black_box(server.xor_with(&a, &b, &mut scratch)))
+        bench.iter(|| black_box(server.gate_with(BootGate::Xor, &a, &b, &mut scratch)))
     });
     group.finish();
 }

@@ -247,6 +247,20 @@ impl Server {
         self.run_graph(program, inputs, workers)
     }
 
+    /// Ciphertexts arrive from outside (deserialized, or encrypted under
+    /// another parameter set): one that is not of this key's dimension is
+    /// the caller's typed error here, not a panic inside a pool worker.
+    fn check_inputs(&self, inputs: &[LweCiphertext]) -> Result<(), ExecError> {
+        let expected = self.key.params().lwe_dim;
+        match inputs.iter().position(|ct| ct.dim() != expected) {
+            Some(index) => {
+                let got = inputs[index].dim();
+                Err(ExecError::InputDimensionMismatch { index, expected, got })
+            }
+            None => Ok(()),
+        }
+    }
+
     /// Captures-or-fetches the plan and replays it; a plan captured by
     /// this call is counted and persisted to the attached store.
     fn run_graph(
@@ -255,6 +269,7 @@ impl Server {
         inputs: &[LweCiphertext],
         workers: usize,
     ) -> Result<(Vec<LweCiphertext>, ExecStats), ExecError> {
+        self.check_inputs(inputs)?;
         let engine = TfheEngine::new(&self.key);
         let result = self.graph.execute(&engine, program, inputs, workers)?;
         if !result.1.plan_cached {
@@ -297,6 +312,7 @@ impl Server {
         let _span = telemetry::span_with("session", || {
             format!("execute_resilient: {} gates, {} workers", program.num_gates(), cfg.workers)
         });
+        self.check_inputs(inputs)?;
         let engine = TfheEngine::new(&self.key);
         execute_resilient(&engine, program, inputs, cfg, faults, store)
     }
@@ -444,6 +460,9 @@ mod tests {
 
     #[test]
     fn failed_warm_start_does_not_bump_the_warm_start_counter() {
+        // The other warm-starting tests hold this too: without it, one of
+        // them succeeding between `before` and the assert fails this test.
+        let _captures = CAPTURES.lock().unwrap();
         let dir = std::env::temp_dir().join(format!("pytfhe-warmstart-ctr-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         let mut client = Client::new(Params::testing(), 14);
@@ -518,5 +537,28 @@ mod tests {
             server.execute(&nl, &cts, 1),
             Err(ExecError::InputCountMismatch { expected: 2, got: 1 })
         ));
+    }
+
+    #[test]
+    fn input_of_the_wrong_dimension_is_a_typed_error_on_every_executor() {
+        use pytfhe_backend::{NoFaults, ResilientConfig, RetryPolicy};
+        let mut client = Client::new(Params::testing(), 9);
+        let server = Server::new(client.make_server_key());
+        let mut nl = Netlist::new();
+        let a = nl.add_input();
+        let b = nl.add_input();
+        let g = nl.add_gate(GateKind::And, a, b).unwrap();
+        nl.mark_output(g).unwrap();
+        let mut cts = client.encrypt_bits(&[true, true]);
+        cts[1] = LweCiphertext::trivial(pytfhe_tfhe::Torus32::ZERO, 1);
+        let want = ExecError::InputDimensionMismatch {
+            index: 1,
+            expected: Params::testing().lwe_dim,
+            got: 1,
+        };
+        assert_eq!(server.execute(&nl, &cts, 2).unwrap_err(), want);
+        assert_eq!(server.execute_graph(&nl, &cts, 1).unwrap_err(), want);
+        let cfg = ResilientConfig { workers: 1, retry: RetryPolicy::fast(), checkpoint_every: 1 };
+        assert_eq!(server.execute_resilient(&nl, &cts, &cfg, &NoFaults, None).unwrap_err(), want);
     }
 }

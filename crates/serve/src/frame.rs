@@ -161,7 +161,10 @@ fn ct_list_section(out: &mut Vec<u8>, tag: u16, cts: &[LweCiphertext], params: &
     put_section(out, tag, &body);
 }
 
-fn parse_ct_list(body: &[u8]) -> Result<Vec<LweCiphertext>, ServeError> {
+/// Parses a ciphertext list and the parameter set its entries are
+/// tagged with (`None` for an empty list); a list whose entries disagree
+/// is refused.
+fn parse_ct_list(body: &[u8]) -> Result<(Vec<LweCiphertext>, Option<Params>), ServeError> {
     let bad = |msg: &str| ServeError::Protocol(format!("ciphertext list: {msg}"));
     if body.len() < 4 {
         return Err(bad("truncated count"));
@@ -174,6 +177,7 @@ fn parse_ct_list(body: &[u8]) -> Result<Vec<LweCiphertext>, ServeError> {
         return Err(bad("declared count exceeds available bytes"));
     }
     let mut cts = Vec::with_capacity(count);
+    let mut tagged = None;
     for _ in 0..count {
         if rest.len() < 4 {
             return Err(bad("truncated entry length"));
@@ -183,14 +187,17 @@ fn parse_ct_list(body: &[u8]) -> Result<Vec<LweCiphertext>, ServeError> {
         if rest.len() < len {
             return Err(bad("entry overruns section"));
         }
-        let (ct, _params) = ciphertext_from_bytes(&rest[..len])?;
+        let (ct, params) = ciphertext_from_bytes(&rest[..len])?;
+        if *tagged.get_or_insert(params) != params {
+            return Err(bad("entries are tagged with different parameter sets"));
+        }
         cts.push(ct);
         rest = &rest[len..];
     }
     if !rest.is_empty() {
         return Err(bad("trailing bytes after final entry"));
     }
-    Ok(cts)
+    Ok((cts, tagged))
 }
 
 fn u64_section(out: &mut Vec<u8>, tag: u16, value: u64) {
@@ -250,20 +257,23 @@ pub fn encode_submit(
     payload
 }
 
-/// Parses a submit payload back into `(fingerprint, netlist, inputs)`.
+/// Parses a submit payload back into `(fingerprint, netlist, inputs,
+/// the parameter set the inputs are tagged with)`.
 ///
 /// # Errors
 ///
 /// Returns [`ServeError::Wire`] on section-framing failures and
 /// [`ServeError::Protocol`] when the program or ciphertexts are
 /// malformed.
-pub fn decode_submit(payload: &[u8]) -> Result<(u64, Netlist, Vec<LweCiphertext>), ServeError> {
+pub fn decode_submit(
+    payload: &[u8],
+) -> Result<(u64, Netlist, Vec<LweCiphertext>, Option<Params>), ServeError> {
     let fingerprint = parse_u64(payload, tags::FINGERPRINT)?;
     let program = find_section_packed(payload, tags::PROGRAM)?;
     let nl = pytfhe_asm::disassemble(&program)
         .map_err(|e| ServeError::Protocol(format!("program binary: {e}")))?;
-    let inputs = parse_ct_list(find_section(payload, tags::INPUTS)?)?;
-    Ok((fingerprint, nl, inputs))
+    let (inputs, tagged) = parse_ct_list(find_section(payload, tags::INPUTS)?)?;
+    Ok((fingerprint, nl, inputs, tagged))
 }
 
 /// Builds a fetch payload naming the job to wait for.
@@ -387,7 +397,7 @@ pub fn decode_reply(payload: &[u8]) -> Result<Reply, ServeError> {
         }
     };
     let outputs = match maybe_section(payload, tags::OUTPUTS)? {
-        Some(body) => Some(parse_ct_list(body)?),
+        Some(body) => Some(parse_ct_list(body)?.0),
         None => None,
     };
     let limits = match maybe_section(payload, tags::LIMITS)? {
@@ -485,8 +495,9 @@ mod tests {
         let g = nl.add_gate(GateKind::Xor, a, b).unwrap();
         nl.mark_output(g).unwrap();
         let payload = encode_submit(0xDEAD_BEEF, &nl, &cts, &params);
-        let (fp, nl2, inputs) = decode_submit(&payload).unwrap();
+        let (fp, nl2, inputs, tagged) = decode_submit(&payload).unwrap();
         assert_eq!(fp, 0xDEAD_BEEF);
+        assert_eq!(tagged, Some(params));
         assert_eq!(nl2.num_nodes(), nl.num_nodes());
         assert_eq!(inputs.len(), 2);
     }

@@ -152,8 +152,9 @@ impl Scheduler {
     /// # Errors
     ///
     /// [`ServeError::QuotaExceeded`] at the quota ceiling,
-    /// [`ServeError::Protocol`] when inputs mismatch the netlist, and
-    /// [`ServeError::Shutdown`] after shutdown began.
+    /// [`ServeError::Protocol`] when inputs mismatch the netlist or the
+    /// key's LWE dimension, and [`ServeError::Shutdown`] after shutdown
+    /// began.
     pub fn submit(
         &self,
         tenant: u64,
@@ -167,6 +168,17 @@ impl Scheduler {
                 "program declares {} inputs, request carries {}",
                 nl.num_inputs(),
                 inputs.len()
+            )));
+        }
+        // A decoded ciphertext can have any length. One of the wrong
+        // length must stop here, as the submitter's typed error: past
+        // this point it would meet the kernel's own dimension check as a
+        // panic on the scheduler thread, which every tenant shares.
+        let dim = key.params().lwe_dim;
+        if let Some(ct) = inputs.iter().find(|ct| ct.dim() != dim) {
+            return Err(ServeError::Protocol(format!(
+                "input ciphertext has dimension {}, the key expects {dim}",
+                ct.dim()
             )));
         }
         // The wire program format cannot encode fused LUT nodes, so a

@@ -165,9 +165,14 @@ impl SessionWorker {
     }
 
     fn handle_submit(&self, payload: &[u8]) -> Result<Vec<u8>, ServeError> {
-        let (fingerprint, nl, inputs) = decode_submit(payload)?;
+        let (fingerprint, nl, inputs, tagged) = decode_submit(payload)?;
         nl.validate().map_err(|e| ServeError::Protocol(format!("invalid program: {e}")))?;
         let key = self.keys.get(fingerprint)?.ok_or(ServeError::UnknownKey(fingerprint))?;
+        if tagged.is_some_and(|params| params != *key.params()) {
+            return Err(ServeError::Protocol(format!(
+                "inputs are tagged with a parameter set other than that of key {fingerprint:016x}"
+            )));
+        }
         let id = self.scheduler.submit(fingerprint, key, nl, inputs, self.quota)?;
         Ok(frame::reply_job(id))
     }

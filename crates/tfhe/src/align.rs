@@ -27,6 +27,13 @@ pub const SIMD_ALIGN: usize = 64;
 /// `T` is restricted to `Copy` plain-old-data in practice (`f64`, `u32`,
 /// [`crate::torus::Torus32`]); new storage is zero-filled, which is the
 /// all-zero bit pattern these types expect.
+///
+/// Invariant every raw access below relies on, kept by `resize_zeroed`
+/// and `release` (the only writers of the fields): when `cap > 0`, `ptr`
+/// is the start of a live allocation of `layout(cap)`, all `cap` elements
+/// of it initialized (zeroed at allocation, written only through
+/// `&mut [T]` since); `len <= cap`; when `cap == 0`, `len == 0` and `ptr`
+/// is dangling but aligned.
 pub struct AlignedBuf<T: Copy + Default> {
     ptr: NonNull<T>,
     len: usize,
@@ -34,7 +41,9 @@ pub struct AlignedBuf<T: Copy + Default> {
     _marker: PhantomData<T>,
 }
 
-// The buffer owns its allocation exactly like Vec<T> does.
+// SAFETY: the buffer owns its allocation exactly like Vec<T> does — `ptr`
+// is never shared, `len`/`cap` are plain integers — so it is as `Send` and
+// as `Sync` as the `T`s it holds.
 unsafe impl<T: Copy + Default + Send> Send for AlignedBuf<T> {}
 unsafe impl<T: Copy + Default + Sync> Sync for AlignedBuf<T> {}
 
@@ -73,6 +82,8 @@ impl<T: Copy + Default> AlignedBuf<T> {
             // freshly zeroed or previously initialized; zero it so the
             // contents are deterministic.
             if len > self.len {
+                // SAFETY: `self.len < len <= cap`, so the range written
+                // lies inside the allocation.
                 unsafe {
                     std::ptr::write_bytes(self.ptr.as_ptr().add(self.len), 0, len - self.len);
                 }
@@ -84,12 +95,17 @@ impl<T: Copy + Default> AlignedBuf<T> {
         let raw = if layout.size() == 0 {
             NonNull::dangling()
         } else {
+            // SAFETY: `layout` has a non-zero size (checked just above).
             let p = unsafe { alloc_zeroed(layout) } as *mut T;
             match NonNull::new(p) {
                 Some(nn) => nn,
                 None => handle_alloc_error(layout),
             }
         };
+        // SAFETY: the old allocation holds `self.len` initialized elements,
+        // the new one has room for `len > cap >= self.len`, and a fresh
+        // allocation cannot overlap a live one (with `self.len == 0` both
+        // may dangle, and a zero-length copy only needs alignment).
         unsafe {
             std::ptr::copy_nonoverlapping(self.ptr.as_ptr(), raw.as_ptr(), self.len);
         }
@@ -102,6 +118,7 @@ impl<T: Copy + Default> AlignedBuf<T> {
 
     /// Sets every element to zero without changing the length.
     pub fn fill_zero(&mut self) {
+        // SAFETY: `len <= cap` elements from `ptr` are in the allocation.
         unsafe { std::ptr::write_bytes(self.ptr.as_ptr(), 0, self.len) }
     }
 
@@ -113,6 +130,8 @@ impl<T: Copy + Default> AlignedBuf<T> {
 
     fn release(&mut self) {
         if self.cap != 0 {
+            // SAFETY: `cap != 0`, so `ptr` came from `alloc_zeroed` with
+            // exactly `layout(cap)` and has not been freed.
             unsafe { dealloc(self.ptr.as_ptr() as *mut u8, Self::layout(self.cap)) }
         }
         self.ptr = NonNull::dangling();
@@ -148,12 +167,15 @@ impl<T: Copy + Default> Deref for AlignedBuf<T> {
     type Target = [T];
 
     fn deref(&self) -> &[T] {
+        // SAFETY: `len` initialized elements from an aligned `ptr` (see
+        // the type's invariant), borrowed for as long as `self` is.
         unsafe { std::slice::from_raw_parts(self.ptr.as_ptr(), self.len) }
     }
 }
 
 impl<T: Copy + Default> DerefMut for AlignedBuf<T> {
     fn deref_mut(&mut self) -> &mut [T] {
+        // SAFETY: as in `deref`, and `&mut self` makes the borrow unique.
         unsafe { std::slice::from_raw_parts_mut(self.ptr.as_ptr(), self.len) }
     }
 }

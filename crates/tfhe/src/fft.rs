@@ -179,7 +179,7 @@ impl FreqPoly {
 
     /// `self += a * b` pointwise — the multiply-accumulate at the heart of
     /// the external product. Dispatched through the [`crate::simd`]
-    /// kernel layer (explicit FMA lanes on AVX/NEON hosts, the
+    /// kernel layer (explicit FMA lanes on AVX hosts, the
     /// autovectorized flat-slice loop on the scalar path).
     ///
     /// # Panics

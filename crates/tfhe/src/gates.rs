@@ -14,7 +14,9 @@
 //! Steps 2 and 3 are the "Blind Rotation" and "Key Switching" segments of
 //! the paper's Figure 7 profile.
 
-use crate::bootstrap::{BootstrapScratch, BootstrappingKey};
+use std::time::Instant;
+
+use crate::bootstrap::{BootstrapScratch, TestVector};
 use crate::keys::{ServerKey, MU_LOG2_DENOM};
 use crate::lut::PackedLutTables;
 use crate::lwe::{LweCiphertext, LweSoa};
@@ -118,31 +120,45 @@ impl BootGate {
     }
 }
 
-/// Slots per fused stage-and-bootstrap chunk of
-/// [`ServerKey::batch_bootstrap_fused`] — the widest batch one pass over
-/// the bootstrapping key serves: small enough that a chunk's staged
-/// struct-of-arrays masks (`FUSE_CHUNK · n` torus words) and per-lane
-/// accumulators stay in L1/L2 between the staging pass and the bootstrap
-/// that consumes them, large enough to amortize the key traffic.
+/// Slots per chunk of the staged-batch kernel — the widest batch one
+/// pass over the bootstrapping key serves: small enough that a chunk's
+/// staged struct-of-arrays masks (`FUSE_CHUNK · n` torus words) and
+/// per-lane accumulators stay in L1/L2 between the staging pass and the
+/// bootstrap that consumes them, large enough to amortize the key
+/// traffic.
 pub const FUSE_CHUNK: usize = 8;
 
-/// All scratch a worker needs to evaluate gates without allocating: the
-/// bootstrap buffers plus LWE staging for the linear combination, the raw
-/// (pre-key-switch) samples, and the struct-of-arrays slots used by
-/// [`ServerKey::batch_bootstrap_fused`]. One per worker thread.
+/// All scratch a worker needs to evaluate gates and LUTs without
+/// allocating. One per worker thread.
 #[derive(Debug)]
 pub struct GateScratch {
-    pub(crate) boot: BootstrapScratch,
-    pub(crate) combo: LweCiphertext,
-    pub(crate) raw: LweCiphertext,
-    raw2: LweCiphertext,
-    sum: LweCiphertext,
-    pub(crate) raws: Vec<LweCiphertext>,
-    pub(crate) soa: LweSoa,
+    pub(crate) lanes: LaneScratch,
     /// Reusable test-vector buffer for [`ServerKey::apply_lut_into`].
     pub(crate) tv_buf: TorusPoly,
     /// Compiled boolean-LUT test vectors (`crate::lut`), cached per worker.
     pub(crate) luts: PackedLutTables,
+}
+
+/// The buffers of the staged-batch kernel: the struct-of-arrays slots one
+/// chunk's linear combinations are staged into, the bootstrap buffers,
+/// and the chunk's raw (pre-key-switch) samples. Kept apart from the
+/// test-vector fields of [`GateScratch`] so a caller can lend those to
+/// the kernel as per-lane test vectors.
+#[derive(Debug)]
+pub(crate) struct LaneScratch {
+    boot: BootstrapScratch,
+    raws: Vec<LweCiphertext>,
+    soa: LweSoa,
+}
+
+/// What the staged-batch kernel does with a chunk's raw samples.
+#[derive(Clone, Copy)]
+pub(crate) enum Tail {
+    /// Key-switch every lane into its own output.
+    Each,
+    /// Key-switch the sum of the batch's lanes plus this plaintext offset
+    /// into the single output — the tail of the TFHE library's `MUX`.
+    Sum(Torus32),
 }
 
 /// Timing breakdown of one gate evaluation, used to regenerate Figure 7.
@@ -167,12 +183,30 @@ impl GateProfile {
 /// per-gate-kind histograms — the live data behind the Figure 7
 /// reproduction. Only called when telemetry is enabled.
 #[cold]
-fn record_gate_split(gate: BootGate, blind_rotate_s: f64, key_switch_s: f64) {
+fn record_gate_split(gate: BootGate, split: GateProfile) {
     let m = pytfhe_telemetry::metrics();
     let name = gate.name();
-    m.observe_seconds(&format!("tfhe_blind_rotate_seconds{{gate=\"{name}\"}}"), blind_rotate_s);
-    m.observe_seconds(&format!("tfhe_key_switch_seconds{{gate=\"{name}\"}}"), key_switch_s);
+    m.observe_seconds(
+        &format!("tfhe_blind_rotate_seconds{{gate=\"{name}\"}}"),
+        split.blind_rotation_s,
+    );
+    m.observe_seconds(
+        &format!("tfhe_key_switch_seconds{{gate=\"{name}\"}}"),
+        split.key_switching_s,
+    );
     m.counter_add("tfhe_bootstraps_total", 1);
+}
+
+/// The observer argument of a kernel call nobody watches.
+pub(crate) const UNOBSERVED: Option<fn(usize, GateProfile)> = None;
+
+/// The telemetry observer of the gate entry points: `None` (one atomic
+/// load) unless telemetry is enabled.
+fn gate_split_recorder<'g>(
+    gate: impl Fn(usize) -> BootGate + 'g,
+) -> Option<impl FnMut(usize, GateProfile) + 'g> {
+    pytfhe_telemetry::enabled()
+        .then_some(move |lane: usize, split: GateProfile| record_gate_split(gate(lane), split))
 }
 
 impl ServerKey {
@@ -180,73 +214,128 @@ impl ServerKey {
         Torus32::from_fraction(1, MU_LOG2_DENOM)
     }
 
-    /// Accumulates `coeff * ct` into `out` without allocating
-    /// (coefficients are the small integers of the gate recipes). Runs
-    /// through the dispatched [`crate::simd`] `axpy` kernel; wrapping
-    /// multiply-accumulate is bit-identical to `|coeff|` repeated
-    /// additions/subtractions mod 2^32.
-    pub(crate) fn axpy(out: &mut LweCiphertext, coeff: i32, ct: &LweCiphertext) {
-        crate::simd::kernels().axpy(out.mask_mut(), coeff, ct.mask());
-        out.b += coeff * ct.body();
-    }
-
-    /// Stages the linear combination of `gate` into `out`.
-    fn combo_into(
-        &self,
-        gate: BootGate,
-        a: &LweCiphertext,
-        b: &LweCiphertext,
-        out: &mut LweCiphertext,
-    ) {
-        let (offset, ca, cb) = gate.spec();
-        out.assign_trivial(offset, self.params.lwe_dim);
-        Self::axpy(out, ca, a);
-        Self::axpy(out, cb, b);
-    }
-
     /// Allocates reusable scratch for gate evaluation (one per worker
-    /// thread). Once constructed, [`ServerKey::gate_into`] and
-    /// [`ServerKey::batch_bootstrap_fused`] run with zero heap allocation.
+    /// thread). Once constructed, every `*_into` gate, batch and LUT
+    /// entry point runs with zero heap allocation.
     pub fn gate_scratch(&self) -> GateScratch {
-        let n = self.params.lwe_dim;
         let ext_dim = self.keyswitch.src_dim();
         GateScratch {
-            boot: self.bootstrap.boot_scratch_lanes(FUSE_CHUNK),
-            combo: LweCiphertext::trivial(Torus32::ZERO, n),
-            raw: LweCiphertext::trivial(Torus32::ZERO, ext_dim),
-            raw2: LweCiphertext::trivial(Torus32::ZERO, ext_dim),
-            sum: LweCiphertext::trivial(Torus32::ZERO, ext_dim),
-            raws: vec![LweCiphertext::trivial(Torus32::ZERO, ext_dim); FUSE_CHUNK],
-            soa: LweSoa::new(n),
+            lanes: LaneScratch {
+                boot: self.bootstrap.boot_scratch_lanes(FUSE_CHUNK),
+                raws: vec![LweCiphertext::trivial(Torus32::ZERO, ext_dim); FUSE_CHUNK],
+                soa: LweSoa::new(self.params.lwe_dim),
+            },
             tv_buf: TorusPoly::zero(self.params.poly_size),
             luts: PackedLutTables::new(),
         }
     }
 
-    /// Blind-rotates `width` staged SoA slots (starting at `base`) in one
-    /// batched pass over the bootstrapping key, leaving the raw
-    /// pre-key-switch samples in `raws[..width]` (see
-    /// [`BootstrappingKey::bootstrap_raw_batch_into`]).
-    fn rotate_chunk(
-        bootstrap: &BootstrappingKey,
-        soa: &LweSoa,
-        base: usize,
-        width: usize,
-        boot: &mut BootstrapScratch,
-        raws: &mut [LweCiphertext],
+    /// The staged-batch bootstrap kernel every bootstrapped entry point
+    /// of this key is a call into. Over cache-sized chunks of
+    /// [`FUSE_CHUNK`] lanes: `stage(lane, soa, slot)` writes each lane's
+    /// linear combination into a struct-of-arrays slot and names its test
+    /// vector; one lane-outer pass over the bootstrapping key rotates
+    /// each test vector by its slot
+    /// ([`crate::bootstrap::BootstrappingKey::rotate_batch_into`]); the
+    /// raw samples are key switched as `tail` says; and `observe`, when
+    /// present, receives each lane's timing split (a chunk's staging and
+    /// rotation time divided evenly over its lanes). Staging and
+    /// bootstrap are *fused* per chunk, so the staged masks are still
+    /// cache-resident when the rotation reads them. A lane's arithmetic
+    /// does not depend on the width or the position it runs at, so every
+    /// entry point is bit-exact with every other on the same inputs, and
+    /// the whole call is allocation-free.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a staged ciphertext is not of the key's LWE dimension
+    /// ([`LweSoa::axpy`]), or `outs` does not match `tail` (`lanes`
+    /// outputs for [`Tail::Each`]; one output and a single chunk for
+    /// [`Tail::Sum`]).
+    pub(crate) fn bootstrap_staged<'t>(
+        &self,
+        scratch: &mut LaneScratch,
+        lanes: usize,
+        stage: impl Fn(usize, &mut LweSoa, usize) -> TestVector<'t>,
+        tail: Tail,
+        outs: &mut [LweCiphertext],
+        mut observe: Option<impl FnMut(usize, GateProfile)>,
     ) {
-        debug_assert!((1..=FUSE_CHUNK).contains(&width));
-        let mut inputs: [(&[Torus32], Torus32); FUSE_CHUNK] =
-            [(&[][..], Torus32::ZERO); FUSE_CHUNK];
-        for (lane, input) in inputs.iter_mut().take(width).enumerate() {
-            *input = soa.slot(base + lane);
+        match tail {
+            Tail::Each => assert_eq!(outs.len(), lanes, "one output per lane"),
+            Tail::Sum(_) => assert!(outs.len() == 1 && lanes <= FUSE_CHUNK, "one summed chunk"),
         }
-        bootstrap.bootstrap_raw_batch_into(&inputs[..width], Self::mu(), boot, &mut raws[..width]);
+        let LaneScratch { boot, raws, soa } = scratch;
+        let timed = observe.is_some();
+        let now = || timed.then(Instant::now);
+        for base in (0..lanes).step_by(FUSE_CHUNK) {
+            let width = FUSE_CHUNK.min(lanes - base);
+            let t0 = now();
+            soa.reset(width);
+            let mut tvs = [TestVector::Constant(Torus32::ZERO); FUSE_CHUNK];
+            for (slot, tv) in tvs.iter_mut().take(width).enumerate() {
+                *tv = stage(base + slot, soa, slot);
+            }
+            let t1 = now();
+            let mut inputs: [(&[Torus32], Torus32); FUSE_CHUNK] =
+                [(&[][..], Torus32::ZERO); FUSE_CHUNK];
+            for (slot, input) in inputs.iter_mut().take(width).enumerate() {
+                *input = soa.slot(slot);
+            }
+            let raws = &mut raws[..width];
+            self.bootstrap.rotate_batch_into(&inputs[..width], |slot| tvs[slot], boot, raws);
+            let t2 = now();
+            let outs = match tail {
+                Tail::Each => &mut outs[base..base + width],
+                Tail::Sum(offset) => {
+                    let (sum, rest) = raws.split_first_mut().expect("a chunk has a lane");
+                    sum.b += offset;
+                    rest.iter().for_each(|raw| sum.add_assign(raw));
+                    &mut *outs
+                }
+            };
+            for (slot, (raw, out)) in raws.iter().zip(outs).enumerate() {
+                let k0 = now();
+                self.keyswitch.switch_into(raw, out);
+                if let (Some(observe), Some(t0), Some(t1), Some(t2), Some(k0)) =
+                    (observe.as_mut(), t0, t1, t2, k0)
+                {
+                    let split = GateProfile {
+                        linear_s: (t1 - t0).as_secs_f64() / width as f64,
+                        blind_rotation_s: (t2 - t1).as_secs_f64() / width as f64,
+                        key_switching_s: k0.elapsed().as_secs_f64(),
+                    };
+                    observe(base + slot, split);
+                }
+            }
+        }
     }
 
-    /// Evaluates one bootstrapped binary gate into `out` — the hot-path
-    /// API: linear combination, blind rotation against `mu = 1/8`, and key
-    /// switch all run on `scratch`'s preallocated buffers.
+    /// The gate entry points' call into the kernel: the linear
+    /// combination of `gate(lane)` over `pairs[lane]`, every lane rotated
+    /// against the constant test vector `mu = 1/8`.
+    fn bootstrap_gates(
+        &self,
+        scratch: &mut GateScratch,
+        gate: impl Fn(usize) -> BootGate,
+        pairs: &[(&LweCiphertext, &LweCiphertext)],
+        tail: Tail,
+        outs: &mut [LweCiphertext],
+        observe: Option<impl FnMut(usize, GateProfile)>,
+    ) {
+        let stage = |lane: usize, soa: &mut LweSoa, slot: usize| {
+            let ((offset, ca, cb), (a, b)) = (gate(lane).spec(), pairs[lane]);
+            soa.set_body(slot, offset);
+            soa.axpy(slot, ca, a);
+            soa.axpy(slot, cb, b);
+            TestVector::Constant(Self::mu())
+        };
+        self.bootstrap_staged(&mut scratch.lanes, pairs.len(), stage, tail, outs, observe);
+    }
+
+    /// Evaluates one bootstrapped binary gate into `out` — a one-lane
+    /// batch: linear combination, blind rotation against `mu = 1/8`, and
+    /// key switch all run on `scratch`'s preallocated buffers.
     pub fn gate_into(
         &self,
         gate: BootGate,
@@ -255,57 +344,13 @@ impl ServerKey {
         scratch: &mut GateScratch,
         out: &mut LweCiphertext,
     ) {
-        // The disabled-telemetry check is a single atomic load; the timed
-        // variant is kept out of line so this hot path stays lean.
-        if pytfhe_telemetry::enabled() {
-            return self.gate_into_timed(gate, a, b, scratch, out);
-        }
-        self.combo_into(gate, a, b, &mut scratch.combo);
-        self.bootstrap.bootstrap_raw_into(
-            &scratch.combo,
-            Self::mu(),
-            &mut scratch.boot,
-            &mut scratch.raw,
-        );
-        self.keyswitch.switch_into(&scratch.raw, out);
-    }
-
-    /// [`ServerKey::gate_into`] with per-phase timing feeding the
-    /// per-gate-kind blind-rotate/key-switch histograms.
-    #[cold]
-    fn gate_into_timed(
-        &self,
-        gate: BootGate,
-        a: &LweCiphertext,
-        b: &LweCiphertext,
-        scratch: &mut GateScratch,
-        out: &mut LweCiphertext,
-    ) {
-        use std::time::Instant;
-        self.combo_into(gate, a, b, &mut scratch.combo);
-        let t0 = Instant::now();
-        self.bootstrap.bootstrap_raw_into(
-            &scratch.combo,
-            Self::mu(),
-            &mut scratch.boot,
-            &mut scratch.raw,
-        );
-        let t1 = Instant::now();
-        self.keyswitch.switch_into(&scratch.raw, out);
-        record_gate_split(gate, (t1 - t0).as_secs_f64(), t1.elapsed().as_secs_f64());
+        self.batch_bootstrap_fused(gate, &[(a, b)], std::slice::from_mut(out), scratch);
     }
 
     /// Evaluates one batched kernel — the same gate over many input
     /// pairs, the CPU analogue of the paper's batched CUDA-graph kernels
     /// (Figure 9): one launch per (gate kind, wave) instead of one per
-    /// gate. Staging and bootstrap are *fused* over cache-sized chunks of
-    /// [`FUSE_CHUNK`] slots: each chunk's linear combinations are staged
-    /// into the struct-of-arrays slots and immediately carried through
-    /// blind rotation, sample extraction, and key switching before the
-    /// next chunk is touched, so the staged masks are still
-    /// cache-resident when the bootstrap reads them. Per-slot arithmetic
-    /// is that of scalar [`ServerKey::gate_into`], so results are
-    /// bit-exact with it. After a warm-up call the whole call is
+    /// gate. Bit-exact with [`ServerKey::gate_into`] per pair, and
     /// allocation-free.
     ///
     /// # Panics
@@ -318,30 +363,8 @@ impl ServerKey {
         outs: &mut [LweCiphertext],
         scratch: &mut GateScratch,
     ) {
-        assert_eq!(pairs.len(), outs.len(), "batch_bootstrap_fused: pairs/outs length mismatch");
-        let (offset, ca, cb) = gate.spec();
-        let GateScratch { boot, raws, soa, .. } = scratch;
-        let timed = pytfhe_telemetry::enabled();
-        for (pair_chunk, out_chunk) in pairs.chunks(FUSE_CHUNK).zip(outs.chunks_mut(FUSE_CHUNK)) {
-            let width = pair_chunk.len();
-            soa.reset(width);
-            for (slot, &(a, b)) in pair_chunk.iter().enumerate() {
-                soa.set_body(slot, offset);
-                soa.axpy(slot, ca, a);
-                soa.axpy(slot, cb, b);
-            }
-            let t0 = timed.then(std::time::Instant::now);
-            Self::rotate_chunk(&self.bootstrap, soa, 0, width, boot, raws);
-            let t1 = timed.then(std::time::Instant::now);
-            for (lane, out) in out_chunk.iter_mut().enumerate() {
-                let k0 = timed.then(std::time::Instant::now);
-                self.keyswitch.switch_into(&raws[lane], out);
-                if let (Some(t0), Some(t1), Some(k0)) = (t0, t1, k0) {
-                    let rotate_s = (t1 - t0).as_secs_f64() / width as f64;
-                    record_gate_split(gate, rotate_s, k0.elapsed().as_secs_f64());
-                }
-            }
-        }
+        let record = gate_split_recorder(|_| gate);
+        self.bootstrap_gates(scratch, |_| gate, pairs, Tail::Each, outs, record);
     }
 
     /// Evaluates one batched kernel of *mixed* gate kinds: `gates[i]`
@@ -350,11 +373,10 @@ impl ServerKey {
     /// This is the cross-session batching entry point: a serving
     /// scheduler draining ready gates from many tenants' programs gets
     /// one dense wave of heterogeneous gates per key, and staging them
-    /// through one SoA pass (each slot with its own gate recipe) keeps
+    /// through one kernel (each slot with its own gate recipe) keeps
     /// the launch count at one per key per wave instead of one per gate
-    /// kind. Slot layout and per-slot arithmetic are identical to
-    /// [`ServerKey::batch_bootstrap_fused`], so results are bit-exact with
-    /// the per-kind batches and with scalar [`ServerKey::gate_into`].
+    /// kind. Bit-exact with the per-kind batches and with
+    /// [`ServerKey::gate_into`].
     ///
     /// # Panics
     ///
@@ -367,151 +389,21 @@ impl ServerKey {
         scratch: &mut GateScratch,
     ) {
         assert_eq!(gates.len(), pairs.len(), "batch_bootstrap_mixed: gates/pairs mismatch");
-        assert_eq!(pairs.len(), outs.len(), "batch_bootstrap_mixed: pairs/outs mismatch");
-        let GateScratch { boot, raws, soa, .. } = scratch;
-        soa.reset(pairs.len());
-        for (slot, (&gate, &(a, b))) in gates.iter().zip(pairs).enumerate() {
-            let (offset, ca, cb) = gate.spec();
-            soa.set_body(slot, offset);
-            soa.axpy(slot, ca, a);
-            soa.axpy(slot, cb, b);
-        }
-        let timed = pytfhe_telemetry::enabled();
-        for (chunk, out_chunk) in outs.chunks_mut(FUSE_CHUNK).enumerate() {
-            let base = chunk * FUSE_CHUNK;
-            let width = out_chunk.len();
-            let t0 = timed.then(std::time::Instant::now);
-            Self::rotate_chunk(&self.bootstrap, soa, base, width, boot, raws);
-            let t1 = timed.then(std::time::Instant::now);
-            for (lane, out) in out_chunk.iter_mut().enumerate() {
-                let k0 = timed.then(std::time::Instant::now);
-                self.keyswitch.switch_into(&raws[lane], out);
-                if let (Some(t0), Some(t1), Some(k0)) = (t0, t1, k0) {
-                    let rotate_s = (t1 - t0).as_secs_f64() / width as f64;
-                    record_gate_split(gates[base + lane], rotate_s, k0.elapsed().as_secs_f64());
-                }
-            }
-        }
+        let record = gate_split_recorder(|lane| gates[lane]);
+        self.bootstrap_gates(scratch, |lane| gates[lane], pairs, Tail::Each, outs, record);
     }
 
-    /// `NAND` with caller-provided scratch (the hot-path API the backends
-    /// use). All other `_with` gates follow the same pattern.
-    pub fn nand_with(
+    /// One bootstrapped binary gate into a fresh ciphertext, with
+    /// caller-provided scratch.
+    pub fn gate_with(
         &self,
+        gate: BootGate,
         a: &LweCiphertext,
         b: &LweCiphertext,
         scratch: &mut GateScratch,
     ) -> LweCiphertext {
         let mut out = LweCiphertext::trivial(Torus32::ZERO, self.params.lwe_dim);
-        self.gate_into(BootGate::Nand, a, b, scratch, &mut out);
-        out
-    }
-
-    /// `AND`.
-    pub fn and_with(
-        &self,
-        a: &LweCiphertext,
-        b: &LweCiphertext,
-        scratch: &mut GateScratch,
-    ) -> LweCiphertext {
-        let mut out = LweCiphertext::trivial(Torus32::ZERO, self.params.lwe_dim);
-        self.gate_into(BootGate::And, a, b, scratch, &mut out);
-        out
-    }
-
-    /// `OR`.
-    pub fn or_with(
-        &self,
-        a: &LweCiphertext,
-        b: &LweCiphertext,
-        scratch: &mut GateScratch,
-    ) -> LweCiphertext {
-        let mut out = LweCiphertext::trivial(Torus32::ZERO, self.params.lwe_dim);
-        self.gate_into(BootGate::Or, a, b, scratch, &mut out);
-        out
-    }
-
-    /// `NOR`.
-    pub fn nor_with(
-        &self,
-        a: &LweCiphertext,
-        b: &LweCiphertext,
-        scratch: &mut GateScratch,
-    ) -> LweCiphertext {
-        let mut out = LweCiphertext::trivial(Torus32::ZERO, self.params.lwe_dim);
-        self.gate_into(BootGate::Nor, a, b, scratch, &mut out);
-        out
-    }
-
-    /// `XOR`.
-    pub fn xor_with(
-        &self,
-        a: &LweCiphertext,
-        b: &LweCiphertext,
-        scratch: &mut GateScratch,
-    ) -> LweCiphertext {
-        let mut out = LweCiphertext::trivial(Torus32::ZERO, self.params.lwe_dim);
-        self.gate_into(BootGate::Xor, a, b, scratch, &mut out);
-        out
-    }
-
-    /// `XNOR`.
-    pub fn xnor_with(
-        &self,
-        a: &LweCiphertext,
-        b: &LweCiphertext,
-        scratch: &mut GateScratch,
-    ) -> LweCiphertext {
-        let mut out = LweCiphertext::trivial(Torus32::ZERO, self.params.lwe_dim);
-        self.gate_into(BootGate::Xnor, a, b, scratch, &mut out);
-        out
-    }
-
-    /// `ANDNY` = `!a & b`.
-    pub fn andny_with(
-        &self,
-        a: &LweCiphertext,
-        b: &LweCiphertext,
-        scratch: &mut GateScratch,
-    ) -> LweCiphertext {
-        let mut out = LweCiphertext::trivial(Torus32::ZERO, self.params.lwe_dim);
-        self.gate_into(BootGate::Andny, a, b, scratch, &mut out);
-        out
-    }
-
-    /// `ANDYN` = `a & !b`.
-    pub fn andyn_with(
-        &self,
-        a: &LweCiphertext,
-        b: &LweCiphertext,
-        scratch: &mut GateScratch,
-    ) -> LweCiphertext {
-        let mut out = LweCiphertext::trivial(Torus32::ZERO, self.params.lwe_dim);
-        self.gate_into(BootGate::Andyn, a, b, scratch, &mut out);
-        out
-    }
-
-    /// `ORNY` = `!a | b`.
-    pub fn orny_with(
-        &self,
-        a: &LweCiphertext,
-        b: &LweCiphertext,
-        scratch: &mut GateScratch,
-    ) -> LweCiphertext {
-        let mut out = LweCiphertext::trivial(Torus32::ZERO, self.params.lwe_dim);
-        self.gate_into(BootGate::Orny, a, b, scratch, &mut out);
-        out
-    }
-
-    /// `ORYN` = `a | !b`.
-    pub fn oryn_with(
-        &self,
-        a: &LweCiphertext,
-        b: &LweCiphertext,
-        scratch: &mut GateScratch,
-    ) -> LweCiphertext {
-        let mut out = LweCiphertext::trivial(Torus32::ZERO, self.params.lwe_dim);
-        self.gate_into(BootGate::Oryn, a, b, scratch, &mut out);
+        self.gate_into(gate, a, b, scratch, &mut out);
         out
     }
 
@@ -542,7 +434,8 @@ impl ServerKey {
     }
 
     /// `MUX(s, a, b) = s ? a : b` — the TFHE-library bonus gate, built from
-    /// two bootstraps and one key switch.
+    /// two bootstraps and one key switch:
+    /// `KS(bootstrap(s AND a) + bootstrap(!s AND b) + 1/8)`.
     pub fn mux_with(
         &self,
         s: &LweCiphertext,
@@ -550,70 +443,52 @@ impl ServerKey {
         b: &LweCiphertext,
         scratch: &mut GateScratch,
     ) -> LweCiphertext {
-        // t1 = bootstrap(s AND a), t2 = bootstrap(!s AND b), out = KS(t1 + t2 + 1/8).
-        scratch.combo.assign_trivial(-Self::mu(), self.params.lwe_dim);
-        scratch.combo.add_assign(s);
-        scratch.combo.add_assign(a);
-        self.bootstrap.bootstrap_raw_into(
-            &scratch.combo,
-            Self::mu(),
-            &mut scratch.boot,
-            &mut scratch.raw,
-        );
-        scratch.combo.assign_trivial(-Self::mu(), self.params.lwe_dim);
-        scratch.combo.sub_assign(s);
-        scratch.combo.add_assign(b);
-        self.bootstrap.bootstrap_raw_into(
-            &scratch.combo,
-            Self::mu(),
-            &mut scratch.boot,
-            &mut scratch.raw2,
-        );
-        scratch.sum.assign_trivial(Self::mu(), self.keyswitch.src_dim());
-        scratch.sum.add_assign(&scratch.raw);
-        scratch.sum.add_assign(&scratch.raw2);
-        self.keyswitch.switch(&scratch.sum)
+        let (gates, tail) = ([BootGate::And, BootGate::Andny], Tail::Sum(Self::mu()));
+        let mut out = LweCiphertext::trivial(Torus32::ZERO, self.params.lwe_dim);
+        let outs = std::slice::from_mut(&mut out);
+        self.bootstrap_gates(scratch, |l| gates[l], &[(s, a), (s, b)], tail, outs, UNOBSERVED);
+        out
     }
 
     /// Convenience allocation-per-call variants of every gate.
     pub fn nand(&self, a: &LweCiphertext, b: &LweCiphertext) -> LweCiphertext {
-        self.nand_with(a, b, &mut self.gate_scratch())
+        self.gate_with(BootGate::Nand, a, b, &mut self.gate_scratch())
     }
-    /// See [`ServerKey::and_with`].
+    /// See [`ServerKey::gate_with`].
     pub fn and(&self, a: &LweCiphertext, b: &LweCiphertext) -> LweCiphertext {
-        self.and_with(a, b, &mut self.gate_scratch())
+        self.gate_with(BootGate::And, a, b, &mut self.gate_scratch())
     }
-    /// See [`ServerKey::or_with`].
+    /// See [`ServerKey::gate_with`].
     pub fn or(&self, a: &LweCiphertext, b: &LweCiphertext) -> LweCiphertext {
-        self.or_with(a, b, &mut self.gate_scratch())
+        self.gate_with(BootGate::Or, a, b, &mut self.gate_scratch())
     }
-    /// See [`ServerKey::nor_with`].
+    /// See [`ServerKey::gate_with`].
     pub fn nor(&self, a: &LweCiphertext, b: &LweCiphertext) -> LweCiphertext {
-        self.nor_with(a, b, &mut self.gate_scratch())
+        self.gate_with(BootGate::Nor, a, b, &mut self.gate_scratch())
     }
-    /// See [`ServerKey::xor_with`].
+    /// See [`ServerKey::gate_with`].
     pub fn xor(&self, a: &LweCiphertext, b: &LweCiphertext) -> LweCiphertext {
-        self.xor_with(a, b, &mut self.gate_scratch())
+        self.gate_with(BootGate::Xor, a, b, &mut self.gate_scratch())
     }
-    /// See [`ServerKey::xnor_with`].
+    /// See [`ServerKey::gate_with`].
     pub fn xnor(&self, a: &LweCiphertext, b: &LweCiphertext) -> LweCiphertext {
-        self.xnor_with(a, b, &mut self.gate_scratch())
+        self.gate_with(BootGate::Xnor, a, b, &mut self.gate_scratch())
     }
-    /// See [`ServerKey::andny_with`].
+    /// See [`ServerKey::gate_with`].
     pub fn andny(&self, a: &LweCiphertext, b: &LweCiphertext) -> LweCiphertext {
-        self.andny_with(a, b, &mut self.gate_scratch())
+        self.gate_with(BootGate::Andny, a, b, &mut self.gate_scratch())
     }
-    /// See [`ServerKey::andyn_with`].
+    /// See [`ServerKey::gate_with`].
     pub fn andyn(&self, a: &LweCiphertext, b: &LweCiphertext) -> LweCiphertext {
-        self.andyn_with(a, b, &mut self.gate_scratch())
+        self.gate_with(BootGate::Andyn, a, b, &mut self.gate_scratch())
     }
-    /// See [`ServerKey::orny_with`].
+    /// See [`ServerKey::gate_with`].
     pub fn orny(&self, a: &LweCiphertext, b: &LweCiphertext) -> LweCiphertext {
-        self.orny_with(a, b, &mut self.gate_scratch())
+        self.gate_with(BootGate::Orny, a, b, &mut self.gate_scratch())
     }
-    /// See [`ServerKey::oryn_with`].
+    /// See [`ServerKey::gate_with`].
     pub fn oryn(&self, a: &LweCiphertext, b: &LweCiphertext) -> LweCiphertext {
-        self.oryn_with(a, b, &mut self.gate_scratch())
+        self.gate_with(BootGate::Oryn, a, b, &mut self.gate_scratch())
     }
     /// See [`ServerKey::mux_with`].
     pub fn mux(&self, s: &LweCiphertext, a: &LweCiphertext, b: &LweCiphertext) -> LweCiphertext {
@@ -627,25 +502,12 @@ impl ServerKey {
         a: &LweCiphertext,
         b: &LweCiphertext,
     ) -> (LweCiphertext, GateProfile) {
-        use std::time::Instant;
-        let mut scratch = self.gate_scratch();
-        let t0 = Instant::now();
-        self.combo_into(BootGate::Nand, a, b, &mut scratch.combo);
-        let t1 = Instant::now();
-        self.bootstrap.bootstrap_raw_into(
-            &scratch.combo,
-            Self::mu(),
-            &mut scratch.boot,
-            &mut scratch.raw,
-        );
-        let t2 = Instant::now();
-        let out = self.keyswitch.switch(&scratch.raw);
-        let t3 = Instant::now();
-        let profile = GateProfile {
-            linear_s: (t1 - t0).as_secs_f64(),
-            blind_rotation_s: (t2 - t1).as_secs_f64(),
-            key_switching_s: (t3 - t2).as_secs_f64(),
-        };
+        let mut profile = GateProfile::default();
+        let observe = Some(|_: usize, split: GateProfile| profile = split);
+        let mut out = LweCiphertext::trivial(Torus32::ZERO, self.params.lwe_dim);
+        let outs = std::slice::from_mut(&mut out);
+        let scratch = &mut self.gate_scratch();
+        self.bootstrap_gates(scratch, |_| BootGate::Nand, &[(a, b)], Tail::Each, outs, observe);
         (out, profile)
     }
 }
@@ -690,53 +552,8 @@ mod tests {
     }
 
     #[test]
-    fn ntt_transform_runs_full_gate_suite() {
-        use super::{BootGate, FUSE_CHUNK};
-        use crate::ntt::{self, Transform};
-        let _g = ntt::transform_guard().write().unwrap();
-        let (client, server, mut rng) = setup();
-        let mut scratch = server.gate_scratch();
-        let restore = ntt::active_transform();
-        ntt::set_active_transform(Transform::Ntt);
-        for gate in BootGate::ALL {
-            for (a, b) in [(false, false), (false, true), (true, false), (true, true)] {
-                let ca = client.encrypt_bit(a, &mut rng);
-                let cb = client.encrypt_bit(b, &mut rng);
-                let mut out = server.constant(false);
-                server.gate_into(gate, &ca, &cb, &mut scratch, &mut out);
-                assert_eq!(
-                    client.decrypt_bit(&out),
-                    gate.eval(a, b),
-                    "{}({a}, {b}) under ntt",
-                    gate.name()
-                );
-            }
-        }
-        // Batches run the same lane-outer loop under the NTT, calling
-        // the exact-integer CMUX per lane, so they are bit-exact with
-        // gate_into there too.
-        let cts: Vec<_> = (0..FUSE_CHUNK + 2)
-            .map(|i| {
-                (client.encrypt_bit(i % 2 == 0, &mut rng), client.encrypt_bit(i % 3 == 0, &mut rng))
-            })
-            .collect();
-        let pairs: Vec<_> = cts.iter().map(|(a, b)| (a, b)).collect();
-        let mut want = Vec::new();
-        for &(a, b) in &pairs {
-            let mut out = server.constant(false);
-            server.gate_into(BootGate::Nand, a, b, &mut scratch, &mut out);
-            want.push(out);
-        }
-        let mut outs = vec![server.constant(false); pairs.len()];
-        server.batch_bootstrap_fused(BootGate::Nand, &pairs, &mut outs, &mut scratch);
-        assert_eq!(outs, want, "ntt batch must be bit-exact with gate_into");
-        ntt::set_active_transform(restore);
-    }
-
-    #[test]
     fn mixed_batch_is_bit_exact_with_scalar_gates() {
         use super::BootGate;
-        let _g = crate::ntt::transform_guard().read().unwrap();
         let (client, server, mut rng) = setup();
         let mut scratch = server.gate_scratch();
         let gates = [
@@ -780,11 +597,6 @@ mod tests {
         // No warm-up: the per-lane accumulators exist from construction,
         // so a worker's first wide wave costs what every later one does.
         use super::{BootGate, FUSE_CHUNK};
-        use crate::ntt::{self, Transform};
-        let _g = ntt::transform_guard().read().unwrap();
-        if ntt::active_transform() == Transform::Ntt {
-            return; // the NTT mirror key is derived on first use, by design
-        }
         let (client, server, mut rng) = setup();
         let cts: Vec<_> = (0..FUSE_CHUNK)
             .map(|i| (client.encrypt_bit(i % 2 == 0, &mut rng), client.encrypt_bit(true, &mut rng)))
@@ -801,7 +613,6 @@ mod tests {
     fn fused_batch_is_bit_exact_with_gate_into_under_every_simd_path() {
         use super::{BootGate, FUSE_CHUNK};
         use crate::simd::{self, SimdPath};
-        let _g = crate::ntt::transform_guard().read().unwrap();
         let (client, server, mut rng) = setup();
         let mut scratch = server.gate_scratch();
         // More than two fuse chunks plus a ragged tail, so the fused

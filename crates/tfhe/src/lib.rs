@@ -18,12 +18,10 @@
 //!   ([`gates`]),
 //! * key generation and the client/cloud key split ([`keys`]),
 //! * byte-level serialization of keys and ciphertexts ([`io`]),
-//! * runtime-dispatched SIMD kernels (AVX-512 / AVX2+FMA / NEON /
-//!   portable scalar) for the transform, external-product,
-//!   decomposition, and key-switch hot loops ([`simd`]), selectable with
-//!   the `PYTFHE_SIMD` environment variable,
-//! * an exact prime-field NTT prototype behind `PYTFHE_TRANSFORM=ntt`
-//!   ([`ntt`]), property-tested against the FFT path.
+//! * runtime-dispatched SIMD kernels (AVX-512 / AVX2+FMA / portable
+//!   scalar) for the transform, external-product, decomposition, and
+//!   key-switch hot loops ([`simd`]), selectable with the `PYTFHE_SIMD`
+//!   environment variable.
 //!
 //! # Security
 //!
@@ -71,14 +69,13 @@ pub mod tlwe;
 pub mod torus;
 pub mod trace;
 
-pub use bootstrap::BootstrapScratch;
+pub use bootstrap::{BootstrapScratch, TestVector};
 pub use error::TfheError;
 pub use gates::{BootGate, GateScratch, FUSE_CHUNK};
 pub use keys::{ClientKey, ServerKey};
 pub use lut::{build_test_vector, decode_message, encode_message, PackedLutTables};
 pub use lwe::{LweCiphertext, LweKey, LweSoa};
 pub use noise::{NoiseGuard, NoiseModel};
-pub use ntt::Transform;
 pub use params::{Params, SecurityLevel};
 pub use rng::SecureRng;
 pub use simd::SimdPath;

@@ -21,8 +21,8 @@
 //!   `Σ 2^i·xᵢ` lands the cone's input pattern on a message window, and
 //!   one programmable bootstrap evaluates the whole cone.
 
-use crate::bootstrap::BootstrappingKey;
-use crate::gates::{GateScratch, FUSE_CHUNK};
+use crate::bootstrap::{BootstrappingKey, TestVector};
+use crate::gates::{GateScratch, Tail, UNOBSERVED};
 use crate::keys::{ClientKey, ServerKey};
 use crate::lwe::LweCiphertext;
 use crate::poly::TorusPoly;
@@ -118,15 +118,12 @@ impl PackedLutTables {
         precision: u32,
         table: u16,
     ) -> &TorusPoly {
-        if let Some(pos) =
-            self.entries.iter().position(|e| e.0 == width && e.1 == precision && e.2 == table)
-        {
-            return &self.entries[pos].3;
+        if self.lookup(width, precision, table).is_none() {
+            let entries: Vec<u32> = (0..1u32 << width).map(|m| u32::from(table >> m) & 1).collect();
+            let tv = build_test_vector(bk, &entries, precision);
+            self.entries.push((width, precision, table, tv));
         }
-        let entries: Vec<u32> = (0..1u32 << width).map(|m| u32::from(table >> m) & 1).collect();
-        let tv = build_test_vector(bk, &entries, precision);
-        self.entries.push((width, precision, table, tv));
-        &self.entries.last().expect("just pushed").3
+        self.lookup(width, precision, table).expect("compiled just above")
     }
 
     /// Looks up an already-compiled test vector.
@@ -165,11 +162,10 @@ impl ServerKey {
     }
 
     /// Scratch-reusing [`ServerKey::apply_lut`]: the test vector is
-    /// rendered into the scratch's preallocated buffer, the
-    /// programmable bootstrap runs on the scratch's
-    /// [`crate::BootstrapScratch`], and the key switch lands in `out` —
-    /// zero heap allocation after the scratch's first use. This is the
-    /// hot-path API behind every shortint operation.
+    /// rendered into the scratch's preallocated buffer and carried
+    /// through the staged-batch kernel as a one-lane batch — zero heap
+    /// allocation after the scratch's first use. This is the hot-path
+    /// API behind every shortint operation.
     ///
     /// # Panics
     ///
@@ -186,10 +182,20 @@ impl ServerKey {
         let m_count = 1usize << precision_bits;
         assert_eq!(table.len(), m_count, "table must have 2^p entries");
         assert!(table.iter().all(|&v| v < m_count as u32), "table entry out of range");
-        render_test_vector(&mut scratch.tv_buf, self.params.poly_size, table, precision_bits);
-        let GateScratch { boot, tv_buf, raw, .. } = scratch;
-        self.bootstrap.programmable_bootstrap_into(ct, tv_buf, boot, raw);
-        self.keyswitch.switch_into(raw, out);
+        let GateScratch { lanes, tv_buf, .. } = scratch;
+        render_test_vector(tv_buf, self.params.poly_size, table, precision_bits);
+        let tv_buf = &*tv_buf;
+        self.bootstrap_staged(
+            lanes,
+            1,
+            |_, soa, slot| {
+                soa.axpy(slot, 1, ct);
+                TestVector::Poly(tv_buf)
+            },
+            Tail::Each,
+            std::slice::from_mut(out),
+            UNOBSERVED,
+        );
         if pytfhe_telemetry::enabled() {
             record_lut_bootstraps(1);
         }
@@ -209,7 +215,10 @@ impl ServerKey {
         let coeff_sum: i32 = terms.iter().map(|t| t.0).sum();
         out.assign_trivial(pack_offset(precision_bits, coeff_sum), self.params.lwe_dim);
         for &(coeff, ct) in terms {
-            Self::axpy(out, coeff, ct);
+            // Wrapping multiply-accumulate: bit-identical to `|coeff|`
+            // repeated additions/subtractions mod 2^32.
+            crate::simd::kernels().axpy(out.mask_mut(), coeff, ct.mask());
+            out.b += coeff * ct.body();
         }
     }
 
@@ -217,8 +226,8 @@ impl ServerKey {
     /// `ins[..w]` are boolean wires riding the message encoding at
     /// `precision ≥ w` bits, packed as `Σ 2^i·xᵢ`, and bit `j` of
     /// `table` is the cone's output for input pattern `j`. The output
-    /// is a boolean message at the same precision, so LUTs chain. The
-    /// compiled test vector is cached in the scratch.
+    /// is a boolean message at the same precision, so LUTs chain. A
+    /// one-item [`ServerKey::boolean_lut_batch_into`].
     ///
     /// # Panics
     ///
@@ -233,27 +242,18 @@ impl ServerKey {
         scratch: &mut GateScratch,
         out: &mut LweCiphertext,
     ) {
-        assert!((1..=4).contains(&width) && width <= precision, "bad LUT width {width}");
+        assert!((1..=4).contains(&width), "bad LUT width {width}");
         assert!(ins.len() >= width as usize, "LUT needs {width} inputs");
-        let GateScratch { boot, combo, raw, luts, .. } = scratch;
-        combo.assign_trivial(pack_offset(precision, (1 << width) - 1), self.params.lwe_dim);
-        for (i, ct) in ins.iter().take(width as usize).enumerate() {
-            Self::axpy(combo, 1 << i, ct);
-        }
-        let tv = luts.get_or_build(&self.bootstrap, width, precision, table);
-        self.bootstrap.programmable_bootstrap_into(combo, tv, boot, raw);
-        self.keyswitch.switch_into(raw, out);
-        if pytfhe_telemetry::enabled() {
-            record_lut_bootstraps(1);
-        }
+        let padded = std::array::from_fn(|i| ins[i.min(width as usize - 1)]);
+        let item = [(table, padded)];
+        self.boolean_lut_batch_into(width, precision, &item, std::slice::from_mut(out), scratch);
     }
 
-    /// Evaluates a batch of same-width boolean LUTs through the batched
-    /// blind rotation — one pass over the bootstrapping key per
-    /// [`FUSE_CHUNK`]-slot chunk, each lane carrying its own lookup
-    /// table ([`BootstrappingKey::programmable_bootstrap_batch_into`]).
-    /// Per-lane results are bit-exact with
-    /// [`ServerKey::boolean_lut_into`].
+    /// Evaluates a batch of same-width boolean LUTs through the
+    /// staged-batch kernel — one pass over the bootstrapping key per
+    /// [`FUSE_CHUNK`](crate::FUSE_CHUNK)-slot chunk, each lane carrying
+    /// its own lookup table, compiled once per worker and cached in the
+    /// scratch.
     ///
     /// # Panics
     ///
@@ -269,45 +269,29 @@ impl ServerKey {
     ) {
         assert!((1..=4).contains(&width) && width <= precision, "bad LUT width {width}");
         assert_eq!(items.len(), outs.len(), "boolean_lut_batch_into: items/outs mismatch");
-        if items.is_empty() {
-            return;
-        }
-        let GateScratch { boot, raws, soa, luts, .. } = scratch;
-        // Compile every distinct table before staging, so the hot loop
+        let GateScratch { lanes, luts, .. } = scratch;
+        // Compile every distinct table before staging, so the kernel
         // below only takes immutable cache lookups.
         for (table, _) in items {
             luts.get_or_build(&self.bootstrap, width, precision, *table);
         }
+        let luts = &*luts;
         let offset = pack_offset(precision, (1 << width) - 1);
-        soa.reset(items.len());
-        for (slot, (_, ins)) in items.iter().enumerate() {
-            soa.set_body(slot, offset);
-            for (i, ct) in ins.iter().take(width as usize).enumerate() {
-                soa.axpy(slot, 1 << i, ct);
-            }
-        }
-        for (chunk, out_chunk) in outs.chunks_mut(FUSE_CHUNK).enumerate() {
-            let base = chunk * FUSE_CHUNK;
-            let w = out_chunk.len();
-            let filler = luts.lookup(width, precision, items[base].0).expect("compiled above");
-            let mut inputs: [(&[Torus32], Torus32); FUSE_CHUNK] =
-                [(&[][..], Torus32::ZERO); FUSE_CHUNK];
-            let mut tvs: [&TorusPoly; FUSE_CHUNK] = [filler; FUSE_CHUNK];
-            for lane in 0..w {
-                inputs[lane] = soa.slot(base + lane);
-                tvs[lane] =
-                    luts.lookup(width, precision, items[base + lane].0).expect("compiled above");
-            }
-            self.bootstrap.programmable_bootstrap_batch_into(
-                &inputs[..w],
-                &tvs[..w],
-                boot,
-                &mut raws[..w],
-            );
-            for (lane, out) in out_chunk.iter_mut().enumerate() {
-                self.keyswitch.switch_into(&raws[lane], out);
-            }
-        }
+        self.bootstrap_staged(
+            lanes,
+            items.len(),
+            |lane, soa, slot| {
+                let (table, ins) = &items[lane];
+                soa.set_body(slot, offset);
+                for (i, ct) in ins.iter().take(width as usize).enumerate() {
+                    soa.axpy(slot, 1 << i, ct);
+                }
+                TestVector::Poly(luts.lookup(width, precision, *table).expect("compiled above"))
+            },
+            Tail::Each,
+            outs,
+            UNOBSERVED,
+        );
         if pytfhe_telemetry::enabled() {
             record_lut_bootstraps(items.len() as u64);
         }
@@ -426,7 +410,6 @@ mod tests {
 
     #[test]
     fn apply_lut_into_is_bit_exact_with_apply_lut_and_allocation_free() {
-        let _g = crate::ntt::transform_guard().read().unwrap();
         let (client, server, mut rng) = setup();
         let p = 2;
         let table = [2u32, 0, 3, 1];
@@ -481,7 +464,6 @@ mod tests {
 
     #[test]
     fn batched_boolean_luts_are_bit_exact_with_scalar_path() {
-        let _g = crate::ntt::transform_guard().read().unwrap();
         let (client, server, mut rng) = setup_shortint();
         let mut scratch = server.gate_scratch();
         // A ragged batch (> FUSE_CHUNK) of width-2 LUTs with mixed

@@ -155,8 +155,8 @@ impl LweCiphertext {
 }
 
 /// Struct-of-arrays storage for a batch of same-dimension LWE samples:
-/// all masks in one contiguous buffer, all bodies in another. Batched
-/// kernels ([`crate::ServerKey::batch_bootstrap_fused`]) stage their linear
+/// all masks in one contiguous buffer, all bodies in another. The
+/// staged-batch bootstrap kernel of [`crate::ServerKey`] stages its linear
 /// combinations here so the bootstrap loop streams over dense slots
 /// instead of pointer-chasing individual ciphertexts.
 #[derive(Debug)]
@@ -172,21 +172,6 @@ impl LweSoa {
     /// An empty batch of dimension-`dim` slots.
     pub fn new(dim: usize) -> Self {
         LweSoa { dim, masks: AlignedBuf::new(), bodies: Vec::new() }
-    }
-
-    /// Slot dimension `n`.
-    pub fn dim(&self) -> usize {
-        self.dim
-    }
-
-    /// Number of slots.
-    pub fn len(&self) -> usize {
-        self.bodies.len()
-    }
-
-    /// Whether the batch holds no slots.
-    pub fn is_empty(&self) -> bool {
-        self.bodies.is_empty()
     }
 
     /// Resizes to `slots` zeroed slots, reusing capacity from previous
@@ -206,9 +191,16 @@ impl LweSoa {
 
     /// Accumulates `coeff * ct` into slot `slot`. The mask loop runs
     /// through the dispatched [`crate::simd`] `axpy` kernel (it is the
-    /// staging pass of every batched bootstrap).
+    /// staging pass of every bootstrap).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `ct` is not of the slot dimension: this is where every
+    /// ciphertext enters a bootstrap, so a sample of the wrong size —
+    /// one a caller accepted from outside without checking it against
+    /// the key — stops here, whatever the layers above let through.
     pub fn axpy(&mut self, slot: usize, coeff: i32, ct: &LweCiphertext) {
-        debug_assert_eq!(ct.dim(), self.dim);
+        assert_eq!(ct.dim(), self.dim, "input of the wrong LWE dimension");
         let mask = &mut self.masks[slot * self.dim..(slot + 1) * self.dim];
         crate::simd::kernels().axpy(mask, coeff, ct.mask());
         self.bodies[slot] += coeff * ct.body();

@@ -259,7 +259,7 @@ fn erfc(x: f64) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{ClientKey, SecureRng};
+    use crate::{BootGate, ClientKey, SecureRng};
 
     #[test]
     fn default_params_have_negligible_failure_probability() {
@@ -365,7 +365,7 @@ mod tests {
         for i in 0..32 {
             let a = client.encrypt_bit(i % 2 == 0, &mut rng);
             let b = client.encrypt_bit(i % 3 == 0, &mut rng);
-            let out = server.nand_with(&a, &b, &mut scratch);
+            let out = server.gate_with(BootGate::Nand, &a, &b, &mut scratch);
             let want = !((i % 2 == 0) && (i % 3 == 0));
             let e = client.noise_of(&out, want).abs();
             max_err = max_err.max(e);

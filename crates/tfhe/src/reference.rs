@@ -311,7 +311,7 @@ impl RefBootstrappingKey {
 
     /// Gate bootstrapping without the final key switch, via full-size
     /// blind rotation — mirrors
-    /// [`crate::bootstrap::BootstrappingKey::bootstrap_raw`].
+    /// [`crate::bootstrap::BootstrappingKey::bootstrap_raw_into`].
     pub fn bootstrap_raw(&self, ct: &LweCiphertext, mu: Torus32) -> LweCiphertext {
         let n = self.params.poly_size;
         let n2 = 2 * n;

@@ -2,10 +2,15 @@
 //!
 //! Safety model: every public function here is a safe wrapper around a
 //! `#[target_feature(enable = "avx2", enable = "fma")]` implementation.
-//! The module is private to [`crate::simd`], and the dispatcher only
-//! installs this backend after `is_x86_feature_detected!` confirmed
-//! both features, so the wrappers' unsafe calls are always sound by the
-//! time they are reachable.
+//! Two things make the wrappers' calls sound. *Features*: the module is
+//! private to [`crate::simd`], and the dispatcher only installs this
+//! backend after `is_x86_feature_detected!` confirmed both. *Bounds*:
+//! the implementations walk their slices by raw pointer, every walk
+//! bounded by the length of one slice, and the `Kernels` methods — the
+//! only callers — have compared the others against it with `assert!`;
+//! each implementation repeats that comparison as a `debug_assert!` at
+//! entry. Helpers that touch no memory are safe `#[target_feature]`
+//! functions.
 //!
 //! Tails: slices are processed in full vector chunks, then a scalar
 //! remainder loop computes the same formula as [`super::scalar`] — so
@@ -29,13 +34,19 @@ const ROUND_MAGIC: f64 = 6_755_399_441_055_744.0;
 
 pub fn mac(sr: &mut [f64], si: &mut [f64], ar: &[f64], ai: &[f64], br: &[f64], bi: &[f64]) {
     // SAFETY: only reachable through the dispatcher, which installs this
-    // backend solely when AVX2 and FMA were detected at runtime.
+    // backend solely when AVX2 and FMA were detected at runtime, and
+    // through `Kernels::mac`, which checked all six lengths equal.
     unsafe { mac_impl(sr, si, ar, ai, br, bi) }
 }
 
+/// # Safety
+///
+/// The CPU must support AVX2 and FMA, and all six slices must be of one
+/// length.
 #[target_feature(enable = "avx2", enable = "fma")]
 unsafe fn mac_impl(sr: &mut [f64], si: &mut [f64], ar: &[f64], ai: &[f64], br: &[f64], bi: &[f64]) {
     let m = sr.len();
+    debug_assert!([si.len(), ar.len(), ai.len(), br.len(), bi.len()] == [m; 5]);
     let mut j = 0;
     while j + 4 <= m {
         let var = _mm256_loadu_pd(ar.as_ptr().add(j));
@@ -67,12 +78,18 @@ type V = (__m256d, __m256d);
 /// sizes go to the portable transform, which produces the same order.
 const MIN_POINTS: usize = 16;
 
+/// # Safety
+///
+/// `re` and `im` must be valid for reads of elements `j..j + 4`.
 #[inline]
 #[target_feature(enable = "avx2", enable = "fma")]
 unsafe fn load(re: *const f64, im: *const f64, j: usize) -> V {
     (_mm256_loadu_pd(re.add(j)), _mm256_loadu_pd(im.add(j)))
 }
 
+/// # Safety
+///
+/// `re` and `im` must be valid for writes of elements `j..j + 4`.
 #[inline]
 #[target_feature(enable = "avx2", enable = "fma")]
 unsafe fn store(re: *mut f64, im: *mut f64, j: usize, v: V) {
@@ -82,20 +99,20 @@ unsafe fn store(re: *mut f64, im: *mut f64, j: usize, v: V) {
 
 #[inline]
 #[target_feature(enable = "avx2", enable = "fma")]
-unsafe fn add(a: V, b: V) -> V {
+fn add(a: V, b: V) -> V {
     (_mm256_add_pd(a.0, b.0), _mm256_add_pd(a.1, b.1))
 }
 
 #[inline]
 #[target_feature(enable = "avx2", enable = "fma")]
-unsafe fn sub(a: V, b: V) -> V {
+fn sub(a: V, b: V) -> V {
     (_mm256_sub_pd(a.0, b.0), _mm256_sub_pd(a.1, b.1))
 }
 
 /// `a · w`.
 #[inline]
 #[target_feature(enable = "avx2", enable = "fma")]
-unsafe fn mul(a: V, w: V) -> V {
+fn mul(a: V, w: V) -> V {
     (
         _mm256_fmsub_pd(a.0, w.0, _mm256_mul_pd(a.1, w.1)),
         _mm256_fmadd_pd(a.0, w.1, _mm256_mul_pd(a.1, w.0)),
@@ -105,7 +122,7 @@ unsafe fn mul(a: V, w: V) -> V {
 /// `a · conj(w)`.
 #[inline]
 #[target_feature(enable = "avx2", enable = "fma")]
-unsafe fn mul_conj(a: V, w: V) -> V {
+fn mul_conj(a: V, w: V) -> V {
     (
         _mm256_fmadd_pd(a.0, w.0, _mm256_mul_pd(a.1, w.1)),
         _mm256_fmsub_pd(a.1, w.0, _mm256_mul_pd(a.0, w.1)),
@@ -114,6 +131,10 @@ unsafe fn mul_conj(a: V, w: V) -> V {
 
 /// The twiddles `w^j`, `w^{2j}`, `w^{3j}` for `j..j+4` from a six-run
 /// pass table with runs of `q`.
+///
+/// # Safety
+///
+/// `w` must be valid for reads of `6q` elements, and `j + 4 <= q`.
 #[inline]
 #[target_feature(enable = "avx2", enable = "fma")]
 unsafe fn twiddles_at(w: *const f64, q: usize, j: usize) -> [V; 3] {
@@ -124,7 +145,7 @@ unsafe fn twiddles_at(w: *const f64, q: usize, j: usize) -> [V; 3] {
 /// portable `dif4`).
 #[inline]
 #[target_feature(enable = "avx2", enable = "fma")]
-unsafe fn dif4(a: [V; 4], w: [V; 3]) -> [V; 4] {
+fn dif4(a: [V; 4], w: [V; 3]) -> [V; 4] {
     let (s02, d02) = (add(a[0], a[2]), sub(a[0], a[2]));
     let (s13, d13) = (add(a[1], a[3]), sub(a[1], a[3]));
     // d02 ± i·d13
@@ -137,7 +158,7 @@ unsafe fn dif4(a: [V; 4], w: [V; 3]) -> [V; 4] {
 /// (the formulas of the portable `dit4`).
 #[inline]
 #[target_feature(enable = "avx2", enable = "fma")]
-unsafe fn dit4(y: [V; 4], w: [V; 3]) -> [V; 4] {
+fn dit4(y: [V; 4], w: [V; 3]) -> [V; 4] {
     let (z1, z2, z3) = (mul_conj(y[1], w[1]), mul_conj(y[2], w[0]), mul_conj(y[3], w[2]));
     let (p, m) = (add(y[0], z1), sub(y[0], z1));
     let (s, d) = (add(z2, z3), sub(z2, z3));
@@ -152,7 +173,7 @@ unsafe fn dit4(y: [V; 4], w: [V; 3]) -> [V; 4] {
 /// (x0−x2)−i(x1−x3)]`.
 #[inline]
 #[target_feature(enable = "avx2", enable = "fma")]
-unsafe fn dft4_in_register(x: V) -> V {
+fn dft4_in_register(x: V) -> V {
     let ppmm = _mm256_setr_pd(1.0, 1.0, -1.0, -1.0);
     // [x0+x2, x1+x3, x0−x2, x1−x3]
     let tr = _mm256_fmadd_pd(x.0, ppmm, _mm256_permute2f128_pd::<1>(x.0, x.0));
@@ -177,7 +198,7 @@ unsafe fn dft4_in_register(x: V) -> V {
 /// [`dft4_in_register`] up to a factor 4.
 #[inline]
 #[target_feature(enable = "avx2", enable = "fma")]
-unsafe fn idft4_in_register(x: V) -> V {
+fn idft4_in_register(x: V) -> V {
     let pmpm = _mm256_setr_pd(1.0, -1.0, 1.0, -1.0);
     // [x0+x1, x0−x1, x2+x3, x2−x3]
     let tr = _mm256_fmadd_pd(x.0, pmpm, _mm256_permute_pd::<0b0101>(x.0));
@@ -200,7 +221,7 @@ unsafe fn idft4_in_register(x: V) -> V {
 /// `e^{2πij/8}` for `j < 4`: the twiddles of the 8-point stage.
 #[inline]
 #[target_feature(enable = "avx2", enable = "fma")]
-unsafe fn w8() -> V {
+fn w8() -> V {
     let c = std::f64::consts::FRAC_1_SQRT_2;
     (_mm256_setr_pd(1.0, c, 0.0, -c), _mm256_setr_pd(0.0, c, 1.0, c))
 }
@@ -212,18 +233,24 @@ pub fn forward(t: &Twiddles, c: &[i32], re: &mut [f64], im: &mut [f64]) {
     // SAFETY: only reachable through `Kernels::forward`, which checked
     // `c.len() == 2m` and `re.len() == im.len() == m` against the tables
     // and whose dispatcher installs this backend solely when AVX2 and
-    // FMA were detected at runtime.
-    unsafe { forward_impl(t, c.as_ptr(), re.as_mut_ptr(), im.as_mut_ptr()) }
+    // FMA were detected at runtime; `Twiddles::new` makes `m` a power of
+    // two, and `m >= MIN_POINTS` was checked just above.
+    unsafe { forward_impl(t, c, re, im) }
 }
 
 /// # Safety
 ///
-/// `c` must be valid for `2m` reads and `re`/`im` for `m` writes, with
-/// `m = t.m` a power of two `>= MIN_POINTS`; the CPU must support AVX2
-/// and FMA.
+/// `c` must hold `2m` elements and `re`/`im` `m` each, with `m = t.m` a
+/// power of two `>= MIN_POINTS`; the CPU must support AVX2 and FMA.
 #[target_feature(enable = "avx2", enable = "fma")]
-unsafe fn forward_impl(t: &Twiddles, c: *const i32, re: *mut f64, im: *mut f64) {
+unsafe fn forward_impl(t: &Twiddles, c: &[i32], re: &mut [f64], im: &mut [f64]) {
     let m = t.m;
+    debug_assert!(m.is_power_of_two() && m >= MIN_POINTS);
+    debug_assert!(c.len() == 2 * m && re.len() == m && im.len() == m);
+    debug_assert!(t.tw_re.len() == m && t.tw_im.len() == m && t.passes.len() == 2 * m);
+    // Every index below is `< m` (`< 2m` into `c`): a pass over blocks of
+    // `len` points walks `at + k·len/4` for `at < m` in steps of `len`.
+    let (c, re, im) = (c.as_ptr(), re.as_mut_ptr(), im.as_mut_ptr());
     // First pass: convert, twist and radix-4 over the whole buffer.
     let q = m / 4;
     let (lo, hi) = (c, c.add(m));
@@ -295,19 +322,23 @@ pub fn inverse(t: &Twiddles, re: &mut [f64], im: &mut [f64], out: &mut [Torus32]
         return super::scalar::inverse(t, re, im, out);
     }
     // SAFETY: as in `forward`: `Kernels::inverse` checked
-    // `re.len() == im.len() == m` and `out.len() == 2m`; `Torus32` is
-    // `#[repr(transparent)]` over `u32`.
-    unsafe { inverse_impl(t, re.as_mut_ptr(), im.as_mut_ptr(), out.as_mut_ptr() as *mut u32) }
+    // `re.len() == im.len() == m` and `out.len() == 2m`.
+    unsafe { inverse_impl(t, re, im, out) }
 }
 
 /// # Safety
 ///
-/// `re`/`im` must be valid for `m` reads and writes and `out` for `2m`
-/// writes, with `m = t.m` a power of two `>= MIN_POINTS`; the CPU must
-/// support AVX2 and FMA.
+/// `re`/`im` must hold `m` elements each and `out` `2m`, with `m = t.m`
+/// a power of two `>= MIN_POINTS`; the CPU must support AVX2 and FMA.
 #[target_feature(enable = "avx2", enable = "fma")]
-unsafe fn inverse_impl(t: &Twiddles, re: *mut f64, im: *mut f64, out: *mut u32) {
+unsafe fn inverse_impl(t: &Twiddles, re: &mut [f64], im: &mut [f64], out: &mut [Torus32]) {
     let m = t.m;
+    debug_assert!(m.is_power_of_two() && m >= MIN_POINTS);
+    debug_assert!(re.len() == m && im.len() == m && out.len() == 2 * m);
+    debug_assert!(t.tw_re.len() == m && t.tw_im.len() == m && t.passes.len() == 2 * m);
+    // Index bounds as in `forward_impl`. Torus32 is #[repr(transparent)]
+    // over u32 (see `crate::torus`).
+    let (re, im, out) = (re.as_mut_ptr(), im.as_mut_ptr(), out.as_mut_ptr() as *mut u32);
     // The shortest radix-4 block length of the forward walk: 16 or 32.
     let mut len = m;
     while len >= 4 * MIN_POINTS {
@@ -396,10 +427,14 @@ pub fn extract_digits(
     half_base: i32,
     out: &mut [i32],
 ) {
-    // SAFETY: see `mac`.
+    // SAFETY: AVX2 was detected (see `mac`), and `Kernels::extract_digits`
+    // checked `out.len() == c.len()`.
     unsafe { extract_digits_impl(c, offset, shift, mask, half_base, out) }
 }
 
+/// # Safety
+///
+/// The CPU must support AVX2, and `out` must be as long as `c`.
 #[target_feature(enable = "avx2")]
 unsafe fn extract_digits_impl(
     c: &[Torus32],
@@ -410,6 +445,7 @@ unsafe fn extract_digits_impl(
     out: &mut [i32],
 ) {
     let n = c.len();
+    debug_assert_eq!(out.len(), n);
     // Torus32 is #[repr(transparent)] over u32 (see `crate::torus`).
     let cp = c.as_ptr() as *const u32;
     let voff = _mm256_set1_epi32(offset as i32);
@@ -432,13 +468,18 @@ unsafe fn extract_digits_impl(
 }
 
 pub fn sub_assign(dst: &mut [Torus32], src: &[Torus32]) {
-    // SAFETY: see `mac`.
+    // SAFETY: AVX2 was detected (see `mac`), and `Kernels::sub_assign`
+    // checked `src.len() == dst.len()`.
     unsafe { sub_assign_impl(dst, src) }
 }
 
+/// # Safety
+///
+/// The CPU must support AVX2, and `src` must be as long as `dst`.
 #[target_feature(enable = "avx2")]
 unsafe fn sub_assign_impl(dst: &mut [Torus32], src: &[Torus32]) {
     let n = dst.len();
+    debug_assert_eq!(src.len(), n);
     let dp = dst.as_mut_ptr() as *mut u32;
     let sp = src.as_ptr() as *const u32;
     let mut j = 0;
@@ -455,13 +496,18 @@ unsafe fn sub_assign_impl(dst: &mut [Torus32], src: &[Torus32]) {
 }
 
 pub fn sub_assign2(dst: &mut [Torus32], a: &[Torus32], b: &[Torus32]) {
-    // SAFETY: see `mac`.
+    // SAFETY: AVX2 was detected (see `mac`), and `Kernels::sub_assign2`
+    // checked `a.len() == b.len() == dst.len()`.
     unsafe { sub_assign2_impl(dst, a, b) }
 }
 
+/// # Safety
+///
+/// The CPU must support AVX2, and `a` and `b` must be as long as `dst`.
 #[target_feature(enable = "avx2")]
 unsafe fn sub_assign2_impl(dst: &mut [Torus32], a: &[Torus32], b: &[Torus32]) {
     let n = dst.len();
+    debug_assert!(a.len() == n && b.len() == n);
     let dp = dst.as_mut_ptr() as *mut u32;
     let ap = a.as_ptr() as *const u32;
     let bp = b.as_ptr() as *const u32;
@@ -481,13 +527,18 @@ unsafe fn sub_assign2_impl(dst: &mut [Torus32], a: &[Torus32], b: &[Torus32]) {
 }
 
 pub fn axpy(dst: &mut [Torus32], coeff: i32, src: &[Torus32]) {
-    // SAFETY: see `mac`.
+    // SAFETY: AVX2 was detected (see `mac`), and `Kernels::axpy` checked
+    // `src.len() == dst.len()`.
     unsafe { axpy_impl(dst, coeff, src) }
 }
 
+/// # Safety
+///
+/// The CPU must support AVX2, and `src` must be as long as `dst`.
 #[target_feature(enable = "avx2")]
 unsafe fn axpy_impl(dst: &mut [Torus32], coeff: i32, src: &[Torus32]) {
     let n = dst.len();
+    debug_assert_eq!(src.len(), n);
     // `_mm256_mullo_epi32` keeps the low 32 product bits — exactly the
     // scalar path's `u32::wrapping_mul`, so the kernel is bit-identical.
     let dp = dst.as_mut_ptr() as *mut i32;

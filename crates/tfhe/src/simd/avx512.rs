@@ -2,9 +2,11 @@
 //!
 //! Safety model mirrors [`super::avx2`]: every public function is a safe
 //! wrapper around a `#[target_feature(enable = "avx512f", enable =
-//! "avx512dq")]` implementation, and the dispatcher installs this
-//! backend only after `is_x86_feature_detected!` confirmed both
-//! features, so the wrappers' unsafe calls are sound when reachable.
+//! "avx512dq")]` implementation; the dispatcher installs this backend
+//! only after `is_x86_feature_detected!` confirmed both features, and
+//! the `Kernels` methods compared the slice lengths with `assert!`
+//! before any implementation walks them by raw pointer (each repeats the
+//! comparison as a `debug_assert!` at entry).
 //!
 //! This tier holds the MAC and the integer kernels only: the
 //! [`crate::simd`] table points its transform entries at the AVX2
@@ -36,13 +38,19 @@ fn tail16(rem: usize) -> __mmask16 {
 
 pub fn mac(sr: &mut [f64], si: &mut [f64], ar: &[f64], ai: &[f64], br: &[f64], bi: &[f64]) {
     // SAFETY: only reachable through the dispatcher, which installs this
-    // backend solely when avx512f + avx512dq were detected at runtime.
+    // backend solely when avx512f + avx512dq were detected at runtime, and
+    // through `Kernels::mac`, which checked all six lengths equal.
     unsafe { mac_impl(sr, si, ar, ai, br, bi) }
 }
 
+/// # Safety
+///
+/// The CPU must support avx512f and avx512dq, and all six slices must be
+/// of one length.
 #[target_feature(enable = "avx512f", enable = "avx512dq")]
 unsafe fn mac_impl(sr: &mut [f64], si: &mut [f64], ar: &[f64], ai: &[f64], br: &[f64], bi: &[f64]) {
     let m = sr.len();
+    debug_assert!([si.len(), ar.len(), ai.len(), br.len(), bi.len()] == [m; 5]);
     let mut j = 0;
     while j + 8 <= m {
         let var = _mm512_loadu_pd(ar.as_ptr().add(j));
@@ -83,10 +91,14 @@ pub fn extract_digits(
     half_base: i32,
     out: &mut [i32],
 ) {
-    // SAFETY: see `mac`.
+    // SAFETY: the features were detected (see `mac`), and
+    // `Kernels::extract_digits` checked `out.len() == c.len()`.
     unsafe { extract_digits_impl(c, offset, shift, mask, half_base, out) }
 }
 
+/// # Safety
+///
+/// As for `mac_impl`, and `out` must be as long as `c`.
 #[target_feature(enable = "avx512f", enable = "avx512dq")]
 unsafe fn extract_digits_impl(
     c: &[Torus32],
@@ -97,6 +109,7 @@ unsafe fn extract_digits_impl(
     out: &mut [i32],
 ) {
     let n = c.len();
+    debug_assert_eq!(out.len(), n);
     // Torus32 is #[repr(transparent)] over u32 (see `crate::torus`).
     let cp = c.as_ptr() as *const i32;
     let voff = _mm512_set1_epi32(offset as i32);
@@ -117,13 +130,18 @@ unsafe fn extract_digits_impl(
 }
 
 pub fn sub_assign(dst: &mut [Torus32], src: &[Torus32]) {
-    // SAFETY: see `mac`.
+    // SAFETY: the features were detected (see `mac`), and
+    // `Kernels::sub_assign` checked `src.len() == dst.len()`.
     unsafe { sub_assign_impl(dst, src) }
 }
 
+/// # Safety
+///
+/// As for `mac_impl`, and `src` must be as long as `dst`.
 #[target_feature(enable = "avx512f", enable = "avx512dq")]
 unsafe fn sub_assign_impl(dst: &mut [Torus32], src: &[Torus32]) {
     let n = dst.len();
+    debug_assert_eq!(src.len(), n);
     let dp = dst.as_mut_ptr() as *mut i32;
     let sp = src.as_ptr() as *const i32;
     let mut j = 0;
@@ -138,13 +156,18 @@ unsafe fn sub_assign_impl(dst: &mut [Torus32], src: &[Torus32]) {
 }
 
 pub fn sub_assign2(dst: &mut [Torus32], a: &[Torus32], b: &[Torus32]) {
-    // SAFETY: see `mac`.
+    // SAFETY: the features were detected (see `mac`), and
+    // `Kernels::sub_assign2` checked `a.len() == b.len() == dst.len()`.
     unsafe { sub_assign2_impl(dst, a, b) }
 }
 
+/// # Safety
+///
+/// As for `mac_impl`, and `a` and `b` must be as long as `dst`.
 #[target_feature(enable = "avx512f", enable = "avx512dq")]
 unsafe fn sub_assign2_impl(dst: &mut [Torus32], a: &[Torus32], b: &[Torus32]) {
     let n = dst.len();
+    debug_assert!(a.len() == n && b.len() == n);
     let dp = dst.as_mut_ptr() as *mut i32;
     let ap = a.as_ptr() as *const i32;
     let bp = b.as_ptr() as *const i32;
@@ -162,13 +185,18 @@ unsafe fn sub_assign2_impl(dst: &mut [Torus32], a: &[Torus32], b: &[Torus32]) {
 }
 
 pub fn axpy(dst: &mut [Torus32], coeff: i32, src: &[Torus32]) {
-    // SAFETY: see `mac`.
+    // SAFETY: the features were detected (see `mac`), and `Kernels::axpy`
+    // checked `src.len() == dst.len()`.
     unsafe { axpy_impl(dst, coeff, src) }
 }
 
+/// # Safety
+///
+/// As for `mac_impl`, and `src` must be as long as `dst`.
 #[target_feature(enable = "avx512f", enable = "avx512dq")]
 unsafe fn axpy_impl(dst: &mut [Torus32], coeff: i32, src: &[Torus32]) {
     let n = dst.len();
+    debug_assert_eq!(src.len(), n);
     // `_mm512_mullo_epi32` keeps the low 32 product bits — exactly the
     // scalar path's `u32::wrapping_mul`, so the kernel is bit-identical.
     let dp = dst.as_mut_ptr() as *mut i32;

@@ -35,8 +35,7 @@
 //!
 //! * [`scalar`] — portable Rust over exactly-sized sub-slices (no index
 //!   is bounds-checked inside a loop). Always available; the oracle for
-//!   the vector code, the whole transform for `M < 16`, and what the
-//!   NEON table points its transform entries at.
+//!   the vector code, and the whole transform for `M < 16`.
 //! * `avx2` — AVX2 + FMA intrinsics over raw pointers, 4×`f64` per
 //!   vector; the leaf runs the last two stages inside one register. The
 //!   AVX-512 table reuses it.
@@ -60,9 +59,10 @@
 //!
 //! # Other kernels
 //!
-//! `mac` and the integer kernels exist in four versions: [`scalar`],
-//! `avx2` (4×`f64` / 8×`u32`), `avx512` (8×`f64` / 16×`u32`, masked
-//! tails; needs `avx512f` + `avx512dq`) and `neon` (2×`f64` / 4×`u32`).
+//! `mac` and the integer kernels exist in three versions: [`scalar`],
+//! `avx2` (4×`f64` / 8×`u32`) and `avx512` (8×`f64` / 16×`u32`, masked
+//! tails; needs `avx512f` + `avx512dq`). Every other architecture runs
+//! the scalar table.
 //!
 //! # Correctness contract
 //!
@@ -81,11 +81,12 @@
 //!
 //! # Dispatch
 //!
-//! [`kernels`] resolves the backend once per process: the `PYTFHE_SIMD`
-//! environment variable (`auto` | `scalar` | `avx2` | `avx512` | `neon`)
-//! is consulted first, a requested-but-unsupported backend falls back to
-//! scalar, and `auto` (or an unset/unknown value) picks the best path
-//! the CPU supports. [`set_active_path`] re-points the process-global
+//! [`kernels`] resolves the backend once per process from the
+//! `PYTFHE_SIMD` environment variable (`auto` | `scalar` | `avx2` |
+//! `avx512`), by one rule: a named backend the CPU supports is taken,
+//! and everything else — unset, `auto`, an unknown name, a backend this
+//! CPU cannot run — picks the best path the CPU supports.
+//! [`set_active_path`] re-points the process-global
 //! dispatch explicitly — used by tests and benches that compare paths in
 //! one process; it is not meant for concurrent use while other threads
 //! are mid-kernel (each kernel call reads the table once, so results
@@ -104,9 +105,6 @@ mod avx2;
 #[cfg(target_arch = "x86_64")]
 mod avx512;
 
-#[cfg(target_arch = "aarch64")]
-mod neon;
-
 /// Identifies one SIMD backend.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum SimdPath {
@@ -117,16 +115,12 @@ pub enum SimdPath {
     /// AVX-512 (x86-64), 8×`f64` / 16×`u32` lanes with masked tails;
     /// the transform is the AVX2 one.
     Avx512,
-    /// NEON (AArch64), 2×`f64` / 4×`u32` lanes; the transform is the
-    /// portable one.
-    Neon,
 }
 
 impl SimdPath {
     /// Every path this build knows about (not necessarily runnable on
     /// this CPU — see [`SimdPath::is_supported`]).
-    pub const ALL: [SimdPath; 4] =
-        [SimdPath::Scalar, SimdPath::Avx2, SimdPath::Avx512, SimdPath::Neon];
+    pub const ALL: [SimdPath; 3] = [SimdPath::Scalar, SimdPath::Avx2, SimdPath::Avx512];
 
     /// Stable lowercase name, matching the `PYTFHE_SIMD` values.
     pub fn name(self) -> &'static str {
@@ -134,7 +128,6 @@ impl SimdPath {
             SimdPath::Scalar => "scalar",
             SimdPath::Avx2 => "avx2",
             SimdPath::Avx512 => "avx512",
-            SimdPath::Neon => "neon",
         }
     }
 
@@ -160,18 +153,13 @@ impl SimdPath {
             }
             #[cfg(not(target_arch = "x86_64"))]
             SimdPath::Avx2 | SimdPath::Avx512 => false,
-            // NEON is part of the baseline AArch64 ISA.
-            SimdPath::Neon => cfg!(target_arch = "aarch64"),
         }
     }
 
+    /// Position in [`SimdPath::ALL`]: what the process-global dispatch
+    /// stores.
     fn id(self) -> u8 {
-        match self {
-            SimdPath::Scalar => 0,
-            SimdPath::Avx2 => 1,
-            SimdPath::Neon => 2,
-            SimdPath::Avx512 => 3,
-        }
+        self as u8
     }
 }
 
@@ -338,6 +326,14 @@ impl Kernels {
 
     /// One level of signed gadget decomposition:
     /// `out[j] = ((c[j] + offset) >> shift) & mask - half_base`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `c` and `out` differ in length. Like the three kernels
+    /// below, this is a release-mode check: the vector bodies walk every
+    /// slice by raw pointer up to the length of one of them, so in a safe
+    /// `fn` the comparison is what keeps a short slice from being read or
+    /// written past its end (one compare per call of ≥ 500 words).
     #[inline]
     pub fn extract_digits(
         &self,
@@ -348,15 +344,19 @@ impl Kernels {
         half_base: i32,
         out: &mut [i32],
     ) {
-        debug_assert_eq!(c.len(), out.len());
+        assert_eq!(c.len(), out.len(), "extract_digits: slice lengths differ");
         (self.extract_digits)(c, offset, shift, mask, half_base, out)
     }
 
     /// Wrapping element-wise `dst -= src` over torus slices — the
     /// key-switch accumulation (and every LWE mask subtraction).
+    ///
+    /// # Panics
+    ///
+    /// Panics if the slices differ in length.
     #[inline]
     pub fn sub_assign(&self, dst: &mut [Torus32], src: &[Torus32]) {
-        debug_assert_eq!(dst.len(), src.len());
+        assert_eq!(dst.len(), src.len(), "sub_assign: slice lengths differ");
         (self.sub_assign)(dst, src)
     }
 
@@ -365,9 +365,13 @@ impl Kernels {
     /// halving the store traffic of the dominant key-switch loop;
     /// bit-identical to two sequential [`Kernels::sub_assign`] calls
     /// because `Z/2^32` addition is associative.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the slices differ in length.
     #[inline]
     pub fn sub_assign2(&self, dst: &mut [Torus32], a: &[Torus32], b: &[Torus32]) {
-        debug_assert!(a.len() == dst.len() && b.len() == dst.len());
+        assert!(a.len() == dst.len() && b.len() == dst.len(), "sub_assign2: slice lengths differ");
         (self.sub_assign2)(dst, a, b)
     }
 
@@ -375,9 +379,13 @@ impl Kernels {
     /// the mask accumulation of the gate linear combinations (staging
     /// pass of the batched bootstrap kernels). Bit-identical across
     /// backends (low-32-bit products on every path).
+    ///
+    /// # Panics
+    ///
+    /// Panics if the slices differ in length.
     #[inline]
     pub fn axpy(&self, dst: &mut [Torus32], coeff: i32, src: &[Torus32]) {
-        debug_assert_eq!(dst.len(), src.len());
+        assert_eq!(dst.len(), src.len(), "axpy: slice lengths differ");
         (self.axpy)(dst, coeff, src)
     }
 }
@@ -418,50 +426,23 @@ static AVX512: Kernels = Kernels {
     axpy: avx512::axpy,
 };
 
-#[cfg(target_arch = "aarch64")]
-static NEON: Kernels = Kernels {
-    path: SimdPath::Neon,
-    mac: neon::mac,
-    forward: scalar::forward,
-    inverse: scalar::inverse,
-    extract_digits: neon::extract_digits,
-    sub_assign: neon::sub_assign,
-    sub_assign2: neon::sub_assign2,
-    axpy: neon::axpy,
-};
-
 /// The kernel set for an explicit path, or `None` when the running CPU
 /// cannot execute it. Equivalence tests use this to compare backends
 /// directly without touching the process-global dispatch.
 pub fn kernels_for(path: SimdPath) -> Option<&'static Kernels> {
-    if !path.is_supported() {
-        return None;
-    }
-    Some(match path {
-        SimdPath::Scalar => &SCALAR,
-        #[cfg(target_arch = "x86_64")]
-        SimdPath::Avx2 => &AVX2,
-        #[cfg(target_arch = "x86_64")]
-        SimdPath::Avx512 => &AVX512,
-        #[cfg(target_arch = "aarch64")]
-        SimdPath::Neon => &NEON,
-        // `is_supported` already ruled these out on this architecture.
-        #[allow(unreachable_patterns)]
-        _ => unreachable!("unsupported path slipped past is_supported"),
-    })
+    path.is_supported().then(|| by_id(path.id()))
 }
 
 /// Best path the running CPU supports (widest lanes first).
 pub fn best_available() -> SimdPath {
-    if SimdPath::Avx512.is_supported() {
-        SimdPath::Avx512
-    } else if SimdPath::Avx2.is_supported() {
-        SimdPath::Avx2
-    } else if SimdPath::Neon.is_supported() {
-        SimdPath::Neon
-    } else {
-        SimdPath::Scalar
-    }
+    best_of(SimdPath::is_supported)
+}
+
+fn best_of(is_supported: impl Fn(SimdPath) -> bool) -> SimdPath {
+    [SimdPath::Avx512, SimdPath::Avx2]
+        .into_iter()
+        .find(|&p| is_supported(p))
+        .unwrap_or(SimdPath::Scalar)
 }
 
 const PATH_UNRESOLVED: u8 = u8::MAX;
@@ -469,43 +450,34 @@ const PATH_UNRESOLVED: u8 = u8::MAX;
 /// Process-global active path id, resolved lazily from `PYTFHE_SIMD`.
 static ACTIVE: AtomicU8 = AtomicU8::new(PATH_UNRESOLVED);
 
-fn path_from_env() -> SimdPath {
-    let requested = match std::env::var("PYTFHE_SIMD") {
-        Ok(v) => match v.to_ascii_lowercase().as_str() {
-            "scalar" => Some(SimdPath::Scalar),
-            "avx2" => Some(SimdPath::Avx2),
-            "avx512" => Some(SimdPath::Avx512),
-            "neon" => Some(SimdPath::Neon),
-            // "auto", empty, and unknown values all mean "pick for me".
-            _ => None,
-        },
-        Err(_) => None,
-    };
-    match requested {
-        Some(p) if p.is_supported() => p,
-        // An explicitly requested but unrunnable backend degrades to
-        // scalar (never crash on someone else's machine).
-        Some(_) => SimdPath::Scalar,
-        None => best_available(),
-    }
+/// The path a `PYTFHE_SIMD` value selects on a host described by
+/// `is_supported`: the named backend when the host can run it, and in
+/// every other case — unset, `auto`, an unknown name, a backend the host
+/// lacks — what `auto` picks (never crash on someone else's machine, and
+/// never run slower than it has to because of a stale setting).
+fn path_for_request(request: Option<&str>, is_supported: impl Fn(SimdPath) -> bool) -> SimdPath {
+    request
+        .and_then(|v| SimdPath::ALL.into_iter().find(|p| v.eq_ignore_ascii_case(p.name())))
+        .filter(|&p| is_supported(p))
+        .unwrap_or_else(|| best_of(is_supported))
 }
 
 fn resolve() -> u8 {
-    let id = path_from_env().id();
+    let request = std::env::var("PYTFHE_SIMD").ok();
+    let id = path_for_request(request.as_deref(), SimdPath::is_supported).id();
     // A concurrent set_active_path may have raced us; either value is a
     // valid resolved state, so last store wins harmlessly.
     ACTIVE.store(id, Ordering::Relaxed);
     id
 }
 
+/// The table for a [`SimdPath::id`] (anything else: scalar).
 fn by_id(id: u8) -> &'static Kernels {
     match id {
         #[cfg(target_arch = "x86_64")]
         1 => &AVX2,
-        #[cfg(target_arch = "aarch64")]
-        2 => &NEON,
         #[cfg(target_arch = "x86_64")]
-        3 => &AVX512,
+        2 => &AVX512,
         _ => &SCALAR,
     }
 }
@@ -554,7 +526,7 @@ mod tests {
     fn active_path_is_supported_and_named() {
         let p = active_path();
         assert!(p.is_supported());
-        assert!(["scalar", "avx2", "avx512", "neon"].contains(&p.name()));
+        assert!(["scalar", "avx2", "avx512"].contains(&p.name()));
         assert_eq!(format!("{p}"), p.name());
     }
 
@@ -564,11 +536,7 @@ mod tests {
         assert!(best.is_supported());
         // Nothing strictly better than `best` may claim support.
         if best == SimdPath::Scalar {
-            assert!(
-                !SimdPath::Avx2.is_supported()
-                    && !SimdPath::Avx512.is_supported()
-                    && !SimdPath::Neon.is_supported()
-            );
+            assert!(!SimdPath::Avx2.is_supported() && !SimdPath::Avx512.is_supported());
         }
         if best == SimdPath::Avx2 {
             assert!(!SimdPath::Avx512.is_supported());
@@ -580,5 +548,71 @@ mod tests {
         for p in SimdPath::ALL {
             assert_eq!(kernels_for(p).is_some(), p.is_supported(), "{p}");
         }
+    }
+
+    #[test]
+    fn a_request_the_host_cannot_honour_resolves_like_auto() {
+        let avx2_only = |p| p != SimdPath::Avx512;
+        let no_simd = |p| p == SimdPath::Scalar;
+        for (request, want) in [
+            (None, SimdPath::Avx2),
+            (Some("auto"), SimdPath::Avx2),
+            (Some("avx512"), SimdPath::Avx2),
+            (Some("AVX2"), SimdPath::Avx2),
+            (Some("scalar"), SimdPath::Scalar),
+            (Some("neon"), SimdPath::Avx2),
+            (Some("fastest"), SimdPath::Avx2),
+            (Some(""), SimdPath::Avx2),
+        ] {
+            assert_eq!(path_for_request(request, avx2_only), want, "{request:?} on AVX2-only");
+        }
+        assert_eq!(path_for_request(Some("avx512"), |_| true), SimdPath::Avx512);
+        assert_eq!(path_for_request(None, |_| true), SimdPath::Avx512);
+        assert_eq!(path_for_request(Some("avx2"), no_simd), SimdPath::Scalar);
+        assert_eq!(path_for_request(Some("neon"), no_simd), SimdPath::Scalar);
+    }
+
+    /// Calls `call` with the kernels of every path this host supports,
+    /// checks that each call but the last panicked, and lets the last
+    /// one's panic out for `#[should_panic]` to match.
+    fn refused_on_every_path(call: impl Fn(&Kernels) + std::panic::RefUnwindSafe) {
+        let mut tables: Vec<&Kernels> = SimdPath::ALL.into_iter().filter_map(kernels_for).collect();
+        let last = tables.pop().expect("scalar is always supported");
+        for k in tables {
+            let refused = std::panic::catch_unwind(|| call(k)).is_err();
+            assert!(refused, "path {} accepted mismatched slices", k.path());
+        }
+        call(last);
+    }
+
+    // One word of source for 64 of destination: before the length checks
+    // were release-mode asserts, the vector bodies read (or wrote) 63
+    // words past the short slice and returned normally. These must pass
+    // under `cargo test --release` as well.
+    const LONG: [Torus32; 64] = [Torus32::ZERO; 64];
+    const SHORT: [Torus32; 1] = [Torus32::ZERO; 1];
+
+    #[test]
+    #[should_panic(expected = "axpy: slice lengths differ")]
+    fn axpy_refuses_a_short_source_on_every_path() {
+        refused_on_every_path(|k| k.axpy(&mut LONG.clone(), 1, &SHORT));
+    }
+
+    #[test]
+    #[should_panic(expected = "sub_assign: slice lengths differ")]
+    fn sub_assign_refuses_a_short_source_on_every_path() {
+        refused_on_every_path(|k| k.sub_assign(&mut LONG.clone(), &SHORT));
+    }
+
+    #[test]
+    #[should_panic(expected = "sub_assign2: slice lengths differ")]
+    fn sub_assign2_refuses_a_short_source_on_every_path() {
+        refused_on_every_path(|k| k.sub_assign2(&mut LONG.clone(), &LONG, &SHORT));
+    }
+
+    #[test]
+    #[should_panic(expected = "extract_digits: slice lengths differ")]
+    fn extract_digits_refuses_a_short_output_on_every_path() {
+        refused_on_every_path(|k| k.extract_digits(&LONG, 0, 22, 1023, 512, &mut [0; 1]));
     }
 }

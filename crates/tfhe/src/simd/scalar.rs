@@ -1,6 +1,6 @@
 //! Portable kernels in plain Rust. Every vector backend is tested
 //! against these, and the transform here is also the whole transform for
-//! sizes below the vector code's smallest block and for the NEON table.
+//! sizes below the vector code's smallest block.
 //!
 //! Loops index exactly-sized sub-slices, sliced once before the loop, so
 //! no index is bounds-checked inside one.

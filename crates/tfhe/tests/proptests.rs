@@ -8,7 +8,7 @@ use pytfhe_tfhe::poly::{naive_negacyclic_mul, IntPoly, TorusPoly};
 use pytfhe_tfhe::reference::RefFftPlan;
 use pytfhe_tfhe::tgsw::Gadget;
 use pytfhe_tfhe::torus::Torus32;
-use pytfhe_tfhe::{ClientKey, Params, SecureRng};
+use pytfhe_tfhe::{BootGate, ClientKey, Params, SecureRng};
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
@@ -147,10 +147,10 @@ proptest! {
         let mut cx = client.encrypt_bit(x, &mut rng);
         for op in ops {
             (cx, x) = match op {
-                0 => (server.nand_with(&cx, &cy, &mut scratch), !(x && y)),
-                1 => (server.xor_with(&cx, &cy, &mut scratch), x ^ y),
-                2 => (server.or_with(&cx, &cy, &mut scratch), x || y),
-                _ => (server.andyn_with(&cx, &cy, &mut scratch), x && !y),
+                0 => (server.gate_with(BootGate::Nand, &cx, &cy, &mut scratch), !(x && y)),
+                1 => (server.gate_with(BootGate::Xor, &cx, &cy, &mut scratch), x ^ y),
+                2 => (server.gate_with(BootGate::Or, &cx, &cy, &mut scratch), x || y),
+                _ => (server.gate_with(BootGate::Andyn, &cx, &cy, &mut scratch), x && !y),
             };
             prop_assert_eq!(client.decrypt_bit(&cx), x);
         }

@@ -8,7 +8,7 @@ use pytfhe_backend::DiskStore;
 use pytfhe_netlist::{GateKind, Netlist, ALL_GATE_KINDS};
 use pytfhe_serve::{duplex, ServeClient, ServeConfig, ServeError, ServeHandle};
 use pytfhe_tfhe::io::server_key_to_bytes;
-use pytfhe_tfhe::{ClientKey, Params, SecureRng};
+use pytfhe_tfhe::{ClientKey, LweCiphertext, Params, SecureRng, Torus32};
 
 /// A deterministic random DAG over every gate kind: each gate draws its
 /// operands from the pool of inputs and earlier gates.
@@ -256,4 +256,50 @@ fn evicted_key_without_a_store_is_unknown() {
         Err(ServeError::UnknownKey(_)) => {}
         other => panic!("expected UnknownKey, got {other:?}"),
     }
+}
+
+/// The tenant boundary: a ciphertext of the wrong size — one word where
+/// the key expects `n` — and inputs tagged with another parameter set
+/// are each refused with a typed `Protocol` error at submit; nothing
+/// reaches the bootstrap kernel, the scheduler thread survives, and the
+/// neighbouring tenant's job (submitted first, fetched afterwards) and
+/// the offender's own next, well-formed job both complete.
+#[test]
+fn malformed_inputs_are_refused_and_the_other_tenant_is_unharmed() {
+    let front = ServeHandle::start(ServeConfig::default(), None);
+    let params = Params::testing();
+    let (ck_bad, key_bad, mut rng_b) = tenant_material(51);
+    let (ck_good, key_good, mut rng_g) = tenant_material(52);
+
+    let (near_b, far_b) = duplex();
+    front.attach(far_b).expect("admitted");
+    let mut bad = ServeClient::new(near_b);
+    let fp_b = bad.install_key(&key_bad).expect("install");
+    let (near_g, far_g) = duplex();
+    front.attach(far_g).expect("admitted");
+    let mut good = ServeClient::new(near_g);
+    let fp_g = good.install_key(&key_good).expect("install");
+
+    let nl = random_netlist(77, 5, 24);
+    let bits_g: Vec<bool> = (0..5).map(|_| rng_g.bit()).collect();
+    let inputs_g = ck_good.encrypt_bits(&bits_g, &mut rng_g);
+    let job_g = good.submit(fp_g, &nl, &inputs_g, &params).expect("well-formed submit");
+
+    let bits_b: Vec<bool> = (0..5).map(|_| rng_b.bit()).collect();
+    let inputs_b = ck_bad.encrypt_bits(&bits_b, &mut rng_b);
+    let mut short = inputs_b.clone();
+    short[2] = LweCiphertext::trivial(Torus32::ZERO, 1);
+    match bad.submit(fp_b, &nl, &short, &params) {
+        Err(ServeError::Protocol(msg)) => assert!(msg.contains("dimension 1"), "{msg}"),
+        other => panic!("expected a Protocol refusal of the 1-word input, got {other:?}"),
+    }
+    match bad.submit(fp_b, &nl, &inputs_b, &Params::testing_shortint()) {
+        Err(ServeError::Protocol(msg)) => assert!(msg.contains("parameter set"), "{msg}"),
+        other => panic!("expected a Protocol refusal of the mistagged inputs, got {other:?}"),
+    }
+
+    let out = good.fetch(job_g).expect("the other tenant's job completes");
+    assert_eq!(ck_good.decrypt_bits(&out), nl.eval_plain(&bits_g));
+    let out = bad.run(fp_b, &nl, &inputs_b, &params).expect("the session is still usable");
+    assert_eq!(ck_bad.decrypt_bits(&out), nl.eval_plain(&bits_b));
 }

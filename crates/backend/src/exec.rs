@@ -79,7 +79,7 @@ pub struct ExecStats {
 impl ExecStats {
     /// Statistics of a run yet to start: the program's size (see
     /// [`netlist_bootstraps`] for `bootstraps`), every run counter zero.
-    pub(crate) fn new(gates: usize, luts: usize, bootstraps: u64) -> Self {
+    pub fn new(gates: usize, luts: usize, bootstraps: u64) -> Self {
         ExecStats {
             gates,
             waves: 0,
@@ -351,7 +351,7 @@ pub fn execute_parallel<E: GateEngine>(
     let start = Instant::now();
     let plan = capture(nl, &CaptureConfig::default())?;
     let capture_s = start.elapsed().as_secs_f64();
-    let mut lanes = ReplayLanes::new(engine, workers);
+    let mut lanes = ReplayLanes::new(workers);
     let (outputs, mut stats) = replay(engine, &plan, inputs, &mut lanes)?;
     stats.capture_s = capture_s;
     stats.wall_s = start.elapsed().as_secs_f64();

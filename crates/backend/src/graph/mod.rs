@@ -13,9 +13,9 @@
 //!    fingerprint, so the second and later executions of a program skip
 //!    capture entirely (`ExecStats::plan_cached`).
 //! 3. **Replay** ([`replay`]): the plan executes against fresh inputs
-//!    with preallocated [`ReplayLanes`]; the hot path performs zero
-//!    per-gate buffer allocations and is bit-exact with
-//!    [`crate::execute`].
+//!    with preallocated [`ReplayLanes`], wave by wave through
+//!    [`run_wave`]; the hot path performs zero per-gate buffer
+//!    allocations and is bit-exact with [`crate::execute`].
 //!
 //! Plans are plain data: [`KernelPlan::to_bytes`] /
 //! [`KernelPlan::from_bytes`] round-trip them for shipping or on-disk
@@ -30,7 +30,7 @@ pub use capture::{capture, CaptureConfig};
 pub use plan::{
     counts_toward_batch, GateGroup, GateTask, KernelPlan, LutGroup, LutTask, SubGraph, WavePlan,
 };
-pub use replay::{replay, ReplayLanes};
+pub use replay::{replay, run_wave, Launch, ReplayLanes};
 
 use crate::checkpoint::netlist_fingerprint;
 use crate::engine::GateEngine;
@@ -116,7 +116,7 @@ impl KernelGraph {
         inputs: &[E::Value],
         workers: usize,
     ) -> Result<(Vec<E::Value>, ExecStats), ExecError> {
-        let mut lanes = ReplayLanes::new(engine, workers);
+        let mut lanes = ReplayLanes::new(workers);
         self.execute_with_lanes(engine, nl, inputs, &mut lanes)
     }
 
@@ -131,7 +131,7 @@ impl KernelGraph {
         engine: &E,
         nl: &Netlist,
         inputs: &[E::Value],
-        lanes: &mut ReplayLanes<E>,
+        lanes: &mut ReplayLanes<E::Value, E::Scratch>,
     ) -> Result<(Vec<E::Value>, ExecStats), ExecError> {
         let start = Instant::now();
         let (plan, cached, capture_s) = self.plan_for(nl)?;

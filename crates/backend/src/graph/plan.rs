@@ -3,6 +3,7 @@
 //! plans can be shipped to (or cached by) a remote evaluator exactly
 //! like the paper's serialized CUDA graphs.
 
+use crate::engine::boot_gate;
 use crate::error::ExecError;
 use pytfhe_netlist::{GateKind, LutSpec};
 use pytfhe_wire as wire;
@@ -118,6 +119,58 @@ impl WavePlan {
             .sum::<u64>()
             + self.lut_groups.iter().map(LutGroup::bootstraps).sum::<u64>()
     }
+
+    /// Bootstraps the wave executes: binary gates plus non-affine LUT
+    /// cones (`Not`, `Buf`, constants, and affine LUTs are linear).
+    pub fn bootstraps(&self) -> u64 {
+        self.groups
+            .iter()
+            .filter(|g| boot_gate(g.kind).is_some())
+            .map(|g| g.tasks.len() as u64)
+            .sum::<u64>()
+            + self.lut_groups.iter().map(LutGroup::bootstraps).sum::<u64>()
+    }
+
+    /// Re-cuts the wave into sub-waves of at most `bound` bootstraps
+    /// each (clamped to at least 1), every task in exactly one of them,
+    /// group and task order kept: the wave's `i`-th bootstrapping task,
+    /// counted across its groups, lands in sub-wave `i / bound`, linear
+    /// tasks cost nothing and stay in the first. Tasks of one wave are
+    /// independent, so the sub-waves may run in any order, one after
+    /// another or together. A wave within the bound comes back as it is.
+    pub fn split(self, bound: usize) -> Vec<WavePlan> {
+        let bound = bound.max(1);
+        let parts = (self.bootstraps() as usize).div_ceil(bound);
+        if parts <= 1 {
+            return vec![self];
+        }
+        let mut out = vec![WavePlan::default(); parts];
+        let mut dealt = 0;
+        // Where a group of `len` tasks lands: (sub-wave, run of tasks).
+        let mut runs = |len: usize, boots: bool| -> Vec<(usize, std::ops::Range<usize>)> {
+            if !boots {
+                return vec![(0, 0..len)];
+            }
+            let (start, end) = (dealt, dealt + len);
+            dealt = end;
+            (start / bound..end.div_ceil(bound))
+                .map(|j| (j, (j * bound).max(start) - start..((j + 1) * bound).min(end) - start))
+                .collect()
+        };
+        for GateGroup { kind, tasks } in self.groups {
+            for (part, run) in runs(tasks.len(), boot_gate(kind).is_some()) {
+                out[part].groups.push(GateGroup { kind, tasks: tasks[run].to_vec() });
+            }
+        }
+        for group in self.lut_groups {
+            let (width, precision) = (group.width, group.precision);
+            for (part, run) in runs(group.tasks.len(), !group.is_affine()) {
+                let tasks = group.tasks[run].to_vec();
+                out[part].lut_groups.push(LutGroup { width, precision, tasks });
+            }
+        }
+        out
+    }
 }
 
 /// Whether `kind` counts toward the batch-cut budget. This mirrors
@@ -189,42 +242,12 @@ impl KernelPlan {
     /// Bootstraps a replay executes: binary gates plus non-affine LUT
     /// cones (`Not`, `Buf`, constants, and affine LUTs are linear).
     pub fn bootstraps(&self) -> u64 {
-        self.batches
-            .iter()
-            .flat_map(|b| &b.waves)
-            .map(|w| {
-                w.groups
-                    .iter()
-                    .filter(|g| !g.kind.is_const() && !g.kind.is_unary())
-                    .map(|g| g.tasks.len() as u64)
-                    .sum::<u64>()
-                    + w.lut_groups.iter().map(LutGroup::bootstraps).sum::<u64>()
-            })
-            .sum()
+        self.batches.iter().flat_map(|b| &b.waves).map(WavePlan::bootstraps).sum()
     }
 
     /// Scheduling waves across all batches.
     pub fn num_waves(&self) -> usize {
         self.batches.iter().map(|b| b.waves.len()).sum()
-    }
-
-    /// The largest single gate group, i.e. the staging arena a replay
-    /// needs.
-    pub fn max_group_len(&self) -> usize {
-        self.batches
-            .iter()
-            .flat_map(|b| &b.waves)
-            .flat_map(|w| &w.groups)
-            .map(|g| g.tasks.len())
-            .max()
-            .unwrap_or(0)
-    }
-
-    /// The widest wave (gate *and* LUT tasks across all of its groups) —
-    /// the staging arena a whole-wave parallel replay needs, since every
-    /// group of a wave is staged before any result is scattered back.
-    pub fn max_wave_len(&self) -> usize {
-        self.batches.iter().flat_map(|b| &b.waves).map(WavePlan::num_tasks).max().unwrap_or(0)
     }
 }
 
@@ -620,6 +643,51 @@ mod tests {
     }
 
     #[test]
+    fn split_keeps_every_task_once_and_every_sub_wave_within_its_bound() {
+        let gates = |kind, outs: std::ops::Range<u32>| GateGroup {
+            kind,
+            tasks: outs.map(|out| GateTask { out, a: 0, b: 1 }).collect(),
+        };
+        let luts = |width, table, outs: std::ops::Range<u32>| LutGroup {
+            width,
+            precision: 3,
+            tasks: outs.map(|out| LutTask { out, table, ins: [0, 1, 2, 0] }).collect(),
+        };
+        let wave = WavePlan {
+            groups: vec![
+                gates(GateKind::Nand, 10..15),
+                gates(GateKind::Not, 15..18),
+                gates(GateKind::Xor, 18..25),
+            ],
+            lut_groups: vec![luts(3, 0b1001_0110, 25..29), luts(1, 0b01, 29..31)],
+        };
+        assert_eq!(wave.bootstraps(), 16);
+        // Every task with its kernel: (slot, opcode, 0) or (slot, 16 + width, table).
+        let tasks_of = |waves: &[WavePlan]| {
+            let gates = waves.iter().flat_map(|w| &w.groups);
+            let luts = waves.iter().flat_map(|w| &w.lut_groups);
+            let mut all: Vec<_> = gates
+                .flat_map(|g| g.tasks.iter().map(move |t| (t.out, g.kind.opcode(), 0)))
+                .chain(
+                    luts.flat_map(|g| g.tasks.iter().map(move |t| (t.out, 16 + g.width, t.table))),
+                )
+                .collect();
+            all.sort_unstable();
+            all
+        };
+        for bound in 0..=17 {
+            let parts = wave.clone().split(bound);
+            assert_eq!(tasks_of(&parts), tasks_of(std::slice::from_ref(&wave)), "bound {bound}");
+            assert_eq!(parts.len(), 16usize.div_ceil(bound.max(1)), "bound {bound}");
+            for part in &parts {
+                assert!(part.bootstraps() <= bound.max(1) as u64, "bound {bound}");
+                assert!(part.num_tasks() > 0, "bound {bound}");
+            }
+        }
+        assert_eq!(wave.clone().split(16), vec![wave]);
+    }
+
+    #[test]
     fn rejects_malformed_lut_groups() {
         let mut plan = sample_lut_plan();
         plan.batches[0].waves[0].lut_groups[0].tasks[0].ins[1] = 99;
@@ -708,7 +776,6 @@ mod tests {
         let plan = sample_plan();
         assert_eq!(plan.num_gates(), 5);
         assert_eq!(plan.num_waves(), 2);
-        assert_eq!(plan.max_group_len(), 2);
         // Not counts toward the cut budget; Buf and constants would not.
         assert_eq!(plan.batches[0].bootstrapped(), 3);
         assert!(counts_toward_batch(GateKind::Not));

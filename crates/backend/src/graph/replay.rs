@@ -10,43 +10,42 @@
 //! per-kernel-launch bookkeeping, like the operand-pointer list handed
 //! to [`GateEngine::eval_batch`], still comes from the ordinary heap.)
 //!
-//! [`run_wave`] is the crate's one wave walker — the only code that
-//! turns a wave of ready nodes into [`WorkerPool`] jobs. Wide waves
-//! dispatch onto the shared pool: every group of the wave is split into
-//! per-lane chunks and all chunks are submitted as one run, so lanes
-//! steal across group boundaries — one fat AND group no longer idles the
-//! workers that finished their XORs. Narrow waves (below
-//! [`GateEngine::parallel_grain`]) run inline with a single scratch, and
-//! scratch buffers are only allocated for the lanes a replay actually
-//! engages.
+//! [`run_wave`] is the workspace's one wave dispatcher — the only code
+//! that turns waves of ready nodes into [`WorkerPool`] jobs. It takes a
+//! slice of [`Launch`]es: [`replay`] passes one (the next wave of its
+//! plan), the serving scheduler one per picked job, each over that
+//! tenant's key. All chunks of all launches are one pool run, so lanes
+//! steal across group and launch boundaries — one fat AND group no
+//! longer idles the workers that finished their XORs.
 
 use crate::engine::GateEngine;
 use crate::error::ExecError;
 use crate::exec::{ExecStats, PARALLEL_WAVE_MIN};
-use crate::graph::plan::{KernelPlan, LutTask, WavePlan};
-use crate::pool::{Job, SlotCells, WorkerPool};
-use pytfhe_netlist::{GateKind, LutSpec};
+use crate::graph::plan::{GateTask, KernelPlan, LutGroup, LutTask, WavePlan};
+use crate::pool::{Job, RunStats, SlotCells, WorkerPool};
+use pytfhe_netlist::GateKind;
 use pytfhe_telemetry as telemetry;
 use std::time::Instant;
 
-/// Reusable replay storage: the value arena (one slot per netlist
-/// node), the wave staging arena, and scratch buffers for the worker
-/// lanes a replay engages (grown lazily: serial replays hold one
-/// scratch; a parallel dispatch grows to the lane count, never past
-/// it — large-key scratch memory is never allocated unused).
+/// Reusable replay storage for values of type `V`: the value arena (one
+/// slot per netlist node), the wave staging arena, and scratch buffers
+/// `S` for the worker lanes a replay engages (grown lazily: serial
+/// replays hold one scratch; a parallel dispatch grows to the lane
+/// count, never past it — large-key scratch memory is never allocated
+/// unused). Named by value and scratch type, not by engine, so a holder
+/// of many arenas (the serving scheduler) need not name a key lifetime.
 #[derive(Debug)]
-pub struct ReplayLanes<E: GateEngine> {
-    values: Vec<E::Value>,
-    stage: Vec<E::Value>,
-    scratches: Vec<E::Scratch>,
+pub struct ReplayLanes<V, S> {
+    values: Vec<V>,
+    stage: Vec<V>,
+    scratches: Vec<S>,
     workers: usize,
 }
 
-impl<E: GateEngine> ReplayLanes<E> {
+impl<V: Clone, S> ReplayLanes<V, S> {
     /// Creates empty lanes for `workers` parallel lanes (clamped to at
     /// least 1). Buffers grow on first use and persist across replays.
-    pub fn new(engine: &E, workers: usize) -> Self {
-        let _ = engine;
+    pub fn new(workers: usize) -> Self {
         ReplayLanes {
             values: Vec::new(),
             stage: Vec::new(),
@@ -55,42 +54,43 @@ impl<E: GateEngine> ReplayLanes<E> {
         }
     }
 
-    /// Lanes sized to the global pool's width — the right default when
-    /// the caller has no explicit worker count.
-    pub fn auto(engine: &E) -> Self {
-        ReplayLanes::new(engine, WorkerPool::global().width())
-    }
-
-    /// Worker lanes.
-    pub fn workers(&self) -> usize {
-        self.workers
-    }
-
     /// Scratch buffers allocated so far (grows with the widest dispatch
-    /// actually executed, bounded by [`ReplayLanes::workers`]).
+    /// actually executed, bounded by the lane count).
     pub fn allocated_scratches(&self) -> usize {
         self.scratches.len()
     }
 
-    /// Grows the arenas to fit `plan` (no-op once warmed up).
-    fn warm(&mut self, engine: &E, plan: &KernelPlan) {
+    /// Grows the value arena to fit `plan` (no-op once warmed up) and
+    /// copies `inputs` into the plan's input slots.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`ExecError::InputCountMismatch`] on arity mismatch.
+    pub fn load<E: GateEngine<Value = V, Scratch = S>>(
+        &mut self,
+        engine: &E,
+        plan: &KernelPlan,
+        inputs: &[V],
+    ) -> Result<(), ExecError> {
+        if inputs.len() != plan.inputs.len() {
+            return Err(ExecError::InputCountMismatch {
+                expected: plan.inputs.len(),
+                got: inputs.len(),
+            });
+        }
         if self.values.len() < plan.num_nodes {
             self.values.resize_with(plan.num_nodes, || engine.constant(false));
         }
-        // The whole wave is staged before any result scatters back, so
-        // the stage arena spans the widest wave, not just the widest
-        // group.
-        let stage_len = plan.max_wave_len();
-        if self.stage.len() < stage_len {
-            self.stage.resize_with(stage_len, || engine.constant(false));
+        for (&slot, input) in plan.inputs.iter().zip(inputs) {
+            self.values[slot as usize].clone_from(input);
         }
+        Ok(())
     }
 
-    /// Ensures at least `n` scratch buffers exist.
-    fn ensure_scratches(&mut self, engine: &E, n: usize) {
-        while self.scratches.len() < n {
-            self.scratches.push(engine.scratch());
-        }
+    /// The values in the plan's output slots, in program order — the
+    /// program's result once every wave has run.
+    pub fn outputs(&self, plan: &KernelPlan) -> Vec<V> {
+        plan.outputs.iter().map(|&s| self.values[s as usize].clone()).collect()
     }
 }
 
@@ -113,206 +113,190 @@ pub fn replay<E: GateEngine>(
     engine: &E,
     plan: &KernelPlan,
     inputs: &[E::Value],
-    lanes: &mut ReplayLanes<E>,
+    lanes: &mut ReplayLanes<E::Value, E::Scratch>,
 ) -> Result<(Vec<E::Value>, ExecStats), ExecError> {
-    if inputs.len() != plan.inputs.len() {
-        return Err(ExecError::InputCountMismatch {
-            expected: plan.inputs.len(),
-            got: inputs.len(),
-        });
-    }
     let start = Instant::now();
-    lanes.warm(engine, plan);
+    lanes.load(engine, plan, inputs)?;
     let mut stats = ExecStats::new(plan.num_gates(), plan.num_luts(), plan.bootstraps());
-    let msg_precision = (plan.message_precision > 0).then_some(plan.message_precision);
-    for (&slot, input) in plan.inputs.iter().zip(inputs) {
-        lanes.values[slot as usize].clone_from(input);
-    }
+    let msg_precision = plan.message_precision;
+    let workers = lanes.workers;
     for (batch_idx, batch) in plan.batches.iter().enumerate() {
         stats.batches += 1;
         let _batch_span = telemetry::span_with("graph", || {
             format!("batch {batch_idx}: {} waves", batch.waves.len())
         });
         for wave in &batch.waves {
-            run_wave(engine, wave, msg_precision, lanes, &mut stats)?;
+            let launch = Launch { engine, wave, msg_precision, lanes: &mut *lanes };
+            run_wave(&mut [launch], workers, &mut stats)?;
             stats.waves += 1;
         }
     }
-    let outputs = plan.outputs.iter().map(|&s| lanes.values[s as usize].clone()).collect();
     stats.replay_s = start.elapsed().as_secs_f64();
     stats.wall_s = stats.replay_s;
-    Ok((outputs, stats))
+    Ok((lanes.outputs(plan), stats))
 }
 
-/// The four operand references of a LUT task (unused slots alias the
-/// first, mirroring the netlist's padding).
-fn lut_refs<'v, V>(values: &'v [V], t: &LutTask) -> [&'v V; 4] {
-    [
-        &values[t.ins[0] as usize],
-        &values[t.ins[1] as usize],
-        &values[t.ins[2] as usize],
-        &values[t.ins[3] as usize],
-    ]
+/// One wave of one plan, ready to run: what [`run_wave`] executes. The
+/// lanes must have been [`ReplayLanes::load`]ed with the plan `wave`
+/// belongs to, and every earlier wave of that plan must have run.
+pub struct Launch<'a, E: GateEngine> {
+    /// Evaluates the wave's gates (for ciphertexts: under one key).
+    pub engine: &'a E,
+    /// The wave.
+    pub wave: &'a WavePlan,
+    /// [`KernelPlan::message_precision`]. Where it is nonzero, constant
+    /// gate groups are filled via [`GateEngine::constant_message`] so
+    /// constants land on the encoding the packed LUT windows expect.
+    pub msg_precision: u8,
+    /// The plan's value arena, staging arena and per-lane scratch.
+    pub lanes: &'a mut ReplayLanes<E::Value, E::Scratch>,
 }
 
-/// Executes one wave: every group's results are staged (the wave's other
-/// groups may still read any slot), then swapped into the value arena.
-/// Wide waves split each group into per-lane chunks and run all chunks
-/// of all groups as a single pool dispatch with intra-wave stealing;
-/// narrow waves run inline on one scratch.
+/// The tasks of one chunk: a run of a gate group, or of a LUT group (and whether it is affine).
+enum Tasks<'a> {
+    Gates(GateKind, &'a [GateTask]),
+    Luts(&'a LutGroup, bool, &'a [LutTask]),
+}
+
+/// One per-lane chunk of one group of launch number `launch`: the unit a
+/// lane executes, reading the launch's value arena and writing its own
+/// slice of the launch's stage.
+struct Chunk<'a, E: GateEngine> {
+    engine: &'a E,
+    launch: usize,
+    values: &'a [E::Value],
+    tasks: Tasks<'a>,
+    stage: &'a mut [E::Value],
+}
+
+impl<E: GateEngine> Chunk<'_, E> {
+    /// Bootstrapping LUT groups dispatch through
+    /// [`GateEngine::eval_lut_batch`]; affine groups (width-1 tables)
+    /// run linearly through [`GateEngine::eval_lut_into`].
+    fn run(self, scratch: &mut E::Scratch) {
+        let Chunk { engine, values, stage, .. } = self;
+        // The operand references of a LUT task (unused slots alias the
+        // first, mirroring the netlist's padding).
+        let refs = |t: &LutTask| t.ins.map(|slot| &values[slot as usize]);
+        match self.tasks {
+            Tasks::Gates(kind, tasks) => {
+                let pairs: Vec<(&E::Value, &E::Value)> =
+                    tasks.iter().map(|t| (&values[t.a as usize], &values[t.b as usize])).collect();
+                engine.eval_batch(kind, &pairs, stage, scratch);
+            }
+            Tasks::Luts(group, true, tasks) => {
+                for (t, out) in tasks.iter().zip(stage) {
+                    engine.eval_lut_into(group.spec_of(t), &refs(t), scratch, out);
+                }
+            }
+            Tasks::Luts(group, false, tasks) => {
+                let items: Vec<(u16, [&E::Value; 4])> =
+                    tasks.iter().map(|t| (t.table, refs(t))).collect();
+                engine.eval_lut_batch(group.width, group.precision, &items, stage, scratch);
+            }
+        }
+    }
+}
+
+/// Executes one wave of each launch as a single dispatch: every group's
+/// results are staged (the wave's other groups may still read any slot),
+/// then swapped into the launch's value arena. The groups of all
+/// launches are split into chunks targeting one per lane; a dispatch of
+/// at least [`GateEngine::parallel_grain`] tasks submits them as one
+/// pool run over `workers` lanes with stealing across groups and
+/// launches, a narrower one runs them in order on the calling thread.
+/// The launches must be mutually independent — different plans, or
+/// plans over disjoint arenas.
 ///
-/// When the plan carries a message precision (LUT-lowered netlists),
-/// constant gate groups are filled via [`GateEngine::constant_message`]
-/// so constants land on the same encoding the packed LUT windows
-/// expect. Bootstrapping LUT groups dispatch through
-/// [`GateEngine::eval_lut_batch`]; affine groups (width-1 tables) run
-/// linearly through [`GateEngine::eval_lut_into`].
-fn run_wave<E: GateEngine>(
-    engine: &E,
-    wave: &WavePlan,
-    msg_precision: Option<u8>,
-    lanes: &mut ReplayLanes<E>,
+/// # Errors
+///
+/// Returns [`ExecError::WorkerPanicked`] when a pool lane dies.
+pub fn run_wave<E: GateEngine>(
+    launches: &mut [Launch<'_, E>],
+    workers: usize,
     stats: &mut ExecStats,
 ) -> Result<(), ExecError> {
-    let total = wave.num_tasks();
-    if total == 0 {
+    let total: usize = launches.iter().map(|l| l.wave.num_tasks()).sum();
+    let Some(first) = launches.first().filter(|_| total > 0) else {
         return Ok(());
-    }
+    };
     let _wave_span =
         telemetry::span_with("exec", || format!("wave {}: {total} gates", stats.waves));
     telemetry::counter_sample("exec", "wave_width", total as f64);
-    let workers = lanes.workers;
-    let grain = engine.parallel_grain().max(PARALLEL_WAVE_MIN);
-    if workers == 1 || total < grain {
-        lanes.ensure_scratches(engine, 1);
-        let values = &lanes.values;
-        let mut staged = 0;
-        for group in &wave.groups {
-            let stage = &mut lanes.stage[staged..staged + group.tasks.len()];
-            staged += group.tasks.len();
-            if let Some(p) = msg_precision.filter(|_| group.kind.is_const()) {
-                let bit = group.kind == GateKind::Const1;
-                for out in stage.iter_mut() {
-                    *out = engine.constant_message(bit, p);
-                }
-                record_launches(stats, group.kind, 1);
-                continue;
-            }
-            let pairs: Vec<(&E::Value, &E::Value)> = group
-                .tasks
-                .iter()
-                .map(|t| (&values[t.a as usize], &values[t.b as usize]))
-                .collect();
-            engine.eval_batch(group.kind, &pairs, stage, &mut lanes.scratches[0]);
-            record_launches(stats, group.kind, 1);
+    let grain = first.engine.parallel_grain().max(PARALLEL_WAVE_MIN);
+    let lanes = if total < grain { 1 } else { workers.max(1) };
+    // Chunks target one per lane across the whole dispatch; group
+    // boundaries may add a few more, and stealing evens them out.
+    let chunk = total.div_ceil(lanes);
+    let mut cells: Vec<SlotCells<E::Scratch>> = Vec::with_capacity(launches.len());
+    let mut chunks: Vec<Chunk<'_, E>> = Vec::new();
+    for (launch, l) in launches.iter_mut().enumerate() {
+        let (engine, wave) = (l.engine, l.wave);
+        let ReplayLanes { values, stage, scratches, .. } = &mut *l.lanes;
+        scratches.resize_with(lanes.max(scratches.len()), || engine.scratch());
+        cells.push(SlotCells::new(std::mem::take(scratches)));
+        // The whole wave is staged before any result scatters back, so
+        // the stage arena spans the wave, not just its widest group.
+        if stage.len() < wave.num_tasks() {
+            stage.resize_with(wave.num_tasks(), || engine.constant(false));
         }
-        for group in &wave.lut_groups {
-            let stage = &mut lanes.stage[staged..staged + group.tasks.len()];
-            staged += group.tasks.len();
-            if group.is_affine() {
-                for (t, out) in group.tasks.iter().zip(stage.iter_mut()) {
-                    let ins = lut_refs(values, t);
-                    engine.eval_lut_into(group.spec_of(t), &ins, &mut lanes.scratches[0], out);
-                }
-            } else {
-                let items: Vec<(u16, [&E::Value; 4])> =
-                    group.tasks.iter().map(|t| (t.table, lut_refs(values, t))).collect();
-                engine.eval_lut_batch(
-                    group.width,
-                    group.precision,
-                    &items,
-                    stage,
-                    &mut lanes.scratches[0],
-                );
-                stats.lut_launches += 1;
-            }
-        }
-    } else {
-        lanes.ensure_scratches(engine, workers);
-        let ReplayLanes { values, stage, scratches, .. } = lanes;
-        let values = &*values;
-        // Chunks target one per lane across the whole wave; group
-        // boundaries may add a few more, and stealing evens them out.
-        let chunk = total.div_ceil(workers).max(1);
-        let scratch_cells = SlotCells::new(std::mem::take(scratches));
-        let cells = &scratch_cells;
-        let mut jobs: Vec<Job> = Vec::new();
-        let mut stage_rest: &mut [E::Value] = &mut stage[..total];
+        let values = &values[..];
+        let mut stage_rest = &mut stage[..wave.num_tasks()];
         for group in &wave.groups {
             let (group_stage, rest) = stage_rest.split_at_mut(group.tasks.len());
             stage_rest = rest;
-            let kind = group.kind;
-            if let Some(p) = msg_precision.filter(|_| kind.is_const()) {
+            let (kind, p) = (group.kind, l.msg_precision);
+            if p > 0 && kind.is_const() {
                 // Constants are allocation-free encodes: filling them
-                // inline is cheaper than a pool round-trip.
-                let bit = kind == GateKind::Const1;
-                for out in group_stage.iter_mut() {
-                    *out = engine.constant_message(bit, p);
-                }
+                // here is cheaper than a chunk of their own.
+                group_stage.fill_with(|| engine.constant_message(kind == GateKind::Const1, p));
                 record_launches(stats, kind, 1);
                 continue;
             }
-            let n_chunks = group.tasks.len().div_ceil(chunk) as u64;
-            record_launches(stats, kind, n_chunks);
-            for (task_chunk, stage_chunk) in
-                group.tasks.chunks(chunk).zip(group_stage.chunks_mut(chunk))
-            {
-                jobs.push(Box::new(move |lane: usize| {
-                    // SAFETY: the pool runs at most one task per lane at
-                    // a time, and `lane < workers == cells.len()`.
-                    let scratch = unsafe { cells.slot(lane) };
-                    let pairs: Vec<(&E::Value, &E::Value)> = task_chunk
-                        .iter()
-                        .map(|t| (&values[t.a as usize], &values[t.b as usize]))
-                        .collect();
-                    engine.eval_batch(kind, &pairs, stage_chunk, scratch);
-                }));
+            record_launches(stats, kind, group.tasks.len().div_ceil(chunk) as u64);
+            for (tasks, stage) in group.tasks.chunks(chunk).zip(group_stage.chunks_mut(chunk)) {
+                let tasks = Tasks::Gates(kind, tasks);
+                chunks.push(Chunk { engine, launch, values, tasks, stage });
             }
         }
         for group in &wave.lut_groups {
             let (group_stage, rest) = stage_rest.split_at_mut(group.tasks.len());
             stage_rest = rest;
-            let (width, precision) = (group.width, group.precision);
             let affine = group.is_affine();
             if !affine {
                 stats.lut_launches += group.tasks.len().div_ceil(chunk) as u64;
             }
-            for (task_chunk, stage_chunk) in
-                group.tasks.chunks(chunk).zip(group_stage.chunks_mut(chunk))
-            {
-                jobs.push(Box::new(move |lane: usize| {
-                    // SAFETY: the pool runs at most one task per lane at
-                    // a time, and `lane < workers == cells.len()`.
-                    let scratch = unsafe { cells.slot(lane) };
-                    if affine {
-                        for (t, out) in task_chunk.iter().zip(stage_chunk.iter_mut()) {
-                            let ins = lut_refs(values, t);
-                            let spec = LutSpec::new(width, precision, t.table);
-                            engine.eval_lut_into(spec, &ins, scratch, out);
-                        }
-                    } else {
-                        let items: Vec<(u16, [&E::Value; 4])> =
-                            task_chunk.iter().map(|t| (t.table, lut_refs(values, t))).collect();
-                        engine.eval_lut_batch(width, precision, &items, stage_chunk, scratch);
-                    }
-                }));
+            for (tasks, stage) in group.tasks.chunks(chunk).zip(group_stage.chunks_mut(chunk)) {
+                let tasks = Tasks::Luts(group, affine, tasks);
+                chunks.push(Chunk { engine, launch, values, tasks, stage });
             }
         }
-        let run = WorkerPool::global().run(workers, jobs);
-        *scratches = scratch_cells.into_inner();
-        stats.steals += run?.steals;
     }
-    let mut staged = 0;
-    for group in &wave.groups {
-        for t in &group.tasks {
-            std::mem::swap(&mut lanes.values[t.out as usize], &mut lanes.stage[staged]);
-            staged += 1;
-        }
+    let run_on = |lane: usize, chunk: Chunk<'_, E>| {
+        // SAFETY: every launch holds `lanes` scratches and `lane < lanes`.
+        // The pool runs at most one task per lane at a time, and the
+        // inline path runs every chunk on lane 0 one after another, so
+        // no two live borrows share a slot.
+        let scratch = unsafe { cells[chunk.launch].slot(lane) };
+        chunk.run(scratch);
+    };
+    let run = if lanes == 1 {
+        chunks.into_iter().for_each(|chunk| run_on(0, chunk));
+        Ok(RunStats::default())
+    } else {
+        let jobs = chunks.into_iter().map(|c| Box::new(move |lane| run_on(lane, c)) as Job);
+        WorkerPool::global().run(lanes, jobs.collect())
+    };
+    for (l, cells) in launches.iter_mut().zip(cells) {
+        l.lanes.scratches = cells.into_inner();
     }
-    for group in &wave.lut_groups {
-        for t in &group.tasks {
-            std::mem::swap(&mut lanes.values[t.out as usize], &mut lanes.stage[staged]);
-            staged += 1;
+    stats.steals += run?.steals;
+    for l in launches {
+        let ReplayLanes { values, stage, .. } = &mut *l.lanes;
+        let outs = l.wave.groups.iter().flat_map(|g| g.tasks.iter().map(|t| t.out));
+        let lut_outs = l.wave.lut_groups.iter().flat_map(|g| g.tasks.iter().map(|t| t.out));
+        for (out, staged) in outs.chain(lut_outs).zip(stage) {
+            std::mem::swap(&mut values[out as usize], staged);
         }
     }
     Ok(())
@@ -358,7 +342,7 @@ mod tests {
         let nl = adder4();
         let engine = PlainEngine::new();
         let plan = capture(&nl, &CaptureConfig::default()).unwrap();
-        let mut lanes = ReplayLanes::new(&engine, 1);
+        let mut lanes = ReplayLanes::new(1);
         for x in 0..16u32 {
             for y in 0..16u32 {
                 let bits: Vec<bool> = (0..4)
@@ -380,8 +364,8 @@ mod tests {
         // pooled dispatch so the parallel path is actually exercised.
         let engine = PlainEngine::with_parallel_grain(1);
         let plan = capture(&nl, &CaptureConfig { batch_cut_nodes: 4 }).unwrap();
-        let mut serial = ReplayLanes::new(&engine, 1);
-        let mut parallel = ReplayLanes::new(&engine, 4);
+        let mut serial = ReplayLanes::new(1);
+        let mut parallel = ReplayLanes::new(4);
         let bits = vec![true, false, true, true, false, true, true, false];
         let (a, ra) = replay(&engine, &plan, &bits, &mut serial).unwrap();
         let (b, rb) = replay(&engine, &plan, &bits, &mut parallel).unwrap();
@@ -400,14 +384,14 @@ mod tests {
         // Serial replay allocates exactly one scratch even when the
         // lanes were sized for more workers.
         let engine = PlainEngine::new(); // default grain: waves stay serial
-        let mut lanes = ReplayLanes::new(&engine, 8);
+        let mut lanes = ReplayLanes::new(8);
         assert_eq!(lanes.allocated_scratches(), 0, "construction allocates nothing");
         replay(&engine, &plan, &bits, &mut lanes).unwrap();
         assert_eq!(lanes.allocated_scratches(), 1, "serial replay needs one scratch");
 
         // A parallel dispatch grows to the lane width, never past it.
         let engine = PlainEngine::with_parallel_grain(1);
-        let mut lanes = ReplayLanes::new(&engine, 3);
+        let mut lanes = ReplayLanes::new(3);
         replay(&engine, &plan, &bits, &mut lanes).unwrap();
         assert!(
             lanes.allocated_scratches() <= 3,
@@ -421,7 +405,7 @@ mod tests {
         let nl = adder4();
         let engine = PlainEngine::new();
         let plan = capture(&nl, &CaptureConfig::default()).unwrap();
-        let mut lanes = ReplayLanes::new(&engine, 1);
+        let mut lanes = ReplayLanes::new(1);
         assert!(matches!(
             replay(&engine, &plan, &[true], &mut lanes),
             Err(ExecError::InputCountMismatch { expected: 8, got: 1 })

@@ -4,8 +4,8 @@
 //! A compiled TFHE program is a DAG of bootstrapped gates; executing it
 //! means traversing the DAG in dependency order (the BFS wavefront of the
 //! paper's Algorithm 1) and evaluating each gate. Algorithm 1 exists
-//! here once, as [`capture`] (form the waves) + [`replay`] (run them on
-//! the worker pool). This crate provides:
+//! here once, as [`capture`] (form the waves) + [`graph::run_wave`] (run
+//! one on the worker pool; [`replay`] is the loop). This crate provides:
 //!
 //! * [`engine`] — the pluggable gate evaluator: [`engine::TfheEngine`]
 //!   computes on real LWE ciphertexts via `pytfhe-tfhe`;
@@ -30,9 +30,9 @@
 //!   CUDA-Graphs simulator cuts them), cached by fingerprint, and
 //!   *replayed* against fresh inputs with zero per-gate allocation;
 //! * [`pool`] — the shared work-stealing worker pool (per-lane deques,
-//!   LIFO-local/FIFO-steal, caller participation) that kernel-graph
-//!   replay and the serving scheduler dispatch their batched chunks
-//!   onto, replacing per-dispatch thread spawning;
+//!   LIFO-local/FIFO-steal, caller participation). The workspace has
+//!   one dispatch onto it, [`graph::run_wave`], which replay calls with
+//!   one launch per wave and the serving scheduler with one per job;
 //! * [`cost`] — the calibrated cost model (Figure 7: one bootstrapped
 //!   gate ≈ 13 ms on one CPU core; ciphertext = 2.46 KB; per-task
 //!   communication ≈ 0.094 % of runtime);

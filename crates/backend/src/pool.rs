@@ -1,13 +1,11 @@
 //! A shared work-stealing worker pool for batched gate execution.
 //!
-//! Every layer that fans batched kernels across threads — kernel-graph
-//! [`crate::replay`] (and through it [`crate::execute_parallel`]) and the
-//! serving scheduler — used to spawn a fresh [`std::thread::scope`] per
-//! dispatch. At bootstrapped-gate granularity that was tolerable; at
-//! plaintext-gate granularity the spawn/join cost dominated the work by
-//! orders of magnitude (a kernel-graph replay paid one scope per gate
-//! group — thousands per run). This module replaces all of that with one
-//! process-wide pool of persistent workers:
+//! The workspace dispatches onto it from one place,
+//! [`crate::graph::run_wave`] — kernel-graph [`crate::replay`] (and
+//! through it [`crate::execute_parallel`]) with one launch per wave, the
+//! serving scheduler with one launch per picked job. A pool of persistent
+//! workers, because a [`std::thread::scope`] per dispatch costs orders of
+//! magnitude more than a wave of plaintext gates:
 //!
 //! * **Per-lane deques, rayon-style stealing.** A run distributes its
 //!   tasks round-robin across `lanes` double-ended queues. Each lane
@@ -32,8 +30,8 @@
 //!
 //! Runs are serialized: the pool executes one run at a time, which keeps
 //! every worker's stealing scan bounded to the live run and makes lane
-//! indices meaningful to callers (scratch buffers are typically keyed by
-//! chunk, with at most one task touching each key).
+//! indices meaningful to callers (scratch buffers are keyed by lane: a
+//! lane runs one task at a time).
 
 use crate::error::ExecError;
 use pytfhe_telemetry as telemetry;
@@ -368,16 +366,6 @@ impl<T> SlotCells<T> {
         SlotCells { slots: slots.into_iter().map(UnsafeCell::new).collect() }
     }
 
-    /// Number of slots.
-    pub fn len(&self) -> usize {
-        self.slots.len()
-    }
-
-    /// Whether there are no slots.
-    pub fn is_empty(&self) -> bool {
-        self.slots.is_empty()
-    }
-
     /// Exclusive access to slot `i`.
     ///
     /// # Safety
@@ -395,12 +383,6 @@ impl<T> SlotCells<T> {
     /// Unwraps back into the slot values.
     pub fn into_inner(self) -> Vec<T> {
         self.slots.into_iter().map(UnsafeCell::into_inner).collect()
-    }
-}
-
-impl<T: std::fmt::Debug> std::fmt::Debug for SlotCells<T> {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("SlotCells").field("len", &self.slots.len()).finish()
     }
 }
 
@@ -555,7 +537,6 @@ mod tests {
     #[test]
     fn slot_cells_round_trip() {
         let cells = SlotCells::new(vec![1u32, 2, 3]);
-        assert_eq!(cells.len(), 3);
         // SAFETY: indices used one at a time on one thread.
         unsafe {
             *cells.slot(1) += 40;

@@ -53,7 +53,7 @@ proptest! {
         let engine = PlainEngine::new();
         let (want, _) = execute(&engine, &nl, &bits).expect("execute");
         let plan = capture(&nl, &CaptureConfig { batch_cut_nodes: cut }).expect("capture");
-        let mut lanes = ReplayLanes::new(&engine, 2);
+        let mut lanes = ReplayLanes::new(2);
         let (got, report) = replay(&engine, &plan, &bits, &mut lanes).expect("replay");
         prop_assert_eq!(got, want);
         prop_assert_eq!(report.gates, nl.num_gates());
@@ -72,7 +72,7 @@ proptest! {
         let (want, _) = execute(&engine, &nl, &bits).expect("execute");
         let plan = capture(&nl, &CaptureConfig::default()).expect("capture");
         for workers in [1usize, 2, 4, 8] {
-            let mut lanes = ReplayLanes::new(&engine, workers);
+            let mut lanes = ReplayLanes::new(workers);
             let (got, _) = replay(&engine, &plan, &bits, &mut lanes).expect("replay");
             prop_assert_eq!(&got, &want, "workers={}", workers);
             // Replaying again on the same lanes stays deterministic.
@@ -126,7 +126,7 @@ fn encrypted_replay_is_bit_exact_with_execute() {
 
     let (want, _) = execute(&engine, &nl, &cts).expect("execute");
     let plan = capture(&nl, &CaptureConfig { batch_cut_nodes: 8 }).expect("capture");
-    let mut lanes = ReplayLanes::new(&engine, 1);
+    let mut lanes = ReplayLanes::new(1);
     let (got, _) = replay(&engine, &plan, &cts, &mut lanes).expect("replay");
     assert_eq!(got, want, "replay must equal execute ciphertext-for-ciphertext");
 
@@ -148,7 +148,7 @@ fn encrypted_replay_is_bit_exact_at_every_worker_count() {
     let plain = nl.eval_plain(&bits);
     let plan = capture(&nl, &CaptureConfig { batch_cut_nodes: 8 }).expect("capture");
     for workers in [1usize, 2, 4, 8] {
-        let mut lanes = ReplayLanes::new(&engine, workers);
+        let mut lanes = ReplayLanes::new(workers);
         let (got, _) = replay(&engine, &plan, &cts, &mut lanes).expect("replay");
         assert_eq!(got, want, "workers={workers}: ciphertext-for-ciphertext");
         let decrypted: Vec<bool> = got.iter().map(|ct| client.decrypt_bit(ct)).collect();
@@ -164,7 +164,7 @@ fn one_cached_plan_serves_many_encrypted_input_sets() {
     let engine = TfheEngine::new(&server);
     let nl = random_netlist(0xABCD, 3, 16);
     let graph = KernelGraph::with_config(CaptureConfig { batch_cut_nodes: 6 });
-    let mut lanes = ReplayLanes::new(&engine, 2);
+    let mut lanes = ReplayLanes::new(2);
     for (round, bits) in
         [[true, false, true], [false, false, true], [true, true, true]].iter().enumerate()
     {
@@ -190,7 +190,7 @@ fn warm_replay_performs_zero_buffer_allocations() {
     let plan = capture(&nl, &CaptureConfig::default()).expect("capture");
     // One worker lane: the whole replay runs inline on this thread, so
     // the thread-local constructor counter sees every buffer it creates.
-    let mut lanes = ReplayLanes::new(&engine, 1);
+    let mut lanes = ReplayLanes::new(1);
     let cts: Vec<_> =
         [true, false, true].iter().map(|&b| client.encrypt_bit(b, &mut rng)).collect();
     let (warm, _) = replay(&engine, &plan, &cts, &mut lanes).expect("warmup replay");
@@ -209,7 +209,7 @@ fn vipbench_workload_replays_bit_exactly_and_matches_its_oracle() {
     let nl = bench.netlist().clone();
     let engine = PlainEngine::new();
     let graph = KernelGraph::new();
-    let mut lanes = ReplayLanes::new(&engine, 2);
+    let mut lanes = ReplayLanes::new(2);
     for seed in 0..3u64 {
         let input = bench.sample_input(seed);
         let bits = bench.encode_input(&input);
@@ -228,7 +228,7 @@ fn replay_surfaces_input_mismatch() {
     let nl = random_netlist(7, 4, 10);
     let engine = PlainEngine::new();
     let plan = capture(&nl, &CaptureConfig::default()).expect("capture");
-    let mut lanes = ReplayLanes::new(&engine, 1);
+    let mut lanes = ReplayLanes::new(1);
     assert!(matches!(
         replay(&engine, &plan, &[true, false], &mut lanes),
         Err(ExecError::InputCountMismatch { expected: 4, got: 2 })

@@ -27,7 +27,7 @@ fn bench_executors(c: &mut Criterion) {
         b.iter(|| black_box(capture(&nl, &CaptureConfig::default()).expect("ok")))
     });
     let plan = capture(&nl, &CaptureConfig::default()).expect("ok");
-    let mut lanes = ReplayLanes::new(&engine, 4);
+    let mut lanes = ReplayLanes::new(4);
     group.bench_function("kernel_graph_replay4_mnist_s", |b| {
         b.iter(|| {
             black_box(replay(&engine, &plan, black_box(&input_bits), &mut lanes).expect("ok"))

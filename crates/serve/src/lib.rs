@@ -5,9 +5,9 @@
 //! it: many concurrent client sessions, each owning its own server
 //! key, stream programs and ciphertexts over a length-delimited
 //! [`pytfhe_wire`] frame protocol, and one *cross-session batching
-//! scheduler* drains every session's ready gates into shared
-//! [`batch_bootstrap_mixed`](pytfhe_tfhe::ServerKey::batch_bootstrap_mixed)
-//! waves.
+//! scheduler* captures every job into a plan and merges the tenants'
+//! next waves into shared rounds, one
+//! [`run_wave`](pytfhe_backend::graph::run_wave) dispatch each.
 //!
 //! The pieces:
 //!
@@ -20,8 +20,8 @@
 //!   eviction and transparent [`DiskStore`](pytfhe_backend::DiskStore)
 //!   rehydration — decoding a key once per tenant instead of once per
 //!   request is the serving layer's dominant saving on small programs.
-//! - [`scheduler`]: per-tenant job queues, fair round-robin wave
-//!   draining, one batched launch per distinct key per wave.
+//! - [`scheduler`]: per-tenant queues of captured plans, fair
+//!   round-robin rounds, one launch per picked job per round.
 //! - [`server`] / [`client`]: the session front (admission control,
 //!   handler threads) and the blocking client.
 //!

@@ -1,68 +1,77 @@
 //! The cross-session batching scheduler.
 //!
-//! Every live session's submitted jobs land in per-tenant queues; a
-//! single scheduler thread repeatedly drains *ready* bootstrapped gates
-//! from all queues into one shared wave, groups the wave by server key,
-//! and executes each group through [`ServerKey::batch_bootstrap_mixed`]
-//! launches — the SoA staging pass that amortizes per-launch overhead
-//! across every tenant's gates at once. Each tenant's launch is split
-//! into per-lane chunks dispatched on the shared
-//! [`pytfhe_backend::pool::WorkerPool`], so the wave's bootstraps run
-//! concurrently across lanes (with work stealing between tenants)
-//! rather than serially on the scheduler thread. Cheap
-//! non-bootstrapped gates (`Not`, `Buf`, constants) are folded inline
-//! while scanning, so waves contain only bootstrap work.
+//! A submitted job is a captured [`KernelPlan`] with a wave cursor and
+//! an arena of its own: [`Scheduler::submit`] refuses what it must,
+//! captures the program, re-cuts waves too wide for a round, loads the
+//! inputs and drops the netlist. A single scheduler thread then works in
+//! *rounds*. Under the lock it runs every job's bootstrap-free waves
+//! (`Not`, `Buf`, constants) on the spot, publishes finished jobs, and
+//! picks whole next waves from the tenants' queues; outside the lock it
+//! hands them — one [`Launch`] per job, each over its tenant's key — to
+//! [`run_wave`], the workspace's one wave dispatcher: all their per-lane
+//! chunks are one [`WorkerPool`] run, so tenants bootstrap concurrently
+//! and idle lanes steal loaded tenants' chunks.
 //!
-//! Fairness: each wave visits tenants round-robin starting one past the
-//! tenant that led the previous wave, and no tenant may occupy more
-//! than `max(1, max_wave / live_tenants)` slots of a wave while another
-//! tenant still has ready gates. A greedy tenant with a deep queue
-//! therefore shares every wave instead of monopolizing the engine.
+//! Fairness: each round visits tenants round-robin starting one past the
+//! tenant that led the previous round, never holds more than `max_wave`
+//! bootstraps, and lets no tenant add a wave past
+//! `max(1, max_wave / live_tenants)` bootstraps. Waves are picked whole,
+//! so a tenant's first wave of a round may overshoot that share by less
+//! than one wave — at most `max_wave / 2` bootstraps, which with two live
+//! tenants *is* the share. A greedy tenant with a deep queue therefore
+//! shares every round instead of monopolizing the engine.
 
-use std::collections::{BTreeMap, HashMap, HashSet};
+use std::collections::{BTreeMap, HashMap};
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 use std::time::Duration;
 
-use pytfhe_backend::engine::boot_gate;
-use pytfhe_backend::pool::{Job, SlotCells, WorkerPool};
-use pytfhe_netlist::{GateKind, Netlist, Node};
+use pytfhe_backend::graph::{
+    capture, run_wave, CaptureConfig, KernelPlan, Launch, ReplayLanes, SubGraph, WavePlan,
+};
+use pytfhe_backend::{ExecStats, TfheEngine, WorkerPool};
+use pytfhe_netlist::Netlist;
 use pytfhe_telemetry as telemetry;
-use pytfhe_tfhe::{BootGate, GateScratch, LweCiphertext, Params, ServerKey};
+use pytfhe_tfhe::{GateScratch, LweCiphertext, Params, ServerKey};
 
 use crate::error::ServeError;
 
-/// Histogram buckets for wave occupancy (gates per batched launch).
+/// Histogram buckets for round occupancy (bootstraps per dispatch).
 const OCCUPANCY_BUCKETS: [f64; 8] = [1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0, 128.0];
 
 /// Safety ceiling on a blocking fetch, so a lost job surfaces as an
 /// error instead of a hung connection.
 const FETCH_TIMEOUT: Duration = Duration::from_secs(300);
 
-/// One job's incremental execution state.
+/// A job's value arena, stage and per-lane bootstrap scratch.
+type Lanes = ReplayLanes<LweCiphertext, GateScratch>;
+
+/// One job: a captured plan and how far it has run.
 struct JobState {
     id: u64,
     /// The tenant's parameter set, carried through to the completed
     /// result so reply frames can serialize outputs without a key
     /// lookup.
     params: Params,
-    nl: Netlist,
-    /// Per-node computed ciphertexts; `None` until evaluated (or while
-    /// staged in an in-flight wave).
-    values: Vec<Option<LweCiphertext>>,
-    /// First node not yet evaluated *or staged*. Netlists are
-    /// topologically ordered by construction, so scanning forward from
-    /// here visits gates whose operands are either computed or staged
-    /// earlier in the same wave.
-    next_node: usize,
-    /// Nodes staged in the current wave, awaiting write-back.
-    staged: usize,
+    /// The captured program: one batch of waves, none over half a
+    /// round's bootstraps.
+    plan: Arc<KernelPlan>,
+    /// The next wave of `plan` to run.
+    cursor: usize,
+    /// Everything the job has computed so far. Empty while the job's
+    /// next wave runs outside the lock, which holds the real ones.
+    lanes: Lanes,
 }
 
 impl JobState {
-    fn complete(&self) -> bool {
-        self.next_node == self.nl.num_nodes() && self.staged == 0
+    fn next_wave(&self) -> Option<&WavePlan> {
+        waves(&self.plan).get(self.cursor)
     }
+}
+
+/// The waves of a job's plan, which `submit` flattened into one batch.
+fn waves(plan: &KernelPlan) -> &[WavePlan] {
+    &plan.batches[0].waves
 }
 
 struct TenantQueue {
@@ -70,28 +79,24 @@ struct TenantQueue {
     jobs: Vec<JobState>,
 }
 
-/// One staged bootstrapped gate: operands cloned out of the job state
-/// so the wave executes without holding the scheduler lock.
-struct WaveSlot {
+/// One job's share of a round, moved out of the lock while it runs.
+struct Picked {
     tenant: u64,
     job: u64,
-    node: usize,
-    gate: BootGate,
-    a: LweCiphertext,
-    b: LweCiphertext,
+    plan: Arc<KernelPlan>,
+    wave: usize,
+    lanes: Lanes,
 }
 
 struct SchedState {
+    /// Tenants with queued or running jobs, and nothing else: an entry
+    /// goes with its last job, so a key evicted from the cache is not
+    /// kept alive here.
     tenants: BTreeMap<u64, TenantQueue>,
-    /// Finished jobs awaiting fetch: id → outputs (with the tenant's
-    /// parameter set) or error text.
-    completed: HashMap<u64, Result<(Vec<LweCiphertext>, Params), String>>,
-    /// Queued-or-running job count per tenant (quota accounting).
-    in_flight: HashMap<u64, usize>,
-    /// Every job id ever issued, so fetch can distinguish "pending"
-    /// from "never existed".
-    known: HashSet<u64>,
-    /// Fingerprint of the tenant that led the previous wave.
+    /// Finished jobs awaiting fetch: id → outputs with the tenant's
+    /// parameter set.
+    completed: HashMap<u64, (Vec<LweCiphertext>, Params)>,
+    /// Fingerprint of the tenant that led the previous round.
     rr_cursor: u64,
     next_job: u64,
     shutdown: bool,
@@ -115,15 +120,13 @@ pub struct Scheduler {
 }
 
 impl Scheduler {
-    /// Starts the scheduler thread. `max_wave` bounds the bootstrapped
-    /// gates drained into one wave across all tenants (clamped ≥ 1).
+    /// Starts the scheduler thread. `max_wave` bounds the bootstraps
+    /// one round dispatches across all tenants (clamped ≥ 1).
     pub fn start(max_wave: usize) -> Self {
         let shared = Arc::new(Shared {
             state: Mutex::new(SchedState {
                 tenants: BTreeMap::new(),
                 completed: HashMap::new(),
-                in_flight: HashMap::new(),
-                known: HashSet::new(),
                 rr_cursor: 0,
                 next_job: 1,
                 shutdown: false,
@@ -143,7 +146,7 @@ impl Scheduler {
     /// Jobs a tenant currently has queued or running.
     pub fn in_flight(&self, tenant: u64) -> usize {
         let state = self.shared.state.lock().expect("scheduler poisoned");
-        state.in_flight.get(&tenant).copied().unwrap_or(0)
+        state.tenants.get(&tenant).map_or(0, |q| q.jobs.len())
     }
 
     /// Enqueues a job for `tenant` under `key`, enforcing the tenant's
@@ -153,8 +156,8 @@ impl Scheduler {
     ///
     /// [`ServeError::QuotaExceeded`] at the quota ceiling,
     /// [`ServeError::Protocol`] when inputs mismatch the netlist or the
-    /// key's LWE dimension, and [`ServeError::Shutdown`] after shutdown
-    /// began.
+    /// key's LWE dimension, [`ServeError::Exec`] when the program does
+    /// not validate, and [`ServeError::Shutdown`] after shutdown began.
     pub fn submit(
         &self,
         tenant: u64,
@@ -183,36 +186,40 @@ impl Scheduler {
         }
         // The wire program format cannot encode fused LUT nodes, so a
         // LUT-bearing netlist here means a caller bypassed assembly;
-        // the cross-tenant wave drainer only batches boolean gates.
+        // serving runs boolean gate programs only.
         if nl.num_luts() > 0 {
             return Err(ServeError::Protocol(format!(
                 "program carries {} fused LUT nodes; serving requires boolean gate programs",
                 nl.num_luts()
             )));
         }
-        let mut values: Vec<Option<LweCiphertext>> = vec![None; nl.num_nodes()];
-        for (node, ct) in nl.inputs().to_vec().into_iter().zip(inputs) {
-            values[node.index()] = Some(ct);
-        }
+        // Captured per job, never cached: capturing a job-sized program
+        // takes microseconds, and a cache keyed by program fingerprint
+        // would grow with whatever tenants choose to send.
+        let mut plan = capture(&nl, &CaptureConfig::default())?;
+        // A wave wider than a round could never be picked whole. Half a
+        // round, so that two tenants' widest waves still share one.
+        let unit = (self.shared.max_wave / 2).max(1);
+        let waves = std::mem::take(&mut plan.batches).into_iter().flat_map(|b| b.waves);
+        plan.batches = vec![SubGraph { waves: waves.flat_map(|w| w.split(unit)).collect() }];
+        let mut lanes = Lanes::new(WorkerPool::global().width());
+        lanes.load(&TfheEngine::new(&key), &plan, &inputs)?;
+        let params = *key.params();
+
         let mut state = self.shared.state.lock().expect("scheduler poisoned");
         if state.shutdown {
             return Err(ServeError::Shutdown);
         }
-        let in_flight = state.in_flight.get(&tenant).copied().unwrap_or(0);
+        let in_flight = state.tenants.get(&tenant).map_or(0, |q| q.jobs.len());
         if in_flight >= quota {
             telemetry::metrics().counter_add("serve_jobs_rejected_quota_total", 1);
             return Err(ServeError::QuotaExceeded { in_flight, quota });
         }
         let id = state.next_job;
         state.next_job += 1;
-        state.known.insert(id);
-        *state.in_flight.entry(tenant).or_insert(0) += 1;
-        let params = *key.params();
-        let queue = state
-            .tenants
-            .entry(tenant)
-            .or_insert_with(|| TenantQueue { key: Arc::clone(&key), jobs: Vec::new() });
-        queue.jobs.push(JobState { id, params, nl, values, next_node: 0, staged: 0 });
+        let queue =
+            state.tenants.entry(tenant).or_insert_with(|| TenantQueue { key, jobs: Vec::new() });
+        queue.jobs.push(JobState { id, params, plan: Arc::new(plan), cursor: 0, lanes });
         telemetry::metrics().counter_add("serve_jobs_submitted_total", 1);
         telemetry::metrics()
             .counter_add(&format!("serve_tenant_{tenant:016x}_jobs_submitted_total"), 1);
@@ -224,21 +231,24 @@ impl Scheduler {
     }
 
     /// Blocks until job `id` finishes, returning its output ciphertexts
-    /// and the tenant's parameter set.
+    /// and the tenant's parameter set. A result is delivered once.
     ///
     /// # Errors
     ///
-    /// [`ServeError::UnknownJob`] for an id never issued, and
-    /// [`ServeError::Protocol`] if the job errored or the safety
-    /// timeout expired.
+    /// [`ServeError::UnknownJob`] for an id that was never issued or
+    /// whose result was already fetched, and [`ServeError::Protocol`] if
+    /// the safety timeout expired.
     pub fn fetch(&self, id: u64) -> Result<(Vec<LweCiphertext>, Params), ServeError> {
         let mut state = self.shared.state.lock().expect("scheduler poisoned");
-        if !state.known.contains(&id) {
-            return Err(ServeError::UnknownJob(id));
-        }
         loop {
             if let Some(result) = state.completed.remove(&id) {
-                return result.map_err(ServeError::Protocol);
+                return Ok(result);
+            }
+            // A job is queued from submit until its result is published
+            // under this same lock, so an id found in neither place was
+            // never issued or has been delivered: nothing to wait for.
+            if !state.tenants.values().any(|q| q.jobs.iter().any(|j| j.id == id)) {
+                return Err(ServeError::UnknownJob(id));
             }
             let (next, timed_out) =
                 self.shared.done.wait_timeout(state, FETCH_TIMEOUT).expect("scheduler poisoned");
@@ -252,25 +262,13 @@ impl Scheduler {
     }
 
     /// Stops the scheduler after draining queued jobs, then joins the
-    /// worker thread.
-    pub fn shutdown(mut self) {
-        {
-            let mut state = self.shared.state.lock().expect("scheduler poisoned");
-            state.shutdown = true;
-        }
-        self.shared.work.notify_all();
-        if let Some(worker) = self.worker.take() {
-            let _ = worker.join();
-        }
-    }
+    /// worker thread — what dropping the handle does.
+    pub fn shutdown(self) {}
 }
 
 impl Drop for Scheduler {
     fn drop(&mut self) {
-        {
-            let mut state = self.shared.state.lock().expect("scheduler poisoned");
-            state.shutdown = true;
-        }
+        self.shared.state.lock().expect("scheduler poisoned").shutdown = true;
         self.shared.work.notify_all();
         if let Some(worker) = self.worker.take() {
             let _ = worker.join();
@@ -278,296 +276,154 @@ impl Drop for Scheduler {
     }
 }
 
-/// Folds the cheap non-bootstrapped node kinds inline. Returns `true`
-/// when the node was handled without a wave slot.
-fn fold_cheap(key: &ServerKey, job: &mut JobState, node_idx: usize) -> bool {
-    let Node::Gate { kind, a, b: _ } = job.nl.node(pytfhe_netlist::NodeId(node_idx as u32)) else {
-        return true; // inputs were seeded at submit
-    };
-    match kind {
-        GateKind::Not => {
-            let Some(src) = job.values[a.index()].clone() else { return false };
-            job.values[node_idx] = Some(key.not(&src));
-            true
+/// Forms one round under the lock: runs every job through its
+/// bootstrap-free waves, publishes the jobs that finished, then picks
+/// whole next waves — each with its tenant's key — round-robin and
+/// fair-share bounded. Empty only when no job is queued.
+fn next_round(
+    state: &mut SchedState,
+    shared: &Shared,
+    stats: &mut ExecStats,
+) -> Vec<(Arc<ServerKey>, Picked)> {
+    for queue in state.tenants.values_mut() {
+        let engine = TfheEngine::new(&queue.key);
+        for job in &mut queue.jobs {
+            while let Some(wave) = waves(&job.plan).get(job.cursor).filter(|w| w.bootstraps() == 0)
+            {
+                let lanes = &mut job.lanes;
+                let launch = Launch { engine: &engine, wave, msg_precision: 0, lanes };
+                run_wave(&mut [launch], 1, stats).expect("one lane runs on this thread");
+                job.cursor += 1;
+            }
         }
-        GateKind::Buf => {
-            let Some(src) = job.values[a.index()].clone() else { return false };
-            job.values[node_idx] = Some(src);
-            true
-        }
-        GateKind::Const0 => {
-            job.values[node_idx] = Some(key.constant(false));
-            true
-        }
-        GateKind::Const1 => {
-            job.values[node_idx] = Some(key.constant(true));
-            true
-        }
-        _ => false,
     }
-}
+    finish_complete_jobs(state, shared);
 
-/// Drains one wave of ready bootstrapped gates from all tenants,
-/// fair-share bounded, folding cheap gates along the way.
-fn collect_wave(state: &mut SchedState, max_wave: usize) -> Vec<WaveSlot> {
-    let live: Vec<u64> =
-        state.tenants.iter().filter(|(_, q)| !q.jobs.is_empty()).map(|(&fp, _)| fp).collect();
+    // Every queue left holds jobs, and every job's next wave bootstraps.
+    let live: Vec<u64> = state.tenants.keys().copied().collect();
     if live.is_empty() {
         return Vec::new();
     }
-    let fair_share = (max_wave / live.len()).max(1);
+    let fair_share = (shared.max_wave / live.len()).max(1);
     let start = live.iter().position(|&fp| fp > state.rr_cursor).unwrap_or(0);
-    let mut wave = Vec::new();
+    state.rr_cursor = live[start];
+    let mut round = Vec::new();
+    let mut total = 0;
     for offset in 0..live.len() {
         let tenant = live[(start + offset) % live.len()];
         let queue = state.tenants.get_mut(&tenant).expect("live tenant");
-        let mut share = fair_share.min(max_wave.saturating_sub(wave.len()));
+        let mut taken = 0;
         for job in &mut queue.jobs {
-            while share > 0 && job.next_node < job.nl.num_nodes() {
-                let node_idx = job.next_node;
-                if job.values[node_idx].is_some() {
-                    job.next_node += 1;
-                    continue;
-                }
-                let Node::Gate { kind, a, b } =
-                    job.nl.node(pytfhe_netlist::NodeId(node_idx as u32))
-                else {
-                    unreachable!("inputs are always seeded");
-                };
-                let Some(gate) = boot_gate(kind) else {
-                    // Cheap gate: fold inline, or stall on an operand
-                    // still in flight from this same wave.
-                    if fold_cheap(&queue.key, job, node_idx) {
-                        job.next_node += 1;
-                        continue;
-                    }
-                    break;
-                };
-                // Operands still in flight from this same wave stall the
-                // job until write-back.
-                let (Some(ca), Some(cb)) =
-                    (job.values[a.index()].clone(), job.values[b.index()].clone())
-                else {
-                    break;
-                };
-                wave.push(WaveSlot { tenant, job: job.id, node: node_idx, gate, a: ca, b: cb });
-                job.staged += 1;
-                job.next_node += 1;
-                share -= 1;
+            let cost = job.next_wave().map_or(0, |w| w.bootstraps() as usize);
+            // A wave is never cut here, so a tenant's first may overshoot
+            // its share; nothing overshoots the round. The leader's first
+            // wave always fits, so a round is never empty.
+            if total + cost > shared.max_wave || (taken > 0 && taken + cost > fair_share) {
+                continue;
             }
-            if share == 0 {
-                break;
-            }
-        }
-        if wave.len() >= max_wave {
-            break;
-        }
-    }
-    if !wave.is_empty() {
-        state.rr_cursor = live[start];
-    }
-    wave
-}
-
-/// Executes one wave outside the lock on the shared [`WorkerPool`]:
-/// each tenant's slots are grouped by key, split into per-lane chunks,
-/// and every chunk across every tenant is dispatched as one pool run —
-/// so tenants bootstrap concurrently *and* a single tenant's wide wave
-/// splits across lanes (idle lanes steal loaded tenants' chunks),
-/// instead of one serial `batch_bootstrap_mixed` per tenant on the
-/// scheduler thread. Bootstrap scratch (FFT buffers, SoA staging) is
-/// pooled per tenant per chunk slot across waves — allocating it fresh
-/// every wave measurably dominates small-job workloads.
-fn execute_wave(
-    keys: &HashMap<u64, Arc<ServerKey>>,
-    wave: &[WaveSlot],
-    scratch_pool: &mut HashMap<u64, Vec<GateScratch>>,
-) -> Vec<(u64, u64, usize, LweCiphertext)> {
-    let mut by_tenant: BTreeMap<u64, Vec<usize>> = BTreeMap::new();
-    for (i, slot) in wave.iter().enumerate() {
-        by_tenant.entry(slot.tenant).or_default().push(i);
-    }
-    let pool = WorkerPool::global();
-    let width = pool.width();
-
-    /// One tenant's staged share of the wave: wave indices, gate kinds,
-    /// output buffers, and the chunk geometry splitting it across lanes.
-    struct TenantWork {
-        slots: Vec<usize>,
-        gates: Vec<BootGate>,
-        outs: Vec<LweCiphertext>,
-        chunk: usize,
-        scratch_base: usize,
-    }
-    let mut flat_scratches: Vec<GateScratch> = Vec::new();
-    let mut scratch_owners: Vec<(u64, usize)> = Vec::new();
-    let mut works: Vec<(u64, TenantWork)> = Vec::new();
-    for (tenant, slots) in by_tenant {
-        let key = &keys[&tenant];
-        let chunk = slots.len().div_ceil(width).max(1);
-        let n_chunks = slots.len().div_ceil(chunk);
-        let mut scratches = scratch_pool.remove(&tenant).unwrap_or_default();
-        while scratches.len() < n_chunks {
-            scratches.push(key.gate_scratch());
-        }
-        let scratch_base = flat_scratches.len();
-        scratch_owners.push((tenant, scratches.len()));
-        flat_scratches.append(&mut scratches);
-        let gates = slots.iter().map(|&i| wave[i].gate).collect();
-        let outs = (0..slots.len()).map(|_| key.constant(false)).collect();
-        works.push((tenant, TenantWork { slots, gates, outs, chunk, scratch_base }));
-    }
-
-    // Scratch hand-out is keyed by flat chunk index — unique per job —
-    // so lanes can steal chunks without sharing buffers.
-    let cells = SlotCells::new(std::mem::take(&mut flat_scratches));
-    let run = {
-        let cells_ref = &cells;
-        let mut jobs: Vec<Job<'_>> = Vec::new();
-        for (tenant, work) in works.iter_mut() {
-            let key = &keys[tenant];
-            let chunk = work.chunk;
-            let scratch_base = work.scratch_base;
-            for (c, ((slot_chunk, gate_chunk), out_chunk)) in work
-                .slots
-                .chunks(chunk)
-                .zip(work.gates.chunks(chunk))
-                .zip(work.outs.chunks_mut(chunk))
-                .enumerate()
-            {
-                let scratch_idx = scratch_base + c;
-                jobs.push(Box::new(move |lane| {
-                    let _span = telemetry::worker_span_with(
-                        "serve",
-                        || format!("wave chunk: {} gates", slot_chunk.len()),
-                        lane as u32,
-                    );
-                    // SAFETY: `scratch_idx` is unique per job (one
-                    // chunk, one slot), so no two jobs share a scratch.
-                    let scratch = unsafe { cells_ref.slot(scratch_idx) };
-                    let pairs: Vec<(&LweCiphertext, &LweCiphertext)> =
-                        slot_chunk.iter().map(|&i| (&wave[i].a, &wave[i].b)).collect();
-                    key.batch_bootstrap_mixed(gate_chunk, &pairs, out_chunk, scratch);
-                }));
-            }
-        }
-        // A panicked bootstrap crashed the scheduler thread before the
-        // pool existed too; keep that contract.
-        pool.run(width, jobs).expect("serve wave worker panicked")
-    };
-    let mut flat = cells.into_inner();
-    for &(tenant, count) in scratch_owners.iter().rev() {
-        let rest = flat.split_off(flat.len() - count);
-        scratch_pool.insert(tenant, rest);
-    }
-    telemetry::metrics().counter_add("serve_wave_steals_total", run.steals);
-
-    let mut results = Vec::with_capacity(wave.len());
-    for (_, work) in works {
-        for (&i, out) in work.slots.iter().zip(work.outs) {
-            results.push((wave[i].tenant, wave[i].job, wave[i].node, out));
+            taken += cost;
+            total += cost;
+            let (plan, lanes) =
+                (Arc::clone(&job.plan), std::mem::replace(&mut job.lanes, Lanes::new(1)));
+            let picked = Picked { tenant, job: job.id, plan, wave: job.cursor, lanes };
+            round.push((Arc::clone(&queue.key), picked));
         }
     }
-    results
+    let metrics = telemetry::metrics();
+    metrics.counter_add("serve_waves_total", 1);
+    metrics.counter_add("serve_gates_batched_total", total as u64);
+    metrics.observe("serve_batch_occupancy", total as f64, &OCCUPANCY_BUCKETS);
+    round
 }
 
 fn run_scheduler(shared: &Shared) {
-    let mut scratch_pool: HashMap<u64, Vec<GateScratch>> = HashMap::new();
+    let width = WorkerPool::global().width();
+    let mut stats = ExecStats::new(0, 0, 0);
     loop {
-        // Collect a wave (or exit) under the lock.
-        let (wave, keys) = {
+        let round = {
             let mut state = shared.state.lock().expect("scheduler poisoned");
             loop {
-                let wave = collect_wave(&mut state, shared.max_wave);
-                if !wave.is_empty() {
-                    let keys: HashMap<u64, Arc<ServerKey>> = wave
-                        .iter()
-                        .map(|s| (s.tenant, Arc::clone(&state.tenants[&s.tenant].key)))
-                        .collect();
-                    break (wave, keys);
+                let round = next_round(&mut state, shared, &mut stats);
+                if !round.is_empty() {
+                    break round;
                 }
-                // Cheap-only jobs (no bootstrapped gates) finish during
-                // collection; publish them before sleeping.
-                finish_complete_jobs(&mut state, shared);
-                let queued: usize = state.tenants.values().map(|q| q.jobs.len()).sum();
-                if state.shutdown && queued == 0 {
+                if state.shutdown {
                     return;
                 }
                 state = shared.work.wait(state).expect("scheduler poisoned");
             }
         };
 
-        let occupancy = wave.len();
-        let results = execute_wave(&keys, &wave, &mut scratch_pool);
+        // Run it outside the lock: one launch per picked job, all of
+        // them one pool run. The keys go before the results are written
+        // back, so a finished tenant's key is not held past its last job.
+        let (keys, mut round): (Vec<_>, Vec<_>) = round.into_iter().unzip();
+        {
+            let engines: Vec<_> = keys.iter().map(|key| TfheEngine::new(key)).collect();
+            let mut launches: Vec<_> = round
+                .iter_mut()
+                .zip(&engines)
+                .map(|(p, engine)| {
+                    let wave = &waves(&p.plan)[p.wave];
+                    Launch { engine, wave, msg_precision: 0, lanes: &mut p.lanes }
+                })
+                .collect();
+            // A panicking bootstrap has always taken the scheduler
+            // thread down with it; keep that contract.
+            run_wave(&mut launches, width, &mut stats).expect("serve wave worker panicked");
+        }
+        drop(keys);
+        stats.waves += 1;
+        telemetry::metrics()
+            .counter_add("serve_wave_steals_total", std::mem::take(&mut stats.steals));
 
         let mut state = shared.state.lock().expect("scheduler poisoned");
-        // Drop scratch for tenants that no longer have live queues so the
-        // pool stays bounded by the set of active tenants.
-        scratch_pool.retain(|fp, _| state.tenants.contains_key(fp));
-        for (tenant, job_id, node, ct) in results {
-            if let Some(queue) = state.tenants.get_mut(&tenant) {
-                if let Some(job) = queue.jobs.iter_mut().find(|j| j.id == job_id) {
-                    job.values[node] = Some(ct);
-                    job.staged -= 1;
-                }
-            }
+        for p in round {
+            let queue = state.tenants.get_mut(&p.tenant).expect("a tenant outlives its jobs");
+            let job = queue.jobs.iter_mut().find(|j| j.id == p.job).expect("a running job stays");
+            job.lanes = p.lanes;
+            job.cursor += 1;
         }
-        let metrics = telemetry::metrics();
-        metrics.counter_add("serve_waves_total", 1);
-        metrics.counter_add("serve_gates_batched_total", occupancy as u64);
-        metrics.observe("serve_batch_occupancy", occupancy as f64, &OCCUPANCY_BUCKETS);
-        finish_complete_jobs(&mut state, shared);
-        // Dependent gates unblocked by this wave are picked up by the
-        // next collect_wave call without waiting.
+        // The next `next_round` publishes what this round finished and
+        // picks the waves it unblocked, without waiting.
     }
 }
 
-/// Moves finished jobs from their queues into the completed map and
-/// wakes fetchers.
+/// Moves finished jobs from their queues into the completed map, drops
+/// the queues (and keys) of tenants left with none, and wakes fetchers.
 fn finish_complete_jobs(state: &mut SchedState, shared: &Shared) {
-    let mut finished = Vec::new();
-    for (&tenant, queue) in &mut state.tenants {
-        let mut i = 0;
-        while i < queue.jobs.len() {
-            if queue.jobs[i].complete() {
-                let job = queue.jobs.remove(i);
-                let outputs: Result<(Vec<LweCiphertext>, Params), String> = job
-                    .nl
-                    .outputs()
-                    .iter()
-                    .map(|&n| {
-                        job.values[n.index()]
-                            .clone()
-                            .ok_or_else(|| format!("output node {} never computed", n.index()))
-                    })
-                    .collect::<Result<Vec<_>, _>>()
-                    .map(|cts| (cts, job.params));
-                finished.push((tenant, job.id, outputs, queue.jobs.len()));
-            } else {
-                i += 1;
-            }
-        }
-    }
-    if finished.is_empty() {
-        return;
-    }
+    let SchedState { tenants, completed, .. } = state;
     let metrics = telemetry::metrics();
-    for (tenant, id, outputs, depth) in finished {
-        state.completed.insert(id, outputs);
-        if let Some(count) = state.in_flight.get_mut(&tenant) {
-            *count = count.saturating_sub(1);
+    let mut finished = false;
+    tenants.retain(|&tenant, queue| {
+        let queued = queue.jobs.len();
+        queue.jobs.retain(|job| {
+            if job.next_wave().is_some() {
+                return true;
+            }
+            completed.insert(job.id, (job.lanes.outputs(&job.plan), job.params));
+            metrics.counter_add("serve_jobs_completed_total", 1);
+            metrics.counter_add(&format!("serve_tenant_{tenant:016x}_jobs_completed_total"), 1);
+            false
+        });
+        if queue.jobs.len() < queued {
+            finished = true;
+            let depth = queue.jobs.len() as f64;
+            metrics.gauge_set(&format!("serve_tenant_{tenant:016x}_queue_depth"), depth);
         }
-        metrics.counter_add("serve_jobs_completed_total", 1);
-        metrics.counter_add(&format!("serve_tenant_{tenant:016x}_jobs_completed_total"), 1);
-        metrics.gauge_set(&format!("serve_tenant_{tenant:016x}_queue_depth"), depth as f64);
+        !queue.jobs.is_empty()
+    });
+    if finished {
+        shared.done.notify_all();
     }
-    shared.done.notify_all();
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use pytfhe_netlist::GateKind;
     use pytfhe_tfhe::{ClientKey, Params, SecureRng};
+    use std::time::Instant;
 
     fn setup() -> (ClientKey, Arc<ServerKey>, SecureRng) {
         let mut rng = SecureRng::seed_from_u64(11);
@@ -657,5 +513,68 @@ mod tests {
         assert_eq!(ck1.decrypt_bits(&sched.fetch(id1).unwrap().0), nl.eval_plain(&bits1));
         assert_eq!(ck2.decrypt_bits(&sched.fetch(id2).unwrap().0), nl.eval_plain(&bits2));
         sched.shutdown();
+    }
+
+    #[test]
+    fn a_delivered_result_is_unknown_at_once_on_the_second_fetch() {
+        let (ck, sk, mut rng) = setup();
+        let sched = Scheduler::start(4);
+        let inputs = ck.encrypt_bits(&[true; 3], &mut rng);
+        let id = sched.submit(5, sk, xor_chain(3), inputs, 4).unwrap();
+        sched.fetch(id).unwrap();
+        let start = Instant::now();
+        assert!(matches!(sched.fetch(id), Err(ServeError::UnknownJob(again)) if again == id));
+        assert!(start.elapsed() < Duration::from_secs(1), "a delivered id must not be waited on");
+        sched.shutdown();
+    }
+
+    /// `levels` levels of `width` bootstrapped gates each.
+    fn ladder(levels: usize, width: usize) -> Netlist {
+        let mut nl = Netlist::new();
+        let mut row: Vec<_> = (0..width).map(|_| nl.add_input()).collect();
+        for _ in 0..levels {
+            let gate = |i| nl.add_gate(GateKind::Nand, row[i], row[(i + 1) % width]).unwrap();
+            row = (0..width).map(gate).collect();
+        }
+        row.iter().for_each(|&g| nl.mark_output(g).unwrap());
+        nl
+    }
+
+    /// `serve_batch_occupancy` observations above 8. The registry is
+    /// process-wide, so callers compare before and after; no other test
+    /// of this binary runs a round that wide.
+    fn rounds_over_eight() -> u64 {
+        let snapshot = telemetry::metrics().snapshot();
+        let Some(h) = snapshot.histograms.get("serve_batch_occupancy") else { return 0 };
+        h.count() - h.cumulative_buckets().iter().find(|b| b.0 == 8.0).expect("bucket 8").1
+    }
+
+    #[test]
+    fn rounds_stay_within_max_wave_and_a_late_tenant_overtakes_a_greedy_queue() {
+        let (ck_g, sk_g, mut rng) = setup();
+        let ck_l = ClientKey::generate(Params::testing(), &mut rng);
+        let sk_l = Arc::new(ck_l.server_key(&mut rng));
+        let before = rounds_over_eight();
+        let sched = Scheduler::start(8);
+        // Four deep jobs whose every level is wider than a round.
+        let deep = ladder(4, 12);
+        let bits = [true, false, false, true, true, true, false, true, false, false, true, false];
+        let greedy: Vec<u64> = (0..4)
+            .map(|_| {
+                let inputs = ck_g.encrypt_bits(&bits, &mut rng);
+                sched.submit(1, Arc::clone(&sk_g), deep.clone(), inputs, 8).unwrap()
+            })
+            .collect();
+        let small = ladder(1, 3);
+        let bits_l = [true, true, false];
+        let late = sched.submit(2, sk_l, small.clone(), ck_l.encrypt_bits(&bits_l, &mut rng), 8);
+        let (out, _) = sched.fetch(late.unwrap()).unwrap();
+        assert!(sched.in_flight(1) > 0, "the late job must finish before the greedy queue");
+        assert_eq!(ck_l.decrypt_bits(&out), small.eval_plain(&bits_l));
+        for id in greedy {
+            assert_eq!(ck_g.decrypt_bits(&sched.fetch(id).unwrap().0), deep.eval_plain(&bits));
+        }
+        sched.shutdown();
+        assert_eq!(rounds_over_eight(), before, "a round held more than max_wave bootstraps");
     }
 }

@@ -370,12 +370,12 @@ impl ServerKey {
     /// Evaluates one batched kernel of *mixed* gate kinds: `gates[i]`
     /// applied to `pairs[i]` into `outs[i]`.
     ///
-    /// This is the cross-session batching entry point: a serving
-    /// scheduler draining ready gates from many tenants' programs gets
-    /// one dense wave of heterogeneous gates per key, and staging them
-    /// through one kernel (each slot with its own gate recipe) keeps
-    /// the launch count at one per key per wave instead of one per gate
-    /// kind. Bit-exact with the per-kind batches and with
+    /// Staging heterogeneous gates through one kernel (each slot with
+    /// its own gate recipe) keeps the launch count at one per key per
+    /// wave instead of one per gate kind. No execution path calls it
+    /// today — plans group a wave per kind — but the benchmark prices it
+    /// (`tfhe.mixed8_ms_per_gate`) for the per-key launches of ROADMAP
+    /// 3(b). Bit-exact with the per-kind batches and with
     /// [`ServerKey::gate_into`].
     ///
     /// # Panics

@@ -3,11 +3,13 @@
 //! under a greedy tenant, and key eviction + rehydration round trips.
 
 use std::sync::Arc;
+use std::time::{Duration, Instant};
 
-use pytfhe_backend::DiskStore;
+use pytfhe_backend::{capture, CaptureConfig, DiskStore, KernelGraph, TfheEngine};
+use pytfhe_hdl::{Circuit, Word};
 use pytfhe_netlist::{GateKind, Netlist, ALL_GATE_KINDS};
 use pytfhe_serve::{duplex, ServeClient, ServeConfig, ServeError, ServeHandle};
-use pytfhe_tfhe::io::server_key_to_bytes;
+use pytfhe_tfhe::io::{ciphertext_to_bytes, server_key_from_bytes, server_key_to_bytes};
 use pytfhe_tfhe::{ClientKey, LweCiphertext, Params, SecureRng, Torus32};
 
 /// A deterministic random DAG over every gate kind: each gate draws its
@@ -302,4 +304,143 @@ fn malformed_inputs_are_refused_and_the_other_tenant_is_unharmed() {
     assert_eq!(ck_good.decrypt_bits(&out), nl.eval_plain(&bits_g));
     let out = bad.run(fp_b, &nl, &inputs_b, &params).expect("the session is still usable");
     assert_eq!(ck_bad.decrypt_bits(&out), nl.eval_plain(&bits_b));
+}
+
+/// A tenant's queue — and with it the scheduler's handle on the tenant's
+/// key — goes with its last job, so the key cache's capacity really
+/// bounds the keys in memory: once key B evicts key A from a one-key
+/// cache, nothing keeps A alive.
+#[test]
+fn an_evicted_key_is_not_kept_alive_by_a_finished_tenant() {
+    let front =
+        ServeHandle::start(ServeConfig { key_cache_capacity: 1, ..ServeConfig::default() }, None);
+    let params = Params::testing();
+    let (ck_a, key_a, mut rng_a) = tenant_material(61);
+    let (_ck_b, key_b, _rng_b) = tenant_material(62);
+    let (near, far) = duplex();
+    front.attach(far).expect("admitted");
+    let mut client = ServeClient::new(near);
+    let fp_a = client.install_key(&key_a).expect("install A");
+    let weak = Arc::downgrade(&front.key_cache().get(fp_a).expect("cache").expect("A resident"));
+
+    let nl = random_netlist(9, 4, 12);
+    let bits: Vec<bool> = (0..4).map(|_| rng_a.bit()).collect();
+    let inputs = ck_a.encrypt_bits(&bits, &mut rng_a);
+    let out = client.run(fp_a, &nl, &inputs, &params).expect("run under A");
+    assert_eq!(ck_a.decrypt_bits(&out), nl.eval_plain(&bits));
+
+    client.install_key(&key_b).expect("install B evicts A");
+    assert!(weak.upgrade().is_none(), "key A outlived its eviction");
+}
+
+/// A result is delivered once: fetching the same job again is a typed
+/// `UnknownJob` straight away, not a session parked until the fetch
+/// timeout.
+#[test]
+fn a_second_fetch_of_a_delivered_job_is_refused_at_once() {
+    let front = ServeHandle::start(ServeConfig::default(), None);
+    let params = Params::testing();
+    let (ck, key_bytes, mut rng) = tenant_material(71);
+    let (near, far) = duplex();
+    front.attach(far).expect("admitted");
+    let mut client = ServeClient::new(near);
+    let fp = client.install_key(&key_bytes).expect("install");
+    let nl = random_netlist(3, 4, 8);
+    let inputs = ck.encrypt_bits(&[true, false, true, true], &mut rng);
+    let job = client.submit(fp, &nl, &inputs, &params).expect("submit");
+    client.fetch(job).expect("first fetch");
+    let start = Instant::now();
+    match client.fetch(job) {
+        Err(ServeError::UnknownJob(_)) => {}
+        other => panic!("expected UnknownJob, got {other:?}"),
+    }
+    assert!(start.elapsed() < Duration::from_secs(1), "the second fetch waited");
+    client.close().expect("the session is still usable");
+}
+
+/// The three 4-bit circuits of the benchmark's `serve` job mix.
+fn serve_circuits() -> [Netlist; 3] {
+    [0, 1, 2].map(|which| {
+        let mut c = Circuit::new();
+        let a = c.input_word("a", 4);
+        let b = c.input_word("b", 4);
+        let out = match which {
+            0 => c.add(&a, &b),
+            1 => Word::from_bits(vec![c.lt_unsigned(&a, &b).expect("equal widths")]),
+            _ => c.max_int(&a, &b, false).expect("equal widths"),
+        };
+        c.output_word("out", &out);
+        c.finish().expect("circuit is well formed")
+    })
+}
+
+/// A job alone on the front needs one round per bootstrapped level of its
+/// captured plan: 7 + 8 + 11 = 26 for the benchmark's three circuits
+/// (the readiness scan this replaced stalled at the first unready gate in
+/// node order and needed 7 + 9 + 18 = 34; EXPERIMENTS.md, "Serve rounds").
+#[test]
+fn serve_circuits_need_one_round_per_bootstrapped_level() {
+    let rounds = serve_circuits().map(|nl| {
+        let plan = capture(&nl, &CaptureConfig::default()).expect("valid circuit");
+        let waves = plan.batches.iter().flat_map(|b| &b.waves);
+        (plan.bootstraps(), waves.filter(|w| w.bootstraps() > 0).count())
+    });
+    assert_eq!(rounds, [(17, 7), (18, 8), (30, 11)]);
+}
+
+/// ROADMAP 5(b), the serve column: what a tenant fetches from the front
+/// is, byte for byte, what kernel-graph replay returns for the same key,
+/// program and inputs at 1 and at 4 workers — while two other tenants'
+/// jobs share the scheduler's rounds. Serve and replay run their waves
+/// through one dispatcher, so this is "the same kernel on the same
+/// operands", not merely "the same plaintext".
+#[test]
+fn served_ciphertexts_are_byte_identical_to_kernel_graph_replay() {
+    let front = ServeHandle::start(ServeConfig::default(), None);
+    let params = Params::testing();
+    let mut tenants: Vec<_> = (0..3)
+        .map(|i| {
+            let (ck, key_bytes, rng) = tenant_material(81 + i);
+            let (near, far) = duplex();
+            front.attach(far).expect("admitted");
+            let mut client = ServeClient::new(near);
+            let fp = client.install_key(&key_bytes).expect("install");
+            (ck, key_bytes, rng, client, fp)
+        })
+        .collect();
+    let (ck, key_bytes, mut rng, mut client, fp) = tenants.remove(0);
+    let key = server_key_from_bytes(&key_bytes).expect("the key the front decoded");
+    let engine = TfheEngine::new(&key);
+    let graph = KernelGraph::new();
+    let to_bytes = |cts: &[LweCiphertext]| -> Vec<_> {
+        cts.iter().map(|ct| ciphertext_to_bytes(ct, &params)).collect()
+    };
+
+    let filler = random_netlist(5, 5, 48);
+    let mut programs = serve_circuits().to_vec();
+    programs.push(random_netlist(13, 6, 48));
+    for (p, nl) in programs.iter().enumerate() {
+        // Two deep jobs per neighbour, submitted first and fetched last.
+        let mut neighbours = Vec::new();
+        for (ck_n, _, rng_n, client_n, fp_n) in &mut tenants {
+            for _ in 0..2 {
+                let bits: Vec<bool> = (0..5).map(|_| rng_n.bit()).collect();
+                let inputs = ck_n.encrypt_bits(&bits, rng_n);
+                neighbours.push(client_n.submit(*fp_n, &filler, &inputs, &params).expect("submit"));
+            }
+        }
+        let bits: Vec<bool> = (0..nl.num_inputs()).map(|_| rng.bit()).collect();
+        let inputs = ck.encrypt_bits(&bits, &mut rng);
+        let served = client.run(fp, nl, &inputs, &params).expect("run");
+        assert_eq!(ck.decrypt_bits(&served), nl.eval_plain(&bits), "program {p}");
+        for workers in [1, 4] {
+            let (replayed, _) = graph.execute(&engine, nl, &inputs, workers).expect("replay");
+            assert_eq!(to_bytes(&served), to_bytes(&replayed), "program {p}, {workers} workers");
+        }
+        for ((_, _, _, client_n, _), jobs) in tenants.iter_mut().zip(neighbours.chunks(2)) {
+            for &job in jobs {
+                client_n.fetch(job).expect("neighbour job");
+            }
+        }
+    }
 }

@@ -9,29 +9,25 @@
 //!
 //! Snapshots are tied to their program by a fingerprint of the canonical
 //! PyTFHE binary encoding, so a checkpoint can never silently resume a
-//! different circuit. Current snapshots ride inside the [`pytfhe_wire`]
+//! different circuit. Snapshots ride inside the [`pytfhe_wire`]
 //! envelope (CRC32C over header and payload), so on-disk bit rot is
-//! caught at load time rather than decrypting to garbage; the older
-//! bare `PTCK` layout with its trailing FNV-1a checksum still loads
-//! through a compat shim. Values serialize via [`Checkpointable`]: one
-//! byte per plaintext bit, raw torus words for LWE ciphertexts.
+//! caught at load time rather than decrypting to garbage; it is the
+//! only layout read (the pre-envelope bare `PTCK` layout is refused
+//! like any other bytes without the envelope magic). Values serialize
+//! via [`Checkpointable`]: one byte per plaintext bit, raw torus words
+//! for LWE ciphertexts.
 
 use crate::error::ExecError;
 use pytfhe_netlist::Netlist;
 use pytfhe_telemetry as telemetry;
 use pytfhe_tfhe::{LweCiphertext, Torus32};
 use pytfhe_wire as wire;
-use pytfhe_wire::Vintage;
 use std::fs;
 use std::path::PathBuf;
 
-/// Magic of the legacy bare `PTCK` layout (pre-envelope).
-const CKPT_MAGIC: u32 = 0x5054_434B; // "PTCK"
-/// The only bare-layout version ever shipped.
-const CKPT_VERSION: u32 = 1;
-/// Wire-envelope payload version. v1 was the bare `PTCK` layout;
-/// v2 moved the artifact into the envelope and dropped the in-band
-/// magic/version/FNV fields (the envelope carries all three).
+/// Wire-envelope payload version. v1 was the pre-envelope bare `PTCK`
+/// layout (no longer read); v2 is its body inside the envelope, which
+/// carries the magic, version and checksum.
 const CKPT_WIRE_VERSION: u16 = 2;
 /// Speculative allocation clamp for attacker-controlled counts.
 const MAX_PREALLOC: usize = 1 << 16;
@@ -86,9 +82,9 @@ impl Checkpointable for LweCiphertext {
     }
 }
 
-/// FNV-1a over a byte slice; used for the program fingerprint, the
-/// legacy snapshot checksum, and durable-store content addressing.
-pub(crate) fn fnv1a(bytes: &[u8]) -> u64 {
+/// FNV-1a over a byte slice: the program fingerprint and the content
+/// address of a [`crate::store::DiskStore`] key blob.
+pub fn fnv1a(bytes: &[u8]) -> u64 {
     let mut h = 0xCBF2_9CE4_8422_2325u64;
     for &b in bytes {
         h ^= u64::from(b);
@@ -207,7 +203,7 @@ impl Checkpoint {
     }
 
     /// The envelope payload: fingerprint, wave, then length-prefixed
-    /// frontier entries. Also the tail of the legacy bare layout.
+    /// frontier entries.
     fn body_bytes(&self) -> Vec<u8> {
         let payload: usize = self.entries.iter().map(|(_, b)| 8 + b.len()).sum();
         let mut out = Vec::with_capacity(20 + payload);
@@ -222,55 +218,23 @@ impl Checkpoint {
         out
     }
 
-    /// Parses a snapshot back from [`Checkpoint::to_bytes`] output, or
-    /// from the legacy bare `PTCK` layout written by older builds.
+    /// Parses a snapshot back from [`Checkpoint::to_bytes`] output.
     ///
     /// # Errors
     ///
-    /// Returns [`ExecError::Wire`] when the envelope fails validation
-    /// and [`ExecError::BadCheckpoint`] on payload-level corruption.
+    /// Returns [`ExecError::Wire`] when the bytes are not a valid
+    /// checkpoint envelope and [`ExecError::BadCheckpoint`] on
+    /// payload-level corruption.
     pub fn from_bytes(data: &[u8]) -> Result<Self, ExecError> {
-        Self::from_bytes_tagged(data).map(|(ckpt, _)| ckpt)
+        let env = wire::decode_expecting(
+            data,
+            wire::Format::Checkpoint,
+            CKPT_WIRE_VERSION..=CKPT_WIRE_VERSION,
+        )?;
+        Self::parse_body(env.payload)
     }
 
-    /// Like [`Checkpoint::from_bytes`], but also reports whether the
-    /// bytes used the current envelope or the legacy bare layout, so
-    /// durable stores can count pending migrations.
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`Checkpoint::from_bytes`].
-    pub fn from_bytes_tagged(data: &[u8]) -> Result<(Self, Vintage), ExecError> {
-        if wire::is_enveloped(data) {
-            let env = wire::decode_expecting(
-                data,
-                wire::Format::Checkpoint,
-                CKPT_WIRE_VERSION..=CKPT_WIRE_VERSION,
-            )?;
-            return Ok((Self::parse_body(env.payload)?, Vintage::Current));
-        }
-        // Legacy bare layout: magic | version | body | trailing FNV-1a.
-        let bad = |reason| ExecError::BadCheckpoint { reason };
-        let (data, sum) =
-            data.split_at_checked(data.len().wrapping_sub(8)).ok_or(bad("truncated header"))?;
-        if fnv1a(data) != u64::from_le_bytes(sum.try_into().unwrap()) {
-            return Err(bad("checksum mismatch"));
-        }
-        let u32_at = |i: usize| -> Result<u32, ExecError> {
-            Ok(u32::from_le_bytes(
-                data.get(i..i + 4).ok_or(bad("truncated header"))?.try_into().unwrap(),
-            ))
-        };
-        if u32_at(0)? != CKPT_MAGIC {
-            return Err(bad("bad magic"));
-        }
-        if u32_at(4)? != CKPT_VERSION {
-            return Err(bad("unsupported version"));
-        }
-        Ok((Self::parse_body(&data[8..])?, Vintage::Legacy))
-    }
-
-    /// Parses the post-header body shared by both layouts.
+    /// Parses the envelope payload.
     fn parse_body(data: &[u8]) -> Result<Self, ExecError> {
         let bad = |reason| ExecError::BadCheckpoint { reason };
         let u32_at = |i: usize| -> Result<u32, ExecError> {
@@ -581,38 +545,6 @@ mod tests {
         store.save(&ckpt).unwrap();
         assert_eq!(store.load().unwrap(), Some(ckpt));
         std::fs::remove_file(&path).unwrap();
-    }
-
-    /// Re-encodes a snapshot in the legacy bare `PTCK` v1 layout, as
-    /// old deployments wrote it: magic, version, body, trailing FNV-1a.
-    fn legacy_checkpoint_bytes(ckpt: &Checkpoint) -> Vec<u8> {
-        let mut out = Vec::new();
-        out.extend_from_slice(&CKPT_MAGIC.to_le_bytes());
-        out.extend_from_slice(&CKPT_VERSION.to_le_bytes());
-        out.extend_from_slice(&ckpt.body_bytes());
-        let sum = fnv1a(&out);
-        out.extend_from_slice(&sum.to_le_bytes());
-        out
-    }
-
-    #[test]
-    fn legacy_layout_loads_through_the_compat_shim() {
-        let ckpt = Checkpoint::capture(3, 0xFEED, [(2u32, &true), (7u32, &false)]);
-        let legacy = legacy_checkpoint_bytes(&ckpt);
-        let (back, vintage) = Checkpoint::from_bytes_tagged(&legacy).unwrap();
-        assert_eq!(back, ckpt);
-        assert_eq!(vintage, Vintage::Legacy);
-        let (_, vintage) = Checkpoint::from_bytes_tagged(&ckpt.to_bytes()).unwrap();
-        assert_eq!(vintage, Vintage::Current);
-
-        // Legacy-path failures keep their precise reasons.
-        let mut flipped = legacy.clone();
-        flipped[10] ^= 0x01;
-        assert_eq!(
-            Checkpoint::from_bytes(&flipped),
-            Err(ExecError::BadCheckpoint { reason: "checksum mismatch" })
-        );
-        assert!(Checkpoint::from_bytes(&legacy[..7]).is_err());
     }
 
     #[test]

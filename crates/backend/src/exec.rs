@@ -71,8 +71,7 @@ pub struct ExecStats {
     /// plaintext engine, which runs the same schedule.
     pub bootstraps: u64,
     /// Name of the SIMD kernel path the TFHE layer dispatched to
-    /// (`"scalar"`, `"avx2"` or `"avx512"`; see
-    /// `pytfhe_tfhe::simd`).
+    /// (`"scalar"` or `"avx2"`; see `pytfhe_tfhe::simd`).
     pub simd_path: &'static str,
 }
 
@@ -100,60 +99,6 @@ impl ExecStats {
             bootstraps,
             simd_path: pytfhe_tfhe::simd::active_path().name(),
         }
-    }
-
-    /// Serializes every counter as one JSON object — the single
-    /// machine-readable form used by `repro`, examples, and tests
-    /// (schema is stable: all fields always present, `null` for a run
-    /// that did not resume).
-    pub fn to_json(&self) -> String {
-        let kinds =
-            self.kernels_by_kind.iter().map(|k| k.to_string()).collect::<Vec<_>>().join(", ");
-        format!(
-            concat!(
-                "{{\n",
-                "  \"gates\": {gates},\n",
-                "  \"waves\": {waves},\n",
-                "  \"wall_s\": {wall_s},\n",
-                "  \"retries\": {retries},\n",
-                "  \"evicted_workers\": {evicted_workers},\n",
-                "  \"checkpoints\": {checkpoints},\n",
-                "  \"resumed_from_wave\": {resumed},\n",
-                "  \"capture_s\": {capture_s},\n",
-                "  \"replay_s\": {replay_s},\n",
-                "  \"plan_cached\": {plan_cached},\n",
-                "  \"batches\": {batches},\n",
-                "  \"kernel_launches\": {kernel_launches},\n",
-                "  \"kernels_by_kind\": [{kinds}],\n",
-                "  \"steals\": {steals},\n",
-                "  \"luts\": {luts},\n",
-                "  \"lut_launches\": {lut_launches},\n",
-                "  \"bootstraps\": {bootstraps},\n",
-                "  \"simd_path\": \"{simd_path}\"\n",
-                "}}"
-            ),
-            gates = self.gates,
-            waves = self.waves,
-            wall_s = self.wall_s,
-            retries = self.retries,
-            evicted_workers = self.evicted_workers,
-            checkpoints = self.checkpoints,
-            resumed = match self.resumed_from_wave {
-                Some(w) => w.to_string(),
-                None => "null".to_string(),
-            },
-            capture_s = self.capture_s,
-            replay_s = self.replay_s,
-            plan_cached = self.plan_cached,
-            batches = self.batches,
-            kernel_launches = self.kernel_launches,
-            kinds = kinds,
-            steals = self.steals,
-            luts = self.luts,
-            lut_launches = self.lut_launches,
-            bootstraps = self.bootstraps,
-            simd_path = self.simd_path,
-        )
     }
 
     /// Publishes the run's counters into the global telemetry metrics
@@ -802,7 +747,7 @@ mod tests {
         input.extend(to_bits(5, 4));
         let (_, stats) = execute(&engine, &nl, &input).unwrap();
         assert_eq!(stats.simd_path, pytfhe_tfhe::simd::active_path().name());
-        assert!(["scalar", "avx2", "avx512"].contains(&stats.simd_path));
+        assert!(["scalar", "avx2"].contains(&stats.simd_path));
     }
 
     #[test]

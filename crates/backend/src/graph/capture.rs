@@ -5,6 +5,7 @@ use crate::checkpoint::netlist_fingerprint;
 use crate::error::ExecError;
 use crate::graph::batch::group_wave;
 use crate::graph::plan::{KernelPlan, SubGraph, WavePlan};
+use crate::sim::cut_batches;
 use pytfhe_netlist::{LevelSchedule, Netlist};
 
 /// Capture tuning.
@@ -26,9 +27,10 @@ impl Default for CaptureConfig {
 ///
 /// Waves come from [`LevelSchedule`]; within each wave gates are grouped
 /// by kind into batched kernels; consecutive waves accumulate into
-/// sub-graph batches under the same cut rule as
-/// [`crate::sim::graph_batch_waves`] (bootstrap-free waves never trigger
-/// a cut but still ride along in the open batch so their gates execute).
+/// sub-graph batches under the cut rule
+/// [`crate::sim::graph_batch_waves`] applies (bootstrap-free waves never
+/// trigger a cut but still ride along in the open batch so their gates
+/// execute).
 ///
 /// # Errors
 ///
@@ -37,24 +39,15 @@ impl Default for CaptureConfig {
 pub fn capture(nl: &Netlist, cfg: &CaptureConfig) -> Result<KernelPlan, ExecError> {
     nl.validate()?;
     let sched = LevelSchedule::compute(nl);
-    let mut batches: Vec<SubGraph> = Vec::new();
-    let mut cur = SubGraph::default();
-    let mut cur_gates = 0u64;
-    for wave in &sched.waves {
-        let plan: WavePlan = group_wave(nl, wave);
-        if plan.groups.is_empty() && plan.lut_groups.is_empty() {
-            continue;
-        }
-        cur_gates += plan.bootstrapped();
-        cur.waves.push(plan);
-        if cur_gates >= cfg.batch_cut_nodes {
-            batches.push(std::mem::take(&mut cur));
-            cur_gates = 0;
-        }
-    }
-    if !cur.waves.is_empty() {
-        batches.push(cur);
-    }
+    let waves = sched
+        .waves
+        .iter()
+        .map(|wave| group_wave(nl, wave))
+        .filter(|plan| !(plan.groups.is_empty() && plan.lut_groups.is_empty()));
+    let batches = cut_batches(waves, WavePlan::bootstrapped, cfg.batch_cut_nodes)
+        .into_iter()
+        .map(|waves| SubGraph { waves })
+        .collect();
     Ok(KernelPlan {
         fingerprint: netlist_fingerprint(nl),
         num_nodes: nl.num_nodes(),

@@ -7,7 +7,6 @@ use crate::engine::boot_gate;
 use crate::error::ExecError;
 use pytfhe_netlist::{GateKind, LutSpec};
 use pytfhe_wire as wire;
-use pytfhe_wire::Vintage;
 
 /// One gate instance inside a batched kernel: evaluate the group's kind
 /// on value slots `a` and `b`, writing slot `out`. Unary gates read only
@@ -251,14 +250,8 @@ impl KernelPlan {
     }
 }
 
-/// Legacy pre-envelope magic; read-only through the compat shim.
-const PLAN_MAGIC: &[u8; 4] = b"PTKG";
-/// Legacy pre-envelope version byte.
-const PLAN_VERSION: u8 = 1;
 /// Plan body version inside the wire envelope for boolean-decomposed
-/// plans. The body layout is byte-identical to legacy v1 after its
-/// magic+version prefix; the envelope adds the integrity and versioning
-/// the raw layout lacked.
+/// plans (v1 was the pre-envelope `PTKG` layout, no longer read).
 const PLAN_WIRE_VERSION: u16 = 2;
 /// Plan body version for LUT-lowered plans: v2 plus a message-precision
 /// byte after the node count and a fused-LUT group section per wave.
@@ -277,8 +270,7 @@ impl KernelPlan {
         wire::encode(wire::Format::KernelPlan, version, &self.body_bytes(with_luts))
     }
 
-    /// The plan body shared by the enveloped and legacy layouts
-    /// (`with_luts` selects the v3 extensions).
+    /// The envelope payload (`with_luts` selects the v3 extensions).
     fn body_bytes(&self, with_luts: bool) -> Vec<u8> {
         let mut out = Vec::new();
         put_u64(&mut out, self.fingerprint);
@@ -322,49 +314,25 @@ impl KernelPlan {
         out
     }
 
-    /// Decodes a plan produced by [`KernelPlan::to_bytes`] — either the
-    /// current wire envelope or, through the compat shim, the legacy
-    /// pre-envelope `PTKG` v1 layout.
+    /// Decodes a plan produced by [`KernelPlan::to_bytes`].
     ///
     /// # Errors
     ///
-    /// Returns [`ExecError::Wire`] when the envelope fails validation
-    /// (checksum mismatch, truncation, version skew) and
-    /// [`ExecError::BadPlan`] on body-level corruption: wrong legacy
-    /// magic or version, truncation, unknown opcodes, or slot ids
+    /// Returns [`ExecError::Wire`] when the bytes are not a valid
+    /// kernel-plan envelope (no envelope magic, checksum mismatch,
+    /// truncation, version skew) and [`ExecError::BadPlan`] on
+    /// body-level corruption: truncation, unknown opcodes, or slot ids
     /// outside the declared arena.
     pub fn from_bytes(bytes: &[u8]) -> Result<Self, ExecError> {
-        Self::from_bytes_tagged(bytes).map(|(plan, _)| plan)
+        let env = wire::decode_expecting(
+            bytes,
+            wire::Format::KernelPlan,
+            PLAN_WIRE_VERSION..=PLAN_WIRE_VERSION_LUT,
+        )?;
+        Self::parse_body(env.payload, env.version == PLAN_WIRE_VERSION_LUT)
     }
 
-    /// [`KernelPlan::from_bytes`] plus the [`Vintage`] of the accepted
-    /// layout, so stores can count and transparently re-persist legacy
-    /// artifacts in the current envelope.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`KernelPlan::from_bytes`].
-    pub fn from_bytes_tagged(bytes: &[u8]) -> Result<(Self, Vintage), ExecError> {
-        if wire::is_enveloped(bytes) {
-            let env = wire::decode_expecting(
-                bytes,
-                wire::Format::KernelPlan,
-                PLAN_WIRE_VERSION..=PLAN_WIRE_VERSION_LUT,
-            )?;
-            let with_luts = env.version == PLAN_WIRE_VERSION_LUT;
-            return Ok((Self::parse_body(env.payload, with_luts)?, Vintage::Current));
-        }
-        let mut r = Reader { bytes, pos: 0 };
-        if r.take(4)? != PLAN_MAGIC {
-            return Err(bad("wrong magic"));
-        }
-        if r.u8()? != PLAN_VERSION {
-            return Err(bad("unsupported version"));
-        }
-        Ok((Self::parse_body(&bytes[5..], false)?, Vintage::Legacy))
-    }
-
-    /// Parses the shared body layout (`with_luts` for the v3 extensions).
+    /// Parses the envelope payload (`with_luts` for the v3 extensions).
     fn parse_body(bytes: &[u8], with_luts: bool) -> Result<Self, ExecError> {
         let mut r = Reader { bytes, pos: 0 };
         let fingerprint = r.u64()?;
@@ -589,23 +557,11 @@ mod tests {
         }
     }
 
-    /// Re-encodes a plan in the legacy pre-envelope `PTKG` v1 layout,
-    /// as old deployments wrote it.
-    fn legacy_plan_bytes(plan: &KernelPlan) -> Vec<u8> {
-        let mut out = Vec::new();
-        out.extend_from_slice(PLAN_MAGIC);
-        out.push(PLAN_VERSION);
-        out.extend_from_slice(&plan.body_bytes(false));
-        out
-    }
-
     #[test]
     fn round_trips_through_bytes() {
         let plan = sample_plan();
         let bytes = plan.to_bytes();
-        let (back, vintage) = KernelPlan::from_bytes_tagged(&bytes).unwrap();
-        assert_eq!(back, plan);
-        assert_eq!(vintage, Vintage::Current);
+        assert_eq!(KernelPlan::from_bytes(&bytes).unwrap(), plan);
     }
 
     #[test]
@@ -626,9 +582,7 @@ mod tests {
         let bytes = plan.to_bytes();
         let env = pytfhe_wire::decode(&bytes).unwrap();
         assert_eq!(env.version, PLAN_WIRE_VERSION_LUT);
-        let (back, vintage) = KernelPlan::from_bytes_tagged(&bytes).unwrap();
-        assert_eq!(back, plan);
-        assert_eq!(vintage, Vintage::Current);
+        assert_eq!(KernelPlan::from_bytes(&bytes).unwrap(), plan);
     }
 
     #[test]
@@ -704,15 +658,6 @@ mod tests {
     }
 
     #[test]
-    fn legacy_layout_loads_through_the_compat_shim() {
-        let plan = sample_plan();
-        let legacy = legacy_plan_bytes(&plan);
-        let (back, vintage) = KernelPlan::from_bytes_tagged(&legacy).unwrap();
-        assert_eq!(back, plan);
-        assert_eq!(vintage, Vintage::Legacy);
-    }
-
-    #[test]
     fn rejects_corruption() {
         let plan = sample_plan();
         let good = plan.to_bytes();
@@ -721,7 +666,10 @@ mod tests {
         // and any payload bit flip (caught by the CRC32C).
         let mut wrong_magic = good.clone();
         wrong_magic[0] = b'X';
-        assert!(matches!(KernelPlan::from_bytes(&wrong_magic), Err(ExecError::BadPlan { .. })));
+        assert!(matches!(
+            KernelPlan::from_bytes(&wrong_magic),
+            Err(ExecError::Wire(pytfhe_wire::WireError::BadMagic))
+        ));
 
         assert!(matches!(
             KernelPlan::from_bytes(&good[..good.len() - 1]),
@@ -741,22 +689,17 @@ mod tests {
             assert!(KernelPlan::from_bytes(&flipped).is_err(), "flip at byte {i} accepted");
         }
 
-        // Legacy-shim failures keep their precise reasons.
-        let legacy = legacy_plan_bytes(&plan);
-        let mut wrong_version = legacy.clone();
-        wrong_version[4] = 99;
+        // Body-level failures behind a valid checksum keep their reasons.
+        let body = plan.body_bytes(false);
+        let enveloped =
+            |body: &[u8]| wire::encode(wire::Format::KernelPlan, PLAN_WIRE_VERSION, body);
         assert!(matches!(
-            KernelPlan::from_bytes(&wrong_version),
-            Err(ExecError::BadPlan { reason: "unsupported version" })
-        ));
-        assert!(matches!(
-            KernelPlan::from_bytes(&legacy[..legacy.len() - 1]),
+            KernelPlan::from_bytes(&enveloped(&body[..body.len() - 1])),
             Err(ExecError::BadPlan { reason: "truncated" })
         ));
-        let mut legacy_trailing = legacy;
-        legacy_trailing.push(0);
+        let body_trailing = [body.as_slice(), &[0]].concat();
         assert!(matches!(
-            KernelPlan::from_bytes(&legacy_trailing),
+            KernelPlan::from_bytes(&enveloped(&body_trailing)),
             Err(ExecError::BadPlan { reason: "trailing bytes" })
         ));
     }

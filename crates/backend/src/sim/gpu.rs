@@ -20,23 +20,22 @@ use crate::cost::{CpuCostModel, GpuCostModel};
 use crate::sim::profile::ProgramProfile;
 use crate::sim::timeline::Timeline;
 
-/// The CUDA-graph batch-cut rule shared by the simulator and the real
-/// kernel-graph backend ([`crate::graph`]): consecutive waves accumulate
-/// into a batch until it holds at least `batch_nodes` bootstrapped
-/// gates, then the batch closes; waves with no bootstrapped gates are
-/// skipped; a trailing partial batch survives. Returns, per batch, the
-/// bootstrapped gate count of each contributing wave in wave order.
-pub fn graph_batch_waves(profile: &ProgramProfile, batch_nodes: u64) -> Vec<Vec<u64>> {
+/// The one copy of the CUDA-graph batch-cut rule, shared by the
+/// simulator ([`graph_batch_waves`]) and [`crate::graph::capture`]:
+/// `waves` accumulate into a batch until their `bootstrapped` counts
+/// sum to at least `batch_nodes`, then the batch closes; a trailing
+/// partial batch survives.
+pub(crate) fn cut_batches<W>(
+    waves: impl IntoIterator<Item = W>,
+    bootstrapped: impl Fn(&W) -> u64,
+    batch_nodes: u64,
+) -> Vec<Vec<W>> {
     let mut batches = Vec::new();
-    let mut cur: Vec<u64> = Vec::new();
+    let mut cur = Vec::new();
     let mut cur_gates = 0u64;
-    for wave in &profile.waves {
-        let n = wave.bootstrapped();
-        if n == 0 {
-            continue;
-        }
-        cur.push(n);
-        cur_gates += n;
+    for wave in waves {
+        cur_gates += bootstrapped(&wave);
+        cur.push(wave);
         if cur_gates >= batch_nodes {
             batches.push(std::mem::take(&mut cur));
             cur_gates = 0;
@@ -46,6 +45,18 @@ pub fn graph_batch_waves(profile: &ProgramProfile, batch_nodes: u64) -> Vec<Vec<
         batches.push(cur);
     }
     batches
+}
+
+/// The CUDA-graph batches of a profiled program, cut by the rule the
+/// real kernel-graph backend ([`crate::graph::capture`]) cuts with:
+/// consecutive waves accumulate into a batch until it holds at least
+/// `batch_nodes` bootstrapped gates, then the batch closes; waves with
+/// no bootstrapped gates are skipped; a trailing partial batch survives.
+/// Returns, per batch, the bootstrapped gate count of each contributing
+/// wave in wave order.
+pub fn graph_batch_waves(profile: &ProgramProfile, batch_nodes: u64) -> Vec<Vec<u64>> {
+    let counts = profile.waves.iter().map(|w| w.bootstrapped()).filter(|&n| n > 0);
+    cut_batches(counts, |&n| n, batch_nodes)
 }
 
 /// Scheduling policy.

@@ -14,6 +14,7 @@ mod profile;
 mod timeline;
 
 pub use cluster::{ClusterConfig, ClusterReport, ClusterSim, FaultyClusterReport, SimFaultModel};
+pub(crate) use gpu::cut_batches;
 pub use gpu::{graph_batch_waves, GpuPolicy, GpuReport, GpuSim};
 pub use profile::{ProgramProfile, WaveProfile};
 pub use timeline::{Segment, Timeline};

@@ -21,14 +21,13 @@
 //! *quarantined* — renamed aside with a `.quarantined` suffix and
 //! counted in telemetry — and the load continues with the remaining
 //! artifacts; rot costs one re-capture or one key re-install, never the
-//! whole warm start. Legacy (pre-envelope) plan files still load and
-//! are transparently rewritten in the current envelope.
+//! whole warm start. A file in a pre-envelope layout is one more file
+//! that does not decode: quarantined and counted like the rest.
 
 use crate::checkpoint::{fnv1a, write_atomic};
 use crate::error::ExecError;
 use crate::graph::KernelPlan;
 use pytfhe_telemetry as telemetry;
-use pytfhe_wire::Vintage;
 use std::fs;
 use std::path::{Path, PathBuf};
 use std::sync::{Arc, Mutex};
@@ -229,10 +228,8 @@ impl DiskStore {
 
     /// Loads every persisted plan, validating each envelope.
     ///
-    /// Corrupt files are quarantined (renamed aside, counted) and
-    /// skipped; legacy pre-envelope files are decoded through the compat
-    /// shim and rewritten in the current envelope so the store converges
-    /// to one format. Results are sorted by fingerprint.
+    /// Files that do not decode are quarantined (renamed aside,
+    /// counted) and skipped. Results are sorted by fingerprint.
     ///
     /// # Errors
     ///
@@ -247,14 +244,8 @@ impl DiskStore {
                 continue;
             }
             let bytes = fs::read(&path).map_err(io)?;
-            match KernelPlan::from_bytes_tagged(&bytes) {
-                Ok((plan, Vintage::Current)) => out.push(plan),
-                Ok((plan, Vintage::Legacy)) => {
-                    // Converge the store: rewrite in the enveloped format.
-                    let _ = write_atomic(&path, &plan.to_bytes());
-                    telemetry::metrics().counter_add("disk_store_migrated_total", 1);
-                    out.push(plan);
-                }
+            match KernelPlan::from_bytes(&bytes) {
+                Ok(plan) => out.push(plan),
                 Err(_) => {
                     let _ = fs::rename(&path, path.with_extension("quarantined"));
                     telemetry::metrics().counter_add("disk_store_quarantined_total", 1);
@@ -346,26 +337,27 @@ mod tests {
     }
 
     #[test]
-    fn legacy_plan_files_are_migrated_on_load() {
-        let dir = tempdir("migrate");
+    fn a_pre_envelope_plan_file_is_quarantined_and_the_other_plans_load() {
+        let dir = tempdir("pre-envelope");
         let store = DiskStore::open(&dir).unwrap();
         let plan = sample_plan();
-        // Write the plan in the legacy bare layout, as an old build would.
-        let legacy = {
-            let enveloped = plan.to_bytes();
-            let payload = pytfhe_wire::decode(&enveloped).unwrap().payload.to_vec();
-            let mut out = Vec::new();
-            out.extend_from_slice(b"PTKG");
-            out.push(1);
-            out.extend_from_slice(&payload);
-            out
+        assert!(store.put_plan(&plan).unwrap());
+        // A second plan as a pre-envelope build wrote it: `PTKG`, a
+        // version byte, then what is today the envelope payload.
+        let payload = pytfhe_wire::decode(&plan.to_bytes()).unwrap().payload.to_vec();
+        let old = [b"PTKG\x01".as_ref(), &payload].concat();
+        let path = dir.join("plans").join("00000000000000aa.plan");
+        fs::write(&path, &old).unwrap();
+        let quarantined = || {
+            let counters = telemetry::metrics().snapshot().counters;
+            counters.get("disk_store_quarantined_total{kind=\"plan\"}").copied().unwrap_or(0)
         };
-        let path = dir.join("plans").join(format!("{:016x}.plan", plan.fingerprint));
-        fs::write(&path, &legacy).unwrap();
+        let before = quarantined();
 
         assert_eq!(store.load_plans().unwrap(), vec![plan.clone()]);
-        // The on-disk file has converged to the enveloped format.
-        assert!(pytfhe_wire::is_enveloped(&fs::read(&path).unwrap()));
+        assert!(quarantined() > before, "the refused file is counted");
+        assert!(!path.exists());
+        assert_eq!(fs::read(path.with_extension("quarantined")).unwrap(), old, "kept aside as is");
         assert_eq!(store.load_plans().unwrap(), vec![plan]);
         fs::remove_dir_all(&dir).unwrap();
     }

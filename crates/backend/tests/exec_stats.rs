@@ -3,11 +3,11 @@
 //! batching counters under the kernel-graph executor (and their
 //! identity with one-shot `execute_parallel`, which is the same capture
 //! and replay), and the flow of both into the telemetry metrics registry
-//! and the stable JSON shape.
+//! and the `Display` summary.
 
 use pytfhe_backend::{
-    execute, execute_parallel, execute_resilient, ExecError, ExecStats, KernelGraph,
-    MemoryCheckpointStore, PlainEngine, ResilientConfig, RetryPolicy, SeededFaults,
+    execute, execute_parallel, execute_resilient, ExecError, KernelGraph, MemoryCheckpointStore,
+    PlainEngine, ResilientConfig, RetryPolicy, SeededFaults,
 };
 use pytfhe_hdl::Circuit;
 use pytfhe_netlist::opt::{lut_cover, LutCoverConfig};
@@ -201,39 +201,14 @@ fn stats_flow_into_the_metrics_registry_when_enabled() {
 }
 
 #[test]
-fn exec_stats_json_round_trips_every_counter() {
+fn exec_stats_display_names_its_counters() {
     let engine = PlainEngine::new();
     let nl = adder(4);
     let mut input = to_bits(3, 4);
     input.extend(to_bits(12, 4));
     let graph = KernelGraph::new();
     let (_, stats) = graph.execute(&engine, &nl, &input, 2).expect("graph run");
-    let json = stats.to_json();
-    telemetry::json::validate(&json).expect("ExecStats::to_json must emit valid JSON");
-    for key in [
-        "gates",
-        "waves",
-        "wall_s",
-        "retries",
-        "evicted_workers",
-        "checkpoints",
-        "capture_s",
-        "replay_s",
-        "plan_cached",
-        "batches",
-        "kernel_launches",
-        "kernels_by_kind",
-        "steals",
-        "luts",
-        "lut_launches",
-        "bootstraps",
-        "simd_path",
-    ] {
-        assert!(json.contains(&format!("\"{key}\"")), "missing {key} in {json}");
-    }
-    assert!(json.contains("\"resumed_from_wave\": null"), "clean runs never resume: {json}");
     let display = stats.to_string();
     assert!(display.contains("gates"));
     assert!(display.contains("kernel launches"));
-    let _: ExecStats = stats; // the JSON and Display come from the same value
 }

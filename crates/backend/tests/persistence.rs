@@ -56,8 +56,7 @@ fn formats() -> Vec<Format> {
     let mut out = Vec::new();
 
     // Server key (wire-enveloped `pytfhe-tfhe` format). The stale
-    // generation is the same client's key serialized in the legacy
-    // parse path — here simply a key from different randomness.
+    // generation is a key from different randomness.
     let mut rng = SecureRng::seed_from_u64(0xA11CE);
     let client = ClientKey::generate(Params::testing(), &mut rng);
     let good_key = client.server_key(&mut rng);

@@ -160,11 +160,8 @@ impl Server {
         let _span = telemetry::span("session", "warm start from disk store");
         let mut key = None;
         for (id, bytes) in store.key_blobs()? {
-            match pytfhe_tfhe::io::server_key_from_bytes_tagged(&bytes) {
-                Ok((k, vintage)) => {
-                    if vintage == pytfhe_tfhe::io::Vintage::Legacy {
-                        telemetry::metrics().counter_add("session_legacy_keys_loaded_total", 1);
-                    }
+            match pytfhe_tfhe::io::server_key_from_bytes(&bytes) {
+                Ok(k) => {
                     key = Some(k);
                     break;
                 }

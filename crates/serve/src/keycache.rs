@@ -15,24 +15,13 @@
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex};
 
+use pytfhe_backend::checkpoint::fnv1a;
 use pytfhe_backend::DiskStore;
 use pytfhe_telemetry as telemetry;
 use pytfhe_tfhe::io::server_key_from_bytes;
 use pytfhe_tfhe::ServerKey;
 
 use crate::error::ServeError;
-
-/// FNV-1a over the serialized key bytes — deliberately the same
-/// function [`DiskStore::put_key_blob`] content-addresses with, so a
-/// fingerprint computed here finds the same blob on rehydration.
-fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h = 0xCBF2_9CE4_8422_2325u64;
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01B3);
-    }
-    h
-}
 
 struct CacheInner {
     keys: HashMap<u64, Arc<ServerKey>>,
@@ -70,41 +59,51 @@ impl KeyCache {
 
     /// Decodes and caches a serialized server key, persisting the bytes
     /// when a store backs the cache. Returns the key's fingerprint —
-    /// the tenant identity every subsequent submit references.
+    /// the tenant identity every subsequent submit references: FNV-1a
+    /// over the bytes, the function [`DiskStore::put_key_blob`]
+    /// content-addresses with, so it finds the same blob on rehydration.
     ///
     /// # Errors
     ///
-    /// Returns [`ServeError::Tfhe`] when the bytes fail to decode and
-    /// [`ServeError::Exec`] when persistence fails.
+    /// Returns [`ServeError::Tfhe`] when the bytes fail to decode (and
+    /// nothing is stored) and [`ServeError::Exec`] when persistence
+    /// fails.
     pub fn install(&self, key_bytes: &[u8]) -> Result<u64, ServeError> {
-        let fingerprint = match &self.store {
-            Some(store) => store.put_key_blob(key_bytes)?.0,
-            None => fnv1a(key_bytes),
-        };
-        {
-            let inner = self.inner.lock().expect("key cache poisoned");
-            if inner.keys.contains_key(&fingerprint) {
-                drop(inner);
+        let fingerprint = fnv1a(key_bytes);
+        let resident =
+            self.inner.lock().expect("key cache poisoned").keys.contains_key(&fingerprint);
+        // Decode before persisting, so bytes that are not a key never
+        // reach the store, where they would sit in `keys/` and could push
+        // another tenant's blob out of a capped store. Outside the lock:
+        // key decode is the expensive step and other tenants' lookups
+        // must not serialize behind it.
+        let decoded =
+            if resident { None } else { Some(Arc::new(server_key_from_bytes(key_bytes)?)) };
+        if let Some(store) = &self.store {
+            store.put_key_blob(key_bytes)?;
+        }
+        match decoded {
+            Some(key) => {
+                self.insert(fingerprint, key);
+                telemetry::metrics().counter_add("serve_keys_installed_total", 1);
+            }
+            None => {
                 self.touch(fingerprint);
                 telemetry::metrics().counter_add("serve_key_cache_hits_total", 1);
-                return Ok(fingerprint);
             }
         }
-        // Decode outside the lock: key decode is the expensive step and
-        // other tenants' lookups must not serialize behind it.
-        let key = Arc::new(server_key_from_bytes(key_bytes)?);
-        self.insert(fingerprint, key);
-        telemetry::metrics().counter_add("serve_keys_installed_total", 1);
         Ok(fingerprint)
     }
 
     /// Looks up a decoded key, rehydrating from the backing store on a
-    /// miss. `Ok(None)` means the fingerprint is genuinely unknown.
+    /// miss. `Ok(None)` means the fingerprint is unknown — never
+    /// installed, evicted everywhere, or stored as a blob that no longer
+    /// decodes, which is quarantined so that later requests stop
+    /// re-reading it; the tenant re-installs.
     ///
     /// # Errors
     ///
-    /// Returns [`ServeError::Exec`] when the store read fails and
-    /// [`ServeError::Tfhe`] when a stored blob fails to decode.
+    /// Returns [`ServeError::Exec`] when the store read fails.
     pub fn get(&self, fingerprint: u64) -> Result<Option<Arc<ServerKey>>, ServeError> {
         {
             let inner = self.inner.lock().expect("key cache poisoned");
@@ -121,7 +120,11 @@ impl KeyCache {
         let Some(bytes) = store.get_key_blob(fingerprint)? else {
             return Ok(None);
         };
-        let key = Arc::new(server_key_from_bytes(&bytes)?);
+        let Ok(key) = server_key_from_bytes(&bytes) else {
+            store.quarantine_key(fingerprint);
+            return Ok(None);
+        };
+        let key = Arc::new(key);
         self.insert(fingerprint, Arc::clone(&key));
         telemetry::metrics().counter_add("serve_key_cache_rehydrations_total", 1);
         Ok(Some(key))
@@ -202,6 +205,49 @@ mod tests {
             .copied()
             .unwrap_or(0);
         assert_eq!(after, before + 1);
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    fn key_files(dir: &std::path::Path) -> Vec<String> {
+        let mut names: Vec<String> = std::fs::read_dir(dir.join("keys"))
+            .unwrap()
+            .map(|e| e.unwrap().file_name().into_string().unwrap())
+            .collect();
+        names.sort();
+        names
+    }
+
+    #[test]
+    fn a_garbage_install_stores_nothing_and_evicts_no_neighbour() {
+        let dir =
+            std::env::temp_dir().join(format!("pytfhe-keycache-garbage-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let store = DiskStore::with_capacity(&dir, 1).unwrap();
+        let cache = KeyCache::new(2, Some(store.clone()));
+        let neighbour = cache.install(&key_bytes(4)).unwrap();
+        let before = key_files(&dir);
+        assert_eq!(before.len(), 1);
+
+        assert!(matches!(cache.install(b"not a server key"), Err(ServeError::Tfhe(_))));
+        assert_eq!(key_files(&dir), before, "no file added, the neighbour's blob in place");
+        assert!(store.get_key_blob(neighbour).unwrap().is_some());
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn a_rotted_blob_is_quarantined_once_and_not_read_again() {
+        let dir = std::env::temp_dir().join(format!("pytfhe-keycache-rot-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let store = DiskStore::open(&dir).unwrap();
+        let (fp, _) = store.put_key_blob(b"rotted beyond decoding").unwrap();
+        let cache = KeyCache::new(1, Some(store));
+
+        assert!(cache.get(fp).unwrap().is_none(), "an undecodable blob is an unknown key");
+        assert_eq!(key_files(&dir), vec![format!("{fp:016x}.quarantined")]);
+        // Nothing is left under the fingerprint for the next request to
+        // re-read and re-fail on.
+        assert!(cache.get(fp).unwrap().is_none());
+        assert_eq!(key_files(&dir), vec![format!("{fp:016x}.quarantined")]);
         std::fs::remove_dir_all(&dir).unwrap();
     }
 

@@ -1,12 +1,12 @@
 //! 64-byte-aligned heap buffers for SIMD-facing data.
 //!
-//! The AVX-512 kernels move 64 bytes per load; when a twiddle table or
-//! an SoA slot straddles a cache line every access costs two line
-//! fills. `Vec<f64>`/`Vec<u32>` only guarantee element alignment, so
-//! the structures the vector kernels stream over — FFT twiddle tables,
+//! A vector load from a buffer that is only element-aligned can
+//! straddle a cache-line boundary and cost two line fills.
+//! `Vec<f64>`/`Vec<u32>` guarantee no more than element alignment, so the
+//! structures the vector kernels stream over — FFT twiddle tables,
 //! [`crate::lwe::LweSoa`] mask/body slabs, and the batched transform
 //! slots — allocate through [`AlignedBuf`] instead, which pins the base
-//! address to a 64-byte boundary (one cache line, one zmm register).
+//! address to a 64-byte boundary (one cache line).
 //!
 //! The type is deliberately small: fixed 64-byte alignment, zero-filled
 //! growth, `Deref` to a slice. It is not a general `Vec` replacement —
@@ -18,8 +18,7 @@ use std::marker::PhantomData;
 use std::ops::{Deref, DerefMut};
 use std::ptr::NonNull;
 
-/// Alignment (bytes) of every [`AlignedBuf`] allocation: one cache line
-/// and one AVX-512 register width.
+/// Alignment (bytes) of every [`AlignedBuf`] allocation: one cache line.
 pub const SIMD_ALIGN: usize = 64;
 
 /// A heap slice of `T` whose base address is 64-byte aligned.

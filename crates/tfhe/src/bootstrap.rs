@@ -5,7 +5,7 @@
 //! The loops a bootstrap spends its cycles in — the folded transforms,
 //! the external-product MAC, gadget decomposition, and the trailing key
 //! switch — all route through the runtime-dispatched kernels of
-//! [`crate::simd`] (AVX-512 / AVX2+FMA / portable scalar, overridable
+//! [`crate::simd`] (AVX2+FMA / portable scalar, overridable
 //! with `PYTFHE_SIMD`), so nothing in this module is
 //! architecture-specific. There is one negacyclic transform, the folded
 //! `f64` FFT of [`crate::fft`].

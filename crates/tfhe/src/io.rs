@@ -12,10 +12,9 @@
 //! payload, with the bootstrapping and key-switching keys framed as
 //! separate payload sections. Torn writes, bit rot, and version skew
 //! all surface as typed errors before a single payload byte is
-//! interpreted. [`server_key_from_bytes`] still reads the legacy
-//! pre-envelope `TFS\x02` layout through a compat shim (pinned by a
-//! golden file in `tests/golden/`); the retired full-spectrum `TFS\x01`
-//! tag is recognised only to produce a precise rejection.
+//! interpreted. The envelope is the only server-key layout: bytes
+//! that do not open as one — the pre-envelope `TFS\x02` / `TFS\x01`
+//! layouts included — are refused with [`TfheError::Wire`].
 //!
 //! Every decoder in this module is hardened against adversarial input:
 //! declared counts are checked against the bytes actually present
@@ -35,21 +34,13 @@ use crate::tlwe::TlweKey;
 use crate::torus::Torus32;
 use bytes::{Buf, BufMut, Bytes, BytesMut};
 use pytfhe_wire as wire;
-pub use pytfhe_wire::Vintage;
 
 const CT_MAGIC: u32 = 0x5446_4301; // "TFC\x01"
 const CK_MAGIC: u32 = 0x5446_4B01; // "TFK\x01"
-/// Legacy server-key format v2: half-complex bootstrapping key, stored
-/// as split re/im arrays of N/2 points per polynomial (half the bytes
-/// of v1). Read-only since the move to the wire envelope.
-const SK_MAGIC: u32 = 0x5446_5302; // "TFS\x02"
-/// The retired v1 tag (full-size interleaved complex spectra). Recognised
-/// only to produce a precise rejection.
-const SK_MAGIC_V1: u32 = 0x5446_5301; // "TFS\x01"
 
-/// Current server-key payload version inside the wire envelope: the
-/// `TFS\x02` body split into parameter/bootstrapping/key-switch
-/// sections.
+/// Server-key payload version inside the wire envelope:
+/// parameter/bootstrapping/key-switch sections, the bootstrapping key
+/// half-complex (split re/im arrays of N/2 points per polynomial).
 const SK_WIRE_VERSION: u16 = 3;
 /// Payload section holding the parameter-set id.
 const SK_SECTION_PARAMS: u16 = 1;
@@ -184,67 +175,34 @@ pub fn server_key_to_bytes(key: &ServerKey) -> Bytes {
     Bytes::from(wire::encode(wire::Format::ServerKey, SK_WIRE_VERSION, &payload))
 }
 
-/// Deserializes a server key — either the current wire envelope or,
-/// through the compat shim, the legacy pre-envelope `TFS\x02` layout.
+/// Deserializes a server key from its wire envelope.
 ///
 /// # Errors
 ///
-/// Returns [`TfheError::Wire`] when the envelope fails validation
-/// (checksum mismatch, truncation, version skew), and
-/// [`TfheError::Corrupt`] / [`TfheError::UnknownParams`] like
-/// [`ciphertext_from_bytes`] for body-level corruption.
+/// Returns [`TfheError::Wire`] when the bytes are not a valid
+/// server-key envelope (no envelope magic, checksum mismatch,
+/// truncation, version skew), and [`TfheError::Corrupt`] /
+/// [`TfheError::UnknownParams`] like [`ciphertext_from_bytes`] for
+/// body-level corruption.
 pub fn server_key_from_bytes(data: &[u8]) -> Result<ServerKey, TfheError> {
-    server_key_from_bytes_tagged(data).map(|(key, _)| key)
+    let env =
+        wire::decode_expecting(data, wire::Format::ServerKey, SK_WIRE_VERSION..=SK_WIRE_VERSION)?;
+    let mut params_bytes = wire::find_section(env.payload, SK_SECTION_PARAMS)?;
+    if params_bytes.remaining() != 4 {
+        return Err(TfheError::Corrupt { what: "server key (params section)" });
+    }
+    let params = Params::from_id(params_bytes.get_u32_le()).ok_or(TfheError::UnknownParams)?;
+    let mut bsk = wire::find_section(env.payload, SK_SECTION_BSK)?;
+    let bootstrap = parse_bsk(&mut bsk, params)?;
+    if bsk.remaining() > 0 {
+        return Err(TfheError::Corrupt { what: "server key (trailing bootstrap bytes)" });
+    }
+    let mut ksk = wire::find_section(env.payload, SK_SECTION_KSK)?;
+    let keyswitch = parse_ksk(&mut ksk)?;
+    Ok(ServerKey { params, bootstrap, keyswitch })
 }
 
-/// [`server_key_from_bytes`] plus the [`Vintage`] of the accepted
-/// layout, so stores can count and transparently re-persist legacy
-/// artifacts in the current envelope.
-///
-/// # Errors
-///
-/// Same as [`server_key_from_bytes`].
-pub fn server_key_from_bytes_tagged(mut data: &[u8]) -> Result<(ServerKey, Vintage), TfheError> {
-    if wire::is_enveloped(data) {
-        let env = wire::decode_expecting(
-            data,
-            wire::Format::ServerKey,
-            SK_WIRE_VERSION..=SK_WIRE_VERSION,
-        )
-        .map_err(TfheError::Wire)?;
-        let mut params_bytes = wire::find_section(env.payload, SK_SECTION_PARAMS)?;
-        if params_bytes.remaining() != 4 {
-            return Err(TfheError::Corrupt { what: "server key (params section)" });
-        }
-        let params = Params::from_id(params_bytes.get_u32_le()).ok_or(TfheError::UnknownParams)?;
-        let mut bsk = wire::find_section(env.payload, SK_SECTION_BSK)?;
-        let bootstrap = parse_bsk(&mut bsk, params)?;
-        if bsk.remaining() > 0 {
-            return Err(TfheError::Corrupt { what: "server key (trailing bootstrap bytes)" });
-        }
-        let mut ksk = wire::find_section(env.payload, SK_SECTION_KSK)?;
-        let keyswitch = parse_ksk(&mut ksk)?;
-        return Ok((ServerKey { params, bootstrap, keyswitch }, Vintage::Current));
-    }
-    // Legacy compat shim: the pre-envelope TFS\x02 layout (magic,
-    // params id, bootstrap body, key-switch body back to back).
-    if data.remaining() < 12 {
-        return Err(TfheError::Corrupt { what: "server key (truncated header)" });
-    }
-    match data.get_u32_le() {
-        SK_MAGIC => {}
-        // The v1 full-size layout is gone; keys must be re-exported.
-        SK_MAGIC_V1 => return Err(TfheError::Corrupt { what: "server key (obsolete v1 format)" }),
-        _ => return Err(TfheError::Corrupt { what: "server key (bad magic)" }),
-    }
-    let params = Params::from_id(data.get_u32_le()).ok_or(TfheError::UnknownParams)?;
-    let bootstrap = parse_bsk(&mut data, params)?;
-    let keyswitch = parse_ksk(&mut data)?;
-    Ok((ServerKey { params, bootstrap, keyswitch }, Vintage::Legacy))
-}
-
-/// Writes the bootstrapping-key body (shared by the legacy layout and
-/// the envelope's BSK section).
+/// Writes the bootstrapping-key body (the envelope's BSK section).
 fn write_bsk(buf: &mut BytesMut, key: &ServerKey) {
     let tgsw = key.bootstrapping_key().tgsw_raw();
     buf.put_u32_le(tgsw.len() as u32);
@@ -268,7 +226,7 @@ fn write_bsk(buf: &mut BytesMut, key: &ServerKey) {
     }
 }
 
-/// Writes the key-switching-key body (shared like [`write_bsk`]).
+/// Writes the key-switching-key body (the envelope's KSK section).
 fn write_ksk(buf: &mut BytesMut, key: &ServerKey) {
     let ks = key.keyswitch_key();
     buf.put_u32_le(ks.src_dim() as u32);
@@ -405,16 +363,14 @@ mod tests {
         assert!(!back.decrypt_bit(&ct));
     }
 
-    /// Re-encodes a key in the legacy pre-envelope `TFS\x02` layout, as
-    /// old deployments wrote it (the golden file freezes real old
-    /// bytes; this keeps the shim covered at every parameter set).
-    fn legacy_server_key_bytes(key: &ServerKey) -> Vec<u8> {
-        let mut buf = BytesMut::new();
-        buf.put_u32_le(super::SK_MAGIC);
-        buf.put_u32_le(key.params().id());
-        super::write_bsk(&mut buf, key);
-        super::write_ksk(&mut buf, key);
-        buf.to_vec()
+    /// A well-formed server-key envelope around arbitrary section
+    /// bodies, so hostile bodies reach the body parsers.
+    fn enveloped_server_key(bsk: &[u8], ksk: &[u8]) -> Vec<u8> {
+        let mut payload = Vec::new();
+        wire::put_section(&mut payload, SK_SECTION_PARAMS, &Params::testing().id().to_le_bytes());
+        wire::put_section(&mut payload, SK_SECTION_BSK, bsk);
+        wire::put_section(&mut payload, SK_SECTION_KSK, ksk);
+        wire::encode(wire::Format::ServerKey, SK_WIRE_VERSION, &payload)
     }
 
     #[test]
@@ -423,8 +379,7 @@ mod tests {
         let client = ClientKey::generate(Params::testing(), &mut rng);
         let server = client.server_key(&mut rng);
         let bytes = server_key_to_bytes(&server);
-        let (back, vintage) = server_key_from_bytes_tagged(&bytes).unwrap();
-        assert_eq!(vintage, Vintage::Current);
+        let back = server_key_from_bytes(&bytes).unwrap();
         // The wire order is independent of the in-memory spectrum order,
         // so the permutation at the boundary must undo itself exactly.
         assert_eq!(server_key_to_bytes(&back), bytes, "key -> bytes -> key -> bytes");
@@ -435,19 +390,6 @@ mod tests {
     }
 
     #[test]
-    fn legacy_server_key_loads_through_the_compat_shim() {
-        let mut rng = SecureRng::seed_from_u64(97);
-        let client = ClientKey::generate(Params::testing(), &mut rng);
-        let server = client.server_key(&mut rng);
-        let legacy = legacy_server_key_bytes(&server);
-        let (back, vintage) = server_key_from_bytes_tagged(&legacy).unwrap();
-        assert_eq!(vintage, Vintage::Legacy);
-        let a = client.encrypt_bit(true, &mut rng);
-        let b = client.encrypt_bit(false, &mut rng);
-        assert!(client.decrypt_bit(&back.nand(&a, &b)));
-    }
-
-    #[test]
     fn server_key_rejects_corruption() {
         let mut rng = SecureRng::seed_from_u64(94);
         let client = ClientKey::generate(Params::testing(), &mut rng);
@@ -455,10 +397,13 @@ mod tests {
         let bytes = server_key_to_bytes(&server);
         // Truncation breaks the declared envelope length.
         assert!(server_key_from_bytes(&bytes[..100]).is_err());
-        // A corrupted envelope magic is not routed to the legacy shim.
+        // A corrupted envelope magic is a wire error like any other.
         let mut bad = bytes.to_vec();
         bad[0] ^= 0x10;
-        assert!(server_key_from_bytes(&bad).is_err());
+        assert_eq!(
+            server_key_from_bytes(&bad).unwrap_err(),
+            TfheError::Wire(wire::WireError::BadMagic)
+        );
         // A payload bit flip fails the CRC32C.
         let mut bad = bytes.to_vec();
         let mid = bad.len() / 2;
@@ -467,31 +412,6 @@ mod tests {
             matches!(server_key_from_bytes(&bad), Err(TfheError::Wire(_))),
             "payload bit flip must fail the envelope checksum"
         );
-    }
-
-    #[test]
-    fn legacy_server_key_rejects_truncation() {
-        let mut rng = SecureRng::seed_from_u64(98);
-        let client = ClientKey::generate(Params::testing(), &mut rng);
-        let server = client.server_key(&mut rng);
-        let legacy = legacy_server_key_bytes(&server);
-        for keep in [0, 7, 11, 12, 40, legacy.len() - 1] {
-            assert!(server_key_from_bytes(&legacy[..keep]).is_err(), "truncation to {keep}");
-        }
-    }
-
-    #[test]
-    fn server_key_rejects_obsolete_v1_version_byte() {
-        let mut rng = SecureRng::seed_from_u64(95);
-        let client = ClientKey::generate(Params::testing(), &mut rng);
-        let server = client.server_key(&mut rng);
-        let mut bytes = legacy_server_key_bytes(&server);
-        // Rewrite the little-endian magic to the retired v1 tag; the body
-        // that follows is a valid v2 payload, which v1 readers would have
-        // misparsed — so the version byte alone must cause rejection.
-        bytes[..4].copy_from_slice(&super::SK_MAGIC_V1.to_le_bytes());
-        let err = server_key_from_bytes(&bytes).unwrap_err();
-        assert_eq!(err, TfheError::Corrupt { what: "server key (obsolete v1 format)" });
     }
 
     #[test]
@@ -515,33 +435,24 @@ mod tests {
         ck.extend_from_slice(&[0u8; 16]);
         assert!(client_key_from_bytes(&ck).is_err());
 
-        // Legacy server key declaring 2^32-1 TGSW entries / samples:
-        // must fail a length check, not reserve gigabytes or slice.
-        let mut sk = Vec::new();
-        sk.extend_from_slice(&super::SK_MAGIC.to_le_bytes());
-        sk.extend_from_slice(&Params::testing().id().to_le_bytes());
-        sk.extend_from_slice(&u32::MAX.to_le_bytes());
-        assert!(server_key_from_bytes(&sk).is_err());
-        let mut sk = Vec::new();
-        sk.extend_from_slice(&super::SK_MAGIC.to_le_bytes());
-        sk.extend_from_slice(&Params::testing().id().to_le_bytes());
-        sk.extend_from_slice(&0u32.to_le_bytes()); // zero TGSW entries
-        for v in [7u32, 3, 8, 2, u32::MAX] {
-            sk.extend_from_slice(&v.to_le_bytes()); // ksk header, huge count
-        }
-        assert!(server_key_from_bytes(&sk).is_err());
+        // Server key whose (checksummed, well-framed) sections declare
+        // 2^32-1 TGSW entries / samples: must fail a length check, not
+        // reserve gigabytes or slice.
+        let empty_ksk = [0u8; 20];
+        let huge_bsk = u32::MAX.to_le_bytes();
+        assert!(server_key_from_bytes(&enveloped_server_key(&huge_bsk, &empty_ksk)).is_err());
+        let empty_bsk = 0u32.to_le_bytes(); // zero TGSW entries
+        let huge_ksk: Vec<u8> =
+            [7u32, 3, 8, 2, u32::MAX].iter().flat_map(|v| v.to_le_bytes()).collect();
+        assert!(server_key_from_bytes(&enveloped_server_key(&empty_bsk, &huge_ksk)).is_err());
 
         // A spectrum of the wrong size for the parameter set is refused
         // at the boundary; the transform kernels never see it.
-        let mut sk = Vec::new();
-        sk.extend_from_slice(&super::SK_MAGIC.to_le_bytes());
-        sk.extend_from_slice(&Params::testing().id().to_le_bytes());
-        for v in [1u32, 1, 1, 2] {
-            sk.extend_from_slice(&v.to_le_bytes()); // 1 TGSW, 1 row, 1 poly, 2 points
-        }
-        sk.extend_from_slice(&[0u8; 32]);
+        // 1 TGSW, 1 row, 1 poly, 2 points.
+        let mut bsk: Vec<u8> = [1u32, 1, 1, 2].iter().flat_map(|v| v.to_le_bytes()).collect();
+        bsk.extend_from_slice(&[0u8; 32]);
         assert_eq!(
-            server_key_from_bytes(&sk).unwrap_err(),
+            server_key_from_bytes(&enveloped_server_key(&bsk, &empty_ksk)).unwrap_err(),
             TfheError::Corrupt { what: "server key (spectrum size)" }
         );
     }

@@ -18,8 +18,7 @@
 //!   ([`gates`]),
 //! * key generation and the client/cloud key split ([`keys`]),
 //! * byte-level serialization of keys and ciphertexts ([`io`]),
-//! * runtime-dispatched SIMD kernels (AVX-512 / AVX2+FMA / portable
-//!   scalar) for the transform, external-product, decomposition, and
+//! * runtime-dispatched SIMD kernels (AVX2+FMA / portable scalar) for the transform, external-product, decomposition, and
 //!   key-switch hot loops ([`simd`]), selectable with the `PYTFHE_SIMD`
 //!   environment variable.
 //!

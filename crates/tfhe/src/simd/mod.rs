@@ -37,8 +37,7 @@
 //!   is bounds-checked inside a loop). Always available; the oracle for
 //!   the vector code, and the whole transform for `M < 16`.
 //! * `avx2` — AVX2 + FMA intrinsics over raw pointers, 4×`f64` per
-//!   vector; the leaf runs the last two stages inside one register. The
-//!   AVX-512 table reuses it.
+//!   vector; the leaf runs the last two stages inside one register.
 //!
 //! For `M = 512` (the 128-bit parameter set) the AVX2 forward is four
 //! sweeps over the 8 KB buffer (radix-4 at block lengths 512, 128, 32,
@@ -59,10 +58,12 @@
 //!
 //! # Other kernels
 //!
-//! `mac` and the integer kernels exist in three versions: [`scalar`],
-//! `avx2` (4×`f64` / 8×`u32`) and `avx512` (8×`f64` / 16×`u32`, masked
-//! tails; needs `avx512f` + `avx512dq`). Every other architecture runs
-//! the scalar table.
+//! `mac` and the integer kernels exist in two versions: [`scalar`] and
+//! `avx2` (4×`f64` / 8×`u32`). Every other architecture runs the scalar
+//! table. An AVX-512 table (8×`f64` MAC and 16×`u32` integer kernels
+//! over the AVX2 transform) existed until it had tied AVX2 on every
+//! encrypted workload — a bootstrap is bound by the key bytes it
+//! streams, not by lanes per register (`DESIGN.md` §15).
 //!
 //! # Correctness contract
 //!
@@ -82,8 +83,8 @@
 //! # Dispatch
 //!
 //! [`kernels`] resolves the backend once per process from the
-//! `PYTFHE_SIMD` environment variable (`auto` | `scalar` | `avx2` |
-//! `avx512`), by one rule: a named backend the CPU supports is taken,
+//! `PYTFHE_SIMD` environment variable (`auto` | `scalar` | `avx2`), by
+//! one rule: a named backend the CPU supports is taken,
 //! and everything else — unset, `auto`, an unknown name, a backend this
 //! CPU cannot run — picks the best path the CPU supports.
 //! [`set_active_path`] re-points the process-global
@@ -102,9 +103,6 @@ pub mod scalar;
 #[cfg(target_arch = "x86_64")]
 mod avx2;
 
-#[cfg(target_arch = "x86_64")]
-mod avx512;
-
 /// Identifies one SIMD backend.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum SimdPath {
@@ -112,22 +110,18 @@ pub enum SimdPath {
     Scalar,
     /// AVX2 + FMA (x86-64), 4×`f64` / 8×`u32` lanes.
     Avx2,
-    /// AVX-512 (x86-64), 8×`f64` / 16×`u32` lanes with masked tails;
-    /// the transform is the AVX2 one.
-    Avx512,
 }
 
 impl SimdPath {
     /// Every path this build knows about (not necessarily runnable on
     /// this CPU — see [`SimdPath::is_supported`]).
-    pub const ALL: [SimdPath; 3] = [SimdPath::Scalar, SimdPath::Avx2, SimdPath::Avx512];
+    pub const ALL: [SimdPath; 2] = [SimdPath::Scalar, SimdPath::Avx2];
 
     /// Stable lowercase name, matching the `PYTFHE_SIMD` values.
     pub fn name(self) -> &'static str {
         match self {
             SimdPath::Scalar => "scalar",
             SimdPath::Avx2 => "avx2",
-            SimdPath::Avx512 => "avx512",
         }
     }
 
@@ -140,19 +134,8 @@ impl SimdPath {
                 std::arch::is_x86_feature_detected!("avx2")
                     && std::arch::is_x86_feature_detected!("fma")
             }
-            // `avx512dq` covers the f64↔i64 conversions and 64-bit
-            // logic ops the rounding pack uses; every AVX-512 server
-            // part since Skylake-SP ships both.
-            // The AVX-512 table borrows the AVX2 transform, so it needs
-            // that tier's features as well.
-            #[cfg(target_arch = "x86_64")]
-            SimdPath::Avx512 => {
-                SimdPath::Avx2.is_supported()
-                    && std::arch::is_x86_feature_detected!("avx512f")
-                    && std::arch::is_x86_feature_detected!("avx512dq")
-            }
             #[cfg(not(target_arch = "x86_64"))]
-            SimdPath::Avx2 | SimdPath::Avx512 => false,
+            SimdPath::Avx2 => false,
         }
     }
 
@@ -414,18 +397,6 @@ static AVX2: Kernels = Kernels {
     axpy: avx2::axpy,
 };
 
-#[cfg(target_arch = "x86_64")]
-static AVX512: Kernels = Kernels {
-    path: SimdPath::Avx512,
-    mac: avx512::mac,
-    forward: avx2::forward,
-    inverse: avx2::inverse,
-    extract_digits: avx512::extract_digits,
-    sub_assign: avx512::sub_assign,
-    sub_assign2: avx512::sub_assign2,
-    axpy: avx512::axpy,
-};
-
 /// The kernel set for an explicit path, or `None` when the running CPU
 /// cannot execute it. Equivalence tests use this to compare backends
 /// directly without touching the process-global dispatch.
@@ -433,16 +404,17 @@ pub fn kernels_for(path: SimdPath) -> Option<&'static Kernels> {
     path.is_supported().then(|| by_id(path.id()))
 }
 
-/// Best path the running CPU supports (widest lanes first).
+/// Best path the running CPU supports.
 pub fn best_available() -> SimdPath {
     best_of(SimdPath::is_supported)
 }
 
 fn best_of(is_supported: impl Fn(SimdPath) -> bool) -> SimdPath {
-    [SimdPath::Avx512, SimdPath::Avx2]
-        .into_iter()
-        .find(|&p| is_supported(p))
-        .unwrap_or(SimdPath::Scalar)
+    if is_supported(SimdPath::Avx2) {
+        SimdPath::Avx2
+    } else {
+        SimdPath::Scalar
+    }
 }
 
 const PATH_UNRESOLVED: u8 = u8::MAX;
@@ -476,8 +448,6 @@ fn by_id(id: u8) -> &'static Kernels {
     match id {
         #[cfg(target_arch = "x86_64")]
         1 => &AVX2,
-        #[cfg(target_arch = "x86_64")]
-        2 => &AVX512,
         _ => &SCALAR,
     }
 }
@@ -526,7 +496,7 @@ mod tests {
     fn active_path_is_supported_and_named() {
         let p = active_path();
         assert!(p.is_supported());
-        assert!(["scalar", "avx2", "avx512"].contains(&p.name()));
+        assert!(["scalar", "avx2"].contains(&p.name()));
         assert_eq!(format!("{p}"), p.name());
     }
 
@@ -535,12 +505,7 @@ mod tests {
         let best = best_available();
         assert!(best.is_supported());
         // Nothing strictly better than `best` may claim support.
-        if best == SimdPath::Scalar {
-            assert!(!SimdPath::Avx2.is_supported() && !SimdPath::Avx512.is_supported());
-        }
-        if best == SimdPath::Avx2 {
-            assert!(!SimdPath::Avx512.is_supported());
-        }
+        assert_eq!(best == SimdPath::Scalar, !SimdPath::Avx2.is_supported());
     }
 
     #[test]
@@ -552,22 +517,23 @@ mod tests {
 
     #[test]
     fn a_request_the_host_cannot_honour_resolves_like_auto() {
-        let avx2_only = |p| p != SimdPath::Avx512;
         let no_simd = |p| p == SimdPath::Scalar;
         for (request, want) in [
             (None, SimdPath::Avx2),
             (Some("auto"), SimdPath::Avx2),
-            (Some("avx512"), SimdPath::Avx2),
             (Some("AVX2"), SimdPath::Avx2),
             (Some("scalar"), SimdPath::Scalar),
             (Some("neon"), SimdPath::Avx2),
             (Some("fastest"), SimdPath::Avx2),
             (Some(""), SimdPath::Avx2),
         ] {
-            assert_eq!(path_for_request(request, avx2_only), want, "{request:?} on AVX2-only");
+            assert_eq!(path_for_request(request, |_| true), want, "{request:?} with AVX2");
         }
-        assert_eq!(path_for_request(Some("avx512"), |_| true), SimdPath::Avx512);
-        assert_eq!(path_for_request(None, |_| true), SimdPath::Avx512);
+        // The retired tier's name is one more name that is not a runnable
+        // tier: it gets the `auto` answer.
+        let auto = path_for_request(Some("auto"), |_| true);
+        assert_eq!(path_for_request(Some("avx512"), |_| true), auto);
+        assert_eq!(path_for_request(Some("avx512"), no_simd), SimdPath::Scalar);
         assert_eq!(path_for_request(Some("avx2"), no_simd), SimdPath::Scalar);
         assert_eq!(path_for_request(Some("neon"), no_simd), SimdPath::Scalar);
     }

@@ -8,8 +8,9 @@
 //! the repo grew three independent on-disk layouts (`TFS\x02` server
 //! keys, `PTKG` kernel plans, `PTCK` checkpoints), each with its own
 //! ad-hoc magic and version handling and — for keys and plans — no
-//! integrity check at all. This crate unifies them behind one
-//! self-describing envelope:
+//! integrity check at all. This crate replaced them with one
+//! self-describing envelope, now the only layout any reader accepts
+//! (the old ones fail [`decode`] with [`WireError::BadMagic`]):
 //!
 //! ```text
 //! offset 0   "PTW1"            envelope magic (4 bytes)
@@ -117,18 +118,6 @@ impl fmt::Display for Format {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.write_str(self.name())
     }
-}
-
-/// Whether a decoded artifact came through the current envelope or a
-/// legacy compat shim (pre-envelope `TFS\x02`/`PTKG`/`PTCK` layouts).
-/// Stores use this to count and transparently re-persist migrated
-/// artifacts.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Vintage {
-    /// Decoded from a current `PTW1` envelope.
-    Current,
-    /// Decoded through a legacy-format compat shim.
-    Legacy,
 }
 
 /// Typed decode failures. Every corrupt, truncated, torn, or
@@ -313,12 +302,6 @@ pub struct Envelope<'a> {
     pub payload: &'a [u8],
 }
 
-/// Whether `bytes` begin with the envelope magic — the dispatch test
-/// compat shims use to route legacy layouts to their old parsers.
-pub fn is_enveloped(bytes: &[u8]) -> bool {
-    bytes.len() >= 4 && bytes[..4] == MAGIC
-}
-
 /// Wraps `payload` in a checksummed envelope.
 pub fn encode(format: Format, version: u16, payload: &[u8]) -> Vec<u8> {
     let mut out = Vec::with_capacity(HEADER_LEN + payload.len());
@@ -341,14 +324,11 @@ pub fn encode(format: Format, version: u16, payload: &[u8]) -> Vec<u8> {
 /// Returns the precise [`WireError`] for each failure mode; see the
 /// enum's variants.
 pub fn decode(bytes: &[u8]) -> Result<Envelope<'_>, WireError> {
-    if bytes.len() < HEADER_LEN {
-        if !is_enveloped(bytes) {
-            return Err(WireError::BadMagic);
-        }
-        return Err(WireError::Truncated { what: "envelope header" });
-    }
-    if bytes[..4] != MAGIC {
+    if !bytes.starts_with(&MAGIC) {
         return Err(WireError::BadMagic);
+    }
+    if bytes.len() < HEADER_LEN {
+        return Err(WireError::Truncated { what: "envelope header" });
     }
     let format_id = u16::from_le_bytes([bytes[4], bytes[5]]);
     let version = u16::from_le_bytes([bytes[6], bytes[7]]);
@@ -741,11 +721,12 @@ mod tests {
     }
 
     #[test]
-    fn legacy_bytes_are_not_enveloped() {
-        assert!(!is_enveloped(b"TFS\x02rest"));
-        assert!(!is_enveloped(b"PTKG\x01"));
-        assert!(!is_enveloped(b""));
-        assert!(is_enveloped(&encode(Format::ServerKey, 1, b"")));
+    fn bytes_without_the_envelope_magic_are_refused_whatever_their_length() {
+        let pre_envelope_key = [b"TFS\x02".as_ref(), &[0u8; 64]].concat();
+        for bytes in [b"".as_ref(), b"PT", b"PTKG\x01", b"PTCK", &pre_envelope_key] {
+            assert_eq!(decode(bytes).unwrap_err(), WireError::BadMagic, "{bytes:?}");
+        }
+        assert!(decode(&encode(Format::ServerKey, 1, b"")).is_ok());
     }
 
     #[test]

@@ -11,7 +11,7 @@
 //! reproduce it, on every tier the host can run. This file is its own
 //! test binary because it re-points the process-global SIMD dispatch.
 
-use pytfhe_tfhe::io::{ciphertext_from_bytes, ciphertext_to_bytes, server_key_from_bytes_tagged};
+use pytfhe_tfhe::io::{ciphertext_from_bytes, ciphertext_to_bytes, server_key_from_bytes};
 use pytfhe_tfhe::simd::{self, SimdPath};
 use pytfhe_tfhe::{BootGate, LweCiphertext, ServerKey, FUSE_CHUNK};
 use pytfhe_wire::crc32c;
@@ -45,7 +45,7 @@ fn crc(server: &ServerKey, ct: &LweCiphertext) -> u32 {
 
 #[test]
 fn every_gate_entry_point_reproduces_the_frozen_ciphertexts_on_every_simd_path() {
-    let (server, _) = server_key_from_bytes_tagged(&golden("server_key_testing_wire.bin")).unwrap();
+    let server = server_key_from_bytes(&golden("server_key_testing_wire.bin")).unwrap();
     let (a, _) = ciphertext_from_bytes(&golden("ciphertext_true_v1.bin")).unwrap();
     let (b, _) = ciphertext_from_bytes(&golden("ciphertext_false_v1.bin")).unwrap();
     let mut scratch = server.gate_scratch();

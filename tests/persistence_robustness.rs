@@ -1,29 +1,28 @@
-//! Persistence robustness: golden backward-compatibility fixtures and
-//! randomized corruption across every serialized format.
+//! Persistence robustness: golden fixtures and randomized corruption
+//! across every serialized format.
 //!
 //! The golden files in `tests/golden/` freeze the byte layouts this
-//! repo has shipped (see the README there). These tests prove three
-//! things about the wire-envelope migration:
+//! repo reads (see the README there). These tests prove three things:
 //!
-//! 1. **Backward compatibility** — every legacy fixture still decodes
-//!    through its compat shim, is tagged [`Vintage::Legacy`], and the
-//!    decoded artifacts still *work* (the golden server key evaluates a
-//!    NAND truth table against the golden ciphertexts).
-//! 2. **Format stability** — the `*_wire.bin` fixtures decode as
-//!    [`Vintage::Current`] and re-encode byte-for-byte, pinning the
-//!    envelope layout itself.
+//! 1. **Format stability** — the `*_wire.bin` fixtures decode and
+//!    re-encode byte-for-byte, pinning the envelope layout itself, and
+//!    the decoded artifacts still *work* (the golden server key
+//!    evaluates a NAND truth table against the golden ciphertexts).
+//! 2. **One layout per artifact** — the pre-envelope layouts (`TFS\x02`
+//!    and `TFS\x01` keys, `PTKG` plans, bare `PTCK` checkpoints) are
+//!    refused with the typed wire error, like any other bytes that are
+//!    not an envelope.
 //! 3. **Corruption safety** — randomized truncations and bit flips of
 //!    any fixture produce a typed error; no panics, no garbage.
 
 use proptest::prelude::*;
-use pytfhe::pytfhe_backend::{execute, Checkpoint, DiskStore, KernelPlan, TfheEngine};
+use pytfhe::pytfhe_backend::checkpoint::fnv1a;
+use pytfhe::pytfhe_backend::{execute, Checkpoint, DiskStore, ExecError, KernelPlan, TfheEngine};
 use pytfhe::pytfhe_netlist::{GateKind, Netlist};
 use pytfhe::{Client, NoiseGuard, Server};
 use pytfhe_telemetry as telemetry;
-use pytfhe_tfhe::io::{
-    ciphertext_from_bytes, client_key_from_bytes, server_key_from_bytes_tagged, Vintage,
-};
-use pytfhe_tfhe::Params;
+use pytfhe_tfhe::io::{ciphertext_from_bytes, client_key_from_bytes, server_key_from_bytes};
+use pytfhe_tfhe::{Params, TfheError};
 
 fn golden(name: &str) -> Vec<u8> {
     let path = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/golden").join(name);
@@ -39,16 +38,13 @@ fn nand_netlist() -> Netlist {
     nl
 }
 
-/// The legacy fixtures decode through their shims — and the decoded key
-/// material still computes: a NAND truth table evaluated homomorphically
-/// under the golden server key, on the golden ciphertexts, decrypted
-/// with the golden client key.
+/// The decoded key material still computes: a NAND truth table
+/// evaluated homomorphically under the golden server key, on the golden
+/// ciphertexts, decrypted with the golden client key.
 #[test]
-fn legacy_goldens_decode_and_still_compute() {
+fn golden_key_still_computes_nand_on_the_golden_ciphertexts() {
     let client_key = client_key_from_bytes(&golden("client_key_testing_v1.bin")).unwrap();
-    let (server_key, vintage) =
-        server_key_from_bytes_tagged(&golden("server_key_testing_tfs2.bin")).unwrap();
-    assert_eq!(vintage, Vintage::Legacy);
+    let server_key = server_key_from_bytes(&golden("server_key_testing_wire.bin")).unwrap();
 
     let (ct_true, ct_params) = ciphertext_from_bytes(&golden("ciphertext_true_v1.bin")).unwrap();
     let (ct_false, _) = ciphertext_from_bytes(&golden("ciphertext_false_v1.bin")).unwrap();
@@ -65,48 +61,61 @@ fn legacy_goldens_decode_and_still_compute() {
     }
 }
 
-/// Legacy plan and checkpoint fixtures load through their shims and
-/// agree with their wire-envelope re-exports.
+/// The layouts written before the envelope existed, rebuilt here around
+/// the bodies of the wire fixtures (the bodies did not change when the
+/// envelope arrived, so these are byte for byte the files the deleted
+/// readers accepted): every decoder refuses every one of them with the
+/// wire error — never an `Ok`, never a panic.
 #[test]
-fn legacy_plan_and_checkpoint_goldens_match_their_wire_reexports() {
-    let (plan, vintage) = KernelPlan::from_bytes_tagged(&golden("kernel_plan_ptkg1.bin")).unwrap();
-    assert_eq!(vintage, Vintage::Legacy);
-    assert_eq!(plan.fingerprint, 0x4a08b6ad5de5ec72);
-    let (wire_plan, wire_vintage) =
-        KernelPlan::from_bytes_tagged(&golden("kernel_plan_wire.bin")).unwrap();
-    assert_eq!(wire_vintage, Vintage::Current);
-    assert_eq!(plan, wire_plan);
+fn pre_envelope_layouts_are_refused_with_the_wire_error() {
+    let payload = |name: &str| pytfhe_wire::decode(&golden(name)).unwrap().payload.to_vec();
+    let key = payload("server_key_testing_wire.bin");
+    let section = |tag| pytfhe_wire::find_section(&key, tag).unwrap();
+    // magic (a little-endian u32), params id, bootstrap body, key-switch body.
+    let key_body = [section(1), section(2), section(3)].concat();
+    let tfs2 = [b"\x02SFT".as_ref(), &key_body].concat();
+    let tfs1 = [b"\x01SFT".as_ref(), &key_body].concat();
+    // magic, version byte, body.
+    let ptkg = [b"PTKG\x01".as_ref(), &payload("kernel_plan_wire.bin")].concat();
+    // magic and version (little-endian u32s), body, trailing FNV-1a.
+    let mut ptck =
+        [b"KCTP".as_ref(), &1u32.to_le_bytes(), &payload("checkpoint_wire.bin")].concat();
+    let sum = fnv1a(&ptck);
+    ptck.extend_from_slice(&sum.to_le_bytes());
 
-    let (ckpt, vintage) = Checkpoint::from_bytes_tagged(&golden("checkpoint_ptck1.bin")).unwrap();
-    assert_eq!(vintage, Vintage::Legacy);
-    assert_eq!(ckpt.wave(), 1);
-    assert_eq!(ckpt.fingerprint(), 0x4a08b6ad5de5ec72);
-    let (wire_ckpt, wire_vintage) =
-        Checkpoint::from_bytes_tagged(&golden("checkpoint_wire.bin")).unwrap();
-    assert_eq!(wire_vintage, Vintage::Current);
-    assert_eq!(ckpt, wire_ckpt);
+    for (name, bytes) in [("TFS\\x02", tfs2), ("TFS\\x01", tfs1), ("PTKG", ptkg), ("PTCK", ptck)] {
+        assert!(
+            matches!(server_key_from_bytes(&bytes), Err(TfheError::Wire(_))),
+            "{name} as a server key"
+        );
+        assert!(
+            matches!(KernelPlan::from_bytes(&bytes), Err(ExecError::Wire(_))),
+            "{name} as a plan"
+        );
+        assert!(
+            matches!(Checkpoint::from_bytes(&bytes), Err(ExecError::Wire(_))),
+            "{name} as a checkpoint"
+        );
+    }
 }
 
-/// The current envelope layout is pinned: decoding a `*_wire.bin`
-/// fixture and re-encoding it must reproduce the file byte-for-byte.
+/// The envelope layout is pinned: decoding a `*_wire.bin` fixture and
+/// re-encoding it must reproduce the file byte-for-byte.
 #[test]
 fn wire_goldens_reencode_byte_identically() {
     let key_bytes = golden("server_key_testing_wire.bin");
-    let (key, vintage) = server_key_from_bytes_tagged(&key_bytes).unwrap();
-    assert_eq!(vintage, Vintage::Current);
+    let key = server_key_from_bytes(&key_bytes).unwrap();
     assert_eq!(pytfhe_tfhe::io::server_key_to_bytes(&key).to_vec(), key_bytes);
-    // The legacy fixture holds the same key, so through its shim it
-    // re-encodes as the wire fixture: neither layout follows the
-    // in-memory spectrum order.
-    let (legacy_key, _) =
-        server_key_from_bytes_tagged(&golden("server_key_testing_tfs2.bin")).unwrap();
-    assert_eq!(pytfhe_tfhe::io::server_key_to_bytes(&legacy_key).to_vec(), key_bytes);
 
     let plan_bytes = golden("kernel_plan_wire.bin");
-    assert_eq!(KernelPlan::from_bytes(&plan_bytes).unwrap().to_bytes(), plan_bytes);
+    let plan = KernelPlan::from_bytes(&plan_bytes).unwrap();
+    assert_eq!(plan.fingerprint, 0x4a08b6ad5de5ec72);
+    assert_eq!(plan.to_bytes(), plan_bytes);
 
     let ckpt_bytes = golden("checkpoint_wire.bin");
-    assert_eq!(Checkpoint::from_bytes(&ckpt_bytes).unwrap().to_bytes(), ckpt_bytes);
+    let ckpt = Checkpoint::from_bytes(&ckpt_bytes).unwrap();
+    assert_eq!((ckpt.wave(), ckpt.fingerprint()), (1, 0x4a08b6ad5de5ec72));
+    assert_eq!(ckpt.to_bytes(), ckpt_bytes);
 
     // And the envelope headers say what they should.
     for (bytes, format) in [
@@ -120,10 +129,8 @@ fn wire_goldens_reencode_byte_identically() {
 }
 
 /// Every way of mangling a fixture must produce `Err`, never a panic
-/// and never an `Ok`. (A bit flip in a *legacy* server key body can in
-/// principle go unseen — the legacy layout has no checksum — so flips
-/// are asserted only on checksummed formats; truncations are asserted
-/// everywhere.)
+/// and never an `Ok`. (Flips are asserted on the checksummed formats;
+/// truncations everywhere.)
 fn assert_truncations_fail(name: &str, decode: &dyn Fn(&[u8]) -> bool) {
     let bytes = golden(name);
     // Exhaustive for small fixtures, strided for the megabyte key.
@@ -138,11 +145,8 @@ type DecodeProbe = Box<dyn Fn(&[u8]) -> bool>;
 #[test]
 fn truncations_of_every_golden_are_rejected() {
     let cases: Vec<(&str, DecodeProbe)> = vec![
-        ("server_key_testing_tfs2.bin", Box::new(|b| server_key_from_bytes_tagged(b).is_ok())),
-        ("server_key_testing_wire.bin", Box::new(|b| server_key_from_bytes_tagged(b).is_ok())),
-        ("kernel_plan_ptkg1.bin", Box::new(|b| KernelPlan::from_bytes(b).is_ok())),
+        ("server_key_testing_wire.bin", Box::new(|b| server_key_from_bytes(b).is_ok())),
         ("kernel_plan_wire.bin", Box::new(|b| KernelPlan::from_bytes(b).is_ok())),
-        ("checkpoint_ptck1.bin", Box::new(|b| Checkpoint::from_bytes(b).is_ok())),
         ("checkpoint_wire.bin", Box::new(|b| Checkpoint::from_bytes(b).is_ok())),
         ("client_key_testing_v1.bin", Box::new(|b| client_key_from_bytes(b).is_ok())),
         ("ciphertext_true_v1.bin", Box::new(|b| ciphertext_from_bytes(b).is_ok())),
@@ -155,21 +159,20 @@ fn truncations_of_every_golden_are_rejected() {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(128))]
 
-    /// Random bit flips in checksummed (enveloped or FNV-guarded)
-    /// fixtures are always caught.
+    /// Random bit flips in the enveloped fixtures are always caught.
     #[test]
     fn random_bit_flips_are_rejected(
         pos in any::<prop::sample::Index>(),
         bit in 0u8..8,
-        which in 0usize..4,
+        which in 0usize..3,
     ) {
         let name = ["server_key_testing_wire.bin", "kernel_plan_wire.bin",
-                    "checkpoint_wire.bin", "checkpoint_ptck1.bin"][which];
+                    "checkpoint_wire.bin"][which];
         let mut bytes = golden(name);
         let i = pos.index(bytes.len());
         bytes[i] ^= 1 << bit;
         let rejected = match which {
-            0 => server_key_from_bytes_tagged(&bytes).is_err(),
+            0 => server_key_from_bytes(&bytes).is_err(),
             1 => KernelPlan::from_bytes(&bytes).is_err(),
             _ => Checkpoint::from_bytes(&bytes).is_err(),
         };
@@ -188,7 +191,7 @@ proptest! {
         let bytes = golden(name);
         let cut = cut.index(bytes.len());
         let rejected = match which {
-            0 => server_key_from_bytes_tagged(&bytes[..cut]).is_err(),
+            0 => server_key_from_bytes(&bytes[..cut]).is_err(),
             1 => KernelPlan::from_bytes(&bytes[..cut]).is_err(),
             _ => Checkpoint::from_bytes(&bytes[..cut]).is_err(),
         };

@@ -33,7 +33,7 @@ pub use plan::{
 pub use replay::{replay, run_wave, Launch, ReplayLanes};
 
 use crate::checkpoint::netlist_fingerprint;
-use crate::engine::GateEngine;
+use crate::engine::{check_inputs, GateEngine};
 use crate::error::ExecError;
 use crate::exec::ExecStats;
 use pytfhe_netlist::Netlist;
@@ -125,7 +125,8 @@ impl KernelGraph {
     ///
     /// # Errors
     ///
-    /// Propagates capture and replay errors.
+    /// Refuses inputs as [`ReplayLanes::load`] does before capturing, so a
+    /// refused call caches no plan; propagates capture and replay errors.
     pub fn execute_with_lanes<E: GateEngine>(
         &self,
         engine: &E,
@@ -133,6 +134,7 @@ impl KernelGraph {
         inputs: &[E::Value],
         lanes: &mut ReplayLanes<E::Value, E::Scratch>,
     ) -> Result<(Vec<E::Value>, ExecStats), ExecError> {
+        check_inputs(engine, nl.num_inputs(), inputs)?;
         let start = Instant::now();
         let (plan, cached, capture_s) = self.plan_for(nl)?;
         let replay_span = telemetry::span_with("graph", || {

@@ -18,6 +18,7 @@
 
 use std::io::{Read, Write};
 
+use pytfhe_backend::ExecError;
 use pytfhe_netlist::Netlist;
 use pytfhe_tfhe::io::{ciphertext_from_bytes, ciphertext_to_bytes};
 use pytfhe_tfhe::{LweCiphertext, Params};
@@ -344,7 +345,8 @@ pub fn reply_ok() -> Vec<u8> {
 }
 
 /// Builds an error reply from a serving error, mapping admission
-/// failures onto their dedicated statuses with their limit pairs.
+/// failures onto their dedicated statuses with their limit pairs. A
+/// program or inputs the backend refuses are the caller's bad request.
 pub fn reply_error(err: &ServeError) -> Vec<u8> {
     let (status, limits) = match err {
         ServeError::Overloaded { live, max } => {
@@ -355,7 +357,13 @@ pub fn reply_error(err: &ServeError) -> Vec<u8> {
         }
         ServeError::UnknownJob(_) => (Status::UnknownJob, None),
         ServeError::UnknownKey(_) => (Status::UnknownKey, None),
-        ServeError::Protocol(_) | ServeError::Wire(_) => (Status::BadRequest, None),
+        ServeError::Protocol(_)
+        | ServeError::Wire(_)
+        | ServeError::Exec(
+            ExecError::InputCountMismatch { .. }
+            | ExecError::InputDimensionMismatch { .. }
+            | ExecError::InvalidProgram(_),
+        ) => (Status::BadRequest, None),
         ServeError::Shutdown => (Status::ShuttingDown, None),
         _ => (Status::Internal, None),
     };
@@ -517,6 +525,16 @@ mod tests {
         let reply = decode_reply(&reply_outputs(&cts, &params)).unwrap();
         assert_eq!(reply.status, Status::Ok);
         assert_eq!(reply.outputs.unwrap().len(), 2);
+
+        // What the backend refuses of a request is the caller's fault.
+        let status = |e| decode_reply(&reply_error(&ServeError::Exec(e))).unwrap().status;
+        let count = ExecError::InputCountMismatch { expected: 2, got: 1 };
+        assert_eq!(status(count), Status::BadRequest);
+        let dimension = ExecError::InputDimensionMismatch { index: 1, expected: 8, got: 1 };
+        assert_eq!(status(dimension), Status::BadRequest);
+        let invalid = ExecError::InvalidProgram(pytfhe_netlist::NetlistError::NoOutputs);
+        assert_eq!(status(invalid), Status::BadRequest);
+        assert_eq!(status(ExecError::WorkerPanicked), Status::Internal);
     }
 
     #[test]

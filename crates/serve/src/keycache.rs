@@ -96,10 +96,10 @@ impl KeyCache {
     }
 
     /// Looks up a decoded key, rehydrating from the backing store on a
-    /// miss. `Ok(None)` means the fingerprint is unknown — never
-    /// installed, evicted everywhere, or stored as a blob that no longer
-    /// decodes, which is quarantined so that later requests stop
-    /// re-reading it; the tenant re-installs.
+    /// miss ([`DiskStore::load_key`]). `Ok(None)` means the fingerprint
+    /// is unknown — never installed, evicted everywhere, or stored as a
+    /// blob that no longer decodes, which the store quarantines so that
+    /// later requests stop re-reading it; the tenant re-installs.
     ///
     /// # Errors
     ///
@@ -117,13 +117,7 @@ impl KeyCache {
         }
         telemetry::metrics().counter_add("serve_key_cache_misses_total", 1);
         let Some(store) = &self.store else { return Ok(None) };
-        let Some(bytes) = store.get_key_blob(fingerprint)? else {
-            return Ok(None);
-        };
-        let Ok(key) = server_key_from_bytes(&bytes) else {
-            store.quarantine_key(fingerprint);
-            return Ok(None);
-        };
+        let Some(key) = store.load_key(fingerprint)? else { return Ok(None) };
         let key = Arc::new(key);
         self.insert(fingerprint, Arc::clone(&key));
         telemetry::metrics().counter_add("serve_key_cache_rehydrations_total", 1);

@@ -155,9 +155,11 @@ impl Scheduler {
     /// # Errors
     ///
     /// [`ServeError::QuotaExceeded`] at the quota ceiling,
-    /// [`ServeError::Protocol`] when inputs mismatch the netlist or the
-    /// key's LWE dimension, [`ServeError::Exec`] when the program does
-    /// not validate, and [`ServeError::Shutdown`] after shutdown began.
+    /// [`ServeError::Protocol`] for a program with fused LUT nodes,
+    /// [`ServeError::Exec`] when the program does not validate or
+    /// [`ReplayLanes::load`] refuses the inputs (so a bad input never
+    /// reaches the shared scheduler thread), and [`ServeError::Shutdown`]
+    /// after shutdown began.
     pub fn submit(
         &self,
         tenant: u64,
@@ -166,24 +168,6 @@ impl Scheduler {
         inputs: Vec<LweCiphertext>,
         quota: usize,
     ) -> Result<u64, ServeError> {
-        if inputs.len() != nl.num_inputs() {
-            return Err(ServeError::Protocol(format!(
-                "program declares {} inputs, request carries {}",
-                nl.num_inputs(),
-                inputs.len()
-            )));
-        }
-        // A decoded ciphertext can have any length. One of the wrong
-        // length must stop here, as the submitter's typed error: past
-        // this point it would meet the kernel's own dimension check as a
-        // panic on the scheduler thread, which every tenant shares.
-        let dim = key.params().lwe_dim;
-        if let Some(ct) = inputs.iter().find(|ct| ct.dim() != dim) {
-            return Err(ServeError::Protocol(format!(
-                "input ciphertext has dimension {}, the key expects {dim}",
-                ct.dim()
-            )));
-        }
         // The wire program format cannot encode fused LUT nodes, so a
         // LUT-bearing netlist here means a caller bypassed assembly;
         // serving runs boolean gate programs only.

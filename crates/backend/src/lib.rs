@@ -68,4 +68,4 @@ pub use fault::{
 };
 pub use graph::{capture, replay, CaptureConfig, KernelGraph, KernelPlan, ReplayLanes};
 pub use pool::{RunStats, WorkerPool};
-pub use store::DiskStore;
+pub use store::{DiskStore, KeyBlob};

@@ -137,21 +137,21 @@ impl DiskStore {
         self.root.join("plans").join(format!("{fingerprint:016x}.plan"))
     }
 
-    /// Persists serialized server-key bytes, content-addressed by their
-    /// FNV-1a hash. Returns `(id, newly_written)`; an already-present
-    /// key is not rewritten.
+    /// Persists serialized server-key bytes under their content address
+    /// ([`KeyBlob::id`]). Returns `(id, newly_written)`; an
+    /// already-present key is not rewritten.
     ///
     /// # Errors
     ///
     /// Returns [`ExecError::StoreIo`] on filesystem failure.
-    pub fn put_key_blob(&self, bytes: &[u8]) -> Result<(u64, bool), ExecError> {
-        let id = fnv1a(bytes);
+    pub fn put_key_blob(&self, blob: &KeyBlob<'_>) -> Result<(u64, bool), ExecError> {
+        let id = blob.id();
         let path = self.key_path(id);
         if path.exists() {
             self.touch_key(id);
             return Ok((id, false));
         }
-        write_atomic(&path, bytes).map_err(|e| ExecError::StoreIo(e.to_string()))?;
+        write_atomic(&path, blob.bytes).map_err(|e| ExecError::StoreIo(e.to_string()))?;
         telemetry::metrics().counter_add("disk_store_keys_persisted_total", 1);
         self.touch_key(id);
         self.enforce_key_capacity()?;
@@ -252,6 +252,29 @@ impl DiskStore {
     }
 }
 
+/// Serialized server-key bytes with their content address: FNV-1a over
+/// the bytes, computed once, here and nowhere else. A caller that needs
+/// the fingerprint before it persists (a key cache checking residency)
+/// takes it from the blob instead of hashing the ~124 MB again, and the
+/// store can still only file bytes under their own hash.
+#[derive(Debug, Clone, Copy)]
+pub struct KeyBlob<'a> {
+    bytes: &'a [u8],
+    id: u64,
+}
+
+impl<'a> KeyBlob<'a> {
+    /// Hashes `bytes` into their content address.
+    pub fn new(bytes: &'a [u8]) -> Self {
+        KeyBlob { bytes, id: fnv1a(bytes) }
+    }
+
+    /// The content address: FNV-1a over the bytes.
+    pub fn id(&self) -> u64 {
+        self.id
+    }
+}
+
 /// Moves an artifact that failed decoding aside, so later loads stop
 /// tripping over it, and counts it. Best effort.
 fn quarantine(path: &Path, kind: &str) {
@@ -302,8 +325,8 @@ mod tests {
     fn keys_are_content_addressed_and_deduplicated() {
         let dir = tempdir("keys");
         let store = DiskStore::open(&dir).unwrap();
-        let (id1, fresh1) = store.put_key_blob(b"key material").unwrap();
-        let (id2, fresh2) = store.put_key_blob(b"key material").unwrap();
+        let (id1, fresh1) = store.put_key_blob(&KeyBlob::new(b"key material")).unwrap();
+        let (id2, fresh2) = store.put_key_blob(&KeyBlob::new(b"key material")).unwrap();
         assert_eq!(id1, id2);
         assert!(fresh1);
         assert!(!fresh2, "identical bytes must not be rewritten");
@@ -319,7 +342,7 @@ mod tests {
         let _quarantine = KEY_QUARANTINE.lock().unwrap();
         let dir = tempdir("keyquar");
         let store = DiskStore::open(&dir).unwrap();
-        let (id, _) = store.put_key_blob(b"rotten").unwrap();
+        let (id, _) = store.put_key_blob(&KeyBlob::new(b"rotten")).unwrap();
         assert!(store.load_key(id).unwrap().is_none());
         assert!(store.key_ids().unwrap().is_empty());
         fs::remove_dir_all(&dir).unwrap();
@@ -330,7 +353,7 @@ mod tests {
         let _quarantine = KEY_QUARANTINE.lock().unwrap();
         let dir = tempdir("keyrot");
         let store = DiskStore::open(&dir).unwrap();
-        let (id, _) = store.put_key_blob(b"rotted beyond decoding").unwrap();
+        let (id, _) = store.put_key_blob(&KeyBlob::new(b"rotted beyond decoding")).unwrap();
         let quarantined = || {
             let counters = telemetry::metrics().snapshot().counters;
             counters.get("disk_store_quarantined_total{kind=\"key\"}").copied().unwrap_or(0)
@@ -397,11 +420,11 @@ mod tests {
             .get("store_keys_evicted_total")
             .copied()
             .unwrap_or(0);
-        let (id_a, _) = store.put_key_blob(b"key a").unwrap();
-        let (id_b, _) = store.put_key_blob(b"key b").unwrap();
+        let (id_a, _) = store.put_key_blob(&KeyBlob::new(b"key a")).unwrap();
+        let (id_b, _) = store.put_key_blob(&KeyBlob::new(b"key b")).unwrap();
         // Touch A so B becomes the least recently used.
         assert!(store.get_key_blob(id_a).unwrap().is_some());
-        let (id_c, _) = store.put_key_blob(b"key c").unwrap();
+        let (id_c, _) = store.put_key_blob(&KeyBlob::new(b"key c")).unwrap();
         // B evicted; A and C survive.
         assert_eq!(store.get_key_blob(id_b).unwrap(), None);
         assert_eq!(store.get_key_blob(id_a).unwrap(), Some(b"key a".to_vec()));
@@ -423,11 +446,11 @@ mod tests {
         // touches the first.
         {
             let store = DiskStore::open(&dir).unwrap();
-            store.put_key_blob(b"cold key").unwrap();
+            store.put_key_blob(&KeyBlob::new(b"cold key")).unwrap();
         }
         let store = DiskStore::with_capacity(&dir, 2).unwrap();
-        let (id_warm, _) = store.put_key_blob(b"warm key").unwrap();
-        let (id_new, _) = store.put_key_blob(b"new key").unwrap();
+        let (id_warm, _) = store.put_key_blob(&KeyBlob::new(b"warm key")).unwrap();
+        let (id_new, _) = store.put_key_blob(&KeyBlob::new(b"new key")).unwrap();
         let cold_id = fnv1a(b"cold key");
         assert_eq!(store.get_key_blob(cold_id).unwrap(), None, "cold key must evict first");
         assert!(store.get_key_blob(id_warm).unwrap().is_some());
@@ -440,7 +463,7 @@ mod tests {
         let dir = tempdir("uncapped");
         let store = DiskStore::open(&dir).unwrap();
         for i in 0..8u64 {
-            store.put_key_blob(&i.to_le_bytes()).unwrap();
+            store.put_key_blob(&KeyBlob::new(&i.to_le_bytes())).unwrap();
         }
         assert_eq!(store.key_ids().unwrap().len(), 8);
         assert_eq!(store.key_capacity(), None);

@@ -3,7 +3,7 @@
 use chiseltorch::DType;
 use pytfhe_backend::{
     execute_resilient, CheckpointStore, DiskStore, ExecError, ExecStats, FaultInjector,
-    KernelGraph, ResilientConfig, TfheEngine,
+    KernelGraph, KeyBlob, ResilientConfig, TfheEngine,
 };
 use pytfhe_netlist::Netlist;
 use pytfhe_telemetry as telemetry;
@@ -136,7 +136,7 @@ impl Server {
     pub fn with_store(key: ServerKey, store: DiskStore) -> Result<Self, ExecError> {
         let mut server = Self::new(key);
         let bytes = pytfhe_tfhe::io::server_key_to_bytes(&server.key);
-        let (_, fresh) = store.put_key_blob(&bytes)?;
+        let (_, fresh) = store.put_key_blob(&KeyBlob::new(&bytes))?;
         if fresh {
             telemetry::metrics().counter_add("session_keys_installed_total", 1);
         }
@@ -481,7 +481,7 @@ mod tests {
         // A garbage blob sorts first (content-addressed name) often
         // enough either way: warm start must skip it, quarantine it, and
         // land on the real key.
-        store.put_key_blob(b"definitely not a server key").unwrap();
+        store.put_key_blob(&KeyBlob::new(b"definitely not a server key")).unwrap();
         let mut client = Client::new(Params::testing(), 13);
         drop(Server::with_store(client.make_server_key(), DiskStore::open(&dir).unwrap()).unwrap());
         let server = Server::warm_start(store).unwrap().expect("the intact key should load");

@@ -15,8 +15,7 @@
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex};
 
-use pytfhe_backend::checkpoint::fnv1a;
-use pytfhe_backend::DiskStore;
+use pytfhe_backend::{DiskStore, KeyBlob};
 use pytfhe_telemetry as telemetry;
 use pytfhe_tfhe::io::server_key_from_bytes;
 use pytfhe_tfhe::ServerKey;
@@ -59,9 +58,9 @@ impl KeyCache {
 
     /// Decodes and caches a serialized server key, persisting the bytes
     /// when a store backs the cache. Returns the key's fingerprint —
-    /// the tenant identity every subsequent submit references: FNV-1a
-    /// over the bytes, the function [`DiskStore::put_key_blob`]
-    /// content-addresses with, so it finds the same blob on rehydration.
+    /// the tenant identity every subsequent submit references: the
+    /// content address of a [`KeyBlob`], hashed once and handed to
+    /// [`DiskStore::put_key_blob`], so rehydration finds the same blob.
     ///
     /// # Errors
     ///
@@ -69,7 +68,8 @@ impl KeyCache {
     /// nothing is stored) and [`ServeError::Exec`] when persistence
     /// fails.
     pub fn install(&self, key_bytes: &[u8]) -> Result<u64, ServeError> {
-        let fingerprint = fnv1a(key_bytes);
+        let blob = KeyBlob::new(key_bytes);
+        let fingerprint = blob.id();
         let resident =
             self.inner.lock().expect("key cache poisoned").keys.contains_key(&fingerprint);
         // Decode before persisting, so bytes that are not a key never
@@ -80,7 +80,7 @@ impl KeyCache {
         let decoded =
             if resident { None } else { Some(Arc::new(server_key_from_bytes(key_bytes)?)) };
         if let Some(store) = &self.store {
-            store.put_key_blob(key_bytes)?;
+            store.put_key_blob(&blob)?;
         }
         match decoded {
             Some(key) => {
@@ -149,6 +149,7 @@ impl KeyCache {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use pytfhe_backend::checkpoint::fnv1a;
     use pytfhe_tfhe::io::server_key_to_bytes;
     use pytfhe_tfhe::{ClientKey, Params, SecureRng};
 
@@ -233,7 +234,7 @@ mod tests {
         let dir = std::env::temp_dir().join(format!("pytfhe-keycache-rot-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         let store = DiskStore::open(&dir).unwrap();
-        let (fp, _) = store.put_key_blob(b"rotted beyond decoding").unwrap();
+        let (fp, _) = store.put_key_blob(&KeyBlob::new(b"rotted beyond decoding")).unwrap();
         let cache = KeyCache::new(1, Some(store));
 
         assert!(cache.get(fp).unwrap().is_none(), "an undecodable blob is an unknown key");
@@ -254,6 +255,10 @@ mod tests {
         let store = DiskStore::open(&dir).unwrap();
         let stored = KeyCache::new(1, Some(store)).install(&bytes).unwrap();
         assert_eq!(storeless, stored, "local FNV-1a must equal the store's");
+        // The one hash of an install is the content address the blob is
+        // filed under.
+        let blob = dir.join("keys").join(format!("{:016x}.key", fnv1a(&bytes)));
+        assert_eq!(std::fs::read(blob).unwrap(), bytes);
         std::fs::remove_dir_all(&dir).unwrap();
     }
 }

@@ -445,18 +445,20 @@ mod tests {
         let (ck, sk, mut rng) = setup();
         let sched = Scheduler::start(4);
         // Quota 1: the first job is admitted, an immediate second is not.
-        let nl = xor_chain(8);
-        let bits = vec![true; 8];
-        let id = sched
-            .submit(7, Arc::clone(&sk), nl.clone(), ck.encrypt_bits(&bits, &mut rng), 1)
-            .unwrap();
-        match sched.submit(7, Arc::clone(&sk), nl.clone(), ck.encrypt_bits(&bits, &mut rng), 1) {
+        // Both inputs exist before the first submit, and the first job is
+        // 255 dependent bootstraps, one scheduler round each, so it is
+        // still in flight when the second submit takes the lock.
+        let long = xor_chain(256);
+        let bits = vec![true; 256];
+        let (first, second) = (ck.encrypt_bits(&bits, &mut rng), ck.encrypt_bits(&bits, &mut rng));
+        let id = sched.submit(7, Arc::clone(&sk), long.clone(), first, 1).unwrap();
+        match sched.submit(7, Arc::clone(&sk), long, second, 1) {
             Err(ServeError::QuotaExceeded { in_flight: 1, quota: 1 }) => {}
             other => panic!("expected quota rejection, got {other:?}"),
         }
         sched.fetch(id).unwrap();
         // The slot freed; the tenant may submit again.
-        sched.submit(7, sk, nl, ck.encrypt_bits(&bits, &mut rng), 1).unwrap();
+        sched.submit(7, sk, xor_chain(2), ck.encrypt_bits(&[true; 2], &mut rng), 1).unwrap();
         sched.shutdown();
     }
 

@@ -51,6 +51,14 @@
 //! reference TFHE library. The independent full-size radix-2 transform
 //! in [`crate::reference`] is the oracle both are tested against.
 //!
+//! Key generation needs more: its products by the secret key must be
+//! *exact*, because the key bytes may not depend on how they were
+//! multiplied. [`crate::tlwe`] gets that from the same plan by splitting
+//! every torus coefficient into two signed 16-bit limbs: against a key
+//! with coefficients in `{−1, 0, 1}` each limb product is an integer of
+//! magnitude below `N·2¹⁵`, whose rounding error stays far below `1/2`
+//! for every `N ≤ 2¹⁴`. The bound and its check live there.
+//!
 //! [`Kernels::forward`]: crate::simd::Kernels::forward
 //! [`Kernels::inverse`]: crate::simd::Kernels::inverse
 
@@ -144,29 +152,41 @@ impl FreqPoly {
         (self.re[slot], self.im[slot])
     }
 
-    /// The split arrays in natural (wire) order (crate-internal, for
-    /// serialization): the inverse of [`FreqPoly::from_natural_order`].
-    pub(crate) fn to_natural_order(&self) -> (Vec<f64>, Vec<f64>) {
+    /// Appends the spectrum's wire form to `out` (crate-internal, for
+    /// serialization): the `N/2` real parts, then the `N/2` imaginary
+    /// parts, each in natural evaluation order as little-endian `f64`s.
+    /// The inverse of [`FreqPoly::read_wire`].
+    pub(crate) fn write_wire(&self, out: &mut Vec<u8>) {
         let points = self.points();
-        (0..points)
-            .map(|k| {
-                let slot = bit_reverse(k, points);
-                (self.re[slot], self.im[slot])
-            })
-            .unzip()
+        let start = out.len();
+        out.resize(start + 16 * points, 0);
+        let (re, im) = out[start..].split_at_mut(8 * points);
+        for (part, dst) in [(&self.re, re), (&self.im, im)] {
+            for (k, x) in dst.chunks_exact_mut(8).enumerate() {
+                x.copy_from_slice(&part[bit_reverse(k, points)].to_le_bytes());
+            }
+        }
     }
 
-    /// Rebuilds from split arrays in natural (wire) order (crate-internal,
-    /// for deserialization). The arrays must have equal, power-of-two
-    /// length.
-    pub(crate) fn from_natural_order(re: &[f64], im: &[f64]) -> Self {
-        let points = re.len();
-        assert!(points.is_power_of_two() && im.len() == points);
+    /// Rebuilds a spectrum from its wire form (crate-internal, for
+    /// deserialization), each value read straight into its bit-reversed
+    /// slot. `bytes` holds `16 · points` bytes for a power-of-two number
+    /// of `points`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `bytes` is not the wire form of a power-of-two number of
+    /// points; the decoder checks the length against the parameter set
+    /// first.
+    pub(crate) fn read_wire(bytes: &[u8]) -> Self {
+        let points = bytes.len() / 16;
+        assert!(points.is_power_of_two() && bytes.len() == 16 * points);
         let mut out = FreqPoly::zero(2 * points);
-        for k in 0..points {
-            let slot = bit_reverse(k, points);
-            out.re[slot] = re[k];
-            out.im[slot] = im[k];
+        let (re, im) = bytes.split_at(8 * points);
+        for (part, src) in [(&mut out.re, re), (&mut out.im, im)] {
+            for (k, x) in src.chunks_exact(8).enumerate() {
+                part[bit_reverse(k, points)] = f64::from_le_bytes(x.try_into().expect("8 bytes"));
+            }
         }
         out
     }
@@ -493,9 +513,12 @@ mod tests {
         let mut rng = SecureRng::seed_from_u64(19);
         for n in [2usize, 4, 64, 1024] {
             let f = FftPlan::new(n).forward_torus(&TorusPoly::uniform(n, &mut rng));
-            let (re, im) = f.to_natural_order();
-            assert!((0..n / 2).all(|k| f.point(k) == (re[k], im[k])), "n={n}");
-            assert_eq!(FreqPoly::from_natural_order(&re, &im), f, "n={n}");
+            let mut bytes = Vec::new();
+            f.write_wire(&mut bytes);
+            assert_eq!(bytes.len(), 8 * n, "n={n}");
+            let value = |i: usize| f64::from_le_bytes(bytes[8 * i..][..8].try_into().unwrap());
+            assert!((0..n / 2).all(|k| f.point(k) == (value(k), value(n / 2 + k))), "n={n}");
+            assert_eq!(FreqPoly::read_wire(&bytes), f, "n={n}");
         }
     }
 }

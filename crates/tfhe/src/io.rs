@@ -33,6 +33,7 @@ use crate::tgsw::{Gadget, TgswFft};
 use crate::tlwe::TlweKey;
 use crate::torus::Torus32;
 use bytes::{Buf, BufMut, Bytes, BytesMut};
+use pytfhe_telemetry as telemetry;
 use pytfhe_wire as wire;
 
 const CT_MAGIC: u32 = 0x5446_4301; // "TFC\x01"
@@ -152,7 +153,9 @@ pub fn client_key_from_bytes(mut data: &[u8]) -> Result<ClientKey, TfheError> {
     let polys = (0..k)
         .map(|_| IntPoly::from_coeffs((0..poly_size).map(|_| i32::from(data.get_u8())).collect()))
         .collect();
-    Ok(ClientKey::from_parts(params, LweKey::from_bits(bits), TlweKey::from_polys(polys)))
+    let tlwe = TlweKey::from_polys(polys)
+        .ok_or(TfheError::Corrupt { what: "client key (TLWE key outside the exact product)" })?;
+    Ok(ClientKey::from_parts(params, LweKey::from_bits(bits), tlwe))
 }
 
 /// Serializes the public server key (bootstrapping key in FFT form plus
@@ -161,18 +164,21 @@ pub fn client_key_from_bytes(mut data: &[u8]) -> Result<ClientKey, TfheError> {
 /// FFT-domain bootstrapping key, as in the reference TFHE library —
 /// which is exactly why the envelope frames the bootstrapping and
 /// key-switching keys as separate sections and covers everything with
-/// a CRC32C.
+/// a CRC32C. The lengths are known up front, so the envelope is one
+/// allocation written front to back ([`wire::encode_with`]).
 pub fn server_key_to_bytes(key: &ServerKey) -> Bytes {
-    let params = *key.params();
-    let mut bsk = BytesMut::new();
-    write_bsk(&mut bsk, key);
-    let mut ksk = BytesMut::new();
-    write_ksk(&mut ksk, key);
-    let mut payload = Vec::with_capacity(14 + 20 + bsk.len() + ksk.len());
-    wire::put_section(&mut payload, SK_SECTION_PARAMS, &params.id().to_le_bytes());
-    wire::put_section(&mut payload, SK_SECTION_BSK, &bsk);
-    wire::put_section(&mut payload, SK_SECTION_KSK, &ksk);
-    Bytes::from(wire::encode(wire::Format::ServerKey, SK_WIRE_VERSION, &payload))
+    let _span = telemetry::span("tfhe", "encode server key");
+    let (bsk_len, ksk_len) = (bsk_body_len(key), ksk_body_len(key));
+    let payload_len = 3 * wire::SECTION_HEADER_LEN + 4 + bsk_len + ksk_len;
+    let envelope =
+        wire::encode_with(wire::Format::ServerKey, SK_WIRE_VERSION, payload_len, |out| {
+            wire::put_section(out, SK_SECTION_PARAMS, &key.params().id().to_le_bytes());
+            wire::put_section_header(out, SK_SECTION_BSK, bsk_len);
+            write_bsk(out, key);
+            wire::put_section_header(out, SK_SECTION_KSK, ksk_len);
+            write_ksk(out, key);
+        });
+    Bytes::from(envelope)
 }
 
 /// Deserializes a server key from its wire envelope.
@@ -185,6 +191,7 @@ pub fn server_key_to_bytes(key: &ServerKey) -> Bytes {
 /// [`TfheError::UnknownParams`] like [`ciphertext_from_bytes`] for
 /// body-level corruption.
 pub fn server_key_from_bytes(data: &[u8]) -> Result<ServerKey, TfheError> {
+    let _span = telemetry::span("tfhe", "decode server key");
     let env =
         wire::decode_expecting(data, wire::Format::ServerKey, SK_WIRE_VERSION..=SK_WIRE_VERSION)?;
     let mut params_bytes = wire::find_section(env.payload, SK_SECTION_PARAMS)?;
@@ -202,8 +209,15 @@ pub fn server_key_from_bytes(data: &[u8]) -> Result<ServerKey, TfheError> {
     Ok(ServerKey { params, bootstrap, keyswitch })
 }
 
+/// Length of the bootstrapping-key body [`write_bsk`] writes.
+fn bsk_body_len(key: &ServerKey) -> usize {
+    let row_len = |row: &Vec<FreqPoly>| 4 + row.iter().map(|p| 4 + 16 * p.points()).sum::<usize>();
+    let tgsw = key.bootstrapping_key().tgsw_raw();
+    4 + tgsw.iter().map(|t| 4 + t.rows_raw().iter().map(row_len).sum::<usize>()).sum::<usize>()
+}
+
 /// Writes the bootstrapping-key body (the envelope's BSK section).
-fn write_bsk(buf: &mut BytesMut, key: &ServerKey) {
+fn write_bsk(buf: &mut Vec<u8>, key: &ServerKey) {
     let tgsw = key.bootstrapping_key().tgsw_raw();
     buf.put_u32_le(tgsw.len() as u32);
     for t in tgsw {
@@ -217,28 +231,30 @@ fn write_bsk(buf: &mut BytesMut, key: &ServerKey) {
                 // order — the bytes do not follow the in-memory
                 // (bit-reversed) order of `crate::fft`.
                 buf.put_u32_le(poly.points() as u32);
-                let (re, im) = poly.to_natural_order();
-                for x in re.into_iter().chain(im) {
-                    buf.put_f64_le(x);
-                }
+                poly.write_wire(buf);
             }
         }
     }
 }
 
-/// Writes the key-switching-key body (the envelope's KSK section).
-fn write_ksk(buf: &mut BytesMut, key: &ServerKey) {
+/// Length of the key-switching-key body [`write_ksk`] writes.
+fn ksk_body_len(key: &ServerKey) -> usize {
+    20 + 4 * key.keyswitch_key().table().len()
+}
+
+/// Writes the key-switching-key body (the envelope's KSK section): the
+/// header, then the flat sample table as it sits in memory.
+fn write_ksk(buf: &mut Vec<u8>, key: &ServerKey) {
     let ks = key.keyswitch_key();
     buf.put_u32_le(ks.src_dim() as u32);
     buf.put_u32_le(ks.dst_dim() as u32);
     buf.put_u32_le(ks.levels() as u32);
     buf.put_u32_le(ks.base_log() as u32);
     buf.put_u32_le(ks.num_samples() as u32);
-    for s in ks.samples_raw() {
-        for t in s.mask() {
-            buf.put_u32_le(t.0);
-        }
-        buf.put_u32_le(s.body().0);
+    let start = buf.len();
+    buf.resize(start + 4 * ks.table().len(), 0);
+    for (word, t) in buf[start..].chunks_exact_mut(4).zip(ks.table()) {
+        word.copy_from_slice(&t.0.to_le_bytes());
     }
 }
 
@@ -277,9 +293,9 @@ fn parse_bsk(data: &mut &[u8], params: Params) -> Result<BootstrappingKey, TfheE
                 if data.remaining() < points * 16 {
                     return Err(TfheError::Corrupt { what: "server key (spectrum truncated)" });
                 }
-                let re: Vec<f64> = (0..points).map(|_| data.get_f64_le()).collect();
-                let im: Vec<f64> = (0..points).map(|_| data.get_f64_le()).collect();
-                row.push(FreqPoly::from_natural_order(&re, &im));
+                let (spectrum, rest) = data.split_at(points * 16);
+                row.push(FreqPoly::read_wire(spectrum));
+                *data = rest;
             }
             rows.push(row);
         }
@@ -304,13 +320,12 @@ fn parse_ksk(data: &mut &[u8]) -> Result<KeySwitchKey, TfheError> {
     if data.remaining() as u128 != declared {
         return Err(TfheError::Corrupt { what: "server key (key-switch length mismatch)" });
     }
-    let mut samples = Vec::with_capacity(n_samples.min(MAX_PREALLOC));
-    for _ in 0..n_samples {
-        let a = (0..dst_dim).map(|_| Torus32(data.get_u32_le())).collect();
-        let b = Torus32(data.get_u32_le());
-        samples.push(LweCiphertext::from_parts(a, b));
-    }
-    Ok(KeySwitchKey::from_parts(samples, src_dim, dst_dim, levels, base_log))
+    // The table is the bytes verbatim, so it is allocated only now that
+    // the bytes proving its length are known to be present.
+    let table = data.chunks_exact(4).map(|w| Torus32(u32::from_le_bytes([w[0], w[1], w[2], w[3]])));
+    let table: Vec<Torus32> = table.collect();
+    *data = &[];
+    Ok(KeySwitchKey::from_parts(table, src_dim, dst_dim, levels, base_log))
 }
 
 #[cfg(test)]

@@ -9,6 +9,7 @@ use crate::params::Params;
 use crate::rng::SecureRng;
 use crate::tlwe::TlweKey;
 use crate::torus::Torus32;
+use pytfhe_telemetry as telemetry;
 
 /// The message amplitude of gate bootstrapping: `mu = 1/8`.
 pub(crate) const MU_LOG2_DENOM: u32 = 3;
@@ -54,7 +55,11 @@ impl ClientKey {
     /// Derives the public evaluation key shipped to the cloud: the
     /// FFT-domain bootstrapping key plus the key-switching key.
     pub fn server_key(&self, rng: &mut SecureRng) -> ServerKey {
-        let bootstrap = BootstrappingKey::generate(self.params, &self.lwe_key, &self.tlwe_key, rng);
+        let bootstrap = {
+            let _span = telemetry::span("tfhe", "keygen bsk");
+            BootstrappingKey::generate(self.params, &self.lwe_key, &self.tlwe_key, rng)
+        };
+        let _span = telemetry::span("tfhe", "keygen ksk");
         let keyswitch = KeySwitchKey::generate(
             &self.tlwe_key.extracted_lwe_key(),
             &self.lwe_key,

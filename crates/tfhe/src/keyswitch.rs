@@ -19,10 +19,13 @@ const MAX_KS_LEVELS: usize = 32;
 /// `ks[i][j][v-1]` encrypts `v * s_i / base^(j+1)` where `s_i` is bit `i`
 /// of the source key. For the default parameters (`N = 1024`, `t = 8`,
 /// `base = 4`, `n = 630`) this is ~62 MB — the dominant share of TFHE's
-/// "public key of a few megabytes to ~100 MB" footprint.
+/// "public key of a few megabytes to ~100 MB" footprint. It is one flat
+/// table, a row per sample: sample `r = (i·t + j)·(base − 1) + v − 1` is
+/// `table[r·(n + 1)..][..n + 1]`, its `n` mask words then its body — also
+/// the key-switch section's wire layout.
 #[derive(Debug, Clone)]
 pub struct KeySwitchKey {
-    samples: Vec<LweCiphertext>,
+    table: Vec<Torus32>,
     src_dim: usize,
     dst_dim: usize,
     levels: usize,
@@ -40,7 +43,9 @@ impl KeySwitchKey {
         rng: &mut SecureRng,
     ) -> Self {
         let base = 1usize << base_log;
-        let mut samples = Vec::with_capacity(src.dim() * levels * (base - 1));
+        let stride = dst.dim() + 1;
+        let mut table = vec![Torus32::ZERO; src.dim() * levels * (base - 1) * stride];
+        let mut rows = table.chunks_exact_mut(stride);
         for i in 0..src.dim() {
             let s_i = src.bits()[i];
             for j in 0..levels {
@@ -48,27 +53,28 @@ impl KeySwitchKey {
                 let unit = Torus32(1u32 << (32 - (j + 1) * base_log));
                 for v in 1..base {
                     let message = (v as i32 * s_i) * unit;
-                    samples.push(dst.encrypt(message, noise_stdev, rng));
+                    let row = rows.next().expect("one row per sample");
+                    dst.encrypt_into(message, noise_stdev, rng, row);
                 }
             }
         }
-        KeySwitchKey { samples, src_dim: src.dim(), dst_dim: dst.dim(), levels, base_log }
+        KeySwitchKey { table, src_dim: src.dim(), dst_dim: dst.dim(), levels, base_log }
     }
 
-    /// Raw samples (crate-internal, for serialization).
-    pub(crate) fn samples_raw(&self) -> &[LweCiphertext] {
-        &self.samples
+    /// The flat sample table (crate-internal, for serialization).
+    pub(crate) fn table(&self) -> &[Torus32] {
+        &self.table
     }
 
     /// Rebuilds from parts (crate-internal, for deserialization).
     pub(crate) fn from_parts(
-        samples: Vec<LweCiphertext>,
+        table: Vec<Torus32>,
         src_dim: usize,
         dst_dim: usize,
         levels: usize,
         base_log: usize,
     ) -> Self {
-        KeySwitchKey { samples, src_dim, dst_dim, levels, base_log }
+        KeySwitchKey { table, src_dim, dst_dim, levels, base_log }
     }
 
     /// Decomposition levels `t` (for serialization headers).
@@ -93,7 +99,14 @@ impl KeySwitchKey {
 
     /// Total stored samples (for size accounting).
     pub fn num_samples(&self) -> usize {
-        self.samples.len()
+        self.table.len() / (self.dst_dim + 1)
+    }
+
+    /// Sample `r` as `(mask, body)`.
+    fn row(&self, r: usize) -> (&[Torus32], Torus32) {
+        let stride = self.dst_dim + 1;
+        let (mask, body) = self.table[r * stride..][..stride].split_at(self.dst_dim);
+        (mask, body[0])
     }
 
     /// Switches `ct` (under the source key) to a sample under the
@@ -137,7 +150,7 @@ impl KeySwitchKey {
         // Wrapping arithmetic mod 2^32 is associative, so the fused form
         // is bit-identical to sequential subtractions.
         let kern = crate::simd::kernels();
-        let mut pending: Option<&LweCiphertext> = None;
+        let mut pending: Option<(&[Torus32], Torus32)> = None;
         for (i, &a_i) in ct.mask().iter().enumerate() {
             // Extract the whole digit vector of this mask element in one
             // flat pass, then do the (branchy, memory-bound) accumulation.
@@ -148,19 +161,20 @@ impl KeySwitchKey {
             let row = i * row_stride;
             for (j, &digit) in digits[..self.levels].iter().enumerate() {
                 if digit != 0 {
-                    let sample = &self.samples[row + j * (base - 1) + (digit as usize - 1)];
+                    let (mask, body) = self.row(row + j * (base - 1) + (digit as usize - 1));
                     match pending.take() {
-                        None => pending = Some(sample),
-                        Some(first) => {
-                            kern.sub_assign2(out.mask_mut(), first.mask(), sample.mask());
-                            out.b -= first.body() + sample.body();
+                        None => pending = Some((mask, body)),
+                        Some((first_mask, first_body)) => {
+                            kern.sub_assign2(out.mask_mut(), first_mask, mask);
+                            out.b -= first_body + body;
                         }
                     }
                 }
             }
         }
-        if let Some(first) = pending {
-            out.sub_assign(first);
+        if let Some((mask, body)) = pending {
+            kern.sub_assign(out.mask_mut(), mask);
+            out.b -= body;
         }
     }
 }
@@ -234,7 +248,8 @@ mod tests {
                     let digit = (tmp >> (32 - ((j + 1) * ksk.base_log) as u32)) & base_mask;
                     if digit != 0 {
                         let row = i * ksk.levels * (base - 1);
-                        want.sub_assign(&ksk.samples[row + j * (base - 1) + (digit as usize - 1)]);
+                        let (mask, body) = ksk.row(row + j * (base - 1) + (digit as usize - 1));
+                        want.sub_assign(&LweCiphertext::from_parts(mask.to_vec(), body));
                     }
                 }
             }

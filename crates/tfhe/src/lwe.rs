@@ -36,14 +36,35 @@ impl LweKey {
 
     /// Encrypts `message` with fresh Gaussian noise of deviation `stdev`.
     pub fn encrypt(&self, message: Torus32, stdev: f64, rng: &mut SecureRng) -> LweCiphertext {
-        let a: Vec<Torus32> = (0..self.dim()).map(|_| Torus32::uniform(rng)).collect();
-        let mut b = message.add_gaussian(stdev, rng);
+        let mut a = vec![Torus32::ZERO; self.dim() + 1];
+        self.encrypt_into(message, stdev, rng, &mut a);
+        let b = a.pop().expect("the body word");
+        LweCiphertext { a, b }
+    }
+
+    /// Like [`LweKey::encrypt`], drawing from `rng` in the same order,
+    /// into `row`: the `n` mask words, then the body — one row of a flat
+    /// sample table such as the key-switching key's.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `row` is not `n + 1` words long.
+    pub(crate) fn encrypt_into(
+        &self,
+        message: Torus32,
+        stdev: f64,
+        rng: &mut SecureRng,
+        row: &mut [Torus32],
+    ) {
+        assert_eq!(row.len(), self.dim() + 1, "an LWE row is the mask and the body");
+        let (a, b) = row.split_at_mut(self.dim());
+        a.iter_mut().for_each(|ai| *ai = Torus32::uniform(rng));
+        b[0] = message.add_gaussian(stdev, rng);
         for (ai, &si) in a.iter().zip(&self.bits) {
             if si != 0 {
-                b += *ai;
+                b[0] += *ai;
             }
         }
-        LweCiphertext { a, b }
     }
 
     /// The *phase* `b - <a, s>`: message plus noise.

@@ -192,8 +192,9 @@ impl IntPoly {
 
 /// Schoolbook negacyclic product `a * b` over `T[X]/(X^N + 1)`.
 ///
-/// Quadratic; used as the FFT correctness oracle and for the miniature
-/// testing parameters.
+/// Quadratic; the oracle the transform products — the external product's
+/// and key generation's exact limb product ([`crate::tlwe`]) — are tested
+/// against. Only tests call it.
 pub fn naive_negacyclic_mul(a: &IntPoly, b: &TorusPoly) -> TorusPoly {
     let n = b.len();
     debug_assert_eq!(a.len(), n);

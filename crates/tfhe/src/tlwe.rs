@@ -1,28 +1,94 @@
 //! TLWE (ring-LWE over the torus) samples — the accumulator type of blind
 //! rotation.
+//!
+//! # The key product
+//!
+//! Encryption and decryption multiply torus polynomials by the secret
+//! key polynomials — 3 780 times in one 128-bit key generation, once per
+//! bootstrapping-key row. [`TlweKey`] runs that product through the
+//! folded transform of [`crate::fft`], and *exactly*: it equals the
+//! schoolbook product mod 2³² bit for bit, so a key is the same bytes
+//! whichever way it was multiplied.
+//!
+//! Every torus coefficient splits into two signed 16-bit limbs,
+//! `a ≡ lo + 2¹⁶·hi (mod 2³²)` with `lo, hi ∈ [−2¹⁵, 2¹⁵)`, and
+//! `s·a = s·lo + 2¹⁶·(s·hi)`. Each limb product is taken in the
+//! transform domain against the key spectrum and rounded back.
+//!
+//! **Exactness bound.** Let the key polynomial have coefficients in
+//! `{−1, 0, 1}` (a binary key does) and `N ≤ 2¹⁴`. Then every
+//! coefficient of a limb product is a sum of at most `N` terms of
+//! magnitude at most `2¹⁵`, an integer below `N·2¹⁵ ≤ 2²⁹`, and the
+//! floating-point error of the transform round trip is below
+//! `N·‖s‖₂·‖limb‖₂·(3 log₂N)(2 + √5)·2⁻⁵³` (Percival's bound for FFT
+//! multiplication) with `‖s‖₂ ≤ √N`, `‖limb‖₂ ≤ √N·2¹⁵`: under `2⁻⁶` at
+//! `N = 2¹²`, under `1/4` at `N = 2¹⁴`. Rounding to the nearest integer
+//! therefore recovers each limb product exactly, and reduced mod 2³² and
+//! recombined they are the exact product. The f64 hot path of blind
+//! rotation makes no such promise and needs none (see [`crate::fft`]).
+//! [`TlweKey`] checks the bound on construction, and a proptest pins the
+//! product to the schoolbook oracle at every `N` from 2 to 4096 with the
+//! worst-case limbs.
 
+use crate::fft::{FftPlan, FreqPoly};
 use crate::lwe::{LweCiphertext, LweKey};
-use crate::poly::{naive_negacyclic_mul, IntPoly, TorusPoly};
+use crate::poly::{IntPoly, TorusPoly};
 use crate::rng::SecureRng;
 use crate::torus::Torus32;
 
-/// A TLWE secret key: `k` binary polynomials of degree bound `N`.
-#[derive(Debug, Clone, PartialEq, Eq)]
+/// Largest ring dimension inside the exactness bound (module docs).
+const EXACT_MAX_N: usize = 1 << 14;
+
+/// A TLWE secret key: `k` polynomials of degree bound `N` with
+/// coefficients in `{−1, 0, 1}` (binary when generated), held with their
+/// spectra for the exact key product (module docs).
+#[derive(Debug, Clone)]
 pub struct TlweKey {
     polys: Vec<IntPoly>,
     n: usize,
+    plan: FftPlan,
+    spectra: Vec<FreqPoly>,
 }
+
+/// Keys are equal when their polynomials are; the plan and the spectra
+/// are functions of those.
+impl PartialEq for TlweKey {
+    fn eq(&self, other: &Self) -> bool {
+        self.polys == other.polys
+    }
+}
+
+impl Eq for TlweKey {}
 
 impl TlweKey {
     /// Samples a key with `k` binary polynomials of size `n`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `n` is not a power of two in `2..=2^14`.
     pub fn generate(k: usize, n: usize, rng: &mut SecureRng) -> Self {
-        TlweKey { polys: (0..k).map(|_| IntPoly::binary(n, rng)).collect(), n }
+        Self::with_spectra((0..k).map(|_| IntPoly::binary(n, rng)).collect(), n)
     }
 
-    /// Builds a key from explicit polynomials (deserialization).
-    pub fn from_polys(polys: Vec<IntPoly>) -> Self {
-        let n = polys.first().map_or(0, IntPoly::len);
-        TlweKey { polys, n }
+    /// Builds a key from explicit polynomials (deserialization), or
+    /// `None` when they are outside the exactness bound: no polynomial,
+    /// polynomials of different sizes, a size that is not a power of two
+    /// in `2..=2^14`, or a coefficient outside `{−1, 0, 1}`.
+    pub fn from_polys(polys: Vec<IntPoly>) -> Option<Self> {
+        let n = polys.first()?.len();
+        let in_bound = n.is_power_of_two()
+            && (2..=EXACT_MAX_N).contains(&n)
+            && polys
+                .iter()
+                .all(|p| p.len() == n && p.coeffs().iter().all(|c| (-1..=1).contains(c)));
+        in_bound.then(|| Self::with_spectra(polys, n))
+    }
+
+    fn with_spectra(polys: Vec<IntPoly>, n: usize) -> Self {
+        assert!(n <= EXACT_MAX_N, "ring dimension {n} is beyond the exact key product");
+        let plan = FftPlan::new(n);
+        let spectra = polys.iter().map(|p| plan.forward_int(p)).collect();
+        TlweKey { polys, n, plan, spectra }
     }
 
     /// GLWE dimension `k`.
@@ -51,8 +117,8 @@ impl TlweKey {
         let a: Vec<TorusPoly> = (0..self.k()).map(|_| TorusPoly::uniform(self.n, rng)).collect();
         let mut b = message.clone();
         b.add_gaussian(stdev, rng);
-        for (ai, si) in a.iter().zip(&self.polys) {
-            b.add_assign(&naive_negacyclic_mul(si, ai));
+        for (i, ai) in a.iter().enumerate() {
+            b.add_assign(&self.key_product(i, ai));
         }
         TlweCiphertext { a, b }
     }
@@ -60,10 +126,37 @@ impl TlweKey {
     /// The phase polynomial `b - sum(a_i * s_i)`.
     pub fn phase(&self, ct: &TlweCiphertext) -> TorusPoly {
         let mut phase = ct.b.clone();
-        for (ai, si) in ct.a.iter().zip(&self.polys) {
-            phase.sub_assign(&naive_negacyclic_mul(si, ai));
+        for (i, ai) in ct.a.iter().enumerate() {
+            phase.sub_assign(&self.key_product(i, ai));
         }
         phase
+    }
+
+    /// The exact negacyclic product `s_i · a` of key polynomial `i`:
+    /// two limb products through the transform (module docs).
+    fn key_product(&self, i: usize, a: &TorusPoly) -> TorusPoly {
+        let (lo, hi): (Vec<i32>, Vec<i32>) = a
+            .coeffs()
+            .iter()
+            .map(|c| {
+                let lo = i32::from(c.0 as i16);
+                (lo, (c.0.wrapping_sub(lo as u32) as i32) >> 16)
+            })
+            .unzip();
+        let [mut low, high] = [lo, hi].map(|limb| {
+            let mut product = FreqPoly::zero(self.n);
+            product.add_mul_assign(
+                &self.plan.forward_int(&IntPoly::from_coeffs(limb)),
+                &self.spectra[i],
+            );
+            let mut out = TorusPoly::zero(self.n);
+            self.plan.inverse_torus_destructive(&mut product, &mut out);
+            out
+        });
+        for (l, h) in low.coeffs_mut().iter_mut().zip(high.coeffs()) {
+            *l += Torus32(h.0 << 16);
+        }
+        low
     }
 
     /// Reinterprets the TLWE key as an LWE key of dimension `k * N` — the
@@ -181,9 +274,59 @@ impl TlweCiphertext {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::poly::naive_negacyclic_mul;
     use crate::torus::Torus32;
+    use proptest::prelude::*;
 
     const STDEV: f64 = 1e-8;
+
+    /// Torus values whose two limbs sit at the ends of `[−2^15, 2^15)`:
+    /// `(lo, hi)` = `(−2^15, −2^15)`, `(2^15−1, 2^15−1)`, `(−2^15, 2^15−1)`
+    /// and `(2^15−1, −2^15)`.
+    const EXTREME_LIMBS: [u32; 4] = [0x7FFF_8000, 0x7FFF_7FFF, 0x7FFE_8000, 0x8000_7FFF];
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(12))]
+
+        /// The limb product equals the schoolbook product at every ring
+        /// size from 2 to 4096: binary and `{−1, 0, 1}` keys against
+        /// uniform coefficients, and the all-ones key against extreme
+        /// limbs — constant `(−2^15, −2^15)`, where a product coefficient
+        /// reaches `N·2^15`, and mixed.
+        #[test]
+        fn key_product_equals_the_schoolbook_product(seed in any::<u64>(), shape in 0usize..4) {
+            let mut rng = SecureRng::seed_from_u64(seed);
+            for n in (1..=12).map(|log_n| 1usize << log_n) {
+                let key: Vec<i32> = match shape {
+                    0 => IntPoly::binary(n, &mut rng).coeffs().to_vec(),
+                    1 => (0..n).map(|_| (rng.uniform_u32() % 3) as i32 - 1).collect(),
+                    _ => vec![1; n],
+                };
+                let a: Vec<Torus32> = match shape {
+                    0 | 1 => TorusPoly::uniform(n, &mut rng).coeffs().to_vec(),
+                    2 => vec![Torus32(EXTREME_LIMBS[0]); n],
+                    _ => (0..n).map(|_| Torus32(EXTREME_LIMBS[rng.uniform_u32() as usize % 4])).collect(),
+                };
+                let s = IntPoly::from_coeffs(key);
+                let a = TorusPoly::from_coeffs(a);
+                let tlwe = TlweKey::from_polys(vec![s.clone()]).expect("inside the bound");
+                prop_assert_eq!(tlwe.key_product(0, &a), naive_negacyclic_mul(&s, &a), "n={n} shape={shape}");
+            }
+        }
+    }
+
+    #[test]
+    fn keys_outside_the_exactness_bound_are_refused() {
+        let poly = |n: usize, c: i32| IntPoly::from_coeffs(vec![c; n]);
+        assert!(TlweKey::from_polys(vec![poly(64, 1), poly(64, -1)]).is_some());
+        assert!(TlweKey::from_polys(vec![]).is_none(), "no polynomial");
+        assert!(TlweKey::from_polys(vec![poly(64, 1), poly(32, 1)]).is_none(), "two sizes");
+        assert!(TlweKey::from_polys(vec![poly(48, 1)]).is_none(), "not a power of two");
+        assert!(TlweKey::from_polys(vec![poly(1, 1)]).is_none(), "below 2");
+        assert!(TlweKey::from_polys(vec![poly(EXACT_MAX_N * 2, 0)]).is_none(), "beyond 2^14");
+        assert!(TlweKey::from_polys(vec![poly(64, 2)]).is_none(), "a coefficient of 2");
+        assert!(TlweKey::from_polys(vec![poly(64, i32::MIN)]).is_none(), "i32::MIN");
+    }
 
     fn max_abs_phase_err(phase: &TorusPoly, want: &TorusPoly) -> f64 {
         phase

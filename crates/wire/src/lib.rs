@@ -35,6 +35,10 @@
 //!   sections so readers skip unknown tags (forward compatibility) and
 //!   multi-part artifacts (a 100 MB server key: bootstrapping key +
 //!   key-switching key) frame their parts independently.
+//! * **One writer.** [`encode_with`] writes an envelope of known payload
+//!   length into one allocation, body sections in place
+//!   ([`put_section_header`]); [`encode`] is its caller for a payload
+//!   already in memory.
 //!
 //! The checksum is CRC32C (Castagnoli, the iSCSI/ext4 polynomial) —
 //! strong enough to catch every torn write, truncation, and single-bit
@@ -304,13 +308,33 @@ pub struct Envelope<'a> {
 
 /// Wraps `payload` in a checksummed envelope.
 pub fn encode(format: Format, version: u16, payload: &[u8]) -> Vec<u8> {
-    let mut out = Vec::with_capacity(HEADER_LEN + payload.len());
+    encode_with(format, version, payload.len(), |out| out.extend_from_slice(payload))
+}
+
+/// The envelope writer: allocates exactly `HEADER_LEN + payload_len`
+/// bytes once, writes the header, lets `write_payload` append the
+/// payload in place, and patches the CRC32C into the header. An artifact
+/// that knows its own length (a 124 MB server key) is thereby written
+/// without a staging copy of its payload.
+///
+/// # Panics
+///
+/// Panics if `write_payload` appends anything but exactly `payload_len`
+/// bytes: the header already declares that length.
+pub fn encode_with(
+    format: Format,
+    version: u16,
+    payload_len: usize,
+    write_payload: impl FnOnce(&mut Vec<u8>),
+) -> Vec<u8> {
+    let mut out = Vec::with_capacity(HEADER_LEN + payload_len);
     out.extend_from_slice(&MAGIC);
     out.extend_from_slice(&format.id().to_le_bytes());
     out.extend_from_slice(&version.to_le_bytes());
-    out.extend_from_slice(&(payload.len() as u64).to_le_bytes());
+    out.extend_from_slice(&(payload_len as u64).to_le_bytes());
     out.extend_from_slice(&[0u8; 4]); // crc placeholder
-    out.extend_from_slice(payload);
+    write_payload(&mut out);
+    assert_eq!(out.len() - HEADER_LEN, payload_len, "{format} payload of the declared length");
     let crc = crc32c(&out);
     out[16..20].copy_from_slice(&crc.to_le_bytes());
     out
@@ -376,14 +400,24 @@ pub fn decode_expecting<'a>(
 // Section framing.
 // ---------------------------------------------------------------------
 
+/// Length of a section header: `tag` u16 and body length u64.
+pub const SECTION_HEADER_LEN: usize = 10;
+
 /// Appends a tagged section (`tag` u16, length u64, body) to a payload
 /// under construction. Readers iterate with [`sections`] and may skip
 /// tags they do not know, which is how payloads grow fields without a
 /// version bump.
 pub fn put_section(out: &mut Vec<u8>, tag: u16, body: &[u8]) {
-    out.extend_from_slice(&tag.to_le_bytes());
-    out.extend_from_slice(&(body.len() as u64).to_le_bytes());
+    put_section_header(out, tag, body.len());
     out.extend_from_slice(body);
+}
+
+/// Appends the header of a section whose `body_len`-byte body the caller
+/// writes next, straight into `out` ([`put_section`] without a body
+/// buffer).
+pub fn put_section_header(out: &mut Vec<u8>, tag: u16, body_len: usize) {
+    out.extend_from_slice(&tag.to_le_bytes());
+    out.extend_from_slice(&(body_len as u64).to_le_bytes());
 }
 
 /// Iterates the `(tag, body)` sections of a payload built with
@@ -406,7 +440,7 @@ impl<'a> Iterator for SectionIter<'a> {
         if self.rest.is_empty() {
             return None;
         }
-        if self.rest.len() < 10 {
+        if self.rest.len() < SECTION_HEADER_LEN {
             self.rest = &[];
             return Some(Err(WireError::BadSection { reason: "truncated section header" }));
         }
@@ -416,7 +450,7 @@ impl<'a> Iterator for SectionIter<'a> {
             self.rest = &[];
             return Some(Err(WireError::BadSection { reason: "section length overflow" }));
         };
-        let body_and_rest = &self.rest[10..];
+        let body_and_rest = &self.rest[SECTION_HEADER_LEN..];
         if body_and_rest.len() < len {
             self.rest = &[];
             return Some(Err(WireError::BadSection { reason: "section body truncated" }));
@@ -657,6 +691,26 @@ mod tests {
         assert_eq!(env.payload, payload);
         let env = decode_expecting(&bytes, Format::KernelPlan, 2..=4).unwrap();
         assert_eq!(env.payload, payload);
+    }
+
+    #[test]
+    fn the_writer_builds_in_place_what_encode_builds_from_a_payload() {
+        let mut payload = Vec::new();
+        put_section(&mut payload, 1, b"params");
+        put_section(&mut payload, 2, b"body");
+        let in_place = encode_with(Format::ServerKey, 3, payload.len(), |out| {
+            put_section(out, 1, b"params");
+            put_section_header(out, 2, 4);
+            out.extend_from_slice(b"body");
+        });
+        assert_eq!(in_place, encode(Format::ServerKey, 3, &payload));
+        assert_eq!(in_place.capacity(), in_place.len(), "allocated once, at its final size");
+    }
+
+    #[test]
+    #[should_panic(expected = "payload of the declared length")]
+    fn the_writer_refuses_a_payload_of_another_length() {
+        encode_with(Format::Checkpoint, 1, 4, |out| out.extend_from_slice(b"abc"));
     }
 
     #[test]

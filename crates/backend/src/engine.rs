@@ -270,11 +270,6 @@ impl<'k> TfheEngine<'k> {
     pub fn new(key: &'k ServerKey) -> Self {
         TfheEngine { key }
     }
-
-    /// The underlying server key.
-    pub fn server_key(&self) -> &'k ServerKey {
-        self.key
-    }
 }
 
 impl GateEngine for TfheEngine<'_> {

@@ -147,25 +147,6 @@ impl FaultyClusterReport {
             1.0
         }
     }
-
-    /// Speedup over one core under failures with restart-from-scratch.
-    pub fn restart_speedup(&self) -> f64 {
-        if self.restart_s > 0.0 {
-            self.single_core_s / self.restart_s
-        } else {
-            1.0
-        }
-    }
-
-    /// Fractional slowdown of the resilient run over the fault-free run
-    /// (retry + checkpoint overhead): `resilient / fault_free - 1`.
-    pub fn resilient_overhead(&self) -> f64 {
-        if self.fault_free_s > 0.0 {
-            self.resilient_s / self.fault_free_s - 1.0
-        } else {
-            0.0
-        }
-    }
 }
 
 /// The distributed-CPU simulator.

@@ -124,11 +124,6 @@ impl DiskStore {
         Ok(())
     }
 
-    /// The store's root directory.
-    pub fn root(&self) -> &Path {
-        &self.root
-    }
-
     fn key_path(&self, id: u64) -> PathBuf {
         self.root.join("keys").join(format!("{id:016x}.key"))
     }

@@ -188,11 +188,6 @@ impl Server {
         &self.key
     }
 
-    /// The attached durable store, if any.
-    pub fn store(&self) -> Option<&DiskStore> {
-        self.store.as_ref()
-    }
-
     /// Executes a program on encrypted inputs across `workers` pool
     /// lanes (Algorithm 1 of the paper): [`Server::execute_graph`]
     /// without the statistics, so repeat calls on the same program

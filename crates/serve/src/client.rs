@@ -13,7 +13,7 @@ use pytfhe_wire::Format;
 
 use crate::error::ServeError;
 use crate::frame::{
-    encode_fetch, encode_install_key, encode_submit, expect_reply, read_frame, reply_to_error,
+    encode_fetch, encode_submit, expect_reply, install_key_header, read_frame, reply_to_error,
     write_frame, Reply, Status,
 };
 use crate::transport::Transport;
@@ -29,11 +29,13 @@ impl<T: Transport> ServeClient<T> {
         ServeClient { transport }
     }
 
-    fn exchange(&mut self, format: Format, payload: &[u8]) -> Result<Reply, ServeError> {
-        write_frame(&mut self.transport, format, payload)?;
-        let (rformat, rversion, rpayload) = read_frame(&mut self.transport)?
+    /// Sends one request whose payload is `parts`, in order, and reads
+    /// its reply.
+    fn exchange(&mut self, format: Format, parts: &[&[u8]]) -> Result<Reply, ServeError> {
+        write_frame(&mut self.transport, format, parts)?;
+        let frame = read_frame(&mut self.transport)?
             .ok_or_else(|| ServeError::Protocol("server closed the connection".into()))?;
-        let reply = expect_reply(rformat, rversion, &rpayload)?;
+        let reply = expect_reply(&frame)?;
         if reply.status == Status::Ok {
             Ok(reply)
         } else {
@@ -42,13 +44,15 @@ impl<T: Transport> ServeClient<T> {
     }
 
     /// Installs serialized server-key bytes, returning the fingerprint
-    /// that names this tenant in every subsequent submit.
+    /// that names this tenant in every subsequent submit. The key is
+    /// written to the transport straight from `key_bytes`.
     ///
     /// # Errors
     ///
     /// Transport failures, plus whatever typed error the server raised.
     pub fn install_key(&mut self, key_bytes: &[u8]) -> Result<u64, ServeError> {
-        let reply = self.exchange(Format::ServeInstallKey, &encode_install_key(key_bytes))?;
+        let section = install_key_header(key_bytes.len());
+        let reply = self.exchange(Format::ServeInstallKey, &[&section, key_bytes])?;
         reply
             .fingerprint
             .ok_or_else(|| ServeError::Protocol("install reply lacks a fingerprint".into()))
@@ -69,8 +73,8 @@ impl<T: Transport> ServeClient<T> {
         inputs: &[LweCiphertext],
         params: &Params,
     ) -> Result<u64, ServeError> {
-        let reply =
-            self.exchange(Format::ServeSubmit, &encode_submit(fingerprint, nl, inputs, params))?;
+        let payload = encode_submit(fingerprint, nl, inputs, params);
+        let reply = self.exchange(Format::ServeSubmit, &[&payload])?;
         reply.job.ok_or_else(|| ServeError::Protocol("submit reply lacks a job id".into()))
     }
 
@@ -82,7 +86,7 @@ impl<T: Transport> ServeClient<T> {
     /// [`ServeError::UnknownJob`] for a bad id, plus transport
     /// failures.
     pub fn fetch(&mut self, job: u64) -> Result<Vec<LweCiphertext>, ServeError> {
-        let reply = self.exchange(Format::ServeFetch, &encode_fetch(job))?;
+        let reply = self.exchange(Format::ServeFetch, &[&encode_fetch(job)])?;
         reply.outputs.ok_or_else(|| ServeError::Protocol("fetch reply lacks outputs".into()))
     }
 

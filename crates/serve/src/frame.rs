@@ -4,18 +4,27 @@
 //! envelope: a `u32` little-endian byte count followed by that many
 //! envelope bytes. The envelope's format id names the message kind
 //! (install-key, submit, fetch, close, reply) and its payload is a
-//! section list, so unknown sections skip cleanly and sparse bodies —
-//! server keys and assembled programs — travel RLE-compressed via
+//! section list, so unknown sections skip cleanly and assembled
+//! programs, which are sparse, travel RLE-compressed via
 //! [`pytfhe_wire::put_section_packed`].
+//!
+//! A server key travels as a plain section (its spectra are dense and
+//! would not compress), so it crosses the transport with one copy on
+//! each side: [`write_frame`] computes the envelope header over the
+//! payload's parts — the `KEY` section header, then the caller's key
+//! bytes — and writes the parts after it, and [`read_frame`] returns the
+//! verified buffer it read into, from which [`decode_install_key`] lends
+//! the key bytes.
 //!
 //! | frame          | sections                                        |
 //! |----------------|-------------------------------------------------|
-//! | `ServeInstallKey` | `KEY` (packed server-key envelope)           |
+//! | `ServeInstallKey` | `KEY` (server-key envelope; plain, packed also accepted) |
 //! | `ServeSubmit`  | `FINGERPRINT`, `PROGRAM` (packed asm), `INPUTS` |
 //! | `ServeFetch`   | `JOB`                                           |
 //! | `ServeClose`   | —                                               |
 //! | `ServeReply`   | `STATUS` (+ `FINGERPRINT`/`JOB`/`OUTPUTS`/`LIMITS`/`MESSAGE`) |
 
+use std::borrow::Cow;
 use std::io::{Read, Write};
 
 use pytfhe_backend::ExecError;
@@ -23,7 +32,8 @@ use pytfhe_netlist::Netlist;
 use pytfhe_tfhe::io::{ciphertext_from_bytes, ciphertext_to_bytes};
 use pytfhe_tfhe::{LweCiphertext, Params};
 use pytfhe_wire::{
-    encode, find_section, find_section_packed, put_section, put_section_packed, sections, Format,
+    find_section, find_section_packed, header, put_section, put_section_header, put_section_packed,
+    sections, Format, HEADER_LEN, SECTION_HEADER_LEN,
 };
 
 use crate::error::ServeError;
@@ -32,8 +42,9 @@ use crate::error::ServeError;
 pub const FRAME_VERSION: u16 = 1;
 
 /// Hard ceiling on a single frame, guarding allocation on hostile or
-/// corrupt length prefixes. Testing-parameter server keys are ~2 MiB;
-/// production keys tens of MiB; 256 MiB leaves generous headroom.
+/// corrupt length prefixes. Testing-parameter server keys are ~2 MiB and
+/// a `default_128` key is 118 MiB, so 256 MiB leaves a little over 2×
+/// headroom for the largest frame served today.
 pub const MAX_FRAME_LEN: u32 = 1 << 28;
 
 /// Section tags of the serving protocol.
@@ -97,25 +108,52 @@ impl Status {
     }
 }
 
-/// Writes one frame: `u32` LE length prefix, then the envelope.
+/// Writes one frame: `u32` LE length prefix, then the envelope whose
+/// payload is `parts`, in order. The prefix and the [`header`], its
+/// CRC32C already computed over the parts, go out first; then each part
+/// from the caller's buffer, so no payload or envelope is gathered.
 ///
 /// # Errors
 ///
 /// Returns [`ServeError::Io`] when the transport fails and
 /// [`ServeError::Protocol`] when the envelope exceeds [`MAX_FRAME_LEN`].
-pub fn write_frame(w: &mut impl Write, format: Format, payload: &[u8]) -> Result<(), ServeError> {
-    let env = encode(format, FRAME_VERSION, payload);
-    let len = u32::try_from(env.len())
+pub fn write_frame(w: &mut impl Write, format: Format, parts: &[&[u8]]) -> Result<(), ServeError> {
+    let env_len = HEADER_LEN + parts.iter().map(|part| part.len()).sum::<usize>();
+    let len = u32::try_from(env_len)
         .ok()
         .filter(|&l| l <= MAX_FRAME_LEN)
-        .ok_or_else(|| ServeError::Protocol(format!("frame of {} bytes too large", env.len())))?;
-    w.write_all(&len.to_le_bytes())?;
-    w.write_all(&env)?;
+        .ok_or_else(|| ServeError::Protocol(format!("frame of {env_len} bytes too large")))?;
+    let mut head = [0u8; 4 + HEADER_LEN];
+    head[..4].copy_from_slice(&len.to_le_bytes());
+    head[4..].copy_from_slice(&header(format, FRAME_VERSION, parts));
+    w.write_all(&head)?;
+    for part in parts {
+        w.write_all(part)?;
+    }
     w.flush()?;
     Ok(())
 }
 
-/// Reads one frame, returning its format, version, and payload.
+/// One received frame: the envelope read off the transport, its length
+/// and CRC32C verified before any payload byte is interpreted.
+#[derive(Debug)]
+pub struct Frame {
+    /// The message kind.
+    pub format: Format,
+    /// The frame layout version.
+    pub version: u16,
+    envelope: Vec<u8>,
+}
+
+impl Frame {
+    /// The verified payload, lent from the buffer the frame was read into.
+    pub fn payload(&self) -> &[u8] {
+        &self.envelope[HEADER_LEN..]
+    }
+}
+
+/// Reads one frame into one buffer of its declared length and verifies
+/// it.
 ///
 /// Returns `Ok(None)` on clean EOF at a frame boundary (the peer closed
 /// the connection).
@@ -123,9 +161,10 @@ pub fn write_frame(w: &mut impl Write, format: Format, payload: &[u8]) -> Result
 /// # Errors
 ///
 /// Returns [`ServeError::Io`] on transport failure mid-frame,
-/// [`ServeError::Protocol`] on an oversized or unknown-format frame,
-/// and [`ServeError::Wire`] when the envelope fails validation.
-pub fn read_frame(r: &mut impl Read) -> Result<Option<(Format, u16, Vec<u8>)>, ServeError> {
+/// [`ServeError::Protocol`] on an oversized frame, and
+/// [`ServeError::Wire`] when the envelope fails validation (including an
+/// unknown format).
+pub fn read_frame(r: &mut impl Read) -> Result<Option<Frame>, ServeError> {
     let mut len_buf = [0u8; 4];
     // Distinguish EOF-at-boundary from a torn length prefix.
     let mut filled = 0;
@@ -142,13 +181,11 @@ pub fn read_frame(r: &mut impl Read) -> Result<Option<(Format, u16, Vec<u8>)>, S
             "declared frame of {len} bytes exceeds the {MAX_FRAME_LEN} byte ceiling"
         )));
     }
-    let mut env = vec![0u8; len as usize];
-    r.read_exact(&mut env)?;
-    let decoded = pytfhe_wire::decode(&env)?;
-    let format = decoded.format;
-    let version = decoded.version;
-    let payload = decoded.payload.to_vec();
-    Ok(Some((format, version, payload)))
+    let mut envelope = vec![0u8; len as usize];
+    r.read_exact(&mut envelope)?;
+    let decoded = pytfhe_wire::decode(&envelope)?;
+    let (format, version) = (decoded.format, decoded.version);
+    Ok(Some(Frame { format, version, envelope }))
 }
 
 fn ct_list_section(out: &mut Vec<u8>, tag: u16, cts: &[LweCiphertext], params: &Params) {
@@ -227,19 +264,23 @@ fn parse_u64(payload: &[u8], tag: u16) -> Result<u64, ServeError> {
 
 // ---- request encoding -------------------------------------------------
 
-/// Builds an install-key payload from serialized server-key bytes.
-pub fn encode_install_key(key_bytes: &[u8]) -> Vec<u8> {
-    let mut payload = Vec::new();
-    put_section_packed(&mut payload, tags::KEY, key_bytes);
-    payload
+/// The first part of an install-key payload: the header of the plain
+/// `KEY` section whose body, the serialized server key of `key_len`
+/// bytes, is the second part ([`write_frame`] sends both).
+pub fn install_key_header(key_len: usize) -> Vec<u8> {
+    let mut head = Vec::with_capacity(SECTION_HEADER_LEN);
+    put_section_header(&mut head, tags::KEY, key_len);
+    head
 }
 
-/// Extracts the serialized server-key bytes from an install-key payload.
+/// The serialized server-key bytes of an install-key payload: borrowed
+/// from the payload when the `KEY` section is plain, decompressed when
+/// an older client packed it.
 ///
 /// # Errors
 ///
 /// Returns [`ServeError::Wire`] when the section is absent or corrupt.
-pub fn decode_install_key(payload: &[u8]) -> Result<Vec<u8>, ServeError> {
+pub fn decode_install_key(payload: &[u8]) -> Result<Cow<'_, [u8]>, ServeError> {
     Ok(find_section_packed(payload, tags::KEY)?)
 }
 
@@ -458,14 +499,15 @@ pub fn reply_to_error(reply: &Reply) -> ServeError {
 ///
 /// Returns [`ServeError::Protocol`] when the frame is not a v1
 /// `ServeReply`, plus any [`decode_reply`] failure.
-pub fn expect_reply(format: Format, version: u16, payload: &[u8]) -> Result<Reply, ServeError> {
-    if format != Format::ServeReply || version != FRAME_VERSION {
+pub fn expect_reply(frame: &Frame) -> Result<Reply, ServeError> {
+    if frame.format != Format::ServeReply || frame.version != FRAME_VERSION {
         return Err(ServeError::Protocol(format!(
-            "expected ServeReply v{FRAME_VERSION}, got {} v{version}",
-            format.name()
+            "expected ServeReply v{FRAME_VERSION}, got {} v{}",
+            frame.format.name(),
+            frame.version
         )));
     }
-    decode_reply(payload)
+    decode_reply(frame.payload())
 }
 
 #[cfg(test)]
@@ -485,13 +527,25 @@ mod tests {
     #[test]
     fn frames_round_trip_over_a_pipe() {
         let (mut a, mut b) = crate::transport::duplex();
-        write_frame(&mut a, Format::ServeFetch, &encode_fetch(42)).unwrap();
-        let (format, version, payload) = read_frame(&mut b).unwrap().unwrap();
-        assert_eq!(format, Format::ServeFetch);
-        assert_eq!(version, FRAME_VERSION);
-        assert_eq!(decode_fetch(&payload).unwrap(), 42);
+        write_frame(&mut a, Format::ServeFetch, &[&encode_fetch(42)]).unwrap();
+        let frame = read_frame(&mut b).unwrap().unwrap();
+        assert_eq!(frame.format, Format::ServeFetch);
+        assert_eq!(frame.version, FRAME_VERSION);
+        assert_eq!(decode_fetch(frame.payload()).unwrap(), 42);
         drop(a);
         assert!(read_frame(&mut b).unwrap().is_none(), "clean EOF");
+    }
+
+    #[test]
+    fn an_install_frame_lends_its_plain_key_from_the_received_buffer() {
+        let key = b"stand-in server-key bytes".to_vec();
+        let (mut a, mut b) = crate::transport::duplex();
+        write_frame(&mut a, Format::ServeInstallKey, &[&install_key_header(key.len()), &key])
+            .unwrap();
+        let frame = read_frame(&mut b).unwrap().unwrap();
+        let lent = decode_install_key(frame.payload()).unwrap();
+        assert!(matches!(lent, Cow::Borrowed(_)));
+        assert_eq!(lent, key);
     }
 
     #[test]

@@ -61,11 +61,6 @@ impl ServeHandle {
         ServeHandle { config, keys, scheduler, live: Arc::new(AtomicUsize::new(0)) }
     }
 
-    /// Sessions currently attached.
-    pub fn live_sessions(&self) -> usize {
-        self.live.load(Ordering::SeqCst)
-    }
-
     /// The shared key cache, for in-process inspection (tests).
     pub fn key_cache(&self) -> &KeyCache {
         &self.keys
@@ -90,7 +85,7 @@ impl ServeHandle {
             self.live.fetch_sub(1, Ordering::SeqCst);
             let err = ServeError::Overloaded { live: prev, max: self.config.max_sessions };
             telemetry::metrics().counter_add("serve_sessions_rejected_total", 1);
-            let _ = write_frame(&mut transport, Format::ServeReply, &frame::reply_error(&err));
+            let _ = write_frame(&mut transport, Format::ServeReply, &[&frame::reply_error(&err)]);
             return Err(err);
         }
         telemetry::metrics().counter_add("serve_sessions_admitted_total", 1);
@@ -119,14 +114,15 @@ impl SessionWorker {
     fn run<T: Transport>(self, mut transport: T) {
         // A clean EOF or a transport failure both end the session; the
         // `while let` falls through on either.
-        while let Ok(Some((format, version, payload))) = read_frame(&mut transport) {
-            if version != frame::FRAME_VERSION {
-                let err = ServeError::Protocol(format!("unsupported frame version {version}"));
+        while let Ok(Some(request)) = read_frame(&mut transport) {
+            if request.version != frame::FRAME_VERSION {
+                let err =
+                    ServeError::Protocol(format!("unsupported frame version {}", request.version));
                 let _ = self.reply(&mut transport, &frame::reply_error(&err));
                 continue;
             }
-            let close = format == Format::ServeClose;
-            let reply = self.dispatch(format, &payload);
+            let close = request.format == Format::ServeClose;
+            let reply = self.dispatch(request.format, request.payload());
             if self.reply(&mut transport, &reply).is_err() || close {
                 break;
             }
@@ -136,7 +132,7 @@ impl SessionWorker {
     }
 
     fn reply<T: Transport>(&self, transport: &mut T, payload: &[u8]) -> Result<(), ServeError> {
-        write_frame(transport, Format::ServeReply, payload)
+        write_frame(transport, Format::ServeReply, &[payload])
     }
 
     fn dispatch(&self, format: Format, payload: &[u8]) -> Vec<u8> {
@@ -153,6 +149,8 @@ impl SessionWorker {
         result.unwrap_or_else(|err| frame::reply_error(&err))
     }
 
+    /// Installs the key from inside the received frame: no copy of it is
+    /// made on the way to the cache.
     fn handle_install(&self, payload: &[u8]) -> Result<Vec<u8>, ServeError> {
         let key_bytes = decode_install_key(payload)?;
         let fingerprint = self.keys.install(&key_bytes)?;

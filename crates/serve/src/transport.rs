@@ -6,7 +6,6 @@
 //! in-memory [`duplex`] pipe, which gives the full concurrency
 //! behaviour of a socket pair without touching the network stack.
 
-use std::collections::VecDeque;
 use std::io::{self, Read, Write};
 use std::sync::mpsc::{Receiver, Sender};
 use std::sync::{mpsc, Arc, Mutex};
@@ -22,19 +21,26 @@ impl<T: Read + Write + Send> Transport for T {}
 /// end makes the peer's reads return EOF (`Ok(0)`) once buffered bytes
 /// are drained, and its writes fail with `BrokenPipe` — the same
 /// shutdown semantics a socket gives.
+///
+/// A write sends one copy of its buffer, as a socket copies into its
+/// send buffer; a read copies out of the chunk received, from a cursor,
+/// and drops the chunk once it is read to the end. A 124 MB key
+/// therefore crosses the pipe with one copy on each side, and the
+/// sent copy is freed as soon as the reader has taken it.
 pub struct PipeEnd {
     tx: Sender<Vec<u8>>,
     rx: Arc<Mutex<Receiver<Vec<u8>>>>,
-    pending: VecDeque<u8>,
+    /// The chunk being read, and how far.
+    chunk: Vec<u8>,
+    read: usize,
 }
 
 /// Creates a connected pair of in-memory duplex pipe ends.
 pub fn duplex() -> (PipeEnd, PipeEnd) {
     let (a_tx, b_rx) = mpsc::channel();
     let (b_tx, a_rx) = mpsc::channel();
-    let a = PipeEnd { tx: a_tx, rx: Arc::new(Mutex::new(a_rx)), pending: VecDeque::new() };
-    let b = PipeEnd { tx: b_tx, rx: Arc::new(Mutex::new(b_rx)), pending: VecDeque::new() };
-    (a, b)
+    let end = |tx, rx| PipeEnd { tx, rx: Arc::new(Mutex::new(rx)), chunk: Vec::new(), read: 0 };
+    (end(a_tx, a_rx), end(b_tx, b_rx))
 }
 
 impl Read for PipeEnd {
@@ -42,28 +48,20 @@ impl Read for PipeEnd {
         if buf.is_empty() {
             return Ok(0);
         }
-        if self.pending.is_empty() {
-            let rx = self.rx.lock().expect("pipe receiver poisoned");
-            // Block for the first chunk, then opportunistically drain
-            // whatever else already arrived.
-            match rx.recv() {
-                Ok(chunk) => self.pending.extend(chunk),
+        if self.read == self.chunk.len() {
+            // Writes never send an empty chunk, so a received one always
+            // has bytes to read.
+            match self.rx.lock().expect("pipe receiver poisoned").recv() {
+                Ok(chunk) => (self.chunk, self.read) = (chunk, 0),
                 Err(_) => return Ok(0), // peer dropped: EOF
             }
-            while let Ok(chunk) = rx.try_recv() {
-                self.pending.extend(chunk);
-            }
         }
-        // Bulk-copy out of the deque: server keys are megabytes, and a
-        // byte-at-a-time loop here dominates the whole request path.
-        let n = buf.len().min(self.pending.len());
-        let (front, back) = self.pending.as_slices();
-        let from_front = n.min(front.len());
-        buf[..from_front].copy_from_slice(&front[..from_front]);
-        if n > from_front {
-            buf[from_front..n].copy_from_slice(&back[..n - from_front]);
+        let n = buf.len().min(self.chunk.len() - self.read);
+        buf[..n].copy_from_slice(&self.chunk[self.read..self.read + n]);
+        self.read += n;
+        if self.read == self.chunk.len() {
+            (self.chunk, self.read) = (Vec::new(), 0);
         }
-        self.pending.drain(..n);
         Ok(n)
     }
 }

@@ -35,16 +35,19 @@
 //!   sections so readers skip unknown tags (forward compatibility) and
 //!   multi-part artifacts (a 100 MB server key: bootstrapping key +
 //!   key-switching key) frame their parts independently.
-//! * **One writer.** [`encode_with`] writes an envelope of known payload
-//!   length into one allocation, body sections in place
+//! * **One writer, one header.** [`encode_with`] writes an envelope of
+//!   known payload length into one allocation, body sections in place
 //!   ([`put_section_header`]); [`encode`] is its caller for a payload
-//!   already in memory.
+//!   already in memory. Both end in [`header`], which is also all a
+//!   stream writer needs: it sends the header, then the payload's parts
+//!   from where they lie.
 //!
 //! The checksum is CRC32C (Castagnoli, the iSCSI/ext4 polynomial) —
 //! strong enough to catch every torn write, truncation, and single-bit
-//! flip the storage fault injector throws at it, cheap enough to verify
-//! on every load of a 100 MB key.
+//! flip the storage fault injector throws at it, and on x86-64 computed
+//! by the SSE4.2 `crc32` instruction, ~0.02 s per pass over a 124 MB key.
 
+use std::borrow::Cow;
 use std::fmt;
 
 /// The envelope magic: `PTW1`.
@@ -209,7 +212,8 @@ impl fmt::Display for WireError {
 impl std::error::Error for WireError {}
 
 // ---------------------------------------------------------------------
-// CRC32C (Castagnoli), software slice-by-one with a const-built table.
+// CRC32C (Castagnoli): the SSE4.2 `crc32` instruction where the CPU has
+// it, a portable slice-by-8 everywhere else.
 // ---------------------------------------------------------------------
 
 /// Reflected Castagnoli polynomial.
@@ -235,10 +239,8 @@ static CRC_TABLE: [u32; 256] = build_crc_table();
 
 /// Slice-by-8 companion tables: `CRC_TABLES[k][b]` is the CRC
 /// contribution of byte `b` positioned `k` bytes before the end of an
-/// 8-byte block, letting [`crc32c_update`] fold 8 input bytes per step
-/// instead of one. Multi-megabyte server keys cross the envelope layer
-/// on every install and warm start, so the bytewise loop was a
-/// measurable share of those paths.
+/// 8-byte block, letting [`crc32c_update_portable`] fold 8 input bytes
+/// per step instead of one.
 const fn build_crc_tables() -> [[u32; 256]; 8] {
     let base = build_crc_table();
     let mut tables = [[0u32; 256]; 8];
@@ -259,8 +261,8 @@ const fn build_crc_tables() -> [[u32; 256]; 8] {
 static CRC_TABLES: [[u32; 256]; 8] = build_crc_tables();
 
 /// CRC32C (Castagnoli) of `bytes`, matching the iSCSI/RFC 3720
-/// specification (and hence hardware `crc32` instructions, should a
-/// SIMD backend ever take this over).
+/// specification and hence the SSE4.2 `crc32` instruction, which
+/// computes it wherever the CPU has one ([`crc32c_update`]).
 pub fn crc32c(bytes: &[u8]) -> u32 {
     crc32c_update(0xFFFF_FFFF, bytes) ^ 0xFFFF_FFFF
 }
@@ -268,10 +270,40 @@ pub fn crc32c(bytes: &[u8]) -> u32 {
 /// Streaming form: feed chunks through an accumulator initialized to
 /// `0xFFFF_FFFF` and finish by XORing with `0xFFFF_FFFF`.
 ///
-/// Internally slice-by-8: each step XORs the running state into the
-/// first 4 of 8 input bytes and folds all 8 through per-position
-/// tables, with a bytewise loop only for the unaligned tail.
-pub fn crc32c_update(mut state: u32, bytes: &[u8]) -> u32 {
+/// On x86-64 the CPU is asked at run time, as `pytfhe-tfhe`'s `simd`
+/// dispatch asks it, whether it has SSE4.2; if so, each `crc32`
+/// instruction folds 8 bytes (~7 GB/s against ~1.5 GB/s). Every other
+/// host runs the portable slice-by-8, which is also the oracle the
+/// hardware path is tested against: the two give identical values.
+pub fn crc32c_update(state: u32, bytes: &[u8]) -> u32 {
+    #[cfg(target_arch = "x86_64")]
+    if std::arch::is_x86_feature_detected!("sse4.2") {
+        // SAFETY: the running CPU has SSE4.2, the only target feature
+        // `crc32c_update_sse42` is compiled for.
+        return unsafe { crc32c_update_sse42(state, bytes) };
+    }
+    crc32c_update_portable(state, bytes)
+}
+
+/// [`crc32c_update`] on the `crc32` instruction: one 8-byte fold per
+/// instruction, then one per byte of the unaligned tail.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "sse4.2")]
+fn crc32c_update_sse42(state: u32, bytes: &[u8]) -> u32 {
+    use std::arch::x86_64::{_mm_crc32_u64, _mm_crc32_u8};
+    let mut chunks = bytes.chunks_exact(8);
+    let mut wide = u64::from(state);
+    for chunk in &mut chunks {
+        wide = _mm_crc32_u64(wide, u64::from_le_bytes(chunk.try_into().expect("8 bytes")));
+    }
+    chunks.remainder().iter().fold(wide as u32, |state, &b| _mm_crc32_u8(state, b))
+}
+
+/// [`crc32c_update`] in portable Rust, slice-by-8: each step XORs the
+/// running state into the first 4 of 8 input bytes and folds all 8
+/// through per-position tables, with a bytewise loop only for the
+/// unaligned tail.
+fn crc32c_update_portable(mut state: u32, bytes: &[u8]) -> u32 {
     let mut chunks = bytes.chunks_exact(8);
     for chunk in &mut chunks {
         let lo = u32::from_le_bytes([chunk[0], chunk[1], chunk[2], chunk[3]]) ^ state;
@@ -312,15 +344,15 @@ pub fn encode(format: Format, version: u16, payload: &[u8]) -> Vec<u8> {
 }
 
 /// The envelope writer: allocates exactly `HEADER_LEN + payload_len`
-/// bytes once, writes the header, lets `write_payload` append the
-/// payload in place, and patches the CRC32C into the header. An artifact
-/// that knows its own length (a 124 MB server key) is thereby written
-/// without a staging copy of its payload.
+/// bytes once, reserves the header, lets `write_payload` append the
+/// payload in place, and writes the [`header`] over the reservation. An
+/// artifact that knows its own length (a 124 MB server key) is thereby
+/// written without a staging copy of its payload.
 ///
 /// # Panics
 ///
 /// Panics if `write_payload` appends anything but exactly `payload_len`
-/// bytes: the header already declares that length.
+/// bytes: the caller promised that length.
 pub fn encode_with(
     format: Format,
     version: u16,
@@ -328,16 +360,30 @@ pub fn encode_with(
     write_payload: impl FnOnce(&mut Vec<u8>),
 ) -> Vec<u8> {
     let mut out = Vec::with_capacity(HEADER_LEN + payload_len);
-    out.extend_from_slice(&MAGIC);
-    out.extend_from_slice(&format.id().to_le_bytes());
-    out.extend_from_slice(&version.to_le_bytes());
-    out.extend_from_slice(&(payload_len as u64).to_le_bytes());
-    out.extend_from_slice(&[0u8; 4]); // crc placeholder
+    out.resize(HEADER_LEN, 0);
     write_payload(&mut out);
     assert_eq!(out.len() - HEADER_LEN, payload_len, "{format} payload of the declared length");
-    let crc = crc32c(&out);
-    out[16..20].copy_from_slice(&crc.to_le_bytes());
+    let head = header(format, version, &[&out[HEADER_LEN..]]);
+    out[..HEADER_LEN].copy_from_slice(&head);
     out
+}
+
+/// The envelope header of a payload made of `parts`, in order: magic,
+/// format, version, the parts' total length, and the CRC32C over the
+/// header (CRC field zeroed) and every part. [`encode_with`] writes it in
+/// front of the payload it built; a stream writer sends it and then each
+/// part from wherever it already lies, so a payload is never gathered
+/// into one buffer just to be enveloped.
+pub fn header(format: Format, version: u16, parts: &[&[u8]]) -> [u8; HEADER_LEN] {
+    let payload_len: usize = parts.iter().map(|part| part.len()).sum();
+    let mut head = [0u8; HEADER_LEN];
+    head[..4].copy_from_slice(&MAGIC);
+    head[4..6].copy_from_slice(&format.id().to_le_bytes());
+    head[6..8].copy_from_slice(&version.to_le_bytes());
+    head[8..16].copy_from_slice(&(payload_len as u64).to_le_bytes());
+    let state = parts.iter().fold(crc32c_update(0xFFFF_FFFF, &head), |s, p| crc32c_update(s, p));
+    head[16..].copy_from_slice(&(state ^ 0xFFFF_FFFF).to_le_bytes());
+    head
 }
 
 /// Verifies and opens an envelope: magic, declared length, and CRC32C
@@ -639,20 +685,21 @@ pub fn put_section_packed(out: &mut Vec<u8>, tag: u16, body: &[u8]) {
 }
 
 /// Finds section `tag`, accepting both the plain and the compressed
-/// encoding (decompressing the latter).
+/// encoding: a plain body is borrowed from `payload`, a compressed one
+/// decompressed into a buffer of its own.
 ///
 /// # Errors
 ///
 /// [`WireError::BadSection`] if the tag is absent or the framing or RLE
 /// stream is inconsistent.
-pub fn find_section_packed(payload: &[u8], tag: u16) -> Result<Vec<u8>, WireError> {
+pub fn find_section_packed(payload: &[u8], tag: u16) -> Result<Cow<'_, [u8]>, WireError> {
     for s in sections(payload) {
         let (t, body) = s?;
         if t == tag {
-            return Ok(body.to_vec());
+            return Ok(Cow::Borrowed(body));
         }
         if t == tag | SECTION_COMPRESSED_FLAG {
-            return rle_decompress(body);
+            return rle_decompress(body).map(Cow::Owned);
         }
     }
     Err(WireError::BadSection { reason: "required section missing" })
@@ -664,11 +711,44 @@ mod tests {
 
     #[test]
     fn crc32c_reference_vectors() {
-        // RFC 3720 / Intel reference vectors.
-        assert_eq!(crc32c(b""), 0);
-        assert_eq!(crc32c(b"123456789"), 0xE306_9283);
-        assert_eq!(crc32c(&[0u8; 32]), 0x8A91_36AA);
-        assert_eq!(crc32c(&[0xFFu8; 32]), 0x62A8_AB43);
+        // RFC 3720 / Intel reference vectors, through the dispatched and
+        // the portable path.
+        let portable = |bytes: &[u8]| crc32c_update_portable(0xFFFF_FFFF, bytes) ^ 0xFFFF_FFFF;
+        let ascending: Vec<u8> = (0..32).collect();
+        let descending: Vec<u8> = (0..32).rev().collect();
+        for (bytes, want) in [
+            (b"".as_ref(), 0),
+            (b"123456789", 0xE306_9283),
+            (&[0u8; 32], 0x8A91_36AA),
+            (&[0xFFu8; 32], 0x62A8_AB43),
+            (&ascending, 0x46DD_794E),
+            (&descending, 0x113F_DB5C),
+        ] {
+            assert_eq!(crc32c(bytes), want, "{bytes:?}");
+            assert_eq!(portable(bytes), want, "{bytes:?}");
+        }
+    }
+
+    /// The dispatched CRC (the `crc32` instruction on an x86-64 host with
+    /// SSE4.2) against the portable oracle: every length up to 4096, at
+    /// every start offset modulo 8, one-shot and split into three
+    /// streamed pieces.
+    #[test]
+    fn dispatched_crc32c_matches_the_portable_oracle() {
+        let data: Vec<u8> =
+            (0..4096 + 8u32).map(|i| (i.wrapping_mul(2_654_435_761) >> 13) as u8).collect();
+        for offset in 0..8 {
+            for len in 0..=4096 {
+                let bytes = &data[offset..offset + len];
+                let want = crc32c_update_portable(0xFFFF_FFFF, bytes);
+                assert_eq!(crc32c_update(0xFFFF_FFFF, bytes), want, "offset {offset} len {len}");
+                let (head, rest) = bytes.split_at(len / 3);
+                let (mid, tail) = rest.split_at(rest.len() / 2);
+                let streamed =
+                    [head, mid, tail].iter().fold(0xFFFF_FFFF, |s, p| crc32c_update(s, p));
+                assert_eq!(streamed, want, "offset {offset} len {len}, streamed");
+            }
+        }
     }
 
     #[test]
@@ -705,6 +785,15 @@ mod tests {
         });
         assert_eq!(in_place, encode(Format::ServerKey, 3, &payload));
         assert_eq!(in_place.capacity(), in_place.len(), "allocated once, at its final size");
+    }
+
+    #[test]
+    fn a_header_over_scattered_parts_opens_the_envelope_of_their_concatenation() {
+        let parts: [&[u8]; 3] = [b"sect", b"", b"ion bytes"];
+        let head = header(Format::ServeInstallKey, 1, &parts);
+        let streamed = [head.as_ref(), &parts.concat()].concat();
+        assert_eq!(streamed, encode(Format::ServeInstallKey, 1, &parts.concat()));
+        assert_eq!(decode(&streamed).unwrap().payload, b"section bytes");
     }
 
     #[test]
@@ -879,6 +968,7 @@ mod tests {
         assert_eq!(tags, vec![1 | SECTION_COMPRESSED_FLAG, 2]);
         assert_eq!(find_section_packed(&payload, 1).unwrap(), sparse);
         assert_eq!(find_section_packed(&payload, 2).unwrap(), dense);
+        assert!(matches!(find_section_packed(&payload, 2).unwrap(), Cow::Borrowed(_)));
         assert!(find_section_packed(&payload, 3).is_err());
         // A pre-compression reader skips the flagged tag instead of
         // misparsing it, and still finds the plain section.

@@ -11,9 +11,14 @@
 //! re-sealed envelope, so that the lie gets past the frame checksum to
 //! the section parser. An install frame also gets body flips inside a
 //! re-sealed envelope, which only the key envelope's own CRC32C can
-//! catch. Each corrupted stream is read and decoded the way a serving
-//! session does it. Every case must end in a typed `ServeError`: zero
-//! panics and zero accepted garbage.
+//! catch. Install and submit frames also have their sections rearranged
+//! inside a re-sealed envelope: every pair swapped (submit carries three
+//! sections, install one), every section duplicated in place, and every
+//! section dropped. Each corrupted stream is read and decoded the way a
+//! serving session does it. Every case must end in a typed `ServeError`:
+//! zero panics and zero accepted garbage. A rearranged frame may instead
+//! decode to exactly the values the intact frame decodes to, because
+//! sections are found by tag.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
@@ -82,6 +87,26 @@ enum FrameFault {
     /// Bit `bit` of stream byte `byte` flips, and the envelope is
     /// re-sealed around the flip.
     ResealedFlip { byte: usize, bit: u8 },
+    /// Sections `i` and `j` trade places, and the envelope is re-sealed.
+    SwapSections { i: usize, j: usize },
+    /// Section `index` is written twice in a row, and the envelope is
+    /// re-sealed.
+    DuplicateSection { index: usize },
+    /// Section `index` is left out, and the envelope is re-sealed.
+    DropSection { index: usize },
+}
+
+impl FrameFault {
+    /// Whether the fault only rearranges whole sections, so that the frame
+    /// may still decode to its original values.
+    fn rearranges_sections(self) -> bool {
+        matches!(
+            self,
+            FrameFault::SwapSections { .. }
+                | FrameFault::DuplicateSection { .. }
+                | FrameFault::DropSection { .. }
+        )
+    }
 }
 
 /// A frame as written, with where its regions lie on the stream.
@@ -128,8 +153,23 @@ impl Written {
         stream
     }
 
+    /// The stream with the sections at `order` (indices into
+    /// `sections`) in a freshly sealed envelope.
+    fn reseal_sections(&self, order: &[usize]) -> Vec<u8> {
+        let payload: Vec<u8> = order
+            .iter()
+            .flat_map(|&k| {
+                let (at, len) = self.sections[k];
+                &self.stream[at..at + SECTION_HEADER_LEN + len]
+            })
+            .copied()
+            .collect();
+        self.reseal(&payload)
+    }
+
     fn apply(&self, fault: FrameFault) -> Vec<u8> {
         let mut stream = self.stream.clone();
+        let mut order: Vec<usize> = (0..self.sections.len()).collect();
         match fault {
             FrameFault::Truncate { keep } => stream.truncate(keep),
             FrameFault::BitFlip { byte, bit } => stream[byte] ^= 1 << bit,
@@ -144,6 +184,18 @@ impl Written {
             FrameFault::ResealedFlip { byte, bit } => {
                 stream[byte] ^= 1 << bit;
                 stream = self.reseal(&stream[PAYLOAD_AT..]);
+            }
+            FrameFault::SwapSections { i, j } => {
+                order.swap(i, j);
+                stream = self.reseal_sections(&order);
+            }
+            FrameFault::DuplicateSection { index } => {
+                order.insert(index, index);
+                stream = self.reseal_sections(&order);
+            }
+            FrameFault::DropSection { index } => {
+                order.remove(index);
+                stream = self.reseal_sections(&order);
             }
         }
         stream
@@ -210,6 +262,14 @@ impl SeededFrameFaults {
                 }
             }
         }
+        if frame.format != Format::ServeFetch {
+            let n = frame.sections.len();
+            for i in 0..n {
+                faults.extend((i + 1..n).map(|j| FrameFault::SwapSections { i, j }));
+                faults.push(FrameFault::DuplicateSection { index: i });
+                faults.push(FrameFault::DropSection { index: i });
+            }
+        }
         faults
     }
 }
@@ -258,20 +318,25 @@ fn every_frame_fault_is_a_typed_error_without_panics_or_accepted_garbage() {
     assert_eq!(section_counts, [1, 3, 1], "KEY; FINGERPRINT, PROGRAM, INPUTS; JOB");
 
     let injector = SeededFrameFaults { seed: 0x5E7E_F7A3 };
-    let (mut total, mut panics, mut accepted) = (0, Vec::new(), Vec::new());
+    let (mut total, mut rearranged, mut panics, mut accepted) = (0, 0, Vec::new(), Vec::new());
     for (frame, want) in frames.iter().zip(&expected) {
         assert_eq!(&receive(&frame.stream, &keys, &params).unwrap(), want, "{}", frame.name);
         for fault in injector.faults(frame) {
             total += 1;
+            rearranged += usize::from(fault.rearranges_sections());
             let stream = frame.apply(fault);
             match catch_unwind(AssertUnwindSafe(|| receive(&stream, &keys, &params))) {
                 Err(_) => panics.push(format!("{} {fault:?}", frame.name)),
+                Ok(Ok(got)) if fault.rearranges_sections() && &got == want => {}
                 Ok(Ok(got)) => accepted.push(format!("{} {fault:?} as {got:?}", frame.name)),
                 Ok(Err(err)) => assert!(is_request_fault(&err), "{} {fault:?}: {err}", frame.name),
             }
         }
     }
     assert!(total >= 500, "the harness ran only {total} cases");
+    // Install: one duplicate, one drop. Submit: three swaps, three
+    // duplicates, three drops.
+    assert_eq!(rearranged, 11, "section rearrangements");
     assert!(panics.is_empty(), "{} of {total} cases panicked: {panics:#?}", panics.len());
     assert!(
         accepted.is_empty(),

@@ -1,8 +1,9 @@
 //! Wave-granular checkpoint/resume for the resilient executor.
 //!
 //! After each completed wave barrier, [`crate::exec::execute_resilient`]
-//! can snapshot the *frontier* — the values still needed by later waves
-//! or by program outputs — into a [`Checkpoint`]. An interrupted run
+//! can snapshot the *frontier* — the slots of its replay arena still
+//! needed by later waves or by program outputs
+//! ([`crate::KernelPlan::live_ranges`]) — into a [`Checkpoint`]. An interrupted run
 //! (worker crash, process kill) then resumes from the last barrier
 //! instead of gate zero, which is the difference between losing minutes
 //! and losing hours on the paper's MNIST_L-scale programs (Table IV).

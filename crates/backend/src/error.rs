@@ -24,12 +24,12 @@ pub enum ExecError {
     /// A worker thread panicked (encrypted evaluation bugs surface here
     /// rather than poisoning results).
     WorkerPanicked,
-    /// A gate task kept failing until its retry budget ran out.
+    /// A chunk of a wave kept failing until its retry budget ran out.
     Exhausted {
-        /// Wave the task belongs to.
+        /// Wave the chunk belongs to.
         wave: usize,
-        /// Netlist node id of the gate.
-        gate: u32,
+        /// Index of the chunk within the wave's dispatch.
+        chunk: u32,
         /// Attempts made (including the first).
         attempts: u32,
     },
@@ -74,8 +74,8 @@ impl fmt::Display for ExecError {
             }
             ExecError::InvalidProgram(e) => write!(f, "invalid program: {e}"),
             ExecError::WorkerPanicked => write!(f, "a worker thread panicked"),
-            ExecError::Exhausted { wave, gate, attempts } => {
-                write!(f, "gate {gate} in wave {wave} failed all {attempts} attempts")
+            ExecError::Exhausted { wave, chunk, attempts } => {
+                write!(f, "chunk {chunk} of wave {wave} failed all {attempts} attempts")
             }
             ExecError::NoWorkers { wave } => {
                 write!(f, "all workers evicted before wave {wave} completed")

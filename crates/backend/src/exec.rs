@@ -2,17 +2,17 @@
 //! oracle every suite compares against), [`execute_parallel`] — the
 //! one-shot form of the paper's Algorithm 1, which this crate implements
 //! as [`capture`] + [`replay`] — and the fault-tolerant
-//! [`execute_resilient`].
+//! [`execute_resilient`], which is capture plus the same wave dispatch
+//! with failed chunks retried.
 //!
 //! All are generic over a [`GateEngine`], so the identical scheduling
 //! code serves plaintext validation and real homomorphic evaluation.
 
-use crate::checkpoint::{netlist_fingerprint, Checkpoint, CheckpointStore, Checkpointable};
+use crate::checkpoint::{Checkpoint, CheckpointStore, Checkpointable};
 use crate::engine::{check_inputs, GateEngine};
 use crate::error::ExecError;
 use crate::fault::{FaultInjector, RetryPolicy, TaskFate};
-use crate::graph::{capture, replay, CaptureConfig, ReplayLanes};
-use pytfhe_netlist::topo::{LevelSchedule, Levels};
+use crate::graph::{capture, replay, run_wave_with, CaptureConfig, Launch, ReplayLanes, Retry};
 use pytfhe_netlist::{GateKind, Netlist, Node};
 use pytfhe_telemetry as telemetry;
 use std::time::Instant;
@@ -30,7 +30,7 @@ pub struct ExecStats {
     pub waves: usize,
     /// Wall-clock seconds.
     pub wall_s: f64,
-    /// Failed task attempts that were retried.
+    /// Failed chunk attempts that were retried.
     pub retries: u64,
     /// Workers permanently evicted after a crash.
     pub evicted_workers: usize,
@@ -39,11 +39,10 @@ pub struct ExecStats {
     /// The wave a resumed run restarted after, if it resumed at all.
     pub resumed_from_wave: Option<usize>,
     /// Seconds spent capturing the kernel plan (0 when the plan came from
-    /// the cache, and for the reference and resilient executors).
+    /// the cache, and for the reference executor).
     pub capture_s: f64,
     /// Seconds spent replaying the captured plan (`wall_s` additionally
-    /// covers capture and cache lookup; 0 for the reference and
-    /// resilient executors).
+    /// covers capture and cache lookup; 0 for the reference executor).
     pub replay_s: f64,
     /// Whether the kernel-graph executor reused a cached plan instead of
     /// capturing one.
@@ -193,37 +192,6 @@ pub fn netlist_bootstraps(nl: &Netlist) -> u64 {
         .sum()
 }
 
-/// Evaluates node `g` against a read-only value table (the reference
-/// executor stores the result in place; the fault-tolerant executor's
-/// workers collect results off to the side). `msg_precision` is `Some`
-/// on LUT-lowered netlists, where constants must ride the message
-/// encoding.
-fn eval_node_value<E: GateEngine>(
-    engine: &E,
-    nodes: &[Node],
-    values: &[E::Value],
-    g: u32,
-    msg_precision: Option<u8>,
-    scratch: &mut E::Scratch,
-) -> E::Value {
-    match nodes[g as usize] {
-        Node::Gate { kind, a, b } => match msg_precision {
-            Some(p) if kind.is_const() => engine.constant_message(kind == GateKind::Const1, p),
-            _ => engine.eval(kind, &values[a.index()], &values[b.index()], scratch),
-        },
-        Node::Lut { spec, ins } => {
-            let refs = [
-                &values[ins[0].index()],
-                &values[ins[1].index()],
-                &values[ins[2].index()],
-                &values[ins[3].index()],
-            ];
-            engine.eval_lut(spec, &refs, scratch)
-        }
-        Node::Input => unreachable!("schedules contain only computed nodes"),
-    }
-}
-
 /// Runs `nl` on `inputs` with a single thread, in node order (valid
 /// because netlists are topologically ordered by construction).
 ///
@@ -244,20 +212,21 @@ pub fn execute<E: GateEngine>(
     let filler = engine.constant(false);
     let mut values: Vec<E::Value> = vec![filler; nl.num_nodes()];
     let mut scratch = engine.scratch();
-    let mut next_input = 0;
+    let mut inputs = inputs.iter();
+    // `Some` on LUT-lowered netlists, where constants ride the message
+    // encoding.
     let msg_precision = nl.lut_precision();
-    let nodes = nl.nodes();
-    for (i, node) in nodes.iter().enumerate() {
-        match *node {
-            Node::Input => {
-                values[i] = inputs[next_input].clone();
-                next_input += 1;
+    for (i, node) in nl.nodes().iter().enumerate() {
+        values[i] = match *node {
+            Node::Input => inputs.next().expect("input count checked").clone(),
+            Node::Gate { kind, a, b } => match msg_precision {
+                Some(p) if kind.is_const() => engine.constant_message(kind == GateKind::Const1, p),
+                _ => engine.eval(kind, &values[a.index()], &values[b.index()], &mut scratch),
+            },
+            Node::Lut { spec, ins } => {
+                engine.eval_lut(spec, &ins.map(|id| &values[id.index()]), &mut scratch)
             }
-            Node::Gate { .. } | Node::Lut { .. } => {
-                values[i] =
-                    eval_node_value(engine, nodes, &values, i as u32, msg_precision, &mut scratch);
-            }
-        }
+        };
     }
     let outputs = nl.outputs().iter().map(|o| values[o.index()].clone()).collect();
     let mut stats = ExecStats::new(nl.num_gates(), nl.num_luts(), netlist_bootstraps(nl));
@@ -308,7 +277,7 @@ pub struct ResilientConfig {
     /// Initial worker count (crashed workers are evicted, so the
     /// effective pool can shrink down to 1 before the run fails).
     pub workers: usize,
-    /// Retry/backoff/deadline policy for failed gate tasks.
+    /// Retry/backoff/deadline policy for failed chunks.
     pub retry: RetryPolicy,
     /// Completed waves between checkpoints (1 = snapshot at every
     /// barrier, 0 = never snapshot even when a store is supplied).
@@ -322,41 +291,35 @@ impl ResilientConfig {
     }
 }
 
-/// Per-gate results of one worker's chunk in a wave.
-type ChunkResults<V> = Vec<(u32, V)>;
-
-/// What one worker brought back from its chunk of a partition round.
-enum WorkerOutcome<V> {
-    /// The worker crashed: its chunk is lost, the worker is evicted.
-    Crashed,
-    /// All assigned gates completed (some possibly after retries).
-    Done { results: ChunkResults<V>, retries: u64 },
-    /// A gate ran out of retry attempts.
-    Exhausted { gate: u32, attempts: u32 },
-}
-
-/// Runs `nl` with the wavefront of Algorithm 1 under a fault model:
-/// failed gate tasks are retried with capped exponential backoff and
-/// jitter, stragglers past their deadline are abandoned and retried,
-/// crashed workers are permanently evicted (their in-flight chunk is
-/// re-partitioned across the survivors at the wave barrier), and — when a
-/// [`CheckpointStore`] is supplied — the live frontier is snapshotted
-/// after each completed wave so an interrupted run resumes from the last
-/// barrier instead of gate zero.
+/// Runs `nl` like [`execute_parallel`] — [`capture`], then the plan's
+/// waves through the one wave dispatcher — under a fault model: a chunk
+/// whose attempt fails (or panics) is re-run with capped exponential
+/// backoff while the wave's finished chunks stand, stragglers past their
+/// deadline are abandoned and retried, a crashed worker takes its lane
+/// away for the rest of the run, and — when a [`CheckpointStore`] is
+/// supplied — the live values are snapshotted after each completed wave
+/// so an interrupted run resumes from the last barrier instead of gate
+/// zero.
 ///
-/// With [`crate::fault::NoFaults`] this behaves exactly like
-/// [`execute_parallel`] and produces bit-identical outputs; faults never
-/// change results, only the path taken to them.
+/// Waves are numbered as in [`LevelSchedule`] (the topological level of
+/// their gates), which is what [`FaultInjector`] coordinates,
+/// [`Checkpoint::wave`] and the wave errors refer to.
+///
+/// With [`crate::fault::NoFaults`] this produces the bytes
+/// [`execute_parallel`] does; faults never change results, only the path
+/// taken to them.
 ///
 /// # Errors
 ///
 /// Returns the usual validation errors, plus [`ExecError::Exhausted`]
-/// when a task's retry budget runs out, [`ExecError::NoWorkers`] when
+/// when a chunk's retry budget runs out, [`ExecError::NoWorkers`] when
 /// every worker has been evicted, [`ExecError::WaveDeadlineExceeded`]
 /// when a wave blows its deadline, and checkpoint errors when a supplied
 /// store cannot round-trip a snapshot (including
 /// [`ExecError::BadCheckpoint`] if the store holds a snapshot of a
 /// *different* program).
+///
+/// [`LevelSchedule`]: pytfhe_netlist::LevelSchedule
 pub fn execute_resilient<E, F>(
     engine: &E,
     nl: &Netlist,
@@ -371,239 +334,146 @@ where
     F: FaultInjector + ?Sized,
 {
     check_inputs(engine, nl.num_inputs(), inputs)?;
-    nl.validate()?;
     let _span = telemetry::span_with("exec", || {
         format!("resilient execute: {} gates, {} workers", nl.num_gates(), cfg.workers)
     });
     let start = Instant::now();
-    let levels = Levels::compute(nl);
-    let schedule = LevelSchedule::from_levels(nl, &levels);
-    let mut stats = ExecStats::new(nl.num_gates(), nl.num_luts(), netlist_bootstraps(nl));
-    let msg_precision = nl.lut_precision();
-    let filler = engine.constant(false);
-    let mut values: Vec<E::Value> = vec![filler; nl.num_nodes()];
-    for (slot, input) in nl.inputs().iter().zip(inputs) {
-        values[slot.index()] = input.clone();
-    }
+    let plan = capture(nl, &CaptureConfig::default())?;
+    let capture_s = start.elapsed().as_secs_f64();
+    let mut lanes = ReplayLanes::new(cfg.workers);
+    lanes.load(engine, &plan, inputs)?;
+    let mut stats = ExecStats::new(plan.num_gates(), plan.num_luts(), plan.bootstraps());
+    stats.capture_s = capture_s;
+    // The plan's waves are the schedule's non-empty levels in order, and
+    // only level 0, which holds nothing but constants, can be empty.
+    let level_0_empty = !plan
+        .waves()
+        .next()
+        .is_some_and(|w| w.lut_groups.is_empty() && w.groups.iter().all(|g| g.kind.is_const()));
+    let first_level = usize::from(level_0_empty);
 
-    // Liveness for frontier snapshots: a node is live past wave `k` if
-    // some gate of a later wave reads it, or it is a program output.
-    let nodes = nl.nodes();
-    let mut last_read = vec![0u32; nl.num_nodes()];
-    for (i, node) in nodes.iter().enumerate() {
-        let l = levels.level[i];
-        match *node {
-            Node::Gate { kind, a, b } => {
-                if kind.is_const() {
-                    continue;
-                }
-                last_read[a.index()] = last_read[a.index()].max(l);
-                if !kind.is_unary() {
-                    last_read[b.index()] = last_read[b.index()].max(l);
-                }
-            }
-            Node::Lut { spec, ins } => {
-                for id in &ins[..spec.width as usize] {
-                    last_read[id.index()] = last_read[id.index()].max(l);
-                }
-            }
-            Node::Input => {}
-        }
-    }
-    let mut is_output = vec![false; nl.num_nodes()];
-    for o in nl.outputs() {
-        is_output[o.index()] = true;
-    }
-
-    let fingerprint = netlist_fingerprint(nl);
-    let mut start_wave = 0usize;
+    let mut skip = 0;
     if let Some(store) = store.as_deref_mut() {
         if let Some(ckpt) = store.load()? {
-            if ckpt.fingerprint() != fingerprint {
+            if ckpt.fingerprint() != plan.fingerprint {
                 return Err(ExecError::BadCheckpoint {
                     reason: "checkpoint belongs to a different program",
                 });
             }
-            ckpt.restore_into(&mut values)?;
-            start_wave = ckpt.wave() + 1;
+            ckpt.restore_into(&mut lanes.values)?;
+            skip = (ckpt.wave() + 1).saturating_sub(first_level);
             stats.resumed_from_wave = Some(ckpt.wave());
         }
     }
+    let snapshots = cfg.checkpoint_every > 0 && store.is_some();
+    let live = if snapshots { plan.live_ranges() } else { Vec::new() };
 
     let mut alive: Vec<usize> = (0..cfg.workers.max(1)).collect();
-    for (wave_idx, wave) in schedule.waves.iter().enumerate() {
-        if wave_idx < start_wave || wave.is_empty() {
-            continue;
+    for (index, wave) in plan.waves().enumerate().skip(skip) {
+        let level = index + first_level;
+        alive.retain(|&worker| {
+            let crashed = faults.worker_crashes(level, worker);
+            if crashed {
+                stats.evicted_workers += 1;
+                telemetry::instant("exec", format!("worker {worker} evicted (wave {level})"));
+            }
+            !crashed
+        });
+        if alive.is_empty() {
+            return Err(ExecError::NoWorkers { wave: level });
         }
+        let mut retry = WaveRetry {
+            faults,
+            policy: &cfg.retry,
+            wave: level,
+            attempt: 1,
+            start: Instant::now(),
+            retries: 0,
+        };
+        let launch =
+            Launch { engine, wave, msg_precision: plan.message_precision, lanes: &mut lanes };
+        let ran = run_wave_with(&mut [launch], alive.len(), &mut stats, &mut retry);
+        stats.retries += retry.retries;
+        ran?;
+        retry.within_deadline()?;
         stats.waves += 1;
-        let _wave_span =
-            telemetry::span_with("exec", || format!("wave {wave_idx}: {} gates", wave.len()));
-        telemetry::counter_sample("exec", "wave_width", wave.len() as f64);
-        let wave_start = Instant::now();
-        let mut pending: Vec<u32> = wave.clone();
-        while !pending.is_empty() {
-            telemetry::counter_sample("exec", "queue_depth", pending.len() as f64);
-            if let Some(deadline) = cfg.retry.wave_deadline {
-                if wave_start.elapsed() > deadline {
-                    return Err(ExecError::WaveDeadlineExceeded { wave: wave_idx });
-                }
-            }
-            if alive.is_empty() {
-                return Err(ExecError::NoWorkers { wave: wave_idx });
-            }
-            let chunk = pending.len().div_ceil(alive.len());
-            let values_ref = &values;
-            let policy = &cfg.retry;
-            type Outcomes<V> = Result<Vec<(usize, WorkerOutcome<V>)>, ExecError>;
-            let outcomes: Outcomes<E::Value> = std::thread::scope(|scope| {
-                let handles: Vec<_> = pending
-                    .chunks(chunk)
-                    .zip(&alive)
-                    .map(|(part, &worker)| {
-                        let handle = scope.spawn(move || {
-                            run_chunk(
-                                engine,
-                                nodes,
-                                values_ref,
-                                part,
-                                wave_idx,
-                                worker,
-                                faults,
-                                policy,
-                                msg_precision,
-                            )
-                        });
-                        (worker, handle)
-                    })
-                    .collect();
-                // Join every handle (no short-circuit) so a panicked
-                // worker surfaces as an error, not a scope panic.
-                let joined: Vec<_> = handles.into_iter().map(|(w, h)| (w, h.join())).collect();
-                joined
-                    .into_iter()
-                    .map(|(w, r)| r.map(|o| (w, o)).map_err(|_| ExecError::WorkerPanicked))
-                    .collect()
-            });
-            let mut completed = std::collections::HashSet::new();
-            for (worker, outcome) in outcomes? {
-                match outcome {
-                    WorkerOutcome::Crashed => {
-                        alive.retain(|&w| w != worker);
-                        stats.evicted_workers += 1;
-                        if telemetry::enabled() {
-                            telemetry::instant_on_worker(
-                                "exec",
-                                format!("worker {worker} evicted (wave {wave_idx})"),
-                                worker as u32,
-                            );
-                        }
-                    }
-                    WorkerOutcome::Done { results, retries } => {
-                        stats.retries += retries;
-                        for (g, v) in results {
-                            values[g as usize] = v;
-                            completed.insert(g);
-                        }
-                    }
-                    WorkerOutcome::Exhausted { gate, attempts } => {
-                        return Err(ExecError::Exhausted { wave: wave_idx, gate, attempts });
-                    }
-                }
-            }
-            pending.retain(|g| !completed.contains(g));
-        }
-        if cfg.checkpoint_every > 0 && stats.waves.is_multiple_of(cfg.checkpoint_every) {
-            if let Some(store) = store.as_deref_mut() {
-                let frontier = (0..nl.num_nodes()).filter_map(|i| {
-                    let computed_gate =
-                        !matches!(nodes[i], Node::Input) && levels.level[i] <= wave_idx as u32;
-                    let live = last_read[i] > wave_idx as u32 || is_output[i];
-                    (computed_gate && live).then(|| (i as u32, &values[i]))
-                });
-                let ckpt_span =
-                    telemetry::span_with("exec", || format!("checkpoint after wave {wave_idx}"));
-                store.save(&Checkpoint::capture(wave_idx, fingerprint, frontier))?;
-                ckpt_span.end();
-                stats.checkpoints += 1;
-            }
+        let due = snapshots && stats.waves.is_multiple_of(cfg.checkpoint_every);
+        if let Some(store) = store.as_deref_mut().filter(|_| due) {
+            let k = index as u32;
+            let frontier =
+                live.iter().enumerate().filter(|(_, &(written, read))| written <= k && k < read);
+            let frontier = frontier.map(|(slot, _)| (slot as u32, &lanes.values[slot]));
+            let ckpt_span =
+                telemetry::span_with("exec", || format!("checkpoint after wave {level}"));
+            store.save(&Checkpoint::capture(level, plan.fingerprint, frontier))?;
+            ckpt_span.end();
+            stats.checkpoints += 1;
         }
     }
-    let outputs = nl.outputs().iter().map(|o| values[o.index()].clone()).collect();
     stats.wall_s = start.elapsed().as_secs_f64();
+    stats.replay_s = stats.wall_s - capture_s;
     stats.record_metrics();
-    Ok((outputs, stats))
+    Ok((lanes.outputs(&plan), stats))
 }
 
-/// One worker's pass over its chunk: evaluate each gate, retrying
-/// injected failures with the policy's backoff, or crash wholesale if the
-/// injector says this worker dies in this wave.
-#[allow(clippy::too_many_arguments)]
-fn run_chunk<E, F>(
-    engine: &E,
-    nodes: &[Node],
-    values: &[E::Value],
-    part: &[u32],
+/// The resilient executor's [`Retry`] policy for one wave: consults the
+/// injector per (wave, chunk, attempt), and between rounds counts the
+/// failed chunks, gives up past the attempt or wall-clock budget, and
+/// backs off.
+struct WaveRetry<'a, F: ?Sized> {
+    faults: &'a F,
+    policy: &'a RetryPolicy,
     wave: usize,
-    worker: usize,
-    faults: &F,
-    policy: &RetryPolicy,
-    msg_precision: Option<u8>,
-) -> WorkerOutcome<E::Value>
-where
-    E: GateEngine,
-    F: FaultInjector + ?Sized,
-{
-    if faults.worker_crashes(wave, worker) {
-        return WorkerOutcome::Crashed;
-    }
-    let _chunk_span = telemetry::worker_span_with(
-        "exec",
-        || format!("wave {wave} chunk: {} gates", part.len()),
-        worker as u32,
-    );
-    let mut scratch = engine.scratch();
-    let mut results = Vec::with_capacity(part.len());
-    let mut retries = 0u64;
-    for &g in part {
-        let mut attempt = 0u32;
-        loop {
-            attempt += 1;
-            let failed = match faults.task_fate(wave, g, attempt) {
-                TaskFate::Success => false,
-                TaskFate::Fail => true,
-                TaskFate::Slow(latency) => {
-                    // Past the task deadline the attempt is abandoned
-                    // immediately (in a real cluster the driver stops
-                    // waiting); within it, the straggler really stalls.
-                    if policy.task_deadline.is_some_and(|d| latency > d) {
-                        true
-                    } else {
-                        std::thread::sleep(latency);
-                        false
-                    }
-                }
-            };
-            if failed {
-                retries += 1;
-                if telemetry::enabled() {
-                    telemetry::instant_on_worker(
-                        "exec",
-                        format!("retry gate {g} (attempt {attempt})"),
-                        worker as u32,
-                    );
-                }
-                if attempt >= policy.max_attempts.max(1) {
-                    return WorkerOutcome::Exhausted { gate: g, attempts: attempt };
-                }
-                std::thread::sleep(policy.backoff(g, attempt));
-                continue;
+    /// The attempt every chunk of the round under way is on: each round
+    /// re-runs all the chunks that have not finished.
+    attempt: u32,
+    start: Instant,
+    retries: u64,
+}
+
+impl<F: FaultInjector + ?Sized> WaveRetry<'_, F> {
+    fn within_deadline(&self) -> Result<(), ExecError> {
+        match self.policy.wave_deadline {
+            Some(deadline) if self.start.elapsed() > deadline => {
+                Err(ExecError::WaveDeadlineExceeded { wave: self.wave })
             }
-            let out = eval_node_value(engine, nodes, values, g, msg_precision, &mut scratch);
-            results.push((g, out));
-            break;
+            _ => Ok(()),
         }
     }
-    WorkerOutcome::Done { results, retries }
+}
+
+impl<F: FaultInjector + ?Sized> Retry for WaveRetry<'_, F> {
+    fn admit(&self, chunk: usize) -> bool {
+        match self.faults.task_fate(self.wave, chunk as u32, self.attempt) {
+            TaskFate::Success => true,
+            TaskFate::Fail => false,
+            // Past the task deadline the attempt is abandoned at once (a
+            // driver stops waiting); within it, the straggler stalls its
+            // lane for real.
+            TaskFate::Slow(latency) => {
+                let abandoned = self.policy.task_deadline.is_some_and(|d| latency > d);
+                if !abandoned {
+                    std::thread::sleep(latency);
+                }
+                !abandoned
+            }
+        }
+    }
+
+    fn retry(&mut self, failed: &[usize]) -> Result<(), ExecError> {
+        self.retries += failed.len() as u64;
+        let n = failed.len();
+        telemetry::instant("exec", format!("retry {n} chunks (attempt {})", self.attempt));
+        if self.attempt >= self.policy.max_attempts.max(1) {
+            let (chunk, attempts) = (failed[0] as u32, self.attempt);
+            return Err(ExecError::Exhausted { wave: self.wave, chunk, attempts });
+        }
+        self.within_deadline()?;
+        let backoff = failed.iter().map(|&c| self.policy.backoff(c as u32, self.attempt)).max();
+        std::thread::sleep(backoff.unwrap_or_default());
+        self.attempt += 1;
+        Ok(())
+    }
 }
 
 #[cfg(test)]

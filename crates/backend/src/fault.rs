@@ -1,17 +1,19 @@
-//! Fault injection and retry policy for the resilient wavefront executor.
+//! Fault injection and retry policy for the resilient executor.
 //!
 //! The paper's distributed CPU backend submits every bootstrapped gate as
 //! a separate Ray task (Section IV-D); on a real cluster those tasks fail
 //! — workers die, tasks get lost, stragglers stall a wave. This module
 //! models those failures *deterministically* so the recovery logic of
-//! [`crate::exec::execute_resilient`] can be tested bit-for-bit: a
-//! [`FaultInjector`] decides the fate of every task attempt and whether a
-//! worker crashes at a wave barrier, and [`RetryPolicy`] governs how the
-//! executor reacts (capped exponential backoff with deterministic jitter,
-//! per-task and per-wave deadlines).
+//! [`crate::exec::execute_resilient`] can be tested bit-for-bit. The unit
+//! of work is a *chunk*: the run of same-kind tasks one lane executes in
+//! one dispatch of a wave. A [`FaultInjector`] decides the fate of every
+//! chunk attempt and whether a worker crashes in a wave, and
+//! [`RetryPolicy`] governs how the executor reacts (capped exponential
+//! backoff with deterministic jitter, per-attempt and per-wave
+//! deadlines).
 //!
 //! Determinism matters more than realism here: [`SeededFaults`] derives
-//! every decision from a hash of `(seed, wave, gate, attempt)`, so a
+//! every decision from a hash of `(seed, wave, chunk, attempt)`, so a
 //! failing run is exactly reproducible from its seed.
 
 use std::time::Duration;
@@ -28,19 +30,19 @@ fn mix(mut z: u64) -> u64 {
 
 /// A uniform draw in `[0, 1)` from a seed and three decision coordinates.
 #[inline]
-pub(crate) fn unit(seed: u64, a: u64, b: u64, c: u64) -> f64 {
+fn unit(seed: u64, a: u64, b: u64, c: u64) -> f64 {
     let h = mix(seed ^ mix(a ^ mix(b ^ mix(c))));
     // 53 mantissa bits: exactly representable, uniform in [0, 1).
     (h >> 11) as f64 / (1u64 << 53) as f64
 }
 
-/// The injected outcome of one task attempt.
+/// The injected outcome of one chunk attempt.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum TaskFate {
     /// The attempt completes normally.
     Success,
     /// The attempt is lost (worker preempted, task dropped, network
-    /// blip): the executor retries it with backoff.
+    /// blip): the executor retries the chunk with backoff.
     Fail,
     /// The attempt is a straggler: it completes, but only after the extra
     /// latency. If the latency exceeds [`RetryPolicy::task_deadline`],
@@ -48,22 +50,23 @@ pub enum TaskFate {
     Slow(Duration),
 }
 
-/// Decides the fate of task attempts and worker crashes.
+/// Decides the fate of chunk attempts and worker crashes.
 ///
 /// Implementations must be deterministic functions of their arguments so
 /// that failure scenarios replay exactly; `Sync` because workers consult
 /// the injector concurrently.
 pub trait FaultInjector: Sync {
-    /// The fate of attempt `attempt` (1-based) of gate `gate` in wave
-    /// `wave`. The default injects nothing.
-    fn task_fate(&self, wave: usize, gate: u32, attempt: u32) -> TaskFate {
-        let _ = (wave, gate, attempt);
+    /// The fate of attempt `attempt` (1-based) of chunk `chunk` (its
+    /// index within the wave's dispatch) in wave `wave`. The default
+    /// injects nothing.
+    fn task_fate(&self, wave: usize, chunk: u32, attempt: u32) -> TaskFate {
+        let _ = (wave, chunk, attempt);
         TaskFate::Success
     }
 
-    /// Whether `worker` crashes while running wave `wave`. A crashed
-    /// worker loses its in-flight chunk and is permanently evicted; the
-    /// wave re-partitions its remaining gates across the survivors.
+    /// Whether `worker` crashes in wave `wave`. Asked once per wave for
+    /// every live worker before the wave runs: a crashed worker is
+    /// permanently evicted, and the wave runs on one lane fewer.
     fn worker_crashes(&self, wave: usize, worker: usize) -> bool {
         let _ = (wave, worker);
         false
@@ -99,7 +102,7 @@ impl SeededFaults {
         }
     }
 
-    /// Each task attempt independently fails with probability `p`.
+    /// Each chunk attempt independently fails with probability `p`.
     #[must_use]
     pub fn with_fail_prob(mut self, p: f64) -> Self {
         self.fail_prob = p.clamp(0.0, 1.0);
@@ -115,8 +118,8 @@ impl SeededFaults {
         self
     }
 
-    /// Worker `worker` crashes while running wave `wave` (it loses its
-    /// chunk and is evicted for the rest of the run).
+    /// Worker `worker` crashes in wave `wave` (it is evicted for the
+    /// rest of the run).
     #[must_use]
     pub fn with_worker_crash(mut self, worker: usize, wave: usize) -> Self {
         self.crashes.push((worker, wave));
@@ -125,12 +128,12 @@ impl SeededFaults {
 }
 
 impl FaultInjector for SeededFaults {
-    fn task_fate(&self, wave: usize, gate: u32, attempt: u32) -> TaskFate {
-        let fail = unit(self.seed, wave as u64, u64::from(gate), u64::from(attempt));
+    fn task_fate(&self, wave: usize, chunk: u32, attempt: u32) -> TaskFate {
+        let fail = unit(self.seed, wave as u64, u64::from(chunk), u64::from(attempt));
         if fail < self.fail_prob {
             return TaskFate::Fail;
         }
-        let slow = unit(self.seed ^ 0x510_CA57, wave as u64, u64::from(gate), u64::from(attempt));
+        let slow = unit(self.seed ^ 0x510_CA57, wave as u64, u64::from(chunk), u64::from(attempt));
         if slow < self.slow_prob {
             return TaskFate::Slow(self.slow_by);
         }
@@ -145,10 +148,11 @@ impl FaultInjector for SeededFaults {
 /// How the resilient executor reacts to injected (or real) failures.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct RetryPolicy {
-    /// Attempts per task before surfacing
+    /// Attempts per chunk before surfacing
     /// [`crate::ExecError::Exhausted`] (at least 1).
     pub max_attempts: u32,
-    /// Backoff before the first retry; doubles on every further retry.
+    /// Backoff before the first retry round; doubles on every further
+    /// one.
     pub base_backoff: Duration,
     /// Cap on the exponential backoff.
     pub max_backoff: Duration,
@@ -156,8 +160,9 @@ pub struct RetryPolicy {
     /// is abandoned and retried instead of awaited. `None` waits forever.
     pub task_deadline: Option<Duration>,
     /// Wall-clock budget for one wave (including all retry rounds);
-    /// exceeding it surfaces [`crate::ExecError::WaveDeadlineExceeded`].
-    /// `None` disables the check.
+    /// exceeding it surfaces [`crate::ExecError::WaveDeadlineExceeded`],
+    /// checked between rounds and when the wave ends. `None` disables
+    /// the check.
     pub wave_deadline: Option<Duration>,
     /// Seed of the deterministic backoff jitter.
     pub jitter_seed: u64,
@@ -188,15 +193,16 @@ impl RetryPolicy {
         }
     }
 
-    /// The backoff before retry number `attempt` (1-based) of `gate`:
-    /// `base * 2^(attempt-1)`, capped at [`RetryPolicy::max_backoff`],
-    /// plus up to +50 % deterministic jitter so synchronized retries
-    /// spread out.
-    pub fn backoff(&self, gate: u32, attempt: u32) -> Duration {
+    /// The backoff after failed attempt `attempt` (1-based) of chunk
+    /// `chunk`: `base * 2^(attempt-1)`, capped at
+    /// [`RetryPolicy::max_backoff`], plus up to +50 % deterministic
+    /// jitter so synchronized retries spread out. A retry round waits for
+    /// the longest backoff among its chunks.
+    pub fn backoff(&self, chunk: u32, attempt: u32) -> Duration {
         let doublings = attempt.saturating_sub(1).min(16);
         let exp = self.base_backoff.saturating_mul(1u32 << doublings);
         let capped = exp.min(self.max_backoff);
-        let jitter = unit(self.jitter_seed, u64::from(gate), u64::from(attempt), 0);
+        let jitter = unit(self.jitter_seed, u64::from(chunk), u64::from(attempt), 0);
         capped + capped.mul_f64(jitter * 0.5)
     }
 }
@@ -347,7 +353,7 @@ mod tests {
     }
 
     #[test]
-    fn jitter_differs_across_gates() {
+    fn jitter_differs_across_chunks() {
         let p = RetryPolicy::default();
         assert_ne!(p.backoff(1, 4), p.backoff(2, 4));
     }

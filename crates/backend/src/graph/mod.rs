@@ -31,6 +31,7 @@ pub use plan::{
     counts_toward_batch, GateGroup, GateTask, KernelPlan, LutGroup, LutTask, SubGraph, WavePlan,
 };
 pub use replay::{replay, run_wave, Launch, ReplayLanes};
+pub(crate) use replay::{run_wave_with, Retry};
 
 use crate::checkpoint::netlist_fingerprint;
 use crate::engine::{check_inputs, GateEngine};

@@ -223,30 +223,72 @@ pub struct KernelPlan {
 }
 
 impl KernelPlan {
+    /// Every wave of every batch, in execution order.
+    pub fn waves(&self) -> impl Iterator<Item = &WavePlan> {
+        self.batches.iter().flat_map(|b| &b.waves)
+    }
+
     /// Total gates across all batches.
     pub fn num_gates(&self) -> usize {
-        self.batches.iter().map(|b| b.waves.iter().map(WavePlan::num_gates).sum::<usize>()).sum()
+        self.waves().map(WavePlan::num_gates).sum()
     }
 
     /// Total fused LUT tasks across all batches.
     pub fn num_luts(&self) -> usize {
-        self.batches.iter().map(|b| b.waves.iter().map(WavePlan::num_luts).sum::<usize>()).sum()
+        self.waves().map(WavePlan::num_luts).sum()
     }
 
     /// Whether any wave carries fused LUT groups.
     pub fn has_luts(&self) -> bool {
-        self.batches.iter().flat_map(|b| &b.waves).any(|w| !w.lut_groups.is_empty())
+        self.waves().any(|w| !w.lut_groups.is_empty())
     }
 
     /// Bootstraps a replay executes: binary gates plus non-affine LUT
     /// cones (`Not`, `Buf`, constants, and affine LUTs are linear).
     pub fn bootstraps(&self) -> u64 {
-        self.batches.iter().flat_map(|b| &b.waves).map(WavePlan::bootstraps).sum()
+        self.waves().map(WavePlan::bootstraps).sum()
     }
 
     /// Scheduling waves across all batches.
     pub fn num_waves(&self) -> usize {
         self.batches.iter().map(|b| b.waves.len()).sum()
+    }
+
+    /// The live range of every value slot, as `(written, last_read)`
+    /// indices into [`KernelPlan::waves`]: the wave that computes the
+    /// slot (`u32::MAX` for inputs, which no wave writes) and the last
+    /// wave that reads it (0 if none; `u32::MAX` for outputs, which are
+    /// read after every wave). After wave `k`, the values a later wave
+    /// or the result still needs are exactly the slots with
+    /// `written <= k < last_read`.
+    pub fn live_ranges(&self) -> Vec<(u32, u32)> {
+        let mut ranges = vec![(u32::MAX, 0); self.num_nodes];
+        for (w, wave) in self.waves().enumerate() {
+            let w = w as u32;
+            for group in &wave.groups {
+                // Constants read no operand, unary gates only `a`.
+                let reads =
+                    if group.kind.is_const() { 0 } else { 2 - usize::from(group.kind.is_unary()) };
+                for t in &group.tasks {
+                    ranges[t.out as usize].0 = w;
+                    for &slot in &[t.a, t.b][..reads] {
+                        ranges[slot as usize].1 = w;
+                    }
+                }
+            }
+            for group in &wave.lut_groups {
+                for t in &group.tasks {
+                    ranges[t.out as usize].0 = w;
+                    for &slot in &t.ins[..usize::from(group.width)] {
+                        ranges[slot as usize].1 = w;
+                    }
+                }
+            }
+        }
+        for &slot in &self.outputs {
+            ranges[slot as usize].1 = u32::MAX;
+        }
+        ranges
     }
 }
 
@@ -400,16 +442,12 @@ impl KernelPlan {
         let ok = |slot: u32| u64::from(slot) < n;
         let wires = self.inputs.iter().chain(&self.outputs).all(|&s| ok(s));
         let gates = self
-            .batches
-            .iter()
-            .flat_map(|b| &b.waves)
+            .waves()
             .flat_map(|w| &w.groups)
             .flat_map(|g| &g.tasks)
             .all(|t| ok(t.out) && ok(t.a) && ok(t.b));
         let luts = self
-            .batches
-            .iter()
-            .flat_map(|b| &b.waves)
+            .waves()
             .flat_map(|w| &w.lut_groups)
             .flat_map(|g| &g.tasks)
             .all(|t| ok(t.out) && t.ins.iter().all(|&s| ok(s)));
@@ -719,6 +757,10 @@ mod tests {
         let plan = sample_plan();
         assert_eq!(plan.num_gates(), 5);
         assert_eq!(plan.num_waves(), 2);
+        // Slot 4 is written by a `Not`, which reads only its `a`.
+        let m = u32::MAX;
+        let live = vec![(m, 0), (m, 0), (0, 1), (0, 1), (0, 1), (1, m), (1, m)];
+        assert_eq!(plan.live_ranges(), live);
         // Not counts toward the cut budget; Buf and constants would not.
         assert_eq!(plan.batches[0].bootstrapped(), 3);
         assert!(counts_toward_batch(GateKind::Not));

@@ -16,15 +16,19 @@
 //! plan), the serving scheduler one per picked job, each over that
 //! tenant's key. All chunks of all launches are one pool run, so lanes
 //! steal across group and launch boundaries — one fat AND group no
-//! longer idles the workers that finished their XORs.
+//! longer idles the workers that finished their XORs. The resilient
+//! executor dispatches through the same code with a [`Retry`] policy
+//! that re-runs the chunks that failed.
 
 use crate::engine::{check_inputs, GateEngine};
 use crate::error::ExecError;
 use crate::exec::{ExecStats, PARALLEL_WAVE_MIN};
 use crate::graph::plan::{GateTask, KernelPlan, LutGroup, LutTask, WavePlan};
-use crate::pool::{Job, RunStats, SlotCells, WorkerPool};
+use crate::pool::{Job, SlotCells, WorkerPool};
 use pytfhe_netlist::GateKind;
 use pytfhe_telemetry as telemetry;
+use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::time::Instant;
 
 /// Reusable replay storage for values of type `V`: the value arena (one
@@ -36,7 +40,8 @@ use std::time::Instant;
 /// of many arenas (the serving scheduler) need not name a key lifetime.
 #[derive(Debug)]
 pub struct ReplayLanes<V, S> {
-    values: Vec<V>,
+    /// The value arena, indexed by netlist node id.
+    pub(crate) values: Vec<V>,
     stage: Vec<V>,
     scratches: Vec<S>,
     workers: usize,
@@ -168,9 +173,10 @@ struct Chunk<'a, E: GateEngine> {
 impl<E: GateEngine> Chunk<'_, E> {
     /// Bootstrapping LUT groups dispatch through
     /// [`GateEngine::eval_lut_batch`]; affine groups (width-1 tables)
-    /// run linearly through [`GateEngine::eval_lut_into`].
-    fn run(self, scratch: &mut E::Scratch) {
-        let Chunk { engine, values, stage, .. } = self;
+    /// run linearly through [`GateEngine::eval_lut_into`]. Only the
+    /// chunk's stage is written, so running it again is harmless.
+    fn run(&mut self, scratch: &mut E::Scratch) {
+        let (engine, values, stage) = (self.engine, self.values, &mut *self.stage);
         // The operand references of a LUT task (unused slots alias the
         // first, mirroring the netlist's padding).
         let refs = |t: &LutTask| t.ins.map(|slot| &values[slot as usize]);
@@ -194,6 +200,34 @@ impl<E: GateEngine> Chunk<'_, E> {
     }
 }
 
+/// What a dispatch does with chunks that do not finish. A chunk fails
+/// when [`Retry::admit`] refuses it or when it panics; either way it
+/// wrote nothing but its own stage, so it can simply run again.
+pub(crate) trait Retry: Sync {
+    /// Whether chunk `chunk` (numbered within the dispatch) runs in the
+    /// current round. Called on the lane about to run it; `false` fails
+    /// the attempt.
+    fn admit(&self, chunk: usize) -> bool;
+
+    /// Called after a round in which the `failed` chunks did not finish:
+    /// `Ok` runs them again, an error abandons the wave.
+    fn retry(&mut self, failed: &[usize]) -> Result<(), ExecError>;
+}
+
+/// [`run_wave`]'s policy: every chunk runs once, and a panic fails the
+/// wave.
+struct FailFast;
+
+impl Retry for FailFast {
+    fn admit(&self, _: usize) -> bool {
+        true
+    }
+
+    fn retry(&mut self, _: &[usize]) -> Result<(), ExecError> {
+        Err(ExecError::WorkerPanicked)
+    }
+}
+
 /// Executes one wave of each launch as a single dispatch: every group's
 /// results are staged (the wave's other groups may still read any slot),
 /// then swapped into the launch's value arena. The groups of all
@@ -206,11 +240,26 @@ impl<E: GateEngine> Chunk<'_, E> {
 ///
 /// # Errors
 ///
-/// Returns [`ExecError::WorkerPanicked`] when a pool lane dies.
+/// Returns [`ExecError::WorkerPanicked`] when a chunk panics; no result
+/// of the wave is swapped in then.
 pub fn run_wave<E: GateEngine>(
     launches: &mut [Launch<'_, E>],
     workers: usize,
     stats: &mut ExecStats,
+) -> Result<(), ExecError> {
+    run_wave_with(launches, workers, stats, &mut FailFast)
+}
+
+/// [`run_wave`] under a [`Retry`] policy: the chunks that fail a round
+/// run again, on the same lanes, until none fails or the policy gives
+/// up. Results swap in only once every chunk has finished, so until then
+/// the wave's operands are untouched and a re-run reads what the first
+/// attempt read.
+pub(crate) fn run_wave_with<E: GateEngine>(
+    launches: &mut [Launch<'_, E>],
+    workers: usize,
+    stats: &mut ExecStats,
+    retry: &mut impl Retry,
 ) -> Result<(), ExecError> {
     let total: usize = launches.iter().map(|l| l.wave.num_tasks()).sum();
     let Some(first) = launches.first().filter(|_| total > 0) else {
@@ -268,25 +317,48 @@ pub fn run_wave<E: GateEngine>(
             }
         }
     }
-    let run_on = |lane: usize, chunk: Chunk<'_, E>| {
-        // SAFETY: every launch holds `lanes` scratches and `lane < lanes`.
-        // The pool runs at most one task per lane at a time, and the
-        // inline path runs every chunk on lane 0 one after another, so
-        // no two live borrows share a slot.
-        let scratch = unsafe { cells[chunk.launch].slot(lane) };
-        chunk.run(scratch);
-    };
-    let run = if lanes == 1 {
-        chunks.into_iter().for_each(|chunk| run_on(0, chunk));
-        Ok(RunStats::default())
-    } else {
-        let jobs = chunks.into_iter().map(|c| Box::new(move |lane| run_on(lane, c)) as Job);
-        WorkerPool::global().run(lanes, jobs.collect())
+    // `pending[i]`: chunk `i` has not finished; `failed[i]`: not in this
+    // round (Relaxed: the pool's latch orders the stores before the reads).
+    let mut pending = vec![true; chunks.len()];
+    let failed: Vec<AtomicBool> = chunks.iter().map(|_| AtomicBool::new(false)).collect();
+    let outcome = loop {
+        let run_on = |lane: usize, i: usize, chunk: &mut Chunk<'_, E>| {
+            // SAFETY: every launch holds `lanes` scratches and `lane <
+            // lanes`. The pool runs at most one task per lane at a time,
+            // and the inline path runs every chunk on lane 0 one after
+            // another, so no two live borrows share a slot.
+            let scratch = unsafe { cells[chunk.launch].slot(lane) };
+            let ran = catch_unwind(AssertUnwindSafe(|| {
+                retry.admit(i) && {
+                    chunk.run(scratch);
+                    true
+                }
+            }));
+            failed[i].store(!matches!(ran, Ok(true)), Ordering::Relaxed);
+        };
+        let todo = chunks.iter_mut().enumerate().filter(|(i, _)| pending[*i]);
+        if lanes == 1 {
+            todo.for_each(|(i, chunk)| run_on(0, i, chunk));
+        } else {
+            let jobs = todo.map(|(i, c)| Box::new(move |lane| run_on(lane, i, c)) as Job);
+            // Every job catches its own panic, so the run cannot fail.
+            stats.steals += WorkerPool::global().run(lanes, jobs.collect()).map_or(0, |r| r.steals);
+        }
+        for (p, f) in pending.iter_mut().zip(&failed) {
+            *p = *p && f.load(Ordering::Relaxed);
+        }
+        let again: Vec<usize> = (0..pending.len()).filter(|&i| pending[i]).collect();
+        if again.is_empty() {
+            break Ok(());
+        }
+        if let Err(e) = retry.retry(&again) {
+            break Err(e);
+        }
     };
     for (l, cells) in launches.iter_mut().zip(cells) {
         l.lanes.scratches = cells.into_inner();
     }
-    stats.steals += run?.steals;
+    outcome?;
     for l in launches {
         let ReplayLanes { values, stage, .. } = &mut *l.lanes;
         let outs = l.wave.groups.iter().flat_map(|g| g.tasks.iter().map(|t| t.out));

@@ -15,9 +15,9 @@
 //! * [`exec`] — a single-threaded reference executor (the oracle),
 //!   [`exec::execute_parallel`] (capture + replay in one call, the
 //!   single-node form of the paper's distributed CPU backend), and the
-//!   resilient executor ([`exec::execute_resilient`]) that retries
-//!   failed gate tasks, evicts crashed workers, and checkpoints at wave
-//!   barriers;
+//!   resilient executor ([`exec::execute_resilient`]): capture + the
+//!   same wave dispatch, re-running failed chunks, evicting crashed
+//!   workers, and checkpointing at wave barriers;
 //! * [`fault`] — deterministic seeded fault injection ([`SeededFaults`])
 //!   and the [`RetryPolicy`] (capped exponential backoff + jitter,
 //!   per-task and per-wave deadlines) driving the resilient executor;
@@ -32,7 +32,9 @@
 //! * [`pool`] — the shared work-stealing worker pool (per-lane deques,
 //!   LIFO-local/FIFO-steal, caller participation). The workspace has
 //!   one dispatch onto it, [`graph::run_wave`], which replay calls with
-//!   one launch per wave and the serving scheduler with one per job;
+//!   one launch per wave, the serving scheduler with one per job, and
+//!   the resilient executor with a retry policy; no other code in the
+//!   crate starts a thread;
 //! * [`cost`] — the calibrated cost model (Figure 7: one bootstrapped
 //!   gate ≈ 13 ms on one CPU core; ciphertext = 2.46 KB; per-task
 //!   communication ≈ 0.094 % of runtime);

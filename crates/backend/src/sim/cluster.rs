@@ -66,89 +66,6 @@ impl ClusterReport {
     }
 }
 
-/// Failure behaviour of the simulated cluster: nodes fail independently
-/// with exponentially distributed time-between-failures and come back
-/// after a fixed recovery latency.
-///
-/// Failures are sampled deterministically from `seed` (the same splitmix
-/// scheme as [`crate::fault::SeededFaults`]), so a speedup-under-failure
-/// curve is exactly reproducible.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct SimFaultModel {
-    /// Mean time between failures of one node, in seconds. Non-positive
-    /// or non-finite disables failures.
-    pub node_mtbf_s: f64,
-    /// Time from a node failing until it rejoins the pool (Ray restarts
-    /// the raylet and re-registers the workers).
-    pub recovery_s: f64,
-    /// Cost of writing one wave checkpoint (frontier ciphertexts to the
-    /// object store), paid at every barrier by the resilient variant.
-    pub checkpoint_write_s: f64,
-    /// Seed of the deterministic failure-time sampling.
-    pub seed: u64,
-}
-
-impl SimFaultModel {
-    /// A fault model with the given node MTBF and recovery latency, a
-    /// small default checkpoint-write cost, and seed 1.
-    pub fn new(node_mtbf_s: f64, recovery_s: f64) -> Self {
-        SimFaultModel { node_mtbf_s, recovery_s, checkpoint_write_s: 0.05, seed: 1 }
-    }
-
-    /// Overrides the per-barrier checkpoint-write cost.
-    #[must_use]
-    pub fn with_checkpoint_write(mut self, s: f64) -> Self {
-        self.checkpoint_write_s = s;
-        self
-    }
-
-    /// Overrides the sampling seed.
-    #[must_use]
-    pub fn with_seed(mut self, seed: u64) -> Self {
-        self.seed = seed;
-        self
-    }
-}
-
-/// Outcome of a [`ClusterSim::simulate_faulty`] run: the same program
-/// under three regimes — no failures, failures with wave-granular
-/// checkpoint/resume, and failures with restart-from-scratch.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct FaultyClusterReport {
-    /// Wall-clock seconds with no failures (and no checkpoint cost):
-    /// [`ClusterSim::simulate`]'s prediction.
-    pub fault_free_s: f64,
-    /// Wall-clock seconds under the fault model with wave-granular
-    /// checkpointing: a failure only loses the wave in flight.
-    pub resilient_s: f64,
-    /// Wall-clock seconds under the same failure sequence when a failure
-    /// restarts the whole program (no checkpoints, no checkpoint cost).
-    pub restart_s: f64,
-    /// Single-core baseline seconds (denominator of speedup curves).
-    pub single_core_s: f64,
-    /// Node failures the resilient run absorbed.
-    pub failures_resilient: u64,
-    /// Node failures the restarting run absorbed before finishing (or
-    /// before hitting the restart cap).
-    pub failures_restart: u64,
-    /// Non-empty waves in the program.
-    pub waves: usize,
-    /// Bootstrapped gates executed.
-    pub gates: u64,
-}
-
-impl FaultyClusterReport {
-    /// Speedup over one core under failures, with checkpoint/resume —
-    /// the Figure-10-style y-axis degraded by the fault model.
-    pub fn resilient_speedup(&self) -> f64 {
-        if self.resilient_s > 0.0 {
-            self.single_core_s / self.resilient_s
-        } else {
-            1.0
-        }
-    }
-}
-
 /// The distributed-CPU simulator.
 #[derive(Debug, Clone, Copy)]
 pub struct ClusterSim {
@@ -208,114 +125,6 @@ impl ClusterSim {
         }
         let single_core_s = gates as f64 * self.cost.gate_s();
         ClusterReport { cluster_s, single_core_s, waves, gates }
-    }
-
-    /// Simulates `profile` under `fault`, in two recovery regimes over
-    /// the *same* deterministic failure process: wave-granular
-    /// checkpoint/resume (a node failure mid-wave re-runs only that wave
-    /// on the surviving nodes, paying [`SimFaultModel::checkpoint_write_s`]
-    /// at every barrier) versus restart-from-scratch (a failure rewinds
-    /// the whole program). The pair quantifies what checkpointing buys —
-    /// the degraded Figure-10 speedup curves under failure.
-    ///
-    /// Unlike [`crate::exec::execute_resilient`]'s permanent worker
-    /// eviction, the simulated cluster heals: a failed node rejoins after
-    /// [`SimFaultModel::recovery_s`] (Ray restarts the raylet), because
-    /// over cluster-scale horizons nodes reboot rather than vanish.
-    pub fn simulate_faulty(
-        &self,
-        profile: &ProgramProfile,
-        fault: &SimFaultModel,
-    ) -> FaultyClusterReport {
-        let base = self.simulate(profile);
-        let wave_sizes: Vec<u64> =
-            profile.waves.iter().map(|w| w.bootstrapped()).filter(|&n| n > 0).collect();
-        let (resilient_s, failures_resilient) = self.faulty_run(&wave_sizes, fault, true);
-        let (restart_s, failures_restart) = self.faulty_run(&wave_sizes, fault, false);
-        FaultyClusterReport {
-            fault_free_s: base.cluster_s,
-            resilient_s,
-            restart_s,
-            single_core_s: base.single_core_s,
-            failures_resilient,
-            failures_restart,
-            waves: base.waves,
-            gates: base.gates,
-        }
-    }
-
-    /// One faulty timeline: walks the waves advancing a wall clock while
-    /// nodes fail (exponential inter-failure times) and recover. With
-    /// `checkpointed`, a failure re-runs the in-flight wave on the
-    /// survivors; without, it rewinds to wave zero. Returns `(wall_s,
-    /// failures)`; a run that cannot make progress within the failure cap
-    /// reports infinite time.
-    fn faulty_run(
-        &self,
-        wave_sizes: &[u64],
-        fault: &SimFaultModel,
-        checkpointed: bool,
-    ) -> (f64, u64) {
-        // Runaway guard: with MTBF far below the wave length not even a
-        // wave can commit; report "never finishes" instead of looping.
-        const MAX_FAILURES: u64 = 100_000;
-
-        let nodes = self.config.nodes.max(1);
-        let cores = self.config.cores_per_node.max(1);
-        let enabled = fault.node_mtbf_s.is_finite() && fault.node_mtbf_s > 0.0;
-        let mut draws = vec![0u64; nodes];
-        let sample = |node: usize, draws: &mut [u64]| -> f64 {
-            if !enabled {
-                return f64::INFINITY;
-            }
-            let u = crate::fault::unit(fault.seed, node as u64, draws[node], 0xFA11);
-            draws[node] += 1;
-            // Inverse-CDF exponential sample; 1-u is in (0, 1].
-            -fault.node_mtbf_s * (1.0 - u).ln()
-        };
-        let mut next_fail: Vec<f64> = (0..nodes).map(|i| sample(i, &mut draws)).collect();
-        let mut down_until = vec![0.0f64; nodes];
-        let mut failures = 0u64;
-        let mut t = 0.0f64;
-        let mut wave_idx = 0usize;
-        while wave_idx < wave_sizes.len() {
-            let up: Vec<usize> = (0..nodes).filter(|&i| down_until[i] <= t).collect();
-            if up.is_empty() {
-                // Whole cluster down: wait for the first node to recover.
-                t = down_until.iter().copied().fold(f64::INFINITY, f64::min);
-                continue;
-            }
-            let dur = self.wave_s(wave_sizes[wave_idx], (up.len() * cores) as u64);
-            // Earliest failure among live nodes that lands inside this
-            // wave attempt, if any.
-            let failing = up
-                .iter()
-                .copied()
-                .filter(|&i| next_fail[i] < t + dur)
-                .min_by(|&a, &b| next_fail[a].total_cmp(&next_fail[b]));
-            match failing {
-                None => {
-                    t += dur;
-                    if checkpointed {
-                        t += fault.checkpoint_write_s;
-                    }
-                    wave_idx += 1;
-                }
-                Some(i) => {
-                    failures += 1;
-                    if failures >= MAX_FAILURES {
-                        return (f64::INFINITY, failures);
-                    }
-                    t = next_fail[i].max(t);
-                    down_until[i] = next_fail[i] + fault.recovery_s;
-                    next_fail[i] = down_until[i] + sample(i, &mut draws);
-                    if !checkpointed {
-                        wave_idx = 0;
-                    }
-                }
-            }
-        }
-        (t, failures)
     }
 
     /// The ideal throughput ceiling of this cluster: gates per second if
@@ -551,80 +360,6 @@ mod tests {
             list.cluster_s,
             barrier.cluster_s
         );
-    }
-
-    #[test]
-    fn no_failures_costs_only_checkpoint_writes() {
-        let sim = ClusterSim::new(CpuCostModel::paper(), ClusterConfig::one_node());
-        let profile = wide_program(256, 10);
-        let fault = SimFaultModel::new(0.0, 30.0).with_checkpoint_write(0.1);
-        let report = sim.simulate_faulty(&profile, &fault);
-        assert_eq!(report.failures_resilient, 0);
-        assert_eq!(report.failures_restart, 0);
-        assert!((report.restart_s - report.fault_free_s).abs() < 1e-9);
-        let expect = report.fault_free_s + report.waves as f64 * 0.1;
-        assert!((report.resilient_s - expect).abs() < 1e-9);
-    }
-
-    #[test]
-    fn checkpointing_beats_restart_on_one_node_under_failures() {
-        // Table II single-node config. Fault-free runtime is ~90 s; with
-        // a 60 s node MTBF the restart regime rewinds over and over while
-        // the checkpointed regime only ever loses the wave in flight.
-        let sim = ClusterSim::new(CpuCostModel::paper(), ClusterConfig::one_node());
-        let profile = wide_program(4096, 30);
-        let fault = SimFaultModel::new(60.0, 10.0);
-        let report = sim.simulate_faulty(&profile, &fault);
-        assert!(report.failures_resilient > 0, "fault model injected nothing");
-        assert!(report.resilient_s.is_finite());
-        assert!(
-            report.resilient_s < report.restart_s,
-            "resilient {} vs restart {}",
-            report.resilient_s,
-            report.restart_s
-        );
-        // Recovery is not free: the degraded curve sits below fault-free.
-        assert!(report.resilient_s > report.fault_free_s);
-        assert!(report.resilient_speedup() < sim.simulate(&profile).speedup());
-    }
-
-    #[test]
-    fn checkpointing_beats_restart_on_four_nodes_under_failures() {
-        // Table II four-node config: four times the failure exposure.
-        let sim = ClusterSim::new(CpuCostModel::paper(), ClusterConfig::four_nodes());
-        let profile = wide_program(4096, 30);
-        let fault = SimFaultModel::new(60.0, 10.0);
-        let report = sim.simulate_faulty(&profile, &fault);
-        assert!(report.failures_resilient > 0);
-        assert!(report.resilient_s.is_finite());
-        assert!(report.resilient_s < report.restart_s);
-        // Even degraded, the four-node cluster should still beat one core
-        // by a wide margin on an embarrassingly wide program.
-        assert!(report.resilient_speedup() > 10.0, "speedup {}", report.resilient_speedup());
-    }
-
-    #[test]
-    fn faulty_simulation_is_deterministic_per_seed() {
-        let sim = ClusterSim::new(CpuCostModel::paper(), ClusterConfig::four_nodes());
-        let profile = wide_program(1024, 12);
-        let fault = SimFaultModel::new(45.0, 5.0).with_seed(7);
-        let a = sim.simulate_faulty(&profile, &fault);
-        let b = sim.simulate_faulty(&profile, &fault);
-        assert_eq!(a, b);
-        let c = sim.simulate_faulty(&profile, &fault.with_seed(8));
-        assert_ne!(a.resilient_s, c.resilient_s, "different seeds, same timeline");
-    }
-
-    #[test]
-    fn hopeless_mtbf_reports_never_finishing() {
-        // MTBF far below a single wave: restart-from-scratch cannot make
-        // progress and the guard reports infinite time rather than
-        // spinning.
-        let sim = ClusterSim::new(CpuCostModel::paper(), ClusterConfig::one_node());
-        let profile = wide_program(4096, 30);
-        let fault = SimFaultModel::new(0.5, 10.0);
-        let report = sim.simulate_faulty(&profile, &fault);
-        assert!(report.restart_s.is_infinite());
     }
 
     #[test]

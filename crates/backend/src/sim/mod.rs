@@ -13,7 +13,7 @@ mod gpu;
 mod profile;
 mod timeline;
 
-pub use cluster::{ClusterConfig, ClusterReport, ClusterSim, FaultyClusterReport, SimFaultModel};
+pub use cluster::{ClusterConfig, ClusterReport, ClusterSim};
 pub(crate) use gpu::cut_batches;
 pub use gpu::{graph_batch_waves, GpuPolicy, GpuReport, GpuSim};
 pub use profile::{ProgramProfile, WaveProfile};

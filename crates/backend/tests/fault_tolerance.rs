@@ -5,14 +5,15 @@
 
 use proptest::prelude::*;
 use pytfhe_backend::{
-    execute, execute_resilient, CheckpointStore, ExecError, FileCheckpointStore,
-    MemoryCheckpointStore, NoFaults, PlainEngine, ResilientConfig, RetryPolicy, SeededFaults,
-    TfheEngine,
+    execute, execute_parallel, execute_resilient, CheckpointStore, ExecError, FileCheckpointStore,
+    GateEngine, MemoryCheckpointStore, NoFaults, PlainEngine, ResilientConfig, RetryPolicy,
+    SeededFaults, TfheEngine,
 };
 use pytfhe_hdl::Circuit;
 use pytfhe_netlist::topo::LevelSchedule;
-use pytfhe_netlist::Netlist;
+use pytfhe_netlist::{GateKind, Netlist, NodeId};
 use pytfhe_tfhe::{ClientKey, Params, SecureRng};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::Duration;
 
 fn to_bits(x: u64, w: usize) -> Vec<bool> {
@@ -51,6 +52,15 @@ fn wide(n: usize) -> Netlist {
     let bits: Vec<_> = (0..n).map(|_| c.nand(a.bit(0), b.bit(0))).collect();
     c.output_word("out", &bits.into_iter().collect());
     c.finish().expect("netlist")
+}
+
+/// `nl` with a constant XORed into one more output: the constant is the
+/// only node of level 0, so the schedule's wave 0 is no longer empty.
+fn with_constant(mut nl: Netlist) -> Netlist {
+    let one = nl.add_gate(GateKind::Const1, NodeId(0), NodeId(0)).expect("constant");
+    let flipped = nl.add_gate(GateKind::Xor, nl.outputs()[0], one).expect("gate");
+    nl.mark_output(flipped).expect("output");
+    nl
 }
 
 fn resilient_cfg(workers: usize) -> ResilientConfig {
@@ -125,15 +135,22 @@ proptest! {
 
 #[test]
 fn crash_of_all_workers_resumes_from_checkpoint() {
+    // Waves are numbered by level whether or not level 0 holds a constant.
+    for (nl, constant) in [(multiplier(5), false), (with_constant(multiplier(5)), true)] {
+        crash_all_workers_and_resume(&nl);
+        assert_eq!(nonempty_waves(&nl)[0] == 0, constant);
+    }
+}
+
+fn crash_all_workers_and_resume(nl: &Netlist) {
     let engine = PlainEngine::new();
-    let nl = multiplier(5);
-    let waves = nonempty_waves(&nl);
+    let waves = nonempty_waves(nl);
     assert!(waves.len() >= 2, "need at least two non-empty waves");
     let crash_wave = *waves.last().unwrap();
     let (x, y) = (21u64, 19u64);
     let mut input = to_bits(x, 5);
     input.extend(to_bits(y, 5));
-    let (want, _) = execute(&engine, &nl, &input).expect("sequential");
+    let (want, _) = execute(&engine, nl, &input).expect("sequential");
 
     let workers = 3;
     let mut faults = SeededFaults::new(4).with_fail_prob(0.1);
@@ -142,7 +159,7 @@ fn crash_of_all_workers_resumes_from_checkpoint() {
     }
     let mut store = MemoryCheckpointStore::new();
     let err =
-        execute_resilient(&engine, &nl, &input, &resilient_cfg(workers), &faults, Some(&mut store))
+        execute_resilient(&engine, nl, &input, &resilient_cfg(workers), &faults, Some(&mut store))
             .expect_err("every worker crashed");
     assert_eq!(err, ExecError::NoWorkers { wave: crash_wave });
 
@@ -156,7 +173,7 @@ fn crash_of_all_workers_resumes_from_checkpoint() {
     // and produces bit-identical outputs.
     let (got, stats) = execute_resilient(
         &engine,
-        &nl,
+        nl,
         &input,
         &resilient_cfg(workers),
         &NoFaults,
@@ -184,6 +201,11 @@ fn encrypted_crash_recovery_end_to_end() {
     bits.extend(to_bits(y, 4));
     let cts = client.encrypt_bits(&bits, &mut rng);
     let (want, _) = execute(&engine, &nl, &cts).expect("sequential");
+    // Without faults the run is `execute_parallel`'s, byte for byte.
+    let (parallel, _) = execute_parallel(&engine, &nl, &cts, 2).expect("parallel");
+    let (clean, _) = execute_resilient(&engine, &nl, &cts, &resilient_cfg(2), &NoFaults, None)
+        .expect("fault-free run");
+    assert_eq!(clean, parallel);
 
     let workers = 2;
     let mut faults = SeededFaults::new(2);
@@ -326,4 +348,58 @@ fn wave_deadline_is_enforced() {
     let err =
         execute_resilient(&engine, &nl, &input, &cfg, &NoFaults, None).expect_err("zero budget");
     assert!(matches!(err, ExecError::WaveDeadlineExceeded { .. }));
+}
+
+/// Counts gate evaluations and panics on evaluation number `panic_at`.
+struct Flaky {
+    evals: AtomicUsize,
+    panic_at: usize,
+}
+
+impl GateEngine for Flaky {
+    type Value = bool;
+    type Scratch = ();
+    fn scratch(&self) {}
+    fn eval(&self, kind: GateKind, a: &bool, b: &bool, _: &mut ()) -> bool {
+        let n = self.evals.fetch_add(1, Ordering::Relaxed);
+        assert_ne!(n, self.panic_at, "injected panic");
+        kind.eval(*a, *b)
+    }
+    fn constant(&self, bit: bool) -> bool {
+        bit
+    }
+    fn parallel_grain(&self) -> usize {
+        1
+    }
+}
+
+#[test]
+fn only_failed_chunks_run_again() {
+    let nl = wide(64);
+    let input = vec![true, true];
+    let (want, _) = execute(&PlainEngine::new(), &nl, &input).expect("sequential");
+    let flaky = |panic_at| Flaky { evals: AtomicUsize::new(0), panic_at };
+
+    // An injected failure refuses a chunk before it runs, and finished
+    // chunks stand: every gate is evaluated exactly once.
+    let engine = flaky(usize::MAX);
+    let faults = SeededFaults::new(9).with_fail_prob(0.5);
+    let (got, stats) = execute_resilient(&engine, &nl, &input, &resilient_cfg(4), &faults, None)
+        .expect("retries absorb the failures");
+    assert_eq!(got, want);
+    assert!(stats.retries > 0, "half the chunk attempts fail");
+    assert_eq!(engine.evals.load(Ordering::Relaxed), nl.num_gates());
+
+    // A panic fails its chunk like an injected failure, and that chunk
+    // alone runs again: the panicking evaluation is the one extra.
+    let engine = flaky(0);
+    let (got, stats) = execute_resilient(&engine, &nl, &input, &resilient_cfg(4), &NoFaults, None)
+        .expect("the panicked chunk is retried");
+    assert_eq!(got, want);
+    assert_eq!(stats.retries, 1);
+    assert_eq!(engine.evals.load(Ordering::Relaxed), nl.num_gates() + 1);
+
+    // `execute_parallel` runs the same dispatch without retries.
+    let err = execute_parallel(&flaky(0), &nl, &input, 4).expect_err("the panic fails the wave");
+    assert_eq!(err, ExecError::WorkerPanicked);
 }

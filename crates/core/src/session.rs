@@ -259,8 +259,8 @@ impl Server {
     }
 
     /// Executes a program on encrypted inputs with the fault-tolerant
-    /// wavefront backend: failed gate tasks retry with backoff, crashed
-    /// workers are evicted, and — when `store` is supplied — the
+    /// wavefront backend: failed chunks of a wave retry with backoff,
+    /// crashed workers are evicted, and — when `store` is supplied — the
     /// ciphertext frontier checkpoints at every wave barrier so an
     /// interrupted evaluation resumes instead of restarting. `faults` is
     /// the injection hook; pass [`pytfhe_backend::NoFaults`] in

@@ -57,7 +57,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let (outputs, stats) =
         server.execute_resilient(&nl, &inputs, &cfg, &NoFaults, Some(&mut store))?;
     println!(
-        "run 2: resumed after wave {}, re-ran {} wave(s), {} retried task(s) in run 1's shadow",
+        "run 2: resumed after wave {}, re-ran {} wave(s), {} retried chunk(s)",
         stats.resumed_from_wave.expect("resumed"),
         stats.waves,
         stats.retries,

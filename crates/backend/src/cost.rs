@@ -88,9 +88,6 @@ pub struct GpuCostModel {
     pub graph_build_node_s: f64,
     /// GPU-side per-node overhead when *executing* a CUDA graph.
     pub graph_exec_node_s: f64,
-    /// Maximum nodes per CUDA-graph batch ("up to around hundreds of
-    /// thousands of nodes", Section IV-E).
-    pub graph_batch_nodes: usize,
 }
 
 impl GpuCostModel {
@@ -107,7 +104,6 @@ impl GpuCostModel {
             pcie_bytes_per_s: 12.0e9,
             graph_build_node_s: 2.0e-6,
             graph_exec_node_s: 1.0e-6,
-            graph_batch_nodes: 100_000,
         }
     }
 
@@ -124,7 +120,6 @@ impl GpuCostModel {
             pcie_bytes_per_s: 25.0e9,
             graph_build_node_s: 2.0e-6,
             graph_exec_node_s: 0.5e-6,
-            graph_batch_nodes: 100_000,
         }
     }
 

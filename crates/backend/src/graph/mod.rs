@@ -7,8 +7,9 @@
 //!
 //! 1. **Capture** ([`capture`]): one pass over the netlist produces a
 //!    [`KernelPlan`] — topological waves grouped into same-kind batched
-//!    kernels, waves cut into sub-graph batches under the simulator's
-//!    exact batch-cut rule ([`crate::sim::graph_batch_waves`]).
+//!    kernels, waves cut into sub-graph batches of about
+//!    [`CaptureConfig::batch_cut_nodes`] bootstrapped gates. The
+//!    simulators in [`crate::sim`] cost this plan as it is.
 //! 2. **Cache**: [`KernelGraph`] keys captured plans by netlist
 //!    fingerprint, so the second and later executions of a program skip
 //!    capture entirely (`ExecStats::plan_cached`).
@@ -26,6 +27,8 @@ mod capture;
 mod plan;
 mod replay;
 
+#[cfg(test)]
+pub(crate) use capture::ladder;
 pub use capture::{capture, CaptureConfig};
 pub use plan::{
     counts_toward_batch, GateGroup, GateTask, KernelPlan, LutGroup, LutTask, SubGraph, WavePlan,

@@ -31,6 +31,18 @@ pub struct GateGroup {
     pub tasks: Vec<GateTask>,
 }
 
+impl GateGroup {
+    /// Operand slots each task reads: none for constants, only `a` for
+    /// unary gates, both otherwise.
+    pub(crate) fn reads(&self) -> usize {
+        if self.kind.is_const() {
+            0
+        } else {
+            2 - usize::from(self.kind.is_unary())
+        }
+    }
+}
+
 /// One fused LUT instance inside a batched programmable-bootstrap
 /// kernel: look up `table` on the message-encoded leaves in `ins` (only
 /// the group width's prefix is read; unused slots repeat a valid slot,
@@ -106,10 +118,10 @@ impl WavePlan {
         self.num_gates() + self.num_luts()
     }
 
-    /// Gates that cost a bootstrap under the simulator's accounting
-    /// (everything but constants and buffers), i.e. the count the
-    /// batch-cut rule accumulates, plus the programmable bootstraps of
-    /// the wave's fused LUTs.
+    /// Tasks the simulators charge a device slot for (gates but
+    /// constants and buffers, see [`counts_toward_batch`], plus the
+    /// programmable bootstraps of the wave's fused LUTs): the count the
+    /// batch-cut rule accumulates.
     pub fn bootstrapped(&self) -> u64 {
         self.groups
             .iter()
@@ -172,12 +184,10 @@ impl WavePlan {
     }
 }
 
-/// Whether `kind` counts toward the batch-cut budget. This mirrors
-/// [`crate::sim::WaveProfile::bootstrapped`] exactly — constants and
-/// buffers are free; everything else (including `Not`, which the device
-/// model schedules even though it is bootstrap-free) is counted — so the
-/// real backend's cuts land where [`crate::sim::GpuPolicy::CudaGraphs`]
-/// predicts them.
+/// Whether `kind` counts toward the batch-cut budget and occupies a
+/// device slot in the simulators ([`crate::sim`]): constants and buffers
+/// are free; everything else (including `Not`, which the device model
+/// schedules even though it is bootstrap-free) is counted.
 pub fn counts_toward_batch(kind: GateKind) -> bool {
     !kind.is_const() && kind != GateKind::Buf
 }
@@ -266,12 +276,9 @@ impl KernelPlan {
         for (w, wave) in self.waves().enumerate() {
             let w = w as u32;
             for group in &wave.groups {
-                // Constants read no operand, unary gates only `a`.
-                let reads =
-                    if group.kind.is_const() { 0 } else { 2 - usize::from(group.kind.is_unary()) };
                 for t in &group.tasks {
                     ranges[t.out as usize].0 = w;
-                    for &slot in &[t.a, t.b][..reads] {
+                    for &slot in &[t.a, t.b][..group.reads()] {
                         ranges[slot as usize].1 = w;
                     }
                 }

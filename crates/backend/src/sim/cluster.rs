@@ -12,7 +12,7 @@
 //! counts (the paper's 60.5× out of an ideal 72×).
 
 use crate::cost::CpuCostModel;
-use crate::sim::profile::ProgramProfile;
+use crate::graph::{counts_toward_batch, KernelPlan, WavePlan};
 
 /// Cluster shape: the paper's testbed is 18 usable cores per node
 /// (Table II, 2× Xeon Gold 5215; ideal speedups quoted as 18 and 72), in
@@ -95,18 +95,15 @@ impl ClusterSim {
         submit.max(compute) + self.cost.wave_barrier_s
     }
 
-    /// Simulates the wavefront execution of `profile`.
-    pub fn simulate(&self, profile: &ProgramProfile) -> ClusterReport {
+    /// Simulates the wavefront execution of `plan`: one barrier-ended
+    /// wave per plan wave with tasks that take a worker.
+    pub fn simulate(&self, plan: &KernelPlan) -> ClusterReport {
         let workers = self.config.workers().max(1) as u64;
         let telemetry_on = pytfhe_telemetry::enabled();
         let mut cluster_s = 0.0;
         let mut waves = 0;
         let mut gates = 0u64;
-        for wave in &profile.waves {
-            let n = wave.bootstrapped();
-            if n == 0 {
-                continue;
-            }
+        for n in plan.waves().map(WavePlan::bootstrapped).filter(|&n| n > 0) {
             waves += 1;
             gates += n;
             let dur = self.wave_s(n, workers);
@@ -136,13 +133,12 @@ impl ClusterSim {
     }
 
     /// Ablation variant: greedy *list scheduling* without the per-wave
-    /// barrier of Algorithm 1 — every gate starts as soon as its operands
-    /// are done and a worker is free. Needs the full DAG rather than the
-    /// wave profile. Comparing this against [`ClusterSim::simulate`]
-    /// quantifies what the BFS barrier costs (DESIGN.md design-choice
-    /// ablation).
-    pub fn simulate_list(&self, nl: &pytfhe_netlist::Netlist) -> ClusterReport {
-        use pytfhe_netlist::{GateKind, Node};
+    /// barrier of Algorithm 1 — every task starts as soon as its operands
+    /// are done and a worker is free. Reads the plan's task operands
+    /// rather than only its wave sizes. Comparing this against
+    /// [`ClusterSim::simulate`] quantifies what the BFS barrier costs
+    /// (DESIGN.md design-choice ablation).
+    pub fn simulate_list(&self, plan: &KernelPlan) -> ClusterReport {
         use std::cmp::Reverse;
         use std::collections::BinaryHeap;
 
@@ -153,101 +149,67 @@ impl ClusterSim {
         let submit_ns = to_ns(self.cost.task_submit_s);
         let workers = self.config.workers().max(1);
 
-        // Dependency counts and successor lists over *costly* tasks
-        // (bootstrapped gates and non-affine fused LUTs); constants,
-        // buffers, and affine LUTs are free and resolve transparently.
-        let n = nl.num_nodes();
+        // The DAG over the plan's value slots. Tasks that count toward a
+        // batch take a worker; free ones (constants, buffers, affine
+        // LUTs) finish the moment their operands do, and so do inputs,
+        // which have none.
+        let n = plan.num_nodes;
+        let mut free = vec![true; n];
         let mut deps = vec![0u32; n];
         let mut succs: Vec<Vec<u32>> = vec![Vec::new(); n];
-        let is_free_gate = |kind: GateKind| kind.is_const() || kind == GateKind::Buf;
-        // Free nodes always have at most one costly operand, so the
-        // chain-on-first-finish rule in `resolve` stays correct.
-        let node_free = |node: &Node| match node {
-            Node::Gate { kind, .. } => is_free_gate(*kind),
-            Node::Lut { spec, .. } => spec.bootstraps() == 0,
-            Node::Input => true,
-        };
-        let operands = |node: &Node| -> Vec<usize> {
-            match node {
-                Node::Gate { kind, .. } if kind.is_const() => Vec::new(),
-                Node::Gate { kind, a, b } => {
-                    if kind.is_unary() {
-                        vec![a.index()]
-                    } else {
-                        vec![a.index(), b.index()]
+        for wave in plan.waves() {
+            let gates = wave.groups.iter().flat_map(|g| {
+                let (reads, free) = (g.reads(), !counts_toward_batch(g.kind));
+                g.tasks.iter().map(move |t| (t.out, [t.a, t.b, 0, 0], reads, free))
+            });
+            let luts = wave.lut_groups.iter().flat_map(|g| {
+                let (reads, free) = (usize::from(g.width), g.is_affine());
+                g.tasks.iter().map(move |t| (t.out, t.ins, reads, free))
+            });
+            for (out, ins, reads, is_free) in gates.chain(luts) {
+                free[out as usize] = is_free;
+                deps[out as usize] = reads as u32;
+                for &op in &ins[..reads] {
+                    succs[op as usize].push(out);
+                }
+            }
+        }
+        let roots = (0..n).filter(|&i| deps[i] == 0);
+        let (free_roots, costly_roots): (Vec<usize>, Vec<usize>) = roots.partition(|&i| free[i]);
+        // `ready[i]`: the latest finish among the operands done so far.
+        let mut ready = vec![0u64; n];
+        // Settles finished slots: a successor whose last operand this was
+        // finishes at once if free, else queues by its ready time.
+        let mut settle = |mut done: Vec<(u32, u64)>, heap: &mut BinaryHeap<Reverse<(u64, u32)>>| {
+            while let Some((i, t)) = done.pop() {
+                for &s in &succs[i as usize] {
+                    let k = s as usize;
+                    ready[k] = ready[k].max(t);
+                    deps[k] -= 1;
+                    if deps[k] == 0 && free[k] {
+                        done.push((s, ready[k]));
+                    } else if deps[k] == 0 {
+                        heap.push(Reverse((ready[k], s)));
                     }
                 }
-                Node::Lut { spec, ins } => {
-                    ins[..spec.width as usize].iter().map(|id| id.index()).collect()
-                }
-                Node::Input => Vec::new(),
             }
         };
-        for (i, node) in nl.nodes().iter().enumerate() {
-            if matches!(node, Node::Input) {
-                continue;
-            }
-            for op in operands(node) {
-                if !node_free(&nl.nodes()[op]) {
-                    deps[i] += 1;
-                    succs[op].push(i as u32);
-                }
-            }
-        }
-        // `finish[i]` for free nodes propagates the operand's finish.
-        let mut finish = vec![0u64; n];
-        let mut ready_heap: BinaryHeap<Reverse<(u64, u32)>> = BinaryHeap::new();
-        for (i, node) in nl.nodes().iter().enumerate() {
-            if !matches!(node, Node::Input) && !node_free(node) && deps[i] == 0 {
-                ready_heap.push(Reverse((0, i as u32)));
-            }
-        }
-        let mut free: BinaryHeap<Reverse<u64>> = (0..workers).map(|_| Reverse(0)).collect();
+        let mut ready_heap = BinaryHeap::new();
+        ready_heap.extend(costly_roots.into_iter().map(|i| Reverse((0, i as u32))));
+        settle(free_roots.into_iter().map(|i| (i as u32, 0)).collect(), &mut ready_heap);
+
+        let mut idle: BinaryHeap<Reverse<u64>> = (0..workers).map(|_| Reverse(0)).collect();
         let mut driver = 0u64; // serial task submission, in readiness order
         let mut makespan = 0u64;
         let mut gates = 0u64;
-        let resolve = |i: usize,
-                       end: u64,
-                       finish: &mut Vec<u64>,
-                       deps: &mut Vec<u32>,
-                       heap: &mut BinaryHeap<Reverse<(u64, u32)>>| {
-            // Mark node i finished at `end`; release successors (free
-            // nodes chain through immediately).
-            let mut stack = vec![(i, end)];
-            while let Some((node, t)) = stack.pop() {
-                finish[node] = t;
-                for &s in &succs[node] {
-                    let s = s as usize;
-                    let succ = &nl.nodes()[s];
-                    if node_free(succ) {
-                        stack.push((s, t));
-                    } else {
-                        deps[s] -= 1;
-                        if deps[s] == 0 {
-                            let ready =
-                                operands(succ).iter().map(|&op| finish[op]).fold(0u64, u64::max);
-                            heap.push(Reverse((ready, s as u32)));
-                        }
-                    }
-                }
-            }
-        };
-        // Free nodes with no costly dependencies finish at time 0 and
-        // must release their successors up front.
-        for (i, node) in nl.nodes().iter().enumerate() {
-            if !matches!(node, Node::Input) && node_free(node) && deps[i] == 0 {
-                resolve(i, 0, &mut finish, &mut deps, &mut ready_heap);
-            }
-        }
-        while let Some(Reverse((ready, i))) = ready_heap.pop() {
+        while let Some(Reverse((ready_at, i))) = ready_heap.pop() {
             gates += 1;
-            driver = driver.max(ready) + submit_ns;
-            let Reverse(worker_free) = free.pop().expect("nonempty pool");
-            let start = driver.max(worker_free);
-            let end = start + task_ns;
+            driver = driver.max(ready_at) + submit_ns;
+            let Reverse(worker_free) = idle.pop().expect("nonempty pool");
+            let end = driver.max(worker_free) + task_ns;
             makespan = makespan.max(end);
-            free.push(Reverse(end));
-            resolve(i as usize, end, &mut finish, &mut deps, &mut ready_heap);
+            idle.push(Reverse(end));
+            settle(vec![(i, end)], &mut ready_heap);
         }
         ClusterReport {
             cluster_s: makespan as f64 / 1e9,
@@ -261,43 +223,13 @@ impl ClusterSim {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::graph::{capture, ladder, CaptureConfig};
     use pytfhe_netlist::{GateKind, Netlist};
-
-    /// A wide, parallel program: `waves` waves of `width` NAND gates.
-    fn wide_program(width: usize, waves: usize) -> ProgramProfile {
-        let mut nl = Netlist::new();
-        let a = nl.add_input();
-        let b = nl.add_input();
-        let mut prev = vec![a; width];
-        for _ in 0..waves {
-            let mut next = Vec::with_capacity(width);
-            for &p in &prev {
-                next.push(nl.add_gate(GateKind::Nand, p, b).unwrap());
-            }
-            prev = next;
-        }
-        for g in &prev {
-            nl.mark_output(*g).unwrap();
-        }
-        ProgramProfile::of(&nl)
-    }
-
-    /// A serial chain.
-    fn chain_program(len: usize) -> ProgramProfile {
-        let mut nl = Netlist::new();
-        let mut prev = nl.add_input();
-        let b = nl.add_input();
-        for _ in 0..len {
-            prev = nl.add_gate(GateKind::Nand, prev, b).unwrap();
-        }
-        nl.mark_output(prev).unwrap();
-        ProgramProfile::of(&nl)
-    }
 
     #[test]
     fn wide_programs_scale_near_ideally_on_one_node() {
         let sim = ClusterSim::new(CpuCostModel::paper(), ClusterConfig::one_node());
-        let report = sim.simulate(&wide_program(4096, 30));
+        let report = sim.simulate(&ladder(30, 4096, &CaptureConfig::default()));
         let speedup = report.speedup();
         // The paper: 17.4 out of an ideal 18 on one node.
         assert!(speedup > 16.0 && speedup < 18.0, "one-node speedup {speedup}");
@@ -306,7 +238,7 @@ mod tests {
     #[test]
     fn four_nodes_reach_paper_scaling() {
         let sim = ClusterSim::new(CpuCostModel::paper(), ClusterConfig::four_nodes());
-        let report = sim.simulate(&wide_program(4096, 30));
+        let report = sim.simulate(&ladder(30, 4096, &CaptureConfig::default()));
         let speedup = report.speedup();
         // The paper: 60.5 out of an ideal 72 on four nodes — submission
         // overhead keeps it clearly below ideal.
@@ -316,7 +248,7 @@ mod tests {
     #[test]
     fn serial_chains_do_not_benefit() {
         let sim = ClusterSim::new(CpuCostModel::paper(), ClusterConfig::four_nodes());
-        let report = sim.simulate(&chain_program(100));
+        let report = sim.simulate(&ladder(100, 1, &CaptureConfig::default()));
         let speedup = report.speedup();
         // Mostly-serial workloads (the paper's NR-Solver) cannot use the
         // cluster; overheads even make them slightly slower.
@@ -327,11 +259,39 @@ mod tests {
     #[test]
     fn single_core_time_is_gate_count_times_gate_cost() {
         let sim = ClusterSim::new(CpuCostModel::paper(), ClusterConfig::one_node());
-        let profile = wide_program(10, 3);
-        let report = sim.simulate(&profile);
+        let report = sim.simulate(&ladder(3, 10, &CaptureConfig::default()));
         let expect = 30.0 * CpuCostModel::paper().gate_s();
         assert!((report.single_core_s - expect).abs() < 1e-9);
         assert_eq!(report.gates, 30);
+    }
+
+    #[test]
+    fn waves_cost_every_gate_but_constants_and_buffers() {
+        let mut nl = Netlist::new();
+        let a = nl.add_input();
+        let b = nl.add_input();
+        let x = nl.add_gate(GateKind::Xor, a, b).unwrap();
+        let y = nl.add_gate(GateKind::And, a, b).unwrap();
+        let z = nl.add_gate(GateKind::Or, x, y).unwrap();
+        let buf = nl.add_gate(GateKind::Buf, z, z).unwrap();
+        let out = nl.add_gate(GateKind::Not, buf, buf).unwrap();
+        nl.mark_output(out).unwrap();
+        let plan = capture(&nl, &CaptureConfig::default()).unwrap();
+        let kinds: Vec<Vec<GateKind>> =
+            plan.waves().map(|w| w.groups.iter().map(|g| g.kind).collect()).collect();
+        use GateKind::{And, Buf, Not, Or, Xor};
+        assert_eq!(kinds, [vec![And, Xor], vec![Or], vec![Buf], vec![Not]]);
+        let costed: Vec<u64> = plan.waves().map(WavePlan::bootstrapped).collect();
+        assert_eq!(costed, [2, 1, 0, 1], "`Not` takes a slot, `Buf` none");
+        assert_eq!((plan.num_gates(), plan.inputs.len(), plan.outputs.len()), (5, 2, 1));
+        let sim = ClusterSim::new(CpuCostModel::paper(), ClusterConfig::one_node());
+        let (barrier, list) = (sim.simulate(&plan), sim.simulate_list(&plan));
+        assert_eq!((barrier.waves, barrier.gates, list.gates), (3, 4, 4));
+        // The list schedule waits on the `Or` through the free `Buf`:
+        // three dependent tasks, one after another.
+        let cost = CpuCostModel::paper();
+        let task_s = cost.gate_s() + cost.task_overhead_s + cost.comm_s_per_gate();
+        assert!(list.cluster_s >= 3.0 * task_s, "list {:.3}s", list.cluster_s);
     }
 
     #[test]
@@ -351,8 +311,9 @@ mod tests {
                 wide.iter().fold(wide[0], |acc, &g| nl.add_gate(GateKind::And, acc, g).unwrap());
         }
         nl.mark_output(bottleneck).unwrap();
-        let barrier = sim.simulate(&ProgramProfile::of(&nl));
-        let list = sim.simulate_list(&nl);
+        let plan = capture(&nl, &CaptureConfig::default()).unwrap();
+        let barrier = sim.simulate(&plan);
+        let list = sim.simulate_list(&plan);
         assert_eq!(barrier.gates, list.gates);
         assert!(
             list.cluster_s <= barrier.cluster_s * 1.02,

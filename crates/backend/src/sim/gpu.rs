@@ -9,55 +9,16 @@
 //!   device-to-host copy and a synchronization, with the CPU thread
 //!   blocked throughout. Interdependent or mixed-type gates cannot be
 //!   batched, so real programs dispatch gate by gate.
-//! * [`GpuPolicy::CudaGraphs`] — PyTFHE's backend (Figure 9): the DAG is
-//!   cut into sub-DAG batches of up to ~100 k nodes, each defined as one
-//!   CUDA graph; per-gate launch overhead collapses to a per-node graph
-//!   cost, transfers happen once per batch, and graph *construction* of
-//!   batch `i+1` on the CPU overlaps graph *execution* of batch `i` on
-//!   the GPU.
+//! * [`GpuPolicy::CudaGraphs`] — PyTFHE's backend (Figure 9): each of
+//!   the plan's sub-graph batches (~100 k nodes under the default
+//!   [`crate::CaptureConfig`]) is defined as one CUDA graph; per-gate
+//!   launch overhead collapses to a per-node graph cost, transfers
+//!   happen once per batch, and graph *construction* of batch `i+1` on
+//!   the CPU overlaps graph *execution* of batch `i` on the GPU.
 
 use crate::cost::{CpuCostModel, GpuCostModel};
-use crate::sim::profile::ProgramProfile;
+use crate::graph::{counts_toward_batch, KernelPlan, LutGroup, SubGraph, WavePlan};
 use crate::sim::timeline::Timeline;
-
-/// The one copy of the CUDA-graph batch-cut rule, shared by the
-/// simulator ([`graph_batch_waves`]) and [`crate::graph::capture`]:
-/// `waves` accumulate into a batch until their `bootstrapped` counts
-/// sum to at least `batch_nodes`, then the batch closes; a trailing
-/// partial batch survives.
-pub(crate) fn cut_batches<W>(
-    waves: impl IntoIterator<Item = W>,
-    bootstrapped: impl Fn(&W) -> u64,
-    batch_nodes: u64,
-) -> Vec<Vec<W>> {
-    let mut batches = Vec::new();
-    let mut cur = Vec::new();
-    let mut cur_gates = 0u64;
-    for wave in waves {
-        cur_gates += bootstrapped(&wave);
-        cur.push(wave);
-        if cur_gates >= batch_nodes {
-            batches.push(std::mem::take(&mut cur));
-            cur_gates = 0;
-        }
-    }
-    if !cur.is_empty() {
-        batches.push(cur);
-    }
-    batches
-}
-
-/// The CUDA-graph batches of a profiled program, cut by the rule the
-/// real kernel-graph backend ([`crate::graph::capture`]) cuts with:
-/// consecutive waves accumulate into a batch until it holds at least
-/// `batch_nodes` bootstrapped gates, then the batch closes; waves with
-/// no bootstrapped gates are skipped; a trailing partial batch survives.
-/// Returns, per batch, the bootstrapped gate count of each contributing
-/// wave in wave order.
-pub fn graph_batch_waves(profile: &ProgramProfile, batch_nodes: u64) -> Vec<Vec<u64>> {
-    let counts = profile.waves.iter().map(|w| w.bootstrapped()).filter(|&n| n > 0);
-    cut_batches(counts, |&n| n, batch_nodes)
-}
 
 /// Scheduling policy.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -107,21 +68,21 @@ impl GpuSim {
         &self.gpu
     }
 
-    /// Simulates `profile` under `policy`.
-    pub fn simulate(&self, profile: &ProgramProfile, policy: GpuPolicy) -> GpuReport {
+    /// Simulates `plan` under `policy`.
+    pub fn simulate(&self, plan: &KernelPlan, policy: GpuPolicy) -> GpuReport {
         match policy {
-            GpuPolicy::CuFhe => self.simulate_cufhe(profile),
-            GpuPolicy::CuFheBatched => self.simulate_cufhe_batched(profile),
-            GpuPolicy::CudaGraphs => self.simulate_graphs(profile),
+            GpuPolicy::CuFhe => self.simulate_cufhe(plan),
+            GpuPolicy::CuFheBatched => self.simulate_cufhe_batched(plan),
+            GpuPolicy::CudaGraphs => self.simulate_graphs(plan),
         }
     }
 
-    /// The batched cuFHE policy: within each wave, gates of one kind
-    /// form vector batches of up to `SM` lanes. Every batch still pays
-    /// full transfers, a launch and a blocking sync, and batches are
-    /// serialized on the CPU thread — mixed gate kinds and
-    /// inter-dependencies cannot share a batch.
-    fn simulate_cufhe_batched(&self, profile: &ProgramProfile) -> GpuReport {
+    /// The batched cuFHE policy: within each wave, gates of one kind —
+    /// and fused LUTs of one bootstrapping group — form vector batches of
+    /// up to `SM` lanes. Every batch still pays full transfers, a launch
+    /// and a blocking sync, and batches are serialized on the CPU thread
+    /// — mixed gate kinds and inter-dependencies cannot share a batch.
+    fn simulate_cufhe_batched(&self, plan: &KernelPlan) -> GpuReport {
         let ct = self.cpu.ciphertext_bytes;
         let sm = self.gpu.sm_count as u64;
         let mut total = 0.0;
@@ -129,8 +90,10 @@ impl GpuSim {
         let mut transfer = 0.0;
         let mut overhead = 0.0;
         let mut gates = 0u64;
-        for wave in &profile.waves {
-            for (_, count) in wave.iter_bootstrapped() {
+        for wave in plan.waves() {
+            let kinds = wave.groups.iter().filter(|g| counts_toward_batch(g.kind));
+            let luts = wave.lut_groups.iter().map(LutGroup::bootstraps);
+            for count in kinds.map(|g| g.tasks.len() as u64).chain(luts) {
                 gates += count;
                 let mut left = count;
                 while left > 0 {
@@ -157,8 +120,8 @@ impl GpuSim {
     /// The cuFHE policy: per-gate blocking dispatch. Every gate pays two
     /// input uploads, a launch, the kernel, one output download and a
     /// sync — all serialized on the blocked CPU thread (Figure 8).
-    fn simulate_cufhe(&self, profile: &ProgramProfile) -> GpuReport {
-        let gates = profile.total_bootstrapped();
+    fn simulate_cufhe(&self, plan: &KernelPlan) -> GpuReport {
+        let gates: u64 = plan.batches.iter().map(SubGraph::bootstrapped).sum();
         let ct = self.cpu.ciphertext_bytes;
         let per_gate_transfer = self.gpu.transfer_s(3, ct);
         let per_gate_overhead = self.gpu.launch_s + self.gpu.sync_s;
@@ -172,33 +135,38 @@ impl GpuSim {
         }
     }
 
-    /// The CUDA-Graphs policy: wave-structured batches, kernels packed
-    /// `SM`-wide, build/execute overlap across batches (Figure 9).
-    fn simulate_graphs(&self, profile: &ProgramProfile) -> GpuReport {
+    /// The CUDA-Graphs policy: the plan's batches as cut, kernels packed
+    /// `SM`-wide per wave, build/execute overlap across batches
+    /// (Figure 9). A batch with nothing to bootstrap — only a trailing
+    /// one can be — builds no graph.
+    fn simulate_graphs(&self, plan: &KernelPlan) -> GpuReport {
         let ct = self.cpu.ciphertext_bytes;
         let sm = self.gpu.sm_count as u64;
-        // Partition consecutive waves into batches of up to
-        // `graph_batch_nodes` gates: (gates, exec_s) per batch.
-        let batches: Vec<(u64, f64)> =
-            graph_batch_waves(profile, self.gpu.graph_batch_nodes as u64)
-                .into_iter()
-                .map(|waves| {
-                    let gates: u64 = waves.iter().sum();
-                    let exec: f64 = waves
-                        .iter()
-                        .map(|&n| {
-                            n.div_ceil(sm) as f64 * self.gpu.kernel_s
-                                + n as f64 * self.gpu.graph_exec_node_s
-                        })
-                        .sum();
-                    (gates, exec)
-                })
-                .collect();
+        // (gates, exec_s) per batch.
+        let batches: Vec<(u64, f64)> = plan
+            .batches
+            .iter()
+            .map(|batch| {
+                let exec: f64 = batch
+                    .waves
+                    .iter()
+                    .map(WavePlan::bootstrapped)
+                    .filter(|&n| n > 0)
+                    .map(|n| {
+                        n.div_ceil(sm) as f64 * self.gpu.kernel_s
+                            + n as f64 * self.gpu.graph_exec_node_s
+                    })
+                    .sum();
+                (batch.bootstrapped(), exec)
+            })
+            .filter(|&(gates, _)| gates > 0)
+            .collect();
         // Pipeline: build(0), then step i = max(exec(i), build(i+1)),
         // finally exec(last).
         let build: Vec<f64> =
             batches.iter().map(|(g, _)| *g as f64 * self.gpu.graph_build_node_s).collect();
-        let mut total = self.gpu.transfer_s(profile.num_inputs, ct);
+        let (inputs, outputs) = (plan.inputs.len(), plan.outputs.len());
+        let mut total = self.gpu.transfer_s(inputs, ct);
         if let Some(first) = build.first() {
             total += first + self.gpu.launch_s;
         }
@@ -206,15 +174,13 @@ impl GpuSim {
             let next_build = build.get(i + 1).copied().unwrap_or(0.0);
             total += exec.max(next_build);
         }
-        total += self.gpu.transfer_s(profile.num_outputs, ct);
-        let kernel_busy: f64 = batches.iter().map(|(_, e)| *e).sum();
-        let gates = profile.total_bootstrapped();
+        total += self.gpu.transfer_s(outputs, ct);
         GpuReport {
             total_s: total,
-            kernel_busy_s: kernel_busy,
-            transfer_s: self.gpu.transfer_s(profile.num_inputs + profile.num_outputs, ct),
+            kernel_busy_s: batches.iter().map(|(_, e)| *e).sum(),
+            transfer_s: self.gpu.transfer_s(inputs + outputs, ct),
             overhead_s: build.iter().sum::<f64>() + self.gpu.launch_s,
-            gates,
+            gates: batches.iter().map(|(g, _)| g).sum(),
         }
     }
 
@@ -269,43 +235,16 @@ impl GpuSim {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use pytfhe_netlist::{GateKind, Netlist};
-
-    fn wide_program(width: usize, waves: usize) -> ProgramProfile {
-        let mut nl = Netlist::new();
-        let a = nl.add_input();
-        let b = nl.add_input();
-        let mut prev = vec![a; width];
-        for _ in 0..waves {
-            let mut next = Vec::with_capacity(width);
-            for &p in &prev {
-                next.push(nl.add_gate(GateKind::Nand, p, b).unwrap());
-            }
-            prev = next;
-        }
-        for g in &prev {
-            nl.mark_output(*g).unwrap();
-        }
-        ProgramProfile::of(&nl)
-    }
-
-    fn chain_program(len: usize) -> ProgramProfile {
-        let mut nl = Netlist::new();
-        let mut prev = nl.add_input();
-        let b = nl.add_input();
-        for _ in 0..len {
-            prev = nl.add_gate(GateKind::Nand, prev, b).unwrap();
-        }
-        nl.mark_output(prev).unwrap();
-        ProgramProfile::of(&nl)
-    }
+    use crate::graph::{capture, ladder, CaptureConfig};
+    use crate::sim::{ClusterConfig, ClusterSim};
+    use pytfhe_netlist::{GateKind, LutSpec, Netlist};
 
     #[test]
     fn pytfhe_beats_cufhe_by_paper_margin_on_wide_programs() {
         let sim = GpuSim::new(GpuCostModel::a5000(), CpuCostModel::paper());
-        let profile = wide_program(2048, 20);
-        let cufhe = sim.simulate(&profile, GpuPolicy::CuFhe);
-        let pytfhe = sim.simulate(&profile, GpuPolicy::CudaGraphs);
+        let plan = ladder(20, 2048, &CaptureConfig::default());
+        let cufhe = sim.simulate(&plan, GpuPolicy::CuFhe);
+        let pytfhe = sim.simulate(&plan, GpuPolicy::CudaGraphs);
         let ratio = cufhe.total_s / pytfhe.total_s;
         // The paper: "up to 61.5× better performance compared to the
         // baseline implemented with cuFHE".
@@ -315,9 +254,9 @@ mod tests {
     #[test]
     fn serial_programs_see_little_gpu_benefit() {
         let sim = GpuSim::new(GpuCostModel::a5000(), CpuCostModel::paper());
-        let profile = chain_program(200);
-        let cufhe = sim.simulate(&profile, GpuPolicy::CuFhe);
-        let pytfhe = sim.simulate(&profile, GpuPolicy::CudaGraphs);
+        let plan = ladder(200, 1, &CaptureConfig::default());
+        let cufhe = sim.simulate(&plan, GpuPolicy::CuFhe);
+        let pytfhe = sim.simulate(&plan, GpuPolicy::CudaGraphs);
         let ratio = cufhe.total_s / pytfhe.total_s;
         // Mostly-serial workloads (the paper's NR-Solver / Parrando
         // analysis with Nsight, Section V-A) cannot fill the SMs.
@@ -330,10 +269,10 @@ mod tests {
         // same-kind waves, but launches/syncs/transfers per batch keep it
         // well short of the CUDA-Graphs backend.
         let sim = GpuSim::new(GpuCostModel::a5000(), CpuCostModel::paper());
-        let profile = wide_program(2048, 20); // all-NAND waves: best case
-        let per_gate = sim.simulate(&profile, GpuPolicy::CuFhe).total_s;
-        let batched = sim.simulate(&profile, GpuPolicy::CuFheBatched).total_s;
-        let graphs = sim.simulate(&profile, GpuPolicy::CudaGraphs).total_s;
+        let plan = ladder(20, 2048, &CaptureConfig::default()); // all-NAND waves: best case
+        let per_gate = sim.simulate(&plan, GpuPolicy::CuFhe).total_s;
+        let batched = sim.simulate(&plan, GpuPolicy::CuFheBatched).total_s;
+        let graphs = sim.simulate(&plan, GpuPolicy::CudaGraphs).total_s;
         assert!(batched < per_gate, "batching must help");
         assert!(graphs < batched, "CUDA graphs must beat blocking batches");
     }
@@ -343,9 +282,9 @@ mod tests {
         let cpu = CpuCostModel::paper();
         let a5000 = GpuSim::new(GpuCostModel::a5000(), cpu);
         let rtx = GpuSim::new(GpuCostModel::rtx4090(), cpu);
-        let profile = wide_program(4096, 20);
-        let a = a5000.simulate(&profile, GpuPolicy::CudaGraphs).total_s;
-        let b = rtx.simulate(&profile, GpuPolicy::CudaGraphs).total_s;
+        let plan = ladder(20, 4096, &CaptureConfig::default());
+        let a = a5000.simulate(&plan, GpuPolicy::CudaGraphs).total_s;
+        let b = rtx.simulate(&plan, GpuPolicy::CudaGraphs).total_s;
         let ratio = a / b;
         // Table IV: 218.9 / 108.7 ≈ 2.0.
         assert!(ratio > 1.6 && ratio < 2.4, "4090/A5000 ratio {ratio}");
@@ -355,12 +294,68 @@ mod tests {
     fn gpu_beats_single_core_by_paper_margin() {
         let cpu = CpuCostModel::paper();
         let sim = GpuSim::new(GpuCostModel::a5000(), cpu);
-        let profile = wide_program(4096, 20);
-        let gpu = sim.simulate(&profile, GpuPolicy::CudaGraphs);
-        let single = profile.total_bootstrapped() as f64 * cpu.gate_s();
+        let plan = ladder(20, 4096, &CaptureConfig::default());
+        let gpu = sim.simulate(&plan, GpuPolicy::CudaGraphs);
+        let single = (20 * 4096) as f64 * cpu.gate_s();
         let ratio = single / gpu.total_s;
         // Table IV implies A5000 ≈ 72× one CPU core (108.7 / 1.5).
         assert!(ratio > 45.0 && ratio < 90.0, "A5000 over single core: {ratio}");
+    }
+
+    #[test]
+    fn a_fused_lut_costs_one_bootstrap_unless_affine() {
+        let mut nl = Netlist::new();
+        let a = nl.add_input();
+        let b = nl.add_input();
+        let c = nl.add_input();
+        // Majority cone: one programmable bootstrap.
+        let maj = nl.add_lut(LutSpec::new(3, 3, 0b1110_1000), &[a, b, c]).unwrap();
+        // Width-1 negation: affine, free.
+        let inv = nl.add_lut(LutSpec::new(1, 3, 0b01), &[maj]).unwrap();
+        nl.mark_output(inv).unwrap();
+        let plan = capture(&nl, &CaptureConfig::default()).unwrap();
+        assert_eq!((plan.num_luts(), plan.bootstraps()), (2, 1), "both LUT nodes are tasks");
+        let waves: Vec<_> = plan.waves().collect();
+        assert!(!waves[0].lut_groups[0].is_affine() && waves[1].lut_groups[0].is_affine());
+        assert_eq!(waves.iter().map(|w| w.bootstrapped()).collect::<Vec<_>>(), [1, 0]);
+        let cluster = ClusterSim::new(CpuCostModel::paper(), ClusterConfig::one_node());
+        let report = cluster.simulate(&plan);
+        assert_eq!((report.waves, report.gates), (1, 1));
+        let gpu = GpuSim::new(GpuCostModel::a5000(), CpuCostModel::paper());
+        for policy in [GpuPolicy::CuFhe, GpuPolicy::CuFheBatched, GpuPolicy::CudaGraphs] {
+            assert_eq!(gpu.simulate(&plan, policy).gates, 1, "{policy:?}");
+        }
+    }
+
+    #[test]
+    fn every_policy_charges_the_fused_luts_of_a_covered_netlist() {
+        use pytfhe_netlist::opt::{lut_cover, LutCoverConfig};
+        // A 6-bit ripple-carry adder: each full adder's sum and carry
+        // cones fuse into programmable bootstraps.
+        let mut nl = Netlist::new();
+        let (xs, ys): (Vec<_>, Vec<_>) = (0..6).map(|_| (nl.add_input(), nl.add_input())).unzip();
+        let mut carry = nl.add_gate(GateKind::And, xs[0], ys[0]).unwrap();
+        let sum = nl.add_gate(GateKind::Xor, xs[0], ys[0]).unwrap();
+        nl.mark_output(sum).unwrap();
+        for (&x, &y) in xs.iter().zip(&ys).skip(1) {
+            let half = nl.add_gate(GateKind::Xor, x, y).unwrap();
+            let sum = nl.add_gate(GateKind::Xor, half, carry).unwrap();
+            let both = nl.add_gate(GateKind::And, x, y).unwrap();
+            let carried = nl.add_gate(GateKind::And, half, carry).unwrap();
+            carry = nl.add_gate(GateKind::Or, both, carried).unwrap();
+            nl.mark_output(sum).unwrap();
+        }
+        nl.mark_output(carry).unwrap();
+        let (lowered, _) = lut_cover(&nl, &LutCoverConfig::default()).unwrap();
+        let plan = capture(&lowered, &CaptureConfig::default()).unwrap();
+        assert!(plan.num_luts() > 0, "the cover fused no cone");
+        let sim = GpuSim::new(GpuCostModel::a5000(), CpuCostModel::paper());
+        let [per_gate, batched, graphs] =
+            [GpuPolicy::CuFhe, GpuPolicy::CuFheBatched, GpuPolicy::CudaGraphs]
+                .map(|policy| sim.simulate(&plan, policy));
+        let costed: u64 = plan.waves().map(WavePlan::bootstrapped).sum();
+        assert_eq!([per_gate.gates, batched.gates, graphs.gates], [costed; 3]);
+        assert!(graphs.total_s < batched.total_s && batched.total_s <= per_gate.total_s);
     }
 
     #[test]

@@ -1,11 +1,9 @@
 //! Integration tests of the kernel-graph backend: captured plans must
 //! replay bit-exactly against the reference executor (plain and
-//! encrypted), cache across input sets, cut batches exactly where the
-//! CUDA-Graphs simulator cuts them, and replay without per-gate buffer
-//! allocations once warm.
+//! encrypted), cache across input sets, and replay without per-gate
+//! buffer allocations once warm.
 
 use proptest::prelude::*;
-use pytfhe_backend::sim::{graph_batch_waves, ProgramProfile};
 use pytfhe_backend::{
     capture, execute, replay, CaptureConfig, ExecError, KernelGraph, KernelPlan, PlainEngine,
     ReplayLanes, TfheEngine,
@@ -79,29 +77,6 @@ proptest! {
             let (again, _) = replay(&engine, &plan, &bits, &mut lanes).expect("re-replay");
             prop_assert_eq!(&again, &want, "workers={} second replay", workers);
         }
-    }
-
-    /// The real capture cuts sub-graph batches exactly where the
-    /// CUDA-Graphs simulator's cut rule predicts.
-    #[test]
-    fn batch_cuts_match_the_gpu_simulator(
-        seed in any::<u64>(),
-        cut in 1u64..40,
-    ) {
-        let nl = random_netlist(seed, 5, 80);
-        let plan = capture(&nl, &CaptureConfig { batch_cut_nodes: cut }).expect("capture");
-        let plan_cuts: Vec<u64> = plan
-            .batches
-            .iter()
-            .map(|b| b.bootstrapped())
-            .filter(|&n| n > 0)
-            .collect();
-        let profile = ProgramProfile::of(&nl);
-        let sim_cuts: Vec<u64> = graph_batch_waves(&profile, cut)
-            .iter()
-            .map(|waves| waves.iter().sum())
-            .collect();
-        prop_assert_eq!(plan_cuts, sim_cuts);
     }
 
     /// Serialization round-trips arbitrary captured plans.

@@ -8,7 +8,9 @@
 use crate::report::{bar, fmt_seconds, Table};
 use pytfhe_asm::{assemble, dump};
 use pytfhe_backend::cost::{CpuCostModel, GpuCostModel};
-use pytfhe_backend::sim::{ClusterConfig, ClusterSim, GpuPolicy, GpuSim, ProgramProfile};
+use pytfhe_backend::graph::SubGraph;
+use pytfhe_backend::sim::{ClusterConfig, ClusterSim, GpuPolicy, GpuSim};
+use pytfhe_backend::{capture, CaptureConfig, KernelPlan};
 use pytfhe_baselines::{all_profiles, lower_mnist, ComparisonRow, LoweringProfile, MnistScale};
 use pytfhe_netlist::{GateKind, Netlist, NetlistStats};
 use pytfhe_tfhe::{ClientKey, Params, SecureRng};
@@ -119,14 +121,19 @@ pub fn fig9() -> String {
     out
 }
 
-/// The compiled suite with per-benchmark profiles, sorted ascending by
-/// gate count (the x-axis order of Figure 10).
-fn suite_profiles(scale: Scale) -> Vec<(String, ProgramProfile)> {
-    let mut rows: Vec<(String, ProgramProfile)> = benchmarks(scale)
+/// The captured plan of a netlist — what every simulator costs.
+fn plan_of(nl: &Netlist) -> KernelPlan {
+    capture(nl, &CaptureConfig::default()).expect("compiled netlists are valid")
+}
+
+/// The compiled suite with per-benchmark plans, sorted ascending by
+/// costed gate count (the x-axis order of Figure 10).
+fn suite_plans(scale: Scale) -> Vec<(String, KernelPlan)> {
+    let mut rows: Vec<(String, KernelPlan)> = benchmarks(scale)
         .into_iter()
-        .map(|b| (b.name().to_string(), ProgramProfile::of(b.netlist())))
+        .map(|b| (b.name().to_string(), plan_of(b.netlist())))
         .collect();
-    rows.sort_by_key(|(_, p)| p.total_bootstrapped());
+    rows.sort_by_key(|(_, p)| p.batches.iter().map(SubGraph::bootstrapped).sum::<u64>());
     rows
 }
 
@@ -137,12 +144,12 @@ pub fn fig10(scale: Scale) -> String {
     let one = ClusterSim::new(cost, ClusterConfig::one_node());
     let four = ClusterSim::new(cost, ClusterConfig::four_nodes());
     let mut table = Table::new(&["benchmark", "gates", "single-core", "1 node (x)", "4 nodes (x)"]);
-    for (name, profile) in suite_profiles(scale) {
-        let r1 = one.simulate(&profile);
-        let r4 = four.simulate(&profile);
+    for (name, plan) in suite_plans(scale) {
+        let r1 = one.simulate(&plan);
+        let r4 = four.simulate(&plan);
         table.row(vec![
             name,
-            profile.total_bootstrapped().to_string(),
+            r1.gates.to_string(),
             fmt_seconds(r1.single_core_s),
             format!("{:.1}", r1.speedup()),
             format!("{:.1}", r4.speedup()),
@@ -171,14 +178,14 @@ pub fn fig11(scale: Scale) -> String {
         "PyTFHE 4090",
         "speedup",
     ]);
-    for (name, profile) in suite_profiles(scale) {
-        let cufhe = a5000.simulate(&profile, GpuPolicy::CuFhe);
-        let py_a = a5000.simulate(&profile, GpuPolicy::CudaGraphs);
-        let cufhe_rtx = rtx.simulate(&profile, GpuPolicy::CuFhe);
-        let py_r = rtx.simulate(&profile, GpuPolicy::CudaGraphs);
+    for (name, plan) in suite_plans(scale) {
+        let cufhe = a5000.simulate(&plan, GpuPolicy::CuFhe);
+        let py_a = a5000.simulate(&plan, GpuPolicy::CudaGraphs);
+        let cufhe_rtx = rtx.simulate(&plan, GpuPolicy::CuFhe);
+        let py_r = rtx.simulate(&plan, GpuPolicy::CudaGraphs);
         table.row(vec![
             name,
-            profile.total_bootstrapped().to_string(),
+            cufhe.gates.to_string(),
             fmt_seconds(cufhe.total_s),
             fmt_seconds(py_a.total_s),
             format!("{:.1}x", cufhe.total_s / py_a.total_s),
@@ -206,21 +213,22 @@ pub fn fig12(scale: MnistScale) -> String {
     let nets = framework_netlists(scale);
     let gt = &nets.iter().find(|(p, _)| p.name == "Transpiler").expect("present").1;
     let py = &nets.iter().find(|(p, _)| p.name == "PyTFHE").expect("present").1;
-    let gt_profile = ProgramProfile::of(gt);
-    let py_profile = ProgramProfile::of(py);
+    let gt_plan = plan_of(gt);
+    let py_plan = plan_of(py);
     let four = ClusterSim::new(cpu, ClusterConfig::four_nodes());
     let a5000 = GpuSim::new(GpuCostModel::a5000(), cpu);
     let rtx = GpuSim::new(GpuCostModel::rtx4090(), cpu);
+    let gt_four = four.simulate(&gt_plan);
     // GT+GC: the Transpiler's own code-generator backend, single core.
-    let baseline = gt_profile.total_bootstrapped() as f64 * cpu.gate_s();
+    let baseline = gt_four.single_core_s;
     let rows: Vec<(&str, f64)> = vec![
         ("GT+GC (1 core)", baseline),
-        ("GT+PyT CPU (4 nodes)", four.simulate(&gt_profile).cluster_s),
-        ("GT+PyT GPU (A5000)", a5000.simulate(&gt_profile, GpuPolicy::CudaGraphs).total_s),
-        ("GT+PyT GPU (4090)", rtx.simulate(&gt_profile, GpuPolicy::CudaGraphs).total_s),
-        ("PyT+PyT CPU (4 nodes)", four.simulate(&py_profile).cluster_s),
-        ("PyT+PyT GPU (A5000)", a5000.simulate(&py_profile, GpuPolicy::CudaGraphs).total_s),
-        ("PyT+PyT GPU (4090)", rtx.simulate(&py_profile, GpuPolicy::CudaGraphs).total_s),
+        ("GT+PyT CPU (4 nodes)", gt_four.cluster_s),
+        ("GT+PyT GPU (A5000)", a5000.simulate(&gt_plan, GpuPolicy::CudaGraphs).total_s),
+        ("GT+PyT GPU (4090)", rtx.simulate(&gt_plan, GpuPolicy::CudaGraphs).total_s),
+        ("PyT+PyT CPU (4 nodes)", four.simulate(&py_plan).cluster_s),
+        ("PyT+PyT GPU (A5000)", a5000.simulate(&py_plan, GpuPolicy::CudaGraphs).total_s),
+        ("PyT+PyT GPU (4090)", rtx.simulate(&py_plan, GpuPolicy::CudaGraphs).total_s),
     ];
     let mut table = Table::new(&["configuration", "time", "speedup vs GT+GC"]);
     for (name, t) in &rows {
@@ -244,9 +252,9 @@ pub fn fig13(scale: MnistScale) -> String {
     }
     // PyTFHE's faster backends, for the full Figure 13 picture.
     let py = &nets[0].1;
-    let profile = ProgramProfile::of(py);
-    let four = ClusterSim::new(cpu, ClusterConfig::four_nodes()).simulate(&profile);
-    let gpu = GpuSim::new(GpuCostModel::a5000(), cpu).simulate(&profile, GpuPolicy::CudaGraphs);
+    let plan = plan_of(py);
+    let four = ClusterSim::new(cpu, ClusterConfig::four_nodes()).simulate(&plan);
+    let gpu = GpuSim::new(GpuCostModel::a5000(), cpu).simulate(&plan, GpuPolicy::CudaGraphs);
     let mut out = String::from(
         "Figure 13 — framework runtime comparison on MNIST_S\n(baseline runtimes estimated as gates / single-core throughput, paper footnote 1)\n\n",
     );
@@ -290,7 +298,7 @@ pub fn table4(scale: MnistScale) -> String {
     let nets = framework_netlists(scale);
     let find = |n: &str| &nets.iter().find(|(p, _)| p.name == n).expect("present").1;
     let py = find("PyTFHE");
-    let profile = ProgramProfile::of(py);
+    let plan = plan_of(py);
     let est = |nl: &Netlist| nl.num_bootstrapped_gates() as f64 * cpu.gate_s();
     let baselines = [
         ("E3", est(find("E3"))),
@@ -301,22 +309,20 @@ pub fn table4(scale: MnistScale) -> String {
         ("PyTFHE Single Core", est(py)),
         (
             "PyTFHE 1 Node",
-            ClusterSim::new(cpu, ClusterConfig::one_node()).simulate(&profile).cluster_s,
+            ClusterSim::new(cpu, ClusterConfig::one_node()).simulate(&plan).cluster_s,
         ),
         (
             "PyTFHE 4 Nodes",
-            ClusterSim::new(cpu, ClusterConfig::four_nodes()).simulate(&profile).cluster_s,
+            ClusterSim::new(cpu, ClusterConfig::four_nodes()).simulate(&plan).cluster_s,
         ),
         (
             "PyTFHE A5000 GPU",
-            GpuSim::new(GpuCostModel::a5000(), cpu)
-                .simulate(&profile, GpuPolicy::CudaGraphs)
-                .total_s,
+            GpuSim::new(GpuCostModel::a5000(), cpu).simulate(&plan, GpuPolicy::CudaGraphs).total_s,
         ),
         (
             "PyTFHE 4090 GPU",
             GpuSim::new(GpuCostModel::rtx4090(), cpu)
-                .simulate(&profile, GpuPolicy::CudaGraphs)
+                .simulate(&plan, GpuPolicy::CudaGraphs)
                 .total_s,
         ),
     ];
@@ -464,9 +470,9 @@ pub fn ablation() -> String {
     let mut table = Table::new(&["workload", "barrier (Alg. 1)", "list scheduling", "gain"]);
     for name in ["NRSolver", "MNIST_S"] {
         let bench = pytfhe_vipbench::find(name, Scale::Test).expect("registered");
-        let profile = ProgramProfile::of(bench.netlist());
-        let barrier = sim.simulate(&profile).cluster_s;
-        let list = sim.simulate_list(bench.netlist()).cluster_s;
+        let plan = plan_of(bench.netlist());
+        let barrier = sim.simulate(&plan).cluster_s;
+        let list = sim.simulate_list(&plan).cluster_s;
         table.row(vec![
             name.to_string(),
             fmt_seconds(barrier),

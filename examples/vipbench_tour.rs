@@ -6,7 +6,8 @@
 //! ```
 
 use pytfhe::prelude::*;
-use pytfhe::pytfhe_backend::sim::ProgramProfile;
+use pytfhe::pytfhe_backend::graph::WavePlan;
+use pytfhe::pytfhe_backend::{capture, CaptureConfig};
 use pytfhe_vipbench::{benchmarks, find, Scale};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -15,17 +16,12 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     for b in benchmarks(Scale::Test) {
         let input = b.sample_input(1);
         b.check_detailed(&input).map_err(|e| format!("oracle mismatch: {e}"))?;
-        let profile = ProgramProfile::of(b.netlist());
-        let depth = profile.depth();
-        let width = profile.total_bootstrapped() as f64 / depth.max(1) as f64;
-        println!(
-            "{:<14} {:>8} {:>7} {:>9.1}   {}",
-            b.name(),
-            profile.total_bootstrapped(),
-            depth,
-            width,
-            b.description()
-        );
+        let plan = capture(b.netlist(), &CaptureConfig::default())?;
+        // Gates and waves as the simulators cost them.
+        let waves: Vec<u64> = plan.waves().map(WavePlan::bootstrapped).filter(|&n| n > 0).collect();
+        let (gates, depth) = (waves.iter().sum::<u64>(), waves.len());
+        let width = gates as f64 / depth.max(1) as f64;
+        println!("{:<14} {:>8} {:>7} {:>9.1}   {}", b.name(), gates, depth, width, b.description());
     }
     println!("\nall benchmarks verified against their plaintext oracles");
 

@@ -1,5 +1,6 @@
 //! Integer arithmetic generators: ripple-carry adders, subtractors,
-//! negation, schoolbook multipliers and comparators.
+//! negation, schoolbook multipliers, the signed-digit constant multiplier
+//! and comparators.
 //!
 //! These are the workhorses behind every ChiselTorch tensor op. Gate-count
 //! economy matters more than logic depth for TFHE (every gate is a
@@ -191,6 +192,44 @@ impl Circuit {
         self.mul_unsigned(&ax, &bx).slice(0, w)
     }
 
+    /// `a × k mod 2^W` for a constant `k` (`W` = both widths): a
+    /// shift-add over the non-adjacent (canonical signed-digit) form of
+    /// `k`, read straight from its constant bits, so any width works.
+    ///
+    /// The accumulator starts as `a << p` at the lowest positive digit `p`,
+    /// which is wiring. Every other digit `±1` at position `i` adds or
+    /// subtracts `a` into the window `acc[i..W]` only: the low `i` bits
+    /// are final and cost nothing. No two digits are adjacent, so a
+    /// constant costs at most `⌈W / 2⌉` adders, and a power of two none.
+    /// This is the ciphertext × plaintext product; the arrays of
+    /// [`Circuit::mul_unsigned`] and [`Circuit::mul_signed`] stay the
+    /// ciphertext × ciphertext path and this generator's oracle.
+    ///
+    /// # Panics
+    ///
+    /// Panics if widths differ or a bit of `k` is not a constant.
+    pub fn mul_const(&mut self, a: &Word, k: &Word) -> Word {
+        let w = a.width();
+        assert_eq!(w, k.width(), "mul_const: width mismatch");
+        let digits = non_adjacent_form(k);
+        let start = digits.iter().position(|&(_, negative)| !negative);
+        let mut acc = match start {
+            Some(s) => a.shl_const(digits[s].0),
+            None => Word::zeros(w),
+        };
+        for (n, &(i, negative)) in digits.iter().enumerate() {
+            if Some(n) == start {
+                continue;
+            }
+            let window = acc.slice(i, w);
+            let addend = a.slice(0, w - i);
+            let sum =
+                if negative { self.sub(&window, &addend) } else { self.add(&window, &addend) };
+            acc = acc.slice(0, i).concat(&sum);
+        }
+        acc
+    }
+
     /// Equality comparison.
     ///
     /// # Errors
@@ -273,6 +312,28 @@ impl Circuit {
         let a_lt_b = if signed { self.lt_signed(a, b)? } else { self.lt_unsigned(a, b)? };
         self.mux_word(a_lt_b, a, b)
     }
+}
+
+/// The nonzero digits of the non-adjacent form of the constant word `k`
+/// modulo `2^width`, lowest first: `(position, negative)`. A carry out of
+/// the top bit is `2^width ≡ 0` and is dropped.
+fn non_adjacent_form(k: &Word) -> Vec<(usize, bool)> {
+    let bit = |i: usize| {
+        i < k.width()
+            && k.bit(i).as_const().expect("mul_const: the constant operand has a signal bit")
+    };
+    let mut digits = Vec::new();
+    let mut carry = false;
+    for i in 0..k.width() {
+        // Bit plus carry is 0 or 2: digit 0, and the carry passes on. It
+        // is 1: digit +1, or -1 with a carry when the next bit is set
+        // (`…11` = `…(+1)0(-1)`), which keeps the digits non-adjacent.
+        if bit(i) != carry {
+            carry = bit(i + 1);
+            digits.push((i, carry));
+        }
+    }
+    digits
 }
 
 #[cfg(test)]

@@ -139,14 +139,15 @@ impl Word {
         Word { bits }
     }
 
-    /// If every bit is a constant, the unsigned value.
+    /// If every bit is a constant and the value fits, the unsigned value.
+    /// `None` for a signal bit or a set bit at position 64 or above.
     pub fn as_const_u64(&self) -> Option<u64> {
         let mut v = 0u64;
         for (i, bit) in self.bits.iter().enumerate() {
-            match bit.as_const() {
-                Some(true) if i < 64 => v |= 1 << i,
-                Some(_) => {}
-                None => return None,
+            match bit.as_const()? {
+                true if i < 64 => v |= 1 << i,
+                true => return None,
+                false => {}
             }
         }
         Some(v)
@@ -170,6 +171,17 @@ mod tests {
         let w = Word::constant_u64(0xAB, 8);
         assert_eq!(w.as_const_u64(), Some(0xAB));
         assert_eq!(Word::constant(5, 3).as_const_u64(), Some(5));
+    }
+
+    #[test]
+    fn wide_constants_do_not_truncate() {
+        // Zero-extended past bit 63 the value still fits; a set bit at 64
+        // or above does not.
+        assert_eq!(Word::constant_u64(u64::MAX, 70).as_const_u64(), Some(u64::MAX));
+        let mut bits = Word::constant_u64(5, 70).bits().to_vec();
+        bits[69] = Bit::ONE;
+        assert_eq!(Word::from_bits(bits).as_const_u64(), None);
+        assert_eq!(Word::constant(-1, 70).as_const_u64(), None);
     }
 
     #[test]

@@ -7,7 +7,10 @@
 //! LUT-covered ones (asm takes no LUT nodes), was captured while `opt::cse`
 //! still probed one hash table sized to the whole netlist and `lut_cover`
 //! kept its cones in hash maps. The rewritten passes have to reproduce
-//! them byte for byte.
+//! them byte for byte. The entries whose workloads multiply by a
+//! constant were recaptured when `v_mul` moved those products from the
+//! Baugh–Wooley array to the signed-digit shift-add of
+//! `Circuit::mul_const`.
 
 use pytfhe_netlist::opt::{lut_cover, optimize, LutCoverConfig, OptConfig};
 use pytfhe_netlist::{Netlist, Node};
@@ -19,13 +22,13 @@ use pytfhe_wire::crc32c;
 const OPTIMIZED: [(&str, u32); 23] = [
     ("Hamming", 0x9dd6_0be8),
     ("Eulers", 0xe6e4_6f18),
-    ("NRSolver", 0xf6c1_cfff),
-    ("GradDescent", 0x8c10_c130),
+    ("NRSolver", 0xc990_d645),
+    ("GradDescent", 0x705c_e657),
     ("Parrando", 0xe04d_ac4b),
     ("Primality", 0xc0d1_ab6f),
     ("Distinctness", 0x4660_82f4),
     ("DotProduct", 0xbdfc_c8f2),
-    ("LinReg", 0x2459_e0bb),
+    ("LinReg", 0x2032_f75a),
     ("Kepler", 0x2bde_aa97),
     ("kNN", 0x5f64_731f),
     ("SetIntersect", 0x1edd_00f0),
@@ -34,12 +37,12 @@ const OPTIMIZED: [(&str, u32); 23] = [
     ("BubbleSort", 0xb110_eac5),
     ("TriangleCount", 0xc63a_1629),
     ("RobertsCross", 0xc9eb_0c51),
-    ("MNIST_S", 0x00a8_96c5),
-    ("MNIST_M", 0xf010_6537),
-    ("MNIST_L", 0x2504_551f),
-    ("Attention_S", 0x1687_8456),
-    ("Attention_L", 0xdc11_26a9),
-    ("MNIST_S paper", 0xd05b_ae00),
+    ("MNIST_S", 0x8ed6_d196),
+    ("MNIST_M", 0xa8c7_2479),
+    ("MNIST_L", 0xe191_de8c),
+    ("Attention_S", 0xba17_0490),
+    ("Attention_L", 0x8727_d302),
+    ("MNIST_S paper", 0x1c94_821b),
 ];
 
 /// The CRC32C of the node encoding of `lut_cover` over the optimized
@@ -47,7 +50,7 @@ const OPTIMIZED: [(&str, u32); 23] = [
 const COVERED: [(&str, u32); 3] = [
     ("Distinctness", 0x8333_36be),
     ("Distinctness paper", 0xf7de_d8e7),
-    ("MNIST_S paper", 0xc20f_02e8),
+    ("MNIST_S paper", 0x9ef9_3ca0),
 ];
 
 fn optimized(nl: &Netlist) -> Netlist {

@@ -83,6 +83,31 @@ pub trait GateEngine: Sync {
         crate::exec::PARALLEL_WAVE_MIN
     }
 
+    /// The most lanes one bootstrap splits across:
+    /// [`crate::graph::run_wave`] runs a wave whose only bootstrap would
+    /// leave lanes idle on a gang of `min(lanes, gang_width)`
+    /// ([`GateEngine::band`]). 1, the default, keeps every bootstrap on
+    /// one lane.
+    fn gang_width(&self) -> usize {
+        1
+    }
+
+    /// Bands `scratches` into a gang: until each is
+    /// [`GateEngine::release`]d, the lane holding `scratches[i]` computes
+    /// member `i`'s share of every bootstrap, so all members must make
+    /// the same bootstrapping calls, each on its own thread, and each
+    /// receives the whole result. Called only when
+    /// [`GateEngine::gang_width`] exceeds 1.
+    fn band(&self, scratches: &mut [Self::Scratch]) {
+        let _ = scratches;
+    }
+
+    /// Returns a banded scratch to bootstrapping alone. Releasing a member
+    /// whose partners still wait on it aborts them: their call panics.
+    fn release(&self, scratch: &mut Self::Scratch) {
+        let _ = scratch;
+    }
+
     /// Evaluates one fused LUT node into an existing value slot.
     /// `ins[..spec.width]` are the cone's leaves; unused slots carry a
     /// valid (ignored) value, exactly as [`pytfhe_netlist::Node::Lut`]
@@ -315,6 +340,18 @@ impl GateEngine for TfheEngine<'_> {
                 _ => unreachable!("boot_gate covers every binary kind"),
             },
         }
+    }
+
+    fn gang_width(&self) -> usize {
+        self.key.gang_width()
+    }
+
+    fn band(&self, scratches: &mut [GateScratch]) {
+        GateScratch::band(scratches);
+    }
+
+    fn release(&self, scratch: &mut GateScratch) {
+        scratch.release();
     }
 
     fn eval_batch(

@@ -20,7 +20,7 @@
 //! executor dispatches through the same code with a [`Retry`] policy
 //! that re-runs the chunks that failed.
 
-use crate::engine::{check_inputs, GateEngine};
+use crate::engine::{boot_gate, check_inputs, GateEngine};
 use crate::error::ExecError;
 use crate::exec::{ExecStats, PARALLEL_WAVE_MIN};
 use crate::graph::plan::{GateTask, KernelPlan, LutGroup, LutTask, WavePlan};
@@ -154,6 +154,7 @@ pub struct Launch<'a, E: GateEngine> {
 }
 
 /// The tasks of one chunk: a run of a gate group, or of a LUT group (and whether it is affine).
+#[derive(Clone, Copy)]
 enum Tasks<'a> {
     Gates(GateKind, &'a [GateTask]),
     Luts(&'a LutGroup, bool, &'a [LutTask]),
@@ -171,6 +172,14 @@ struct Chunk<'a, E: GateEngine> {
 }
 
 impl<E: GateEngine> Chunk<'_, E> {
+    /// Whether the chunk's tasks bootstrap.
+    fn bootstraps(&self) -> bool {
+        match self.tasks {
+            Tasks::Gates(kind, _) => boot_gate(kind).is_some(),
+            Tasks::Luts(_, affine, _) => !affine,
+        }
+    }
+
     /// Bootstrapping LUT groups dispatch through
     /// [`GateEngine::eval_lut_batch`]; affine groups (width-1 tables)
     /// run linearly through [`GateEngine::eval_lut_into`]. Only the
@@ -265,28 +274,45 @@ pub(crate) fn run_wave_with<E: GateEngine>(
     let Some(first) = launches.first().filter(|_| total > 0) else {
         return Ok(());
     };
-    let _wave_span =
-        telemetry::span_with("exec", || format!("wave {}: {total} gates", stats.waves));
+    // A lone bootstrap would leave every other lane idle: a gang splits
+    // it instead, and the wave runs as one unit.
+    let bootstraps: u64 = launches.iter().map(|l| l.wave.bootstraps()).sum();
+    let gang = match &launches[..] {
+        [l] if bootstraps == 1 && workers > 1 => l.engine.gang_width().min(workers),
+        _ => 1,
+    };
+    let _wave_span = telemetry::span_with("exec", || match gang {
+        1 => format!("wave {}: {total} gates", stats.waves),
+        _ => format!("wave {}: {total} gates, {gang} lanes", stats.waves),
+    });
     telemetry::counter_sample("exec", "wave_width", total as f64);
     let grain = first.engine.parallel_grain().max(PARALLEL_WAVE_MIN);
-    let lanes = if total < grain { 1 } else { workers.max(1) };
+    let lanes = if gang > 1 || total < grain { 1 } else { workers.max(1) };
     // Chunks target one per lane across the whole dispatch; group
     // boundaries may add a few more, and stealing evens them out.
     let chunk = total.div_ceil(lanes);
     let mut cells: Vec<SlotCells<E::Scratch>> = Vec::with_capacity(launches.len());
     let mut chunks: Vec<Chunk<'_, E>> = Vec::new();
+    let mut gang_lanes: (&mut [E::Scratch], &mut [E::Value]) = (&mut [], &mut []);
     for (launch, l) in launches.iter_mut().enumerate() {
         let (engine, wave) = (l.engine, l.wave);
         let ReplayLanes { values, stage, scratches, .. } = &mut *l.lanes;
-        scratches.resize_with(lanes.max(scratches.len()), || engine.scratch());
-        cells.push(SlotCells::new(std::mem::take(scratches)));
+        scratches.resize_with(lanes.max(gang).max(scratches.len()), || engine.scratch());
         // The whole wave is staged before any result scatters back, so
-        // the stage arena spans the wave, not just its widest group.
-        if stage.len() < wave.num_tasks() {
-            stage.resize_with(wave.num_tasks(), || engine.constant(false));
+        // the stage arena spans the wave, not just its widest group; a
+        // gang's other members write their copies of its one bootstrap
+        // past it.
+        let n = wave.num_tasks();
+        if stage.len() < n + gang - 1 {
+            stage.resize_with(n + gang - 1, || engine.constant(false));
+        }
+        let (mut stage_rest, echoes) = stage.split_at_mut(n);
+        if gang > 1 {
+            gang_lanes = (&mut scratches[..gang], &mut echoes[..gang - 1]);
+        } else {
+            cells.push(SlotCells::new(std::mem::take(scratches)));
         }
         let values = &values[..];
-        let mut stage_rest = &mut stage[..wave.num_tasks()];
         for group in &wave.groups {
             let (group_stage, rest) = stage_rest.split_at_mut(group.tasks.len());
             stage_rest = rest;
@@ -322,6 +348,18 @@ pub(crate) fn run_wave_with<E: GateEngine>(
     let mut pending = vec![true; chunks.len()];
     let failed: Vec<AtomicBool> = chunks.iter().map(|_| AtomicBool::new(false)).collect();
     let outcome = loop {
+        if gang > 1 {
+            // The gang is one chunk: admitted once, retried whole.
+            telemetry::counter_sample("exec", "gang_lanes", gang as f64);
+            let (scratches, echoes) = &mut gang_lanes;
+            if retry.admit(0) && run_gang(&mut chunks, echoes, scratches) {
+                break Ok(());
+            }
+            if let Err(e) = retry.retry(&[0]) {
+                break Err(e);
+            }
+            continue;
+        }
         let run_on = |lane: usize, i: usize, chunk: &mut Chunk<'_, E>| {
             // SAFETY: every launch holds `lanes` scratches and `lane <
             // lanes`. The pool runs at most one task per lane at a time,
@@ -368,6 +406,43 @@ pub(crate) fn run_wave_with<E: GateEngine>(
         }
     }
     Ok(())
+}
+
+/// Runs every chunk of a one-bootstrap wave as one unit, on a gang of
+/// `scratches.len()` lanes that split the bootstrap between them
+/// ([`GateEngine::band`]): member 0 runs every chunk, the others a copy of
+/// the bootstrapping chunk each, into an echo slot. Where the pool cannot
+/// place the gang (a nested dispatch) the chunks run on the first scratch
+/// alone. Returns whether every chunk finished; a member that fails
+/// releases its scratch, which aborts its partners.
+fn run_gang<E: GateEngine>(
+    chunks: &mut [Chunk<'_, E>],
+    echoes: &mut [E::Value],
+    scratches: &mut [E::Scratch],
+) -> bool {
+    let engine = chunks[0].engine;
+    let boot = chunks.iter().position(Chunk::bootstraps).expect("a gang wave bootstraps");
+    let mut copies: Vec<Chunk<'_, E>> =
+        echoes.chunks_mut(1).map(|stage| Chunk { stage, ..chunks[boot] }).collect();
+    // Relaxed: the pool's latch orders the stores before the read.
+    let failed = AtomicBool::new(false);
+    let member = |scratch: &mut E::Scratch, work: &mut dyn FnMut(&mut E::Scratch)| {
+        let ran = catch_unwind(AssertUnwindSafe(|| work(scratch)));
+        engine.release(scratch);
+        failed.fetch_or(ran.is_err(), Ordering::Relaxed);
+    };
+    engine.band(scratches);
+    let (lead, rest) = scratches.split_first_mut().expect("a gang has members");
+    let mut jobs: Vec<Job> =
+        vec![Box::new(|_| member(lead, &mut |s| chunks.iter_mut().for_each(|c| c.run(s))))];
+    for (scratch, copy) in rest.iter_mut().zip(&mut copies) {
+        jobs.push(Box::new(move |_| member(scratch, &mut |s| copy.run(s))));
+    }
+    if WorkerPool::global().gang(jobs).is_none() {
+        scratches.iter_mut().for_each(|s| engine.release(s));
+        member(&mut scratches[0], &mut |s| chunks.iter_mut().for_each(|c| c.run(s)));
+    }
+    !failed.load(Ordering::Relaxed)
 }
 
 /// Bumps the per-kind and total launch counters.

@@ -27,6 +27,9 @@
 //! * **Reentrancy is inline.** A task that itself submits a run (nested
 //!   executors) runs the nested tasks inline on its own thread rather
 //!   than deadlocking on the run lock.
+//! * **Gangs.** [`WorkerPool::gang`] runs jobs that wait on one another
+//!   (the members of one split bootstrap) at once, one per thread, or
+//!   reports that it cannot place them rather than run them inline.
 //!
 //! Runs are serialized: the pool executes one run at a time, which keeps
 //! every worker's stealing scan bounded to the live run and makes lane
@@ -279,6 +282,28 @@ impl WorkerPool {
         Ok(stats)
     }
 
+    /// Runs `jobs` at once, each on a thread of its own — a *gang*,
+    /// whose members may wait on one another. The calling thread is one
+    /// of them, and the pool grows to `jobs.len()` lanes if it must. Each
+    /// lane queues one job and runs one job at a time, and a member does
+    /// not finish before its partners have started (unless one of them
+    /// fails), so no lane takes two. Returns `None`, running nothing,
+    /// when it cannot place them: fewer than two jobs, or a call from
+    /// inside a pool task, whose nested runs are inline.
+    ///
+    /// The pool does not make a partner arrive: a member whose partner
+    /// panics must stop waiting by itself.
+    ///
+    /// # Errors
+    ///
+    /// As [`WorkerPool::run`].
+    pub fn gang<'env>(&self, jobs: Vec<Job<'env>>) -> Option<Result<RunStats, ExecError>> {
+        if jobs.len() < 2 || IN_POOL.with(Cell::get) {
+            return None;
+        }
+        Some(self.run(jobs.len(), jobs))
+    }
+
     /// Spawns parked workers until lanes `1..lanes` all have a thread.
     fn ensure_workers(&self, lanes: usize) {
         let mut workers = self.workers.lock().expect("pool workers poisoned");
@@ -389,7 +414,9 @@ impl<T> SlotCells<T> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::collections::HashSet;
     use std::sync::atomic::AtomicU32;
+    use std::time::{Duration, Instant};
 
     #[test]
     fn runs_every_task_exactly_once() {
@@ -532,6 +559,49 @@ mod tests {
         let pool = WorkerPool::new(4);
         let stats = pool.run(4, Vec::new()).unwrap();
         assert_eq!(stats, RunStats::default());
+    }
+
+    /// `members` jobs that each record their thread and wait until all
+    /// have started: they finish only if the gang placed every one.
+    fn rendezvous(pool: &WorkerPool, members: usize) -> Option<Result<RunStats, ExecError>> {
+        let (started, threads) = (AtomicUsize::new(0), Mutex::new(HashSet::new()));
+        let job = |_| {
+            threads.lock().unwrap().insert(std::thread::current().id());
+            started.fetch_add(1, Ordering::AcqRel);
+            let deadline = Instant::now() + Duration::from_secs(20);
+            while started.load(Ordering::Acquire) < members {
+                assert!(Instant::now() < deadline, "a member was never placed");
+                std::thread::yield_now();
+            }
+        };
+        let ran = pool.gang((0..members).map(|_| Box::new(job) as Job).collect());
+        assert!(ran.is_none() || threads.into_inner().unwrap().len() == members);
+        ran
+    }
+
+    #[test]
+    fn gang_members_run_at_once_on_distinct_threads() {
+        let pool = WorkerPool::new(1);
+        for members in [2, 3, 2] {
+            let stats = rendezvous(&pool, members).expect("placed").expect("no panic");
+            assert_eq!((stats.tasks, stats.lanes), (members, members));
+        }
+    }
+
+    #[test]
+    fn a_gang_of_one_or_inside_a_pool_task_is_refused_unrun() {
+        let pool = WorkerPool::new(2);
+        assert!(rendezvous(&pool, 1).is_none());
+        let nested = || assert!(rendezvous(&pool, 2).is_none());
+        pool.run(2, vec![Box::new(|_| nested()), Box::new(|_| nested())]).unwrap();
+    }
+
+    #[test]
+    fn a_panicking_member_fails_the_gang_and_the_pool_survives() {
+        let pool = WorkerPool::new(2);
+        let jobs: Vec<Job> = vec![Box::new(|_| panic!("injected")), Box::new(|_| {})];
+        assert!(matches!(pool.gang(jobs), Some(Err(ExecError::WorkerPanicked))));
+        rendezvous(&pool, 2).expect("placed").expect("no panic");
     }
 
     #[test]

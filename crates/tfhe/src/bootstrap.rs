@@ -11,21 +11,35 @@
 //! `f64` FFT of [`crate::fft`].
 //!
 //! There is one blind-rotation loop, [`BootstrappingKey::rotate_batch_into`],
-//! and it is batch-first and *lane-outer*: for each CMUX step, for each
-//! ciphertext of the batch, the single-polynomial
-//! [`TgswFft::rotate_cmux_assign`] against the same bootstrapping-key
-//! row. The row (96 KB at the 128-bit parameters) is fetched from memory
-//! once per batch and re-read from L2 by the other lanes, so the per-gate
-//! cost cannot grow with the batch width, and a lane of a batch is
-//! bit-identical to the same ciphertext rotated alone because it *is*
-//! the same code. A single bootstrap is a batch of one.
+//! and it is batch-first and *column-owned*. Each CMUX step
+//! `acc <- acc + bk_i ⊡ (X^bara·acc - acc)` runs, for each ciphertext of
+//! the batch against the same bootstrapping-key row, in two halves: every
+//! lane of a gang rotates, decomposes and forward-transforms only the TLWE
+//! polynomials it owns into a shared, double-buffered exchange of digit
+//! spectra; the lanes meet at one barrier; then each lane multiplies all
+//! the spectra against only its own column of the row, in the `u`-major,
+//! level-minor order of [`TgswFft::external_product_into`], and
+//! inverse-transforms that column into its polynomial. At the 128-bit
+//! parameters (`k = 1`, `l = 3`) a gang of two lanes does, per lane and
+//! step, 3 forward transforms, 6 MACs, 1 inverse and streams 48 KB of the
+//! key instead of 6, 12, 2 and 96 KB; the trailing key switch is split by
+//! input range (`KeySwitchKey::switch_range_into`). A single thread is
+//! simply the gang of one that owns every column, so a lane's arithmetic
+//! — and every output byte — is the same at any gang size and any batch
+//! width. The row is fetched from memory once per batch and re-read from
+//! L2 by the other ciphertexts, so the per-gate cost cannot grow with the
+//! batch width. A single bootstrap is a batch of one.
 
-use crate::fft::FftPlan;
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::{Arc, PoisonError, RwLock, RwLockReadGuard, RwLockWriteGuard};
+
+use crate::fft::{FftPlan, FreqPoly};
+use crate::keyswitch::KeySwitchKey;
 use crate::lwe::{LweCiphertext, LweKey};
 use crate::params::Params;
-use crate::poly::TorusPoly;
+use crate::poly::{IntPoly, TorusPoly};
 use crate::rng::SecureRng;
-use crate::tgsw::{CmuxScratch, ExternalProductScratch, Gadget, TgswCiphertext, TgswFft};
+use crate::tgsw::{ExternalProductScratch, Gadget, TgswCiphertext, TgswFft};
 use crate::tlwe::{TlweCiphertext, TlweKey};
 use crate::torus::Torus32;
 
@@ -130,10 +144,11 @@ impl BootstrappingKey {
         ExternalProductScratch::new(self.params.poly_size, self.params.glwe_dim, self.gadget())
     }
 
-    /// Allocates the bootstrap scratch (CMUX buffers plus one
-    /// accumulator) sized for this key. One per worker thread; every
-    /// rotation on it runs without touching the allocator, except that
-    /// the first batch of a new width adds one accumulator per extra lane
+    /// Allocates the bootstrap scratch (the buffers of one lane's share of
+    /// a CMUX step, the exchange of a gang of one, plus one accumulator)
+    /// sized for this key. One per worker thread; every rotation on it
+    /// runs without touching the allocator, except that the first batch
+    /// of a new width adds one accumulator per extra lane
     /// ([`crate::ServerKey::gate_scratch`] allocates all
     /// [`crate::gates::FUSE_CHUNK`] of them up front).
     pub fn boot_scratch(&self) -> BootstrapScratch {
@@ -146,8 +161,15 @@ impl BootstrappingKey {
     pub(crate) fn boot_scratch_lanes(&self, lanes: usize) -> BootstrapScratch {
         let p = &self.params;
         BootstrapScratch {
-            cs: CmuxScratch::new(p.poly_size, p.glwe_dim, self.gadget()),
             accs: (0..lanes).map(|_| self.blank_acc()).collect(),
+            digits: (0..p.decomp_levels).map(|_| IntPoly::zero(p.poly_size)).collect(),
+            acc_freqs: (0..=p.glwe_dim).map(|_| FreqPoly::zero(p.poly_size)).collect(),
+            diff: TorusPoly::zero(p.poly_size),
+            ext: TorusPoly::zero(p.poly_size),
+            params: *p,
+            solo: Gang::new(1, p),
+            seat: None,
+            exchanges: 0,
         }
     }
 
@@ -157,7 +179,7 @@ impl BootstrappingKey {
 
     /// The one blind rotation, batch-first: for every lane, homomorphically
     /// computes `X^{-phase(inputs[lane]) * 2N} * tv(lane)` inside a TLWE
-    /// accumulator, in one lane-outer pass over the key (see the module
+    /// accumulator, in one column-owned pass over the key (see the module
     /// docs), and extracts the constant coefficient — which holds
     /// `tv[phase * 2N mod 2N]` with negacyclic sign — as a dimension-`k·N`
     /// LWE sample into `outs[lane]`; key switch it to return to the gate
@@ -166,14 +188,17 @@ impl BootstrappingKey {
     /// different lookup tables share the pass, a lane whose mod-switched
     /// mask element is zero skips that step's CMUX whatever its
     /// neighbours do, and each lane's result does not depend on which
-    /// other ciphertexts share the batch. Allocation-free once `scratch`
-    /// has served a batch this wide.
+    /// other ciphertexts share the batch. On a banded scratch
+    /// ([`crate::GateScratch::band`]) this computes the gang member's share
+    /// and every member's `outs` receive the whole result. Allocation-free
+    /// once `scratch` has served a batch this wide.
     ///
     /// # Panics
     ///
     /// Panics if `inputs` and `outs` differ in length, an input is not
     /// of the key's LWE dimension, or a polynomial test vector is not `N`
-    /// entries long.
+    /// entries long; on a banded scratch, also when a partner leaves the
+    /// gang before this call is done.
     pub fn rotate_batch_into<'t>(
         &self,
         inputs: &[(&[Torus32], Torus32)],
@@ -182,12 +207,15 @@ impl BootstrappingKey {
         outs: &mut [LweCiphertext],
     ) {
         assert_eq!(outs.len(), inputs.len(), "one output per lane");
-        let BootstrapScratch { cs, accs } = scratch;
         let n = self.params.poly_size;
         let n2 = 2 * n;
-        if accs.len() < inputs.len() {
-            accs.resize_with(inputs.len(), || self.blank_acc());
+        if scratch.accs.len() < inputs.len() {
+            scratch.accs.resize_with(inputs.len(), || self.blank_acc());
         }
+        let BootstrapScratch {
+            accs, digits, acc_freqs, diff, ext, solo, seat: s, exchanges, ..
+        } = scratch;
+        let (gang, member) = seat(solo, s);
         for (lane, (acc, (mask, body))) in accs.iter_mut().zip(inputs).enumerate() {
             assert_eq!(mask.len(), self.params.lwe_dim, "input of the wrong LWE dimension");
             // acc = X^{-barb} * tv = X^{2N - barb} * tv (trivial sample).
@@ -196,16 +224,54 @@ impl BootstrappingKey {
             }
             tv(lane).mul_by_xk_into((n2 - body.mod_switch(n)) % n2, &mut acc.b);
         }
+        let (cols, levels) = (self.params.glwe_dim + 1, self.params.decomp_levels);
+        let owned = (member..cols).step_by(gang.members);
         for (i, bk_i) in self.tgsw.iter().enumerate() {
+            let rows = bk_i.rows_raw();
             for (acc, (mask, _)) in accs.iter_mut().zip(inputs) {
                 let bara = mask[i].mod_switch(n);
-                if bara != 0 {
-                    // acc <- acc + bk_i ⊡ (X^{bara} * acc - acc), the CMUX.
-                    bk_i.rotate_cmux_assign(acc, bara, &self.plan, cs);
+                if bara == 0 {
+                    continue;
+                }
+                // The CMUX acc <- acc + bk_i ⊡ (X^{bara} * acc - acc): the
+                // digit spectra of this lane's polynomials, then, once
+                // every lane's are in, this lane's columns of the product.
+                let spectra = &gang.spectra[next_parity(exchanges)];
+                for u in owned.clone() {
+                    let poly = acc.poly(u);
+                    poly.mul_by_xk_into(bara, diff);
+                    diff.sub_assign(poly);
+                    self.gadget().decompose_poly_into(diff, digits);
+                    for (digit, spectrum) in digits.iter().zip(write(&spectra[u]).iter_mut()) {
+                        self.plan.forward_int_into(digit, spectrum);
+                    }
+                }
+                gang.wait();
+                owned.clone().for_each(|col| acc_freqs[col].clear());
+                for (u, spectra_u) in spectra.iter().enumerate() {
+                    for (level, spectrum) in read(spectra_u).iter().enumerate() {
+                        let row = &rows[u * levels + level];
+                        for col in owned.clone() {
+                            acc_freqs[col].add_mul_assign(spectrum, &row[col]);
+                        }
+                    }
+                }
+                for col in owned.clone() {
+                    self.plan.inverse_torus_destructive(&mut acc_freqs[col], ext);
+                    acc.poly_mut(col).add_assign(ext);
                 }
             }
         }
-        for (acc, out) in accs.iter().zip(outs) {
+        for (acc, out) in accs.iter_mut().zip(outs) {
+            if gang.members > 1 {
+                // Gather every member's columns of the finished accumulator.
+                let polys = &gang.polys[next_parity(exchanges)];
+                owned.clone().for_each(|u| write(&polys[u]).copy_from(acc.poly(u)));
+                gang.wait();
+                for (u, poly) in polys.iter().enumerate() {
+                    acc.poly_mut(u).copy_from(&read(poly));
+                }
+            }
             acc.extract_lwe_into(out);
         }
     }
@@ -230,16 +296,177 @@ impl BootstrappingKey {
     }
 }
 
-/// Reusable buffers for the allocation-free bootstrap path: the CMUX
-/// scratch (external-product buffers plus the difference/product
-/// ciphertexts of one CMUX step, shared by every lane) and one
-/// blind-rotation accumulator per lane of the widest batch served so
-/// far. Construct once per worker with
-/// [`BootstrappingKey::boot_scratch`].
+/// Flips `exchanges` to the other half of a gang's double-buffered
+/// exchange and returns its index. Every member makes the same exchanges
+/// in the same order, so their counters agree; a half is rewritten only
+/// after a later barrier, which no member passes before it has read it.
+fn next_parity(exchanges: &mut usize) -> usize {
+    *exchanges += 1;
+    *exchanges & 1
+}
+
+/// A shared exchange slot. The barriers keep every lock uncontended, and
+/// a slot is written before it is read, so a lock poisoned by a member
+/// that panicked holds nothing to distrust.
+fn read<T>(slot: &RwLock<T>) -> RwLockReadGuard<'_, T> {
+    slot.read().unwrap_or_else(PoisonError::into_inner)
+}
+
+/// See [`read`].
+fn write<T>(slot: &RwLock<T>) -> RwLockWriteGuard<'_, T> {
+    slot.write().unwrap_or_else(PoisonError::into_inner)
+}
+
+/// What the members of a gang share: `members` lanes splitting every
+/// bootstrap by TLWE column, member `i` owning columns
+/// `i, i + members, …`, with double-buffered exchanges and a barrier.
+#[derive(Debug)]
+struct Gang {
+    members: usize,
+    /// `spectra[parity][u]`: the `l` digit spectra of polynomial `u` of
+    /// one CMUX step.
+    spectra: [Vec<RwLock<Vec<FreqPoly>>>; 2],
+    /// `polys[parity][u]`: column `u` of a finished accumulator.
+    polys: [Vec<RwLock<TorusPoly>>; 2],
+    /// `parts[parity][member]`: a member's share of a key switch.
+    parts: [Vec<RwLock<LweCiphertext>>; 2],
+    arrived: AtomicUsize,
+    generation: AtomicUsize,
+    left: AtomicBool,
+}
+
+impl Gang {
+    fn new(members: usize, p: &Params) -> Self {
+        let (n, cols) = (p.poly_size, p.glwe_dim + 1);
+        let digits = || RwLock::new((0..p.decomp_levels).map(|_| FreqPoly::zero(n)).collect());
+        let spectra = || (0..cols).map(|_| digits()).collect();
+        let polys = || (0..cols).map(|_| RwLock::new(TorusPoly::zero(n))).collect();
+        let part = || RwLock::new(LweCiphertext::trivial(Torus32::ZERO, p.lwe_dim));
+        let parts = || (0..members).map(|_| part()).collect();
+        Gang {
+            members,
+            spectra: [spectra(), spectra()],
+            polys: [polys(), polys()],
+            parts: [parts(), parts()],
+            arrived: AtomicUsize::new(0),
+            generation: AtomicUsize::new(0),
+            left: AtomicBool::new(false),
+        }
+    }
+
+    /// Returns once every member has arrived: spins, then yields its core.
+    ///
+    /// # Panics
+    ///
+    /// Panics when a member leaves the gang before this barrier opens.
+    fn wait(&self) {
+        // The last arrival's Release store of `generation` publishes its
+        // reset of `arrived` to the waiters, which Acquire it before they
+        // arrive at the next barrier; `left` is stored Release after the
+        // leaving member's last barrier, so a waiter that Acquires it
+        // also sees that barrier's `generation`.
+        let generation = self.generation.load(Ordering::Acquire);
+        if self.arrived.fetch_add(1, Ordering::AcqRel) + 1 == self.members {
+            self.arrived.store(0, Ordering::Relaxed);
+            self.generation.store(generation.wrapping_add(1), Ordering::Release);
+            return;
+        }
+        let mut spins = 0u32;
+        while self.generation.load(Ordering::Acquire) == generation {
+            // A member that left after passing this barrier opened it
+            // first: look again before giving up.
+            if self.left.load(Ordering::Acquire)
+                && self.generation.load(Ordering::Acquire) == generation
+            {
+                panic!("a gang member left mid-bootstrap");
+            }
+            if spins < 1 << 12 {
+                spins += 1;
+                std::hint::spin_loop();
+            } else {
+                std::thread::yield_now();
+            }
+        }
+    }
+}
+
+/// Reusable buffers for the allocation-free bootstrap path: one lane's
+/// share of a CMUX step (the rotated difference, its digits, the spectra
+/// of the columns it owns and their inverse), the gang of one it runs in
+/// alone, its seat in the gang it is banded into, and one blind-rotation
+/// accumulator per lane of the widest batch served so far. Construct once
+/// per worker with [`BootstrappingKey::boot_scratch`].
 #[derive(Debug)]
 pub struct BootstrapScratch {
-    cs: CmuxScratch,
     accs: Vec<TlweCiphertext>,
+    digits: Vec<IntPoly>,
+    acc_freqs: Vec<FreqPoly>,
+    diff: TorusPoly,
+    ext: TorusPoly,
+    params: Params,
+    solo: Gang,
+    seat: Option<(Arc<Gang>, usize)>,
+    exchanges: usize,
+}
+
+/// The gang a scratch runs in and its member index.
+fn seat<'g>(solo: &'g Gang, seat: &'g Option<(Arc<Gang>, usize)>) -> (&'g Gang, usize) {
+    seat.as_ref().map_or((solo, 0), |(gang, member)| (gang, *member))
+}
+
+impl BootstrapScratch {
+    /// Bands `members` (scratches of one key) into a new gang: until each
+    /// is [`BootstrapScratch::release`]d, the thread holding `members[i]`
+    /// computes member `i`'s share of every rotation and key switch and
+    /// meets its partners at a barrier, so every member must make the
+    /// same calls on the same inputs, each on its own thread.
+    pub(crate) fn band<'s>(members: impl ExactSizeIterator<Item = &'s mut BootstrapScratch>) {
+        let mut members = members.peekable();
+        let count = members.len();
+        let Some(first) = members.peek() else { return };
+        let gang = Arc::new(Gang::new(count, &first.params));
+        for (member, scratch) in members.enumerate() {
+            scratch.seat = Some((Arc::clone(&gang), member));
+            scratch.exchanges = 0;
+        }
+    }
+
+    /// Whether this scratch runs alone or as a gang's first member.
+    pub(crate) fn leads(&self) -> bool {
+        self.seat.as_ref().is_none_or(|(_, member)| *member == 0)
+    }
+
+    /// Returns this scratch to bootstrapping alone. A member released
+    /// while its partners still need it aborts them: their waiting call
+    /// panics instead of waiting forever.
+    pub(crate) fn release(&mut self) {
+        if let Some((gang, _)) = self.seat.take() {
+            gang.left.store(true, Ordering::Release);
+        }
+    }
+
+    /// Key switches `raw` into `out`. Member `i` of a gang switches the
+    /// `i`-th of `members` equal ranges of the input mask (member 0 also
+    /// carries the body), and every member adds the shares in member
+    /// order: exact, since a key switch is a sum in wrapping `u32`.
+    pub(crate) fn key_switch_into(
+        &mut self,
+        ksk: &KeySwitchKey,
+        raw: &LweCiphertext,
+        out: &mut LweCiphertext,
+    ) {
+        let (gang, member) = seat(&self.solo, &self.seat);
+        let (dim, members) = (ksk.src_dim(), gang.members);
+        let body = if member == 0 { raw.body() } else { Torus32::ZERO };
+        ksk.switch_range_into(raw, member * dim / members..(member + 1) * dim / members, body, out);
+        if members > 1 {
+            let parts = &gang.parts[next_parity(&mut self.exchanges)];
+            write(&parts[member]).copy_from(out);
+            gang.wait();
+            out.copy_from(&read(&parts[0]));
+            parts[1..].iter().for_each(|part| out.add_assign(&read(part)));
+        }
+    }
 }
 
 /// Numerically checks the sign-extraction property of the constant test
@@ -463,5 +690,84 @@ mod tests {
         bk.rotate_batch_into(&inputs, |_| mu, &mut batch, &mut outs);
         bk.rotate_batch_into(&inputs[..3], |_| mu, &mut batch, &mut outs[..3]);
         assert_eq!(thread_buffer_allocs() - before, 0);
+    }
+
+    /// Runs `job` once on every scratch of a gang banded from
+    /// `scratches`, each on its own thread, and releases them.
+    fn on_gang<R: Send>(
+        scratches: &mut [BootstrapScratch],
+        job: impl Fn(&mut BootstrapScratch) -> R + Sync,
+    ) -> Vec<std::thread::Result<R>> {
+        BootstrapScratch::band(scratches.iter_mut());
+        let results = std::thread::scope(|s| {
+            let job = &job;
+            let members: Vec<_> = scratches.iter_mut().map(|sc| s.spawn(move || job(sc))).collect();
+            members.into_iter().map(|member| member.join()).collect()
+        });
+        scratches.iter_mut().for_each(BootstrapScratch::release);
+        results
+    }
+
+    #[test]
+    fn a_gang_rotates_and_key_switches_bit_identically_to_one_lane() {
+        let params = Params::testing();
+        let mut rng = SecureRng::seed_from_u64(61);
+        let client = crate::ClientKey::generate(params, &mut rng);
+        let server = client.server_key(&mut rng);
+        let (bk, ksk) = (&server.bootstrap, &server.keyswitch);
+        let tvs: Vec<TorusPoly> =
+            (0..3).map(|_| TorusPoly::uniform(params.poly_size, &mut rng)).collect();
+        let mu = Torus32::from_fraction(1, 3);
+        let mut solo = bk.boot_scratch();
+        let mut gang: Vec<BootstrapScratch> = (0..2).map(|_| bk.boot_scratch()).collect();
+        for width in [1, 3] {
+            let cts = lanes_with_a_skipping_lane(width, &params, client.lwe_key(), &mut rng);
+            let inputs: Vec<(&[Torus32], Torus32)> =
+                cts.iter().map(|ct| (ct.a.as_slice(), ct.b)).collect();
+            for programmable in [false, true] {
+                let tv = |l: usize| match programmable {
+                    true => TestVector::Poly(&tvs[l]),
+                    false => TestVector::Constant(mu),
+                };
+                let run = |scratch: &mut BootstrapScratch| {
+                    let raw = LweCiphertext::trivial(Torus32::ZERO, params.extracted_lwe_dim());
+                    let mut raws = vec![raw; width];
+                    bk.rotate_batch_into(&inputs, tv, scratch, &mut raws);
+                    let mut outs =
+                        vec![LweCiphertext::trivial(Torus32::ZERO, params.lwe_dim); width];
+                    for (raw, out) in raws.iter().zip(&mut outs) {
+                        scratch.key_switch_into(ksk, raw, out);
+                    }
+                    (raws, outs)
+                };
+                let want = run(&mut solo);
+                for (member, got) in on_gang(&mut gang, run).into_iter().enumerate() {
+                    let got = got.expect("no member panics");
+                    assert_eq!(
+                        got, want,
+                        "width {width}, programmable {programmable}, member {member}"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn a_member_that_leaves_releases_its_partner() {
+        let (params, lwe_key, _tlwe_key, bk, mut rng) = setup();
+        let mu = Torus32::from_fraction(1, 3);
+        let ct = lwe_key.encrypt(mu, params.lwe_noise_stdev, &mut rng);
+        let want = rotate_one(&bk, &ct, TestVector::Constant(mu), &mut bk.boot_scratch());
+        let mut gang: Vec<BootstrapScratch> = (0..2).map(|_| bk.boot_scratch()).collect();
+        // Member 0 leaves without rotating: member 1 gives up at its first
+        // barrier instead of spinning forever, and the scratches band again.
+        let results = on_gang(&mut gang, |scratch| match scratch.leads() {
+            true => scratch.release(),
+            false => drop(rotate_one(&bk, &ct, TestVector::Constant(mu), scratch)),
+        });
+        assert!(results[0].is_ok() && results[1].is_err(), "the partner panics");
+        for got in on_gang(&mut gang, |s| rotate_one(&bk, &ct, TestVector::Constant(mu), s)) {
+            assert_eq!(got.expect("no member panics"), want);
+        }
     }
 }

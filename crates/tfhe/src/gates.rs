@@ -209,9 +209,37 @@ fn gate_split_recorder<'g>(
         .then_some(move |lane: usize, split: GateProfile| record_gate_split(gate(lane), split))
 }
 
+impl GateScratch {
+    /// Bands `members` (scratches of one key, at most
+    /// [`ServerKey::gang_width`] of them) into a gang: until each is
+    /// [`GateScratch::release`]d, the thread holding `members[i]` computes
+    /// member `i`'s share of every bootstrap — the TLWE columns
+    /// `i, i + members.len(), …` of each CMUX step and a slice of the key
+    /// switch — and meets its partners at a spin barrier. Every member
+    /// must therefore make the same calls on the same inputs, each on its
+    /// own thread, and every member's outputs receive the whole result,
+    /// byte-identical to a scratch that is not banded.
+    pub fn band(members: &mut [GateScratch]) {
+        BootstrapScratch::band(members.iter_mut().map(|s| &mut s.lanes.boot));
+    }
+
+    /// Returns this scratch to bootstrapping alone. Releasing a member
+    /// while its partners still need it aborts them: their call panics
+    /// instead of waiting forever.
+    pub fn release(&mut self) {
+        self.lanes.boot.release();
+    }
+}
+
 impl ServerKey {
     fn mu() -> Torus32 {
         Torus32::from_fraction(1, MU_LOG2_DENOM)
+    }
+
+    /// The most lanes one bootstrap splits across
+    /// ([`GateScratch::band`]): one per TLWE polynomial, `k + 1`.
+    pub fn gang_width(&self) -> usize {
+        self.params.glwe_dim + 1
     }
 
     /// Allocates reusable scratch for gate evaluation (one per worker
@@ -234,12 +262,15 @@ impl ServerKey {
     /// of this key is a call into. Over cache-sized chunks of
     /// [`FUSE_CHUNK`] lanes: `stage(lane, soa, slot)` writes each lane's
     /// linear combination into a struct-of-arrays slot and names its test
-    /// vector; one lane-outer pass over the bootstrapping key rotates
+    /// vector; one column-owned pass over the bootstrapping key rotates
     /// each test vector by its slot
     /// ([`crate::bootstrap::BootstrappingKey::rotate_batch_into`]); the
     /// raw samples are key switched as `tail` says; and `observe`, when
     /// present, receives each lane's timing split (a chunk's staging and
-    /// rotation time divided evenly over its lanes). Staging and
+    /// rotation time divided evenly over its lanes). On a banded scratch
+    /// ([`GateScratch::band`]) the rotation and the key switch compute
+    /// this member's share, every member's `outs` receive the whole
+    /// result, and only the first member observes. Staging and
     /// bootstrap are *fused* per chunk, so the staged masks are still
     /// cache-resident when the rotation reads them. A lane's arithmetic
     /// does not depend on the width or the position it runs at, so every
@@ -259,13 +290,15 @@ impl ServerKey {
         stage: impl Fn(usize, &mut LweSoa, usize) -> TestVector<'t>,
         tail: Tail,
         outs: &mut [LweCiphertext],
-        mut observe: Option<impl FnMut(usize, GateProfile)>,
+        observe: Option<impl FnMut(usize, GateProfile)>,
     ) {
         match tail {
             Tail::Each => assert_eq!(outs.len(), lanes, "one output per lane"),
             Tail::Sum(_) => assert!(outs.len() == 1 && lanes <= FUSE_CHUNK, "one summed chunk"),
         }
         let LaneScratch { boot, raws, soa } = scratch;
+        // A gang's bootstrap is observed once, by its first member.
+        let mut observe = observe.filter(|_| boot.leads());
         let timed = observe.is_some();
         let now = || timed.then(Instant::now);
         for base in (0..lanes).step_by(FUSE_CHUNK) {
@@ -296,7 +329,7 @@ impl ServerKey {
             };
             for (slot, (raw, out)) in raws.iter().zip(outs).enumerate() {
                 let k0 = now();
-                self.keyswitch.switch_into(raw, out);
+                boot.key_switch_into(&self.keyswitch, raw, out);
                 if let (Some(observe), Some(t0), Some(t1), Some(t2), Some(k0)) =
                     (observe.as_mut(), t0, t1, t2, k0)
                 {

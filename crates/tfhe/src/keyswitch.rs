@@ -125,9 +125,24 @@ impl KeySwitchKey {
     /// (reusing `out`'s mask buffer when it already has the destination
     /// dimension).
     pub fn switch_into(&self, ct: &LweCiphertext, out: &mut LweCiphertext) {
+        self.switch_range_into(ct, 0..self.src_dim, ct.body(), out);
+    }
+
+    /// The share of [`KeySwitchKey::switch_into`] that mask elements
+    /// `inputs` contribute, on top of the trivial sample of `body`. The
+    /// switch is a sum in wrapping `u32`, so the shares of disjoint ranges
+    /// covering the mask (one of them carrying `ct`'s body) add up to
+    /// exactly the whole switch.
+    pub(crate) fn switch_range_into(
+        &self,
+        ct: &LweCiphertext,
+        inputs: std::ops::Range<usize>,
+        body: Torus32,
+        out: &mut LweCiphertext,
+    ) {
         assert_eq!(ct.dim(), self.src_dim, "key switch input dimension mismatch");
         assert!(self.levels <= MAX_KS_LEVELS, "key switch supports at most {MAX_KS_LEVELS} levels");
-        out.assign_trivial(ct.body(), self.dst_dim);
+        out.assign_trivial(body, self.dst_dim);
         let base = 1usize << self.base_log;
         let base_mask = (1u32 << self.base_log) - 1;
         let total_bits = (self.levels * self.base_log) as u32;
@@ -151,7 +166,7 @@ impl KeySwitchKey {
         // is bit-identical to sequential subtractions.
         let kern = crate::simd::kernels();
         let mut pending: Option<(&[Torus32], Torus32)> = None;
-        for (i, &a_i) in ct.mask().iter().enumerate() {
+        for (i, &a_i) in inputs.clone().zip(&ct.mask()[inputs]) {
             // Extract the whole digit vector of this mask element in one
             // flat pass, then do the (branchy, memory-bound) accumulation.
             let tmp = a_i.0.wrapping_add(round);

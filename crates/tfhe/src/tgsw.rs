@@ -143,8 +143,8 @@ pub struct TgswFft {
     gadget: Gadget,
 }
 
-/// Scratch buffers for [`TgswFft::external_product`], reused across the
-/// `n` iterations of a blind rotation.
+/// Scratch buffers for [`TgswFft::external_product`], reused across
+/// calls.
 #[derive(Debug)]
 pub struct ExternalProductScratch {
     digits: Vec<IntPoly>,
@@ -160,29 +160,6 @@ impl ExternalProductScratch {
             digits: (0..gadget.levels).map(|_| IntPoly::zero(n)).collect(),
             digit_freq: FreqPoly::zero(n),
             acc_freq: (0..=k).map(|_| FreqPoly::zero(n)).collect(),
-        }
-    }
-}
-
-/// Scratch for the allocation-free CMUX paths: the external-product
-/// buffers plus the difference and product ciphertexts of one CMUX step.
-/// One per worker; [`TgswFft::cmux_into`] and
-/// [`TgswFft::rotate_cmux_assign`] run entirely on these buffers.
-#[derive(Debug)]
-pub struct CmuxScratch {
-    pub(crate) ep: ExternalProductScratch,
-    pub(crate) diff: TlweCiphertext,
-    pub(crate) ext: TlweCiphertext,
-}
-
-impl CmuxScratch {
-    /// Allocates scratch for ring dimension `n`, GLWE dimension `k` and the
-    /// given gadget.
-    pub fn new(n: usize, k: usize, gadget: Gadget) -> Self {
-        CmuxScratch {
-            ep: ExternalProductScratch::new(n, k, gadget),
-            diff: TlweCiphertext::trivial(TorusPoly::zero(n), k),
-            ext: TlweCiphertext::trivial(TorusPoly::zero(n), k),
         }
     }
 }
@@ -252,56 +229,6 @@ impl TgswFft {
             plan.inverse_torus_destructive(acc, dst);
         }
         plan.inverse_torus_destructive(&mut body_acc[0], &mut out.b);
-    }
-
-    /// The CMUX gate: returns `c0 + self ⊡ (c1 - c0)`, i.e. selects `c1`
-    /// when `self` encrypts 1 and `c0` when it encrypts 0. Allocates only
-    /// the returned ciphertext; all intermediates live in `scratch`.
-    pub fn cmux(
-        &self,
-        c0: &TlweCiphertext,
-        c1: &TlweCiphertext,
-        plan: &FftPlan,
-        scratch: &mut CmuxScratch,
-    ) -> TlweCiphertext {
-        let mut out = TlweCiphertext::trivial(TorusPoly::zero(c0.poly_size()), c0.k());
-        self.cmux_into(c0, c1, plan, scratch, &mut out);
-        out
-    }
-
-    /// Like [`TgswFft::cmux`], writing into `out` (same shape as `c0`)
-    /// with zero heap allocation. `out` may not alias `c0` or `c1`.
-    pub fn cmux_into(
-        &self,
-        c0: &TlweCiphertext,
-        c1: &TlweCiphertext,
-        plan: &FftPlan,
-        scratch: &mut CmuxScratch,
-        out: &mut TlweCiphertext,
-    ) {
-        let CmuxScratch { ep, diff, .. } = scratch;
-        diff.copy_from(c1);
-        diff.sub_assign(c0);
-        self.external_product_into(diff, plan, ep, out);
-        out.add_assign(c0);
-    }
-
-    /// One in-place CMUX step of blind rotation:
-    /// `acc <- acc + self ⊡ (X^bara·acc - acc)`, entirely on `scratch`.
-    /// This is the no-alloc kernel every public rotation path — single
-    /// or batched — routes through.
-    pub fn rotate_cmux_assign(
-        &self,
-        acc: &mut TlweCiphertext,
-        bara: usize,
-        plan: &FftPlan,
-        scratch: &mut CmuxScratch,
-    ) {
-        let CmuxScratch { ep, diff, ext } = scratch;
-        acc.rotate_into(bara, diff);
-        diff.sub_assign(acc);
-        self.external_product_into(diff, plan, ep, ext);
-        acc.add_assign(ext);
     }
 }
 
@@ -373,49 +300,5 @@ mod tests {
         for (&got, &want) in phase.coeffs().iter().zip(msg.coeffs()) {
             assert!((got - want).to_f64().abs() < 1e-4);
         }
-    }
-
-    #[test]
-    fn cmux_selects() {
-        let mut rng = SecureRng::seed_from_u64(43);
-        let n = 64;
-        let key = TlweKey::generate(1, n, &mut rng);
-        let plan = FftPlan::new(n);
-        let g = gadget();
-        let m0 = TorusPoly::fill(Torus32::from_fraction(1, 3), n);
-        let m1 = TorusPoly::fill(Torus32::from_fraction(-1, 3), n);
-        let c0 = key.encrypt_poly(&m0, STDEV, &mut rng);
-        let c1 = key.encrypt_poly(&m1, STDEV, &mut rng);
-        let mut scratch = CmuxScratch::new(n, 1, g);
-        for (bit, want) in [(0, &m0), (1, &m1)] {
-            let sel = TgswCiphertext::encrypt(&key, bit, g, STDEV, &mut rng).to_fft(&plan);
-            let out = sel.cmux(&c0, &c1, &plan, &mut scratch);
-            let phase = key.phase(&out);
-            for (&got, &w) in phase.coeffs().iter().zip(want.coeffs()) {
-                assert!((got - w).to_f64().abs() < 1e-4, "bit={bit}");
-            }
-        }
-    }
-
-    #[test]
-    fn cmux_into_is_allocation_free() {
-        let mut rng = SecureRng::seed_from_u64(44);
-        let n = 64;
-        let key = TlweKey::generate(1, n, &mut rng);
-        let plan = FftPlan::new(n);
-        let g = gadget();
-        let c0 =
-            key.encrypt_poly(&TorusPoly::fill(Torus32::from_fraction(1, 3), n), STDEV, &mut rng);
-        let c1 =
-            key.encrypt_poly(&TorusPoly::fill(Torus32::from_fraction(-1, 3), n), STDEV, &mut rng);
-        let sel = TgswCiphertext::encrypt(&key, 1, g, STDEV, &mut rng).to_fft(&plan);
-        let mut scratch = CmuxScratch::new(n, 1, g);
-        let mut out = TlweCiphertext::trivial(TorusPoly::zero(n), 1);
-        // Warm-up, then assert the steady state never touches the allocator.
-        sel.cmux_into(&c0, &c1, &plan, &mut scratch, &mut out);
-        let before = crate::trace::thread_buffer_allocs();
-        sel.cmux_into(&c0, &c1, &plan, &mut scratch, &mut out);
-        sel.rotate_cmux_assign(&mut out, 3, &plan, &mut scratch);
-        assert_eq!(crate::trace::thread_buffer_allocs() - before, 0);
     }
 }

@@ -201,6 +201,16 @@ impl TlweCiphertext {
         self.a.iter().chain(std::iter::once(&self.b))
     }
 
+    /// Polynomial `u ≤ k`: the mask polynomials, then the body at `k`.
+    pub(crate) fn poly(&self, u: usize) -> &TorusPoly {
+        self.a.get(u).unwrap_or(&self.b)
+    }
+
+    /// Mutable [`TlweCiphertext::poly`].
+    pub(crate) fn poly_mut(&mut self, u: usize) -> &mut TorusPoly {
+        self.a.get_mut(u).unwrap_or(&mut self.b)
+    }
+
     /// `self += other`.
     pub fn add_assign(&mut self, other: &TlweCiphertext) {
         for (x, y) in self.a.iter_mut().zip(&other.a) {
@@ -223,26 +233,6 @@ impl TlweCiphertext {
             a: self.a.iter().map(|p| p.mul_by_xk(amount)).collect(),
             b: self.b.mul_by_xk(amount),
         }
-    }
-
-    /// Like [`TlweCiphertext::rotate`], writing into `out` (same shape)
-    /// without allocating.
-    pub fn rotate_into(&self, amount: usize, out: &mut TlweCiphertext) {
-        debug_assert_eq!(out.k(), self.k());
-        for (src, dst) in self.a.iter().zip(&mut out.a) {
-            src.mul_by_xk_into(amount, dst);
-        }
-        self.b.mul_by_xk_into(amount, &mut out.b);
-    }
-
-    /// Overwrites `self` with a copy of `other` (same shape), reusing all
-    /// polynomial buffers.
-    pub fn copy_from(&mut self, other: &TlweCiphertext) {
-        debug_assert_eq!(self.k(), other.k());
-        for (dst, src) in self.a.iter_mut().zip(&other.a) {
-            dst.copy_from(src);
-        }
-        self.b.copy_from(&other.b);
     }
 
     /// Extracts the LWE encryption of the constant coefficient of the

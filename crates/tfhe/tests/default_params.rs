@@ -5,7 +5,7 @@
 //! generation plus real bootstraps) but prove that the default parameters
 //! decrypt correctly through bootstrapped gate chains.
 
-use pytfhe_tfhe::{BootGate, ClientKey, Params, SecureRng};
+use pytfhe_tfhe::{BootGate, ClientKey, GateScratch, LweCiphertext, Params, SecureRng};
 
 #[test]
 fn default_128_gates_are_correct() {
@@ -47,4 +47,26 @@ fn default_128_gate_profile_shape() {
     let (_, profile) = server.profile_nand(&a, &b);
     assert!(profile.blind_rotation_s > profile.key_switching_s);
     assert!(profile.key_switching_s > profile.linear_s);
+}
+
+#[test]
+fn a_banded_pair_bootstraps_a_default_128_gate_bit_identically() {
+    let mut rng = SecureRng::seed_from_u64(2025);
+    let client = ClientKey::generate(Params::default_128(), &mut rng);
+    let server = client.server_key(&mut rng);
+    let (a, b) = (client.encrypt_bit(true, &mut rng), client.encrypt_bit(false, &mut rng));
+    let want = server.gate_with(BootGate::Nand, &a, &b, &mut server.gate_scratch());
+    let mut gang: Vec<GateScratch> =
+        (0..server.gang_width()).map(|_| server.gate_scratch()).collect();
+    GateScratch::band(&mut gang);
+    let outs: Vec<LweCiphertext> = std::thread::scope(|s| {
+        let members: Vec<_> = gang
+            .iter_mut()
+            .map(|scratch| s.spawn(|| server.gate_with(BootGate::Nand, &a, &b, scratch)))
+            .collect();
+        members.into_iter().map(|m| m.join().expect("no member panics")).collect()
+    });
+    gang.iter_mut().for_each(GateScratch::release);
+    assert!(outs.iter().all(|out| *out == want), "every member holds the one-lane bytes");
+    assert!(client.decrypt_bit(&want));
 }

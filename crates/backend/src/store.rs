@@ -32,7 +32,6 @@ use pytfhe_tfhe::io::server_key_from_bytes;
 use pytfhe_tfhe::ServerKey;
 use std::fs;
 use std::path::{Path, PathBuf};
-use std::sync::{Arc, Mutex};
 
 /// A file-backed store for server keys and captured kernel plans.
 ///
@@ -42,24 +41,16 @@ use std::sync::{Arc, Mutex};
 /// they read and quarantine what fails, so every caller — a warm-starting
 /// session, a serving key cache — gets decoded artifacts or nothing.
 ///
-/// A store opened with [`DiskStore::with_capacity`] additionally caps
-/// the number of key blobs on disk: once an insertion would exceed the
-/// cap, the least-recently-used keys are evicted (deleted and counted on
-/// `store_keys_evicted_total`). Recency is tracked per process across
-/// every clone of the store handle; keys never touched by this process
-/// are considered coldest and evict first, in ascending id order.
+/// The store never deletes a key it holds: what stays resident in memory
+/// is the serving key cache's business, and the disk keeps every key
+/// installed until it is quarantined.
 #[derive(Debug, Clone)]
 pub struct DiskStore {
     root: PathBuf,
-    key_capacity: Option<usize>,
-    /// Per-process key access order, least-recent first. Shared across
-    /// clones so every handle sees one recency history.
-    access: Arc<Mutex<Vec<u64>>>,
 }
 
 impl DiskStore {
-    /// Opens (creating if needed) a store rooted at `root`, with no cap
-    /// on stored keys.
+    /// Opens (creating if needed) a store rooted at `root`.
     ///
     /// # Errors
     ///
@@ -70,58 +61,7 @@ impl DiskStore {
         let io = |e: std::io::Error| ExecError::StoreIo(e.to_string());
         fs::create_dir_all(root.join("keys")).map_err(io)?;
         fs::create_dir_all(root.join("plans")).map_err(io)?;
-        Ok(DiskStore { root, key_capacity: None, access: Arc::new(Mutex::new(Vec::new())) })
-    }
-
-    /// Opens a store that keeps at most `max_keys` key blobs on disk,
-    /// evicting least-recently-used keys past the cap. A cap of 0 is
-    /// treated as 1 — a store that can hold no key at all would make
-    /// every install fail its own read-back.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ExecError::StoreIo`] like [`DiskStore::open`].
-    pub fn with_capacity(root: impl Into<PathBuf>, max_keys: usize) -> Result<Self, ExecError> {
-        let mut store = Self::open(root)?;
-        store.key_capacity = Some(max_keys.max(1));
-        Ok(store)
-    }
-
-    /// The key-blob cap, if one was set.
-    pub fn key_capacity(&self) -> Option<usize> {
-        self.key_capacity
-    }
-
-    /// Marks `id` as the most recently used key.
-    fn touch_key(&self, id: u64) {
-        let mut access = self.access.lock().expect("key access list poisoned");
-        access.retain(|&k| k != id);
-        access.push(id);
-    }
-
-    /// Deletes least-recently-used key blobs until at most
-    /// `key_capacity` remain. Untracked ids (present on disk but never
-    /// touched by this process) evict first.
-    fn enforce_key_capacity(&self) -> Result<(), ExecError> {
-        let Some(cap) = self.key_capacity else { return Ok(()) };
-        let io = |e: std::io::Error| ExecError::StoreIo(e.to_string());
-        let on_disk = self.key_ids()?;
-        if on_disk.len() <= cap {
-            return Ok(());
-        }
-        let mut access = self.access.lock().expect("key access list poisoned");
-        // Eviction order: untracked ids ascending, then the access list
-        // least-recent first.
-        let mut victims: Vec<u64> =
-            on_disk.iter().copied().filter(|id| !access.contains(id)).collect();
-        victims.extend(access.iter().copied().filter(|id| on_disk.contains(id)));
-        let excess = on_disk.len() - cap;
-        for id in victims.into_iter().take(excess) {
-            fs::remove_file(self.key_path(id)).map_err(io)?;
-            access.retain(|&k| k != id);
-            telemetry::metrics().counter_add("store_keys_evicted_total", 1);
-        }
-        Ok(())
+        Ok(DiskStore { root })
     }
 
     fn key_path(&self, id: u64) -> PathBuf {
@@ -143,19 +83,15 @@ impl DiskStore {
         let id = blob.id();
         let path = self.key_path(id);
         if path.exists() {
-            self.touch_key(id);
             return Ok((id, false));
         }
         write_atomic(&path, blob.bytes).map_err(|e| ExecError::StoreIo(e.to_string()))?;
         telemetry::metrics().counter_add("disk_store_keys_persisted_total", 1);
-        self.touch_key(id);
-        self.enforce_key_capacity()?;
         Ok((id, true))
     }
 
     /// Reads one key blob by id, returning `Ok(None)` when it is absent
-    /// (never stored, evicted, or quarantined). A hit refreshes the
-    /// key's LRU recency.
+    /// (never stored, or quarantined).
     ///
     /// # Errors
     ///
@@ -163,10 +99,7 @@ impl DiskStore {
     /// absence.
     pub fn get_key_blob(&self, id: u64) -> Result<Option<Vec<u8>>, ExecError> {
         match fs::read(self.key_path(id)) {
-            Ok(bytes) => {
-                self.touch_key(id);
-                Ok(Some(bytes))
-            }
+            Ok(bytes) => Ok(Some(bytes)),
             Err(e) if e.kind() == std::io::ErrorKind::NotFound => Ok(None),
             Err(e) => Err(ExecError::StoreIo(e.to_string())),
         }
@@ -298,6 +231,7 @@ mod tests {
     use crate::graph::capture;
     use crate::CaptureConfig;
     use pytfhe_netlist::{GateKind, Netlist};
+    use std::sync::Mutex;
 
     fn tempdir(tag: &str) -> PathBuf {
         let dir = std::env::temp_dir().join(format!("pytfhe-store-{tag}-{}", std::process::id()));
@@ -405,55 +339,6 @@ mod tests {
     }
 
     #[test]
-    fn capacity_evicts_least_recently_used_keys() {
-        let dir = tempdir("lru");
-        let store = DiskStore::with_capacity(&dir, 2).unwrap();
-        assert_eq!(store.key_capacity(), Some(2));
-        let before = telemetry::metrics()
-            .snapshot()
-            .counters
-            .get("store_keys_evicted_total")
-            .copied()
-            .unwrap_or(0);
-        let (id_a, _) = store.put_key_blob(&KeyBlob::new(b"key a")).unwrap();
-        let (id_b, _) = store.put_key_blob(&KeyBlob::new(b"key b")).unwrap();
-        // Touch A so B becomes the least recently used.
-        assert!(store.get_key_blob(id_a).unwrap().is_some());
-        let (id_c, _) = store.put_key_blob(&KeyBlob::new(b"key c")).unwrap();
-        // B evicted; A and C survive.
-        assert_eq!(store.get_key_blob(id_b).unwrap(), None);
-        assert_eq!(store.get_key_blob(id_a).unwrap(), Some(b"key a".to_vec()));
-        assert_eq!(store.get_key_blob(id_c).unwrap(), Some(b"key c".to_vec()));
-        let after = telemetry::metrics()
-            .snapshot()
-            .counters
-            .get("store_keys_evicted_total")
-            .copied()
-            .unwrap_or(0);
-        assert_eq!(after - before, 1, "exactly one eviction must be counted");
-        fs::remove_dir_all(&dir).unwrap();
-    }
-
-    #[test]
-    fn untracked_keys_evict_before_tracked_ones() {
-        let dir = tempdir("lru-cold");
-        // A previous process left two keys behind; this process never
-        // touches the first.
-        {
-            let store = DiskStore::open(&dir).unwrap();
-            store.put_key_blob(&KeyBlob::new(b"cold key")).unwrap();
-        }
-        let store = DiskStore::with_capacity(&dir, 2).unwrap();
-        let (id_warm, _) = store.put_key_blob(&KeyBlob::new(b"warm key")).unwrap();
-        let (id_new, _) = store.put_key_blob(&KeyBlob::new(b"new key")).unwrap();
-        let cold_id = fnv1a(b"cold key");
-        assert_eq!(store.get_key_blob(cold_id).unwrap(), None, "cold key must evict first");
-        assert!(store.get_key_blob(id_warm).unwrap().is_some());
-        assert!(store.get_key_blob(id_new).unwrap().is_some());
-        fs::remove_dir_all(&dir).unwrap();
-    }
-
-    #[test]
     fn uncapped_stores_never_evict() {
         let dir = tempdir("uncapped");
         let store = DiskStore::open(&dir).unwrap();
@@ -461,7 +346,6 @@ mod tests {
             store.put_key_blob(&KeyBlob::new(&i.to_le_bytes())).unwrap();
         }
         assert_eq!(store.key_ids().unwrap().len(), 8);
-        assert_eq!(store.key_capacity(), None);
         fs::remove_dir_all(&dir).unwrap();
     }
 

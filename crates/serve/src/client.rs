@@ -74,7 +74,10 @@ impl<T: Transport> ServeClient<T> {
         params: &Params,
     ) -> Result<u64, ServeError> {
         let payload = encode_submit(fingerprint, nl, inputs, params);
-        let reply = self.exchange(Format::ServeSubmit, &[&payload])?;
+        let reply = self.exchange(Format::ServeSubmit, &[&payload]).map_err(|e| match e {
+            ServeError::UnknownKey(_) => ServeError::UnknownKey(fingerprint),
+            e => e,
+        })?;
         reply.job.ok_or_else(|| ServeError::Protocol("submit reply lacks a job id".into()))
     }
 
@@ -86,7 +89,11 @@ impl<T: Transport> ServeClient<T> {
     /// [`ServeError::UnknownJob`] for a bad id, plus transport
     /// failures.
     pub fn fetch(&mut self, job: u64) -> Result<Vec<LweCiphertext>, ServeError> {
-        let reply = self.exchange(Format::ServeFetch, &[&encode_fetch(job)])?;
+        let reply =
+            self.exchange(Format::ServeFetch, &[&encode_fetch(job)]).map_err(|e| match e {
+                ServeError::UnknownJob(_) => ServeError::UnknownJob(job),
+                e => e,
+            })?;
         reply.outputs.ok_or_else(|| ServeError::Protocol("fetch reply lacks outputs".into()))
     }
 

@@ -4,27 +4,25 @@
 //! envelope: a `u32` little-endian byte count followed by that many
 //! envelope bytes. The envelope's format id names the message kind
 //! (install-key, submit, fetch, close, reply) and its payload is a
-//! section list, so unknown sections skip cleanly and assembled
-//! programs, which are sparse, travel RLE-compressed via
-//! [`pytfhe_wire::put_section_packed`].
+//! section list, so unknown sections skip cleanly. Every section is
+//! plain: its body is the bytes it carries, lent from the received
+//! buffer.
 //!
-//! A server key travels as a plain section (its spectra are dense and
-//! would not compress), so it crosses the transport with one copy on
-//! each side: [`write_frame`] computes the envelope header over the
-//! payload's parts — the `KEY` section header, then the caller's key
-//! bytes — and writes the parts after it, and [`read_frame`] returns the
-//! verified buffer it read into, from which [`decode_install_key`] lends
-//! the key bytes.
+//! A server key crosses the transport with one copy on each side:
+//! [`write_frame`] computes the envelope header over the payload's
+//! parts — the `KEY` section header, then the caller's key bytes — and
+//! writes the parts after it, and [`read_frame`] returns the verified
+//! buffer it read into, from which [`decode_install_key`] lends the key
+//! bytes.
 //!
 //! | frame          | sections                                        |
 //! |----------------|-------------------------------------------------|
-//! | `ServeInstallKey` | `KEY` (server-key envelope; plain, packed also accepted) |
-//! | `ServeSubmit`  | `FINGERPRINT`, `PROGRAM` (packed asm), `INPUTS` |
+//! | `ServeInstallKey` | `KEY` (server-key envelope)                  |
+//! | `ServeSubmit`  | `FINGERPRINT`, `PROGRAM` (assembled binary), `INPUTS` |
 //! | `ServeFetch`   | `JOB`                                           |
 //! | `ServeClose`   | —                                               |
 //! | `ServeReply`   | `STATUS` (+ `FINGERPRINT`/`JOB`/`OUTPUTS`/`LIMITS`/`MESSAGE`) |
 
-use std::borrow::Cow;
 use std::io::{Read, Write};
 
 use pytfhe_backend::ExecError;
@@ -32,8 +30,8 @@ use pytfhe_netlist::Netlist;
 use pytfhe_tfhe::io::{ciphertext_from_bytes, ciphertext_to_bytes};
 use pytfhe_tfhe::{LweCiphertext, Params};
 use pytfhe_wire::{
-    find_section, find_section_packed, header, put_section, put_section_header, put_section_packed,
-    sections, Format, HEADER_LEN, SECTION_HEADER_LEN,
+    find_section, header, put_section, put_section_header, sections, Format, HEADER_LEN,
+    SECTION_HEADER_LEN,
 };
 
 use crate::error::ServeError;
@@ -49,11 +47,11 @@ pub const MAX_FRAME_LEN: u32 = 1 << 28;
 
 /// Section tags of the serving protocol.
 pub mod tags {
-    /// Packed server-key envelope bytes.
+    /// Server-key envelope bytes.
     pub const KEY: u16 = 1;
     /// `u64` LE key fingerprint (the tenant identity).
     pub const FINGERPRINT: u16 = 2;
-    /// Packed assembled program binary.
+    /// Assembled program binary.
     pub const PROGRAM: u16 = 3;
     /// Ciphertext list: `count u32 LE`, then per entry `len u32 LE` + bytes.
     pub const INPUTS: u16 = 4;
@@ -254,12 +252,16 @@ fn maybe_section(payload: &[u8], tag: u16) -> Result<Option<&[u8]>, ServeError> 
     Ok(None)
 }
 
-fn parse_u64(payload: &[u8], tag: u16) -> Result<u64, ServeError> {
-    let body = find_section(payload, tag)?;
-    let bytes: [u8; 8] = body
+/// The `u64` LE body of section `tag`.
+fn u64_body(tag: u16, body: &[u8]) -> Result<u64, ServeError> {
+    let bytes = body
         .try_into()
         .map_err(|_| ServeError::Protocol(format!("section {tag} is not 8 bytes")))?;
     Ok(u64::from_le_bytes(bytes))
+}
+
+fn parse_u64(payload: &[u8], tag: u16) -> Result<u64, ServeError> {
+    u64_body(tag, find_section(payload, tag)?)
 }
 
 // ---- request encoding -------------------------------------------------
@@ -273,15 +275,14 @@ pub fn install_key_header(key_len: usize) -> Vec<u8> {
     head
 }
 
-/// The serialized server-key bytes of an install-key payload: borrowed
-/// from the payload when the `KEY` section is plain, decompressed when
-/// an older client packed it.
+/// The serialized server-key bytes of an install-key payload, lent from
+/// the payload.
 ///
 /// # Errors
 ///
 /// Returns [`ServeError::Wire`] when the section is absent or corrupt.
-pub fn decode_install_key(payload: &[u8]) -> Result<Cow<'_, [u8]>, ServeError> {
-    Ok(find_section_packed(payload, tags::KEY)?)
+pub fn decode_install_key(payload: &[u8]) -> Result<&[u8], ServeError> {
+    Ok(find_section(payload, tags::KEY)?)
 }
 
 /// Builds a submit payload: tenant fingerprint, assembled program, and
@@ -294,7 +295,7 @@ pub fn encode_submit(
 ) -> Vec<u8> {
     let mut payload = Vec::new();
     u64_section(&mut payload, tags::FINGERPRINT, fingerprint);
-    put_section_packed(&mut payload, tags::PROGRAM, &pytfhe_asm::assemble(nl));
+    put_section(&mut payload, tags::PROGRAM, &pytfhe_asm::assemble(nl));
     ct_list_section(&mut payload, tags::INPUTS, inputs, params);
     payload
 }
@@ -311,8 +312,8 @@ pub fn decode_submit(
     payload: &[u8],
 ) -> Result<(u64, Netlist, Vec<LweCiphertext>, Option<Params>), ServeError> {
     let fingerprint = parse_u64(payload, tags::FINGERPRINT)?;
-    let program = find_section_packed(payload, tags::PROGRAM)?;
-    let nl = pytfhe_asm::disassemble(&program)
+    let program = find_section(payload, tags::PROGRAM)?;
+    let nl = pytfhe_asm::disassemble(program)
         .map_err(|e| ServeError::Protocol(format!("program binary: {e}")))?;
     let (inputs, tagged) = parse_ct_list(find_section(payload, tags::INPUTS)?)?;
     Ok((fingerprint, nl, inputs, tagged))
@@ -435,30 +436,14 @@ pub fn decode_reply(payload: &[u8]) -> Result<Reply, ServeError> {
         ServeError::Protocol(format!("unknown status {}", u16::from_le_bytes(code)))
     })?;
     let optional_u64 = |tag: u16| -> Result<Option<u64>, ServeError> {
-        match maybe_section(payload, tag)? {
-            None => Ok(None),
-            Some(body) => {
-                let bytes: [u8; 8] = body
-                    .try_into()
-                    .map_err(|_| ServeError::Protocol(format!("section {tag} is not 8 bytes")))?;
-                Ok(Some(u64::from_le_bytes(bytes)))
-            }
-        }
+        maybe_section(payload, tag)?.map(|body| u64_body(tag, body)).transpose()
     };
-    let outputs = match maybe_section(payload, tags::OUTPUTS)? {
-        Some(body) => Some(parse_ct_list(body)?.0),
-        None => None,
-    };
+    let outputs = maybe_section(payload, tags::OUTPUTS)?.map(parse_ct_list).transpose()?;
     let limits = match maybe_section(payload, tags::LIMITS)? {
-        Some(body) => {
-            let bytes: [u8; 16] = body
-                .try_into()
-                .map_err(|_| ServeError::Protocol("limits section is not 16 bytes".into()))?;
-            Some((
-                u64::from_le_bytes(bytes[..8].try_into().expect("length checked")),
-                u64::from_le_bytes(bytes[8..].try_into().expect("length checked")),
-            ))
+        Some(body) if body.len() == 16 => {
+            Some((u64_body(tags::LIMITS, &body[..8])?, u64_body(tags::LIMITS, &body[8..])?))
         }
+        Some(_) => return Err(ServeError::Protocol("limits section is not 16 bytes".into())),
         None => None,
     };
     let message = maybe_section(payload, tags::MESSAGE)?
@@ -467,7 +452,7 @@ pub fn decode_reply(payload: &[u8]) -> Result<Reply, ServeError> {
         status,
         fingerprint: optional_u64(tags::FINGERPRINT)?,
         job: optional_u64(tags::JOB)?,
-        outputs,
+        outputs: outputs.map(|(cts, _)| cts),
         limits,
         message,
     })
@@ -544,7 +529,7 @@ mod tests {
             .unwrap();
         let frame = read_frame(&mut b).unwrap().unwrap();
         let lent = decode_install_key(frame.payload()).unwrap();
-        assert!(matches!(lent, Cow::Borrowed(_)));
+        assert!(frame.envelope.as_ptr_range().contains(&lent.as_ptr()), "lent from the frame");
         assert_eq!(lent, key);
     }
 
@@ -562,6 +547,15 @@ mod tests {
         assert_eq!(tagged, Some(params));
         assert_eq!(nl2.num_nodes(), nl.num_nodes());
         assert_eq!(inputs.len(), 2);
+        assert_eq!(find_section(&payload, tags::PROGRAM).unwrap(), &pytfhe_asm::assemble(&nl)[..]);
+
+        // A program under the flagged tag of the retired RLE packing is no
+        // `PROGRAM` section: a typed refusal, not a panic.
+        let mut flagged = Vec::new();
+        u64_section(&mut flagged, tags::FINGERPRINT, 0xDEAD_BEEF);
+        put_section(&mut flagged, 0x8000 | tags::PROGRAM, &pytfhe_asm::assemble(&nl));
+        ct_list_section(&mut flagged, tags::INPUTS, &cts, &params);
+        assert!(matches!(decode_submit(&flagged), Err(ServeError::Wire(_))));
     }
 
     #[test]

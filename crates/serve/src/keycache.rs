@@ -97,7 +97,7 @@ impl KeyCache {
 
     /// Looks up a decoded key, rehydrating from the backing store on a
     /// miss ([`DiskStore::load_key`]). `Ok(None)` means the fingerprint
-    /// is unknown — never installed, evicted everywhere, or stored as a
+    /// is unknown — never installed, evicted without a store, or stored as a
     /// blob that no longer decodes, which the store quarantines so that
     /// later requests stop re-reading it; the tenant re-installs.
     ///
@@ -138,9 +138,8 @@ impl KeyCache {
         while inner.keys.len() > self.capacity {
             let victim = inner.lru.remove(0);
             inner.keys.remove(&victim);
-            // Memory-only eviction: the blob stays in the store (subject
-            // to the store's own key capacity), so the tenant is not lost
-            // — its next request rehydrates.
+            // Memory-only eviction: the blob stays in the store, so the
+            // tenant is not lost — its next request rehydrates.
             telemetry::metrics().counter_add("serve_key_cache_evictions_total", 1);
         }
     }
@@ -217,7 +216,7 @@ mod tests {
         let dir =
             std::env::temp_dir().join(format!("pytfhe-keycache-garbage-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
-        let store = DiskStore::with_capacity(&dir, 1).unwrap();
+        let store = DiskStore::open(&dir).unwrap();
         let cache = KeyCache::new(2, Some(store.clone()));
         let neighbour = cache.install(&key_bytes(4)).unwrap();
         let before = key_files(&dir);

@@ -14,8 +14,8 @@
 //! - [`transport`]: the byte-stream abstraction plus an in-memory
 //!   duplex pipe with socket semantics for tests and benches.
 //! - [`frame`]: the wire protocol — install-key / submit / fetch /
-//!   close / reply frames, with program binaries travelling
-//!   RLE-compressed and a server key copied once on each side.
+//!   close / reply frames of plain sections, with a server key copied
+//!   once on each side.
 //! - [`keycache`]: fingerprint-keyed decoded-server-key cache with LRU
 //!   eviction and transparent [`DiskStore`](pytfhe_backend::DiskStore)
 //!   rehydration — decoding a key once per tenant instead of once per

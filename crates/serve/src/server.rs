@@ -153,7 +153,7 @@ impl SessionWorker {
     /// made on the way to the cache.
     fn handle_install(&self, payload: &[u8]) -> Result<Vec<u8>, ServeError> {
         let key_bytes = decode_install_key(payload)?;
-        let fingerprint = self.keys.install(&key_bytes)?;
+        let fingerprint = self.keys.install(key_bytes)?;
         Ok(frame::reply_fingerprint(fingerprint))
     }
 

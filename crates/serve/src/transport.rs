@@ -7,8 +7,7 @@
 //! behaviour of a socket pair without touching the network stack.
 
 use std::io::{self, Read, Write};
-use std::sync::mpsc::{Receiver, Sender};
-use std::sync::{mpsc, Arc, Mutex};
+use std::sync::mpsc::{self, Receiver, Sender};
 
 /// A bidirectional byte stream the serving layer can run over.
 pub trait Transport: Read + Write + Send {}
@@ -29,7 +28,7 @@ impl<T: Read + Write + Send> Transport for T {}
 /// sent copy is freed as soon as the reader has taken it.
 pub struct PipeEnd {
     tx: Sender<Vec<u8>>,
-    rx: Arc<Mutex<Receiver<Vec<u8>>>>,
+    rx: Receiver<Vec<u8>>,
     /// The chunk being read, and how far.
     chunk: Vec<u8>,
     read: usize,
@@ -39,7 +38,7 @@ pub struct PipeEnd {
 pub fn duplex() -> (PipeEnd, PipeEnd) {
     let (a_tx, b_rx) = mpsc::channel();
     let (b_tx, a_rx) = mpsc::channel();
-    let end = |tx, rx| PipeEnd { tx, rx: Arc::new(Mutex::new(rx)), chunk: Vec::new(), read: 0 };
+    let end = |tx, rx| PipeEnd { tx, rx, chunk: Vec::new(), read: 0 };
     (end(a_tx, a_rx), end(b_tx, b_rx))
 }
 
@@ -51,7 +50,7 @@ impl Read for PipeEnd {
         if self.read == self.chunk.len() {
             // Writes never send an empty chunk, so a received one always
             // has bytes to read.
-            match self.rx.lock().expect("pipe receiver poisoned").recv() {
+            match self.rx.recv() {
                 Ok(chunk) => (self.chunk, self.read) = (chunk, 0),
                 Err(_) => return Ok(0), // peer dropped: EOF
             }

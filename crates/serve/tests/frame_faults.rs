@@ -60,7 +60,7 @@ fn receive(stream: &[u8], keys: &KeyCache, params: &Params) -> Result<Decoded, S
     let frame = read_frame(&mut stream)?.ok_or_else(|| ServeError::Protocol("no frame".into()))?;
     let payload = frame.payload();
     Ok(match frame.format {
-        Format::ServeInstallKey => Decoded::Install(keys.install(&decode_install_key(payload)?)?),
+        Format::ServeInstallKey => Decoded::Install(keys.install(decode_install_key(payload)?)?),
         Format::ServeSubmit => {
             let (fingerprint, nl, inputs, _) = decode_submit(payload)?;
             nl.validate().map_err(|e| ServeError::Protocol(format!("invalid program: {e}")))?;

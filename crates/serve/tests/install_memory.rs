@@ -17,7 +17,7 @@ use pytfhe_serve::frame::{expect_reply, read_frame, tags, write_frame};
 use pytfhe_serve::{duplex, ServeClient, ServeConfig, ServeHandle};
 use pytfhe_tfhe::io::server_key_to_bytes;
 use pytfhe_tfhe::{ClientKey, Params, SecureRng};
-use pytfhe_wire::{put_section, put_section_packed, rle_compress, Format, SECTION_COMPRESSED_FLAG};
+use pytfhe_wire::{put_section, Format};
 
 /// The process high-water mark of resident memory, in bytes.
 fn high_water_bytes() -> usize {
@@ -66,14 +66,10 @@ fn installing_a_key_raises_the_high_water_mark_by_two_keys_at_most() {
     session.join().unwrap();
     drop(front);
 
-    // A client that packs the `KEY` section, as clients before the
-    // plain-section install did, still installs under the same
-    // fingerprint: `put_section_packed` leaves a dense key plain, and a
-    // body it did compress is decompressed.
-    let mut packed = Vec::new();
-    put_section_packed(&mut packed, tags::KEY, &key_bytes);
-    assert_eq!(install_payload(&packed), fingerprint);
-    let mut compressed = Vec::new();
-    put_section(&mut compressed, tags::KEY | SECTION_COMPRESSED_FLAG, &rle_compress(&key_bytes));
-    assert_eq!(install_payload(&compressed), fingerprint);
+    // A client that builds the whole `KEY` section in one buffer, as
+    // clients before the streamed install did, installs under the same
+    // fingerprint.
+    let mut payload = Vec::new();
+    put_section(&mut payload, tags::KEY, &key_bytes);
+    assert_eq!(install_payload(&payload), fingerprint);
 }

@@ -47,7 +47,6 @@
 //! flip the storage fault injector throws at it, and on x86-64 computed
 //! by the SSE4.2 `crc32` instruction, ~0.02 s per pass over a 124 MB key.
 
-use std::borrow::Cow;
 use std::fmt;
 
 /// The envelope magic: `PTW1`.
@@ -172,12 +171,6 @@ pub enum WireError {
         /// Payload bytes actually present.
         actual: u64,
     },
-    /// A declared count or length would overflow or exceed sanity
-    /// limits (adversarial input defense).
-    Oversized {
-        /// What was oversized.
-        what: &'static str,
-    },
     /// Section framing inside the payload is inconsistent.
     BadSection {
         /// What was wrong.
@@ -203,7 +196,6 @@ impl fmt::Display for WireError {
             WireError::LengthMismatch { declared, actual } => {
                 write!(f, "payload length mismatch: declared {declared}, present {actual}")
             }
-            WireError::Oversized { what } => write!(f, "implausibly large {what}"),
             WireError::BadSection { reason } => write!(f, "bad section framing: {reason}"),
         }
     }
@@ -524,187 +516,6 @@ pub fn find_section(payload: &[u8], tag: u16) -> Result<&[u8], WireError> {
     Err(WireError::BadSection { reason: "required section missing" })
 }
 
-// ---------------------------------------------------------------------
-// RLE-over-zero-runs transfer compression.
-// ---------------------------------------------------------------------
-
-/// Tag bit marking a section body as RLE-compressed ([`put_section_packed`]).
-///
-/// The flag lives in the tag word itself, so a reader that predates the
-/// compression scheme sees an unknown tag and *skips the section* — the
-/// standard skippable-section forward-compatibility rule — instead of
-/// misreading compressed bytes as a plain body. Plain tags must
-/// therefore stay below `0x8000`.
-pub const SECTION_COMPRESSED_FLAG: u16 = 0x8000;
-
-/// Hard ceiling on a declared decompressed length (adversarial-input
-/// defense): serve frames and persisted artifacts never approach this.
-const MAX_RLE_DECOMPRESSED: u64 = 1 << 32;
-
-fn put_varint(out: &mut Vec<u8>, mut v: u64) {
-    loop {
-        let byte = (v & 0x7F) as u8;
-        v >>= 7;
-        if v == 0 {
-            out.push(byte);
-            return;
-        }
-        out.push(byte | 0x80);
-    }
-}
-
-fn get_varint(data: &mut &[u8]) -> Result<u64, WireError> {
-    let mut v = 0u64;
-    for shift in (0..64).step_by(7) {
-        let Some((&byte, rest)) = data.split_first() else {
-            return Err(WireError::Truncated { what: "RLE varint" });
-        };
-        *data = rest;
-        v |= u64::from(byte & 0x7F) << shift;
-        if byte & 0x80 == 0 {
-            return Ok(v);
-        }
-    }
-    Err(WireError::BadSection { reason: "RLE varint overflow" })
-}
-
-/// Compresses `bytes` with run-length encoding over zero runs: a
-/// varint-framed alternation of literal blocks and zero-run lengths.
-///
-/// FHE transfer payloads split into two populations: ciphertext masks
-/// and key spectra are high-entropy (incompressible — RLE leaves them
-/// essentially untouched), while program binaries (128-bit instruction
-/// words carrying 62-bit indices of mostly-small values) and framing
-/// metadata are dominated by zero bytes and shrink severalfold. RLE over
-/// zero runs captures exactly that second population at streaming speed
-/// with no dependency and no entropy-coder state.
-///
-/// Layout: `[raw_len varint]` then repeated
-/// `[literal_len varint][literal bytes][zero_run varint]` until
-/// `raw_len` bytes are accounted for (a trailing zero-run of 0 is
-/// omitted).
-pub fn rle_compress(bytes: &[u8]) -> Vec<u8> {
-    let mut out = Vec::with_capacity(bytes.len() / 2 + 16);
-    put_varint(&mut out, bytes.len() as u64);
-    let mut i = 0;
-    while i < bytes.len() {
-        // A literal run extends until a zero run of ≥2 bytes starts —
-        // breaking literals for a lone zero costs more than it saves.
-        let lit_start = i;
-        while i < bytes.len() {
-            if bytes[i] == 0 && (i + 1 < bytes.len() && bytes[i + 1] == 0 || i + 1 == bytes.len()) {
-                break;
-            }
-            i += 1;
-        }
-        put_varint(&mut out, (i - lit_start) as u64);
-        out.extend_from_slice(&bytes[lit_start..i]);
-        if i == bytes.len() {
-            break;
-        }
-        let zero_start = i;
-        while i < bytes.len() && bytes[i] == 0 {
-            i += 1;
-        }
-        put_varint(&mut out, (i - zero_start) as u64);
-    }
-    out
-}
-
-/// Inverse of [`rle_compress`].
-///
-/// # Errors
-///
-/// Returns [`WireError::Truncated`] / [`WireError::BadSection`] when the
-/// token stream is torn, over-long, or disagrees with its declared
-/// decompressed length — corrupt input never panics and never
-/// over-allocates past the declared (sanity-capped) length.
-pub fn rle_decompress(mut data: &[u8]) -> Result<Vec<u8>, WireError> {
-    let raw_len = get_varint(&mut data)?;
-    if raw_len > MAX_RLE_DECOMPRESSED {
-        return Err(WireError::Oversized { what: "RLE decompressed length" });
-    }
-    // The compressed stream spends at least one byte per 127 decompressed
-    // zero bytes; cap the preallocation by what the stream could prove.
-    let mut out = Vec::with_capacity((raw_len as usize).min(data.len().saturating_mul(128) + 16));
-    while (out.len() as u64) < raw_len {
-        let lit = get_varint(&mut data)?;
-        if lit > raw_len - out.len() as u64 {
-            return Err(WireError::BadSection { reason: "RLE literal overruns declared length" });
-        }
-        let lit = lit as usize;
-        if data.len() < lit {
-            return Err(WireError::Truncated { what: "RLE literal block" });
-        }
-        out.extend_from_slice(&data[..lit]);
-        data = &data[lit..];
-        if (out.len() as u64) == raw_len {
-            break;
-        }
-        let zeros = get_varint(&mut data)?;
-        if zeros > raw_len - out.len() as u64 {
-            return Err(WireError::BadSection { reason: "RLE zero run overruns declared length" });
-        }
-        out.resize(out.len() + zeros as usize, 0);
-    }
-    if !data.is_empty() {
-        return Err(WireError::BadSection { reason: "RLE trailing bytes" });
-    }
-    Ok(out)
-}
-
-/// [`put_section`] with transparent RLE compression: the body is
-/// compressed when that actually shrinks it (the section is then tagged
-/// `tag | SECTION_COMPRESSED_FLAG`) and stored plain otherwise, so
-/// incompressible ciphertext payloads never pay an expansion penalty.
-///
-/// # Panics
-///
-/// Panics if `tag` already carries the flag bit.
-pub fn put_section_packed(out: &mut Vec<u8>, tag: u16, body: &[u8]) {
-    assert!(tag & SECTION_COMPRESSED_FLAG == 0, "plain section tags must stay below 0x8000");
-    // Zero-run RLE can only win on zero-dense bodies. For large bodies
-    // (multi-megabyte key spectra are the common case), sample the zero
-    // density of a prefix before paying a full compression pass that is
-    // all but guaranteed to be discarded; zero-dominated program
-    // binaries sail past this gate.
-    const SAMPLE: usize = 64 * 1024;
-    if body.len() > SAMPLE {
-        let zeros = body[..SAMPLE].iter().filter(|&&b| b == 0).count();
-        if zeros < SAMPLE / 8 {
-            put_section(out, tag, body);
-            return;
-        }
-    }
-    let packed = rle_compress(body);
-    if packed.len() < body.len() {
-        put_section(out, tag | SECTION_COMPRESSED_FLAG, &packed);
-    } else {
-        put_section(out, tag, body);
-    }
-}
-
-/// Finds section `tag`, accepting both the plain and the compressed
-/// encoding: a plain body is borrowed from `payload`, a compressed one
-/// decompressed into a buffer of its own.
-///
-/// # Errors
-///
-/// [`WireError::BadSection`] if the tag is absent or the framing or RLE
-/// stream is inconsistent.
-pub fn find_section_packed(payload: &[u8], tag: u16) -> Result<Cow<'_, [u8]>, WireError> {
-    for s in sections(payload) {
-        let (t, body) = s?;
-        if t == tag {
-            return Ok(Cow::Borrowed(body));
-        }
-        if t == tag | SECTION_COMPRESSED_FLAG {
-            return rle_decompress(body).map(Cow::Owned);
-        }
-    }
-    Err(WireError::BadSection { reason: "required section missing" })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -905,75 +716,6 @@ mod tests {
             assert_eq!(decode(&bytes).unwrap().format, format);
         }
         assert_eq!(Format::from_id(9), None);
-    }
-
-    #[test]
-    fn rle_round_trips_representative_payloads() {
-        let cases: Vec<Vec<u8>> = vec![
-            vec![],
-            vec![0],
-            vec![0; 1000],
-            vec![7; 300],
-            b"interleaved\x00\x00\x00\x00zero\x00runs\x00\x00and literals".to_vec(),
-            (0..=255u8).collect(),
-            // The shape of an asm program binary: small LE values in wide
-            // words, i.e. mostly zero bytes.
-            (0..200u64).flat_map(|v| (v % 37).to_le_bytes()).collect(),
-        ];
-        for case in &cases {
-            let packed = rle_compress(case);
-            assert_eq!(&rle_decompress(&packed).unwrap(), case);
-        }
-        // The sparse word case must actually shrink.
-        let sparse: Vec<u8> = (0..200u64).flat_map(|v| (v % 37).to_le_bytes()).collect();
-        assert!(rle_compress(&sparse).len() * 2 < sparse.len());
-    }
-
-    #[test]
-    fn rle_rejects_corrupt_streams() {
-        let packed = rle_compress(b"hello\x00\x00\x00world");
-        // Every truncation errors, never panics.
-        for keep in 0..packed.len() {
-            assert!(rle_decompress(&packed[..keep]).is_err(), "truncation to {keep}");
-        }
-        // Trailing garbage is rejected.
-        let mut long = packed.clone();
-        long.push(1);
-        assert!(rle_decompress(&long).is_err());
-        // A declared length beyond the sanity cap is rejected up front.
-        let mut huge = Vec::new();
-        super::put_varint(&mut huge, u64::MAX);
-        assert_eq!(
-            rle_decompress(&huge).unwrap_err(),
-            WireError::Oversized { what: "RLE decompressed length" }
-        );
-        // Tokens overrunning the declared length are rejected.
-        let mut lying = Vec::new();
-        super::put_varint(&mut lying, 2); // declares 2 bytes
-        super::put_varint(&mut lying, 5); // literal of 5
-        lying.extend_from_slice(b"abcde");
-        assert!(rle_decompress(&lying).is_err());
-    }
-
-    #[test]
-    fn packed_sections_compress_sparse_bodies_and_pass_dense_ones_through() {
-        let sparse: Vec<u8> = (0..400u64).flat_map(|v| (v % 11).to_le_bytes()).collect();
-        let dense: Vec<u8> =
-            (0..400u32).flat_map(|v| v.wrapping_mul(2654435761).to_le_bytes()).collect();
-        let mut payload = Vec::new();
-        put_section_packed(&mut payload, 1, &sparse);
-        put_section_packed(&mut payload, 2, &dense);
-        // The sparse body rides compressed (flagged tag), the dense one plain.
-        let tags: Vec<u16> = sections(&payload).map(|s| s.unwrap().0).collect();
-        assert_eq!(tags, vec![1 | SECTION_COMPRESSED_FLAG, 2]);
-        assert_eq!(find_section_packed(&payload, 1).unwrap(), sparse);
-        assert_eq!(find_section_packed(&payload, 2).unwrap(), dense);
-        assert!(matches!(find_section_packed(&payload, 2).unwrap(), Cow::Borrowed(_)));
-        assert!(find_section_packed(&payload, 3).is_err());
-        // A pre-compression reader skips the flagged tag instead of
-        // misparsing it, and still finds the plain section.
-        assert!(find_section(&payload, 1).is_err());
-        assert_eq!(find_section(&payload, 2).unwrap(), dense);
     }
 
     #[test]

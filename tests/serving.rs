@@ -255,7 +255,7 @@ fn evicted_key_without_a_store_is_unknown() {
     nl.mark_output(g).unwrap();
     let inputs = ck1.encrypt_bits(&[true], &mut rng1);
     match client.submit(fp1, &nl, &inputs, &params) {
-        Err(ServeError::UnknownKey(_)) => {}
+        Err(ServeError::UnknownKey(f)) if f == fp1 => {}
         other => panic!("expected UnknownKey, got {other:?}"),
     }
 }
@@ -351,7 +351,7 @@ fn a_second_fetch_of_a_delivered_job_is_refused_at_once() {
     client.fetch(job).expect("first fetch");
     let start = Instant::now();
     match client.fetch(job) {
-        Err(ServeError::UnknownJob(_)) => {}
+        Err(ServeError::UnknownJob(j)) if j == job => {}
         other => panic!("expected UnknownJob, got {other:?}"),
     }
     assert!(start.elapsed() < Duration::from_secs(1), "the second fetch waited");

@@ -183,7 +183,7 @@ impl DiskStore {
 /// Serialized server-key bytes with their content address: FNV-1a over
 /// the bytes, computed once, here and nowhere else. A caller that needs
 /// the fingerprint before it persists (a key cache checking residency)
-/// takes it from the blob instead of hashing the ~124 MB again, and the
+/// takes it from the blob instead of hashing the ~15.6 MB again, and the
 /// store can still only file bytes under their own hash.
 #[derive(Debug, Clone, Copy)]
 pub struct KeyBlob<'a> {

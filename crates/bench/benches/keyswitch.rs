@@ -22,7 +22,7 @@ fn bench_keyswitch(c: &mut Criterion) {
     for (src_dim, dst_dim) in [(1024usize, 630usize), (256, 64)] {
         let src = LweKey::generate(src_dim, &mut rng);
         let dst = LweKey::generate(dst_dim, &mut rng);
-        let ksk = KeySwitchKey::generate(&src, &dst, 8, 2, 1e-9, &mut rng);
+        let ksk = KeySwitchKey::generate(&src, &dst, 8, 2, 1e-9, 1, &mut rng);
         let ct = src.encrypt(Torus32::from_fraction(1, 3), 1e-9, &mut rng);
         let mut out = LweCiphertext::trivial(Torus32::ZERO, dst_dim);
         let restore = simd::active_path();

@@ -40,8 +40,8 @@ use crate::error::ServeError;
 pub const FRAME_VERSION: u16 = 1;
 
 /// Hard ceiling on a single frame, guarding allocation on hostile or
-/// corrupt length prefixes. Testing-parameter server keys are ~2 MiB and
-/// a `default_128` key is 118 MiB, so 256 MiB leaves a little over 2×
+/// corrupt length prefixes. Testing-parameter server keys are ~200 KiB and
+/// a `default_128` key is 15 MiB on the wire, so 256 MiB leaves ample
 /// headroom for the largest frame served today.
 pub const MAX_FRAME_LEN: u32 = 1 << 28;
 

@@ -1,8 +1,9 @@
 //! Fingerprint-keyed server-key cache.
 //!
 //! Decoding a server key is the dominant per-request cost of a
-//! stateless front (bootstrapping keys are megabytes even at testing
-//! parameters), so the serving layer decodes each tenant's key once and
+//! stateless front (it regenerates every mask from the key's seed and
+//! transforms the bootstrapping key: 124 MB at 128 bits), so the serving
+//! layer decodes each tenant's key once and
 //! shares the decoded [`ServerKey`] — behind an `Arc` — across every
 //! job, session, and scheduler wave that references its fingerprint.
 //!
@@ -13,7 +14,7 @@
 //! tenant's next request costs one decode instead of a re-upload.
 
 use std::collections::HashMap;
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
 use pytfhe_backend::{DiskStore, KeyBlob};
 use pytfhe_telemetry as telemetry;
@@ -46,9 +47,16 @@ impl KeyCache {
         }
     }
 
+    /// The cache state, poisoned or not: every update leaves the map and
+    /// the recency order usable wherever a panic stops it, so one tenant's
+    /// panic does not fail the next tenant's install or lookup.
+    fn lock(&self) -> MutexGuard<'_, CacheInner> {
+        self.inner.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
     /// Number of decoded keys currently resident.
     pub fn len(&self) -> usize {
-        self.inner.lock().expect("key cache poisoned").keys.len()
+        self.lock().keys.len()
     }
 
     /// Whether the cache holds no decoded keys.
@@ -70,8 +78,7 @@ impl KeyCache {
     pub fn install(&self, key_bytes: &[u8]) -> Result<u64, ServeError> {
         let blob = KeyBlob::new(key_bytes);
         let fingerprint = blob.id();
-        let resident =
-            self.inner.lock().expect("key cache poisoned").keys.contains_key(&fingerprint);
+        let resident = self.lock().keys.contains_key(&fingerprint);
         // Decode before persisting, so bytes that are not a key never
         // reach the store, where they would sit in `keys/` and could push
         // another tenant's blob out of a capped store. Outside the lock:
@@ -106,7 +113,7 @@ impl KeyCache {
     /// Returns [`ServeError::Exec`] when the store read fails.
     pub fn get(&self, fingerprint: u64) -> Result<Option<Arc<ServerKey>>, ServeError> {
         {
-            let inner = self.inner.lock().expect("key cache poisoned");
+            let inner = self.lock();
             if let Some(key) = inner.keys.get(&fingerprint) {
                 let key = Arc::clone(key);
                 drop(inner);
@@ -125,17 +132,19 @@ impl KeyCache {
     }
 
     fn touch(&self, fingerprint: u64) {
-        let mut inner = self.inner.lock().expect("key cache poisoned");
+        let mut inner = self.lock();
         inner.lru.retain(|&fp| fp != fingerprint);
         inner.lru.push(fingerprint);
     }
 
     fn insert(&self, fingerprint: u64, key: Arc<ServerKey>) {
-        let mut inner = self.inner.lock().expect("key cache poisoned");
+        let mut inner = self.lock();
         inner.keys.insert(fingerprint, key);
         inner.lru.retain(|&fp| fp != fingerprint);
         inner.lru.push(fingerprint);
-        while inner.keys.len() > self.capacity {
+        // A key missing from the recency order (an update cut short by a
+        // panic) is never a victim, but it cannot make this loop panic.
+        while inner.keys.len() > self.capacity && !inner.lru.is_empty() {
             let victim = inner.lru.remove(0);
             inner.keys.remove(&victim);
             // Memory-only eviction: the blob stays in the store, so the
@@ -165,6 +174,25 @@ mod tests {
         let fp = cache.install(&bytes).unwrap();
         assert!(cache.get(fp).unwrap().is_some());
         assert!(cache.get(fp ^ 1).unwrap().is_none(), "unknown fingerprint");
+    }
+
+    #[test]
+    fn a_panic_under_the_lock_stops_no_later_install_or_lookup() {
+        let cache = KeyCache::new(2, None);
+        let first = cache.install(&key_bytes(1)).unwrap();
+        let panicked = std::thread::scope(|s| {
+            s.spawn(|| {
+                let _held = cache.lock();
+                panic!("an install panics while it holds the lock");
+            })
+            .join()
+        });
+        assert!(panicked.is_err() && cache.inner.is_poisoned());
+        // A later install, and the lookup every submit makes, succeed.
+        let second = cache.install(&key_bytes(2)).unwrap();
+        assert!(cache.get(first).unwrap().is_some());
+        assert!(cache.get(second).unwrap().is_some());
+        assert_eq!(cache.len(), 2);
     }
 
     #[test]

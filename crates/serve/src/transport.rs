@@ -23,7 +23,7 @@ impl<T: Read + Write + Send> Transport for T {}
 ///
 /// A write sends one copy of its buffer, as a socket copies into its
 /// send buffer; a read copies out of the chunk received, from a cursor,
-/// and drops the chunk once it is read to the end. A 124 MB key
+/// and drops the chunk once it is read to the end. A 15.6 MB key
 /// therefore crosses the pipe with one copy on each side, and the
 /// sent copy is freed as soon as the reader has taken it.
 pub struct PipeEnd {

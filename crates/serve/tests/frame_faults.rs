@@ -11,7 +11,11 @@
 //! re-sealed envelope, so that the lie gets past the frame checksum to
 //! the section parser. An install frame also gets body flips inside a
 //! re-sealed envelope, which only the key envelope's own CRC32C can
-//! catch. Install and submit frames also have their sections rearranged
+//! catch, and faults inside the seeded key itself with both envelopes
+//! re-sealed, so that they reach the key decoder: another payload version
+//! (the full-key v3 among them), another parameter set's id, a key section
+//! whose length lies, key sections swapped, duplicated or dropped, and the
+//! key cut short. Install and submit frames also have their sections rearranged
 //! inside a re-sealed envelope: every pair swapped (submit carries three
 //! sections, install one), every section duplicated in place, and every
 //! section dropped. Each corrupted stream is read and decoded the way a
@@ -30,7 +34,7 @@ use pytfhe_serve::frame::{
 use pytfhe_serve::{KeyCache, ServeError};
 use pytfhe_tfhe::io::{ciphertext_to_bytes, server_key_to_bytes};
 use pytfhe_tfhe::{ClientKey, Params, SecureRng};
-use pytfhe_wire::{Format, HEADER_LEN, SECTION_HEADER_LEN};
+use pytfhe_wire::{put_section, Format, HEADER_LEN, SECTION_HEADER_LEN};
 
 /// Bytes of the `u32` length prefix in front of every envelope.
 const PREFIX_LEN: usize = 4;
@@ -94,6 +98,68 @@ enum FrameFault {
     DuplicateSection { index: usize },
     /// Section `index` is left out, and the envelope is re-sealed.
     DropSection { index: usize },
+    /// The installed key's own envelope is rebuilt around `fault` and
+    /// re-sealed, and so is the frame around it.
+    ResealedKey { fault: KeyFault },
+}
+
+/// A fault inside a seeded server key (payload version 4: params id, mask
+/// seed, bootstrapping-key bodies, key-switch bodies, in that order).
+#[derive(Debug, Clone, Copy)]
+enum KeyFault {
+    /// The payload is declared as `version`.
+    Version(u16),
+    /// The params section holds `id`.
+    ParamsId(u32),
+    /// Key section `index` declares `len` body bytes.
+    LyingSection { index: usize, len: u64 },
+    /// Key sections `i` and `j` trade places.
+    SwapSections { i: usize, j: usize },
+    /// Key section `index` is written twice in a row.
+    DuplicateSection { index: usize },
+    /// Key section `index` is left out.
+    DropSection { index: usize },
+    /// The key's payload ends after `keep` bytes.
+    Truncate { keep: usize },
+}
+
+/// The key `key_bytes` rebuilt around `fault`, in a freshly sealed
+/// envelope.
+fn faulty_key(key_bytes: &[u8], fault: KeyFault) -> Vec<u8> {
+    let env = pytfhe_wire::decode(key_bytes).unwrap();
+    let sections: Vec<(u16, &[u8])> =
+        pytfhe_wire::sections(env.payload).map(Result::unwrap).collect();
+    let mut order: Vec<usize> = (0..sections.len()).collect();
+    let mut version = env.version;
+    let params_id;
+    let mut bodies: Vec<&[u8]> = sections.iter().map(|s| s.1).collect();
+    match fault {
+        KeyFault::Version(v) => version = v,
+        KeyFault::ParamsId(id) => {
+            params_id = id.to_le_bytes();
+            bodies[0] = &params_id;
+        }
+        KeyFault::SwapSections { i, j } => order.swap(i, j),
+        KeyFault::DuplicateSection { index } => order.insert(index, index),
+        KeyFault::DropSection { index } => {
+            order.remove(index);
+        }
+        KeyFault::LyingSection { .. } | KeyFault::Truncate { .. } => {}
+    }
+    let mut payload = Vec::new();
+    for k in order {
+        put_section(&mut payload, sections[k].0, bodies[k]);
+    }
+    match fault {
+        KeyFault::LyingSection { index, len } => {
+            let at: usize =
+                bodies[..index].iter().map(|b| SECTION_HEADER_LEN + b.len()).sum::<usize>() + 2;
+            payload[at..at + 8].copy_from_slice(&len.to_le_bytes());
+        }
+        KeyFault::Truncate { keep } => payload.truncate(keep),
+        _ => {}
+    }
+    pytfhe_wire::encode(Format::ServerKey, version, &payload)
 }
 
 impl FrameFault {
@@ -197,6 +263,13 @@ impl Written {
                 order.remove(index);
                 stream = self.reseal_sections(&order);
             }
+            FrameFault::ResealedKey { fault } => {
+                let (at, len) = self.sections[0];
+                let key = faulty_key(&stream[at + SECTION_HEADER_LEN..][..len], fault);
+                stream.clear();
+                write_frame(&mut stream, self.format, &[&install_key_header(key.len()), &key])
+                    .unwrap();
+            }
         }
         stream
     }
@@ -247,6 +320,9 @@ impl SeededFrameFaults {
                 let (byte, bit) = flip((at + SECTION_HEADER_LEN, at + SECTION_HEADER_LEN + body));
                 faults.push(FrameFault::ResealedFlip { byte, bit });
             }
+            let key = &frame.stream[at + SECTION_HEADER_LEN..][..body];
+            faults
+                .extend(key_faults(key).into_iter().map(|fault| FrameFault::ResealedKey { fault }));
         }
         for len in
             [0, env_len - 1, env_len / 2, env_len + 1, env_len + 4096, MAX_FRAME_LEN + 1, u32::MAX]
@@ -272,6 +348,37 @@ impl SeededFrameFaults {
         }
         faults
     }
+}
+
+/// Every structural fault of a seeded key: each one is refused by the key
+/// decoder, because the layout has one order of sections and takes every
+/// length from the parameter set.
+fn key_faults(key_bytes: &[u8]) -> Vec<KeyFault> {
+    let payload = pytfhe_wire::decode(key_bytes).unwrap().payload;
+    let bodies: Vec<u64> =
+        pytfhe_wire::sections(payload).map(|s| s.unwrap().1.len() as u64).collect();
+    let n = bodies.len();
+    let mut faults: Vec<KeyFault> =
+        [0, 1, 2, 3, 5, u16::MAX].into_iter().map(KeyFault::Version).collect();
+    // The testing key's set is id 2: the other known sets (1, 3, 4) fix
+    // other lengths, and the rest are unknown.
+    faults.extend([0, 1, 3, 4, 5, u32::MAX].map(KeyFault::ParamsId));
+    for (index, &body) in bodies.iter().enumerate() {
+        for len in [0, body.saturating_sub(1), body + 1, payload.len() as u64, u64::MAX] {
+            if len != body {
+                faults.push(KeyFault::LyingSection { index, len });
+            }
+        }
+        faults.extend((index + 1..n).map(|j| KeyFault::SwapSections { i: index, j }));
+        faults.push(KeyFault::DuplicateSection { index });
+        faults.push(KeyFault::DropSection { index });
+    }
+    let head = bodies.iter().take(2).map(|b| SECTION_HEADER_LEN as u64 + b).sum::<u64>() as usize;
+    faults.extend(
+        [1, SECTION_HEADER_LEN, head, head + SECTION_HEADER_LEN + 1, payload.len() - 1]
+            .map(|keep| KeyFault::Truncate { keep }),
+    );
+    faults
 }
 
 /// A fault a request can carry: the transport, the envelope, the section
@@ -334,6 +441,7 @@ fn every_frame_fault_is_a_typed_error_without_panics_or_accepted_garbage() {
         }
     }
     assert!(total >= 500, "the harness ran only {total} cases");
+    assert_eq!(key_faults(&key_bytes).len(), 51, "faults inside the seeded key");
     // Install: one duplicate, one drop. Submit: three swaps, three
     // duplicates, three drops.
     assert_eq!(rearranged, 11, "section rearrangements");

@@ -39,7 +39,7 @@ use crate::lwe::{LweCiphertext, LweKey};
 use crate::params::Params;
 use crate::poly::{IntPoly, TorusPoly};
 use crate::rng::SecureRng;
-use crate::tgsw::{ExternalProductScratch, Gadget, TgswCiphertext, TgswFft};
+use crate::tgsw::{seeded_mask_into, ExternalProductScratch, Gadget, TgswCiphertext, TgswFft};
 use crate::tlwe::{TlweCiphertext, TlweKey};
 use crate::torus::Torus32;
 
@@ -84,6 +84,10 @@ impl TestVector<'_> {
 /// LWE gate key, under the TLWE key. Every polynomial is stored folded
 /// (`N/2` half-complex points), halving the key bytes relative to the
 /// full-size layout.
+///
+/// Row `r` of TGSW `i` is mask row `i·(k + 1)·l + r` of a seeded server
+/// key: its mask comes from that row's public stream
+/// (`SecureRng::mask_stream`), so only its body travels.
 #[derive(Debug, Clone)]
 pub struct BootstrappingKey {
     tgsw: Vec<TgswFft>,
@@ -91,36 +95,95 @@ pub struct BootstrappingKey {
     params: Params,
 }
 
+/// Keys are equal when their parameters and spectra are; the plan is a
+/// function of the parameters.
+impl PartialEq for BootstrappingKey {
+    fn eq(&self, other: &Self) -> bool {
+        self.params == other.params && self.tgsw == other.tgsw
+    }
+}
+
 impl BootstrappingKey {
-    /// Generates the bootstrapping key for `lwe_key` under `tlwe_key`.
+    /// Generates the bootstrapping key for `lwe_key` under `tlwe_key`:
+    /// each row's mask from the public stream of `mask_seed` and its row,
+    /// its noise from the secret `rng`.
     pub fn generate(
         params: Params,
         lwe_key: &LweKey,
         tlwe_key: &TlweKey,
+        mask_seed: u64,
         rng: &mut SecureRng,
     ) -> Self {
         let plan = FftPlan::new(params.poly_size);
         let gadget = Gadget { levels: params.decomp_levels, base_log: params.decomp_base_log };
-        let tgsw = lwe_key
-            .bits()
-            .iter()
-            .map(|&bit| {
-                TgswCiphertext::encrypt(tlwe_key, bit, gadget, params.glwe_noise_stdev, rng)
-                    .to_fft(&plan)
+        let rows = Self::rows_per_tgsw(&params);
+        let stdev = params.glwe_noise_stdev;
+        let tgsw = (0..)
+            .zip(lwe_key.bits())
+            .map(|(i, &bit)| {
+                TgswCiphertext::encrypt_seeded(
+                    tlwe_key,
+                    bit,
+                    gadget,
+                    stdev,
+                    mask_seed,
+                    i * rows,
+                    rng,
+                )
+                .to_fft(&plan)
             })
             .collect();
         BootstrappingKey { tgsw, plan, params }
     }
 
-    /// Raw TGSW rows (crate-internal, for serialization).
-    pub(crate) fn tgsw_raw(&self) -> &[TgswFft] {
-        &self.tgsw
+    /// TLWE rows per TGSW ciphertext: `(k + 1)·l`.
+    fn rows_per_tgsw(params: &Params) -> u64 {
+        ((params.glwe_dim + 1) * params.decomp_levels) as u64
     }
 
-    /// Rebuilds from parts (crate-internal, for deserialization).
-    pub(crate) fn from_parts(params: Params, tgsw: Vec<TgswFft>) -> Self {
+    /// The key whose TGSW rows have the bodies in `words` (`N` words per
+    /// row, TGSW-major, then row order; `lwe_dim·(k + 1)·l` rows), every
+    /// mask regenerated from `mask_seed` and every row transformed as
+    /// [`BootstrappingKey::generate`] transforms it: what the bodies of a
+    /// seeded key decode to, spectra computed on this host's SIMD tier.
+    pub(crate) fn from_bodies(
+        params: Params,
+        mask_seed: u64,
+        mut words: impl Iterator<Item = Torus32>,
+    ) -> Self {
         let plan = FftPlan::new(params.poly_size);
+        let gadget = Gadget { levels: params.decomp_levels, base_log: params.decomp_base_log };
+        let rows = Self::rows_per_tgsw(&params);
+        // Every row passes through this one scratch sample: decoding
+        // allocates the spectra and nothing else per row.
+        let mut row = TlweCiphertext::trivial(TorusPoly::zero(params.poly_size), params.glwe_dim);
+        let tgsw = (0..params.lwe_dim as u64)
+            .map(|i| {
+                let spectra = (i * rows..(i + 1) * rows)
+                    .map(|r| {
+                        seeded_mask_into(mask_seed, r, &mut row.a);
+                        row.b.coeffs_mut().iter_mut().zip(words.by_ref()).for_each(|(c, w)| *c = w);
+                        row.polys().map(|p| plan.forward_torus(p)).collect()
+                    })
+                    .collect();
+                TgswFft::from_rows(spectra, gadget)
+            })
+            .collect();
         BootstrappingKey { tgsw, plan, params }
+    }
+
+    /// Every row's body in the coefficient domain, in the order
+    /// [`BootstrappingKey::from_bodies`] takes them. The inverse transform
+    /// recovers each exactly: a body spectrum is the forward transform of
+    /// 32-bit integers, whose round-trip error stays far below the 1/2
+    /// that rounding absorbs (pinned in the `crate::fft` tests on every
+    /// tier), so the bodies are the client's bytes on any host.
+    pub(crate) fn bodies(&self) -> impl Iterator<Item = TorusPoly> + '_ {
+        let body = self.params.glwe_dim;
+        self.tgsw
+            .iter()
+            .flat_map(|t| t.rows_raw())
+            .map(move |row| self.plan.inverse_torus(&row[body]))
     }
 
     /// The parameter set this key was generated for.
@@ -483,7 +546,7 @@ mod tests {
         let mut rng = SecureRng::seed_from_u64(60);
         let lwe_key = LweKey::generate(params.lwe_dim, &mut rng);
         let tlwe_key = TlweKey::generate(params.glwe_dim, params.poly_size, &mut rng);
-        let bk = BootstrappingKey::generate(params, &lwe_key, &tlwe_key, &mut rng);
+        let bk = BootstrappingKey::generate(params, &lwe_key, &tlwe_key, 1, &mut rng);
         (params, lwe_key, tlwe_key, bk, rng)
     }
 

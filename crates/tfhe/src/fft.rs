@@ -38,10 +38,11 @@
 //! spectrum is in bit-reversed order**: evaluation `k` sits at slot
 //! `bitrev(k)`. Every in-memory consumer — the MAC, the inverse, the
 //! bootstrapping key rows — is either order-agnostic or expects exactly
-//! that order. The natural order survives in two places only:
+//! that order. The natural order survives in one place only:
 //! [`FreqPoly::point`], for code that needs to know *which* evaluation a
-//! value is, and the wire format, where [`crate::io`] permutes at the
-//! boundary so key bytes are what they always were.
+//! value is. No spectrum is ever serialized: a server key travels as
+//! coefficient-domain bodies, and the server transforms them on its own
+//! SIMD tier ([`crate::io`]).
 //!
 //! Precision: products of decomposed digits (`|d| ≤ Bg/2 = 64`) with
 //! torus values (`< 2^31`) accumulated over `N = 1024` taps stay below
@@ -141,7 +142,7 @@ impl FreqPoly {
 
     /// Evaluation `k` in natural order: the value `(re, im)` of the
     /// polynomial at `ζ_k = e^{iπ(1+4k)/N}`, wherever the transform's
-    /// bit-reversed layout keeps it. This is also the wire order.
+    /// bit-reversed layout keeps it.
     ///
     /// # Panics
     ///
@@ -150,45 +151,6 @@ impl FreqPoly {
         assert!(k < self.points(), "evaluation {k} out of range");
         let slot = bit_reverse(k, self.points());
         (self.re[slot], self.im[slot])
-    }
-
-    /// Appends the spectrum's wire form to `out` (crate-internal, for
-    /// serialization): the `N/2` real parts, then the `N/2` imaginary
-    /// parts, each in natural evaluation order as little-endian `f64`s.
-    /// The inverse of [`FreqPoly::read_wire`].
-    pub(crate) fn write_wire(&self, out: &mut Vec<u8>) {
-        let points = self.points();
-        let start = out.len();
-        out.resize(start + 16 * points, 0);
-        let (re, im) = out[start..].split_at_mut(8 * points);
-        for (part, dst) in [(&self.re, re), (&self.im, im)] {
-            for (k, x) in dst.chunks_exact_mut(8).enumerate() {
-                x.copy_from_slice(&part[bit_reverse(k, points)].to_le_bytes());
-            }
-        }
-    }
-
-    /// Rebuilds a spectrum from its wire form (crate-internal, for
-    /// deserialization), each value read straight into its bit-reversed
-    /// slot. `bytes` holds `16 · points` bytes for a power-of-two number
-    /// of `points`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `bytes` is not the wire form of a power-of-two number of
-    /// points; the decoder checks the length against the parameter set
-    /// first.
-    pub(crate) fn read_wire(bytes: &[u8]) -> Self {
-        let points = bytes.len() / 16;
-        assert!(points.is_power_of_two() && bytes.len() == 16 * points);
-        let mut out = FreqPoly::zero(2 * points);
-        let (re, im) = bytes.split_at(8 * points);
-        for (part, src) in [(&mut out.re, re), (&mut out.im, im)] {
-            for (k, x) in src.chunks_exact(8).enumerate() {
-                part[bit_reverse(k, points)] = f64::from_le_bytes(x.try_into().expect("8 bytes"));
-            }
-        }
-        out
     }
 
     /// Resets to zero without reallocating.
@@ -486,39 +448,32 @@ mod tests {
             let b = TorusPoly::uniform(n, &mut rng);
             let want = naive_negacyclic_mul(&a, &b);
             assert_eq!(RefFftPlan::new(n).negacyclic_mul(&a, &b), want, "reference n={n}");
-            for k in simd::SimdPath::ALL.into_iter().filter_map(simd::kernels_for) {
+            let paths = || simd::SimdPath::ALL.into_iter().filter_map(simd::kernels_for);
+            for k in paths() {
                 let t = &plan.tables;
                 let forward = |c: &[i32]| {
                     let mut f = FreqPoly::zero(n);
                     k.forward(t, c, &mut f.re, &mut f.im);
                     f
                 };
-                let inverse = |mut f: FreqPoly| {
+                let inverse_on = |k: &simd::Kernels, mut f: FreqPoly| {
                     let mut out = TorusPoly::zero(n);
                     k.inverse(t, &mut f.re, &mut f.im, out.coeffs_mut());
                     out
                 };
+                let inverse = |f: FreqPoly| inverse_on(k, f);
                 let fb = forward(Torus32::slice_as_i32(b.coeffs()));
-                assert_eq!(inverse(fb.clone()), b, "round trip n={n} path={}", k.path());
+                // A spectrum made on one path comes back exactly on every
+                // path: a key's bodies are recovered wherever it is encoded.
+                for other in paths() {
+                    let (from, to) = (k.path(), other.path());
+                    assert_eq!(inverse_on(other, fb.clone()), b, "round trip n={n} {from}->{to}");
+                }
                 let fa = forward(a.coeffs());
                 let mut acc = FreqPoly::zero(n);
                 k.mac(&mut acc.re, &mut acc.im, &fa.re, &fa.im, &fb.re, &fb.im);
                 assert_eq!(inverse(acc), want, "product n={n} path={}", k.path());
             }
-        }
-    }
-
-    #[test]
-    fn wire_order_round_trips_through_the_memory_order() {
-        let mut rng = SecureRng::seed_from_u64(19);
-        for n in [2usize, 4, 64, 1024] {
-            let f = FftPlan::new(n).forward_torus(&TorusPoly::uniform(n, &mut rng));
-            let mut bytes = Vec::new();
-            f.write_wire(&mut bytes);
-            assert_eq!(bytes.len(), 8 * n, "n={n}");
-            let value = |i: usize| f64::from_le_bytes(bytes[8 * i..][..8].try_into().unwrap());
-            assert!((0..n / 2).all(|k| f.point(k) == (value(k), value(n / 2 + k))), "n={n}");
-            assert_eq!(FreqPoly::read_wire(&bytes), f, "n={n}");
         }
     }
 }

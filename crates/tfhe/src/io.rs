@@ -9,27 +9,33 @@
 //! The server key — the one artifact large enough and long-lived enough
 //! to persist — is wrapped in the [`pytfhe_wire`] envelope: magic,
 //! format id, version, payload length, and a CRC32C over header and
-//! payload, with the bootstrapping and key-switching keys framed as
-//! separate payload sections. Torn writes, bit rot, and version skew
-//! all surface as typed errors before a single payload byte is
-//! interpreted. The envelope is the only server-key layout: bytes
-//! that do not open as one — the pre-envelope `TFS\x02` / `TFS\x01`
-//! layouts included — are refused with [`TfheError::Wire`].
+//! payload. Torn writes, bit rot, and version skew all surface as typed
+//! errors before a single payload byte is interpreted. The payload is
+//! the *seeded* key (v4): the parameter-set id, the public mask seed and
+//! the body of every row, in four sections in that order — 15.6 MB at
+//! `default_128` against the 124 MB the key occupies in memory. Every
+//! mask is regenerated from the seed on decode
+//! ([`crate::keys::ServerKey`]), and the bootstrapping key's spectra are
+//! recomputed on the decoding host's SIMD tier. The envelope with this
+//! payload is the only server-key layout: the full-key v3 payload is
+//! refused with [`pytfhe_wire::WireError::UnsupportedVersion`], and
+//! bytes that do not open as an envelope — the pre-envelope `TFS\x02` /
+//! `TFS\x01` layouts included — with [`TfheError::Wire`].
 //!
 //! Every decoder in this module is hardened against adversarial input:
 //! declared counts are checked against the bytes actually present
 //! (with overflow-safe arithmetic) before anything is allocated or
-//! sliced, so hostile buffers yield [`TfheError`]s, never panics.
+//! sliced — and the server key takes every length from its parameter
+//! set, not from the bytes — so hostile buffers yield [`TfheError`]s,
+//! never panics.
 
 use crate::bootstrap::BootstrappingKey;
 use crate::error::TfheError;
-use crate::fft::FreqPoly;
 use crate::keys::{ClientKey, ServerKey};
 use crate::keyswitch::KeySwitchKey;
 use crate::lwe::{LweCiphertext, LweKey};
 use crate::params::Params;
 use crate::poly::IntPoly;
-use crate::tgsw::{Gadget, TgswFft};
 use crate::tlwe::TlweKey;
 use crate::torus::Torus32;
 use bytes::{Buf, BufMut, Bytes, BytesMut};
@@ -39,23 +45,22 @@ use pytfhe_wire as wire;
 const CT_MAGIC: u32 = 0x5446_4301; // "TFC\x01"
 const CK_MAGIC: u32 = 0x5446_4B01; // "TFK\x01"
 
-/// Server-key payload version inside the wire envelope:
-/// parameter/bootstrapping/key-switch sections, the bootstrapping key
-/// half-complex (split re/im arrays of N/2 points per polynomial).
-const SK_WIRE_VERSION: u16 = 3;
-/// Payload section holding the parameter-set id.
+/// Server-key payload version inside the wire envelope: the seeded key,
+/// four sections in [`SK_SECTIONS`] order.
+const SK_WIRE_VERSION: u16 = 4;
+/// Payload section holding the parameter-set id (`u32`).
 const SK_SECTION_PARAMS: u16 = 1;
-/// Payload section holding the FFT-domain bootstrapping key.
-const SK_SECTION_BSK: u16 = 2;
-/// Payload section holding the key-switching key.
-const SK_SECTION_KSK: u16 = 3;
-
-/// Clamp for speculative `Vec::with_capacity` calls driven by
-/// length fields read from untrusted bytes: never pre-reserve more than
-/// this many elements before the data proving them present has been
-/// seen. Growth past the clamp happens organically as real bytes are
-/// consumed.
-const MAX_PREALLOC: usize = 1 << 16;
+/// Payload section holding the public mask seed (`u64`).
+const SK_SECTION_SEED: u16 = 2;
+/// Payload section holding the bootstrapping key's row bodies: `lwe_dim ·
+/// (k + 1) · l` polynomials of `N` torus words, in the order of
+/// [`BootstrappingKey::bodies`].
+const SK_SECTION_BSK: u16 = 3;
+/// Payload section holding the key-switching key's sample bodies, one
+/// torus word per sample, in sample order.
+const SK_SECTION_KSK: u16 = 4;
+/// The sections of a server-key payload, each exactly once, in order.
+const SK_SECTIONS: [u16; 4] = [SK_SECTION_PARAMS, SK_SECTION_SEED, SK_SECTION_BSK, SK_SECTION_KSK];
 
 /// Serializes one LWE ciphertext.
 pub fn ciphertext_to_bytes(ct: &LweCiphertext, params: &Params) -> Bytes {
@@ -158,179 +163,123 @@ pub fn client_key_from_bytes(mut data: &[u8]) -> Result<ClientKey, TfheError> {
     Ok(ClientKey::from_parts(params, LweKey::from_bits(bits), tlwe))
 }
 
-/// Serializes the public server key (bootstrapping key in FFT form plus
-/// key-switching key) into a checksummed wire envelope. For the default
-/// parameters this is on the order of 100 MB — dominated by the
-/// FFT-domain bootstrapping key, as in the reference TFHE library —
-/// which is exactly why the envelope frames the bootstrapping and
-/// key-switching keys as separate sections and covers everything with
-/// a CRC32C. The lengths are known up front, so the envelope is one
-/// allocation written front to back ([`wire::encode_with`]).
+/// Serializes the public server key into a checksummed wire envelope:
+/// the parameter-set id, the mask seed, and the body of every row —
+/// 15.6 MB at `default_128`, an eighth of the key in memory, because
+/// every mask is regenerated from the seed on decode. The bootstrapping
+/// key's bodies come back from its spectra through the exact inverse
+/// transform (`BootstrappingKey::bodies`). The lengths are known up
+/// front, so the envelope is one allocation written front to back
+/// ([`wire::encode_with`]).
 pub fn server_key_to_bytes(key: &ServerKey) -> Bytes {
     let _span = telemetry::span("tfhe", "encode server key");
-    let (bsk_len, ksk_len) = (bsk_body_len(key), ksk_body_len(key));
-    let payload_len = 3 * wire::SECTION_HEADER_LEN + 4 + bsk_len + ksk_len;
+    let params = key.params;
+    let (bsk_len, ksk_len) = (bsk_body_len(&params), ksk_body_len(&params));
+    let payload_len = SK_SECTIONS.len() * wire::SECTION_HEADER_LEN + 4 + 8 + bsk_len + ksk_len;
     let envelope =
         wire::encode_with(wire::Format::ServerKey, SK_WIRE_VERSION, payload_len, |out| {
-            wire::put_section(out, SK_SECTION_PARAMS, &key.params().id().to_le_bytes());
+            wire::put_section(out, SK_SECTION_PARAMS, &params.id().to_le_bytes());
+            wire::put_section(out, SK_SECTION_SEED, &key.mask_seed.to_le_bytes());
             wire::put_section_header(out, SK_SECTION_BSK, bsk_len);
-            write_bsk(out, key);
+            for body in key.bootstrap.bodies() {
+                put_words(out, body.coeffs().iter().copied());
+            }
             wire::put_section_header(out, SK_SECTION_KSK, ksk_len);
-            write_ksk(out, key);
+            put_words(out, key.keyswitch.bodies());
         });
     Bytes::from(envelope)
 }
 
-/// Deserializes a server key from its wire envelope.
+/// Deserializes a server key from its wire envelope, regenerating every
+/// mask from the seed and transforming the bootstrapping key on this
+/// host's SIMD tier.
 ///
 /// # Errors
 ///
 /// Returns [`TfheError::Wire`] when the bytes are not a valid
 /// server-key envelope (no envelope magic, checksum mismatch,
-/// truncation, version skew), and [`TfheError::Corrupt`] /
-/// [`TfheError::UnknownParams`] like [`ciphertext_from_bytes`] for
-/// body-level corruption.
+/// truncation, version skew — a v3 full-key payload included — or
+/// sections other than the four of the layout, in order), and
+/// [`TfheError::Corrupt`] / [`TfheError::UnknownParams`] like
+/// [`ciphertext_from_bytes`] for a section whose length is not the one
+/// its parameter set fixes.
 pub fn server_key_from_bytes(data: &[u8]) -> Result<ServerKey, TfheError> {
     let _span = telemetry::span("tfhe", "decode server key");
     let env =
         wire::decode_expecting(data, wire::Format::ServerKey, SK_WIRE_VERSION..=SK_WIRE_VERSION)?;
-    let mut params_bytes = wire::find_section(env.payload, SK_SECTION_PARAMS)?;
-    if params_bytes.remaining() != 4 {
-        return Err(TfheError::Corrupt { what: "server key (params section)" });
+    let [params, seed, bsk, ksk] = server_key_sections(env.payload)?;
+    let params = <[u8; 4]>::try_from(params)
+        .map_err(|_| TfheError::Corrupt { what: "server key (params section)" })?;
+    let params = Params::from_id(u32::from_le_bytes(params)).ok_or(TfheError::UnknownParams)?;
+    let mask_seed = <[u8; 8]>::try_from(seed)
+        .map_err(|_| TfheError::Corrupt { what: "server key (seed section)" })?;
+    let mask_seed = u64::from_le_bytes(mask_seed);
+    // Both body lengths are fixed by the parameter set, so nothing is
+    // allocated before the bytes are known to be exactly those.
+    if bsk.len() != bsk_body_len(&params) {
+        return Err(TfheError::Corrupt { what: "server key (bootstrap bodies length)" });
     }
-    let params = Params::from_id(params_bytes.get_u32_le()).ok_or(TfheError::UnknownParams)?;
-    let mut bsk = wire::find_section(env.payload, SK_SECTION_BSK)?;
-    let bootstrap = parse_bsk(&mut bsk, params)?;
-    if bsk.remaining() > 0 {
-        return Err(TfheError::Corrupt { what: "server key (trailing bootstrap bytes)" });
+    if ksk.len() != ksk_body_len(&params) {
+        return Err(TfheError::Corrupt { what: "server key (key-switch bodies length)" });
     }
-    let mut ksk = wire::find_section(env.payload, SK_SECTION_KSK)?;
-    let keyswitch = parse_ksk(&mut ksk)?;
-    Ok(ServerKey { params, bootstrap, keyswitch })
+    let bootstrap = BootstrappingKey::from_bodies(params, mask_seed, words(bsk));
+    let keyswitch = KeySwitchKey::from_bodies(
+        params.extracted_lwe_dim(),
+        params.lwe_dim,
+        params.ks_levels,
+        params.ks_base_log,
+        mask_seed,
+        words(ksk),
+    );
+    Ok(ServerKey { params, mask_seed, bootstrap, keyswitch })
 }
 
-/// Length of the bootstrapping-key body [`write_bsk`] writes.
-fn bsk_body_len(key: &ServerKey) -> usize {
-    let row_len = |row: &Vec<FreqPoly>| 4 + row.iter().map(|p| 4 + 16 * p.points()).sum::<usize>();
-    let tgsw = key.bootstrapping_key().tgsw_raw();
-    4 + tgsw.iter().map(|t| 4 + t.rows_raw().iter().map(row_len).sum::<usize>()).sum::<usize>()
-}
-
-/// Writes the bootstrapping-key body (the envelope's BSK section).
-fn write_bsk(buf: &mut Vec<u8>, key: &ServerKey) {
-    let tgsw = key.bootstrapping_key().tgsw_raw();
-    buf.put_u32_le(tgsw.len() as u32);
-    for t in tgsw {
-        let rows = t.rows_raw();
-        buf.put_u32_le(rows.len() as u32);
-        for row in rows {
-            buf.put_u32_le(row.len() as u32);
-            for poly in row {
-                // Split layout: point count, then all N/2 real parts, then
-                // all N/2 imaginary parts, both in natural evaluation
-                // order — the bytes do not follow the in-memory
-                // (bit-reversed) order of `crate::fft`.
-                buf.put_u32_le(poly.points() as u32);
-                poly.write_wire(buf);
-            }
+/// The bodies of the [`SK_SECTIONS`] of a payload: each exactly once, in
+/// order, and nothing after them.
+fn server_key_sections(payload: &[u8]) -> Result<[&[u8]; 4], TfheError> {
+    let out_of_order = wire::WireError::BadSection { reason: "server key sections out of order" };
+    let mut sections = wire::sections(payload);
+    let mut bodies = [&[][..]; 4];
+    for (body, tag) in bodies.iter_mut().zip(SK_SECTIONS) {
+        match sections.next().transpose()? {
+            Some((t, b)) if t == tag => *body = b,
+            _ => return Err(out_of_order.into()),
         }
     }
-}
-
-/// Length of the key-switching-key body [`write_ksk`] writes.
-fn ksk_body_len(key: &ServerKey) -> usize {
-    20 + 4 * key.keyswitch_key().table().len()
-}
-
-/// Writes the key-switching-key body (the envelope's KSK section): the
-/// header, then the flat sample table as it sits in memory.
-fn write_ksk(buf: &mut Vec<u8>, key: &ServerKey) {
-    let ks = key.keyswitch_key();
-    buf.put_u32_le(ks.src_dim() as u32);
-    buf.put_u32_le(ks.dst_dim() as u32);
-    buf.put_u32_le(ks.levels() as u32);
-    buf.put_u32_le(ks.base_log() as u32);
-    buf.put_u32_le(ks.num_samples() as u32);
-    let start = buf.len();
-    buf.resize(start + 4 * ks.table().len(), 0);
-    for (word, t) in buf[start..].chunks_exact_mut(4).zip(ks.table()) {
-        word.copy_from_slice(&t.0.to_le_bytes());
+    match sections.next() {
+        None => Ok(bodies),
+        Some(_) => Err(out_of_order.into()),
     }
 }
 
-/// Parses a bootstrapping-key body. Every declared count is validated
-/// against the remaining bytes before allocation, so hostile lengths
-/// cannot trigger huge reservations or slicing panics.
-fn parse_bsk(data: &mut &[u8], params: Params) -> Result<BootstrappingKey, TfheError> {
-    let gadget = Gadget { levels: params.decomp_levels, base_log: params.decomp_base_log };
-    if data.remaining() < 4 {
-        return Err(TfheError::Corrupt { what: "server key (bootstrap count truncated)" });
-    }
-    let n_tgsw = data.get_u32_le() as usize;
-    let mut tgsw = Vec::with_capacity(n_tgsw.min(MAX_PREALLOC));
-    for _ in 0..n_tgsw {
-        if data.remaining() < 4 {
-            return Err(TfheError::Corrupt { what: "server key (bootstrap rows truncated)" });
-        }
-        let n_rows = data.get_u32_le() as usize;
-        let mut rows = Vec::with_capacity(n_rows.min(MAX_PREALLOC));
-        for _ in 0..n_rows {
-            if data.remaining() < 4 {
-                return Err(TfheError::Corrupt { what: "server key (bootstrap row truncated)" });
-            }
-            let n_polys = data.get_u32_le() as usize;
-            let mut row = Vec::with_capacity(n_polys.min(MAX_PREALLOC));
-            for _ in 0..n_polys {
-                if data.remaining() < 4 {
-                    return Err(TfheError::Corrupt { what: "server key (spectrum truncated)" });
-                }
-                let points = data.get_u32_le() as usize;
-                // The transform kernels index a spectrum by the plan's
-                // size, so a spectrum of any other size never gets in.
-                if points != params.poly_size / 2 {
-                    return Err(TfheError::Corrupt { what: "server key (spectrum size)" });
-                }
-                if data.remaining() < points * 16 {
-                    return Err(TfheError::Corrupt { what: "server key (spectrum truncated)" });
-                }
-                let (spectrum, rest) = data.split_at(points * 16);
-                row.push(FreqPoly::read_wire(spectrum));
-                *data = rest;
-            }
-            rows.push(row);
-        }
-        tgsw.push(TgswFft::from_rows(rows, gadget));
-    }
-    Ok(BootstrappingKey::from_parts(params, tgsw))
+/// Bytes of the bootstrapping-key bodies at `params`.
+fn bsk_body_len(params: &Params) -> usize {
+    4 * params.lwe_dim * (params.glwe_dim + 1) * params.decomp_levels * params.poly_size
 }
 
-/// Parses a key-switching-key body, consuming the slice exactly.
-fn parse_ksk(data: &mut &[u8]) -> Result<KeySwitchKey, TfheError> {
-    if data.remaining() < 20 {
-        return Err(TfheError::Corrupt { what: "server key (key-switch header truncated)" });
+/// Bytes of the key-switching-key bodies at `params`.
+fn ksk_body_len(params: &Params) -> usize {
+    4 * params.extracted_lwe_dim() * params.ks_levels * ((1 << params.ks_base_log) - 1)
+}
+
+/// Appends torus words as little-endian `u32`s.
+fn put_words(out: &mut Vec<u8>, words: impl Iterator<Item = Torus32>) {
+    for w in words {
+        out.extend_from_slice(&w.0.to_le_bytes());
     }
-    let src_dim = data.get_u32_le() as usize;
-    let dst_dim = data.get_u32_le() as usize;
-    let levels = data.get_u32_le() as usize;
-    let base_log = data.get_u32_le() as usize;
-    let n_samples = data.get_u32_le() as usize;
-    // The sample block length can reach 2^66 for adversarial headers;
-    // validate in u128 so the comparison itself cannot overflow.
-    let declared = n_samples as u128 * (dst_dim as u128 + 1) * 4;
-    if data.remaining() as u128 != declared {
-        return Err(TfheError::Corrupt { what: "server key (key-switch length mismatch)" });
-    }
-    // The table is the bytes verbatim, so it is allocated only now that
-    // the bytes proving its length are known to be present.
-    let table = data.chunks_exact(4).map(|w| Torus32(u32::from_le_bytes([w[0], w[1], w[2], w[3]])));
-    let table: Vec<Torus32> = table.collect();
-    *data = &[];
-    Ok(KeySwitchKey::from_parts(table, src_dim, dst_dim, levels, base_log))
+}
+
+/// Reads little-endian `u32` torus words (`bytes.len()` a multiple of 4).
+fn words(bytes: &[u8]) -> impl ExactSizeIterator<Item = Torus32> + '_ {
+    bytes.chunks_exact(4).map(|w| Torus32(u32::from_le_bytes([w[0], w[1], w[2], w[3]])))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::poly::TorusPoly;
+    use crate::tgsw::{seeded_mask_into, Gadget};
+    use crate::tlwe::TlweCiphertext;
     use crate::SecureRng;
 
     #[test]
@@ -378,14 +327,31 @@ mod tests {
         assert!(!back.decrypt_bit(&ct));
     }
 
-    /// A well-formed server-key envelope around arbitrary section
-    /// bodies, so hostile bodies reach the body parsers.
-    fn enveloped_server_key(bsk: &[u8], ksk: &[u8]) -> Vec<u8> {
+    /// A well-formed server-key envelope around the given `(tag, body)`
+    /// sections, so hostile payloads reach the section checks.
+    fn enveloped_server_key(version: u16, sections: &[(u16, &[u8])]) -> Vec<u8> {
         let mut payload = Vec::new();
-        wire::put_section(&mut payload, SK_SECTION_PARAMS, &Params::testing().id().to_le_bytes());
-        wire::put_section(&mut payload, SK_SECTION_BSK, bsk);
-        wire::put_section(&mut payload, SK_SECTION_KSK, ksk);
-        wire::encode(wire::Format::ServerKey, SK_WIRE_VERSION, &payload)
+        for &(tag, body) in sections {
+            wire::put_section(&mut payload, tag, body);
+        }
+        wire::encode(wire::Format::ServerKey, version, &payload)
+    }
+
+    /// The four sections of a testing-parameter key: id, seed and
+    /// all-zero bodies of the right lengths.
+    fn testing_sections() -> [(u16, Vec<u8>); 4] {
+        let params = Params::testing();
+        [
+            (SK_SECTION_PARAMS, params.id().to_le_bytes().to_vec()),
+            (SK_SECTION_SEED, 7u64.to_le_bytes().to_vec()),
+            (SK_SECTION_BSK, vec![0; bsk_body_len(&params)]),
+            (SK_SECTION_KSK, vec![0; ksk_body_len(&params)]),
+        ]
+    }
+
+    fn decode_sections(version: u16, sections: &[(u16, Vec<u8>)]) -> Result<ServerKey, TfheError> {
+        let borrowed: Vec<(u16, &[u8])> = sections.iter().map(|(t, b)| (*t, &b[..])).collect();
+        server_key_from_bytes(&enveloped_server_key(version, &borrowed))
     }
 
     #[test]
@@ -395,8 +361,10 @@ mod tests {
         let server = client.server_key(&mut rng);
         let bytes = server_key_to_bytes(&server);
         let back = server_key_from_bytes(&bytes).unwrap();
-        // The wire order is independent of the in-memory spectrum order,
-        // so the permutation at the boundary must undo itself exactly.
+        // Regenerated masks and recomputed spectra: on the tier that made
+        // the key, the decoded key is the client's key, spectrum for
+        // spectrum, and it encodes back to the same bytes.
+        assert!(back == server, "the decoded key equals the client's in-memory key");
         assert_eq!(server_key_to_bytes(&back), bytes, "key -> bytes -> key -> bytes");
         let a = client.encrypt_bit(true, &mut rng);
         let b = client.encrypt_bit(true, &mut rng);
@@ -430,6 +398,21 @@ mod tests {
     }
 
     #[test]
+    fn other_payload_versions_are_refused_with_the_version_error() {
+        for version in [1, 2, 3, 5, u16::MAX] {
+            assert_eq!(
+                decode_sections(version, &testing_sections()).unwrap_err(),
+                TfheError::Wire(wire::WireError::UnsupportedVersion {
+                    format: wire::Format::ServerKey,
+                    version
+                }),
+                "version {version}"
+            );
+        }
+        assert!(decode_sections(SK_WIRE_VERSION, &testing_sections()).is_ok());
+    }
+
+    #[test]
     fn adversarial_lengths_error_instead_of_panicking() {
         // Ciphertext declaring a u32::MAX-element mask over a tiny
         // buffer: the length check must fail without allocating.
@@ -450,52 +433,150 @@ mod tests {
         ck.extend_from_slice(&[0u8; 16]);
         assert!(client_key_from_bytes(&ck).is_err());
 
-        // Server key whose (checksummed, well-framed) sections declare
-        // 2^32-1 TGSW entries / samples: must fail a length check, not
-        // reserve gigabytes or slice.
-        let empty_ksk = [0u8; 20];
-        let huge_bsk = u32::MAX.to_le_bytes();
-        assert!(server_key_from_bytes(&enveloped_server_key(&huge_bsk, &empty_ksk)).is_err());
-        let empty_bsk = 0u32.to_le_bytes(); // zero TGSW entries
-        let huge_ksk: Vec<u8> =
-            [7u32, 3, 8, 2, u32::MAX].iter().flat_map(|v| v.to_le_bytes()).collect();
-        assert!(server_key_from_bytes(&enveloped_server_key(&empty_bsk, &huge_ksk)).is_err());
-
-        // A spectrum of the wrong size for the parameter set is refused
-        // at the boundary; the transform kernels never see it.
-        // 1 TGSW, 1 row, 1 poly, 2 points.
-        let mut bsk: Vec<u8> = [1u32, 1, 1, 2].iter().flat_map(|v| v.to_le_bytes()).collect();
-        bsk.extend_from_slice(&[0u8; 32]);
-        assert_eq!(
-            server_key_from_bytes(&enveloped_server_key(&bsk, &empty_ksk)).unwrap_err(),
-            TfheError::Corrupt { what: "server key (spectrum size)" }
-        );
+        // Server keys in checksummed, well-framed envelopes whose sections
+        // lie: every length comes from the parameter set, so each is a
+        // typed error before anything is allocated.
+        let corrupt = |what| Err(TfheError::Corrupt { what });
+        let out_of_order = Err(TfheError::Wire(wire::WireError::BadSection {
+            reason: "server key sections out of order",
+        }));
+        let with = |index: usize, body: Vec<u8>| {
+            let mut sections = testing_sections();
+            sections[index].1 = body;
+            decode_sections(SK_WIRE_VERSION, &sections)
+        };
+        let bsk_len = bsk_body_len(&Params::testing());
+        let ksk_len = ksk_body_len(&Params::testing());
+        let cases = [
+            (with(0, vec![0; 3]), corrupt("server key (params section)")),
+            (with(0, vec![0; 5]), corrupt("server key (params section)")),
+            (with(0, u32::MAX.to_le_bytes().to_vec()), Err(TfheError::UnknownParams)),
+            // Another known set: its lengths, not the bytes', decide.
+            (
+                with(0, Params::default_128().id().to_le_bytes().to_vec()),
+                corrupt("server key (bootstrap bodies length)"),
+            ),
+            (with(1, vec![0; 7]), corrupt("server key (seed section)")),
+            (with(1, Vec::new()), corrupt("server key (seed section)")),
+            (with(2, Vec::new()), corrupt("server key (bootstrap bodies length)")),
+            (with(2, vec![0; bsk_len - 1]), corrupt("server key (bootstrap bodies length)")),
+            (with(2, vec![0; bsk_len + 4]), corrupt("server key (bootstrap bodies length)")),
+            (with(3, vec![0; ksk_len - 4]), corrupt("server key (key-switch bodies length)")),
+            (with(3, vec![0; ksk_len + 1]), corrupt("server key (key-switch bodies length)")),
+        ];
+        for (i, (got, want)) in cases.into_iter().enumerate() {
+            assert_eq!(got.map(|_| ()), want, "case {i}");
+        }
+        // Every section exactly once, in order: a missing, repeated,
+        // swapped or extra section is refused, never skipped.
+        let mut rearranged: Vec<Vec<(u16, Vec<u8>)>> = Vec::new();
+        for i in 0..4 {
+            let mut s = testing_sections().to_vec();
+            s.remove(i);
+            rearranged.push(s);
+            let mut s = testing_sections().to_vec();
+            s.insert(i, s[i].clone());
+            rearranged.push(s);
+            for j in i + 1..4 {
+                let mut s = testing_sections().to_vec();
+                s.swap(i, j);
+                rearranged.push(s);
+            }
+        }
+        let mut extra = testing_sections().to_vec();
+        extra.push((9, Vec::new()));
+        rearranged.push(extra);
+        for sections in rearranged {
+            let tags: Vec<u16> = sections.iter().map(|s| s.0).collect();
+            let got = decode_sections(SK_WIRE_VERSION, &sections).map(|_| ());
+            assert_eq!(got, out_of_order, "sections {tags:?}");
+        }
+        // A section header declaring 2^64 - 1 body bytes fails the framing.
+        let mut payload = Vec::new();
+        wire::put_section_header(&mut payload, SK_SECTION_PARAMS, usize::MAX);
+        let hostile = wire::encode(wire::Format::ServerKey, SK_WIRE_VERSION, &payload);
+        assert!(matches!(server_key_from_bytes(&hostile), Err(TfheError::Wire(_))));
     }
 
     #[test]
-    fn server_key_stores_half_size_spectra() {
+    fn server_key_bytes_are_the_seed_and_the_bodies() {
         let mut rng = SecureRng::seed_from_u64(96);
         let params = Params::testing();
         let client = ClientKey::generate(params, &mut rng);
         let server = client.server_key(&mut rng);
-        // Every stored spectrum is folded: exactly N/2 points.
-        let mut bsk_len = 4usize; // tgsw count
-        for t in server.bootstrapping_key().tgsw_raw() {
-            bsk_len += 4;
-            for row in t.rows_raw() {
-                bsk_len += 4;
-                for poly in row {
-                    assert_eq!(poly.points(), params.poly_size / 2);
-                    bsk_len += 4 + poly.points() * 16;
-                }
+        // On the wire: envelope header, four section headers, the id, the
+        // seed, one word per bootstrapping-key row coefficient and one per
+        // key-switch sample.
+        let payload = |p: &Params| {
+            let (k, n, l) = (p.glwe_dim, p.poly_size, p.decomp_levels);
+            let ksk_samples = k * n * p.ks_levels * ((1 << p.ks_base_log) - 1);
+            4 * 10 + 4 + 8 + 4 * p.lwe_dim * (k + 1) * l * n + 4 * ksk_samples
+        };
+        let bytes = server_key_to_bytes(&server);
+        assert_eq!(bytes.len(), pytfhe_wire::HEADER_LEN + payload(&params));
+        // At the 128-bit set that is 15.58 MB, against the 124 MB of the
+        // masked key: 15 482 880 bytes of bootstrapping-key bodies and
+        // 98 304 of key-switch bodies.
+        let full = Params::default_128();
+        assert_eq!((bsk_body_len(&full), ksk_body_len(&full)), (15_482_880, 98_304));
+        assert_eq!(pytfhe_wire::HEADER_LEN + payload(&full), 15_581_256);
+    }
+
+    /// The variance of `errors` over the predicted `stdev²`.
+    fn variance_ratio(errors: &[f64], stdev: f64) -> f64 {
+        errors.iter().map(|e| e * e).sum::<f64>() / errors.len() as f64 / (stdev * stdev)
+    }
+
+    #[test]
+    fn rows_of_a_decoded_128_bit_key_carry_fresh_noise() {
+        // Masks from the seed, the gadget term in the body, bodies back
+        // through the inverse transform: every row of the decoded key
+        // still decrypts to its message plus noise of the deviation the
+        // parameters prescribe, in the band of the fresh-LWE measurement
+        // (`noise::measured_fresh_noise_matches_prediction`).
+        let params = Params::default_128();
+        let mut rng = SecureRng::seed_from_u64(97);
+        let client = ClientKey::generate(params, &mut rng);
+        let server = server_key_from_bytes(&server_key_to_bytes(&client.server_key(&mut rng)))
+            .expect("a fresh key decodes");
+        let k = params.glwe_dim;
+        let gadget = Gadget { levels: params.decomp_levels, base_log: params.decomp_base_log };
+        let rows = (k + 1) * gadget.levels;
+        let tlwe_key = client.tlwe_key();
+        let bodies = server.bootstrap.bodies();
+        let mut errors = Vec::new();
+        for (r, b) in bodies.take(24 * rows).enumerate() {
+            let mut row = TlweCiphertext { a: vec![TorusPoly::zero(b.len()); k], b };
+            seeded_mask_into(server.mask_seed, r as u64, &mut row.a);
+            let bit = client.lwe_key().bits()[r / rows];
+            let (u, level) = (r % rows / gadget.levels, r % gadget.levels);
+            let bump = bit * gadget.h(level);
+            for (j, &c) in tlwe_key.phase(&row).coeffs().iter().enumerate() {
+                let want = match tlwe_key.polys().get(u) {
+                    Some(s_u) => -(s_u.coeffs()[j] * bump),
+                    None if j == 0 => bump,
+                    None => Torus32::ZERO,
+                };
+                errors.push((c - want).to_f64());
             }
         }
-        let ks = server.keyswitch_key();
-        let ksk_len = 20 + ks.num_samples() * (ks.dst_dim() + 1) * 4;
-        // Envelope header + three sections (10-byte section headers):
-        // params id, bootstrap body, key-switch body.
-        let expected = pytfhe_wire::HEADER_LEN + (10 + 4) + (10 + bsk_len) + (10 + ksk_len);
-        let bytes = server_key_to_bytes(&server);
-        assert_eq!(bytes.len(), expected);
+        let ratio = variance_ratio(&errors, params.glwe_noise_stdev);
+        assert!((0.8..1.25).contains(&ratio), "bootstrapping-key rows: variance ratio {ratio}");
+
+        // Key-switch sample (i, j, v) encrypts v·s_i / base^(j+1).
+        let (src, dst) = (tlwe_key.extracted_lwe_key(), client.lwe_key());
+        let (base, t) = (1usize << params.ks_base_log, params.ks_levels);
+        let ksk = &server.keyswitch;
+        let mut errors = Vec::with_capacity(ksk.num_samples());
+        for r in 0..ksk.num_samples() {
+            let (i, j, v) = (r / (t * (base - 1)), r / (base - 1) % t, r % (base - 1) + 1);
+            let unit = Torus32(1u32 << (32 - (j + 1) * params.ks_base_log));
+            let want = (v as i32 * src.bits()[i]) * unit;
+            let (mask, body) = ksk.row(r);
+            errors
+                .push((dst.phase(&LweCiphertext::from_parts(mask.to_vec(), body)) - want).to_f64());
+        }
+        let ratio = variance_ratio(&errors, params.lwe_noise_stdev);
+        assert!((0.8..1.25).contains(&ratio), "key-switch samples: variance ratio {ratio}");
     }
 }

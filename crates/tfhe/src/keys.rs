@@ -53,11 +53,14 @@ impl ClientKey {
     }
 
     /// Derives the public evaluation key shipped to the cloud: the
-    /// FFT-domain bootstrapping key plus the key-switching key.
+    /// FFT-domain bootstrapping key plus the key-switching key. The masks
+    /// of both come from public streams of one fresh seed drawn from
+    /// `rng`, their noise from `rng` itself (see [`ServerKey`]).
     pub fn server_key(&self, rng: &mut SecureRng) -> ServerKey {
+        let mask_seed = rng.uniform_u64();
         let bootstrap = {
             let _span = telemetry::span("tfhe", "keygen bsk");
-            BootstrappingKey::generate(self.params, &self.lwe_key, &self.tlwe_key, rng)
+            BootstrappingKey::generate(self.params, &self.lwe_key, &self.tlwe_key, mask_seed, rng)
         };
         let _span = telemetry::span("tfhe", "keygen ksk");
         let keyswitch = KeySwitchKey::generate(
@@ -66,9 +69,10 @@ impl ClientKey {
             self.params.ks_levels,
             self.params.ks_base_log,
             self.params.lwe_noise_stdev,
+            mask_seed,
             rng,
         );
-        ServerKey { params: self.params, bootstrap, keyswitch }
+        ServerKey { params: self.params, mask_seed, bootstrap, keyswitch }
     }
 
     /// Encrypts one bit as `±1/8` with fresh noise.
@@ -110,9 +114,19 @@ impl ClientKey {
 
 /// The public evaluation key: everything the untrusted server needs to run
 /// bootstrapped gates, and nothing that reveals the plaintexts.
-#[derive(Debug, Clone)]
+///
+/// It is *seeded*: every row of both keys — a TLWE row of the
+/// bootstrapping key or an LWE sample of the key-switching key — is a
+/// body over a uniform mask, and the mask of row `r` is drawn from the
+/// public stream `SecureRng::mask_stream(mask_seed, r)`. The rows are
+/// numbered bootstrapping-key rows first, from 0; key-switch sample `j`
+/// is row `2³² + j`. Only the seed and the bodies travel
+/// ([`crate::io::server_key_to_bytes`]), and the server regenerates the
+/// masks — a key about 8× smaller on the wire than in memory.
+#[derive(Debug, Clone, PartialEq)]
 pub struct ServerKey {
     pub(crate) params: Params,
+    pub(crate) mask_seed: u64,
     pub(crate) bootstrap: BootstrappingKey,
     pub(crate) keyswitch: KeySwitchKey,
 }

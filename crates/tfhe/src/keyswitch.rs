@@ -13,17 +13,22 @@ use crate::torus::Torus32;
 /// `t = 8`).
 const MAX_KS_LEVELS: usize = 32;
 
+/// Mask row of key-switch sample `r` in a seeded server key: `2³² + r`, past
+/// every bootstrapping-key row (see [`crate::keys::ServerKey`]).
+const FIRST_MASK_ROW: u64 = 1 << 32;
+
 /// A key-switching key: `src_dim × t × (base - 1)` LWE samples under the
 /// destination key.
 ///
 /// `ks[i][j][v-1]` encrypts `v * s_i / base^(j+1)` where `s_i` is bit `i`
 /// of the source key. For the default parameters (`N = 1024`, `t = 8`,
-/// `base = 4`, `n = 630`) this is ~62 MB — the dominant share of TFHE's
-/// "public key of a few megabytes to ~100 MB" footprint. It is one flat
-/// table, a row per sample: sample `r = (i·t + j)·(base − 1) + v − 1` is
-/// `table[r·(n + 1)..][..n + 1]`, its `n` mask words then its body — also
-/// the key-switch section's wire layout.
-#[derive(Debug, Clone)]
+/// `base = 4`, `n = 630`) this is ~62 MB in memory, but each sample's `n`
+/// mask words come from the public stream of its row
+/// (`SecureRng::mask_stream`), so only the 24 576 bodies (96 KiB)
+/// travel. It is one flat table, a row per sample: sample
+/// `r = (i·t + j)·(base − 1) + v − 1` is `table[r·(n + 1)..][..n + 1]`,
+/// its `n` mask words then its body.
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct KeySwitchKey {
     table: Vec<Torus32>,
     src_dim: usize,
@@ -33,19 +38,21 @@ pub struct KeySwitchKey {
 }
 
 impl KeySwitchKey {
-    /// Generates the key-switching key from `src` to `dst`.
+    /// Generates the key-switching key from `src` to `dst`: each sample's
+    /// mask from the public stream of `mask_seed` and its row, its noise
+    /// from the secret `rng`.
     pub fn generate(
         src: &LweKey,
         dst: &LweKey,
         levels: usize,
         base_log: usize,
         noise_stdev: f64,
+        mask_seed: u64,
         rng: &mut SecureRng,
     ) -> Self {
+        let mut key = Self::with_masks(src.dim(), dst.dim(), levels, base_log, mask_seed);
         let base = 1usize << base_log;
-        let stride = dst.dim() + 1;
-        let mut table = vec![Torus32::ZERO; src.dim() * levels * (base - 1) * stride];
-        let mut rows = table.chunks_exact_mut(stride);
+        let mut rows = key.table.chunks_exact_mut(dst.dim() + 1);
         for i in 0..src.dim() {
             let s_i = src.bits()[i];
             for j in 0..levels {
@@ -54,37 +61,59 @@ impl KeySwitchKey {
                 for v in 1..base {
                     let message = (v as i32 * s_i) * unit;
                     let row = rows.next().expect("one row per sample");
-                    dst.encrypt_into(message, noise_stdev, rng, row);
+                    dst.encrypt_body_into(message, noise_stdev, rng, row);
                 }
             }
         }
-        KeySwitchKey { table, src_dim: src.dim(), dst_dim: dst.dim(), levels, base_log }
+        key
     }
 
-    /// The flat sample table (crate-internal, for serialization).
-    pub(crate) fn table(&self) -> &[Torus32] {
-        &self.table
-    }
-
-    /// Rebuilds from parts (crate-internal, for deserialization).
-    pub(crate) fn from_parts(
-        table: Vec<Torus32>,
+    /// The key whose sample bodies are `bodies`, in sample order, with
+    /// every mask regenerated from `mask_seed`: what the bodies of a
+    /// seeded key decode to.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless there is one body per sample; the decoder checks
+    /// the length against the parameter set first.
+    pub(crate) fn from_bodies(
         src_dim: usize,
         dst_dim: usize,
         levels: usize,
         base_log: usize,
+        mask_seed: u64,
+        bodies: impl ExactSizeIterator<Item = Torus32>,
     ) -> Self {
+        let mut key = Self::with_masks(src_dim, dst_dim, levels, base_log, mask_seed);
+        assert_eq!(bodies.len(), key.num_samples(), "one body per key-switch sample");
+        for (row, body) in key.table.chunks_exact_mut(dst_dim + 1).zip(bodies) {
+            row[dst_dim] = body;
+        }
+        key
+    }
+
+    /// A key with every sample's mask drawn from its row's stream and
+    /// every body zero.
+    fn with_masks(
+        src_dim: usize,
+        dst_dim: usize,
+        levels: usize,
+        base_log: usize,
+        mask_seed: u64,
+    ) -> Self {
+        let samples = src_dim * levels * ((1usize << base_log) - 1);
+        let mut table = vec![Torus32::ZERO; samples * (dst_dim + 1)];
+        for (r, row) in table.chunks_exact_mut(dst_dim + 1).enumerate() {
+            let mut stream = SecureRng::mask_stream(mask_seed, FIRST_MASK_ROW + r as u64);
+            row[..dst_dim].iter_mut().for_each(|a| *a = Torus32::uniform(&mut stream));
+        }
         KeySwitchKey { table, src_dim, dst_dim, levels, base_log }
     }
 
-    /// Decomposition levels `t` (for serialization headers).
-    pub(crate) fn levels(&self) -> usize {
-        self.levels
-    }
-
-    /// Decomposition base log (for serialization headers).
-    pub(crate) fn base_log(&self) -> usize {
-        self.base_log
+    /// The body of every sample, in sample order: all a seeded key's
+    /// key-switching key sends.
+    pub(crate) fn bodies(&self) -> impl ExactSizeIterator<Item = Torus32> + '_ {
+        self.table.chunks_exact(self.dst_dim + 1).map(|row| row[self.dst_dim])
     }
 
     /// Source dimension (`k * N`).
@@ -103,7 +132,7 @@ impl KeySwitchKey {
     }
 
     /// Sample `r` as `(mask, body)`.
-    fn row(&self, r: usize) -> (&[Torus32], Torus32) {
+    pub(crate) fn row(&self, r: usize) -> (&[Torus32], Torus32) {
         let stride = self.dst_dim + 1;
         let (mask, body) = self.table[r * stride..][..stride].split_at(self.dst_dim);
         (mask, body[0])
@@ -203,7 +232,7 @@ mod tests {
         let mut rng = SecureRng::seed_from_u64(50);
         let src = LweKey::generate(256, &mut rng);
         let dst = LweKey::generate(64, &mut rng);
-        let ksk = KeySwitchKey::generate(&src, &dst, 8, 2, 1e-9, &mut rng);
+        let ksk = KeySwitchKey::generate(&src, &dst, 8, 2, 1e-9, 1, &mut rng);
         for frac in [-1, 1] {
             let m = Torus32::from_fraction(frac, 3);
             let ct = src.encrypt(m, 1e-9, &mut rng);
@@ -219,7 +248,7 @@ mod tests {
         let mut rng = SecureRng::seed_from_u64(51);
         let src = LweKey::generate(128, &mut rng);
         let dst = LweKey::generate(32, &mut rng);
-        let ksk = KeySwitchKey::generate(&src, &dst, 8, 2, 1e-9, &mut rng);
+        let ksk = KeySwitchKey::generate(&src, &dst, 8, 2, 1e-9, 1, &mut rng);
         let m1 = Torus32::from_fraction(1, 3);
         let m2 = Torus32::from_fraction(1, 3);
         let c1 = src.encrypt(m1, 1e-9, &mut rng);
@@ -237,7 +266,7 @@ mod tests {
         let mut rng = SecureRng::seed_from_u64(52);
         let src = LweKey::generate(128, &mut rng);
         let dst = LweKey::generate(32, &mut rng);
-        let ksk = KeySwitchKey::generate(&src, &dst, 8, 2, 1e-9, &mut rng);
+        let ksk = KeySwitchKey::generate(&src, &dst, 8, 2, 1e-9, 1, &mut rng);
         let ct = LweCiphertext::trivial(Torus32::ZERO, 64);
         let _ = ksk.switch(&ct);
     }
@@ -247,7 +276,7 @@ mod tests {
         let mut rng = SecureRng::seed_from_u64(54);
         let src = LweKey::generate(128, &mut rng);
         let dst = LweKey::generate(32, &mut rng);
-        let ksk = KeySwitchKey::generate(&src, &dst, 8, 2, 1e-9, &mut rng);
+        let ksk = KeySwitchKey::generate(&src, &dst, 8, 2, 1e-9, 1, &mut rng);
         for seed in 0..4u64 {
             let mut rng = SecureRng::seed_from_u64(100 + seed);
             let ct = src.encrypt(Torus32::from_fraction(1, 3), 1e-9, &mut rng);
@@ -277,7 +306,7 @@ mod tests {
         let mut rng = SecureRng::seed_from_u64(53);
         let src = LweKey::generate(16, &mut rng);
         let dst = LweKey::generate(8, &mut rng);
-        let ksk = KeySwitchKey::generate(&src, &dst, 3, 2, 1e-9, &mut rng);
+        let ksk = KeySwitchKey::generate(&src, &dst, 3, 2, 1e-9, 1, &mut rng);
         assert_eq!(ksk.num_samples(), 16 * 3 * 3);
         assert_eq!(ksk.src_dim(), 16);
         assert_eq!(ksk.dst_dim(), 8);

@@ -37,19 +37,21 @@ impl LweKey {
     /// Encrypts `message` with fresh Gaussian noise of deviation `stdev`.
     pub fn encrypt(&self, message: Torus32, stdev: f64, rng: &mut SecureRng) -> LweCiphertext {
         let mut a = vec![Torus32::ZERO; self.dim() + 1];
-        self.encrypt_into(message, stdev, rng, &mut a);
+        a[..self.dim()].iter_mut().for_each(|ai| *ai = Torus32::uniform(rng));
+        self.encrypt_body_into(message, stdev, rng, &mut a);
         let b = a.pop().expect("the body word");
         LweCiphertext { a, b }
     }
 
-    /// Like [`LweKey::encrypt`], drawing from `rng` in the same order,
-    /// into `row`: the `n` mask words, then the body — one row of a flat
-    /// sample table such as the key-switching key's.
+    /// Completes `row` — its `n` mask words already drawn, from any
+    /// source — with the body `<a, s> + message + e`, the noise drawn
+    /// from `rng`: one row of a flat sample table such as the
+    /// key-switching key's, whose masks come from public seeded streams.
     ///
     /// # Panics
     ///
     /// Panics if `row` is not `n + 1` words long.
-    pub(crate) fn encrypt_into(
+    pub(crate) fn encrypt_body_into(
         &self,
         message: Torus32,
         stdev: f64,
@@ -58,7 +60,6 @@ impl LweKey {
     ) {
         assert_eq!(row.len(), self.dim() + 1, "an LWE row is the mask and the body");
         let (a, b) = row.split_at_mut(self.dim());
-        a.iter_mut().for_each(|ai| *ai = Torus32::uniform(rng));
         b[0] = message.add_gaussian(stdev, rng);
         for (ai, &si) in a.iter().zip(&self.bits) {
             if si != 0 {

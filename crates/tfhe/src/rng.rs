@@ -26,6 +26,23 @@ impl SecureRng {
         SecureRng { inner: StdRng::seed_from_u64(seed), spare: None }
     }
 
+    /// The public stream that row `row` of a seeded server key draws its
+    /// uniform mask from (see [`crate::keys::ServerKey`]). Every row has
+    /// its own stream, a function of `(seed, row)` alone, so whoever holds
+    /// the seed regenerates any row's mask, in any order, and only the
+    /// bodies have to travel. The row's generator state is the seed and
+    /// the row index through two rounds of the SplitMix64 finaliser, so
+    /// neighbouring rows start far apart on the generator's sequence.
+    pub(crate) fn mask_stream(seed: u64, row: u64) -> Self {
+        let hash = |x: u64| StdRng::seed_from_u64(x).random::<u64>();
+        SecureRng { inner: StdRng::seed_from_u64(hash(seed ^ hash(row))), spare: None }
+    }
+
+    /// A uniformly random `u64` (a fresh mask seed).
+    pub(crate) fn uniform_u64(&mut self) -> u64 {
+        self.inner.random()
+    }
+
     /// A uniformly random `u32` (i.e. a uniform torus element).
     #[inline]
     pub fn uniform_u32(&mut self) -> u32 {
@@ -74,6 +91,17 @@ mod tests {
         for _ in 0..100 {
             assert_eq!(a.uniform_u32(), b.uniform_u32());
         }
+    }
+
+    #[test]
+    fn mask_streams_depend_on_seed_and_row() {
+        let draw = |seed, row| {
+            let mut s = SecureRng::mask_stream(seed, row);
+            (0..4).map(|_| s.uniform_u32()).collect::<Vec<_>>()
+        };
+        assert_eq!(draw(7, 3), draw(7, 3));
+        assert_ne!(draw(7, 3), draw(7, 4));
+        assert_ne!(draw(7, 3), draw(8, 3));
     }
 
     #[test]

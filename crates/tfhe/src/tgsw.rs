@@ -70,6 +70,15 @@ impl Gadget {
     }
 }
 
+/// Fills `mask` with the mask of row `row` of a seeded key: its `k`
+/// polynomials drawn, in order, from the row's public stream.
+pub(crate) fn seeded_mask_into(mask_seed: u64, row: u64, mask: &mut [TorusPoly]) {
+    let mut stream = SecureRng::mask_stream(mask_seed, row);
+    for c in mask.iter_mut().flat_map(|p| p.coeffs_mut()) {
+        *c = Torus32::uniform(&mut stream);
+    }
+}
+
 /// A TGSW ciphertext in the coefficient domain: `(k + 1) * l` TLWE rows
 /// forming the gadget matrix encryption of a small integer message.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -81,8 +90,15 @@ pub struct TgswCiphertext {
 impl TgswCiphertext {
     /// Encrypts the integer `message` (in practice a key bit, 0 or 1).
     ///
-    /// Row `u * l + level` is a TLWE encryption of zero plus
-    /// `message * h_level` added to polynomial `u` of the sample.
+    /// Row `u * l + level` is a TLWE encryption of `-message * h_level *
+    /// s_u(X)` for a mask row (`u < k`) and of `message * h_level` for
+    /// the body row (`u = k`): its phase is `e + message * h_level` times
+    /// `-s_u` or `1`, the phase the textbook gadget matrix gets by adding
+    /// `message * h_level` to mask polynomial `u`. The gadget term sits in
+    /// the body so that every row's mask can come from a public seeded
+    /// stream — here that of a seed drawn from `rng`, in a
+    /// [`crate::ServerKey`] that of the key's own seed — and only the
+    /// noise from `rng`.
     pub fn encrypt(
         key: &TlweKey,
         message: i32,
@@ -90,20 +106,39 @@ impl TgswCiphertext {
         stdev: f64,
         rng: &mut SecureRng,
     ) -> Self {
-        let n = key.poly_size();
-        let k = key.k();
-        let zero = TorusPoly::zero(n);
+        let mask_seed = rng.uniform_u64();
+        Self::encrypt_seeded(key, message, gadget, stdev, mask_seed, 0, rng)
+    }
+
+    /// [`TgswCiphertext::encrypt`] with row `r`'s mask drawn from the
+    /// public stream `(mask_seed, first_row + r)` ([`seeded_mask_into`]),
+    /// which is how a seeded key regenerates it.
+    pub(crate) fn encrypt_seeded(
+        key: &TlweKey,
+        message: i32,
+        gadget: Gadget,
+        stdev: f64,
+        mask_seed: u64,
+        first_row: u64,
+        rng: &mut SecureRng,
+    ) -> Self {
+        let (k, n) = (key.k(), key.poly_size());
         let mut rows = Vec::with_capacity((k + 1) * gadget.levels);
         for u in 0..=k {
             for level in 0..gadget.levels {
-                let mut row = key.encrypt_poly(&zero, stdev, rng);
                 let bump = message * gadget.h(level);
-                if u < k {
-                    row.a[u].coeffs_mut()[0] += bump;
-                } else {
-                    row.b.coeffs_mut()[0] += bump;
+                let mut term = TorusPoly::zero(n);
+                match key.polys().get(u) {
+                    Some(s_u) => {
+                        for (t, &s) in term.coeffs_mut().iter_mut().zip(s_u.coeffs()) {
+                            *t = -(s * bump);
+                        }
+                    }
+                    None => term.coeffs_mut()[0] = bump,
                 }
-                rows.push(row);
+                let mut a = vec![TorusPoly::zero(n); k];
+                seeded_mask_into(mask_seed, first_row + rows.len() as u64, &mut a);
+                rows.push(key.encrypt_poly_with_mask(a, &term, stdev, rng));
             }
         }
         TgswCiphertext { rows, gadget }
@@ -136,7 +171,7 @@ impl TgswCiphertext {
 /// frequency domain. The bootstrapping key is stored in this form, exactly
 /// as the reference TFHE library stores its FFT-domain bootstrapping key
 /// (each spectrum in the transform's in-memory order, see [`crate::fft`]).
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct TgswFft {
     /// `rows[r][col]` is polynomial `col` (mask polys then body) of row `r`.
     rows: Vec<Vec<FreqPoly>>,

@@ -113,8 +113,22 @@ impl TlweKey {
         stdev: f64,
         rng: &mut SecureRng,
     ) -> TlweCiphertext {
+        let a = (0..self.k()).map(|_| TorusPoly::uniform(self.n, rng)).collect();
+        self.encrypt_poly_with_mask(a, message, stdev, rng)
+    }
+
+    /// Encrypts a message polynomial under the mask `a`, drawn from any
+    /// source — a seeded key's rows take theirs from public streams —
+    /// with fresh noise from `rng`.
+    pub(crate) fn encrypt_poly_with_mask(
+        &self,
+        a: Vec<TorusPoly>,
+        message: &TorusPoly,
+        stdev: f64,
+        rng: &mut SecureRng,
+    ) -> TlweCiphertext {
         debug_assert_eq!(message.len(), self.n);
-        let a: Vec<TorusPoly> = (0..self.k()).map(|_| TorusPoly::uniform(self.n, rng)).collect();
+        debug_assert_eq!(a.len(), self.k());
         let mut b = message.clone();
         b.add_gaussian(stdev, rng);
         for (i, ai) in a.iter().enumerate() {

@@ -5,6 +5,7 @@
 //! generation plus real bootstraps) but prove that the default parameters
 //! decrypt correctly through bootstrapped gate chains.
 
+use pytfhe_tfhe::io::{server_key_from_bytes, server_key_to_bytes};
 use pytfhe_tfhe::{BootGate, ClientKey, GateScratch, LweCiphertext, Params, SecureRng};
 
 #[test]
@@ -69,4 +70,27 @@ fn a_banded_pair_bootstraps_a_default_128_gate_bit_identically() {
     gang.iter_mut().for_each(GateScratch::release);
     assert!(outs.iter().all(|out| *out == want), "every member holds the one-lane bytes");
     assert!(client.decrypt_bit(&want));
+}
+
+#[test]
+fn every_gate_and_mux_is_correct_under_a_decoded_default_128_key() {
+    // The key the server runs on is the one it decodes: masks regenerated
+    // from the seed, spectra recomputed on this host.
+    let mut rng = SecureRng::seed_from_u64(2026);
+    let client = ClientKey::generate(Params::default_128(), &mut rng);
+    let bytes = server_key_to_bytes(&client.server_key(&mut rng));
+    let server = server_key_from_bytes(&bytes).expect("a fresh key decodes");
+    let mut scratch = server.gate_scratch();
+    for (a, b) in [(false, false), (false, true), (true, false), (true, true)] {
+        let (ca, cb) = (client.encrypt_bit(a, &mut rng), client.encrypt_bit(b, &mut rng));
+        for gate in BootGate::ALL {
+            let out = server.gate_with(gate, &ca, &cb, &mut scratch);
+            assert_eq!(client.decrypt_bit(&out), gate.eval(a, b), "{}({a}, {b})", gate.name());
+        }
+        for sel in [false, true] {
+            let cs = client.encrypt_bit(sel, &mut rng);
+            let out = server.mux(&cs, &ca, &cb);
+            assert_eq!(client.decrypt_bit(&out), if sel { a } else { b }, "mux({sel}, {a}, {b})");
+        }
+    }
 }

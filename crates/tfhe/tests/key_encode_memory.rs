@@ -3,7 +3,8 @@
 //! per-section or whole-payload staging copies next to it.
 //!
 //! Measured as the growth of the process high-water mark (`VmHWM`, Linux
-//! only) across `server_key_to_bytes` on a 128-bit key (~118 MiB). This
+//! only) across `server_key_to_bytes` on a 128-bit key (~15 MiB seeded,
+//! its bootstrapping-key bodies recovered one row at a time). This
 //! file is its own test binary so that no other test moves the mark
 //! meanwhile.
 #![cfg(target_os = "linux")]

@@ -33,8 +33,8 @@
 //! * **Section framing** ([`put_section`] / [`sections`]) for large
 //!   artifacts: a payload can be built from tagged, length-prefixed
 //!   sections so readers skip unknown tags (forward compatibility) and
-//!   multi-part artifacts (a 100 MB server key: bootstrapping key +
-//!   key-switching key) frame their parts independently.
+//!   multi-part artifacts (a server key: parameters, seed and the two
+//!   keys' bodies) frame their parts independently.
 //! * **One writer, one header.** [`encode_with`] writes an envelope of
 //!   known payload length into one allocation, body sections in place
 //!   ([`put_section_header`]); [`encode`] is its caller for a payload
@@ -338,7 +338,7 @@ pub fn encode(format: Format, version: u16, payload: &[u8]) -> Vec<u8> {
 /// The envelope writer: allocates exactly `HEADER_LEN + payload_len`
 /// bytes once, reserves the header, lets `write_payload` append the
 /// payload in place, and writes the [`header`] over the reservation. An
-/// artifact that knows its own length (a 124 MB server key) is thereby
+/// artifact that knows its own length (a 15.6 MB server key) is thereby
 /// written without a staging copy of its payload.
 ///
 /// # Panics

@@ -5,11 +5,15 @@
 //! `tests/golden/`, a bootstrapped gate is a pure function of bytes on
 //! disk, and the torus-domain contract of `pytfhe_tfhe::simd` makes its
 //! output independent of the SIMD tier. The CRC32C of every gate kind's
-//! serialized output was captured through `gate_into` at the commit
+//! serialized output was first captured through `gate_into` at the commit
 //! before the single, batched and mixed paths were folded into one
-//! staged-batch kernel; every entry point built on that kernel has to
-//! reproduce it, on every tier the host can run. This file is its own
-//! test binary because it re-points the process-global SIMD dispatch.
+//! staged-batch kernel, under the full (v3) golden key. When the key
+//! became seeded (v4), the v3 key still reproduced those CRCs under the
+//! new code — the kernel had not moved — and these are the CRCs of the
+//! same gates under the v4 golden key, which is a different key. Every
+//! entry point built on that kernel has to reproduce them, on every tier
+//! the host can run. This file is its own test binary because it
+//! re-points the process-global SIMD dispatch.
 
 use pytfhe_tfhe::io::{ciphertext_from_bytes, ciphertext_to_bytes, server_key_from_bytes};
 use pytfhe_tfhe::simd::{self, SimdPath};
@@ -19,20 +23,20 @@ use pytfhe_wire::crc32c;
 /// `crc32c(ciphertext_to_bytes(gate(true, false)))` for each of
 /// [`BootGate::ALL`], in that order.
 const GATE_CRCS: [u32; 10] = [
-    0x372d_cce7,
-    0x1e68_c3c4,
-    0x89c5_d433,
-    0xc35d_f071,
-    0x8abf_4d8f,
-    0x9319_1b53,
-    0x01f3_b951,
-    0xced0_5d4b,
-    0xe228_123d,
-    0x0ef7_36f9,
+    0xeb73_ea79,
+    0x09c3_c19a,
+    0x376f_05fd,
+    0x071f_cb42,
+    0xab3e_901e,
+    0x10e0_1c4b,
+    0x07eb_9d82,
+    0x9a13_6078,
+    0xb0c1_182d,
+    0x24a6_cc00,
 ];
 
 /// The same for `mux(true, true, false)`.
-const MUX_CRC: u32 = 0x23de_45b5;
+const MUX_CRC: u32 = 0xf00a_b264;
 
 fn golden(name: &str) -> Vec<u8> {
     let path = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/golden").join(name);
@@ -45,7 +49,7 @@ fn crc(server: &ServerKey, ct: &LweCiphertext) -> u32 {
 
 #[test]
 fn every_gate_entry_point_reproduces_the_frozen_ciphertexts_on_every_simd_path() {
-    let server = server_key_from_bytes(&golden("server_key_testing_wire.bin")).unwrap();
+    let server = server_key_from_bytes(&golden("server_key_testing_v4.bin")).unwrap();
     let (a, _) = ciphertext_from_bytes(&golden("ciphertext_true_v1.bin")).unwrap();
     let (b, _) = ciphertext_from_bytes(&golden("ciphertext_false_v1.bin")).unwrap();
     let mut scratch = server.gate_scratch();

@@ -4,14 +4,16 @@
 //! The golden files in `tests/golden/` freeze the byte layouts this
 //! repo reads (see the README there). These tests prove three things:
 //!
-//! 1. **Format stability** — the `*_wire.bin` fixtures decode and
-//!    re-encode byte-for-byte, pinning the envelope layout itself, and
-//!    the decoded artifacts still *work* (the golden server key
-//!    evaluates a NAND truth table against the golden ciphertexts).
+//! 1. **Format stability** — the `*_wire.bin` fixtures and the seeded
+//!    (v4) server key decode and re-encode byte-for-byte, pinning the
+//!    envelope layout itself, and the decoded artifacts still *work* (the
+//!    golden server key evaluates a NAND truth table against the golden
+//!    ciphertexts).
 //! 2. **One layout per artifact** — the pre-envelope layouts (`TFS\x02`
 //!    and `TFS\x01` keys, `PTKG` plans, bare `PTCK` checkpoints) are
 //!    refused with the typed wire error, like any other bytes that are
-//!    not an envelope.
+//!    not an envelope, and the full (v3) server key with the typed
+//!    version error.
 //! 3. **Corruption safety** — randomized truncations and bit flips of
 //!    any fixture produce a typed error; no panics, no garbage.
 
@@ -21,8 +23,15 @@ use pytfhe::pytfhe_backend::{execute, Checkpoint, DiskStore, ExecError, KernelPl
 use pytfhe::pytfhe_netlist::{GateKind, Netlist};
 use pytfhe::{Client, NoiseGuard, Server};
 use pytfhe_telemetry as telemetry;
-use pytfhe_tfhe::io::{ciphertext_from_bytes, client_key_from_bytes, server_key_from_bytes};
-use pytfhe_tfhe::{Params, TfheError};
+use pytfhe_tfhe::io::{
+    ciphertext_from_bytes, client_key_from_bytes, server_key_from_bytes, server_key_to_bytes,
+};
+use pytfhe_tfhe::{Params, SecureRng, TfheError};
+use pytfhe_wire::{Format, WireError};
+
+/// The `SecureRng` seed that derives the v4 golden server key from the
+/// golden client key.
+const SERVER_KEY_SEED: u64 = 0x601DE5;
 
 fn golden(name: &str) -> Vec<u8> {
     let path = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/golden").join(name);
@@ -44,7 +53,7 @@ fn nand_netlist() -> Netlist {
 #[test]
 fn golden_key_still_computes_nand_on_the_golden_ciphertexts() {
     let client_key = client_key_from_bytes(&golden("client_key_testing_v1.bin")).unwrap();
-    let server_key = server_key_from_bytes(&golden("server_key_testing_wire.bin")).unwrap();
+    let server_key = server_key_from_bytes(&golden("server_key_testing_v4.bin")).unwrap();
 
     let (ct_true, ct_params) = ciphertext_from_bytes(&golden("ciphertext_true_v1.bin")).unwrap();
     let (ct_false, _) = ciphertext_from_bytes(&golden("ciphertext_false_v1.bin")).unwrap();
@@ -99,13 +108,39 @@ fn pre_envelope_layouts_are_refused_with_the_wire_error() {
     }
 }
 
-/// The envelope layout is pinned: decoding a `*_wire.bin` fixture and
-/// re-encoding it must reproduce the file byte-for-byte.
+/// The full-key layout the seeded key replaced: the v3 fixture is an
+/// intact envelope whose payload version is no longer read, so it is
+/// refused with the typed version error — never misread as v4 — and so is
+/// every truncation of it.
+#[test]
+fn the_v3_server_key_is_refused_with_the_version_error() {
+    let v3 = golden("server_key_testing_wire.bin");
+    assert_eq!(pytfhe_wire::decode(&v3).unwrap().version, 3, "the fixture is intact");
+    assert_eq!(
+        server_key_from_bytes(&v3).unwrap_err(),
+        TfheError::Wire(WireError::UnsupportedVersion { format: Format::ServerKey, version: 3 })
+    );
+    assert_truncations_fail("server_key_testing_wire.bin", &|b| server_key_from_bytes(b).is_ok());
+}
+
+/// The v4 fixture is what the documented derivation gives: the golden
+/// client key's server key under `SecureRng` seed [`SERVER_KEY_SEED`].
+#[test]
+fn the_v4_golden_is_the_golden_client_key_under_the_documented_seed() {
+    let client_key = client_key_from_bytes(&golden("client_key_testing_v1.bin")).unwrap();
+    let mut rng = SecureRng::seed_from_u64(SERVER_KEY_SEED);
+    let key = client_key.server_key(&mut rng);
+    assert_eq!(server_key_to_bytes(&key).to_vec(), golden("server_key_testing_v4.bin"));
+}
+
+/// The envelope layout is pinned: decoding a `*_wire.bin` fixture or the
+/// v4 server key and re-encoding it must reproduce the file
+/// byte-for-byte.
 #[test]
 fn wire_goldens_reencode_byte_identically() {
-    let key_bytes = golden("server_key_testing_wire.bin");
+    let key_bytes = golden("server_key_testing_v4.bin");
     let key = server_key_from_bytes(&key_bytes).unwrap();
-    assert_eq!(pytfhe_tfhe::io::server_key_to_bytes(&key).to_vec(), key_bytes);
+    assert_eq!(server_key_to_bytes(&key).to_vec(), key_bytes);
 
     let plan_bytes = golden("kernel_plan_wire.bin");
     let plan = KernelPlan::from_bytes(&plan_bytes).unwrap();
@@ -119,9 +154,9 @@ fn wire_goldens_reencode_byte_identically() {
 
     // And the envelope headers say what they should.
     for (bytes, format) in [
-        (&key_bytes, pytfhe_wire::Format::ServerKey),
-        (&plan_bytes, pytfhe_wire::Format::KernelPlan),
-        (&ckpt_bytes, pytfhe_wire::Format::Checkpoint),
+        (&key_bytes, Format::ServerKey),
+        (&plan_bytes, Format::KernelPlan),
+        (&ckpt_bytes, Format::Checkpoint),
     ] {
         let env = pytfhe_wire::decode(bytes).unwrap();
         assert_eq!(env.format, format);
@@ -145,7 +180,7 @@ type DecodeProbe = Box<dyn Fn(&[u8]) -> bool>;
 #[test]
 fn truncations_of_every_golden_are_rejected() {
     let cases: Vec<(&str, DecodeProbe)> = vec![
-        ("server_key_testing_wire.bin", Box::new(|b| server_key_from_bytes(b).is_ok())),
+        ("server_key_testing_v4.bin", Box::new(|b| server_key_from_bytes(b).is_ok())),
         ("kernel_plan_wire.bin", Box::new(|b| KernelPlan::from_bytes(b).is_ok())),
         ("checkpoint_wire.bin", Box::new(|b| Checkpoint::from_bytes(b).is_ok())),
         ("client_key_testing_v1.bin", Box::new(|b| client_key_from_bytes(b).is_ok())),
@@ -154,6 +189,28 @@ fn truncations_of_every_golden_are_rejected() {
     for (name, decode) in &cases {
         assert_truncations_fail(name, decode);
     }
+}
+
+/// Every region of the seeded key — envelope header, the four section
+/// headers, the params id, the seed and both body sections — under a
+/// flip of each bit position: the envelope checksum refuses all of them.
+#[test]
+fn bit_flips_in_every_region_of_the_v4_key_are_rejected() {
+    let bytes = golden("server_key_testing_v4.bin");
+    // Header, params and seed sections exhaustively; the bodies strided.
+    let head = pytfhe_wire::HEADER_LEN + 2 * pytfhe_wire::SECTION_HEADER_LEN + 4 + 8;
+    let positions = (0..head).chain((head..bytes.len()).step_by(97)).chain([bytes.len() - 1]);
+    let mut cases = 0;
+    for i in positions {
+        for bit in 0..8 {
+            let mut flipped = bytes.clone();
+            flipped[i] ^= 1 << bit;
+            let err = server_key_from_bytes(&flipped).expect_err("a flipped key decodes");
+            assert!(matches!(err, TfheError::Wire(_)), "byte {i} bit {bit}: {err}");
+            cases += 1;
+        }
+    }
+    assert!(cases > 10_000, "only {cases} flips");
 }
 
 proptest! {
@@ -166,7 +223,7 @@ proptest! {
         bit in 0u8..8,
         which in 0usize..3,
     ) {
-        let name = ["server_key_testing_wire.bin", "kernel_plan_wire.bin",
+        let name = ["server_key_testing_v4.bin", "kernel_plan_wire.bin",
                     "checkpoint_wire.bin"][which];
         let mut bytes = golden(name);
         let i = pos.index(bytes.len());
@@ -186,7 +243,7 @@ proptest! {
         cut in any::<prop::sample::Index>(),
         which in 0usize..3,
     ) {
-        let name = ["server_key_testing_wire.bin", "kernel_plan_wire.bin",
+        let name = ["server_key_testing_v4.bin", "kernel_plan_wire.bin",
                     "checkpoint_wire.bin"][which];
         let bytes = golden(name);
         let cut = cut.index(bytes.len());

@@ -23,54 +23,25 @@ pub trait GateEngine: Sync {
     /// Allocates scratch for one worker.
     fn scratch(&self) -> Self::Scratch;
 
-    /// Evaluates one gate. Unary gates read only `a`; constants read
-    /// neither.
-    fn eval(
-        &self,
-        kind: GateKind,
-        a: &Self::Value,
-        b: &Self::Value,
-        scratch: &mut Self::Scratch,
-    ) -> Self::Value;
-
-    /// The engine's encoding of a constant bit.
-    fn constant(&self, bit: bool) -> Self::Value;
-
-    /// Evaluates one gate into an existing value slot, reusing its
-    /// buffers where the engine supports it. The default falls back to
-    /// [`GateEngine::eval`] plus a move.
-    fn eval_into(
-        &self,
-        kind: GateKind,
-        a: &Self::Value,
-        b: &Self::Value,
-        scratch: &mut Self::Scratch,
-        out: &mut Self::Value,
-    ) {
-        *out = self.eval(kind, a, b, scratch);
-    }
-
-    /// Evaluates a batch of independent same-kind gates — one "kernel
-    /// launch" of the kernel-graph backend. `pairs[i]` holds the operand
-    /// views for `outs[i]`. The default loops [`GateEngine::eval_into`];
-    /// engines with batched primitives (SoA staging, vectorized
-    /// bootstraps) override it.
+    /// Evaluates a batch of independent gates — one kernel launch of the
+    /// kernel-graph backend, whose gates may be of different kinds.
+    /// `items[i]` is `(kind, a, b)` for `outs[i]`; unary gates read only
+    /// `a`, constants neither. [`crate::graph::run_wave`] hands an engine
+    /// batches whose gates either all bootstrap or are all linear, and
+    /// the serial oracle [`crate::execute`] one gate at a time.
     ///
     /// # Panics
     ///
-    /// Implementations may panic when `pairs.len() != outs.len()`.
+    /// Implementations may panic when `items.len() != outs.len()`.
     fn eval_batch(
         &self,
-        kind: GateKind,
-        pairs: &[(&Self::Value, &Self::Value)],
+        items: &[(GateKind, &Self::Value, &Self::Value)],
         outs: &mut [Self::Value],
         scratch: &mut Self::Scratch,
-    ) {
-        debug_assert_eq!(pairs.len(), outs.len());
-        for (&(a, b), out) in pairs.iter().zip(outs.iter_mut()) {
-            self.eval_into(kind, a, b, scratch, out);
-        }
-    }
+    );
+
+    /// The engine's encoding of a constant bit.
+    fn constant(&self, bit: bool) -> Self::Value;
 
     /// Smallest wave (in gates) worth dispatching across the worker
     /// pool; narrower waves run inline on the calling thread. The
@@ -261,9 +232,10 @@ impl GateEngine for PlainEngine {
 
     fn scratch(&self) -> Self::Scratch {}
 
-    #[inline]
-    fn eval(&self, kind: GateKind, a: &bool, b: &bool, _scratch: &mut ()) -> bool {
-        kind.eval(*a, *b)
+    fn eval_batch(&self, items: &[(GateKind, &bool, &bool)], outs: &mut [bool], _scratch: &mut ()) {
+        for (&(kind, a, b), out) in items.iter().zip(outs) {
+            *out = kind.eval(*a, *b);
+        }
     }
 
     fn constant(&self, bit: bool) -> bool {
@@ -305,41 +277,35 @@ impl GateEngine for TfheEngine<'_> {
         self.key.gate_scratch()
     }
 
-    fn eval(
+    fn eval_batch(
         &self,
-        kind: GateKind,
-        a: &LweCiphertext,
-        b: &LweCiphertext,
+        items: &[(GateKind, &LweCiphertext, &LweCiphertext)],
+        outs: &mut [LweCiphertext],
         scratch: &mut Self::Scratch,
-    ) -> LweCiphertext {
-        let mut out = self.key.constant(false);
-        self.eval_into(kind, a, b, scratch, &mut out);
-        out
-    }
-
-    fn constant(&self, bit: bool) -> LweCiphertext {
-        self.key.constant(bit)
-    }
-
-    fn eval_into(
-        &self,
-        kind: GateKind,
-        a: &LweCiphertext,
-        b: &LweCiphertext,
-        scratch: &mut Self::Scratch,
-        out: &mut LweCiphertext,
     ) {
+        debug_assert_eq!(items.len(), outs.len());
         let k = self.key;
-        match boot_gate(kind) {
-            Some(gate) => k.gate_into(gate, a, b, scratch, out),
-            None => match kind {
+        // A batch that only bootstraps is one staged-batch kernel, each
+        // slot staged with its own gate's linear recipe.
+        if let Some(gates) =
+            items.iter().map(|&(kind, ..)| boot_gate(kind)).collect::<Option<Vec<_>>>()
+        {
+            let pairs: Vec<_> = items.iter().map(|&(_, a, b)| (a, b)).collect();
+            return k.batch_bootstrap_mixed(&gates, &pairs, outs, scratch);
+        }
+        for (&(kind, a, b), out) in items.iter().zip(outs) {
+            match kind {
                 GateKind::Not => k.not_into(a, out),
                 GateKind::Buf => out.copy_from(a),
                 GateKind::Const0 => k.constant_into(false, out),
                 GateKind::Const1 => k.constant_into(true, out),
-                _ => unreachable!("boot_gate covers every binary kind"),
-            },
+                _ => k.gate_into(boot_gate(kind).expect("a binary kind"), a, b, scratch, out),
+            }
         }
+    }
+
+    fn constant(&self, bit: bool) -> LweCiphertext {
+        self.key.constant(bit)
     }
 
     fn gang_width(&self) -> usize {
@@ -352,27 +318,6 @@ impl GateEngine for TfheEngine<'_> {
 
     fn release(&self, scratch: &mut GateScratch) {
         scratch.release();
-    }
-
-    fn eval_batch(
-        &self,
-        kind: GateKind,
-        pairs: &[(&LweCiphertext, &LweCiphertext)],
-        outs: &mut [LweCiphertext],
-        scratch: &mut Self::Scratch,
-    ) {
-        debug_assert_eq!(pairs.len(), outs.len());
-        match boot_gate(kind) {
-            // One fused batched kernel: linear combinations staged into
-            // SoA slots and bootstrapped + key-switched chunk by chunk
-            // while the staged masks are still cache-resident.
-            Some(gate) => self.key.batch_bootstrap_fused(gate, pairs, outs, scratch),
-            None => {
-                for (&(a, b), out) in pairs.iter().zip(outs.iter_mut()) {
-                    self.eval_into(kind, a, b, scratch, out);
-                }
-            }
-        }
     }
 
     fn eval_lut_into(
@@ -451,6 +396,19 @@ mod tests {
     use pytfhe_netlist::ALL_GATE_KINDS;
     use pytfhe_tfhe::{ClientKey, Params, SecureRng};
 
+    /// One gate as a one-item batch, the way the serial oracle runs it.
+    fn eval_one<E: GateEngine>(
+        engine: &E,
+        kind: GateKind,
+        a: &E::Value,
+        b: &E::Value,
+        scratch: &mut E::Scratch,
+    ) -> E::Value {
+        let mut out = engine.constant(false);
+        engine.eval_batch(&[(kind, a, b)], std::slice::from_mut(&mut out), scratch);
+        out
+    }
+
     #[test]
     fn plain_engine_matches_gate_truth_tables() {
         let engine = PlainEngine::new();
@@ -460,7 +418,7 @@ mod tests {
         let mut s = engine.scratch();
         for &kind in &ALL_GATE_KINDS {
             for (a, b) in [(false, false), (false, true), (true, false), (true, true)] {
-                assert_eq!(engine.eval(kind, &a, &b, &mut s), kind.eval(a, b));
+                assert_eq!(eval_one(&engine, kind, &a, &b, &mut s), kind.eval(a, b));
             }
         }
         assert!(engine.constant(true));
@@ -478,8 +436,8 @@ mod tests {
             for (a, b) in [(false, true), (true, true), (false, false)] {
                 let ca = client.encrypt_bit(a, &mut rng);
                 let cb = client.encrypt_bit(b, &mut rng);
-                let out = engine.eval(kind, &ca, &cb, &mut scratch);
-                let want = plain.eval(kind, &a, &b, &mut ());
+                let out = eval_one(&engine, kind, &ca, &cb, &mut scratch);
+                let want = eval_one(&plain, kind, &a, &b, &mut ());
                 assert_eq!(client.decrypt_bit(&out), want, "{kind}({a},{b})");
             }
         }
@@ -488,40 +446,31 @@ mod tests {
     }
 
     #[test]
-    fn tfhe_eval_into_is_bit_exact_with_eval() {
-        let mut rng = SecureRng::seed_from_u64(19);
-        let client = ClientKey::generate(Params::testing(), &mut rng);
-        let server = client.server_key(&mut rng);
-        let engine = TfheEngine::new(&server);
-        let mut scratch = engine.scratch();
-        let ca = client.encrypt_bit(true, &mut rng);
-        let cb = client.encrypt_bit(false, &mut rng);
-        let mut out = engine.constant(false);
-        for &kind in &ALL_GATE_KINDS {
-            let want = engine.eval(kind, &ca, &cb, &mut scratch);
-            engine.eval_into(kind, &ca, &cb, &mut scratch, &mut out);
-            assert_eq!(out, want, "{kind}");
-        }
-    }
-
-    #[test]
     fn tfhe_eval_batch_is_bit_exact_with_scalar_eval() {
+        use GateKind::{And, Buf, Nand, Not, Oryn, Xor};
         let mut rng = SecureRng::seed_from_u64(23);
         let client = ClientKey::generate(Params::testing(), &mut rng);
         let server = client.server_key(&mut rng);
         let engine = TfheEngine::new(&server);
         let mut scratch = engine.scratch();
-        let cts: Vec<_> = [true, false, true, true, false]
+        let cts: Vec<_> = [true, false, true, true, false, true]
             .iter()
             .map(|&bit| client.encrypt_bit(bit, &mut rng))
             .collect();
-        for kind in [GateKind::Nand, GateKind::Xor, GateKind::Oryn, GateKind::Not, GateKind::Buf] {
-            let pairs: Vec<_> = (0..4).map(|i| (&cts[i], &cts[i + 1])).collect::<Vec<_>>();
-            let want: Vec<_> =
-                pairs.iter().map(|&(a, b)| engine.eval(kind, a, b, &mut scratch)).collect();
-            let mut outs = vec![engine.constant(false); pairs.len()];
-            engine.eval_batch(kind, &pairs, &mut outs, &mut scratch);
-            assert_eq!(outs, want, "{kind}");
+        // One kind per batch, then every bootstrapping kind in one batch,
+        // then bootstrapping and linear kinds in one batch.
+        let mut batches: Vec<[GateKind; 5]> = [Nand, Xor, Oryn, Not, Buf].map(|k| [k; 5]).into();
+        batches.extend([[Nand, Xor, Oryn, And, Xor], [Nand, Not, Xor, Buf, Oryn]]);
+        for kinds in batches {
+            let items: Vec<_> =
+                kinds.iter().enumerate().map(|(i, &kind)| (kind, &cts[i], &cts[i + 1])).collect();
+            let want: Vec<_> = items
+                .iter()
+                .map(|&(kind, a, b)| eval_one(&engine, kind, a, b, &mut scratch))
+                .collect();
+            let mut outs = vec![engine.constant(false); items.len()];
+            engine.eval_batch(&items, &mut outs, &mut scratch);
+            assert_eq!(outs, want, "{kinds:?}");
         }
     }
 }

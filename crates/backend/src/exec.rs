@@ -49,12 +49,9 @@ pub struct ExecStats {
     pub plan_cached: bool,
     /// Sub-graph batches replayed (the CUDA-graph cuts of Figure 9).
     pub batches: usize,
-    /// Batched kernel launches issued (one per same-kind gate group per
-    /// wave, per worker lane).
+    /// Batched gate kernel launches issued: one per worker chunk of a wave's
+    /// bootstrapping gates and one per chunk of its linear gates.
     pub kernel_launches: u64,
-    /// Kernel launches per gate kind, indexed by
-    /// [`pytfhe_netlist::GateKind::opcode`].
-    pub kernels_by_kind: [u64; 16],
     /// Worker-pool tasks executed by a lane other than the one they
     /// were queued on (work-stealing activity; 0 on serial runs).
     pub steals: u64,
@@ -91,7 +88,6 @@ impl ExecStats {
             plan_cached: false,
             batches: 0,
             kernel_launches: 0,
-            kernels_by_kind: [0; 16],
             steals: 0,
             luts,
             lut_launches: 0,
@@ -209,19 +205,22 @@ pub fn execute<E: GateEngine>(
     let _span =
         telemetry::span_with("exec", || format!("reference execute: {} gates", nl.num_gates()));
     let start = Instant::now();
-    let filler = engine.constant(false);
-    let mut values: Vec<E::Value> = vec![filler; nl.num_nodes()];
+    let mut values: Vec<E::Value> = vec![engine.constant(false); nl.num_nodes()];
     let mut scratch = engine.scratch();
     let mut inputs = inputs.iter();
-    // `Some` on LUT-lowered netlists, where constants ride the message
-    // encoding.
+    // `Some` on LUT-lowered netlists: constants ride the message encoding.
     let msg_precision = nl.lut_precision();
     for (i, node) in nl.nodes().iter().enumerate() {
         values[i] = match *node {
             Node::Input => inputs.next().expect("input count checked").clone(),
             Node::Gate { kind, a, b } => match msg_precision {
                 Some(p) if kind.is_const() => engine.constant_message(kind == GateKind::Const1, p),
-                _ => engine.eval(kind, &values[a.index()], &values[b.index()], &mut scratch),
+                _ => {
+                    let mut out = engine.constant(false);
+                    let item = (kind, &values[a.index()], &values[b.index()]);
+                    engine.eval_batch(&[item], std::slice::from_mut(&mut out), &mut scratch);
+                    out
+                }
             },
             Node::Lut { spec, ins } => {
                 engine.eval_lut(spec, &ins.map(|id| &values[id.index()]), &mut scratch)
@@ -349,7 +348,7 @@ where
     let level_0_empty = !plan
         .waves()
         .next()
-        .is_some_and(|w| w.lut_groups.is_empty() && w.groups.iter().all(|g| g.kind.is_const()));
+        .is_some_and(|w| w.lut_groups.is_empty() && w.gates.iter().all(|t| t.kind.is_const()));
     let first_level = usize::from(level_0_empty);
 
     let mut skip = 0;
@@ -565,8 +564,8 @@ mod tests {
             fn scratch(&self) {
                 self.scratches.fetch_add(1, Ordering::Relaxed);
             }
-            fn eval(&self, kind: GateKind, a: &bool, b: &bool, _s: &mut ()) -> bool {
-                kind.eval(*a, *b)
+            fn eval_batch(&self, g: &[(GateKind, &bool, &bool)], o: &mut [bool], s: &mut ()) {
+                PlainEngine::new().eval_batch(g, o, s);
             }
             fn constant(&self, bit: bool) -> bool {
                 bit

@@ -5,8 +5,9 @@
 //! — workers die, tasks get lost, stragglers stall a wave. This module
 //! models those failures *deterministically* so the recovery logic of
 //! [`crate::exec::execute_resilient`] can be tested bit-for-bit. The unit
-//! of work is a *chunk*: the run of same-kind tasks one lane executes in
-//! one dispatch of a wave. A [`FaultInjector`] decides the fate of every
+//! of work is a *chunk*: the run of tasks one lane executes in one
+//! dispatch of a wave — bootstrapping gates of any kinds, linear gates,
+//! or one LUT group's tasks. A [`FaultInjector`] decides the fate of every
 //! chunk attempt and whether a worker crashes in a wave, and
 //! [`RetryPolicy`] governs how the executor reacts (capped exponential
 //! backoff with deterministic jitter, per-attempt and per-wave

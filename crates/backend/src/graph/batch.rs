@@ -1,18 +1,19 @@
-//! Wave-to-kernel grouping: turns a topological wave of netlist nodes
-//! into same-kind [`GateGroup`]s, the unit a replay dispatches as one
-//! batched kernel.
+//! Wave layout: turns a topological wave of netlist nodes into a
+//! [`WavePlan`] — one gate list in (opcode, node id) order, and fused
+//! LUTs grouped into the batched-PBS kernels a replay launches.
 
-use crate::graph::plan::{GateGroup, GateTask, LutGroup, LutTask, WavePlan};
-use pytfhe_netlist::{GateKind, Netlist, Node};
+use crate::graph::plan::{GateTask, LutGroup, LutTask, WavePlan};
+use pytfhe_netlist::{Netlist, Node};
 use std::collections::BTreeMap;
 
-/// Groups one wave's gate nodes by gate kind and its fused LUT nodes by
-/// `(width, precision, bootstrapping)`, preserving node order within
-/// each group. Group order follows the opcode table (gates) and the
-/// bucket key (LUTs) so captures are deterministic regardless of
-/// netlist construction order. Splitting affine LUTs (width-1
-/// constants, buffers, negations) from bootstrapping ones keeps every
-/// [`LutGroup`] homogeneous, so a replay picks the batched-PBS or
+/// Orders one wave's gate nodes by opcode (one linear bucket pass) and
+/// groups its fused LUT nodes by `(width, precision, bootstrapping)`,
+/// preserving node order within each opcode and group. The orders
+/// follow the opcode table and the bucket key, so captures are
+/// deterministic regardless of netlist construction order, and the
+/// bootstrapping opcodes precede the linear ones. Splitting affine LUTs
+/// (width-1 constants, buffers, negations) from bootstrapping ones keeps
+/// every [`LutGroup`] homogeneous, so a replay picks the batched-PBS or
 /// linear path per group.
 pub(crate) fn group_wave(nl: &Netlist, wave: &[u32]) -> WavePlan {
     // Bucket by opcode: 16 possible kinds, most waves use a handful.
@@ -21,7 +22,7 @@ pub(crate) fn group_wave(nl: &Netlist, wave: &[u32]) -> WavePlan {
     for &id in wave {
         match nl.node(pytfhe_netlist::NodeId(id)) {
             Node::Gate { kind, a, b } => {
-                buckets[kind.opcode() as usize].push(GateTask { out: id, a: a.0, b: b.0 });
+                buckets[kind.opcode() as usize].push(GateTask { kind, out: id, a: a.0, b: b.0 });
             }
             Node::Lut { spec, ins } => {
                 let key = (spec.width, spec.precision, spec.bootstraps() > 0);
@@ -34,29 +35,21 @@ pub(crate) fn group_wave(nl: &Netlist, wave: &[u32]) -> WavePlan {
             Node::Input => {} // inputs are fed by the caller, not evaluated
         }
     }
-    let groups = buckets
-        .into_iter()
-        .enumerate()
-        .filter(|(_, tasks)| !tasks.is_empty())
-        .map(|(op, tasks)| GateGroup {
-            kind: GateKind::from_opcode(op as u8).expect("bucket index is a valid opcode"),
-            tasks,
-        })
-        .collect();
+    let gates = buckets.concat();
     let lut_groups = lut_buckets
         .into_iter()
         .map(|((width, precision, _), tasks)| LutGroup { width, precision, tasks })
         .collect();
-    WavePlan { groups, lut_groups }
+    WavePlan { gates, lut_groups }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use pytfhe_netlist::LevelSchedule;
+    use pytfhe_netlist::{GateKind, LevelSchedule};
 
     #[test]
-    fn groups_are_per_kind_and_ordered_by_opcode() {
+    fn gates_are_ordered_by_opcode_then_node() {
         let mut nl = Netlist::new();
         let a = nl.add_input();
         let b = nl.add_input();
@@ -69,10 +62,12 @@ mod tests {
         let sched = LevelSchedule::compute(&nl);
         // Wave 0 is constants-only (empty here); the gates sit in wave 1.
         let plan = group_wave(&nl, &sched.waves[1]);
-        assert_eq!(plan.groups.len(), 2);
-        assert_eq!(plan.groups[0].kind, GateKind::Nand); // opcode 0x0
-        assert_eq!(plan.groups[0].tasks, vec![GateTask { out: g2.0, a: a.0, b: b.0 }]);
-        assert_eq!(plan.groups[1].kind, GateKind::Xor);
-        assert_eq!(plan.groups[1].tasks.len(), 2);
+        let (x, y) = (a.0, b.0);
+        let want = [
+            GateTask { kind: GateKind::Nand, out: g2.0, a: x, b: y }, // opcode 0x0
+            GateTask { kind: GateKind::Xor, out: g1.0, a: x, b: y },
+            GateTask { kind: GateKind::Xor, out: g3.0, a: y, b: x },
+        ];
+        assert_eq!(plan.gates, want);
     }
 }

@@ -25,8 +25,8 @@ impl Default for CaptureConfig {
 
 /// Captures `nl` into a replayable plan.
 ///
-/// Waves come from [`LevelSchedule`]; within each wave gates are grouped
-/// by kind into batched kernels; consecutive waves accumulate into a
+/// Waves come from [`LevelSchedule`]; each wave's gates are listed in
+/// (opcode, node id) order; consecutive waves accumulate into a
 /// sub-graph batch until it holds at least `batch_cut_nodes`
 /// bootstrapped gates ([`crate::graph::WavePlan::bootstrapped`]), then
 /// the batch closes. Bootstrap-free waves never trigger a cut but ride
@@ -44,7 +44,7 @@ pub fn capture(nl: &Netlist, cfg: &CaptureConfig) -> Result<KernelPlan, ExecErro
     let mut open = SubGraph::default();
     let mut open_bootstrapped = 0;
     for wave in sched.waves.iter().map(|wave| group_wave(nl, wave)) {
-        if wave.groups.is_empty() && wave.lut_groups.is_empty() {
+        if wave.gates.is_empty() && wave.lut_groups.is_empty() {
             continue;
         }
         open_bootstrapped += wave.bootstrapped();
@@ -97,8 +97,7 @@ mod tests {
         assert_eq!(plan.num_nodes, 2 + 5 * 4);
         assert_eq!(plan.inputs.len(), 2);
         assert_eq!(plan.outputs.len(), 4);
-        let mut outs: Vec<u32> =
-            plan.waves().flat_map(|w| &w.groups).flat_map(|g| &g.tasks).map(|t| t.out).collect();
+        let mut outs: Vec<u32> = plan.waves().flat_map(|w| &w.gates).map(|t| t.out).collect();
         outs.sort_unstable();
         outs.dedup();
         assert_eq!(outs.len(), 5 * 4, "no slot written twice");

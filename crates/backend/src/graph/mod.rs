@@ -6,9 +6,9 @@
 //! [`crate::sim::GpuPolicy::CudaGraphs`] simulator models:
 //!
 //! 1. **Capture** ([`capture`]): one pass over the netlist produces a
-//!    [`KernelPlan`] — topological waves grouped into same-kind batched
-//!    kernels, waves cut into sub-graph batches of about
-//!    [`CaptureConfig::batch_cut_nodes`] bootstrapped gates. The
+//!    [`KernelPlan`] — topological waves, each one gate list that a
+//!    replay batches across gate kinds, cut into sub-graph batches of
+//!    about [`CaptureConfig::batch_cut_nodes`] bootstrapped gates. The
 //!    simulators in [`crate::sim`] cost this plan as it is.
 //! 2. **Cache**: [`KernelGraph`] keys captured plans by netlist
 //!    fingerprint, so the second and later executions of a program skip
@@ -30,9 +30,7 @@ mod replay;
 #[cfg(test)]
 pub(crate) use capture::ladder;
 pub use capture::{capture, CaptureConfig};
-pub use plan::{
-    counts_toward_batch, GateGroup, GateTask, KernelPlan, LutGroup, LutTask, SubGraph, WavePlan,
-};
+pub use plan::{counts_toward_batch, GateTask, KernelPlan, LutGroup, LutTask, SubGraph, WavePlan};
 pub use replay::{replay, run_wave, Launch, ReplayLanes};
 pub(crate) use replay::{run_wave_with, Retry};
 

@@ -1,5 +1,6 @@
 //! The captured execution plan: a netlist flattened into sub-graph
-//! batches of waves of same-kind gate groups, plus a byte-level codec so
+//! batches of waves, each wave one gate list (every task carrying its
+//! own gate kind) plus its fused-LUT groups, and a byte-level codec so
 //! plans can be shipped to (or cached by) a remote evaluator exactly
 //! like the paper's serialized CUDA graphs.
 
@@ -8,11 +9,13 @@ use crate::error::ExecError;
 use pytfhe_netlist::{GateKind, LutSpec};
 use pytfhe_wire as wire;
 
-/// One gate instance inside a batched kernel: evaluate the group's kind
-/// on value slots `a` and `b`, writing slot `out`. Unary gates read only
-/// `a`; constants read neither (both operands still carry valid slots).
+/// One gate instance: evaluate `kind` on value slots `a` and `b`,
+/// writing slot `out`. Unary gates read only `a`; constants read neither
+/// (both operands still carry valid slots).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct GateTask {
+    /// The gate function.
+    pub kind: GateKind,
     /// Destination value slot (the netlist node id).
     pub out: u32,
     /// First operand slot.
@@ -21,18 +24,8 @@ pub struct GateTask {
     pub b: u32,
 }
 
-/// All gates of one kind within one wave — replayed as a single batched
-/// kernel launch.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct GateGroup {
-    /// The gate function shared by every task.
-    pub kind: GateKind,
-    /// The independent gate instances.
-    pub tasks: Vec<GateTask>,
-}
-
-impl GateGroup {
-    /// Operand slots each task reads: none for constants, only `a` for
+impl GateTask {
+    /// Operand slots the task reads: none for constants, only `a` for
     /// unary gates, both otherwise.
     pub(crate) fn reads(&self) -> usize {
         if self.kind.is_const() {
@@ -89,23 +82,24 @@ impl LutGroup {
     }
 }
 
-/// One topological wave: groups are mutually independent (they only read
-/// slots written by earlier waves), so a replay may run them — and the
-/// tasks within them — in any order or in parallel.
+/// One topological wave: its tasks are mutually independent (they only
+/// read slots written by earlier waves), so a replay may run them in any
+/// order or in parallel.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct WavePlan {
-    /// Same-kind kernel groups.
-    pub groups: Vec<GateGroup>,
+    /// The wave's gates, in (opcode, node id) order as captured; a
+    /// replay batches gates of different kinds into one launch.
+    pub gates: Vec<GateTask>,
     /// Same-width fused-LUT kernel groups (empty on boolean-decomposed
     /// programs).
     pub lut_groups: Vec<LutGroup>,
 }
 
 impl WavePlan {
-    /// Gates across all groups (fused LUTs not included; see
+    /// Gates in the wave (fused LUTs not included; see
     /// [`WavePlan::num_luts`]).
     pub fn num_gates(&self) -> usize {
-        self.groups.iter().map(|g| g.tasks.len()).sum()
+        self.gates.len()
     }
 
     /// Fused LUT tasks across all LUT groups.
@@ -123,32 +117,25 @@ impl WavePlan {
     /// programmable bootstraps of the wave's fused LUTs): the count the
     /// batch-cut rule accumulates.
     pub fn bootstrapped(&self) -> u64 {
-        self.groups
-            .iter()
-            .filter(|g| counts_toward_batch(g.kind))
-            .map(|g| g.tasks.len() as u64)
-            .sum::<u64>()
+        self.gates.iter().filter(|t| counts_toward_batch(t.kind)).count() as u64
             + self.lut_groups.iter().map(LutGroup::bootstraps).sum::<u64>()
     }
 
     /// Bootstraps the wave executes: binary gates plus non-affine LUT
     /// cones (`Not`, `Buf`, constants, and affine LUTs are linear).
     pub fn bootstraps(&self) -> u64 {
-        self.groups
-            .iter()
-            .filter(|g| boot_gate(g.kind).is_some())
-            .map(|g| g.tasks.len() as u64)
-            .sum::<u64>()
+        self.gates.iter().filter(|t| boot_gate(t.kind).is_some()).count() as u64
             + self.lut_groups.iter().map(LutGroup::bootstraps).sum::<u64>()
     }
 
     /// Re-cuts the wave into sub-waves of at most `bound` bootstraps
     /// each (clamped to at least 1), every task in exactly one of them,
-    /// group and task order kept: the wave's `i`-th bootstrapping task,
-    /// counted across its groups, lands in sub-wave `i / bound`, linear
-    /// tasks cost nothing and stay in the first. Tasks of one wave are
-    /// independent, so the sub-waves may run in any order, one after
-    /// another or together. A wave within the bound comes back as it is.
+    /// task order kept: the wave's `i`-th bootstrapping task, counted
+    /// over its gates and then its LUT groups, lands in sub-wave
+    /// `i / bound`, linear tasks cost nothing and stay in the first.
+    /// Tasks of one wave are independent, so the sub-waves may run in any
+    /// order, one after another or together. A wave within the bound
+    /// comes back as it is.
     pub fn split(self, bound: usize) -> Vec<WavePlan> {
         let bound = bound.max(1);
         let parts = (self.bootstraps() as usize).div_ceil(bound);
@@ -157,7 +144,15 @@ impl WavePlan {
         }
         let mut out = vec![WavePlan::default(); parts];
         let mut dealt = 0;
-        // Where a group of `len` tasks lands: (sub-wave, run of tasks).
+        for task in self.gates {
+            let mut part = 0;
+            if boot_gate(task.kind).is_some() {
+                part = dealt / bound;
+                dealt += 1;
+            }
+            out[part].gates.push(task);
+        }
+        // Where a LUT group of `len` tasks lands: (sub-wave, run of tasks).
         let mut runs = |len: usize, boots: bool| -> Vec<(usize, std::ops::Range<usize>)> {
             if !boots {
                 return vec![(0, 0..len)];
@@ -168,11 +163,6 @@ impl WavePlan {
                 .map(|j| (j, (j * bound).max(start) - start..((j + 1) * bound).min(end) - start))
                 .collect()
         };
-        for GateGroup { kind, tasks } in self.groups {
-            for (part, run) in runs(tasks.len(), boot_gate(kind).is_some()) {
-                out[part].groups.push(GateGroup { kind, tasks: tasks[run].to_vec() });
-            }
-        }
         for group in self.lut_groups {
             let (width, precision) = (group.width, group.precision);
             for (part, run) in runs(group.tasks.len(), !group.is_affine()) {
@@ -275,12 +265,10 @@ impl KernelPlan {
         let mut ranges = vec![(u32::MAX, 0); self.num_nodes];
         for (w, wave) in self.waves().enumerate() {
             let w = w as u32;
-            for group in &wave.groups {
-                for t in &group.tasks {
-                    ranges[t.out as usize].0 = w;
-                    for &slot in &[t.a, t.b][..group.reads()] {
-                        ranges[slot as usize].1 = w;
-                    }
+            for t in &wave.gates {
+                ranges[t.out as usize].0 = w;
+                for &slot in &[t.a, t.b][..t.reads()] {
+                    ranges[slot as usize].1 = w;
                 }
             }
             for group in &wave.lut_groups {
@@ -333,11 +321,14 @@ impl KernelPlan {
         for batch in &self.batches {
             put_u32(&mut out, batch.waves.len() as u32);
             for wave in &batch.waves {
-                put_u32(&mut out, wave.groups.len() as u32);
-                for group in &wave.groups {
-                    out.push(group.kind.opcode());
-                    put_u32(&mut out, group.tasks.len() as u32);
-                    for t in &group.tasks {
+                // Each run of one kind is a group record: a captured
+                // wave, ordered by opcode, writes one per kind.
+                let runs = || wave.gates.chunk_by(|x, y| x.kind == y.kind);
+                put_u32(&mut out, runs().count() as u32);
+                for run in runs() {
+                    out.push(run[0].kind.opcode());
+                    put_u32(&mut out, run.len() as u32);
+                    for t in run {
                         put_u32(&mut out, t.out);
                         put_u32(&mut out, t.a);
                         put_u32(&mut out, t.b);
@@ -399,15 +390,14 @@ impl KernelPlan {
             let mut waves = Vec::with_capacity(num_waves.min(1024));
             for _ in 0..num_waves {
                 let num_groups = r.u32()? as usize;
-                let mut groups = Vec::with_capacity(num_groups.min(1024));
+                let mut gates = Vec::new();
                 for _ in 0..num_groups {
                     let kind = GateKind::from_opcode(r.u8()?).map_err(|_| bad("unknown opcode"))?;
                     let num_tasks = r.u32()? as usize;
-                    let mut tasks = Vec::with_capacity(num_tasks.min(65_536));
+                    gates.reserve(num_tasks.min(65_536));
                     for _ in 0..num_tasks {
-                        tasks.push(GateTask { out: r.u32()?, a: r.u32()?, b: r.u32()? });
+                        gates.push(GateTask { kind, out: r.u32()?, a: r.u32()?, b: r.u32()? });
                     }
-                    groups.push(GateGroup { kind, tasks });
                 }
                 let mut lut_groups = Vec::new();
                 if with_luts {
@@ -430,7 +420,7 @@ impl KernelPlan {
                         lut_groups.push(LutGroup { width, precision, tasks });
                     }
                 }
-                waves.push(WavePlan { groups, lut_groups });
+                waves.push(WavePlan { gates, lut_groups });
             }
             batches.push(SubGraph { waves });
         }
@@ -448,11 +438,7 @@ impl KernelPlan {
         let n = self.num_nodes as u64;
         let ok = |slot: u32| u64::from(slot) < n;
         let wires = self.inputs.iter().chain(&self.outputs).all(|&s| ok(s));
-        let gates = self
-            .waves()
-            .flat_map(|w| &w.groups)
-            .flat_map(|g| &g.tasks)
-            .all(|t| ok(t.out) && ok(t.a) && ok(t.b));
+        let gates = self.waves().flat_map(|w| &w.gates).all(|t| ok(t.out) && ok(t.a) && ok(t.b));
         let luts = self
             .waves()
             .flat_map(|w| &w.lut_groups)
@@ -536,31 +522,20 @@ mod tests {
             batches: vec![
                 SubGraph {
                     waves: vec![WavePlan {
-                        groups: vec![
-                            GateGroup {
-                                kind: GateKind::Nand,
-                                tasks: vec![
-                                    GateTask { out: 2, a: 0, b: 1 },
-                                    GateTask { out: 3, a: 1, b: 0 },
-                                ],
-                            },
-                            GateGroup {
-                                kind: GateKind::Not,
-                                tasks: vec![GateTask { out: 4, a: 0, b: 0 }],
-                            },
+                        gates: vec![
+                            GateTask { kind: GateKind::Nand, out: 2, a: 0, b: 1 },
+                            GateTask { kind: GateKind::Nand, out: 3, a: 1, b: 0 },
+                            GateTask { kind: GateKind::Not, out: 4, a: 0, b: 0 },
                         ],
                         lut_groups: vec![],
                     }],
                 },
                 SubGraph {
                     waves: vec![WavePlan {
-                        groups: vec![GateGroup {
-                            kind: GateKind::Xor,
-                            tasks: vec![
-                                GateTask { out: 5, a: 2, b: 3 },
-                                GateTask { out: 6, a: 3, b: 4 },
-                            ],
-                        }],
+                        gates: vec![
+                            GateTask { kind: GateKind::Xor, out: 5, a: 2, b: 3 },
+                            GateTask { kind: GateKind::Xor, out: 6, a: 3, b: 4 },
+                        ],
                         lut_groups: vec![],
                     }],
                 },
@@ -578,7 +553,7 @@ mod tests {
             batches: vec![SubGraph {
                 waves: vec![
                     WavePlan {
-                        groups: vec![],
+                        gates: vec![],
                         lut_groups: vec![LutGroup {
                             width: 3,
                             precision: 3,
@@ -589,7 +564,7 @@ mod tests {
                         }],
                     },
                     WavePlan {
-                        groups: vec![],
+                        gates: vec![],
                         lut_groups: vec![LutGroup {
                             width: 1,
                             precision: 3,
@@ -643,9 +618,8 @@ mod tests {
 
     #[test]
     fn split_keeps_every_task_once_and_every_sub_wave_within_its_bound() {
-        let gates = |kind, outs: std::ops::Range<u32>| GateGroup {
-            kind,
-            tasks: outs.map(|out| GateTask { out, a: 0, b: 1 }).collect(),
+        let gates = |kind, outs: std::ops::Range<u32>| {
+            outs.map(move |out| GateTask { kind, out, a: 0, b: 1 })
         };
         let luts = |width, table, outs: std::ops::Range<u32>| LutGroup {
             width,
@@ -653,20 +627,19 @@ mod tests {
             tasks: outs.map(|out| LutTask { out, table, ins: [0, 1, 2, 0] }).collect(),
         };
         let wave = WavePlan {
-            groups: vec![
-                gates(GateKind::Nand, 10..15),
-                gates(GateKind::Not, 15..18),
-                gates(GateKind::Xor, 18..25),
-            ],
+            gates: gates(GateKind::Nand, 10..15)
+                .chain(gates(GateKind::Not, 15..18))
+                .chain(gates(GateKind::Xor, 18..25))
+                .collect(),
             lut_groups: vec![luts(3, 0b1001_0110, 25..29), luts(1, 0b01, 29..31)],
         };
         assert_eq!(wave.bootstraps(), 16);
         // Every task with its kernel: (slot, opcode, 0) or (slot, 16 + width, table).
         let tasks_of = |waves: &[WavePlan]| {
-            let gates = waves.iter().flat_map(|w| &w.groups);
+            let gates = waves.iter().flat_map(|w| &w.gates);
             let luts = waves.iter().flat_map(|w| &w.lut_groups);
             let mut all: Vec<_> = gates
-                .flat_map(|g| g.tasks.iter().map(move |t| (t.out, g.kind.opcode(), 0)))
+                .map(|t| (t.out, t.kind.opcode(), 0))
                 .chain(
                     luts.flat_map(|g| g.tasks.iter().map(move |t| (t.out, 16 + g.width, t.table))),
                 )
@@ -752,7 +725,7 @@ mod tests {
     #[test]
     fn rejects_out_of_range_slots() {
         let mut plan = sample_plan();
-        plan.batches[1].waves[0].groups[0].tasks[0].a = 99;
+        plan.batches[1].waves[0].gates[0].a = 99;
         assert!(matches!(
             KernelPlan::from_bytes(&plan.to_bytes()),
             Err(ExecError::BadPlan { reason: "slot out of range" })

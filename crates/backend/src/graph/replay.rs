@@ -14,9 +14,10 @@
 //! that turns waves of ready nodes into [`WorkerPool`] jobs. It takes a
 //! slice of [`Launch`]es: [`replay`] passes one (the next wave of its
 //! plan), the serving scheduler one per picked job, each over that
-//! tenant's key. All chunks of all launches are one pool run, so lanes
-//! steal across group and launch boundaries — one fat AND group no
-//! longer idles the workers that finished their XORs. The resilient
+//! tenant's key. A launch's gates are one list whatever their kinds, so
+//! a chunk is a run of bootstrapping gates, of linear gates or of one
+//! LUT group, and all chunks of all launches are one pool run: lanes
+//! steal across run and launch boundaries. The resilient
 //! executor dispatches through the same code with a [`Retry`] policy
 //! that re-runs the chunks that failed.
 
@@ -146,21 +147,22 @@ pub struct Launch<'a, E: GateEngine> {
     /// The wave.
     pub wave: &'a WavePlan,
     /// [`KernelPlan::message_precision`]. Where it is nonzero, constant
-    /// gate groups are filled via [`GateEngine::constant_message`] so
+    /// gates are filled via [`GateEngine::constant_message`] so
     /// constants land on the encoding the packed LUT windows expect.
     pub msg_precision: u8,
     /// The plan's value arena, staging arena and per-lane scratch.
     pub lanes: &'a mut ReplayLanes<E::Value, E::Scratch>,
 }
 
-/// The tasks of one chunk: a run of a gate group, or of a LUT group (and whether it is affine).
+/// The tasks of one chunk: gates that all bootstrap or are all linear,
+/// or a run of a LUT group (and whether it is affine).
 #[derive(Clone, Copy)]
 enum Tasks<'a> {
-    Gates(GateKind, &'a [GateTask]),
+    Gates(&'a [GateTask]),
     Luts(&'a LutGroup, bool, &'a [LutTask]),
 }
 
-/// One per-lane chunk of one group of launch number `launch`: the unit a
+/// One per-lane chunk of launch number `launch`: the unit a
 /// lane executes, reading the launch's value arena and writing its own
 /// slice of the launch's stage.
 struct Chunk<'a, E: GateEngine> {
@@ -175,25 +177,28 @@ impl<E: GateEngine> Chunk<'_, E> {
     /// Whether the chunk's tasks bootstrap.
     fn bootstraps(&self) -> bool {
         match self.tasks {
-            Tasks::Gates(kind, _) => boot_gate(kind).is_some(),
+            Tasks::Gates(tasks) => boot_gate(tasks[0].kind).is_some(),
             Tasks::Luts(_, affine, _) => !affine,
         }
     }
 
-    /// Bootstrapping LUT groups dispatch through
-    /// [`GateEngine::eval_lut_batch`]; affine groups (width-1 tables)
-    /// run linearly through [`GateEngine::eval_lut_into`]. Only the
-    /// chunk's stage is written, so running it again is harmless.
+    /// Gates dispatch through [`GateEngine::eval_batch`], bootstrapping
+    /// LUT groups through [`GateEngine::eval_lut_batch`]; affine groups
+    /// (width-1 tables) run linearly through
+    /// [`GateEngine::eval_lut_into`]. Only the chunk's stage is written,
+    /// so running it again is harmless.
     fn run(&mut self, scratch: &mut E::Scratch) {
         let (engine, values, stage) = (self.engine, self.values, &mut *self.stage);
         // The operand references of a LUT task (unused slots alias the
         // first, mirroring the netlist's padding).
         let refs = |t: &LutTask| t.ins.map(|slot| &values[slot as usize]);
         match self.tasks {
-            Tasks::Gates(kind, tasks) => {
-                let pairs: Vec<(&E::Value, &E::Value)> =
-                    tasks.iter().map(|t| (&values[t.a as usize], &values[t.b as usize])).collect();
-                engine.eval_batch(kind, &pairs, stage, scratch);
+            Tasks::Gates(tasks) => {
+                let items: Vec<(GateKind, &E::Value, &E::Value)> = tasks
+                    .iter()
+                    .map(|t| (t.kind, &values[t.a as usize], &values[t.b as usize]))
+                    .collect();
+                engine.eval_batch(&items, stage, scratch);
             }
             Tasks::Luts(group, true, tasks) => {
                 for (t, out) in tasks.iter().zip(stage) {
@@ -237,13 +242,15 @@ impl Retry for FailFast {
     }
 }
 
-/// Executes one wave of each launch as a single dispatch: every group's
-/// results are staged (the wave's other groups may still read any slot),
-/// then swapped into the launch's value arena. The groups of all
-/// launches are split into chunks targeting one per lane; a dispatch of
-/// at least [`GateEngine::parallel_grain`] tasks submits them as one
-/// pool run over `workers` lanes with stealing across groups and
-/// launches, a narrower one runs them in order on the calling thread.
+/// Executes one wave of each launch as a single dispatch: every task's
+/// result is staged (the wave's other tasks may still read any slot),
+/// then swapped into the launch's value arena. Each launch's gates are
+/// split into a bootstrapping run and a linear run (more where a decoded
+/// plan interleaves the two), whatever their kinds; those runs and the
+/// launch's LUT groups are cut into chunks targeting one per lane. A
+/// dispatch of at least [`GateEngine::parallel_grain`] tasks submits
+/// them as one pool run over `workers` lanes with stealing across runs
+/// and launches, a narrower one runs them in order on the calling thread.
 /// The launches must be mutually independent — different plans, or
 /// plans over disjoint arenas.
 ///
@@ -288,8 +295,8 @@ pub(crate) fn run_wave_with<E: GateEngine>(
     telemetry::counter_sample("exec", "wave_width", total as f64);
     let grain = first.engine.parallel_grain().max(PARALLEL_WAVE_MIN);
     let lanes = if gang > 1 || total < grain { 1 } else { workers.max(1) };
-    // Chunks target one per lane across the whole dispatch; group
-    // boundaries may add a few more, and stealing evens them out.
+    // Chunks target one per lane across the whole dispatch; run and
+    // group boundaries may add a few more, and stealing evens them out.
     let chunk = total.div_ceil(lanes);
     let mut cells: Vec<SlotCells<E::Scratch>> = Vec::with_capacity(launches.len());
     let mut chunks: Vec<Chunk<'_, E>> = Vec::new();
@@ -299,7 +306,7 @@ pub(crate) fn run_wave_with<E: GateEngine>(
         let ReplayLanes { values, stage, scratches, .. } = &mut *l.lanes;
         scratches.resize_with(lanes.max(gang).max(scratches.len()), || engine.scratch());
         // The whole wave is staged before any result scatters back, so
-        // the stage arena spans the wave, not just its widest group; a
+        // the stage arena spans the wave, not just its widest run; a
         // gang's other members write their copies of its one bootstrap
         // past it.
         let n = wave.num_tasks();
@@ -313,20 +320,24 @@ pub(crate) fn run_wave_with<E: GateEngine>(
             cells.push(SlotCells::new(std::mem::take(scratches)));
         }
         let values = &values[..];
-        for group in &wave.groups {
-            let (group_stage, rest) = stage_rest.split_at_mut(group.tasks.len());
+        // Whether a gate bootstraps, and whether it is a constant of a
+        // LUT-lowered plan: an allocation-free encode, filled here more
+        // cheaply than in a chunk of its own.
+        let p = l.msg_precision;
+        let class = |t: &GateTask| (boot_gate(t.kind).is_some(), p > 0 && t.kind.is_const());
+        for run in wave.gates.chunk_by(|x, y| class(x) == class(y)) {
+            let (run_stage, rest) = stage_rest.split_at_mut(run.len());
             stage_rest = rest;
-            let (kind, p) = (group.kind, l.msg_precision);
-            if p > 0 && kind.is_const() {
-                // Constants are allocation-free encodes: filling them
-                // here is cheaper than a chunk of their own.
-                group_stage.fill_with(|| engine.constant_message(kind == GateKind::Const1, p));
-                record_launches(stats, kind, 1);
+            if class(&run[0]).1 {
+                for (t, out) in run.iter().zip(run_stage) {
+                    *out = engine.constant_message(t.kind == GateKind::Const1, p);
+                }
+                stats.kernel_launches += 1;
                 continue;
             }
-            record_launches(stats, kind, group.tasks.len().div_ceil(chunk) as u64);
-            for (tasks, stage) in group.tasks.chunks(chunk).zip(group_stage.chunks_mut(chunk)) {
-                let tasks = Tasks::Gates(kind, tasks);
+            stats.kernel_launches += run.len().div_ceil(chunk) as u64;
+            for (tasks, stage) in run.chunks(chunk).zip(run_stage.chunks_mut(chunk)) {
+                let tasks = Tasks::Gates(tasks);
                 chunks.push(Chunk { engine, launch, values, tasks, stage });
             }
         }
@@ -399,7 +410,7 @@ pub(crate) fn run_wave_with<E: GateEngine>(
     outcome?;
     for l in launches {
         let ReplayLanes { values, stage, .. } = &mut *l.lanes;
-        let outs = l.wave.groups.iter().flat_map(|g| g.tasks.iter().map(|t| t.out));
+        let outs = l.wave.gates.iter().map(|t| t.out);
         let lut_outs = l.wave.lut_groups.iter().flat_map(|g| g.tasks.iter().map(|t| t.out));
         for (out, staged) in outs.chain(lut_outs).zip(stage) {
             std::mem::swap(&mut values[out as usize], staged);
@@ -445,23 +456,14 @@ fn run_gang<E: GateEngine>(
     !failed.load(Ordering::Relaxed)
 }
 
-/// Bumps the per-kind and total launch counters.
-fn record_launches(stats: &mut ExecStats, kind: GateKind, launches: u64) {
-    stats.kernel_launches += launches;
-    stats.kernels_by_kind[kind.opcode() as usize] += launches;
-    if telemetry::enabled() {
-        telemetry::metrics()
-            .counter_add(&format!("graph_kernel_launches_total{{kind=\"{kind}\"}}"), launches);
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::engine::PlainEngine;
+    use crate::engine::{PlainEngine, TfheEngine};
     use crate::exec::execute;
     use crate::graph::capture::{capture, CaptureConfig};
-    use pytfhe_netlist::{GateKind, Netlist};
+    use pytfhe_netlist::{GateKind, Netlist, Node};
+    use pytfhe_tfhe::{ClientKey, Params, SecureRng};
 
     fn adder4() -> Netlist {
         let mut nl = Netlist::new();
@@ -541,6 +543,55 @@ mod tests {
             "scratches bounded by workers, got {}",
             lanes.allocated_scratches()
         );
+    }
+
+    /// One wave: 2 gates of each of 4 bootstrapping kinds over 2 inputs.
+    fn mixed_wave() -> Netlist {
+        let mut nl = Netlist::new();
+        let (a, b) = (nl.add_input(), nl.add_input());
+        for kind in [GateKind::Xor, GateKind::Nand, GateKind::Orny, GateKind::And] {
+            for (x, y) in [(a, b), (b, a)] {
+                let g = nl.add_gate(kind, x, y).unwrap();
+                nl.mark_output(g).unwrap();
+            }
+        }
+        nl
+    }
+
+    #[test]
+    fn a_wave_of_mixed_kinds_is_one_launch_per_lane() {
+        let plan = capture(&mixed_wave(), &CaptureConfig::default()).unwrap();
+        assert_eq!(plan.num_waves(), 1);
+        let mut lanes = ReplayLanes::new(1);
+        let (_, stats) = replay(&PlainEngine::new(), &plan, &[true, false], &mut lanes).unwrap();
+        assert_eq!(stats.kernel_launches, 1);
+    }
+
+    #[test]
+    fn a_wave_of_mixed_kinds_replays_the_bytes_of_every_gate_alone() {
+        let mut rng = SecureRng::seed_from_u64(37);
+        let client = ClientKey::generate(Params::testing(), &mut rng);
+        let server = client.server_key(&mut rng);
+        let engine = TfheEngine::new(&server);
+        let nl = mixed_wave();
+        let cts = client.encrypt_bits(&[true, false], &mut rng);
+        let (want, _) = execute(&engine, &nl, &cts).unwrap();
+        assert_eq!(client.decrypt_bits(&want), nl.eval_plain(&[true, false]));
+        let mut scratch = server.gate_scratch();
+        for (&o, want) in nl.outputs().iter().zip(&want) {
+            let Node::Gate { kind, a, b } = nl.node(o) else { unreachable!("a gate") };
+            let mut out = server.constant(false);
+            let gate = boot_gate(kind).unwrap();
+            server.gate_into(gate, &cts[a.index()], &cts[b.index()], &mut scratch, &mut out);
+            assert_eq!(&out, want, "{kind}");
+        }
+        let plan = capture(&nl, &CaptureConfig::default()).unwrap();
+        for workers in [1, 2] {
+            let mut lanes = ReplayLanes::new(workers);
+            let (got, stats) = replay(&engine, &plan, &cts, &mut lanes).unwrap();
+            assert_eq!(got, want, "workers {workers}");
+            assert_eq!(stats.kernel_launches, workers as u64);
+        }
     }
 
     #[test]

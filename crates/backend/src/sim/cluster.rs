@@ -158,10 +158,10 @@ impl ClusterSim {
         let mut deps = vec![0u32; n];
         let mut succs: Vec<Vec<u32>> = vec![Vec::new(); n];
         for wave in plan.waves() {
-            let gates = wave.groups.iter().flat_map(|g| {
-                let (reads, free) = (g.reads(), !counts_toward_batch(g.kind));
-                g.tasks.iter().map(move |t| (t.out, [t.a, t.b, 0, 0], reads, free))
-            });
+            let gates = wave
+                .gates
+                .iter()
+                .map(|t| (t.out, [t.a, t.b, 0, 0], t.reads(), !counts_toward_batch(t.kind)));
             let luts = wave.lut_groups.iter().flat_map(|g| {
                 let (reads, free) = (usize::from(g.width), g.is_affine());
                 g.tasks.iter().map(move |t| (t.out, t.ins, reads, free))
@@ -278,7 +278,7 @@ mod tests {
         nl.mark_output(out).unwrap();
         let plan = capture(&nl, &CaptureConfig::default()).unwrap();
         let kinds: Vec<Vec<GateKind>> =
-            plan.waves().map(|w| w.groups.iter().map(|g| g.kind).collect()).collect();
+            plan.waves().map(|w| w.gates.iter().map(|t| t.kind).collect()).collect();
         use GateKind::{And, Buf, Not, Or, Xor};
         assert_eq!(kinds, [vec![And, Xor], vec![Or], vec![Buf], vec![Not]]);
         let costed: Vec<u64> = plan.waves().map(WavePlan::bootstrapped).collect();

@@ -78,10 +78,12 @@ impl GpuSim {
     }
 
     /// The batched cuFHE policy: within each wave, gates of one kind —
-    /// and fused LUTs of one bootstrapping group — form vector batches of
-    /// up to `SM` lanes. Every batch still pays full transfers, a launch
-    /// and a blocking sync, and batches are serialized on the CPU thread
-    /// — mixed gate kinds and inter-dependencies cannot share a batch.
+    /// bucketed here by ascending opcode, since the plan's gate list
+    /// mixes kinds — and fused LUTs of one bootstrapping group form
+    /// vector batches of up to `SM` lanes. Every batch still pays full
+    /// transfers, a launch and a blocking sync, and batches are
+    /// serialized on the CPU thread — mixed gate kinds and
+    /// inter-dependencies cannot share a batch.
     fn simulate_cufhe_batched(&self, plan: &KernelPlan) -> GpuReport {
         let ct = self.cpu.ciphertext_bytes;
         let sm = self.gpu.sm_count as u64;
@@ -91,9 +93,12 @@ impl GpuSim {
         let mut overhead = 0.0;
         let mut gates = 0u64;
         for wave in plan.waves() {
-            let kinds = wave.groups.iter().filter(|g| counts_toward_batch(g.kind));
+            let mut kinds = [0u64; 16];
+            for t in wave.gates.iter().filter(|t| counts_toward_batch(t.kind)) {
+                kinds[t.kind.opcode() as usize] += 1;
+            }
             let luts = wave.lut_groups.iter().map(LutGroup::bootstraps);
-            for count in kinds.map(|g| g.tasks.len() as u64).chain(luts) {
+            for count in kinds.into_iter().filter(|&n| n > 0).chain(luts) {
                 gates += count;
                 let mut left = count;
                 while left > 0 {

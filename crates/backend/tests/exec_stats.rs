@@ -98,11 +98,6 @@ fn graph_stats_count_batches_launches_and_plan_cache() {
     assert!(!first.plan_cached, "first run captures");
     assert!(first.batches > 0, "plan must contain at least one batch");
     assert!(first.kernel_launches > 0, "batched kernels must launch");
-    assert_eq!(
-        first.kernels_by_kind.iter().sum::<u64>(),
-        first.kernel_launches,
-        "per-kind launches must partition the total"
-    );
 
     let (got, second) = graph.execute(&engine, &nl, &input, 2).expect("cached run");
     assert_eq!(got, want);
@@ -131,8 +126,8 @@ fn execute_parallel_is_one_shot_capture_and_replay() {
             assert_eq!(graphed, want, "workers={workers}");
             assert!(a.waves > 0 && a.kernel_launches + a.lut_launches > 0);
             assert_eq!(
-                (a.waves, a.batches, a.kernel_launches, a.kernels_by_kind),
-                (b.waves, b.batches, b.kernel_launches, b.kernels_by_kind),
+                (a.waves, a.batches, a.kernel_launches),
+                (b.waves, b.batches, b.kernel_launches),
                 "workers={workers}"
             );
             assert_eq!(
@@ -188,16 +183,6 @@ fn stats_flow_into_the_metrics_registry_when_enabled() {
     assert!(counter("exec_waves_total") >= wavefront.waves as u64);
     assert!(counter("exec_batches_total") >= graphed.batches as u64);
     assert!(counter("exec_kernel_launches_total") >= graphed.kernel_launches);
-    let per_kind_launches: u64 = snapshot
-        .counters
-        .iter()
-        .filter(|(name, _)| name.starts_with("graph_kernel_launches_total{"))
-        .map(|(_, &v)| v)
-        .sum();
-    assert!(
-        per_kind_launches >= graphed.kernel_launches,
-        "replay must count every launch under its gate kind"
-    );
 }
 
 #[test]

@@ -360,10 +360,12 @@ impl GateEngine for Flaky {
     type Value = bool;
     type Scratch = ();
     fn scratch(&self) {}
-    fn eval(&self, kind: GateKind, a: &bool, b: &bool, _: &mut ()) -> bool {
-        let n = self.evals.fetch_add(1, Ordering::Relaxed);
-        assert_ne!(n, self.panic_at, "injected panic");
-        kind.eval(*a, *b)
+    fn eval_batch(&self, items: &[(GateKind, &bool, &bool)], outs: &mut [bool], _: &mut ()) {
+        for (&(kind, a, b), out) in items.iter().zip(outs) {
+            let n = self.evals.fetch_add(1, Ordering::Relaxed);
+            assert_ne!(n, self.panic_at, "injected panic");
+            *out = kind.eval(*a, *b);
+        }
     }
     fn constant(&self, bit: bool) -> bool {
         bit

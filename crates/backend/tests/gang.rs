@@ -76,15 +76,6 @@ impl GateEngine for Faulty<'_> {
     fn scratch(&self) -> GateScratch {
         self.inner.scratch()
     }
-    fn eval(
-        &self,
-        kind: GateKind,
-        a: &Self::Value,
-        b: &Self::Value,
-        s: &mut GateScratch,
-    ) -> Self::Value {
-        self.inner.eval(kind, a, b, s)
-    }
     fn constant(&self, bit: bool) -> Self::Value {
         self.inner.constant(bit)
     }
@@ -99,16 +90,15 @@ impl GateEngine for Faulty<'_> {
     }
     fn eval_batch(
         &self,
-        kind: GateKind,
-        pairs: &[(&Self::Value, &Self::Value)],
+        items: &[(GateKind, &Self::Value, &Self::Value)],
         outs: &mut [Self::Value],
         scratch: &mut GateScratch,
     ) {
         let take = |n: usize| n.checked_sub(1);
-        let fail = kind != GateKind::Not
+        let fail = items.iter().any(|&(kind, ..)| kind != GateKind::Not)
             && self.panics.fetch_update(Ordering::Relaxed, Ordering::Relaxed, take).is_ok();
         assert!(!fail, "injected panic");
-        self.inner.eval_batch(kind, pairs, outs, scratch);
+        self.inner.eval_batch(items, outs, scratch);
     }
 }
 

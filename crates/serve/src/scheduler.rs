@@ -22,7 +22,7 @@
 //! shares every round instead of monopolizing the engine.
 
 use std::collections::{BTreeMap, HashMap};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Condvar, LockResult, Mutex, PoisonError};
 use std::thread::JoinHandle;
 use std::time::Duration;
 
@@ -102,6 +102,13 @@ struct SchedState {
     shutdown: bool,
 }
 
+/// A lock on [`Shared::state`] (or a wait on it), poisoned or not: a
+/// panic under the lock leaves the queues and the completed map usable,
+/// so it stops no later `in_flight`, `submit`, `fetch` or round.
+fn recover<T>(locked: LockResult<T>) -> T {
+    locked.unwrap_or_else(PoisonError::into_inner)
+}
+
 struct Shared {
     state: Mutex<SchedState>,
     /// Signalled when work arrives or shutdown begins.
@@ -145,7 +152,7 @@ impl Scheduler {
 
     /// Jobs a tenant currently has queued or running.
     pub fn in_flight(&self, tenant: u64) -> usize {
-        let state = self.shared.state.lock().expect("scheduler poisoned");
+        let state = recover(self.shared.state.lock());
         state.tenants.get(&tenant).map_or(0, |q| q.jobs.len())
     }
 
@@ -190,7 +197,7 @@ impl Scheduler {
         lanes.load(&TfheEngine::new(&key), &plan, &inputs)?;
         let params = *key.params();
 
-        let mut state = self.shared.state.lock().expect("scheduler poisoned");
+        let mut state = recover(self.shared.state.lock());
         if state.shutdown {
             return Err(ServeError::Shutdown);
         }
@@ -223,7 +230,7 @@ impl Scheduler {
     /// whose result was already fetched, and [`ServeError::Protocol`] if
     /// the safety timeout expired.
     pub fn fetch(&self, id: u64) -> Result<(Vec<LweCiphertext>, Params), ServeError> {
-        let mut state = self.shared.state.lock().expect("scheduler poisoned");
+        let mut state = recover(self.shared.state.lock());
         loop {
             if let Some(result) = state.completed.remove(&id) {
                 return Ok(result);
@@ -234,8 +241,7 @@ impl Scheduler {
             if !state.tenants.values().any(|q| q.jobs.iter().any(|j| j.id == id)) {
                 return Err(ServeError::UnknownJob(id));
             }
-            let (next, timed_out) =
-                self.shared.done.wait_timeout(state, FETCH_TIMEOUT).expect("scheduler poisoned");
+            let (next, timed_out) = recover(self.shared.done.wait_timeout(state, FETCH_TIMEOUT));
             state = next;
             if timed_out.timed_out() {
                 return Err(ServeError::Protocol(format!(
@@ -252,7 +258,7 @@ impl Scheduler {
 
 impl Drop for Scheduler {
     fn drop(&mut self) {
-        self.shared.state.lock().expect("scheduler poisoned").shutdown = true;
+        recover(self.shared.state.lock()).shutdown = true;
         self.shared.work.notify_all();
         if let Some(worker) = self.worker.take() {
             let _ = worker.join();
@@ -325,7 +331,7 @@ fn run_scheduler(shared: &Shared) {
     let mut stats = ExecStats::new(0, 0, 0);
     loop {
         let round = {
-            let mut state = shared.state.lock().expect("scheduler poisoned");
+            let mut state = recover(shared.state.lock());
             loop {
                 let round = next_round(&mut state, shared, &mut stats);
                 if !round.is_empty() {
@@ -334,7 +340,7 @@ fn run_scheduler(shared: &Shared) {
                 if state.shutdown {
                     return;
                 }
-                state = shared.work.wait(state).expect("scheduler poisoned");
+                state = recover(shared.work.wait(state));
             }
         };
 
@@ -361,7 +367,7 @@ fn run_scheduler(shared: &Shared) {
         telemetry::metrics()
             .counter_add("serve_wave_steals_total", std::mem::take(&mut stats.steals));
 
-        let mut state = shared.state.lock().expect("scheduler poisoned");
+        let mut state = recover(shared.state.lock());
         for p in round {
             let queue = state.tenants.get_mut(&p.tenant).expect("a tenant outlives its jobs");
             let job = queue.jobs.iter_mut().find(|j| j.id == p.job).expect("a running job stays");
@@ -459,6 +465,26 @@ mod tests {
         sched.fetch(id).unwrap();
         // The slot freed; the tenant may submit again.
         sched.submit(7, sk, xor_chain(2), ck.encrypt_bits(&[true; 2], &mut rng), 1).unwrap();
+        sched.shutdown();
+    }
+
+    #[test]
+    fn a_panic_under_the_state_lock_stops_no_later_call() {
+        let (ck, sk, mut rng) = setup();
+        let sched = Scheduler::start(4);
+        let panicked = std::thread::scope(|s| {
+            s.spawn(|| {
+                let _held = sched.shared.state.lock();
+                panic!("a caller panics while it holds the lock");
+            })
+            .join()
+        });
+        assert!(panicked.is_err() && sched.shared.state.is_poisoned());
+        assert_eq!(sched.in_flight(9), 0);
+        let (nl, bits) = (xor_chain(3), [true, false, true]);
+        let id = sched.submit(9, sk, nl.clone(), ck.encrypt_bits(&bits, &mut rng), 4).unwrap();
+        let (out, _) = sched.fetch(id).unwrap();
+        assert_eq!(ck.decrypt_bits(&out), nl.eval_plain(&bits));
         sched.shutdown();
     }
 

@@ -380,11 +380,11 @@ impl ServerKey {
         self.batch_bootstrap_fused(gate, &[(a, b)], std::slice::from_mut(out), scratch);
     }
 
-    /// Evaluates one batched kernel — the same gate over many input
-    /// pairs, the CPU analogue of the paper's batched CUDA-graph kernels
-    /// (Figure 9): one launch per (gate kind, wave) instead of one per
-    /// gate. Bit-exact with [`ServerKey::gate_into`] per pair, and
-    /// allocation-free.
+    /// Evaluates one batched kernel of a single gate kind over many input
+    /// pairs — cuFHE's one-kind batch (Figure 8), and the one-lane kernel
+    /// of [`ServerKey::gate_into`]; plan replay launches the mixed form,
+    /// [`ServerKey::batch_bootstrap_mixed`]. Bit-exact with
+    /// [`ServerKey::gate_into`] per pair, and allocation-free.
     ///
     /// # Panics
     ///
@@ -404,11 +404,11 @@ impl ServerKey {
     /// applied to `pairs[i]` into `outs[i]`.
     ///
     /// Staging heterogeneous gates through one kernel (each slot with
-    /// its own gate recipe) keeps the launch count at one per key per
-    /// wave instead of one per gate kind. No execution path calls it
-    /// today — plans group a wave per kind — but the benchmark prices it
-    /// (`tfhe.mixed8_ms_per_gate`) for the per-key launches of ROADMAP
-    /// 3(b). Bit-exact with the per-kind batches and with
+    /// its own gate recipe) keeps the launch count at one per wave and
+    /// lane instead of one per gate kind, as the paper's CUDA graphs put
+    /// mixed gates in one launch (Figure 9). It is what the backend's
+    /// `TfheEngine` runs for every chunk of bootstrapping gates a plan
+    /// replay dispatches. Bit-exact with the per-kind batches and with
     /// [`ServerKey::gate_into`].
     ///
     /// # Panics

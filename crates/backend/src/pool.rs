@@ -192,7 +192,7 @@ impl WorkerPool {
     /// (and parseable), else from the machine's available parallelism.
     pub fn global() -> &'static WorkerPool {
         static GLOBAL: OnceLock<WorkerPool> = OnceLock::new();
-        GLOBAL.get_or_init(|| WorkerPool::new(default_width()))
+        GLOBAL.get_or_init(|| WorkerPool::new(pytfhe_tfhe::lanes::default_width()))
     }
 
     /// The pool's default lane count (the width explicit-`workers`
@@ -357,19 +357,6 @@ fn worker_loop(shared: &Shared, lane: usize) {
         run.work(lane);
         IN_POOL.with(|f| f.set(false));
     }
-}
-
-/// Default width of the global pool: `PYTFHE_WORKERS` when set, else the
-/// machine's available parallelism.
-fn default_width() -> usize {
-    if let Ok(v) = std::env::var("PYTFHE_WORKERS") {
-        if let Ok(n) = v.trim().parse::<usize>() {
-            if n >= 1 {
-                return n.min(MAX_LANES);
-            }
-        }
-    }
-    std::thread::available_parallelism().map_or(1, |n| n.get())
 }
 
 /// Fixed-size slots handed out by index to concurrently running pool

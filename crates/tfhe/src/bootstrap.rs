@@ -35,6 +35,7 @@ use std::sync::{Arc, PoisonError, RwLock, RwLockReadGuard, RwLockWriteGuard};
 
 use crate::fft::{FftPlan, FreqPoly};
 use crate::keyswitch::KeySwitchKey;
+use crate::lanes;
 use crate::lwe::{LweCiphertext, LweKey};
 use crate::params::Params;
 use crate::poly::{IntPoly, TorusPoly};
@@ -106,7 +107,8 @@ impl PartialEq for BootstrappingKey {
 impl BootstrappingKey {
     /// Generates the bootstrapping key for `lwe_key` under `tlwe_key`:
     /// each row's mask from the public stream of `mask_seed` and its row,
-    /// its noise from the secret `rng`.
+    /// its noise from the secret stream of its row under a noise seed
+    /// drawn from `rng`, on [`crate::lanes::default_width`] lanes.
     pub fn generate(
         params: Params,
         lwe_key: &LweKey,
@@ -114,26 +116,27 @@ impl BootstrappingKey {
         mask_seed: u64,
         rng: &mut SecureRng,
     ) -> Self {
-        let plan = FftPlan::new(params.poly_size);
-        let gadget = Gadget { levels: params.decomp_levels, base_log: params.decomp_base_log };
-        let rows = Self::rows_per_tgsw(&params);
+        let seeds = [mask_seed, rng.uniform_u64()];
+        Self::generate_on(params, lwe_key, tlwe_key, seeds, lanes::default_width())
+    }
+
+    /// [`BootstrappingKey::generate`] under `[mask_seed, noise_seed]`, its
+    /// TGSWs cut into one contiguous range per lane. TGSW `i` holds rows
+    /// `i·(k + 1)·l..`, and every row's mask and noise come from that
+    /// row's streams, so the key is the same at any lane count.
+    pub(crate) fn generate_on(
+        params: Params,
+        lwe_key: &LweKey,
+        tlwe_key: &TlweKey,
+        seeds: [u64; 2],
+        lanes: usize,
+    ) -> Self {
         let stdev = params.glwe_noise_stdev;
-        let tgsw = (0..)
-            .zip(lwe_key.bits())
-            .map(|(i, &bit)| {
-                TgswCiphertext::encrypt_seeded(
-                    tlwe_key,
-                    bit,
-                    gadget,
-                    stdev,
-                    mask_seed,
-                    i * rows,
-                    rng,
-                )
-                .to_fft(&plan)
-            })
-            .collect();
-        BootstrappingKey { tgsw, plan, params }
+        Self::build(params, lanes, |plan, i, first_row, tgsw| {
+            let bit = lwe_key.bits()[i];
+            TgswCiphertext::encrypt_seeded(tlwe_key, bit, tgsw.gadget(), stdev, seeds, first_row)
+                .to_fft_into(plan, tgsw);
+        })
     }
 
     /// TLWE rows per TGSW ciphertext: `(k + 1)·l`.
@@ -141,49 +144,71 @@ impl BootstrappingKey {
         ((params.glwe_dim + 1) * params.decomp_levels) as u64
     }
 
-    /// The key whose TGSW rows have the bodies in `words` (`N` words per
-    /// row, TGSW-major, then row order; `lwe_dim·(k + 1)·l` rows), every
-    /// mask regenerated from `mask_seed` and every row transformed as
+    /// The key whose row `r` has the body `body(r)` writes (TGSW-major,
+    /// then row order; `lwe_dim·(k + 1)·l` rows), every mask regenerated
+    /// from `mask_seed` and every row transformed as
     /// [`BootstrappingKey::generate`] transforms it: what the bodies of a
-    /// seeded key decode to, spectra computed on this host's SIMD tier.
+    /// seeded key decode to, spectra computed on this host's SIMD tier,
+    /// one contiguous range of TGSWs per lane.
     pub(crate) fn from_bodies(
         params: Params,
         mask_seed: u64,
-        mut words: impl Iterator<Item = Torus32>,
+        lanes: usize,
+        body: impl Fn(u64, &mut TorusPoly) + Sync,
+    ) -> Self {
+        Self::build(params, lanes, |plan, _, first_row, tgsw| {
+            let mut row =
+                TlweCiphertext::trivial(TorusPoly::zero(params.poly_size), params.glwe_dim);
+            for (r, spectra) in (first_row..).zip(tgsw.rows_mut()) {
+                seeded_mask_into(mask_seed, r, &mut row.a);
+                body(r, &mut row.b);
+                row.polys().zip(spectra).for_each(|(p, f)| plan.forward_torus_into(p, f));
+            }
+        })
+    }
+
+    /// A key of zero spectra, allocated on the calling thread, whose TGSW
+    /// `i` (first row `first_row`) `fill(plan, i, first_row, tgsw)` then
+    /// computes, one contiguous range of TGSWs per lane. Allocating on
+    /// one thread keeps the key in that thread's heap, which a later key
+    /// reuses; spectra allocated on short-lived lanes go back to the
+    /// system when the key is dropped, and every key would fault them in
+    /// again.
+    fn build(
+        params: Params,
+        lanes: usize,
+        fill: impl Fn(&FftPlan, usize, u64, &mut TgswFft) + Sync,
     ) -> Self {
         let plan = FftPlan::new(params.poly_size);
         let gadget = Gadget { levels: params.decomp_levels, base_log: params.decomp_base_log };
         let rows = Self::rows_per_tgsw(&params);
-        // Every row passes through this one scratch sample: decoding
-        // allocates the spectra and nothing else per row.
-        let mut row = TlweCiphertext::trivial(TorusPoly::zero(params.poly_size), params.glwe_dim);
-        let tgsw = (0..params.lwe_dim as u64)
-            .map(|i| {
-                let spectra = (i * rows..(i + 1) * rows)
-                    .map(|r| {
-                        seeded_mask_into(mask_seed, r, &mut row.a);
-                        row.b.coeffs_mut().iter_mut().zip(words.by_ref()).for_each(|(c, w)| *c = w);
-                        row.polys().map(|p| plan.forward_torus(p)).collect()
-                    })
-                    .collect();
-                TgswFft::from_rows(spectra, gadget)
-            })
+        let mut tgsw: Vec<TgswFft> = (0..params.lwe_dim)
+            .map(|_| TgswFft::zero(params.poly_size, params.glwe_dim, gadget))
             .collect();
+        lanes::for_each_run(lanes, &mut tgsw, 1, |first, run| {
+            for (i, t) in (first..).zip(run) {
+                fill(&plan, i, i as u64 * rows, t);
+            }
+        });
         BootstrappingKey { tgsw, plan, params }
     }
 
     /// Every row's body in the coefficient domain, in the order
-    /// [`BootstrappingKey::from_bodies`] takes them. The inverse transform
-    /// recovers each exactly: a body spectrum is the forward transform of
-    /// 32-bit integers, whose round-trip error stays far below the 1/2
-    /// that rounding absorbs (pinned in the `crate::fft` tests on every
-    /// tier), so the bodies are the client's bytes on any host.
+    /// [`BootstrappingKey::from_bodies`] numbers them. The inverse
+    /// transform recovers each exactly: a body spectrum is the forward
+    /// transform of 32-bit integers, whose round-trip error stays far
+    /// below the 1/2 that rounding absorbs (pinned in the `crate::fft`
+    /// tests on every tier), so the bodies are the client's bytes on any
+    /// host.
+    #[cfg(test)]
     pub(crate) fn bodies(&self) -> impl Iterator<Item = TorusPoly> + '_ {
+        (0..self.tgsw.len()).flat_map(|i| self.tgsw_bodies(i))
+    }
+
+    /// The bodies of TGSW `i`'s rows, as [`BootstrappingKey::bodies`].
+    pub(crate) fn tgsw_bodies(&self, i: usize) -> impl Iterator<Item = TorusPoly> + '_ {
         let body = self.params.glwe_dim;
-        self.tgsw
-            .iter()
-            .flat_map(|t| t.rows_raw())
-            .map(move |row| self.plan.inverse_torus(&row[body]))
+        self.tgsw[i].rows_raw().iter().map(move |row| self.plan.inverse_torus(&row[body]))
     }
 
     /// The parameter set this key was generated for.

@@ -33,6 +33,7 @@ use crate::bootstrap::BootstrappingKey;
 use crate::error::TfheError;
 use crate::keys::{ClientKey, ServerKey};
 use crate::keyswitch::KeySwitchKey;
+use crate::lanes;
 use crate::lwe::{LweCiphertext, LweKey};
 use crate::params::Params;
 use crate::poly::IntPoly;
@@ -168,22 +169,40 @@ pub fn client_key_from_bytes(mut data: &[u8]) -> Result<ClientKey, TfheError> {
 /// 15.6 MB at `default_128`, an eighth of the key in memory, because
 /// every mask is regenerated from the seed on decode. The bootstrapping
 /// key's bodies come back from its spectra through the exact inverse
-/// transform (`BootstrappingKey::bodies`). The lengths are known up
-/// front, so the envelope is one allocation written front to back
+/// transform (`BootstrappingKey::tgsw_bodies`), one contiguous range of TGSWs
+/// per lane ([`crate::lanes::default_width`]), each lane writing its own
+/// slice of the body section. The lengths are known up front, so the
+/// envelope is one allocation written front to back
 /// ([`wire::encode_with`]).
 pub fn server_key_to_bytes(key: &ServerKey) -> Bytes {
+    encode_server_key(key, lanes::default_width())
+}
+
+/// [`server_key_to_bytes`] on `lanes` lanes: the same bytes at any lane
+/// count.
+pub(crate) fn encode_server_key(key: &ServerKey, lanes: usize) -> Bytes {
     let _span = telemetry::span("tfhe", "encode server key");
     let params = key.params;
     let (bsk_len, ksk_len) = (bsk_body_len(&params), ksk_body_len(&params));
     let payload_len = SK_SECTIONS.len() * wire::SECTION_HEADER_LEN + 4 + 8 + bsk_len + ksk_len;
+    let tgsw_len = bsk_len / params.lwe_dim;
     let envelope =
         wire::encode_with(wire::Format::ServerKey, SK_WIRE_VERSION, payload_len, |out| {
             wire::put_section(out, SK_SECTION_PARAMS, &params.id().to_le_bytes());
             wire::put_section(out, SK_SECTION_SEED, &key.mask_seed.to_le_bytes());
             wire::put_section_header(out, SK_SECTION_BSK, bsk_len);
-            for body in key.bootstrap.bodies() {
-                put_words(out, body.coeffs().iter().copied());
-            }
+            let start = out.len();
+            out.resize(start + bsk_len, 0);
+            lanes::for_each_run(lanes, &mut out[start..], tgsw_len, |first, run| {
+                for (i, tgsw) in (first..).zip(run.chunks_exact_mut(tgsw_len)) {
+                    let rows = tgsw.chunks_exact_mut(4 * params.poly_size);
+                    for (body, bytes) in key.bootstrap.tgsw_bodies(i).zip(rows) {
+                        for (w, c) in bytes.chunks_exact_mut(4).zip(body.coeffs()) {
+                            w.copy_from_slice(&c.0.to_le_bytes());
+                        }
+                    }
+                }
+            });
             wire::put_section_header(out, SK_SECTION_KSK, ksk_len);
             put_words(out, key.keyswitch.bodies());
         });
@@ -192,7 +211,9 @@ pub fn server_key_to_bytes(key: &ServerKey) -> Bytes {
 
 /// Deserializes a server key from its wire envelope, regenerating every
 /// mask from the seed and transforming the bootstrapping key on this
-/// host's SIMD tier.
+/// host's SIMD tier, one contiguous range of rows per lane
+/// ([`crate::lanes::default_width`]), each lane reading its own slice of
+/// the body sections in place.
 ///
 /// # Errors
 ///
@@ -204,6 +225,12 @@ pub fn server_key_to_bytes(key: &ServerKey) -> Bytes {
 /// [`ciphertext_from_bytes`] for a section whose length is not the one
 /// its parameter set fixes.
 pub fn server_key_from_bytes(data: &[u8]) -> Result<ServerKey, TfheError> {
+    decode_server_key(data, lanes::default_width())
+}
+
+/// [`server_key_from_bytes`] on `lanes` lanes: the same key at any lane
+/// count.
+pub(crate) fn decode_server_key(data: &[u8], lanes: usize) -> Result<ServerKey, TfheError> {
     let _span = telemetry::span("tfhe", "decode server key");
     let env =
         wire::decode_expecting(data, wire::Format::ServerKey, SK_WIRE_VERSION..=SK_WIRE_VERSION)?;
@@ -222,14 +249,19 @@ pub fn server_key_from_bytes(data: &[u8]) -> Result<ServerKey, TfheError> {
     if ksk.len() != ksk_body_len(&params) {
         return Err(TfheError::Corrupt { what: "server key (key-switch bodies length)" });
     }
-    let bootstrap = BootstrappingKey::from_bodies(params, mask_seed, words(bsk));
+    let row_len = 4 * params.poly_size;
+    let bootstrap = BootstrappingKey::from_bodies(params, mask_seed, lanes, |r, body| {
+        let bytes = &bsk[r as usize * row_len..][..row_len];
+        body.coeffs_mut().iter_mut().zip(words(bytes)).for_each(|(c, w)| *c = w);
+    });
     let keyswitch = KeySwitchKey::from_bodies(
         params.extracted_lwe_dim(),
         params.lwe_dim,
         params.ks_levels,
         params.ks_base_log,
         mask_seed,
-        words(ksk),
+        lanes,
+        |r| words(&ksk[4 * r..][..4]).next().expect("the sample's body word"),
     );
     Ok(ServerKey { params, mask_seed, bootstrap, keyswitch })
 }
@@ -578,5 +610,95 @@ mod tests {
         }
         let ratio = variance_ratio(&errors, params.lwe_noise_stdev);
         assert!((0.8..1.25).contains(&ratio), "key-switch samples: variance ratio {ratio}");
+    }
+
+    /// The server key of a fresh client key under `seed`, generated on
+    /// `lanes` lanes.
+    fn key_on(params: Params, seed: u64, lanes: usize) -> (ClientKey, ServerKey) {
+        let mut rng = SecureRng::seed_from_u64(seed);
+        let client = ClientKey::generate(params, &mut rng);
+        let server = client.server_key_on(&mut rng, lanes);
+        (client, server)
+    }
+
+    /// Generates, encodes and decodes at every lane count in `lanes`
+    /// and checks each step against one lane.
+    fn assert_set_up_ignores_lanes(params: Params, lanes: &[usize]) {
+        let (_, key) = key_on(params, 98, 1);
+        let bytes = encode_server_key(&key, 1);
+        for &n in lanes {
+            assert!(key_on(params, 98, n).1 == key, "keygen on {n} lanes");
+            assert_eq!(encode_server_key(&key, n), bytes, "encode on {n} lanes");
+            assert!(decode_server_key(&bytes, n).unwrap() == key, "decode on {n} lanes");
+        }
+    }
+
+    #[test]
+    fn set_up_gives_the_same_key_at_every_lane_count() {
+        // Three lanes cut the 16 TGSWs and 768 source bits unevenly.
+        assert_set_up_ignores_lanes(Params::testing(), &[1, 2, 3, 4]);
+    }
+
+    #[test]
+    fn set_up_gives_the_same_128_bit_key_on_one_and_two_lanes() {
+        assert_set_up_ignores_lanes(Params::default_128(), &[1, 2]);
+    }
+
+    #[test]
+    fn the_golden_key_decodes_alike_at_every_lane_count() {
+        let path =
+            concat!(env!("CARGO_MANIFEST_DIR"), "/../../tests/golden/server_key_testing_v4.bin");
+        let bytes = std::fs::read(path).expect("the golden v4 server key");
+        let key = decode_server_key(&bytes, 1).expect("the golden key decodes");
+        for lanes in 2..=4 {
+            assert!(decode_server_key(&bytes, lanes).unwrap() == key, "decode on {lanes} lanes");
+        }
+        assert_eq!(encode_server_key(&key, 3).to_vec(), bytes);
+    }
+
+    #[test]
+    fn the_first_row_of_every_lane_draws_fresh_noise() {
+        let params = Params::testing();
+        let (client, server) = key_on(params, 99, 4);
+        let (k, l) = (params.glwe_dim, params.decomp_levels);
+        let rows = (k + 1) * l;
+        let gadget = Gadget { levels: l, base_log: params.decomp_base_log };
+        // Bootstrapping-key row `r`'s noise: its phase less its gadget term.
+        let bsk_noise = |r: usize| {
+            let b = server.bootstrap.tgsw_bodies(r / rows).nth(r % rows).unwrap();
+            let mut row = TlweCiphertext { a: vec![TorusPoly::zero(b.len()); k], b };
+            seeded_mask_into(server.mask_seed, r as u64, &mut row.a);
+            let mut phase = client.tlwe_key().phase(&row);
+            let bump = client.lwe_key().bits()[r / rows] * gadget.h(r % l);
+            match client.tlwe_key().polys().get(r % rows / l) {
+                Some(s_u) => phase
+                    .coeffs_mut()
+                    .iter_mut()
+                    .zip(s_u.coeffs())
+                    .for_each(|(c, &s)| *c += s * bump),
+                None => phase.coeffs_mut()[0] -= bump,
+            }
+            phase
+        };
+        // Key-switch sample `r`'s noise: its phase less v·s_i / base^(j+1).
+        let (src, dst) = (client.tlwe_key().extracted_lwe_key(), client.lwe_key());
+        let digits = (1usize << params.ks_base_log) - 1;
+        let per_bit = params.ks_levels * digits;
+        let ksk_noise = |r: usize| {
+            let (i, j, v) = (r / per_bit, r / digits % params.ks_levels, r % digits + 1);
+            let unit = Torus32(1u32 << (32 - (j + 1) * params.ks_base_log));
+            let (mask, body) = server.keyswitch.row(r);
+            dst.phase(&LweCiphertext::from_parts(mask.to_vec(), body))
+                - (v as i32 * src.bits()[i]) * unit
+        };
+        for lanes in 2..=4 {
+            for range in lanes::ranges(params.lwe_dim, lanes).skip(1) {
+                assert_ne!(bsk_noise(range.start * rows), bsk_noise(0), "{lanes} lanes, {range:?}");
+            }
+            for range in lanes::ranges(src.dim(), lanes).skip(1) {
+                let r = range.start * per_bit;
+                assert_ne!(ksk_noise(r), ksk_noise(0), "{lanes} lanes, sample {r}");
+            }
+        }
     }
 }

@@ -53,24 +53,33 @@ impl ClientKey {
     }
 
     /// Derives the public evaluation key shipped to the cloud: the
-    /// FFT-domain bootstrapping key plus the key-switching key. The masks
-    /// of both come from public streams of one fresh seed drawn from
-    /// `rng`, their noise from `rng` itself (see [`ServerKey`]).
+    /// FFT-domain bootstrapping key plus the key-switching key. Two fresh
+    /// seeds are drawn from `rng`, the public mask seed and then the
+    /// secret noise seed; every row of both keys takes its mask and its
+    /// noise from its own streams under them (see [`ServerKey`]), and the
+    /// rows are generated on [`crate::lanes::default_width`] lanes.
     pub fn server_key(&self, rng: &mut SecureRng) -> ServerKey {
+        self.server_key_on(rng, crate::lanes::default_width())
+    }
+
+    /// [`ClientKey::server_key`] on `lanes` lanes: the same key at any
+    /// lane count.
+    pub(crate) fn server_key_on(&self, rng: &mut SecureRng, lanes: usize) -> ServerKey {
         let mask_seed = rng.uniform_u64();
+        let seeds = [mask_seed, rng.uniform_u64()];
         let bootstrap = {
             let _span = telemetry::span("tfhe", "keygen bsk");
-            BootstrappingKey::generate(self.params, &self.lwe_key, &self.tlwe_key, mask_seed, rng)
+            BootstrappingKey::generate_on(self.params, &self.lwe_key, &self.tlwe_key, seeds, lanes)
         };
         let _span = telemetry::span("tfhe", "keygen ksk");
-        let keyswitch = KeySwitchKey::generate(
+        let keyswitch = KeySwitchKey::generate_on(
             &self.tlwe_key.extracted_lwe_key(),
             &self.lwe_key,
             self.params.ks_levels,
             self.params.ks_base_log,
             self.params.lwe_noise_stdev,
-            mask_seed,
-            rng,
+            seeds,
+            lanes,
         );
         ServerKey { params: self.params, mask_seed, bootstrap, keyswitch }
     }
@@ -122,7 +131,11 @@ impl ClientKey {
 /// numbered bootstrapping-key rows first, from 0; key-switch sample `j`
 /// is row `2³² + j`. Only the seed and the bodies travel
 /// ([`crate::io::server_key_to_bytes`]), and the server regenerates the
-/// masks — a key about 8× smaller on the wire than in memory.
+/// masks — a key about 8× smaller on the wire than in memory. Row `r`'s
+/// noise comes from the secret stream `SecureRng::noise_stream(noise_seed,
+/// r)` of a second seed that never leaves the client, so each row is a
+/// function of its index alone and set-up runs its rows on any number of
+/// lanes with the same bytes.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ServerKey {
     pub(crate) params: Params,

@@ -4,6 +4,7 @@
 //! Figure 7 of the paper shows key switching as the second-largest cost of
 //! a bootstrapped gate evaluation (after blind rotation).
 
+use crate::lanes;
 use crate::lwe::{LweCiphertext, LweKey};
 use crate::rng::SecureRng;
 use crate::torus::Torus32;
@@ -25,12 +26,15 @@ const FIRST_MASK_ROW: u64 = 1 << 32;
 /// `base = 4`, `n = 630`) this is ~62 MB in memory, but each sample's `n`
 /// mask words come from the public stream of its row
 /// (`SecureRng::mask_stream`), so only the 24 576 bodies (96 KiB)
-/// travel. It is one flat table, a row per sample: sample
-/// `r = (i·t + j)·(base − 1) + v − 1` is `table[r·(n + 1)..][..n + 1]`,
-/// its `n` mask words then its body.
+/// travel. It is one block per source bit, a row per sample: sample
+/// `(i·t + j)·(base − 1) + v − 1` is row `k = j·(base − 1) + v − 1` of
+/// block `i`, `blocks[i][k·(n + 1)..][..n + 1]`, its `n` mask words then
+/// its body. Blocks of ~60 KB come from the allocator's heap, which the
+/// next key reuses, where one 62 MB table would be a fresh mapping whose
+/// every page each key faults in again.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct KeySwitchKey {
-    table: Vec<Torus32>,
+    blocks: Vec<Vec<Torus32>>,
     src_dim: usize,
     dst_dim: usize,
     levels: usize,
@@ -40,7 +44,8 @@ pub struct KeySwitchKey {
 impl KeySwitchKey {
     /// Generates the key-switching key from `src` to `dst`: each sample's
     /// mask from the public stream of `mask_seed` and its row, its noise
-    /// from the secret `rng`.
+    /// from the secret stream of its row under a noise seed drawn from
+    /// `rng`, on [`crate::lanes::default_width`] lanes.
     pub fn generate(
         src: &LweKey,
         dst: &LweKey,
@@ -50,70 +55,86 @@ impl KeySwitchKey {
         mask_seed: u64,
         rng: &mut SecureRng,
     ) -> Self {
-        let mut key = Self::with_masks(src.dim(), dst.dim(), levels, base_log, mask_seed);
-        let base = 1usize << base_log;
-        let mut rows = key.table.chunks_exact_mut(dst.dim() + 1);
-        for i in 0..src.dim() {
-            let s_i = src.bits()[i];
-            for j in 0..levels {
-                // message(v) = v * s_i / base^(j+1)
-                let unit = Torus32(1u32 << (32 - (j + 1) * base_log));
-                for v in 1..base {
-                    let message = (v as i32 * s_i) * unit;
-                    let row = rows.next().expect("one row per sample");
-                    dst.encrypt_body_into(message, noise_stdev, rng, row);
-                }
-            }
-        }
-        key
+        let seeds = [mask_seed, rng.uniform_u64()];
+        Self::generate_on(src, dst, levels, base_log, noise_stdev, seeds, lanes::default_width())
     }
 
-    /// The key whose sample bodies are `bodies`, in sample order, with
-    /// every mask regenerated from `mask_seed`: what the bodies of a
-    /// seeded key decode to.
-    ///
-    /// # Panics
-    ///
-    /// Panics unless there is one body per sample; the decoder checks
-    /// the length against the parameter set first.
+    /// [`KeySwitchKey::generate`] under `[mask_seed, noise_seed]`, the
+    /// source bits cut into one contiguous range per lane. Sample `r`'s
+    /// mask and noise both come from the streams of row `2³² + r`, so the
+    /// key is the same at any lane count.
+    pub(crate) fn generate_on(
+        src: &LweKey,
+        dst: &LweKey,
+        levels: usize,
+        base_log: usize,
+        noise_stdev: f64,
+        [mask_seed, noise_seed]: [u64; 2],
+        lanes: usize,
+    ) -> Self {
+        let digits = (1usize << base_log) - 1;
+        Self::build(src.dim(), dst.dim(), levels, base_log, mask_seed, lanes, |r, row| {
+            // Sample r = (i·t + j)·(base − 1) + v − 1 encrypts
+            // v · s_i / base^(j+1).
+            let (i, j, v) = (r / (levels * digits), r / digits % levels, r % digits + 1);
+            let unit = Torus32(1u32 << (32 - (j + 1) * base_log));
+            let message = (v as i32 * src.bits()[i]) * unit;
+            let mut noise = SecureRng::noise_stream(noise_seed, FIRST_MASK_ROW + r as u64);
+            dst.encrypt_body_into(message, noise_stdev, &mut noise, row);
+        })
+    }
+
+    /// The key whose sample `r` has the body `body(r)`, with every mask
+    /// regenerated from `mask_seed`: what the bodies of a seeded key
+    /// decode to.
     pub(crate) fn from_bodies(
         src_dim: usize,
         dst_dim: usize,
         levels: usize,
         base_log: usize,
         mask_seed: u64,
-        bodies: impl ExactSizeIterator<Item = Torus32>,
+        lanes: usize,
+        body: impl Fn(usize) -> Torus32 + Sync,
     ) -> Self {
-        let mut key = Self::with_masks(src_dim, dst_dim, levels, base_log, mask_seed);
-        assert_eq!(bodies.len(), key.num_samples(), "one body per key-switch sample");
-        for (row, body) in key.table.chunks_exact_mut(dst_dim + 1).zip(bodies) {
-            row[dst_dim] = body;
-        }
-        key
+        Self::build(src_dim, dst_dim, levels, base_log, mask_seed, lanes, |r, row| {
+            row[dst_dim] = body(r)
+        })
     }
 
-    /// A key with every sample's mask drawn from its row's stream and
-    /// every body zero.
-    fn with_masks(
+    /// A key with every sample's mask drawn from its row's stream and its
+    /// body written by `body(r, row)`: the blocks are allocated on the
+    /// calling thread (see `BootstrappingKey::build`) and filled with the
+    /// source bits cut into one contiguous range per lane, each row
+    /// finished while it is in cache.
+    fn build(
         src_dim: usize,
         dst_dim: usize,
         levels: usize,
         base_log: usize,
         mask_seed: u64,
+        lanes: usize,
+        body: impl Fn(usize, &mut [Torus32]) + Sync,
     ) -> Self {
-        let samples = src_dim * levels * ((1usize << base_log) - 1);
-        let mut table = vec![Torus32::ZERO; samples * (dst_dim + 1)];
-        for (r, row) in table.chunks_exact_mut(dst_dim + 1).enumerate() {
-            let mut stream = SecureRng::mask_stream(mask_seed, FIRST_MASK_ROW + r as u64);
-            row[..dst_dim].iter_mut().for_each(|a| *a = Torus32::uniform(&mut stream));
-        }
-        KeySwitchKey { table, src_dim, dst_dim, levels, base_log }
+        let stride = dst_dim + 1;
+        let per_bit = levels * ((1usize << base_log) - 1);
+        let mut blocks = vec![vec![Torus32::ZERO; per_bit * stride]; src_dim];
+        lanes::for_each_run(lanes, &mut blocks, 1, |first, run| {
+            for (i, block) in (first..).zip(run) {
+                for (r, row) in (i * per_bit..).zip(block.chunks_exact_mut(stride)) {
+                    let mut stream = SecureRng::mask_stream(mask_seed, FIRST_MASK_ROW + r as u64);
+                    row[..dst_dim].iter_mut().for_each(|a| *a = Torus32::uniform(&mut stream));
+                    body(r, row);
+                }
+            }
+        });
+        KeySwitchKey { blocks, src_dim, dst_dim, levels, base_log }
     }
 
     /// The body of every sample, in sample order: all a seeded key's
     /// key-switching key sends.
-    pub(crate) fn bodies(&self) -> impl ExactSizeIterator<Item = Torus32> + '_ {
-        self.table.chunks_exact(self.dst_dim + 1).map(|row| row[self.dst_dim])
+    pub(crate) fn bodies(&self) -> impl Iterator<Item = Torus32> + '_ {
+        let stride = self.dst_dim + 1;
+        self.blocks.iter().flat_map(move |b| b.chunks_exact(stride).map(move |row| row[stride - 1]))
     }
 
     /// Source dimension (`k * N`).
@@ -128,13 +149,24 @@ impl KeySwitchKey {
 
     /// Total stored samples (for size accounting).
     pub fn num_samples(&self) -> usize {
-        self.table.len() / (self.dst_dim + 1)
+        self.src_dim * self.samples_per_bit()
+    }
+
+    /// Samples per source bit: `t·(base − 1)`.
+    fn samples_per_bit(&self) -> usize {
+        self.levels * ((1 << self.base_log) - 1)
     }
 
     /// Sample `r` as `(mask, body)`.
+    #[cfg(test)]
     pub(crate) fn row(&self, r: usize) -> (&[Torus32], Torus32) {
+        self.sample(r / self.samples_per_bit(), r % self.samples_per_bit())
+    }
+
+    /// Row `k` of source bit `i`'s block as `(mask, body)`.
+    fn sample(&self, i: usize, k: usize) -> (&[Torus32], Torus32) {
         let stride = self.dst_dim + 1;
-        let (mask, body) = self.table[r * stride..][..stride].split_at(self.dst_dim);
+        let (mask, body) = self.blocks[i][k * stride..][..stride].split_at(self.dst_dim);
         (mask, body[0])
     }
 
@@ -178,12 +210,11 @@ impl KeySwitchKey {
         // Rounding offset: half of the smallest represented step.
         let round = 1u32 << (32 - total_bits - 1);
         // Hoisted out of the per-mask-element loop: the per-level shift
-        // amounts and the sample-row stride are invariant across `i`.
+        // amounts are invariant across `i`.
         let mut shifts = [0u32; MAX_KS_LEVELS];
         for (j, s) in shifts[..self.levels].iter_mut().enumerate() {
             *s = 32 - ((j + 1) * self.base_log) as u32;
         }
-        let row_stride = self.levels * (base - 1);
         let mut digits = [0u32; MAX_KS_LEVELS];
         // Nonzero-digit rows are applied in *fused pairs* through the
         // dispatched `sub_assign2` kernel (`out -= a + b` in one
@@ -202,10 +233,9 @@ impl KeySwitchKey {
             for (d, &s) in digits[..self.levels].iter_mut().zip(&shifts[..self.levels]) {
                 *d = (tmp >> s) & base_mask;
             }
-            let row = i * row_stride;
             for (j, &digit) in digits[..self.levels].iter().enumerate() {
                 if digit != 0 {
-                    let (mask, body) = self.row(row + j * (base - 1) + (digit as usize - 1));
+                    let (mask, body) = self.sample(i, j * (base - 1) + (digit as usize - 1));
                     match pending.take() {
                         None => pending = Some((mask, body)),
                         Some((first_mask, first_body)) => {

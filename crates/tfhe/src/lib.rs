@@ -18,6 +18,7 @@
 //!   ([`gates`]),
 //! * key generation and the client/cloud key split ([`keys`]),
 //! * byte-level serialization of keys and ciphertexts ([`io`]),
+//! * the lane count, and key set-up's rows split across lanes ([`lanes`]),
 //! * runtime-dispatched SIMD kernels (AVX2+FMA / portable scalar) for the transform, external-product, decomposition, and
 //!   key-switch hot loops ([`simd`]), selectable with the `PYTFHE_SIMD`
 //!   environment variable.
@@ -54,6 +55,7 @@ pub mod gates;
 pub mod io;
 pub mod keys;
 pub mod keyswitch;
+pub mod lanes;
 pub mod lut;
 pub mod lwe;
 pub mod noise;

@@ -60,24 +60,22 @@ impl LweKey {
     ) {
         assert_eq!(row.len(), self.dim() + 1, "an LWE row is the mask and the body");
         let (a, b) = row.split_at_mut(self.dim());
-        b[0] = message.add_gaussian(stdev, rng);
-        for (ai, &si) in a.iter().zip(&self.bits) {
-            if si != 0 {
-                b[0] += *ai;
-            }
-        }
+        b[0] = message.add_gaussian(stdev, rng) + self.dot(a);
+    }
+
+    /// `<a, s>`: the sum of the `a_i` whose key bit is set. The bits are
+    /// uniform, so each is applied as a mask rather than a branch the
+    /// predictor would miss half the time.
+    fn dot(&self, a: &[Torus32]) -> Torus32 {
+        a.iter().zip(&self.bits).fold(Torus32::ZERO, |sum, (ai, &si)| {
+            sum + Torus32(ai.0 & 0u32.wrapping_sub(u32::from(si != 0)))
+        })
     }
 
     /// The *phase* `b - <a, s>`: message plus noise.
     pub fn phase(&self, ct: &LweCiphertext) -> Torus32 {
         debug_assert_eq!(ct.dim(), self.dim());
-        let mut phase = ct.b;
-        for (ai, &si) in ct.a.iter().zip(&self.bits) {
-            if si != 0 {
-                phase -= *ai;
-            }
-        }
-        phase
+        ct.b - self.dot(&ct.a)
     }
 }
 

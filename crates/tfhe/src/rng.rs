@@ -1,13 +1,29 @@
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
 
+/// The bit that puts a row index in the noise-stream domain. Row indices
+/// of both keys stay below `2³³`.
+const NOISE_DOMAIN: u64 = 1 << 63;
+
 /// The randomness source used for key generation and encryption.
 ///
-/// Wraps a cryptographically strong PRNG ([`StdRng`], currently ChaCha12)
-/// and adds the torus-Gaussian sampling TFHE needs. A deterministic
+/// Wraps the workspace's [`StdRng`] — the vendored SplitMix64 stream,
+/// statistically sound but **not** a cryptographic generator — and adds
+/// the torus-Gaussian sampling TFHE needs. A deterministic
 /// [`SecureRng::seed_from_u64`] constructor is provided for reproducible
 /// tests and benchmarks; production use should prefer
 /// [`SecureRng::from_entropy`].
+///
+/// A seeded server key draws from two families of per-row streams, each a
+/// function of a seed and a row index alone: the public *mask* streams
+/// (`SecureRng::mask_stream`, the seed travels with the key) and the
+/// secret *noise* streams (`SecureRng::noise_stream`, the seed never
+/// leaves the client). The families are domain-separated: a noise row's
+/// index enters the hash with its top bit set, which no mask row index
+/// has, and the hash is a bijection, so under one seed no noise stream
+/// starts where a mask stream does. Both families — the secret noise
+/// included — are only as strong as SplitMix64 until a keyed PRF
+/// (ChaCha, AES-CTR) replaces it.
 #[derive(Debug)]
 pub struct SecureRng {
     inner: StdRng,
@@ -36,6 +52,16 @@ impl SecureRng {
     pub(crate) fn mask_stream(seed: u64, row: u64) -> Self {
         let hash = |x: u64| StdRng::seed_from_u64(x).random::<u64>();
         SecureRng { inner: StdRng::seed_from_u64(hash(seed ^ hash(row))), spare: None }
+    }
+
+    /// The secret stream that row `row` of a server key draws its noise
+    /// from: [`SecureRng::mask_stream`]'s construction on the row index
+    /// with [`NOISE_DOMAIN`] set, a domain no mask row reaches. Every row
+    /// having its own stream is what lets key generation run its rows on
+    /// any number of lanes with the same bytes.
+    pub(crate) fn noise_stream(seed: u64, row: u64) -> Self {
+        debug_assert!(row < NOISE_DOMAIN, "row indices stay below the noise domain bit");
+        Self::mask_stream(seed, row | NOISE_DOMAIN)
     }
 
     /// A uniformly random `u64` (a fresh mask seed).
@@ -102,6 +128,17 @@ mod tests {
         assert_eq!(draw(7, 3), draw(7, 3));
         assert_ne!(draw(7, 3), draw(7, 4));
         assert_ne!(draw(7, 3), draw(8, 3));
+    }
+
+    #[test]
+    fn noise_and_mask_streams_of_one_seed_and_row_differ() {
+        let draw = |mut s: SecureRng| (0..4).map(|_| s.uniform_u32()).collect::<Vec<_>>();
+        for row in [0, 1, 3779, 1 << 32, (1 << 32) + 24_575] {
+            let noise = draw(SecureRng::noise_stream(7, row));
+            assert_eq!(noise, draw(SecureRng::noise_stream(7, row)));
+            assert_ne!(noise, draw(SecureRng::mask_stream(7, row)), "row {row}");
+            assert_ne!(noise, draw(SecureRng::noise_stream(7, row + 1)), "row {row}");
+        }
     }
 
     #[test]

@@ -96,9 +96,8 @@ impl TgswCiphertext {
     /// `-s_u` or `1`, the phase the textbook gadget matrix gets by adding
     /// `message * h_level` to mask polynomial `u`. The gadget term sits in
     /// the body so that every row's mask can come from a public seeded
-    /// stream — here that of a seed drawn from `rng`, in a
-    /// [`crate::ServerKey`] that of the key's own seed — and only the
-    /// noise from `rng`.
+    /// stream. Here the mask seed and the noise seed are drawn from `rng`;
+    /// in a [`crate::ServerKey`] they are the key's own.
     pub fn encrypt(
         key: &TlweKey,
         message: i32,
@@ -107,20 +106,21 @@ impl TgswCiphertext {
         rng: &mut SecureRng,
     ) -> Self {
         let mask_seed = rng.uniform_u64();
-        Self::encrypt_seeded(key, message, gadget, stdev, mask_seed, 0, rng)
+        let noise_seed = rng.uniform_u64();
+        Self::encrypt_seeded(key, message, gadget, stdev, [mask_seed, noise_seed], 0)
     }
 
     /// [`TgswCiphertext::encrypt`] with row `r`'s mask drawn from the
     /// public stream `(mask_seed, first_row + r)` ([`seeded_mask_into`]),
-    /// which is how a seeded key regenerates it.
+    /// which is how a seeded key regenerates it, and its noise from the
+    /// secret stream `SecureRng::noise_stream(noise_seed, first_row + r)`.
     pub(crate) fn encrypt_seeded(
         key: &TlweKey,
         message: i32,
         gadget: Gadget,
         stdev: f64,
-        mask_seed: u64,
+        [mask_seed, noise_seed]: [u64; 2],
         first_row: u64,
-        rng: &mut SecureRng,
     ) -> Self {
         let (k, n) = (key.k(), key.poly_size());
         let mut rows = Vec::with_capacity((k + 1) * gadget.levels);
@@ -136,9 +136,11 @@ impl TgswCiphertext {
                     }
                     None => term.coeffs_mut()[0] = bump,
                 }
+                let row = first_row + rows.len() as u64;
                 let mut a = vec![TorusPoly::zero(n); k];
-                seeded_mask_into(mask_seed, first_row + rows.len() as u64, &mut a);
-                rows.push(key.encrypt_poly_with_mask(a, &term, stdev, rng));
+                seeded_mask_into(mask_seed, row, &mut a);
+                let mut noise = SecureRng::noise_stream(noise_seed, row);
+                rows.push(key.encrypt_poly_with_mask(a, &term, stdev, &mut noise));
             }
         }
         TgswCiphertext { rows, gadget }
@@ -156,13 +158,15 @@ impl TgswCiphertext {
 
     /// Precomputes the frequency-domain form used by the hot loop.
     pub fn to_fft(&self, plan: &FftPlan) -> TgswFft {
-        TgswFft {
-            rows: self
-                .rows
-                .iter()
-                .map(|row| row.polys().map(|p| plan.forward_torus(p)).collect())
-                .collect(),
-            gadget: self.gadget,
+        let mut out = TgswFft::zero(plan.len(), self.rows[0].a.len(), self.gadget);
+        self.to_fft_into(plan, &mut out);
+        out
+    }
+
+    /// [`TgswCiphertext::to_fft`] into `out`, a ciphertext of this shape.
+    pub(crate) fn to_fft_into(&self, plan: &FftPlan, out: &mut TgswFft) {
+        for (row, spectra) in self.rows.iter().zip(out.rows_mut()) {
+            row.polys().zip(spectra).for_each(|(p, f)| plan.forward_torus_into(p, f));
         }
     }
 }
@@ -205,9 +209,16 @@ impl TgswFft {
         &self.rows
     }
 
-    /// Rebuilds from raw rows (crate-internal, for deserialization).
-    pub(crate) fn from_rows(rows: Vec<Vec<FreqPoly>>, gadget: Gadget) -> Self {
-        TgswFft { rows, gadget }
+    /// A ciphertext of ring dimension `n` and GLWE dimension `k` whose
+    /// every spectrum is zero, for [`TgswFft::rows_mut`] to fill.
+    pub(crate) fn zero(n: usize, k: usize, gadget: Gadget) -> Self {
+        let row = || (0..=k).map(|_| FreqPoly::zero(n)).collect();
+        TgswFft { rows: (0..(k + 1) * gadget.levels).map(|_| row()).collect(), gadget }
+    }
+
+    /// Raw rows, mutably (crate-internal, for key set-up).
+    pub(crate) fn rows_mut(&mut self) -> &mut [Vec<FreqPoly>] {
+        &mut self.rows
     }
 
     /// The gadget parameters.

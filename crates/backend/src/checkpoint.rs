@@ -317,13 +317,17 @@ impl CheckpointStore for MemoryCheckpointStore {
 
 /// File-backed store: survives process restarts.
 ///
-/// Saves are crash-safe: bytes go to a temporary sibling, are fsynced,
-/// and are atomically renamed into place, so a torn write can never
-/// replace the previous good snapshot. The displaced snapshot is kept
-/// as a `.prev` generation; if the current file fails validation at
-/// load time (bit rot, a corrupted rename target), it is quarantined
-/// aside as `.quarantined` and the store falls back to the previous
-/// generation instead of aborting the run.
+/// Saves are crash-safe: bytes go to a temporary sibling and are fsynced
+/// before anything on disk is touched, so a failed or torn write can never
+/// replace the previous good snapshot. Only then is the current snapshot
+/// renamed to a `.prev` generation and the new one renamed into place.
+/// Loads fall back to `.prev` when the current file is absent (a crash
+/// between those two renames) or fails validation (bit rot, a corrupted
+/// rename target); a rotten file is quarantined aside as `.quarantined`
+/// instead of aborting the run.
+///
+/// To reset a store, delete both generations, [`Self::path`] and
+/// [`Self::prev_path`]: a lone `.prev` file is still a snapshot to resume.
 #[derive(Debug, Clone)]
 pub struct FileCheckpointStore {
     path: PathBuf,
@@ -369,6 +373,25 @@ impl FileCheckpointStore {
             1,
         );
     }
+
+    /// Loads the `.prev` generation, counting a found one on
+    /// `checkpoint_fallback_loads_total`; a rotten one is quarantined and
+    /// the run starts from scratch.
+    fn load_prev(&self) -> Result<Option<Checkpoint>, ExecError> {
+        match Self::read_generation(&self.prev_path()) {
+            Ok(found) => {
+                if found.is_some() {
+                    telemetry::metrics().counter_add("checkpoint_fallback_loads_total", 1);
+                }
+                Ok(found)
+            }
+            Err(err @ (ExecError::Wire(_) | ExecError::BadCheckpoint { .. })) => {
+                self.quarantine(&self.prev_path(), &err);
+                Ok(None)
+            }
+            Err(e) => Err(e),
+        }
+    }
 }
 
 /// Coarse label for quarantine counters, stable across error payloads.
@@ -385,15 +408,26 @@ fn variant_label(err: &ExecError) -> &'static str {
 /// rename, then (on Unix) an fsync of the containing directory so the
 /// rename itself survives power loss.
 pub(crate) fn write_atomic(path: &std::path::Path, bytes: &[u8]) -> std::io::Result<()> {
+    let tmp = write_temp(path, bytes)?;
+    rename_synced(&tmp, path)
+}
+
+/// Writes `bytes` to the temp sibling of `path` and fsyncs it; returns
+/// the temp path.
+fn write_temp(path: &std::path::Path, bytes: &[u8]) -> std::io::Result<PathBuf> {
     use std::io::Write;
     let tmp = path.with_extension("tmp");
     let mut f = fs::File::create(&tmp)?;
     f.write_all(bytes)?;
     f.sync_all()?;
-    drop(f);
-    fs::rename(&tmp, path)?;
+    Ok(tmp)
+}
+
+/// Renames `from` onto `to`, then (on Unix) fsyncs the directory of `to`.
+fn rename_synced(from: &std::path::Path, to: &std::path::Path) -> std::io::Result<()> {
+    fs::rename(from, to)?;
     #[cfg(unix)]
-    if let Some(parent) = path.parent().filter(|p| !p.as_os_str().is_empty()) {
+    if let Some(parent) = to.parent().filter(|p| !p.as_os_str().is_empty()) {
         fs::File::open(parent)?.sync_all()?;
     }
     Ok(())
@@ -402,33 +436,27 @@ pub(crate) fn write_atomic(path: &std::path::Path, bytes: &[u8]) -> std::io::Res
 impl CheckpointStore for FileCheckpointStore {
     fn save(&mut self, ckpt: &Checkpoint) -> Result<(), ExecError> {
         let io = |e: std::io::Error| ExecError::CheckpointIo(e.to_string());
-        // Keep the displaced snapshot as a fallback generation before
-        // the new one lands.
+        // The new snapshot is durable before the current one is displaced
+        // into the fallback generation: a failed write loses nothing.
+        let tmp = write_temp(&self.path, &ckpt.to_bytes()).map_err(io)?;
         if self.path.exists() {
             fs::rename(&self.path, self.prev_path()).map_err(io)?;
         }
-        write_atomic(&self.path, &ckpt.to_bytes()).map_err(io)
+        rename_synced(&tmp, &self.path).map_err(io)
     }
 
     fn load(&self) -> Result<Option<Checkpoint>, ExecError> {
         match Self::read_generation(&self.path) {
-            Ok(found) => Ok(found),
+            Ok(found @ Some(_)) => Ok(found),
+            // No current generation: a crash between the two renames of
+            // `save` leaves the last good snapshot as `.prev` alone.
+            Ok(None) => self.load_prev(),
             Err(err @ (ExecError::Wire(_) | ExecError::BadCheckpoint { .. })) => {
                 // The current generation is rotten: quarantine it and
                 // continue from the previous one (or from scratch) —
                 // losing one wave beats aborting the whole run.
                 self.quarantine(&self.path, &err);
-                match Self::read_generation(&self.prev_path()) {
-                    Ok(found) => {
-                        telemetry::metrics().counter_add("checkpoint_fallback_loads_total", 1);
-                        Ok(found)
-                    }
-                    Err(prev_err @ (ExecError::Wire(_) | ExecError::BadCheckpoint { .. })) => {
-                        self.quarantine(&self.prev_path(), &prev_err);
-                        Ok(None)
-                    }
-                    Err(e) => Err(e),
-                }
+                self.load_prev()
             }
             Err(e) => Err(e),
         }
@@ -600,6 +628,36 @@ mod tests {
         store.save(&second).unwrap();
         std::fs::write(&path, torn).unwrap();
         assert_eq!(store.load().unwrap(), Some(first));
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn a_failed_save_keeps_the_last_good_snapshot() {
+        let dir = std::env::temp_dir().join(format!("pytfhe-ckpt-failed-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("state.ckpt");
+        let mut store = FileCheckpointStore::new(&path);
+        let first = Checkpoint::capture(1, 7, [(0u32, &true)]);
+        let second = Checkpoint::capture(2, 7, [(0u32, &false)]);
+        store.save(&first).unwrap();
+        // A directory squatting on the temp path makes the new write fail.
+        std::fs::create_dir(path.with_extension("tmp")).unwrap();
+        assert!(matches!(store.save(&second), Err(ExecError::CheckpointIo(_))));
+        assert_eq!(store.load().unwrap(), Some(first));
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn a_lone_previous_generation_is_loaded() {
+        let dir = std::env::temp_dir().join(format!("pytfhe-ckpt-lone-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).unwrap();
+        let store = FileCheckpointStore::new(dir.join("state.ckpt"));
+        // A crash between the two renames of a save leaves only `.prev`.
+        let ckpt = Checkpoint::capture(3, 7, [(0u32, &true)]);
+        std::fs::write(store.prev_path(), ckpt.to_bytes()).unwrap();
+        assert_eq!(store.load().unwrap(), Some(ckpt));
         std::fs::remove_dir_all(&dir).unwrap();
     }
 

@@ -259,7 +259,9 @@ fn file_store_survives_a_process_restart() {
 
     let path =
         std::env::temp_dir().join(format!("pytfhe-fault-tolerance-{}.ckpt", std::process::id()));
+    let prev = FileCheckpointStore::new(&path).prev_path();
     let _ = std::fs::remove_file(&path);
+    let _ = std::fs::remove_file(&prev);
     {
         // "Process one": crashes after checkpointing earlier waves.
         let workers = 2;
@@ -282,6 +284,7 @@ fn file_store_survives_a_process_restart() {
         assert!(stats.resumed_from_wave.is_some());
     }
     std::fs::remove_file(&path).expect("cleanup");
+    let _ = std::fs::remove_file(&prev);
 }
 
 #[test]

@@ -9,7 +9,7 @@
 
 use crate::profiles::{LoweringProfile, OptLevel};
 use pytfhe_hdl::{Bit, Circuit, Word};
-use pytfhe_netlist::opt::{dce, optimize, OptConfig};
+use pytfhe_netlist::opt::{dce, optimize};
 use pytfhe_netlist::Netlist;
 
 /// Model instance size.
@@ -177,7 +177,7 @@ pub fn lower_mnist(profile: &LoweringProfile, scale: MnistScale) -> Netlist {
     match p.opt {
         OptLevel::None => nl,
         OptLevel::DceOnly => dce(&nl).0,
-        OptLevel::Full => optimize(&nl, &OptConfig::default()).expect("optimization").0,
+        OptLevel::Full => optimize(&nl).expect("optimization").0,
     }
 }
 

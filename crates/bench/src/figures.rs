@@ -349,7 +349,7 @@ pub fn table4(scale: MnistScale) -> String {
 pub fn ablation() -> String {
     use chiseltorch::{compile_with, nn, DType};
     use pytfhe_hdl::{Circuit, Value, Word};
-    use pytfhe_netlist::opt::{self, OptConfig};
+    use pytfhe_netlist::opt;
 
     let mut out = String::from("Ablation studies (gate counts = bootstraps = runtime)\n");
 
@@ -361,9 +361,7 @@ pub fn ablation() -> String {
         .add(nn::MaxPool2d::new(2, 1))
         .add(nn::Flatten::new())
         .add(nn::Linear::new(9, 4));
-    let raw = compile_with(&model, &[1, 6, 6], dtype, &OptConfig::none())
-        .expect("compiles")
-        .into_netlist();
+    let raw = compile_with(&model, &[1, 6, 6], dtype, false).expect("compiles").into_netlist();
     let mut table = Table::new(&["pipeline", "gates", "vs raw"]);
     let base = raw.num_bootstrapped_gates() as f64;
     let mut push = |name: &str, nl: &Netlist| {
@@ -383,7 +381,7 @@ pub fn ablation() -> String {
     push("+ CSE", &deduped);
     let swept = opt::dce(&deduped).0;
     push("+ DCE", &swept);
-    let (full, _) = opt::optimize(&raw, &OptConfig::default()).expect("valid");
+    let (full, _) = opt::optimize(&raw).expect("valid");
     push("full pipeline to fixpoint", &full);
     out.push_str("\n1. netlist optimization passes on a tiny MNIST model:\n\n");
     out.push_str(&table.render());
@@ -424,7 +422,7 @@ pub fn ablation() -> String {
         };
         c.output_word("p", &p);
         let nl = c.finish().expect("netlist");
-        opt::optimize(&nl, &OptConfig::default()).expect("valid").0.num_bootstrapped_gates()
+        opt::optimize(&nl).expect("valid").0.num_bootstrapped_gates()
     };
     let counts: Vec<(i64, usize, usize)> = (-2048..2048)
         .map(|raw| (raw, optimized_bootstraps(raw, false), optimized_bootstraps(raw, true)))
@@ -471,8 +469,7 @@ pub fn ablation() -> String {
             .add(nn::ReLU::new())
             .add(nn::Flatten::new())
             .add(nn::Linear::new(16, 4));
-        let compiled =
-            compile_with(&model, &[1, 6, 6], dtype, &OptConfig::default()).expect("compiles");
+        let compiled = compile_with(&model, &[1, 6, 6], dtype, true).expect("compiles");
         let g = compiled.netlist().num_bootstrapped_gates();
         let b = *baseline.get_or_insert(g as f64);
         table.row(vec![dtype.to_string(), g.to_string(), format!("{:.1}x", g as f64 / b)]);

@@ -6,7 +6,7 @@ use crate::error::TorchError;
 use crate::nn::Module;
 use crate::tensor::Tensor;
 use pytfhe_hdl::{Circuit, DType};
-use pytfhe_netlist::opt::{optimize, OptConfig};
+use pytfhe_netlist::opt;
 use pytfhe_netlist::Netlist;
 
 /// A compiled model: the optimized netlist plus everything a client needs
@@ -86,11 +86,12 @@ pub fn compile(
     model: &crate::nn::Sequential,
     input_shape: &[usize],
 ) -> Result<CompiledModel, TorchError> {
-    compile_with(model, input_shape, model.dtype(), &OptConfig::default())
+    compile_with(model, input_shape, model.dtype(), true)
 }
 
-/// Compiles an arbitrary [`Module`] with explicit dtype and optimization
-/// configuration.
+/// Compiles an arbitrary [`Module`] with an explicit dtype; `optimize`
+/// selects whether the netlist optimization pipeline runs (`false` keeps
+/// the raw elaborated netlist, the unoptimized side of the ablations).
 ///
 /// # Errors
 ///
@@ -100,7 +101,7 @@ pub fn compile_with(
     model: &dyn Module,
     input_shape: &[usize],
     dtype: DType,
-    opt: &OptConfig,
+    optimize: bool,
 ) -> Result<CompiledModel, TorchError> {
     let _span =
         pytfhe_telemetry::span_with("compile", || format!("compile: shape {input_shape:?}"));
@@ -112,12 +113,14 @@ pub fn compile_with(
     let elaborate_span = pytfhe_telemetry::span("compile", "elaborate circuit");
     let netlist = c.finish().map_err(TorchError::Hdl)?;
     elaborate_span.end();
-    let opt_span = pytfhe_telemetry::span_with("compile", || {
-        format!("optimize netlist: {} gates", netlist.num_gates())
-    });
-    let (netlist, _) =
-        optimize(&netlist, opt).map_err(|e| TorchError::Hdl(pytfhe_hdl::HdlError::Netlist(e)))?;
-    opt_span.end();
+    let netlist = if optimize {
+        let _opt_span = pytfhe_telemetry::span_with("compile", || {
+            format!("optimize netlist: {} gates", netlist.num_gates())
+        });
+        opt::optimize(&netlist).map_err(|e| TorchError::Hdl(pytfhe_hdl::HdlError::Netlist(e)))?.0
+    } else {
+        netlist
+    };
     if pytfhe_telemetry::enabled() {
         let m = pytfhe_telemetry::metrics();
         m.gauge_set("compile_netlist_gates", netlist.num_gates() as f64);
@@ -161,7 +164,7 @@ mod tests {
     fn optimization_shrinks_the_netlist() {
         let dtype = DType::Fixed { width: 8, frac: 4 };
         let model = nn::Sequential::new(dtype).add(nn::Linear::new(4, 2));
-        let unopt = compile_with(&model, &[4], dtype, &OptConfig::none()).unwrap();
+        let unopt = compile_with(&model, &[4], dtype, false).unwrap();
         let opt = compile(&model, &[4]).unwrap();
         assert!(
             opt.netlist().num_bootstrapped_gates() <= unopt.netlist().num_bootstrapped_gates(),

@@ -68,11 +68,6 @@ impl PlainTensor {
         &self.data
     }
 
-    /// Mutable access to the flat data.
-    pub fn data_mut(&mut self) -> &mut [f64] {
-        &mut self.data
-    }
-
     /// The element at the given multi-index.
     ///
     /// # Panics

@@ -71,13 +71,6 @@ impl FloatFormat {
         (1i64 << (self.exp_bits - 1)) - 1
     }
 
-    /// Largest finite value.
-    pub fn max_value(&self) -> f64 {
-        let emax = (1i64 << self.exp_bits) - 1 - self.bias();
-        let mant = 2.0 - (0.5f64).powi(self.man_bits as i32 - 1) / 2.0;
-        mant.min(2.0 - f64::EPSILON) * (emax as f64).exp2()
-    }
-
     /// Encodes `x` into the format's bit pattern (LSB-first), applying the
     /// model's flush-to-zero, saturation and truncation rules.
     pub fn encode_f64(&self, x: f64) -> Vec<bool> {

@@ -562,36 +562,9 @@ pub fn dce(nl: &Netlist) -> (Netlist, PassStats) {
     (out, stats)
 }
 
-/// Configuration of the full optimization pipeline.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct OptConfig {
-    /// Run constant folding.
-    pub fold: bool,
-    /// Run inverter absorption.
-    pub absorb: bool,
-    /// Run common-subexpression elimination.
-    pub cse: bool,
-    /// Run dead-code elimination.
-    pub dce: bool,
-    /// Maximum number of pipeline iterations before giving up on reaching a
-    /// fixpoint.
-    pub max_iterations: usize,
-}
-
-impl Default for OptConfig {
-    fn default() -> Self {
-        OptConfig { fold: true, absorb: true, cse: true, dce: true, max_iterations: 8 }
-    }
-}
-
-impl OptConfig {
-    /// Everything disabled — the configuration the Cingulata/E3-style
-    /// baselines run with (Section III-B: "Both Cingulata and E3 do not
-    /// provide any gate-level or boolean optimizations").
-    pub fn none() -> Self {
-        OptConfig { fold: false, absorb: false, cse: false, dce: false, max_iterations: 0 }
-    }
-}
+/// Pipeline iterations [`optimize`] runs before giving up on reaching a
+/// fixpoint.
+const MAX_ITERATIONS: usize = 8;
 
 /// Report of a full [`optimize`] run.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
@@ -604,30 +577,24 @@ pub struct OptReport {
     pub iterations: usize,
 }
 
-/// Runs the configured passes to a fixpoint (or `max_iterations`).
+/// Runs constant folding, inverter absorption, CSE and DCE to a fixpoint
+/// (or `MAX_ITERATIONS` = 8 rounds).
 ///
 /// # Errors
 ///
 /// Returns an error if the input netlist fails validation.
-pub fn optimize(nl: &Netlist, config: &OptConfig) -> Result<(Netlist, OptReport), NetlistError> {
+pub fn optimize(nl: &Netlist) -> Result<(Netlist, OptReport), NetlistError> {
     nl.validate()?;
     let mut report =
         OptReport { gates_before: nl.num_gates(), gates_after: nl.num_gates(), iterations: 0 };
     type Pass = fn(&Netlist) -> (Netlist, PassStats);
-    let passes: [(bool, Pass); 4] = [
-        (config.fold, constant_fold),
-        (config.absorb, absorb_inverters),
-        (config.cse, cse),
-        (config.dce, dce),
-    ];
-    // The first enabled pass reads `nl` itself.
+    let passes: [Pass; 4] = [constant_fold, absorb_inverters, cse, dce];
+    // The first pass reads `nl` itself.
     let mut current = Cow::Borrowed(nl);
-    for _ in 0..config.max_iterations {
+    for _ in 0..MAX_ITERATIONS {
         let gates_at_start = current.num_gates();
-        for &(enabled, pass) in &passes {
-            if enabled {
-                current = Cow::Owned(pass(&current).0);
-            }
+        for pass in passes {
+            current = Cow::Owned(pass(&current).0);
         }
         report.iterations += 1;
         if current.num_gates() == gates_at_start {
@@ -1043,7 +1010,7 @@ mod tests {
         let g3 = nl.add_gate(GateKind::Or, g1, b).unwrap(); // duplicate
         let g4 = nl.add_gate(GateKind::And, g2, g3).unwrap(); // = g2
         nl.mark_output(g4).unwrap();
-        let (opt, report) = optimize(&nl, &OptConfig::default()).unwrap();
+        let (opt, report) = optimize(&nl).unwrap();
         assert_equivalent(&nl, &opt);
         assert_eq!(opt.num_gates(), 1);
         assert!(report.iterations >= 1);
@@ -1052,20 +1019,9 @@ mod tests {
     }
 
     #[test]
-    fn optimize_none_is_identity() {
-        let mut nl = Netlist::new();
-        let a = nl.add_input();
-        let g = nl.add_gate(GateKind::Buf, a, a).unwrap();
-        nl.mark_output(g).unwrap();
-        let (opt, report) = optimize(&nl, &OptConfig::none()).unwrap();
-        assert_eq!(opt.num_gates(), 1);
-        assert_eq!(report.iterations, 0);
-    }
-
-    #[test]
     fn optimize_rejects_invalid() {
         let nl = Netlist::new();
-        assert!(optimize(&nl, &OptConfig::default()).is_err());
+        assert!(optimize(&nl).is_err());
     }
 
     /// A constant at node 0 has placeholder operands that name itself.
@@ -1080,7 +1036,7 @@ mod tests {
         assert_eq!(deduped.num_gates(), 1);
         assert_eq!(stats.removed(), 1);
         assert_eq!(deduped.eval_plain(&[]), vec![true, true]);
-        let (opt, _) = optimize(&nl, &OptConfig::default()).unwrap();
+        let (opt, _) = optimize(&nl).unwrap();
         assert_eq!(opt.eval_plain(&[]), vec![true, true]);
         let (covered, _) = lut_cover(&opt, &LutCoverConfig::default()).unwrap();
         assert_eq!(covered.eval_plain(&[]), vec![true, true]);
@@ -1192,7 +1148,7 @@ mod tests {
     fn lowered_netlists_survive_the_optimizer() {
         let nl = two_bit_adder();
         let (lowered, _) = lut_cover(&nl, &LutCoverConfig::default()).unwrap();
-        let (opt, _) = optimize(&lowered, &OptConfig::default()).unwrap();
+        let (opt, _) = optimize(&lowered).unwrap();
         assert_equivalent(&nl, &opt);
         // The optimizer must not resurrect two-input boolean gates.
         for node in opt.nodes() {
@@ -1267,7 +1223,7 @@ mod tests {
         let g = nl.add_gate(GateKind::And, a, one).unwrap();
         let h = nl.add_gate(GateKind::Xor, g, b).unwrap();
         nl.declare_output_port("y", vec![h]).unwrap();
-        let (opt, _) = optimize(&nl, &OptConfig::default()).unwrap();
+        let (opt, _) = optimize(&nl).unwrap();
         assert_eq!(opt.input_ports().len(), 1);
         assert_eq!(opt.input_ports()[0].bits.len(), 2);
         assert_eq!(opt.output_ports().len(), 1);

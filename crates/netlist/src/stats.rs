@@ -36,12 +36,6 @@ impl GateHistogram {
         self.counts[kind.opcode() as usize]
     }
 
-    /// The count of fused LUTs of one width (`1..=MAX_LUT_INPUTS`).
-    #[inline]
-    pub fn lut_count(&self, width: usize) -> u64 {
-        self.luts_by_width[width - 1]
-    }
-
     /// Total fused-LUT count across all widths.
     pub fn total_luts(&self) -> u64 {
         self.luts_by_width.iter().sum()

@@ -2,7 +2,7 @@
 
 use proptest::prelude::*;
 use pytfhe_netlist::opt::{
-    absorb_inverters, constant_fold, cse, dce, lut_cover, optimize, LutCoverConfig, OptConfig,
+    absorb_inverters, constant_fold, cse, dce, lut_cover, optimize, LutCoverConfig,
 };
 use pytfhe_netlist::topo::{LevelSchedule, Levels};
 use pytfhe_netlist::{GateKind, LutSpec, Netlist, Node, NodeId, ALL_GATE_KINDS, MAX_LUT_INPUTS};
@@ -149,7 +149,7 @@ proptest! {
         prop_assert_eq!(stats.gates_after, got.num_gates());
         let bits = &bits[..nl.num_inputs()];
         prop_assert_eq!(got.eval_plain(bits), nl.eval_plain(bits));
-        let (opt, _) = optimize(&nl, &OptConfig::default()).expect("valid");
+        let (opt, _) = optimize(&nl).expect("valid");
         prop_assert_eq!(opt.eval_plain(bits), nl.eval_plain(bits));
     }
 
@@ -169,8 +169,8 @@ proptest! {
     /// The optimizer is idempotent at its fixpoint.
     #[test]
     fn optimizer_is_idempotent(nl in random_netlist(5, 80)) {
-        let (once, _) = optimize(&nl, &OptConfig::default()).expect("valid");
-        let (twice, report) = optimize(&once, &OptConfig::default()).expect("valid");
+        let (once, _) = optimize(&nl).expect("valid");
+        let (twice, report) = optimize(&once).expect("valid");
         prop_assert_eq!(once.num_gates(), twice.num_gates());
         prop_assert!(report.gates_after == report.gates_before);
     }
@@ -200,7 +200,7 @@ proptest! {
     #[test]
     fn optimizer_monotone_and_valid(nl in random_netlist(5, 100)) {
         let before = nl.num_bootstrapped_gates();
-        let (opt, _) = optimize(&nl, &OptConfig::default()).expect("valid input");
+        let (opt, _) = optimize(&nl).expect("valid input");
         prop_assert!(opt.num_bootstrapped_gates() <= before);
         prop_assert!(opt.validate().is_ok());
         prop_assert_eq!(opt.num_inputs(), nl.num_inputs());
@@ -230,7 +230,7 @@ proptest! {
             }
         }
         // The optimizer accepts (and preserves) lowered netlists.
-        let (opt, _) = optimize(&lowered, &OptConfig::default()).expect("valid lowered");
+        let (opt, _) = optimize(&lowered).expect("valid lowered");
         prop_assert_eq!(&opt.eval_plain(&bits), &want);
     }
 

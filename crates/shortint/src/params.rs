@@ -36,12 +36,6 @@ impl ShortintParams {
         ShortintParams { message_bits: 2, carry_bits: 2 }
     }
 
-    /// 1 message bit + 1 carry bit: boolean-sized messages with packing
-    /// room for bivariate LUTs.
-    pub fn message_1_carry_1() -> Self {
-        ShortintParams { message_bits: 1, carry_bits: 1 }
-    }
-
     /// Message bits.
     pub fn message_bits(&self) -> u32 {
         self.message_bits

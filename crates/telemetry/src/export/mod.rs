@@ -6,7 +6,7 @@ mod prometheus;
 mod summary;
 
 pub use chrome::{chrome_trace, write_chrome_trace};
-pub use prometheus::{prometheus_text, write_prometheus_text};
+pub use prometheus::prometheus_text;
 pub use summary::summary_table;
 
 /// Escapes a string for inclusion in a JSON string literal.

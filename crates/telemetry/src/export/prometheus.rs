@@ -1,9 +1,6 @@
 //! Prometheus text exposition (version 0.0.4) exporter for the
 //! metrics registry.
 
-use std::io::Write as _;
-use std::path::Path;
-
 use crate::MetricsSnapshot;
 
 /// Renders a snapshot in Prometheus text exposition format. Histograms
@@ -62,21 +59,6 @@ fn fmt_value(v: f64) -> String {
     // f64 Display never prints exponents or locale separators, which is
     // exactly the exposition-format number syntax.
     format!("{v}")
-}
-
-/// Writes the exposition text to `path`, creating parent directories.
-pub fn write_prometheus_text(
-    path: impl AsRef<Path>,
-    snapshot: &MetricsSnapshot,
-) -> std::io::Result<()> {
-    let path = path.as_ref();
-    if let Some(parent) = path.parent() {
-        if !parent.as_os_str().is_empty() {
-            std::fs::create_dir_all(parent)?;
-        }
-    }
-    let mut f = std::fs::File::create(path)?;
-    f.write_all(prometheus_text(snapshot).as_bytes())
 }
 
 #[cfg(test)]

@@ -59,7 +59,7 @@ mod recorder;
 pub use metrics::{metrics, Histogram, Metrics, MetricsSnapshot, SECONDS_BUCKETS};
 pub use recorder::{
     counter_sample, drain, events, instant, instant_on_worker, sim_span, span, span_count,
-    span_with, worker_span, worker_span_with, Event, EventKind, Lane, Span,
+    span_with, worker_span, Event, EventKind, Lane, Span,
 };
 
 /// Tri-state gate: 0 = not yet initialized from the environment.

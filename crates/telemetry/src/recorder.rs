@@ -140,14 +140,6 @@ pub fn worker_span(cat: &'static str, name: impl Into<String>, worker: u32) -> S
     Span(Some(SpanInner { cat, name: name.into(), lane: Lane::Worker(worker), start_ns: now_ns() }))
 }
 
-/// Like [`worker_span`] with a lazily-built name.
-pub fn worker_span_with(cat: &'static str, name: impl FnOnce() -> String, worker: u32) -> Span {
-    if !enabled() {
-        return Span::disabled();
-    }
-    worker_span(cat, name(), worker)
-}
-
 /// Records a point-in-time marker on the current thread's lane.
 pub fn instant(cat: &'static str, name: impl Into<String>) {
     if !enabled() {

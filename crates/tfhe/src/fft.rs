@@ -50,7 +50,8 @@
 //! `(k+1)·l`-row accumulation of the external product; the sub-unit
 //! rounding error folds into the scheme's noise budget exactly as in the
 //! reference TFHE library. The independent full-size radix-2 transform
-//! in [`crate::reference`] is the oracle both are tested against.
+//! of the test-only `reference` module is the oracle both are tested
+//! against.
 //!
 //! Key generation needs more: its products by the secret key must be
 //! *exact*, because the key bytes may not depend on how they were
@@ -277,6 +278,7 @@ mod tests {
     use crate::reference::RefFftPlan;
     use crate::rng::SecureRng;
     use crate::trace::thread_buffer_allocs;
+    use proptest::prelude::*;
 
     #[test]
     fn fft_matches_naive_small() {
@@ -320,6 +322,23 @@ mod tests {
                 let b = TorusPoly::uniform(n, &mut rng);
                 assert_eq!(folded.negacyclic_mul(&a, &b), full.negacyclic_mul(&a, &b), "n={n}");
             }
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// The folded plan agrees with the retired full-size oracle.
+        #[test]
+        fn folded_fft_matches_full_size_reference(
+            a in prop::collection::vec(-512i32..512, 256),
+            b in prop::collection::vec(any::<u32>(), 256),
+        ) {
+            let plan = FftPlan::new(256);
+            let oracle = RefFftPlan::new(256);
+            let ip = IntPoly::from_coeffs(a);
+            let tp = TorusPoly::from_coeffs(b.into_iter().map(Torus32).collect());
+            prop_assert_eq!(plan.negacyclic_mul(&ip, &tp), oracle.negacyclic_mul(&ip, &tp));
         }
     }
 

@@ -62,7 +62,8 @@ pub mod noise;
 pub mod ntt;
 pub mod params;
 pub mod poly;
-pub mod reference;
+#[cfg(test)]
+mod reference;
 mod rng;
 pub mod simd;
 pub mod tgsw;

@@ -29,12 +29,6 @@ impl NoiseModel {
         self.params.lwe_noise_stdev * self.params.lwe_noise_stdev
     }
 
-    /// Variance after the linear phase of a binary gate
-    /// (`±a ±b + const`): two fresh samples add.
-    pub fn gate_linear(&self) -> f64 {
-        2.0 * self.fresh_lwe()
-    }
-
     /// Variance after the linear phase of an XOR/XNOR gate
     /// (`2(a + b) + const`): scaling by 2 quadruples each variance.
     pub fn xor_linear(&self) -> f64 {

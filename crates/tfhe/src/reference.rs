@@ -1,25 +1,15 @@
 //! The retired full-size complex negacyclic FFT, kept **only** as a
-//! cross-check oracle for tests and as the "before" side of the
-//! folded-vs-reference benchmarks (`repro fft`, `benches/fft.rs`,
-//! `benches/gate_bootstrap.rs`). Production code paths all use the folded
-//! half-complex transform in [`crate::fft`]; nothing here is reachable
-//! from gate evaluation.
+//! cross-check oracle for the folded half-complex transform in
+//! [`crate::fft`]. The module is compiled for tests alone: nothing here is
+//! part of the library or reachable from gate evaluation.
 //!
 //! This is the pre-fold implementation verbatim: twist all `N` real
 //! coefficients by `e^{iπj/N}`, run a full `N`-point complex FFT over
 //! array-of-structs [`Complex`] values, and branch on direction inside
-//! the butterfly — i.e. 2× the transform work, 2× the key bytes, and a
-//! MAC the autovectorizer cannot unroll cleanly. Keeping it allows any
-//! session to re-measure the win of the half-complex rework on its own
-//! hardware.
+//! the butterfly. It shares no code with the folded plan, which is what
+//! makes it an independent oracle.
 
-use crate::keys::ClientKey;
-use crate::lwe::LweCiphertext;
-use crate::params::Params;
 use crate::poly::{IntPoly, TorusPoly};
-use crate::rng::SecureRng;
-use crate::tgsw::{Gadget, TgswCiphertext};
-use crate::tlwe::TlweCiphertext;
 use crate::torus::Torus32;
 
 /// A complex number; minimal on purpose (only what the reference FFT
@@ -76,11 +66,6 @@ impl RefFreqPoly {
         self.values.len()
     }
 
-    /// Whether the container is empty.
-    pub fn is_empty(&self) -> bool {
-        self.values.is_empty()
-    }
-
     /// `self += a * b` pointwise over array-of-structs values.
     pub fn add_mul_assign(&mut self, a: &RefFreqPoly, b: &RefFreqPoly) {
         debug_assert_eq!(self.len(), a.len());
@@ -127,16 +112,6 @@ impl RefFftPlan {
         let bits = n.trailing_zeros();
         let rev = (0..n as u32).map(|i| i.reverse_bits() >> (32 - bits)).collect();
         RefFftPlan { n, roots, twist, rev }
-    }
-
-    /// Transform size.
-    pub fn len(&self) -> usize {
-        self.n
-    }
-
-    /// Whether the plan is empty (never true; present for API symmetry).
-    pub fn is_empty(&self) -> bool {
-        false
     }
 
     /// In-place iterative radix-2 DIT FFT. `inverse` conjugates the
@@ -237,105 +212,11 @@ impl RefFftPlan {
     }
 }
 
-/// A bootstrapping key stored in the *full-size* frequency domain, with a
-/// matching full-size blind rotation — the "before" side of the
-/// half-complex benchmarks. Functionally interchangeable with the
-/// production [`crate::bootstrap::BootstrappingKey`] (same algebra, same
-/// correctness), just twice the transform work and key bytes.
-#[derive(Debug, Clone)]
-pub struct RefBootstrappingKey {
-    /// `tgsw[bit][row][col]` — full-size frequency rows per key bit.
-    tgsw: Vec<Vec<Vec<RefFreqPoly>>>,
-    plan: RefFftPlan,
-    params: Params,
-    gadget: Gadget,
-}
-
-impl RefBootstrappingKey {
-    /// Generates a reference-FFT bootstrapping key for `client`'s secret
-    /// material (test/bench use only — production keys come from
-    /// [`ClientKey::server_key`]).
-    pub fn from_client(client: &ClientKey, rng: &mut SecureRng) -> Self {
-        let params = *client.params();
-        let plan = RefFftPlan::new(params.poly_size);
-        let gadget = Gadget { levels: params.decomp_levels, base_log: params.decomp_base_log };
-        let tgsw = client
-            .lwe_key()
-            .bits()
-            .iter()
-            .map(|&bit| {
-                let ct = TgswCiphertext::encrypt(
-                    client.tlwe_key(),
-                    bit,
-                    gadget,
-                    params.glwe_noise_stdev,
-                    rng,
-                );
-                ct.rows()
-                    .iter()
-                    .map(|row| row.polys().map(|p| plan.forward_torus(p)).collect())
-                    .collect()
-            })
-            .collect();
-        RefBootstrappingKey { tgsw, plan, params, gadget }
-    }
-
-    /// The parameter set this key was generated for.
-    pub fn params(&self) -> &Params {
-        &self.params
-    }
-
-    /// External product `rows ⊡ tlwe` through the full-size domain
-    /// (allocating freely, as the pre-rework public path did).
-    fn external_product(&self, rows: &[Vec<RefFreqPoly>], tlwe: &TlweCiphertext) -> TlweCiphertext {
-        let n = tlwe.poly_size();
-        let k = tlwe.k();
-        let l = self.gadget.levels;
-        debug_assert_eq!(rows.len(), (k + 1) * l);
-        let mut acc: Vec<RefFreqPoly> = (0..=k).map(|_| RefFreqPoly::zero(n)).collect();
-        for (u, poly) in tlwe.polys().enumerate() {
-            for (level, digit) in self.gadget.decompose_poly(poly).iter().enumerate() {
-                let digit_freq = self.plan.forward_int(digit);
-                let row = &rows[u * l + level];
-                for (col, a) in acc.iter_mut().enumerate() {
-                    a.add_mul_assign(&digit_freq, &row[col]);
-                }
-            }
-        }
-        let mut out = TlweCiphertext::trivial(self.plan.inverse_torus(&acc[k]), k);
-        for (u, a) in acc[..k].iter().enumerate() {
-            out.a[u] = self.plan.inverse_torus(a);
-        }
-        out
-    }
-
-    /// Gate bootstrapping without the final key switch, via full-size
-    /// blind rotation — mirrors
-    /// [`crate::bootstrap::BootstrappingKey::bootstrap_raw_into`].
-    pub fn bootstrap_raw(&self, ct: &LweCiphertext, mu: Torus32) -> LweCiphertext {
-        let n = self.params.poly_size;
-        let n2 = 2 * n;
-        let tv = TorusPoly::fill(mu, n);
-        let barb = ct.body().mod_switch(n);
-        let mut acc = TlweCiphertext::trivial(tv.mul_by_xk((n2 - barb) % n2), self.params.glwe_dim);
-        for (a_i, bk_i) in ct.mask().iter().zip(&self.tgsw) {
-            let bara = a_i.mod_switch(n);
-            if bara == 0 {
-                continue;
-            }
-            // acc <- acc + bk_i ⊡ (X^bara·acc - acc), the CMUX.
-            let mut diff = acc.rotate(bara);
-            diff.sub_assign(&acc);
-            acc.add_assign(&self.external_product(bk_i, &diff));
-        }
-        acc.extract_lwe()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::poly::naive_negacyclic_mul;
+    use crate::rng::SecureRng;
 
     #[test]
     fn reference_fft_matches_naive() {
@@ -347,27 +228,6 @@ mod tests {
             );
             let b = TorusPoly::uniform(n, &mut rng);
             assert_eq!(plan.negacyclic_mul(&a, &b), naive_negacyclic_mul(&a, &b), "n={n}");
-        }
-    }
-
-    #[test]
-    fn reference_bootstrap_recovers_sign() {
-        let mut rng = SecureRng::seed_from_u64(21);
-        let params = Params::testing();
-        let client = ClientKey::generate(params, &mut rng);
-        let refbk = RefBootstrappingKey::from_client(&client, &mut rng);
-        let mu = Torus32::from_fraction(1, 3);
-        let extracted = client.tlwe_key().extracted_lwe_key();
-        for (message, want_sign) in
-            [(Torus32::from_fraction(1, 3), 1.0), (Torus32::from_fraction(-1, 3), -1.0)]
-        {
-            let ct = client.lwe_key().encrypt(message, params.lwe_noise_stdev, &mut rng);
-            let boot = refbk.bootstrap_raw(&ct, mu);
-            let phase = extracted.phase(&boot).to_f64();
-            assert!(
-                (phase - want_sign * 0.125).abs() < 0.03,
-                "message {message}, phase {phase}, want {want_sign}*0.125"
-            );
         }
     }
 }

@@ -5,7 +5,6 @@
 use proptest::prelude::*;
 use pytfhe_tfhe::fft::FftPlan;
 use pytfhe_tfhe::poly::{naive_negacyclic_mul, IntPoly, TorusPoly};
-use pytfhe_tfhe::reference::RefFftPlan;
 use pytfhe_tfhe::tgsw::Gadget;
 use pytfhe_tfhe::torus::Torus32;
 use pytfhe_tfhe::{BootGate, ClientKey, Params, SecureRng};
@@ -103,19 +102,6 @@ proptest! {
         );
         let tp = TorusPoly::uniform(n, &mut rng);
         prop_assert_eq!(plan.negacyclic_mul(&ip, &tp), naive_negacyclic_mul(&ip, &tp));
-    }
-
-    /// The folded plan agrees with the retired full-size oracle.
-    #[test]
-    fn folded_fft_matches_full_size_reference(
-        a in prop::collection::vec(-512i32..512, 256),
-        b in prop::collection::vec(any::<u32>(), 256),
-    ) {
-        let plan = FftPlan::new(256);
-        let oracle = RefFftPlan::new(256);
-        let ip = IntPoly::from_coeffs(a);
-        let tp = TorusPoly::from_coeffs(b.into_iter().map(Torus32).collect());
-        prop_assert_eq!(plan.negacyclic_mul(&ip, &tp), oracle.negacyclic_mul(&ip, &tp));
     }
 
     /// forward_torus ∘ inverse_torus is exact: torus coefficients are

@@ -12,7 +12,7 @@
 //! Baugh–Wooley array to the signed-digit shift-add of
 //! `Circuit::mul_const`.
 
-use pytfhe_netlist::opt::{lut_cover, optimize, LutCoverConfig, OptConfig};
+use pytfhe_netlist::opt::{lut_cover, optimize, LutCoverConfig};
 use pytfhe_netlist::{Netlist, Node};
 use pytfhe_vipbench::{benchmarks, distinctness, mnist_s, Scale};
 use pytfhe_wire::crc32c;
@@ -54,7 +54,7 @@ const COVERED: [(&str, u32); 3] = [
 ];
 
 fn optimized(nl: &Netlist) -> Netlist {
-    optimize(nl, &OptConfig::default()).expect("a workload netlist is valid").0
+    optimize(nl).expect("a workload netlist is valid").0
 }
 
 /// Nodes in id order (a tag, then the gate's opcode and operands or the

@@ -35,7 +35,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // --- Run 1: every worker crashes at the final wave. -----------------
     let ckpt_path = std::env::temp_dir().join("pytfhe-resilient-recovery.ckpt");
+    // Start from nothing: a reset deletes both snapshot generations.
+    let prev_path = FileCheckpointStore::new(&ckpt_path).prev_path();
     let _ = std::fs::remove_file(&ckpt_path);
+    let _ = std::fs::remove_file(&prev_path);
     let workers = 2;
     let cfg = ResilientConfig::new(workers);
     let mut faults = SeededFaults::new(1).with_fail_prob(0.05);
@@ -70,6 +73,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!("decrypted: {x} + {y} = {got}");
     assert_eq!(got, x + y, "resumed run must be bit-identical");
     std::fs::remove_file(&ckpt_path)?;
+    let _ = std::fs::remove_file(&prev_path);
     println!("recovered run verified bit-identical to the fault-free result");
     Ok(())
 }

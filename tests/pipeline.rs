@@ -86,9 +86,9 @@ fn wrong_key_decrypts_garbage() {
 
 #[test]
 fn optimization_preserves_pipeline_semantics() {
-    use pytfhe::pytfhe_netlist::opt::{optimize, OptConfig};
+    use pytfhe::pytfhe_netlist::opt::optimize;
     let (compiled, _) = tiny_mnist();
-    let (opt, report) = optimize(compiled.netlist(), &OptConfig::default()).expect("optimizes");
+    let (opt, report) = optimize(compiled.netlist()).expect("optimizes");
     assert!(report.gates_after <= report.gates_before);
     let engine = PlainEngine::new();
     for seed in 0..5u64 {

@@ -5,7 +5,7 @@ use proptest::prelude::*;
 use pytfhe::prelude::*;
 use pytfhe::pytfhe_backend::execute;
 use pytfhe::pytfhe_hdl::Circuit;
-use pytfhe::pytfhe_netlist::opt::{optimize, OptConfig};
+use pytfhe::pytfhe_netlist::opt::optimize;
 use pytfhe::pytfhe_netlist::ALL_GATE_KINDS;
 
 /// Strategy: a random DAG with `inputs` inputs and up to `max_gates`
@@ -55,7 +55,7 @@ proptest! {
         nl in random_netlist(6, 120),
         bits in prop::collection::vec(any::<bool>(), 6),
     ) {
-        let (opt, report) = optimize(&nl, &OptConfig::default()).expect("valid");
+        let (opt, report) = optimize(&nl).expect("valid");
         prop_assert!(report.gates_after <= report.gates_before);
         prop_assert_eq!(opt.eval_plain(&bits), nl.eval_plain(&bits));
     }

@@ -1,5 +1,5 @@
 //! A wave with a single bootstrap runs on a gang of lanes that split it
-//! by TLWE column: its ciphertexts must be the bytes one lane computes,
+//! by TLWE polynomial: its ciphertexts must be the bytes one lane computes,
 //! at every worker count, and a gang must fail, fall back and retry
 //! without deadlocking.
 

@@ -29,9 +29,7 @@ fn main() -> ExitCode {
     let run = |name: &str| -> Option<String> {
         Some(match name {
             "fig6" => figures::fig6(),
-            // Real measurement only in full mode (it key-generates
-            // 128-bit material, ~10 s).
-            "fig7" => figures::fig7(!quick),
+            "fig7" => figures::fig7(),
             "fig8" => figures::fig8(),
             "fig9" => figures::fig9(),
             "fig10" => figures::fig10(scale),

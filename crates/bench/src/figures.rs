@@ -13,7 +13,6 @@ use pytfhe_backend::sim::{ClusterConfig, ClusterSim, GpuPolicy, GpuSim};
 use pytfhe_backend::{capture, CaptureConfig, KernelPlan};
 use pytfhe_baselines::{all_profiles, lower_mnist, ComparisonRow, LoweringProfile, MnistScale};
 use pytfhe_netlist::{GateKind, Netlist, NetlistStats};
-use pytfhe_tfhe::{ClientKey, Params, SecureRng};
 use pytfhe_vipbench::{benchmarks, Scale};
 
 /// Figure 6: the worked half-adder example of the binary format.
@@ -36,12 +35,10 @@ pub fn fig6() -> String {
     out
 }
 
-/// Figure 7: profile of one bootstrapped gate on a single CPU core.
-///
-/// With `measure = true` a real 128-bit-parameter gate is key-generated
-/// and timed on this machine; the calibrated paper model is always
-/// printed for comparison.
-pub fn fig7(measure: bool) -> String {
+/// Figure 7: profile of one bootstrapped gate on a single CPU core, from
+/// the calibrated paper model. This implementation's own split is
+/// measured by the repo benchmark, not here.
+pub fn fig7() -> String {
     let cost = CpuCostModel::paper();
     let mut out = String::from("Figure 7 — single-core profile of one bootstrapped gate\n\n");
     let total = cost.gate_s();
@@ -65,25 +62,10 @@ pub fn fig7(measure: bool) -> String {
         fmt_seconds(total),
         cost.comm_s_per_gate() / (total + cost.comm_s_per_gate()) * 100.0
     ));
-    if measure {
-        let mut rng = SecureRng::seed_from_u64(1);
-        let params = Params::default_128();
-        let client = ClientKey::generate(params, &mut rng);
-        let server = client.server_key(&mut rng);
-        let a = client.encrypt_bit(true, &mut rng);
-        let b = client.encrypt_bit(false, &mut rng);
-        // Warm up, then measure.
-        let _ = server.profile_nand(&a, &b);
-        let (_, p) = server.profile_nand(&a, &b);
-        out.push_str("\nmeasured on this machine (real 128-bit gate, this Rust implementation):\n");
-        out.push_str(&format!(
-            "  blind rotation {:>9}   key switch {:>9}   linear {:>9}   total {:>9}\n",
-            fmt_seconds(p.blind_rotation_s),
-            fmt_seconds(p.key_switching_s),
-            fmt_seconds(p.linear_s),
-            fmt_seconds(p.total_s()),
-        ));
-    }
+    out.push_str(
+        "\nmeasured: a traced `chain` run of the repo benchmark (benchmark/) reports this \
+         implementation's\n  tfhe.gate_single_ms and tfhe.blind_rotate_share at 128-bit parameters\n",
+    );
     out
 }
 
@@ -551,7 +533,7 @@ mod tests {
 
     #[test]
     fn fig7_model_only() {
-        let s = fig7(false);
+        let s = fig7();
         assert!(s.contains("Blind rotation"));
         assert!(s.contains("0.094%"));
     }

@@ -3,32 +3,38 @@
 //! Figure 7).
 //!
 //! The loops a bootstrap spends its cycles in — the folded transforms,
-//! the external-product MAC, gadget decomposition, and the trailing key
-//! switch — all route through the runtime-dispatched kernels of
-//! [`crate::simd`] (AVX2+FMA / portable scalar, overridable
-//! with `PYTFHE_SIMD`), so nothing in this module is
-//! architecture-specific. There is one negacyclic transform, the folded
-//! `f64` FFT of [`crate::fft`].
+//! the external product's sums of products, gadget decomposition, and the
+//! trailing key switch — all route through the runtime-dispatched kernels
+//! of [`crate::simd`] (AVX2+FMA / portable scalar, overridable with
+//! `PYTFHE_SIMD`), so nothing in this module is architecture-specific.
+//! There is one negacyclic transform, the folded `f64` FFT of
+//! [`crate::fft`].
 //!
 //! There is one blind-rotation loop, [`BootstrappingKey::rotate_batch_into`],
-//! and it is batch-first and *column-owned*. Each CMUX step
+//! and it is batch-first and *input-owned*. Each CMUX step
 //! `acc <- acc + bk_i ⊡ (X^bara·acc - acc)` runs, for each ciphertext of
-//! the batch against the same bootstrapping-key row, in two halves: every
-//! lane of a gang rotates, decomposes and forward-transforms only the TLWE
-//! polynomials it owns into a shared, double-buffered exchange of digit
-//! spectra; the lanes meet at one barrier; then each lane multiplies all
-//! the spectra against only its own column of the row, in the `u`-major,
-//! level-minor order of [`TgswFft::external_product_into`], and
-//! inverse-transforms that column into its polynomial. At the 128-bit
-//! parameters (`k = 1`, `l = 3`) a gang of two lanes does, per lane and
-//! step, 3 forward transforms, 6 MACs, 1 inverse and streams 48 KB of the
-//! key instead of 6, 12, 2 and 96 KB; the trailing key switch is split by
-//! input range (`KeySwitchKey::switch_range_into`). A single thread is
-//! simply the gang of one that owns every column, so a lane's arithmetic
-//! — and every output byte — is the same at any gang size and any batch
-//! width. The row is fetched from memory once per batch and re-read from
-//! L2 by the other ciphertexts, so the per-gate cost cannot grow with the
-//! batch width. A single bootstrap is a batch of one.
+//! the batch against the same bootstrapping-key row, in two halves. First,
+//! every lane of a gang rotates, decomposes and forward-transforms only
+//! the TLWE polynomials it owns, into digit spectra it does not share,
+//! and multiplies them by its own `l` key rows for every column — one
+//! sum of `l` products per column, in registers. It keeps the partial of
+//! its own column and writes the others into a shared, double-buffered
+//! exchange of partials. The lanes meet at one barrier; then each lane
+//! adds its column's partials — its own first, the others in polynomial
+//! order, which for `k = 1` is simply polynomial order, as a two-term
+//! `f64` sum commutes — and inverse-transforms the sum into its
+//! polynomial. At the 128-bit parameters (`k = 1`, `l = 3`) a gang of two
+//! lanes does, per lane and step, 3 forward transforms, 2 sums of 3
+//! products, 1 inverse and streams 48 KB of the key instead of 6, 4, 2
+//! and 96 KB, and the only data that crosses cores is one 8 KB partial
+//! each way; the trailing key switch is split by input range
+//! (`KeySwitchKey::switch_range_into`). A single thread is simply the
+//! gang of one that owns every polynomial and adds the same partials in
+//! the same order, so a lane's arithmetic — and every output byte — is
+//! the same at any gang size and any batch width. The row is fetched from
+//! memory once per batch and re-read from L2 by the other ciphertexts, so
+//! the per-gate cost cannot grow with the batch width. A single bootstrap
+//! is a batch of one.
 
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, PoisonError, RwLock, RwLockReadGuard, RwLockWriteGuard};
@@ -251,7 +257,8 @@ impl BootstrappingKey {
         BootstrapScratch {
             accs: (0..lanes).map(|_| self.blank_acc()).collect(),
             digits: (0..p.decomp_levels).map(|_| IntPoly::zero(p.poly_size)).collect(),
-            acc_freqs: (0..=p.glwe_dim).map(|_| FreqPoly::zero(p.poly_size)).collect(),
+            spectra: (0..p.decomp_levels).map(|_| FreqPoly::zero(p.poly_size)).collect(),
+            sums: (0..=p.glwe_dim).map(|_| FreqPoly::zero(p.poly_size)).collect(),
             diff: TorusPoly::zero(p.poly_size),
             ext: TorusPoly::zero(p.poly_size),
             params: *p,
@@ -267,7 +274,7 @@ impl BootstrappingKey {
 
     /// The one blind rotation, batch-first: for every lane, homomorphically
     /// computes `X^{-phase(inputs[lane]) * 2N} * tv(lane)` inside a TLWE
-    /// accumulator, in one column-owned pass over the key (see the module
+    /// accumulator, in one input-owned pass over the key (see the module
     /// docs), and extracts the constant coefficient — which holds
     /// `tv[phase * 2N mod 2N]` with negacyclic sign — as a dimension-`k·N`
     /// LWE sample into `outs[lane]`; key switch it to return to the gate
@@ -300,10 +307,8 @@ impl BootstrappingKey {
         if scratch.accs.len() < inputs.len() {
             scratch.accs.resize_with(inputs.len(), || self.blank_acc());
         }
-        let BootstrapScratch {
-            accs, digits, acc_freqs, diff, ext, solo, seat: s, exchanges, ..
-        } = scratch;
-        let (gang, member) = seat(solo, s);
+        let (gang, member) = seat(&scratch.solo, &scratch.seat);
+        let BootstrapScratch { accs, digits, spectra, sums, diff, ext, exchanges, .. } = scratch;
         for (lane, (acc, (mask, body))) in accs.iter_mut().zip(inputs).enumerate() {
             assert_eq!(mask.len(), self.params.lwe_dim, "input of the wrong LWE dimension");
             // acc = X^{-barb} * tv = X^{2N - barb} * tv (trivial sample).
@@ -322,30 +327,37 @@ impl BootstrappingKey {
                     continue;
                 }
                 // The CMUX acc <- acc + bk_i ⊡ (X^{bara} * acc - acc): the
-                // digit spectra of this lane's polynomials, then, once
-                // every lane's are in, this lane's columns of the product.
-                let spectra = &gang.spectra[next_parity(exchanges)];
+                // products of this lane's polynomials with every column
+                // (polynomial `u`'s partial of column `u` starts that
+                // column's sum, every other goes to the exchange), then,
+                // once every lane's partials are in, the sums of this
+                // lane's columns, the others added in polynomial order —
+                // the same additions in the same order at any gang size.
+                let partials = &gang.partials[next_parity(exchanges)];
                 for u in owned.clone() {
                     let poly = acc.poly(u);
                     poly.mul_by_xk_into(bara, diff);
                     diff.sub_assign(poly);
                     self.gadget().decompose_poly_into(diff, digits);
-                    for (digit, spectrum) in digits.iter().zip(write(&spectra[u]).iter_mut()) {
+                    for (digit, spectrum) in digits.iter().zip(spectra.iter_mut()) {
                         self.plan.forward_int_into(digit, spectrum);
                     }
-                }
-                gang.wait();
-                owned.clone().for_each(|col| acc_freqs[col].clear());
-                for (u, spectra_u) in spectra.iter().enumerate() {
-                    for (level, spectrum) in read(spectra_u).iter().enumerate() {
-                        let row = &rows[u * levels + level];
-                        for col in owned.clone() {
-                            acc_freqs[col].add_mul_assign(spectrum, &row[col]);
+                    let rows = &rows[u * levels..][..levels];
+                    for col in 0..cols {
+                        let terms = spectra.iter().zip(rows).map(|(d, row)| (d, &row[col]));
+                        match col == u {
+                            true => sums[col].sum_products(terms),
+                            false => write(&partials[u][col]).sum_products(terms),
                         }
                     }
                 }
+                gang.wait();
                 for col in owned.clone() {
-                    self.plan.inverse_torus_destructive(&mut acc_freqs[col], ext);
+                    let sum = &mut sums[col];
+                    for u in (0..cols).filter(|&u| u != col) {
+                        sum.add_assign(&read(&partials[u][col]));
+                    }
+                    self.plan.inverse_torus_destructive(sum, ext);
                     acc.poly_mut(col).add_assign(ext);
                 }
             }
@@ -406,14 +418,15 @@ fn write<T>(slot: &RwLock<T>) -> RwLockWriteGuard<'_, T> {
 }
 
 /// What the members of a gang share: `members` lanes splitting every
-/// bootstrap by TLWE column, member `i` owning columns
-/// `i, i + members, …`, with double-buffered exchanges and a barrier.
+/// bootstrap by TLWE polynomial, member `i` owning input polynomials and
+/// output columns `i, i + members, …`, with double-buffered exchanges and
+/// a barrier.
 #[derive(Debug)]
 struct Gang {
     members: usize,
-    /// `spectra[parity][u]`: the `l` digit spectra of polynomial `u` of
-    /// one CMUX step.
-    spectra: [Vec<RwLock<Vec<FreqPoly>>>; 2],
+    /// `partials[parity][u][col]`: the products of polynomial `u`'s digit
+    /// spectra with column `col` of one CMUX step's key row, summed.
+    partials: [Vec<Vec<RwLock<FreqPoly>>>; 2],
     /// `polys[parity][u]`: column `u` of a finished accumulator.
     polys: [Vec<RwLock<TorusPoly>>; 2],
     /// `parts[parity][member]`: a member's share of a key switch.
@@ -426,14 +439,14 @@ struct Gang {
 impl Gang {
     fn new(members: usize, p: &Params) -> Self {
         let (n, cols) = (p.poly_size, p.glwe_dim + 1);
-        let digits = || RwLock::new((0..p.decomp_levels).map(|_| FreqPoly::zero(n)).collect());
-        let spectra = || (0..cols).map(|_| digits()).collect();
+        let row = || (0..cols).map(|_| RwLock::new(FreqPoly::zero(n))).collect();
+        let partials = || (0..cols).map(|_| row()).collect();
         let polys = || (0..cols).map(|_| RwLock::new(TorusPoly::zero(n))).collect();
         let part = || RwLock::new(LweCiphertext::trivial(Torus32::ZERO, p.lwe_dim));
         let parts = || (0..members).map(|_| part()).collect();
         Gang {
             members,
-            spectra: [spectra(), spectra()],
+            partials: [partials(), partials()],
             polys: [polys(), polys()],
             parts: [parts(), parts()],
             arrived: AtomicUsize::new(0),
@@ -479,16 +492,17 @@ impl Gang {
 }
 
 /// Reusable buffers for the allocation-free bootstrap path: one lane's
-/// share of a CMUX step (the rotated difference, its digits, the spectra
-/// of the columns it owns and their inverse), the gang of one it runs in
-/// alone, its seat in the gang it is banded into, and one blind-rotation
-/// accumulator per lane of the widest batch served so far. Construct once
-/// per worker with [`BootstrappingKey::boot_scratch`].
+/// share of a CMUX step (the rotated difference, its digits and their
+/// spectra, the sums of the columns it owns and their inverse), the gang
+/// of one it runs in alone, its seat in the gang it is banded into, and
+/// one blind-rotation accumulator per lane of the widest batch served so
+/// far. Construct once per worker with [`BootstrappingKey::boot_scratch`].
 #[derive(Debug)]
 pub struct BootstrapScratch {
     accs: Vec<TlweCiphertext>,
     digits: Vec<IntPoly>,
-    acc_freqs: Vec<FreqPoly>,
+    spectra: Vec<FreqPoly>,
+    sums: Vec<FreqPoly>,
     diff: TorusPoly,
     ext: TorusPoly,
     params: Params,

@@ -24,9 +24,11 @@
 //! stores its bootstrapping key in this form.
 //!
 //! [`FreqPoly`] keeps the `N/2` points as split `re`/`im` arrays
-//! (structure-of-arrays, 64-byte aligned), so the external-product
-//! multiply-accumulate compiles to straight-line FMA-friendly loops over
-//! four flat `f64` slices instead of an array-of-structs gather.
+//! (structure-of-arrays, 64-byte aligned), so the external product's
+//! multiply-accumulate ([`FreqPoly::sum_products`]: all the products of
+//! one output column summed in registers, the sum stored once) compiles
+//! to straight-line FMA loops over flat `f64` slices instead of an
+//! array-of-structs gather.
 //!
 //! # Pass structure and the two orders
 //!
@@ -36,9 +38,9 @@
 //! decimation-in-time inverse whose last pass also scales, untwists and
 //! rounds. Neither contains a bit-reversal pass, so **in memory a
 //! spectrum is in bit-reversed order**: evaluation `k` sits at slot
-//! `bitrev(k)`. Every in-memory consumer — the MAC, the inverse, the
-//! bootstrapping key rows — is either order-agnostic or expects exactly
-//! that order. The natural order survives in one place only:
+//! `bitrev(k)`. Every in-memory consumer — the sum of products, the
+//! inverse, the bootstrapping key rows — is either order-agnostic or
+//! expects exactly that order. The natural order survives in one place only:
 //! [`FreqPoly::point`], for code that needs to know *which* evaluation a
 //! value is. No spectrum is ever serialized: a server key travels as
 //! coefficient-domain bodies, and the server transforms them on its own
@@ -66,7 +68,7 @@
 
 use crate::align::AlignedBuf;
 use crate::poly::{IntPoly, TorusPoly};
-use crate::simd::{self, Twiddles};
+use crate::simd::{self, Term, Twiddles};
 use crate::torus::Torus32;
 use crate::trace::note_buffer_alloc;
 
@@ -160,18 +162,51 @@ impl FreqPoly {
         self.im.fill_zero();
     }
 
-    /// `self += a * b` pointwise — the multiply-accumulate at the heart of
-    /// the external product. Dispatched through the [`crate::simd`]
-    /// kernel layer (explicit FMA lanes on AVX hosts, the
-    /// autovectorized flat-slice loop on the scalar path).
+    /// `self = Σ a·b` pointwise over `terms` — the multiply-accumulate
+    /// of the external product, as one [`crate::simd`] sum-of-products
+    /// pass: each point's products are added in `terms` order while they
+    /// sit in registers, and `self` is written once.
     ///
     /// # Panics
     ///
-    /// Panics if the three spectra differ in size.
-    pub fn add_mul_assign(&mut self, a: &FreqPoly, b: &FreqPoly) {
-        simd::kernels().mac(&mut self.re, &mut self.im, &a.re, &a.im, &b.re, &b.im);
+    /// Panics if the spectra differ in size or there are more than 16
+    /// terms.
+    pub fn sum_products<'a>(
+        &mut self,
+        terms: impl IntoIterator<Item = (&'a FreqPoly, &'a FreqPoly)>,
+    ) {
+        let empty: &[f64] = &[];
+        let mut buf: [Term<'a>; MAX_TERMS] = [(empty, empty, empty, empty); MAX_TERMS];
+        let mut count = 0;
+        for (a, b) in terms {
+            assert!(count < MAX_TERMS, "at most {MAX_TERMS} products per sum");
+            buf[count] = (&a.re, &a.im, &b.re, &b.im);
+            count += 1;
+        }
+        simd::kernels().sum_products(&mut self.re, &mut self.im, &buf[..count]);
+    }
+
+    /// `self += other` pointwise: how partial sums of products meet.
+    /// Plain `f64` addition, which rounds the same on every tier.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the spectra differ in size.
+    pub(crate) fn add_assign(&mut self, other: &FreqPoly) {
+        let m = self.points();
+        assert_eq!(other.points(), m, "spectra differ in size");
+        let (re, im) = (&mut self.re[..m], &mut self.im[..m]);
+        let (or, oi) = (&other.re[..m], &other.im[..m]);
+        for j in 0..m {
+            re[j] += or[j];
+            im[j] += oi[j];
+        }
     }
 }
+
+/// The most products one [`FreqPoly::sum_products`] adds: the `(k + 1)·l`
+/// terms of an external product are 6 at every shipped parameter set.
+const MAX_TERMS: usize = 16;
 
 /// Precomputed tables for folded transforms of one polynomial size `N`
 /// (transform size `M = N/2`): the [`Twiddles`] every [`crate::simd`]
@@ -266,7 +301,7 @@ impl FftPlan {
         let fa = self.forward_int(a);
         let fb = self.forward_torus(b);
         let mut acc = FreqPoly::zero(self.len());
-        acc.add_mul_assign(&fa, &fb);
+        acc.sum_products([(&fa, &fb)]);
         self.inverse_torus(&acc)
     }
 }
@@ -415,7 +450,7 @@ mod tests {
     }
 
     #[test]
-    fn mac_distributes() {
+    fn sum_products_distributes() {
         // inverse(fa1*fb + fa2*fb) == naive(a1, b) + naive(a2, b)
         let mut rng = SecureRng::seed_from_u64(12);
         let n = 64;
@@ -427,8 +462,8 @@ mod tests {
         let b = TorusPoly::uniform(n, &mut rng);
         let fb = plan.forward_torus(&b);
         let mut acc = FreqPoly::zero(n);
-        acc.add_mul_assign(&plan.forward_int(&a1), &fb);
-        acc.add_mul_assign(&plan.forward_int(&a2), &fb);
+        let (fa1, fa2) = (plan.forward_int(&a1), plan.forward_int(&a2));
+        acc.sum_products([(&fa1, &fb), (&fa2, &fb)]);
         let got = plan.inverse_torus(&acc);
         let mut want = naive_negacyclic_mul(&a1, &b);
         want.add_assign(&naive_negacyclic_mul(&a2, &b));
@@ -490,7 +525,7 @@ mod tests {
                 }
                 let fa = forward(a.coeffs());
                 let mut acc = FreqPoly::zero(n);
-                k.mac(&mut acc.re, &mut acc.im, &fa.re, &fa.im, &fb.re, &fb.im);
+                k.sum_products(&mut acc.re, &mut acc.im, &[(&fa.re, &fa.im, &fb.re, &fb.im)]);
                 assert_eq!(inverse(acc), want, "product n={n} path={}", k.path());
             }
         }

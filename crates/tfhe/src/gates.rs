@@ -213,9 +213,9 @@ impl GateScratch {
     /// Bands `members` (scratches of one key, at most
     /// [`ServerKey::gang_width`] of them) into a gang: until each is
     /// [`GateScratch::release`]d, the thread holding `members[i]` computes
-    /// member `i`'s share of every bootstrap — the TLWE columns
-    /// `i, i + members.len(), …` of each CMUX step and a slice of the key
-    /// switch — and meets its partners at a spin barrier. Every member
+    /// member `i`'s share of every bootstrap — the TLWE polynomials and
+    /// output columns `i, i + members.len(), …` of each CMUX step and a
+    /// slice of the key switch — and meets its partners at a spin barrier. Every member
     /// must therefore make the same calls on the same inputs, each on its
     /// own thread, and every member's outputs receive the whole result,
     /// byte-identical to a scratch that is not banded.
@@ -262,7 +262,7 @@ impl ServerKey {
     /// of this key is a call into. Over cache-sized chunks of
     /// [`FUSE_CHUNK`] lanes: `stage(lane, soa, slot)` writes each lane's
     /// linear combination into a struct-of-arrays slot and names its test
-    /// vector; one column-owned pass over the bootstrapping key rotates
+    /// vector; one input-owned pass over the bootstrapping key rotates
     /// each test vector by its slot
     /// ([`crate::bootstrap::BootstrappingKey::rotate_batch_into`]); the
     /// raw samples are key switched as `tail` says; and `observe`, when

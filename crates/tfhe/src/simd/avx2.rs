@@ -22,7 +22,7 @@
 //! torus-domain equality, not `f64` bit-equality, is the contract.
 //! Integer kernels are bit-identical to scalar.
 
-use super::Twiddles;
+use super::{Term, Twiddles};
 use crate::torus::Torus32;
 use std::arch::x86_64::*;
 
@@ -32,40 +32,50 @@ use std::arch::x86_64::*;
 /// sum's mantissa — exactly `(round_ties_even(x) as i64) as u32`.
 const ROUND_MAGIC: f64 = 6_755_399_441_055_744.0;
 
-pub fn mac(sr: &mut [f64], si: &mut [f64], ar: &[f64], ai: &[f64], br: &[f64], bi: &[f64]) {
+pub fn sum_products(dr: &mut [f64], di: &mut [f64], terms: &[Term<'_>]) {
     // SAFETY: only reachable through the dispatcher, which installs this
     // backend solely when AVX2 and FMA were detected at runtime, and
-    // through `Kernels::mac`, which checked all six lengths equal.
-    unsafe { mac_impl(sr, si, ar, ai, br, bi) }
+    // through `Kernels::sum_products`, which checked every slice as long
+    // as `dr`.
+    unsafe { sum_products_impl(dr, di, terms) }
 }
 
 /// # Safety
 ///
-/// The CPU must support AVX2 and FMA, and all six slices must be of one
-/// length.
+/// The CPU must support AVX2 and FMA, and every slice of `terms` must be
+/// as long as `dr` and `di`.
 #[target_feature(enable = "avx2", enable = "fma")]
-unsafe fn mac_impl(sr: &mut [f64], si: &mut [f64], ar: &[f64], ai: &[f64], br: &[f64], bi: &[f64]) {
-    let m = sr.len();
-    debug_assert!([si.len(), ar.len(), ai.len(), br.len(), bi.len()] == [m; 5]);
+unsafe fn sum_products_impl(dr: &mut [f64], di: &mut [f64], terms: &[Term<'_>]) {
+    let m = dr.len();
+    debug_assert!(
+        di.len() == m && terms.iter().all(|t| [t.0, t.1, t.2, t.3].map(<[f64]>::len) == [m; 4])
+    );
+    let (pr, pi) = (dr.as_mut_ptr(), di.as_mut_ptr());
+    let zero = (_mm256_setzero_pd(), _mm256_setzero_pd());
+    // Two vectors of points per iteration: each term's products go into
+    // two independent pairs of accumulators, so the adds of one do not
+    // wait on the other's. The last `m % 8` points take the scalar
+    // formula.
     let mut j = 0;
-    while j + 4 <= m {
-        let var = _mm256_loadu_pd(ar.as_ptr().add(j));
-        let vai = _mm256_loadu_pd(ai.as_ptr().add(j));
-        let vbr = _mm256_loadu_pd(br.as_ptr().add(j));
-        let vbi = _mm256_loadu_pd(bi.as_ptr().add(j));
-        // s += (ar + i·ai)(br + i·bi):
-        //   re += ar·br - ai·bi,  im += ar·bi + ai·br
-        let pr = _mm256_fmsub_pd(var, vbr, _mm256_mul_pd(vai, vbi));
-        let pi = _mm256_fmadd_pd(var, vbi, _mm256_mul_pd(vai, vbr));
-        let vsr = _mm256_loadu_pd(sr.as_ptr().add(j));
-        let vsi = _mm256_loadu_pd(si.as_ptr().add(j));
-        _mm256_storeu_pd(sr.as_mut_ptr().add(j), _mm256_add_pd(vsr, pr));
-        _mm256_storeu_pd(si.as_mut_ptr().add(j), _mm256_add_pd(vsi, pi));
-        j += 4;
+    while j + 8 <= m {
+        let (mut lo, mut hi) = (zero, zero);
+        for t in terms {
+            let (a, b) = (t.0.as_ptr(), t.1.as_ptr());
+            let (c, d) = (t.2.as_ptr(), t.3.as_ptr());
+            lo = add(lo, mul(load(a, b, j), load(c, d, j)));
+            hi = add(hi, mul(load(a, b, j + 4), load(c, d, j + 4)));
+        }
+        store(pr, pi, j, lo);
+        store(pr, pi, j + 4, hi);
+        j += 8;
     }
     while j < m {
-        sr[j] += ar[j] * br[j] - ai[j] * bi[j];
-        si[j] += ar[j] * bi[j] + ai[j] * br[j];
+        let (mut re, mut im) = (0.0, 0.0);
+        for t in terms {
+            re += t.0[j] * t.2[j] - t.1[j] * t.3[j];
+            im += t.0[j] * t.3[j] + t.1[j] * t.2[j];
+        }
+        (dr[j], di[j]) = (re, im);
         j += 1;
     }
 }
@@ -427,7 +437,7 @@ pub fn extract_digits(
     half_base: i32,
     out: &mut [i32],
 ) {
-    // SAFETY: AVX2 was detected (see `mac`), and `Kernels::extract_digits`
+    // SAFETY: AVX2 was detected (see `sum_products`), and `Kernels::extract_digits`
     // checked `out.len() == c.len()`.
     unsafe { extract_digits_impl(c, offset, shift, mask, half_base, out) }
 }
@@ -468,7 +478,7 @@ unsafe fn extract_digits_impl(
 }
 
 pub fn sub_assign(dst: &mut [Torus32], src: &[Torus32]) {
-    // SAFETY: AVX2 was detected (see `mac`), and `Kernels::sub_assign`
+    // SAFETY: AVX2 was detected (see `sum_products`), and `Kernels::sub_assign`
     // checked `src.len() == dst.len()`.
     unsafe { sub_assign_impl(dst, src) }
 }
@@ -496,7 +506,7 @@ unsafe fn sub_assign_impl(dst: &mut [Torus32], src: &[Torus32]) {
 }
 
 pub fn sub_assign2(dst: &mut [Torus32], a: &[Torus32], b: &[Torus32]) {
-    // SAFETY: AVX2 was detected (see `mac`), and `Kernels::sub_assign2`
+    // SAFETY: AVX2 was detected (see `sum_products`), and `Kernels::sub_assign2`
     // checked `a.len() == b.len() == dst.len()`.
     unsafe { sub_assign2_impl(dst, a, b) }
 }
@@ -527,7 +537,7 @@ unsafe fn sub_assign2_impl(dst: &mut [Torus32], a: &[Torus32], b: &[Torus32]) {
 }
 
 pub fn axpy(dst: &mut [Torus32], coeff: i32, src: &[Torus32]) {
-    // SAFETY: AVX2 was detected (see `mac`), and `Kernels::axpy` checked
+    // SAFETY: AVX2 was detected (see `sum_products`), and `Kernels::axpy` checked
     // `src.len() == dst.len()`.
     unsafe { axpy_impl(dst, coeff, src) }
 }

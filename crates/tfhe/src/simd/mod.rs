@@ -10,8 +10,9 @@
 //! 1. the folded negacyclic transform, forward and inverse
 //!    ([`Kernels::forward`], [`Kernels::inverse`]) over the tables of a
 //!    [`Twiddles`],
-//! 2. the external-product multiply-accumulate of the CMUX inner loop
-//!    ([`Kernels::mac`]), and
+//! 2. the external product's multiply-accumulate, one sum of up to
+//!    `(k + 1)·l` pointwise products accumulated in registers and stored
+//!    once ([`Kernels::sum_products`]), and
 //! 3. the integer loops of gadget decomposition, key-switch
 //!    accumulation, and the gate linear combinations
 //!    ([`Kernels::extract_digits`], [`Kernels::sub_assign`],
@@ -28,7 +29,8 @@
 //! leaf, radix-4 decimation-in-time passes, and a last pass fused with
 //! the `1/M` scale, the untwist and the round back to the torus — and
 //! consumes that order, so no bit-reversal pass exists anywhere; the
-//! pointwise [`Kernels::mac`] does not care about the order at all.
+//! pointwise [`Kernels::sum_products`] does not care about the order at
+//! all.
 //! Every radix-4 butterfly is two fused radix-2 stages, so the output
 //! order is the plain bit reversal whatever the grouping of stages, and
 //! the two implementations are interchangeable slot for slot:
@@ -58,12 +60,18 @@
 //!
 //! # Other kernels
 //!
-//! `mac` and the integer kernels exist in two versions: [`scalar`] and
-//! `avx2` (4×`f64` / 8×`u32`). Every other architecture runs the scalar
-//! table. An AVX-512 table (8×`f64` MAC and 16×`u32` integer kernels
-//! over the AVX2 transform) existed until it had tied AVX2 on every
-//! encrypted workload — a bootstrap is bound by the key bytes it
-//! streams, not by lanes per register (`DESIGN.md` §15).
+//! `sum_products` and the integer kernels exist in two versions:
+//! [`scalar`] and `avx2` (4×`f64` / 8×`u32`). Every other architecture
+//! runs the scalar table. `sum_products` is the only `f64`
+//! multiply-accumulate — the blind rotation,
+//! [`crate::tgsw::TgswFft::external_product_into`], the exact key product
+//! of [`crate::tlwe`] and [`crate::fft::FftPlan::negacyclic_mul`] all call
+//! it — and it takes every product of a sum at once, so the 8 KB sum
+//! stays in registers instead of being re-read and re-written once per
+//! product. An AVX-512 table (8×`f64` MAC and 16×`u32` integer kernels over
+//! the AVX2 transform) existed until it had tied AVX2 on every encrypted
+//! workload — a bootstrap is bound by the key bytes it streams, not by
+//! lanes per register (`DESIGN.md` §15).
 //!
 //! # Correctness contract
 //!
@@ -76,9 +84,16 @@
 //! `round_ties_even` back to `Torus32`, SIMD and scalar agree
 //! bit-for-bit, because transform values sit within `~2^-20` of integers
 //! (see `DESIGN.md` §10) while FMA reassociation perturbs them by at
-//! most a few ulps — never enough to cross a rounding boundary. The
-//! proptest suite `tests/simd_equivalence.rs` pins this for every
-//! backend the host can run, across sizes and tail lengths.
+//! most a few ulps — never enough to cross a rounding boundary. The same
+//! margin makes the grouping of a sum of products immaterial after
+//! rounding: all `(k + 1)·l` products of a column in one call, per
+//! polynomial with the partials added (a gang's arithmetic), or one
+//! product per pass give one `TorusPoly`. Within one tier the grouping is
+//! fixed — a lone lane adds the same per-polynomial partials in the same
+//! order as a gang — so outputs are byte-identical by construction, not
+//! by margin. The proptest suite `tests/simd_equivalence.rs` pins this
+//! for every backend the host can run, across sizes, term counts and
+//! tail lengths.
 //!
 //! # Dispatch
 //!
@@ -152,8 +167,12 @@ impl fmt::Display for SimdPath {
     }
 }
 
-/// `(sr, si, ar, ai, br, bi)`: pointwise `s += a * b` over split slices.
-type MacFn = fn(&mut [f64], &mut [f64], &[f64], &[f64], &[f64], &[f64]);
+/// One product `a·b` of [`Kernels::sum_products`]: `(ar, ai, br, bi)`,
+/// two spectra as split re/im slices.
+pub type Term<'a> = (&'a [f64], &'a [f64], &'a [f64], &'a [f64]);
+
+/// `(dr, di, terms)`: pointwise `d = Σ a·b` over split slices.
+type SumProductsFn = fn(&mut [f64], &mut [f64], &[Term<'_>]);
 /// `(tables, c, re, im)`: forward transform of `2m` integer coefficients.
 type ForwardFn = fn(&Twiddles, &[i32], &mut [f64], &mut [f64]);
 /// `(tables, re, im, out)`: inverse transform + round to `2m` torus words.
@@ -234,7 +253,7 @@ impl Twiddles {
 /// the methods wrap them with the shared shape checks.
 pub struct Kernels {
     path: SimdPath,
-    mac: MacFn,
+    sum_products: SumProductsFn,
     forward: ForwardFn,
     inverse: InverseFn,
     extract_digits: ExtractDigitsFn,
@@ -255,27 +274,22 @@ impl Kernels {
         self.path
     }
 
-    /// Pointwise complex multiply-accumulate over split re/im slices:
-    /// `s += a * b` — the external-product MAC of the CMUX inner loop.
-    /// Indifferent to the order the points are stored in.
+    /// Pointwise complex sum of products over split re/im slices:
+    /// `d = Σ aₖ·bₖ` over `terms`, each point's products added in `terms`
+    /// order to a zero start while they sit in registers, and `d` written
+    /// once — the external product's multiply-accumulate (no terms:
+    /// zero). Indifferent to the order the points are stored in.
     ///
     /// # Panics
     ///
-    /// Panics if the six slices differ in length (the vector kernels
-    /// read through raw pointers).
+    /// Panics if any slice of `terms` or `di` is not as long as `dr` (the
+    /// vector kernels read through raw pointers).
     #[inline]
-    pub fn mac(
-        &self,
-        sr: &mut [f64],
-        si: &mut [f64],
-        ar: &[f64],
-        ai: &[f64],
-        br: &[f64],
-        bi: &[f64],
-    ) {
-        let m = sr.len();
-        assert!(si.len() == m && ar.len() == m && ai.len() == m && br.len() == m && bi.len() == m);
-        (self.mac)(sr, si, ar, ai, br, bi)
+    pub fn sum_products(&self, dr: &mut [f64], di: &mut [f64], terms: &[Term<'_>]) {
+        let m = dr.len();
+        let fits = |&(ar, ai, br, bi): &Term<'_>| [ar, ai, br, bi].map(<[f64]>::len) == [m; 4];
+        assert!(di.len() == m && terms.iter().all(fits), "sum_products: slice lengths differ");
+        (self.sum_products)(dr, di, terms)
     }
 
     /// Forward folded transform: maps the `2M` signed coefficients `c`
@@ -376,7 +390,7 @@ impl Kernels {
 /// The scalar kernel set (always available).
 static SCALAR: Kernels = Kernels {
     path: SimdPath::Scalar,
-    mac: scalar::mac,
+    sum_products: scalar::sum_products,
     forward: scalar::forward,
     inverse: scalar::inverse,
     extract_digits: scalar::extract_digits,
@@ -388,7 +402,7 @@ static SCALAR: Kernels = Kernels {
 #[cfg(target_arch = "x86_64")]
 static AVX2: Kernels = Kernels {
     path: SimdPath::Avx2,
-    mac: avx2::mac,
+    sum_products: avx2::sum_products,
     forward: avx2::forward,
     inverse: avx2::inverse,
     extract_digits: avx2::extract_digits,
@@ -574,6 +588,14 @@ mod tests {
     #[should_panic(expected = "sub_assign2: slice lengths differ")]
     fn sub_assign2_refuses_a_short_source_on_every_path() {
         refused_on_every_path(|k| k.sub_assign2(&mut LONG.clone(), &LONG, &SHORT));
+    }
+
+    #[test]
+    #[should_panic(expected = "sum_products: slice lengths differ")]
+    fn sum_products_refuses_a_short_term_on_every_path() {
+        let (long, short) = ([0.0; 64], [0.0; 1]);
+        let terms = [(&long[..], &long[..], &long[..], &long[..]), (&long, &long, &long, &short)];
+        refused_on_every_path(|k| k.sum_products(&mut long.clone(), &mut long.clone(), &terms));
     }
 
     #[test]

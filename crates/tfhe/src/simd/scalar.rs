@@ -5,18 +5,29 @@
 //! Loops index exactly-sized sub-slices, sliced once before the loop, so
 //! no index is bounds-checked inside one.
 
-use super::Twiddles;
+use super::{Term, Twiddles};
 use crate::torus::Torus32;
 
-/// `s += a * b` pointwise over split re/im slices.
-pub fn mac(sr: &mut [f64], si: &mut [f64], ar: &[f64], ai: &[f64], br: &[f64], bi: &[f64]) {
-    let m = sr.len();
-    let (sr, si) = (&mut sr[..m], &mut si[..m]);
-    let (ar, ai) = (&ar[..m], &ai[..m]);
-    let (br, bi) = (&br[..m], &bi[..m]);
-    for j in 0..m {
-        sr[j] += ar[j] * br[j] - ai[j] * bi[j];
-        si[j] += ar[j] * bi[j] + ai[j] * br[j];
+/// `d = Σ a·b` pointwise over split re/im slices: each point's products
+/// added, in `terms` order, to a zero start, one block of points at a
+/// time, so `d` is written once.
+pub fn sum_products(dr: &mut [f64], di: &mut [f64], terms: &[Term<'_>]) {
+    const BLOCK: usize = 8;
+    let m = dr.len();
+    let di = &mut di[..m];
+    for j in (0..m).step_by(BLOCK) {
+        let w = BLOCK.min(m - j);
+        let (mut re, mut im) = ([0.0; BLOCK], [0.0; BLOCK]);
+        let (re, im) = (&mut re[..w], &mut im[..w]);
+        for &(ar, ai, br, bi) in terms {
+            let (ar, ai, br, bi) = (&ar[j..][..w], &ai[j..][..w], &br[j..][..w], &bi[j..][..w]);
+            for x in 0..w {
+                re[x] += ar[x] * br[x] - ai[x] * bi[x];
+                im[x] += ar[x] * bi[x] + ai[x] * br[x];
+            }
+        }
+        dr[j..][..w].copy_from_slice(re);
+        di[j..][..w].copy_from_slice(im);
     }
 }
 

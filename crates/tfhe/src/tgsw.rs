@@ -187,7 +187,7 @@ pub struct TgswFft {
 #[derive(Debug)]
 pub struct ExternalProductScratch {
     digits: Vec<IntPoly>,
-    digit_freq: FreqPoly,
+    digit_freqs: Vec<FreqPoly>,
     acc_freq: Vec<FreqPoly>,
 }
 
@@ -197,7 +197,7 @@ impl ExternalProductScratch {
     pub fn new(n: usize, k: usize, gadget: Gadget) -> Self {
         ExternalProductScratch {
             digits: (0..gadget.levels).map(|_| IntPoly::zero(n)).collect(),
-            digit_freq: FreqPoly::zero(n),
+            digit_freqs: (0..(k + 1) * gadget.levels).map(|_| FreqPoly::zero(n)).collect(),
             acc_freq: (0..=k).map(|_| FreqPoly::zero(n)).collect(),
         }
     }
@@ -245,7 +245,12 @@ impl TgswFft {
     }
 
     /// Like [`TgswFft::external_product`], writing into `out` (same shape
-    /// as `tlwe`) without allocating. `out` may not alias `tlwe`.
+    /// as `tlwe`) without allocating. `out` may not alias `tlwe`. Each
+    /// output column is one sum of all `(k + 1)·l` products.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `(k + 1)·l` exceeds 16, the most products one sum takes.
     pub fn external_product_into(
         &self,
         tlwe: &TlweCiphertext,
@@ -257,18 +262,17 @@ impl TgswFft {
         let l = self.gadget.levels;
         debug_assert_eq!(self.rows.len(), (k + 1) * l);
         debug_assert_eq!(out.k(), k);
-        for f in &mut scratch.acc_freq {
-            f.clear();
-        }
-        for (u, poly) in tlwe.polys().enumerate() {
+        for (poly, spectra) in tlwe.polys().zip(scratch.digit_freqs.chunks_exact_mut(l)) {
             self.gadget.decompose_poly_into(poly, &mut scratch.digits);
-            for (level, digit) in scratch.digits.iter().enumerate() {
-                plan.forward_int_into(digit, &mut scratch.digit_freq);
-                let row = &self.rows[u * l + level];
-                for (col, acc) in scratch.acc_freq.iter_mut().enumerate() {
-                    acc.add_mul_assign(&scratch.digit_freq, &row[col]);
-                }
+            for (digit, spectrum) in scratch.digits.iter().zip(spectra) {
+                plan.forward_int_into(digit, spectrum);
             }
+        }
+        // Row `u·l + level` multiplies digit `level` of polynomial `u`.
+        for (col, acc) in scratch.acc_freq.iter_mut().enumerate() {
+            acc.sum_products(
+                scratch.digit_freqs.iter().zip(&self.rows).map(|(d, row)| (d, &row[col])),
+            );
         }
         let (mask_accs, body_acc) = scratch.acc_freq.split_at_mut(k);
         for (acc, dst) in mask_accs.iter_mut().zip(&mut out.a) {

@@ -159,10 +159,8 @@ impl TlweKey {
             .unzip();
         let [mut low, high] = [lo, hi].map(|limb| {
             let mut product = FreqPoly::zero(self.n);
-            product.add_mul_assign(
-                &self.plan.forward_int(&IntPoly::from_coeffs(limb)),
-                &self.spectra[i],
-            );
+            let limb = self.plan.forward_int(&IntPoly::from_coeffs(limb));
+            product.sum_products([(&limb, &self.spectra[i])]);
             let mut out = TorusPoly::zero(self.n);
             self.plan.inverse_torus_destructive(&mut product, &mut out);
             out

@@ -6,17 +6,19 @@
 //! * integer kernels (`extract_digits`, `sub_assign`, `axpy`) must be
 //!   **bit-identical** at every length, including tails shorter than one
 //!   vector width;
-//! * `f64` kernels (`forward`, `mac`, `inverse`) use fused multiply-add
-//!   on the vector paths, so their intermediate spectra legitimately
-//!   differ in low mantissa bits — the contract is **torus-domain
-//!   bit-equality** after the inverse transform's final rounding
-//!   (DESIGN.md §10), checked here over the full forward → MAC → inverse
-//!   pipeline;
+//! * `f64` kernels (`forward`, `sum_products`, `inverse`) use fused
+//!   multiply-add on the vector paths, so their intermediate spectra
+//!   legitimately differ in low mantissa bits — the contract is
+//!   **torus-domain bit-equality** after the inverse transform's final
+//!   rounding (DESIGN.md §10), checked here over the full forward →
+//!   sum of products → inverse pipeline, and between one six-product sum
+//!   and the same products added one pass at a time or per polynomial;
 //! * encrypted gate round trips must decrypt correctly under whatever
 //!   path `PYTFHE_SIMD` selected (CI runs this suite once per setting).
 
 use proptest::prelude::*;
-use pytfhe_tfhe::simd::{self, Kernels, SimdPath, Twiddles};
+use pytfhe_tfhe::poly::{naive_negacyclic_mul, IntPoly, TorusPoly};
+use pytfhe_tfhe::simd::{self, Kernels, SimdPath, Term, Twiddles};
 use pytfhe_tfhe::torus::Torus32;
 use pytfhe_tfhe::{BootGate, ClientKey, Params, SecureRng};
 
@@ -122,26 +124,33 @@ proptest! {
         }
     }
 
-    /// The MAC kernel agrees with scalar to FMA-rounding precision at
-    /// every length (tails included): identical on the scalar-formula
-    /// tail, within a few ulps on the vector body.
+    /// The sum-of-products kernel agrees with scalar to FMA-rounding
+    /// precision for every term count of the hot path (one product, one
+    /// polynomial's `l = 3` digits, all `(k + 1)·l = 6` rows) at every
+    /// length (tails included): identical on the scalar-formula tail,
+    /// within a few ulps on the vector body.
     #[test]
-    fn mac_matches_scalar_to_ulp(
+    fn sum_products_matches_scalar_to_ulp(
+        count in 0usize..3,
         len in 0usize..67,
         seed in any::<u64>(),
     ) {
+        let count = [1, 3, 6][count];
         let mut rng = SecureRng::seed_from_u64(seed);
         let mut f = || (0..len).map(|_| Torus32::uniform(&mut rng).to_f64()).collect::<Vec<f64>>();
-        let (ar, ai, br, bi, sr0, si0) = (f(), f(), f(), f(), f(), f());
+        let spectra: Vec<[Vec<f64>; 4]> = (0..count).map(|_| [f(), f(), f(), f()]).collect();
+        let terms: Vec<Term<'_>> =
+            spectra.iter().map(|[ar, ai, br, bi]| (&ar[..], &ai[..], &br[..], &bi[..])).collect();
         let scalar = simd::kernels_for(SimdPath::Scalar).unwrap();
-        let (mut wr, mut wi) = (sr0.clone(), si0.clone());
-        scalar.mac(&mut wr, &mut wi, &ar, &ai, &br, &bi);
+        let (mut wr, mut wi) = (f(), f());
+        scalar.sum_products(&mut wr, &mut wi, &terms);
         for k in supported_kernels() {
-            let (mut gr, mut gi) = (sr0.clone(), si0.clone());
-            k.mac(&mut gr, &mut gi, &ar, &ai, &br, &bi);
+            let (mut gr, mut gi) = (f(), f());
+            k.sum_products(&mut gr, &mut gi, &terms);
             for j in 0..len {
-                prop_assert!((gr[j] - wr[j]).abs() < 1e-12, "path={} re[{j}]", k.path());
-                prop_assert!((gi[j] - wi[j]).abs() < 1e-12, "path={} im[{j}]", k.path());
+                let tol = 1e-12 * count as f64;
+                prop_assert!((gr[j] - wr[j]).abs() < tol, "path={} count={count} re[{j}]", k.path());
+                prop_assert!((gi[j] - wi[j]).abs() < tol, "path={} count={count} im[{j}]", k.path());
             }
         }
     }
@@ -168,14 +177,14 @@ proptest! {
             let fa = t.forward(scalar, &a);
             let fb = t.forward(scalar, &b);
             let (mut re, mut im) = (vec![0.0; t.m], vec![0.0; t.m]);
-            scalar.mac(&mut re, &mut im, &fa.0, &fa.1, &fb.0, &fb.1);
+            scalar.sum_products(&mut re, &mut im, &[(&fa.0, &fa.1, &fb.0, &fb.1)]);
             t.inverse_round(scalar, &mut re, &mut im)
         };
         for k in supported_kernels() {
             let fa = t.forward(k, &a);
             let fb = t.forward(k, &b);
             let (mut re, mut im) = (vec![0.0; t.m], vec![0.0; t.m]);
-            k.mac(&mut re, &mut im, &fa.0, &fa.1, &fb.0, &fb.1);
+            k.sum_products(&mut re, &mut im, &[(&fa.0, &fa.1, &fb.0, &fb.1)]);
             let got = t.inverse_round(k, &mut re, &mut im);
             prop_assert_eq!(&got, &want, "path={} n={}", k.path(), n);
         }
@@ -197,6 +206,56 @@ proptest! {
             let (mut re, mut im) = t.forward(k, &lifts);
             let got = t.inverse_round(k, &mut re, &mut im);
             prop_assert_eq!(&got, &p, "path={} n={}", k.path(), n);
+        }
+    }
+}
+
+/// The six products of one `N = 1024` external-product column (`k = 1`,
+/// `l = 3`: gadget digits times uniform torus rows) summed three ways on
+/// every tier — by one kernel call; one product per pass, each added to
+/// the running sum as a single-product multiply-accumulate adds it; and
+/// per polynomial, two three-product sums added, as a gang's lanes add
+/// their partials — inverse-transform to the same `TorusPoly`, which is
+/// the exact negacyclic sum.
+#[test]
+fn six_products_in_one_pass_round_to_the_single_product_sum() {
+    let n = 1024;
+    let mut rng = SecureRng::seed_from_u64(1024);
+    let t = Tables::new(n);
+    let digits: Vec<IntPoly> = (0..6)
+        .map(|_| {
+            IntPoly::from_coeffs((0..n).map(|_| (rng.uniform_u32() % 128) as i32 - 64).collect())
+        })
+        .collect();
+    let rows: Vec<TorusPoly> = (0..6).map(|_| TorusPoly::uniform(n, &mut rng)).collect();
+    let mut want = TorusPoly::zero(n);
+    for (d, r) in digits.iter().zip(&rows) {
+        want.add_assign(&naive_negacyclic_mul(d, r));
+    }
+    for k in supported_kernels() {
+        let fd: Vec<_> = digits.iter().map(|d| t.forward(k, d.coeffs())).collect();
+        let fr: Vec<_> =
+            rows.iter().map(|r| t.forward(k, Torus32::slice_as_i32(r.coeffs()))).collect();
+        let terms: Vec<Term<'_>> =
+            fd.iter().zip(&fr).map(|(a, b)| (&a.0[..], &a.1[..], &b.0[..], &b.1[..])).collect();
+        let sum = |terms: &[Term<'_>]| {
+            let (mut re, mut im) = (vec![0.0; t.m], vec![0.0; t.m]);
+            k.sum_products(&mut re, &mut im, terms);
+            (re, im)
+        };
+        let add = |(mut re, mut im): (Vec<f64>, Vec<f64>), (r, i): (Vec<f64>, Vec<f64>)| {
+            re.iter_mut().zip(r).for_each(|(x, y)| *x += y);
+            im.iter_mut().zip(i).for_each(|(x, y)| *x += y);
+            (re, im)
+        };
+        let one_pass = sum(&terms);
+        let by_passes = terms.chunks(1).map(sum).reduce(add).unwrap();
+        let by_polynomial = terms.chunks(3).map(sum).reduce(add).unwrap();
+        for (how, (mut re, mut im)) in
+            [("one pass", one_pass), ("by passes", by_passes), ("by polynomial", by_polynomial)]
+        {
+            let got = TorusPoly::from_coeffs(t.inverse_round(k, &mut re, &mut im));
+            assert_eq!(got, want, "path={} {how}", k.path());
         }
     }
 }

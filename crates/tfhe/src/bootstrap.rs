@@ -28,7 +28,7 @@
 //! products, 1 inverse and streams 48 KB of the key instead of 6, 4, 2
 //! and 96 KB, and the only data that crosses cores is one 8 KB partial
 //! each way; the trailing key switch is split by input range
-//! (`KeySwitchKey::switch_range_into`). A single thread is simply the
+//! (`BootstrapScratch::key_switch_into`). A single thread is simply the
 //! gang of one that owns every polynomial and adds the same partials in
 //! the same order, so a lane's arithmetic — and every output byte — is
 //! the same at any gang size and any batch width. The row is fetched from
@@ -547,26 +547,30 @@ impl BootstrapScratch {
         }
     }
 
-    /// Key switches `raw` into `out`. Member `i` of a gang switches the
-    /// `i`-th of `members` equal ranges of the input mask (member 0 also
-    /// carries the body), and every member adds the shares in member
-    /// order: exact, since a key switch is a sum in wrapping `u32`.
+    /// Key switches every `raws[r]` into `outs[r]` in one pass over the
+    /// key (`KeySwitchKey::switch_batch_into`). Member `i` of a gang
+    /// switches the `i`-th of `members` equal ranges of every raw's mask
+    /// (member 0 also carries the bodies), then, raw by raw, every member
+    /// adds the shares in member order: exact, since a key switch is a
+    /// sum in wrapping `u32`.
     pub(crate) fn key_switch_into(
         &mut self,
         ksk: &KeySwitchKey,
-        raw: &LweCiphertext,
-        out: &mut LweCiphertext,
+        raws: &[LweCiphertext],
+        outs: &mut [LweCiphertext],
     ) {
         let (gang, member) = seat(&self.solo, &self.seat);
         let (dim, members) = (ksk.src_dim(), gang.members);
-        let body = if member == 0 { raw.body() } else { Torus32::ZERO };
-        ksk.switch_range_into(raw, member * dim / members..(member + 1) * dim / members, body, out);
+        let inputs = member * dim / members..(member + 1) * dim / members;
+        ksk.switch_batch_into(crate::simd::kernels(), raws, inputs, member == 0, outs);
         if members > 1 {
-            let parts = &gang.parts[next_parity(&mut self.exchanges)];
-            write(&parts[member]).copy_from(out);
-            gang.wait();
-            out.copy_from(&read(&parts[0]));
-            parts[1..].iter().for_each(|part| out.add_assign(&read(part)));
+            for out in outs {
+                let parts = &gang.parts[next_parity(&mut self.exchanges)];
+                write(&parts[member]).copy_from(out);
+                gang.wait();
+                out.copy_from(&read(&parts[0]));
+                parts[1..].iter().for_each(|part| out.add_assign(&read(part)));
+            }
         }
     }
 }
@@ -837,9 +841,7 @@ mod tests {
                     bk.rotate_batch_into(&inputs, tv, scratch, &mut raws);
                     let mut outs =
                         vec![LweCiphertext::trivial(Torus32::ZERO, params.lwe_dim); width];
-                    for (raw, out) in raws.iter().zip(&mut outs) {
-                        scratch.key_switch_into(ksk, raw, out);
-                    }
+                    scratch.key_switch_into(ksk, &raws, &mut outs);
                     (raws, outs)
                 };
                 let want = run(&mut solo);

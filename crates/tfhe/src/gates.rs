@@ -14,7 +14,7 @@
 //! Steps 2 and 3 are the "Blind Rotation" and "Key Switching" segments of
 //! the paper's Figure 7 profile.
 
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 use crate::bootstrap::{BootstrapScratch, TestVector};
 use crate::keys::{ServerKey, MU_LOG2_DENOM};
@@ -129,7 +129,7 @@ impl BootGate {
 pub const FUSE_CHUNK: usize = 8;
 
 /// All scratch a worker needs to evaluate gates and LUTs without
-/// allocating. One per worker thread.
+/// allocating once it has served its widest call. One per worker thread.
 #[derive(Debug)]
 pub struct GateScratch {
     pub(crate) lanes: LaneScratch,
@@ -141,7 +141,8 @@ pub struct GateScratch {
 
 /// The buffers of the staged-batch kernel: the struct-of-arrays slots one
 /// chunk's linear combinations are staged into, the bootstrap buffers,
-/// and the chunk's raw (pre-key-switch) samples. Kept apart from the
+/// and the call's raw (pre-key-switch) samples, one per lane of the
+/// widest call served so far. Kept apart from the
 /// test-vector fields of [`GateScratch`] so a caller can lend those to
 /// the kernel as per-lane test vectors.
 #[derive(Debug)]
@@ -151,10 +152,10 @@ pub(crate) struct LaneScratch {
     soa: LweSoa,
 }
 
-/// What the staged-batch kernel does with a chunk's raw samples.
+/// What the staged-batch kernel does with a call's raw samples.
 #[derive(Clone, Copy)]
 pub(crate) enum Tail {
-    /// Key-switch every lane into its own output.
+    /// Key-switch every lane into its own output, all in one pass.
     Each,
     /// Key-switch the sum of the batch's lanes plus this plaintext offset
     /// into the single output — the tail of the TFHE library's `MUX`.
@@ -162,13 +163,18 @@ pub(crate) enum Tail {
 }
 
 /// Timing breakdown of one gate evaluation, used to regenerate Figure 7.
+/// A batched call times each phase once for all its lanes and gives
+/// every lane an even share, so a call's lanes sum to its phase times.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct GateProfile {
-    /// Seconds spent in blind rotation (incl. sample extraction).
+    /// Seconds spent in blind rotation (incl. sample extraction): the
+    /// call's rotation time divided evenly over its lanes.
     pub blind_rotation_s: f64,
-    /// Seconds spent in key switching.
+    /// Seconds spent in key switching: the call's one key-switch pass
+    /// divided evenly over its lanes.
     pub key_switching_s: f64,
-    /// Seconds spent in the linear phase (negligible).
+    /// Seconds spent in the linear phase (negligible), divided the same
+    /// way.
     pub linear_s: f64,
 }
 
@@ -243,8 +249,10 @@ impl ServerKey {
     }
 
     /// Allocates reusable scratch for gate evaluation (one per worker
-    /// thread). Once constructed, every `*_into` gate, batch and LUT
-    /// entry point runs with zero heap allocation.
+    /// thread), with the buffers of a [`FUSE_CHUNK`]-wide call. Once it
+    /// has served its widest call, every `*_into` gate, batch and LUT
+    /// entry point runs with zero heap allocation; a wider call first
+    /// adds one raw sample per extra lane.
     pub fn gate_scratch(&self) -> GateScratch {
         let ext_dim = self.keyswitch.src_dim();
         GateScratch {
@@ -262,20 +270,22 @@ impl ServerKey {
     /// of this key is a call into. Over cache-sized chunks of
     /// [`FUSE_CHUNK`] lanes: `stage(lane, soa, slot)` writes each lane's
     /// linear combination into a struct-of-arrays slot and names its test
-    /// vector; one input-owned pass over the bootstrapping key rotates
+    /// vector, and one input-owned pass over the bootstrapping key rotates
     /// each test vector by its slot
-    /// ([`crate::bootstrap::BootstrappingKey::rotate_batch_into`]); the
-    /// raw samples are key switched as `tail` says; and `observe`, when
-    /// present, receives each lane's timing split (a chunk's staging and
-    /// rotation time divided evenly over its lanes). On a banded scratch
-    /// ([`GateScratch::band`]) the rotation and the key switch compute
-    /// this member's share, every member's `outs` receive the whole
-    /// result, and only the first member observes. Staging and
-    /// bootstrap are *fused* per chunk, so the staged masks are still
-    /// cache-resident when the rotation reads them. A lane's arithmetic
-    /// does not depend on the width or the position it runs at, so every
-    /// entry point is bit-exact with every other on the same inputs, and
-    /// the whole call is allocation-free.
+    /// ([`crate::bootstrap::BootstrappingKey::rotate_batch_into`]). Every
+    /// raw sample of the call is kept, and one element-major pass over the
+    /// key-switching key switches them all as `tail` says. `observe`,
+    /// when present, receives each lane's timing split: the call's
+    /// staging, rotation and key-switch time each divided evenly over its
+    /// lanes. On a banded scratch ([`GateScratch::band`]) the rotation
+    /// and the key switch compute this member's share, every member's
+    /// `outs` receive the whole result, and only the first member
+    /// observes. Staging and rotation are *fused* per chunk, so the
+    /// staged masks are still cache-resident when the rotation reads
+    /// them. A lane's arithmetic does not depend on the width or the
+    /// position it runs at, so every entry point is bit-exact with every
+    /// other on the same inputs, and the call is allocation-free once the
+    /// scratch has served a call this wide.
     ///
     /// # Panics
     ///
@@ -297,12 +307,18 @@ impl ServerKey {
             Tail::Sum(_) => assert!(outs.len() == 1 && lanes <= FUSE_CHUNK, "one summed chunk"),
         }
         let LaneScratch { boot, raws, soa } = scratch;
+        if raws.len() < lanes {
+            let ext_dim = self.keyswitch.src_dim();
+            raws.resize_with(lanes, || LweCiphertext::trivial(Torus32::ZERO, ext_dim));
+        }
+        let raws = &mut raws[..lanes];
         // A gang's bootstrap is observed once, by its first member.
         let mut observe = observe.filter(|_| boot.leads());
         let timed = observe.is_some();
         let now = || timed.then(Instant::now);
-        for base in (0..lanes).step_by(FUSE_CHUNK) {
-            let width = FUSE_CHUNK.min(lanes - base);
+        let (mut linear, mut rotation) = (Duration::ZERO, Duration::ZERO);
+        for (base, raws) in (0..).step_by(FUSE_CHUNK).zip(raws.chunks_mut(FUSE_CHUNK)) {
+            let width = raws.len();
             let t0 = now();
             soa.reset(width);
             let mut tvs = [TestVector::Constant(Torus32::ZERO); FUSE_CHUNK];
@@ -315,32 +331,29 @@ impl ServerKey {
             for (slot, input) in inputs.iter_mut().take(width).enumerate() {
                 *input = soa.slot(slot);
             }
-            let raws = &mut raws[..width];
             self.bootstrap.rotate_batch_into(&inputs[..width], |slot| tvs[slot], boot, raws);
-            let t2 = now();
-            let outs = match tail {
-                Tail::Each => &mut outs[base..base + width],
-                Tail::Sum(offset) => {
-                    let (sum, rest) = raws.split_first_mut().expect("a chunk has a lane");
-                    sum.b += offset;
-                    rest.iter().for_each(|raw| sum.add_assign(raw));
-                    &mut *outs
-                }
-            };
-            for (slot, (raw, out)) in raws.iter().zip(outs).enumerate() {
-                let k0 = now();
-                boot.key_switch_into(&self.keyswitch, raw, out);
-                if let (Some(observe), Some(t0), Some(t1), Some(t2), Some(k0)) =
-                    (observe.as_mut(), t0, t1, t2, k0)
-                {
-                    let split = GateProfile {
-                        linear_s: (t1 - t0).as_secs_f64() / width as f64,
-                        blind_rotation_s: (t2 - t1).as_secs_f64() / width as f64,
-                        key_switching_s: k0.elapsed().as_secs_f64(),
-                    };
-                    observe(base + slot, split);
-                }
+            if let (Some(t0), Some(t1)) = (t0, t1) {
+                (linear, rotation) = (linear + (t1 - t0), rotation + t1.elapsed());
             }
+        }
+        let k0 = now();
+        match tail {
+            Tail::Each => boot.key_switch_into(&self.keyswitch, raws, outs),
+            Tail::Sum(offset) => {
+                let (sum, rest) = raws.split_first_mut().expect("a summed call has a lane");
+                sum.b += offset;
+                rest.iter().for_each(|raw| sum.add_assign(raw));
+                boot.key_switch_into(&self.keyswitch, std::slice::from_ref(sum), outs);
+            }
+        }
+        if let (Some(observe), Some(k0)) = (observe.as_mut(), k0) {
+            let share = |d: Duration| d.as_secs_f64() / lanes as f64;
+            let split = GateProfile {
+                linear_s: share(linear),
+                blind_rotation_s: share(rotation),
+                key_switching_s: share(k0.elapsed()),
+            };
+            (0..lanes).for_each(|lane| observe(lane, split));
         }
     }
 
@@ -384,7 +397,8 @@ impl ServerKey {
     /// pairs — cuFHE's one-kind batch (Figure 8), and the one-lane kernel
     /// of [`ServerKey::gate_into`]; plan replay launches the mixed form,
     /// [`ServerKey::batch_bootstrap_mixed`]. Bit-exact with
-    /// [`ServerKey::gate_into`] per pair, and allocation-free.
+    /// [`ServerKey::gate_into`] per pair, and allocation-free once the
+    /// scratch has served a batch this wide.
     ///
     /// # Panics
     ///
@@ -678,6 +692,54 @@ mod tests {
             }
         }
         simd::set_active_path(restore);
+    }
+
+    #[test]
+    fn a_wide_mixed_batch_is_bit_exact_with_gate_into_across_sub_chunks() {
+        // Every raw of the call is key-switched in one pass after the
+        // last sub-chunk's rotation: a raw landing in the wrong output
+        // shows at a sub-chunk boundary.
+        use super::{BootGate, FUSE_CHUNK};
+        let (client, server, mut rng) = setup();
+        let mut scratch = server.gate_scratch();
+        for width in [FUSE_CHUNK + 1, 2 * FUSE_CHUNK + 3, 60] {
+            let gates: Vec<_> =
+                (0..width).map(|i| BootGate::ALL[i % BootGate::ALL.len()]).collect();
+            let bits: Vec<_> = (0..width).map(|i| (i % 2 == 0, i % 3 == 0)).collect();
+            let cts: Vec<_> = bits
+                .iter()
+                .map(|&(a, b)| (client.encrypt_bit(a, &mut rng), client.encrypt_bit(b, &mut rng)))
+                .collect();
+            let pairs: Vec<_> = cts.iter().map(|(a, b)| (a, b)).collect();
+            let mut outs = vec![server.constant(false); width];
+            server.batch_bootstrap_mixed(&gates, &pairs, &mut outs, &mut scratch);
+            for (lane, ((&gate, &(a, b)), got)) in gates.iter().zip(&pairs).zip(&outs).enumerate() {
+                let mut want = server.constant(false);
+                server.gate_into(gate, a, b, &mut scratch, &mut want);
+                assert_eq!(got, &want, "lane {lane} of {width}");
+                let (x, y) = bits[lane];
+                assert_eq!(client.decrypt_bit(got), gate.eval(x, y), "lane {lane} of {width}");
+            }
+        }
+    }
+
+    #[test]
+    fn a_second_call_at_the_widest_width_allocates_nothing() {
+        use super::BootGate;
+        let (client, server, mut rng) = setup();
+        let cts: Vec<_> = (0..60)
+            .map(|i| (client.encrypt_bit(i % 2 == 0, &mut rng), client.encrypt_bit(true, &mut rng)))
+            .collect();
+        let pairs: Vec<_> = cts.iter().map(|(a, b)| (a, b)).collect();
+        let gates: Vec<_> = (0..pairs.len()).map(|i| BootGate::ALL[i % 10]).collect();
+        let mut outs = vec![server.constant(false); pairs.len()];
+        let mut scratch = server.gate_scratch();
+        // The warm call grows the raw samples to its width, once.
+        server.batch_bootstrap_mixed(&gates, &pairs, &mut outs, &mut scratch);
+        let before = crate::trace::thread_buffer_allocs();
+        server.batch_bootstrap_mixed(&gates, &pairs, &mut outs, &mut scratch);
+        server.batch_bootstrap_mixed(&gates[..9], &pairs[..9], &mut outs[..9], &mut scratch);
+        assert_eq!(crate::trace::thread_buffer_allocs() - before, 0);
     }
 
     #[test]

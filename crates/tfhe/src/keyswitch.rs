@@ -2,17 +2,32 @@
 //! dimension-`k·N` key back to the small dimension-`n` gate key.
 //!
 //! Figure 7 of the paper shows key switching as the second-largest cost of
-//! a bootstrapped gate evaluation (after blind rotation).
+//! a bootstrapped gate evaluation (after blind rotation). There is one
+//! switching loop, [`KeySwitchKey::switch_into`]'s batch form, and it is
+//! *element-major*: for each source element `i` it loads block `i` of the
+//! key once and applies its digit rows to every raw sample of the batch.
+//! At the 128-bit parameters a raw selects ~6 144 of the 24 576 rows
+//! (~15.5 MB of the 62 MB key), so switching raws one at a time streams
+//! ~15.5 MB per raw from memory; a batch streams each ~60 KB block once
+//! and re-reads it from L2 for its other raws, so its memory traffic stays
+//! at one pass over the key (at most ~62 MB) however many raws share it.
 
 use crate::lanes;
 use crate::lwe::{LweCiphertext, LweKey};
 use crate::rng::SecureRng;
+use crate::simd::Kernels;
 use crate::torus::Torus32;
 
 /// Upper bound on decomposition levels, so [`KeySwitchKey::switch_into`]
-/// can keep its per-element digit vector on the stack (default params use
+/// can keep its per-level shifts on the stack (default params use
 /// `t = 8`).
 const MAX_KS_LEVELS: usize = 32;
+
+/// Raws switched per pass over the key: each keeps its unpaired row on
+/// the stack, and the group's outputs (~160 KB at the 128-bit
+/// parameters) stay L2-resident beside the block they are switched
+/// against. Wider than any lane's share of a benchmark wave.
+const KS_GROUP: usize = 64;
 
 /// Mask row of key-switch sample `r` in a seeded server key: `2³² + r`, past
 /// every bootstrapping-key row (see [`crate::keys::ServerKey`]).
@@ -184,28 +199,51 @@ impl KeySwitchKey {
 
     /// Like [`KeySwitchKey::switch`], writing into `out` without allocating
     /// (reusing `out`'s mask buffer when it already has the destination
-    /// dimension).
+    /// dimension): a batch of one.
     pub fn switch_into(&self, ct: &LweCiphertext, out: &mut LweCiphertext) {
-        self.switch_range_into(ct, 0..self.src_dim, ct.body(), out);
+        let (raws, outs) = (std::slice::from_ref(ct), std::slice::from_mut(out));
+        self.switch_batch_into(crate::simd::kernels(), raws, 0..self.src_dim, true, outs);
     }
 
-    /// The share of [`KeySwitchKey::switch_into`] that mask elements
-    /// `inputs` contribute, on top of the trivial sample of `body`. The
-    /// switch is a sum in wrapping `u32`, so the shares of disjoint ranges
-    /// covering the mask (one of them carrying `ct`'s body) add up to
-    /// exactly the whole switch.
-    pub(crate) fn switch_range_into(
+    /// The share of switching every `raws[r]` into `outs[r]` that mask
+    /// elements `inputs` contribute, on top of the trivial sample of the
+    /// raw's body (`bodies`) or of zero. The switch is a sum in wrapping
+    /// `u32`, so the shares of disjoint ranges covering the mask (one of
+    /// them carrying the bodies) add up to exactly the whole switch, and
+    /// a raw's result does not depend on the batch around it.
+    ///
+    /// Element-major: for each source element `i`, block `i` is loaded
+    /// once and its nonzero-digit rows applied to every raw of a
+    /// `KS_GROUP`-raw group, in *fused pairs* through the dispatched
+    /// `sub_assign2` kernel (`out -= a + b` in one full-width pass),
+    /// which halves how often each output streams through the vector
+    /// units relative to one `sub_assign` per digit. A raw's pairing
+    /// carries across mask elements, so odd digit counts don't strand a
+    /// partner; wrapping arithmetic mod 2^32 is associative, so the
+    /// fused form is bit-identical to sequential subtractions. `kern`
+    /// is the dispatched [`crate::simd::kernels`] except in tests, which
+    /// run every tier without re-pointing the process-global dispatch.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `raws` and `outs` differ in length or a raw does not
+    /// have the source dimension.
+    pub(crate) fn switch_batch_into(
         &self,
-        ct: &LweCiphertext,
+        kern: &Kernels,
+        raws: &[LweCiphertext],
         inputs: std::ops::Range<usize>,
-        body: Torus32,
-        out: &mut LweCiphertext,
+        bodies: bool,
+        outs: &mut [LweCiphertext],
     ) {
-        assert_eq!(ct.dim(), self.src_dim, "key switch input dimension mismatch");
+        assert_eq!(raws.len(), outs.len(), "one key switch output per raw");
         assert!(self.levels <= MAX_KS_LEVELS, "key switch supports at most {MAX_KS_LEVELS} levels");
-        out.assign_trivial(body, self.dst_dim);
-        let base = 1usize << self.base_log;
-        let base_mask = (1u32 << self.base_log) - 1;
+        for (raw, out) in raws.iter().zip(outs.iter_mut()) {
+            assert_eq!(raw.dim(), self.src_dim, "key switch input dimension mismatch");
+            out.assign_trivial(if bodies { raw.body() } else { Torus32::ZERO }, self.dst_dim);
+        }
+        let digits = (1usize << self.base_log) - 1;
+        let base_mask = digits as u32;
         let total_bits = (self.levels * self.base_log) as u32;
         // Rounding offset: half of the smallest represented step.
         let round = 1u32 << (32 - total_bits - 1);
@@ -215,40 +253,33 @@ impl KeySwitchKey {
         for (j, s) in shifts[..self.levels].iter_mut().enumerate() {
             *s = 32 - ((j + 1) * self.base_log) as u32;
         }
-        let mut digits = [0u32; MAX_KS_LEVELS];
-        // Nonzero-digit rows are applied in *fused pairs* through the
-        // dispatched `sub_assign2` kernel (`out -= a + b` in one
-        // contiguous full-width pass over the mask), halving the number
-        // of times the destination streams through the vector units
-        // relative to one `sub_assign` per digit. Pairing carries across
-        // mask elements, so odd digit counts don't strand a partner.
-        // Wrapping arithmetic mod 2^32 is associative, so the fused form
-        // is bit-identical to sequential subtractions.
-        let kern = crate::simd::kernels();
-        let mut pending: Option<(&[Torus32], Torus32)> = None;
-        for (i, &a_i) in inputs.clone().zip(&ct.mask()[inputs]) {
-            // Extract the whole digit vector of this mask element in one
-            // flat pass, then do the (branchy, memory-bound) accumulation.
-            let tmp = a_i.0.wrapping_add(round);
-            for (d, &s) in digits[..self.levels].iter_mut().zip(&shifts[..self.levels]) {
-                *d = (tmp >> s) & base_mask;
-            }
-            for (j, &digit) in digits[..self.levels].iter().enumerate() {
-                if digit != 0 {
-                    let (mask, body) = self.sample(i, j * (base - 1) + (digit as usize - 1));
-                    match pending.take() {
-                        None => pending = Some((mask, body)),
-                        Some((first_mask, first_body)) => {
-                            kern.sub_assign2(out.mask_mut(), first_mask, mask);
-                            out.b -= first_body + body;
+        let shifts = &shifts[..self.levels];
+        for (raws, outs) in raws.chunks(KS_GROUP).zip(outs.chunks_mut(KS_GROUP)) {
+            let mut pending: [Option<(&[Torus32], Torus32)>; KS_GROUP] = [None; KS_GROUP];
+            for i in inputs.clone() {
+                for ((raw, out), pending) in raws.iter().zip(outs.iter_mut()).zip(&mut pending) {
+                    let tmp = raw.mask()[i].0.wrapping_add(round);
+                    for (j, &s) in shifts.iter().enumerate() {
+                        let digit = ((tmp >> s) & base_mask) as usize;
+                        if digit != 0 {
+                            let (mask, body) = self.sample(i, j * digits + digit - 1);
+                            match pending.take() {
+                                None => *pending = Some((mask, body)),
+                                Some((first_mask, first_body)) => {
+                                    kern.sub_assign2(out.mask_mut(), first_mask, mask);
+                                    out.b -= first_body + body;
+                                }
+                            }
                         }
                     }
                 }
             }
-        }
-        if let Some((mask, body)) = pending {
-            kern.sub_assign(out.mask_mut(), mask);
-            out.b -= body;
+            for (out, pending) in outs.iter_mut().zip(pending) {
+                if let Some((mask, body)) = pending {
+                    kern.sub_assign(out.mask_mut(), mask);
+                    out.b -= body;
+                }
+            }
         }
     }
 }
@@ -301,6 +332,26 @@ mod tests {
         let _ = ksk.switch(&ct);
     }
 
+    /// One `sub_assign` per nonzero digit, one raw at a time, no pairing.
+    fn unpaired_reference(ksk: &KeySwitchKey, ct: &LweCiphertext) -> LweCiphertext {
+        let mut want = LweCiphertext::trivial(ct.body(), ksk.dst_dim);
+        let base = 1usize << ksk.base_log;
+        let base_mask = (1u32 << ksk.base_log) - 1;
+        let round = 1u32 << (32 - (ksk.levels * ksk.base_log) as u32 - 1);
+        for (i, &a_i) in ct.mask().iter().enumerate() {
+            let tmp = a_i.0.wrapping_add(round);
+            for j in 0..ksk.levels {
+                let digit = (tmp >> (32 - ((j + 1) * ksk.base_log) as u32)) & base_mask;
+                if digit != 0 {
+                    let row = i * ksk.levels * (base - 1);
+                    let (mask, body) = ksk.row(row + j * (base - 1) + (digit as usize - 1));
+                    want.sub_assign(&LweCiphertext::from_parts(mask.to_vec(), body));
+                }
+            }
+        }
+        want
+    }
+
     #[test]
     fn paired_accumulation_is_bit_exact_with_sequential() {
         let mut rng = SecureRng::seed_from_u64(54);
@@ -310,24 +361,40 @@ mod tests {
         for seed in 0..4u64 {
             let mut rng = SecureRng::seed_from_u64(100 + seed);
             let ct = src.encrypt(Torus32::from_fraction(1, 3), 1e-9, &mut rng);
-            let got = ksk.switch(&ct);
-            // Reference: one sub_assign per nonzero digit, no pairing.
-            let mut want = LweCiphertext::trivial(ct.body(), ksk.dst_dim);
-            let base = 1usize << ksk.base_log;
-            let base_mask = (1u32 << ksk.base_log) - 1;
-            let round = 1u32 << (32 - (ksk.levels * ksk.base_log) as u32 - 1);
-            for (i, &a_i) in ct.mask().iter().enumerate() {
-                let tmp = a_i.0.wrapping_add(round);
-                for j in 0..ksk.levels {
-                    let digit = (tmp >> (32 - ((j + 1) * ksk.base_log) as u32)) & base_mask;
-                    if digit != 0 {
-                        let row = i * ksk.levels * (base - 1);
-                        let (mask, body) = ksk.row(row + j * (base - 1) + (digit as usize - 1));
-                        want.sub_assign(&LweCiphertext::from_parts(mask.to_vec(), body));
-                    }
+            assert_eq!(ksk.switch(&ct), unpaired_reference(&ksk, &ct), "seed={seed}");
+        }
+    }
+
+    #[test]
+    fn a_batch_is_bit_exact_with_the_unpaired_reference_and_splits_by_range_on_every_simd_path() {
+        use crate::simd::{kernels_for, SimdPath};
+        let mut rng = SecureRng::seed_from_u64(55);
+        let src = LweKey::generate(128, &mut rng);
+        let dst = LweKey::generate(32, &mut rng);
+        let ksk = KeySwitchKey::generate(&src, &dst, 8, 2, 1e-9, 1, &mut rng);
+        let fresh = |width| vec![LweCiphertext::trivial(Torus32::ZERO, ksk.dst_dim); width];
+        for path in SimdPath::ALL {
+            let Some(kern) = kernels_for(path) else { continue };
+            for width in [1, 2, 7, 8, 9, 19, 60, KS_GROUP + 6] {
+                let raws: Vec<_> = (0..width)
+                    .map(|r| src.encrypt(Torus32::from_fraction(r as i32, 3), 1e-9, &mut rng))
+                    .collect();
+                let mut whole = fresh(width);
+                ksk.switch_batch_into(kern, &raws, 0..ksk.src_dim, true, &mut whole);
+                for (r, (raw, got)) in raws.iter().zip(&whole).enumerate() {
+                    let want = unpaired_reference(&ksk, raw);
+                    assert_eq!(got, &want, "raw {r} of {width} on path={path}");
+                }
+                // Member 0 carries the bodies; the shares add to the whole.
+                let cut = ksk.src_dim / 3;
+                let (mut first, mut second) = (fresh(width), fresh(width));
+                ksk.switch_batch_into(kern, &raws, 0..cut, true, &mut first);
+                ksk.switch_batch_into(kern, &raws, cut..ksk.src_dim, false, &mut second);
+                for (r, (sum, part)) in first.iter_mut().zip(&second).enumerate() {
+                    sum.add_assign(part);
+                    assert_eq!(sum, &whole[r], "shares of raw {r} of {width} on path={path}");
                 }
             }
-            assert_eq!(got, want, "seed={seed}");
         }
     }
 

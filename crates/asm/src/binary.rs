@@ -21,24 +21,7 @@ fn words(binary: &[u8]) -> impl Iterator<Item = u128> + '_ {
 /// order (inputs and gates interleaved exactly as built — the netlist is
 /// topologically ordered by construction), then one output instruction
 /// per declared output.
-/// # Panics
-///
-/// Panics if the netlist contains fused LUT nodes; use
-/// [`try_assemble`] to get the typed [`AsmError::LutNotRepresentable`]
-/// instead. LUT covering is a backend-side lowering and runs after
-/// binary distribution.
 pub fn assemble(nl: &Netlist) -> Bytes {
-    try_assemble(nl).expect("netlist with fused LUTs cannot be assembled to the binary format")
-}
-
-/// Fallible [`assemble`]: returns [`AsmError::LutNotRepresentable`] for
-/// netlists holding fused LUT nodes (the 4-bit instruction format of
-/// Figure 5 has no opcode space for `2^16` truth tables).
-///
-/// # Errors
-///
-/// Returns an error only for LUT-bearing netlists.
-pub fn try_assemble(nl: &Netlist) -> Result<Bytes, AsmError> {
     let _span = pytfhe_telemetry::span_with("asm", || {
         format!("assemble: {} nodes, {} outputs", nl.num_nodes(), nl.outputs().len())
     });
@@ -58,13 +41,12 @@ pub fn try_assemble(nl: &Netlist) -> Result<Bytes, AsmError> {
                 };
                 put(Instruction::Gate { kind, input0, input1 });
             }
-            Node::Lut { .. } => return Err(AsmError::LutNotRepresentable { node: i as u64 }),
         }
     }
     for out in nl.outputs() {
         put(Instruction::Output { index: u64::from(out.0) + 1 });
     }
-    Ok(buf.freeze())
+    buf.freeze()
 }
 
 /// Disassembles and validates a PyTFHE binary back into a netlist.

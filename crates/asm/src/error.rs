@@ -34,14 +34,6 @@ pub enum AsmError {
     },
     /// The netlist is too large for this in-memory representation.
     TooLarge,
-    /// The netlist contains fused multi-input LUT nodes, which the 4-bit
-    /// two-operand instruction format of Figure 5 cannot encode. Run LUT
-    /// covering *after* binary distribution (it is a backend-side
-    /// lowering), or ship the un-lowered netlist.
-    LutNotRepresentable {
-        /// Node id of the first LUT encountered.
-        node: u64,
-    },
     /// The netlist rejected reconstruction (should not happen for valid
     /// binaries).
     Netlist(pytfhe_netlist::NetlistError),
@@ -66,12 +58,6 @@ impl fmt::Display for AsmError {
                 write!(f, "instruction {position} references undefined index {index}")
             }
             AsmError::TooLarge => write!(f, "program too large for in-memory netlist"),
-            AsmError::LutNotRepresentable { node } => {
-                write!(
-                    f,
-                    "node {node} is a fused LUT; the binary format encodes 2-input gates only"
-                )
-            }
             AsmError::Netlist(e) => write!(f, "netlist reconstruction failed: {e}"),
             AsmError::Format => write!(f, "formatting a listing failed"),
         }

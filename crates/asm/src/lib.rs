@@ -28,6 +28,6 @@ mod binary;
 mod error;
 mod inst;
 
-pub use binary::{assemble, binary_stats, disassemble, dump, try_assemble, BinaryStats};
+pub use binary::{assemble, binary_stats, disassemble, dump, BinaryStats};
 pub use error::AsmError;
 pub use inst::{Instruction, FIELD_ONES, INSTRUCTION_BYTES};

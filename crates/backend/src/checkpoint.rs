@@ -95,47 +95,9 @@ pub fn fnv1a(bytes: &[u8]) -> u64 {
 }
 
 /// Fingerprints a netlist via FNV-1a over its canonical binary encoding,
-/// so checkpoints refuse to resume a different program. LUT-lowered
-/// netlists fall outside the binary format; they hash a structural
-/// encoding under a distinct tag (no collision with any binary, whose
-/// leading instruction is a zero-tagged header).
+/// so checkpoints refuse to resume a different program.
 pub fn netlist_fingerprint(nl: &Netlist) -> u64 {
-    match pytfhe_asm::try_assemble(nl) {
-        Ok(bytes) => fnv1a(&bytes),
-        Err(_) => fnv1a(&lut_netlist_bytes(nl)),
-    }
-}
-
-/// Structural byte encoding of a LUT-bearing netlist, for fingerprinting
-/// only (tag byte per node kind, little-endian fields, outputs trailed).
-fn lut_netlist_bytes(nl: &Netlist) -> Vec<u8> {
-    let mut out = Vec::with_capacity(nl.num_nodes() * 8 + 16);
-    out.extend_from_slice(b"PTLUT\x01");
-    for node in nl.nodes() {
-        match *node {
-            pytfhe_netlist::Node::Input => out.push(0x01),
-            pytfhe_netlist::Node::Gate { kind, a, b } => {
-                out.push(0x02);
-                out.push(kind.opcode());
-                out.extend_from_slice(&a.0.to_le_bytes());
-                out.extend_from_slice(&b.0.to_le_bytes());
-            }
-            pytfhe_netlist::Node::Lut { spec, ins } => {
-                out.push(0x03);
-                out.push(spec.width);
-                out.push(spec.precision);
-                out.extend_from_slice(&spec.table.to_le_bytes());
-                for id in &ins[..spec.width as usize] {
-                    out.extend_from_slice(&id.0.to_le_bytes());
-                }
-            }
-        }
-    }
-    out.push(0x04);
-    for o in nl.outputs() {
-        out.extend_from_slice(&o.0.to_le_bytes());
-    }
-    out
+    fnv1a(&pytfhe_asm::assemble(nl))
 }
 
 /// One wave-barrier snapshot: the program fingerprint, the index of the

@@ -7,7 +7,7 @@
 //! bootstrapped-gate primitives behind a uniform interface.
 
 use crate::error::ExecError;
-use pytfhe_netlist::{GateKind, LutSpec};
+use pytfhe_netlist::GateKind;
 use pytfhe_tfhe::{BootGate, GateScratch, LweCiphertext, ServerKey};
 
 /// Evaluates individual gates on some value domain.
@@ -77,70 +77,6 @@ pub trait GateEngine: Sync {
     /// whose partners still wait on it aborts them: their call panics.
     fn release(&self, scratch: &mut Self::Scratch) {
         let _ = scratch;
-    }
-
-    /// Evaluates one fused LUT node into an existing value slot.
-    /// `ins[..spec.width]` are the cone's leaves; unused slots carry a
-    /// valid (ignored) value, exactly as [`pytfhe_netlist::Node::Lut`]
-    /// pads them. On ciphertext engines every wire of a LUT-lowered
-    /// netlist rides the *message* encoding at `spec.precision` bits,
-    /// not the boolean gate encoding.
-    ///
-    /// The default panics: engines that never see lowered netlists (ad
-    /// hoc test engines) need not implement LUT evaluation.
-    fn eval_lut_into(
-        &self,
-        spec: LutSpec,
-        ins: &[&Self::Value; 4],
-        scratch: &mut Self::Scratch,
-        out: &mut Self::Value,
-    ) {
-        let _ = (ins, scratch, out);
-        unimplemented!("engine does not evaluate fused LUT nodes (spec {spec})")
-    }
-
-    /// Allocating form of [`GateEngine::eval_lut_into`].
-    fn eval_lut(
-        &self,
-        spec: LutSpec,
-        ins: &[&Self::Value; 4],
-        scratch: &mut Self::Scratch,
-    ) -> Self::Value {
-        let mut out = self.constant(false);
-        self.eval_lut_into(spec, ins, scratch, &mut out);
-        out
-    }
-
-    /// Evaluates a batch of independent same-width, same-precision LUTs
-    /// — one fused kernel launch on engines with batched programmable
-    /// bootstraps. `items[i]` is `(table, leaf slots)` for `outs[i]`.
-    /// The default loops [`GateEngine::eval_lut_into`].
-    ///
-    /// # Panics
-    ///
-    /// Implementations may panic when `items.len() != outs.len()`.
-    fn eval_lut_batch(
-        &self,
-        width: u8,
-        precision: u8,
-        items: &[(u16, [&Self::Value; 4])],
-        outs: &mut [Self::Value],
-        scratch: &mut Self::Scratch,
-    ) {
-        debug_assert_eq!(items.len(), outs.len());
-        for (&(table, ins), out) in items.iter().zip(outs.iter_mut()) {
-            self.eval_lut_into(LutSpec::new(width, precision, table), &ins, scratch, out);
-        }
-    }
-
-    /// The engine's encoding of a constant bit on a LUT-lowered netlist,
-    /// where every wire is a message at `precision` bits. Plaintext-like
-    /// engines ignore the precision; ciphertext engines must emit the
-    /// message encoding (the boolean gate encoding would desync the
-    /// packed LUT windows).
-    fn constant_message(&self, bit: bool, precision: u8) -> Self::Value {
-        let _ = precision;
-        self.constant(bit)
     }
 
     /// Checks input number `index` before a run loads it, so a value the
@@ -245,14 +181,6 @@ impl GateEngine for PlainEngine {
     fn parallel_grain(&self) -> usize {
         self.grain
     }
-
-    fn eval_lut_into(&self, spec: LutSpec, ins: &[&bool; 4], _scratch: &mut (), out: &mut bool) {
-        let pattern = ins[..spec.width as usize]
-            .iter()
-            .enumerate()
-            .fold(0usize, |acc, (i, &&bit)| acc | (usize::from(bit) << i));
-        *out = spec.eval(pattern);
-    }
 }
 
 /// Real homomorphic evaluation: gates on LWE ciphertexts via the cloud
@@ -318,66 +246,6 @@ impl GateEngine for TfheEngine<'_> {
 
     fn release(&self, scratch: &mut GateScratch) {
         scratch.release();
-    }
-
-    fn eval_lut_into(
-        &self,
-        spec: LutSpec,
-        ins: &[&LweCiphertext; 4],
-        scratch: &mut Self::Scratch,
-        out: &mut LweCiphertext,
-    ) {
-        let k = self.key;
-        let precision = u32::from(spec.precision);
-        // Affine specs (constants, buffers, message NOT) never touch the
-        // bootstrap; everything else is one programmable bootstrap.
-        if let Some(bit) = spec.as_const() {
-            k.message_constant_into(u32::from(bit), precision, out);
-        } else if spec.is_passthrough() {
-            out.copy_from(ins[0]);
-        } else if spec.is_negation() {
-            k.message_not_into(precision, ins[0], out);
-        } else {
-            k.boolean_lut_into(
-                u32::from(spec.width),
-                precision,
-                spec.table,
-                &ins[..spec.width as usize],
-                scratch,
-                out,
-            );
-        }
-    }
-
-    /// One fused batched kernel: tables pre-compiled, linear packings
-    /// staged into SoA slots, programmable bootstraps launched chunk by
-    /// chunk through the lockstep batched blind rotation.
-    ///
-    /// Callers route *affine* specs (width-1 constants, buffers,
-    /// negations — [`LutSpec::bootstraps`] of 0) through
-    /// [`GateEngine::eval_lut_into`] instead; feeding them here still
-    /// yields correct bits but spends a needless bootstrap per task.
-    fn eval_lut_batch(
-        &self,
-        width: u8,
-        precision: u8,
-        items: &[(u16, [&LweCiphertext; 4])],
-        outs: &mut [LweCiphertext],
-        scratch: &mut Self::Scratch,
-    ) {
-        self.key.boolean_lut_batch_into(
-            u32::from(width),
-            u32::from(precision),
-            items,
-            outs,
-            scratch,
-        );
-    }
-
-    fn constant_message(&self, bit: bool, precision: u8) -> LweCiphertext {
-        let mut out = self.key.constant(false);
-        self.key.message_constant_into(u32::from(bit), u32::from(precision), &mut out);
-        out
     }
 
     fn check_input(&self, index: usize, value: &LweCiphertext) -> Result<(), ExecError> {

@@ -9,11 +9,11 @@
 //! code serves plaintext validation and real homomorphic evaluation.
 
 use crate::checkpoint::{Checkpoint, CheckpointStore, Checkpointable};
-use crate::engine::{check_inputs, GateEngine};
+use crate::engine::{boot_gate, check_inputs, GateEngine};
 use crate::error::ExecError;
 use crate::fault::{FaultInjector, RetryPolicy, TaskFate};
 use crate::graph::{capture, replay, run_wave_with, CaptureConfig, Launch, ReplayLanes, Retry};
-use pytfhe_netlist::{GateKind, Netlist, Node};
+use pytfhe_netlist::{Netlist, Node};
 use pytfhe_telemetry as telemetry;
 use std::time::Instant;
 
@@ -55,16 +55,10 @@ pub struct ExecStats {
     /// Worker-pool tasks executed by a lane other than the one they
     /// were queued on (work-stealing activity; 0 on serial runs).
     pub steals: u64,
-    /// Fused LUT nodes evaluated (0 on boolean-decomposed programs).
-    pub luts: usize,
-    /// Batched LUT kernel launches (one per same-width group per worker
-    /// chunk; affine LUTs never launch a kernel).
-    pub lut_launches: u64,
     /// Bootstraps the TFHE engine executes for this program: one per
-    /// binary gate plus one per non-affine LUT cone. `Not`, `Buf`,
-    /// constants, and affine LUTs are linear and cost none. This is the
-    /// honest denominator for LUT-lowering speedups — identical for the
-    /// plaintext engine, which runs the same schedule.
+    /// binary gate. `Not`, `Buf` and constants are linear and cost none.
+    /// The plaintext engine, which runs the same schedule, reports the
+    /// same count.
     pub bootstraps: u64,
     /// Name of the SIMD kernel path the TFHE layer dispatched to
     /// (`"scalar"` or `"avx2"`; see `pytfhe_tfhe::simd`).
@@ -74,7 +68,7 @@ pub struct ExecStats {
 impl ExecStats {
     /// Statistics of a run yet to start: the program's size (see
     /// [`netlist_bootstraps`] for `bootstraps`), every run counter zero.
-    pub fn new(gates: usize, luts: usize, bootstraps: u64) -> Self {
+    pub fn new(gates: usize, bootstraps: u64) -> Self {
         ExecStats {
             gates,
             waves: 0,
@@ -89,8 +83,6 @@ impl ExecStats {
             batches: 0,
             kernel_launches: 0,
             steals: 0,
-            luts,
-            lut_launches: 0,
             bootstraps,
             simd_path: pytfhe_tfhe::simd::active_path().name(),
         }
@@ -112,8 +104,6 @@ impl ExecStats {
         m.counter_add("exec_batches_total", self.batches as u64);
         m.counter_add("exec_kernel_launches_total", self.kernel_launches);
         m.counter_add("exec_steals_total", self.steals);
-        m.counter_add("exec_luts_total", self.luts as u64);
-        m.counter_add("exec_lut_launches_total", self.lut_launches);
         m.counter_add("exec_bootstraps_total", self.bootstraps);
         m.observe_seconds("exec_wall_seconds", self.wall_s);
     }
@@ -130,13 +120,6 @@ impl std::fmt::Display for ExecStats {
         )?;
         if let Some(w) = self.resumed_from_wave {
             write!(f, "\nresumed from wave {w}")?;
-        }
-        if self.luts > 0 {
-            write!(
-                f,
-                "\nfused LUTs        {}\nlut launches      {}\nbootstraps        {}",
-                self.luts, self.lut_launches, self.bootstraps
-            )?;
         }
         if self.retries > 0 || self.evicted_workers > 0 || self.checkpoints > 0 {
             write!(
@@ -171,21 +154,15 @@ impl std::fmt::Display for ExecStats {
 /// worth dispatching).
 pub const PARALLEL_WAVE_MIN: usize = 2;
 
-/// Bootstraps the TFHE engine executes for `nl`: one per binary gate
-/// plus one per non-affine LUT cone
-/// ([`pytfhe_netlist::LutSpec::bootstraps`]). `Not`,
-/// `Buf`, constants, and affine LUTs are linear. All executors report
-/// this through [`ExecStats::bootstraps`], so boolean-decomposed and
-/// LUT-lowered runs of the same workload compare on one denominator.
+/// Bootstraps the TFHE engine executes for `nl`: one per binary gate.
+/// `Not`, `Buf` and constants are linear. All executors report this
+/// through [`ExecStats::bootstraps`].
 pub fn netlist_bootstraps(nl: &Netlist) -> u64 {
-    nl.nodes()
-        .iter()
-        .map(|node| match *node {
-            Node::Input => 0,
-            Node::Gate { kind, .. } => u64::from(!kind.is_const() && !kind.is_unary()),
-            Node::Lut { spec, .. } => spec.bootstraps(),
-        })
-        .sum()
+    let bootstraps = |node: &Node| match *node {
+        Node::Gate { kind, .. } => boot_gate(kind).is_some(),
+        Node::Input => false,
+    };
+    nl.nodes().iter().filter(|node| bootstraps(node)).count() as u64
 }
 
 /// Runs `nl` on `inputs` with a single thread, in node order (valid
@@ -208,27 +185,19 @@ pub fn execute<E: GateEngine>(
     let mut values: Vec<E::Value> = vec![engine.constant(false); nl.num_nodes()];
     let mut scratch = engine.scratch();
     let mut inputs = inputs.iter();
-    // `Some` on LUT-lowered netlists: constants ride the message encoding.
-    let msg_precision = nl.lut_precision();
     for (i, node) in nl.nodes().iter().enumerate() {
         values[i] = match *node {
             Node::Input => inputs.next().expect("input count checked").clone(),
-            Node::Gate { kind, a, b } => match msg_precision {
-                Some(p) if kind.is_const() => engine.constant_message(kind == GateKind::Const1, p),
-                _ => {
-                    let mut out = engine.constant(false);
-                    let item = (kind, &values[a.index()], &values[b.index()]);
-                    engine.eval_batch(&[item], std::slice::from_mut(&mut out), &mut scratch);
-                    out
-                }
-            },
-            Node::Lut { spec, ins } => {
-                engine.eval_lut(spec, &ins.map(|id| &values[id.index()]), &mut scratch)
+            Node::Gate { kind, a, b } => {
+                let mut out = engine.constant(false);
+                let item = (kind, &values[a.index()], &values[b.index()]);
+                engine.eval_batch(&[item], std::slice::from_mut(&mut out), &mut scratch);
+                out
             }
         };
     }
     let outputs = nl.outputs().iter().map(|o| values[o.index()].clone()).collect();
-    let mut stats = ExecStats::new(nl.num_gates(), nl.num_luts(), netlist_bootstraps(nl));
+    let mut stats = ExecStats::new(nl.num_gates(), netlist_bootstraps(nl));
     stats.wall_s = start.elapsed().as_secs_f64();
     stats.record_metrics();
     Ok((outputs, stats))
@@ -341,14 +310,12 @@ where
     let capture_s = start.elapsed().as_secs_f64();
     let mut lanes = ReplayLanes::new(cfg.workers);
     lanes.load(engine, &plan, inputs)?;
-    let mut stats = ExecStats::new(plan.num_gates(), plan.num_luts(), plan.bootstraps());
+    let mut stats = ExecStats::new(plan.num_gates(), plan.bootstraps());
     stats.capture_s = capture_s;
     // The plan's waves are the schedule's non-empty levels in order, and
     // only level 0, which holds nothing but constants, can be empty.
-    let level_0_empty = !plan
-        .waves()
-        .next()
-        .is_some_and(|w| w.lut_groups.is_empty() && w.gates.iter().all(|t| t.kind.is_const()));
+    let level_0_empty =
+        !plan.waves().next().is_some_and(|w| w.gates.iter().all(|t| t.kind.is_const()));
     let first_level = usize::from(level_0_empty);
 
     let mut skip = 0;
@@ -389,8 +356,7 @@ where
             start: Instant::now(),
             retries: 0,
         };
-        let launch =
-            Launch { engine, wave, msg_precision: plan.message_precision, lanes: &mut lanes };
+        let launch = Launch { engine, wave, lanes: &mut lanes };
         let ran = run_wave_with(&mut [launch], alive.len(), &mut stats, &mut retry);
         stats.retries += retry.retries;
         ran?;
@@ -617,7 +583,7 @@ mod tests {
 
     #[test]
     fn exec_stats_display_sections_are_conditional() {
-        let mut stats = ExecStats::new(7, 0, 0);
+        let mut stats = ExecStats::new(7, 0);
         stats.waves = 3;
         stats.wall_s = 0.25;
         let plain = stats.to_string();

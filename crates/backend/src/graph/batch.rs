@@ -1,46 +1,24 @@
 //! Wave layout: turns a topological wave of netlist nodes into a
-//! [`WavePlan`] — one gate list in (opcode, node id) order, and fused
-//! LUTs grouped into the batched-PBS kernels a replay launches.
+//! [`WavePlan`] — one gate list in (opcode, node id) order.
 
-use crate::graph::plan::{GateTask, LutGroup, LutTask, WavePlan};
+use crate::graph::plan::{GateTask, WavePlan};
 use pytfhe_netlist::{Netlist, Node};
-use std::collections::BTreeMap;
 
-/// Orders one wave's gate nodes by opcode (one linear bucket pass) and
-/// groups its fused LUT nodes by `(width, precision, bootstrapping)`,
-/// preserving node order within each opcode and group. The orders
-/// follow the opcode table and the bucket key, so captures are
-/// deterministic regardless of netlist construction order, and the
-/// bootstrapping opcodes precede the linear ones. Splitting affine LUTs
-/// (width-1 constants, buffers, negations) from bootstrapping ones keeps
-/// every [`LutGroup`] homogeneous, so a replay picks the batched-PBS or
-/// linear path per group.
+/// Orders one wave's gate nodes by opcode (one linear bucket pass),
+/// preserving node order within each opcode. The order follows the
+/// opcode table, so captures are deterministic regardless of netlist
+/// construction order, and the bootstrapping opcodes precede the linear
+/// ones.
 pub(crate) fn group_wave(nl: &Netlist, wave: &[u32]) -> WavePlan {
     // Bucket by opcode: 16 possible kinds, most waves use a handful.
     let mut buckets: [Vec<GateTask>; 16] = Default::default();
-    let mut lut_buckets: BTreeMap<(u8, u8, bool), Vec<LutTask>> = BTreeMap::new();
     for &id in wave {
-        match nl.node(pytfhe_netlist::NodeId(id)) {
-            Node::Gate { kind, a, b } => {
-                buckets[kind.opcode() as usize].push(GateTask { kind, out: id, a: a.0, b: b.0 });
-            }
-            Node::Lut { spec, ins } => {
-                let key = (spec.width, spec.precision, spec.bootstraps() > 0);
-                lut_buckets.entry(key).or_default().push(LutTask {
-                    out: id,
-                    table: spec.table,
-                    ins: [ins[0].0, ins[1].0, ins[2].0, ins[3].0],
-                });
-            }
-            Node::Input => {} // inputs are fed by the caller, not evaluated
+        // Inputs are fed by the caller, not evaluated.
+        if let Node::Gate { kind, a, b } = nl.node(pytfhe_netlist::NodeId(id)) {
+            buckets[kind.opcode() as usize].push(GateTask { kind, out: id, a: a.0, b: b.0 });
         }
     }
-    let gates = buckets.concat();
-    let lut_groups = lut_buckets
-        .into_iter()
-        .map(|((width, precision, _), tasks)| LutGroup { width, precision, tasks })
-        .collect();
-    WavePlan { gates, lut_groups }
+    WavePlan { gates: buckets.concat() }
 }
 
 #[cfg(test)]

@@ -44,7 +44,7 @@ pub fn capture(nl: &Netlist, cfg: &CaptureConfig) -> Result<KernelPlan, ExecErro
     let mut open = SubGraph::default();
     let mut open_bootstrapped = 0;
     for wave in sched.waves.iter().map(|wave| group_wave(nl, wave)) {
-        if wave.gates.is_empty() && wave.lut_groups.is_empty() {
+        if wave.gates.is_empty() {
             continue;
         }
         open_bootstrapped += wave.bootstrapped();
@@ -63,7 +63,6 @@ pub fn capture(nl: &Netlist, cfg: &CaptureConfig) -> Result<KernelPlan, ExecErro
         inputs: nl.inputs().iter().map(|id| id.0).collect(),
         outputs: nl.outputs().iter().map(|id| id.0).collect(),
         batches,
-        message_precision: nl.lut_precision().unwrap_or(0),
     })
 }
 

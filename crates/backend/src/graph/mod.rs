@@ -30,7 +30,7 @@ mod replay;
 #[cfg(test)]
 pub(crate) use capture::ladder;
 pub use capture::{capture, CaptureConfig};
-pub use plan::{counts_toward_batch, GateTask, KernelPlan, LutGroup, LutTask, SubGraph, WavePlan};
+pub use plan::{counts_toward_batch, GateTask, KernelPlan, SubGraph, WavePlan};
 pub use replay::{replay, run_wave, Launch, ReplayLanes};
 pub(crate) use replay::{run_wave_with, Retry};
 

@@ -1,12 +1,12 @@
 //! The captured execution plan: a netlist flattened into sub-graph
 //! batches of waves, each wave one gate list (every task carrying its
-//! own gate kind) plus its fused-LUT groups, and a byte-level codec so
-//! plans can be shipped to (or cached by) a remote evaluator exactly
-//! like the paper's serialized CUDA graphs.
+//! own gate kind), and a byte-level codec so plans can be shipped to (or
+//! cached by) a remote evaluator exactly like the paper's serialized CUDA
+//! graphs.
 
 use crate::engine::boot_gate;
 use crate::error::ExecError;
-use pytfhe_netlist::{GateKind, LutSpec};
+use pytfhe_netlist::GateKind;
 use pytfhe_wire as wire;
 
 /// One gate instance: evaluate `kind` on value slots `a` and `b`,
@@ -36,52 +36,6 @@ impl GateTask {
     }
 }
 
-/// One fused LUT instance inside a batched programmable-bootstrap
-/// kernel: look up `table` on the message-encoded leaves in `ins` (only
-/// the group width's prefix is read; unused slots repeat a valid slot,
-/// exactly as [`pytfhe_netlist::Node::Lut`] pads them).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct LutTask {
-    /// Destination value slot (the netlist node id).
-    pub out: u32,
-    /// Truth table: bit `j` is the output for leaf pattern `j`.
-    pub table: u16,
-    /// Leaf value slots, LSB-first.
-    pub ins: [u32; 4],
-}
-
-/// All fused LUTs of one width and precision within one wave — replayed
-/// as a single batched programmable-bootstrap launch. Capture keeps
-/// groups *homogeneous*: either every task bootstraps or every task is
-/// affine (width-1 constants, buffers, negations), so a replay picks the
-/// batched-PBS or linear path per group, never per task.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct LutGroup {
-    /// Leaves read by every task.
-    pub width: u8,
-    /// Message precision (bits) of the wire encoding.
-    pub precision: u8,
-    /// The independent LUT instances.
-    pub tasks: Vec<LutTask>,
-}
-
-impl LutGroup {
-    /// The [`LutSpec`] of one task in this group.
-    pub fn spec_of(&self, task: &LutTask) -> LutSpec {
-        LutSpec::new(self.width, self.precision, task.table)
-    }
-
-    /// Programmable bootstraps this group launches.
-    pub fn bootstraps(&self) -> u64 {
-        self.tasks.iter().map(|t| self.spec_of(t).bootstraps()).sum()
-    }
-
-    /// Whether every task is affine (evaluated without a bootstrap).
-    pub fn is_affine(&self) -> bool {
-        self.bootstraps() == 0
-    }
-}
-
 /// One topological wave: its tasks are mutually independent (they only
 /// read slots written by earlier waves), so a replay may run them in any
 /// order or in parallel.
@@ -90,52 +44,34 @@ pub struct WavePlan {
     /// The wave's gates, in (opcode, node id) order as captured; a
     /// replay batches gates of different kinds into one launch.
     pub gates: Vec<GateTask>,
-    /// Same-width fused-LUT kernel groups (empty on boolean-decomposed
-    /// programs).
-    pub lut_groups: Vec<LutGroup>,
 }
 
 impl WavePlan {
-    /// Gates in the wave (fused LUTs not included; see
-    /// [`WavePlan::num_luts`]).
+    /// Gates in the wave.
     pub fn num_gates(&self) -> usize {
         self.gates.len()
     }
 
-    /// Fused LUT tasks across all LUT groups.
-    pub fn num_luts(&self) -> usize {
-        self.lut_groups.iter().map(|g| g.tasks.len()).sum()
-    }
-
-    /// Every task the wave stages: gates plus fused LUTs.
-    pub fn num_tasks(&self) -> usize {
-        self.num_gates() + self.num_luts()
-    }
-
     /// Tasks the simulators charge a device slot for (gates but
-    /// constants and buffers, see [`counts_toward_batch`], plus the
-    /// programmable bootstraps of the wave's fused LUTs): the count the
+    /// constants and buffers, see [`counts_toward_batch`]): the count the
     /// batch-cut rule accumulates.
     pub fn bootstrapped(&self) -> u64 {
         self.gates.iter().filter(|t| counts_toward_batch(t.kind)).count() as u64
-            + self.lut_groups.iter().map(LutGroup::bootstraps).sum::<u64>()
     }
 
-    /// Bootstraps the wave executes: binary gates plus non-affine LUT
-    /// cones (`Not`, `Buf`, constants, and affine LUTs are linear).
+    /// Bootstraps the wave executes: its binary gates (`Not`, `Buf` and
+    /// constants are linear).
     pub fn bootstraps(&self) -> u64 {
         self.gates.iter().filter(|t| boot_gate(t.kind).is_some()).count() as u64
-            + self.lut_groups.iter().map(LutGroup::bootstraps).sum::<u64>()
     }
 
     /// Re-cuts the wave into sub-waves of at most `bound` bootstraps
-    /// each (clamped to at least 1), every task in exactly one of them,
-    /// task order kept: the wave's `i`-th bootstrapping task, counted
-    /// over its gates and then its LUT groups, lands in sub-wave
-    /// `i / bound`, linear tasks cost nothing and stay in the first.
-    /// Tasks of one wave are independent, so the sub-waves may run in any
-    /// order, one after another or together. A wave within the bound
-    /// comes back as it is.
+    /// each (clamped to at least 1), every gate in exactly one of them,
+    /// gate order kept: the wave's `i`-th bootstrapping gate lands in
+    /// sub-wave `i / bound`, linear gates cost nothing and stay in the
+    /// first. Gates of one wave are independent, so the sub-waves may run
+    /// in any order, one after another or together. A wave within the
+    /// bound comes back as it is.
     pub fn split(self, bound: usize) -> Vec<WavePlan> {
         let bound = bound.max(1);
         let parts = (self.bootstraps() as usize).div_ceil(bound);
@@ -151,24 +87,6 @@ impl WavePlan {
                 dealt += 1;
             }
             out[part].gates.push(task);
-        }
-        // Where a LUT group of `len` tasks lands: (sub-wave, run of tasks).
-        let mut runs = |len: usize, boots: bool| -> Vec<(usize, std::ops::Range<usize>)> {
-            if !boots {
-                return vec![(0, 0..len)];
-            }
-            let (start, end) = (dealt, dealt + len);
-            dealt = end;
-            (start / bound..end.div_ceil(bound))
-                .map(|j| (j, (j * bound).max(start) - start..((j + 1) * bound).min(end) - start))
-                .collect()
-        };
-        for group in self.lut_groups {
-            let (width, precision) = (group.width, group.precision);
-            for (part, run) in runs(group.tasks.len(), !group.is_affine()) {
-                let tasks = group.tasks[run].to_vec();
-                out[part].lut_groups.push(LutGroup { width, precision, tasks });
-            }
         }
         out
     }
@@ -215,11 +133,6 @@ pub struct KernelPlan {
     pub outputs: Vec<u32>,
     /// The sub-graph batches in execution order.
     pub batches: Vec<SubGraph>,
-    /// Message precision (bits) of every wire on a LUT-lowered program,
-    /// or 0 for boolean-decomposed programs. Nonzero precision switches
-    /// constants to the message encoding and marks the plan for the v3
-    /// wire layout.
-    pub message_precision: u8,
 }
 
 impl KernelPlan {
@@ -233,18 +146,8 @@ impl KernelPlan {
         self.waves().map(WavePlan::num_gates).sum()
     }
 
-    /// Total fused LUT tasks across all batches.
-    pub fn num_luts(&self) -> usize {
-        self.waves().map(WavePlan::num_luts).sum()
-    }
-
-    /// Whether any wave carries fused LUT groups.
-    pub fn has_luts(&self) -> bool {
-        self.waves().any(|w| !w.lut_groups.is_empty())
-    }
-
-    /// Bootstraps a replay executes: binary gates plus non-affine LUT
-    /// cones (`Not`, `Buf`, constants, and affine LUTs are linear).
+    /// Bootstraps a replay executes: binary gates (`Not`, `Buf` and
+    /// constants are linear).
     pub fn bootstraps(&self) -> u64 {
         self.waves().map(WavePlan::bootstraps).sum()
     }
@@ -271,14 +174,6 @@ impl KernelPlan {
                     ranges[slot as usize].1 = w;
                 }
             }
-            for group in &wave.lut_groups {
-                for t in &group.tasks {
-                    ranges[t.out as usize].0 = w;
-                    for &slot in &t.ins[..usize::from(group.width)] {
-                        ranges[slot as usize].1 = w;
-                    }
-                }
-            }
         }
         for &slot in &self.outputs {
             ranges[slot as usize].1 = u32::MAX;
@@ -287,34 +182,24 @@ impl KernelPlan {
     }
 }
 
-/// Plan body version inside the wire envelope for boolean-decomposed
-/// plans (v1 was the pre-envelope `PTKG` layout, no longer read).
+/// Plan body version inside the wire envelope (v1 was the pre-envelope
+/// `PTKG` layout, v3 the retired layout of plans with lookup-table
+/// groups; neither is read).
 const PLAN_WIRE_VERSION: u16 = 2;
-/// Plan body version for LUT-lowered plans: v2 plus a message-precision
-/// byte after the node count and a fused-LUT group section per wave.
-/// LUT-free plans keep encoding as v2, byte for byte, so existing
-/// cached artifacts and golden fixtures are untouched.
-const PLAN_WIRE_VERSION_LUT: u16 = 3;
 
 impl KernelPlan {
     /// Serializes the plan into a checksummed
     /// [`wire envelope`](pytfhe_wire): magic, format id, version,
-    /// payload length, CRC32C over header and payload. Plans without
-    /// fused LUTs use the v2 body; LUT-lowered plans the v3 body.
+    /// payload length, CRC32C over header and payload.
     pub fn to_bytes(&self) -> Vec<u8> {
-        let with_luts = self.has_luts() || self.message_precision != 0;
-        let version = if with_luts { PLAN_WIRE_VERSION_LUT } else { PLAN_WIRE_VERSION };
-        wire::encode(wire::Format::KernelPlan, version, &self.body_bytes(with_luts))
+        wire::encode(wire::Format::KernelPlan, PLAN_WIRE_VERSION, &self.body_bytes())
     }
 
-    /// The envelope payload (`with_luts` selects the v3 extensions).
-    fn body_bytes(&self, with_luts: bool) -> Vec<u8> {
+    /// The envelope payload.
+    fn body_bytes(&self) -> Vec<u8> {
         let mut out = Vec::new();
         put_u64(&mut out, self.fingerprint);
         put_u64(&mut out, self.num_nodes as u64);
-        if with_luts {
-            out.push(self.message_precision);
-        }
         put_u32_list(&mut out, &self.inputs);
         put_u32_list(&mut out, &self.outputs);
         put_u32(&mut out, self.batches.len() as u32);
@@ -332,21 +217,6 @@ impl KernelPlan {
                         put_u32(&mut out, t.out);
                         put_u32(&mut out, t.a);
                         put_u32(&mut out, t.b);
-                    }
-                }
-                if with_luts {
-                    put_u32(&mut out, wave.lut_groups.len() as u32);
-                    for group in &wave.lut_groups {
-                        out.push(group.width);
-                        out.push(group.precision);
-                        put_u32(&mut out, group.tasks.len() as u32);
-                        for t in &group.tasks {
-                            put_u32(&mut out, t.out);
-                            out.extend_from_slice(&t.table.to_le_bytes());
-                            for slot in t.ins {
-                                put_u32(&mut out, slot);
-                            }
-                        }
                     }
                 }
             }
@@ -367,20 +237,16 @@ impl KernelPlan {
         let env = wire::decode_expecting(
             bytes,
             wire::Format::KernelPlan,
-            PLAN_WIRE_VERSION..=PLAN_WIRE_VERSION_LUT,
+            PLAN_WIRE_VERSION..=PLAN_WIRE_VERSION,
         )?;
-        Self::parse_body(env.payload, env.version == PLAN_WIRE_VERSION_LUT)
+        Self::parse_body(env.payload)
     }
 
-    /// Parses the envelope payload (`with_luts` for the v3 extensions).
-    fn parse_body(bytes: &[u8], with_luts: bool) -> Result<Self, ExecError> {
+    /// Parses the envelope payload.
+    fn parse_body(bytes: &[u8]) -> Result<Self, ExecError> {
         let mut r = Reader { bytes, pos: 0 };
         let fingerprint = r.u64()?;
         let num_nodes = usize::try_from(r.u64()?).map_err(|_| bad("node count overflow"))?;
-        let message_precision = if with_luts { r.u8()? } else { 0 };
-        if message_precision > 4 {
-            return Err(bad("message precision out of range"));
-        }
         let inputs = r.u32_list()?;
         let outputs = r.u32_list()?;
         let num_batches = r.u32()? as usize;
@@ -399,36 +265,14 @@ impl KernelPlan {
                         gates.push(GateTask { kind, out: r.u32()?, a: r.u32()?, b: r.u32()? });
                     }
                 }
-                let mut lut_groups = Vec::new();
-                if with_luts {
-                    let num_lut_groups = r.u32()? as usize;
-                    lut_groups.reserve(num_lut_groups.min(1024));
-                    for _ in 0..num_lut_groups {
-                        let width = r.u8()?;
-                        let precision = r.u8()?;
-                        if !(1..=4).contains(&width) || precision < width || precision > 4 {
-                            return Err(bad("bad LUT group shape"));
-                        }
-                        let num_tasks = r.u32()? as usize;
-                        let mut tasks = Vec::with_capacity(num_tasks.min(65_536));
-                        for _ in 0..num_tasks {
-                            let out = r.u32()?;
-                            let table = u16::from_le_bytes(r.take(2)?.try_into().expect("2 bytes"));
-                            let ins = [r.u32()?, r.u32()?, r.u32()?, r.u32()?];
-                            tasks.push(LutTask { out, table, ins });
-                        }
-                        lut_groups.push(LutGroup { width, precision, tasks });
-                    }
-                }
-                waves.push(WavePlan { gates, lut_groups });
+                waves.push(WavePlan { gates });
             }
             batches.push(SubGraph { waves });
         }
         if r.pos != bytes.len() {
             return Err(bad("trailing bytes"));
         }
-        let plan =
-            KernelPlan { fingerprint, num_nodes, inputs, outputs, batches, message_precision };
+        let plan = KernelPlan { fingerprint, num_nodes, inputs, outputs, batches };
         plan.check_slots()?;
         Ok(plan)
     }
@@ -439,12 +283,7 @@ impl KernelPlan {
         let ok = |slot: u32| u64::from(slot) < n;
         let wires = self.inputs.iter().chain(&self.outputs).all(|&s| ok(s));
         let gates = self.waves().flat_map(|w| &w.gates).all(|t| ok(t.out) && ok(t.a) && ok(t.b));
-        let luts = self
-            .waves()
-            .flat_map(|w| &w.lut_groups)
-            .flat_map(|g| &g.tasks)
-            .all(|t| ok(t.out) && t.ins.iter().all(|&s| ok(s)));
-        if wires && gates && luts {
+        if wires && gates {
             Ok(())
         } else {
             Err(bad("slot out of range"))
@@ -527,7 +366,6 @@ mod tests {
                             GateTask { kind: GateKind::Nand, out: 3, a: 1, b: 0 },
                             GateTask { kind: GateKind::Not, out: 4, a: 0, b: 0 },
                         ],
-                        lut_groups: vec![],
                     }],
                 },
                 SubGraph {
@@ -536,44 +374,9 @@ mod tests {
                             GateTask { kind: GateKind::Xor, out: 5, a: 2, b: 3 },
                             GateTask { kind: GateKind::Xor, out: 6, a: 3, b: 4 },
                         ],
-                        lut_groups: vec![],
                     }],
                 },
             ],
-            message_precision: 0,
-        }
-    }
-
-    fn sample_lut_plan() -> KernelPlan {
-        KernelPlan {
-            fingerprint: 0x1234_5678_9ABC_DEF0,
-            num_nodes: 6,
-            inputs: vec![0, 1, 2],
-            outputs: vec![5],
-            batches: vec![SubGraph {
-                waves: vec![
-                    WavePlan {
-                        gates: vec![],
-                        lut_groups: vec![LutGroup {
-                            width: 3,
-                            precision: 3,
-                            tasks: vec![
-                                LutTask { out: 3, table: 0b1001_0110, ins: [0, 1, 2, 0] },
-                                LutTask { out: 4, table: 0b1110_1000, ins: [0, 1, 2, 0] },
-                            ],
-                        }],
-                    },
-                    WavePlan {
-                        gates: vec![],
-                        lut_groups: vec![LutGroup {
-                            width: 1,
-                            precision: 3,
-                            tasks: vec![LutTask { out: 5, table: 0b01, ins: [3, 3, 3, 3] }],
-                        }],
-                    },
-                ],
-            }],
-            message_precision: 3,
         }
     }
 
@@ -585,35 +388,16 @@ mod tests {
     }
 
     #[test]
-    fn lut_free_plans_stay_on_the_v2_layout() {
-        // A LUT-free plan's bytes must not change when the encoder
-        // learns the v3 extensions: cached artifacts written before the
-        // LUT era stay valid, and v2-only readers keep working.
-        let plan = sample_plan();
-        let bytes = plan.to_bytes();
-        let env = pytfhe_wire::decode(&bytes).unwrap();
-        assert_eq!(env.version, PLAN_WIRE_VERSION);
-    }
-
-    #[test]
-    fn lut_plans_round_trip_on_the_v3_layout() {
-        let plan = sample_lut_plan();
-        assert!(plan.has_luts());
-        let bytes = plan.to_bytes();
-        let env = pytfhe_wire::decode(&bytes).unwrap();
-        assert_eq!(env.version, PLAN_WIRE_VERSION_LUT);
-        assert_eq!(KernelPlan::from_bytes(&bytes).unwrap(), plan);
-    }
-
-    #[test]
-    fn lut_accounting_distinguishes_affine_cones() {
-        let plan = sample_lut_plan();
-        assert_eq!(plan.num_luts(), 3);
-        // Two width-3 cones bootstrap; the width-1 negation is affine.
-        assert_eq!(plan.bootstraps(), 2);
-        let wave1 = &plan.batches[0].waves[1];
-        assert!(wave1.lut_groups[0].is_affine());
-        assert_eq!(wave1.bootstrapped(), 0);
+    fn plans_encode_as_v2_and_a_v3_body_is_refused_with_the_version_error() {
+        let bytes = sample_plan().to_bytes();
+        assert_eq!(pytfhe_wire::decode(&bytes).unwrap().version, PLAN_WIRE_VERSION);
+        // v3 carried lookup-table groups; its bodies are no longer read.
+        let body = sample_plan().body_bytes();
+        let v3 = wire::encode(wire::Format::KernelPlan, 3, &body);
+        assert!(matches!(
+            KernelPlan::from_bytes(&v3),
+            Err(ExecError::Wire(pytfhe_wire::WireError::UnsupportedVersion { version: 3, .. }))
+        ));
     }
 
     #[test]
@@ -621,29 +405,17 @@ mod tests {
         let gates = |kind, outs: std::ops::Range<u32>| {
             outs.map(move |out| GateTask { kind, out, a: 0, b: 1 })
         };
-        let luts = |width, table, outs: std::ops::Range<u32>| LutGroup {
-            width,
-            precision: 3,
-            tasks: outs.map(|out| LutTask { out, table, ins: [0, 1, 2, 0] }).collect(),
-        };
         let wave = WavePlan {
             gates: gates(GateKind::Nand, 10..15)
                 .chain(gates(GateKind::Not, 15..18))
-                .chain(gates(GateKind::Xor, 18..25))
+                .chain(gates(GateKind::Xor, 18..29))
                 .collect(),
-            lut_groups: vec![luts(3, 0b1001_0110, 25..29), luts(1, 0b01, 29..31)],
         };
         assert_eq!(wave.bootstraps(), 16);
-        // Every task with its kernel: (slot, opcode, 0) or (slot, 16 + width, table).
+        // Every gate with its kernel: (slot, opcode).
         let tasks_of = |waves: &[WavePlan]| {
-            let gates = waves.iter().flat_map(|w| &w.gates);
-            let luts = waves.iter().flat_map(|w| &w.lut_groups);
-            let mut all: Vec<_> = gates
-                .map(|t| (t.out, t.kind.opcode(), 0))
-                .chain(
-                    luts.flat_map(|g| g.tasks.iter().map(move |t| (t.out, 16 + g.width, t.table))),
-                )
-                .collect();
+            let mut all: Vec<_> =
+                waves.iter().flat_map(|w| &w.gates).map(|t| (t.out, t.kind.opcode())).collect();
             all.sort_unstable();
             all
         };
@@ -653,26 +425,10 @@ mod tests {
             assert_eq!(parts.len(), 16usize.div_ceil(bound.max(1)), "bound {bound}");
             for part in &parts {
                 assert!(part.bootstraps() <= bound.max(1) as u64, "bound {bound}");
-                assert!(part.num_tasks() > 0, "bound {bound}");
+                assert!(part.num_gates() > 0, "bound {bound}");
             }
         }
         assert_eq!(wave.clone().split(16), vec![wave]);
-    }
-
-    #[test]
-    fn rejects_malformed_lut_groups() {
-        let mut plan = sample_lut_plan();
-        plan.batches[0].waves[0].lut_groups[0].tasks[0].ins[1] = 99;
-        assert!(matches!(
-            KernelPlan::from_bytes(&plan.to_bytes()),
-            Err(ExecError::BadPlan { reason: "slot out of range" })
-        ));
-        let mut plan = sample_lut_plan();
-        plan.batches[0].waves[0].lut_groups[0].width = 5;
-        assert!(matches!(
-            KernelPlan::from_bytes(&plan.to_bytes()),
-            Err(ExecError::BadPlan { reason: "bad LUT group shape" })
-        ));
     }
 
     #[test]
@@ -708,7 +464,7 @@ mod tests {
         }
 
         // Body-level failures behind a valid checksum keep their reasons.
-        let body = plan.body_bytes(false);
+        let body = plan.body_bytes();
         let enveloped =
             |body: &[u8]| wire::encode(wire::Format::KernelPlan, PLAN_WIRE_VERSION, body);
         assert!(matches!(

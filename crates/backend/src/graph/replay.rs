@@ -15,16 +15,15 @@
 //! slice of [`Launch`]es: [`replay`] passes one (the next wave of its
 //! plan), the serving scheduler one per picked job, each over that
 //! tenant's key. A launch's gates are one list whatever their kinds, so
-//! a chunk is a run of bootstrapping gates, of linear gates or of one
-//! LUT group, and all chunks of all launches are one pool run: lanes
-//! steal across run and launch boundaries. The resilient
-//! executor dispatches through the same code with a [`Retry`] policy
-//! that re-runs the chunks that failed.
+//! a chunk is a run of bootstrapping gates or of linear gates, and all
+//! chunks of all launches are one pool run: lanes steal across run and
+//! launch boundaries. The resilient executor dispatches through the same
+//! code with a [`Retry`] policy that re-runs the chunks that failed.
 
 use crate::engine::{boot_gate, check_inputs, GateEngine};
 use crate::error::ExecError;
 use crate::exec::{ExecStats, PARALLEL_WAVE_MIN};
-use crate::graph::plan::{GateTask, KernelPlan, LutGroup, LutTask, WavePlan};
+use crate::graph::plan::{GateTask, KernelPlan, WavePlan};
 use crate::pool::{Job, SlotCells, WorkerPool};
 use pytfhe_netlist::GateKind;
 use pytfhe_telemetry as telemetry;
@@ -119,8 +118,7 @@ pub fn replay<E: GateEngine>(
 ) -> Result<(Vec<E::Value>, ExecStats), ExecError> {
     let start = Instant::now();
     lanes.load(engine, plan, inputs)?;
-    let mut stats = ExecStats::new(plan.num_gates(), plan.num_luts(), plan.bootstraps());
-    let msg_precision = plan.message_precision;
+    let mut stats = ExecStats::new(plan.num_gates(), plan.bootstraps());
     let workers = lanes.workers;
     for (batch_idx, batch) in plan.batches.iter().enumerate() {
         stats.batches += 1;
@@ -128,7 +126,7 @@ pub fn replay<E: GateEngine>(
             format!("batch {batch_idx}: {} waves", batch.waves.len())
         });
         for wave in &batch.waves {
-            let launch = Launch { engine, wave, msg_precision, lanes: &mut *lanes };
+            let launch = Launch { engine, wave, lanes: &mut *lanes };
             run_wave(&mut [launch], workers, &mut stats)?;
             stats.waves += 1;
         }
@@ -146,71 +144,38 @@ pub struct Launch<'a, E: GateEngine> {
     pub engine: &'a E,
     /// The wave.
     pub wave: &'a WavePlan,
-    /// [`KernelPlan::message_precision`]. Where it is nonzero, constant
-    /// gates are filled via [`GateEngine::constant_message`] so
-    /// constants land on the encoding the packed LUT windows expect.
-    pub msg_precision: u8,
     /// The plan's value arena, staging arena and per-lane scratch.
     pub lanes: &'a mut ReplayLanes<E::Value, E::Scratch>,
 }
 
-/// The tasks of one chunk: gates that all bootstrap or are all linear,
-/// or a run of a LUT group (and whether it is affine).
-#[derive(Clone, Copy)]
-enum Tasks<'a> {
-    Gates(&'a [GateTask]),
-    Luts(&'a LutGroup, bool, &'a [LutTask]),
-}
-
 /// One per-lane chunk of launch number `launch`: the unit a
 /// lane executes, reading the launch's value arena and writing its own
-/// slice of the launch's stage.
+/// slice of the launch's stage. Its gates all bootstrap or are all
+/// linear.
 struct Chunk<'a, E: GateEngine> {
     engine: &'a E,
     launch: usize,
     values: &'a [E::Value],
-    tasks: Tasks<'a>,
+    tasks: &'a [GateTask],
     stage: &'a mut [E::Value],
 }
 
 impl<E: GateEngine> Chunk<'_, E> {
-    /// Whether the chunk's tasks bootstrap.
+    /// Whether the chunk's gates bootstrap.
     fn bootstraps(&self) -> bool {
-        match self.tasks {
-            Tasks::Gates(tasks) => boot_gate(tasks[0].kind).is_some(),
-            Tasks::Luts(_, affine, _) => !affine,
-        }
+        boot_gate(self.tasks[0].kind).is_some()
     }
 
-    /// Gates dispatch through [`GateEngine::eval_batch`], bootstrapping
-    /// LUT groups through [`GateEngine::eval_lut_batch`]; affine groups
-    /// (width-1 tables) run linearly through
-    /// [`GateEngine::eval_lut_into`]. Only the chunk's stage is written,
-    /// so running it again is harmless.
+    /// Runs the chunk through [`GateEngine::eval_batch`]. Only the
+    /// chunk's stage is written, so running it again is harmless.
     fn run(&mut self, scratch: &mut E::Scratch) {
-        let (engine, values, stage) = (self.engine, self.values, &mut *self.stage);
-        // The operand references of a LUT task (unused slots alias the
-        // first, mirroring the netlist's padding).
-        let refs = |t: &LutTask| t.ins.map(|slot| &values[slot as usize]);
-        match self.tasks {
-            Tasks::Gates(tasks) => {
-                let items: Vec<(GateKind, &E::Value, &E::Value)> = tasks
-                    .iter()
-                    .map(|t| (t.kind, &values[t.a as usize], &values[t.b as usize]))
-                    .collect();
-                engine.eval_batch(&items, stage, scratch);
-            }
-            Tasks::Luts(group, true, tasks) => {
-                for (t, out) in tasks.iter().zip(stage) {
-                    engine.eval_lut_into(group.spec_of(t), &refs(t), scratch, out);
-                }
-            }
-            Tasks::Luts(group, false, tasks) => {
-                let items: Vec<(u16, [&E::Value; 4])> =
-                    tasks.iter().map(|t| (t.table, refs(t))).collect();
-                engine.eval_lut_batch(group.width, group.precision, &items, stage, scratch);
-            }
-        }
+        let values = self.values;
+        let items: Vec<(GateKind, &E::Value, &E::Value)> = self
+            .tasks
+            .iter()
+            .map(|t| (t.kind, &values[t.a as usize], &values[t.b as usize]))
+            .collect();
+        self.engine.eval_batch(&items, self.stage, scratch);
     }
 }
 
@@ -246,11 +211,11 @@ impl Retry for FailFast {
 /// result is staged (the wave's other tasks may still read any slot),
 /// then swapped into the launch's value arena. Each launch's gates are
 /// split into a bootstrapping run and a linear run (more where a decoded
-/// plan interleaves the two), whatever their kinds; those runs and the
-/// launch's LUT groups are cut into chunks targeting one per lane. A
-/// dispatch of at least [`GateEngine::parallel_grain`] tasks submits
-/// them as one pool run over `workers` lanes with stealing across runs
-/// and launches, a narrower one runs them in order on the calling thread.
+/// plan interleaves the two), whatever their kinds, and those runs are
+/// cut into chunks targeting one per lane. A dispatch of at least
+/// [`GateEngine::parallel_grain`] gates submits them as one pool run over
+/// `workers` lanes with stealing across runs and launches, a narrower one
+/// runs them in order on the calling thread.
 /// The launches must be mutually independent — different plans, or
 /// plans over disjoint arenas.
 ///
@@ -277,7 +242,7 @@ pub(crate) fn run_wave_with<E: GateEngine>(
     stats: &mut ExecStats,
     retry: &mut impl Retry,
 ) -> Result<(), ExecError> {
-    let total: usize = launches.iter().map(|l| l.wave.num_tasks()).sum();
+    let total: usize = launches.iter().map(|l| l.wave.num_gates()).sum();
     let Some(first) = launches.first().filter(|_| total > 0) else {
         return Ok(());
     };
@@ -296,7 +261,7 @@ pub(crate) fn run_wave_with<E: GateEngine>(
     let grain = first.engine.parallel_grain().max(PARALLEL_WAVE_MIN);
     let lanes = if gang > 1 || total < grain { 1 } else { workers.max(1) };
     // Chunks target one per lane across the whole dispatch; run and
-    // group boundaries may add a few more, and stealing evens them out.
+    // launch boundaries may add a few more, and stealing evens them out.
     let chunk = total.div_ceil(lanes);
     let mut cells: Vec<SlotCells<E::Scratch>> = Vec::with_capacity(launches.len());
     let mut chunks: Vec<Chunk<'_, E>> = Vec::new();
@@ -309,7 +274,7 @@ pub(crate) fn run_wave_with<E: GateEngine>(
         // the stage arena spans the wave, not just its widest run; a
         // gang's other members write their copies of its one bootstrap
         // past it.
-        let n = wave.num_tasks();
+        let n = wave.num_gates();
         if stage.len() < n + gang - 1 {
             stage.resize_with(n + gang - 1, || engine.constant(false));
         }
@@ -320,36 +285,12 @@ pub(crate) fn run_wave_with<E: GateEngine>(
             cells.push(SlotCells::new(std::mem::take(scratches)));
         }
         let values = &values[..];
-        // Whether a gate bootstraps, and whether it is a constant of a
-        // LUT-lowered plan: an allocation-free encode, filled here more
-        // cheaply than in a chunk of its own.
-        let p = l.msg_precision;
-        let class = |t: &GateTask| (boot_gate(t.kind).is_some(), p > 0 && t.kind.is_const());
-        for run in wave.gates.chunk_by(|x, y| class(x) == class(y)) {
+        let boots = |t: &GateTask| boot_gate(t.kind).is_some();
+        for run in wave.gates.chunk_by(|x, y| boots(x) == boots(y)) {
             let (run_stage, rest) = stage_rest.split_at_mut(run.len());
             stage_rest = rest;
-            if class(&run[0]).1 {
-                for (t, out) in run.iter().zip(run_stage) {
-                    *out = engine.constant_message(t.kind == GateKind::Const1, p);
-                }
-                stats.kernel_launches += 1;
-                continue;
-            }
             stats.kernel_launches += run.len().div_ceil(chunk) as u64;
             for (tasks, stage) in run.chunks(chunk).zip(run_stage.chunks_mut(chunk)) {
-                let tasks = Tasks::Gates(tasks);
-                chunks.push(Chunk { engine, launch, values, tasks, stage });
-            }
-        }
-        for group in &wave.lut_groups {
-            let (group_stage, rest) = stage_rest.split_at_mut(group.tasks.len());
-            stage_rest = rest;
-            let affine = group.is_affine();
-            if !affine {
-                stats.lut_launches += group.tasks.len().div_ceil(chunk) as u64;
-            }
-            for (tasks, stage) in group.tasks.chunks(chunk).zip(group_stage.chunks_mut(chunk)) {
-                let tasks = Tasks::Luts(group, affine, tasks);
                 chunks.push(Chunk { engine, launch, values, tasks, stage });
             }
         }
@@ -410,10 +351,8 @@ pub(crate) fn run_wave_with<E: GateEngine>(
     outcome?;
     for l in launches {
         let ReplayLanes { values, stage, .. } = &mut *l.lanes;
-        let outs = l.wave.gates.iter().map(|t| t.out);
-        let lut_outs = l.wave.lut_groups.iter().flat_map(|g| g.tasks.iter().map(|t| t.out));
-        for (out, staged) in outs.chain(lut_outs).zip(stage) {
-            std::mem::swap(&mut values[out as usize], staged);
+        for (t, staged) in l.wave.gates.iter().zip(stage) {
+            std::mem::swap(&mut values[t.out as usize], staged);
         }
     }
     Ok(())

@@ -149,29 +149,18 @@ impl ClusterSim {
         let submit_ns = to_ns(self.cost.task_submit_s);
         let workers = self.config.workers().max(1);
 
-        // The DAG over the plan's value slots. Tasks that count toward a
-        // batch take a worker; free ones (constants, buffers, affine
-        // LUTs) finish the moment their operands do, and so do inputs,
-        // which have none.
+        // The DAG over the plan's value slots. Gates that count toward a
+        // batch take a worker; free ones (constants, buffers) finish the
+        // moment their operands do, and so do inputs, which have none.
         let n = plan.num_nodes;
         let mut free = vec![true; n];
         let mut deps = vec![0u32; n];
         let mut succs: Vec<Vec<u32>> = vec![Vec::new(); n];
-        for wave in plan.waves() {
-            let gates = wave
-                .gates
-                .iter()
-                .map(|t| (t.out, [t.a, t.b, 0, 0], t.reads(), !counts_toward_batch(t.kind)));
-            let luts = wave.lut_groups.iter().flat_map(|g| {
-                let (reads, free) = (usize::from(g.width), g.is_affine());
-                g.tasks.iter().map(move |t| (t.out, t.ins, reads, free))
-            });
-            for (out, ins, reads, is_free) in gates.chain(luts) {
-                free[out as usize] = is_free;
-                deps[out as usize] = reads as u32;
-                for &op in &ins[..reads] {
-                    succs[op as usize].push(out);
-                }
+        for t in plan.waves().flat_map(|wave| &wave.gates) {
+            free[t.out as usize] = !counts_toward_batch(t.kind);
+            deps[t.out as usize] = t.reads() as u32;
+            for &op in &[t.a, t.b][..t.reads()] {
+                succs[op as usize].push(t.out);
             }
         }
         let roots = (0..n).filter(|&i| deps[i] == 0);

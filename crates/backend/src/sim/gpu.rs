@@ -17,7 +17,7 @@
 //!   the CPU overlaps graph *execution* of batch `i` on the GPU.
 
 use crate::cost::{CpuCostModel, GpuCostModel};
-use crate::graph::{counts_toward_batch, KernelPlan, LutGroup, SubGraph, WavePlan};
+use crate::graph::{counts_toward_batch, KernelPlan, SubGraph, WavePlan};
 use crate::sim::timeline::Timeline;
 
 /// Scheduling policy.
@@ -79,8 +79,7 @@ impl GpuSim {
 
     /// The batched cuFHE policy: within each wave, gates of one kind —
     /// bucketed here by ascending opcode, since the plan's gate list
-    /// mixes kinds — and fused LUTs of one bootstrapping group form
-    /// vector batches of up to `SM` lanes. Every batch still pays full
+    /// mixes kinds — form vector batches of up to `SM` lanes. Every batch still pays full
     /// transfers, a launch and a blocking sync, and batches are
     /// serialized on the CPU thread — mixed gate kinds and
     /// inter-dependencies cannot share a batch.
@@ -97,8 +96,7 @@ impl GpuSim {
             for t in wave.gates.iter().filter(|t| counts_toward_batch(t.kind)) {
                 kinds[t.kind.opcode() as usize] += 1;
             }
-            let luts = wave.lut_groups.iter().map(LutGroup::bootstraps);
-            for count in kinds.into_iter().filter(|&n| n > 0).chain(luts) {
+            for count in kinds.into_iter().filter(|&n| n > 0) {
                 gates += count;
                 let mut left = count;
                 while left > 0 {
@@ -240,9 +238,7 @@ impl GpuSim {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::graph::{capture, ladder, CaptureConfig};
-    use crate::sim::{ClusterConfig, ClusterSim};
-    use pytfhe_netlist::{GateKind, LutSpec, Netlist};
+    use crate::graph::{ladder, CaptureConfig};
 
     #[test]
     fn pytfhe_beats_cufhe_by_paper_margin_on_wide_programs() {
@@ -305,62 +301,6 @@ mod tests {
         let ratio = single / gpu.total_s;
         // Table IV implies A5000 ≈ 72× one CPU core (108.7 / 1.5).
         assert!(ratio > 45.0 && ratio < 90.0, "A5000 over single core: {ratio}");
-    }
-
-    #[test]
-    fn a_fused_lut_costs_one_bootstrap_unless_affine() {
-        let mut nl = Netlist::new();
-        let a = nl.add_input();
-        let b = nl.add_input();
-        let c = nl.add_input();
-        // Majority cone: one programmable bootstrap.
-        let maj = nl.add_lut(LutSpec::new(3, 3, 0b1110_1000), &[a, b, c]).unwrap();
-        // Width-1 negation: affine, free.
-        let inv = nl.add_lut(LutSpec::new(1, 3, 0b01), &[maj]).unwrap();
-        nl.mark_output(inv).unwrap();
-        let plan = capture(&nl, &CaptureConfig::default()).unwrap();
-        assert_eq!((plan.num_luts(), plan.bootstraps()), (2, 1), "both LUT nodes are tasks");
-        let waves: Vec<_> = plan.waves().collect();
-        assert!(!waves[0].lut_groups[0].is_affine() && waves[1].lut_groups[0].is_affine());
-        assert_eq!(waves.iter().map(|w| w.bootstrapped()).collect::<Vec<_>>(), [1, 0]);
-        let cluster = ClusterSim::new(CpuCostModel::paper(), ClusterConfig::one_node());
-        let report = cluster.simulate(&plan);
-        assert_eq!((report.waves, report.gates), (1, 1));
-        let gpu = GpuSim::new(GpuCostModel::a5000(), CpuCostModel::paper());
-        for policy in [GpuPolicy::CuFhe, GpuPolicy::CuFheBatched, GpuPolicy::CudaGraphs] {
-            assert_eq!(gpu.simulate(&plan, policy).gates, 1, "{policy:?}");
-        }
-    }
-
-    #[test]
-    fn every_policy_charges_the_fused_luts_of_a_covered_netlist() {
-        use pytfhe_netlist::opt::{lut_cover, LutCoverConfig};
-        // A 6-bit ripple-carry adder: each full adder's sum and carry
-        // cones fuse into programmable bootstraps.
-        let mut nl = Netlist::new();
-        let (xs, ys): (Vec<_>, Vec<_>) = (0..6).map(|_| (nl.add_input(), nl.add_input())).unzip();
-        let mut carry = nl.add_gate(GateKind::And, xs[0], ys[0]).unwrap();
-        let sum = nl.add_gate(GateKind::Xor, xs[0], ys[0]).unwrap();
-        nl.mark_output(sum).unwrap();
-        for (&x, &y) in xs.iter().zip(&ys).skip(1) {
-            let half = nl.add_gate(GateKind::Xor, x, y).unwrap();
-            let sum = nl.add_gate(GateKind::Xor, half, carry).unwrap();
-            let both = nl.add_gate(GateKind::And, x, y).unwrap();
-            let carried = nl.add_gate(GateKind::And, half, carry).unwrap();
-            carry = nl.add_gate(GateKind::Or, both, carried).unwrap();
-            nl.mark_output(sum).unwrap();
-        }
-        nl.mark_output(carry).unwrap();
-        let (lowered, _) = lut_cover(&nl, &LutCoverConfig::default()).unwrap();
-        let plan = capture(&lowered, &CaptureConfig::default()).unwrap();
-        assert!(plan.num_luts() > 0, "the cover fused no cone");
-        let sim = GpuSim::new(GpuCostModel::a5000(), CpuCostModel::paper());
-        let [per_gate, batched, graphs] =
-            [GpuPolicy::CuFhe, GpuPolicy::CuFheBatched, GpuPolicy::CudaGraphs]
-                .map(|policy| sim.simulate(&plan, policy));
-        let costed: u64 = plan.waves().map(WavePlan::bootstrapped).sum();
-        assert_eq!([per_gate.gates, batched.gates, graphs.gates], [costed; 3]);
-        assert!(graphs.total_s < batched.total_s && batched.total_s <= per_gate.total_s);
     }
 
     #[test]

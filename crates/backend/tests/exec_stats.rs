@@ -10,7 +10,6 @@ use pytfhe_backend::{
     PlainEngine, ResilientConfig, RetryPolicy, SeededFaults,
 };
 use pytfhe_hdl::Circuit;
-use pytfhe_netlist::opt::{lut_cover, LutCoverConfig};
 use pytfhe_netlist::topo::LevelSchedule;
 use pytfhe_netlist::{GateKind, Netlist};
 use pytfhe_telemetry as telemetry;
@@ -112,32 +111,22 @@ fn execute_parallel_is_one_shot_capture_and_replay() {
     // Grain 1 forces the plaintext waves through the pooled dispatch, so
     // workers = 4 exercises chunking and workers = 1 the serial path.
     let engine = PlainEngine::with_parallel_grain(1);
-    let boolean = adder(6);
-    let (lowered, report) = lut_cover(&boolean, &LutCoverConfig::default()).expect("lut_cover");
-    assert!(report.cones_fused > 0, "the adder must have fusable cones");
+    let nl = adder(6);
     let mut input = to_bits(37, 6);
     input.extend(to_bits(58, 6));
-    for nl in [&boolean, &lowered] {
-        let (want, _) = execute(&engine, nl, &input).expect("sequential");
-        for workers in [1, 4] {
-            let (one_shot, a) = execute_parallel(&engine, nl, &input, workers).expect("one-shot");
-            let (graphed, b) = KernelGraph::new().execute(&engine, nl, &input, workers).unwrap();
-            assert_eq!(one_shot, want, "workers={workers}");
-            assert_eq!(graphed, want, "workers={workers}");
-            assert!(a.waves > 0 && a.kernel_launches + a.lut_launches > 0);
-            assert_eq!(
-                (a.waves, a.batches, a.kernel_launches),
-                (b.waves, b.batches, b.kernel_launches),
-                "workers={workers}"
-            );
-            assert_eq!(
-                (a.luts, a.lut_launches, a.bootstraps),
-                (b.luts, b.lut_launches, b.bootstraps),
-                "workers={workers}"
-            );
-            assert_eq!(a.luts, nl.num_luts());
-            assert!(!a.plan_cached, "a one-shot run never finds a cached plan");
-        }
+    let (want, _) = execute(&engine, &nl, &input).expect("sequential");
+    for workers in [1, 4] {
+        let (one_shot, a) = execute_parallel(&engine, &nl, &input, workers).expect("one-shot");
+        let (graphed, b) = KernelGraph::new().execute(&engine, &nl, &input, workers).unwrap();
+        assert_eq!(one_shot, want, "workers={workers}");
+        assert_eq!(graphed, want, "workers={workers}");
+        assert!(a.waves > 0 && a.kernel_launches > 0);
+        assert_eq!(
+            (a.waves, a.batches, a.kernel_launches, a.bootstraps),
+            (b.waves, b.batches, b.kernel_launches, b.bootstraps),
+            "workers={workers}"
+        );
+        assert!(!a.plan_cached, "a one-shot run never finds a cached plan");
     }
 }
 

@@ -9,8 +9,7 @@ use pytfhe_netlist::Netlist;
 use pytfhe_telemetry as telemetry;
 use pytfhe_tfhe::{ClientKey, LweCiphertext, NoiseModel, Params, SecureRng, ServerKey, TfheError};
 
-/// Re-exported from [`pytfhe_tfhe`], where the guard lives so lower
-/// layers (e.g. shortint keygen) can run the same admission check.
+/// Re-exported from [`pytfhe_tfhe`], where the guard lives.
 pub use pytfhe_tfhe::NoiseGuard;
 
 /// The data owner: holds the secret key, encrypts inputs, decrypts

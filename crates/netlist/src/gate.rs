@@ -245,117 +245,6 @@ impl fmt::Display for GateKind {
     }
 }
 
-/// Maximum number of inputs of a fused LUT node: a width-4 packing
-/// `Σ 2^i·xᵢ` needs 16 distinguishable message windows, the most the
-/// shortint parameter sets decode within the default noise budget.
-pub const MAX_LUT_INPUTS: usize = 4;
-
-/// The function of a fused multi-input LUT node: an arbitrary boolean
-/// function of `width ≤ 4` inputs, evaluated at run time by a single
-/// programmable bootstrap instead of a tree of two-input gates.
-///
-/// Bit `j` of `table` is the output for input pattern `j`, where input
-/// `i` contributes bit `i` of `j` (input 0 is the least significant).
-/// `precision` is the message precision (in bits) the node's *wires*
-/// ride on: the LUT-cover pass assigns one netlist-global precision —
-/// the maximum fused width — so every wire of a lowered netlist shares
-/// one encoding and LUT outputs feed LUT inputs directly.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
-pub struct LutSpec {
-    /// Number of inputs read (`1..=MAX_LUT_INPUTS`).
-    pub width: u8,
-    /// Message precision (bits) of the wire encoding (`width ≤ precision ≤ 4`).
-    pub precision: u8,
-    /// Truth table: bit `j` is the output for input pattern `j`.
-    pub table: u16,
-}
-
-impl LutSpec {
-    /// Builds a spec, masking `table` to the `2^width` meaningful bits.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `width` is 0 or `width`/`precision` exceed the
-    /// supported range.
-    pub fn new(width: u8, precision: u8, table: u16) -> Self {
-        assert!((1..=MAX_LUT_INPUTS as u8).contains(&width), "LUT width {width} out of range");
-        assert!(
-            width <= precision && precision <= MAX_LUT_INPUTS as u8,
-            "LUT precision {precision} out of range for width {width}"
-        );
-        let mask = if width == 4 { u16::MAX } else { (1u16 << (1u16 << width)) - 1 };
-        LutSpec { width, precision, table: table & mask }
-    }
-
-    /// Number of truth-table entries (`2^width`).
-    #[inline]
-    pub fn entries(self) -> usize {
-        1 << self.width
-    }
-
-    /// The output bit for input pattern `j`.
-    ///
-    /// # Panics
-    ///
-    /// Panics (in debug builds) if `j` is out of range.
-    #[inline]
-    pub fn eval(self, j: usize) -> bool {
-        debug_assert!(j < self.entries(), "pattern {j} out of range");
-        (self.table >> j) & 1 == 1
-    }
-
-    /// Evaluates the LUT on explicit input bits (`bits[i]` is input `i`).
-    #[inline]
-    pub fn eval_bits(self, bits: &[bool]) -> bool {
-        let j = bits
-            .iter()
-            .take(self.width as usize)
-            .enumerate()
-            .fold(0usize, |acc, (i, &b)| acc | (usize::from(b) << i));
-        self.eval(j)
-    }
-
-    /// If the table ignores its inputs entirely, the constant it outputs.
-    pub fn as_const(self) -> Option<bool> {
-        let mask = if self.width == 4 { u16::MAX } else { (1u16 << (1u16 << self.width)) - 1 };
-        if self.table == 0 {
-            Some(false)
-        } else if self.table == mask {
-            Some(true)
-        } else {
-            None
-        }
-    }
-
-    /// Whether this is the width-1 identity (`table = 0b10`): a buffer,
-    /// executed as a ciphertext copy.
-    #[inline]
-    pub fn is_passthrough(self) -> bool {
-        self.width == 1 && self.table == 0b10
-    }
-
-    /// Whether this is the width-1 inverter (`table = 0b01`): on the
-    /// message encoding NOT is affine (`1/2^p − x`), so it executes
-    /// without a bootstrap.
-    #[inline]
-    pub fn is_negation(self) -> bool {
-        self.width == 1 && self.table == 0b01
-    }
-
-    /// Bootstraps this node costs at run time: 0 for constants,
-    /// passthroughs and negations (all affine on the message encoding),
-    /// 1 for everything else.
-    pub fn bootstraps(self) -> u64 {
-        u64::from(!(self.as_const().is_some() || self.is_passthrough() || self.is_negation()))
-    }
-}
-
-impl fmt::Display for LutSpec {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "lut{}/{}:{:#x}", self.width, self.precision, self.table)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -443,43 +332,6 @@ mod tests {
                 }
             }
         }
-    }
-
-    #[test]
-    fn lut_spec_masks_and_evaluates() {
-        let xor = LutSpec::new(2, 2, 0b0110);
-        assert_eq!(xor.entries(), 4);
-        assert!(!xor.eval(0) && xor.eval(1) && xor.eval(2) && !xor.eval(3));
-        assert!(xor.eval_bits(&[true, false]));
-        assert_eq!(xor.bootstraps(), 1);
-        // Bits beyond 2^width are masked away.
-        assert_eq!(LutSpec::new(1, 2, 0xFF06).table, 0b10);
-        assert_eq!(LutSpec::new(4, 4, 0xFFFF).table, 0xFFFF);
-    }
-
-    #[test]
-    fn lut_spec_classifies_affine_forms() {
-        assert_eq!(LutSpec::new(2, 2, 0).as_const(), Some(false));
-        assert_eq!(LutSpec::new(2, 2, 0b1111).as_const(), Some(true));
-        assert_eq!(LutSpec::new(3, 3, 0b1010_1010).as_const(), None);
-        assert!(LutSpec::new(1, 2, 0b10).is_passthrough());
-        assert!(LutSpec::new(1, 2, 0b01).is_negation());
-        assert_eq!(LutSpec::new(1, 2, 0b10).bootstraps(), 0);
-        assert_eq!(LutSpec::new(1, 2, 0b01).bootstraps(), 0);
-        assert_eq!(LutSpec::new(2, 2, 0).bootstraps(), 0);
-        assert_eq!(LutSpec::new(3, 4, 0b0110_1001).bootstraps(), 1);
-    }
-
-    #[test]
-    #[should_panic(expected = "out of range")]
-    fn lut_spec_rejects_zero_width() {
-        let _ = LutSpec::new(0, 2, 0);
-    }
-
-    #[test]
-    #[should_panic(expected = "out of range")]
-    fn lut_spec_rejects_precision_below_width() {
-        let _ = LutSpec::new(3, 2, 0);
     }
 
     #[test]

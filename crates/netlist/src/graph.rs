@@ -1,4 +1,4 @@
-use crate::{GateKind, LutSpec, NetlistError};
+use crate::{GateKind, NetlistError};
 use std::fmt;
 
 /// Identifier of a node (input signal or gate) inside a [`Netlist`].
@@ -25,8 +25,7 @@ impl fmt::Display for NodeId {
     }
 }
 
-/// A single node of the DAG: a primary input, a two-input gate, or a
-/// fused multi-input LUT.
+/// A single node of the DAG: a primary input or a two-input gate.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Node {
     /// A primary input signal (one encrypted bit at run time).
@@ -40,16 +39,6 @@ pub enum Node {
         /// Second operand (equal to `a` for unary gates, ignored for
         /// constants).
         b: NodeId,
-    },
-    /// A fused LUT evaluating `spec` on `ins[..spec.width]`, produced by
-    /// the [`crate::opt::lut_cover`] pass and executed by one
-    /// programmable bootstrap. Unused input slots repeat `ins[0]` so
-    /// structurally equal LUTs compare equal.
-    Lut {
-        /// Truth table, width, and wire precision.
-        spec: LutSpec,
-        /// Input operands; only `ins[..spec.width]` are read.
-        ins: [NodeId; crate::MAX_LUT_INPUTS],
     },
 }
 
@@ -137,37 +126,6 @@ impl Netlist {
         }
         let id = NodeId(self.nodes.len() as u32);
         self.nodes.push(Node::Gate { kind, a, b });
-        Ok(id)
-    }
-
-    /// Appends a fused LUT node evaluating `spec` on `ins` and returns its
-    /// id. Unused input slots are normalized to repeat `ins[0]`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`NetlistError::DanglingInput`] if any of the first
-    /// `spec.width` operands does not refer to an existing node, and
-    /// [`NetlistError::TooLarge`] once the id space is exhausted.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `ins` holds fewer than `spec.width` operands.
-    pub fn add_lut(&mut self, spec: LutSpec, ins: &[NodeId]) -> Result<NodeId, NetlistError> {
-        let width = spec.width as usize;
-        assert!(ins.len() >= width, "LUT of width {width} needs {width} operands");
-        let len = self.nodes.len() as u64;
-        for &op in &ins[..width] {
-            if u64::from(op.0) >= len {
-                return Err(NetlistError::DanglingInput { node: u64::from(op.0), len });
-            }
-        }
-        if len >= u64::from(u32::MAX) {
-            return Err(NetlistError::TooLarge);
-        }
-        let mut slots = [ins[0]; crate::MAX_LUT_INPUTS];
-        slots[..width].copy_from_slice(&ins[..width]);
-        let id = NodeId(self.nodes.len() as u32);
-        self.nodes.push(Node::Lut { spec, ins: slots });
         Ok(id)
     }
 
@@ -297,29 +255,9 @@ impl Netlist {
             .iter()
             .filter(|n| match n {
                 Node::Gate { kind, .. } => !kind.is_const() && *kind != GateKind::Buf,
-                Node::Lut { spec, .. } => spec.bootstraps() > 0,
                 Node::Input => false,
             })
             .count()
-    }
-
-    /// Number of fused LUT nodes.
-    pub fn num_luts(&self) -> usize {
-        self.nodes.iter().filter(|n| matches!(n, Node::Lut { .. })).count()
-    }
-
-    /// The wire precision of a LUT-lowered netlist: the (single, global)
-    /// message precision its LUT nodes carry, or `None` if the netlist
-    /// has no LUTs. Lowered netlists are homogeneous by construction, so
-    /// this is the maximum over nodes.
-    pub fn lut_precision(&self) -> Option<u8> {
-        self.nodes
-            .iter()
-            .filter_map(|n| match n {
-                Node::Lut { spec, .. } => Some(spec.precision),
-                _ => None,
-            })
-            .max()
     }
 
     /// Evaluates the netlist on plaintext input bits, returning the output
@@ -347,15 +285,6 @@ impl Netlist {
                 }
                 Node::Gate { kind, a, b } => {
                     values[i] = kind.eval(values[a.index()], values[b.index()]);
-                }
-                Node::Lut { spec, ins } => {
-                    let j = ins[..spec.width as usize]
-                        .iter()
-                        .enumerate()
-                        .fold(0usize, |acc, (bit, op)| {
-                            acc | (usize::from(values[op.index()]) << bit)
-                        });
-                    values[i] = spec.eval(j);
                 }
             }
         }
@@ -392,16 +321,6 @@ impl Netlist {
                             node: u64::from(b.0),
                             len: i as u64,
                         });
-                    }
-                }
-                Node::Lut { spec, ins } => {
-                    for op in &ins[..spec.width as usize] {
-                        if op.index() >= i {
-                            return Err(NetlistError::DanglingInput {
-                                node: u64::from(op.0),
-                                len: i as u64,
-                            });
-                        }
                     }
                 }
                 Node::Input => {}
@@ -487,40 +406,6 @@ mod tests {
         assert_eq!(nl.outputs(), &[g]);
         // A gate is not a valid input-port bit.
         assert!(nl.declare_input_port("bad", vec![g]).is_err());
-    }
-
-    #[test]
-    fn lut_nodes_evaluate_and_validate() {
-        use crate::LutSpec;
-        let mut nl = Netlist::new();
-        let a = nl.add_input();
-        let b = nl.add_input();
-        let c = nl.add_input();
-        // Full-adder sum: parity of three bits, one width-3 LUT.
-        let parity = LutSpec::new(3, 3, 0b1001_0110);
-        let sum = nl.add_lut(parity, &[a, b, c]).unwrap();
-        let inv = nl.add_lut(LutSpec::new(1, 3, 0b01), &[sum]).unwrap();
-        nl.mark_output(sum).unwrap();
-        nl.mark_output(inv).unwrap();
-        nl.validate().unwrap();
-        assert_eq!(nl.num_luts(), 2);
-        assert_eq!(nl.lut_precision(), Some(3));
-        // Only the parity LUT bootstraps; the inverter is affine.
-        assert_eq!(nl.num_bootstrapped_gates(), 1);
-        for bits in 0u32..8 {
-            let input: Vec<bool> = (0..3).map(|i| (bits >> i) & 1 == 1).collect();
-            let want = bits.count_ones() % 2 == 1;
-            assert_eq!(nl.eval_plain(&input), vec![want, !want], "{input:?}");
-        }
-    }
-
-    #[test]
-    fn lut_dangling_input_rejected() {
-        use crate::LutSpec;
-        let mut nl = Netlist::new();
-        let a = nl.add_input();
-        let err = nl.add_lut(LutSpec::new(2, 2, 0b0110), &[a, NodeId(9)]).unwrap_err();
-        assert!(matches!(err, NetlistError::DanglingInput { node: 9, .. }));
     }
 
     #[test]

@@ -41,7 +41,7 @@ pub mod stats;
 pub mod topo;
 
 pub use error::NetlistError;
-pub use gate::{GateKind, LutSpec, ALL_GATE_KINDS, MAX_LUT_INPUTS};
+pub use gate::{GateKind, ALL_GATE_KINDS};
 pub use graph::{Netlist, Node, NodeId, Port};
 pub use stats::{GateHistogram, NetlistStats};
 pub use topo::{LevelSchedule, Levels};

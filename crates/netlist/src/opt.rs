@@ -17,17 +17,13 @@
 //! All passes preserve the number and order of primary inputs and outputs,
 //! so an optimized netlist is a drop-in replacement for the original.
 
-//! A fifth pass changes the *execution model* rather than the gate count
-//! and therefore runs separately from [`optimize`]:
+//! One analysis rewrites nothing and runs separately from [`optimize`]:
 //!
-//! * [`lut_cover`] — extracts fanout-free multi-gate cones of up to
-//!   `max_width` inputs and fuses each into a single [`Node::Lut`]
-//!   evaluated by one programmable bootstrap, then lowers every
-//!   remaining gate to an equivalent width-≤2 LUT so the whole netlist
-//!   runs on one message encoding. Cones are fused only when they
-//!   strictly reduce the bootstrap count.
+//! * [`lut_cover`] — enumerates the fanout-free multi-gate cones of up to
+//!   `max_width` leaves whose evaluation as one lookup table would save
+//!   bootstraps, and counts what such a lowering would cost.
 
-use crate::{GateKind, LevelSchedule, LutSpec, Netlist, NetlistError, Node, NodeId, Port};
+use crate::{GateKind, LevelSchedule, Netlist, NetlistError, Node, NodeId, Port};
 use std::borrow::Cow;
 use std::collections::HashMap;
 use std::fmt;
@@ -222,55 +218,11 @@ pub fn constant_fold(nl: &Netlist) -> (Netlist, PassStats) {
                 };
                 rw.map.push(lit);
             }
-            Node::Lut { spec, ins } => {
-                let lit = fold_lut(&mut rw, spec, &ins);
-                rw.map.push(lit);
-            }
         }
     }
     let out = rw.finish(nl);
     let stats = PassStats { gates_before: before, gates_after: out.num_gates() };
     (out, stats)
-}
-
-/// Folds a LUT node: constant inputs specialize the table to a narrower
-/// LUT; fully-constant and passthrough tables disappear. The result stays
-/// in LUT form (never a two-input [`GateKind`]), preserving the lowered
-/// netlist's single-encoding invariant.
-fn fold_lut(rw: &mut Rewriter, spec: LutSpec, ins: &[NodeId]) -> Lit {
-    let mut width = spec.width;
-    let mut table = spec.table;
-    let mut ops: Vec<NodeId> = Vec::with_capacity(width as usize);
-    for &input in ins.iter().take(spec.width as usize) {
-        match rw.resolve(input) {
-            Lit::Id(id) => ops.push(id),
-            Lit::Const(c) => {
-                // Fix the input currently at position `ops.len()` to `c`:
-                // keep the table entries whose bit at that position is `c`.
-                let pos = ops.len();
-                let mut narrowed = 0u16;
-                for j in 0..1usize << (width - 1) {
-                    let low = j & ((1 << pos) - 1);
-                    let high = j >> pos;
-                    let full = low | (usize::from(c) << pos) | (high << (pos + 1));
-                    narrowed |= ((table >> full) & 1) << j;
-                }
-                table = narrowed;
-                width -= 1;
-            }
-        }
-    }
-    if width == 0 {
-        return Lit::Const(table & 1 == 1);
-    }
-    let folded = LutSpec::new(width, spec.precision, table);
-    if let Some(c) = folded.as_const() {
-        return Lit::Const(c);
-    }
-    if folded.is_passthrough() {
-        return Lit::Id(ops[0]);
-    }
-    Lit::Id(rw.out.add_lut(folded, &ops).expect("operands exist in rewritten netlist"))
 }
 
 /// Core folding rules for a single gate; emits a gate only when no rule
@@ -355,14 +307,12 @@ fn specialize(rw: &mut Rewriter, kind: GateKind, c: bool, other: Lit, const_is_a
 /// subsequent [`dce`] pass.
 pub fn absorb_inverters(nl: &Netlist) -> (Netlist, PassStats) {
     let before = nl.num_gates();
-    // Which old nodes are inverters (NOT gates or negation LUTs), and
-    // what do they negate?
+    // Which old nodes are NOT gates, and what do they negate?
     let negand: Vec<Option<NodeId>> = nl
         .nodes()
         .iter()
         .map(|n| match n {
             Node::Gate { kind: GateKind::Not, a, .. } => Some(*a),
-            Node::Lut { spec, ins } if spec.is_negation() => Some(ins[0]),
             _ => None,
         })
         .collect();
@@ -392,24 +342,6 @@ pub fn absorb_inverters(nl: &Netlist) -> (Netlist, PassStats) {
                 let id = rw.out.add_gate(kind, rw.id(a), rw.id(b)).expect("operands exist");
                 rw.map.push(Lit::Id(id));
             }
-            Node::Lut { spec, mut ins } => {
-                // An inverter feeding input `i` folds into the table by
-                // flipping the table along that axis.
-                let mut table = spec.table;
-                for i in 0..spec.width as usize {
-                    if let Some(n) = negand[ins[i].index()] {
-                        ins[i] = n;
-                        let mut flipped = 0u16;
-                        for j in 0..spec.entries() {
-                            flipped |= ((table >> (j ^ (1 << i))) & 1) << j;
-                        }
-                        table = flipped;
-                    }
-                }
-                let folded = LutSpec::new(spec.width, spec.precision, table);
-                let id = rw.out.add_lut(folded, &ins.map(|op| rw.id(op))).expect("operands exist");
-                rw.map.push(Lit::Id(id));
-            }
         }
     }
     let out = rw.finish(nl);
@@ -418,8 +350,7 @@ pub fn absorb_inverters(nl: &Netlist) -> (Netlist, PassStats) {
 }
 
 /// Structural common-subexpression elimination: two gates with the same
-/// function and operands (up to commutativity) are merged, and so are two
-/// LUTs with the same spec and operands.
+/// function and operands (up to commutativity) are merged.
 ///
 /// Structurally equal nodes share a topological level: their operands have
 /// the same representatives, which by induction sit at the same levels. So
@@ -433,20 +364,14 @@ pub fn cse(nl: &Netlist) -> (Netlist, PassStats) {
     let nodes = nl.nodes();
     let mut rep: Vec<NodeId> = (0..nodes.len() as u32).map(NodeId).collect();
     let mut gates: FxHashMap<(GateKind, NodeId, NodeId), NodeId> = FxHashMap::default();
-    let mut luts: FxHashMap<(LutSpec, [NodeId; crate::MAX_LUT_INPUTS]), NodeId> =
-        FxHashMap::default();
     for wave in &LevelSchedule::compute(nl).waves {
         gates.clear();
-        luts.clear();
         for &i in wave {
             let id = NodeId(i);
             rep[id.index()] = match nodes[id.index()] {
                 Node::Input => unreachable!("waves hold gates only"),
                 Node::Gate { kind, a, b } => {
                     *gates.entry(canonical_gate(kind, rep[a.index()], rep[b.index()])).or_insert(id)
-                }
-                Node::Lut { spec, ins } => {
-                    *luts.entry((spec, ins.map(|op| rep[op.index()]))).or_insert(id)
                 }
             };
         }
@@ -470,7 +395,6 @@ pub fn cse(nl: &Netlist) -> (Netlist, PassStats) {
                 let (k, a, b) = canonical_gate(kind, rw.id(a), rw.id(b));
                 rw.out.add_gate(k, a, b)
             }
-            Node::Lut { spec, ins } => rw.out.add_lut(spec, &ins.map(|op| rw.id(op))),
         };
         rw.map.push(Lit::Id(id.expect("operands exist")));
     }
@@ -518,11 +442,6 @@ pub fn dce(nl: &Netlist) -> (Netlist, PassStats) {
                     }
                 }
             }
-            Node::Lut { spec, ins } => {
-                for op in &ins[..spec.width as usize] {
-                    live[op.index()] = true;
-                }
-            }
             Node::Input => {}
         }
     }
@@ -530,15 +449,6 @@ pub fn dce(nl: &Netlist) -> (Netlist, PassStats) {
     for (i, node) in nl.nodes().iter().enumerate() {
         match *node {
             Node::Input => rw.copy_input(),
-            Node::Lut { spec, ins } => {
-                if live[i] {
-                    let id =
-                        rw.out.add_lut(spec, &ins.map(|op| rw.id(op))).expect("operands exist");
-                    rw.map.push(Lit::Id(id));
-                } else {
-                    rw.map.push(Lit::Const(false));
-                }
-            }
             Node::Gate { kind, a, b } => {
                 if live[i] {
                     if kind.is_const() {
@@ -605,44 +515,56 @@ pub fn optimize(nl: &Netlist) -> Result<(Netlist, OptReport), NetlistError> {
     Ok((current.into_owned(), report))
 }
 
-/// Configuration of the [`lut_cover`] pass.
+/// The widest cone [`lut_cover`] enumerates: a cone's truth table is a
+/// `u16`, one bit per leaf pattern.
+const MAX_CONE_WIDTH: usize = 4;
+
+/// Configuration of the [`lut_cover`] analysis.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct LutCoverConfig {
-    /// Maximum cone width (LUT inputs), `2..=MAX_LUT_INPUTS`. Callers
-    /// should clamp this to what the target parameter set can decode
-    /// (`NoiseModel::max_lut_width` in `pytfhe-tfhe`).
+    /// Maximum cone width (leaves), `2..=4`.
     pub max_width: usize,
-    /// Minimum number of bootstrapped gates a cone must absorb to be
-    /// fused. The default of 2 fuses only cones that strictly reduce the
-    /// bootstrap count (2 gates → 1 programmable bootstrap).
-    pub min_absorbed: usize,
 }
 
 impl Default for LutCoverConfig {
     fn default() -> Self {
-        LutCoverConfig { max_width: crate::MAX_LUT_INPUTS, min_absorbed: 2 }
+        LutCoverConfig { max_width: MAX_CONE_WIDTH }
     }
 }
 
-/// Report of a [`lut_cover`] run — the LUT-cone coverage numbers
-/// surfaced by `netlist::stats` consumers and the shortint benchmark.
+/// One cone chosen by [`lut_cover`]: `root` and the fanout-free gates
+/// under it compute `table` from the values of `leaves`.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct Cone {
+    /// The gate whose value the cone computes.
+    pub root: NodeId,
+    /// The nodes the cone reads, in truth-table bit order.
+    pub leaves: Vec<NodeId>,
+    /// Bit `j` is the root's value when leaf `i` carries bit `i` of `j`.
+    pub table: u16,
+}
+
+/// Report of a [`lut_cover`] run: what lowering the netlist to one lookup
+/// table per chosen cone and per leftover gate would cost.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct LutCoverReport {
-    /// Multi-gate cones fused into LUT nodes.
+    /// Multi-gate cones chosen.
     pub cones_fused: usize,
-    /// Gates absorbed into some cone (removed from the netlist).
+    /// Gates inside some cone below its root.
     pub gates_absorbed: usize,
-    /// LUT nodes in the lowered netlist (fused cones plus 1:1-lowered
-    /// leftover gates).
+    /// Lookup tables of the lowering: one per cone and per leftover
+    /// non-constant gate.
     pub luts_emitted: usize,
-    /// Bootstrapped gates before lowering.
+    /// Bootstrapped gates of the netlist.
     pub bootstraps_before: usize,
-    /// Bootstrapping programmable LUT evaluations after lowering.
+    /// Bootstraps of the lowering. A table that is constant, a buffer or
+    /// an inverter is affine on a message encoding and free, so leftover
+    /// `NOT` and `BUF` gates and one-leaf cones cost nothing.
     pub bootstraps_after: usize,
 }
 
 impl LutCoverReport {
-    /// Bootstraps eliminated by the pass.
+    /// Bootstraps the lowering would save.
     pub fn bootstraps_saved(&self) -> usize {
         self.bootstraps_before.saturating_sub(self.bootstraps_after)
     }
@@ -663,44 +585,30 @@ impl fmt::Display for LutCoverReport {
     }
 }
 
-/// Covers the netlist with fused LUT cones and lowers it to the message
-/// encoding: fanout-free cones of up to `max_width` inputs whose fusion
-/// strictly reduces the bootstrap count become single [`Node::Lut`]
-/// nodes, and every remaining gate is converted to the equivalent
-/// width-≤2 LUT so all wires share one message encoding. Constants stay
-/// as [`GateKind::Const0`]/[`GateKind::Const1`] gates (executed as
-/// trivial message-encoded samples).
-///
-/// The lowered netlist computes the same function — `eval_plain` results
-/// are bit-identical — but executes each fused cone with one
-/// programmable bootstrap instead of one bootstrap per gate.
-///
-/// A netlist that already contains LUT nodes is returned unchanged with
-/// an identity report (the pass is not re-entrant: the cone-growth cost
-/// model reasons about two-input gates).
+/// Covers the netlist with lookup-table cones, without rewriting it:
+/// grows a fanout-free cone of up to `max_width` leaves under every
+/// bootstrapped gate, latest roots first, and keeps the cones that absorb
+/// at least two bootstrapped gates. Returns the chosen cones in ascending
+/// root order and the bootstrap count of a netlist that evaluated each
+/// cone, and each leftover gate, as one lookup table.
 ///
 /// # Errors
 ///
 /// Returns an error if the input netlist fails validation.
+///
+/// # Panics
+///
+/// Panics if `max_width` is outside `2..=4`.
 pub fn lut_cover(
     nl: &Netlist,
     config: &LutCoverConfig,
-) -> Result<(Netlist, LutCoverReport), NetlistError> {
+) -> Result<(Vec<Cone>, LutCoverReport), NetlistError> {
     nl.validate()?;
     assert!(
-        (2..=crate::MAX_LUT_INPUTS).contains(&config.max_width),
+        (2..=MAX_CONE_WIDTH).contains(&config.max_width),
         "max_width {} out of range",
         config.max_width
     );
-    let identity = LutCoverReport {
-        bootstraps_before: nl.num_bootstrapped_gates(),
-        bootstraps_after: nl.num_bootstrapped_gates(),
-        luts_emitted: nl.num_luts(),
-        ..LutCoverReport::default()
-    };
-    if nl.num_luts() > 0 {
-        return Ok((nl.clone(), identity));
-    }
 
     // Reference counts (gate operand reads + output marks) and output
     // flags: a gate is absorbable only when its sole consumer is inside
@@ -728,22 +636,46 @@ pub fn lut_cover(
     // constants)?
     let expandable = |id: NodeId| match nl.node(id) {
         Node::Gate { kind, .. } => !kind.is_const(),
-        _ => false,
+        Node::Input => false,
     };
     let costs_bootstrap = |id: NodeId| match nl.node(id) {
         Node::Gate { kind, .. } => !kind.is_const() && kind != GateKind::Buf,
-        _ => false,
+        Node::Input => false,
+    };
+
+    // Truth table of a cone: evaluate its members (ascending id = topo
+    // order) over all leaf patterns. Values live at their leaf position,
+    // then at the leaf count plus their member position; the root is last.
+    let cone_table = |leaves: &[NodeId], members: &[NodeId]| -> u16 {
+        let slot = |op: NodeId| match leaves.iter().position(|&leaf| leaf == op) {
+            Some(j) => j,
+            None => leaves.len() + members.binary_search(&op).expect("a member reads its cone"),
+        };
+        let reads: Vec<(GateKind, usize, usize)> = members
+            .iter()
+            .map(|&m| {
+                let Node::Gate { kind, a, b } = nl.node(m) else { unreachable!() };
+                (kind, slot(a), slot(b))
+            })
+            .collect();
+        let mut values = vec![false; leaves.len() + reads.len()];
+        let mut table = 0u16;
+        for pattern in 0..1usize << leaves.len() {
+            for (bit, value) in values[..leaves.len()].iter_mut().enumerate() {
+                *value = (pattern >> bit) & 1 == 1;
+            }
+            for (k, &(kind, a, b)) in reads.iter().enumerate() {
+                values[leaves.len() + k] = kind.eval(values[a], values[b]);
+            }
+            table |= u16::from(values[values.len() - 1]) << pattern;
+        }
+        table
     };
 
     // Grow a cone per root, most-recent roots first so deep cones get
     // first claim on shared structure.
     let mut absorbed = vec![false; n];
-    struct Cone {
-        leaves: Vec<NodeId>,
-        members: Vec<NodeId>, // ascending id order, root included
-    }
-    let mut cones: Vec<Option<Cone>> = Vec::new();
-    cones.resize_with(n, || None);
+    let mut cones = Vec::new();
     for i in (0..n).rev() {
         let root = NodeId(i as u32);
         if absorbed[i] || !costs_bootstrap(root) {
@@ -786,108 +718,43 @@ pub fn lut_cover(
             }
             members.push(u);
         }
-        let absorbed_bootstraps = members.iter().filter(|&&m| costs_bootstrap(m)).count();
-        if members.len() < 2 || absorbed_bootstraps < config.min_absorbed {
+        // Two bootstrapped gates under one table save one bootstrap.
+        if members.iter().filter(|&&m| costs_bootstrap(m)).count() < 2 {
             continue;
         }
-        for &m in &members {
-            if m != root {
-                absorbed[m.index()] = true;
-            }
+        for &m in &members[1..] {
+            absorbed[m.index()] = true;
         }
         members.sort_unstable();
-        cones[i] = Some(Cone { leaves, members });
+        let table = cone_table(&leaves, &members);
+        cones.push(Cone { root, leaves, table });
     }
+    cones.reverse();
 
-    // One netlist-global wire precision: the widest fused cone (and at
-    // least 2, the width of 1:1-lowered binary gates).
-    let q = cones.iter().flatten().map(|c| c.leaves.len()).max().unwrap_or(0).max(2) as u8;
-
-    // Truth table of a cone: evaluate its members (ascending id = topo
-    // order) over all leaf patterns. Values live at their leaf position,
-    // then at the leaf count plus their member position; the root is last.
-    let cone_table = |cone: &Cone| -> u16 {
-        let leaves = cone.leaves.len();
-        let slot = |op: NodeId| match cone.leaves.iter().position(|&leaf| leaf == op) {
-            Some(j) => j,
-            None => leaves + cone.members.binary_search(&op).expect("a member reads its cone"),
-        };
-        let reads: Vec<(GateKind, usize, usize)> = cone
-            .members
-            .iter()
-            .map(|&m| {
-                let Node::Gate { kind, a, b } = nl.node(m) else { unreachable!() };
-                (kind, slot(a), slot(b))
-            })
-            .collect();
-        let mut values = vec![false; leaves + reads.len()];
-        let mut table = 0u16;
-        for pattern in 0..1usize << leaves {
-            for (bit, value) in values[..leaves].iter_mut().enumerate() {
-                *value = (pattern >> bit) & 1 == 1;
-            }
-            for (k, &(kind, a, b)) in reads.iter().enumerate() {
-                values[leaves + k] = kind.eval(values[a], values[b]);
-            }
-            table |= u16::from(values[values.len() - 1]) << pattern;
-        }
-        table
-    };
-
-    // Rebuild: fused roots become wide LUTs, leftover gates lower 1:1.
-    let mut rw = Rewriter::new(nl);
+    // A cone's table bootstraps unless it has one leaf (a buffer, an
+    // inverter or a constant) or ignores its leaves; a leftover gate
+    // bootstraps if it is binary.
+    let constant =
+        |c: &Cone| c.table == 0 || u32::from(c.table) == (1 << (1 << c.leaves.len())) - 1;
+    let cone_bootstraps = cones.iter().filter(|c| c.leaves.len() > 1 && !constant(c)).count();
     let mut report = LutCoverReport {
-        cones_fused: cones.iter().flatten().count(),
+        cones_fused: cones.len(),
+        gates_absorbed: absorbed.iter().filter(|&&a| a).count(),
+        luts_emitted: cones.len(),
         bootstraps_before: nl.num_bootstrapped_gates(),
-        ..LutCoverReport::default()
+        bootstraps_after: cone_bootstraps,
     };
+    let mut roots = cones.iter().map(|c| c.root).peekable();
     for (i, node) in nl.nodes().iter().enumerate() {
-        match *node {
-            Node::Input => rw.copy_input(),
-            Node::Lut { .. } => unreachable!("handled by the early return"),
-            Node::Gate { kind, a, b } => {
-                if absorbed[i] {
-                    // Swallowed by some cone; nothing reads this slot.
-                    rw.map.push(Lit::Const(false));
-                    report.gates_absorbed += 1;
-                    continue;
-                }
-                if let Some(cone) = &cones[i] {
-                    let table = cone_table(cone);
-                    let ops: Vec<NodeId> = cone.leaves.iter().map(|&l| rw.id(l)).collect();
-                    let spec = LutSpec::new(cone.leaves.len() as u8, q, table);
-                    rw.map.push(Lit::Id(rw.out.add_lut(spec, &ops).expect("leaves exist")));
-                    continue;
-                }
-                if kind.is_const() {
-                    let id = rw.out.add_gate(kind, NodeId(0), NodeId(0)).expect("const gate");
-                    rw.map.push(Lit::Id(id));
-                    continue;
-                }
-                let (ia, ib) = (rw.id(a), rw.id(b));
-                let lit = if kind.is_unary() {
-                    let table = if kind == GateKind::Not { 0b01 } else { 0b10 };
-                    Lit::Id(rw.out.add_lut(LutSpec::new(1, q, table), &[ia]).expect("operand"))
-                } else {
-                    let mut table = 0u16;
-                    for j in 0..4usize {
-                        table |= u16::from(kind.eval(j & 1 == 1, j >> 1 == 1)) << j;
-                    }
-                    Lit::Id(
-                        rw.out
-                            .add_lut(LutSpec::new(2, q, table), &[ia, ib])
-                            .expect("operands exist"),
-                    )
-                };
-                rw.map.push(lit);
-            }
+        let Node::Gate { kind, .. } = *node else { continue };
+        if roots.next_if_eq(&NodeId(i as u32)).is_some() || absorbed[i] || kind.is_const() {
+            continue;
         }
+        report.luts_emitted += 1;
+        report.bootstraps_after += usize::from(!kind.is_unary());
     }
-    let out = rw.finish(nl);
-    report.luts_emitted = out.num_luts();
-    report.bootstraps_after = out.num_bootstrapped_gates();
     debug_assert!(report.bootstraps_after <= report.bootstraps_before);
-    Ok((out, report))
+    Ok((cones, report))
 }
 
 #[cfg(test)]
@@ -1038,8 +905,9 @@ mod tests {
         assert_eq!(deduped.eval_plain(&[]), vec![true, true]);
         let (opt, _) = optimize(&nl).unwrap();
         assert_eq!(opt.eval_plain(&[]), vec![true, true]);
-        let (covered, _) = lut_cover(&opt, &LutCoverConfig::default()).unwrap();
-        assert_eq!(covered.eval_plain(&[]), vec![true, true]);
+        let (cones, report) = lut_cover(&opt, &LutCoverConfig::default()).unwrap();
+        assert!(cones.is_empty());
+        assert_eq!(report.bootstraps_after, 0);
     }
 
     /// A 2-bit ripple-carry adder: classic multi-gate cones (sum and
@@ -1063,54 +931,63 @@ mod tests {
         nl
     }
 
+    /// Checks every cone against the whole netlist: on every input
+    /// pattern, the root's value is the table bit its leaves' values pick.
+    fn assert_tables_hold(nl: &Netlist, cones: &[Cone]) {
+        let mut all = nl.clone();
+        for i in 0..all.num_nodes() {
+            all.mark_output(NodeId(i as u32)).unwrap();
+        }
+        for pattern in 0..1u32 << nl.num_inputs() {
+            let bits: Vec<bool> = (0..nl.num_inputs()).map(|i| (pattern >> i) & 1 == 1).collect();
+            let values = all.eval_plain(&bits);
+            let values = &values[nl.outputs().len()..];
+            for cone in cones {
+                let j = cone
+                    .leaves
+                    .iter()
+                    .enumerate()
+                    .fold(0, |j, (bit, leaf)| j | usize::from(values[leaf.index()]) << bit);
+                assert_eq!((cone.table >> j) & 1 == 1, values[cone.root.index()], "{cone:?}");
+            }
+        }
+    }
+
     #[test]
-    fn lut_cover_fuses_cones_and_preserves_semantics() {
+    fn lut_cover_chooses_cones_that_save_bootstraps() {
         let nl = two_bit_adder();
-        let (lowered, report) = lut_cover(&nl, &LutCoverConfig::default()).unwrap();
-        assert_equivalent(&nl, &lowered);
-        lowered.validate().unwrap();
-        // Lowered netlists hold only Input/Lut/Const nodes.
-        for node in lowered.nodes() {
-            match node {
-                Node::Input | Node::Lut { .. } => {}
-                Node::Gate { kind, .. } => assert!(kind.is_const(), "leftover gate {kind}"),
-            }
-        }
-        assert!(report.cones_fused >= 1, "{report}");
-        assert!(report.gates_absorbed >= 1, "{report}");
-        assert!(
-            report.bootstraps_after < report.bootstraps_before,
-            "fusion must strictly reduce bootstraps: {report}"
+        let (cones, report) = lut_cover(&nl, &LutCoverConfig::default()).unwrap();
+        assert_tables_hold(&nl, &cones);
+        // The carry's two ANDs fold under its OR; every other gate is
+        // shared or an output.
+        let leaves: Vec<NodeId> = [5, 6, 1, 3].map(NodeId).to_vec();
+        assert_eq!(
+            cones.iter().map(|c| (c.root, &c.leaves)).collect::<Vec<_>>(),
+            [(NodeId(10), &leaves)]
         );
-        assert_eq!(report.luts_emitted, lowered.num_luts());
-        // All LUTs share the netlist-global precision.
-        let q = lowered.lut_precision().unwrap();
-        for node in lowered.nodes() {
-            if let Node::Lut { spec, .. } = node {
-                assert_eq!(spec.precision, q);
-                assert!(spec.width <= q);
-            }
-        }
+        let want = LutCoverReport {
+            cones_fused: 1,
+            gates_absorbed: 2,
+            luts_emitted: 5,
+            bootstraps_before: 7,
+            bootstraps_after: 5,
+        };
+        assert_eq!(report, want);
     }
 
     #[test]
     fn lut_cover_respects_width_limit() {
         let nl = two_bit_adder();
         for max_width in 2..=4 {
-            let cfg = LutCoverConfig { max_width, ..LutCoverConfig::default() };
-            let (lowered, _) = lut_cover(&nl, &cfg).unwrap();
-            assert_equivalent(&nl, &lowered);
-            for node in lowered.nodes() {
-                if let Node::Lut { spec, .. } = node {
-                    assert!((spec.width as usize) <= max_width);
-                }
-            }
+            let (cones, _) = lut_cover(&nl, &LutCoverConfig { max_width }).unwrap();
+            assert_tables_hold(&nl, &cones);
+            assert!(cones.iter().all(|c| c.leaves.len() <= max_width), "{cones:?}");
         }
     }
 
     #[test]
     fn lut_cover_keeps_shared_gates_unfused() {
-        // c0 has fanout 2 (both consumers), so it must stay its own LUT.
+        // `shared` has fanout 2 (both consumers), so no cone swallows it.
         let mut nl = Netlist::new();
         let a = nl.add_input();
         let b = nl.add_input();
@@ -1120,17 +997,17 @@ mod tests {
         let v = nl.add_gate(GateKind::Or, shared, c).unwrap();
         nl.mark_output(u).unwrap();
         nl.mark_output(v).unwrap();
-        let (lowered, report) = lut_cover(&nl, &LutCoverConfig::default()).unwrap();
-        assert_equivalent(&nl, &lowered);
+        let (cones, report) = lut_cover(&nl, &LutCoverConfig::default()).unwrap();
         // No single-consumer interior gates exist, so nothing fuses and
         // the bootstrap count carries over 1:1.
+        assert!(cones.is_empty());
         assert_eq!(report.cones_fused, 0);
         assert_eq!(report.bootstraps_after, report.bootstraps_before);
     }
 
     #[test]
     fn lut_cover_absorbs_inverter_chains() {
-        // NOT(AND(NOT a, b)) collapses into one width-2 LUT.
+        // NOT(AND(NOT a, b)) collapses into one width-2 table.
         let mut nl = Netlist::new();
         let a = nl.add_input();
         let b = nl.add_input();
@@ -1138,79 +1015,11 @@ mod tests {
         let g = nl.add_gate(GateKind::And, na, b).unwrap();
         let out = nl.add_gate(GateKind::Not, g, g).unwrap();
         nl.mark_output(out).unwrap();
-        let (lowered, report) = lut_cover(&nl, &LutCoverConfig::default()).unwrap();
-        assert_equivalent(&nl, &lowered);
+        let (cones, report) = lut_cover(&nl, &LutCoverConfig::default()).unwrap();
+        assert_tables_hold(&nl, &cones);
+        assert_eq!(cones, [Cone { root: out, leaves: vec![b, a], table: 0b1101 }]);
         assert_eq!(report.cones_fused, 1);
-        assert_eq!(lowered.num_bootstrapped_gates(), 1);
-    }
-
-    #[test]
-    fn lowered_netlists_survive_the_optimizer() {
-        let nl = two_bit_adder();
-        let (lowered, _) = lut_cover(&nl, &LutCoverConfig::default()).unwrap();
-        let (opt, _) = optimize(&lowered).unwrap();
-        assert_equivalent(&nl, &opt);
-        // The optimizer must not resurrect two-input boolean gates.
-        for node in opt.nodes() {
-            if let Node::Gate { kind, .. } = node {
-                assert!(kind.is_const(), "optimizer reintroduced gate {kind}");
-            }
-        }
-    }
-
-    #[test]
-    fn fold_specializes_constant_lut_inputs() {
-        use crate::LutSpec;
-        let mut nl = Netlist::new();
-        let a = nl.add_input();
-        let b = nl.add_input();
-        let one = nl.add_gate(GateKind::Const1, a, a).unwrap();
-        // maj(a, b, 1) = a | b.
-        let maj: u16 = (0..8).fold(0, |t, j: u16| t | (u16::from(j.count_ones() >= 2) << j));
-        let g = nl.add_lut(LutSpec::new(3, 3, maj), &[a, b, one]).unwrap();
-        nl.mark_output(g).unwrap();
-        let (opt, _) = constant_fold(&nl);
-        assert_equivalent(&nl, &opt);
-        let Node::Lut { spec, .. } = opt.node(opt.outputs()[0]) else {
-            panic!("expected a narrowed LUT")
-        };
-        assert_eq!(spec.width, 2);
-        assert_eq!(spec.table, 0b1110); // OR truth table
-    }
-
-    #[test]
-    fn cse_merges_identical_luts() {
-        use crate::LutSpec;
-        let mut nl = Netlist::new();
-        let a = nl.add_input();
-        let b = nl.add_input();
-        let spec = LutSpec::new(2, 2, 0b0110);
-        let g1 = nl.add_lut(spec, &[a, b]).unwrap();
-        let g2 = nl.add_lut(spec, &[a, b]).unwrap();
-        let h = nl.add_lut(LutSpec::new(2, 2, 0b1000), &[g1, g2]).unwrap();
-        nl.mark_output(h).unwrap();
-        let (opt, _) = cse(&nl);
-        let (opt, _) = dce(&opt);
-        assert_equivalent(&nl, &opt);
-        assert_eq!(opt.num_luts(), 2);
-    }
-
-    #[test]
-    fn absorb_folds_inverters_into_lut_tables() {
-        use crate::LutSpec;
-        let mut nl = Netlist::new();
-        let a = nl.add_input();
-        let b = nl.add_input();
-        let na = nl.add_lut(LutSpec::new(1, 2, 0b01), &[a]).unwrap();
-        let g = nl.add_lut(LutSpec::new(2, 2, 0b1000), &[na, b]).unwrap(); // AND(na, b)
-        nl.mark_output(g).unwrap();
-        let (step, _) = absorb_inverters(&nl);
-        assert_equivalent(&nl, &step);
-        let (opt, _) = dce(&step);
-        assert_equivalent(&nl, &opt);
-        assert_eq!(opt.num_luts(), 1);
-        let Node::Lut { spec, .. } = opt.node(opt.outputs()[0]) else { panic!("lut expected") };
-        assert_eq!(spec.table, 0b0100); // ANDNY truth table: !a & b
+        assert_eq!(report.bootstraps_after, 1);
     }
 
     #[test]

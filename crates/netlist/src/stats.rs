@@ -9,11 +9,10 @@ use crate::topo::Levels;
 use crate::{GateKind, Netlist, Node};
 use std::fmt;
 
-/// Gate counts per [`GateKind`], plus fused-LUT counts per width.
+/// Gate counts per [`GateKind`].
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct GateHistogram {
     counts: [u64; 16],
-    luts_by_width: [u64; crate::MAX_LUT_INPUTS],
 }
 
 impl GateHistogram {
@@ -21,10 +20,8 @@ impl GateHistogram {
     pub fn of(nl: &Netlist) -> Self {
         let mut h = GateHistogram::default();
         for node in nl.nodes() {
-            match node {
-                Node::Gate { kind, .. } => h.counts[kind.opcode() as usize] += 1,
-                Node::Lut { spec, .. } => h.luts_by_width[spec.width as usize - 1] += 1,
-                Node::Input => {}
+            if let Node::Gate { kind, .. } = node {
+                h.counts[kind.opcode() as usize] += 1;
             }
         }
         h
@@ -36,27 +33,19 @@ impl GateHistogram {
         self.counts[kind.opcode() as usize]
     }
 
-    /// Total fused-LUT count across all widths.
-    pub fn total_luts(&self) -> u64 {
-        self.luts_by_width.iter().sum()
-    }
-
-    /// Total gate count across all kinds (fused LUTs included).
+    /// Total gate count across all kinds.
     pub fn total(&self) -> u64 {
-        self.counts.iter().sum::<u64>() + self.total_luts()
+        self.counts.iter().sum()
     }
 
     /// Total count of gates that require a bootstrapping at run time
-    /// (everything except constants and buffers). Fused LUTs are counted
-    /// conservatively: every LUT of width ≥ 2 bootstraps, and width-1
-    /// LUTs are affine (buffer/inverter/constant) and free.
+    /// (everything except constants and buffers).
     pub fn total_bootstrapped(&self) -> u64 {
         ALL_GATE_KINDS
             .iter()
             .filter(|k| !k.is_const() && **k != GateKind::Buf)
             .map(|k| self.count(*k))
-            .sum::<u64>()
-            + self.luts_by_width[1..].iter().sum::<u64>()
+            .sum()
     }
 
     /// Iterates over `(kind, count)` pairs with non-zero counts.
@@ -73,16 +62,6 @@ impl fmt::Display for GateHistogram {
                 write!(f, ", ")?;
             }
             write!(f, "{kind}: {count}")?;
-            first = false;
-        }
-        for (w, &count) in self.luts_by_width.iter().enumerate() {
-            if count == 0 {
-                continue;
-            }
-            if !first {
-                write!(f, ", ")?;
-            }
-            write!(f, "lut{}: {count}", w + 1)?;
             first = false;
         }
         if first {
@@ -103,9 +82,6 @@ pub struct NetlistStats {
     pub gates: usize,
     /// Gates costing a bootstrap at run time.
     pub bootstrapped_gates: usize,
-    /// Fused multi-input LUT nodes (each evaluated by one programmable
-    /// bootstrap regardless of how many gates it absorbed).
-    pub luts: usize,
     /// Critical-path depth in waves.
     pub depth: u32,
     /// Widest wave.
@@ -125,7 +101,6 @@ impl NetlistStats {
             outputs: nl.outputs().len(),
             gates: nl.num_gates(),
             bootstrapped_gates: nl.num_bootstrapped_gates(),
-            luts: nl.num_luts(),
             depth: levels.depth(),
             max_width: levels.max_width(),
             avg_width: levels.avg_width(),
@@ -146,11 +121,7 @@ impl fmt::Display for NetlistStats {
             self.depth,
             self.max_width,
             self.avg_width
-        )?;
-        if self.luts > 0 {
-            write!(f, ", {} fused LUTs", self.luts)?;
-        }
-        Ok(())
+        )
     }
 }
 

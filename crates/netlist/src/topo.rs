@@ -39,10 +39,6 @@ impl Levels {
                         level[a.index()].max(level[b.index()]) + 1
                     }
                 }
-                Node::Lut { spec, ins } => {
-                    ins[..spec.width as usize].iter().map(|op| level[op.index()]).max().unwrap_or(0)
-                        + 1
-                }
             };
             level[i] = l;
             max_level = max_level.max(l);

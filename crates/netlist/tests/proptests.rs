@@ -5,7 +5,7 @@ use pytfhe_netlist::opt::{
     absorb_inverters, constant_fold, cse, dce, lut_cover, optimize, LutCoverConfig,
 };
 use pytfhe_netlist::topo::{LevelSchedule, Levels};
-use pytfhe_netlist::{GateKind, LutSpec, Netlist, Node, NodeId, ALL_GATE_KINDS, MAX_LUT_INPUTS};
+use pytfhe_netlist::{GateKind, Netlist, Node, NodeId, ALL_GATE_KINDS};
 use std::collections::BTreeMap;
 
 fn random_netlist(inputs: usize, max_gates: usize) -> impl Strategy<Value = Netlist> {
@@ -29,38 +29,29 @@ fn random_netlist(inputs: usize, max_gates: usize) -> impl Strategy<Value = Netl
     })
 }
 
-/// Random netlists of every gate kind, LUTs of every width and late
-/// inputs, in which two steps in nine restate an earlier node through its
+/// Random netlists of every gate kind and late inputs, in which two steps in nine restate an earlier node through its
 /// operands' known twins (swapping the operands of binary gates), so CSE
 /// has classes to merge at every depth. Starts with up to `max_inputs`
 /// inputs; with none, node 0 is a constant. At most
 /// `max_inputs + max_steps - 1` inputs.
 fn random_mixed_netlist(max_inputs: usize, max_steps: usize) -> impl Strategy<Value = Netlist> {
     let pick = any::<prop::sample::Index>;
-    let steps = prop::collection::vec(
-        (0u8..9, any::<u16>(), (pick(), pick(), pick(), pick())),
-        1..max_steps,
-    );
+    let steps = prop::collection::vec((0u8..9, any::<u16>(), (pick(), pick())), 1..max_steps);
     (0..max_inputs + 1, steps).prop_map(move |(inputs, steps)| {
         let mut nl = Netlist::new();
         // `twin[i]`: a node known to be structurally equal to node `i`.
         let mut twin: Vec<NodeId> = (0..inputs).map(|_| nl.add_input()).collect();
-        for (op, bits, (p0, p1, p2, p3)) in steps {
-            let picks = [p0, p1, p2, p3];
+        for (op, bits, (p0, p1)) in steps {
+            let picks = [p0, p1];
             let pick = |k: usize| NodeId(picks[k].index(twin.len()) as u32);
             let (id, equal) = match op {
                 _ if twin.is_empty() => {
                     let kind = if bits & 1 == 0 { GateKind::Const0 } else { GateKind::Const1 };
                     (nl.add_gate(kind, NodeId(0), NodeId(0)), None)
                 }
-                0..=3 => {
+                0..=5 => {
                     let kind = ALL_GATE_KINDS[usize::from(bits) % ALL_GATE_KINDS.len()];
                     (nl.add_gate(kind, pick(0), pick(1)), None)
-                }
-                4 | 5 => {
-                    let spec = LutSpec::new(1 + (bits % 4) as u8, 4, bits.rotate_left(3));
-                    let ins: Vec<NodeId> = (0..MAX_LUT_INPUTS).map(pick).collect();
-                    (nl.add_lut(spec, &ins), None)
                 }
                 6 => (Ok(nl.add_input()), None),
                 _ => {
@@ -77,7 +68,6 @@ fn random_mixed_netlist(max_inputs: usize, max_steps: usize) -> impl Strategy<Va
                                 nl.add_gate(kind.swapped(), b, a)
                             }
                         }
-                        Node::Lut { spec, ins } => nl.add_lut(spec, &ins.map(|i| twin[i.index()])),
                     };
                     (id, Some(old).filter(|&o| !matches!(nl.node(o), Node::Input)))
                 }
@@ -99,7 +89,7 @@ fn reference_cse(nl: &Netlist) -> Netlist {
     assert!(nl.input_ports().is_empty() && nl.output_ports().is_empty());
     let mut out = Netlist::with_capacity(nl.num_nodes());
     let mut map: Vec<NodeId> = Vec::with_capacity(nl.num_nodes());
-    let (mut gates, mut luts) = (BTreeMap::new(), BTreeMap::new());
+    let mut gates = BTreeMap::new();
     for node in nl.nodes() {
         let id = match *node {
             Node::Input => out.add_input(),
@@ -120,10 +110,6 @@ fn reference_cse(nl: &Netlist) -> Netlist {
                     }
                 };
                 *gates.entry((k, a, b)).or_insert_with(|| out.add_gate(k, a, b).expect("exists"))
-            }
-            Node::Lut { spec, ins } => {
-                let ops = ins.map(|op| map[op.index()]);
-                *luts.entry((spec, ops)).or_insert_with(|| out.add_lut(spec, &ops).expect("exists"))
             }
         };
         map.push(id);
@@ -207,31 +193,32 @@ proptest! {
         prop_assert_eq!(opt.outputs().len(), nl.outputs().len());
     }
 
-    /// LUT covering is bit-exact on random circuits at every width
-    /// limit, never increases the bootstrap count, and produces only
-    /// Input/Lut/Const nodes.
+    /// Every cone `lut_cover` chooses computes its root: on random inputs,
+    /// with every node marked as an output, the root's value is the table
+    /// bit its leaves' values select. Cones respect the width limit and
+    /// the lowering never costs more bootstraps than the gates.
     #[test]
-    fn lut_cover_is_bit_exact_on_random_circuits(
+    fn lut_cover_tables_match_their_roots(
         nl in random_netlist(5, 100),
         max_width in 2usize..5,
         bits in prop::collection::vec(any::<bool>(), 5),
     ) {
-        let want = nl.eval_plain(&bits);
-        let cfg = LutCoverConfig { max_width, ..LutCoverConfig::default() };
-        let (lowered, report) = lut_cover(&nl, &cfg).expect("valid input");
-        prop_assert_eq!(&lowered.eval_plain(&bits), &want);
-        prop_assert!(lowered.validate().is_ok());
+        let (cones, report) = lut_cover(&nl, &LutCoverConfig { max_width }).expect("valid input");
+        prop_assert_eq!(report.cones_fused, cones.len());
         prop_assert!(report.bootstraps_after <= report.bootstraps_before, "{}", report);
-        prop_assert_eq!(report.luts_emitted, lowered.num_luts());
-        for node in lowered.nodes() {
-            match node {
-                Node::Input | Node::Lut { .. } => {}
-                Node::Gate { kind, .. } => prop_assert!(kind.is_const(), "leftover {}", kind),
-            }
+        let mut all = nl.clone();
+        for i in 0..all.num_nodes() {
+            all.mark_output(NodeId(i as u32)).expect("exists");
         }
-        // The optimizer accepts (and preserves) lowered netlists.
-        let (opt, _) = optimize(&lowered).expect("valid lowered");
-        prop_assert_eq!(&opt.eval_plain(&bits), &want);
+        let values = all.eval_plain(&bits);
+        let values = &values[nl.outputs().len()..];
+        for cone in &cones {
+            prop_assert!((1..=max_width).contains(&cone.leaves.len()), "{:?}", cone);
+            let j = cone.leaves.iter().enumerate().fold(0, |j, (bit, leaf)| {
+                j | usize::from(values[leaf.index()]) << bit
+            });
+            prop_assert_eq!((cone.table >> j) & 1 == 1, values[cone.root.index()], "{:?}", cone);
+        }
     }
 
     /// Gate histograms and stats are consistent with direct counts.

@@ -162,7 +162,6 @@ impl Scheduler {
     /// # Errors
     ///
     /// [`ServeError::QuotaExceeded`] at the quota ceiling,
-    /// [`ServeError::Protocol`] for a program with fused LUT nodes,
     /// [`ServeError::Exec`] when the program does not validate or
     /// [`ReplayLanes::load`] refuses the inputs (so a bad input never
     /// reaches the shared scheduler thread), and [`ServeError::Shutdown`]
@@ -175,15 +174,6 @@ impl Scheduler {
         inputs: Vec<LweCiphertext>,
         quota: usize,
     ) -> Result<u64, ServeError> {
-        // The wire program format cannot encode fused LUT nodes, so a
-        // LUT-bearing netlist here means a caller bypassed assembly;
-        // serving runs boolean gate programs only.
-        if nl.num_luts() > 0 {
-            return Err(ServeError::Protocol(format!(
-                "program carries {} fused LUT nodes; serving requires boolean gate programs",
-                nl.num_luts()
-            )));
-        }
         // Captured per job, never cached: capturing a job-sized program
         // takes microseconds, and a cache keyed by program fingerprint
         // would grow with whatever tenants choose to send.
@@ -281,7 +271,7 @@ fn next_round(
             while let Some(wave) = waves(&job.plan).get(job.cursor).filter(|w| w.bootstraps() == 0)
             {
                 let lanes = &mut job.lanes;
-                let launch = Launch { engine: &engine, wave, msg_precision: 0, lanes };
+                let launch = Launch { engine: &engine, wave, lanes };
                 run_wave(&mut [launch], 1, stats).expect("one lane runs on this thread");
                 job.cursor += 1;
             }
@@ -328,7 +318,7 @@ fn next_round(
 
 fn run_scheduler(shared: &Shared) {
     let width = WorkerPool::global().width();
-    let mut stats = ExecStats::new(0, 0, 0);
+    let mut stats = ExecStats::new(0, 0);
     loop {
         let round = {
             let mut state = recover(shared.state.lock());
@@ -355,7 +345,7 @@ fn run_scheduler(shared: &Shared) {
                 .zip(&engines)
                 .map(|(p, engine)| {
                     let wave = &waves(&p.plan)[p.wave];
-                    Launch { engine, wave, msg_precision: 0, lanes: &mut p.lanes }
+                    Launch { engine, wave, lanes: &mut p.lanes }
                 })
                 .collect();
             // A panicking bootstrap has always taken the scheduler

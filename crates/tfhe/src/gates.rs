@@ -18,9 +18,7 @@ use std::time::{Duration, Instant};
 
 use crate::bootstrap::{BootstrapScratch, TestVector};
 use crate::keys::{ServerKey, MU_LOG2_DENOM};
-use crate::lut::PackedLutTables;
 use crate::lwe::{LweCiphertext, LweSoa};
-use crate::poly::TorusPoly;
 use crate::torus::Torus32;
 
 /// The ten bootstrapped binary gates, as data: each is a linear
@@ -128,25 +126,13 @@ impl BootGate {
 /// traffic.
 pub const FUSE_CHUNK: usize = 8;
 
-/// All scratch a worker needs to evaluate gates and LUTs without
-/// allocating once it has served its widest call. One per worker thread.
+/// All scratch a worker needs to evaluate gates without allocating once
+/// it has served its widest call, one per worker thread: the
+/// struct-of-arrays slots one chunk's linear combinations are staged
+/// into, the bootstrap buffers, and the call's raw (pre-key-switch)
+/// samples, one per lane of the widest call served so far.
 #[derive(Debug)]
 pub struct GateScratch {
-    pub(crate) lanes: LaneScratch,
-    /// Reusable test-vector buffer for [`ServerKey::apply_lut_into`].
-    pub(crate) tv_buf: TorusPoly,
-    /// Compiled boolean-LUT test vectors (`crate::lut`), cached per worker.
-    pub(crate) luts: PackedLutTables,
-}
-
-/// The buffers of the staged-batch kernel: the struct-of-arrays slots one
-/// chunk's linear combinations are staged into, the bootstrap buffers,
-/// and the call's raw (pre-key-switch) samples, one per lane of the
-/// widest call served so far. Kept apart from the
-/// test-vector fields of [`GateScratch`] so a caller can lend those to
-/// the kernel as per-lane test vectors.
-#[derive(Debug)]
-pub(crate) struct LaneScratch {
     boot: BootstrapScratch,
     raws: Vec<LweCiphertext>,
     soa: LweSoa,
@@ -154,7 +140,7 @@ pub(crate) struct LaneScratch {
 
 /// What the staged-batch kernel does with a call's raw samples.
 #[derive(Clone, Copy)]
-pub(crate) enum Tail {
+enum Tail {
     /// Key-switch every lane into its own output, all in one pass.
     Each,
     /// Key-switch the sum of the batch's lanes plus this plaintext offset
@@ -204,7 +190,7 @@ fn record_gate_split(gate: BootGate, split: GateProfile) {
 }
 
 /// The observer argument of a kernel call nobody watches.
-pub(crate) const UNOBSERVED: Option<fn(usize, GateProfile)> = None;
+const UNOBSERVED: Option<fn(usize, GateProfile)> = None;
 
 /// The telemetry observer of the gate entry points: `None` (one atomic
 /// load) unless telemetry is enabled.
@@ -226,14 +212,14 @@ impl GateScratch {
     /// own thread, and every member's outputs receive the whole result,
     /// byte-identical to a scratch that is not banded.
     pub fn band(members: &mut [GateScratch]) {
-        BootstrapScratch::band(members.iter_mut().map(|s| &mut s.lanes.boot));
+        BootstrapScratch::band(members.iter_mut().map(|s| &mut s.boot));
     }
 
     /// Returns this scratch to bootstrapping alone. Releasing a member
     /// while its partners still need it aborts them: their call panics
     /// instead of waiting forever.
     pub fn release(&mut self) {
-        self.lanes.boot.release();
+        self.boot.release();
     }
 }
 
@@ -250,28 +236,24 @@ impl ServerKey {
 
     /// Allocates reusable scratch for gate evaluation (one per worker
     /// thread), with the buffers of a [`FUSE_CHUNK`]-wide call. Once it
-    /// has served its widest call, every `*_into` gate, batch and LUT
-    /// entry point runs with zero heap allocation; a wider call first
+    /// has served its widest call, every `*_into` gate and batch entry
+    /// point runs with zero heap allocation; a wider call first
     /// adds one raw sample per extra lane.
     pub fn gate_scratch(&self) -> GateScratch {
         let ext_dim = self.keyswitch.src_dim();
         GateScratch {
-            lanes: LaneScratch {
-                boot: self.bootstrap.boot_scratch_lanes(FUSE_CHUNK),
-                raws: vec![LweCiphertext::trivial(Torus32::ZERO, ext_dim); FUSE_CHUNK],
-                soa: LweSoa::new(self.params.lwe_dim),
-            },
-            tv_buf: TorusPoly::zero(self.params.poly_size),
-            luts: PackedLutTables::new(),
+            boot: self.bootstrap.boot_scratch_lanes(FUSE_CHUNK),
+            raws: vec![LweCiphertext::trivial(Torus32::ZERO, ext_dim); FUSE_CHUNK],
+            soa: LweSoa::new(self.params.lwe_dim),
         }
     }
 
     /// The staged-batch bootstrap kernel every bootstrapped entry point
     /// of this key is a call into. Over cache-sized chunks of
     /// [`FUSE_CHUNK`] lanes: `stage(lane, soa, slot)` writes each lane's
-    /// linear combination into a struct-of-arrays slot and names its test
-    /// vector, and one input-owned pass over the bootstrapping key rotates
-    /// each test vector by its slot
+    /// linear combination into a struct-of-arrays slot, and one
+    /// input-owned pass over the bootstrapping key rotates the test vector
+    /// `mu = 1/8` by each slot
     /// ([`crate::bootstrap::BootstrappingKey::rotate_batch_into`]). Every
     /// raw sample of the call is kept, and one element-major pass over the
     /// key-switching key switches them all as `tail` says. `observe`,
@@ -293,11 +275,11 @@ impl ServerKey {
     /// ([`LweSoa::axpy`]), or `outs` does not match `tail` (`lanes`
     /// outputs for [`Tail::Each`]; one output and a single chunk for
     /// [`Tail::Sum`]).
-    pub(crate) fn bootstrap_staged<'t>(
+    fn bootstrap_staged(
         &self,
-        scratch: &mut LaneScratch,
+        scratch: &mut GateScratch,
         lanes: usize,
-        stage: impl Fn(usize, &mut LweSoa, usize) -> TestVector<'t>,
+        stage: impl Fn(usize, &mut LweSoa, usize),
         tail: Tail,
         outs: &mut [LweCiphertext],
         observe: Option<impl FnMut(usize, GateProfile)>,
@@ -306,7 +288,7 @@ impl ServerKey {
             Tail::Each => assert_eq!(outs.len(), lanes, "one output per lane"),
             Tail::Sum(_) => assert!(outs.len() == 1 && lanes <= FUSE_CHUNK, "one summed chunk"),
         }
-        let LaneScratch { boot, raws, soa } = scratch;
+        let GateScratch { boot, raws, soa } = scratch;
         if raws.len() < lanes {
             let ext_dim = self.keyswitch.src_dim();
             raws.resize_with(lanes, || LweCiphertext::trivial(Torus32::ZERO, ext_dim));
@@ -317,13 +299,13 @@ impl ServerKey {
         let timed = observe.is_some();
         let now = || timed.then(Instant::now);
         let (mut linear, mut rotation) = (Duration::ZERO, Duration::ZERO);
+        let mu = TestVector::Constant(Self::mu());
         for (base, raws) in (0..).step_by(FUSE_CHUNK).zip(raws.chunks_mut(FUSE_CHUNK)) {
             let width = raws.len();
             let t0 = now();
             soa.reset(width);
-            let mut tvs = [TestVector::Constant(Torus32::ZERO); FUSE_CHUNK];
-            for (slot, tv) in tvs.iter_mut().take(width).enumerate() {
-                *tv = stage(base + slot, soa, slot);
+            for slot in 0..width {
+                stage(base + slot, soa, slot);
             }
             let t1 = now();
             let mut inputs: [(&[Torus32], Torus32); FUSE_CHUNK] =
@@ -331,7 +313,7 @@ impl ServerKey {
             for (slot, input) in inputs.iter_mut().take(width).enumerate() {
                 *input = soa.slot(slot);
             }
-            self.bootstrap.rotate_batch_into(&inputs[..width], |slot| tvs[slot], boot, raws);
+            self.bootstrap.rotate_batch_into(&inputs[..width], |_| mu, boot, raws);
             if let (Some(t0), Some(t1)) = (t0, t1) {
                 (linear, rotation) = (linear + (t1 - t0), rotation + t1.elapsed());
             }
@@ -358,8 +340,7 @@ impl ServerKey {
     }
 
     /// The gate entry points' call into the kernel: the linear
-    /// combination of `gate(lane)` over `pairs[lane]`, every lane rotated
-    /// against the constant test vector `mu = 1/8`.
+    /// combination of `gate(lane)` over `pairs[lane]`.
     fn bootstrap_gates(
         &self,
         scratch: &mut GateScratch,
@@ -374,9 +355,8 @@ impl ServerKey {
             soa.set_body(slot, offset);
             soa.axpy(slot, ca, a);
             soa.axpy(slot, cb, b);
-            TestVector::Constant(Self::mu())
         };
-        self.bootstrap_staged(&mut scratch.lanes, pairs.len(), stage, tail, outs, observe);
+        self.bootstrap_staged(scratch, pairs.len(), stage, tail, outs, observe);
     }
 
     /// Evaluates one bootstrapped binary gate into `out` — a one-lane
@@ -654,44 +634,6 @@ mod tests {
         let before = crate::trace::thread_buffer_allocs();
         server.batch_bootstrap_fused(BootGate::Nand, &pairs, &mut outs, &mut scratch);
         assert_eq!(crate::trace::thread_buffer_allocs() - before, 0);
-    }
-
-    #[test]
-    fn fused_batch_is_bit_exact_with_gate_into_under_every_simd_path() {
-        use super::{BootGate, FUSE_CHUNK};
-        use crate::simd::{self, SimdPath};
-        let (client, server, mut rng) = setup();
-        let mut scratch = server.gate_scratch();
-        // More than two fuse chunks plus a ragged tail, so the fused
-        // path actually re-stages mid-batch.
-        let n = FUSE_CHUNK * 2 + 3;
-        let bits: Vec<(bool, bool)> = (0..n).map(|i| (i % 2 == 0, i % 3 == 0)).collect();
-        let cts: Vec<_> = bits
-            .iter()
-            .map(|&(a, b)| (client.encrypt_bit(a, &mut rng), client.encrypt_bit(b, &mut rng)))
-            .collect();
-        let pairs: Vec<_> = cts.iter().map(|(a, b)| (a, b)).collect();
-        // Bootstrapping is deterministic given the key and inputs, so
-        // the comparison is exact per path; the restore keeps the
-        // process-global dispatch as other tests expect it.
-        let restore = simd::active_path();
-        for path in SimdPath::ALL {
-            if !path.is_supported() {
-                continue;
-            }
-            assert!(simd::set_active_path(path));
-            let mut scalar = vec![server.constant(false); n];
-            for (&(a, b), out) in pairs.iter().zip(&mut scalar) {
-                server.gate_into(BootGate::Xor, a, b, &mut scratch, out);
-            }
-            let mut fused = vec![server.constant(false); n];
-            server.batch_bootstrap_fused(BootGate::Xor, &pairs, &mut fused, &mut scratch);
-            assert_eq!(fused, scalar, "fused batch must be bit-exact on path={path}");
-            for (ct, &(a, b)) in fused.iter().zip(&bits) {
-                assert_eq!(client.decrypt_bit(ct), a ^ b, "xor({a},{b}) on path={path}");
-            }
-        }
-        simd::set_active_path(restore);
     }
 
     #[test]

@@ -445,6 +445,26 @@ mod tests {
     }
 
     #[test]
+    fn the_retired_multi_bit_preset_ids_are_unknown_params() {
+        let mut rng = SecureRng::seed_from_u64(94);
+        let client = ClientKey::generate(Params::testing(), &mut rng);
+        let ct = ciphertext_to_bytes(&client.encrypt_bit(true, &mut rng), client.params());
+        let ck = client_key_to_bytes(&client);
+        // Both headers carry the preset id right after the magic.
+        let retag = |bytes: &[u8], id: u32| [&bytes[..4], &id.to_le_bytes(), &bytes[8..]].concat();
+        for id in [3u32, 4] {
+            let err = ciphertext_from_bytes(&retag(&ct, id)).unwrap_err();
+            assert_eq!(err, TfheError::UnknownParams, "ciphertext id {id}");
+            let err = client_key_from_bytes(&retag(&ck, id)).unwrap_err();
+            assert_eq!(err, TfheError::UnknownParams, "client key id {id}");
+            let mut sections = testing_sections();
+            sections[0].1 = id.to_le_bytes().to_vec();
+            let err = decode_sections(SK_WIRE_VERSION, &sections).unwrap_err();
+            assert_eq!(err, TfheError::UnknownParams, "server key id {id}");
+        }
+    }
+
+    #[test]
     fn adversarial_lengths_error_instead_of_panicking() {
         // Ciphertext declaring a u32::MAX-element mask over a tiny
         // buffer: the length check must fail without allocating.

@@ -56,7 +56,6 @@ pub mod io;
 pub mod keys;
 pub mod keyswitch;
 pub mod lanes;
-pub mod lut;
 pub mod lwe;
 pub mod noise;
 pub mod ntt;
@@ -75,7 +74,6 @@ pub use bootstrap::{BootstrapScratch, TestVector};
 pub use error::TfheError;
 pub use gates::{BootGate, GateScratch, FUSE_CHUNK};
 pub use keys::{ClientKey, ServerKey};
-pub use lut::{build_test_vector, decode_message, encode_message, PackedLutTables};
 pub use lwe::{LweCiphertext, LweKey, LweSoa};
 pub use noise::{NoiseGuard, NoiseModel};
 pub use params::{Params, SecurityLevel};

@@ -108,50 +108,6 @@ impl NoiseModel {
         let z = self.gate_margin() / combined;
         erfc(z / std::f64::consts::SQRT_2)
     }
-
-    /// The phase margin of a `precision_bits` message window: messages
-    /// are encoded at window centres `(m + 0.5) / 2^(p+1)`, so decode
-    /// survives any phase error below half a window, `1 / 2^(p+2)`.
-    pub fn message_margin(&self, precision_bits: u32) -> f64 {
-        1.0 / f64::from(1u32 << (precision_bits + 2))
-    }
-
-    /// Decode-failure probability of a programmable bootstrap whose
-    /// input is a linear combination with squared-coefficient sum
-    /// `coeff_sq_sum` of bootstrapped-gate-output ciphertexts, decoded
-    /// at `precision_bits`: the chance a Gaussian with deviation
-    /// `sqrt(coeff_sq_sum · gate_output + mod_switch²)` leaves the
-    /// half-window margin.
-    ///
-    /// A width-`w` boolean LUT packs its inputs with coefficients
-    /// `2^i` (`i < w`), so its `coeff_sq_sum` is `(4^w − 1) / 3`; a
-    /// shortint bivariate op packing `lhs · 2^m + rhs` has
-    /// `4^m + 1` (times the operands' own linear depth).
-    pub fn lut_failure_probability(&self, precision_bits: u32, coeff_sq_sum: f64) -> f64 {
-        let variance = coeff_sq_sum * self.gate_output() + self.mod_switch_stdev().powi(2);
-        let z = self.message_margin(precision_bits) / variance.sqrt();
-        erfc(z / std::f64::consts::SQRT_2)
-    }
-
-    /// Squared-coefficient sum of a width-`w` boolean LUT packing
-    /// (`Σ_{i<w} 4^i`).
-    pub fn boolean_pack_coeff_sq_sum(width: u32) -> f64 {
-        (((1u64 << (2 * width)) - 1) / 3) as f64
-    }
-
-    /// The widest boolean LUT whose packed decode-failure probability
-    /// stays within `budget` on this parameter set (0 when even a
-    /// width-1 message window cannot be decoded reliably). Capped at 4,
-    /// the widest cone the netlist LUT-cover pass emits.
-    pub fn max_lut_width(&self, budget: f64) -> u32 {
-        let mut widest = 0;
-        for w in 1..=4u32 {
-            if self.lut_failure_probability(w, Self::boolean_pack_coeff_sq_sum(w)) <= budget {
-                widest = w;
-            }
-        }
-        widest
-    }
 }
 
 /// Admission guardrail on an evaluation key's analytical noise budget.
@@ -160,14 +116,10 @@ impl NoiseModel {
 /// will corrupt results silently — a bootstrapped gate that fails does
 /// not error, it returns the wrong bit. The guard turns that into an
 /// explicit admission decision: sessions check
-/// [`NoiseGuard::admit`] at key-install time, and shortint keygen
-/// checks [`NoiseGuard::admit_lut`] so precisions the parameters cannot
-/// decode are refused with a typed error instead of failing silently at
-/// runtime.
+/// [`NoiseGuard::admit`] at key-install time.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct NoiseGuard {
-    /// Maximum acceptable analytical failure probability (per gate or
-    /// per programmable bootstrap, depending on the check).
+    /// Maximum acceptable analytical failure probability per gate.
     pub max_gate_failure_probability: f64,
 }
 
@@ -195,28 +147,7 @@ impl NoiseGuard {
     /// Returns [`TfheError::NoiseBudgetExceeded`] when the prediction
     /// exceeds the threshold.
     pub fn admit(&self, params: &Params) -> Result<f64, TfheError> {
-        self.check(NoiseModel::new(*params).gate_failure_probability())
-    }
-
-    /// Checks `params` against the guard for packed programmable
-    /// bootstrapping at `precision_bits` with squared-coefficient sum
-    /// `coeff_sq_sum` (see [`NoiseModel::lut_failure_probability`]),
-    /// returning the predicted probability on success.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`TfheError::NoiseBudgetExceeded`] when the prediction
-    /// exceeds the threshold.
-    pub fn admit_lut(
-        &self,
-        params: &Params,
-        precision_bits: u32,
-        coeff_sq_sum: f64,
-    ) -> Result<f64, TfheError> {
-        self.check(NoiseModel::new(*params).lut_failure_probability(precision_bits, coeff_sq_sum))
-    }
-
-    fn check(&self, p: f64) -> Result<f64, TfheError> {
+        let p = NoiseModel::new(*params).gate_failure_probability();
         if p > self.max_gate_failure_probability {
             return Err(TfheError::NoiseBudgetExceeded {
                 probability_atto: to_atto(p),
@@ -268,54 +199,6 @@ mod tests {
         let model = NoiseModel::new(Params::testing());
         let p = model.gate_failure_probability();
         assert!(p < 1e-6, "testing-parameter failure probability {p}");
-    }
-
-    #[test]
-    fn shortint_params_admit_width_four_luts() {
-        // The whole point of the shortint parameter sets: a width-4
-        // packed LUT decodes within the default 2^-40 budget.
-        let budget = NoiseGuard::default().max_gate_failure_probability;
-        for params in [Params::testing_shortint(), Params::shortint_128()] {
-            let model = NoiseModel::new(params);
-            assert_eq!(model.max_lut_width(budget), 4, "{params:?}");
-            let guard = NoiseGuard::default();
-            assert!(guard.admit_lut(&params, 4, NoiseModel::boolean_pack_coeff_sq_sum(4)).is_ok());
-        }
-    }
-
-    #[test]
-    fn boolean_testing_params_cannot_decode_multibit_windows() {
-        // `Params::testing` has an N=128 ring: a 1-bit LUT rides the
-        // same 1/8 margin as gate bootstrapping and squeaks through,
-        // but from 2 bits on the halved window loses to the mod-switch
-        // rounding noise. Multi-bit work needs `testing_shortint`.
-        let model = NoiseModel::new(Params::testing());
-        let budget = NoiseGuard::default().max_gate_failure_probability;
-        assert_eq!(model.max_lut_width(budget), 1);
-        let err = NoiseGuard::default()
-            .admit_lut(&Params::testing(), 3, NoiseModel::boolean_pack_coeff_sq_sum(3))
-            .expect_err("testing params must refuse 3-bit LUTs");
-        assert!(matches!(err, TfheError::NoiseBudgetExceeded { .. }), "{err:?}");
-    }
-
-    #[test]
-    fn lut_failure_grows_with_precision_and_packing() {
-        let model = NoiseModel::new(Params::testing_shortint());
-        // More precision bits → smaller window → higher failure.
-        assert!(model.lut_failure_probability(4, 1.0) > model.lut_failure_probability(2, 1.0));
-        // Wider packing → more noise → higher failure.
-        assert!(model.lut_failure_probability(4, 85.0) > model.lut_failure_probability(4, 5.0));
-        // Margins halve per extra bit.
-        assert!((model.message_margin(2) - 1.0 / 16.0).abs() < 1e-12);
-        assert!((model.message_margin(4) - 1.0 / 64.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn pack_coeff_sums_match_geometric_series() {
-        assert_eq!(NoiseModel::boolean_pack_coeff_sq_sum(1), 1.0);
-        assert_eq!(NoiseModel::boolean_pack_coeff_sq_sum(2), 5.0);
-        assert_eq!(NoiseModel::boolean_pack_coeff_sq_sum(3), 21.0);
-        assert_eq!(NoiseModel::boolean_pack_coeff_sq_sum(4), 85.0);
     }
 
     #[test]

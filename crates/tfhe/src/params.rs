@@ -89,49 +89,6 @@ impl Params {
         }
     }
 
-    /// A miniature, **insecure** parameter set for multi-bit (shortint)
-    /// tests: the same LWE dimension as [`Params::testing`] but an 8×
-    /// larger ring, so programmable bootstrapping can resolve 4-bit
-    /// message windows. The analytical decode-failure probability of a
-    /// width-4 packed LUT stays below 2^-40 (see
-    /// [`crate::NoiseModel::lut_failure_probability`]), which the plain
-    /// testing set cannot achieve at any multi-bit precision — its
-    /// mod-switch rounding noise alone overwhelms the 4-bit window.
-    pub fn testing_shortint() -> Self {
-        Params {
-            lwe_dim: 64,
-            lwe_noise_stdev: 1.0e-6,
-            poly_size: 1024,
-            glwe_dim: 1,
-            glwe_noise_stdev: 1.0e-9,
-            decomp_levels: 3,
-            decomp_base_log: 7,
-            ks_levels: 6,
-            ks_base_log: 3,
-            security: SecurityLevel::Testing,
-        }
-    }
-
-    /// A 128-bit-class parameter set sized for 4-bit programmable
-    /// bootstrapping, modeled on the shortint `message_2_carry_2`
-    /// parameter class of tfhe-rs: a 4096 ring and a coarser 2-level
-    /// gadget keep width-4 packed-LUT decode failure at ~2e-19, well
-    /// under the 2^-40 admission budget.
-    pub fn shortint_128() -> Self {
-        Params {
-            lwe_dim: 742,
-            lwe_noise_stdev: 1.0e-6,
-            poly_size: 4096,
-            glwe_dim: 1,
-            glwe_noise_stdev: 2.2e-17,
-            decomp_levels: 2,
-            decomp_base_log: 15,
-            ks_levels: 6,
-            ks_base_log: 4,
-            security: SecurityLevel::Bits128,
-        }
-    }
-
     /// The LWE dimension of samples extracted from TLWE ciphertexts
     /// (`k * N`); the key-switching key converts from this dimension back
     /// to [`Params::lwe_dim`].
@@ -146,20 +103,12 @@ impl Params {
         (self.lwe_dim + 1) * 4
     }
 
-    /// A stable identifier for serialization headers. The shortint sets
-    /// are matched structurally (they share a [`SecurityLevel`] with the
-    /// boolean sets but differ in every dimension that matters on the
-    /// wire).
+    /// A stable identifier for serialization headers. Ids 3 and 4 named
+    /// the retired multi-bit sets and are refused on decode.
     pub(crate) fn id(&self) -> u32 {
-        if *self == Params::testing_shortint() {
-            3
-        } else if *self == Params::shortint_128() {
-            4
-        } else {
-            match self.security {
-                SecurityLevel::Bits128 => 1,
-                SecurityLevel::Testing => 2,
-            }
+        match self.security {
+            SecurityLevel::Bits128 => 1,
+            SecurityLevel::Testing => 2,
         }
     }
 
@@ -168,8 +117,6 @@ impl Params {
         match id {
             1 => Some(Params::default_128()),
             2 => Some(Params::testing()),
-            3 => Some(Params::testing_shortint()),
-            4 => Some(Params::shortint_128()),
             _ => None,
         }
     }
@@ -202,12 +149,7 @@ mod tests {
 
     #[test]
     fn id_round_trip() {
-        let all = [
-            Params::default_128(),
-            Params::testing(),
-            Params::testing_shortint(),
-            Params::shortint_128(),
-        ];
+        let all = [Params::default_128(), Params::testing()];
         for p in all {
             assert_eq!(Params::from_id(p.id()), Some(p));
         }
@@ -216,27 +158,15 @@ mod tests {
         ids.sort_unstable();
         ids.dedup();
         assert_eq!(ids.len(), all.len());
-        assert_eq!(Params::from_id(99), None);
-    }
-
-    #[test]
-    fn poly_sizes_are_powers_of_two() {
-        for p in [
-            Params::default_128(),
-            Params::testing(),
-            Params::testing_shortint(),
-            Params::shortint_128(),
-        ] {
-            assert!(p.poly_size.is_power_of_two());
+        for retired in [3, 4, 99] {
+            assert_eq!(Params::from_id(retired), None);
         }
     }
 
     #[test]
-    fn shortint_rings_resolve_four_bit_windows() {
-        // A 4-bit message space needs 2N / 2^(p+1) >= 1 phase positions
-        // per window with comfortable slack for mod-switch rounding.
-        for p in [Params::testing_shortint(), Params::shortint_128()] {
-            assert!(2 * p.poly_size / (1 << 5) >= 32, "ring {} too small", p.poly_size);
+    fn poly_sizes_are_powers_of_two() {
+        for p in [Params::default_128(), Params::testing()] {
+            assert!(p.poly_size.is_power_of_two());
         }
     }
 }

@@ -3,17 +3,22 @@
 //! The optimizer and the LUT cover are pure functions of their input
 //! netlist, and every workload here is built deterministically, so the
 //! bytes of each result are fixed. The CRC32C of `pytfhe_asm::assemble`
-//! of every optimized workload, and of the node encoding of the
-//! LUT-covered ones (asm takes no LUT nodes), was captured while `opt::cse`
-//! still probed one hash table sized to the whole netlist and `lut_cover`
-//! kept its cones in hash maps. The rewritten passes have to reproduce
-//! them byte for byte. The entries whose workloads multiply by a
-//! constant were recaptured when `v_mul` moved those products from the
+//! of every optimized workload was captured while `opt::cse` still probed
+//! one hash table sized to the whole netlist, and the rewritten pass has
+//! to reproduce it byte for byte. The entries whose workloads multiply by
+//! a constant were recaptured when `v_mul` moved those products from the
 //! Baugh–Wooley array to the signed-digit shift-add of
 //! `Circuit::mul_const`.
+//!
+//! `lut_cover` once rewrote the netlist into lookup-table nodes and now
+//! only reports its cones. Its cone lists and bootstrap counts were
+//! captured from the rewriting pass, instrumented to emit the cones it
+//! fused (in the encoding of [`cone_bytes`]) just before it rebuilt the
+//! netlist, so the analysis chooses exactly the cones that pass fused.
 
+use pytfhe_netlist::opt::Cone;
 use pytfhe_netlist::opt::{lut_cover, optimize, LutCoverConfig};
-use pytfhe_netlist::{Netlist, Node};
+use pytfhe_netlist::Netlist;
 use pytfhe_vipbench::{benchmarks, distinctness, mnist_s, Scale};
 use pytfhe_wire::crc32c;
 
@@ -45,37 +50,30 @@ const OPTIMIZED: [(&str, u32); 23] = [
     ("MNIST_S paper", 0x1c94_821b),
 ];
 
-/// The CRC32C of the node encoding of `lut_cover` over the optimized
-/// Distinctness at both scales and MNIST_S at [`Scale::Paper`].
-const COVERED: [(&str, u32); 3] = [
-    ("Distinctness", 0x8333_36be),
-    ("Distinctness paper", 0xf7de_d8e7),
-    ("MNIST_S paper", 0x9ef9_3ca0),
+/// `lut_cover` over the optimized Distinctness at both scales and
+/// MNIST_S at [`Scale::Paper`]: its `bootstraps_after`, and the CRC32C of
+/// its cone list.
+const COVERED: [(&str, usize, u32); 3] = [
+    ("Distinctness", 117, 0x33dc_6b4c),
+    ("Distinctness paper", 2_213, 0x84d7_4e4c),
+    ("MNIST_S paper", 57_503, 0x33da_4235),
 ];
 
 fn optimized(nl: &Netlist) -> Netlist {
     optimize(nl).expect("a workload netlist is valid").0
 }
 
-/// Nodes in id order (a tag, then the gate's opcode and operands or the
-/// LUT's spec and read operands), then the outputs.
-fn node_bytes(nl: &Netlist) -> Vec<u8> {
+/// Cones in ascending root order: the root (`u32`), the leaf count
+/// (`u8`), the leaves (`u32` each, in table bit order) and the table
+/// (`u16`), all little-endian.
+fn cone_bytes(cones: &[Cone]) -> Vec<u8> {
     let mut bytes = Vec::new();
-    for node in nl.nodes() {
-        match *node {
-            Node::Input => bytes.push(0),
-            Node::Gate { kind, a, b } => {
-                bytes.extend([1, kind.opcode()]);
-                bytes.extend(a.0.to_le_bytes().into_iter().chain(b.0.to_le_bytes()));
-            }
-            Node::Lut { spec, ins } => {
-                bytes.extend([2, spec.width, spec.precision]);
-                bytes.extend(spec.table.to_le_bytes());
-                ins[..spec.width as usize].iter().for_each(|op| bytes.extend(op.0.to_le_bytes()));
-            }
-        }
+    for cone in cones {
+        bytes.extend(cone.root.0.to_le_bytes());
+        bytes.push(cone.leaves.len() as u8);
+        cone.leaves.iter().for_each(|leaf| bytes.extend(leaf.0.to_le_bytes()));
+        bytes.extend(cone.table.to_le_bytes());
     }
-    nl.outputs().iter().for_each(|o| bytes.extend(o.0.to_le_bytes()));
     bytes
 }
 
@@ -92,16 +90,16 @@ fn optimized_workloads_assemble_to_frozen_bytes() {
 }
 
 #[test]
-fn lut_covered_workloads_have_frozen_nodes() {
+fn lut_cover_chooses_frozen_cones() {
     let covered = |nl: &Netlist| {
-        let (lowered, _) = lut_cover(&optimized(nl), &LutCoverConfig::default()).expect("valid");
-        crc32c(&node_bytes(&lowered))
+        let (cones, report) = lut_cover(&optimized(nl), &LutCoverConfig::default()).expect("valid");
+        (report.bootstraps_after, crc32c(&cone_bytes(&cones)))
     };
-    let got = vec![
-        ("Distinctness".to_string(), covered(distinctness(Scale::Test).netlist())),
-        ("Distinctness paper".to_string(), covered(distinctness(Scale::Paper).netlist())),
-        ("MNIST_S paper".to_string(), covered(mnist_s(Scale::Paper).netlist())),
-    ];
-    let want: Vec<(String, u32)> = COVERED.iter().map(|&(n, c)| (n.to_string(), c)).collect();
-    assert_eq!(got, want, "{got:#010x?}");
+    let got = [
+        ("Distinctness", covered(distinctness(Scale::Test).netlist())),
+        ("Distinctness paper", covered(distinctness(Scale::Paper).netlist())),
+        ("MNIST_S paper", covered(mnist_s(Scale::Paper).netlist())),
+    ]
+    .map(|(name, (after, crc))| (name, after, crc));
+    assert_eq!(got, COVERED, "{got:#010x?}");
 }

@@ -17,7 +17,7 @@
 
 use pytfhe_tfhe::io::{ciphertext_from_bytes, ciphertext_to_bytes, server_key_from_bytes};
 use pytfhe_tfhe::simd::{self, SimdPath};
-use pytfhe_tfhe::{BootGate, LweCiphertext, ServerKey, FUSE_CHUNK};
+use pytfhe_tfhe::{BootGate, ClientKey, LweCiphertext, Params, SecureRng, ServerKey, FUSE_CHUNK};
 use pytfhe_wire::crc32c;
 
 /// `crc32c(ciphertext_to_bytes(gate(true, false)))` for each of
@@ -78,6 +78,50 @@ fn every_gate_entry_point_reproduces_the_frozen_ciphertexts_on_every_simd_path()
         let got: Vec<u32> = outs.iter().map(|ct| crc(&server, ct)).collect();
         assert_eq!(got, GATE_CRCS, "batch_bootstrap_mixed on {path}");
         assert_eq!(crc(&server, &server.mux(&a, &a, &b)), MUX_CRC, "mux on {path}");
+    }
+    simd::set_active_path(restore);
+}
+
+/// A fused batch of more than two chunks plus a ragged tail equals
+/// `gate_into` pair by pair on every tier. It lives here, not among the
+/// `gates` unit tests, because it re-points the process-global dispatch,
+/// and a unit test of `pytfhe-tfhe` compares whole server keys, whose
+/// stored spectra depend on the tier. The test above also switches tiers;
+/// gate outputs do not depend on the tier, so the two may interleave.
+#[test]
+fn fused_batch_is_bit_exact_with_gate_into_under_every_simd_path() {
+    let mut rng = SecureRng::seed_from_u64(80);
+    let client = ClientKey::generate(Params::testing(), &mut rng);
+    let server = client.server_key(&mut rng);
+    let mut scratch = server.gate_scratch();
+    // More than two fuse chunks plus a ragged tail, so the fused
+    // path actually re-stages mid-batch.
+    let n = FUSE_CHUNK * 2 + 3;
+    let bits: Vec<(bool, bool)> = (0..n).map(|i| (i % 2 == 0, i % 3 == 0)).collect();
+    let cts: Vec<_> = bits
+        .iter()
+        .map(|&(a, b)| (client.encrypt_bit(a, &mut rng), client.encrypt_bit(b, &mut rng)))
+        .collect();
+    let pairs: Vec<_> = cts.iter().map(|(a, b)| (a, b)).collect();
+    // Bootstrapping is deterministic given the key and inputs, so
+    // the comparison is exact per path; the restore keeps the
+    // process-global dispatch as other tests expect it.
+    let restore = simd::active_path();
+    for path in SimdPath::ALL {
+        if !path.is_supported() {
+            continue;
+        }
+        assert!(simd::set_active_path(path));
+        let mut scalar = vec![server.constant(false); n];
+        for (&(a, b), out) in pairs.iter().zip(&mut scalar) {
+            server.gate_into(BootGate::Xor, a, b, &mut scratch, out);
+        }
+        let mut fused = vec![server.constant(false); n];
+        server.batch_bootstrap_fused(BootGate::Xor, &pairs, &mut fused, &mut scratch);
+        assert_eq!(fused, scalar, "fused batch must be bit-exact on path={path}");
+        for (ct, &(a, b)) in fused.iter().zip(&bits) {
+            assert_eq!(client.decrypt_bit(ct), a ^ b, "xor({a},{b}) on path={path}");
+        }
     }
     simd::set_active_path(restore);
 }

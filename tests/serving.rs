@@ -295,7 +295,7 @@ fn malformed_inputs_are_refused_and_the_other_tenant_is_unharmed() {
         Err(ServeError::Protocol(msg)) => assert!(msg.contains("dimension 1"), "{msg}"),
         other => panic!("expected a Protocol refusal of the 1-word input, got {other:?}"),
     }
-    match bad.submit(fp_b, &nl, &inputs_b, &Params::testing_shortint()) {
+    match bad.submit(fp_b, &nl, &inputs_b, &Params::default_128()) {
         Err(ServeError::Protocol(msg)) => assert!(msg.contains("parameter set"), "{msg}"),
         other => panic!("expected a Protocol refusal of the mistagged inputs, got {other:?}"),
     }

@@ -47,8 +47,6 @@ pub struct ExecStats {
     /// Whether the kernel-graph executor reused a cached plan instead of
     /// capturing one.
     pub plan_cached: bool,
-    /// Sub-graph batches replayed (the CUDA-graph cuts of Figure 9).
-    pub batches: usize,
     /// Batched gate kernel launches issued: one per worker chunk of a wave's
     /// bootstrapping gates and one per chunk of its linear gates.
     pub kernel_launches: u64,
@@ -80,7 +78,6 @@ impl ExecStats {
             capture_s: 0.0,
             replay_s: 0.0,
             plan_cached: false,
-            batches: 0,
             kernel_launches: 0,
             steals: 0,
             bootstraps,
@@ -101,7 +98,6 @@ impl ExecStats {
         m.counter_add("exec_retries_total", self.retries);
         m.counter_add("exec_evicted_workers_total", self.evicted_workers as u64);
         m.counter_add("exec_checkpoints_total", self.checkpoints as u64);
-        m.counter_add("exec_batches_total", self.batches as u64);
         m.counter_add("exec_kernel_launches_total", self.kernel_launches);
         m.counter_add("exec_steals_total", self.steals);
         m.counter_add("exec_bootstraps_total", self.bootstraps);
@@ -128,14 +124,13 @@ impl std::fmt::Display for ExecStats {
                 self.retries, self.evicted_workers, self.checkpoints
             )?;
         }
-        if self.batches > 0 || self.plan_cached || self.capture_s > 0.0 || self.replay_s > 0.0 {
+        if self.plan_cached || self.capture_s > 0.0 || self.replay_s > 0.0 {
             write!(
                 f,
-                "\nplan              {}\ncapture           {:.3} s\nreplay            {:.3} s\nbatches           {}\nkernel launches   {}",
+                "\nplan              {}\ncapture           {:.3} s\nreplay            {:.3} s\nkernel launches   {}",
                 if self.plan_cached { "cached" } else { "captured" },
                 self.capture_s,
                 self.replay_s,
-                self.batches,
                 self.kernel_launches
             )?;
         }
@@ -315,7 +310,7 @@ where
     // The plan's waves are the schedule's non-empty levels in order, and
     // only level 0, which holds nothing but constants, can be empty.
     let level_0_empty =
-        !plan.waves().next().is_some_and(|w| w.gates.iter().all(|t| t.kind.is_const()));
+        !plan.waves.first().is_some_and(|w| w.gates.iter().all(|t| t.kind.is_const()));
     let first_level = usize::from(level_0_empty);
 
     let mut skip = 0;
@@ -335,7 +330,7 @@ where
     let live = if snapshots { plan.live_ranges() } else { Vec::new() };
 
     let mut alive: Vec<usize> = (0..cfg.workers.max(1)).collect();
-    for (index, wave) in plan.waves().enumerate().skip(skip) {
+    for (index, wave) in plan.waves.iter().enumerate().skip(skip) {
         let level = index + first_level;
         alive.retain(|&worker| {
             let crashed = faults.worker_crashes(level, worker);
@@ -590,7 +585,10 @@ mod tests {
         assert!(plain.contains("gates"));
         assert!(plain.contains("simd path"));
         assert!(!plain.contains("retries"), "fault lines hidden on clean runs:\n{plain}");
-        assert!(!plain.contains("batches"), "graph lines hidden off the graph path:\n{plain}");
+        assert!(
+            !plain.contains("kernel launches"),
+            "graph lines hidden off the graph path:\n{plain}"
+        );
 
         stats.retries = 2;
         stats.plan_cached = true;

@@ -6,10 +6,10 @@
 //! [`crate::sim::GpuPolicy::CudaGraphs`] simulator models:
 //!
 //! 1. **Capture** ([`capture`]): one pass over the netlist produces a
-//!    [`KernelPlan`] — topological waves, each one gate list that a
-//!    replay batches across gate kinds, cut into sub-graph batches of
-//!    about [`CaptureConfig::batch_cut_nodes`] bootstrapped gates. The
-//!    simulators in [`crate::sim`] cost this plan as it is.
+//!    [`KernelPlan`] — one list of topological waves, each one gate list
+//!    that a replay batches across gate kinds. The simulators in
+//!    [`crate::sim`] cost this plan; cutting it into CUDA-graph batches
+//!    is the GPU simulator's policy, not part of the plan.
 //! 2. **Cache**: [`KernelGraph`] keys captured plans by netlist
 //!    fingerprint, so the second and later executions of a program skip
 //!    capture entirely (`ExecStats::plan_cached`).
@@ -30,7 +30,7 @@ mod replay;
 #[cfg(test)]
 pub(crate) use capture::ladder;
 pub use capture::{capture, CaptureConfig};
-pub use plan::{counts_toward_batch, GateTask, KernelPlan, SubGraph, WavePlan};
+pub use plan::{GateTask, KernelPlan, WavePlan};
 pub use replay::{replay, run_wave, Launch, ReplayLanes};
 pub(crate) use replay::{run_wave_with, Retry};
 
@@ -48,24 +48,13 @@ use std::time::Instant;
 /// capture and replay machinery behind one entry point.
 #[derive(Debug, Default)]
 pub struct KernelGraph {
-    cfg: CaptureConfig,
     cache: Mutex<HashMap<u64, Arc<KernelPlan>>>,
 }
 
 impl KernelGraph {
-    /// An executor with the default batch-cut budget.
+    /// An executor with an empty plan cache.
     pub fn new() -> Self {
-        Self::with_config(CaptureConfig::default())
-    }
-
-    /// An executor with an explicit capture configuration.
-    pub fn with_config(cfg: CaptureConfig) -> Self {
-        KernelGraph { cfg, cache: Mutex::new(HashMap::new()) }
-    }
-
-    /// The capture configuration.
-    pub fn config(&self) -> &CaptureConfig {
-        &self.cfg
+        Self::default()
     }
 
     /// Plans currently cached.
@@ -88,7 +77,7 @@ impl KernelGraph {
         let capture_span =
             telemetry::span_with("graph", || format!("capture plan: {} gates", nl.num_gates()));
         let start = Instant::now();
-        let plan = Arc::new(capture(nl, &self.cfg)?);
+        let plan = Arc::new(capture(nl, &CaptureConfig::default())?);
         let capture_s = start.elapsed().as_secs_f64();
         capture_span.end();
         self.cache.lock().expect("plan cache poisoned").insert(fp, Arc::clone(&plan));
@@ -141,9 +130,9 @@ impl KernelGraph {
         let (plan, cached, capture_s) = self.plan_for(nl)?;
         let replay_span = telemetry::span_with("graph", || {
             format!(
-                "replay: {} gates, {} batches{}",
+                "replay: {} gates, {} waves{}",
                 plan.num_gates(),
-                plan.batches.len(),
+                plan.num_waves(),
                 if cached { " (cached plan)" } else { "" }
             )
         });
@@ -195,7 +184,7 @@ mod tests {
     fn adopted_plans_serve_executions() {
         let nl = xor_tree();
         let graph = KernelGraph::new();
-        let plan = capture(&nl, graph.config()).unwrap();
+        let plan = capture(&nl, &CaptureConfig::default()).unwrap();
         let restored = KernelPlan::from_bytes(&plan.to_bytes()).unwrap();
         graph.adopt(restored);
         let engine = PlainEngine::new();

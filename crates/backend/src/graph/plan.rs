@@ -1,5 +1,5 @@
-//! The captured execution plan: a netlist flattened into sub-graph
-//! batches of waves, each wave one gate list (every task carrying its
+//! The captured execution plan: a netlist flattened into one list of
+//! topological waves, each wave one gate list (every task carrying its
 //! own gate kind), and a byte-level codec so plans can be shipped to (or
 //! cached by) a remote evaluator exactly like the paper's serialized CUDA
 //! graphs.
@@ -52,13 +52,6 @@ impl WavePlan {
         self.gates.len()
     }
 
-    /// Tasks the simulators charge a device slot for (gates but
-    /// constants and buffers, see [`counts_toward_batch`]): the count the
-    /// batch-cut rule accumulates.
-    pub fn bootstrapped(&self) -> u64 {
-        self.gates.iter().filter(|t| counts_toward_batch(t.kind)).count() as u64
-    }
-
     /// Bootstraps the wave executes: its binary gates (`Not`, `Buf` and
     /// constants are linear).
     pub fn bootstraps(&self) -> u64 {
@@ -92,30 +85,6 @@ impl WavePlan {
     }
 }
 
-/// Whether `kind` counts toward the batch-cut budget and occupies a
-/// device slot in the simulators ([`crate::sim`]): constants and buffers
-/// are free; everything else (including `Not`, which the device model
-/// schedules even though it is bootstrap-free) is counted.
-pub fn counts_toward_batch(kind: GateKind) -> bool {
-    !kind.is_const() && kind != GateKind::Buf
-}
-
-/// A contiguous run of waves executed as one batch — the unit the
-/// CUDA-Graphs backend defines as a single device graph (paper
-/// Figure 9).
-#[derive(Debug, Clone, PartialEq, Eq, Default)]
-pub struct SubGraph {
-    /// The member waves in topological order.
-    pub waves: Vec<WavePlan>,
-}
-
-impl SubGraph {
-    /// Bootstrapped gates in the batch.
-    pub fn bootstrapped(&self) -> u64 {
-        self.waves.iter().map(WavePlan::bootstrapped).sum()
-    }
-}
-
 /// A complete captured plan for one netlist. Replaying it against fresh
 /// inputs reproduces `execute` bit for bit without touching the netlist
 /// again.
@@ -131,30 +100,25 @@ pub struct KernelPlan {
     pub inputs: Vec<u32>,
     /// Slots read out as primary outputs, in program order.
     pub outputs: Vec<u32>,
-    /// The sub-graph batches in execution order.
-    pub batches: Vec<SubGraph>,
+    /// The topological waves in execution order.
+    pub waves: Vec<WavePlan>,
 }
 
 impl KernelPlan {
-    /// Every wave of every batch, in execution order.
-    pub fn waves(&self) -> impl Iterator<Item = &WavePlan> {
-        self.batches.iter().flat_map(|b| &b.waves)
-    }
-
-    /// Total gates across all batches.
+    /// Total gates across all waves.
     pub fn num_gates(&self) -> usize {
-        self.waves().map(WavePlan::num_gates).sum()
+        self.waves.iter().map(WavePlan::num_gates).sum()
     }
 
     /// Bootstraps a replay executes: binary gates (`Not`, `Buf` and
     /// constants are linear).
     pub fn bootstraps(&self) -> u64 {
-        self.waves().map(WavePlan::bootstraps).sum()
+        self.waves.iter().map(WavePlan::bootstraps).sum()
     }
 
-    /// Scheduling waves across all batches.
+    /// Scheduling waves.
     pub fn num_waves(&self) -> usize {
-        self.batches.iter().map(|b| b.waves.len()).sum()
+        self.waves.len()
     }
 
     /// The live range of every value slot, as `(written, last_read)`
@@ -166,7 +130,7 @@ impl KernelPlan {
     /// `written <= k < last_read`.
     pub fn live_ranges(&self) -> Vec<(u32, u32)> {
         let mut ranges = vec![(u32::MAX, 0); self.num_nodes];
-        for (w, wave) in self.waves().enumerate() {
+        for (w, wave) in self.waves.iter().enumerate() {
             let w = w as u32;
             for t in &wave.gates {
                 ranges[t.out as usize].0 = w;
@@ -202,22 +166,22 @@ impl KernelPlan {
         put_u64(&mut out, self.num_nodes as u64);
         put_u32_list(&mut out, &self.inputs);
         put_u32_list(&mut out, &self.outputs);
-        put_u32(&mut out, self.batches.len() as u32);
-        for batch in &self.batches {
-            put_u32(&mut out, batch.waves.len() as u32);
-            for wave in &batch.waves {
-                // Each run of one kind is a group record: a captured
-                // wave, ordered by opcode, writes one per kind.
-                let runs = || wave.gates.chunk_by(|x, y| x.kind == y.kind);
-                put_u32(&mut out, runs().count() as u32);
-                for run in runs() {
-                    out.push(run[0].kind.opcode());
-                    put_u32(&mut out, run.len() as u32);
-                    for t in run {
-                        put_u32(&mut out, t.out);
-                        put_u32(&mut out, t.a);
-                        put_u32(&mut out, t.b);
-                    }
+        // The body still opens with a batch count, from when capture cut
+        // the waves into sub-graph batches: one batch holds them all.
+        put_u32(&mut out, 1);
+        put_u32(&mut out, self.waves.len() as u32);
+        for wave in &self.waves {
+            // Each run of one kind is a group record: a captured wave,
+            // ordered by opcode, writes one per kind.
+            let runs = || wave.gates.chunk_by(|x, y| x.kind == y.kind);
+            put_u32(&mut out, runs().count() as u32);
+            for run in runs() {
+                out.push(run[0].kind.opcode());
+                put_u32(&mut out, run.len() as u32);
+                for t in run {
+                    put_u32(&mut out, t.out);
+                    put_u32(&mut out, t.a);
+                    put_u32(&mut out, t.b);
                 }
             }
         }
@@ -242,18 +206,20 @@ impl KernelPlan {
         Self::parse_body(env.payload)
     }
 
-    /// Parses the envelope payload.
+    /// Parses the envelope payload. The waves of every batch it lists
+    /// are concatenated, so plans written while capture still cut
+    /// batches decode to the same schedule.
     fn parse_body(bytes: &[u8]) -> Result<Self, ExecError> {
         let mut r = Reader { bytes, pos: 0 };
         let fingerprint = r.u64()?;
         let num_nodes = usize::try_from(r.u64()?).map_err(|_| bad("node count overflow"))?;
         let inputs = r.u32_list()?;
         let outputs = r.u32_list()?;
-        let num_batches = r.u32()? as usize;
-        let mut batches = Vec::with_capacity(num_batches.min(1024));
+        let num_batches = r.u32()?;
+        let mut waves = Vec::new();
         for _ in 0..num_batches {
             let num_waves = r.u32()? as usize;
-            let mut waves = Vec::with_capacity(num_waves.min(1024));
+            waves.reserve(num_waves.min(1024));
             for _ in 0..num_waves {
                 let num_groups = r.u32()? as usize;
                 let mut gates = Vec::new();
@@ -267,12 +233,11 @@ impl KernelPlan {
                 }
                 waves.push(WavePlan { gates });
             }
-            batches.push(SubGraph { waves });
         }
         if r.pos != bytes.len() {
             return Err(bad("trailing bytes"));
         }
-        let plan = KernelPlan { fingerprint, num_nodes, inputs, outputs, batches };
+        let plan = KernelPlan { fingerprint, num_nodes, inputs, outputs, waves };
         plan.check_slots()?;
         Ok(plan)
     }
@@ -282,7 +247,8 @@ impl KernelPlan {
         let n = self.num_nodes as u64;
         let ok = |slot: u32| u64::from(slot) < n;
         let wires = self.inputs.iter().chain(&self.outputs).all(|&s| ok(s));
-        let gates = self.waves().flat_map(|w| &w.gates).all(|t| ok(t.out) && ok(t.a) && ok(t.b));
+        let gates =
+            self.waves.iter().flat_map(|w| &w.gates).all(|t| ok(t.out) && ok(t.a) && ok(t.b));
         if wires && gates {
             Ok(())
         } else {
@@ -358,23 +324,19 @@ mod tests {
             num_nodes: 7,
             inputs: vec![0, 1],
             outputs: vec![6, 5],
-            batches: vec![
-                SubGraph {
-                    waves: vec![WavePlan {
-                        gates: vec![
-                            GateTask { kind: GateKind::Nand, out: 2, a: 0, b: 1 },
-                            GateTask { kind: GateKind::Nand, out: 3, a: 1, b: 0 },
-                            GateTask { kind: GateKind::Not, out: 4, a: 0, b: 0 },
-                        ],
-                    }],
+            waves: vec![
+                WavePlan {
+                    gates: vec![
+                        GateTask { kind: GateKind::Nand, out: 2, a: 0, b: 1 },
+                        GateTask { kind: GateKind::Nand, out: 3, a: 1, b: 0 },
+                        GateTask { kind: GateKind::Not, out: 4, a: 0, b: 0 },
+                    ],
                 },
-                SubGraph {
-                    waves: vec![WavePlan {
-                        gates: vec![
-                            GateTask { kind: GateKind::Xor, out: 5, a: 2, b: 3 },
-                            GateTask { kind: GateKind::Xor, out: 6, a: 3, b: 4 },
-                        ],
-                    }],
+                WavePlan {
+                    gates: vec![
+                        GateTask { kind: GateKind::Xor, out: 5, a: 2, b: 3 },
+                        GateTask { kind: GateKind::Xor, out: 6, a: 3, b: 4 },
+                    ],
                 },
             ],
         }
@@ -481,7 +443,7 @@ mod tests {
     #[test]
     fn rejects_out_of_range_slots() {
         let mut plan = sample_plan();
-        plan.batches[1].waves[0].gates[0].a = 99;
+        plan.waves[1].gates[0].a = 99;
         assert!(matches!(
             KernelPlan::from_bytes(&plan.to_bytes()),
             Err(ExecError::BadPlan { reason: "slot out of range" })
@@ -497,10 +459,7 @@ mod tests {
         let m = u32::MAX;
         let live = vec![(m, 0), (m, 0), (0, 1), (0, 1), (0, 1), (1, m), (1, m)];
         assert_eq!(plan.live_ranges(), live);
-        // Not counts toward the cut budget; Buf and constants would not.
-        assert_eq!(plan.batches[0].bootstrapped(), 3);
-        assert!(counts_toward_batch(GateKind::Not));
-        assert!(!counts_toward_batch(GateKind::Buf));
-        assert!(!counts_toward_batch(GateKind::Const0));
+        // The simulators' device slots: `Not` takes one like the NANDs.
+        assert_eq!(crate::sim::bootstrapped(&plan.waves[0]), 3);
     }
 }

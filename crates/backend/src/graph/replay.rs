@@ -8,7 +8,7 @@
 //! gate results are staged into a reusable arena by the engine's
 //! `*_into` kernels and scattered back by pointer swaps. (Small
 //! per-kernel-launch bookkeeping, like the operand-pointer list handed
-//! to [`GateEngine::eval_batch`], still comes from the ordinary heap.)
+//! to [`GateEngine::eval_batch`], still comes from the dispatcher's heap.)
 //!
 //! [`run_wave`] is the workspace's one wave dispatcher — the only code
 //! that turns waves of ready nodes into [`WorkerPool`] jobs. It takes a
@@ -24,11 +24,12 @@ use crate::engine::{boot_gate, check_inputs, GateEngine};
 use crate::error::ExecError;
 use crate::exec::{ExecStats, PARALLEL_WAVE_MIN};
 use crate::graph::plan::{GateTask, KernelPlan, WavePlan};
-use crate::pool::{Job, SlotCells, WorkerPool};
+use crate::pool::{Job, WorkerPool};
 use pytfhe_netlist::GateKind;
 use pytfhe_telemetry as telemetry;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::Mutex;
 use std::time::Instant;
 
 /// Reusable replay storage for values of type `V`: the value arena (one
@@ -120,16 +121,10 @@ pub fn replay<E: GateEngine>(
     lanes.load(engine, plan, inputs)?;
     let mut stats = ExecStats::new(plan.num_gates(), plan.bootstraps());
     let workers = lanes.workers;
-    for (batch_idx, batch) in plan.batches.iter().enumerate() {
-        stats.batches += 1;
-        let _batch_span = telemetry::span_with("graph", || {
-            format!("batch {batch_idx}: {} waves", batch.waves.len())
-        });
-        for wave in &batch.waves {
-            let launch = Launch { engine, wave, lanes: &mut *lanes };
-            run_wave(&mut [launch], workers, &mut stats)?;
-            stats.waves += 1;
-        }
+    for wave in &plan.waves {
+        let launch = Launch { engine, wave, lanes: &mut *lanes };
+        run_wave(&mut [launch], workers, &mut stats)?;
+        stats.waves += 1;
     }
     stats.replay_s = start.elapsed().as_secs_f64();
     stats.wall_s = stats.replay_s;
@@ -155,27 +150,21 @@ pub struct Launch<'a, E: GateEngine> {
 struct Chunk<'a, E: GateEngine> {
     engine: &'a E,
     launch: usize,
-    values: &'a [E::Value],
-    tasks: &'a [GateTask],
+    /// Kind and operands of each gate, gathered on the dispatching thread.
+    items: Vec<(GateKind, &'a E::Value, &'a E::Value)>,
     stage: &'a mut [E::Value],
 }
 
 impl<E: GateEngine> Chunk<'_, E> {
     /// Whether the chunk's gates bootstrap.
     fn bootstraps(&self) -> bool {
-        boot_gate(self.tasks[0].kind).is_some()
+        boot_gate(self.items[0].0).is_some()
     }
 
     /// Runs the chunk through [`GateEngine::eval_batch`]. Only the
     /// chunk's stage is written, so running it again is harmless.
     fn run(&mut self, scratch: &mut E::Scratch) {
-        let values = self.values;
-        let items: Vec<(GateKind, &E::Value, &E::Value)> = self
-            .tasks
-            .iter()
-            .map(|t| (t.kind, &values[t.a as usize], &values[t.b as usize]))
-            .collect();
-        self.engine.eval_batch(&items, self.stage, scratch);
+        self.engine.eval_batch(&self.items, self.stage, scratch);
     }
 }
 
@@ -263,7 +252,7 @@ pub(crate) fn run_wave_with<E: GateEngine>(
     // Chunks target one per lane across the whole dispatch; run and
     // launch boundaries may add a few more, and stealing evens them out.
     let chunk = total.div_ceil(lanes);
-    let mut cells: Vec<SlotCells<E::Scratch>> = Vec::with_capacity(launches.len());
+    let mut cells: Vec<Vec<Mutex<E::Scratch>>> = Vec::with_capacity(launches.len());
     let mut chunks: Vec<Chunk<'_, E>> = Vec::new();
     let mut gang_lanes: (&mut [E::Scratch], &mut [E::Value]) = (&mut [], &mut []);
     for (launch, l) in launches.iter_mut().enumerate() {
@@ -282,7 +271,7 @@ pub(crate) fn run_wave_with<E: GateEngine>(
         if gang > 1 {
             gang_lanes = (&mut scratches[..gang], &mut echoes[..gang - 1]);
         } else {
-            cells.push(SlotCells::new(std::mem::take(scratches)));
+            cells.push(std::mem::take(scratches).into_iter().map(Mutex::new).collect());
         }
         let values = &values[..];
         let boots = |t: &GateTask| boot_gate(t.kind).is_some();
@@ -291,7 +280,15 @@ pub(crate) fn run_wave_with<E: GateEngine>(
             stage_rest = rest;
             stats.kernel_launches += run.len().div_ceil(chunk) as u64;
             for (tasks, stage) in run.chunks(chunk).zip(run_stage.chunks_mut(chunk)) {
-                chunks.push(Chunk { engine, launch, values, tasks, stage });
+                // Gathered here, not on the lane that runs the chunk: see
+                // `WorkerPool::run_each`.
+                let item = |t: &GateTask| (t.kind, &values[t.a as usize], &values[t.b as usize]);
+                chunks.push(Chunk {
+                    engine,
+                    launch,
+                    items: tasks.iter().map(item).collect(),
+                    stage,
+                });
             }
         }
     }
@@ -313,14 +310,12 @@ pub(crate) fn run_wave_with<E: GateEngine>(
             continue;
         }
         let run_on = |lane: usize, i: usize, chunk: &mut Chunk<'_, E>| {
-            // SAFETY: every launch holds `lanes` scratches and `lane <
-            // lanes`. The pool runs at most one task per lane at a time,
-            // and the inline path runs every chunk on lane 0 one after
-            // another, so no two live borrows share a slot.
-            let scratch = unsafe { cells[chunk.launch].slot(lane) };
+            // Every launch holds `lanes` scratches and a lane runs one
+            // task at a time, so the lock is never contended.
+            let mut scratch = cells[chunk.launch][lane].lock().expect("scratch lock poisoned");
             let ran = catch_unwind(AssertUnwindSafe(|| {
                 retry.admit(i) && {
-                    chunk.run(scratch);
+                    chunk.run(&mut scratch);
                     true
                 }
             }));
@@ -330,9 +325,14 @@ pub(crate) fn run_wave_with<E: GateEngine>(
         if lanes == 1 {
             todo.for_each(|(i, chunk)| run_on(0, i, chunk));
         } else {
-            let jobs = todo.map(|(i, c)| Box::new(move |lane| run_on(lane, i, c)) as Job);
-            // Every job catches its own panic, so the run cannot fail.
-            stats.steals += WorkerPool::global().run(lanes, jobs.collect()).map_or(0, |r| r.steals);
+            let todo: Vec<_> = todo.map(Mutex::new).collect();
+            let body = |lane: usize, task: usize| {
+                let (i, chunk) = &mut *todo[task].lock().expect("chunk lock poisoned");
+                run_on(lane, *i, chunk);
+            };
+            // Every task catches its own panic, so the run cannot fail.
+            let run = WorkerPool::global().run_each(lanes, todo.len(), &body);
+            stats.steals += run.map_or(0, |r| r.steals);
         }
         for (p, f) in pending.iter_mut().zip(&failed) {
             *p = *p && f.load(Ordering::Relaxed);
@@ -346,7 +346,7 @@ pub(crate) fn run_wave_with<E: GateEngine>(
         }
     };
     for (l, cells) in launches.iter_mut().zip(cells) {
-        l.lanes.scratches = cells.into_inner();
+        l.lanes.scratches = cells.into_iter().map(|s| s.into_inner().expect("poisoned")).collect();
     }
     outcome?;
     for l in launches {
@@ -372,8 +372,10 @@ fn run_gang<E: GateEngine>(
 ) -> bool {
     let engine = chunks[0].engine;
     let boot = chunks.iter().position(Chunk::bootstraps).expect("a gang wave bootstraps");
-    let mut copies: Vec<Chunk<'_, E>> =
-        echoes.chunks_mut(1).map(|stage| Chunk { stage, ..chunks[boot] }).collect();
+    let mut copies: Vec<Chunk<'_, E>> = echoes
+        .chunks_mut(1)
+        .map(|stage| Chunk { stage, items: chunks[boot].items.clone(), ..chunks[boot] })
+        .collect();
     // Relaxed: the pool's latch orders the stores before the read.
     let failed = AtomicBool::new(false);
     let member = |scratch: &mut E::Scratch, work: &mut dyn FnMut(&mut E::Scratch)| {
@@ -447,7 +449,7 @@ mod tests {
         // Grain 1 forces even these tiny plaintext waves through the
         // pooled dispatch so the parallel path is actually exercised.
         let engine = PlainEngine::with_parallel_grain(1);
-        let plan = capture(&nl, &CaptureConfig { batch_cut_nodes: 4 }).unwrap();
+        let plan = capture(&nl, &CaptureConfig::default()).unwrap();
         let mut serial = ReplayLanes::new(1);
         let mut parallel = ReplayLanes::new(4);
         let bits = vec![true, false, true, true, false, true, true, false];
@@ -455,7 +457,7 @@ mod tests {
         let (b, rb) = replay(&engine, &plan, &bits, &mut parallel).unwrap();
         assert_eq!(a, b);
         assert_eq!(ra.gates, rb.gates);
-        assert_eq!(ra.batches, rb.batches);
+        assert_eq!(ra.waves, rb.waves);
         assert!(rb.kernel_launches >= ra.kernel_launches);
     }
 

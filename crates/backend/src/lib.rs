@@ -25,10 +25,10 @@
 //!   at a wave barrier serialize to a [`CheckpointStore`] (in-memory or
 //!   file-backed) so interrupted runs restart from the last barrier;
 //! * [`graph`] — the kernel-graph backend: a netlist is *captured* once
-//!   into a serializable [`KernelPlan`] (one gate list per wave, batched
-//!   across gate kinds on replay; waves cut into sub-graph batches exactly
-//!   where the CUDA-Graphs simulator cuts them), cached by fingerprint, and
-//!   *replayed* against fresh inputs with zero per-gate allocation;
+//!   into a serializable [`KernelPlan`] (one list of waves, each one gate
+//!   list batched across gate kinds on replay; the CUDA-graph batch cut is
+//!   the GPU simulator's), cached by fingerprint, and *replayed* against
+//!   fresh inputs with zero per-gate allocation;
 //! * [`pool`] — the shared work-stealing worker pool (per-lane deques,
 //!   LIFO-local/FIFO-steal, caller participation). The workspace has
 //!   one dispatch onto it, [`graph::run_wave`], which replay calls with

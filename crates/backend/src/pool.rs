@@ -38,8 +38,8 @@
 
 use crate::error::ExecError;
 use pytfhe_telemetry as telemetry;
-use std::cell::{Cell, UnsafeCell};
-use std::collections::VecDeque;
+use std::cell::Cell;
+use std::ops::Range;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex, OnceLock};
@@ -52,10 +52,9 @@ use std::thread::JoinHandle;
 /// exactly like [`std::thread::scope`]).
 pub type Job<'env> = Box<dyn FnOnce(usize) + Send + 'env>;
 
-/// Erased job stored in the deques. Safe because [`WorkerPool::run`]
-/// blocks until `remaining` hits zero, so no task outlives the borrows
-/// it captured.
-type StaticJob = Box<dyn FnOnce(usize) + Send + 'static>;
+/// The body of a run over numbered tasks: `body(lane, task)` runs task
+/// `task` on lane `lane` ([`WorkerPool::run_each`]).
+pub(crate) type Body<'env> = dyn Fn(usize, usize) + Sync + 'env;
 
 /// Accounting for one completed run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -70,8 +69,11 @@ pub struct RunStats {
 
 /// State of the single in-flight run, shared with every worker.
 struct RunState {
-    /// One deque per lane; lane 0 belongs to the submitting thread.
-    deques: Vec<Mutex<VecDeque<StaticJob>>>,
+    /// The run's body, its `'env` lifetime erased ([`WorkerPool::run_each`]).
+    body: &'static Body<'static>,
+    /// One queue per lane (lane 0 is the submitting thread's): position
+    /// `k` of lane `l` is task `l + k * lanes`, tasks being dealt round-robin.
+    queues: Vec<Mutex<Range<usize>>>,
     /// Tasks not yet finished executing.
     remaining: AtomicUsize,
     /// Tasks popped from a foreign lane's deque.
@@ -90,24 +92,21 @@ impl RunState {
     /// FIFO from the other lanes, returning once every deque is empty
     /// (queued work can only shrink — tasks never enqueue more tasks).
     fn work(&self, lane: usize) {
+        let pop = |owner: usize, back: bool| {
+            let mut queue = self.queues[owner].lock().expect("pool queue poisoned");
+            let k = if back { queue.next_back() } else { queue.next() };
+            k.map(|k| owner + k * self.lanes)
+        };
         loop {
-            let mut task = self.deques[lane].lock().expect("pool deque poisoned").pop_back();
-            let mut stolen = false;
+            let mut task = pop(lane, true);
             if task.is_none() {
-                for offset in 1..self.lanes {
-                    let victim = (lane + offset) % self.lanes;
-                    task = self.deques[victim].lock().expect("pool deque poisoned").pop_front();
-                    if task.is_some() {
-                        stolen = true;
-                        break;
-                    }
+                task = (1..self.lanes).find_map(|offset| pop((lane + offset) % self.lanes, false));
+                if task.is_some() {
+                    self.steals.fetch_add(1, Ordering::Relaxed);
                 }
             }
             let Some(task) = task else { return };
-            if stolen {
-                self.steals.fetch_add(1, Ordering::Relaxed);
-            }
-            if catch_unwind(AssertUnwindSafe(|| task(lane))).is_err() {
+            if catch_unwind(AssertUnwindSafe(|| (self.body)(lane, task))).is_err() {
                 self.panicked.store(true, Ordering::Relaxed);
             }
             if self.remaining.fetch_sub(1, Ordering::AcqRel) == 1 {
@@ -205,14 +204,38 @@ impl WorkerPool {
     /// `[1, jobs.len()]`), distributing them round-robin and stealing
     /// across lanes. The calling thread participates as lane 0. Blocks
     /// until every job has finished, so jobs may borrow from the caller's
-    /// stack.
+    /// stack. A job's box is freed on the lane that ran it, so the
+    /// crate's wave dispatcher submits numbered tasks instead.
     ///
     /// # Errors
     ///
     /// Returns [`ExecError::WorkerPanicked`] if any job panicked (all
     /// jobs still run to completion first).
     pub fn run<'env>(&self, lanes: usize, jobs: Vec<Job<'env>>) -> Result<RunStats, ExecError> {
-        let tasks = jobs.len();
+        let jobs: Vec<Mutex<Option<Job<'env>>>> =
+            jobs.into_iter().map(|job| Mutex::new(Some(job))).collect();
+        self.run_each(lanes, jobs.len(), &|lane, task| {
+            let job = jobs[task].lock().expect("pool job poisoned").take();
+            job.expect("a task runs once")(lane);
+        })
+    }
+
+    /// Runs `body(lane, task)` for every task in `0..tasks` as
+    /// [`WorkerPool::run`] runs jobs, but with no box per task: a worker
+    /// that freed what the caller allocated would keep it in its own
+    /// allocator cache, so the caller's resident memory would depend on
+    /// which lane ran which task. The run itself is freed by the caller.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`ExecError::WorkerPanicked`] if any task panicked (all
+    /// tasks still run to completion first).
+    pub(crate) fn run_each(
+        &self,
+        lanes: usize,
+        tasks: usize,
+        body: &Body<'_>,
+    ) -> Result<RunStats, ExecError> {
         if tasks == 0 {
             return Ok(RunStats::default());
         }
@@ -221,8 +244,8 @@ impl WorkerPool {
         // single-lane run: execute inline on this thread.
         if lanes == 1 || IN_POOL.with(Cell::get) {
             let mut panicked = false;
-            for job in jobs {
-                panicked |= catch_unwind(AssertUnwindSafe(|| job(0))).is_err();
+            for task in 0..tasks {
+                panicked |= catch_unwind(AssertUnwindSafe(|| body(0, task))).is_err();
             }
             if panicked {
                 return Err(ExecError::WorkerPanicked);
@@ -236,12 +259,12 @@ impl WorkerPool {
         // SAFETY: erases the `'env` lifetime, nothing else (same type,
         // same layout). Sound for the same reason `std::thread::scope`
         // is: this function does not return until `remaining` reaches
-        // zero, so no job outlives its borrows.
-        let jobs: Vec<StaticJob> =
-            unsafe { std::mem::transmute::<Vec<Job<'env>>, Vec<StaticJob>>(jobs) };
+        // zero, so no task outlives the body's borrows.
+        let body = unsafe { std::mem::transmute::<&Body<'_>, &'static Body<'static>>(body) };
 
         let run = Arc::new(RunState {
-            deques: (0..lanes).map(|_| Mutex::new(VecDeque::new())).collect(),
+            body,
+            queues: (0..lanes).map(|lane| Mutex::new(0..(tasks - lane).div_ceil(lanes))).collect(),
             remaining: AtomicUsize::new(tasks),
             steals: AtomicU64::new(0),
             panicked: AtomicBool::new(false),
@@ -249,9 +272,6 @@ impl WorkerPool {
             done_cv: Condvar::new(),
             lanes,
         });
-        for (i, job) in jobs.into_iter().enumerate() {
-            run.deques[i % lanes].lock().expect("pool deque poisoned").push_back(job);
-        }
         {
             let mut ctrl = self.shared.ctrl.lock().expect("pool ctrl poisoned");
             ctrl.epoch += 1;
@@ -265,8 +285,11 @@ impl WorkerPool {
         run.wait();
 
         // Detach the run before releasing the run lock so late-waking
-        // workers find nothing to join.
+        // workers find nothing to join; wait for those that joined to let go.
         self.shared.ctrl.lock().expect("pool ctrl poisoned").run = None;
+        while Arc::strong_count(&run) > 1 {
+            std::thread::yield_now();
+        }
 
         let stats = RunStats { tasks, steals: run.steals.load(Ordering::Relaxed), lanes };
         if telemetry::enabled() {
@@ -356,45 +379,6 @@ fn worker_loop(shared: &Shared, lane: usize) {
         IN_POOL.with(|f| f.set(true));
         run.work(lane);
         IN_POOL.with(|f| f.set(false));
-    }
-}
-
-/// Fixed-size slots handed out by index to concurrently running pool
-/// tasks — the scratch-buffer pattern: slot `i` is used only by the one
-/// task that was given index `i`, so disjoint-index access is exclusive
-/// even though the container itself is shared.
-pub struct SlotCells<T> {
-    slots: Vec<UnsafeCell<T>>,
-}
-
-// SAFETY: access is only through `SlotCells::slot`, whose contract
-// requires exclusive use of each index; the container adds no other
-// shared mutation.
-unsafe impl<T: Send> Sync for SlotCells<T> {}
-
-impl<T> SlotCells<T> {
-    /// Wraps `slots` for indexed hand-out.
-    pub fn new(slots: Vec<T>) -> Self {
-        SlotCells { slots: slots.into_iter().map(UnsafeCell::new).collect() }
-    }
-
-    /// Exclusive access to slot `i`.
-    ///
-    /// # Safety
-    ///
-    /// At most one live reference per index: the caller must guarantee
-    /// that no two concurrent tasks use the same `i`, and that the
-    /// returned borrow ends before `i` is handed out again.
-    #[allow(clippy::mut_from_ref)]
-    pub unsafe fn slot(&self, i: usize) -> &mut T {
-        // SAFETY: the index is bounds-checked, and the caller's contract
-        // above makes this the only live reference into the cell.
-        &mut *self.slots[i].get()
-    }
-
-    /// Unwraps back into the slot values.
-    pub fn into_inner(self) -> Vec<T> {
-        self.slots.into_iter().map(UnsafeCell::into_inner).collect()
     }
 }
 
@@ -589,15 +573,5 @@ mod tests {
         let jobs: Vec<Job> = vec![Box::new(|_| panic!("injected")), Box::new(|_| {})];
         assert!(matches!(pool.gang(jobs), Some(Err(ExecError::WorkerPanicked))));
         rendezvous(&pool, 2).expect("placed").expect("no panic");
-    }
-
-    #[test]
-    fn slot_cells_round_trip() {
-        let cells = SlotCells::new(vec![1u32, 2, 3]);
-        // SAFETY: indices used one at a time on one thread.
-        unsafe {
-            *cells.slot(1) += 40;
-        }
-        assert_eq!(cells.into_inner(), vec![1, 42, 3]);
     }
 }

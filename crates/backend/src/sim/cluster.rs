@@ -12,7 +12,8 @@
 //! counts (the paper's 60.5× out of an ideal 72×).
 
 use crate::cost::CpuCostModel;
-use crate::graph::{counts_toward_batch, KernelPlan, WavePlan};
+use crate::graph::KernelPlan;
+use crate::sim::bootstrapped;
 
 /// Cluster shape: the paper's testbed is 18 usable cores per node
 /// (Table II, 2× Xeon Gold 5215; ideal speedups quoted as 18 and 72), in
@@ -103,7 +104,7 @@ impl ClusterSim {
         let mut cluster_s = 0.0;
         let mut waves = 0;
         let mut gates = 0u64;
-        for n in plan.waves().map(WavePlan::bootstrapped).filter(|&n| n > 0) {
+        for n in plan.waves.iter().map(bootstrapped).filter(|&n| n > 0) {
             waves += 1;
             gates += n;
             let dur = self.wave_s(n, workers);
@@ -156,8 +157,8 @@ impl ClusterSim {
         let mut free = vec![true; n];
         let mut deps = vec![0u32; n];
         let mut succs: Vec<Vec<u32>> = vec![Vec::new(); n];
-        for t in plan.waves().flat_map(|wave| &wave.gates) {
-            free[t.out as usize] = !counts_toward_batch(t.kind);
+        for t in plan.waves.iter().flat_map(|wave| &wave.gates) {
+            free[t.out as usize] = !t.kind.is_costed();
             deps[t.out as usize] = t.reads() as u32;
             for &op in &[t.a, t.b][..t.reads()] {
                 succs[op as usize].push(t.out);
@@ -218,7 +219,7 @@ mod tests {
     #[test]
     fn wide_programs_scale_near_ideally_on_one_node() {
         let sim = ClusterSim::new(CpuCostModel::paper(), ClusterConfig::one_node());
-        let report = sim.simulate(&ladder(30, 4096, &CaptureConfig::default()));
+        let report = sim.simulate(&ladder(30, 4096));
         let speedup = report.speedup();
         // The paper: 17.4 out of an ideal 18 on one node.
         assert!(speedup > 16.0 && speedup < 18.0, "one-node speedup {speedup}");
@@ -227,7 +228,7 @@ mod tests {
     #[test]
     fn four_nodes_reach_paper_scaling() {
         let sim = ClusterSim::new(CpuCostModel::paper(), ClusterConfig::four_nodes());
-        let report = sim.simulate(&ladder(30, 4096, &CaptureConfig::default()));
+        let report = sim.simulate(&ladder(30, 4096));
         let speedup = report.speedup();
         // The paper: 60.5 out of an ideal 72 on four nodes — submission
         // overhead keeps it clearly below ideal.
@@ -237,7 +238,7 @@ mod tests {
     #[test]
     fn serial_chains_do_not_benefit() {
         let sim = ClusterSim::new(CpuCostModel::paper(), ClusterConfig::four_nodes());
-        let report = sim.simulate(&ladder(100, 1, &CaptureConfig::default()));
+        let report = sim.simulate(&ladder(100, 1));
         let speedup = report.speedup();
         // Mostly-serial workloads (the paper's NR-Solver) cannot use the
         // cluster; overheads even make them slightly slower.
@@ -248,7 +249,7 @@ mod tests {
     #[test]
     fn single_core_time_is_gate_count_times_gate_cost() {
         let sim = ClusterSim::new(CpuCostModel::paper(), ClusterConfig::one_node());
-        let report = sim.simulate(&ladder(3, 10, &CaptureConfig::default()));
+        let report = sim.simulate(&ladder(3, 10));
         let expect = 30.0 * CpuCostModel::paper().gate_s();
         assert!((report.single_core_s - expect).abs() < 1e-9);
         assert_eq!(report.gates, 30);
@@ -264,15 +265,17 @@ mod tests {
         let z = nl.add_gate(GateKind::Or, x, y).unwrap();
         let buf = nl.add_gate(GateKind::Buf, z, z).unwrap();
         let out = nl.add_gate(GateKind::Not, buf, buf).unwrap();
+        let one = nl.add_gate(GateKind::Const1, a, a).unwrap();
         nl.mark_output(out).unwrap();
+        nl.mark_output(one).unwrap();
         let plan = capture(&nl, &CaptureConfig::default()).unwrap();
         let kinds: Vec<Vec<GateKind>> =
-            plan.waves().map(|w| w.gates.iter().map(|t| t.kind).collect()).collect();
-        use GateKind::{And, Buf, Not, Or, Xor};
-        assert_eq!(kinds, [vec![And, Xor], vec![Or], vec![Buf], vec![Not]]);
-        let costed: Vec<u64> = plan.waves().map(WavePlan::bootstrapped).collect();
-        assert_eq!(costed, [2, 1, 0, 1], "`Not` takes a slot, `Buf` none");
-        assert_eq!((plan.num_gates(), plan.inputs.len(), plan.outputs.len()), (5, 2, 1));
+            plan.waves.iter().map(|w| w.gates.iter().map(|t| t.kind).collect()).collect();
+        use GateKind::{And, Buf, Const1, Not, Or, Xor};
+        assert_eq!(kinds, [vec![Const1], vec![And, Xor], vec![Or], vec![Buf], vec![Not]]);
+        let costed: Vec<u64> = plan.waves.iter().map(bootstrapped).collect();
+        assert_eq!(costed, [0, 2, 1, 0, 1], "`Not` takes a slot, constants and `Buf` none");
+        assert_eq!((plan.num_gates(), plan.inputs.len(), plan.outputs.len()), (6, 2, 2));
         let sim = ClusterSim::new(CpuCostModel::paper(), ClusterConfig::one_node());
         let (barrier, list) = (sim.simulate(&plan), sim.simulate_list(&plan));
         assert_eq!((barrier.waves, barrier.gates, list.gates), (3, 4, 4));

@@ -9,16 +9,42 @@
 //!   device-to-host copy and a synchronization, with the CPU thread
 //!   blocked throughout. Interdependent or mixed-type gates cannot be
 //!   batched, so real programs dispatch gate by gate.
-//! * [`GpuPolicy::CudaGraphs`] — PyTFHE's backend (Figure 9): each of
-//!   the plan's sub-graph batches (~100 k nodes under the default
-//!   [`crate::CaptureConfig`]) is defined as one CUDA graph; per-gate
-//!   launch overhead collapses to a per-node graph cost, transfers
-//!   happen once per batch, and graph *construction* of batch `i+1` on
-//!   the CPU overlaps graph *execution* of batch `i` on the GPU.
+//! * [`GpuPolicy::CudaGraphs`] — PyTFHE's backend (Figure 9): the
+//!   plan's waves are cut into batches of ~100 k device slots
+//!   (Section IV-E), each defined as one CUDA graph; per-gate launch
+//!   overhead collapses to a per-node graph cost, transfers happen once
+//!   per batch, and graph *construction* of batch `i+1` on the CPU
+//!   overlaps graph *execution* of batch `i` on the GPU. The cut is this
+//!   policy's alone: the plan itself is one list of waves.
 
 use crate::cost::{CpuCostModel, GpuCostModel};
-use crate::graph::{counts_toward_batch, KernelPlan, SubGraph, WavePlan};
+use crate::graph::{KernelPlan, WavePlan};
+use crate::sim::bootstrapped;
 use crate::sim::timeline::Timeline;
+
+/// Device slots per CUDA graph: a batch closes once it holds at least
+/// this many (~100 k nodes, Section IV-E).
+const GRAPH_NODES: u64 = 100_000;
+
+/// Cuts `waves` into CUDA-graph batches: consecutive waves accumulate
+/// until a batch holds at least `budget` device slots ([`bootstrapped`]),
+/// then it closes. Bootstrap-free waves never trigger a cut but ride
+/// along in the open batch; a trailing partial batch survives.
+fn cut_graphs(waves: &[WavePlan], budget: u64) -> Vec<&[WavePlan]> {
+    let mut batches = Vec::new();
+    let (mut start, mut open) = (0, 0);
+    for (i, wave) in waves.iter().enumerate() {
+        open += bootstrapped(wave);
+        if open >= budget {
+            batches.push(&waves[start..=i]);
+            (start, open) = (i + 1, 0);
+        }
+    }
+    if start < waves.len() {
+        batches.push(&waves[start..]);
+    }
+    batches
+}
 
 /// Scheduling policy.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -91,9 +117,9 @@ impl GpuSim {
         let mut transfer = 0.0;
         let mut overhead = 0.0;
         let mut gates = 0u64;
-        for wave in plan.waves() {
+        for wave in &plan.waves {
             let mut kinds = [0u64; 16];
-            for t in wave.gates.iter().filter(|t| counts_toward_batch(t.kind)) {
+            for t in wave.gates.iter().filter(|t| t.kind.is_costed()) {
                 kinds[t.kind.opcode() as usize] += 1;
             }
             for count in kinds.into_iter().filter(|&n| n > 0) {
@@ -124,7 +150,7 @@ impl GpuSim {
     /// input uploads, a launch, the kernel, one output download and a
     /// sync — all serialized on the blocked CPU thread (Figure 8).
     fn simulate_cufhe(&self, plan: &KernelPlan) -> GpuReport {
-        let gates: u64 = plan.batches.iter().map(SubGraph::bootstrapped).sum();
+        let gates: u64 = plan.waves.iter().map(bootstrapped).sum();
         let ct = self.cpu.ciphertext_bytes;
         let per_gate_transfer = self.gpu.transfer_s(3, ct);
         let per_gate_overhead = self.gpu.launch_s + self.gpu.sync_s;
@@ -138,29 +164,27 @@ impl GpuSim {
         }
     }
 
-    /// The CUDA-Graphs policy: the plan's batches as cut, kernels packed
-    /// `SM`-wide per wave, build/execute overlap across batches
-    /// (Figure 9). A batch with nothing to bootstrap — only a trailing
-    /// one can be — builds no graph.
+    /// The CUDA-Graphs policy: the plan's waves cut into batches
+    /// ([`cut_graphs`]), kernels packed `SM`-wide per wave, build/execute
+    /// overlap across batches (Figure 9). A batch with nothing to
+    /// bootstrap — only a trailing one can be — builds no graph.
     fn simulate_graphs(&self, plan: &KernelPlan) -> GpuReport {
         let ct = self.cpu.ciphertext_bytes;
         let sm = self.gpu.sm_count as u64;
         // (gates, exec_s) per batch.
-        let batches: Vec<(u64, f64)> = plan
-            .batches
-            .iter()
+        let batches: Vec<(u64, f64)> = cut_graphs(&plan.waves, GRAPH_NODES)
+            .into_iter()
             .map(|batch| {
                 let exec: f64 = batch
-                    .waves
                     .iter()
-                    .map(WavePlan::bootstrapped)
+                    .map(bootstrapped)
                     .filter(|&n| n > 0)
                     .map(|n| {
                         n.div_ceil(sm) as f64 * self.gpu.kernel_s
                             + n as f64 * self.gpu.graph_exec_node_s
                     })
                     .sum();
-                (batch.bootstrapped(), exec)
+                (batch.iter().map(bootstrapped).sum(), exec)
             })
             .filter(|&(gates, _)| gates > 0)
             .collect();
@@ -238,12 +262,13 @@ impl GpuSim {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::graph::{ladder, CaptureConfig};
+    use crate::graph::{capture, ladder, CaptureConfig};
+    use pytfhe_netlist::{GateKind, Netlist};
 
     #[test]
     fn pytfhe_beats_cufhe_by_paper_margin_on_wide_programs() {
         let sim = GpuSim::new(GpuCostModel::a5000(), CpuCostModel::paper());
-        let plan = ladder(20, 2048, &CaptureConfig::default());
+        let plan = ladder(20, 2048);
         let cufhe = sim.simulate(&plan, GpuPolicy::CuFhe);
         let pytfhe = sim.simulate(&plan, GpuPolicy::CudaGraphs);
         let ratio = cufhe.total_s / pytfhe.total_s;
@@ -255,7 +280,7 @@ mod tests {
     #[test]
     fn serial_programs_see_little_gpu_benefit() {
         let sim = GpuSim::new(GpuCostModel::a5000(), CpuCostModel::paper());
-        let plan = ladder(200, 1, &CaptureConfig::default());
+        let plan = ladder(200, 1);
         let cufhe = sim.simulate(&plan, GpuPolicy::CuFhe);
         let pytfhe = sim.simulate(&plan, GpuPolicy::CudaGraphs);
         let ratio = cufhe.total_s / pytfhe.total_s;
@@ -270,7 +295,7 @@ mod tests {
         // same-kind waves, but launches/syncs/transfers per batch keep it
         // well short of the CUDA-Graphs backend.
         let sim = GpuSim::new(GpuCostModel::a5000(), CpuCostModel::paper());
-        let plan = ladder(20, 2048, &CaptureConfig::default()); // all-NAND waves: best case
+        let plan = ladder(20, 2048); // all-NAND waves: best case
         let per_gate = sim.simulate(&plan, GpuPolicy::CuFhe).total_s;
         let batched = sim.simulate(&plan, GpuPolicy::CuFheBatched).total_s;
         let graphs = sim.simulate(&plan, GpuPolicy::CudaGraphs).total_s;
@@ -283,7 +308,7 @@ mod tests {
         let cpu = CpuCostModel::paper();
         let a5000 = GpuSim::new(GpuCostModel::a5000(), cpu);
         let rtx = GpuSim::new(GpuCostModel::rtx4090(), cpu);
-        let plan = ladder(20, 4096, &CaptureConfig::default());
+        let plan = ladder(20, 4096);
         let a = a5000.simulate(&plan, GpuPolicy::CudaGraphs).total_s;
         let b = rtx.simulate(&plan, GpuPolicy::CudaGraphs).total_s;
         let ratio = a / b;
@@ -295,12 +320,47 @@ mod tests {
     fn gpu_beats_single_core_by_paper_margin() {
         let cpu = CpuCostModel::paper();
         let sim = GpuSim::new(GpuCostModel::a5000(), cpu);
-        let plan = ladder(20, 4096, &CaptureConfig::default());
+        let plan = ladder(20, 4096);
         let gpu = sim.simulate(&plan, GpuPolicy::CudaGraphs);
         let single = (20 * 4096) as f64 * cpu.gate_s();
         let ratio = single / gpu.total_s;
         // Table IV implies A5000 ≈ 72× one CPU core (108.7 / 1.5).
         assert!(ratio > 45.0 && ratio < 90.0, "A5000 over single core: {ratio}");
+    }
+
+    /// The device slots of every batch `cut_graphs` cuts.
+    fn cut_slots(plan: &KernelPlan, budget: u64) -> Vec<u64> {
+        let batches = cut_graphs(&plan.waves, budget);
+        batches.iter().map(|b| b.iter().map(bootstrapped).sum()).collect()
+    }
+
+    #[test]
+    fn small_cut_budget_splits_batches() {
+        // Waves of 3 bootstrapped gates each.
+        let plan = ladder(6, 3);
+        assert_eq!(cut_slots(&plan, GRAPH_NODES), [18], "the budget holds the whole program");
+        // 3 gates/wave, cut at >= 5: every two waves close a batch.
+        assert_eq!(cut_slots(&plan, 5), [6, 6, 6]);
+    }
+
+    #[test]
+    fn bootstrap_free_waves_ride_in_the_open_batch() {
+        // Waves of 3, 3, then a `Buf` wave with nothing to bootstrap:
+        // the cut at 6 closes the first batch, the `Buf` wave trails
+        // alone; at 7 the `Buf` wave rides in the one open batch.
+        let mut nl = Netlist::new();
+        let a = nl.add_input();
+        let b = nl.add_input();
+        let mut prev = vec![a; 3];
+        for _ in 0..2 {
+            prev = prev.iter().map(|&p| nl.add_gate(GateKind::Nand, p, b).unwrap()).collect();
+        }
+        let buf = nl.add_gate(GateKind::Buf, prev[0], prev[0]).unwrap();
+        nl.mark_output(buf).unwrap();
+        let plan = capture(&nl, &CaptureConfig::default()).unwrap();
+        assert_eq!(cut_slots(&plan, 6), [6, 0]);
+        assert_eq!(cut_slots(&plan, 7), [6]);
+        assert_eq!(cut_graphs(&plan.waves, 7)[0].len(), 3);
     }
 
     #[test]

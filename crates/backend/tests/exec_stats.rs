@@ -84,7 +84,7 @@ fn resilient_stats_count_evicted_workers() {
 }
 
 #[test]
-fn graph_stats_count_batches_launches_and_plan_cache() {
+fn graph_stats_count_waves_launches_and_plan_cache() {
     let engine = PlainEngine::new();
     let nl = adder(6);
     let graph = KernelGraph::new();
@@ -95,14 +95,14 @@ fn graph_stats_count_batches_launches_and_plan_cache() {
     let (got, first) = graph.execute(&engine, &nl, &input, 2).expect("first run");
     assert_eq!(got, want);
     assert!(!first.plan_cached, "first run captures");
-    assert!(first.batches > 0, "plan must contain at least one batch");
+    assert!(first.waves > 0, "plan must contain at least one wave");
     assert!(first.kernel_launches > 0, "batched kernels must launch");
 
     let (got, second) = graph.execute(&engine, &nl, &input, 2).expect("cached run");
     assert_eq!(got, want);
     assert!(second.plan_cached, "second run reuses the plan");
     assert_eq!(second.capture_s, 0.0, "cache hits never pay capture");
-    assert_eq!(second.batches, first.batches, "same plan, same batch structure");
+    assert_eq!(second.waves, first.waves, "same plan, same waves");
     assert_eq!(second.kernel_launches, first.kernel_launches);
 }
 
@@ -122,8 +122,8 @@ fn execute_parallel_is_one_shot_capture_and_replay() {
         assert_eq!(graphed, want, "workers={workers}");
         assert!(a.waves > 0 && a.kernel_launches > 0);
         assert_eq!(
-            (a.waves, a.batches, a.kernel_launches, a.bootstraps),
-            (b.waves, b.batches, b.kernel_launches, b.bootstraps),
+            (a.waves, a.kernel_launches, a.bootstraps),
+            (b.waves, b.kernel_launches, b.bootstraps),
             "workers={workers}"
         );
         assert!(!a.plan_cached, "a one-shot run never finds a cached plan");
@@ -169,8 +169,7 @@ fn stats_flow_into_the_metrics_registry_when_enabled() {
         counter("exec_gates_total") >= (wavefront.gates + graphed.gates) as u64,
         "both executors must report their gates"
     );
-    assert!(counter("exec_waves_total") >= wavefront.waves as u64);
-    assert!(counter("exec_batches_total") >= graphed.batches as u64);
+    assert!(counter("exec_waves_total") >= (wavefront.waves + graphed.waves) as u64);
     assert!(counter("exec_kernel_launches_total") >= graphed.kernel_launches);
 }
 

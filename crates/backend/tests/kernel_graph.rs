@@ -4,6 +4,7 @@
 //! buffer allocations once warm.
 
 use proptest::prelude::*;
+use pytfhe_backend::graph::{GateTask, WavePlan};
 use pytfhe_backend::{
     capture, execute, replay, CaptureConfig, ExecError, KernelGraph, KernelPlan, PlainEngine,
     ReplayLanes, TfheEngine,
@@ -40,17 +41,16 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
     /// Replay is bit-exact with the reference executor on arbitrary
-    /// programs, input sets, and batch-cut budgets.
+    /// programs and input sets.
     #[test]
     fn replay_matches_execute_on_random_netlists(
         seed in any::<u64>(),
         bits in prop::collection::vec(any::<bool>(), 6),
-        cut in 1u64..64,
     ) {
         let nl = random_netlist(seed, 6, 60);
         let engine = PlainEngine::new();
         let (want, _) = execute(&engine, &nl, &bits).expect("execute");
-        let plan = capture(&nl, &CaptureConfig { batch_cut_nodes: cut }).expect("capture");
+        let plan = capture(&nl, &CaptureConfig::default()).expect("capture");
         let mut lanes = ReplayLanes::new(2);
         let (got, report) = replay(&engine, &plan, &bits, &mut lanes).expect("replay");
         prop_assert_eq!(got, want);
@@ -83,9 +83,60 @@ proptest! {
     #[test]
     fn plans_round_trip_through_bytes(seed in any::<u64>()) {
         let nl = random_netlist(seed, 4, 40);
-        let plan = capture(&nl, &CaptureConfig { batch_cut_nodes: 7 }).expect("capture");
+        let plan = capture(&nl, &CaptureConfig::default()).expect("capture");
         let restored = KernelPlan::from_bytes(&plan.to_bytes()).expect("decode");
         prop_assert_eq!(restored, plan);
+    }
+}
+
+/// `plan` as a v2 plan body of the given sub-graph `batches`, the layout
+/// a capture that cut batches wrote: header, batch count, then per batch
+/// its wave count and its waves, each one group record per run of a kind.
+fn v2_plan_in_batches(plan: &KernelPlan, batches: &[&[WavePlan]]) -> Vec<u8> {
+    fn put(body: &mut Vec<u8>, v: usize) {
+        body.extend_from_slice(&(v as u32).to_le_bytes());
+    }
+    let mut body = [plan.fingerprint, plan.num_nodes as u64].map(u64::to_le_bytes).concat();
+    for list in [&plan.inputs, &plan.outputs] {
+        put(&mut body, list.len());
+        list.iter().for_each(|&slot| put(&mut body, slot as usize));
+    }
+    put(&mut body, batches.len());
+    for waves in batches {
+        put(&mut body, waves.len());
+        for wave in *waves {
+            let runs: Vec<&[GateTask]> = wave.gates.chunk_by(|x, y| x.kind == y.kind).collect();
+            put(&mut body, runs.len());
+            for run in runs {
+                body.push(run[0].kind.opcode());
+                put(&mut body, run.len());
+                let slots = run.iter().flat_map(|t| [t.out, t.a, t.b]);
+                slots.for_each(|slot| put(&mut body, slot as usize));
+            }
+        }
+    }
+    pytfhe_wire::encode(pytfhe_wire::Format::KernelPlan, 2, &body)
+}
+
+#[test]
+fn plans_cut_into_batches_by_an_older_capture_still_load() {
+    let nl = random_netlist(0x0B5E_55ED, 6, 60);
+    let plan = capture(&nl, &CaptureConfig::default()).expect("capture");
+    assert!(plan.num_waves() >= 2, "the program needs two waves to cut");
+    // The writer emits the same layout with one batch.
+    assert_eq!(v2_plan_in_batches(&plan, &[&plan.waves]), plan.to_bytes());
+    let (head, tail) = plan.waves.split_at(plan.num_waves() / 2);
+    let loaded = KernelPlan::from_bytes(&v2_plan_in_batches(&plan, &[head, tail]))
+        .expect("a two-batch v2 plan decodes");
+    assert_eq!(loaded, plan, "its batches concatenate to the captured waves");
+
+    let engine = PlainEngine::new();
+    let mut lanes = ReplayLanes::new(2);
+    for x in 0..64u32 {
+        let bits: Vec<bool> = (0..6).map(|i| x >> i & 1 == 1).collect();
+        let (want, _) = execute(&engine, &nl, &bits).expect("execute");
+        let (got, _) = replay(&engine, &loaded, &bits, &mut lanes).expect("replay");
+        assert_eq!(got, want, "input {x:06b}");
     }
 }
 
@@ -100,7 +151,7 @@ fn encrypted_replay_is_bit_exact_with_execute() {
     let cts: Vec<_> = bits.iter().map(|&b| client.encrypt_bit(b, &mut rng)).collect();
 
     let (want, _) = execute(&engine, &nl, &cts).expect("execute");
-    let plan = capture(&nl, &CaptureConfig { batch_cut_nodes: 8 }).expect("capture");
+    let plan = capture(&nl, &CaptureConfig::default()).expect("capture");
     let mut lanes = ReplayLanes::new(1);
     let (got, _) = replay(&engine, &plan, &cts, &mut lanes).expect("replay");
     assert_eq!(got, want, "replay must equal execute ciphertext-for-ciphertext");
@@ -121,7 +172,7 @@ fn encrypted_replay_is_bit_exact_at_every_worker_count() {
     let cts: Vec<_> = bits.iter().map(|&b| client.encrypt_bit(b, &mut rng)).collect();
     let (want, _) = execute(&engine, &nl, &cts).expect("execute");
     let plain = nl.eval_plain(&bits);
-    let plan = capture(&nl, &CaptureConfig { batch_cut_nodes: 8 }).expect("capture");
+    let plan = capture(&nl, &CaptureConfig::default()).expect("capture");
     for workers in [1usize, 2, 4, 8] {
         let mut lanes = ReplayLanes::new(workers);
         let (got, _) = replay(&engine, &plan, &cts, &mut lanes).expect("replay");
@@ -138,7 +189,7 @@ fn one_cached_plan_serves_many_encrypted_input_sets() {
     let server = client.server_key(&mut rng);
     let engine = TfheEngine::new(&server);
     let nl = random_netlist(0xABCD, 3, 16);
-    let graph = KernelGraph::with_config(CaptureConfig { batch_cut_nodes: 6 });
+    let graph = KernelGraph::new();
     let mut lanes = ReplayLanes::new(2);
     for (round, bits) in
         [[true, false, true], [false, false, true], [true, true, true]].iter().enumerate()
@@ -149,8 +200,8 @@ fn one_cached_plan_serves_many_encrypted_input_sets() {
             graph.execute_with_lanes(&engine, &nl, &cts, &mut lanes).expect("graph execute");
         assert_eq!(got, want, "round {round}");
         assert_eq!(stats.plan_cached, round > 0, "capture only on round 0");
-        assert!(stats.batches >= 1);
-        assert!(stats.kernel_launches >= stats.batches as u64);
+        assert!(stats.waves >= 1);
+        assert!(stats.kernel_launches >= stats.waves as u64);
     }
     assert_eq!(graph.cached_plans(), 1);
 }

@@ -8,11 +8,10 @@
 use crate::report::{bar, fmt_seconds, Table};
 use pytfhe_asm::{assemble, dump};
 use pytfhe_backend::cost::{CpuCostModel, GpuCostModel};
-use pytfhe_backend::graph::SubGraph;
 use pytfhe_backend::sim::{ClusterConfig, ClusterSim, GpuPolicy, GpuSim};
 use pytfhe_backend::{capture, CaptureConfig, KernelPlan};
 use pytfhe_baselines::{all_profiles, lower_mnist, ComparisonRow, LoweringProfile, MnistScale};
-use pytfhe_netlist::{GateKind, Netlist, NetlistStats};
+use pytfhe_netlist::{GateHistogram, GateKind, Netlist, NetlistStats};
 use pytfhe_vipbench::{benchmarks, Scale};
 
 /// Figure 6: the worked half-adder example of the binary format.
@@ -111,12 +110,9 @@ fn plan_of(nl: &Netlist) -> KernelPlan {
 /// The compiled suite with per-benchmark plans, sorted ascending by
 /// costed gate count (the x-axis order of Figure 10).
 fn suite_plans(scale: Scale) -> Vec<(String, KernelPlan)> {
-    let mut rows: Vec<(String, KernelPlan)> = benchmarks(scale)
-        .into_iter()
-        .map(|b| (b.name().to_string(), plan_of(b.netlist())))
-        .collect();
-    rows.sort_by_key(|(_, p)| p.batches.iter().map(SubGraph::bootstrapped).sum::<u64>());
-    rows
+    let mut suite = benchmarks(scale);
+    suite.sort_by_key(|b| GateHistogram::of(b.netlist()).total_bootstrapped());
+    suite.iter().map(|b| (b.name().to_string(), plan_of(b.netlist()))).collect()
 }
 
 /// Figure 10: distributed CPU backend vs single-threaded CPU across the

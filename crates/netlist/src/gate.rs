@@ -138,6 +138,12 @@ impl GateKind {
         matches!(self, GateKind::Const0 | GateKind::Const1)
     }
 
+    /// Whether the gate costs a run-time slot: all but the constants and `Buf` (`Not` counts).
+    #[inline]
+    pub fn is_costed(self) -> bool {
+        !self.is_const() && self != GateKind::Buf
+    }
+
     /// Whether swapping the two operands leaves the function unchanged.
     #[inline]
     pub fn is_commutative(self) -> bool {
@@ -248,6 +254,12 @@ impl fmt::Display for GateKind {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn only_constants_and_buffers_are_free() {
+        let free: Vec<GateKind> = ALL_GATE_KINDS.into_iter().filter(|k| !k.is_costed()).collect();
+        assert_eq!(free, [GateKind::Const0, GateKind::Const1, GateKind::Buf], "`Not` is costed");
+    }
 
     #[test]
     fn opcode_round_trip() {

@@ -253,10 +253,7 @@ impl Netlist {
     pub fn num_bootstrapped_gates(&self) -> usize {
         self.nodes
             .iter()
-            .filter(|n| match n {
-                Node::Gate { kind, .. } => !kind.is_const() && *kind != GateKind::Buf,
-                Node::Input => false,
-            })
+            .filter(|n| matches!(n, Node::Gate { kind, .. } if kind.is_costed()))
             .count()
     }
 

@@ -634,14 +634,10 @@ pub fn lut_cover(
 
     // Is this node a gate a cone may swallow (anything but inputs and
     // constants)?
-    let expandable = |id: NodeId| match nl.node(id) {
-        Node::Gate { kind, .. } => !kind.is_const(),
-        Node::Input => false,
-    };
-    let costs_bootstrap = |id: NodeId| match nl.node(id) {
-        Node::Gate { kind, .. } => !kind.is_const() && kind != GateKind::Buf,
-        Node::Input => false,
-    };
+    let expandable =
+        |id: NodeId| matches!(nl.node(id), Node::Gate { kind, .. } if !kind.is_const());
+    let costs_bootstrap =
+        |id: NodeId| matches!(nl.node(id), Node::Gate { kind, .. } if kind.is_costed());
 
     // Truth table of a cone: evaluate its members (ascending id = topo
     // order) over all leaf patterns. Values live at their leaf position,

@@ -38,14 +38,9 @@ impl GateHistogram {
         self.counts.iter().sum()
     }
 
-    /// Total count of gates that require a bootstrapping at run time
-    /// (everything except constants and buffers).
+    /// Total count of [`GateKind::is_costed`] gates (all but constants and buffers).
     pub fn total_bootstrapped(&self) -> u64 {
-        ALL_GATE_KINDS
-            .iter()
-            .filter(|k| !k.is_const() && **k != GateKind::Buf)
-            .map(|k| self.count(*k))
-            .sum()
+        ALL_GATE_KINDS.iter().filter(|k| k.is_costed()).map(|k| self.count(*k)).sum()
     }
 
     /// Iterates over `(kind, count)` pairs with non-zero counts.

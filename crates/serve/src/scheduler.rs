@@ -27,7 +27,7 @@ use std::thread::JoinHandle;
 use std::time::Duration;
 
 use pytfhe_backend::graph::{
-    capture, run_wave, CaptureConfig, KernelPlan, Launch, ReplayLanes, SubGraph, WavePlan,
+    capture, run_wave, CaptureConfig, KernelPlan, Launch, ReplayLanes, WavePlan,
 };
 use pytfhe_backend::{ExecStats, TfheEngine, WorkerPool};
 use pytfhe_netlist::Netlist;
@@ -53,8 +53,7 @@ struct JobState {
     /// result so reply frames can serialize outputs without a key
     /// lookup.
     params: Params,
-    /// The captured program: one batch of waves, none over half a
-    /// round's bootstraps.
+    /// The captured program, no wave over half a round's bootstraps.
     plan: Arc<KernelPlan>,
     /// The next wave of `plan` to run.
     cursor: usize,
@@ -65,13 +64,8 @@ struct JobState {
 
 impl JobState {
     fn next_wave(&self) -> Option<&WavePlan> {
-        waves(&self.plan).get(self.cursor)
+        self.plan.waves.get(self.cursor)
     }
-}
-
-/// The waves of a job's plan, which `submit` flattened into one batch.
-fn waves(plan: &KernelPlan) -> &[WavePlan] {
-    &plan.batches[0].waves
 }
 
 struct TenantQueue {
@@ -181,8 +175,8 @@ impl Scheduler {
         // A wave wider than a round could never be picked whole. Half a
         // round, so that two tenants' widest waves still share one.
         let unit = (self.shared.max_wave / 2).max(1);
-        let waves = std::mem::take(&mut plan.batches).into_iter().flat_map(|b| b.waves);
-        plan.batches = vec![SubGraph { waves: waves.flat_map(|w| w.split(unit)).collect() }];
+        plan.waves =
+            std::mem::take(&mut plan.waves).into_iter().flat_map(|w| w.split(unit)).collect();
         let mut lanes = Lanes::new(WorkerPool::global().width());
         lanes.load(&TfheEngine::new(&key), &plan, &inputs)?;
         let params = *key.params();
@@ -268,8 +262,7 @@ fn next_round(
     for queue in state.tenants.values_mut() {
         let engine = TfheEngine::new(&queue.key);
         for job in &mut queue.jobs {
-            while let Some(wave) = waves(&job.plan).get(job.cursor).filter(|w| w.bootstraps() == 0)
-            {
+            while let Some(wave) = job.plan.waves.get(job.cursor).filter(|w| w.bootstraps() == 0) {
                 let lanes = &mut job.lanes;
                 let launch = Launch { engine: &engine, wave, lanes };
                 run_wave(&mut [launch], 1, stats).expect("one lane runs on this thread");
@@ -344,7 +337,7 @@ fn run_scheduler(shared: &Shared) {
                 .iter_mut()
                 .zip(&engines)
                 .map(|(p, engine)| {
-                    let wave = &waves(&p.plan)[p.wave];
+                    let wave = &p.plan.waves[p.wave];
                     Launch { engine, wave, lanes: &mut p.lanes }
                 })
                 .collect();

@@ -10,7 +10,7 @@
 //! There is one negacyclic transform, the folded `f64` FFT of
 //! [`crate::fft`].
 //!
-//! There is one blind-rotation loop, [`BootstrappingKey::rotate_batch_into`],
+//! There is one blind-rotation loop, `BootstrappingKey::rotate_batch_into`,
 //! and it is batch-first and *input-owned*. Each CMUX step
 //! `acc <- acc + bk_i ⊡ (X^bara·acc - acc)` runs, for each ciphertext of
 //! the batch against the same bootstrapping-key row, in two halves. First,
@@ -50,41 +50,17 @@ use crate::tgsw::{seeded_mask_into, ExternalProductScratch, Gadget, TgswCipherte
 use crate::tlwe::{TlweCiphertext, TlweKey};
 use crate::torus::Torus32;
 
-/// What one lane of a blind rotation rotates.
-#[derive(Debug, Clone, Copy)]
-pub enum TestVector<'a> {
-    /// Every coefficient equal to `mu`: the sign function of gate
-    /// bootstrapping (phase in `(0, 1/2)` → `+mu`, in `(-1/2, 0)` →
-    /// `-mu`).
-    Constant(Torus32),
-    /// `N` torus values: TFHE's *programmable* bootstrapping (the paper's
-    /// Section II-B: "fast programmable bootstrapping which reduces the
-    /// noise of a ciphertext while simultaneously performing an arbitrary
-    /// lookup-table operation"). An input whose phase rounds to `j / 2N`
-    /// (for `j < N`) is mapped to a fresh encryption of `lut[j]`, and
-    /// phases in the negacyclic half (`j >= N`) to `-lut[j - N]`.
-    Poly(&'a TorusPoly),
-}
-
-impl TestVector<'_> {
-    /// Writes `X^k · self` (negacyclic, `k < 2N`) into `out`.
-    fn mul_by_xk_into(self, k: usize, out: &mut TorusPoly) {
-        match self {
-            TestVector::Constant(mu) => {
-                // The coefficients that wrap past `X^N` change sign, and
-                // `k >= N` negates the lot.
-                let n = out.len();
-                let (shift, wrapped) = if k < n { (k, -mu) } else { (k - n, mu) };
-                let (head, tail) = out.coeffs_mut().split_at_mut(shift);
-                head.fill(wrapped);
-                tail.fill(-wrapped);
-            }
-            TestVector::Poly(lut) => {
-                assert_eq!(lut.len(), out.len(), "LUT must have N entries");
-                lut.mul_by_xk_into(k, out);
-            }
-        }
-    }
+/// Writes `X^k · tv` (negacyclic, `k < 2N`) into `out`, where `tv` is
+/// the test vector of gate bootstrapping: every coefficient equal to
+/// `mu`, the sign function (phase in `(0, 1/2)` → `+mu`, in `(-1/2, 0)`
+/// → `-mu`). The coefficients that wrap past `X^N` change sign, and
+/// `k >= N` negates the lot.
+fn rotated_constant_into(mu: Torus32, k: usize, out: &mut TorusPoly) {
+    let n = out.len();
+    let (shift, wrapped) = if k < n { (k, -mu) } else { (k - n, mu) };
+    let (head, tail) = out.coeffs_mut().split_at_mut(shift);
+    head.fill(wrapped);
+    tail.fill(-wrapped);
 }
 
 /// The bootstrapping key: one FFT-domain TGSW encryption of each bit of the
@@ -273,31 +249,29 @@ impl BootstrappingKey {
     }
 
     /// The one blind rotation, batch-first: for every lane, homomorphically
-    /// computes `X^{-phase(inputs[lane]) * 2N} * tv(lane)` inside a TLWE
-    /// accumulator, in one input-owned pass over the key (see the module
-    /// docs), and extracts the constant coefficient — which holds
-    /// `tv[phase * 2N mod 2N]` with negacyclic sign — as a dimension-`k·N`
-    /// LWE sample into `outs[lane]`; key switch it to return to the gate
-    /// dimension. Inputs are `(mask, body)` views, struct-of-arrays
-    /// friendly. The CMUX chain is test-vector independent, so lanes with
-    /// different lookup tables share the pass, a lane whose mod-switched
-    /// mask element is zero skips that step's CMUX whatever its
-    /// neighbours do, and each lane's result does not depend on which
-    /// other ciphertexts share the batch. On a banded scratch
+    /// computes `X^{-phase(inputs[lane]) * 2N} * tv` inside a TLWE
+    /// accumulator, where every coefficient of the test vector `tv` is
+    /// `mu` ([`rotated_constant_into`]), in one input-owned pass over the
+    /// key (see the module docs), and extracts the constant coefficient —
+    /// `±mu` by the sign of the phase — as a dimension-`k·N` LWE sample
+    /// into `outs[lane]`; key switch it to return to the gate dimension.
+    /// Inputs are `(mask, body)` views, struct-of-arrays friendly. A lane
+    /// whose mod-switched mask element is zero skips that step's CMUX
+    /// whatever its neighbours do, and each lane's result does not depend
+    /// on which other ciphertexts share the batch. On a banded scratch
     /// ([`crate::GateScratch::band`]) this computes the gang member's share
     /// and every member's `outs` receive the whole result. Allocation-free
     /// once `scratch` has served a batch this wide.
     ///
     /// # Panics
     ///
-    /// Panics if `inputs` and `outs` differ in length, an input is not
-    /// of the key's LWE dimension, or a polynomial test vector is not `N`
-    /// entries long; on a banded scratch, also when a partner leaves the
-    /// gang before this call is done.
-    pub fn rotate_batch_into<'t>(
+    /// Panics if `inputs` and `outs` differ in length or an input is not
+    /// of the key's LWE dimension; on a banded scratch, also when a
+    /// partner leaves the gang before this call is done.
+    pub(crate) fn rotate_batch_into(
         &self,
         inputs: &[(&[Torus32], Torus32)],
-        tv: impl Fn(usize) -> TestVector<'t>,
+        mu: Torus32,
         scratch: &mut BootstrapScratch,
         outs: &mut [LweCiphertext],
     ) {
@@ -309,13 +283,13 @@ impl BootstrappingKey {
         }
         let (gang, member) = seat(&scratch.solo, &scratch.seat);
         let BootstrapScratch { accs, digits, spectra, sums, diff, ext, exchanges, .. } = scratch;
-        for (lane, (acc, (mask, body))) in accs.iter_mut().zip(inputs).enumerate() {
+        for (acc, (mask, body)) in accs.iter_mut().zip(inputs) {
             assert_eq!(mask.len(), self.params.lwe_dim, "input of the wrong LWE dimension");
             // acc = X^{-barb} * tv = X^{2N - barb} * tv (trivial sample).
             for p in &mut acc.a {
                 p.fill_assign(Torus32::ZERO);
             }
-            tv(lane).mul_by_xk_into((n2 - body.mod_switch(n)) % n2, &mut acc.b);
+            rotated_constant_into(mu, (n2 - body.mod_switch(n)) % n2, &mut acc.b);
         }
         let (cols, levels) = (self.params.glwe_dim + 1, self.params.decomp_levels);
         let owned = (member..cols).step_by(gang.members);
@@ -377,8 +351,7 @@ impl BootstrappingKey {
     }
 
     /// Gate bootstrapping of one ciphertext without the final key switch:
-    /// a one-lane [`BootstrappingKey::rotate_batch_into`] against the
-    /// constant test vector `mu`.
+    /// a one-lane blind rotation of the constant test vector `mu`.
     pub fn bootstrap_raw_into(
         &self,
         ct: &LweCiphertext,
@@ -387,12 +360,7 @@ impl BootstrappingKey {
         out: &mut LweCiphertext,
     ) {
         let lane = [(ct.mask(), ct.body())];
-        self.rotate_batch_into(
-            &lane,
-            |_| TestVector::Constant(mu),
-            scratch,
-            std::slice::from_mut(out),
-        );
+        self.rotate_batch_into(&lane, mu, scratch, std::slice::from_mut(out));
     }
 }
 
@@ -597,13 +565,27 @@ mod tests {
     fn rotate_one(
         bk: &BootstrappingKey,
         ct: &LweCiphertext,
-        tv: TestVector<'_>,
+        mu: Torus32,
         scratch: &mut BootstrapScratch,
     ) -> LweCiphertext {
         let mut out = LweCiphertext::trivial(Torus32::ZERO, bk.params().extracted_lwe_dim());
-        let lane = [(ct.mask(), ct.body())];
-        bk.rotate_batch_into(&lane, |_| tv, scratch, std::slice::from_mut(&mut out));
+        bk.bootstrap_raw_into(ct, mu, scratch, &mut out);
         out
+    }
+
+    #[test]
+    fn the_rotated_constant_is_the_rotation_of_an_all_mu_polynomial() {
+        let n = Params::testing().poly_size;
+        let mu = Torus32::from_fraction(1, 3);
+        let mut all_mu = TorusPoly::zero(n);
+        all_mu.fill_assign(mu);
+        let (mut got, mut want) = (TorusPoly::zero(n), TorusPoly::zero(n));
+        // Both halves of the negacyclic wrap: `k >= N` negates the lot.
+        for k in 0..2 * n {
+            rotated_constant_into(mu, k, &mut got);
+            all_mu.mul_by_xk_into(k, &mut want);
+            assert_eq!(got, want, "k = {k}");
+        }
     }
 
     #[test]
@@ -611,8 +593,6 @@ mod tests {
         let (params, lwe_key, tlwe_key, bk, mut rng) = setup();
         let extracted = tlwe_key.extracted_lwe_key();
         let mu = Torus32::from_fraction(1, 3);
-        let mut all_mu = TorusPoly::zero(params.poly_size);
-        all_mu.fill_assign(mu);
         let mut scratch = bk.boot_scratch();
         for (message, want_sign) in [
             (Torus32::from_fraction(1, 3), 1.0),   // +1/8
@@ -621,16 +601,12 @@ mod tests {
             (Torus32::from_fraction(-3, 3), -1.0), // -3/8
         ] {
             let ct = lwe_key.encrypt(message, params.lwe_noise_stdev, &mut rng);
-            let boot = rotate_one(&bk, &ct, TestVector::Constant(mu), &mut scratch);
+            let boot = rotate_one(&bk, &ct, mu, &mut scratch);
             let phase = extracted.phase(&boot).to_f64();
             assert!(
                 (phase - want_sign * 0.125).abs() < 0.03,
                 "message {message}, phase {phase}, want {want_sign}*0.125"
             );
-            // `Constant(mu)` only skips building the polynomial: through
-            // both halves of the negacyclic wrap it is the same rotation.
-            let poly = rotate_one(&bk, &ct, TestVector::Poly(&all_mu), &mut scratch);
-            assert_eq!(boot, poly, "message {message}");
         }
     }
 
@@ -645,57 +621,9 @@ mod tests {
         // Noise of deviation 1e-2 is enormous compared to fresh noise but
         // keeps the phase inside the correct half-torus band.
         let ct = lwe_key.encrypt(Torus32::from_fraction(1, 3), 5e-3, &mut rng);
-        let boot = rotate_one(&bk, &ct, TestVector::Constant(mu), &mut scratch);
+        let boot = rotate_one(&bk, &ct, mu, &mut scratch);
         let phase = extracted.phase(&boot).to_f64();
         assert!((phase - 0.125).abs() < 0.03, "phase {phase}");
-    }
-
-    #[test]
-    fn programmable_bootstrap_applies_a_lookup_table() {
-        // A 4-level staircase LUT: messages k/8 (k = 0..4, positive half
-        // torus) map to chosen outputs — TFHE's "arbitrary lookup-table
-        // operation" (paper Section II-B).
-        let (params, lwe_key, tlwe_key, bk, mut rng) = setup();
-        let extracted = tlwe_key.extracted_lwe_key();
-        let n = params.poly_size;
-        let outputs = [
-            Torus32::from_fraction(1, 4),
-            Torus32::from_fraction(-3, 4),
-            Torus32::from_fraction(5, 4),
-            Torus32::from_fraction(7, 4),
-        ];
-        let mut lut = TorusPoly::zero(n);
-        for j in 0..n {
-            lut.coeffs_mut()[j] = outputs[j / (n / 4)];
-        }
-        let mut scratch = bk.boot_scratch();
-        for (k, &want) in outputs.iter().enumerate() {
-            // Message at the centre of step k: (k + 0.5) / 8 of the torus.
-            let message = Torus32::from_f64((k as f64 + 0.5) / 8.0);
-            let ct = lwe_key.encrypt(message, params.lwe_noise_stdev, &mut rng);
-            let out = rotate_one(&bk, &ct, TestVector::Poly(&lut), &mut scratch);
-            let got = extracted.phase(&out);
-            assert!((got - want).to_f64().abs() < 0.02, "step {k}: got {got}, want {want}");
-        }
-    }
-
-    #[test]
-    fn rotation_of_a_trivial_input_reads_the_test_vector() {
-        let (params, _lwe_key, tlwe_key, bk, mut rng) = setup();
-        let extracted = tlwe_key.extracted_lwe_key();
-        let n = params.poly_size;
-        let tv = TorusPoly::uniform(n, &mut rng);
-        let mut scratch = bk.boot_scratch();
-        // A trivial LWE of message j/2N rotates the test vector by -j.
-        for j in [0usize, 1, 5, n / 2] {
-            let message = Torus32::from_f64(j as f64 / (2 * n) as f64);
-            let ct = LweCiphertext::trivial(message, params.lwe_dim);
-            let out = rotate_one(&bk, &ct, TestVector::Poly(&tv), &mut scratch);
-            // The extracted sample holds tv[j] (no sign flip for j < N).
-            let got = extracted.phase(&out);
-            let want = tv.coeffs()[j];
-            assert!((got - want).to_f64().abs() < 1e-3, "j={j} got {got} want {want}");
-        }
     }
 
     #[test]
@@ -746,7 +674,7 @@ mod tests {
             let inputs: Vec<(&[Torus32], Torus32)> =
                 cts.iter().map(|ct| (ct.a.as_slice(), ct.b)).collect();
             let mut outs = vec![LweCiphertext::trivial(Torus32::ZERO, out_dim); width];
-            bk.rotate_batch_into(&inputs, |_| TestVector::Constant(mu), &mut batch, &mut outs);
+            bk.rotate_batch_into(&inputs, mu, &mut batch, &mut outs);
             for (ct, got) in cts.iter().zip(&outs) {
                 let mut want = LweCiphertext::trivial(Torus32::ZERO, out_dim);
                 bk.bootstrap_raw_into(ct, mu, &mut single, &mut want);
@@ -756,33 +684,9 @@ mod tests {
     }
 
     #[test]
-    fn batched_programmable_bootstrap_matches_single_path_bit_exactly() {
-        let (params, lwe_key, _tlwe_key, bk, mut rng) = setup();
-        let n = params.poly_size;
-        let mut single = bk.boot_scratch();
-        let mut batch = bk.boot_scratch();
-        let out_dim = params.extracted_lwe_dim();
-        // Distinct per-lane test vectors: the whole point of the
-        // generalized batch is carrying mixed lookup tables.
-        let tvs: Vec<TorusPoly> =
-            (0..crate::gates::FUSE_CHUNK).map(|_| TorusPoly::uniform(n, &mut rng)).collect();
-        for width in 1..=crate::gates::FUSE_CHUNK {
-            let cts = lanes_with_a_skipping_lane(width, &params, &lwe_key, &mut rng);
-            let inputs: Vec<(&[Torus32], Torus32)> =
-                cts.iter().map(|ct| (ct.a.as_slice(), ct.b)).collect();
-            let mut outs = vec![LweCiphertext::trivial(Torus32::ZERO, out_dim); width];
-            bk.rotate_batch_into(&inputs, |l| TestVector::Poly(&tvs[l]), &mut batch, &mut outs);
-            for (lane, (ct, got)) in cts.iter().zip(&outs).enumerate() {
-                let want = rotate_one(&bk, ct, TestVector::Poly(&tvs[lane]), &mut single);
-                assert_eq!(got, &want, "width {width} lane {lane} diverged from the single path");
-            }
-        }
-    }
-
-    #[test]
     fn batched_bootstrap_is_allocation_free_after_warmup() {
         let (params, lwe_key, _tlwe_key, bk, mut rng) = setup();
-        let mu = TestVector::Constant(Torus32::from_fraction(1, 3));
+        let mu = Torus32::from_fraction(1, 3);
         let mut batch = bk.boot_scratch();
         let width = crate::gates::FUSE_CHUNK;
         let cts = lanes_with_a_skipping_lane(width, &params, &lwe_key, &mut rng);
@@ -791,10 +695,10 @@ mod tests {
         let mut outs =
             vec![LweCiphertext::trivial(Torus32::ZERO, params.extracted_lwe_dim()); width];
         // The first batch of this width grows the per-lane accumulators.
-        bk.rotate_batch_into(&inputs, |_| mu, &mut batch, &mut outs);
+        bk.rotate_batch_into(&inputs, mu, &mut batch, &mut outs);
         let before = thread_buffer_allocs();
-        bk.rotate_batch_into(&inputs, |_| mu, &mut batch, &mut outs);
-        bk.rotate_batch_into(&inputs[..3], |_| mu, &mut batch, &mut outs[..3]);
+        bk.rotate_batch_into(&inputs, mu, &mut batch, &mut outs);
+        bk.rotate_batch_into(&inputs[..3], mu, &mut batch, &mut outs[..3]);
         assert_eq!(thread_buffer_allocs() - before, 0);
     }
 
@@ -821,8 +725,6 @@ mod tests {
         let client = crate::ClientKey::generate(params, &mut rng);
         let server = client.server_key(&mut rng);
         let (bk, ksk) = (&server.bootstrap, &server.keyswitch);
-        let tvs: Vec<TorusPoly> =
-            (0..3).map(|_| TorusPoly::uniform(params.poly_size, &mut rng)).collect();
         let mu = Torus32::from_fraction(1, 3);
         let mut solo = bk.boot_scratch();
         let mut gang: Vec<BootstrapScratch> = (0..2).map(|_| bk.boot_scratch()).collect();
@@ -830,28 +732,17 @@ mod tests {
             let cts = lanes_with_a_skipping_lane(width, &params, client.lwe_key(), &mut rng);
             let inputs: Vec<(&[Torus32], Torus32)> =
                 cts.iter().map(|ct| (ct.a.as_slice(), ct.b)).collect();
-            for programmable in [false, true] {
-                let tv = |l: usize| match programmable {
-                    true => TestVector::Poly(&tvs[l]),
-                    false => TestVector::Constant(mu),
-                };
-                let run = |scratch: &mut BootstrapScratch| {
-                    let raw = LweCiphertext::trivial(Torus32::ZERO, params.extracted_lwe_dim());
-                    let mut raws = vec![raw; width];
-                    bk.rotate_batch_into(&inputs, tv, scratch, &mut raws);
-                    let mut outs =
-                        vec![LweCiphertext::trivial(Torus32::ZERO, params.lwe_dim); width];
-                    scratch.key_switch_into(ksk, &raws, &mut outs);
-                    (raws, outs)
-                };
-                let want = run(&mut solo);
-                for (member, got) in on_gang(&mut gang, run).into_iter().enumerate() {
-                    let got = got.expect("no member panics");
-                    assert_eq!(
-                        got, want,
-                        "width {width}, programmable {programmable}, member {member}"
-                    );
-                }
+            let run = |scratch: &mut BootstrapScratch| {
+                let raw = LweCiphertext::trivial(Torus32::ZERO, params.extracted_lwe_dim());
+                let mut raws = vec![raw; width];
+                bk.rotate_batch_into(&inputs, mu, scratch, &mut raws);
+                let mut outs = vec![LweCiphertext::trivial(Torus32::ZERO, params.lwe_dim); width];
+                scratch.key_switch_into(ksk, &raws, &mut outs);
+                (raws, outs)
+            };
+            let want = run(&mut solo);
+            for (member, got) in on_gang(&mut gang, run).into_iter().enumerate() {
+                assert_eq!(got.expect("no member panics"), want, "width {width}, member {member}");
             }
         }
     }
@@ -861,16 +752,16 @@ mod tests {
         let (params, lwe_key, _tlwe_key, bk, mut rng) = setup();
         let mu = Torus32::from_fraction(1, 3);
         let ct = lwe_key.encrypt(mu, params.lwe_noise_stdev, &mut rng);
-        let want = rotate_one(&bk, &ct, TestVector::Constant(mu), &mut bk.boot_scratch());
+        let want = rotate_one(&bk, &ct, mu, &mut bk.boot_scratch());
         let mut gang: Vec<BootstrapScratch> = (0..2).map(|_| bk.boot_scratch()).collect();
         // Member 0 leaves without rotating: member 1 gives up at its first
         // barrier instead of spinning forever, and the scratches band again.
         let results = on_gang(&mut gang, |scratch| match scratch.leads() {
             true => scratch.release(),
-            false => drop(rotate_one(&bk, &ct, TestVector::Constant(mu), scratch)),
+            false => drop(rotate_one(&bk, &ct, mu, scratch)),
         });
         assert!(results[0].is_ok() && results[1].is_err(), "the partner panics");
-        for got in on_gang(&mut gang, |s| rotate_one(&bk, &ct, TestVector::Constant(mu), s)) {
+        for got in on_gang(&mut gang, |s| rotate_one(&bk, &ct, mu, s)) {
             assert_eq!(got.expect("no member panics"), want);
         }
     }

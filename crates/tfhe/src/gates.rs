@@ -16,7 +16,7 @@
 
 use std::time::{Duration, Instant};
 
-use crate::bootstrap::{BootstrapScratch, TestVector};
+use crate::bootstrap::BootstrapScratch;
 use crate::keys::{ServerKey, MU_LOG2_DENOM};
 use crate::lwe::{LweCiphertext, LweSoa};
 use crate::torus::Torus32;
@@ -299,7 +299,7 @@ impl ServerKey {
         let timed = observe.is_some();
         let now = || timed.then(Instant::now);
         let (mut linear, mut rotation) = (Duration::ZERO, Duration::ZERO);
-        let mu = TestVector::Constant(Self::mu());
+        let mu = Self::mu();
         for (base, raws) in (0..).step_by(FUSE_CHUNK).zip(raws.chunks_mut(FUSE_CHUNK)) {
             let width = raws.len();
             let t0 = now();
@@ -313,7 +313,7 @@ impl ServerKey {
             for (slot, input) in inputs.iter_mut().take(width).enumerate() {
                 *input = soa.slot(slot);
             }
-            self.bootstrap.rotate_batch_into(&inputs[..width], |_| mu, boot, raws);
+            self.bootstrap.rotate_batch_into(&inputs[..width], mu, boot, raws);
             if let (Some(t0), Some(t1)) = (t0, t1) {
                 (linear, rotation) = (linear + (t1 - t0), rotation + t1.elapsed());
             }

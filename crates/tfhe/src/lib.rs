@@ -70,7 +70,7 @@ pub mod tlwe;
 pub mod torus;
 pub mod trace;
 
-pub use bootstrap::{BootstrapScratch, TestVector};
+pub use bootstrap::BootstrapScratch;
 pub use error::TfheError;
 pub use gates::{BootGate, GateScratch, FUSE_CHUNK};
 pub use keys::{ClientKey, ServerKey};

@@ -6,20 +6,22 @@
 //! ```
 
 use pytfhe::prelude::*;
-use pytfhe::pytfhe_backend::graph::WavePlan;
+use pytfhe::pytfhe_backend::cost::CpuCostModel;
+use pytfhe::pytfhe_backend::sim::{ClusterConfig, ClusterSim};
 use pytfhe::pytfhe_backend::{capture, CaptureConfig};
 use pytfhe_vipbench::{benchmarks, find, Scale};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!("{:<14} {:>8} {:>7} {:>9}   description", "benchmark", "gates", "depth", "avg width");
     println!("{}", "-".repeat(78));
+    let sim = ClusterSim::new(CpuCostModel::paper(), ClusterConfig::one_node());
     for b in benchmarks(Scale::Test) {
         let input = b.sample_input(1);
         b.check_detailed(&input).map_err(|e| format!("oracle mismatch: {e}"))?;
         let plan = capture(b.netlist(), &CaptureConfig::default())?;
         // Gates and waves as the simulators cost them.
-        let waves: Vec<u64> = plan.waves().map(WavePlan::bootstrapped).filter(|&n| n > 0).collect();
-        let (gates, depth) = (waves.iter().sum::<u64>(), waves.len());
+        let report = sim.simulate(&plan);
+        let (gates, depth) = (report.gates, report.waves);
         let width = gates as f64 / depth.max(1) as f64;
         println!("{:<14} {:>8} {:>7} {:>9.1}   {}", b.name(), gates, depth, width, b.description());
     }

@@ -382,8 +382,7 @@ fn serve_circuits() -> [Netlist; 3] {
 fn serve_circuits_need_one_round_per_bootstrapped_level() {
     let rounds = serve_circuits().map(|nl| {
         let plan = capture(&nl, &CaptureConfig::default()).expect("valid circuit");
-        let waves = plan.batches.iter().flat_map(|b| &b.waves);
-        (plan.bootstraps(), waves.filter(|w| w.bootstraps() > 0).count())
+        (plan.bootstraps(), plan.waves.iter().filter(|w| w.bootstraps() > 0).count())
     });
     assert_eq!(rounds, [(17, 7), (18, 8), (30, 11)]);
 }

@@ -134,42 +134,6 @@ fn resolve(index_of: &[NodeId], index: u64, position: usize) -> Result<NodeId, A
     Ok(index_of[(index - 1) as usize])
 }
 
-/// Summary statistics of a binary, without full disassembly.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct BinaryStats {
-    /// Total instructions (incl. header and outputs).
-    pub instructions: usize,
-    /// Gates declared by the header.
-    pub declared_gates: u64,
-    /// Size in bytes.
-    pub bytes: usize,
-}
-
-/// Reads the header and sizes of a binary.
-///
-/// # Errors
-///
-/// Returns [`AsmError`] on misalignment or a missing/invalid header.
-pub fn binary_stats(binary: &[u8]) -> Result<BinaryStats, AsmError> {
-    if !binary.len().is_multiple_of(INSTRUCTION_BYTES) {
-        return Err(AsmError::Misaligned { len: binary.len() });
-    }
-    if binary.is_empty() {
-        return Err(AsmError::MissingHeader);
-    }
-    let Some(word) = words(binary).next() else {
-        return Err(AsmError::MissingHeader);
-    };
-    let Instruction::Header { total_gates } = Instruction::decode(word, 0)? else {
-        return Err(AsmError::MissingHeader);
-    };
-    Ok(BinaryStats {
-        instructions: binary.len() / INSTRUCTION_BYTES,
-        declared_gates: total_gates,
-        bytes: binary.len(),
-    })
-}
-
 /// Renders a human-readable disassembly listing (for debugging and for
 /// the worked Figure 6 reproduction in the benchmark harness).
 ///
@@ -221,8 +185,6 @@ mod tests {
         let bin = assemble(&nl);
         // 1 header + 2 inputs + 2 gates + 2 outputs = 7 instructions.
         assert_eq!(bin.len(), 7 * INSTRUCTION_BYTES);
-        let stats = binary_stats(&bin).unwrap();
-        assert_eq!(stats.declared_gates, 2);
         let insts: Vec<Instruction> =
             words(&bin).enumerate().map(|(p, w)| Instruction::decode(w, p).unwrap()).collect();
         assert_eq!(insts[0], Instruction::Header { total_gates: 2 });
@@ -383,6 +345,7 @@ mod tests {
         assert!(listing.contains("xor %1 %2"));
         assert!(listing.contains("output  %3"));
         assert_eq!(listing.lines().count(), 7);
+        assert!(matches!(dump(&bin[..bin.len() - 3]), Err(AsmError::Misaligned { .. })));
     }
 
     #[test]

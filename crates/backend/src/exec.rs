@@ -17,18 +17,20 @@ use pytfhe_netlist::{Netlist, Node};
 use pytfhe_telemetry as telemetry;
 use std::time::Instant;
 
-/// Execution statistics.
+/// Execution statistics: the one record of a run.
 ///
 /// All executors report the same type — [`replay`] fills it directly —
 /// and the fault-tolerance counters stay zero outside
-/// [`execute_resilient`].
+/// [`execute_resilient`]. Time splits inside a gate live in the telemetry
+/// metrics registry, and the SIMD path in `pytfhe_tfhe::simd::active_path`.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ExecStats {
     /// Gates evaluated.
     pub gates: usize,
     /// Scheduling waves executed (0 for the reference executor).
     pub waves: usize,
-    /// Wall-clock seconds.
+    /// Wall-clock seconds, capture included: the replay took
+    /// `wall_s - capture_s`.
     pub wall_s: f64,
     /// Failed chunk attempts that were retried.
     pub retries: u64,
@@ -41,9 +43,6 @@ pub struct ExecStats {
     /// Seconds spent capturing the kernel plan (0 when the plan came from
     /// the cache, and for the reference executor).
     pub capture_s: f64,
-    /// Seconds spent replaying the captured plan (`wall_s` additionally
-    /// covers capture and cache lookup; 0 for the reference executor).
-    pub replay_s: f64,
     /// Whether the kernel-graph executor reused a cached plan instead of
     /// capturing one.
     pub plan_cached: bool,
@@ -58,9 +57,6 @@ pub struct ExecStats {
     /// The plaintext engine, which runs the same schedule, reports the
     /// same count.
     pub bootstraps: u64,
-    /// Name of the SIMD kernel path the TFHE layer dispatched to
-    /// (`"scalar"` or `"avx2"`; see `pytfhe_tfhe::simd`).
-    pub simd_path: &'static str,
 }
 
 impl ExecStats {
@@ -76,12 +72,10 @@ impl ExecStats {
             checkpoints: 0,
             resumed_from_wave: None,
             capture_s: 0.0,
-            replay_s: 0.0,
             plan_cached: false,
             kernel_launches: 0,
             steals: 0,
             bootstraps,
-            simd_path: pytfhe_tfhe::simd::active_path().name(),
         }
     }
 
@@ -102,39 +96,6 @@ impl ExecStats {
         m.counter_add("exec_steals_total", self.steals);
         m.counter_add("exec_bootstraps_total", self.bootstraps);
         m.observe_seconds("exec_wall_seconds", self.wall_s);
-    }
-}
-
-impl std::fmt::Display for ExecStats {
-    /// Human-readable counter block. Fault-tolerance and kernel-graph
-    /// lines only appear on runs where those paths were exercised.
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(
-            f,
-            "gates             {}\nwaves             {}\nwall time         {:.3} s\nsimd path         {}",
-            self.gates, self.waves, self.wall_s, self.simd_path
-        )?;
-        if let Some(w) = self.resumed_from_wave {
-            write!(f, "\nresumed from wave {w}")?;
-        }
-        if self.retries > 0 || self.evicted_workers > 0 || self.checkpoints > 0 {
-            write!(
-                f,
-                "\nretries           {}\nevicted workers   {}\ncheckpoints       {}",
-                self.retries, self.evicted_workers, self.checkpoints
-            )?;
-        }
-        if self.plan_cached || self.capture_s > 0.0 || self.replay_s > 0.0 {
-            write!(
-                f,
-                "\nplan              {}\ncapture           {:.3} s\nreplay            {:.3} s\nkernel launches   {}",
-                if self.plan_cached { "cached" } else { "captured" },
-                self.capture_s,
-                self.replay_s,
-                self.kernel_launches
-            )?;
-        }
-        Ok(())
     }
 }
 
@@ -242,15 +203,12 @@ pub struct ResilientConfig {
     pub workers: usize,
     /// Retry/backoff/deadline policy for failed chunks.
     pub retry: RetryPolicy,
-    /// Completed waves between checkpoints (1 = snapshot at every
-    /// barrier, 0 = never snapshot even when a store is supplied).
-    pub checkpoint_every: usize,
 }
 
 impl ResilientConfig {
-    /// `workers` workers, default retry policy, checkpoint every wave.
+    /// `workers` workers, default retry policy.
     pub fn new(workers: usize) -> Self {
-        ResilientConfig { workers, retry: RetryPolicy::default(), checkpoint_every: 1 }
+        ResilientConfig { workers, retry: RetryPolicy::default() }
     }
 }
 
@@ -326,8 +284,7 @@ where
             stats.resumed_from_wave = Some(ckpt.wave());
         }
     }
-    let snapshots = cfg.checkpoint_every > 0 && store.is_some();
-    let live = if snapshots { plan.live_ranges() } else { Vec::new() };
+    let live = if store.is_some() { plan.live_ranges() } else { Vec::new() };
 
     let mut alive: Vec<usize> = (0..cfg.workers.max(1)).collect();
     for (index, wave) in plan.waves.iter().enumerate().skip(skip) {
@@ -357,8 +314,7 @@ where
         ran?;
         retry.within_deadline()?;
         stats.waves += 1;
-        let due = snapshots && stats.waves.is_multiple_of(cfg.checkpoint_every);
-        if let Some(store) = store.as_deref_mut().filter(|_| due) {
+        if let Some(store) = store.as_deref_mut() {
             let k = index as u32;
             let frontier =
                 live.iter().enumerate().filter(|(_, &(written, read))| written <= k && k < read);
@@ -371,7 +327,6 @@ where
         }
     }
     stats.wall_s = start.elapsed().as_secs_f64();
-    stats.replay_s = stats.wall_s - capture_s;
     stats.record_metrics();
     Ok((lanes.outputs(&plan), stats))
 }
@@ -563,40 +518,6 @@ mod tests {
             workers,
             "wide wave must fan out across workers"
         );
-    }
-
-    #[test]
-    fn stats_report_the_dispatched_simd_path() {
-        let nl = adder4();
-        let engine = PlainEngine::new();
-        let mut input = to_bits(3, 4);
-        input.extend(to_bits(5, 4));
-        let (_, stats) = execute(&engine, &nl, &input).unwrap();
-        assert_eq!(stats.simd_path, pytfhe_tfhe::simd::active_path().name());
-        assert!(["scalar", "avx2"].contains(&stats.simd_path));
-    }
-
-    #[test]
-    fn exec_stats_display_sections_are_conditional() {
-        let mut stats = ExecStats::new(7, 0);
-        stats.waves = 3;
-        stats.wall_s = 0.25;
-        let plain = stats.to_string();
-        assert!(plain.contains("gates"));
-        assert!(plain.contains("simd path"));
-        assert!(!plain.contains("retries"), "fault lines hidden on clean runs:\n{plain}");
-        assert!(
-            !plain.contains("kernel launches"),
-            "graph lines hidden off the graph path:\n{plain}"
-        );
-
-        stats.retries = 2;
-        stats.plan_cached = true;
-        stats.resumed_from_wave = Some(4);
-        let full = stats.to_string();
-        assert!(full.contains("retries           2"));
-        assert!(full.contains("resumed from wave 4"));
-        assert!(full.contains("plan              cached"));
     }
 
     #[test]

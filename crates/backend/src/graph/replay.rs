@@ -102,8 +102,8 @@ impl<V: Clone, S> ReplayLanes<V, S> {
 /// regroups independent gates but every gate still runs the identical
 /// kernel on identical operands, and chunk boundaries never change
 /// per-gate arithmetic — outputs are identical at every worker count.
-/// The returned [`ExecStats`] carry the replay's counters with
-/// `replay_s == wall_s`; callers that also captured add their own
+/// The returned [`ExecStats`] carry the replay's counters, `wall_s` being
+/// the replay's alone; callers that also captured add their own
 /// `capture_s` / `plan_cached` and publish via
 /// [`ExecStats::record_metrics`].
 ///
@@ -126,8 +126,7 @@ pub fn replay<E: GateEngine>(
         run_wave(&mut [launch], workers, &mut stats)?;
         stats.waves += 1;
     }
-    stats.replay_s = start.elapsed().as_secs_f64();
-    stats.wall_s = stats.replay_s;
+    stats.wall_s = start.elapsed().as_secs_f64();
     Ok((lanes.outputs(plan), stats))
 }
 
@@ -332,7 +331,7 @@ pub(crate) fn run_wave_with<E: GateEngine>(
             };
             // Every task catches its own panic, so the run cannot fail.
             let run = WorkerPool::global().run_each(lanes, todo.len(), &body);
-            stats.steals += run.map_or(0, |r| r.steals);
+            stats.steals += run.unwrap_or(0);
         }
         for (p, f) in pending.iter_mut().zip(&failed) {
             *p = *p && f.load(Ordering::Relaxed);

@@ -69,5 +69,5 @@ pub use fault::{
     FaultInjector, NoFaults, RetryPolicy, SeededFaults, SeededStorageFaults, StorageFault, TaskFate,
 };
 pub use graph::{capture, replay, CaptureConfig, KernelGraph, KernelPlan, ReplayLanes};
-pub use pool::{RunStats, WorkerPool};
+pub use pool::WorkerPool;
 pub use store::{DiskStore, KeyBlob};

@@ -56,17 +56,6 @@ pub type Job<'env> = Box<dyn FnOnce(usize) + Send + 'env>;
 /// `task` on lane `lane` ([`WorkerPool::run_each`]).
 pub(crate) type Body<'env> = dyn Fn(usize, usize) + Sync + 'env;
 
-/// Accounting for one completed run.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct RunStats {
-    /// Tasks executed.
-    pub tasks: usize,
-    /// Tasks executed by a lane other than the one they were queued on.
-    pub steals: u64,
-    /// Lanes the run was distributed across.
-    pub lanes: usize,
-}
-
 /// State of the single in-flight run, shared with every worker.
 struct RunState {
     /// The run's body, its `'env` lifetime erased ([`WorkerPool::run_each`]).
@@ -210,8 +199,10 @@ impl WorkerPool {
     /// # Errors
     ///
     /// Returns [`ExecError::WorkerPanicked`] if any job panicked (all
-    /// jobs still run to completion first).
-    pub fn run<'env>(&self, lanes: usize, jobs: Vec<Job<'env>>) -> Result<RunStats, ExecError> {
+    /// jobs still run to completion first). Otherwise returns the run's
+    /// steals: jobs executed by a lane other than the one they were
+    /// queued on.
+    pub fn run<'env>(&self, lanes: usize, jobs: Vec<Job<'env>>) -> Result<u64, ExecError> {
         let jobs: Vec<Mutex<Option<Job<'env>>>> =
             jobs.into_iter().map(|job| Mutex::new(Some(job))).collect();
         self.run_each(lanes, jobs.len(), &|lane, task| {
@@ -229,15 +220,16 @@ impl WorkerPool {
     /// # Errors
     ///
     /// Returns [`ExecError::WorkerPanicked`] if any task panicked (all
-    /// tasks still run to completion first).
+    /// tasks still run to completion first). Otherwise returns the run's
+    /// steals, as [`WorkerPool::run`].
     pub(crate) fn run_each(
         &self,
         lanes: usize,
         tasks: usize,
         body: &Body<'_>,
-    ) -> Result<RunStats, ExecError> {
+    ) -> Result<u64, ExecError> {
         if tasks == 0 {
-            return Ok(RunStats::default());
+            return Ok(0);
         }
         let lanes = lanes.clamp(1, MAX_LANES).min(tasks);
         // Nested submission from inside a pool task, or a trivial
@@ -250,7 +242,7 @@ impl WorkerPool {
             if panicked {
                 return Err(ExecError::WorkerPanicked);
             }
-            return Ok(RunStats { tasks, steals: 0, lanes: 1 });
+            return Ok(0);
         }
 
         let _serial = self.run_lock.lock().expect("pool run lock poisoned");
@@ -291,18 +283,18 @@ impl WorkerPool {
             std::thread::yield_now();
         }
 
-        let stats = RunStats { tasks, steals: run.steals.load(Ordering::Relaxed), lanes };
+        let steals = run.steals.load(Ordering::Relaxed);
         if telemetry::enabled() {
             let m = telemetry::metrics();
             m.counter_add("pool_runs_total", 1);
             m.counter_add("pool_tasks_total", tasks as u64);
-            m.counter_add("pool_steals_total", stats.steals);
+            m.counter_add("pool_steals_total", steals);
             m.observe("pool_run_tasks", tasks as f64, &[1.0, 2.0, 4.0, 8.0, 16.0, 64.0, 256.0]);
         }
         if run.panicked.load(Ordering::Relaxed) {
             return Err(ExecError::WorkerPanicked);
         }
-        Ok(stats)
+        Ok(steals)
     }
 
     /// Runs `jobs` at once, each on a thread of its own — a *gang*,
@@ -320,7 +312,7 @@ impl WorkerPool {
     /// # Errors
     ///
     /// As [`WorkerPool::run`].
-    pub fn gang<'env>(&self, jobs: Vec<Job<'env>>) -> Option<Result<RunStats, ExecError>> {
+    pub fn gang<'env>(&self, jobs: Vec<Job<'env>>) -> Option<Result<u64, ExecError>> {
         if jobs.len() < 2 || IN_POOL.with(Cell::get) {
             return None;
         }
@@ -395,15 +387,14 @@ mod tests {
         let hits = AtomicU32::new(0);
         let jobs: Vec<Job> = (0..57)
             .map(|_| {
-                Box::new(|_lane: usize| {
+                Box::new(|lane: usize| {
+                    assert!(lane < 4, "a run keeps to the lanes it asked for");
                     hits.fetch_add(1, Ordering::Relaxed);
                 }) as Job
             })
             .collect();
-        let stats = pool.run(4, jobs).unwrap();
+        pool.run(4, jobs).unwrap();
         assert_eq!(hits.load(Ordering::Relaxed), 57);
-        assert_eq!(stats.tasks, 57);
-        assert_eq!(stats.lanes, 4);
     }
 
     #[test]
@@ -441,9 +432,8 @@ mod tests {
             })
             .collect();
         let start = std::time::Instant::now();
-        let stats = pool.run(4, jobs).unwrap();
+        pool.run(4, jobs).unwrap();
         assert_eq!(done.load(Ordering::Relaxed), 16);
-        assert_eq!(stats.tasks, 16);
         // The 15 cheap tasks must not have queued behind the sleeper
         // for another 40ms each; generous bound for loaded machines.
         assert!(start.elapsed() < std::time::Duration::from_secs(2));
@@ -502,9 +492,7 @@ mod tests {
                 }) as Job
             })
             .collect();
-        let stats = pool.run(1, jobs).unwrap();
-        assert_eq!(stats.lanes, 1);
-        assert_eq!(stats.steals, 0);
+        assert_eq!(pool.run(1, jobs).unwrap(), 0, "one lane steals nothing");
     }
 
     #[test]
@@ -520,21 +508,23 @@ mod tests {
                 }) as Job
             })
             .collect();
-        let stats = pool.run(4, jobs).unwrap();
-        assert_eq!(stats.lanes, 4, "explicit width must be honored");
+        pool.run(4, jobs).unwrap();
+        assert_eq!(pool.workers.lock().unwrap().len(), 3, "explicit width must be honored");
         assert!(!lanes_seen.lock().unwrap().is_empty());
     }
 
     #[test]
     fn empty_run_is_a_no_op() {
         let pool = WorkerPool::new(4);
-        let stats = pool.run(4, Vec::new()).unwrap();
-        assert_eq!(stats, RunStats::default());
+        assert_eq!(pool.run(4, Vec::new()).unwrap(), 0);
+        assert!(pool.workers.lock().unwrap().is_empty(), "nothing to run spawns no worker");
     }
 
     /// `members` jobs that each record their thread and wait until all
-    /// have started: they finish only if the gang placed every one.
-    fn rendezvous(pool: &WorkerPool, members: usize) -> Option<Result<RunStats, ExecError>> {
+    /// have started: they finish only if the gang placed every one. A
+    /// placed gang reports the distinct threads its members ran on and
+    /// its steals.
+    fn rendezvous(pool: &WorkerPool, members: usize) -> Option<Result<(usize, u64), ExecError>> {
         let (started, threads) = (AtomicUsize::new(0), Mutex::new(HashSet::new()));
         let job = |_| {
             threads.lock().unwrap().insert(std::thread::current().id());
@@ -546,16 +536,15 @@ mod tests {
             }
         };
         let ran = pool.gang((0..members).map(|_| Box::new(job) as Job).collect());
-        assert!(ran.is_none() || threads.into_inner().unwrap().len() == members);
-        ran
+        ran.map(|steals| steals.map(|steals| (threads.into_inner().unwrap().len(), steals)))
     }
 
     #[test]
     fn gang_members_run_at_once_on_distinct_threads() {
         let pool = WorkerPool::new(1);
         for members in [2, 3, 2] {
-            let stats = rendezvous(&pool, members).expect("placed").expect("no panic");
-            assert_eq!((stats.tasks, stats.lanes), (members, members));
+            let ran = rendezvous(&pool, members).expect("placed").expect("no panic");
+            assert_eq!(ran, (members, 0), "one thread per member, and no lane takes two");
         }
     }
 
@@ -572,6 +561,6 @@ mod tests {
         let pool = WorkerPool::new(2);
         let jobs: Vec<Job> = vec![Box::new(|_| panic!("injected")), Box::new(|_| {})];
         assert!(matches!(pool.gang(jobs), Some(Err(ExecError::WorkerPanicked))));
-        rendezvous(&pool, 2).expect("placed").expect("no panic");
+        assert_eq!(rendezvous(&pool, 2).expect("placed").expect("no panic"), (2, 0));
     }
 }

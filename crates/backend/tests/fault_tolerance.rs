@@ -64,7 +64,7 @@ fn with_constant(mut nl: Netlist) -> Netlist {
 }
 
 fn resilient_cfg(workers: usize) -> ResilientConfig {
-    ResilientConfig { workers, retry: RetryPolicy::fast(), checkpoint_every: 1 }
+    ResilientConfig { workers, retry: RetryPolicy::fast() }
 }
 
 /// The schedule's non-empty wave indices, in order (the coordinates the
@@ -314,7 +314,6 @@ fn stragglers_past_their_deadline_are_retried() {
     let cfg = ResilientConfig {
         workers: 2,
         retry: RetryPolicy { task_deadline: Some(Duration::from_millis(1)), ..RetryPolicy::fast() },
-        checkpoint_every: 0,
     };
     let (got, stats) =
         execute_resilient(&engine, &nl, &input, &cfg, &faults, None).expect("finishes");
@@ -346,7 +345,6 @@ fn wave_deadline_is_enforced() {
     let cfg = ResilientConfig {
         workers: 2,
         retry: RetryPolicy { wave_deadline: Some(Duration::ZERO), ..RetryPolicy::fast() },
-        checkpoint_every: 0,
     };
     let err =
         execute_resilient(&engine, &nl, &input, &cfg, &NoFaults, None).expect_err("zero budget");

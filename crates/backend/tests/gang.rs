@@ -132,7 +132,7 @@ fn a_panicking_member_aborts_its_gang_which_is_retried_whole() {
 
     // Under the resilient executor a gang is one chunk: admitted once per
     // wave, and the failed one runs again whole.
-    let cfg = ResilientConfig { workers: 2, retry: RetryPolicy::fast(), checkpoint_every: 0 };
+    let cfg = ResilientConfig { workers: 2, retry: RetryPolicy::fast() };
     let admits = Counting(AtomicUsize::new(0));
     let (got, stats) =
         execute_resilient(&faulty(1), &nl, &cts, &cfg, &admits, None).expect("retried");

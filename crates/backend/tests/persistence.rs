@@ -187,7 +187,7 @@ fn resilient_run_recovers_through_a_corrupted_checkpoint() {
     let engine = PlainEngine::new();
     let (want, _) = execute(&engine, &nl, &inputs).unwrap();
 
-    let cfg = ResilientConfig { workers: 2, retry: RetryPolicy::fast(), checkpoint_every: 1 };
+    let cfg = ResilientConfig { workers: 2, retry: RetryPolicy::fast() };
     let mut store = FileCheckpointStore::new(&path);
     let (out, stats) =
         execute_resilient(&engine, &nl, &inputs, &cfg, &NoFaults, Some(&mut store)).unwrap();
@@ -228,7 +228,7 @@ fn resilient_run_restarts_when_every_generation_is_rotten() {
     let engine = PlainEngine::new();
     let (want, _) = execute(&engine, &nl, &inputs).unwrap();
 
-    let cfg = ResilientConfig { workers: 2, retry: RetryPolicy::fast(), checkpoint_every: 1 };
+    let cfg = ResilientConfig { workers: 2, retry: RetryPolicy::fast() };
     let mut store = FileCheckpointStore::new(&path);
     execute_resilient(&engine, &nl, &inputs, &cfg, &NoFaults, Some(&mut store)).unwrap();
     std::fs::write(&path, b"rot").unwrap();
@@ -249,7 +249,7 @@ fn foreign_checkpoints_are_still_refused() {
     let other = adder(5);
     let inputs: Vec<bool> = [to_bits(1, 4), to_bits(2, 4)].concat();
     let engine = PlainEngine::new();
-    let cfg = ResilientConfig { workers: 1, retry: RetryPolicy::fast(), checkpoint_every: 1 };
+    let cfg = ResilientConfig { workers: 1, retry: RetryPolicy::fast() };
 
     let mut store = pytfhe_backend::MemoryCheckpointStore::new();
     let other_inputs: Vec<bool> = [to_bits(1, 5), to_bits(2, 5)].concat();

@@ -364,7 +364,7 @@ mod tests {
         let z = nl.add_gate(GateKind::Or, x, y).unwrap();
         nl.mark_output(z).unwrap();
         let cts = client.encrypt_bits(&[true, false]);
-        let cfg = ResilientConfig { workers: 2, retry: RetryPolicy::fast(), checkpoint_every: 1 };
+        let cfg = ResilientConfig { workers: 2, retry: RetryPolicy::fast() };
         let faults = SeededFaults::new(13).with_fail_prob(0.2);
         let mut store = MemoryCheckpointStore::new();
         let (out, stats) =
@@ -525,7 +525,7 @@ mod tests {
         };
         assert_eq!(server.execute(&nl, &cts, 2).unwrap_err(), want);
         assert_eq!(server.execute_graph(&nl, &cts, 1).unwrap_err(), want);
-        let cfg = ResilientConfig { workers: 1, retry: RetryPolicy::fast(), checkpoint_every: 1 };
+        let cfg = ResilientConfig { workers: 1, retry: RetryPolicy::fast() };
         assert_eq!(server.execute_resilient(&nl, &cts, &cfg, &NoFaults, None).unwrap_err(), want);
         let engine = TfheEngine::new(server.key());
         assert_eq!(pytfhe_backend::execute(&engine, &nl, &cts).unwrap_err(), want);

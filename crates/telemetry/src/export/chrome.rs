@@ -2,8 +2,7 @@
 //!
 //! Produces the `{"traceEvents": [...]}` object format understood by
 //! `chrome://tracing`, `about:tracing`, and <https://ui.perfetto.dev>.
-//! Real events live under pid 1 (`pytfhe`): tid 0.. are OS threads,
-//! tids offset by [`WORKER_TID_BASE`] are executor worker lanes.
+//! Real events live under pid 1 (`pytfhe`), one tid per OS thread.
 //! Each simulated process ([`Lane::Sim`]) gets its own pid starting at
 //! [`SIM_PID_BASE`], so virtual Fig. 8/9 schedules render alongside the
 //! real execution without their (virtual) timestamps colliding.
@@ -19,8 +18,6 @@ use crate::{Event, EventKind, Lane};
 pub const REAL_PID: u32 = 1;
 /// First pid handed to simulated processes.
 pub const SIM_PID_BASE: u32 = 2;
-/// Worker-lane tids start here so they never collide with thread tids.
-pub const WORKER_TID_BASE: u32 = 1000;
 
 /// Renders events as a Chrome trace-event JSON document.
 pub fn chrome_trace(events: &[Event]) -> String {
@@ -30,14 +27,10 @@ pub fn chrome_trace(events: &[Event]) -> String {
     let mut sim_pids: BTreeMap<&'static str, u32> = BTreeMap::new();
     let mut sim_tids: BTreeMap<(u32, String), u32> = BTreeMap::new();
     let mut threads_seen: BTreeMap<u32, ()> = BTreeMap::new();
-    let mut workers_seen: BTreeMap<u32, ()> = BTreeMap::new();
     for e in events {
         match &e.lane {
             Lane::Thread(t) => {
                 threads_seen.insert(*t, ());
-            }
-            Lane::Worker(w) => {
-                workers_seen.insert(*w, ());
             }
             Lane::Sim { process, lane } => {
                 let next_pid = SIM_PID_BASE + sim_pids.len() as u32;
@@ -55,9 +48,6 @@ pub fn chrome_trace(events: &[Event]) -> String {
     for (&t, ()) in &threads_seen {
         entries.push(meta_thread(REAL_PID, t, &format!("thread {t}")));
     }
-    for (&w, ()) in &workers_seen {
-        entries.push(meta_thread(REAL_PID, WORKER_TID_BASE + w, &format!("worker {w}")));
-    }
     for (process, &pid) in &sim_pids {
         entries.push(meta_process(pid, &format!("{process} (virtual time)")));
     }
@@ -68,7 +58,6 @@ pub fn chrome_trace(events: &[Event]) -> String {
     for e in events {
         let (pid, tid) = match &e.lane {
             Lane::Thread(t) => (REAL_PID, *t),
-            Lane::Worker(w) => (REAL_PID, WORKER_TID_BASE + w),
             Lane::Sim { process, lane } => {
                 let pid = sim_pids[process];
                 (pid, sim_tids[&(pid, lane.clone())])
@@ -149,14 +138,14 @@ mod tests {
                 kind: EventKind::Span { dur_ns: 1_000 },
                 cat: "exec",
                 name: "chunk".into(),
-                lane: Lane::Worker(2),
+                lane: Lane::Thread(2),
                 ts_ns: 1_500,
             },
             Event {
                 kind: EventKind::Instant,
                 cat: "exec",
                 name: "retry gate=7 \"quoted\"".into(),
-                lane: Lane::Worker(2),
+                lane: Lane::Thread(2),
                 ts_ns: 2_000,
             },
             Event {
@@ -185,8 +174,8 @@ mod tests {
     #[test]
     fn lanes_map_to_pids_and_tids() {
         let doc = chrome_trace(&sample_events());
-        // Worker 2 → tid 1002 under the real pid.
-        assert!(doc.contains("\"tid\":1002"));
+        // Thread 2 → tid 2 under the real pid, named after its thread.
+        assert!(doc.contains("\"pid\":1,\"tid\":2,\"args\":{\"name\":\"thread 2\"}"));
         // Sim process gets its own pid with a named lane.
         assert!(doc.contains("cluster-sim (virtual time)"));
         assert!(doc.contains("node0/core3"));

@@ -15,9 +15,6 @@ use crate::{enabled, now_ns, thread_lane};
 pub enum Lane {
     /// An OS thread, identified by its stable [`thread_lane`] id.
     Thread(u32),
-    /// An executor worker slot (worker ids survive thread reuse across
-    /// waves, unlike raw thread ids).
-    Worker(u32),
     /// A virtual lane inside a simulated process; timestamps on such
     /// events are *simulated* nanoseconds, not wall clock.
     Sim {
@@ -69,7 +66,7 @@ fn push(event: Event) {
 }
 
 /// RAII span guard: records a [`EventKind::Span`] covering its
-/// lifetime when dropped. Obtained from [`span`] / [`worker_span`]; a
+/// lifetime when dropped. Obtained from [`span`] / [`span_with`]; a
 /// guard created while tracing is disabled is inert (and records
 /// nothing even if tracing is enabled before it drops).
 #[must_use = "a span records on drop; binding it to `_` ends it immediately"]
@@ -132,14 +129,6 @@ pub fn span_with(cat: &'static str, name: impl FnOnce() -> String) -> Span {
     span(cat, name())
 }
 
-/// Starts a span on an explicit executor worker lane.
-pub fn worker_span(cat: &'static str, name: impl Into<String>, worker: u32) -> Span {
-    if !enabled() {
-        return Span::disabled();
-    }
-    Span(Some(SpanInner { cat, name: name.into(), lane: Lane::Worker(worker), start_ns: now_ns() }))
-}
-
 /// Records a point-in-time marker on the current thread's lane.
 pub fn instant(cat: &'static str, name: impl Into<String>) {
     if !enabled() {
@@ -150,20 +139,6 @@ pub fn instant(cat: &'static str, name: impl Into<String>) {
         cat,
         name: name.into(),
         lane: Lane::Thread(thread_lane()),
-        ts_ns: now_ns(),
-    });
-}
-
-/// Records a point-in-time marker on an executor worker lane.
-pub fn instant_on_worker(cat: &'static str, name: impl Into<String>, worker: u32) {
-    if !enabled() {
-        return;
-    }
-    push(Event {
-        kind: EventKind::Instant,
-        cat,
-        name: name.into(),
-        lane: Lane::Worker(worker),
         ts_ns: now_ns(),
     });
 }
@@ -276,18 +251,18 @@ mod tests {
     }
 
     #[test]
-    fn worker_and_sim_lanes_round_trip() {
+    fn instant_and_sim_lanes_round_trip() {
         let _g = lock();
         set_enabled(true);
         drain();
-        worker_span("exec", "chunk", 3).end();
-        instant_on_worker("exec", "retry", 3);
+        span("exec", "chunk").end();
+        instant("exec", "retry");
         sim_span("cluster-sim", "node0/core1", "wave 0", 0.5, 1.25);
         set_enabled(false);
         let evts = drain();
         assert_eq!(evts.len(), 3);
-        assert_eq!(evts[0].lane, Lane::Worker(3));
-        assert_eq!(evts[1].kind, EventKind::Instant);
+        assert_eq!(evts[0].lane, Lane::Thread(thread_lane()));
+        assert_eq!((&evts[1].kind, &evts[1].lane), (&EventKind::Instant, &evts[0].lane));
         let Lane::Sim { process, lane } = &evts[2].lane else {
             panic!("expected sim lane, got {:?}", evts[2].lane);
         };
@@ -318,7 +293,7 @@ mod tests {
             for w in 0..4u32 {
                 s.spawn(move || {
                     for i in 0..8 {
-                        worker_span("exec", format!("w{w} item {i}"), w).end();
+                        span("exec", format!("w{w} item {i}")).end();
                     }
                 });
             }

@@ -148,57 +148,26 @@ enum Tail {
     Sum(Torus32),
 }
 
-/// Timing breakdown of one gate evaluation, used to regenerate Figure 7.
-/// A batched call times each phase once for all its lanes and gives
-/// every lane an even share, so a call's lanes sum to its phase times.
-#[derive(Debug, Clone, Copy, Default, PartialEq)]
-pub struct GateProfile {
-    /// Seconds spent in blind rotation (incl. sample extraction): the
-    /// call's rotation time divided evenly over its lanes.
-    pub blind_rotation_s: f64,
-    /// Seconds spent in key switching: the call's one key-switch pass
-    /// divided evenly over its lanes.
-    pub key_switching_s: f64,
-    /// Seconds spent in the linear phase (negligible), divided the same
-    /// way.
-    pub linear_s: f64,
-}
-
-impl GateProfile {
-    /// Total gate time.
-    pub fn total_s(&self) -> f64 {
-        self.blind_rotation_s + self.key_switching_s + self.linear_s
-    }
-}
-
-/// Records one gate's blind-rotate/key-switch timing split into the
-/// per-gate-kind histograms — the live data behind the Figure 7
-/// reproduction. Only called when telemetry is enabled.
+/// Records one gate call's Figure 7 split into the per-gate-kind
+/// histograms: each of the call's `lanes` observes an even share of its
+/// rotation and key-switch time under its own `gate(lane)` label, and
+/// counts one bootstrap. Only called when telemetry is enabled.
 #[cold]
-fn record_gate_split(gate: BootGate, split: GateProfile) {
+fn record_gate_split(
+    gate: impl Fn(usize) -> BootGate,
+    lanes: usize,
+    rotation: Duration,
+    key_switch: Duration,
+) {
     let m = pytfhe_telemetry::metrics();
-    let name = gate.name();
-    m.observe_seconds(
-        &format!("tfhe_blind_rotate_seconds{{gate=\"{name}\"}}"),
-        split.blind_rotation_s,
-    );
-    m.observe_seconds(
-        &format!("tfhe_key_switch_seconds{{gate=\"{name}\"}}"),
-        split.key_switching_s,
-    );
-    m.counter_add("tfhe_bootstraps_total", 1);
-}
-
-/// The observer argument of a kernel call nobody watches.
-const UNOBSERVED: Option<fn(usize, GateProfile)> = None;
-
-/// The telemetry observer of the gate entry points: `None` (one atomic
-/// load) unless telemetry is enabled.
-fn gate_split_recorder<'g>(
-    gate: impl Fn(usize) -> BootGate + 'g,
-) -> Option<impl FnMut(usize, GateProfile) + 'g> {
-    pytfhe_telemetry::enabled()
-        .then_some(move |lane: usize, split: GateProfile| record_gate_split(gate(lane), split))
+    let share = |d: Duration| d.as_secs_f64() / lanes as f64;
+    let (rotation, key_switch) = (share(rotation), share(key_switch));
+    for lane in 0..lanes {
+        let name = gate(lane).name();
+        m.observe_seconds(&format!("tfhe_blind_rotate_seconds{{gate=\"{name}\"}}"), rotation);
+        m.observe_seconds(&format!("tfhe_key_switch_seconds{{gate=\"{name}\"}}"), key_switch);
+    }
+    m.counter_add("tfhe_bootstraps_total", lanes as u64);
 }
 
 impl GateScratch {
@@ -250,40 +219,40 @@ impl ServerKey {
 
     /// The staged-batch bootstrap kernel every bootstrapped entry point
     /// of this key is a call into. Over cache-sized chunks of
-    /// [`FUSE_CHUNK`] lanes: `stage(lane, soa, slot)` writes each lane's
-    /// linear combination into a struct-of-arrays slot, and one
-    /// input-owned pass over the bootstrapping key rotates the test vector
-    /// `mu = 1/8` by each slot
+    /// [`FUSE_CHUNK`] lanes: each lane's linear combination of
+    /// `gate(lane)` over `pairs[lane]` is staged into a struct-of-arrays
+    /// slot, and one input-owned pass over the bootstrapping key rotates
+    /// the test vector `mu = 1/8` by each slot
     /// ([`crate::bootstrap::BootstrappingKey::rotate_batch_into`]). Every
     /// raw sample of the call is kept, and one element-major pass over the
-    /// key-switching key switches them all as `tail` says. `observe`,
-    /// when present, receives each lane's timing split: the call's
-    /// staging, rotation and key-switch time each divided evenly over its
-    /// lanes. On a banded scratch ([`GateScratch::band`]) the rotation
-    /// and the key switch compute this member's share, every member's
-    /// `outs` receive the whole result, and only the first member
-    /// observes. Staging and rotation are *fused* per chunk, so the
-    /// staged masks are still cache-resident when the rotation reads
-    /// them. A lane's arithmetic does not depend on the width or the
-    /// position it runs at, so every entry point is bit-exact with every
-    /// other on the same inputs, and the call is allocation-free once the
-    /// scratch has served a call this wide.
+    /// key-switching key switches them all as `tail` says. With telemetry
+    /// enabled, a [`Tail::Each`] call records its rotation and key-switch
+    /// time ([`record_gate_split`]); a `MUX` records nothing. On a banded
+    /// scratch ([`GateScratch::band`]) the rotation and the key switch
+    /// compute this member's share, every member's `outs` receive the
+    /// whole result, and only the first member records. Staging and
+    /// rotation are *fused* per chunk, so the staged masks are still
+    /// cache-resident when the rotation reads them. A lane's arithmetic
+    /// does not depend on the width or the position it runs at, so every
+    /// entry point is bit-exact with every other on the same inputs, and
+    /// the call is allocation-free once the scratch has served a call
+    /// this wide.
     ///
     /// # Panics
     ///
-    /// Panics if a staged ciphertext is not of the key's LWE dimension
-    /// ([`LweSoa::axpy`]), or `outs` does not match `tail` (`lanes`
-    /// outputs for [`Tail::Each`]; one output and a single chunk for
+    /// Panics if an input is not of the key's LWE dimension
+    /// ([`LweSoa::axpy`]), or `outs` does not match `tail` (one output
+    /// per pair for [`Tail::Each`]; one output and a single chunk for
     /// [`Tail::Sum`]).
     fn bootstrap_staged(
         &self,
         scratch: &mut GateScratch,
-        lanes: usize,
-        stage: impl Fn(usize, &mut LweSoa, usize),
+        gate: impl Fn(usize) -> BootGate,
+        pairs: &[(&LweCiphertext, &LweCiphertext)],
         tail: Tail,
         outs: &mut [LweCiphertext],
-        observe: Option<impl FnMut(usize, GateProfile)>,
     ) {
+        let lanes = pairs.len();
         match tail {
             Tail::Each => assert_eq!(outs.len(), lanes, "one output per lane"),
             Tail::Sum(_) => assert!(outs.len() == 1 && lanes <= FUSE_CHUNK, "one summed chunk"),
@@ -294,31 +263,30 @@ impl ServerKey {
             raws.resize_with(lanes, || LweCiphertext::trivial(Torus32::ZERO, ext_dim));
         }
         let raws = &mut raws[..lanes];
-        // A gang's bootstrap is observed once, by its first member.
-        let mut observe = observe.filter(|_| boot.leads());
-        let timed = observe.is_some();
-        let now = || timed.then(Instant::now);
-        let (mut linear, mut rotation) = (Duration::ZERO, Duration::ZERO);
+        let timed = pytfhe_telemetry::enabled() && matches!(tail, Tail::Each) && boot.leads();
+        let mut rotation = Duration::ZERO;
         let mu = Self::mu();
         for (base, raws) in (0..).step_by(FUSE_CHUNK).zip(raws.chunks_mut(FUSE_CHUNK)) {
             let width = raws.len();
-            let t0 = now();
             soa.reset(width);
             for slot in 0..width {
-                stage(base + slot, soa, slot);
+                let ((offset, ca, cb), (a, b)) = (gate(base + slot).spec(), pairs[base + slot]);
+                soa.set_body(slot, offset);
+                soa.axpy(slot, ca, a);
+                soa.axpy(slot, cb, b);
             }
-            let t1 = now();
             let mut inputs: [(&[Torus32], Torus32); FUSE_CHUNK] =
                 [(&[][..], Torus32::ZERO); FUSE_CHUNK];
             for (slot, input) in inputs.iter_mut().take(width).enumerate() {
                 *input = soa.slot(slot);
             }
+            let start = timed.then(Instant::now);
             self.bootstrap.rotate_batch_into(&inputs[..width], mu, boot, raws);
-            if let (Some(t0), Some(t1)) = (t0, t1) {
-                (linear, rotation) = (linear + (t1 - t0), rotation + t1.elapsed());
+            if let Some(start) = start {
+                rotation += start.elapsed();
             }
         }
-        let k0 = now();
+        let start = timed.then(Instant::now);
         match tail {
             Tail::Each => boot.key_switch_into(&self.keyswitch, raws, outs),
             Tail::Sum(offset) => {
@@ -328,35 +296,9 @@ impl ServerKey {
                 boot.key_switch_into(&self.keyswitch, std::slice::from_ref(sum), outs);
             }
         }
-        if let (Some(observe), Some(k0)) = (observe.as_mut(), k0) {
-            let share = |d: Duration| d.as_secs_f64() / lanes as f64;
-            let split = GateProfile {
-                linear_s: share(linear),
-                blind_rotation_s: share(rotation),
-                key_switching_s: share(k0.elapsed()),
-            };
-            (0..lanes).for_each(|lane| observe(lane, split));
+        if let Some(start) = start {
+            record_gate_split(gate, lanes, rotation, start.elapsed());
         }
-    }
-
-    /// The gate entry points' call into the kernel: the linear
-    /// combination of `gate(lane)` over `pairs[lane]`.
-    fn bootstrap_gates(
-        &self,
-        scratch: &mut GateScratch,
-        gate: impl Fn(usize) -> BootGate,
-        pairs: &[(&LweCiphertext, &LweCiphertext)],
-        tail: Tail,
-        outs: &mut [LweCiphertext],
-        observe: Option<impl FnMut(usize, GateProfile)>,
-    ) {
-        let stage = |lane: usize, soa: &mut LweSoa, slot: usize| {
-            let ((offset, ca, cb), (a, b)) = (gate(lane).spec(), pairs[lane]);
-            soa.set_body(slot, offset);
-            soa.axpy(slot, ca, a);
-            soa.axpy(slot, cb, b);
-        };
-        self.bootstrap_staged(scratch, pairs.len(), stage, tail, outs, observe);
     }
 
     /// Evaluates one bootstrapped binary gate into `out` — a one-lane
@@ -390,8 +332,7 @@ impl ServerKey {
         outs: &mut [LweCiphertext],
         scratch: &mut GateScratch,
     ) {
-        let record = gate_split_recorder(|_| gate);
-        self.bootstrap_gates(scratch, |_| gate, pairs, Tail::Each, outs, record);
+        self.bootstrap_staged(scratch, |_| gate, pairs, Tail::Each, outs);
     }
 
     /// Evaluates one batched kernel of *mixed* gate kinds: `gates[i]`
@@ -416,8 +357,7 @@ impl ServerKey {
         scratch: &mut GateScratch,
     ) {
         assert_eq!(gates.len(), pairs.len(), "batch_bootstrap_mixed: gates/pairs mismatch");
-        let record = gate_split_recorder(|lane| gates[lane]);
-        self.bootstrap_gates(scratch, |lane| gates[lane], pairs, Tail::Each, outs, record);
+        self.bootstrap_staged(scratch, |lane| gates[lane], pairs, Tail::Each, outs);
     }
 
     /// One bootstrapped binary gate into a fresh ciphertext, with
@@ -473,7 +413,7 @@ impl ServerKey {
         let (gates, tail) = ([BootGate::And, BootGate::Andny], Tail::Sum(Self::mu()));
         let mut out = LweCiphertext::trivial(Torus32::ZERO, self.params.lwe_dim);
         let outs = std::slice::from_mut(&mut out);
-        self.bootstrap_gates(scratch, |l| gates[l], &[(s, a), (s, b)], tail, outs, UNOBSERVED);
+        self.bootstrap_staged(scratch, |l| gates[l], &[(s, a), (s, b)], tail, outs);
         out
     }
 
@@ -520,22 +460,6 @@ impl ServerKey {
     /// See [`ServerKey::mux_with`].
     pub fn mux(&self, s: &LweCiphertext, a: &LweCiphertext, b: &LweCiphertext) -> LweCiphertext {
         self.mux_with(s, a, b, &mut self.gate_scratch())
-    }
-
-    /// Evaluates one gate while timing its phases — the measurement behind
-    /// the Figure 7 reproduction.
-    pub fn profile_nand(
-        &self,
-        a: &LweCiphertext,
-        b: &LweCiphertext,
-    ) -> (LweCiphertext, GateProfile) {
-        let mut profile = GateProfile::default();
-        let observe = Some(|_: usize, split: GateProfile| profile = split);
-        let mut out = LweCiphertext::trivial(Torus32::ZERO, self.params.lwe_dim);
-        let outs = std::slice::from_mut(&mut out);
-        let scratch = &mut self.gate_scratch();
-        self.bootstrap_gates(scratch, |_| BootGate::Nand, &[(a, b)], Tail::Each, outs, observe);
-        (out, profile)
     }
 }
 
@@ -722,21 +646,5 @@ mod tests {
             value = !value; // nand(x, 1) == !x
             assert_eq!(client.decrypt_bit(&ct), value);
         }
-    }
-
-    #[test]
-    fn profile_reports_nonzero_phases() {
-        let (client, server, mut rng) = setup();
-        let a = client.encrypt_bit(true, &mut rng);
-        let b = client.encrypt_bit(true, &mut rng);
-        let (out, profile) = server.profile_nand(&a, &b);
-        assert!(!client.decrypt_bit(&out));
-        assert!(profile.blind_rotation_s > 0.0);
-        assert!(profile.key_switching_s > 0.0);
-        assert!(
-            profile.blind_rotation_s > profile.key_switching_s,
-            "blind rotation dominates (Figure 7)"
-        );
-        assert!(profile.total_s() > 0.0);
     }
 }

@@ -5,11 +5,19 @@
 //! generation plus real bootstraps) but prove that the default parameters
 //! decrypt correctly through bootstrapped gate chains.
 
+use pytfhe_telemetry as telemetry;
 use pytfhe_tfhe::io::{server_key_from_bytes, server_key_to_bytes};
 use pytfhe_tfhe::{BootGate, ClientKey, GateScratch, LweCiphertext, Params, SecureRng};
+use std::sync::{PoisonError, RwLock};
+
+/// Held for reading by every test that bootstraps, and for writing by the
+/// one that counts the process-global telemetry metrics. It guards no
+/// data, so a test that panicked under it leaves nothing to recover.
+static TELEMETRY: RwLock<()> = RwLock::new(());
 
 #[test]
 fn default_128_gates_are_correct() {
+    let _shared = TELEMETRY.read().unwrap_or_else(PoisonError::into_inner);
     let mut rng = SecureRng::seed_from_u64(2023);
     let params = Params::default_128();
     let client = ClientKey::generate(params, &mut rng);
@@ -37,21 +45,52 @@ fn default_128_gates_are_correct() {
 }
 
 #[test]
-fn default_128_gate_profile_shape() {
-    // Figure 7 of the paper: blind rotation dominates, key switching second.
+fn default_128_gate_calls_record_the_fig7_split() {
+    // Figure 7 of the paper: blind rotation dominates key switching. The
+    // metrics registry is process-global, so no other test bootstraps
+    // while this one counts.
+    let _alone = TELEMETRY.write().unwrap_or_else(PoisonError::into_inner);
     let mut rng = SecureRng::seed_from_u64(2024);
-    let params = Params::default_128();
-    let client = ClientKey::generate(params, &mut rng);
+    let client = ClientKey::generate(Params::default_128(), &mut rng);
     let server = client.server_key(&mut rng);
     let a = client.encrypt_bit(true, &mut rng);
     let b = client.encrypt_bit(false, &mut rng);
-    let (_, profile) = server.profile_nand(&a, &b);
-    assert!(profile.blind_rotation_s > profile.key_switching_s);
-    assert!(profile.key_switching_s > profile.linear_s);
+    let mut scratch = server.gate_scratch();
+    let mut out = server.constant(false);
+    // (observations, seconds) of both phases for `nand`, and bootstraps.
+    let split = || {
+        let snapshot = telemetry::metrics().snapshot();
+        let phase = |name: &str| {
+            let h = snapshot.histograms.get(&format!("{name}{{gate=\"nand\"}}"));
+            h.map_or((0, 0.0), |h| (h.count(), h.sum()))
+        };
+        let bootstraps = snapshot.counters.get("tfhe_bootstraps_total").copied().unwrap_or(0);
+        (phase("tfhe_blind_rotate_seconds"), phase("tfhe_key_switch_seconds"), bootstraps)
+    };
+
+    telemetry::set_enabled(true);
+    let before = split();
+    const N: u64 = 3;
+    for _ in 0..N {
+        server.gate_into(BootGate::Nand, &a, &b, &mut scratch, &mut out);
+    }
+    let after = split();
+    let selected = server.mux_with(&a, &a, &b, &mut scratch);
+    let after_mux = split();
+    telemetry::set_enabled(false);
+
+    assert!(client.decrypt_bit(&out) && client.decrypt_bit(&selected));
+    let (((br0, br0_s), (ks0, ks0_s), boot0), ((br1, br1_s), (ks1, ks1_s), boot1)) =
+        (before, after);
+    assert_eq!((br1 - br0, ks1 - ks0, boot1 - boot0), (N, N, N), "one observation per gate");
+    let (br_s, ks_s) = (br1_s - br0_s, ks1_s - ks0_s);
+    assert!(br_s > ks_s, "blind rotation ({br_s:.6} s) dominates key switching ({ks_s:.6} s)");
+    assert_eq!(after_mux, after, "a MUX records nothing");
 }
 
 #[test]
 fn a_banded_pair_bootstraps_a_default_128_gate_bit_identically() {
+    let _shared = TELEMETRY.read().unwrap_or_else(PoisonError::into_inner);
     let mut rng = SecureRng::seed_from_u64(2025);
     let client = ClientKey::generate(Params::default_128(), &mut rng);
     let server = client.server_key(&mut rng);
@@ -74,6 +113,7 @@ fn a_banded_pair_bootstraps_a_default_128_gate_bit_identically() {
 
 #[test]
 fn every_gate_and_mux_is_correct_under_a_decoded_default_128_key() {
+    let _shared = TELEMETRY.read().unwrap_or_else(PoisonError::into_inner);
     // The key the server runs on is the one it decodes: masks regenerated
     // from the seed, spectra recomputed on this host.
     let mut rng = SecureRng::seed_from_u64(2026);

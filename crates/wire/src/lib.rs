@@ -211,8 +211,12 @@ impl std::error::Error for WireError {}
 /// Reflected Castagnoli polynomial.
 const CRC32C_POLY: u32 = 0x82F6_3B78;
 
-const fn build_crc_table() -> [u32; 256] {
-    let mut table = [0u32; 256];
+/// Slice-by-8 tables: `CRC_TABLES[0][b]` is the CRC of byte `b` alone,
+/// and `CRC_TABLES[k][b]` the contribution of byte `b` positioned `k`
+/// bytes before the end of an 8-byte block, letting
+/// [`crc32c_update_portable`] fold 8 input bytes per step instead of one.
+const fn build_crc_tables() -> [[u32; 256]; 8] {
+    let mut tables = [[0u32; 256]; 8];
     let mut i = 0;
     while i < 256 {
         let mut crc = i as u32;
@@ -221,28 +225,15 @@ const fn build_crc_table() -> [u32; 256] {
             crc = if crc & 1 != 0 { (crc >> 1) ^ CRC32C_POLY } else { crc >> 1 };
             bit += 1;
         }
-        table[i] = crc;
+        tables[0][i] = crc;
         i += 1;
     }
-    table
-}
-
-static CRC_TABLE: [u32; 256] = build_crc_table();
-
-/// Slice-by-8 companion tables: `CRC_TABLES[k][b]` is the CRC
-/// contribution of byte `b` positioned `k` bytes before the end of an
-/// 8-byte block, letting [`crc32c_update_portable`] fold 8 input bytes
-/// per step instead of one.
-const fn build_crc_tables() -> [[u32; 256]; 8] {
-    let base = build_crc_table();
-    let mut tables = [[0u32; 256]; 8];
-    tables[0] = base;
     let mut t = 1;
     while t < 8 {
         let mut i = 0;
         while i < 256 {
             let prev = tables[t - 1][i];
-            tables[t][i] = (prev >> 8) ^ base[(prev & 0xFF) as usize];
+            tables[t][i] = (prev >> 8) ^ tables[0][(prev & 0xFF) as usize];
             i += 1;
         }
         t += 1;
@@ -310,7 +301,7 @@ fn crc32c_update_portable(mut state: u32, bytes: &[u8]) -> u32 {
             ^ CRC_TABLES[0][chunk[7] as usize];
     }
     for &b in chunks.remainder() {
-        state = (state >> 8) ^ CRC_TABLE[((state ^ u32::from(b)) & 0xFF) as usize];
+        state = (state >> 8) ^ CRC_TABLES[0][((state ^ u32::from(b)) & 0xFF) as usize];
     }
     state
 }

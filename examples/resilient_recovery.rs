@@ -65,7 +65,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         stats.waves,
         stats.retries,
     );
-    println!("run 2 stats:\n{stats}");
+    println!(
+        "run 2 stats: {} gates, {} checkpoint(s), {} evicted worker(s), {:.3} s",
+        stats.gates, stats.checkpoints, stats.evicted_workers, stats.wall_s
+    );
 
     // --- Decrypt and check. ---------------------------------------------
     let out_bits = client.decrypt_bits(&outputs);

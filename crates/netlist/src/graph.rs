@@ -288,10 +288,11 @@ impl Netlist {
         self.outputs.iter().map(|o| values[o.index()]).collect()
     }
 
-    /// Drops output marks beyond `len`; used by the optimizer's rewriter,
-    /// which rebuilds the flat output list itself.
-    pub(crate) fn truncate_outputs_impl(&mut self, len: usize) {
-        self.outputs.truncate(len);
+    /// Records an output port whose bits are already marked as outputs;
+    /// used by the optimizer's rewriter, which rebuilds the flat output
+    /// list itself to preserve its order exactly.
+    pub(crate) fn push_output_port_raw(&mut self, name: String, bits: Vec<NodeId>) {
+        self.output_ports.push(Port { name, bits });
     }
 
     /// Checks structural invariants: operands precede their gates, outputs

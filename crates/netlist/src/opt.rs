@@ -12,7 +12,12 @@
 //!   the negated-input gate kinds (`AND(!a, b) → ANDNY(a, b)`),
 //! * [`cse`] — structural common-subexpression elimination,
 //! * [`dce`] — dead-gate elimination by backward reachability,
-//! * [`optimize`] — runs the full pipeline to a fixpoint.
+//! * [`optimize`] — all four at once: one forward sweep that absorbs,
+//!   folds and hash-conses each gate as it copies it, then one [`dce`].
+//!
+//! The first three are that same sweep with one rule each. Each rule reads
+//! only operands the sweep has already rewritten, so one sweep reaches the
+//! fixpoint that iterating the four passes approaches (DESIGN.md §17).
 //!
 //! All passes preserve the number and order of primary inputs and outputs,
 //! so an optimized netlist is a drop-in replacement for the original.
@@ -23,54 +28,101 @@
 //!   `max_width` leaves whose evaluation as one lookup table would save
 //!   bootstraps, and counts what such a lowering would cost.
 
-use crate::{GateKind, LevelSchedule, Netlist, NetlistError, Node, NodeId, Port};
-use std::borrow::Cow;
-use std::collections::HashMap;
+use crate::{GateKind, Netlist, NetlistError, Node, NodeId};
 use std::fmt;
-use std::hash::{BuildHasherDefault, Hasher};
-
-/// A multiplicative hasher in the style of rustc's `FxHasher`: one rotate,
-/// xor and multiply per word. [`cse`] keys its tables by gate kinds and
-/// node ids of netlists the caller built (the serve protocol never runs
-/// the optimizer on a received program), so SipHash's resistance to
-/// chosen keys buys nothing.
-#[derive(Default)]
-struct FxHasher(u64);
-
-impl Hasher for FxHasher {
-    fn write(&mut self, bytes: &[u8]) {
-        for chunk in bytes.chunks(8) {
-            let mut word = [0u8; 8];
-            word[..chunk.len()].copy_from_slice(chunk);
-            self.write_u64(u64::from_le_bytes(word));
-        }
-    }
-
-    fn write_u64(&mut self, word: u64) {
-        self.0 = (self.0.rotate_left(5) ^ word).wrapping_mul(0x51_7c_c1_b7_27_22_0a_95);
-    }
-
-    fn write_u32(&mut self, word: u32) {
-        self.write_u64(word.into());
-    }
-
-    fn write_usize(&mut self, word: usize) {
-        self.write_u64(word as u64);
-    }
-
-    fn finish(&self) -> u64 {
-        self.0
-    }
-}
-
-type FxHashMap<K, V> = HashMap<K, V, BuildHasherDefault<FxHasher>>;
 
 /// Result of resolving an old node through a rewrite: either a known
 /// constant or a node in the new netlist.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Lit {
     Const(bool),
     Id(NodeId),
+}
+
+impl Lit {
+    /// The node of a literal the pass never folds to a constant.
+    fn id(self) -> NodeId {
+        match self {
+            Lit::Id(id) => id,
+            Lit::Const(_) => unreachable!("an operand read by the pass folded to a constant"),
+        }
+    }
+}
+
+/// Hash-consing over the gates of the netlist being built, filed under
+/// their higher operand `b`. The first [`CHAIN`] gates under a node form a
+/// list threaded through `links`, newest first: a netlist built in
+/// topological order reads mostly recent nodes, so the lists it walks stay
+/// in cache. The gates under a node with a full list spill to an
+/// open-addressing table. Either way an entry is a node id and the key
+/// `(kind, a, b)` is read back from the node, so no key is stored twice.
+#[derive(Default)]
+struct GateTable {
+    /// Per node of the new netlist: the newest gate in its list, and the
+    /// next older gate of the list the node itself is in.
+    links: Vec<[u32; 2]>,
+    /// The spilled gates' ids, or [`EMPTY`], at load at most one half.
+    slots: Vec<u32>,
+    spilled: usize,
+}
+
+/// The longest list [`GateTable`] walks before it spills.
+const CHAIN: usize = 16;
+
+const EMPTY: u32 = u32::MAX;
+
+impl GateTable {
+    /// The node of `out` computing `kind(a, b)`, appended if none does yet.
+    /// The gate must be in the form [`canonical_gate`] gives.
+    fn intern(&mut self, out: &mut Netlist, kind: GateKind, a: NodeId, b: NodeId) -> NodeId {
+        self.links.resize(out.num_nodes(), [EMPTY; 2]);
+        let want = Node::Gate { kind, a, b };
+        // Only a constant in an empty netlist names a node not there yet.
+        let head = self.links.get(b.index()).map_or(EMPTY, |l| l[0]);
+        let (mut i, mut filed) = (head, 0);
+        while i != EMPTY {
+            if out.nodes()[i as usize] == want {
+                return NodeId(i);
+            }
+            (i, filed) = (self.links[i as usize][1], filed + 1);
+        }
+        if filed < CHAIN {
+            let id = out.add_gate(kind, a, b).expect("operands exist in the new netlist");
+            self.links.push([EMPTY, head]);
+            self.links[b.index()][0] = id.0;
+            return id;
+        }
+        if 2 * (self.spilled + 1) > self.slots.len() {
+            // Double the slots and re-place every id by its node's key.
+            let grown = vec![EMPTY; 2 * self.slots.len().max(512)];
+            let old = std::mem::replace(&mut self.slots, grown);
+            for id in old.into_iter().filter(|&s| s != EMPTY) {
+                let slot = self.slot(out, out.nodes()[id as usize]);
+                self.slots[slot] = id;
+            }
+        }
+        let slot = self.slot(out, want);
+        if self.slots[slot] == EMPTY {
+            self.slots[slot] =
+                out.add_gate(kind, a, b).expect("operands exist in the new netlist").0;
+            self.spilled += 1;
+        }
+        NodeId(self.slots[slot])
+    }
+
+    /// The slot holding `gate`, or the empty slot it belongs in.
+    fn slot(&self, out: &Netlist, gate: Node) -> usize {
+        const K: u64 = 0x9e37_79b9_7f4a_7c15;
+        let Node::Gate { kind, a, b } = gate else { unreachable!("the table holds gates only") };
+        let key = u64::from(a.0) | u64::from(b.0) << 32;
+        let hash = (key.wrapping_mul(K) ^ u64::from(kind.opcode())).wrapping_mul(K);
+        let mask = self.slots.len() - 1;
+        let mut i = (hash >> (64 - self.slots.len().trailing_zeros())) as usize;
+        while self.slots[i] != EMPTY && out.nodes()[self.slots[i] as usize] != gate {
+            i = (i + 1) & mask;
+        }
+        i
+    }
 }
 
 /// Bookkeeping shared by all passes: maps old node ids to new literals and
@@ -78,31 +130,42 @@ enum Lit {
 struct Rewriter {
     out: Netlist,
     map: Vec<Lit>,
+    /// Present when the rewrite shares structurally equal gates: every gate
+    /// is then emitted in canonical form, through this table.
+    table: Option<GateTable>,
+    /// The `CONST0` and `CONST1` nodes materialized so far: every output
+    /// that folds to a constant reads one shared node.
+    consts: [Option<NodeId>; 2],
 }
 
 impl Rewriter {
-    fn new(nl: &Netlist) -> Self {
+    fn new(nl: &Netlist, share: bool) -> Self {
         Rewriter {
             out: Netlist::with_capacity(nl.num_nodes()),
             map: Vec::with_capacity(nl.num_nodes()),
+            table: share.then(GateTable::default),
+            consts: [None; 2],
         }
     }
 
-    /// Copies a primary input (inputs are always preserved).
-    fn copy_input(&mut self) {
-        let id = self.out.add_input();
-        self.map.push(Lit::Id(id));
+    /// Emits `kind(a, b)` into the new netlist, or finds it there when the
+    /// rewrite shares gates.
+    fn emit(&mut self, kind: GateKind, a: NodeId, b: NodeId) -> NodeId {
+        match &mut self.table {
+            Some(table) => {
+                let (kind, a, b) = canonical_gate(kind, a, b);
+                table.intern(&mut self.out, kind, a, b)
+            }
+            None => self.out.add_gate(kind, a, b).expect("operands exist in the new netlist"),
+        }
     }
 
-    fn resolve(&self, old: NodeId) -> Lit {
-        self.map[old.index()]
-    }
-
-    /// The new node of `old`, for passes that never fold to a constant.
-    fn id(&self, old: NodeId) -> NodeId {
-        match self.resolve(old) {
-            Lit::Id(id) => id,
-            Lit::Const(_) => unreachable!("an operand read by the pass folded to a constant"),
+    /// What a literal negates, if it is a `NOT` gate of the new netlist.
+    fn negand(&self, lit: Lit) -> Option<NodeId> {
+        let Lit::Id(id) = lit else { return None };
+        match self.out.node(id) {
+            Node::Gate { kind: GateKind::Not, a, .. } => Some(a),
+            _ => None,
         }
     }
 
@@ -111,76 +174,37 @@ impl Rewriter {
     fn materialize(&mut self, lit: Lit) -> NodeId {
         match lit {
             Lit::Id(id) => id,
-            Lit::Const(b) => {
-                let kind = if b { GateKind::Const1 } else { GateKind::Const0 };
-                let zero = NodeId(0);
-                self.out
-                    .add_gate(kind, zero, zero)
-                    .expect("materializing a constant cannot fail: node 0 exists")
-            }
+            Lit::Const(c) => match self.consts[usize::from(c)] {
+                Some(id) => id,
+                None => {
+                    let kind = if c { GateKind::Const1 } else { GateKind::Const0 };
+                    let id = self.emit(kind, NodeId(0), NodeId(0));
+                    *self.consts[usize::from(c)].insert(id)
+                }
+            },
         }
     }
 
     /// Finishes the rewrite: rebuilds outputs and ports of `src` in the new
     /// netlist.
-    fn finish(mut self, src: &Netlist) -> Netlist {
+    fn finish(mut self, src: &Netlist) -> (Netlist, PassStats) {
         debug_assert_eq!(self.map.len(), src.num_nodes());
-        let outputs: Vec<Lit> = src.outputs().iter().map(|&o| self.resolve(o)).collect();
-        // Output ports first (they mark their own outputs); plain outputs
-        // that belong to no port are re-marked individually. To preserve
-        // output *order* exactly we bypass declare_output_port and rebuild
-        // both lists manually.
-        for lit in outputs {
-            let id = self.materialize(lit);
+        // The flat output list keeps its order; port metadata is recorded
+        // without marking the outputs again.
+        for &o in src.outputs() {
+            let id = self.materialize(self.map[o.index()]);
             self.out.mark_output(id).expect("materialized output exists");
         }
-        let in_ports: Vec<Port> = src
-            .input_ports()
-            .iter()
-            .map(|p| Port {
-                name: p.name.clone(),
-                bits: p
-                    .bits
-                    .iter()
-                    .map(|&b| match self.resolve(b) {
-                        Lit::Id(id) => id,
-                        Lit::Const(_) => unreachable!("primary inputs never fold to constants"),
-                    })
-                    .collect(),
-            })
-            .collect();
-        for p in in_ports {
-            self.out.declare_input_port(p.name, p.bits).expect("rewritten input port stays valid");
+        for p in src.input_ports() {
+            let bits = p.bits.iter().map(|&b| self.map[b.index()].id()).collect();
+            self.out.declare_input_port(p.name.clone(), bits).expect("rewritten port stays valid");
         }
-        let out_ports: Vec<(String, Vec<Lit>)> = src
-            .output_ports()
-            .iter()
-            .map(|p| (p.name.clone(), p.bits.iter().map(|&b| self.resolve(b)).collect()))
-            .collect();
-        for (name, lits) in out_ports {
-            let bits: Vec<NodeId> = lits.into_iter().map(|l| self.materialize(l)).collect();
-            // Port bits were already marked as outputs above (output ports
-            // contribute to `outputs()`), so only record the port metadata.
-            self.out.push_output_port_raw(name, bits);
+        for p in src.output_ports() {
+            let bits = p.bits.iter().map(|&b| self.materialize(self.map[b.index()])).collect();
+            self.out.push_output_port_raw(p.name.clone(), bits);
         }
-        self.out
-    }
-}
-
-impl Netlist {
-    /// Records output-port metadata without re-marking outputs; used by the
-    /// rewriter, which reconstructs the flat output list itself to preserve
-    /// ordering exactly.
-    pub(crate) fn push_output_port_raw(&mut self, name: String, bits: Vec<NodeId>) {
-        // Reuse declare_output_port's validation but drop the extra marks it
-        // added: it appends `bits.len()` entries at the tail.
-        let before = self.outputs().len();
-        self.declare_output_port(name, bits).expect("rewritten output port stays valid");
-        self.truncate_outputs(before);
-    }
-
-    pub(crate) fn truncate_outputs(&mut self, len: usize) {
-        self.truncate_outputs_impl(len);
+        let stats = PassStats { gates_before: src.num_gates(), gates_after: self.out.num_gates() };
+        (self.out, stats)
     }
 }
 
@@ -200,42 +224,66 @@ impl PassStats {
     }
 }
 
+/// The rules a [`sweep`] applies to each gate as it copies it.
+#[derive(Clone, Copy)]
+struct Rules {
+    /// Turn a `NOT` operand into the gate's negated-input kind.
+    absorb: bool,
+    /// Propagate constants and apply the identities of [`fold_gate`].
+    fold: bool,
+    /// Share structurally equal gates through a [`GateTable`].
+    share: bool,
+}
+
+/// Copies `nl` in node order, rewriting each gate by `rules` after its
+/// operands have been rewritten.
+fn sweep(nl: &Netlist, rules: Rules) -> (Netlist, PassStats) {
+    let mut rw = Rewriter::new(nl, rules.share);
+    for node in nl.nodes() {
+        let lit = match *node {
+            Node::Input => Lit::Id(rw.out.add_input()),
+            Node::Gate { kind, .. } if kind.is_const() && rules.fold => {
+                Lit::Const(kind == GateKind::Const1)
+            }
+            // A constant's operands are placeholders that need not exist.
+            Node::Gate { kind, .. } if kind.is_const() => {
+                Lit::Id(rw.emit(kind, NodeId(0), NodeId(0)))
+            }
+            Node::Gate { mut kind, a, b } => {
+                let (mut la, mut lb) = (rw.map[a.index()], rw.map[b.index()]);
+                if rules.absorb {
+                    if let (Some(y), Some(k)) = (rw.negand(la), kind.absorb_not_a()) {
+                        (kind, la) = (k, Lit::Id(y));
+                        if kind.is_unary() {
+                            lb = la;
+                        }
+                    }
+                    if let (Some(y), Some(k)) = (rw.negand(lb), kind.absorb_not_b()) {
+                        (kind, lb) = (k, Lit::Id(y));
+                    }
+                }
+                if rules.fold {
+                    fold_gate(&mut rw, kind, la, lb)
+                } else {
+                    Lit::Id(rw.emit(kind, la.id(), lb.id()))
+                }
+            }
+        };
+        rw.map.push(lit);
+    }
+    rw.finish(nl)
+}
+
 /// Propagates constants, simplifies same-operand identities, and removes
 /// buffers and double negations.
 pub fn constant_fold(nl: &Netlist) -> (Netlist, PassStats) {
-    let before = nl.num_gates();
-    let mut rw = Rewriter::new(nl);
-    for node in nl.nodes() {
-        match *node {
-            Node::Input => rw.copy_input(),
-            Node::Gate { kind, a, b } => {
-                let lit = if kind.is_const() {
-                    Lit::Const(kind == GateKind::Const1)
-                } else {
-                    let la = rw.resolve(a);
-                    let lb = rw.resolve(b);
-                    fold_gate(&mut rw, kind, la, lb)
-                };
-                rw.map.push(lit);
-            }
-        }
-    }
-    let out = rw.finish(nl);
-    let stats = PassStats { gates_before: before, gates_after: out.num_gates() };
-    (out, stats)
+    sweep(nl, Rules { absorb: false, fold: true, share: false })
 }
 
-/// Core folding rules for a single gate; emits a gate only when no rule
-/// applies.
+/// Core folding rules for a single non-constant gate; emits a gate only
+/// when no rule applies.
 fn fold_gate(rw: &mut Rewriter, kind: GateKind, la: Lit, lb: Lit) -> Lit {
     use GateKind::*;
-    // Rule 0: constants evaluate immediately.
-    if kind == Const0 {
-        return Lit::Const(false);
-    }
-    if kind == Const1 {
-        return Lit::Const(true);
-    }
     // Rule 1: both operands constant.
     if let (Lit::Const(ca), Lit::Const(cb)) = (la, lb) {
         return Lit::Const(kind.eval(ca, cb));
@@ -258,29 +306,24 @@ fn fold_gate(rw: &mut Rewriter, kind: GateKind, la: Lit, lb: Lit) -> Lit {
     if let Lit::Const(c) = lb {
         return specialize(rw, kind, c, la, false);
     }
+    let (ia, ib) = (la.id(), lb.id());
     // Rule 4: same-operand identities.
-    if la == lb {
-        let (Lit::Id(id),) = (la,) else { unreachable!() };
+    if ia == ib {
         return match kind {
-            And | Or => Lit::Id(id),
-            Xor => Lit::Const(false),
+            And | Or => Lit::Id(ia),
+            Xor | Andny | Andyn => Lit::Const(false),
             Xnor | Orny | Oryn => Lit::Const(true),
-            Andny | Andyn => Lit::Const(false),
-            Nand | Nor => emit_not(rw, id),
+            Nand | Nor => emit_not(rw, ia),
             Not | Buf | Const0 | Const1 => unreachable!("handled above"),
         };
     }
-    let (Lit::Id(ia), Lit::Id(ib)) = (la, lb) else { unreachable!() };
-    Lit::Id(rw.out.add_gate(kind, ia, ib).expect("operands exist in rewritten netlist"))
+    Lit::Id(rw.emit(kind, ia, ib))
 }
 
 /// Emits (or folds) a NOT of an existing new-netlist node.
 fn emit_not(rw: &mut Rewriter, id: NodeId) -> Lit {
     // Collapse double negation: NOT(NOT(x)) = x.
-    if let Node::Gate { kind: GateKind::Not, a, .. } = rw.out.node(id) {
-        return Lit::Id(a);
-    }
-    Lit::Id(rw.out.add_gate(GateKind::Not, id, id).expect("operand exists"))
+    Lit::Id(rw.negand(Lit::Id(id)).unwrap_or_else(|| rw.emit(GateKind::Not, id, id)))
 }
 
 /// Specializes a binary gate with one constant operand. `c` is the constant;
@@ -289,9 +332,7 @@ fn specialize(rw: &mut Rewriter, kind: GateKind, c: bool, other: Lit, const_is_a
     // Evaluate the gate's restriction to the free variable: f(c, x) (or
     // f(x, c)) is one of {0, 1, x, !x}.
     let f = |x: bool| if const_is_a { kind.eval(c, x) } else { kind.eval(x, c) };
-    let f0 = f(false);
-    let f1 = f(true);
-    match (f0, f1) {
+    match (f(false), f(true)) {
         (false, false) => Lit::Const(false),
         (true, true) => Lit::Const(true),
         (false, true) => other, // identity
@@ -306,110 +347,22 @@ fn specialize(rw: &mut Rewriter, kind: GateKind, c: bool, other: Lit, const_is_a
 /// friends). The freed `NOT` gates become dead and are removed by a
 /// subsequent [`dce`] pass.
 pub fn absorb_inverters(nl: &Netlist) -> (Netlist, PassStats) {
-    let before = nl.num_gates();
-    // Which old nodes are NOT gates, and what do they negate?
-    let negand: Vec<Option<NodeId>> = nl
-        .nodes()
-        .iter()
-        .map(|n| match n {
-            Node::Gate { kind: GateKind::Not, a, .. } => Some(*a),
-            _ => None,
-        })
-        .collect();
-    let mut rw = Rewriter::new(nl);
-    for node in nl.nodes() {
-        match *node {
-            Node::Input => rw.copy_input(),
-            Node::Gate { mut kind, mut a, mut b } => {
-                if kind.is_const() {
-                    let id = rw.out.add_gate(kind, NodeId(0), NodeId(0)).expect("const gate");
-                    rw.map.push(Lit::Id(id));
-                    continue;
-                }
-                if let (Some(na), Some(k)) = (negand[a.index()], kind.absorb_not_a()) {
-                    kind = k;
-                    a = na;
-                    if kind.is_unary() {
-                        b = a;
-                    }
-                }
-                if !kind.is_unary() && !kind.is_const() {
-                    if let (Some(nb), Some(k)) = (negand[b.index()], kind.absorb_not_b()) {
-                        kind = k;
-                        b = nb;
-                    }
-                }
-                let id = rw.out.add_gate(kind, rw.id(a), rw.id(b)).expect("operands exist");
-                rw.map.push(Lit::Id(id));
-            }
-        }
-    }
-    let out = rw.finish(nl);
-    let stats = PassStats { gates_before: before, gates_after: out.num_gates() };
-    (out, stats)
+    sweep(nl, Rules { absorb: true, fold: false, share: false })
 }
 
 /// Structural common-subexpression elimination: two gates with the same
-/// function and operands (up to commutativity) are merged.
-///
-/// Structurally equal nodes share a topological level: their operands have
-/// the same representatives, which by induction sit at the same levels. So
-/// the pass deduplicates one [`LevelSchedule`] wave at a time, with tables
-/// the size of a wave, and takes the smallest old id of each class as its
-/// representative. A second pass in node order emits the representatives;
-/// they keep their relative order, so operands canonicalised by old
-/// representative id come out in the order their new ids have.
+/// function and operands (up to commutativity) are merged. The first gate
+/// of each class in node order is kept, and every gate is emitted with its
+/// lower operand first.
 pub fn cse(nl: &Netlist) -> (Netlist, PassStats) {
-    let before = nl.num_gates();
-    let nodes = nl.nodes();
-    let mut rep: Vec<NodeId> = (0..nodes.len() as u32).map(NodeId).collect();
-    let mut gates: FxHashMap<(GateKind, NodeId, NodeId), NodeId> = FxHashMap::default();
-    for wave in &LevelSchedule::compute(nl).waves {
-        gates.clear();
-        for &i in wave {
-            let id = NodeId(i);
-            rep[id.index()] = match nodes[id.index()] {
-                Node::Input => unreachable!("waves hold gates only"),
-                Node::Gate { kind, a, b } => {
-                    *gates.entry(canonical_gate(kind, rep[a.index()], rep[b.index()])).or_insert(id)
-                }
-            };
-        }
-    }
-    let mut rw = Rewriter::new(nl);
-    for (i, node) in nodes.iter().enumerate() {
-        if rep[i].index() != i {
-            rw.map.push(rw.resolve(rep[i]));
-            continue;
-        }
-        let id = match *node {
-            Node::Input => {
-                rw.copy_input();
-                continue;
-            }
-            // A constant's operands are placeholders that need not exist.
-            Node::Gate { kind, .. } if kind.is_const() => {
-                rw.out.add_gate(kind, NodeId(0), NodeId(0))
-            }
-            Node::Gate { kind, a, b } => {
-                let (k, a, b) = canonical_gate(kind, rw.id(a), rw.id(b));
-                rw.out.add_gate(k, a, b)
-            }
-        };
-        rw.map.push(Lit::Id(id.expect("operands exist")));
-    }
-    let out = rw.finish(nl);
-    let stats = PassStats { gates_before: before, gates_after: out.num_gates() };
-    (out, stats)
+    sweep(nl, Rules { absorb: false, fold: false, share: true })
 }
 
-/// The form [`cse`] compares gates in: constants drop their operands, unary
-/// gates read `a` twice, and the lower operand goes first (a non-commutative
-/// gate swaps its kind with them).
+/// The form [`cse`] compares gates in: unary gates read `a` twice, and the
+/// lower operand goes first (a non-commutative gate swaps its kind with
+/// them). Constants are always emitted reading node 0 twice.
 fn canonical_gate(kind: GateKind, a: NodeId, b: NodeId) -> (GateKind, NodeId, NodeId) {
-    if kind.is_const() {
-        (kind, NodeId(0), NodeId(0))
-    } else if kind.is_unary() {
+    if kind.is_unary() {
         (kind, a, a)
     } else if a <= b {
         (kind, a, b)
@@ -424,57 +377,36 @@ fn canonical_gate(kind: GateKind, a: NodeId, b: NodeId) -> (GateKind, NodeId, No
 /// on. Primary inputs are always preserved (the program interface is part of
 /// the contract).
 pub fn dce(nl: &Netlist) -> (Netlist, PassStats) {
-    let before = nl.num_gates();
     let mut live = vec![false; nl.num_nodes()];
     for &out in nl.outputs() {
         live[out.index()] = true;
     }
     for i in (0..nl.num_nodes()).rev() {
-        if !live[i] {
-            continue;
-        }
-        match nl.nodes()[i] {
-            Node::Gate { kind, a, b } => {
-                if !kind.is_const() {
-                    live[a.index()] = true;
-                    if !kind.is_unary() {
-                        live[b.index()] = true;
-                    }
-                }
+        // A unary gate's `b` is its `a`.
+        if let (true, Node::Gate { kind, a, b }) = (live[i], nl.nodes()[i]) {
+            if !kind.is_const() {
+                live[a.index()] = true;
+                live[b.index()] = true;
             }
-            Node::Input => {}
         }
     }
-    let mut rw = Rewriter::new(nl);
+    let mut rw = Rewriter::new(nl, false);
     for (i, node) in nl.nodes().iter().enumerate() {
-        match *node {
-            Node::Input => rw.copy_input(),
-            Node::Gate { kind, a, b } => {
-                if live[i] {
-                    if kind.is_const() {
-                        let id = rw.out.add_gate(kind, NodeId(0), NodeId(0)).expect("const");
-                        rw.map.push(Lit::Id(id));
-                        continue;
-                    }
-                    let id = rw.out.add_gate(kind, rw.id(a), rw.id(b)).expect("operands exist");
-                    rw.map.push(Lit::Id(id));
-                } else {
-                    // Dead; map to an arbitrary placeholder that nothing will
-                    // read. Use the gate's own (live-mapped or not) first
-                    // operand id 0 sentinel via a constant literal.
-                    rw.map.push(Lit::Const(false));
-                }
+        let lit = match *node {
+            Node::Input => Lit::Id(rw.out.add_input()),
+            // A placeholder nothing live reads.
+            Node::Gate { .. } if !live[i] => Lit::Const(false),
+            Node::Gate { kind, .. } if kind.is_const() => {
+                Lit::Id(rw.emit(kind, NodeId(0), NodeId(0)))
             }
-        }
+            Node::Gate { kind, a, b } => {
+                Lit::Id(rw.emit(kind, rw.map[a.index()].id(), rw.map[b.index()].id()))
+            }
+        };
+        rw.map.push(lit);
     }
-    let out = rw.finish(nl);
-    let stats = PassStats { gates_before: before, gates_after: out.num_gates() };
-    (out, stats)
+    rw.finish(nl)
 }
-
-/// Pipeline iterations [`optimize`] runs before giving up on reaching a
-/// fixpoint.
-const MAX_ITERATIONS: usize = 8;
 
 /// Report of a full [`optimize`] run.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
@@ -483,36 +415,19 @@ pub struct OptReport {
     pub gates_before: usize,
     /// Gates after optimization.
     pub gates_after: usize,
-    /// Pipeline iterations executed.
-    pub iterations: usize,
 }
 
-/// Runs constant folding, inverter absorption, CSE and DCE to a fixpoint
-/// (or `MAX_ITERATIONS` = 8 rounds).
+/// Runs constant folding, inverter absorption and CSE as one sweep, then
+/// [`dce`]: the netlist every one of the four passes leaves unchanged.
 ///
 /// # Errors
 ///
 /// Returns an error if the input netlist fails validation.
 pub fn optimize(nl: &Netlist) -> Result<(Netlist, OptReport), NetlistError> {
     nl.validate()?;
-    let mut report =
-        OptReport { gates_before: nl.num_gates(), gates_after: nl.num_gates(), iterations: 0 };
-    type Pass = fn(&Netlist) -> (Netlist, PassStats);
-    let passes: [Pass; 4] = [constant_fold, absorb_inverters, cse, dce];
-    // The first pass reads `nl` itself.
-    let mut current = Cow::Borrowed(nl);
-    for _ in 0..MAX_ITERATIONS {
-        let gates_at_start = current.num_gates();
-        for pass in passes {
-            current = Cow::Owned(pass(&current).0);
-        }
-        report.iterations += 1;
-        if current.num_gates() == gates_at_start {
-            break;
-        }
-    }
-    report.gates_after = current.num_gates();
-    Ok((current.into_owned(), report))
+    let (out, _) = dce(&sweep(nl, Rules { absorb: true, fold: true, share: true }).0);
+    let report = OptReport { gates_before: nl.num_gates(), gates_after: out.num_gates() };
+    Ok((out, report))
 }
 
 /// The widest cone [`lut_cover`] enumerates: a cone's truth table is a
@@ -876,7 +791,6 @@ mod tests {
         let (opt, report) = optimize(&nl).unwrap();
         assert_equivalent(&nl, &opt);
         assert_eq!(opt.num_gates(), 1);
-        assert!(report.iterations >= 1);
         assert_eq!(report.gates_before, 6);
         assert_eq!(report.gates_after, 1);
     }

@@ -83,7 +83,7 @@ fn random_mixed_netlist(max_inputs: usize, max_steps: usize) -> impl Strategy<Va
 }
 
 /// CSE as one table over the whole netlist, probed in node order, here
-/// over ordered maps: the oracle for the level-bucketed [`cse`]. Port-free
+/// over ordered maps: the oracle for the hash-consing [`cse`]. Port-free
 /// netlists only.
 fn reference_cse(nl: &Netlist) -> Netlist {
     assert!(nl.input_ports().is_empty() && nl.output_ports().is_empty());
@@ -120,10 +120,71 @@ fn reference_cse(nl: &Netlist) -> Netlist {
     out
 }
 
+/// The four passes iterated until a round leaves the netlist's bytes
+/// unchanged, with no cap on the rounds: the oracle for [`optimize`].
+fn reference_optimize(nl: &Netlist) -> Netlist {
+    let mut current = nl.clone();
+    for _ in 0..=nl.num_nodes() + 1 {
+        let next = [constant_fold, absorb_inverters, cse, dce]
+            .iter()
+            .fold(current.clone(), |n, p| p(&n).0);
+        if next == current {
+            return current;
+        }
+        current = next;
+    }
+    panic!("the pass loop did not settle in {} rounds", nl.num_nodes() + 2)
+}
+
+/// A ladder whose fold and CSE opportunities unlock one another one rung
+/// at a time, so the pass loop needs a round per rung: more than the eight
+/// rounds the optimizer once stopped at. Rung `i` computes `v = AND(t, b)`
+/// and `u = AND(OR(s, t), b)`, where `s` is the previous rung's
+/// `XOR(u, v)`: `u` and `v` become one gate only once `s` folds to 0, and
+/// the next `s` folds only once they are one gate. One sweep reaches the
+/// end: one AND per rung.
+#[test]
+fn optimize_climbs_a_fold_cse_ladder_in_one_sweep() {
+    let (mut nl, rungs) = (Netlist::new(), 12);
+    let (a, b) = (nl.add_input(), nl.add_input());
+    let (mut t, mut s) = (a, nl.add_gate(GateKind::Xor, a, a).expect("exists"));
+    for _ in 0..rungs {
+        let v = nl.add_gate(GateKind::And, t, b).expect("exists");
+        let or = nl.add_gate(GateKind::Or, s, t).expect("exists");
+        let u = nl.add_gate(GateKind::And, or, b).expect("exists");
+        (s, t) = (nl.add_gate(GateKind::Xor, u, v).expect("exists"), v);
+    }
+    let out = nl.add_gate(GateKind::Or, s, t).expect("exists");
+    nl.mark_output(out).expect("exists");
+    let (opt, _) = optimize(&nl).expect("valid");
+    assert_eq!(opt.num_gates(), rungs);
+    assert_eq!(opt, reference_optimize(&nl));
+    for bits in [[false, false], [false, true], [true, false], [true, true]] {
+        assert_eq!(opt.eval_plain(&bits), nl.eval_plain(&bits));
+    }
+}
+
+/// One node is the higher operand of 1 100 gates, each built twice: past
+/// the first few, the sharing table files them in its spill slots, which
+/// grow twice, and every copy still merges.
+#[test]
+fn cse_merges_gates_past_a_full_list() {
+    let mut nl = Netlist::new();
+    let xs: Vec<NodeId> = (0..1100).map(|_| nl.add_input()).collect();
+    let b = nl.add_input();
+    for &x in xs.iter().chain(&xs) {
+        let g = nl.add_gate(GateKind::And, b, x).expect("exists");
+        nl.mark_output(g).expect("exists");
+    }
+    let (got, stats) = cse(&nl);
+    assert_eq!(stats.gates_after, xs.len());
+    assert_eq!(got, reference_cse(&nl));
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(96))]
 
-    /// The level-bucketed CSE emits exactly the netlist of one
+    /// The hash-consing CSE emits exactly the netlist of one
     /// whole-netlist table probed in node order, and preserves semantics.
     #[test]
     fn cse_matches_the_whole_netlist_reference(
@@ -159,6 +220,28 @@ proptest! {
         let (twice, report) = optimize(&once).expect("valid");
         prop_assert_eq!(once.num_gates(), twice.num_gates());
         prop_assert!(report.gates_after == report.gates_before);
+    }
+
+    /// The optimizer's output is a byte fixpoint of every standalone pass,
+    /// with the bootstrap count and outputs of the four passes iterated
+    /// with no cap.
+    #[test]
+    fn optimize_reaches_the_fixpoint_of_every_pass(
+        mixed in random_mixed_netlist(4, 160),
+        plain in random_netlist(5, 100),
+        bits in prop::collection::vec(any::<bool>(), 163),
+    ) {
+        for nl in [mixed, plain] {
+            let (opt, _) = optimize(&nl).expect("valid");
+            prop_assert_eq!(&constant_fold(&opt).0, &opt, "fold");
+            prop_assert_eq!(&absorb_inverters(&opt).0, &opt, "absorb");
+            prop_assert_eq!(&cse(&opt).0, &opt, "cse");
+            prop_assert_eq!(&dce(&opt).0, &opt, "dce");
+            let want = reference_optimize(&nl);
+            prop_assert_eq!(opt.num_bootstrapped_gates(), want.num_bootstrapped_gates());
+            let bits = &bits[..nl.num_inputs()];
+            prop_assert_eq!(opt.eval_plain(bits), want.eval_plain(bits));
+        }
     }
 
     /// Level assignments respect dependencies and schedules cover every

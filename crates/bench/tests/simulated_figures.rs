@@ -10,7 +10,9 @@
 //! recaptured when `v_mul` moved signal × constant products to the
 //! signed-digit shift-add. The other five kept theirs: `fig8` and `fig9`
 //! build no netlist, and `fig12`, `fig13` and `table4` lower through
-//! `pytfhe-baselines`, which calls the array directly.
+//! `pytfhe-baselines`, which calls the array directly. `fig10` and `fig11`
+//! were recaptured again when `optimize` became one sweep that reaches its
+//! fixpoint: the Attention layers it compiles lost 12 gates each.
 
 use pytfhe_baselines::MnistScale;
 use pytfhe_bench::figures;
@@ -21,8 +23,8 @@ use pytfhe_wire::crc32c;
 const FROZEN: [(&str, u32); 8] = [
     ("fig8", 0xd6eb_8f1e),
     ("fig9", 0x164a_56a6),
-    ("fig10", 0xca51_841f),
-    ("fig11", 0xc36e_8361),
+    ("fig10", 0x6ed0_9ae9),
+    ("fig11", 0x6e9b_8042),
     ("fig12", 0xc30b_e485),
     ("fig13", 0xbed7_86dc),
     ("table4", 0x18d8_fc78),

@@ -1,7 +1,7 @@
 use crate::error::AsmError;
 use crate::inst::{Instruction, FIELD_ONES, INSTRUCTION_BYTES};
 use bytes::{BufMut, Bytes, BytesMut};
-use pytfhe_netlist::{Netlist, Node, NodeId};
+use pytfhe_netlist::{Netlist, NetlistError, Node, NodeId};
 use std::fmt::Write as _;
 
 /// Iterates the 128-bit words of a binary after alignment has been
@@ -13,7 +13,8 @@ fn words(binary: &[u8]) -> impl Iterator<Item = u128> + '_ {
         .map(|chunk| u128::from_le_bytes(chunk.try_into().expect("chunks_exact yields 16 bytes")))
 }
 
-/// Assembles a netlist into the PyTFHE binary format.
+/// The instruction words of `nl`, in binary order: the one encoder, whose
+/// words [`assemble`] writes out and [`fingerprint`] hashes.
 ///
 /// Node `i` of the netlist is assigned index `i + 1` (index 0 is never
 /// used, matching the paper's Figure 6 where inputs start at index 1).
@@ -21,31 +22,59 @@ fn words(binary: &[u8]) -> impl Iterator<Item = u128> + '_ {
 /// order (inputs and gates interleaved exactly as built — the netlist is
 /// topologically ordered by construction), then one output instruction
 /// per declared output.
+fn instructions(nl: &Netlist) -> impl Iterator<Item = u128> + '_ {
+    let header = Instruction::Header { total_gates: nl.num_gates() as u64 };
+    let nodes = nl.nodes().iter().enumerate().map(|(i, node)| match *node {
+        Node::Input => Instruction::Input { index: i as u64 + 1 },
+        Node::Gate { kind, .. } if kind.is_const() => {
+            Instruction::Gate { kind, input0: FIELD_ONES, input1: FIELD_ONES }
+        }
+        Node::Gate { kind, a, b } => {
+            Instruction::Gate { kind, input0: u64::from(a.0) + 1, input1: u64::from(b.0) + 1 }
+        }
+    });
+    let outputs =
+        nl.outputs().iter().map(|out| Instruction::Output { index: u64::from(out.0) + 1 });
+    std::iter::once(header).chain(nodes).chain(outputs).map(Instruction::encode)
+}
+
+/// The fingerprint's fixed secrets, the first fractional hex digits of π.
+const FINGERPRINT_SECRETS: [u64; 4] =
+    [0x243F_6A88_85A3_08D3, 0x1319_8A2E_0370_7344, 0xA409_3822_299F_31D0, 0x082E_FA98_EC4E_6C89];
+
+/// The 64×64→128-bit product of `a` and `b`, its halves folded by XOR.
+fn folded_multiply(a: u64, b: u64) -> u64 {
+    let full = u128::from(a) * u128::from(b);
+    full as u64 ^ (full >> 64) as u64
+}
+
+/// A 64-bit fingerprint of `nl`'s instruction words: netlists that
+/// [`assemble`] to the same binary share it, and any change to an
+/// opcode, an operand, the node order or the outputs moves it.
+///
+/// No binary is built and no byte is hashed alone: each word is read as
+/// two `u64` lanes, each masked by a fixed secret and one also by the
+/// state, and their folded product is XORed into the state. A zero
+/// product leaves the state as it was, so no word resets it. The word
+/// count is folded in last.
+pub fn fingerprint(nl: &Netlist) -> u64 {
+    let [s0, s1, s2, s3] = FINGERPRINT_SECRETS;
+    let (state, words) = instructions(nl).fold((0u64, 0u64), |(state, n), word| {
+        let (lo, hi) = (word as u64, (word >> 64) as u64);
+        (state ^ folded_multiply(lo ^ s0, hi ^ s1 ^ state), n + 1)
+    });
+    folded_multiply(state ^ s2, words ^ s3)
+}
+
+/// Assembles a netlist into the PyTFHE binary format: its instruction
+/// words, little-endian.
 pub fn assemble(nl: &Netlist) -> Bytes {
     let _span = pytfhe_telemetry::span_with("asm", || {
         format!("assemble: {} nodes, {} outputs", nl.num_nodes(), nl.outputs().len())
     });
     let mut buf =
         BytesMut::with_capacity((1 + nl.num_nodes() + nl.outputs().len()) * INSTRUCTION_BYTES);
-    let mut put = |inst: Instruction| buf.put_u128_le(inst.encode());
-    put(Instruction::Header { total_gates: nl.num_gates() as u64 });
-    for (i, node) in nl.nodes().iter().enumerate() {
-        let index = i as u64 + 1;
-        match *node {
-            Node::Input => put(Instruction::Input { index }),
-            Node::Gate { kind, a, b } => {
-                let (input0, input1) = if kind.is_const() {
-                    (FIELD_ONES, FIELD_ONES)
-                } else {
-                    (u64::from(a.0) + 1, u64::from(b.0) + 1)
-                };
-                put(Instruction::Gate { kind, input0, input1 });
-            }
-        }
-    }
-    for out in nl.outputs() {
-        put(Instruction::Output { index: u64::from(out.0) + 1 });
-    }
+    instructions(nl).for_each(|word| buf.put_u128_le(word));
     buf.freeze()
 }
 
@@ -74,12 +103,13 @@ pub fn disassemble(binary: &[u8]) -> Result<Netlist, AsmError> {
         return Err(AsmError::TooLarge);
     }
     let mut nl = Netlist::with_capacity(count - 1);
-    // index (1-based, instruction order) -> netlist node id
-    let mut index_of: Vec<NodeId> = Vec::with_capacity(count);
+    // Every input and gate instruction appends one node, so index `k`
+    // (1-based, instruction order) names node `k - 1`.
     let mut declared_gates = 0u64;
     let mut actual_gates = 0u64;
     for (position, word) in words(binary).enumerate() {
         let inst = Instruction::decode(word, position)?;
+        let defined = nl.num_nodes();
         match inst {
             Instruction::Header { total_gates } => {
                 if total_gates > u64::from(u32::MAX) {
@@ -88,30 +118,30 @@ pub fn disassemble(binary: &[u8]) -> Result<Netlist, AsmError> {
                 declared_gates = total_gates;
             }
             Instruction::Input { index } => {
-                expect_next_index(index, index_of.len(), position)?;
-                index_of.push(nl.add_input());
+                expect_next_index(index, defined, position)?;
+                nl.add_input();
             }
             Instruction::Gate { kind, input0, input1 } => {
                 actual_gates += 1;
-                let id = if kind.is_const() {
-                    nl.add_gate(kind, NodeId(0), NodeId(0)).map_err(AsmError::from)?
+                if kind.is_const() {
+                    nl.add_gate(kind, NodeId(0), NodeId(0))?;
                 } else {
-                    let a = resolve(&index_of, input0, position)?;
-                    let b = if kind.is_unary() { a } else { resolve(&index_of, input1, position)? };
-                    nl.add_gate(kind, a, b).map_err(AsmError::from)?
-                };
-                index_of.push(id);
+                    let a = resolve(defined, input0, position)?;
+                    let b = if kind.is_unary() { a } else { resolve(defined, input1, position)? };
+                    nl.add_gate(kind, a, b)?;
+                }
             }
-            Instruction::Output { index } => {
-                let id = resolve(&index_of, index, position)?;
-                nl.mark_output(id).map_err(AsmError::from)?;
-            }
+            Instruction::Output { index } => nl.mark_output(resolve(defined, index, position)?)?,
         }
     }
     if declared_gates != actual_gates {
         return Err(AsmError::GateCountMismatch { declared: declared_gates, actual: actual_gates });
     }
-    nl.validate()?;
+    // `add_gate` and `mark_output` refused every dangling reference as it
+    // was read; the one check left of `Netlist::validate` is this.
+    if nl.outputs().is_empty() {
+        return Err(NetlistError::NoOutputs.into());
+    }
     Ok(nl)
 }
 
@@ -127,11 +157,13 @@ fn expect_next_index(index: u64, defined: usize, position: usize) -> Result<(), 
     Ok(())
 }
 
-fn resolve(index_of: &[NodeId], index: u64, position: usize) -> Result<NodeId, AsmError> {
-    if index == 0 || index > index_of.len() as u64 {
+/// The node an operand or output `index` names, given the `defined`
+/// nodes so far.
+fn resolve(defined: usize, index: u64, position: usize) -> Result<NodeId, AsmError> {
+    if index == 0 || index > defined as u64 {
         return Err(AsmError::DanglingReference { position, index });
     }
-    Ok(index_of[(index - 1) as usize])
+    Ok(NodeId((index - 1) as u32))
 }
 
 /// Renders a human-readable disassembly listing (for debugging and for
@@ -242,6 +274,16 @@ mod tests {
         assert!(matches!(disassemble(&bad), Err(AsmError::DanglingReference { .. })));
     }
 
+    #[test]
+    fn a_program_without_outputs_is_refused() {
+        // The half adder cut before its two output instructions.
+        let bin = assemble(&half_adder());
+        assert_eq!(
+            disassemble(&bin[..5 * INSTRUCTION_BYTES]),
+            Err(AsmError::Netlist(NetlistError::NoOutputs))
+        );
+    }
+
     /// Replaces instruction `position` of `bin` with `word`.
     fn patch(bin: &[u8], position: usize, word: u128) -> Vec<u8> {
         let mut out = bin.to_vec();
@@ -335,6 +377,48 @@ mod tests {
             disassemble(&buf.freeze()),
             Err(AsmError::BadInstruction { position: 1, .. })
         ));
+    }
+
+    /// A netlist of `nodes` (`None` an input, else a gate on two node
+    /// ids) with `outputs`.
+    fn program(nodes: &[Option<(GateKind, u32, u32)>], outputs: &[u32]) -> Netlist {
+        let mut nl = Netlist::new();
+        for &node in nodes {
+            let _ = match node {
+                None => nl.add_input(),
+                Some((kind, a, b)) => nl.add_gate(kind, NodeId(a), NodeId(b)).unwrap(),
+            };
+        }
+        outputs.iter().for_each(|&out| nl.mark_output(NodeId(out)).unwrap());
+        nl
+    }
+
+    #[test]
+    fn fingerprint_changes_under_every_one_field_mutation() {
+        use GateKind::{And, Not, Or, Xor};
+        let fp = |nodes: &[_], outputs: &[u32]| fingerprint(&program(nodes, outputs));
+        let base = [None, None, Some((Not, 0, 0)), Some((Xor, 0, 1)), Some((And, 2, 1))];
+        let (mut opcode, mut operand) = (base, base);
+        (opcode[3], operand[4]) = (Some((Or, 0, 1)), Some((And, 2, 0)));
+        // The same circuit with its second input and its `Not` swapped.
+        let swapped = [None, Some((Not, 0, 0)), None, Some((Xor, 0, 2)), Some((And, 1, 2))];
+        // The base is this program with its trailing gate dropped.
+        let longer = [&base[..], &[Some((Or, 3, 4))]].concat();
+        let want = fp(&base, &[3, 4]);
+        for (mutation, mutant) in [
+            ("opcode", fp(&opcode, &[3, 4])),
+            ("operand", fp(&operand, &[3, 4])),
+            ("input swapped with a gate", fp(&swapped, &[3, 4])),
+            ("output order", fp(&base, &[4, 3])),
+            ("appended output", fp(&base, &[3, 4, 4])),
+            ("dropped trailing node", fp(&longer, &[3, 4])),
+        ] {
+            assert_ne!(mutant, want, "{mutation}");
+        }
+        let back = disassemble(&assemble(&program(&base, &[3, 4]))).unwrap();
+        assert_eq!(fingerprint(&back), want, "a round trip keeps the fingerprint");
+        // The derivation is frozen: the half adder of Figure 6.
+        assert_eq!(fingerprint(&half_adder()), 0x43d7_bcff_d029_6117);
     }
 
     #[test]

@@ -19,15 +19,16 @@
 //! reserved for output/input instructions, which is why no gate uses
 //! them.
 //!
-//! [`assemble`] packs a netlist into the binary; [`disassemble`] validates
-//! and re-builds the netlist (ports are compile-time metadata and are not
-//! part of the run-time binary, exactly as Verilog port names do not
-//! survive synthesis to a bitstream).
+//! [`assemble`] packs a netlist's instruction words into the binary and
+//! [`fingerprint`] hashes the same words without building it;
+//! [`disassemble`] validates and re-builds the netlist (ports are
+//! compile-time metadata and are not part of the run-time binary, exactly
+//! as Verilog port names do not survive synthesis to a bitstream).
 
 mod binary;
 mod error;
 mod inst;
 
-pub use binary::{assemble, disassemble, dump};
+pub use binary::{assemble, disassemble, dump, fingerprint};
 pub use error::AsmError;
 pub use inst::{Instruction, FIELD_ONES, INSTRUCTION_BYTES};

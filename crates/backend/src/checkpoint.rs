@@ -8,18 +8,17 @@
 //! instead of gate zero, which is the difference between losing minutes
 //! and losing hours on the paper's MNIST_L-scale programs (Table IV).
 //!
-//! Snapshots are tied to their program by a fingerprint of the canonical
-//! PyTFHE binary encoding, so a checkpoint can never silently resume a
-//! different circuit. Snapshots ride inside the [`pytfhe_wire`]
-//! envelope (CRC32C over header and payload), so on-disk bit rot is
-//! caught at load time rather than decrypting to garbage; it is the
-//! only layout read (the pre-envelope bare `PTCK` layout is refused
-//! like any other bytes without the envelope magic). Values serialize
-//! via [`Checkpointable`]: one byte per plaintext bit, raw torus words
-//! for LWE ciphertexts.
+//! Snapshots are tied to their program by the fingerprint of its PyTFHE
+//! instruction words ([`pytfhe_asm::fingerprint`]), so a checkpoint can
+//! never silently resume a different circuit. Snapshots ride inside the
+//! [`pytfhe_wire`] envelope (CRC32C over header and payload), so on-disk
+//! bit rot is caught at load time rather than decrypting to garbage; it
+//! is the only layout read (the pre-envelope bare `PTCK` layout is
+//! refused like any other bytes without the envelope magic). Values
+//! serialize via [`Checkpointable`]: one byte per plaintext bit, raw
+//! torus words for LWE ciphertexts.
 
 use crate::error::ExecError;
-use pytfhe_netlist::Netlist;
 use pytfhe_telemetry as telemetry;
 use pytfhe_tfhe::{LweCiphertext, Torus32};
 use pytfhe_wire as wire;
@@ -83,8 +82,8 @@ impl Checkpointable for LweCiphertext {
     }
 }
 
-/// FNV-1a over a byte slice: the program fingerprint and the content
-/// address of a [`crate::store::DiskStore`] key blob.
+/// FNV-1a over a byte slice: the content address of a
+/// [`crate::store::DiskStore`] key blob.
 pub fn fnv1a(bytes: &[u8]) -> u64 {
     let mut h = 0xCBF2_9CE4_8422_2325u64;
     for &b in bytes {
@@ -92,12 +91,6 @@ pub fn fnv1a(bytes: &[u8]) -> u64 {
         h = h.wrapping_mul(0x0000_0100_0000_01B3);
     }
     h
-}
-
-/// Fingerprints a netlist via FNV-1a over its canonical binary encoding,
-/// so checkpoints refuse to resume a different program.
-pub fn netlist_fingerprint(nl: &Netlist) -> u64 {
-    fnv1a(&pytfhe_asm::assemble(nl))
 }
 
 /// One wave-barrier snapshot: the program fingerprint, the index of the
@@ -428,17 +421,7 @@ impl CheckpointStore for FileCheckpointStore {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use pytfhe_netlist::GateKind;
     use pytfhe_tfhe::{ClientKey, Params, SecureRng};
-
-    fn tiny_netlist() -> Netlist {
-        let mut nl = Netlist::new();
-        let a = nl.add_input();
-        let b = nl.add_input();
-        let g = nl.add_gate(GateKind::Xor, a, b).unwrap();
-        nl.mark_output(g).unwrap();
-        nl
-    }
 
     #[test]
     fn bool_round_trip() {
@@ -512,18 +495,6 @@ mod tests {
             ckpt.restore_into(&mut values),
             Err(ExecError::BadCheckpoint { reason: "node id out of range" })
         );
-    }
-
-    #[test]
-    fn fingerprint_distinguishes_programs() {
-        let a = tiny_netlist();
-        let mut b = Netlist::new();
-        let x = b.add_input();
-        let y = b.add_input();
-        let g = b.add_gate(GateKind::And, x, y).unwrap();
-        b.mark_output(g).unwrap();
-        assert_ne!(netlist_fingerprint(&a), netlist_fingerprint(&b));
-        assert_eq!(netlist_fingerprint(&a), netlist_fingerprint(&tiny_netlist()));
     }
 
     #[test]

@@ -1,11 +1,10 @@
-//! Plan capture: one pass over a validated netlist produces a [`KernelPlan`],
-//! one uncut list of waves — the compile-once half of the kernel graph.
+//! Plan capture: one counting pass over a validated netlist produces a
+//! [`KernelPlan`], one uncut list of waves — the compile-once half of the
+//! kernel graph.
 
-use crate::checkpoint::netlist_fingerprint;
 use crate::error::ExecError;
-use crate::graph::batch::group_wave;
-use crate::graph::plan::KernelPlan;
-use pytfhe_netlist::{LevelSchedule, Netlist};
+use crate::graph::plan::{GateTask, KernelPlan, WavePlan};
+use pytfhe_netlist::{GateKind, Netlist, Node};
 
 /// The second argument of [`capture`], with no settings: the CUDA-graph
 /// batch cut it used to carry is the GPU simulator's own policy
@@ -16,23 +15,63 @@ pub struct CaptureConfig {}
 
 /// Captures `nl` into a replayable plan.
 ///
-/// Waves come from [`LevelSchedule`], empty ones dropped; each wave's
-/// gates are listed in (opcode, node id) order.
+/// Waves are the topological levels of [`pytfhe_netlist::Levels`], empty
+/// ones dropped; each wave's gates are listed in (opcode, node id) order,
+/// so the bootstrapping opcodes precede the linear ones.
 ///
 /// # Errors
 ///
 /// Returns [`ExecError::InvalidProgram`] when the netlist fails
 /// validation.
 pub fn capture(nl: &Netlist, _cfg: &CaptureConfig) -> Result<KernelPlan, ExecError> {
+    capture_keyed(nl, pytfhe_asm::fingerprint(nl))
+}
+
+/// [`capture`] for a caller that already holds `nl`'s fingerprint.
+///
+/// One pass assigns each gate its level and counts gates per (level,
+/// opcode); prefix sums turn the counts into each group's first slot in
+/// its wave, and a second pass writes every gate, in node order, straight
+/// into its slot.
+pub(super) fn capture_keyed(nl: &Netlist, fingerprint: u64) -> Result<KernelPlan, ExecError> {
     nl.validate()?;
-    let sched = LevelSchedule::compute(nl);
-    let waves = sched.waves.iter().map(|wave| group_wave(nl, wave)).filter(|w| !w.gates.is_empty());
+    let mut level = vec![0u32; nl.num_nodes()];
+    let mut slots: Vec<[u32; 16]> = Vec::new();
+    for (i, node) in nl.nodes().iter().enumerate() {
+        let Node::Gate { kind, a, b } = *node else { continue };
+        let l = if kind.is_const() { 0 } else { level[a.index()].max(level[b.index()]) + 1 };
+        level[i] = l;
+        if slots.len() <= l as usize {
+            slots.resize(l as usize + 1, [0; 16]);
+        }
+        slots[l as usize][kind.opcode() as usize] += 1;
+    }
+    let mut waves: Vec<WavePlan> = slots
+        .iter_mut()
+        .map(|counts| {
+            // Each count becomes the first slot of its opcode's group.
+            let mut len = 0;
+            for slot in counts.iter_mut() {
+                (len, *slot) = (len + *slot, len);
+            }
+            let unset = GateTask { kind: GateKind::Const0, out: 0, a: 0, b: 0 };
+            WavePlan { gates: vec![unset; len as usize] }
+        })
+        .collect();
+    for (i, node) in nl.nodes().iter().enumerate() {
+        let Node::Gate { kind, a, b } = *node else { continue };
+        let l = level[i] as usize;
+        let slot = &mut slots[l][kind.opcode() as usize];
+        waves[l].gates[*slot as usize] = GateTask { kind, out: i as u32, a: a.0, b: b.0 };
+        *slot += 1;
+    }
+    waves.retain(|wave| !wave.gates.is_empty());
     Ok(KernelPlan {
-        fingerprint: netlist_fingerprint(nl),
+        fingerprint,
         num_nodes: nl.num_nodes(),
         inputs: nl.inputs().iter().map(|id| id.0).collect(),
         outputs: nl.outputs().iter().map(|id| id.0).collect(),
-        waves: waves.collect(),
+        waves,
     })
 }
 
@@ -52,30 +91,4 @@ pub(crate) fn ladder(waves: usize, width: usize) -> KernelPlan {
         nl.mark_output(*g).unwrap();
     }
     capture(&nl, &CaptureConfig::default()).unwrap()
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn capture_covers_every_gate_exactly_once() {
-        let plan = ladder(5, 4);
-        assert_eq!(plan.num_gates(), 5 * 4);
-        assert_eq!(plan.num_nodes, 2 + 5 * 4);
-        assert_eq!(plan.inputs.len(), 2);
-        assert_eq!(plan.outputs.len(), 4);
-        let mut outs: Vec<u32> = plan.waves.iter().flat_map(|w| &w.gates).map(|t| t.out).collect();
-        outs.sort_unstable();
-        outs.dedup();
-        assert_eq!(outs.len(), 5 * 4, "no slot written twice");
-    }
-
-    #[test]
-    fn fingerprint_tracks_the_program() {
-        let p1 = ladder(2, 2);
-        let p2 = ladder(3, 2);
-        assert_ne!(p1.fingerprint, p2.fingerprint);
-        assert_eq!(p1.fingerprint, ladder(2, 2).fingerprint);
-    }
 }

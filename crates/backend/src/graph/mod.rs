@@ -22,11 +22,11 @@
 //! [`KernelPlan::from_bytes`] round-trip them for shipping or on-disk
 //! caching.
 
-mod batch;
 mod capture;
 mod plan;
 mod replay;
 
+use capture::capture_keyed;
 #[cfg(test)]
 pub(crate) use capture::ladder;
 pub use capture::{capture, CaptureConfig};
@@ -34,7 +34,6 @@ pub use plan::{GateTask, KernelPlan, WavePlan};
 pub use replay::{replay, run_wave, Launch, ReplayLanes};
 pub(crate) use replay::{run_wave_with, Retry};
 
-use crate::checkpoint::netlist_fingerprint;
 use crate::engine::{check_inputs, GateEngine};
 use crate::error::ExecError;
 use crate::exec::ExecStats;
@@ -43,6 +42,10 @@ use pytfhe_telemetry as telemetry;
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
+
+/// What [`KernelGraph::execute_planned`] returns: the outputs, the run's
+/// statistics and the plan it replayed.
+pub type Planned<V> = (Vec<V>, ExecStats, Arc<KernelPlan>);
 
 /// The capture-once / replay-many executor: a plan cache plus the
 /// capture and replay machinery behind one entry point.
@@ -62,22 +65,17 @@ impl KernelGraph {
         self.cache.lock().expect("plan cache poisoned").len()
     }
 
-    /// Returns the plan for `nl`, capturing it on first sight. The
-    /// returned tuple is `(plan, came_from_cache, capture_seconds)`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ExecError::InvalidProgram`] if capture rejects the
-    /// netlist.
-    pub fn plan_for(&self, nl: &Netlist) -> Result<(Arc<KernelPlan>, bool, f64), ExecError> {
-        let fp = netlist_fingerprint(nl);
+    /// The plan for `nl`, fingerprinted once and captured on first sight,
+    /// as `(plan, came_from_cache, capture_seconds)`.
+    fn plan_for(&self, nl: &Netlist) -> Result<(Arc<KernelPlan>, bool, f64), ExecError> {
+        let fp = pytfhe_asm::fingerprint(nl);
         if let Some(plan) = self.cache.lock().expect("plan cache poisoned").get(&fp) {
             return Ok((Arc::clone(plan), true, 0.0));
         }
         let capture_span =
             telemetry::span_with("graph", || format!("capture plan: {} gates", nl.num_gates()));
         let start = Instant::now();
-        let plan = Arc::new(capture(nl, &CaptureConfig::default())?);
+        let plan = Arc::new(capture_keyed(nl, fp)?);
         let capture_s = start.elapsed().as_secs_f64();
         capture_span.end();
         self.cache.lock().expect("plan cache poisoned").insert(fp, Arc::clone(&plan));
@@ -125,6 +123,23 @@ impl KernelGraph {
         inputs: &[E::Value],
         lanes: &mut ReplayLanes<E::Value, E::Scratch>,
     ) -> Result<(Vec<E::Value>, ExecStats), ExecError> {
+        self.execute_planned(engine, nl, inputs, lanes).map(|(out, stats, _)| (out, stats))
+    }
+
+    /// Like [`KernelGraph::execute_with_lanes`], also returning the plan
+    /// it replayed, so a caller that persists fresh captures has the plan
+    /// without fingerprinting the program again.
+    ///
+    /// # Errors
+    ///
+    /// As [`KernelGraph::execute_with_lanes`].
+    pub fn execute_planned<E: GateEngine>(
+        &self,
+        engine: &E,
+        nl: &Netlist,
+        inputs: &[E::Value],
+        lanes: &mut ReplayLanes<E::Value, E::Scratch>,
+    ) -> Result<Planned<E::Value>, ExecError> {
         check_inputs(engine, nl.num_inputs(), inputs)?;
         let start = Instant::now();
         let (plan, cached, capture_s) = self.plan_for(nl)?;
@@ -142,7 +157,7 @@ impl KernelGraph {
         stats.capture_s = capture_s;
         stats.wall_s = start.elapsed().as_secs_f64();
         stats.record_metrics();
-        Ok((out, stats))
+        Ok((out, stats, plan))
     }
 }
 
@@ -178,6 +193,18 @@ mod tests {
         assert_eq!(s2.capture_s, 0.0);
         assert_eq!(out1, out2);
         assert_eq!(graph.cached_plans(), 1);
+    }
+
+    #[test]
+    fn the_half_adder_plan_fingerprint_is_frozen() {
+        let mut nl = Netlist::new();
+        let (a, b) = (nl.add_input(), nl.add_input());
+        for kind in [GateKind::Xor, GateKind::And] {
+            let gate = nl.add_gate(kind, a, b).unwrap();
+            nl.mark_output(gate).unwrap();
+        }
+        let plan = capture(&nl, &CaptureConfig::default()).unwrap();
+        assert_eq!(plan.fingerprint, 0x43d7_bcff_d029_6117);
     }
 
     #[test]

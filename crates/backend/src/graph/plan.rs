@@ -90,9 +90,8 @@ impl WavePlan {
 /// again.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct KernelPlan {
-    /// Fingerprint of the source netlist
-    /// ([`crate::checkpoint::netlist_fingerprint`]); replays refuse a
-    /// mismatched program and the plan cache keys on it.
+    /// Fingerprint of the source netlist ([`pytfhe_asm::fingerprint`]);
+    /// replays refuse a mismatched program and the plan cache keys on it.
     pub fingerprint: u64,
     /// Value slots the replay arena must hold (netlist node count).
     pub num_nodes: usize,

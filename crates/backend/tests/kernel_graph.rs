@@ -9,7 +9,7 @@ use pytfhe_backend::{
     capture, execute, replay, CaptureConfig, ExecError, KernelGraph, KernelPlan, PlainEngine,
     ReplayLanes, TfheEngine,
 };
-use pytfhe_netlist::{Netlist, ALL_GATE_KINDS};
+use pytfhe_netlist::{LevelSchedule, Netlist, Node, NodeId, ALL_GATE_KINDS};
 use pytfhe_tfhe::{thread_buffer_allocs, ClientKey, Params, SecureRng};
 use pytfhe_vipbench::Scale;
 
@@ -35,6 +35,28 @@ fn random_netlist(seed: u64, inputs: usize, gates: usize) -> Netlist {
     nl.mark_output(*pool.last().unwrap()).unwrap();
     nl.mark_output(pool[pool.len() / 2]).unwrap();
     nl
+}
+
+/// The plan of `nl` built from its [`LevelSchedule`], fingerprint 0: the
+/// schedule's non-empty waves, each grouped by opcode, node order kept.
+fn reference_plan(nl: &Netlist) -> KernelPlan {
+    let task = |&id: &u32| match nl.node(NodeId(id)) {
+        Node::Gate { kind, a, b } => GateTask { kind, out: id, a: a.0, b: b.0 },
+        Node::Input => unreachable!("a schedule lists gates only"),
+    };
+    let waves = LevelSchedule::compute(nl).waves.into_iter().filter(|wave| !wave.is_empty());
+    let waves = waves.map(|wave| {
+        let mut gates: Vec<GateTask> = wave.iter().map(task).collect();
+        gates.sort_by_key(|t| t.kind.opcode());
+        WavePlan { gates }
+    });
+    KernelPlan {
+        fingerprint: 0,
+        num_nodes: nl.num_nodes(),
+        inputs: nl.inputs().iter().map(|id| id.0).collect(),
+        outputs: nl.outputs().iter().map(|id| id.0).collect(),
+        waves: waves.collect(),
+    }
 }
 
 proptest! {
@@ -77,6 +99,17 @@ proptest! {
             let (again, _) = replay(&engine, &plan, &bits, &mut lanes).expect("re-replay");
             prop_assert_eq!(&again, &want, "workers={} second replay", workers);
         }
+    }
+
+    /// Capture's counting pass lays out the plan the level schedule
+    /// describes, on programs with and without constants in level 0.
+    #[test]
+    fn capture_matches_the_level_schedule_reference(seed in any::<u64>(), gates in 1usize..80) {
+        let nl = random_netlist(seed, 6, gates);
+        let plan = capture(&nl, &CaptureConfig::default()).expect("capture");
+        let reference = reference_plan(&nl);
+        prop_assert_eq!(&plan.waves, &reference.waves);
+        prop_assert_eq!(KernelPlan { fingerprint: 0, ..plan }.to_bytes(), reference.to_bytes());
     }
 
     /// Serialization round-trips arbitrary captured plans.

@@ -3,7 +3,7 @@
 use chiseltorch::DType;
 use pytfhe_backend::{
     execute_resilient, CheckpointStore, DiskStore, ExecError, ExecStats, FaultInjector,
-    KernelGraph, KeyBlob, ResilientConfig, TfheEngine,
+    KernelGraph, KeyBlob, ReplayLanes, ResilientConfig, TfheEngine,
 };
 use pytfhe_netlist::Netlist;
 use pytfhe_telemetry as telemetry;
@@ -239,22 +239,18 @@ impl Server {
         workers: usize,
     ) -> Result<(Vec<LweCiphertext>, ExecStats), ExecError> {
         let engine = TfheEngine::new(&self.key);
-        let result = self.graph.execute(&engine, program, inputs, workers)?;
-        if !result.1.plan_cached {
+        let mut lanes = ReplayLanes::new(workers);
+        let (out, stats, plan) =
+            self.graph.execute_planned(&engine, program, inputs, &mut lanes)?;
+        if !stats.plan_cached {
             telemetry::metrics().counter_add("session_plans_captured_total", 1);
-            if let Some(store) = &self.store {
-                // The plan was captured this call, so this lookup is a
-                // cache hit; persist it for the next process. A failed
-                // persist costs a future re-capture, not this run.
-                match self.graph.plan_for(program).map(|(plan, _, _)| store.put_plan(&plan)) {
-                    Ok(Ok(_)) => {}
-                    Ok(Err(_)) | Err(_) => {
-                        telemetry::metrics().counter_add("session_plan_persist_failures_total", 1);
-                    }
-                }
+            // Persist the fresh plan for the next process. A failed
+            // persist costs a future re-capture, not this run.
+            if self.store.as_ref().is_some_and(|store| store.put_plan(&plan).is_err()) {
+                telemetry::metrics().counter_add("session_plan_persist_failures_total", 1);
             }
         }
-        Ok(result)
+        Ok((out, stats))
     }
 
     /// Executes a program on encrypted inputs with the fault-tolerant

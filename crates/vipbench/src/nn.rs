@@ -29,7 +29,7 @@ fn nn_benchmark(
     Benchmark::new(
         name,
         description,
-        compiled.netlist().clone(),
+        compiled.into_netlist(),
         dtype,
         dtype,
         Box::new(move |input: &[f64]| {

@@ -19,7 +19,11 @@
 
 use proptest::prelude::*;
 use pytfhe::pytfhe_backend::checkpoint::fnv1a;
-use pytfhe::pytfhe_backend::{execute, Checkpoint, DiskStore, ExecError, KernelPlan, TfheEngine};
+use pytfhe::pytfhe_backend::{
+    capture, execute, execute_resilient, CaptureConfig, Checkpoint, CheckpointStore, DiskStore,
+    ExecError, KernelGraph, KernelPlan, MemoryCheckpointStore, NoFaults, PlainEngine,
+    ResilientConfig, TfheEngine,
+};
 use pytfhe::pytfhe_netlist::{GateKind, Netlist};
 use pytfhe::{Client, NoiseGuard, Server};
 use pytfhe_telemetry as telemetry;
@@ -186,6 +190,35 @@ fn wire_goldens_reencode_byte_identically() {
         let env = pytfhe_wire::decode(bytes).unwrap();
         assert_eq!(env.format, format);
     }
+}
+
+/// The fixtures carry the FNV-1a fingerprint of the binary, the
+/// derivation before programs were fingerprinted word by word. Both
+/// still decode, and both fail safe against a fresh capture: the stored
+/// plan is never served (the half adder is captured again) and the
+/// checkpoint is refused with the typed error, never resumed.
+#[test]
+fn fixtures_of_the_old_fingerprint_are_recaptured_and_refused() {
+    let mut nl = Netlist::new();
+    let (a, b) = (nl.add_input(), nl.add_input());
+    for kind in [GateKind::Xor, GateKind::And] {
+        let gate = nl.add_gate(kind, a, b).unwrap();
+        nl.mark_output(gate).unwrap();
+    }
+    let engine = PlainEngine::new();
+    let graph = KernelGraph::new();
+    graph.adopt(KernelPlan::from_bytes(&golden("kernel_plan_wire.bin")).unwrap());
+    let (out, stats) = graph.execute(&engine, &nl, &[true, true], 1).unwrap();
+    assert_eq!(out, vec![false, true]);
+    assert!(!stats.plan_cached, "a plan under the old fingerprint is recaptured");
+    assert_ne!(capture(&nl, &CaptureConfig::default()).unwrap().fingerprint, 0x4a08b6ad5de5ec72);
+
+    let mut store = MemoryCheckpointStore::new();
+    store.save(&Checkpoint::from_bytes(&golden("checkpoint_wire.bin")).unwrap()).unwrap();
+    let cfg = ResilientConfig::new(1);
+    let err = execute_resilient(&engine, &nl, &[true, false], &cfg, &NoFaults, Some(&mut store))
+        .expect_err("a checkpoint under the old fingerprint must not resume");
+    assert!(matches!(err, ExecError::BadCheckpoint { .. }), "{err:?}");
 }
 
 /// Every way of mangling a fixture must produce `Err`, never a panic

@@ -421,7 +421,16 @@ impl CheckpointStore for FileCheckpointStore {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use pytfhe_netlist::{GateKind, Netlist};
     use pytfhe_tfhe::{ClientKey, Params, SecureRng};
+
+    fn tiny_netlist(kind: GateKind) -> Netlist {
+        let mut nl = Netlist::new();
+        let (a, b) = (nl.add_input(), nl.add_input());
+        let g = nl.add_gate(kind, a, b).unwrap();
+        nl.mark_output(g).unwrap();
+        nl
+    }
 
     #[test]
     fn bool_round_trip() {
@@ -495,6 +504,13 @@ mod tests {
             ckpt.restore_into(&mut values),
             Err(ExecError::BadCheckpoint { reason: "node id out of range" })
         );
+    }
+
+    #[test]
+    fn fingerprint_distinguishes_programs() {
+        let fp = |kind| pytfhe_asm::fingerprint(&tiny_netlist(kind));
+        assert_ne!(fp(GateKind::Xor), fp(GateKind::And));
+        assert_eq!(fp(GateKind::Xor), fp(GateKind::Xor));
     }
 
     #[test]

@@ -4,7 +4,7 @@
 
 use crate::error::ExecError;
 use crate::graph::plan::{GateTask, KernelPlan, WavePlan};
-use pytfhe_netlist::{GateKind, Netlist, Node};
+use pytfhe_netlist::{GateKind, Levels, Netlist, Node};
 
 /// The second argument of [`capture`], with no settings: the CUDA-graph
 /// batch cut it used to carry is the GPU simulator's own policy
@@ -15,9 +15,9 @@ pub struct CaptureConfig {}
 
 /// Captures `nl` into a replayable plan.
 ///
-/// Waves are the topological levels of [`pytfhe_netlist::Levels`], empty
-/// ones dropped; each wave's gates are listed in (opcode, node id) order,
-/// so the bootstrapping opcodes precede the linear ones.
+/// Waves are the topological levels of [`Levels`], empty ones dropped;
+/// each wave's gates are listed in (opcode, node id) order, so the
+/// bootstrapping opcodes precede the linear ones.
 ///
 /// # Errors
 ///
@@ -29,21 +29,16 @@ pub fn capture(nl: &Netlist, _cfg: &CaptureConfig) -> Result<KernelPlan, ExecErr
 
 /// [`capture`] for a caller that already holds `nl`'s fingerprint.
 ///
-/// One pass assigns each gate its level and counts gates per (level,
-/// opcode); prefix sums turn the counts into each group's first slot in
-/// its wave, and a second pass writes every gate, in node order, straight
-/// into its slot.
+/// Over the levels of [`Levels::compute`], one pass counts gates per
+/// (level, opcode); prefix sums turn the counts into each group's first
+/// slot in its wave, and a second pass writes every gate, in node order,
+/// straight into its slot.
 pub(super) fn capture_keyed(nl: &Netlist, fingerprint: u64) -> Result<KernelPlan, ExecError> {
     nl.validate()?;
-    let mut level = vec![0u32; nl.num_nodes()];
-    let mut slots: Vec<[u32; 16]> = Vec::new();
-    for (i, node) in nl.nodes().iter().enumerate() {
-        let Node::Gate { kind, a, b } = *node else { continue };
-        let l = if kind.is_const() { 0 } else { level[a.index()].max(level[b.index()]) + 1 };
-        level[i] = l;
-        if slots.len() <= l as usize {
-            slots.resize(l as usize + 1, [0; 16]);
-        }
+    let Levels { level, sizes } = Levels::compute(nl);
+    let mut slots = vec![[0u32; 16]; sizes.len()];
+    for (node, &l) in nl.nodes().iter().zip(&level) {
+        let Node::Gate { kind, .. } = node else { continue };
         slots[l as usize][kind.opcode() as usize] += 1;
     }
     let mut waves: Vec<WavePlan> = slots
@@ -58,11 +53,10 @@ pub(super) fn capture_keyed(nl: &Netlist, fingerprint: u64) -> Result<KernelPlan
             WavePlan { gates: vec![unset; len as usize] }
         })
         .collect();
-    for (i, node) in nl.nodes().iter().enumerate() {
+    for (i, (node, &l)) in nl.nodes().iter().zip(&level).enumerate() {
         let Node::Gate { kind, a, b } = *node else { continue };
-        let l = level[i] as usize;
-        let slot = &mut slots[l][kind.opcode() as usize];
-        waves[l].gates[*slot as usize] = GateTask { kind, out: i as u32, a: a.0, b: b.0 };
+        let slot = &mut slots[l as usize][kind.opcode() as usize];
+        waves[l as usize].gates[*slot as usize] = GateTask { kind, out: i as u32, a: a.0, b: b.0 };
         *slot += 1;
     }
     waves.retain(|wave| !wave.gates.is_empty());
@@ -79,7 +73,6 @@ pub(super) fn capture_keyed(nl: &Netlist, fingerprint: u64) -> Result<KernelPlan
 /// of `width` NAND gates over two inputs (width 1 is a serial chain).
 #[cfg(test)]
 pub(crate) fn ladder(waves: usize, width: usize) -> KernelPlan {
-    use pytfhe_netlist::GateKind;
     let mut nl = Netlist::new();
     let a = nl.add_input();
     let b = nl.add_input();
@@ -91,4 +84,30 @@ pub(crate) fn ladder(waves: usize, width: usize) -> KernelPlan {
         nl.mark_output(*g).unwrap();
     }
     capture(&nl, &CaptureConfig::default()).unwrap()
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn capture_covers_every_gate_exactly_once() {
+        let plan = ladder(5, 4);
+        assert_eq!(plan.num_gates(), 5 * 4);
+        assert_eq!(plan.num_nodes, 2 + 5 * 4);
+        assert_eq!(plan.inputs.len(), 2);
+        assert_eq!(plan.outputs.len(), 4);
+        let mut outs: Vec<u32> = plan.waves.iter().flat_map(|w| &w.gates).map(|t| t.out).collect();
+        outs.sort_unstable();
+        outs.dedup();
+        assert_eq!(outs.len(), 5 * 4, "no slot written twice");
+    }
+
+    #[test]
+    fn fingerprint_tracks_the_program() {
+        let p1 = ladder(2, 2);
+        let p2 = ladder(3, 2);
+        assert_ne!(p1.fingerprint, p2.fingerprint);
+        assert_eq!(p1.fingerprint, ladder(2, 2).fingerprint);
+    }
 }

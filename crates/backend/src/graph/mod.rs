@@ -43,8 +43,8 @@ use std::collections::HashMap;
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
-/// What [`KernelGraph::execute_planned`] returns: the outputs, the run's
-/// statistics and the plan it replayed.
+/// What [`KernelGraph::execute_with_lanes`] returns: the outputs, the
+/// run's statistics and the plan it replayed.
 pub type Planned<V> = (Vec<V>, ExecStats, Arc<KernelPlan>);
 
 /// The capture-once / replay-many executor: a plan cache plus the
@@ -106,34 +106,19 @@ impl KernelGraph {
         workers: usize,
     ) -> Result<(Vec<E::Value>, ExecStats), ExecError> {
         let mut lanes = ReplayLanes::new(workers);
-        self.execute_with_lanes(engine, nl, inputs, &mut lanes)
+        self.execute_with_lanes(engine, nl, inputs, &mut lanes).map(|(out, stats, _)| (out, stats))
     }
 
     /// Like [`KernelGraph::execute`], but reuses caller-held lanes so
-    /// repeat executions touch no fresh buffers.
+    /// repeat executions touch no fresh buffers, and also returns the plan
+    /// it replayed, so a caller that persists fresh captures has the plan
+    /// without fingerprinting the program again.
     ///
     /// # Errors
     ///
     /// Refuses inputs as [`ReplayLanes::load`] does before capturing, so a
     /// refused call caches no plan; propagates capture and replay errors.
     pub fn execute_with_lanes<E: GateEngine>(
-        &self,
-        engine: &E,
-        nl: &Netlist,
-        inputs: &[E::Value],
-        lanes: &mut ReplayLanes<E::Value, E::Scratch>,
-    ) -> Result<(Vec<E::Value>, ExecStats), ExecError> {
-        self.execute_planned(engine, nl, inputs, lanes).map(|(out, stats, _)| (out, stats))
-    }
-
-    /// Like [`KernelGraph::execute_with_lanes`], also returning the plan
-    /// it replayed, so a caller that persists fresh captures has the plan
-    /// without fingerprinting the program again.
-    ///
-    /// # Errors
-    ///
-    /// As [`KernelGraph::execute_with_lanes`].
-    pub fn execute_planned<E: GateEngine>(
         &self,
         engine: &E,
         nl: &Netlist,
@@ -193,18 +178,6 @@ mod tests {
         assert_eq!(s2.capture_s, 0.0);
         assert_eq!(out1, out2);
         assert_eq!(graph.cached_plans(), 1);
-    }
-
-    #[test]
-    fn the_half_adder_plan_fingerprint_is_frozen() {
-        let mut nl = Netlist::new();
-        let (a, b) = (nl.add_input(), nl.add_input());
-        for kind in [GateKind::Xor, GateKind::And] {
-            let gate = nl.add_gate(kind, a, b).unwrap();
-            nl.mark_output(gate).unwrap();
-        }
-        let plan = capture(&nl, &CaptureConfig::default()).unwrap();
-        assert_eq!(plan.fingerprint, 0x43d7_bcff_d029_6117);
     }
 
     #[test]

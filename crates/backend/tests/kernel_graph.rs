@@ -229,7 +229,7 @@ fn one_cached_plan_serves_many_encrypted_input_sets() {
     {
         let cts: Vec<_> = bits.iter().map(|&b| client.encrypt_bit(b, &mut rng)).collect();
         let (want, _) = execute(&engine, &nl, &cts).expect("execute");
-        let (got, stats) =
+        let (got, stats, _) =
             graph.execute_with_lanes(&engine, &nl, &cts, &mut lanes).expect("graph execute");
         assert_eq!(got, want, "round {round}");
         assert_eq!(stats.plan_cached, round > 0, "capture only on round 0");
@@ -273,7 +273,7 @@ fn vipbench_workload_replays_bit_exactly_and_matches_its_oracle() {
         let input = bench.sample_input(seed);
         let bits = bench.encode_input(&input);
         let (want, _) = execute(&engine, &nl, &bits).expect("execute");
-        let (got, stats) =
+        let (got, stats, _) =
             graph.execute_with_lanes(&engine, &nl, &bits, &mut lanes).expect("graph");
         assert_eq!(got, want, "seed {seed}");
         assert_eq!(stats.plan_cached, seed > 0);

@@ -241,7 +241,7 @@ impl Server {
         let engine = TfheEngine::new(&self.key);
         let mut lanes = ReplayLanes::new(workers);
         let (out, stats, plan) =
-            self.graph.execute_planned(&engine, program, inputs, &mut lanes)?;
+            self.graph.execute_with_lanes(&engine, program, inputs, &mut lanes)?;
         if !stats.plan_cached {
             telemetry::metrics().counter_add("session_plans_captured_total", 1);
             // Persist the fresh plan for the next process. A failed

@@ -194,9 +194,10 @@ fn wire_goldens_reencode_byte_identically() {
 
 /// The fixtures carry the FNV-1a fingerprint of the binary, the
 /// derivation before programs were fingerprinted word by word. Both
-/// still decode, and both fail safe against a fresh capture: the stored
-/// plan is never served (the half adder is captured again) and the
-/// checkpoint is refused with the typed error, never resumed.
+/// still decode, and both fail safe against a fresh capture, whose
+/// fingerprint is pinned: the stored plan is never served (the half
+/// adder is captured again) and the checkpoint is refused with the
+/// typed error, never resumed.
 #[test]
 fn fixtures_of_the_old_fingerprint_are_recaptured_and_refused() {
     let mut nl = Netlist::new();
@@ -211,7 +212,7 @@ fn fixtures_of_the_old_fingerprint_are_recaptured_and_refused() {
     let (out, stats) = graph.execute(&engine, &nl, &[true, true], 1).unwrap();
     assert_eq!(out, vec![false, true]);
     assert!(!stats.plan_cached, "a plan under the old fingerprint is recaptured");
-    assert_ne!(capture(&nl, &CaptureConfig::default()).unwrap().fingerprint, 0x4a08b6ad5de5ec72);
+    assert_eq!(capture(&nl, &CaptureConfig::default()).unwrap().fingerprint, 0x43d7_bcff_d029_6117);
 
     let mut store = MemoryCheckpointStore::new();
     store.save(&Checkpoint::from_bytes(&golden("checkpoint_wire.bin")).unwrap()).unwrap();

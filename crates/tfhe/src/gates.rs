@@ -1,5 +1,5 @@
-//! The bootstrapped binary gates of PyTFHE — the eleven gates of the
-//! binary format plus trivial constants.
+//! The bootstrapped binary gates of PyTFHE — the ten bootstrapped gates
+//! of the binary format, plus the free `NOT` and trivial constants.
 //!
 //! Every binary gate follows the TFHE-library recipe:
 //!
@@ -138,16 +138,6 @@ pub struct GateScratch {
     soa: LweSoa,
 }
 
-/// What the staged-batch kernel does with a call's raw samples.
-#[derive(Clone, Copy)]
-enum Tail {
-    /// Key-switch every lane into its own output, all in one pass.
-    Each,
-    /// Key-switch the sum of the batch's lanes plus this plaintext offset
-    /// into the single output — the tail of the TFHE library's `MUX`.
-    Sum(Torus32),
-}
-
 /// Records one gate call's Figure 7 split into the per-gate-kind
 /// histograms: each of the call's `lanes` observes an even share of its
 /// rotation and key-switch time under its own `gate(lane)` label, and
@@ -225,45 +215,38 @@ impl ServerKey {
     /// the test vector `mu = 1/8` by each slot
     /// ([`crate::bootstrap::BootstrappingKey::rotate_batch_into`]). Every
     /// raw sample of the call is kept, and one element-major pass over the
-    /// key-switching key switches them all as `tail` says. With telemetry
-    /// enabled, a [`Tail::Each`] call records its rotation and key-switch
-    /// time ([`record_gate_split`]); a `MUX` records nothing. On a banded
-    /// scratch ([`GateScratch::band`]) the rotation and the key switch
-    /// compute this member's share, every member's `outs` receive the
-    /// whole result, and only the first member records. Staging and
-    /// rotation are *fused* per chunk, so the staged masks are still
-    /// cache-resident when the rotation reads them. A lane's arithmetic
-    /// does not depend on the width or the position it runs at, so every
-    /// entry point is bit-exact with every other on the same inputs, and
-    /// the call is allocation-free once the scratch has served a call
-    /// this wide.
+    /// key-switching key switches each into its own output. A call records
+    /// its rotation and key-switch time ([`record_gate_split`]) when
+    /// telemetry is enabled and its scratch leads a gang or is alone
+    /// ([`GateScratch::band`]); a banded member's rotation and key switch
+    /// compute its share, and every member's `outs` receive the whole
+    /// result. Staging and rotation are *fused* per chunk, so the staged
+    /// masks are still cache-resident when the rotation reads them. A
+    /// lane's arithmetic does not depend on the width or the position it
+    /// runs at, so every entry point is bit-exact with every other on the
+    /// same inputs, and the call is allocation-free once the scratch has
+    /// served a call this wide.
     ///
     /// # Panics
     ///
     /// Panics if an input is not of the key's LWE dimension
-    /// ([`LweSoa::axpy`]), or `outs` does not match `tail` (one output
-    /// per pair for [`Tail::Each`]; one output and a single chunk for
-    /// [`Tail::Sum`]).
+    /// ([`LweSoa::axpy`]), or `outs` and `pairs` have different lengths.
     fn bootstrap_staged(
         &self,
         scratch: &mut GateScratch,
         gate: impl Fn(usize) -> BootGate,
         pairs: &[(&LweCiphertext, &LweCiphertext)],
-        tail: Tail,
         outs: &mut [LweCiphertext],
     ) {
         let lanes = pairs.len();
-        match tail {
-            Tail::Each => assert_eq!(outs.len(), lanes, "one output per lane"),
-            Tail::Sum(_) => assert!(outs.len() == 1 && lanes <= FUSE_CHUNK, "one summed chunk"),
-        }
+        assert_eq!(outs.len(), lanes, "one output per lane");
         let GateScratch { boot, raws, soa } = scratch;
         if raws.len() < lanes {
             let ext_dim = self.keyswitch.src_dim();
             raws.resize_with(lanes, || LweCiphertext::trivial(Torus32::ZERO, ext_dim));
         }
         let raws = &mut raws[..lanes];
-        let timed = pytfhe_telemetry::enabled() && matches!(tail, Tail::Each) && boot.leads();
+        let timed = pytfhe_telemetry::enabled() && boot.leads();
         let mut rotation = Duration::ZERO;
         let mu = Self::mu();
         for (base, raws) in (0..).step_by(FUSE_CHUNK).zip(raws.chunks_mut(FUSE_CHUNK)) {
@@ -287,23 +270,16 @@ impl ServerKey {
             }
         }
         let start = timed.then(Instant::now);
-        match tail {
-            Tail::Each => boot.key_switch_into(&self.keyswitch, raws, outs),
-            Tail::Sum(offset) => {
-                let (sum, rest) = raws.split_first_mut().expect("a summed call has a lane");
-                sum.b += offset;
-                rest.iter().for_each(|raw| sum.add_assign(raw));
-                boot.key_switch_into(&self.keyswitch, std::slice::from_ref(sum), outs);
-            }
-        }
+        boot.key_switch_into(&self.keyswitch, raws, outs);
         if let Some(start) = start {
             record_gate_split(gate, lanes, rotation, start.elapsed());
         }
     }
 
     /// Evaluates one bootstrapped binary gate into `out` — a one-lane
-    /// batch: linear combination, blind rotation against `mu = 1/8`, and
-    /// key switch all run on `scratch`'s preallocated buffers.
+    /// call of the kernel: linear combination, blind rotation against
+    /// `mu = 1/8`, and key switch all run on `scratch`'s preallocated
+    /// buffers.
     pub fn gate_into(
         &self,
         gate: BootGate,
@@ -312,13 +288,14 @@ impl ServerKey {
         scratch: &mut GateScratch,
         out: &mut LweCiphertext,
     ) {
-        self.batch_bootstrap_fused(gate, &[(a, b)], std::slice::from_mut(out), scratch);
+        self.bootstrap_staged(scratch, |_| gate, &[(a, b)], std::slice::from_mut(out));
     }
 
     /// Evaluates one batched kernel of a single gate kind over many input
-    /// pairs — cuFHE's one-kind batch (Figure 8), and the one-lane kernel
-    /// of [`ServerKey::gate_into`]; plan replay launches the mixed form,
-    /// [`ServerKey::batch_bootstrap_mixed`]. Bit-exact with
+    /// pairs — cuFHE's one-kind batch (Figure 8). Plan replay launches the
+    /// mixed form, [`ServerKey::batch_bootstrap_mixed`]; this form is kept
+    /// for the benchmark's `tfhe.batch{2,4,8}_ms_per_gate` timings until
+    /// they time the mixed form (ROADMAP 0(i)). Bit-exact with
     /// [`ServerKey::gate_into`] per pair, and allocation-free once the
     /// scratch has served a batch this wide.
     ///
@@ -332,7 +309,7 @@ impl ServerKey {
         outs: &mut [LweCiphertext],
         scratch: &mut GateScratch,
     ) {
-        self.bootstrap_staged(scratch, |_| gate, pairs, Tail::Each, outs);
+        self.bootstrap_staged(scratch, |_| gate, pairs, outs);
     }
 
     /// Evaluates one batched kernel of *mixed* gate kinds: `gates[i]`
@@ -357,28 +334,7 @@ impl ServerKey {
         scratch: &mut GateScratch,
     ) {
         assert_eq!(gates.len(), pairs.len(), "batch_bootstrap_mixed: gates/pairs mismatch");
-        self.bootstrap_staged(scratch, |lane| gates[lane], pairs, Tail::Each, outs);
-    }
-
-    /// One bootstrapped binary gate into a fresh ciphertext, with
-    /// caller-provided scratch.
-    pub fn gate_with(
-        &self,
-        gate: BootGate,
-        a: &LweCiphertext,
-        b: &LweCiphertext,
-        scratch: &mut GateScratch,
-    ) -> LweCiphertext {
-        let mut out = LweCiphertext::trivial(Torus32::ZERO, self.params.lwe_dim);
-        self.gate_into(gate, a, b, scratch, &mut out);
-        out
-    }
-
-    /// `NOT` — a free negation, no bootstrapping required.
-    pub fn not(&self, a: &LweCiphertext) -> LweCiphertext {
-        let mut c = a.clone();
-        c.negate();
-        c
+        self.bootstrap_staged(scratch, |lane| gates[lane], pairs, outs);
     }
 
     /// Allocation-free `NOT`: `out = -a`.
@@ -399,72 +355,11 @@ impl ServerKey {
         let mu = if bit { Self::mu() } else { -Self::mu() };
         out.assign_trivial(mu, self.params.lwe_dim);
     }
-
-    /// `MUX(s, a, b) = s ? a : b` — the TFHE-library bonus gate, built from
-    /// two bootstraps and one key switch:
-    /// `KS(bootstrap(s AND a) + bootstrap(!s AND b) + 1/8)`.
-    pub fn mux_with(
-        &self,
-        s: &LweCiphertext,
-        a: &LweCiphertext,
-        b: &LweCiphertext,
-        scratch: &mut GateScratch,
-    ) -> LweCiphertext {
-        let (gates, tail) = ([BootGate::And, BootGate::Andny], Tail::Sum(Self::mu()));
-        let mut out = LweCiphertext::trivial(Torus32::ZERO, self.params.lwe_dim);
-        let outs = std::slice::from_mut(&mut out);
-        self.bootstrap_staged(scratch, |l| gates[l], &[(s, a), (s, b)], tail, outs);
-        out
-    }
-
-    /// Convenience allocation-per-call variants of every gate.
-    pub fn nand(&self, a: &LweCiphertext, b: &LweCiphertext) -> LweCiphertext {
-        self.gate_with(BootGate::Nand, a, b, &mut self.gate_scratch())
-    }
-    /// See [`ServerKey::gate_with`].
-    pub fn and(&self, a: &LweCiphertext, b: &LweCiphertext) -> LweCiphertext {
-        self.gate_with(BootGate::And, a, b, &mut self.gate_scratch())
-    }
-    /// See [`ServerKey::gate_with`].
-    pub fn or(&self, a: &LweCiphertext, b: &LweCiphertext) -> LweCiphertext {
-        self.gate_with(BootGate::Or, a, b, &mut self.gate_scratch())
-    }
-    /// See [`ServerKey::gate_with`].
-    pub fn nor(&self, a: &LweCiphertext, b: &LweCiphertext) -> LweCiphertext {
-        self.gate_with(BootGate::Nor, a, b, &mut self.gate_scratch())
-    }
-    /// See [`ServerKey::gate_with`].
-    pub fn xor(&self, a: &LweCiphertext, b: &LweCiphertext) -> LweCiphertext {
-        self.gate_with(BootGate::Xor, a, b, &mut self.gate_scratch())
-    }
-    /// See [`ServerKey::gate_with`].
-    pub fn xnor(&self, a: &LweCiphertext, b: &LweCiphertext) -> LweCiphertext {
-        self.gate_with(BootGate::Xnor, a, b, &mut self.gate_scratch())
-    }
-    /// See [`ServerKey::gate_with`].
-    pub fn andny(&self, a: &LweCiphertext, b: &LweCiphertext) -> LweCiphertext {
-        self.gate_with(BootGate::Andny, a, b, &mut self.gate_scratch())
-    }
-    /// See [`ServerKey::gate_with`].
-    pub fn andyn(&self, a: &LweCiphertext, b: &LweCiphertext) -> LweCiphertext {
-        self.gate_with(BootGate::Andyn, a, b, &mut self.gate_scratch())
-    }
-    /// See [`ServerKey::gate_with`].
-    pub fn orny(&self, a: &LweCiphertext, b: &LweCiphertext) -> LweCiphertext {
-        self.gate_with(BootGate::Orny, a, b, &mut self.gate_scratch())
-    }
-    /// See [`ServerKey::gate_with`].
-    pub fn oryn(&self, a: &LweCiphertext, b: &LweCiphertext) -> LweCiphertext {
-        self.gate_with(BootGate::Oryn, a, b, &mut self.gate_scratch())
-    }
-    /// See [`ServerKey::mux_with`].
-    pub fn mux(&self, s: &LweCiphertext, a: &LweCiphertext, b: &LweCiphertext) -> LweCiphertext {
-        self.mux_with(s, a, b, &mut self.gate_scratch())
-    }
 }
 
 #[cfg(test)]
 mod tests {
+    use super::BootGate;
     use crate::{ClientKey, Params, SecureRng, ServerKey};
 
     fn setup() -> (ClientKey, ServerKey, SecureRng) {
@@ -477,34 +372,20 @@ mod tests {
     #[test]
     fn all_binary_gates_truth_tables() {
         let (client, server, mut rng) = setup();
-        type GateFn =
-            fn(&ServerKey, &crate::LweCiphertext, &crate::LweCiphertext) -> crate::LweCiphertext;
-        type GateCase = (&'static str, GateFn, fn(bool, bool) -> bool);
-        let gates: [GateCase; 10] = [
-            ("nand", ServerKey::nand, |a, b| !(a && b)),
-            ("and", ServerKey::and, |a, b| a && b),
-            ("or", ServerKey::or, |a, b| a || b),
-            ("nor", ServerKey::nor, |a, b| !(a || b)),
-            ("xor", ServerKey::xor, |a, b| a ^ b),
-            ("xnor", ServerKey::xnor, |a, b| !(a ^ b)),
-            ("andny", ServerKey::andny, |a, b| !a && b),
-            ("andyn", ServerKey::andyn, |a, b| a && !b),
-            ("orny", ServerKey::orny, |a, b| !a || b),
-            ("oryn", ServerKey::oryn, |a, b| a || !b),
-        ];
-        for (name, gate, oracle) in gates {
+        let mut scratch = server.gate_scratch();
+        let mut out = server.constant(false);
+        for gate in BootGate::ALL {
             for (a, b) in [(false, false), (false, true), (true, false), (true, true)] {
                 let ca = client.encrypt_bit(a, &mut rng);
                 let cb = client.encrypt_bit(b, &mut rng);
-                let out = gate(&server, &ca, &cb);
-                assert_eq!(client.decrypt_bit(&out), oracle(a, b), "{name}({a}, {b})");
+                server.gate_into(gate, &ca, &cb, &mut scratch, &mut out);
+                assert_eq!(client.decrypt_bit(&out), gate.eval(a, b), "{}({a}, {b})", gate.name());
             }
         }
     }
 
     #[test]
     fn mixed_batch_is_bit_exact_with_scalar_gates() {
-        use super::BootGate;
         let (client, server, mut rng) = setup();
         let mut scratch = server.gate_scratch();
         let gates = [
@@ -547,7 +428,7 @@ mod tests {
     fn first_full_width_batch_on_fresh_scratch_allocates_no_buffer() {
         // No warm-up: the per-lane accumulators exist from construction,
         // so a worker's first wide wave costs what every later one does.
-        use super::{BootGate, FUSE_CHUNK};
+        use super::FUSE_CHUNK;
         let (client, server, mut rng) = setup();
         let cts: Vec<_> = (0..FUSE_CHUNK)
             .map(|i| (client.encrypt_bit(i % 2 == 0, &mut rng), client.encrypt_bit(true, &mut rng)))
@@ -565,7 +446,7 @@ mod tests {
         // Every raw of the call is key-switched in one pass after the
         // last sub-chunk's rotation: a raw landing in the wrong output
         // shows at a sub-chunk boundary.
-        use super::{BootGate, FUSE_CHUNK};
+        use super::FUSE_CHUNK;
         let (client, server, mut rng) = setup();
         let mut scratch = server.gate_scratch();
         for width in [FUSE_CHUNK + 1, 2 * FUSE_CHUNK + 3, 60] {
@@ -591,7 +472,6 @@ mod tests {
 
     #[test]
     fn a_second_call_at_the_widest_width_allocates_nothing() {
-        use super::BootGate;
         let (client, server, mut rng) = setup();
         let cts: Vec<_> = (0..60)
             .map(|i| (client.encrypt_bit(i % 2 == 0, &mut rng), client.encrypt_bit(true, &mut rng)))
@@ -611,26 +491,12 @@ mod tests {
     #[test]
     fn not_and_constants() {
         let (client, server, mut rng) = setup();
+        let mut out = server.constant(false);
         for bit in [false, true] {
             let ct = client.encrypt_bit(bit, &mut rng);
-            assert_eq!(client.decrypt_bit(&server.not(&ct)), !bit);
+            server.not_into(&ct, &mut out);
+            assert_eq!(client.decrypt_bit(&out), !bit);
             assert_eq!(client.decrypt_bit(&server.constant(bit)), bit);
-        }
-    }
-
-    #[test]
-    fn mux_selects() {
-        let (client, server, mut rng) = setup();
-        for s in [false, true] {
-            for a in [false, true] {
-                for b in [false, true] {
-                    let cs = client.encrypt_bit(s, &mut rng);
-                    let ca = client.encrypt_bit(a, &mut rng);
-                    let cb = client.encrypt_bit(b, &mut rng);
-                    let out = server.mux(&cs, &ca, &cb);
-                    assert_eq!(client.decrypt_bit(&out), if s { a } else { b }, "mux({s},{a},{b})");
-                }
-            }
         }
     }
 
@@ -638,11 +504,14 @@ mod tests {
     fn gates_chain_arbitrarily_deep() {
         // The whole point of bootstrapping: noise does not accumulate.
         let (client, server, mut rng) = setup();
+        let mut scratch = server.gate_scratch();
         let mut ct = client.encrypt_bit(true, &mut rng);
+        let mut next = server.constant(false);
         let one = client.encrypt_bit(true, &mut rng);
         let mut value = true;
         for _ in 0..24 {
-            ct = server.nand(&ct, &one);
+            server.gate_into(BootGate::Nand, &ct, &one, &mut scratch, &mut next);
+            std::mem::swap(&mut ct, &mut next);
             value = !value; // nand(x, 1) == !x
             assert_eq!(client.decrypt_bit(&ct), value);
         }

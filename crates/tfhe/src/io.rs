@@ -312,7 +312,7 @@ mod tests {
     use crate::poly::TorusPoly;
     use crate::tgsw::{seeded_mask_into, Gadget};
     use crate::tlwe::TlweCiphertext;
-    use crate::SecureRng;
+    use crate::{BootGate, SecureRng};
 
     #[test]
     fn ciphertext_round_trip() {
@@ -400,8 +400,11 @@ mod tests {
         assert_eq!(server_key_to_bytes(&back), bytes, "key -> bytes -> key -> bytes");
         let a = client.encrypt_bit(true, &mut rng);
         let b = client.encrypt_bit(true, &mut rng);
-        assert!(!client.decrypt_bit(&back.nand(&a, &b)));
-        assert!(client.decrypt_bit(&back.and(&a, &b)));
+        let (mut scratch, mut out) = (back.gate_scratch(), back.constant(false));
+        back.gate_into(BootGate::Nand, &a, &b, &mut scratch, &mut out);
+        assert!(!client.decrypt_bit(&out));
+        back.gate_into(BootGate::And, &a, &b, &mut scratch, &mut out);
+        assert!(client.decrypt_bit(&out));
     }
 
     #[test]

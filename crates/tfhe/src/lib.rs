@@ -14,7 +14,7 @@
 //!   decomposition and external products ([`tlwe`], [`tgsw`]),
 //! * blind rotation and gate bootstrapping ([`bootstrap`]),
 //! * LWE-to-LWE key switching ([`keyswitch`]),
-//! * the eleven bootstrapped binary gates used by PyTFHE programs
+//! * the ten bootstrapped binary gates used by PyTFHE programs
 //!   ([`gates`]),
 //! * key generation and the client/cloud key split ([`keys`]),
 //! * byte-level serialization of keys and ciphertexts ([`io`]),
@@ -35,7 +35,7 @@
 //! # Example
 //!
 //! ```
-//! use pytfhe_tfhe::{ClientKey, Params, SecureRng};
+//! use pytfhe_tfhe::{BootGate, ClientKey, Params, SecureRng};
 //!
 //! let mut rng = SecureRng::seed_from_u64(7);
 //! let client = ClientKey::generate(Params::testing(), &mut rng);
@@ -43,7 +43,8 @@
 //!
 //! let a = client.encrypt_bit(true, &mut rng);
 //! let b = client.encrypt_bit(false, &mut rng);
-//! let out = server.nand(&a, &b);
+//! let (mut scratch, mut out) = (server.gate_scratch(), server.constant(false));
+//! server.gate_into(BootGate::Nand, &a, &b, &mut scratch, &mut out);
 //! assert!(client.decrypt_bit(&out));
 //! ```
 

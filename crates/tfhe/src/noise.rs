@@ -238,11 +238,12 @@ mod tests {
         let client = ClientKey::generate(params, &mut rng);
         let server = client.server_key(&mut rng);
         let mut scratch = server.gate_scratch();
+        let mut out = server.constant(false);
         let mut max_err: f64 = 0.0;
         for i in 0..32 {
             let a = client.encrypt_bit(i % 2 == 0, &mut rng);
             let b = client.encrypt_bit(i % 3 == 0, &mut rng);
-            let out = server.gate_with(BootGate::Nand, &a, &b, &mut scratch);
+            server.gate_into(BootGate::Nand, &a, &b, &mut scratch, &mut out);
             let want = !((i % 2 == 0) && (i % 3 == 0));
             let e = client.noise_of(&out, want).abs();
             max_err = max_err.max(e);

@@ -7,13 +7,26 @@
 
 use pytfhe_telemetry as telemetry;
 use pytfhe_tfhe::io::{server_key_from_bytes, server_key_to_bytes};
-use pytfhe_tfhe::{BootGate, ClientKey, GateScratch, LweCiphertext, Params, SecureRng};
+use pytfhe_tfhe::{BootGate, ClientKey, GateScratch, LweCiphertext, Params, SecureRng, ServerKey};
 use std::sync::{PoisonError, RwLock};
 
 /// Held for reading by every test that bootstraps, and for writing by the
 /// one that counts the process-global telemetry metrics. It guards no
 /// data, so a test that panicked under it leaves nothing to recover.
 static TELEMETRY: RwLock<()> = RwLock::new(());
+
+/// `gate(a, b)` into a fresh ciphertext.
+fn gate_fresh(
+    server: &ServerKey,
+    gate: BootGate,
+    a: &LweCiphertext,
+    b: &LweCiphertext,
+    scratch: &mut GateScratch,
+) -> LweCiphertext {
+    let mut out = server.constant(false);
+    server.gate_into(gate, a, b, scratch, &mut out);
+    out
+}
 
 #[test]
 fn default_128_gates_are_correct() {
@@ -28,7 +41,7 @@ fn default_128_gates_are_correct() {
         let ca = client.encrypt_bit(a, &mut rng);
         let cb = client.encrypt_bit(b, &mut rng);
         for gate in [BootGate::Nand, BootGate::Xor, BootGate::And] {
-            let out = server.gate_with(gate, &ca, &cb, &mut scratch);
+            let out = gate_fresh(&server, gate, &ca, &cb, &mut scratch);
             assert_eq!(client.decrypt_bit(&out), gate.eval(a, b), "{}({a}, {b})", gate.name());
         }
     }
@@ -38,7 +51,7 @@ fn default_128_gates_are_correct() {
     let mut ct = client.encrypt_bit(false, &mut rng);
     let mut value = false;
     for _ in 0..8 {
-        ct = server.gate_with(BootGate::Nand, &ct, &one, &mut scratch);
+        ct = gate_fresh(&server, BootGate::Nand, &ct, &one, &mut scratch);
         value = !value;
         assert_eq!(client.decrypt_bit(&ct), value);
     }
@@ -75,17 +88,14 @@ fn default_128_gate_calls_record_the_fig7_split() {
         server.gate_into(BootGate::Nand, &a, &b, &mut scratch, &mut out);
     }
     let after = split();
-    let selected = server.mux_with(&a, &a, &b, &mut scratch);
-    let after_mux = split();
     telemetry::set_enabled(false);
 
-    assert!(client.decrypt_bit(&out) && client.decrypt_bit(&selected));
+    assert!(client.decrypt_bit(&out));
     let (((br0, br0_s), (ks0, ks0_s), boot0), ((br1, br1_s), (ks1, ks1_s), boot1)) =
         (before, after);
     assert_eq!((br1 - br0, ks1 - ks0, boot1 - boot0), (N, N, N), "one observation per gate");
     let (br_s, ks_s) = (br1_s - br0_s, ks1_s - ks0_s);
     assert!(br_s > ks_s, "blind rotation ({br_s:.6} s) dominates key switching ({ks_s:.6} s)");
-    assert_eq!(after_mux, after, "a MUX records nothing");
 }
 
 #[test]
@@ -95,14 +105,14 @@ fn a_banded_pair_bootstraps_a_default_128_gate_bit_identically() {
     let client = ClientKey::generate(Params::default_128(), &mut rng);
     let server = client.server_key(&mut rng);
     let (a, b) = (client.encrypt_bit(true, &mut rng), client.encrypt_bit(false, &mut rng));
-    let want = server.gate_with(BootGate::Nand, &a, &b, &mut server.gate_scratch());
+    let want = gate_fresh(&server, BootGate::Nand, &a, &b, &mut server.gate_scratch());
     let mut gang: Vec<GateScratch> =
         (0..server.gang_width()).map(|_| server.gate_scratch()).collect();
     GateScratch::band(&mut gang);
     let outs: Vec<LweCiphertext> = std::thread::scope(|s| {
         let members: Vec<_> = gang
             .iter_mut()
-            .map(|scratch| s.spawn(|| server.gate_with(BootGate::Nand, &a, &b, scratch)))
+            .map(|scratch| s.spawn(|| gate_fresh(&server, BootGate::Nand, &a, &b, scratch)))
             .collect();
         members.into_iter().map(|m| m.join().expect("no member panics")).collect()
     });
@@ -112,7 +122,7 @@ fn a_banded_pair_bootstraps_a_default_128_gate_bit_identically() {
 }
 
 #[test]
-fn every_gate_and_mux_is_correct_under_a_decoded_default_128_key() {
+fn every_gate_is_correct_under_a_decoded_default_128_key() {
     let _shared = TELEMETRY.read().unwrap_or_else(PoisonError::into_inner);
     // The key the server runs on is the one it decodes: masks regenerated
     // from the seed, spectra recomputed on this host.
@@ -124,13 +134,8 @@ fn every_gate_and_mux_is_correct_under_a_decoded_default_128_key() {
     for (a, b) in [(false, false), (false, true), (true, false), (true, true)] {
         let (ca, cb) = (client.encrypt_bit(a, &mut rng), client.encrypt_bit(b, &mut rng));
         for gate in BootGate::ALL {
-            let out = server.gate_with(gate, &ca, &cb, &mut scratch);
+            let out = gate_fresh(&server, gate, &ca, &cb, &mut scratch);
             assert_eq!(client.decrypt_bit(&out), gate.eval(a, b), "{}({a}, {b})", gate.name());
-        }
-        for sel in [false, true] {
-            let cs = client.encrypt_bit(sel, &mut rng);
-            let out = server.mux(&cs, &ca, &cb);
-            assert_eq!(client.decrypt_bit(&out), if sel { a } else { b }, "mux({sel}, {a}, {b})");
         }
     }
 }

@@ -131,13 +131,12 @@ proptest! {
         let mut scratch = server.gate_scratch();
         let cy = client.encrypt_bit(y, &mut rng);
         let mut cx = client.encrypt_bit(x, &mut rng);
+        let mut next = server.constant(false);
         for op in ops {
-            (cx, x) = match op {
-                0 => (server.gate_with(BootGate::Nand, &cx, &cy, &mut scratch), !(x && y)),
-                1 => (server.gate_with(BootGate::Xor, &cx, &cy, &mut scratch), x ^ y),
-                2 => (server.gate_with(BootGate::Or, &cx, &cy, &mut scratch), x || y),
-                _ => (server.gate_with(BootGate::Andyn, &cx, &cy, &mut scratch), x && !y),
-            };
+            let gate = [BootGate::Nand, BootGate::Xor, BootGate::Or, BootGate::Andyn][op];
+            server.gate_into(gate, &cx, &cy, &mut scratch, &mut next);
+            std::mem::swap(&mut cx, &mut next);
+            x = gate.eval(x, y);
             prop_assert_eq!(client.decrypt_bit(&cx), x);
         }
     }

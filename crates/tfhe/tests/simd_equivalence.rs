@@ -274,23 +274,16 @@ proptest! {
         let client = ClientKey::generate(Params::testing(), &mut rng);
         let server = client.server_key(&mut rng);
         let mut scratch = server.gate_scratch();
+        let mut out = server.constant(false);
         for a in [false, true] {
             for b in [false, true] {
                 let ca = client.encrypt_bit(a, &mut rng);
                 let cb = client.encrypt_bit(b, &mut rng);
                 let path = simd::active_path();
-                prop_assert_eq!(
-                    client.decrypt_bit(&server.gate_with(BootGate::Nand, &ca, &cb, &mut scratch)),
-                    !(a && b), "nand({a},{b}) on {}", path
-                );
-                prop_assert_eq!(
-                    client.decrypt_bit(&server.gate_with(BootGate::Xor, &ca, &cb, &mut scratch)),
-                    a ^ b, "xor({a},{b}) on {}", path
-                );
-                prop_assert_eq!(
-                    client.decrypt_bit(&server.mux_with(&ca, &ca, &cb, &mut scratch)),
-                    if a { a } else { b }, "mux({a},{a},{b}) on {}", path
-                );
+                server.gate_into(BootGate::Nand, &ca, &cb, &mut scratch, &mut out);
+                prop_assert_eq!(client.decrypt_bit(&out), !(a && b), "nand({a},{b}) on {}", path);
+                server.gate_into(BootGate::Xor, &ca, &cb, &mut scratch, &mut out);
+                prop_assert_eq!(client.decrypt_bit(&out), a ^ b, "xor({a},{b}) on {}", path);
             }
         }
     }
